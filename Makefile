@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race bench bench-nearfield bench-nearfield-json bench-json bench-shard bench-session bench-smoke sched-stress shard-stress session-stress lint lint-baseline lint-inject ci
+.PHONY: build vet test race bench bench-nearfield bench-smoke bench-check sched-stress shard-stress session-stress lint lint-baseline lint-inject ci
 
 build:
 	$(GO) build ./...
@@ -24,37 +24,18 @@ bench:
 bench-nearfield:
 	$(GO) test ./internal/kifmm/ -run='^$$' -bench=BenchmarkNearField -benchmem
 
-# Near-field phase comparison (float64 panels vs float32 panels vs the
-# pre-panel pairwise bodies, ULI/D2T/WLI × laplace/stokes/yukawa, plus
-# layout construction gated vs mirrors), written as machine-readable JSON
-# for EXPERIMENTS.md and CI artifacts. The float32/float64 ULI ratio is the
-# mixed-precision acceptance number (DESIGN.md §7.8).
-bench-nearfield-json:
-	$(GO) run ./cmd/benchjson -pkg ./internal/kifmm/ -bench 'BenchmarkNearField|BenchmarkLayoutBuild' -benchtime 3x -o BENCH_nearfield.json
-
-# V-list phase comparison (fft vs fft-legacy vs dense) on the 30k ellipsoid
-# tree, written as machine-readable JSON (ns/op, B/op, allocs/op per
-# sub-benchmark) for EXPERIMENTS.md and CI artifacts.
-bench-json:
-	$(GO) run ./cmd/benchjson -pkg ./internal/kifmm/ -bench BenchmarkVList -benchtime 3x -o BENCH_vlist.json
-
-# Sharded apply on the 100k ellipsoid (R ∈ {1,2,4} × both communication
-# backends), written as machine-readable JSON for EXPERIMENTS.md and CI
-# artifacts.
-bench-shard:
-	$(GO) run ./cmd/benchjson -pkg ./internal/shard/ -bench BenchmarkShardedApply -benchtime 3x -o BENCH_shard.json
-
-# Moving-points session step (0.1%/1%/10% migration on the 100k uniform
-# ensemble) against the stateless re-plan baselines, written as
-# machine-readable JSON for EXPERIMENTS.md and CI artifacts.
-bench-session:
-	$(GO) run ./cmd/benchjson -pkg ./internal/session/ -bench BenchmarkSessionStep -benchtime 3x -o BENCH_session.json
-
 # Compile-and-run every benchmark exactly once: catches bitrot in benchmark
 # code without paying for real measurement (the -run pattern matches no
 # tests).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# The repo's benchmark (BENCHMARK.json; run it with `go run -C bench .`) is
+# its own module, which `./...` from the root never compiles: vet it and run
+# its tests so a change to an API it drives breaks here.
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # Repeated race runs of the work-stealing scheduler and the par shim
 # (randomized-DAG property tests are seeded per run, so -count=5 explores
@@ -103,4 +84,4 @@ lint-baseline:
 lint-inject:
 	./scripts/lint_inject.sh
 
-ci: build vet lint lint-inject race sched-stress shard-stress session-stress bench-smoke
+ci: build vet lint lint-inject race sched-stress shard-stress session-stress bench-smoke bench-check

@@ -150,20 +150,6 @@ func BenchmarkDistributedEvaluate_10k_p4(b *testing.B) {
 	}
 }
 
-func BenchmarkAcceleratedEvaluate_10k(b *testing.B) {
-	f, err := New(Options{PointsPerBox: 100, Workers: 2, Accelerated: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pts, den := benchPoints(10000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.Evaluate(pts, den); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEvaluateReplan and BenchmarkPlanApply bracket the plan-reuse win
 // that fmmserve's plan cache banks: Evaluate rebuilds the octree, the
 // interaction lists, and the engine every call; Plan.Apply reuses them and

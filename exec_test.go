@@ -146,21 +146,4 @@ func TestExecValidation(t *testing.T) {
 	if _, err := New(Options{Exec: ExecMode(-1)}); err == nil {
 		t.Fatal("negative exec mode accepted")
 	}
-	// ApplyTraced is CPU-scheduler-only: the accelerated path must refuse.
-	f, err := New(Options{Accelerated: true, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, den := randInput(400, f.DensityDim(), 5)
-	p, err := f.Plan(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p.ApplyTraced(den); err == nil {
-		t.Fatal("ApplyTraced on accelerated plan accepted")
-	}
-	// ...but plain Apply still works (barrier path).
-	if _, err := p.Apply(den); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -8,27 +8,24 @@
 // (SC'09): the sequential KIFMM of Ying-Biros-Zorin with dense and
 // FFT-diagonalized V-list translations, distributed-memory evaluation over
 // Morton-partitioned local essential trees with the hypercube
-// reduce-and-scatter of upward densities (Algorithm 3), and streaming
-// (GPU-style) acceleration of the direct interaction, source-to-multipole,
-// local-to-target, and V-list Hadamard phases on a simulated device.
+// reduce-and-scatter of upward densities (Algorithm 3). The paper's
+// streaming (GPU-style) acceleration runs on a simulated device under
+// internal/experiments (Table III, Fig. 6), not behind this API.
 //
 // The top-level API covers the common cases; the building blocks (Morton
-// octrees, the message-passing runtime, the translation operators, the
-// streaming device) live under internal/.
+// octrees, the message-passing runtime, the translation operators) live
+// under internal/.
 package kifmm
 
 import (
 	"fmt"
-	"time"
 
 	"kifmm/internal/geom"
-	"kifmm/internal/gpu"
 	"kifmm/internal/kernel"
 	ikifmm "kifmm/internal/kifmm"
 	"kifmm/internal/mpi"
 	"kifmm/internal/parfmm"
 	"kifmm/internal/shard"
-	"kifmm/internal/stream"
 )
 
 // Point is a location in the unit cube [0,1)³. Sources and targets
@@ -67,11 +64,8 @@ const (
 type Precision int
 
 const (
-	// PrecisionAuto (the default) picks float32 when the plan is already
-	// committed to single-precision arithmetic (Accelerated plans, whose
-	// streaming device computes in float32 per the paper) and float64
-	// otherwise — the default CPU path is bit-identical to an explicit
-	// PrecisionFloat64.
+	// PrecisionAuto (the default) means float64: bit-identical to an
+	// explicit PrecisionFloat64.
 	PrecisionAuto Precision = iota
 	// PrecisionFloat64 forces double-precision near-field arithmetic.
 	PrecisionFloat64
@@ -130,20 +124,10 @@ type Options struct {
 	DenseM2L bool
 	// Workers bounds shared-memory parallelism inside each rank (default 1).
 	Workers int
-	// VListBlock overrides the FFT V-list target block size. The block
-	// bounds the live-spectrum memory of the direction-batched translation
-	// phase. Zero (the default) derives the size from an 8 MiB budget for
-	// the block's live target accumulators — block ≈ 8 MiB / (AccLen·8
-	// bytes) — clamped to at least 4·Workers targets (keeping every worker
-	// busy per block) and at most 1024. Negative values are rejected by New.
-	VListBlock int
 	// NoLoadBalance disables the work-weighted Morton repartitioning that
 	// distributed evaluation performs by default; set it to keep the initial
 	// equal-count point partition instead.
 	NoLoadBalance bool
-	// Accelerated routes the ULI/S2U/D2T/V-list phases through the
-	// simulated streaming device (single precision; Laplace only).
-	Accelerated bool
 	// YukawaLambda is the screening parameter of the Yukawa kernel
 	// (default 5).
 	YukawaLambda float64
@@ -152,9 +136,9 @@ type Options struct {
 	// regularizes the interaction lists at the cost of extra octants.
 	Balanced bool
 	// Exec selects barrier vs task-graph execution of the evaluation
-	// phases (sequential/Plan evaluation only; the distributed and
-	// device-accelerated drivers schedule phases themselves). The default
-	// ExecAuto uses the task graph whenever Workers > 1.
+	// phases (sequential/Plan evaluation only; the distributed driver
+	// schedules phases itself). The default ExecAuto uses the task graph
+	// whenever Workers > 1.
 	Exec ExecMode
 	// Shards, when positive, makes Plan build a sharded plan: the octree's
 	// leaves are Morton-partitioned across Shards in-process ranks, each
@@ -177,12 +161,10 @@ type Options struct {
 	// target-only subtrees and target-side work in source-only subtrees;
 	// every skipped term is exactly zero, so the result is bit-identical to
 	// evaluating the union with zero-density targets (EvaluateAt's trick)
-	// while skipping its wasted work. Incompatible with Shards and
-	// Accelerated.
+	// while skipping its wasted work. Incompatible with Shards.
 	Targets []Point
 	// Precision selects the near-field arithmetic precision (see the
-	// Precision type). The default PrecisionAuto keeps the CPU path in
-	// float64.
+	// Precision type). The default PrecisionAuto is float64.
 	Precision Precision
 }
 
@@ -237,9 +219,6 @@ func New(opt Options) (*FMM, error) {
 	if opt.PointsPerBox < 1 || opt.Order < 2 || opt.MaxDepth < 1 || opt.MaxDepth > 30 {
 		return nil, fmt.Errorf("kifmm: invalid options %+v", opt)
 	}
-	if opt.VListBlock < 0 {
-		return nil, fmt.Errorf("kifmm: negative VListBlock %d (use 0 to derive the block size from the 8 MiB accumulator budget)", opt.VListBlock)
-	}
 	if opt.Exec < ExecAuto || opt.Exec > ExecDAG {
 		return nil, fmt.Errorf("kifmm: invalid exec mode %d", opt.Exec)
 	}
@@ -250,16 +229,10 @@ func New(opt Options) (*FMM, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opt.Accelerated && k.Name() != "laplace" {
-		return nil, fmt.Errorf("kifmm: accelerated evaluation supports the laplace kernel only")
-	}
 	if opt.Shards < 0 {
 		return nil, fmt.Errorf("kifmm: negative shard count %d", opt.Shards)
 	}
 	if opt.Shards > 0 {
-		if opt.Accelerated {
-			return nil, fmt.Errorf("kifmm: sharded plans do not support accelerated evaluation (the streaming device owns the phase schedule)")
-		}
 		backend, err := shard.BackendByName(opt.ShardComm)
 		if err != nil {
 			return nil, fmt.Errorf("kifmm: %w", err)
@@ -277,9 +250,6 @@ func New(opt Options) (*FMM, error) {
 		if opt.Shards > 0 {
 			return nil, fmt.Errorf("kifmm: asymmetric evaluation (Targets) does not support sharded plans")
 		}
-		if opt.Accelerated {
-			return nil, fmt.Errorf("kifmm: asymmetric evaluation (Targets) does not support accelerated evaluation")
-		}
 		cube := geom.UnitCube()
 		for i, p := range opt.Targets {
 			if !cube.Contains(geom.Point(p)) {
@@ -296,30 +266,28 @@ func (f *FMM) DensityDim() int { return f.kern.SrcDim() }
 // PotentialDim returns the number of potential components per point.
 func (f *FMM) PotentialDim() int { return f.kern.TrgDim() }
 
-// Accelerated reports whether this solver routes phases through the
-// simulated streaming device (which owns its own phase schedule, so the
-// scheduler-tracing path does not apply).
-func (f *FMM) Accelerated() bool { return f.opt.Accelerated }
-
 // Exec returns the configured execution strategy for the density-dependent
 // phases.
 func (f *FMM) Exec() ExecMode { return f.opt.Exec }
 
-// Precision returns the resolved near-field precision: PrecisionAuto maps
-// to PrecisionFloat32 on Accelerated solvers (the streaming device already
-// computes in single precision) and PrecisionFloat64 otherwise, so the
-// return value is always one of the two concrete precisions.
+// Precision returns the resolved near-field precision, always one of the
+// two concrete precisions (PrecisionAuto resolves to PrecisionFloat64).
 func (f *FMM) Precision() Precision {
-	switch f.opt.Precision {
-	case PrecisionFloat32:
+	if f.opt.Precision == PrecisionFloat32 {
 		return PrecisionFloat32
-	case PrecisionFloat64:
-		return PrecisionFloat64
+	}
+	return PrecisionFloat64
+}
+
+// useDAG reports whether evaluations run on the task-graph scheduler.
+func (f *FMM) useDAG() bool {
+	switch f.opt.Exec {
+	case ExecDAG:
+		return true
+	case ExecBarrier:
+		return false
 	default:
-		if f.opt.Accelerated {
-			return PrecisionFloat32
-		}
-		return PrecisionFloat64
+		return f.opt.Workers > 1
 	}
 }
 
@@ -406,11 +374,7 @@ func (f *FMM) EvaluateDistributed(ranks int, points []Point, densities []float64
 	mpi.Run(ranks, func(c *mpi.Comm) {
 		r := c.Rank()
 		lo, hi := r*len(points)/ranks, (r+1)*len(points)/ranks
-		rcfg := cfg
-		if f.opt.Accelerated {
-			rcfg.Accel = gpu.New(stream.NewDevice(stream.DefaultParams()))
-		}
-		results[r] = parfmm.Evaluate(c, gpts[lo:hi], densities[lo*sd:hi*sd], rcfg)
+		results[r] = parfmm.Evaluate(c, gpts[lo:hi], densities[lo*sd:hi*sd], cfg)
 	})
 	// Points were redistributed; coincident targets receive identical
 	// potentials, so matching by coordinates is exact.
@@ -470,54 +434,4 @@ func (f *FMM) EvaluateAt(targets, sources []Point, densities []float64) ([]float
 		return nil, err
 	}
 	return pot[:len(targets)*td], nil
-}
-
-// TuneQ measures evaluation time over candidate points-per-box values on a
-// subsample of the input and returns the fastest — the paper's single-GPU
-// q sweep (Table III) folded into "an autotuning algorithm", as its authors
-// suggest. A nil candidates slice sweeps {25, 50, 100, 200, 400}. The
-// returned value is intended for a fresh FMM instance:
-//
-//	q, _ := solver.TuneQ(points, densities, nil)
-//	tuned, _ := kifmm.New(kifmm.Options{PointsPerBox: q, ...})
-func (f *FMM) TuneQ(points []Point, densities []float64, candidates []int) (int, error) {
-	if err := f.checkInput(points, densities); err != nil {
-		return 0, err
-	}
-	if candidates == nil {
-		candidates = []int{25, 50, 100, 200, 400}
-	}
-	for _, q := range candidates {
-		if q < 1 {
-			return 0, fmt.Errorf("kifmm: invalid candidate q %d", q)
-		}
-	}
-	// Subsample to bound tuning cost; a stride-based sample preserves the
-	// spatial distribution.
-	const maxSample = 20000
-	sd := f.kern.SrcDim()
-	pts, den := points, densities
-	if len(points) > maxSample {
-		stride := (len(points) + maxSample - 1) / maxSample
-		pts = nil
-		den = nil
-		for i := 0; i < len(points); i += stride {
-			pts = append(pts, points[i])
-			den = append(den, densities[i*sd:(i+1)*sd]...)
-		}
-	}
-	best, bestTime := candidates[0], time.Duration(1<<62)
-	for _, q := range candidates {
-		opt := f.opt
-		opt.PointsPerBox = q
-		trial := &FMM{opt: opt, kern: f.kern, ops: f.ops}
-		t0 := time.Now()
-		if _, err := trial.Evaluate(pts, den); err != nil {
-			return 0, err
-		}
-		if d := time.Since(t0); d < bestTime {
-			best, bestTime = q, d
-		}
-	}
-	return best, nil
 }

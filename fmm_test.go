@@ -55,9 +55,6 @@ func TestNewRejectsBadOptions(t *testing.T) {
 	if _, err := New(Options{Order: 1}); err == nil {
 		t.Fatalf("order 1 accepted")
 	}
-	if _, err := New(Options{Kernel: Stokes, Accelerated: true}); err == nil {
-		t.Fatalf("accelerated stokes accepted")
-	}
 	if _, err := New(Options{MaxDepth: 99}); err == nil {
 		t.Fatalf("depth 99 accepted")
 	}
@@ -130,22 +127,6 @@ func TestEvaluateDistributedValidation(t *testing.T) {
 	}
 	if _, err := f.EvaluateDistributed(16, pts[:4], den[:4]); err == nil {
 		t.Fatalf("too few points accepted")
-	}
-}
-
-func TestEvaluateAccelerated(t *testing.T) {
-	f, err := New(Options{Accelerated: true, PointsPerBox: 60, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, den := randInput(1000, 1, 5)
-	got, err := f.Evaluate(pts, den)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := f.Direct(pts, den)
-	if e := relErr(got, want); e > 5e-4 {
-		t.Fatalf("accelerated rel err %g (single precision)", e)
 	}
 }
 
@@ -254,8 +235,6 @@ func TestOptionAndInputValidation(t *testing.T) {
 	}{
 		{"unknown kernel", Options{Kernel: "helmholtz"}},
 		{"negative yukawa lambda", Options{Kernel: Yukawa, YukawaLambda: -2}},
-		{"accelerated stokes", Options{Kernel: Stokes, Accelerated: true}},
-		{"accelerated yukawa", Options{Kernel: Yukawa, Accelerated: true}},
 		{"order too low", Options{Order: 1}},
 		{"excessive depth", Options{MaxDepth: 99}},
 	}
@@ -385,46 +364,5 @@ func TestPlanValidation(t *testing.T) {
 	}
 	if _, err := plan.Apply([]float64{1}); err == nil {
 		t.Fatalf("density length mismatch accepted")
-	}
-}
-
-func TestPlanAccelerated(t *testing.T) {
-	f, err := New(Options{Accelerated: true, PointsPerBox: 60, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, den := randInput(800, 1, 64)
-	plan, err := f.Plan(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := plan.Apply(den)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := f.Direct(pts, den)
-	if e := relErr(got, want); e > 5e-4 {
-		t.Fatalf("accelerated plan rel err %g", e)
-	}
-}
-
-func TestTuneQReturnsCandidate(t *testing.T) {
-	f, err := New(Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, den := randInput(3000, 1, 51)
-	q, err := f.TuneQ(pts, den, []int{20, 80})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q != 20 && q != 80 {
-		t.Fatalf("TuneQ returned non-candidate %d", q)
-	}
-	if _, err := f.TuneQ(pts, den, []int{0}); err == nil {
-		t.Fatalf("invalid candidate accepted")
-	}
-	if _, err := f.TuneQ(nil, nil, nil); err == nil {
-		t.Fatalf("empty input accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package kifmm
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"kifmm/internal/diag"
@@ -206,10 +205,11 @@ func (e *Engine) buildDAG() *sched.Graph {
 }
 
 // buildVFFT adds the FFT-diagonalized V-list subgraph: one forward-FFT
-// ("spec") task per referenced source octant and one Hadamard+inverse-FFT
-// task per target octant. Source spectra are reference-counted and released
+// ("spec") task per referenced source octant and one task per target octant
+// running the same per-target body as the barrier pass (vliFFTNode). Only
+// the spectrum lifetime differs: spectra are reference-counted and released
 // as their last consumer finishes, which bounds the live-spectrum footprint
-// the barrier path bounds with its fixed-size target blocks.
+// without a level barrier.
 func (e *Engine) buildVFFT(g *sched.Graph, uTask, vTask []sched.TaskID) {
 	t := e.Tree
 	f := e.Ops.FFT()
@@ -245,68 +245,29 @@ func (e *Engine) buildVFFT(g *sched.Graph, uTask, vTask []sched.TaskID) {
 			}
 		}
 	}
+	tables := vTables{f: f, workers: e.Workers}
 	for i := 0; i < nn; i++ {
 		n := &t.Nodes[i]
 		if len(n.V) == 0 || !e.trgNode(int32(i)) {
 			continue
 		}
-		vTask[i] = dagTask(g, e, "Vfft", sched.PriHigh, diag.PhaseVList,
-			func(i int32, s *evalScratch) { e.vliFFTNode(i, f, spec, refs, s) }, int32(i))
+		tb := tables.at(n.Key.Level())
+		vTask[i] = dagTask(g, e, "Vfft", sched.PriHigh, diag.PhaseVList, func(i int32, s *evalScratch) {
+			e.vliFFTNode(i, f, tb, spec, nil, s)
+			// Release mirrors the ref counting above exactly (mask-selected
+			// sources only); the atomic decrement orders the free after
+			// every other consumer's reads.
+			for _, a := range t.Nodes[i].V {
+				if e.srcNode(a) && atomic.AddInt32(&refs[a], -1) == 0 {
+					spec[a] = nil
+				}
+			}
+		}, int32(i))
 		for _, a := range n.V {
 			if !e.srcNode(a) {
 				continue
 			}
 			g.Dep(specTask[a], vTask[i])
-		}
-	}
-}
-
-// vliFFTNode is the per-target FFT V-list body: Hadamard-accumulate every
-// V source's spectrum — in ascending direction-key order, the same
-// per-target order the barrier path's direction-major streaming produces —
-// into the worker's reusable frequency-space accumulator,
-// inverse-transform, and add into e.DChk[i]. Afterwards it drops the
-// refcount of each consumed spectrum, freeing it on zero; the atomic
-// decrement orders the release after every other consumer's reads.
-//
-//fmm:hotpath
-func (e *Engine) vliFFTNode(i int32, f *FFTM2L, spec [][]float64, refs []int32, s *evalScratch) {
-	t := e.Tree
-	n := &t.Nodes[i]
-	sd, td := e.Ops.Kern.SrcDim(), e.Ops.Kern.TrgDim()
-	hl := f.HalfLen()
-	tfLevel := 0
-	if !e.Ops.Homogeneous() {
-		tfLevel = n.Key.Level()
-	}
-	vs := s.vsort[:0]
-	for _, a := range n.V {
-		if !e.srcNode(a) {
-			continue
-		}
-		dx, dy, dz := dirBetween(t.Nodes[a].Key, n.Key)
-		vs = append(vs, vRef{dir: packDir(dx, dy, dz), a: a}) //fmm:allow hotalloc amortized growth of per-worker vsort scratch
-	}
-	s.vsort = vs
-	//fmm:allow hotalloc sort.Slice boxes its closure once per target, not per source
-	sort.Slice(vs, func(x, y int) bool { return vs[x].dir < vs[y].dir })
-	acc := s.fftAcc(f.AccLen())
-	for _, vr := range vs {
-		dx, dy, dz := unpackDir(vr.dir)
-		tf := f.TranslationAt(tfLevel, dx, dy, dz)
-		Hadamard(acc, tf, spec[vr.a], sd, td, hl)
-		s.flops[fpVList] += int64(8 * td * sd * hl)
-	}
-	scale := e.Ops.KernScale(n.Key.Level())
-	f.ExtractCheck(acc, scale, e.DChk[i], s.grid(f.GridLen()))
-	// Release must mirror the builder's ref counting exactly: only sources
-	// it counted (mask-selected) were incremented.
-	for _, a := range n.V {
-		if !e.srcNode(a) {
-			continue
-		}
-		if atomic.AddInt32(&refs[a], -1) == 0 {
-			spec[a] = nil
 		}
 	}
 }

@@ -42,9 +42,6 @@ type Engine struct {
 	// UseFFTM2L selects the FFT-diagonalized V-list translation instead of
 	// dense M2L matrices.
 	UseFFTM2L bool
-	// VBlock overrides the FFT V-list target block size (0 derives it from
-	// the worker count and the spectrum footprint; see vBlockSize).
-	VBlock int
 	// Workers bounds within-rank loop parallelism (1 = sequential, matching
 	// the paper's CPU configuration of one core per MPI process).
 	Workers int
@@ -87,9 +84,13 @@ type Engine struct {
 	scratch []*evalScratch
 	// den32 is the reused single-precision density buffer of Den32.
 	den32 []float32
-	// vspec and vacc are the FFT V-list's reusable per-block source-spectrum
-	// and target-accumulator buffers (barrier path; grown by vBuf).
-	vspec, vacc []float64
+	// vbuf backs the barrier FFT V-list's source spectra of one target chunk
+	// (at most vLiveBytes), vspec maps a node to its spectrum in it and vseen
+	// marks the chunk's collected sources; all three are reused across
+	// chunks, levels and Applies (vliFFT).
+	vbuf  []float64
+	vspec [][]float64
+	vseen []bool
 }
 
 // NewEngine allocates evaluation state for the tree, building a private
@@ -301,16 +302,9 @@ type evalScratch struct {
 	tx32, ty32, tz32 []float32 // max leaf points: box-local float32 target panel
 	px32, py32, pz32 []float32 // max leaf points: box-local float32 source panel
 	vgrid            []float64 // GridLen: real-grid scratch for the half-spectrum FFTs
-	vacc             []float64 // AccLen: per-target frequency accumulator (DAG path)
-	vsort            []vRef    // direction-sorted V-list scratch (DAG path)
+	vacc             []float64 // AccLen: per-target frequency accumulator
+	vsort            []uint64  // one target's V sources as dirSlot<<32 | node, sorted
 	flops            [numFlopPhase]int64
-}
-
-// vRef is one V-list source tagged with its packed direction key, the DAG
-// path's unit of direction-ordered accumulation.
-type vRef struct {
-	dir uint32
-	a   int32
 }
 
 // surf returns the scratch surface panel slices.
@@ -336,34 +330,6 @@ func (s *evalScratch) fftAcc(n int) []float64 {
 	}
 	zero(s.vacc)
 	return s.vacc
-}
-
-// vBuf reslices (growing if needed) one of the engine's reusable FFT V-list
-// block buffers to length n.
-func (e *Engine) vBuf(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	return (*buf)[:n]
-}
-
-// vBlockSize returns the FFT V-list target block size: VBlock when set,
-// otherwise sized so the block's live target accumulators stay within a
-// fixed byte budget (bounding live-spectrum memory) without dropping below
-// a few targets per worker (keeping every worker busy per block).
-func (e *Engine) vBlockSize(accLen int) int {
-	if e.VBlock > 0 {
-		return e.VBlock
-	}
-	const accBudget = 8 << 20 // live target-accumulator bytes per block
-	b := accBudget / (accLen * 8)
-	if m := 4 * e.barrierWorkers(); b < m {
-		b = m
-	}
-	if b > 1024 {
-		b = 1024
-	}
-	return b
 }
 
 // ensureScratch returns the per-worker scratch slice, growing it to at

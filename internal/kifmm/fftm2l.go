@@ -2,11 +2,10 @@ package kifmm
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"kifmm/internal/fft"
 	"kifmm/internal/geom"
-	"kifmm/internal/octree"
 	"kifmm/internal/par"
 )
 
@@ -192,21 +191,28 @@ func (f *FFTM2L) buildTranslation(level, dx, dy, dz int) []float64 {
 	return spec
 }
 
-// vDirs enumerates the 316 V-list directions (the 7³ neighborhood minus the
-// 3³ adjacency core) in ascending packDir order.
-func vDirs() [][3]int {
-	dirs := make([][3]int, 0, 316)
-	for dx := -3; dx <= 3; dx++ {
-		for dy := -3; dy <= 3; dy++ {
-			for dz := -3; dz <= 3; dz++ {
-				if maxAbs3(dx, dy, dz) <= 1 {
-					continue
-				}
-				dirs = append(dirs, [3]int{dx, dy, dz})
-			}
+// vTable holds the translation spectra of one level indexed by dirSlot; the
+// 27 adjacent-direction slots stay nil.
+type vTable [7 * 7 * 7][]float64
+
+// dirSlot is a V-list direction's index into a vTable. Slots ascend in the
+// same (dx, dy, dz) lexicographic order as packDir keys.
+func dirSlot(dx, dy, dz int) int { return ((dx+3)*7+(dy+3))*7 + dz + 3 }
+
+// table resolves the translation spectra of the 316 V-list directions (the
+// 7³ neighborhood minus the 3³ adjacency core) at the given level, in
+// parallel: cache hits after Prewarm, coalesced builds otherwise. The V-list
+// body then indexes the table per interaction instead of paying a keyed
+// cache lookup per Hadamard product.
+func (f *FFTM2L) table(level, workers int) *vTable {
+	tb := new(vTable)
+	par.For(workers, len(tb), func(k int) {
+		dx, dy, dz := k/49-3, k/7%7-3, k%7-3 // inverse of dirSlot
+		if maxAbs3(dx, dy, dz) > 1 {
+			tb[k] = f.TranslationAt(level, dx, dy, dz)
 		}
-	}
-	return dirs
+	})
+	return tb
 }
 
 // Prewarm eagerly builds the translation spectra of every V-list direction
@@ -215,20 +221,12 @@ func vDirs() [][3]int {
 // process — finds only cache hits; racing prewarms of the same direction
 // coalesce into one computation inside the cache.
 func (f *FFTM2L) Prewarm(levels []int, workers int) {
-	dirs := vDirs()
 	if len(levels) == 0 {
 		levels = []int{0}
 	}
-	par.For(workers, len(levels)*len(dirs), func(k int) {
-		l := levels[k/len(dirs)]
-		d := dirs[k%len(dirs)]
-		f.TranslationAt(l, d[0], d[1], d[2])
-	})
-}
-
-// unpackDir inverts packDir.
-func unpackDir(d uint32) (int, int, int) {
-	return int(d>>16&0xff) - 3, int(d>>8&0xff) - 3, int(d&0xff) - 3
+	for _, l := range levels {
+		f.table(l, workers)
+	}
 }
 
 // ExtractCheck inverse-transforms the accumulated frequency-domain check
@@ -299,23 +297,6 @@ func hadamardPanels(ar, ai, tr, ti, sr, si []float64) {
 	}
 }
 
-// hasSelectedSource reports whether the node has any V-list source passing
-// the filter.
-func hasSelectedSource(n *octree.Node, srcSel func(i int32) bool) bool {
-	if len(n.V) == 0 {
-		return false
-	}
-	if srcSel == nil {
-		return true
-	}
-	for _, a := range n.V {
-		if srcSel(a) {
-			return true
-		}
-	}
-	return false
-}
-
 func mod(a, n int) int {
 	m := a % n
 	if m < 0 {
@@ -324,147 +305,143 @@ func mod(a, n int) int {
 	return m
 }
 
-// vPair is one V-list interaction inside a target block, by block-local
-// source and target indices.
-type vPair struct {
-	src, tgt int32
+// vTables resolves per-level translation tables on first use: homogeneous
+// kernels share the reference-level table (rescaled by KernScale at
+// extraction), the others get one table per octant level.
+type vTables struct {
+	f       *FFTM2L
+	workers int
+	byLevel []*vTable
 }
 
-// vliFFT is the engine's FFT-based V-list pass: level by level (levels
-// sorted so scheduling and flop ordering are reproducible), targets are
-// processed in fixed-size blocks that bound the live-spectrum footprint.
-// Within a block the interactions are regrouped by translation direction —
-// the paper's translation-vector batching — so each direction's spectrum is
-// resolved once and streamed against every (src, tgt) pair of that class
-// before the next is touched. Workers own contiguous target sub-ranges, so
-// each target's accumulator is written by one worker, in ascending
-// direction-key order: for a fixed target and direction the source octant is
-// unique, which makes the per-target accumulation order well-defined and
-// identical to the DAG path's — the two executors stay bit-identical.
+func (v *vTables) at(level int) *vTable {
+	if v.f.ops.Homogeneous() {
+		level = 0
+	}
+	for len(v.byLevel) <= level {
+		v.byLevel = append(v.byLevel, nil)
+	}
+	if v.byLevel[level] == nil {
+		v.byLevel[level] = v.f.table(level, v.workers)
+	}
+	return v.byLevel[level]
+}
+
+// vLiveBytes bounds the source spectra the barrier driver holds at once. A
+// level's targets are walked in node (Morton) order and run as a chunk once
+// their distinct sources fill the bound, so the pass keeps a constant-size
+// buffer however many octants a level has; the price is re-transforming the
+// sources that neighbouring chunks share.
+const vLiveBytes = 32 << 20
+
+// vliFFT is the barrier driver of the FFT V-list: levels ascending (V
+// interactions are same-level), each level's targets in chunks (vLiveBytes).
+// The task graph (buildVFFT) runs the same per-target body over
+// reference-counted spectra instead.
 func (e *Engine) vliFFT(srcSel func(i int32) bool, sc []*evalScratch) {
 	f := e.Ops.FFT()
 	t := e.Tree
-	sd, td := e.Ops.Kern.SrcDim(), e.Ops.Kern.TrgDim()
-	hl := f.HalfLen()
-	specLen, accLen := f.SpecLen(), f.AccLen()
-
-	// Fold the asymmetric-evaluation source mask into the caller's source
-	// filter: a non-source octant's spectrum is all zeros, so dropping it is
-	// an exact skip.
-	if e.SrcSub != nil {
-		inner := srcSel
-		srcSel = func(a int32) bool { return e.SrcSub[a] && (inner == nil || inner(a)) }
+	if len(e.vspec) < len(t.Nodes) {
+		e.vspec = make([][]float64, len(t.Nodes))
+		e.vseen = make([]bool, len(t.Nodes))
 	}
+	clear(e.vseen) // a pass that panicked mid-chunk leaves marks behind
+	seen := e.vseen
+	limit := max(vLiveBytes/(8*f.SpecLen()), 1)
+	tables := vTables{f: f, workers: e.Workers}
+	var targets, srcs []int32
+	for level, nodes := range e.nodesByLevel() {
+		for _, i := range nodes {
+			n := &t.Nodes[i]
+			if len(n.V) == 0 || !e.trgNode(i) {
+				continue
+			}
+			if len(srcs)+len(n.V) > limit {
+				e.vliChunk(targets, srcs, f, &tables, level, srcSel, sc)
+				targets, srcs = targets[:0], srcs[:0]
+			}
+			targets = append(targets, i)
+			for _, a := range n.V {
+				if !seen[a] && e.vSource(a, srcSel) {
+					seen[a] = true
+					srcs = append(srcs, a)
+				}
+			}
+		}
+		e.vliChunk(targets, srcs, f, &tables, level, srcSel, sc)
+		targets, srcs = targets[:0], srcs[:0]
+	}
+}
 
-	// Group V-list targets by level (V interactions are same-level).
-	byLevel := make(map[int][]int32)
-	var levels []int
-	for i := range t.Nodes {
-		if !e.trgNode(int32(i)) || !hasSelectedSource(&t.Nodes[i], srcSel) {
+// vliChunk forward-transforms each of srcs once into the engine's spectrum
+// buffer (reused across chunks, levels and Applies), runs the per-target
+// body over targets in parallel, and unmarks srcs for the next chunk. Every
+// contributing source of a chunk's target is in that chunk's srcs, so the
+// body never reads another chunk's spectrum.
+func (e *Engine) vliChunk(targets, srcs []int32, f *FFTM2L, tables *vTables, level int, srcSel func(i int32) bool, sc []*evalScratch) {
+	if len(srcs) == 0 {
+		return
+	}
+	specLen := f.SpecLen()
+	if n := len(srcs) * specLen; cap(e.vbuf) < n {
+		// Double up to the bound, so a deep level's near-full chunks of
+		// slightly different sizes do not each regrow the buffer.
+		e.vbuf = make([]float64, max(n, min(2*cap(e.vbuf), vLiveBytes/8)))
+	}
+	buf, spec := e.vbuf[:len(srcs)*specLen], e.vspec
+	par.ForW(e.Workers, len(srcs), func(w, k int) {
+		a := srcs[k]
+		spec[a] = buf[k*specLen : (k+1)*specLen]
+		f.SourceSpectrumInto(e.U[a], spec[a], sc[w].grid(f.GridLen()))
+	})
+	tb := tables.at(level)
+	par.ForW(e.Workers, len(targets), func(w, k int) {
+		e.vliFFTNode(targets[k], f, tb, spec, srcSel, sc[w])
+	})
+	for _, a := range srcs {
+		e.vseen[a] = false
+		spec[a] = nil // no reference into a buffer a later chunk may replace
+	}
+}
+
+// vSource reports whether octant a contributes to the V-list pass: it
+// carries sources (a non-source octant's spectrum is all zeros, so dropping
+// it is an exact skip) and passes the caller's filter.
+func (e *Engine) vSource(a int32, srcSel func(i int32) bool) bool {
+	return e.srcNode(a) && (srcSel == nil || srcSel(a))
+}
+
+// vliFFTNode is the one FFT V-list body, run per target octant by both
+// drivers: Hadamard-accumulate every contributing V source's spectrum into
+// the worker's frequency-space accumulator in ascending direction order,
+// inverse-transform, and add into e.DChk[i]. For a fixed target and
+// direction the source octant is unique, so the accumulation order — and
+// with it the result, bit for bit — does not depend on the driver, the
+// worker count, or how a filter splits the sources across passes.
+//
+//fmm:hotpath
+func (e *Engine) vliFFTNode(i int32, f *FFTM2L, tb *vTable, spec [][]float64, srcSel func(i int32) bool, s *evalScratch) {
+	t := e.Tree
+	n := &t.Nodes[i]
+	vs := s.vsort[:0]
+	for _, a := range n.V {
+		if !e.vSource(a, srcSel) {
 			continue
 		}
-		l := t.Nodes[i].Key.Level()
-		if _, ok := byLevel[l]; !ok {
-			levels = append(levels, l)
-		}
-		byLevel[l] = append(byLevel[l], int32(i))
+		dx, dy, dz := dirBetween(t.Nodes[a].Key, n.Key)
+		vs = append(vs, uint64(dirSlot(dx, dy, dz))<<32|uint64(a)) //fmm:allow hotalloc amortized growth of per-worker vsort scratch
 	}
-	sort.Ints(levels)
-
-	block := e.vBlockSize(accLen)
-	for _, level := range levels {
-		targets := byLevel[level]
-		tfLevel := 0
-		if !e.Ops.Homogeneous() {
-			tfLevel = level
-		}
-		for lo := 0; lo < len(targets); lo += block {
-			hi := lo + block
-			if hi > len(targets) {
-				hi = len(targets)
-			}
-			blockTargets := targets[lo:hi]
-
-			// Collect the block's sources and its interactions grouped by
-			// direction. Pairs append in target order, so each direction's
-			// list is sorted by block-local target index.
-			srcIdx := make(map[int32]int32)
-			var srcs []int32
-			dirPairs := make(map[uint32][]vPair)
-			var dirs []uint32
-			for bi, ti := range blockTargets {
-				for _, a := range t.Nodes[ti].V {
-					if srcSel != nil && !srcSel(a) {
-						continue
-					}
-					si, ok := srcIdx[a]
-					if !ok {
-						si = int32(len(srcs))
-						srcIdx[a] = si
-						srcs = append(srcs, a)
-					}
-					dx, dy, dz := dirBetween(t.Nodes[a].Key, t.Nodes[ti].Key)
-					key := packDir(dx, dy, dz)
-					if _, ok := dirPairs[key]; !ok {
-						dirs = append(dirs, key)
-					}
-					dirPairs[key] = append(dirPairs[key], vPair{src: si, tgt: int32(bi)})
-				}
-			}
-			sort.Slice(dirs, func(x, y int) bool { return dirs[x] < dirs[y] })
-
-			// Forward-transform the block's sources into the engine's
-			// reusable spectrum buffer.
-			vspec := e.vBuf(&e.vspec, len(srcs)*specLen)
-			par.ForW(e.Workers, len(srcs), func(w, k int) {
-				f.SourceSpectrumInto(e.U[srcs[k]], vspec[k*specLen:(k+1)*specLen], sc[w].grid(f.GridLen()))
-			})
-
-			// Resolve the block's translation spectra (cache hits after the
-			// plan-time prewarm; parallel builds otherwise).
-			tfs := make([][]float64, len(dirs))
-			par.For(e.Workers, len(dirs), func(k int) {
-				dx, dy, dz := unpackDir(dirs[k])
-				tfs[k] = f.TranslationAt(tfLevel, dx, dy, dz)
-			})
-
-			// Direction-major Hadamard streaming over contiguous target
-			// sub-ranges; each direction's pair list is target-sorted, so a
-			// worker's window is one binary-searched contiguous run.
-			vacc := e.vBuf(&e.vacc, len(blockTargets)*accLen)
-			nchunks := 4 * e.barrierWorkers()
-			if nchunks > len(blockTargets) {
-				nchunks = len(blockTargets)
-			}
-			par.ForW(e.Workers, nchunks, func(w, c int) {
-				t0 := c * len(blockTargets) / nchunks
-				t1 := (c + 1) * len(blockTargets) / nchunks
-				if t0 == t1 {
-					return
-				}
-				zero(vacc[t0*accLen : t1*accLen])
-				var pairs int64
-				for k, dir := range dirs {
-					prs := dirPairs[dir]
-					plo := sort.Search(len(prs), func(i int) bool { return int(prs[i].tgt) >= t0 })
-					phi := sort.Search(len(prs), func(i int) bool { return int(prs[i].tgt) >= t1 })
-					tf := tfs[k]
-					for _, pr := range prs[plo:phi] {
-						Hadamard(vacc[int(pr.tgt)*accLen:(int(pr.tgt)+1)*accLen],
-							tf, vspec[int(pr.src)*specLen:(int(pr.src)+1)*specLen], sd, td, hl)
-					}
-					pairs += int64(phi - plo)
-				}
-				sc[w].flops[fpVList] += pairs * int64(8*td*sd*hl)
-			})
-
-			// Inverse-transform each target's accumulator onto its check
-			// surface.
-			par.ForW(e.Workers, len(blockTargets), func(w, bi int) {
-				ti := blockTargets[bi]
-				scale := e.Ops.KernScale(t.Nodes[ti].Key.Level())
-				f.ExtractCheck(vacc[bi*accLen:(bi+1)*accLen], scale, e.DChk[ti], sc[w].grid(f.GridLen()))
-			})
-		}
+	s.vsort = vs
+	if len(vs) == 0 {
+		return
 	}
+	slices.Sort(vs)
+	sd, td := e.Ops.Kern.SrcDim(), e.Ops.Kern.TrgDim()
+	hl := f.HalfLen()
+	acc := s.fftAcc(f.AccLen())
+	for _, v := range vs {
+		Hadamard(acc, tb[v>>32], spec[int32(v)], sd, td, hl)
+	}
+	s.flops[fpVList] += int64(len(vs)) * int64(8*td*sd*hl)
+	f.ExtractCheck(acc, e.Ops.KernScale(n.Key.Level()), e.DChk[i], s.grid(f.GridLen()))
 }

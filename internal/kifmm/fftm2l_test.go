@@ -63,25 +63,6 @@ func TestHadamardMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// vPhaseDChk runs the upward pass plus the V-list phase only and returns the
-// engine (whose DChk then holds pure V-list contributions).
-func vPhaseDChk(t *testing.T, kern kernel.Kernel, dist geom.Distribution, n, q, p int, useFFT bool, workers int) *Engine {
-	t.Helper()
-	pts := geom.Generate(dist, n, 42)
-	tr := octree.Build(pts, q, 20)
-	tr.BuildLists(nil)
-	ops := NewOperators(kern, p, 1e-9)
-	e := NewEngine(ops, tr)
-	e.UseFFTM2L = useFFT
-	e.Workers = workers
-	rng := rand.New(rand.NewSource(7))
-	e.SetPointDensities(randDensities(rng, n, kern.SrcDim()))
-	e.S2U()
-	e.U2U()
-	e.VLI()
-	return e
-}
-
 // dchkRelErr is the global relative L2 difference over all DChk vectors.
 func dchkRelErr(a, b *Engine) float64 {
 	var num, den float64
@@ -98,11 +79,20 @@ func dchkRelErr(a, b *Engine) float64 {
 	return math.Sqrt(num / den)
 }
 
-// TestVListFFTMatchesDenseOracle: the FFT-diagonalized V-list phase must
-// reproduce the dense M2L oracle's downward-check potentials to near machine
-// precision (the two paths evaluate the identical linear operator; only FFT
-// roundoff may differ) for every kernel on uniform and ellipsoid trees.
-func TestVListFFTMatchesDenseOracle(t *testing.T) {
+// TestVListOneBody pins the V-list contract for every kernel on uniform and
+// ellipsoid trees, symmetric and Targets-masked (the leading third of the
+// points are zero-density targets, the rest sources):
+//
+//   - barrier ≡ task graph, bit for bit: both drivers run vliFFTNode, which
+//     accumulates each target in ascending direction order;
+//   - FFT ≡ dense M2L oracle to 1e-12 (same linear operator, FFT roundoff);
+//   - a two-pass VLIFiltered partition of the sources (the distributed
+//     driver's overlap of shared and non-shared octants) ≡ one unfiltered
+//     pass to 1e-13 (two inverse transforms per target instead of one);
+//   - an engine reused with new densities ≡ a fresh engine, bit for bit
+//     (no state survives in the chunk spectrum buffer). Reuse across a
+//     tree that grows between Applies is session.TestStepMatchesFreshPlan.
+func TestVListOneBody(t *testing.T) {
 	kernels := []struct {
 		name string
 		kern kernel.Kernel
@@ -119,92 +109,109 @@ func TestVListFFTMatchesDenseOracle(t *testing.T) {
 		{"uniform", geom.Uniform},
 		{"ellipsoid", geom.Ellipsoid},
 	}
+	const n, q, workers = 800, 15, 4
 	for _, kc := range kernels {
+		ops := NewOperators(kc.kern, kc.p, 1e-9)
 		for _, dc := range dists {
-			t.Run(kc.name+"/"+dc.name, func(t *testing.T) {
-				fftE := vPhaseDChk(t, kc.kern, dc.dist, 700, 20, kc.p, true, 4)
-				denseE := vPhaseDChk(t, kc.kern, dc.dist, 700, 20, kc.p, false, 4)
-				if err := dchkRelErr(fftE, denseE); err > 1e-12 {
-					t.Fatalf("%s/%s: FFT V-list vs dense oracle rel err %g > 1e-12",
-						kc.name, dc.name, err)
-				}
-			})
-		}
-	}
-}
-
-// TestVListFFTBarrierDAGBitIdentical: the barrier path's direction-batched
-// streaming and the DAG path's per-target direction-sorted accumulation must
-// produce bit-identical downward-check potentials — both accumulate each
-// target in ascending direction-key order.
-func TestVListFFTBarrierDAGBitIdentical(t *testing.T) {
-	for _, kc := range []struct {
-		name string
-		kern kernel.Kernel
-		p    int
-	}{
-		{"laplace", kernel.Laplace{}, 6},
-		{"yukawa", kernel.Yukawa{Lambda: 5}, 4},
-	} {
-		t.Run(kc.name, func(t *testing.T) {
-			pts := geom.Generate(geom.Ellipsoid, 900, 42)
-			tr := octree.Build(pts, 20, 20)
+			tr := octree.Build(geom.Generate(dc.dist, n, 42), q, 20)
 			tr.BuildLists(nil)
-			ops := NewOperators(kc.kern, kc.p, 1e-9)
-			rng := rand.New(rand.NewSource(7))
-			den := randDensities(rng, 900, kc.kern.SrcDim())
-
-			barrier := NewEngine(ops, tr)
-			barrier.UseFFTM2L = true
-			barrier.Workers = 4
-			barrier.SetPointDensities(den)
-			barrier.Evaluate()
-
-			dag := NewEngine(ops, tr)
-			dag.UseFFTM2L = true
-			dag.Workers = 4
-			dag.SetPointDensities(den)
-			if _, err := dag.EvaluateDAG(nil); err != nil {
-				t.Fatal(err)
-			}
-
-			for i := range barrier.DChk {
-				for j := range barrier.DChk[i] {
-					if barrier.DChk[i][j] != dag.DChk[i][j] {
-						t.Fatalf("DChk[%d][%d] differs: barrier %v dag %v",
-							i, j, barrier.DChk[i][j], dag.DChk[i][j])
+			for _, nLead := range []int{0, n / 3} {
+				name := kc.name + "/" + dc.name + "/symmetric"
+				if nLead > 0 {
+					name = kc.name + "/" + dc.name + "/masked"
+				}
+				t.Run(name, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(7))
+					den1 := randDensities(rng, n-nLead, kc.kern.SrcDim())
+					den2 := randDensities(rng, n-nLead, kc.kern.SrcDim())
+					mk := func(useFFT bool, den []float64) *Engine {
+						e := NewEngine(ops, tr)
+						e.UseFFTM2L = useFFT
+						e.Workers = workers
+						e.SetSplitRoles(nLead)
+						e.SetDensitiesMasked(den, nLead)
+						return e
 					}
-				}
+					// vOnly leaves pure V-list contributions in DChk.
+					vOnly := func(useFFT bool, passes ...func(int32) bool) *Engine {
+						e := mk(useFFT, den1)
+						e.S2U()
+						e.U2U()
+						for _, sel := range passes {
+							e.VLIFiltered(sel)
+						}
+						return e
+					}
+
+					barrier, dag := mk(true, den1), mk(true, den1)
+					barrier.Evaluate()
+					if _, err := dag.EvaluateDAG(nil); err != nil {
+						t.Fatal(err)
+					}
+					bitIdentical(t, "barrier vs DAG Potential", dag.Potential, barrier.Potential)
+					for i := range barrier.DChk {
+						bitIdentical(t, "barrier vs DAG DChk", dag.DChk[i], barrier.DChk[i])
+					}
+
+					fftV := vOnly(true, nil)
+					if err := dchkRelErr(fftV, vOnly(false, nil)); err > 1e-12 {
+						t.Errorf("FFT V-list vs dense oracle rel err %g > 1e-12", err)
+					}
+
+					shared := func(i int32) bool { return i%3 == 0 }
+					notShared := func(i int32) bool { return !shared(i) }
+					if err := dchkRelErr(vOnly(true, notShared, shared), fftV); err > 1e-13 {
+						t.Errorf("two-pass filtered V-list vs one pass rel err %g > 1e-13", err)
+					}
+
+					barrier.Reset()
+					barrier.SetDensitiesMasked(den2, nLead)
+					barrier.Evaluate()
+					fresh := mk(true, den2)
+					fresh.Evaluate()
+					bitIdentical(t, "reused vs fresh engine", barrier.Potential, fresh.Potential)
+				})
 			}
-			for i := range barrier.Potential {
-				if barrier.Potential[i] != dag.Potential[i] {
-					t.Fatalf("potential %d differs: barrier %v dag %v",
-						i, barrier.Potential[i], dag.Potential[i])
-				}
-			}
-		})
+		}
 	}
 }
 
-// TestVListBlockOverride: an explicit (tiny) block size must partition the
-// targets without changing the result — per-target accumulation order is
-// block-independent.
-func TestVListBlockOverride(t *testing.T) {
-	a := vPhaseDChk(t, kernel.Laplace{}, geom.Ellipsoid, 700, 20, 6, true, 4)
-	b := vPhaseDChk(t, kernel.Laplace{}, geom.Ellipsoid, 700, 20, 6, true, 4)
-	b.Reset()
-	b.VBlock = 3
-	rng := rand.New(rand.NewSource(7))
-	b.SetPointDensities(randDensities(rng, 700, 1))
-	b.S2U()
-	b.U2U()
-	b.VLI()
-	for i := range a.DChk {
-		for j := range a.DChk[i] {
-			if a.DChk[i][j] != b.DChk[i][j] {
-				t.Fatalf("block override changed DChk[%d][%d]: %v vs %v",
-					i, j, a.DChk[i][j], b.DChk[i][j])
-			}
-		}
+// TestVListChunkedBarrier runs the barrier driver on a level with more V
+// sources than vLiveBytes holds, so its targets split into several chunks
+// that re-transform shared sources: the result must stay bit-identical to
+// the task graph (one refcounted spectrum per source, no chunks) and the
+// engine's spectrum buffer must stay within the bound.
+func TestVListChunkedBarrier(t *testing.T) {
+	if testing.Short() {
+		t.Skip("4096-octant level at order 6")
+	}
+	ops := NewOperators(kernel.Laplace{}, 6, 1e-9)
+	const n = 12000
+	tr := octree.Build(geom.Generate(geom.Uniform, n, 3), 6, 20)
+	tr.BuildLists(nil)
+	den := randDensities(rand.New(rand.NewSource(5)), n, 1)
+	mk := func() *Engine {
+		e := NewEngine(ops, tr)
+		e.UseFFTM2L = true
+		e.Workers = 4
+		e.SetDensitiesMasked(den, 0)
+		return e
+	}
+	barrier, dag := mk(), mk()
+	limit := vLiveBytes / (8 * ops.FFT().SpecLen())
+	widest := 0
+	for _, nodes := range barrier.nodesByLevel() {
+		widest = max(widest, len(nodes))
+	}
+	if widest <= limit+189 {
+		t.Fatalf("widest level has %d octants, want > %d to force chunking", widest, limit+189)
+	}
+	barrier.Evaluate()
+	if _, err := dag.EvaluateDAG(nil); err != nil {
+		t.Fatal(err)
+	}
+	bitIdentical(t, "chunked barrier vs DAG", dag.Potential, barrier.Potential)
+	if got := cap(barrier.vbuf) * 8; got > vLiveBytes {
+		t.Errorf("spectrum buffer holds %d bytes, bound is %d", got, vLiveBytes)
 	}
 }

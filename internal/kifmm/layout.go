@@ -29,13 +29,13 @@ type Layout struct {
 	// PX, PY, PZ are the tree points in structure-of-arrays form, tree
 	// (Morton) order, aligned with Tree.Points.
 	PX, PY, PZ []float64
-	// X32, Y32, Z32 mirror PX, PY, PZ in single precision for the float32
-	// consumers — the streaming accelerator's data-structure translation
-	// (the paper's GPU path is float32) and the CPU float32 near field.
-	// Leaf i's source panel starts at Tree.Nodes[i].PtLo — the dense
-	// per-node panel index that replaces per-call start maps. The mirrors
-	// are only built when a float32 consumer exists (NewLayout's f32
-	// argument); plans that stay pure float64 skip the fill and the memory.
+	// X32, Y32, Z32 mirror PX, PY, PZ in single precision for the streaming
+	// accelerator's data-structure translation (the paper's GPU path is
+	// float32). Leaf i's source panel starts at Tree.Nodes[i].PtLo — the
+	// dense per-node panel index that replaces per-call start maps. The
+	// mirrors are only built on request (NewLayout's f32 argument): the CPU
+	// float32 near field localizes its own panels and never reads them, so
+	// plans, shard ranks and sessions skip the fill and the memory.
 	X32, Y32, Z32 []float32
 	// hasF32 records whether the float32 mirrors are maintained; it is set
 	// at construction and persists across Sync.
@@ -64,17 +64,20 @@ type surfOffsets struct {
 
 // NewLayout builds the streaming layout for one tree and operator set. f32
 // selects whether the float32 coordinate mirrors are maintained: pass true
-// when any single-precision consumer (the gpu path or the float32 near
-// field) will read the layout, false to skip the mirror fill and memory on
-// pure-float64 plans.
+// when the simulated device (internal/gpu) will read the layout, false to
+// skip the mirror fill and memory.
 func NewLayout(tree *octree.Tree, ops *Operators, f32 bool) *Layout {
 	l := &Layout{hasF32: f32}
 	l.Sync(tree, ops)
 	return l
 }
 
-// HasF32 reports whether the float32 coordinate mirrors are maintained.
-func (l *Layout) HasF32() bool { return l.hasF32 }
+// MemoryBytes is the resident size of the per-point and per-node arrays the
+// layout actually carries (the float32 mirrors count only when maintained)
+// — the layout term of every plan-cache byte estimate.
+func (l *Layout) MemoryBytes() int64 {
+	return int64(len(l.PX))*3*8 + int64(len(l.X32))*3*4 + int64(len(l.CX))*4*8 + int64(len(l.Lev))
+}
 
 func resizeF64(s []float64, n int) []float64 {
 	if cap(s) < n {
@@ -186,30 +189,6 @@ func (l *Layout) fillSurf(o *surfOffsets, i int32, sx, sy, sz []float64) {
 	}
 }
 
-// InnerSurf32 is InnerSurf into float32 panels for the single-precision
-// near-field bodies: each point is computed in float64 (center + offset,
-// the same association order as InnerSurf) and rounded once, so the float32
-// surface is the correctly rounded image of the float64 one.
-func (l *Layout) InnerSurf32(i int32, sx, sy, sz []float32) {
-	l.fillSurf32(&l.inner[l.Lev[i]], i, sx, sy, sz)
-}
-
-// OuterSurf32 is OuterSurf into float32 panels.
-func (l *Layout) OuterSurf32(i int32, sx, sy, sz []float32) {
-	l.fillSurf32(&l.outer[l.Lev[i]], i, sx, sy, sz)
-}
-
-func (l *Layout) fillSurf32(o *surfOffsets, i int32, sx, sy, sz []float32) {
-	lox := l.CX[i] - o.radius
-	loy := l.CY[i] - o.radius
-	loz := l.CZ[i] - o.radius
-	for k := range o.X {
-		sx[k] = float32(lox + o.X[k])
-		sy[k] = float32(loy + o.Y[k])
-		sz[k] = float32(loz + o.Z[k])
-	}
-}
-
 // PointsLocal32 fills (dx, dy, dz) with tree points [lo, hi) translated by
 // the float64 origin (ox, oy, oz) and then rounded once to float32. The
 // near-field bodies pass the target node's center as the origin, so the
@@ -228,16 +207,16 @@ func (l *Layout) PointsLocal32(lo, hi int, ox, oy, oz float64, dx, dy, dz []floa
 	}
 }
 
-// InnerSurfLocal32 is InnerSurf32 relative to the float64 origin
-// (ox, oy, oz): the surface point is formed in float64 — (center − origin) −
-// radius + offset — and rounded once, so a surface panel localized to a
-// nearby node's center carries the same O(eps32) relative pair accuracy as
-// PointsLocal32 panels.
+// InnerSurfLocal32 is InnerSurf into float32 panels relative to the float64
+// origin (ox, oy, oz): the surface point is formed in float64 — (center −
+// origin) − radius + offset — and rounded once, so a surface panel localized
+// to a nearby node's center carries the same O(eps32) relative pair accuracy
+// as PointsLocal32 panels.
 func (l *Layout) InnerSurfLocal32(i int32, ox, oy, oz float64, sx, sy, sz []float32) {
 	l.fillSurfLocal32(&l.inner[l.Lev[i]], i, ox, oy, oz, sx, sy, sz)
 }
 
-// OuterSurfLocal32 is OuterSurf32 relative to the float64 origin.
+// OuterSurfLocal32 is OuterSurf into float32 panels relative to the origin.
 func (l *Layout) OuterSurfLocal32(i int32, ox, oy, oz float64, sx, sy, sz []float32) {
 	l.fillSurfLocal32(&l.outer[l.Lev[i]], i, ox, oy, oz, sx, sy, sz)
 }

@@ -62,9 +62,8 @@ func nodeCenterHalf(tree *octree.Tree, i int32) (geom.Point, float64) {
 }
 
 // TestLayoutMirrorGating checks that the float32 coordinate mirrors exist
-// exactly when a single-precision consumer asked for them, that the choice
-// survives Sync (the session re-pack path), and that the float32 surface
-// fills are the rounded images of the float64 ones.
+// exactly when a single-precision consumer asked for them, and that the
+// choice survives Sync (the session re-pack path).
 func TestLayoutMirrorGating(t *testing.T) {
 	pts := geom.Generate(geom.Uniform, 2000, 9)
 	tree := octree.Build(pts, 40, 10)
@@ -72,42 +71,19 @@ func TestLayoutMirrorGating(t *testing.T) {
 	ops := NewOperators(kernel.Laplace{}, 4, 1e-9)
 
 	bare := NewLayout(tree, ops, false)
-	if bare.HasF32() {
-		t.Fatalf("f32=false layout reports HasF32")
-	}
 	if len(bare.X32) != 0 || len(bare.Y32) != 0 || len(bare.Z32) != 0 {
 		t.Fatalf("f32=false layout built mirrors (len %d)", len(bare.X32))
 	}
 	bare.Sync(tree, ops)
-	if bare.HasF32() || len(bare.X32) != 0 {
+	if len(bare.X32) != 0 {
 		t.Fatalf("Sync resurrected the float32 mirrors on a gated layout")
 	}
 
 	full := NewLayout(tree, ops, true)
-	if !full.HasF32() || len(full.X32) != len(tree.Points) {
-		t.Fatalf("f32=true layout missing mirrors: HasF32=%v len=%d", full.HasF32(), len(full.X32))
+	if len(full.X32) != len(tree.Points) {
+		t.Fatalf("f32=true layout missing mirrors: len=%d", len(full.X32))
 	}
-	ns := full.NumSurf()
-	sx := make([]float64, ns)
-	sy := make([]float64, ns)
-	sz := make([]float64, ns)
-	sx32 := make([]float32, ns)
-	sy32 := make([]float32, ns)
-	sz32 := make([]float32, ns)
-	for i := range tree.Nodes {
-		full.InnerSurf(int32(i), sx, sy, sz)
-		full.InnerSurf32(int32(i), sx32, sy32, sz32)
-		for k := 0; k < ns; k++ {
-			if sx32[k] != float32(sx[k]) || sy32[k] != float32(sy[k]) || sz32[k] != float32(sz[k]) {
-				t.Fatalf("node %d inner surface point %d: float32 fill not the rounded float64 fill", i, k)
-			}
-		}
-		full.OuterSurf(int32(i), sx, sy, sz)
-		full.OuterSurf32(int32(i), sx32, sy32, sz32)
-		for k := 0; k < ns; k++ {
-			if sx32[k] != float32(sx[k]) || sy32[k] != float32(sy[k]) || sz32[k] != float32(sz[k]) {
-				t.Fatalf("node %d outer surface point %d: float32 fill not the rounded float64 fill", i, k)
-			}
-		}
+	if got, want := full.MemoryBytes()-bare.MemoryBytes(), int64(12*len(tree.Points)); got != want {
+		t.Fatalf("mirrors account for %d bytes, want %d", got, want)
 	}
 }

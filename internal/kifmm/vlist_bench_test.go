@@ -1,28 +1,20 @@
 package kifmm
 
 import (
-	"math"
-	"sync"
 	"testing"
 
-	"kifmm/internal/fft"
-	"kifmm/internal/geom"
 	"kifmm/internal/kernel"
-	"kifmm/internal/par"
 )
 
 // BenchmarkVList compares the V-list phase implementations on the standard
 // 30k-point ellipsoid tree (Laplace, order 6):
 //
-//	fft        — the current path: Hermitian half spectra, direction-batched
-//	             Hadamard micro-kernels, process-wide translation cache.
-//	fft-legacy — the pre-overhaul path replicated below: full complex
-//	             spectra ([]complex128 per component), per-interaction
-//	             complex Hadamard, per-block spectrum allocation.
-//	dense      — the dense M2L matrix oracle.
+//	fft   — Hermitian half spectra, per-target Hadamard micro-kernels,
+//	        process-wide translation cache.
+//	dense — the dense M2L matrix oracle.
 //
-// Translation spectra are warmed before the timer for both FFT variants so
-// the loop measures steady-state evaluation, not spectrum builds.
+// Translation spectra are warmed before the timer so the loop measures
+// steady-state evaluation, not spectrum builds.
 func BenchmarkVList(b *testing.B) {
 	e := nearFieldEngine(b, kernel.Laplace{})
 
@@ -34,18 +26,6 @@ func BenchmarkVList(b *testing.B) {
 		b.ResetTimer()
 		for k := 0; k < b.N; k++ {
 			e.VLI()
-			zeroDChk(e)
-		}
-	})
-
-	b.Run("fft-legacy", func(b *testing.B) {
-		lf := newLegacyFFTM2L(e.Ops)
-		legacyVLIFFT(e, lf) // warm spectra
-		zeroDChk(e)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for k := 0; k < b.N; k++ {
-			legacyVLIFFT(e, lf)
 			zeroDChk(e)
 		}
 	})
@@ -69,195 +49,6 @@ func zeroDChk(e *Engine) {
 		d := e.DChk[i]
 		for x := range d {
 			d[x] = 0
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// The pre-overhaul FFT V-list path, replicated for the before/after
-// comparison. This is what the engine ran before the Hermitian real-FFT
-// rewrite: full n³ complex spectra, one []complex128 per kernel component,
-// target-major accumulation with a per-interaction complex Hadamard, and
-// fresh spectrum slices per block. Flop accounting is elided, as in the
-// near-field pairwise references.
-// ---------------------------------------------------------------------------
-
-type legacyFFTM2L struct {
-	ops     *Operators
-	n       int
-	plan    *fft.Plan3D
-	surfIdx []int
-	tf      sync.Map // map[uint64][][]complex128
-}
-
-func newLegacyFFTM2L(ops *Operators) *legacyFFTM2L {
-	p := ops.Grid.P
-	n := 2 * p
-	f := &legacyFFTM2L{ops: ops, n: n, plan: fft.NewPlan3D(n, n, n)}
-	f.surfIdx = make([]int, len(ops.Grid.Coords))
-	for i, c := range ops.Grid.Coords {
-		f.surfIdx[i] = (c[0]*n+c[1])*n + c[2]
-	}
-	return f
-}
-
-func (f *legacyFFTM2L) gridLen() int { return f.n * f.n * f.n }
-
-func (f *legacyFFTM2L) sourceSpectrum(u []float64) [][]complex128 {
-	sd := f.ops.Kern.SrcDim()
-	out := make([][]complex128, sd)
-	for s := 0; s < sd; s++ {
-		g := make([]complex128, f.gridLen())
-		for i, gi := range f.surfIdx {
-			g[gi] = complex(u[i*sd+s], 0)
-		}
-		f.plan.Forward(g)
-		out[s] = g
-	}
-	return out
-}
-
-func (f *legacyFFTM2L) translationAt(level, dx, dy, dz int) [][]complex128 {
-	key := packLevelDir(level, packDir(dx, dy, dz))
-	if v, ok := f.tf.Load(key); ok {
-		return v.([][]complex128)
-	}
-	kern := f.ops.Kern
-	sd, td := kern.SrcDim(), kern.TrgDim()
-	p := f.ops.Grid.P
-	n := f.n
-	side := math.Pow(2, -float64(level))
-	step := 2 * (RadInner * side * 0.5) / float64(p-1)
-	d := geom.Point{X: float64(dx) * side, Y: float64(dy) * side, Z: float64(dz) * side}
-
-	grids := make([][]complex128, td*sd)
-	for i := range grids {
-		grids[i] = make([]complex128, f.gridLen())
-	}
-	den := make([]float64, sd)
-	out := make([]float64, td)
-	for mx := -(p - 1); mx <= p-1; mx++ {
-		for my := -(p - 1); my <= p-1; my++ {
-			for mz := -(p - 1); mz <= p-1; mz++ {
-				off := geom.Point{
-					X: d.X + float64(mx)*step,
-					Y: d.Y + float64(my)*step,
-					Z: d.Z + float64(mz)*step,
-				}
-				gi := ((mod(mx, n))*n+mod(my, n))*n + mod(mz, n)
-				for s := 0; s < sd; s++ {
-					for x := range den {
-						den[x] = 0
-					}
-					den[s] = 1
-					for x := range out {
-						out[x] = 0
-					}
-					kern.Eval(off, geom.Point{}, den, out)
-					for t := 0; t < td; t++ {
-						grids[t*sd+s][gi] = complex(out[t], 0)
-					}
-				}
-			}
-		}
-	}
-	for i := range grids {
-		f.plan.Forward(grids[i])
-	}
-	actual, _ := f.tf.LoadOrStore(key, grids)
-	return actual.([][]complex128)
-}
-
-func (f *legacyFFTM2L) extractCheck(acc [][]complex128, scale float64, dst []float64) {
-	td := f.ops.Kern.TrgDim()
-	for t := 0; t < td; t++ {
-		f.plan.Inverse(acc[t])
-		for i, gi := range f.surfIdx {
-			dst[i*td+t] += scale * real(acc[t][gi])
-		}
-	}
-}
-
-func legacyHadamard(acc [][]complex128, tf, src [][]complex128, sd int) {
-	for t := range acc {
-		at := acc[t]
-		for s := 0; s < sd; s++ {
-			tfts := tf[t*sd+s]
-			ss := src[s]
-			for i := range at {
-				at[i] += tfts[i] * ss[i]
-			}
-		}
-	}
-}
-
-// legacyVLIFFT is the pre-overhaul barrier V-list body: level by level,
-// block by target, spectra per block, target-major Hadamard accumulation.
-func legacyVLIFFT(e *Engine, f *legacyFFTM2L) {
-	t := e.Tree
-	sd, td := e.Ops.Kern.SrcDim(), e.Ops.Kern.TrgDim()
-
-	byLevel := make(map[int][]int32)
-	for i := range t.Nodes {
-		if len(t.Nodes[i].V) == 0 {
-			continue
-		}
-		l := t.Nodes[i].Key.Level()
-		byLevel[l] = append(byLevel[l], int32(i))
-	}
-	caccs := make([][][]complex128, e.barrierWorkers())
-	const block = 256
-	for level, targets := range byLevel {
-		tfLevel := 0
-		if !e.Ops.Homogeneous() {
-			tfLevel = level
-		}
-		for lo := 0; lo < len(targets); lo += block {
-			hi := lo + block
-			if hi > len(targets) {
-				hi = len(targets)
-			}
-			blockTargets := targets[lo:hi]
-			srcIdx := make(map[int32]int)
-			var srcs []int32
-			for _, ti := range blockTargets {
-				for _, a := range t.Nodes[ti].V {
-					if _, ok := srcIdx[a]; !ok {
-						srcIdx[a] = len(srcs)
-						srcs = append(srcs, a)
-					}
-				}
-			}
-			specs := make([][][]complex128, len(srcs))
-			par.For(e.Workers, len(srcs), func(k int) {
-				specs[k] = f.sourceSpectrum(e.U[srcs[k]])
-			})
-			par.ForW(e.Workers, len(blockTargets), func(w, bi int) {
-				ti := blockTargets[bi]
-				n := &t.Nodes[ti]
-				acc := caccs[w]
-				if len(acc) != td || (td > 0 && len(acc[0]) != f.gridLen()) {
-					acc = make([][]complex128, td)
-					for i := range acc {
-						acc[i] = make([]complex128, f.gridLen())
-					}
-					caccs[w] = acc
-				} else {
-					for i := range acc {
-						g := acc[i]
-						for x := range g {
-							g[x] = 0
-						}
-					}
-				}
-				for _, a := range n.V {
-					dx, dy, dz := dirBetween(t.Nodes[a].Key, n.Key)
-					tf := f.translationAt(tfLevel, dx, dy, dz)
-					legacyHadamard(acc, tf, specs[srcIdx[a]], sd)
-				}
-				scale := e.Ops.KernScale(n.Key.Level())
-				f.extractCheck(acc, scale, e.DChk[ti])
-			})
 		}
 	}
 }

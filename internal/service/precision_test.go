@@ -14,9 +14,8 @@ import (
 
 // TestPlanPrecisionIdentity checks the serving contract of the precision
 // option: plans that differ only in near-field precision are distinct
-// resident PlanCache entries, "auto" shares the entry of what it resolves
-// to (float64 on an unaccelerated server), and the per-precision build
-// counters surface on /metrics.
+// resident PlanCache entries, "auto" shares the float64 entry it resolves
+// to, and the per-precision build counters surface on /metrics.
 func TestPlanPrecisionIdentity(t *testing.T) {
 	s := New(Config{Workers: 2, QueueDepth: 8})
 	defer s.Shutdown(context.Background())
@@ -46,8 +45,8 @@ func TestPlanPrecisionIdentity(t *testing.T) {
 		t.Fatalf("first builds reported cached: f64=%v f32=%v", p64.Cached, p32.Cached)
 	}
 
-	// "auto" resolves to float64 on this unaccelerated plan and must land
-	// on the float64 entry as a cache hit, not build a third plan.
+	// "auto" resolves to float64 and must land on the float64 entry as a
+	// cache hit, not build a third plan.
 	auto := plan("auto")
 	if auto.PlanID != p64.PlanID || !auto.Cached {
 		t.Fatalf("auto plan: id=%s cached=%v, want id=%s cached=true",
@@ -101,5 +100,61 @@ func TestPlanPrecisionIdentity(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestUnknownExecPrecisionRejected: a misspelled exec or precision, or an
+// option field the server does not know, must be a 400 naming the field on
+// every endpoint that takes options — not the default served under a cache
+// entry of its own — and the spellings of one choice ("" and "auto") must
+// share a plan.
+func TestUnknownExecPrecisionRejected(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	pts, den := testPoints(120, 7)
+	for _, c := range []struct {
+		field string
+		set   func(*SolverOptions)
+	}{
+		{"exec", func(o *SolverOptions) { o.Exec = "dagg" }},
+		{"precision", func(o *SolverOptions) { o.Precision = "float16" }},
+	} {
+		opts := fastOpts()
+		c.set(&opts)
+		for path, req := range map[string]any{
+			"/v1/plan":     PlanRequest{Points: pts, Options: opts},
+			"/v1/evaluate": EvaluateRequest{Points: pts, Options: opts, Densities: den},
+			"/v1/session":  SessionRequest{Points: pts, Options: opts},
+		} {
+			code, raw := postJSON(t, ts.Client(), ts.URL+path, req, nil)
+			if code != http.StatusBadRequest || !strings.Contains(raw, c.field+":") {
+				t.Errorf("%s with bad %s: got %d %s, want 400 naming the field", path, c.field, code, raw)
+			}
+		}
+	}
+	// An option the server does not know — here the retired device switch —
+	// is rejected too, not dropped and served as a plain float64 plan.
+	retired := map[string]any{"points": pts, "densities": den,
+		"options": map[string]any{"order": 4, "accelerated": true}}
+	for _, path := range []string{"/v1/plan", "/v1/evaluate", "/v1/session"} {
+		code, raw := postJSON(t, ts.Client(), ts.URL+path, retired, nil)
+		if code != http.StatusBadRequest || !strings.Contains(raw, "accelerated") {
+			t.Errorf("%s with options.accelerated: got %d %s, want 400 naming the field", path, code, raw)
+		}
+	}
+	if st := s.cache.Stats(); st.Plans != 0 {
+		t.Fatalf("rejected requests left %d plans in the cache", st.Plans)
+	}
+
+	auto, empty, dag := fastOpts(), fastOpts(), fastOpts()
+	auto.Exec, dag.Exec = "auto", "dag"
+	if PlanKey(pts, auto) != PlanKey(pts, empty) {
+		t.Error(`exec "auto" and "" hash to different plans`)
+	}
+	if PlanKey(pts, dag) == PlanKey(pts, empty) {
+		t.Error("exec dag shares the auto plan")
 	}
 }

@@ -45,7 +45,7 @@ type Config struct {
 	// TraceDir, when non-empty, dumps a Chrome trace_event JSON of the
 	// scheduler's execution for every evaluation request into this
 	// directory (bounded by TraceKeep, oldest deleted). Tracing forces the
-	// task-graph execution path and is refused for accelerated plans.
+	// task-graph execution path.
 	TraceDir string
 	// TraceKeep bounds the number of retained trace files (default 32).
 	TraceKeep int
@@ -251,10 +251,14 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, timeout time.Dur
 	}
 }
 
-// checkShards rejects requests whose shard count exceeds the server cap
-// (the per-shard LET + engine state amplifies plan memory). Reports false
-// after writing the 400.
-func (s *Server) checkShards(w http.ResponseWriter, opts SolverOptions) bool {
+// checkOptions rejects requests whose exec or precision is not an accepted
+// spelling, or whose shard count exceeds the server cap (the per-shard LET +
+// engine state amplifies plan memory). Reports false after writing the 400.
+func (s *Server) checkOptions(w http.ResponseWriter, opts SolverOptions) bool {
+	if err := opts.Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, "options: %v", err)
+		return false
+	}
 	if opts.Shards > s.cfg.MaxShards {
 		writeError(w, http.StatusBadRequest, "shards %d exceeds server cap %d", opts.Shards, s.cfg.MaxShards)
 		return false
@@ -314,7 +318,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "no points")
 		return
 	}
-	if !s.checkShards(w, req.Options) {
+	if !s.checkOptions(w, req.Options) {
 		return
 	}
 	id := PlanKey(req.Points, req.Options)
@@ -379,7 +383,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	case len(req.Points) > 0:
-		if !s.checkShards(w, req.Options) {
+		if !s.checkOptions(w, req.Options) {
 			return
 		}
 		id = PlanKey(req.Points, req.Options)
@@ -410,10 +414,10 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		}
 		applyStop := s.prof.Start(phaseApply)
 		// ApplyTraced runs the task-graph scheduler, so skip tracing for
-		// plans that force the barrier path (or route through the device,
-		// or coordinate shards themselves): the client's exec choice wins
-		// over the operator's -trace-dir.
-		if s.traces != nil && !entry.Solver.Accelerated() && entry.Solver.Exec() != kifmm.ExecBarrier && entry.Plan.Shards() == 0 {
+		// plans that force the barrier path (or coordinate shards
+		// themselves): the client's exec choice wins over the operator's
+		// -trace-dir.
+		if s.traces != nil && entry.Solver.Exec() != kifmm.ExecBarrier && entry.Plan.Shards() == 0 {
 			var traceJSON []byte
 			pots, traceJSON, evalErr = entry.Plan.ApplyTraced(req.Densities)
 			if evalErr == nil {

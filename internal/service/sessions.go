@@ -191,14 +191,14 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "no points")
 		return
 	}
+	if !s.checkOptions(w, req.Options) {
+		return
+	}
 	// Reject unsupported configurations before paying for the plan build
 	// (kifmm.NewSession would reject them after it).
 	switch {
 	case req.Options.Shards > 0:
 		writeError(w, http.StatusBadRequest, "sessions do not support sharded plans")
-		return
-	case req.Options.Accelerated:
-		writeError(w, http.StatusBadRequest, "sessions do not support accelerated evaluation")
 		return
 	case req.Options.Balanced:
 		writeError(w, http.StatusBadRequest, "sessions do not support balanced trees")

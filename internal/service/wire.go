@@ -10,9 +10,12 @@
 package service
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"math"
 
 	"kifmm"
@@ -29,14 +32,14 @@ type SolverOptions struct {
 	Workers      int     `json:"workers,omitempty"`
 	DenseM2L     bool    `json:"dense_m2l,omitempty"`
 	Balanced     bool    `json:"balanced,omitempty"`
-	Accelerated  bool    `json:"accelerated,omitempty"`
 	YukawaLambda float64 `json:"yukawa_lambda,omitempty"`
-	// Precision selects the near-field arithmetic: "" or "auto" (float32
-	// when the plan is accelerated, float64 otherwise), "float64", or
-	// "float32" (see kifmm.Precision).
+	// Precision selects the near-field arithmetic: "", "auto" or "float64"
+	// (all float64), or "float32" (see kifmm.Precision). Any other value is
+	// rejected with a 400.
 	Precision string `json:"precision,omitempty"`
-	// Exec selects the evaluation execution strategy: "" (auto),
-	// "barrier", or "dag" (see kifmm.ExecMode).
+	// Exec selects the evaluation execution strategy: "" or "auto",
+	// "barrier", or "dag" (see kifmm.ExecMode). Any other value is rejected
+	// with a 400.
 	Exec string `json:"exec,omitempty"`
 	// Shards, when positive, serves this plan as a sharded plan: the octree
 	// is Morton-partitioned across Shards in-process ranks with per-rank
@@ -53,52 +56,45 @@ type SolverOptions struct {
 	Targets [][3]float64 `json:"targets,omitempty"`
 }
 
-// toExecMode maps the wire string to kifmm.ExecMode; unknown strings fall
-// back to auto (kifmm.New validates nothing further for this field).
-func toExecMode(s string) kifmm.ExecMode {
-	switch s {
-	case "barrier":
-		return kifmm.ExecBarrier
-	case "dag":
-		return kifmm.ExecDAG
-	default:
-		return kifmm.ExecAuto
-	}
+// UnmarshalJSON decodes the options strictly: a field this server does not
+// know — a typo, or the retired "accelerated" — is an error naming it (a 400
+// from decodeBody), not a request served with the default in its place.
+func (o *SolverOptions) UnmarshalJSON(b []byte) error {
+	type plain SolverOptions // drops this method
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	return dec.Decode((*plain)(o))
 }
 
-// toPrecision maps the wire string to kifmm.Precision; unknown strings fall
-// back to auto, matching the library default.
-func toPrecision(s string) kifmm.Precision {
-	switch s {
-	case "float64":
-		return kifmm.PrecisionFloat64
-	case "float32":
-		return kifmm.PrecisionFloat32
-	default:
-		return kifmm.PrecisionAuto
+// The accepted wire spellings of exec and precision. "" and "auto" are the
+// same request, and auto precision is float64 (kifmm.FMM.Precision), so the
+// mapped values are also the canonical form PlanKey hashes: spellings that
+// build the same plan share one cache entry.
+var (
+	execModes = map[string]kifmm.ExecMode{
+		"": kifmm.ExecAuto, "auto": kifmm.ExecAuto, "barrier": kifmm.ExecBarrier, "dag": kifmm.ExecDAG,
 	}
+	precisions = map[string]kifmm.Precision{
+		"": kifmm.PrecisionFloat64, "auto": kifmm.PrecisionFloat64,
+		"float64": kifmm.PrecisionFloat64, "float32": kifmm.PrecisionFloat32,
+	}
+)
+
+// Validate rejects exec and precision strings outside the accepted
+// spellings, naming the field: a typo must not be served as the default
+// under a cache entry of its own.
+func (o SolverOptions) Validate() error {
+	if _, ok := execModes[o.Exec]; !ok {
+		return fmt.Errorf("exec: unknown value %q (want auto, barrier or dag)", o.Exec)
+	}
+	if _, ok := precisions[o.Precision]; !ok {
+		return fmt.Errorf("precision: unknown value %q (want auto, float64 or float32)", o.Precision)
+	}
+	return nil
 }
 
-// resolvedPrecision is the canonical form of the precision option used for
-// plan identity: the same resolution rule as kifmm.FMM.Precision, so "auto"
-// shares a cache entry with an explicit request for what auto resolves to,
-// while float32 and float64 plans stay distinct.
-func resolvedPrecision(o SolverOptions) string {
-	switch o.Precision {
-	case "float64":
-		return "float64"
-	case "float32":
-		return "float32"
-	default:
-		if o.Accelerated {
-			return "float32"
-		}
-		return "float64"
-	}
-}
-
-// ToOptions maps the wire form onto kifmm.Options; zero values keep the
-// library defaults.
+// ToOptions maps the (validated) wire form onto kifmm.Options; zero values
+// keep the library defaults.
 func (o SolverOptions) ToOptions() kifmm.Options {
 	return kifmm.Options{
 		Kernel:       kifmm.KernelName(o.Kernel),
@@ -109,10 +105,9 @@ func (o SolverOptions) ToOptions() kifmm.Options {
 		Workers:      o.Workers,
 		DenseM2L:     o.DenseM2L,
 		Balanced:     o.Balanced,
-		Accelerated:  o.Accelerated,
 		YukawaLambda: o.YukawaLambda,
-		Precision:    toPrecision(o.Precision),
-		Exec:         toExecMode(o.Exec),
+		Precision:    precisions[o.Precision],
+		Exec:         execModes[o.Exec],
 		Shards:       o.Shards,
 		ShardComm:    o.ShardComm,
 		Targets:      ToPoints(o.Targets),
@@ -169,8 +164,8 @@ type SessionRequest struct {
 	// Points are the initial unit-cube locations; they receive session point
 	// IDs 0..len(points)-1.
 	Points [][3]float64 `json:"points"`
-	// Options configure the session's solver. Shards, accelerated plans,
-	// balanced trees, and targets are not supported for sessions.
+	// Options configure the session's solver. Shards, balanced trees, and
+	// targets are not supported for sessions.
 	Options SolverOptions `json:"options"`
 }
 
@@ -275,15 +270,12 @@ func PlanKey(points [][3]float64, o SolverOptions) string {
 	wi(int64(o.Workers))
 	wb(o.DenseM2L)
 	wb(o.Balanced)
-	wb(o.Accelerated)
 	wf(o.YukawaLambda)
-	// The near-field precision participates in resolved form: a float32
-	// plan carries different layout state than a float64 one, so they are
+	// Precision and exec participate in canonical form (see execModes):
+	// float32 and float64 plans, and barrier and task-graph plans, are
 	// distinct resident plans even for identical geometry.
-	h.Write([]byte(resolvedPrecision(o)))
-	h.Write([]byte{0})
-	h.Write([]byte(o.Exec))
-	h.Write([]byte{0})
+	wi(int64(precisions[o.Precision]))
+	wi(int64(execModes[o.Exec]))
 	// Shard configuration is part of plan identity: the same points served
 	// at different shard counts (or backends) are distinct resident plans.
 	wi(int64(o.Shards))

@@ -56,8 +56,6 @@ type Config struct {
 	Workers int
 	// UseFFTM2L selects the FFT-diagonalized V-list translation.
 	UseFFTM2L bool
-	// VBlock overrides the FFT V-list target block size (0 = derive).
-	VBlock int
 	// UseDAG runs evaluations on the task-graph scheduler instead of the
 	// barrier phase sequence.
 	UseDAG bool
@@ -198,7 +196,6 @@ func New(pts []geom.Point, cfg Config) (*Session, error) {
 	s.eng = ikifmm.NewEngineLayout(cfg.Ops, s.tree, s.layout)
 	s.eng.UseFFTM2L = cfg.UseFFTM2L
 	s.eng.Workers = cfg.Workers
-	s.eng.VBlock = cfg.VBlock
 	if cfg.Float32Near {
 		s.eng.SetFloat32NearField(true)
 	}
@@ -664,7 +661,6 @@ func (s *Session) MemoryBytes() int64 {
 	nodes, pts := int64(len(t.Nodes)), int64(len(t.Points))
 	engine := nodes*int64(2*s.cfg.Ops.UpwardLen()+s.cfg.Ops.CheckLen())*8 +
 		pts*int64(s.cfg.Ops.Kern.SrcDim()+s.cfg.Ops.Kern.TrgDim())*8
-	layout := pts*(3*8+3*4) + nodes*(4*8+1)
 	points := int64(len(s.pos)) * (24 + 8 + 1 + 4)
-	return nodes*120 + lists + pts*(24+8) + engine + layout + points
+	return nodes*120 + lists + pts*(24+8) + engine + s.layout.MemoryBytes() + points
 }

@@ -386,3 +386,20 @@ func TestRemoveAllButOne(t *testing.T) {
 		t.Fatal("emptying the session should error")
 	}
 }
+
+// TestMemoryBytesTracksLayout: the session's byte estimate must count what
+// its layout actually carries — mirror-free since the float32 near field
+// localizes its own panels — so a mirror-carrying layout raises it by
+// exactly 12 bytes per point.
+func TestMemoryBytesTracksLayout(t *testing.T) {
+	cfg := Config{Ops: ikifmm.NewOperators(kernel.ByName("laplace"), 4, 1e-9), Q: 25, MaxDepth: 12, UseFFTM2L: true}
+	s, err := New(geom.Generate(geom.Uniform, 600, 11), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := s.MemoryBytes()
+	s.layout = ikifmm.NewLayout(s.tree, cfg.Ops, true)
+	if got, want := s.MemoryBytes()-bare, int64(12*len(s.tree.Points)); got != want {
+		t.Fatalf("mirror-carrying layout moved the estimate by %d bytes, want %d", got, want)
+	}
+}

@@ -51,8 +51,6 @@ type Config struct {
 	// Workers is the total worker budget, split evenly across ranks (each
 	// rank gets max(1, Workers/Ranks) engine workers).
 	Workers int
-	// VBlock overrides the FFT V-list block size inside each rank's engine.
-	VBlock int
 	// LoadBalance partitions leaves by estimated interaction work instead
 	// of raw point counts (Section III-B's weighting, computed from the
 	// global tree's lists).
@@ -287,8 +285,7 @@ func (p *Plan) MemoryBytes() int64 {
 		const nodeStruct = 120
 		engine := nodes*int64(2*ops.UpwardLen()+ops.CheckLen())*8 +
 			pts*int64(p.sd+p.td)*8
-		layout := pts*(3*8+3*4) + nodes*(4*8+1)
-		totalBytes += nodes*nodeStruct + lists + pts*(24+8) + engine + layout
+		totalBytes += nodes*nodeStruct + lists + pts*(24+8) + engine + rs.layout.MemoryBytes()
 	}
 	return totalBytes
 }
@@ -318,7 +315,6 @@ func (p *Plan) getEngines() ([]*kifmm.Engine, *diag.Profile) {
 			eng := kifmm.NewEngineLayout(p.cfg.Ops, p.ranks[r].dt.Tree, p.ranks[r].layout)
 			eng.UseFFTM2L = p.cfg.UseFFTM2L
 			eng.Workers = p.perRankWorkers()
-			eng.VBlock = p.cfg.VBlock
 			if p.cfg.Float32Near {
 				eng.SetFloat32NearField(true)
 			}

@@ -277,3 +277,24 @@ func TestBackendByName(t *testing.T) {
 		t.Error("unknown backend accepted")
 	}
 }
+
+// TestMemoryBytesTracksLayouts: the plan-cache estimate must count what the
+// rank layouts actually carry. Plan layouts are mirror-free, so swapping in
+// mirror-carrying ones must raise the estimate by exactly the mirrors'
+// 12 bytes per LET point.
+func TestMemoryBytesTracksLayouts(t *testing.T) {
+	tr, ops, _ := buildCase(t, kernel.Laplace{}, geom.Uniform, 1500, 30, 4)
+	p, err := BuildPlan(tr, Config{Ranks: 2, Ops: ops, UseFFTM2L: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := p.MemoryBytes()
+	var mirrors int64
+	for _, rs := range p.ranks {
+		rs.layout = kifmm.NewLayout(rs.dt.Tree, ops, true)
+		mirrors += 12 * int64(len(rs.dt.Tree.Points))
+	}
+	if got := p.MemoryBytes() - bare; got != mirrors {
+		t.Fatalf("mirror-carrying layouts moved the estimate by %d bytes, want %d", got, mirrors)
+	}
+}

@@ -7,12 +7,10 @@ import (
 	"sync/atomic"
 
 	"kifmm/internal/diag"
-	"kifmm/internal/gpu"
 	ikifmm "kifmm/internal/kifmm"
 	"kifmm/internal/octree"
 	"kifmm/internal/sched"
 	"kifmm/internal/shard"
-	"kifmm/internal/stream"
 )
 
 // Plan is the reusable half of an evaluation: the octree, interaction lists,
@@ -29,8 +27,8 @@ type Plan struct {
 	f    *FMM
 	tree *octree.Tree
 	// layout is the plan-time streaming translation of the tree (SoA point
-	// panels, per-level surface offsets, float32 mirrors), built once and
-	// shared read-only by every engine this plan checks out.
+	// panels, per-level surface offsets), built once and shared read-only
+	// by every engine this plan checks out.
 	layout *ikifmm.Layout
 	n      int
 	// nTrg > 0 marks an asymmetric plan (Options.Targets): the tree holds
@@ -115,7 +113,6 @@ func (f *FMM) Plan(points []Point) (*Plan, error) {
 			Ops:         f.ops,
 			UseFFTM2L:   !f.opt.DenseM2L,
 			Workers:     f.opt.Workers,
-			VBlock:      f.opt.VListBlock,
 			LoadBalance: !f.opt.NoLoadBalance,
 			Float32Near: f.float32Near(),
 		})
@@ -124,13 +121,9 @@ func (f *FMM) Plan(points []Point) (*Plan, error) {
 		}
 		return &Plan{f: f, tree: tree, n: len(points), shard: sp}, nil
 	}
-	// The layout's float32 coordinate mirrors are built only when a
-	// single-precision consumer will read them — now solely the simulated
-	// streaming device (the CPU float32 near field localizes its own panels
-	// per call and never touches the mirrors). Unaccelerated plans skip the
-	// fill and the 12 bytes per point at any precision.
-	needF32 := f.opt.Accelerated
-	return &Plan{f: f, tree: tree, layout: ikifmm.NewLayout(tree, f.ops, needF32), n: len(points) - nTrg, nTrg: nTrg}, nil
+	// Mirror-free layout: the float32 near field localizes its own panels
+	// per call and never reads the layout's float32 coordinate mirrors.
+	return &Plan{f: f, tree: tree, layout: ikifmm.NewLayout(tree, f.ops, false), n: len(points) - nTrg, nTrg: nTrg}, nil
 }
 
 // TranslationCacheStats is a snapshot of the process-wide V-list
@@ -222,14 +215,7 @@ func (p *Plan) MemoryBytes() int64 {
 	const nodeStruct = 120 // Node fixed fields, approximate
 	engine := nodes*int64(2*ops.UpwardLen()+ops.CheckLen())*8 +
 		pts*int64(p.f.kern.SrcDim()+p.f.kern.TrgDim())*8
-	// Streaming layout: float64 SoA point panels plus per-node centers,
-	// half-sides, and levels; the float32 mirrors exist only when a
-	// single-precision consumer required them.
-	layout := pts*(3*8) + nodes*(4*8+1)
-	if p.layout != nil && p.layout.HasF32() {
-		layout += pts * (3 * 4)
-	}
-	return nodes*nodeStruct + lists + pts*(24+8) + engine + layout
+	return nodes*nodeStruct + lists + pts*(24+8) + engine + p.layout.MemoryBytes()
 }
 
 // getEngine checks out a reset engine bound to the plan's tree.
@@ -246,7 +232,6 @@ func (p *Plan) getEngine() *ikifmm.Engine {
 		eng = ikifmm.NewEngineLayout(p.f.ops, p.tree, p.layout)
 		eng.UseFFTM2L = !p.f.opt.DenseM2L
 		eng.Workers = p.f.opt.Workers
-		eng.VBlock = p.f.opt.VListBlock
 		eng.SetSplitRoles(p.nTrg)
 		if p.f.float32Near() {
 			eng.SetFloat32NearField(true)
@@ -264,23 +249,6 @@ func (p *Plan) putEngine(eng *ikifmm.Engine) {
 		p.free = append(p.free, eng)
 	}
 	p.mu.Unlock()
-}
-
-// useDAG reports whether this plan's Apply runs the task-graph scheduler.
-// The device-accelerated path schedules its phases itself and always runs
-// the barrier sequence.
-func (p *Plan) useDAG() bool {
-	if p.f.opt.Accelerated {
-		return false
-	}
-	switch p.f.opt.Exec {
-	case ExecDAG:
-		return true
-	case ExecBarrier:
-		return false
-	default:
-		return p.f.opt.Workers > 1
-	}
 }
 
 // Apply evaluates the potentials for one density vector on the prebuilt
@@ -306,14 +274,11 @@ func (p *Plan) Apply(densities []float64) ([]float64, error) {
 // execution: one timeline row per worker, one slice per per-octant task.
 // Write the returned JSON to a file and open it at chrome://tracing (or
 // ui.perfetto.dev). Tracing forces the task-graph execution path regardless
-// of Options.Exec; it errors on device-accelerated plans, whose phase
-// schedule the streaming device owns.
+// of Options.Exec; it errors on sharded plans, which coordinate their ranks
+// themselves.
 func (p *Plan) ApplyTraced(densities []float64) (potentials []float64, trace []byte, err error) {
 	if p.shard != nil {
 		return nil, nil, fmt.Errorf("kifmm: tracing requires the task-graph execution path (sharded plans coordinate ranks themselves)")
-	}
-	if p.f.opt.Accelerated {
-		return nil, nil, fmt.Errorf("kifmm: tracing requires the task-graph execution path (accelerated plans schedule phases on the device)")
 	}
 	tr := sched.NewTrace()
 	out, _, err := p.apply(densities, tr)
@@ -331,18 +296,7 @@ func (p *Plan) apply(densities []float64, trace *sched.Trace) ([]float64, sched.
 	eng := p.getEngine()
 	eng.SetDensitiesMasked(densities, p.nTrg)
 	var stats sched.Stats
-	switch {
-	case p.f.opt.Accelerated:
-		accel := gpu.New(stream.NewDevice(stream.DefaultParams()))
-		accel.S2U(eng)
-		eng.U2U()
-		accel.VLI(eng)
-		eng.XLI()
-		eng.Downward()
-		eng.WLI()
-		accel.D2T(eng)
-		accel.ULI(eng)
-	case p.useDAG() || trace != nil:
+	if p.f.useDAG() || trace != nil {
 		var err error
 		stats, err = eng.EvaluateDAG(trace)
 		if err != nil {
@@ -357,7 +311,7 @@ func (p *Plan) apply(densities []float64, trace *sched.Trace) ([]float64, sched.
 			prof.AddCounter(diag.CounterSchedStolen, stats.Stolen)
 			prof.AddTime(diag.PhaseSchedIdle, stats.Idle)
 		}
-	default:
+	} else {
 		eng.Evaluate()
 	}
 	out := eng.PointPotentials()

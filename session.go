@@ -61,13 +61,11 @@ type Session struct {
 
 // NewSession builds a session over the initial point set (IDs
 // 0..len(points)-1). Sessions require a plain single-engine configuration:
-// Shards, Accelerated, Balanced, and Targets are rejected.
+// Shards, Balanced, and Targets are rejected.
 func (f *FMM) NewSession(points []Point) (*Session, error) {
 	switch {
 	case f.opt.Shards > 0:
 		return nil, fmt.Errorf("kifmm: sessions do not support sharded plans")
-	case f.opt.Accelerated:
-		return nil, fmt.Errorf("kifmm: sessions do not support accelerated evaluation")
 	case f.opt.Balanced:
 		return nil, fmt.Errorf("kifmm: sessions do not support 2:1-balanced trees (incremental edits do not preserve the balance)")
 	case len(f.opt.Targets) > 0:
@@ -76,15 +74,13 @@ func (f *FMM) NewSession(points []Point) (*Session, error) {
 	if err := f.checkPoints(points); err != nil {
 		return nil, err
 	}
-	useDAG := f.opt.Exec == ExecDAG || (f.opt.Exec == ExecAuto && f.opt.Workers > 1)
 	s, err := session.New(toGeom(points), session.Config{
 		Ops:         f.ops,
 		Q:           f.opt.PointsPerBox,
 		MaxDepth:    f.opt.MaxDepth,
 		Workers:     f.opt.Workers,
 		UseFFTM2L:   !f.opt.DenseM2L,
-		VBlock:      f.opt.VListBlock,
-		UseDAG:      useDAG,
+		UseDAG:      f.useDAG(),
 		Float32Near: f.float32Near(),
 	})
 	if err != nil {

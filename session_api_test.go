@@ -2,7 +2,6 @@ package kifmm
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -73,24 +72,6 @@ func TestTargetsValidation(t *testing.T) {
 	}
 	if _, err := New(Options{Targets: []Point{{0.5, 0.5, 0.5}}, Shards: 2}); err == nil {
 		t.Fatal("Targets with Shards accepted")
-	}
-	if _, err := New(Options{Targets: []Point{{0.5, 0.5, 0.5}}, Accelerated: true}); err == nil {
-		t.Fatal("Targets with Accelerated accepted")
-	}
-}
-
-// TestVListBlockNegativeError checks the dedicated validation error for
-// negative VListBlock (satellite of the sessions issue).
-func TestVListBlockNegativeError(t *testing.T) {
-	_, err := New(Options{VListBlock: -3})
-	if err == nil {
-		t.Fatal("negative VListBlock accepted")
-	}
-	if !strings.Contains(err.Error(), "VListBlock") || !strings.Contains(err.Error(), "-3") {
-		t.Fatalf("unhelpful error: %v", err)
-	}
-	if !strings.Contains(err.Error(), "8 MiB") {
-		t.Fatalf("error should mention the budget-derived default: %v", err)
 	}
 }
 
@@ -177,7 +158,6 @@ func TestNewSessionRejections(t *testing.T) {
 	pts, _ := randInput(50, 1, 71)
 	bad := []Options{
 		{Shards: 2},
-		{Accelerated: true},
 		{Balanced: true},
 		{Targets: []Point{{0.5, 0.5, 0.5}}},
 	}

@@ -73,7 +73,6 @@ func TestShardedOptionsValidation(t *testing.T) {
 		{"hypercube non-pow2", Options{Shards: 3}, "power-of-two"},
 		{"unknown backend", Options{Shards: 2, ShardComm: "telepathy"}, "unknown comm backend"},
 		{"unknown backend unsharded", Options{ShardComm: "telepathy"}, "unknown comm backend"},
-		{"accelerated conflict", Options{Shards: 2, Accelerated: true}, "accelerated"},
 	}
 	for _, c := range cases {
 		_, err := New(c.opt)
