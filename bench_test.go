@@ -11,8 +11,11 @@ package kifmm
 
 import (
 	"math/rand"
+	"os"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"kifmm/internal/experiments"
 	"kifmm/internal/geom"
@@ -305,5 +308,42 @@ func BenchmarkDirectSum_2k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ikern.Direct(ikern.Laplace{}, gp, gp, den)
+	}
+}
+
+// TestQSweep records warm Plan.Apply time against the refinement threshold q
+// on the benchmark's far_uniform cloud shape (100k uniform Laplace points,
+// order 6, Workers 2) — the EXPERIMENTS.md q-sweep table, the offline
+// substitute for an autotuner:
+//
+//	KIFMM_Q_SWEEP=1 go test -run TestQSweep -v .
+//
+// Gated behind an env var: it is a measurement, not a check.
+func TestQSweep(t *testing.T) {
+	if os.Getenv("KIFMM_Q_SWEEP") == "" {
+		t.Skip("set KIFMM_Q_SWEEP=1 to run the q-sweep measurement")
+	}
+	pts, den := benchPoints(100000)
+	for _, q := range []int{25, 50, 100, 200, 400} {
+		f, err := New(Options{PointsPerBox: q, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := f.Plan(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ms []float64
+		for i := 0; i < 6; i++ {
+			t0 := time.Now()
+			if _, err := plan.Apply(den); err != nil {
+				t.Fatal(err)
+			}
+			if i > 0 { // the first Apply is the warm-up
+				ms = append(ms, float64(time.Since(t0))/float64(time.Millisecond))
+			}
+		}
+		slices.Sort(ms)
+		t.Logf("q=%-4d warm Apply: median %7.1f ms, min %7.1f, max %7.1f (5 applies)", q, ms[2], ms[0], ms[4])
 	}
 }

@@ -1,8 +1,10 @@
 package fft
 
 // Plan3D performs 3-D complex DFTs on nx×ny×nz grids stored in row-major
-// order (index = (ix*ny + iy)*nz + iz). All three dimension lengths may
-// differ; each axis reuses a cached 1-D plan.
+// order (index = (ix*ny + iy)*nz + iz), one gathered 1-D transform per row.
+// It is the oracle PlanR3D is tested against: same 1-D body (itself checked
+// against the naive DFT), none of the real-input packing, batching or
+// pruning.
 type Plan3D struct {
 	Nx, Ny, Nz int
 	px, py, pz *Plan
@@ -10,20 +12,7 @@ type Plan3D struct {
 
 // NewPlan3D creates a 3-D plan for an nx×ny×nz grid.
 func NewPlan3D(nx, ny, nz int) *Plan3D {
-	if nx < 1 || ny < 1 || nz < 1 {
-		panic("fft: invalid 3-D dimensions")
-	}
-	p := &Plan3D{Nx: nx, Ny: ny, Nz: nz}
-	p.px = NewPlan(nx)
-	p.py = NewPlan(ny)
-	if nz == nx {
-		p.pz = p.px
-	} else if nz == ny {
-		p.pz = p.py
-	} else {
-		p.pz = NewPlan(nz)
-	}
-	return p
+	return &Plan3D{Nx: nx, Ny: ny, Nz: nz, px: NewPlan(nx), py: NewPlan(ny), pz: NewPlan(nz)}
 }
 
 // Size returns the total number of grid points.
@@ -40,50 +29,38 @@ func (p *Plan3D) transform(x []complex128, inverse bool) {
 		panic("fft: 3-D transform length mismatch")
 	}
 	nx, ny, nz := p.Nx, p.Ny, p.Nz
-	apply := func(pl *Plan, v []complex128) {
+	// axis transforms the n-point rows x[base+j*stride], j < n.
+	axis := func(pl *Plan, base, stride int) {
+		n := pl.Len()
+		re, im, work := make([]float64, n), make([]float64, n), make([]float64, 2*n)
+		for j := range re {
+			re[j], im[j] = real(x[base+j*stride]), imag(x[base+j*stride])
+		}
 		if inverse {
-			pl.Inverse(v)
+			pl.Backward(re, im, work, 1)
 		} else {
-			pl.Forward(v)
+			pl.Forward(re, im, work, 1)
+		}
+		for j := range re {
+			x[base+j*stride] = complex(re[j], im[j])
+			if inverse {
+				x[base+j*stride] /= complex(float64(n), 0)
+			}
 		}
 	}
-	// z-axis passes: contiguous rows.
 	for ix := 0; ix < nx; ix++ {
 		for iy := 0; iy < ny; iy++ {
-			base := (ix*ny + iy) * nz
-			apply(p.pz, x[base:base+nz])
+			axis(p.pz, (ix*ny+iy)*nz, 1)
 		}
 	}
-	// y-axis passes: stride nz.
-	buf := make([]complex128, ny)
 	for ix := 0; ix < nx; ix++ {
 		for iz := 0; iz < nz; iz++ {
-			base := ix*ny*nz + iz
-			for iy := 0; iy < ny; iy++ {
-				buf[iy] = x[base+iy*nz]
-			}
-			apply(p.py, buf)
-			for iy := 0; iy < ny; iy++ {
-				x[base+iy*nz] = buf[iy]
-			}
+			axis(p.py, ix*ny*nz+iz, nz)
 		}
 	}
-	// x-axis passes: stride ny*nz.
-	if cap(buf) < nx {
-		buf = make([]complex128, nx)
-	}
-	buf = buf[:nx]
-	stride := ny * nz
 	for iy := 0; iy < ny; iy++ {
 		for iz := 0; iz < nz; iz++ {
-			base := iy*nz + iz
-			for ix := 0; ix < nx; ix++ {
-				buf[ix] = x[base+ix*stride]
-			}
-			apply(p.px, buf)
-			for ix := 0; ix < nx; ix++ {
-				x[base+ix*stride] = buf[ix]
-			}
+			axis(p.px, iy*nz+iz, ny*nz)
 		}
 	}
 }
@@ -92,10 +69,8 @@ func (p *Plan3D) transform(x []complex128, inverse bool) {
 // (both length Nx*Ny*Nz), computed via forward transforms, a Hadamard
 // product, and an inverse transform. Inputs are not modified.
 func (p *Plan3D) Convolve3D(a, b []complex128) []complex128 {
-	fa := make([]complex128, len(a))
-	fb := make([]complex128, len(b))
-	copy(fa, a)
-	copy(fb, b)
+	fa := append([]complex128(nil), a...)
+	fb := append([]complex128(nil), b...)
 	p.Forward(fa)
 	p.Forward(fb)
 	for i := range fa {

@@ -12,16 +12,29 @@ import "sync"
 //
 // Spectra are stored as two separate float64 slices (re, im) of length
 // HalfLen() each, indexed (ix*ny + iy)*hz + kz with hz = nz/2+1 — the
-// structure-of-arrays panel form the translation micro-kernels stream.
+// structure-of-arrays panel form the translation micro-kernels stream, and
+// the split-complex form Plan transforms in place: the y pass is one batched
+// call per x-slab and the x pass one batched call over the whole panel pair.
 //
-// A PlanR3D is safe for concurrent use: per-call row scratch comes from a
-// pool, never from mutable plan state.
+// Both transforms take a support extent e for zero-padded data. A grid that
+// is zero outside its corner [0,e)³ (clipped per axis) has all-zero z rows
+// wherever ix >= e or iy >= e and all-zero y columns wherever ix >= e, so
+// the forward transform skips them; an inverse whose result is wanted only
+// on that corner skips the same rows and columns on the way back. The
+// skipped inputs are exact zeros and the skipped outputs are never read, and
+// z rows are kept or skipped as the packed pairs they are transformed in, so
+// what is computed sees the arithmetic of the full transform and agrees with
+// it to the last bit; e >= max(Nx, Ny, Nz) is the full transform. For the FMM's padded surface grids (e = n/2) this takes a
+// 12³ transform from 240 row transforms to 144.
+//
+// A PlanR3D is safe for concurrent use: per-call scratch comes from a pool,
+// never from mutable plan state.
 type PlanR3D struct {
 	Nx, Ny, Nz int
 	// Hz is the half-spectrum extent of the z axis: Nz/2 + 1.
 	Hz         int
 	px, py, pz *Plan
-	rows       sync.Pool // *[]complex128, max(Nx,Ny,Nz) long
+	scratch    sync.Pool // *[]float64: two z rows, then batched-pass work
 }
 
 // NewPlanR3D creates a real-input 3-D plan for an nx×ny×nz grid.
@@ -53,178 +66,128 @@ func (p *PlanR3D) Size() int { return p.Nx * p.Ny * p.Nz }
 // HalfLen returns the half-spectrum length Nx·Ny·(Nz/2+1).
 func (p *PlanR3D) HalfLen() int { return p.Nx * p.Ny * p.Hz }
 
-func (p *PlanR3D) rowBuf() *[]complex128 {
-	if buf, _ := p.rows.Get().(*[]complex128); buf != nil {
-		return buf
+// buffers returns pooled scratch split into the z pass's row pair (Nz each)
+// and the work area of the 1-D passes.
+func (p *PlanR3D) buffers() (buf *[]float64, tr, ti, work []float64) {
+	nz := p.Nz
+	buf, _ = p.scratch.Get().(*[]float64)
+	if buf == nil {
+		//fmm:allow hotalloc pool cold start; steady state reuses pooled scratch
+		s := make([]float64, 2*nz+2*max(p.HalfLen(), nz))
+		buf = &s
 	}
-	m := p.Nx
-	if p.Ny > m {
-		m = p.Ny
-	}
-	if p.Nz > m {
-		m = p.Nz
-	}
-	//fmm:allow hotalloc pool cold start; steady state reuses pooled scratch
-	s := make([]complex128, m)
-	return &s
+	b := *buf
+	return buf, b[:nz], b[nz : 2*nz], b[2*nz:]
 }
 
 // RForward computes the forward DFT of the real grid src (length Size()),
 // writing the half spectrum into re and im (length HalfLen() each). src is
-// not modified. The z-axis pass transforms two real rows per complex FFT
-// (packed as x0 + i·x1 and separated by Hermitian symmetry), so the real
-// transform costs roughly half of a full complex one.
-func (p *PlanR3D) RForward(src []float64, re, im []float64) {
+// not modified, is read only on the support corner [0,e)³ and is taken to be
+// zero elsewhere. The z pass transforms two real rows (ix, iy), (ix, iy+1)
+// per complex FFT — packed as x0 + i·x1 and separated by Hermitian symmetry
+// — so the real transform costs roughly half of a full complex one.
+//
+//fmm:hotpath
+func (p *PlanR3D) RForward(src []float64, re, im []float64, e int) {
 	if len(src) != p.Size() || len(re) != p.HalfLen() || len(im) != p.HalfLen() {
 		panic("fft: RForward length mismatch")
 	}
 	nx, ny, nz, hz := p.Nx, p.Ny, p.Nz, p.Hz
-	buf := p.rowBuf()
-	defer p.rows.Put(buf)
+	ex, ey, ez := min(e, nx), min(e, ny), min(e, nz)
+	buf, tr, ti, work := p.buffers()
+	defer p.scratch.Put(buf)
 
-	// z-axis: two real rows per complex transform. With Z = F(x0 + i·x1),
-	// F(x0)[k] = (Z[k] + conj(Z[n−k]))/2 and F(x1)[k] = (Z[k] − conj(Z[n−k]))/(2i).
-	bz := (*buf)[:nz]
-	nr := nx * ny
-	r := 0
-	for ; r+1 < nr; r += 2 {
-		s0 := src[r*nz : (r+1)*nz]
-		s1 := src[(r+1)*nz : (r+2)*nz]
-		for k := 0; k < nz; k++ {
-			bz[k] = complex(s0[k], s1[k])
+	// z pass. With Z = F(x0 + i·x1), F(x0)[k] = (Z[k] + conj(Z[n−k]))/2 and
+	// F(x1)[k] = (Z[k] − conj(Z[n−k]))/(2i). The unit of pruning is the row
+	// pair: a supported row whose partner lies outside the support (odd e)
+	// is packed with zeros and the partner's spectrum — zero up to the
+	// rounding of the separation — is stored as the full transform stores it.
+	ey2 := min((ey+1)&^1, ny)
+	for ix := 0; ix < ex; ix++ {
+		for iy := 0; iy < ey; iy += 2 {
+			r := ix*ny + iy
+			copy(tr, src[r*nz:r*nz+ez])
+			clear(tr[ez:])
+			clear(ti)
+			if iy+1 < ey {
+				copy(ti, src[(r+1)*nz:(r+1)*nz+ez])
+			}
+			p.pz.Forward(tr, ti, work, 1)
+			o := r * hz
+			for k, kc := 0, 0; k < hz; k, kc = k+1, nz-k-1 {
+				a, b, c, d := tr[k], ti[k], tr[kc], ti[kc]
+				re[o+k], im[o+k] = (a+c)/2, (b-d)/2
+				if iy+1 < ny {
+					re[o+hz+k], im[o+hz+k] = (b+d)/2, (c-a)/2
+				}
+			}
 		}
-		p.pz.Forward(bz)
-		o0, o1 := r*hz, (r+1)*hz
-		for k := 0; k < hz; k++ {
-			a, b := real(bz[k]), imag(bz[k])
-			zc := bz[(nz-k)%nz]
-			c, d := real(zc), imag(zc)
-			re[o0+k], im[o0+k] = (a+c)/2, (b-d)/2
-			re[o1+k], im[o1+k] = (b+d)/2, (c-a)/2
-		}
+		// The slab's other rows are zero rows of the z pass.
+		clear(re[(ix*ny+ey2)*hz : (ix+1)*ny*hz])
+		clear(im[(ix*ny+ey2)*hz : (ix+1)*ny*hz])
 	}
-	if r < nr {
-		s0 := src[r*nz : (r+1)*nz]
-		for k := 0; k < nz; k++ {
-			bz[k] = complex(s0[k], 0)
-		}
-		p.pz.Forward(bz)
-		o0 := r * hz
-		for k := 0; k < hz; k++ {
-			re[o0+k], im[o0+k] = real(bz[k]), imag(bz[k])
-		}
+	// y pass over the supported slabs; the others are zero slabs.
+	slab := ny * hz
+	for ix := 0; ix < ex; ix++ {
+		p.py.Forward(re[ix*slab:(ix+1)*slab], im[ix*slab:(ix+1)*slab], work, hz)
 	}
-
-	// y- and x-axis passes: ordinary complex transforms over the half grid.
-	p.pass(re, im, false)
+	clear(re[ex*slab:])
+	clear(im[ex*slab:])
+	p.px.Forward(re, im, work, slab)
 }
 
 // RInverse computes the inverse DFT (normalized by 1/(Nx·Ny·Nz)) of the
-// Hermitian half spectrum (re, im), writing the real result into dst (length
-// Size()). re and im are consumed: the x/y passes transform them in place.
-// The spectrum must be Hermitian-consistent (e.g. produced by RForward, or a
-// pointwise product of such spectra); the redundant half is reconstructed by
-// symmetry and two real rows are recovered per inverse complex transform.
-func (p *PlanR3D) RInverse(re, im []float64, dst []float64) {
+// Hermitian half spectrum (re, im) on the corner [0,e)³ of dst (length
+// Size()); every other element of dst is left untouched. re and im are
+// consumed: the x and y passes transform them in place. The spectrum must be
+// Hermitian-consistent (e.g. produced by RForward, or a pointwise product of
+// such spectra); the redundant half is reconstructed by symmetry and two
+// real rows are recovered per complex transform, with the same row pairing
+// as RForward.
+//
+//fmm:hotpath
+func (p *PlanR3D) RInverse(re, im []float64, dst []float64, e int) {
 	if len(dst) != p.Size() || len(re) != p.HalfLen() || len(im) != p.HalfLen() {
 		panic("fft: RInverse length mismatch")
 	}
 	nx, ny, nz, hz := p.Nx, p.Ny, p.Nz, p.Hz
-	p.pass(re, im, true)
+	ex, ey, ez := min(e, nx), min(e, ny), min(e, nz)
+	buf, tr, ti, work := p.buffers()
+	defer p.scratch.Put(buf)
 
-	// z-axis: reconstruct the full Hermitian row and invert two rows at a
-	// time — F⁻¹(Z0 + i·Z1) = x0 + i·x1 for Hermitian Z0, Z1.
-	buf := p.rowBuf()
-	defer p.rows.Put(buf)
-	bz := (*buf)[:nz]
-	nr := nx * ny
-	r := 0
-	for ; r+1 < nr; r += 2 {
-		o0, o1 := r*hz, (r+1)*hz
-		for k := 0; k < nz; k++ {
-			var r0, i0, r1, i1 float64
-			if k < hz {
-				r0, i0 = re[o0+k], im[o0+k]
-				r1, i1 = re[o1+k], im[o1+k]
-			} else {
-				kk := nz - k
-				r0, i0 = re[o0+kk], -im[o0+kk]
-				r1, i1 = re[o1+kk], -im[o1+kk]
+	slab := ny * hz
+	p.px.Backward(re, im, work, slab)
+	for ix := 0; ix < ex; ix++ {
+		p.py.Backward(re[ix*slab:(ix+1)*slab], im[ix*slab:(ix+1)*slab], work, hz)
+	}
+	// z pass: F⁻¹(Z0 + i·Z1) = x0 + i·x1 for Hermitian Z0, Z1. The partner
+	// row is part of the packed transform wherever the grid has one, inside
+	// the support or not, so that row (ix, iy) sees the same arithmetic for
+	// every e; only its output is dropped.
+	scale := 1 / float64(nx*ny*nz)
+	for ix := 0; ix < ex; ix++ {
+		for iy := 0; iy < ey; iy += 2 {
+			r := ix*ny + iy
+			o0, o1 := r*hz, r*hz // a last row of an odd Ny is its own partner
+			if iy+1 < ny {
+				o1 += hz
 			}
-			bz[k] = complex(r0-i1, i0+r1)
-		}
-		p.pz.Inverse(bz)
-		d0 := dst[r*nz : (r+1)*nz]
-		d1 := dst[(r+1)*nz : (r+2)*nz]
-		for k := 0; k < nz; k++ {
-			d0[k], d1[k] = real(bz[k]), imag(bz[k])
-		}
-	}
-	if r < nr {
-		o0 := r * hz
-		for k := 0; k < nz; k++ {
-			if k < hz {
-				bz[k] = complex(re[o0+k], im[o0+k])
-			} else {
-				kk := nz - k
-				bz[k] = complex(re[o0+kk], -im[o0+kk])
-			}
-		}
-		p.pz.Inverse(bz)
-		d0 := dst[r*nz : (r+1)*nz]
-		for k := 0; k < nz; k++ {
-			d0[k] = real(bz[k])
-		}
-	}
-}
-
-// pass runs the y- then x-axis complex transforms over the half grid stored
-// in (re, im), forward or inverse.
-func (p *PlanR3D) pass(re, im []float64, inverse bool) {
-	nx, ny, hz := p.Nx, p.Ny, p.Hz
-	buf := p.rowBuf()
-	defer p.rows.Put(buf)
-	//fmm:allow hotalloc closure is called directly and never escapes; the escape baseline pins it stack-allocated
-	apply := func(pl *Plan, v []complex128) {
-		if inverse {
-			pl.Inverse(v)
-		} else {
-			pl.Forward(v)
-		}
-	}
-	// y-axis: stride hz within one x-slab.
-	if ny > 1 {
-		by := (*buf)[:ny]
-		for ix := 0; ix < nx; ix++ {
-			for kz := 0; kz < hz; kz++ {
-				base := ix*ny*hz + kz
-				for iy := 0; iy < ny; iy++ {
-					idx := base + iy*hz
-					by[iy] = complex(re[idx], im[idx])
-				}
-				apply(p.py, by)
-				for iy := 0; iy < ny; iy++ {
-					idx := base + iy*hz
-					re[idx], im[idx] = real(by[iy]), imag(by[iy])
+			for k := 0; k < hz; k++ {
+				r0, i0, r1, i1 := re[o0+k], im[o0+k], re[o1+k], im[o1+k]
+				tr[k], ti[k] = r0-i1, i0+r1
+				if k > 0 && k <= nz-hz { // Z[nz−k] = conj(Z[k]) for both rows
+					tr[nz-k], ti[nz-k] = r0+i1, r1-i0
 				}
 			}
-		}
-	}
-	// x-axis: stride ny·hz.
-	if nx > 1 {
-		bx := (*buf)[:nx]
-		stride := ny * hz
-		for iy := 0; iy < ny; iy++ {
-			for kz := 0; kz < hz; kz++ {
-				base := iy*hz + kz
-				for ix := 0; ix < nx; ix++ {
-					idx := base + ix*stride
-					bx[ix] = complex(re[idx], im[idx])
-				}
-				apply(p.px, bx)
-				for ix := 0; ix < nx; ix++ {
-					idx := base + ix*stride
-					re[idx], im[idx] = real(bx[ix]), imag(bx[ix])
+			p.pz.Backward(tr, ti, work, 1)
+			d := dst[r*nz : r*nz+ez]
+			for k := range d {
+				d[k] = scale * tr[k]
+			}
+			if iy+1 < ey {
+				d = dst[(r+1)*nz : (r+1)*nz+ez]
+				for k := range d {
+					d[k] = scale * ti[k]
 				}
 			}
 		}

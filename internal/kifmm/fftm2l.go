@@ -85,8 +85,9 @@ func (f *FFTM2L) AccLen() int { return f.ops.Kern.TrgDim() * 2 * f.hl }
 
 // SourceSpectrumInto pads the upward-equivalent densities u (surface order)
 // into the real grid and half-transforms them into dst (length SpecLen()):
-// per source component, a re panel then an im panel. grid is caller scratch
-// of length GridLen().
+// per source component, a re panel then an im panel. The densities fill only
+// the corner [0,p)³ of the (2p)³ grid, so the transform skips the all-zero
+// rows and columns outside it. grid is caller scratch of length GridLen().
 //
 //fmm:hotpath
 func (f *FFTM2L) SourceSpectrumInto(u []float64, dst, grid []float64) {
@@ -100,7 +101,7 @@ func (f *FFTM2L) SourceSpectrumInto(u []float64, dst, grid []float64) {
 			grid[gi] = u[i*sd+s]
 		}
 		o := s * 2 * hl
-		f.rplan.RForward(grid, dst[o:o+hl], dst[o+hl:o+2*hl])
+		f.rplan.RForward(grid, dst[o:o+hl], dst[o+hl:o+2*hl], f.n/2)
 	}
 }
 
@@ -186,7 +187,7 @@ func (f *FFTM2L) buildTranslation(level, dx, dy, dz int) []float64 {
 	spec := make([]float64, td*sd*2*hl)
 	for q := range grids {
 		o := q * 2 * hl
-		f.rplan.RForward(grids[q], spec[o:o+hl], spec[o+hl:o+2*hl])
+		f.rplan.RForward(grids[q], spec[o:o+hl], spec[o+hl:o+2*hl], f.n)
 	}
 	return spec
 }
@@ -231,7 +232,8 @@ func (f *FFTM2L) Prewarm(levels []int, workers int) {
 
 // ExtractCheck inverse-transforms the accumulated frequency-domain check
 // potentials (acc, length AccLen(), consumed) and adds the surface values
-// (scaled) into dst. grid is caller scratch of length GridLen().
+// (scaled) into dst. The surface lies in the corner [0,p)³, the only part of
+// the grid the inverse computes. grid is caller scratch of length GridLen().
 //
 //fmm:hotpath
 func (f *FFTM2L) ExtractCheck(acc []float64, scale float64, dst, grid []float64) {
@@ -239,7 +241,7 @@ func (f *FFTM2L) ExtractCheck(acc []float64, scale float64, dst, grid []float64)
 	hl := f.hl
 	for t := 0; t < td; t++ {
 		o := t * 2 * hl
-		f.rplan.RInverse(acc[o:o+hl], acc[o+hl:o+2*hl], grid)
+		f.rplan.RInverse(acc[o:o+hl], acc[o+hl:o+2*hl], grid, f.n/2)
 		for i, gi := range f.surfIdx {
 			dst[i*td+t] += scale * grid[gi]
 		}
