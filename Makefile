@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race bench bench-nearfield bench-smoke bench-check sched-stress shard-stress session-stress lint lint-baseline lint-inject ci
+.PHONY: build vet test race bench bench-nearfield bench-smoke bench-check sched-stress shard-stress session-stress lint lint-baseline lint-inject loc ci
 
 build:
 	$(GO) build ./...
@@ -83,5 +83,12 @@ lint-baseline:
 # open (a bad baseline, an over-broad allow, a scope bug).
 lint-inject:
 	./scripts/lint_inject.sh
+
+# Go line counts every simplicity PR reports: non-test and test, without
+# bench/ (its own module) and the analyzers' testdata fixtures.
+loc:
+	@printf '%s non-test / %s test\n' \
+		$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l) \
+		$$(find . -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l)
 
 ci: build vet lint lint-inject race sched-stress shard-stress session-stress bench-smoke bench-check

@@ -215,8 +215,8 @@ func BenchmarkPlanApply_10k(b *testing.B) {
 // the case where global phase barriers hurt most). Both reuse one plan and
 // produce bit-identical potentials; see TestExecModesBitIdentical.
 
-func benchmarkApplyExec(b *testing.B, mode ExecMode) {
-	f, err := New(Options{PointsPerBox: 50, Workers: runtime.GOMAXPROCS(0), Exec: mode})
+func benchmarkApplyExec(b *testing.B, mode execMode) {
+	f, err := New(Options{PointsPerBox: 50, Workers: runtime.GOMAXPROCS(0), exec: mode})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -245,9 +245,9 @@ func benchmarkApplyExec(b *testing.B, mode ExecMode) {
 	}
 }
 
-func BenchmarkApplyBarrier(b *testing.B) { benchmarkApplyExec(b, ExecBarrier) }
+func BenchmarkApplyBarrier(b *testing.B) { benchmarkApplyExec(b, execBarrier) }
 
-func BenchmarkApplyDAG(b *testing.B) { benchmarkApplyExec(b, ExecDAG) }
+func BenchmarkApplyDAG(b *testing.B) { benchmarkApplyExec(b, execDAG) }
 
 func BenchmarkOctreeBuild_50k(b *testing.B) {
 	pts := geom.Generate(geom.Ellipsoid, 50000, 1)

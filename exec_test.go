@@ -22,9 +22,10 @@ func ellipsoidInput(n, sdim int, seed int64) ([]Point, []float64) {
 
 // TestExecModesBitIdentical is the public-API differential test for the
 // task-graph execution path: for every kernel and both particle
-// distributions, Plan.Apply under ExecDAG must be bit-identical (exact
-// float64 equality, not tolerance) to ExecBarrier, because the DAG's
-// dependency edges reproduce the barrier path's accumulation order.
+// distributions, Plan.Apply forced onto the task graph must be bit-identical
+// (exact float64 equality, not tolerance) to Plan.Apply forced onto the
+// barrier loops, because the DAG's dependency edges reproduce the barrier
+// path's accumulation order.
 func TestExecModesBitIdentical(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -39,13 +40,13 @@ func TestExecModesBitIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			newPlan := func(mode ExecMode) (*Plan, []Point, []float64) {
+			newPlan := func(mode execMode) (*Plan, []Point, []float64) {
 				opt := Options{
 					Kernel:       tc.kernel,
 					PointsPerBox: 40,
 					Workers:      4,
-					DenseM2L:     tc.dense,
-					Exec:         mode,
+					denseM2L:     tc.dense,
+					exec:         mode,
 				}
 				if tc.kernel == Yukawa {
 					opt.YukawaLambda = 1.5
@@ -68,12 +69,12 @@ func TestExecModesBitIdentical(t *testing.T) {
 				return p, pts, den
 			}
 
-			pb, _, den := newPlan(ExecBarrier)
+			pb, _, den := newPlan(execBarrier)
 			want, err := pb.Apply(den)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pd, _, _ := newPlan(ExecDAG)
+			pd, _, _ := newPlan(execDAG)
 			got, err := pd.Apply(den)
 			if err != nil {
 				t.Fatal(err)
@@ -95,7 +96,7 @@ func TestExecModesBitIdentical(t *testing.T) {
 // repeated Apply calls and across Apply/ApplyTraced, and that the trace
 // document is well-formed Chrome trace_event JSON.
 func TestExecModeSharedPlan(t *testing.T) {
-	f, err := New(Options{PointsPerBox: 40, Workers: 4, Exec: ExecDAG})
+	f, err := New(Options{PointsPerBox: 40, Workers: 4, exec: execDAG})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +139,27 @@ func TestExecModeSharedPlan(t *testing.T) {
 	}
 }
 
-// TestExecValidation covers the Options.Exec plumbing edges.
+// TestExecValidation pins how the execution path is selected now that no
+// option chooses it: more than one worker runs the task graph, one worker the
+// barrier loops, and the in-package overrides win at any worker count.
 func TestExecValidation(t *testing.T) {
-	if _, err := New(Options{Exec: ExecMode(99)}); err == nil {
-		t.Fatal("invalid exec mode accepted")
-	}
-	if _, err := New(Options{Exec: ExecMode(-1)}); err == nil {
-		t.Fatal("negative exec mode accepted")
+	for _, tc := range []struct {
+		opt  Options
+		want bool
+	}{
+		{Options{}, false},
+		{Options{Workers: 1}, false},
+		{Options{Workers: 2}, true},
+		{Options{Workers: 4, exec: execBarrier}, false},
+		{Options{Workers: 1, exec: execDAG}, true},
+	} {
+		f, err := New(tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := f.useDAG(); got != tc.want {
+			t.Errorf("Workers %d, override %d: task graph = %v, want %v",
+				tc.opt.Workers, tc.opt.exec, got, tc.want)
+		}
 	}
 }

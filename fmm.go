@@ -37,24 +37,18 @@ type Point struct {
 // KernelName selects the interaction kernel.
 type KernelName string
 
-// ExecMode selects how Evaluate and Plan.Apply execute the density-dependent
-// FMM phases within one process.
-type ExecMode int
+// execMode is the in-package tests' override of how Plan.Apply executes the
+// density-dependent phases. Callers do not choose: Workers > 1 selects the
+// dependency task graph (internal/sched), a single worker — which gains
+// nothing from dependency-driven execution — the paper's eight
+// barrier-separated loops. The two are bit-identical; forcing either at any
+// worker count is how the differential tests show it.
+type execMode int
 
 const (
-	// ExecAuto (the default) runs the task-graph scheduler when Workers > 1
-	// and the bulk-synchronous barrier path otherwise (a single worker gains
-	// nothing from dependency-driven execution).
-	ExecAuto ExecMode = iota
-	// ExecBarrier forces the paper's bulk-synchronous phase sequence:
-	// eight parallel loops separated by global barriers. Kept as the
-	// fallback and as the oracle the task-graph path is differentially
-	// tested against.
-	ExecBarrier
-	// ExecDAG forces the dependency task-graph runtime (internal/sched):
-	// per-octant tasks gated on the octants they read, work-stealing
-	// workers, no phase barriers. Bit-identical to ExecBarrier.
-	ExecDAG
+	execByWorkers execMode = iota
+	execBarrier
+	execDAG
 )
 
 // Precision selects the arithmetic precision of the near-field phases
@@ -119,15 +113,11 @@ type Options struct {
 	Tolerance float64
 	// MaxDepth caps octree refinement (default 24).
 	MaxDepth int
-	// DenseM2L selects the dense V-list translation instead of the default
-	// FFT-diagonalized one (mainly for verification and ablations).
-	DenseM2L bool
 	// Workers bounds shared-memory parallelism inside each rank (default 1).
+	// With more than one worker Plan.Apply runs as a dependency task graph
+	// on a work-stealing scheduler, otherwise as the paper's
+	// barrier-separated phase loops; the results are bit-identical.
 	Workers int
-	// NoLoadBalance disables the work-weighted Morton repartitioning that
-	// distributed evaluation performs by default; set it to keep the initial
-	// equal-count point partition instead.
-	NoLoadBalance bool
 	// YukawaLambda is the screening parameter of the Yukawa kernel
 	// (default 5).
 	YukawaLambda float64
@@ -135,11 +125,6 @@ type Options struct {
 	// evaluation only): adjacent leaves differ by at most one level, which
 	// regularizes the interaction lists at the cost of extra octants.
 	Balanced bool
-	// Exec selects barrier vs task-graph execution of the evaluation
-	// phases (sequential/Plan evaluation only; the distributed driver
-	// schedules phases itself). The default ExecAuto uses the task graph
-	// whenever Workers > 1.
-	Exec ExecMode
 	// Shards, when positive, makes Plan build a sharded plan: the octree's
 	// leaves are Morton-partitioned across Shards in-process ranks, each
 	// rank assembles a local essential tree, and every Apply runs the
@@ -166,6 +151,12 @@ type Options struct {
 	// Precision selects the near-field arithmetic precision (see the
 	// Precision type). The default PrecisionAuto is float64.
 	Precision Precision
+
+	// Test oracles, reachable from in-package tests only: exec forces the
+	// barrier or task-graph execution, denseM2L swaps the FFT-diagonalized
+	// V-list for the dense M2L matrices it is verified against.
+	exec     execMode
+	denseM2L bool
 }
 
 func (o Options) kernel() (kernel.Kernel, error) {
@@ -219,9 +210,6 @@ func New(opt Options) (*FMM, error) {
 	if opt.PointsPerBox < 1 || opt.Order < 2 || opt.MaxDepth < 1 || opt.MaxDepth > 30 {
 		return nil, fmt.Errorf("kifmm: invalid options %+v", opt)
 	}
-	if opt.Exec < ExecAuto || opt.Exec > ExecDAG {
-		return nil, fmt.Errorf("kifmm: invalid exec mode %d", opt.Exec)
-	}
 	if opt.Precision < PrecisionAuto || opt.Precision > PrecisionFloat32 {
 		return nil, fmt.Errorf("kifmm: invalid precision %d", opt.Precision)
 	}
@@ -266,10 +254,6 @@ func (f *FMM) DensityDim() int { return f.kern.SrcDim() }
 // PotentialDim returns the number of potential components per point.
 func (f *FMM) PotentialDim() int { return f.kern.TrgDim() }
 
-// Exec returns the configured execution strategy for the density-dependent
-// phases.
-func (f *FMM) Exec() ExecMode { return f.opt.Exec }
-
 // Precision returns the resolved near-field precision, always one of the
 // two concrete precisions (PrecisionAuto resolves to PrecisionFloat64).
 func (f *FMM) Precision() Precision {
@@ -281,10 +265,10 @@ func (f *FMM) Precision() Precision {
 
 // useDAG reports whether evaluations run on the task-graph scheduler.
 func (f *FMM) useDAG() bool {
-	switch f.opt.Exec {
-	case ExecDAG:
+	switch f.opt.exec {
+	case execDAG:
 		return true
-	case ExecBarrier:
+	case execBarrier:
 		return false
 	default:
 		return f.opt.Workers > 1
@@ -363,9 +347,9 @@ func (f *FMM) EvaluateDistributed(ranks int, points []Point, densities []float64
 		SurfOrder:   f.opt.Order,
 		Tol:         f.opt.Tolerance,
 		MaxDepth:    f.opt.MaxDepth,
-		UseFFTM2L:   !f.opt.DenseM2L,
+		UseFFTM2L:   !f.opt.denseM2L,
 		Workers:     f.opt.Workers,
-		LoadBalance: !f.opt.NoLoadBalance,
+		LoadBalance: true,
 		Ops:         f.ops,
 		Float32Near: f.float32Near(),
 	}

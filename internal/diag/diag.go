@@ -245,9 +245,6 @@ var EvalPhases = []string{
 	PhaseWList, PhaseXList, PhaseDownward, PhaseComp,
 }
 
-// SetupPhases is the row order for the setup-phase reports (Figures 3-4).
-var SetupPhases = []string{PhaseSetup, PhaseSort, PhaseTree, PhaseLET, PhaseBal}
-
 // FormatTable renders rows in the paper's Table II layout.
 func FormatTable(rows []Row) string {
 	var b strings.Builder

@@ -153,20 +153,6 @@ func BuildLET(c *mpi.Comm, leaves []Leaf) *DistTree {
 	return dt
 }
 
-// OwnedLeafNodes returns the tree node indices of the owned leaves in
-// Morton order.
-func (dt *DistTree) OwnedLeafNodes() []int32 {
-	out := make([]int32, 0, len(dt.Leaves))
-	for _, l := range dt.Leaves {
-		idx, ok := dt.Tree.Index(l.Key)
-		if !ok {
-			panic("dtree: owned leaf missing")
-		}
-		out = append(out, idx)
-	}
-	return out
-}
-
 // NumOwnedPoints returns the number of points in owned leaves.
 func (dt *DistTree) NumOwnedPoints() int {
 	n := 0

@@ -58,17 +58,6 @@ func TestDistTreeAccessors(t *testing.T) {
 	chunks := runDistributed(t, geom.Uniform, 600, p, 20)
 	mpi.Run(p, func(c *mpi.Comm) {
 		dt := BuildLET(c, chunks[c.Rank()])
-		nodes := dt.OwnedLeafNodes()
-		if len(nodes) != len(dt.Leaves) {
-			t.Errorf("OwnedLeafNodes length mismatch")
-			return
-		}
-		for i, idx := range nodes {
-			if dt.Tree.Nodes[idx].Key != dt.Leaves[i].Key {
-				t.Errorf("OwnedLeafNodes order mismatch at %d", i)
-				return
-			}
-		}
 		want := 0
 		for _, l := range dt.Leaves {
 			want += len(l.Pts)

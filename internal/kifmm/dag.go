@@ -125,8 +125,7 @@ func (e *Engine) buildDAG() *sched.Graph {
 			if len(n.V) == 0 || !e.trgNode(int32(i)) {
 				continue
 			}
-			vTask[i] = dagTask(g, e, "V", sched.PriHigh, diag.PhaseVList,
-				func(i int32, s *evalScratch) { e.vliDenseNode(i, nil, s) }, int32(i))
+			vTask[i] = dagTask(g, e, "V", sched.PriHigh, diag.PhaseVList, e.vliDenseNode, int32(i))
 			for _, a := range n.V {
 				if uTask[a] != sched.NoTask {
 					g.Dep(uTask[a], vTask[i])
@@ -253,7 +252,7 @@ func (e *Engine) buildVFFT(g *sched.Graph, uTask, vTask []sched.TaskID) {
 		}
 		tb := tables.at(n.Key.Level())
 		vTask[i] = dagTask(g, e, "Vfft", sched.PriHigh, diag.PhaseVList, func(i int32, s *evalScratch) {
-			e.vliFFTNode(i, f, tb, spec, nil, s)
+			e.vliFFTNode(i, f, tb, spec, s)
 			// Release mirrors the ref counting above exactly (mask-selected
 			// sources only); the atomic decrement orders the free after
 			// every other consumer's reads.

@@ -21,8 +21,9 @@ import (
 // sequential FMM and each rank's local essential tree.
 //
 // Each phase exists in two executions over the same per-octant bodies
-// (s2uLeaf, u2uNode, ...): the barrier path below (bulk-synchronous par.For
-// per phase, as in the paper) and the task-graph path in dag.go
+// (s2uLeaf, u2uNode, ...): the barrier path below (Phases: one
+// bulk-synchronous par.For per phase, as in the paper — also every rank of a
+// distributed evaluation) and the task-graph path in dag.go
 // (EvaluateDAG), which replaces the phase barriers with per-octant
 // dependencies. Because both run the identical per-octant arithmetic in the
 // identical accumulation order, their results are bit-identical.
@@ -110,8 +111,8 @@ func NewEngine(ops *Operators, tree *octree.Tree) *Engine {
 // effect (false means the engine stays on float64 — a capability miss, not
 // an error). The float32 bodies do not read the Layout's global X32 mirrors:
 // every panel is localized to its target node's center in float64 and
-// rounded per call (Layout.PointsLocal32), so only the accelerated (GPU)
-// path still needs mirror-carrying layouts.
+// rounded per call (Layout.PointsLocal32), so only the simulated device
+// (internal/gpu) still needs mirror-carrying layouts.
 func (e *Engine) SetFloat32NearField(on bool) bool {
 	if !on {
 		e.bk32 = nil
@@ -127,10 +128,6 @@ func (e *Engine) SetFloat32NearField(on bool) bool {
 	e.bk32 = b32
 	return true
 }
-
-// Float32NearField reports whether the near-field bodies run in single
-// precision.
-func (e *Engine) Float32NearField() bool { return e.bk32 != nil }
 
 // NewEngineLayout allocates evaluation state for the tree on a shared,
 // read-only streaming layout (which must have been built from the same tree
@@ -507,33 +504,25 @@ func (e *Engine) u2uNode(i int32, s *evalScratch) {
 // VLI applies the V-list translations (step 3a), accumulating into the
 // downward-check potentials. Uses dense M2L matrices or the
 // FFT-diagonalized path depending on UseFFTM2L.
-func (e *Engine) VLI() { e.VLIFiltered(nil) }
-
-// VLIFiltered applies only the V-list interactions whose SOURCE octant
-// satisfies srcSel (nil selects all). The distributed driver uses this to
-// overlap communication with computation: interactions from sources whose
-// upward densities are already complete proceed while the reduce-scatter of
-// the shared octants is still in flight, and the shared-source remainder
-// runs afterwards.
-func (e *Engine) VLIFiltered(srcSel func(i int32) bool) {
+func (e *Engine) VLI() {
 	defer e.timed(diag.PhaseVList)()
 	sc := e.ensureScratch(e.barrierWorkers())
 	if e.UseFFTM2L {
-		e.vliFFT(srcSel, sc)
+		e.vliFFT(sc)
 	} else {
 		t := e.Tree
 		par.ForW(e.Workers, len(t.Nodes), func(w, i int) {
-			e.vliDenseNode(int32(i), srcSel, sc[w])
+			e.vliDenseNode(int32(i), sc[w])
 		})
 	}
 	e.flushFlops()
 }
 
 // vliDenseNode is the per-octant dense V-list body: accumulates every
-// selected source's M2L translation into e.DChk[i], in V-list order.
+// source's M2L translation into e.DChk[i], in V-list order.
 //
 //fmm:hotpath
-func (e *Engine) vliDenseNode(i int32, srcSel func(i int32) bool, s *evalScratch) {
+func (e *Engine) vliDenseNode(i int32, s *evalScratch) {
 	t := e.Tree
 	n := &t.Nodes[i]
 	if len(n.V) == 0 || !e.trgNode(i) {
@@ -541,9 +530,6 @@ func (e *Engine) vliDenseNode(i int32, srcSel func(i int32) bool, s *evalScratch
 	}
 	tmp := s.chk
 	for _, a := range n.V {
-		if srcSel != nil && !srcSel(a) {
-			continue
-		}
 		if !e.srcNode(a) {
 			continue
 		}
@@ -803,8 +789,19 @@ func (e *Engine) uliLeaf(i int32, s *evalScratch) {
 // pass, and direct interactions.
 func (e *Engine) Evaluate() {
 	defer e.timed(diag.PhaseTotalEval)()
+	e.Phases(nil)
+}
+
+// Phases runs the eight bulk-synchronous phases of Algorithm 1 in order.
+// exchange, when non-nil, runs between the upward pass and the translations:
+// the one point at which a rank of a distributed evaluation communicates
+// (ghost densities into Density, completed shared upward densities into U).
+func (e *Engine) Phases(exchange func()) {
 	e.S2U()
 	e.U2U()
+	if exchange != nil {
+		exchange()
+	}
 	e.VLI()
 	e.XLI()
 	e.Downward()

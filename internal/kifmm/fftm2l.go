@@ -340,7 +340,7 @@ const vLiveBytes = 32 << 20
 // interactions are same-level), each level's targets in chunks (vLiveBytes).
 // The task graph (buildVFFT) runs the same per-target body over
 // reference-counted spectra instead.
-func (e *Engine) vliFFT(srcSel func(i int32) bool, sc []*evalScratch) {
+func (e *Engine) vliFFT(sc []*evalScratch) {
 	f := e.Ops.FFT()
 	t := e.Tree
 	if len(e.vspec) < len(t.Nodes) {
@@ -359,18 +359,18 @@ func (e *Engine) vliFFT(srcSel func(i int32) bool, sc []*evalScratch) {
 				continue
 			}
 			if len(srcs)+len(n.V) > limit {
-				e.vliChunk(targets, srcs, f, &tables, level, srcSel, sc)
+				e.vliChunk(targets, srcs, f, &tables, level, sc)
 				targets, srcs = targets[:0], srcs[:0]
 			}
 			targets = append(targets, i)
 			for _, a := range n.V {
-				if !seen[a] && e.vSource(a, srcSel) {
+				if !seen[a] && e.srcNode(a) {
 					seen[a] = true
 					srcs = append(srcs, a)
 				}
 			}
 		}
-		e.vliChunk(targets, srcs, f, &tables, level, srcSel, sc)
+		e.vliChunk(targets, srcs, f, &tables, level, sc)
 		targets, srcs = targets[:0], srcs[:0]
 	}
 }
@@ -380,7 +380,7 @@ func (e *Engine) vliFFT(srcSel func(i int32) bool, sc []*evalScratch) {
 // body over targets in parallel, and unmarks srcs for the next chunk. Every
 // contributing source of a chunk's target is in that chunk's srcs, so the
 // body never reads another chunk's spectrum.
-func (e *Engine) vliChunk(targets, srcs []int32, f *FFTM2L, tables *vTables, level int, srcSel func(i int32) bool, sc []*evalScratch) {
+func (e *Engine) vliChunk(targets, srcs []int32, f *FFTM2L, tables *vTables, level int, sc []*evalScratch) {
 	if len(srcs) == 0 {
 		return
 	}
@@ -398,7 +398,7 @@ func (e *Engine) vliChunk(targets, srcs []int32, f *FFTM2L, tables *vTables, lev
 	})
 	tb := tables.at(level)
 	par.ForW(e.Workers, len(targets), func(w, k int) {
-		e.vliFFTNode(targets[k], f, tb, spec, srcSel, sc[w])
+		e.vliFFTNode(targets[k], f, tb, spec, sc[w])
 	})
 	for _, a := range srcs {
 		e.vseen[a] = false
@@ -406,28 +406,22 @@ func (e *Engine) vliChunk(targets, srcs []int32, f *FFTM2L, tables *vTables, lev
 	}
 }
 
-// vSource reports whether octant a contributes to the V-list pass: it
-// carries sources (a non-source octant's spectrum is all zeros, so dropping
-// it is an exact skip) and passes the caller's filter.
-func (e *Engine) vSource(a int32, srcSel func(i int32) bool) bool {
-	return e.srcNode(a) && (srcSel == nil || srcSel(a))
-}
-
 // vliFFTNode is the one FFT V-list body, run per target octant by both
 // drivers: Hadamard-accumulate every contributing V source's spectrum into
 // the worker's frequency-space accumulator in ascending direction order,
 // inverse-transform, and add into e.DChk[i]. For a fixed target and
 // direction the source octant is unique, so the accumulation order — and
-// with it the result, bit for bit — does not depend on the driver, the
-// worker count, or how a filter splits the sources across passes.
+// with it the result, bit for bit — does not depend on the driver or the
+// worker count. A non-source octant's spectrum is all zeros, so skipping it
+// (srcNode) is exact.
 //
 //fmm:hotpath
-func (e *Engine) vliFFTNode(i int32, f *FFTM2L, tb *vTable, spec [][]float64, srcSel func(i int32) bool, s *evalScratch) {
+func (e *Engine) vliFFTNode(i int32, f *FFTM2L, tb *vTable, spec [][]float64, s *evalScratch) {
 	t := e.Tree
 	n := &t.Nodes[i]
 	vs := s.vsort[:0]
 	for _, a := range n.V {
-		if !e.vSource(a, srcSel) {
+		if !e.srcNode(a) {
 			continue
 		}
 		dx, dy, dz := dirBetween(t.Nodes[a].Key, n.Key)

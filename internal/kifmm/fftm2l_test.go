@@ -86,9 +86,6 @@ func dchkRelErr(a, b *Engine) float64 {
 //   - barrier ≡ task graph, bit for bit: both drivers run vliFFTNode, which
 //     accumulates each target in ascending direction order;
 //   - FFT ≡ dense M2L oracle to 1e-12 (same linear operator, FFT roundoff);
-//   - a two-pass VLIFiltered partition of the sources (the distributed
-//     driver's overlap of shared and non-shared octants) ≡ one unfiltered
-//     pass to 1e-13 (two inverse transforms per target instead of one);
 //   - an engine reused with new densities ≡ a fresh engine, bit for bit
 //     (no state survives in the chunk spectrum buffer). Reuse across a
 //     tree that grows between Applies is session.TestStepMatchesFreshPlan.
@@ -133,13 +130,11 @@ func TestVListOneBody(t *testing.T) {
 						return e
 					}
 					// vOnly leaves pure V-list contributions in DChk.
-					vOnly := func(useFFT bool, passes ...func(int32) bool) *Engine {
+					vOnly := func(useFFT bool) *Engine {
 						e := mk(useFFT, den1)
 						e.S2U()
 						e.U2U()
-						for _, sel := range passes {
-							e.VLIFiltered(sel)
-						}
+						e.VLI()
 						return e
 					}
 
@@ -153,15 +148,8 @@ func TestVListOneBody(t *testing.T) {
 						bitIdentical(t, "barrier vs DAG DChk", dag.DChk[i], barrier.DChk[i])
 					}
 
-					fftV := vOnly(true, nil)
-					if err := dchkRelErr(fftV, vOnly(false, nil)); err > 1e-12 {
+					if err := dchkRelErr(vOnly(true), vOnly(false)); err > 1e-12 {
 						t.Errorf("FFT V-list vs dense oracle rel err %g > 1e-12", err)
-					}
-
-					shared := func(i int32) bool { return i%3 == 0 }
-					notShared := func(i int32) bool { return !shared(i) }
-					if err := dchkRelErr(vOnly(true, notShared, shared), fftV); err > 1e-13 {
-						t.Errorf("two-pass filtered V-list vs one pass rel err %g > 1e-13", err)
 					}
 
 					barrier.Reset()

@@ -79,6 +79,24 @@ func (l *Layout) MemoryBytes() int64 {
 	return int64(len(l.PX))*3*8 + int64(len(l.X32))*3*4 + int64(len(l.CX))*4*8 + int64(len(l.Lev))
 }
 
+// ResidentBytes estimates what one evaluation of tree keeps resident: the
+// tree's nodes, points and interaction lists, one engine's per-node and
+// per-point state, and the layout. It is the one formula behind the
+// MemoryBytes of the single-engine plan, each rank of a sharded plan and a
+// session, which the serving layer's byte-budgeted plan cache accounts by.
+func ResidentBytes(tree *octree.Tree, ops *Operators, layout *Layout) int64 {
+	var lists int64
+	for i := range tree.Nodes {
+		n := &tree.Nodes[i]
+		lists += int64(len(n.U)+len(n.V)+len(n.W)+len(n.X)) * 4
+	}
+	nodes, pts := int64(len(tree.Nodes)), int64(len(tree.Points))
+	const nodeStruct = 120 // Node fixed fields, approximate
+	engine := nodes*int64(2*ops.UpwardLen()+ops.CheckLen())*8 +
+		pts*int64(ops.Kern.SrcDim()+ops.Kern.TrgDim())*8
+	return nodes*nodeStruct + lists + pts*(24+8) + engine + layout.MemoryBytes()
+}
+
 func resizeF64(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)

@@ -51,13 +51,6 @@ func (m *Mat) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns a mutable view of row i.
 func (m *Mat) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy of m.
-func (m *Mat) Clone() *Mat {
-	c := NewMat(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // T returns the transpose of m as a new matrix.
 func (m *Mat) T() *Mat {
 	t := NewMat(m.Cols, m.Rows)
@@ -143,17 +136,6 @@ func (m *Mat) Add(b *Mat) *Mat {
 	return m
 }
 
-// MaxAbs returns the largest absolute element of m (0 for empty matrices).
-func (m *Mat) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
 // Norm2Vec returns the Euclidean norm of x.
 func Norm2Vec(x []float64) float64 {
 	var s float64
@@ -173,14 +155,4 @@ func Dot(x, y []float64) float64 {
 		s += v * y[i]
 	}
 	return s
-}
-
-// Axpy computes y += a*x.
-func Axpy(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: Axpy length mismatch")
-	}
-	for i, v := range x {
-		y[i] += a * v
-	}
 }

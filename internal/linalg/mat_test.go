@@ -25,11 +25,6 @@ func TestMatBasicOps(t *testing.T) {
 	if at.Rows != 2 || at.Cols != 3 || at.At(1, 2) != 6 || at.At(0, 0) != 10 {
 		t.Fatalf("transpose wrong: %+v", at)
 	}
-	c := a.Clone()
-	c.Set(0, 0, -1)
-	if a.At(0, 0) != 10 {
-		t.Fatalf("Clone aliases data")
-	}
 }
 
 func TestMulVec(t *testing.T) {
@@ -92,11 +87,6 @@ func TestDotAxpyNorm(t *testing.T) {
 	}
 	if Dot(x, []float64{1, 2}) != 11 {
 		t.Fatalf("Dot wrong")
-	}
-	y := []float64{1, 1}
-	Axpy(2, x, y)
-	if y[0] != 7 || y[1] != 9 {
-		t.Fatalf("Axpy got %v", y)
 	}
 }
 
@@ -197,13 +187,15 @@ func TestPinvSolvesWellConditionedSystem(t *testing.T) {
 func TestPinvRegularizesRankDeficient(t *testing.T) {
 	// Rank-1 matrix: regularized pinv must stay bounded.
 	a := FromRows([][]float64{{1, 2}, {2, 4}})
-	p := PinvTikhonov(a, 1e-6)
-	if mx := p.MaxAbs(); mx > 1e7 || math.IsNaN(mx) || math.IsInf(mx, 0) {
-		t.Fatalf("regularized pinv blew up: max=%v", mx)
-	}
-	pt := PinvTruncated(a, 1e-8)
-	if mx := pt.MaxAbs(); mx > 1e7 || math.IsNaN(mx) {
-		t.Fatalf("truncated pinv blew up: max=%v", mx)
+	for name, p := range map[string]*Mat{
+		"regularized": PinvTikhonov(a, 1e-6),
+		"truncated":   PinvTruncated(a, 1e-8),
+	} {
+		for _, v := range p.Data {
+			if !(math.Abs(v) <= 1e7) { // NaN fails the comparison too
+				t.Fatalf("%s pinv blew up: element %v", name, v)
+			}
+		}
 	}
 }
 

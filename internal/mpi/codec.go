@@ -51,24 +51,3 @@ func BytesToInt64s(b []byte) []int64 {
 	}
 	return out
 }
-
-// Uint32sToBytes encodes v little-endian.
-func Uint32sToBytes(v []uint32) []byte {
-	out := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(out[4*i:], x)
-	}
-	return out
-}
-
-// BytesToUint32s decodes a Uint32sToBytes payload.
-func BytesToUint32s(b []byte) []uint32 {
-	if len(b)%4 != 0 {
-		panic("mpi: uint32 payload length not a multiple of 4")
-	}
-	out := make([]uint32, len(b)/4)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	return out
-}

@@ -11,7 +11,6 @@ const (
 	tagAlltoallv
 	tagReduce
 	tagScan
-	tagScatter
 )
 
 // Bcast distributes root's data to every rank via a binomial tree and
@@ -72,24 +71,6 @@ func (c *Comm) Gather(root int, data []byte) [][]byte {
 		out[src] = d
 	}
 	return out
-}
-
-// Scatter sends parts[i] from root to rank i and returns this rank's part.
-func (c *Comm) Scatter(root int, parts [][]byte) []byte {
-	p, r := c.Size(), c.Rank()
-	if r == root {
-		if len(parts) != p {
-			panic("mpi: Scatter needs one part per rank")
-		}
-		for i := 0; i < p; i++ {
-			if i != root {
-				c.Send(i, tagScatter, parts[i])
-			}
-		}
-		return parts[root]
-	}
-	d, _ := c.Recv(root, tagScatter)
-	return d
 }
 
 // AllGather collects every rank's data everywhere, indexed by rank.
@@ -173,32 +154,6 @@ func (c *Comm) SumInt64(v []int64) []int64 {
 		av, bv := BytesToInt64s(a), BytesToInt64s(b)
 		for i := range av {
 			av[i] += bv[i]
-		}
-		return Int64sToBytes(av)
-	})
-	return BytesToInt64s(res)
-}
-
-// SumFloat64 all-reduces by elementwise float64 addition.
-func (c *Comm) SumFloat64(v []float64) []float64 {
-	res := c.AllReduce(Float64sToBytes(v), func(a, b []byte) []byte {
-		av, bv := BytesToFloat64s(a), BytesToFloat64s(b)
-		for i := range av {
-			av[i] += bv[i]
-		}
-		return Float64sToBytes(av)
-	})
-	return BytesToFloat64s(res)
-}
-
-// MaxInt64 all-reduces by elementwise max.
-func (c *Comm) MaxInt64(v []int64) []int64 {
-	res := c.AllReduce(Int64sToBytes(v), func(a, b []byte) []byte {
-		av, bv := BytesToInt64s(a), BytesToInt64s(b)
-		for i := range av {
-			if bv[i] > av[i] {
-				av[i] = bv[i]
-			}
 		}
 		return Int64sToBytes(av)
 	})

@@ -147,22 +147,8 @@ func TestGatherScatter(t *testing.T) {
 					t.Errorf("gather slot %d = %v", r, got[r])
 				}
 			}
-			parts := make([][]byte, p)
-			for r := range parts {
-				parts[r] = []byte{byte(10 + r)}
-			}
-			mine := c.Scatter(2, parts)
-			if mine[0] != 12 {
-				t.Errorf("root scatter part wrong")
-			}
-		} else {
-			if got != nil {
-				t.Errorf("non-root gather should return nil")
-			}
-			mine := c.Scatter(2, nil)
-			if mine[0] != byte(10+c.Rank()) {
-				t.Errorf("scatter part wrong at %d: %v", c.Rank(), mine)
-			}
+		} else if got != nil {
+			t.Errorf("non-root gather should return nil")
 		}
 	})
 }
@@ -206,14 +192,6 @@ func TestSumAndMaxReduce(t *testing.T) {
 			wantSum := int64(p * (p - 1) / 2)
 			if s[0] != wantSum || s[1] != int64(p) {
 				t.Errorf("p=%d: sum = %v", p, s)
-			}
-			m := c.MaxInt64([]int64{int64(c.Rank() * 10)})
-			if m[0] != int64((p-1)*10) {
-				t.Errorf("p=%d: max = %v", p, m)
-			}
-			f := c.SumFloat64([]float64{0.5})
-			if f[0] != 0.5*float64(p) {
-				t.Errorf("p=%d: fsum = %v", p, f)
 			}
 		})
 	}
@@ -270,10 +248,6 @@ func TestCodecsRoundTrip(t *testing.T) {
 	i := []int64{-5, 0, 1 << 60}
 	if got := BytesToInt64s(Int64sToBytes(i)); got[0] != -5 || got[2] != 1<<60 {
 		t.Fatalf("int64 codec broken: %v", got)
-	}
-	u := []uint32{0, 7, 1 << 30}
-	if got := BytesToUint32s(Uint32sToBytes(u)); got[2] != 1<<30 {
-		t.Fatalf("uint32 codec broken: %v", got)
 	}
 }
 

@@ -13,6 +13,11 @@
 // (exact densities for direct interactions, reduction of partial upward
 // densities, broadcast of completed densities — the latter two fused in
 // Algorithm 3).
+//
+// The evaluation line is written once, as EvaluateRank: Evaluate is Setup
+// followed by it, internal/shard runs it on LETs cut from an already-built
+// global tree with its CommBackend as the reducer, and the simulated-device
+// experiments put Exchange between their own device phases.
 package parfmm
 
 import (
@@ -29,8 +34,6 @@ import (
 	"kifmm/internal/mpi"
 	"kifmm/internal/reduce"
 )
-
-const tagDensities = 400
 
 // Config selects the FMM variant and its parameters.
 type Config struct {
@@ -53,17 +56,6 @@ type Config struct {
 	// UseOwnerReduce switches the upward-density reduction to the
 	// owner-based baseline (the scheme the paper retired) for ablations.
 	UseOwnerReduce bool
-	// OverlapComm overlaps the evaluation-phase communication with
-	// computation: while the ghost-density exchange and the upward-density
-	// reduce-scatter are in flight, the V-list interactions whose sources
-	// are purely local (complete before any communication) are computed;
-	// the shared-source remainder runs after the reduction completes. The
-	// paper lists this overlap as future work ("we do not thoroughly
-	// overlap computation and communication"). CPU path only.
-	OverlapComm bool
-	// Accel, when non-nil, substitutes streaming-device implementations
-	// for individual evaluation phases (the GPU path).
-	Accel Accelerator
 	// Float32Near runs the CPU near-field phase bodies in single precision
 	// (kifmm.Engine.SetFloat32NearField).
 	Float32Near bool
@@ -71,30 +63,6 @@ type Config struct {
 	// (typically shared across ranks — Operators are immutable and safe
 	// for concurrent use). When nil they are built per call.
 	Ops *kifmm.Operators
-}
-
-// Accelerator lets a streaming device take over evaluation phases; see
-// internal/gpu. Each method evaluates the same mathematical operator as the
-// engine phase it replaces.
-type Accelerator interface {
-	// ULI computes the direct interactions instead of Engine.ULI.
-	ULI(e *kifmm.Engine)
-	// S2U computes the source-to-up step instead of Engine.S2U.
-	S2U(e *kifmm.Engine)
-	// D2T computes the down-to-targets step instead of Engine.D2T.
-	D2T(e *kifmm.Engine)
-	// VLI computes the V-list translations instead of Engine.VLI.
-	VLI(e *kifmm.Engine)
-}
-
-// WXAccelerator is the optional extension for accelerators that also take
-// over the W- and X-list phases (the paper's "ongoing work"). When the
-// configured Accelerator implements it, parfmm routes those phases to the
-// device as well.
-type WXAccelerator interface {
-	Accelerator
-	WLI(e *kifmm.Engine)
-	XLI(e *kifmm.Engine)
 }
 
 func (cfg *Config) defaults() {
@@ -142,11 +110,14 @@ type Result struct {
 	EvalCommBytes, EvalCommMsgs int64
 }
 
-// Evaluate runs the full distributed FMM: pts/densities are this rank's
-// share of the input (any distribution); the result holds the potentials at
-// the points this rank owns after setup. Collective. The communicator size
-// must be a power of two unless UseOwnerReduce is set.
-func Evaluate(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) *Result {
+// Setup runs this rank's share of the distributed set-up: Morton sample
+// sort, Points2Octree, the LET of Algorithm 2 and, with cfg.LoadBalance, the
+// work-weighted repartition and LET rebuild. pts/densities are this rank's
+// share of the input (any distribution). It returns an engine over the
+// rank's LET with the owned densities placed — the precondition of
+// EvaluateRank — and a Result carrying the LET, the profile the engine
+// reports into and the set-up traffic. Collective.
+func Setup(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) (*kifmm.Engine, *Result) {
 	cfg.defaults()
 	sd := cfg.Kern.SrcDim()
 	if len(densities) != sd*len(pts) {
@@ -154,9 +125,8 @@ func Evaluate(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) *R
 			len(densities), len(pts), sd))
 	}
 	prof := diag.NewProfile()
-	setupSnap := c.Stats().Snap()
+	snap := c.Stats().Snap()
 
-	// ---- Setup: sort, tree, LET, balance. ----
 	stopSetup := prof.Start(diag.PhaseSetup)
 	leaves := dtree.Points2Octree(c, pts, densities, sd, cfg.Q, cfg.MaxDepth, prof)
 
@@ -172,9 +142,8 @@ func Evaluate(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) *R
 		stopBal()
 	}
 	stopSetup()
-	res0Setup := setupSnap.Delta(c.Stats().Snap())
+	traffic := snap.Delta(c.Stats().Snap())
 
-	// ---- Evaluation. ----
 	ops := cfg.Ops
 	if ops == nil {
 		ops = kifmm.NewOperators(cfg.Kern, cfg.SurfOrder, cfg.Tol)
@@ -186,101 +155,60 @@ func Evaluate(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) *R
 	if cfg.Float32Near {
 		eng.SetFloat32NearField(true)
 	}
+	placeOwnedDensities(eng, dt)
+	return eng, &Result{Prof: prof, Tree: dt,
+		SetupCommBytes: traffic.Bytes, SetupCommMsgs: traffic.Messages}
+}
 
-	res := &Result{Prof: prof, Tree: dt}
-	res.SetupCommBytes, res.SetupCommMsgs = res0Setup.Bytes, res0Setup.Messages
-	evalSnap := c.Stats().Snap()
+// reducer completes the shared octants' upward densities from every rank's
+// partials: reduce.Hypercube (Algorithm 3), reduce.Owner, reduce.Simple, or
+// a shard.CommBackend's Reduce. Collective.
+type reducer = func(c *mpi.Comm, part *dtree.Partition, items []reduce.Item, vecLen int) ([]reduce.Item, reduce.Stats)
 
+// EvaluateRank is the one distributed per-rank evaluation: the engine's
+// barrier phases on the rank's LET with Exchange as the communication step
+// between the upward pass and the translations. The engine must hold the
+// owned leaves' densities in tree order; on return its Potential holds the
+// potentials at the owned points. It returns what Exchange does. Collective.
+func EvaluateRank(c *mpi.Comm, eng *kifmm.Engine, dt *dtree.DistTree, reduceShared reducer) (st reduce.Stats, traffic mpi.Snapshot, comm time.Duration) {
+	eng.Phases(func() { st, traffic, comm = Exchange(c, eng, dt, reduceShared) })
+	return st, traffic, comm
+}
+
+// Exchange is the evaluation's communication step, run once the local upward
+// pass is done: the exact densities of owned leaves go to the ranks using
+// them as U/X-list sources, and reduceShared completes the shared octants'
+// upward densities, which are installed into the engine. It returns the
+// reduction's statistics, this rank's outgoing traffic and the wall time of
+// the step. Collective.
+func Exchange(c *mpi.Comm, eng *kifmm.Engine, dt *dtree.DistTree, reduceShared reducer) (reduce.Stats, mpi.Snapshot, time.Duration) {
+	snap := c.Stats().Snap()
+	t0 := time.Now()
+	exchangeGhostDensities(c, eng, dt)
+	completed, st := reduceShared(c, dt.Part, partialUpwardItems(eng, dt), eng.Ops.UpwardLen())
+	installUpward(eng, dt, completed)
+	return st, snap.Delta(c.Stats().Snap()), time.Since(t0)
+}
+
+// Evaluate runs the full distributed FMM: pts/densities are this rank's
+// share of the input (any distribution); the result holds the potentials at
+// the points this rank owns after setup. Collective. The communicator size
+// must be a power of two unless UseOwnerReduce is set.
+func Evaluate(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) *Result {
+	eng, res := Setup(c, pts, densities, cfg)
+	prof := res.Prof
+
+	reduceShared := reduce.Hypercube
+	if cfg.UseOwnerReduce {
+		reduceShared = reduce.Owner
+	}
 	stopTotal := prof.Start(diag.PhaseTotalEval)
-
-	// Place owned densities into the engine (tree point order).
-	PlaceOwnedDensities(eng, dt, sd)
-
-	// Partial upward densities from the local subtree.
-	if cfg.Accel != nil {
-		t0 := time.Now()
-		cfg.Accel.S2U(eng)
-		prof.AddTime(diag.PhaseUpward, time.Since(t0))
-	} else {
-		eng.S2U()
-	}
-	eng.U2U()
-
-	// Communication: ghost densities for direct interactions, then the
-	// reduce-scatter completing the shared octants' upward densities.
-	if cfg.OverlapComm && cfg.Accel == nil {
-		// Run the communication on its own goroutine and meanwhile compute
-		// the V-list interactions whose sources are not shared (their
-		// upward densities are already final).
-		shared := make([]bool, dt.Tree.NumNodes())
-		for _, i := range dt.SharedOctants() {
-			shared[i] = true
-		}
-		type commResult struct {
-			items []reduce.Item
-			st    reduce.Stats
-		}
-		ch := make(chan commResult, 1)
-		go func() {
-			t0 := time.Now()
-			ExchangeGhostDensities(c, eng, dt, sd)
-			items, st := reducePartials(c, eng, dt, cfg)
-			prof.AddTime(diag.PhaseComm, time.Since(t0))
-			ch <- commResult{items: items, st: st}
-		}()
-		eng.VLIFiltered(func(i int32) bool { return !shared[i] })
-		out := <-ch
-		res.ReduceStats = out.st
-		InstallUpward(eng, dt, out.items)
-		eng.VLIFiltered(func(i int32) bool { return shared[i] })
-	} else {
-		stopComm := prof.Start(diag.PhaseComm)
-		ExchangeGhostDensities(c, eng, dt, sd)
-		items, st := reducePartials(c, eng, dt, cfg)
-		InstallUpward(eng, dt, items)
-		res.ReduceStats = st
-		stopComm()
-	}
-
-	// Far-field translations and local passes.
-	if cfg.Accel != nil {
-		t0 := time.Now()
-		cfg.Accel.VLI(eng)
-		prof.AddTime(diag.PhaseVList, time.Since(t0))
-	} else if !cfg.OverlapComm {
-		eng.VLI()
-	}
-	wx, hasWX := cfg.Accel.(WXAccelerator)
-	if hasWX {
-		t0 := time.Now()
-		wx.XLI(eng)
-		prof.AddTime(diag.PhaseXList, time.Since(t0))
-	} else {
-		eng.XLI()
-	}
-	eng.Downward()
-	if hasWX {
-		t0 := time.Now()
-		wx.WLI(eng)
-		prof.AddTime(diag.PhaseWList, time.Since(t0))
-	} else {
-		eng.WLI()
-	}
-	if cfg.Accel != nil {
-		t0 := time.Now()
-		cfg.Accel.D2T(eng)
-		prof.AddTime(diag.PhaseDownward, time.Since(t0))
-		t0 = time.Now()
-		cfg.Accel.ULI(eng)
-		prof.AddTime(diag.PhaseUList, time.Since(t0))
-	} else {
-		eng.D2T()
-		eng.ULI()
-	}
+	st, traffic, comm := EvaluateRank(c, eng, res.Tree, reduceShared)
 	stopTotal()
-	evalTraffic := evalSnap.Delta(c.Stats().Snap())
-	res.EvalCommBytes, res.EvalCommMsgs = evalTraffic.Bytes, evalTraffic.Messages
-	prof.AddTime(diag.PhaseComp, prof.Time(diag.PhaseTotalEval)-prof.Time(diag.PhaseComm))
+	res.ReduceStats = st
+	res.EvalCommBytes, res.EvalCommMsgs = traffic.Bytes, traffic.Messages
+	prof.AddTime(diag.PhaseComm, comm)
+	prof.AddTime(diag.PhaseComp, prof.Time(diag.PhaseTotalEval)-comm)
 	var compFlops int64
 	for _, ph := range []string{
 		diag.PhaseUpward, diag.PhaseUList, diag.PhaseVList,
@@ -291,16 +219,17 @@ func Evaluate(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) *R
 	prof.AddFlops(diag.PhaseComp, compFlops)
 	prof.AddFlops(diag.PhaseTotalEval, compFlops)
 
-	collectOwned(eng, dt, res, sd, cfg.Kern.TrgDim())
+	collectOwned(eng, res)
 	return res
 }
 
 func surfCount(p int) int { return p*p*p - (p-2)*(p-2)*(p-2) }
 
-// PlaceOwnedDensities copies each owned leaf's densities into the engine's
+// placeOwnedDensities copies each owned leaf's densities into the engine's
 // tree-ordered density array.
-func PlaceOwnedDensities(eng *kifmm.Engine, dt *dtree.DistTree, sd int) {
+func placeOwnedDensities(eng *kifmm.Engine, dt *dtree.DistTree) {
 	t := dt.Tree
+	sd := eng.Ops.Kern.SrcDim()
 	for _, l := range dt.Leaves {
 		idx, ok := t.Index(l.Key)
 		if !ok {
@@ -313,13 +242,13 @@ func PlaceOwnedDensities(eng *kifmm.Engine, dt *dtree.DistTree, sd int) {
 	}
 }
 
-// ExchangeGhostDensities forwards owned leaf densities to the ranks using
+// exchangeGhostDensities forwards owned leaf densities to the ranks using
 // them as U/X-list sources (the paper's "communicate the exact densities"
-// step — local, neighbor-to-neighbor traffic). Owned leaf densities must
-// already be placed in the engine (PlaceOwnedDensities). Collective.
-func ExchangeGhostDensities(c *mpi.Comm, eng *kifmm.Engine, dt *dtree.DistTree, sd int) {
+// step — local, neighbor-to-neighbor traffic). Collective.
+func exchangeGhostDensities(c *mpi.Comm, eng *kifmm.Engine, dt *dtree.DistTree) {
 	p := c.Size()
 	t := dt.Tree
+	sd := eng.Ops.Kern.SrcDim()
 	enc := make([][]byte, p)
 	for k2 := 0; k2 < p; k2++ {
 		var b []byte
@@ -356,24 +285,11 @@ func ExchangeGhostDensities(c *mpi.Comm, eng *kifmm.Engine, dt *dtree.DistTree, 
 	}
 }
 
-// reducePartials completes the shared octants' upward densities with
-// Algorithm 3 (or the owner-based baseline), returning the completed items
-// without touching engine state (so the caller can overlap computation).
-func reducePartials(c *mpi.Comm, eng *kifmm.Engine, dt *dtree.DistTree, cfg Config) ([]reduce.Item, reduce.Stats) {
-	vecLen := len(eng.U[0])
-	items := PartialUpwardItems(eng, dt)
-	if cfg.UseOwnerReduce {
-		return reduce.Owner(c, dt.Part, items, vecLen)
-	}
-	return reduce.Hypercube(c, dt.Part, items, vecLen)
-}
-
-// PartialUpwardItems collects this rank's partial upward densities of the
+// partialUpwardItems collects this rank's partial upward densities of the
 // shared octants it contributes to (its Local octants), in ascending node
-// index — i.e. Morton — order, ready for a reduction backend. The item
-// vectors alias the engine's U state; they must be consumed before the
-// engine is reused.
-func PartialUpwardItems(eng *kifmm.Engine, dt *dtree.DistTree) []reduce.Item {
+// index — i.e. Morton — order, ready for a reducer. The item vectors alias
+// the engine's U state.
+func partialUpwardItems(eng *kifmm.Engine, dt *dtree.DistTree) []reduce.Item {
 	var items []reduce.Item
 	for _, i := range dt.SharedOctants() {
 		n := &dt.Tree.Nodes[i]
@@ -385,9 +301,9 @@ func PartialUpwardItems(eng *kifmm.Engine, dt *dtree.DistTree) []reduce.Item {
 	return items
 }
 
-// InstallUpward writes completed upward densities from a reduction back
+// installUpward writes completed upward densities from a reduction back
 // into the engine; items absent from the LET are ignored.
-func InstallUpward(eng *kifmm.Engine, dt *dtree.DistTree, items []reduce.Item) {
+func installUpward(eng *kifmm.Engine, dt *dtree.DistTree, items []reduce.Item) {
 	for _, it := range items {
 		if idx, ok := dt.Tree.Index(it.Key); ok {
 			copy(eng.U[idx], it.U)
@@ -397,9 +313,10 @@ func InstallUpward(eng *kifmm.Engine, dt *dtree.DistTree, items []reduce.Item) {
 
 // collectOwned extracts the owned points, densities and potentials in tree
 // order.
-func collectOwned(eng *kifmm.Engine, dt *dtree.DistTree, res *Result, sd, td int) {
-	t := dt.Tree
-	for _, l := range dt.Leaves {
+func collectOwned(eng *kifmm.Engine, res *Result) {
+	t := res.Tree.Tree
+	sd, td := eng.Ops.Kern.SrcDim(), eng.Ops.Kern.TrgDim()
+	for _, l := range res.Tree.Leaves {
 		idx, _ := t.Index(l.Key)
 		n := &t.Nodes[idx]
 		res.OwnedPoints = append(res.OwnedPoints, t.Points[n.PtLo:n.PtHi]...)

@@ -1,6 +1,6 @@
 // Package sched is a dependency-driven task runtime for the FMM evaluation
 // phases: a task graph executed by a fixed set of workers with per-worker
-// work-stealing deques and a shared priority-ordered overflow queue.
+// work-stealing deques.
 //
 // A task becomes runnable when its last predecessor completes (atomic
 // dependency counters, no locks on the completion fast path). Runnable
@@ -9,10 +9,10 @@
 // critical-path locality that Agullo et al. exploit when pipelining the FMM
 // over a runtime system. Idle workers steal half a victim's deque from the
 // cold (FIFO) end, which hands over the oldest — typically widest — subtree.
-// Priority hints order the initial ready set and the overflow queue; the
-// FMM graph marks the upward chain critical, the V-list high, and the
-// U/W/X direct interactions low, so workers start on the long
-// S2U→U2U→M2L→D2D chain and fill stalls with direct sums.
+// Priority hints order the initial ready set; the FMM graph marks the upward
+// chain critical, the V-list high, and the U/W/X direct interactions low, so
+// workers start on the long S2U→U2U→M2L→D2D chain and fill stalls with direct
+// sums.
 //
 // A panicking task fails the whole graph instead of deadlocking it: the
 // remaining tasks are drained without running their bodies, every worker
@@ -20,7 +20,6 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -30,8 +29,8 @@ import (
 )
 
 // Priority orders tasks that are runnable at the same time. Higher runs
-// sooner. Priorities are hints for the initial ready set and the overflow
-// queue; they never override dependencies.
+// sooner. Priorities are hints for the initial ready set; they never override
+// dependencies.
 type Priority int8
 
 const (
@@ -163,32 +162,6 @@ type Options struct {
 	Trace *Trace
 }
 
-// overflowItem orders the shared queue by priority, then insertion.
-type overflowItem struct {
-	id  TaskID
-	pri Priority
-	seq int64
-}
-
-type overflowQueue []overflowItem
-
-func (q overflowQueue) Len() int { return len(q) }
-func (q overflowQueue) Less(i, j int) bool {
-	if q[i].pri != q[j].pri {
-		return q[i].pri > q[j].pri
-	}
-	return q[i].seq < q[j].seq
-}
-func (q overflowQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *overflowQueue) Push(x any)   { *q = append(*q, x.(overflowItem)) }
-func (q *overflowQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
 // deque is one worker's task store. The owner pushes and pops at the tail
 // (LIFO, depth-first along dependency chains); thieves take from the head
 // (FIFO, the oldest work). A mutex keeps it simple and race-free; steals
@@ -249,13 +222,11 @@ type runner struct {
 	workers int
 	trace   *Trace
 
-	// mu guards overflow, idlers, and done; cond parks idle workers.
-	mu       sync.Mutex
-	cond     *sync.Cond
-	overflow overflowQueue
-	seq      int64
-	idlers   int
-	done     bool
+	// mu guards idlers and done; cond parks idle workers.
+	mu     sync.Mutex
+	cond   *sync.Cond
+	idlers int
+	done   bool
 
 	completed atomic.Int64
 	total     int64
@@ -410,16 +381,13 @@ func (r *runner) work(w int) {
 	}
 }
 
-// findWork looks beyond the local deque: the overflow queue, then steal
-// sweeps over the other workers, then parking. It returns false when the
+// findWork looks beyond the local deque: steal sweeps over the other
+// workers, then parking. It returns false when the
 // graph has drained.
 func (r *runner) findWork(w int, rng *rand.Rand, stolen *[]TaskID) (TaskID, bool) {
 	idle0 := time.Now() //fmm:allow nodeterm idle time is reported in Stats only; task results never read it
 	defer func() { r.stats[w].Idle += time.Since(idle0) }()
 	for {
-		if id, ok := r.popOverflow(); ok {
-			return id, true
-		}
 		// One full randomized sweep over potential victims.
 		base := rng.Intn(r.workers) //fmm:allow nodeterm steal-victim randomization affects the schedule only; results combine through plan-sequenced reductions
 		for k := 0; k < r.workers; k++ {
@@ -450,7 +418,7 @@ func (r *runner) findWork(w int, rng *rand.Rand, stolen *[]TaskID) (TaskID, bool
 				r.mu.Unlock()
 				return 0, false
 			}
-			if len(r.overflow) > 0 || r.anyDequeWork(w) {
+			if r.anyDequeWork(w) {
 				break
 			}
 			r.idlers++
@@ -469,16 +437,6 @@ func (r *runner) anyDequeWork(w int) bool {
 		}
 	}
 	return false
-}
-
-func (r *runner) popOverflow() (TaskID, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.overflow) == 0 {
-		return 0, false
-	}
-	it := heap.Pop(&r.overflow).(overflowItem)
-	return it.id, true
 }
 
 // signal wakes one parked worker, if any.

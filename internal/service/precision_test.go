@@ -103,11 +103,12 @@ func TestPlanPrecisionIdentity(t *testing.T) {
 	}
 }
 
-// TestUnknownExecPrecisionRejected: a misspelled exec or precision, or an
-// option field the server does not know, must be a 400 naming the field on
-// every endpoint that takes options — not the default served under a cache
-// entry of its own — and the spellings of one choice ("" and "auto") must
-// share a plan.
+// TestUnknownExecPrecisionRejected: a misspelled precision, or an option
+// field the server does not know — the retired path selectors "exec" and
+// "dense_m2l" and the retired device switch among them — must be a 400 naming
+// the field on every endpoint that takes options, not the default served
+// under a cache entry of its own; and the spellings of one choice ("" and
+// "auto") must share a plan.
 func TestUnknownExecPrecisionRejected(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
@@ -117,44 +118,32 @@ func TestUnknownExecPrecisionRejected(t *testing.T) {
 	pts, den := testPoints(120, 7)
 	for _, c := range []struct {
 		field string
-		set   func(*SolverOptions)
+		value any
 	}{
-		{"exec", func(o *SolverOptions) { o.Exec = "dagg" }},
-		{"precision", func(o *SolverOptions) { o.Precision = "float16" }},
+		{"precision", "float16"},
+		{"exec", "dag"},
+		{"dense_m2l", true},
+		{"accelerated", true},
 	} {
-		opts := fastOpts()
-		c.set(&opts)
-		for path, req := range map[string]any{
-			"/v1/plan":     PlanRequest{Points: pts, Options: opts},
-			"/v1/evaluate": EvaluateRequest{Points: pts, Options: opts, Densities: den},
-			"/v1/session":  SessionRequest{Points: pts, Options: opts},
-		} {
-			code, raw := postJSON(t, ts.Client(), ts.URL+path, req, nil)
-			if code != http.StatusBadRequest || !strings.Contains(raw, c.field+":") {
-				t.Errorf("%s with bad %s: got %d %s, want 400 naming the field", path, c.field, code, raw)
+		body := map[string]any{"points": pts, "densities": den,
+			"options": map[string]any{"order": 4, c.field: c.value}}
+		for _, path := range []string{"/v1/plan", "/v1/evaluate", "/v1/session"} {
+			code, raw := postJSON(t, ts.Client(), ts.URL+path, body, nil)
+			if code != http.StatusBadRequest || !strings.Contains(raw, c.field) {
+				t.Errorf("%s with options.%s: got %d %s, want 400 naming the field", path, c.field, code, raw)
 			}
-		}
-	}
-	// An option the server does not know — here the retired device switch —
-	// is rejected too, not dropped and served as a plain float64 plan.
-	retired := map[string]any{"points": pts, "densities": den,
-		"options": map[string]any{"order": 4, "accelerated": true}}
-	for _, path := range []string{"/v1/plan", "/v1/evaluate", "/v1/session"} {
-		code, raw := postJSON(t, ts.Client(), ts.URL+path, retired, nil)
-		if code != http.StatusBadRequest || !strings.Contains(raw, "accelerated") {
-			t.Errorf("%s with options.accelerated: got %d %s, want 400 naming the field", path, code, raw)
 		}
 	}
 	if st := s.cache.Stats(); st.Plans != 0 {
 		t.Fatalf("rejected requests left %d plans in the cache", st.Plans)
 	}
 
-	auto, empty, dag := fastOpts(), fastOpts(), fastOpts()
-	auto.Exec, dag.Exec = "auto", "dag"
+	auto, empty, f32 := fastOpts(), fastOpts(), fastOpts()
+	auto.Precision, f32.Precision = "auto", "float32"
 	if PlanKey(pts, auto) != PlanKey(pts, empty) {
-		t.Error(`exec "auto" and "" hash to different plans`)
+		t.Error(`precision "auto" and "" hash to different plans`)
 	}
-	if PlanKey(pts, dag) == PlanKey(pts, empty) {
-		t.Error("exec dag shares the auto plan")
+	if PlanKey(pts, f32) == PlanKey(pts, empty) {
+		t.Error("precision float32 shares the float64 plan")
 	}
 }

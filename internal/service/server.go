@@ -251,7 +251,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, timeout time.Dur
 	}
 }
 
-// checkOptions rejects requests whose exec or precision is not an accepted
+// checkOptions rejects requests whose precision is not an accepted
 // spelling, or whose shard count exceeds the server cap (the per-shard LET +
 // engine state amplifies plan memory). Reports false after writing the 400.
 func (s *Server) checkOptions(w http.ResponseWriter, opts SolverOptions) bool {
@@ -413,11 +413,9 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		applyStop := s.prof.Start(phaseApply)
-		// ApplyTraced runs the task-graph scheduler, so skip tracing for
-		// plans that force the barrier path (or coordinate shards
-		// themselves): the client's exec choice wins over the operator's
-		// -trace-dir.
-		if s.traces != nil && entry.Solver.Exec() != kifmm.ExecBarrier && entry.Plan.Shards() == 0 {
+		// ApplyTraced runs the task-graph scheduler (at any worker count);
+		// sharded plans coordinate their ranks themselves and are not traced.
+		if s.traces != nil && entry.Plan.Shards() == 0 {
 			var traceJSON []byte
 			pots, traceJSON, evalErr = entry.Plan.ApplyTraced(req.Densities)
 			if evalErr == nil {

@@ -30,17 +30,12 @@ type SolverOptions struct {
 	Tolerance    float64 `json:"tolerance,omitempty"`
 	MaxDepth     int     `json:"max_depth,omitempty"`
 	Workers      int     `json:"workers,omitempty"`
-	DenseM2L     bool    `json:"dense_m2l,omitempty"`
 	Balanced     bool    `json:"balanced,omitempty"`
 	YukawaLambda float64 `json:"yukawa_lambda,omitempty"`
 	// Precision selects the near-field arithmetic: "", "auto" or "float64"
 	// (all float64), or "float32" (see kifmm.Precision). Any other value is
 	// rejected with a 400.
 	Precision string `json:"precision,omitempty"`
-	// Exec selects the evaluation execution strategy: "" or "auto",
-	// "barrier", or "dag" (see kifmm.ExecMode). Any other value is rejected
-	// with a 400.
-	Exec string `json:"exec,omitempty"`
 	// Shards, when positive, serves this plan as a sharded plan: the octree
 	// is Morton-partitioned across Shards in-process ranks with per-rank
 	// local essential trees and every apply runs the coordinated multi-rank
@@ -57,8 +52,9 @@ type SolverOptions struct {
 }
 
 // UnmarshalJSON decodes the options strictly: a field this server does not
-// know — a typo, or the retired "accelerated" — is an error naming it (a 400
-// from decodeBody), not a request served with the default in its place.
+// know — a typo, or one of the retired "accelerated", "exec" and "dense_m2l"
+// — is an error naming it (a 400 from decodeBody), not a request served with
+// the default in its place.
 func (o *SolverOptions) UnmarshalJSON(b []byte) error {
 	type plain SolverOptions // drops this method
 	dec := json.NewDecoder(bytes.NewReader(b))
@@ -66,27 +62,19 @@ func (o *SolverOptions) UnmarshalJSON(b []byte) error {
 	return dec.Decode((*plain)(o))
 }
 
-// The accepted wire spellings of exec and precision. "" and "auto" are the
-// same request, and auto precision is float64 (kifmm.FMM.Precision), so the
+// The accepted wire spellings of precision. "" and "auto" are the same
+// request, and auto precision is float64 (kifmm.FMM.Precision), so the
 // mapped values are also the canonical form PlanKey hashes: spellings that
 // build the same plan share one cache entry.
-var (
-	execModes = map[string]kifmm.ExecMode{
-		"": kifmm.ExecAuto, "auto": kifmm.ExecAuto, "barrier": kifmm.ExecBarrier, "dag": kifmm.ExecDAG,
-	}
-	precisions = map[string]kifmm.Precision{
-		"": kifmm.PrecisionFloat64, "auto": kifmm.PrecisionFloat64,
-		"float64": kifmm.PrecisionFloat64, "float32": kifmm.PrecisionFloat32,
-	}
-)
+var precisions = map[string]kifmm.Precision{
+	"": kifmm.PrecisionFloat64, "auto": kifmm.PrecisionFloat64,
+	"float64": kifmm.PrecisionFloat64, "float32": kifmm.PrecisionFloat32,
+}
 
-// Validate rejects exec and precision strings outside the accepted
-// spellings, naming the field: a typo must not be served as the default
-// under a cache entry of its own.
+// Validate rejects a precision string outside the accepted spellings, naming
+// the field: a typo must not be served as the default under a cache entry of
+// its own.
 func (o SolverOptions) Validate() error {
-	if _, ok := execModes[o.Exec]; !ok {
-		return fmt.Errorf("exec: unknown value %q (want auto, barrier or dag)", o.Exec)
-	}
 	if _, ok := precisions[o.Precision]; !ok {
 		return fmt.Errorf("precision: unknown value %q (want auto, float64 or float32)", o.Precision)
 	}
@@ -103,11 +91,9 @@ func (o SolverOptions) ToOptions() kifmm.Options {
 		Tolerance:    o.Tolerance,
 		MaxDepth:     o.MaxDepth,
 		Workers:      o.Workers,
-		DenseM2L:     o.DenseM2L,
 		Balanced:     o.Balanced,
 		YukawaLambda: o.YukawaLambda,
 		Precision:    precisions[o.Precision],
-		Exec:         execModes[o.Exec],
 		Shards:       o.Shards,
 		ShardComm:    o.ShardComm,
 		Targets:      ToPoints(o.Targets),
@@ -268,14 +254,11 @@ func PlanKey(points [][3]float64, o SolverOptions) string {
 	wf(o.Tolerance)
 	wi(int64(o.MaxDepth))
 	wi(int64(o.Workers))
-	wb(o.DenseM2L)
 	wb(o.Balanced)
 	wf(o.YukawaLambda)
-	// Precision and exec participate in canonical form (see execModes):
-	// float32 and float64 plans, and barrier and task-graph plans, are
-	// distinct resident plans even for identical geometry.
+	// Precision participates in canonical form (see precisions): float32 and
+	// float64 plans are distinct resident plans even for identical geometry.
 	wi(int64(precisions[o.Precision]))
-	wi(int64(execModes[o.Exec]))
 	// Shard configuration is part of plan identity: the same points served
 	// at different shard counts (or backends) are distinct resident plans.
 	wi(int64(o.Shards))

@@ -652,15 +652,6 @@ func (s *Session) Apply(densities []float64) ([]float64, error) {
 // MemoryBytes estimates the session's resident size (service cache and
 // metrics accounting).
 func (s *Session) MemoryBytes() int64 {
-	t := s.tree
-	var lists int64
-	for i := range t.Nodes {
-		n := &t.Nodes[i]
-		lists += int64(len(n.U)+len(n.V)+len(n.W)+len(n.X)) * 4
-	}
-	nodes, pts := int64(len(t.Nodes)), int64(len(t.Points))
-	engine := nodes*int64(2*s.cfg.Ops.UpwardLen()+s.cfg.Ops.CheckLen())*8 +
-		pts*int64(s.cfg.Ops.Kern.SrcDim()+s.cfg.Ops.Kern.TrgDim())*8
 	points := int64(len(s.pos)) * (24 + 8 + 1 + 4)
-	return nodes*120 + lists + pts*(24+8) + engine + s.layout.MemoryBytes() + points
+	return ikifmm.ResidentBytes(s.tree, s.cfg.Ops, s.layout) + points
 }

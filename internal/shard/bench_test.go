@@ -32,7 +32,7 @@ func BenchmarkShardedApply(b *testing.B) {
 			b.Run(fmt.Sprintf("backend=%s/R=%d", backend.Name(), R), func(b *testing.B) {
 				p, err := BuildPlan(tr, Config{
 					Ranks: R, Backend: backend, Ops: ops,
-					UseFFTM2L: true, Workers: 4, LoadBalance: true,
+					UseFFTM2L: true, Workers: 4,
 				})
 				if err != nil {
 					b.Fatal(err)

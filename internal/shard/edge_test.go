@@ -90,14 +90,14 @@ func TestHeavyLeafAtRankBoundary(t *testing.T) {
 	want := oracle(t, tr, ops, den, true)
 	for _, R := range []int{2, 4} {
 		got := applySharded(t, tr, ops, den, Config{
-			Ranks: R, Backend: Hypercube, Ops: ops, UseFFTM2L: true, LoadBalance: true,
+			Ranks: R, Backend: Hypercube, Ops: ops, UseFFTM2L: true,
 		})
 		if err := relErr(got, want); err > diffTol {
 			t.Errorf("heavy leaf R=%d: rel err %g vs oracle", R, err)
 		}
 	}
 	// Every rank must own at least one leaf despite the weight skew.
-	p, err := BuildPlan(tr, Config{Ranks: 4, Backend: Hypercube, Ops: ops, LoadBalance: true})
+	p, err := BuildPlan(tr, Config{Ranks: 4, Backend: Hypercube, Ops: ops})
 	if err != nil {
 		t.Fatal(err)
 	}

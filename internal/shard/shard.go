@@ -2,12 +2,12 @@
 // computation: the plan's global octree leaves are Morton-partitioned
 // across R in-process ranks, each rank assembles the local essential tree
 // of Algorithm 2 over its share (dtree.BuildLET), and every Apply executes
-// the paper's distributed evaluation pipeline — per-shard upward pass,
-// ghost up-density exchange, the shared-octant upward reduction behind a
-// pluggable CommBackend (Algorithm 3's hypercube or the direct
-// point-to-point scheme of Kailasa et al.), then the V/X/W/U phases on
-// local targets — and gathers the per-rank potentials into one response in
-// input point order.
+// the paper's distributed evaluation pipeline on each rank
+// (parfmm.EvaluateRank) — per-shard upward pass, ghost up-density exchange,
+// the shared-octant upward reduction behind a pluggable CommBackend
+// (Algorithm 3's hypercube or the direct point-to-point scheme of Kailasa et
+// al.), then the V/X/W/U phases on local targets — and gathers the per-rank
+// potentials into one response in input point order.
 //
 // Because the ranks partition the leaves of the ALREADY-BUILT global tree
 // (rather than re-running distributed tree construction), every rank's LET
@@ -24,8 +24,6 @@ package shard
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"kifmm/internal/diag"
 	"kifmm/internal/dtree"
@@ -51,10 +49,6 @@ type Config struct {
 	// Workers is the total worker budget, split evenly across ranks (each
 	// rank gets max(1, Workers/Ranks) engine workers).
 	Workers int
-	// LoadBalance partitions leaves by estimated interaction work instead
-	// of raw point counts (Section III-B's weighting, computed from the
-	// global tree's lists).
-	LoadBalance bool
 	// Float32Near runs each rank's near-field phases in single precision
 	// (per-rank layouts then carry float32 coordinate mirrors; see
 	// kifmm.Engine.SetFloat32NearField).
@@ -84,13 +78,10 @@ type Plan struct {
 	ranks  []*rankState
 	n      int // input points
 	sd, td int
-	vecLen int
 
 	mu   sync.Mutex
 	free [][]*kifmm.Engine
 	prof *diag.Profile
-
-	applies atomic.Int64
 }
 
 // maxFreeSets caps the engine-set free list (sets beyond it are dropped for
@@ -126,18 +117,16 @@ func BuildPlan(tree *octree.Tree, cfg Config) (*Plan, error) {
 			"reduce shards or points per box", R, len(tree.Leaves))
 	}
 
-	// Global leaves in Morton order with their work weights. Leaf point
-	// slices alias the tree's point storage (read-only from here on).
+	// Global leaves in Morton order, weighted by estimated interaction work
+	// (Section III-B's weighting, computed from the global tree's lists).
+	// Leaf point slices alias the tree's point storage (read-only from here
+	// on).
 	leaves := make([]dtree.Leaf, len(tree.Leaves))
 	weights := make([]int64, len(tree.Leaves))
 	for i, li := range tree.Leaves {
 		n := &tree.Nodes[li]
 		leaves[i] = dtree.Leaf{Key: n.Key, Pts: tree.Points[n.PtLo:n.PtHi]}
-		if cfg.LoadBalance {
-			weights[i] = leafWorkWeight(tree, li, cfg.Ops.CheckLen())
-		} else {
-			weights[i] = int64(n.NPoints()) + 1
-		}
+		weights[i] = leafWorkWeight(tree, li, cfg.Ops.CheckLen())
 	}
 	bounds := partitionLeaves(weights, R)
 
@@ -149,12 +138,11 @@ func BuildPlan(tree *octree.Tree, cfg Config) (*Plan, error) {
 	})
 
 	p := &Plan{
-		cfg:    cfg,
-		ranks:  make([]*rankState, R),
-		n:      len(tree.Points),
-		sd:     cfg.Ops.Kern.SrcDim(),
-		td:     cfg.Ops.Kern.TrgDim(),
-		vecLen: cfg.Ops.UpwardLen(),
+		cfg:   cfg,
+		ranks: make([]*rankState, R),
+		n:     len(tree.Points),
+		sd:    cfg.Ops.Kern.SrcDim(),
+		td:    cfg.Ops.Kern.TrgDim(),
 	}
 	for r := 0; r < R; r++ {
 		// Mirror-free layouts: the float32 near field (Float32Near) localizes
@@ -247,17 +235,11 @@ func partitionLeaves(w []int64, R int) [][2]int {
 	return bounds
 }
 
-// NumPoints returns the number of points the plan was built for.
-func (p *Plan) NumPoints() int { return p.n }
-
 // Ranks returns the shard count R.
 func (p *Plan) Ranks() int { return p.cfg.Ranks }
 
 // Backend returns the configured communication backend's name.
 func (p *Plan) Backend() string { return p.cfg.Backend.Name() }
-
-// Applies returns how many Apply calls have completed.
-func (p *Plan) Applies() int64 { return p.applies.Load() }
 
 // SetProfile attaches a diag profile receiving per-phase timings and flop
 // counts from every rank of subsequent Apply calls (nil detaches).
@@ -271,21 +253,9 @@ func (p *Plan) SetProfile(prof *diag.Profile) {
 // points and interaction lists plus one engine's per-node and per-point
 // state and the streaming layout, mirroring the single-engine estimate.
 func (p *Plan) MemoryBytes() int64 {
-	ops := p.cfg.Ops
 	var totalBytes int64
 	for _, rs := range p.ranks {
-		t := rs.dt.Tree
-		var lists int64
-		for i := range t.Nodes {
-			n := &t.Nodes[i]
-			lists += int64(len(n.U)+len(n.V)+len(n.W)+len(n.X)) * 4
-		}
-		nodes := int64(len(t.Nodes))
-		pts := int64(len(t.Points))
-		const nodeStruct = 120
-		engine := nodes*int64(2*ops.UpwardLen()+ops.CheckLen())*8 +
-			pts*int64(p.sd+p.td)*8
-		totalBytes += nodes*nodeStruct + lists + pts*(24+8) + engine + rs.layout.MemoryBytes()
+		totalBytes += kifmm.ResidentBytes(rs.dt.Tree, p.cfg.Ops, rs.layout)
 	}
 	return totalBytes
 }
@@ -357,22 +327,11 @@ func (p *Plan) Apply(densities []float64) ([]float64, error) {
 		rs := p.ranks[r]
 		eng := set[r]
 
-		// Owned densities in, partial upward densities from the local
-		// subtree.
+		// Owned densities in, the shared distributed rank evaluation with the
+		// backend completing the shared octants' upward densities, owned
+		// potentials out.
 		placeDensities(rs, eng, densities, p.sd)
-		eng.S2U()
-		eng.U2U()
-
-		// Communication: exact ghost densities for the direct interactions,
-		// then the backend completes the shared octants' upward densities.
-		snap := c.Stats().Snap()
-		t0 := time.Now()
-		parfmm.ExchangeGhostDensities(c, eng, rs.dt, p.sd)
-		items := parfmm.PartialUpwardItems(eng, rs.dt)
-		completed, rst := backend.Reduce(c, rs.dt.Part, items, p.vecLen)
-		parfmm.InstallUpward(eng, rs.dt, completed)
-		commDur := time.Since(t0)
-		delta := snap.Delta(c.Stats().Snap())
+		rst, delta, commDur := parfmm.EvaluateRank(c, eng, rs.dt, backend.Reduce)
 		traffic[r] = RankTraffic{
 			BytesSent:     delta.Bytes,
 			MsgsSent:      delta.Messages,
@@ -383,15 +342,6 @@ func (p *Plan) Apply(densities []float64) ([]float64, error) {
 		if prof != nil {
 			prof.AddTime(diag.ShardCommPhase(backend.Name()), commDur)
 		}
-
-		// Far-field translations and local passes on local targets.
-		eng.VLI()
-		eng.XLI()
-		eng.Downward()
-		eng.WLI()
-		eng.D2T()
-		eng.ULI()
-
 		gatherPotentials(rs, eng, out, p.td)
 	})
 
@@ -402,23 +352,7 @@ func (p *Plan) Apply(densities []float64) ([]float64, error) {
 		prof.AddCounter(diag.CounterShardApplies, 1)
 	}
 	p.putEngines(set)
-	p.applies.Add(1)
 	return out, nil
-}
-
-// Traffic returns the traffic each rank generated during the most recent
-// accounting window — the process-wide cumulative rows for this plan's
-// backend (shared with every other plan on the same backend; see Metrics).
-func (p *Plan) Traffic() []Traffic {
-	name := p.cfg.Backend.Name()
-	rows := Metrics.Rows()
-	out := rows[:0:0]
-	for _, row := range rows {
-		if row.Backend == name {
-			out = append(out, row)
-		}
-	}
-	return out
 }
 
 // placeDensities copies the caller-ordered densities of this rank's owned

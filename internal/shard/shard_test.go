@@ -95,7 +95,7 @@ func TestShardedMatchesOracleLaplace(t *testing.T) {
 			for _, R := range []int{1, 2, 4, 8} {
 				got := applySharded(t, tr, ops, den, Config{
 					Ranks: R, Backend: backend, Ops: ops,
-					UseFFTM2L: true, Workers: 4, LoadBalance: true,
+					UseFFTM2L: true, Workers: 4,
 				})
 				if err := relErr(got, want); err > diffTol {
 					t.Errorf("dist=%v backend=%s R=%d: rel err %g vs oracle (want ≤ %g)",

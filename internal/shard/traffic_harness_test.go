@@ -35,7 +35,7 @@ func TestTrafficHarness(t *testing.T) {
 	for _, R := range []int{4, 8, 16} {
 		for _, backend := range []CommBackend{Hypercube, Simple} {
 			Metrics.Reset()
-			p, err := BuildPlan(tr, Config{Ranks: R, Backend: backend, Ops: ops, UseFFTM2L: true, Workers: 4, LoadBalance: true})
+			p, err := BuildPlan(tr, Config{Ranks: R, Backend: backend, Ops: ops, UseFFTM2L: true, Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,4 +66,50 @@ func TestTrafficHarness(t *testing.T) {
 				R, backend.Name(), m, rounds, maxOct, totOct, maxBytes, totBytes, totMsgs)
 		}
 	}
+}
+
+// TestTrafficPinned guards the per-rank traffic accounting, which Apply feeds
+// from the shared rank evaluator's return values: on one fixed probe the
+// bytes, messages, reduce octants and rounds of every rank must repeat
+// exactly across two Applies and equal the values recorded from the commit
+// before the evaluator was shared.
+func TestTrafficPinned(t *testing.T) {
+	tr, ops, den := buildCase(t, kernel.Laplace{}, geom.Ellipsoid, 3000, 40, 4)
+	for _, tc := range []struct {
+		backend CommBackend
+		want    []RankTraffic // per rank: bytes, messages, remote bytes, octants, rounds
+	}{
+		{Simple, []RankTraffic{
+			{98193, 2, 98193, 184, 1},
+			{100520, 2, 100520, 187, 1},
+		}},
+		{Hypercube, []RankTraffic{
+			{145196, 5, 145196, 273, 2},
+			{156775, 5, 156775, 295, 2},
+			{147418, 5, 147418, 274, 2},
+			{156002, 5, 156002, 291, 2},
+		}},
+	} {
+		p, err := BuildPlan(tr, Config{Ranks: len(tc.want), Backend: tc.backend, Ops: ops, UseFFTM2L: true, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for apply := 0; apply < 2; apply++ {
+			Metrics.Reset()
+			if _, err := p.Apply(den); err != nil {
+				t.Fatal(err)
+			}
+			rows := Metrics.Rows()
+			if len(rows) != len(tc.want) {
+				t.Fatalf("%s: %d traffic rows, want %d", tc.backend.Name(), len(rows), len(tc.want))
+			}
+			for r, row := range rows {
+				if row.Rank != r || row.Applies != 1 || row.RankTraffic != tc.want[r] {
+					t.Errorf("%s apply %d rank %d: got %+v, want 1 apply of %+v",
+						tc.backend.Name(), apply, r, row, tc.want[r])
+				}
+			}
+		}
+	}
+	Metrics.Reset()
 }

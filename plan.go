@@ -76,7 +76,7 @@ func (f *FMM) Plan(points []Point) (*Plan, error) {
 		tree = octree.Build(gpts, f.opt.PointsPerBox, f.opt.MaxDepth)
 	}
 	tree.BuildLists(nil)
-	if !f.opt.DenseM2L {
+	if !f.opt.denseM2L {
 		// Eagerly build every V-list translation spectrum the plan can touch,
 		// in parallel, so the first Apply pays no lazy spectrum builds. The
 		// spectra land in the process-wide cache: later plans for the same
@@ -111,9 +111,8 @@ func (f *FMM) Plan(points []Point) (*Plan, error) {
 			Ranks:       f.opt.Shards,
 			Backend:     backend,
 			Ops:         f.ops,
-			UseFFTM2L:   !f.opt.DenseM2L,
+			UseFFTM2L:   !f.opt.denseM2L,
 			Workers:     f.opt.Workers,
-			LoadBalance: !f.opt.NoLoadBalance,
 			Float32Near: f.float32Near(),
 		})
 		if err != nil {
@@ -204,18 +203,7 @@ func (p *Plan) MemoryBytes() int64 {
 		pts := int64(len(p.tree.Points))
 		return nodes*120 + pts*(24+8) + p.shard.MemoryBytes()
 	}
-	ops := p.f.ops
-	var lists int64
-	for i := range p.tree.Nodes {
-		n := &p.tree.Nodes[i]
-		lists += int64(len(n.U)+len(n.V)+len(n.W)+len(n.X)) * 4
-	}
-	nodes := int64(len(p.tree.Nodes))
-	pts := int64(len(p.tree.Points))
-	const nodeStruct = 120 // Node fixed fields, approximate
-	engine := nodes*int64(2*ops.UpwardLen()+ops.CheckLen())*8 +
-		pts*int64(p.f.kern.SrcDim()+p.f.kern.TrgDim())*8
-	return nodes*nodeStruct + lists + pts*(24+8) + engine + p.layout.MemoryBytes()
+	return ikifmm.ResidentBytes(p.tree, p.f.ops, p.layout)
 }
 
 // getEngine checks out a reset engine bound to the plan's tree.
@@ -230,7 +218,7 @@ func (p *Plan) getEngine() *ikifmm.Engine {
 	p.mu.Unlock()
 	if eng == nil {
 		eng = ikifmm.NewEngineLayout(p.f.ops, p.tree, p.layout)
-		eng.UseFFTM2L = !p.f.opt.DenseM2L
+		eng.UseFFTM2L = !p.f.opt.denseM2L
 		eng.Workers = p.f.opt.Workers
 		eng.SetSplitRoles(p.nTrg)
 		if p.f.float32Near() {
@@ -254,9 +242,9 @@ func (p *Plan) putEngine(eng *ikifmm.Engine) {
 // Apply evaluates the potentials for one density vector on the prebuilt
 // tree, returned in input point order with PotentialDim components per
 // point. It runs the full FMM phase sequence but skips tree construction,
-// list building, and operator setup. Depending on Options.Exec the phases
-// run either as the paper's barrier-separated loops or as a dependency
-// task graph on the internal scheduler (bit-identical results either way).
+// list building, and operator setup. With Options.Workers > 1 the phases run
+// as a dependency task graph on the internal scheduler, otherwise as the
+// paper's barrier-separated loops (bit-identical results either way).
 func (p *Plan) Apply(densities []float64) ([]float64, error) {
 	if p.shard != nil {
 		out, err := p.shard.Apply(densities)
@@ -273,8 +261,8 @@ func (p *Plan) Apply(densities []float64) ([]float64, error) {
 // ApplyTraced is Apply plus a Chrome trace_event capture of the scheduler's
 // execution: one timeline row per worker, one slice per per-octant task.
 // Write the returned JSON to a file and open it at chrome://tracing (or
-// ui.perfetto.dev). Tracing forces the task-graph execution path regardless
-// of Options.Exec; it errors on sharded plans, which coordinate their ranks
+// ui.perfetto.dev). Tracing forces the task-graph execution path at any
+// worker count; it errors on sharded plans, which coordinate their ranks
 // themselves.
 func (p *Plan) ApplyTraced(densities []float64) (potentials []float64, trace []byte, err error) {
 	if p.shard != nil {

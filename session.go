@@ -79,7 +79,7 @@ func (f *FMM) NewSession(points []Point) (*Session, error) {
 		Q:           f.opt.PointsPerBox,
 		MaxDepth:    f.opt.MaxDepth,
 		Workers:     f.opt.Workers,
-		UseFFTM2L:   !f.opt.DenseM2L,
+		UseFFTM2L:   !f.opt.denseM2L,
 		UseDAG:      f.useDAG(),
 		Float32Near: f.float32Near(),
 	})

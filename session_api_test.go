@@ -15,8 +15,8 @@ func TestTargetsMatchesMaskedOracle(t *testing.T) {
 		opt  Options
 	}{
 		{"fft", Options{PointsPerBox: 30}},
-		{"dense", Options{PointsPerBox: 30, DenseM2L: true}},
-		{"dag", Options{PointsPerBox: 30, Workers: 4, Exec: ExecDAG}},
+		{"dense", Options{PointsPerBox: 30, denseM2L: true}},
+		{"dag", Options{PointsPerBox: 30, Workers: 4, exec: execDAG}},
 		{"stokes", Options{Kernel: Stokes, PointsPerBox: 30}},
 	}
 	srcs, _ := randInput(600, 1, 51)

@@ -32,7 +32,7 @@ func TestYukawaDenseAndFFTAgree(t *testing.T) {
 	var results [2][]float64
 	for i, dense := range []bool{false, true} {
 		f, err := New(Options{Kernel: Yukawa, YukawaLambda: 8, PointsPerBox: 25,
-			DenseM2L: dense, Workers: 2})
+			denseM2L: dense, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
