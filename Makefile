@@ -57,20 +57,17 @@ shard-stress:
 session-stress:
 	$(GO) test -race -count=3 ./internal/session/...
 
-# Project-specific static analysis (DESIGN.md §7.5, §7.9): build the fmmvet
-# multichecker and run it twice — through `go vet -vettool` (per-package,
-# cached by the go build cache, facts-based interprocedural propagation) and
-# standalone (whole-program in one process: lock-order cycle detection plus
-# the compiler-backed escape diff against escape_baseline.txt). Both must be
-# clean. Machine-readable output is available via `go run ./cmd/fmmvet -json ./...`.
+# Project-specific static analysis (DESIGN.md §7.5, §7.9): one fmmvet run
+# over the whole program in one process — the body analyzers under the
+# propagated //fmm:hotpath / //fmm:deterministic scope, lock-order cycle
+# detection and the compiler-backed escape diff against escape_baseline.txt.
+# Machine-readable output is available via `go run ./cmd/fmmvet -json ./...`.
 lint:
-	$(GO) build -o bin/fmmvet ./cmd/fmmvet
-	$(GO) vet -vettool=bin/fmmvet ./...
 	$(GO) run ./cmd/fmmvet ./...
 
 # Regenerate escape_baseline.txt after an *intentional* change to hot-path
 # escape behavior (new function in the hot closure, refactor that moves an
-# allocation). The standalone run (`make lint`) diffs `go build -gcflags=-m=1`
+# allocation). `make lint` diffs `go build -gcflags=-m=1`
 # output for hot-path functions against this file and fails on any new heap
 # escape; review the diff in the regenerated baseline before committing it.
 lint-baseline:

@@ -119,7 +119,7 @@ func benchPoints(n int) ([]Point, []float64) {
 	pts := make([]Point, n)
 	den := make([]float64, n)
 	for i := range pts {
-		pts[i] = Point{rng.Float64(), rng.Float64(), rng.Float64()}
+		pts[i] = Point{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}
 		den[i] = rng.NormFloat64()
 	}
 	return pts, den
@@ -223,7 +223,7 @@ func benchmarkApplyExec(b *testing.B, mode execMode) {
 	gp := geom.Generate(geom.Ellipsoid, 30000, 7)
 	pts := make([]Point, len(gp))
 	for i, p := range gp {
-		pts[i] = Point{p.X, p.Y, p.Z}
+		pts[i] = Point{X: p.X, Y: p.Y, Z: p.Z}
 	}
 	rng := rand.New(rand.NewSource(8))
 	den := make([]float64, len(pts))

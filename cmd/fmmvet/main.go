@@ -7,16 +7,10 @@
 // decisions for the hot closure are diffed against escape_baseline.txt, and
 // a lock-order analyzer reports acquisition cycles as potential deadlocks.
 //
-// Run standalone (whole-program: callgraph propagation + lockorder +
-// escape):
+// It is a whole-program tool with one driver (every package typechecked
+// from source into one call graph; `make lint` runs exactly this):
 //
 //	go run ./cmd/fmmvet [-json] [-write-escape-baseline] ./...
-//
-// or as a vet tool (cached by the go build cache, used by `make lint`;
-// propagation crosses packages via vet facts, escape runs standalone-only):
-//
-//	go build -o bin/fmmvet ./cmd/fmmvet
-//	go vet -vettool=bin/fmmvet ./...
 //
 // See DESIGN.md §7.5 for the annotation grammar (//fmm:hotpath,
 // //fmm:deterministic, //fmm:allow, //fmm:coldcall), §7.9 for the call

@@ -14,7 +14,7 @@ func ellipsoidInput(n, sdim int, seed int64) ([]Point, []float64) {
 	gp := geom.Generate(geom.Ellipsoid, n, seed)
 	pts := make([]Point, len(gp))
 	for i, p := range gp {
-		pts[i] = Point{p.X, p.Y, p.Z}
+		pts[i] = Point{X: p.X, Y: p.Y, Z: p.Z}
 	}
 	_, den := randInput(n, sdim, seed+1)
 	return pts, den

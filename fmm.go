@@ -29,10 +29,11 @@ import (
 )
 
 // Point is a location in the unit cube [0,1)³. Sources and targets
-// coincide, as in the paper.
-type Point struct {
-	X, Y, Z float64
-}
+// coincide, as in the paper. It is the library's one point type (an alias,
+// so a caller's []Point reaches the octree without a converting copy); Plan,
+// NewSession and the Evaluate family read the slice they are given and do
+// not retain it.
+type Point = geom.Point
 
 // KernelName selects the interaction kernel.
 type KernelName string
@@ -187,6 +188,8 @@ type FMM struct {
 	opt  Options
 	kern kernel.Kernel
 	ops  *ikifmm.Operators
+	// backend is Options.ShardComm resolved (sharded plans only use it).
+	backend shard.CommBackend
 }
 
 // New creates a solver. The translation operators are precomputed once and
@@ -220,19 +223,15 @@ func New(opt Options) (*FMM, error) {
 	if opt.Shards < 0 {
 		return nil, fmt.Errorf("kifmm: negative shard count %d", opt.Shards)
 	}
-	if opt.Shards > 0 {
-		backend, err := shard.BackendByName(opt.ShardComm)
-		if err != nil {
-			return nil, fmt.Errorf("kifmm: %w", err)
-		}
-		if backend.NeedsPow2() && opt.Shards&(opt.Shards-1) != 0 {
-			return nil, fmt.Errorf("kifmm: the %s shard backend requires a power-of-two shard count, got %d",
-				backend.Name(), opt.Shards)
-		}
-	} else if opt.ShardComm != "" {
-		if _, err := shard.BackendByName(opt.ShardComm); err != nil {
-			return nil, fmt.Errorf("kifmm: %w", err)
-		}
+	// Resolved (and a typo in ShardComm rejected) even when Shards is 0,
+	// which passes the power-of-two test.
+	backend, err := shard.BackendByName(opt.ShardComm)
+	if err != nil {
+		return nil, fmt.Errorf("kifmm: %w", err)
+	}
+	if backend.NeedsPow2() && opt.Shards&(opt.Shards-1) != 0 {
+		return nil, fmt.Errorf("kifmm: the %s shard backend requires a power-of-two shard count, got %d",
+			backend.Name(), opt.Shards)
 	}
 	if len(opt.Targets) > 0 {
 		if opt.Shards > 0 {
@@ -240,12 +239,12 @@ func New(opt Options) (*FMM, error) {
 		}
 		cube := geom.UnitCube()
 		for i, p := range opt.Targets {
-			if !cube.Contains(geom.Point(p)) {
+			if !cube.Contains(p) {
 				return nil, fmt.Errorf("kifmm: target %d (%v) outside the unit cube", i, p)
 			}
 		}
 	}
-	return &FMM{opt: opt, kern: k, ops: ikifmm.NewOperators(k, opt.Order, opt.Tolerance)}, nil
+	return &FMM{opt: opt, kern: k, ops: ikifmm.NewOperators(k, opt.Order, opt.Tolerance), backend: backend}, nil
 }
 
 // DensityDim returns the number of density components per point.
@@ -285,7 +284,7 @@ func (f *FMM) checkPoints(points []Point) error {
 	}
 	cube := geom.UnitCube()
 	for i, p := range points {
-		if !cube.Contains(geom.Point(p)) {
+		if !cube.Contains(p) {
 			return fmt.Errorf("kifmm: point %d (%v) outside the unit cube", i, p)
 		}
 	}
@@ -301,14 +300,6 @@ func (f *FMM) checkInput(points []Point, densities []float64) error {
 			len(densities), len(points), f.kern.SrcDim())
 	}
 	return nil
-}
-
-func toGeom(points []Point) []geom.Point {
-	out := make([]geom.Point, len(points))
-	for i, p := range points {
-		out[i] = geom.Point(p)
-	}
-	return out
 }
 
 // Evaluate computes the potentials at all points (sources and targets
@@ -353,19 +344,18 @@ func (f *FMM) EvaluateDistributed(ranks int, points []Point, densities []float64
 		Ops:         f.ops,
 		Float32Near: f.float32Near(),
 	}
-	gpts := toGeom(points)
 	results := make([]*parfmm.Result, ranks)
 	mpi.Run(ranks, func(c *mpi.Comm) {
 		r := c.Rank()
 		lo, hi := r*len(points)/ranks, (r+1)*len(points)/ranks
-		results[r] = parfmm.Evaluate(c, gpts[lo:hi], densities[lo*sd:hi*sd], cfg)
+		results[r] = parfmm.Evaluate(c, points[lo:hi], densities[lo*sd:hi*sd], cfg)
 	})
 	// Points were redistributed; coincident targets receive identical
 	// potentials, so matching by coordinates is exact.
 	byPoint := make(map[Point][]float64, len(points))
 	for _, res := range results {
 		for i, pt := range res.OwnedPoints {
-			byPoint[Point(pt)] = res.Potentials[i*td : (i+1)*td]
+			byPoint[pt] = res.Potentials[i*td : (i+1)*td]
 		}
 	}
 	out := make([]float64, len(points)*td)
@@ -384,8 +374,7 @@ func (f *FMM) Direct(points []Point, densities []float64) ([]float64, error) {
 	if err := f.checkInput(points, densities); err != nil {
 		return nil, err
 	}
-	g := toGeom(points)
-	return kernel.Direct(f.kern, g, g, densities), nil
+	return kernel.Direct(f.kern, points, points, densities), nil
 }
 
 // EvaluateAt computes the potentials at the given target points due to
@@ -403,7 +392,7 @@ func (f *FMM) EvaluateAt(targets, sources []Point, densities []float64) ([]float
 	}
 	cube := geom.UnitCube()
 	for i, p := range targets {
-		if !cube.Contains(geom.Point(p)) {
+		if !cube.Contains(p) {
 			return nil, fmt.Errorf("kifmm: target %d (%v) outside the unit cube", i, p)
 		}
 	}

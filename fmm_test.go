@@ -6,13 +6,23 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"kifmm/internal/geom"
+	"kifmm/internal/session"
+)
+
+// The façade's value types are the internal ones, not mirrors of them: a
+// pointer converts only between identical types.
+var (
+	_ = func(p *Point) *geom.Point { return p }
+	_ = func(i *StepInfo) *session.Info { return i }
 )
 
 func randInput(n int, sdim int, seed int64) ([]Point, []float64) {
 	rng := rand.New(rand.NewSource(seed))
 	pts := make([]Point, n)
 	for i := range pts {
-		pts[i] = Point{rng.Float64(), rng.Float64(), rng.Float64()}
+		pts[i] = Point{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}
 	}
 	den := make([]float64, n*sdim)
 	for i := range den {
@@ -135,10 +145,10 @@ func TestInputValidation(t *testing.T) {
 	if _, err := f.Evaluate(nil, nil); err == nil {
 		t.Fatalf("empty input accepted")
 	}
-	if _, err := f.Evaluate([]Point{{0.5, 0.5, 0.5}}, []float64{1, 2}); err == nil {
+	if _, err := f.Evaluate([]Point{{X: 0.5, Y: 0.5, Z: 0.5}}, []float64{1, 2}); err == nil {
 		t.Fatalf("density length mismatch accepted")
 	}
-	if _, err := f.Evaluate([]Point{{1.5, 0.5, 0.5}}, []float64{1}); err == nil {
+	if _, err := f.Evaluate([]Point{{X: 1.5, Y: 0.5, Z: 0.5}}, []float64{1}); err == nil {
 		t.Fatalf("out-of-cube point accepted")
 	}
 }
@@ -148,8 +158,8 @@ func TestCoincidentPointsHandled(t *testing.T) {
 	// coordinate matching; coincident targets get identical potentials.
 	f, _ := New(Options{PointsPerBox: 10, MaxDepth: 8})
 	pts := []Point{
-		{0.25, 0.25, 0.25}, {0.25, 0.25, 0.25}, {0.75, 0.75, 0.75},
-		{0.1, 0.9, 0.4}, {0.6, 0.2, 0.8}, {0.3, 0.7, 0.5},
+		{X: 0.25, Y: 0.25, Z: 0.25}, {X: 0.25, Y: 0.25, Z: 0.25}, {X: 0.75, Y: 0.75, Z: 0.75},
+		{X: 0.1, Y: 0.9, Z: 0.4}, {X: 0.6, Y: 0.2, Z: 0.8}, {X: 0.3, Y: 0.7, Z: 0.5},
 	}
 	den := []float64{1, 2, 3, -1, 0.5, 1.5}
 	got, err := f.Evaluate(pts, den)
@@ -222,7 +232,7 @@ func TestEvaluateAtValidation(t *testing.T) {
 	if _, err := f.EvaluateAt(nil, srcs, den); err == nil {
 		t.Fatalf("empty targets accepted")
 	}
-	if _, err := f.EvaluateAt([]Point{{2, 0, 0}}, srcs, den); err == nil {
+	if _, err := f.EvaluateAt([]Point{{X: 2, Y: 0, Z: 0}}, srcs, den); err == nil {
 		t.Fatalf("out-of-cube target accepted")
 	}
 }
@@ -248,7 +258,7 @@ func TestOptionAndInputValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := []Point{{0.5, 0.5, 0.5}}
+	in := []Point{{X: 0.5, Y: 0.5, Z: 0.5}}
 	evalCases := []struct {
 		name string
 		pts  []Point
@@ -256,8 +266,8 @@ func TestOptionAndInputValidation(t *testing.T) {
 	}{
 		{"no points", nil, nil},
 		{"density length mismatch", in, []float64{1, 2}},
-		{"point outside unit cube", []Point{{1.5, 0.5, 0.5}}, []float64{1}},
-		{"negative coordinate", []Point{{-0.1, 0.5, 0.5}}, []float64{1}},
+		{"point outside unit cube", []Point{{X: 1.5, Y: 0.5, Z: 0.5}}, []float64{1}},
+		{"negative coordinate", []Point{{X: -0.1, Y: 0.5, Z: 0.5}}, []float64{1}},
 	}
 	for _, c := range evalCases {
 		if _, err := f.Evaluate(c.pts, c.den); err == nil {
@@ -355,14 +365,81 @@ func TestPlanValidation(t *testing.T) {
 	if _, err := f.Plan(nil); err == nil {
 		t.Fatalf("empty point set accepted")
 	}
-	if _, err := f.Plan([]Point{{3, 0, 0}}); err == nil {
+	if _, err := f.Plan([]Point{{X: 3, Y: 0, Z: 0}}); err == nil {
 		t.Fatalf("out-of-cube point accepted")
 	}
-	plan, err := f.Plan([]Point{{0.5, 0.5, 0.5}, {0.25, 0.75, 0.5}})
+	plan, err := f.Plan([]Point{{X: 0.5, Y: 0.5, Z: 0.5}, {X: 0.25, Y: 0.75, Z: 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := plan.Apply([]float64{1}); err == nil {
 		t.Fatalf("density length mismatch accepted")
+	}
+}
+
+// TestPlanDoesNotRetainInput pins the ownership contract of the point slice:
+// Plan and NewSession read it and keep no reference, so a caller may reuse
+// the slice while the plan or session lives.
+func TestPlanDoesNotRetainInput(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			f, err := New(Options{Order: 4, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts, den := randInput(2000, 1, 71)
+			pristine := append([]Point(nil), pts...)
+			plan, err := f.Plan(pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := f.NewSession(pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := f.NewSession(pristine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := func(what string, got, want []float64) {
+				t.Helper()
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s: potential %d changed after the input slice was overwritten: %v != %v",
+							what, i, got[i], want[i])
+					}
+				}
+			}
+			must := func(v []float64, err error) []float64 {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return v
+			}
+			wantPlan, wantSess := must(plan.Apply(den)), must(sess.Apply(den))
+			for i := range pts {
+				pts[i] = Point{X: 0.5, Y: 0.5, Z: 0.5}
+			}
+			same("plan", must(plan.Apply(den)), wantPlan)
+			same("session", must(sess.Apply(den)), wantSess)
+
+			// A delta large enough to re-plan rebuilds the tree from the
+			// session's own coordinates: they must still be the originals.
+			var d Delta
+			for id := 0; id < len(pts)/2; id++ {
+				d.Move = append(d.Move, PointMove{ID: id, To: pristine[len(pts)-1-id]})
+			}
+			for _, s := range []*Session{sess, ref} {
+				info, err := s.Step(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !info.Replanned {
+					t.Fatalf("delta did not re-plan: %+v", info)
+				}
+			}
+			same("session after re-plan", must(sess.Apply(den)), must(ref.Apply(den)))
+		})
 	}
 }

@@ -7,15 +7,12 @@
 // typechecked package, plain position-based diagnostics, and the fmm
 // annotation grammar (annot.go) that scopes the checks.
 //
-// Three drivers share this package:
-//
-//   - unit.go speaks the `go vet -vettool` JSON config protocol, so the
-//     multichecker runs under the standard build cache with per-package
-//     export data (make lint).
-//   - load.go is a standalone loader (go list + source typechecking) for
-//     running fmmvet without the vet driver.
-//   - analysistest runs one analyzer over a fixture directory and checks
-//     diagnostics against // want comments.
+// One driver runs the analyzers over a program: RunWholeProgram
+// (global.go), on one typechecked program and one call graph. cmd/fmmvet
+// reaches it through Main, which loads go list patterns from source
+// (load.go); analysistest.RunProp reaches it with fixture packages and
+// checks the diagnostics against // want comments (analysistest.Run is the
+// single-package, direct-annotation form, RunAnalyzers).
 package analysis
 
 import (
@@ -49,9 +46,9 @@ type Diagnostic struct {
 	// root first). Empty for directly annotated scope and for analyzers
 	// that do not propagate.
 	Chain []string
-	// PosStr overrides Pos rendering when set — used for facts-imported
-	// diagnostics whose positions belong to another compilation unit's
-	// file set.
+	// PosStr overrides Pos rendering when set — used by the global
+	// analyzers, whose positions come from call-graph nodes, lock witnesses
+	// and compiler output rather than the AST.
 	PosStr string
 }
 
@@ -74,9 +71,6 @@ type Pass struct {
 	// annotated ones. ids maps this package's declarations into the graph.
 	Prop *Propagation
 	ids  map[*ast.FuncDecl]FuncID
-	// forceScope widens HotFuncs/DetFuncs to every declared function — the
-	// unit driver's conditional-diagnostic collection (facts.go).
-	forceScope bool
 
 	diags []Diagnostic
 }
@@ -118,8 +112,6 @@ func (p *Pass) DetFuncs(fn func(fd *ast.FuncDecl, chain []string)) {
 func (p *Pass) scopeFuncs(fn func(*ast.FuncDecl, []string), direct func(*ast.FuncDecl) bool, sel func(*Propagation) map[FuncID][]string) {
 	for _, fd := range p.Annot.funcs {
 		switch {
-		case p.forceScope:
-			fn(fd, nil)
 		case direct(fd):
 			fn(fd, nil)
 		case p.Prop != nil:
@@ -139,16 +131,8 @@ func (p *Pass) scopeFuncs(fn func(*ast.FuncDecl, []string), direct func(*ast.Fun
 // a suppression without a justification — or one that no longer suppresses
 // anything — fails the build instead of rotting silently.
 func RunAnalyzers(pkg *PackageInfo, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunAnalyzersScoped(pkg, analyzers, ParseAnnotations(pkg.Fset, pkg.Files), nil, nil)
-}
-
-// RunAnalyzersScoped is RunAnalyzers with pre-parsed annotations and an
-// optional whole-program propagation (prop + the graph that computed it, for
-// declaration→FuncID lookups). The whole-program drivers use it so each
-// package's annotations are parsed exactly once — by graph collection —
-// keeping the coldcall/allow usage bookkeeping on one Annotations value.
-func RunAnalyzersScoped(pkg *PackageInfo, analyzers []*Analyzer, annot *Annotations, prop *Propagation, g *Graph) ([]Diagnostic, error) {
-	all, err := runAnalyzerSet(pkg, analyzers, annot, prop, g, false)
+	annot := ParseAnnotations(pkg.Fset, pkg.Files)
+	all, err := runAnalyzerSet(pkg, analyzers, annot, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +146,7 @@ func RunAnalyzersScoped(pkg *PackageInfo, analyzers []*Analyzer, annot *Annotati
 }
 
 // SortDiagnostics orders diagnostics by file, line, then analyzer name.
-// Diagnostics carrying a foreign PosStr sort by that string.
+// Diagnostics carrying a PosStr sort by that string.
 func SortDiagnostics(fset *token.FileSet, diags []Diagnostic) {
 	key := func(d Diagnostic) (string, int) {
 		if d.PosStr != "" {
@@ -206,11 +190,6 @@ type PackageInfo struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// DepOnly marks packages loaded only because a named pattern depends on
-	// them. The whole-program driver still collects them into the call graph
-	// (and reports their propagated findings); pattern-scoped runs may skip
-	// their body diagnostics.
-	DepOnly bool
 }
 
 // NewTypesInfo returns a types.Info with every map analyzers consult.

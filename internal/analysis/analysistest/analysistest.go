@@ -66,7 +66,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpath string) {
 
 // RunProp loads several fixture packages and analyzes them as one program
 // through RunWholeProgram: annotations propagate across the fixture
-// packages' call graph exactly as in standalone fmmvet, and the optional
+// packages' call graph exactly as in cmd/fmmvet, and the optional
 // global analyzers (lockorder, escape) see the assembled graph. Every
 // fixture file's // want expectations are checked; a diagnostic carrying a
 // propagation chain matches with the chain rendered as

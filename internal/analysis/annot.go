@@ -287,16 +287,6 @@ func (an *Annotations) DetFuncs(fn func(*ast.FuncDecl)) {
 	}
 }
 
-// enclosingFunc returns the FuncDecl containing pos, if any.
-func (an *Annotations) enclosingFunc(pos token.Pos) *ast.FuncDecl {
-	for _, fd := range an.funcs {
-		if fd.Pos() <= pos && pos <= fd.End() {
-			return fd
-		}
-	}
-	return nil
-}
-
 // Filter applies the package's //fmm:allow suppressions to diags: a
 // diagnostic is dropped when an allow for its analyzer covers its line (same
 // line, the line below an allow-only line, or anywhere in an allow-annotated
@@ -310,7 +300,7 @@ func (an *Annotations) Filter(diags []Diagnostic, ranAnalyzers []string) []Diagn
 	for _, n := range ranAnalyzers {
 		ran[n] = true
 	}
-	kept := an.Suppress(diags)
+	kept := an.suppress(diags)
 	for _, cc := range an.colds {
 		switch {
 		case cc.Malformed:
@@ -342,8 +332,8 @@ func (an *Annotations) Filter(diags []Diagnostic, ranAnalyzers []string) []Diagn
 				Message:  "//fmm:allow names unknown analyzer " + a.Analyzer,
 			})
 		case crossUnitAnalyzer(a.Analyzer):
-			// lockorder and escape diagnostics are assembled from facts of
-			// other compilation units (or the compiler), so whether an allow
+			// lockorder and escape diagnostics are assembled from other
+			// packages' lock witnesses (or the compiler), so whether an allow
 			// fires is undecidable package-locally; never reported unused.
 		case ran[a.Analyzer] && !a.used:
 			kept = append(kept, Diagnostic{
@@ -356,13 +346,9 @@ func (an *Annotations) Filter(diags []Diagnostic, ranAnalyzers []string) []Diagn
 	return kept
 }
 
-// Suppress drops every diagnostic covered by an //fmm:allow for its
-// analyzer, marking the allows used. The whole-program drivers also call it
-// on force-scoped "conditional" diagnostics — findings a function would
-// produce were it in hot/deterministic scope — so an allow that only fires
-// via cross-package propagation still counts as used and is never reported
-// as dead.
-func (an *Annotations) Suppress(diags []Diagnostic) []Diagnostic {
+// suppress drops every diagnostic covered by an //fmm:allow for its
+// analyzer, marking the allows used.
+func (an *Annotations) suppress(diags []Diagnostic) []Diagnostic {
 	var kept []Diagnostic
 	for _, d := range diags {
 		pos := an.fset.Position(d.Pos)
@@ -390,8 +376,8 @@ func (an *Annotations) Suppress(diags []Diagnostic) []Diagnostic {
 	return kept
 }
 
-// AllowSite is an //fmm:allow location exported for cross-unit matching
-// (lockorder witnesses live in arbitrary packages' facts).
+// AllowSite is an //fmm:allow location exported for cross-package matching
+// (a lockorder cycle's witnesses live in arbitrary packages).
 type AllowSite struct {
 	File string
 	Line int
@@ -437,8 +423,8 @@ func knownAnalyzer(name string) bool {
 }
 
 // crossUnitAnalyzer names the analyzers whose diagnostics are assembled
-// outside the package (facts merges, compiler output): their allows are
-// exempt from unused reporting.
+// outside the package (the whole-program lock graph, compiler output):
+// their allows are exempt from unused reporting.
 func crossUnitAnalyzer(name string) bool {
 	return name == "lockorder" || name == "escape"
 }

@@ -76,13 +76,9 @@ func FuncIDOf(f *types.Func) FuncID {
 // CallEdge is one propagation edge of the graph.
 type CallEdge struct {
 	Callee FuncID
-	// Pos is only meaningful within the collecting unit's FileSet; facts
-	// serialization carries PosStr instead.
-	Pos    token.Pos `json:"-"`
 	PosStr string
 	// Seq orders edges and lock operations within their function (source
-	// order); positions become opaque strings across the facts round-trip,
-	// so the lockorder held-set scan interleaves on Seq instead.
+	// order): the lockorder held-set scan interleaves on it.
 	Seq int
 	// Cold edges (//fmm:coldcall on the call line) do not propagate scope.
 	Cold bool
@@ -124,8 +120,6 @@ type FuncNode struct {
 	HotDirect, DetDirect, Cold bool
 	Edges                      []CallEdge
 	Locks                      []LockOp
-	// Iface marks synthetic interface-method nodes.
-	Iface bool
 }
 
 // Graph is the project-wide call graph under construction.
@@ -137,7 +131,6 @@ type Graph struct {
 
 	ifaces     map[FuncID]*types.Func // interface-method callee nodes seen at call sites
 	namedTypes []*types.Named         // named types declared in analyzed packages
-	namedSeen  map[string]bool        // dedup for AddNamedType (facts imports)
 	linked     bool
 }
 
@@ -197,7 +190,7 @@ func (g *Graph) Collect(pkg *PackageInfo, annot *Annotations) {
 				}
 				if tn, ok := info.Defs[ts.Name].(*types.TypeName); ok {
 					if named, ok := tn.Type().(*types.Named); ok {
-						g.AddNamedType(named)
+						g.namedTypes = append(g.namedTypes, named)
 					}
 				}
 			}
@@ -243,9 +236,8 @@ func (g *Graph) collectBody(n *FuncNode, pkg *PackageInfo, annot *Annotations, f
 			fun := ast.Unparen(e.Fun)
 			// Calls evaluated only to build a panic message are the crash
 			// path — definitionally cold, exactly as hotalloc treats them.
-			// Collecting their edges would pull fmt.Sprintf (and most of the
-			// fmt package under `go vet`'s stdlib facts units) into every
-			// hot closure with a panic guard.
+			// Collecting their edges would pull fmt.Sprintf into every hot
+			// closure with a panic guard.
 			if id, ok := fun.(*ast.Ident); ok {
 				if b, isB := info.Uses[id].(*types.Builtin); isB && b.Name() == "panic" {
 					return false
@@ -332,7 +324,6 @@ func (g *Graph) addIfaceEdge(n *FuncNode, annot *Annotations, fset *token.FileSe
 	id := FuncIDOf(f)
 	g.ifaces[id] = f
 	in := g.node(id)
-	in.Iface = true
 	if in.PkgPath == "" && f.Pkg() != nil {
 		in.PkgPath = f.Pkg().Path()
 	}
@@ -345,7 +336,6 @@ func (g *Graph) edge(n *FuncNode, annot *Annotations, fset *token.FileSet, pos t
 	}
 	n.Edges = append(n.Edges, CallEdge{
 		Callee: callee,
-		Pos:    pos,
 		PosStr: fset.Position(pos).String(),
 		Seq:    *seq,
 		Cold:   annot.ColdEdge(pos),
@@ -451,7 +441,7 @@ func (g *Graph) Link() {
 		return
 	}
 	g.linked = true
-	// Deterministic order keeps chains and facts reproducible.
+	// Deterministic order keeps chains reproducible.
 	ifaceIDs := make([]FuncID, 0, len(g.ifaces))
 	for id := range g.ifaces {
 		ifaceIDs = append(ifaceIDs, id)
@@ -584,59 +574,6 @@ func (g *Graph) MayAcquire() map[FuncID]map[string]bool {
 	return out
 }
 
-// AddNamedType registers a named type for the interface linking pass,
-// deduplicating across facts imports (the same type arrives via every
-// dependent's cumulative facts).
-func (g *Graph) AddNamedType(named *types.Named) {
-	key := types.TypeString(named, func(p *types.Package) string { return p.Path() })
-	if g.namedSeen == nil {
-		g.namedSeen = make(map[string]bool)
-	}
-	if g.namedSeen[key] {
-		return
-	}
-	g.namedSeen[key] = true
-	g.namedTypes = append(g.namedTypes, named)
-}
-
-// AddIfaceMethod registers an interface method (resolved from facts) as a
-// synthetic dispatch node, so Link connects it to every implementation.
-func (g *Graph) AddIfaceMethod(f *types.Func) {
-	id := FuncIDOf(f)
-	if _, ok := g.ifaces[id]; ok {
-		return
-	}
-	g.ifaces[id] = f
-	in := g.node(id)
-	in.Iface = true
-	if in.PkgPath == "" && f.Pkg() != nil {
-		in.PkgPath = f.Pkg().Path()
-	}
-}
-
-// NamedTypeKeys returns the qualified names ("pkgpath.Name") of the named
-// types collected so far, sorted — exported into facts so downstream units
-// can re-link interfaces against them.
-func (g *Graph) NamedTypeKeys() []string {
-	keys := make([]string, 0, len(g.namedTypes))
-	for _, n := range g.namedTypes {
-		keys = append(keys, types.TypeString(n, func(p *types.Package) string { return p.Path() }))
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// IfaceMethodIDs returns the FuncIDs of the synthetic interface-method nodes,
-// sorted — exported into facts alongside NamedTypeKeys.
-func (g *Graph) IfaceMethodIDs() []FuncID {
-	ids := make([]FuncID, 0, len(g.ifaces))
-	for id := range g.ifaces {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // ---- lock-order analysis (DESIGN.md §7.9) ----
 //
 // Each function's lock operations and call edges, interleaved in source
@@ -654,8 +591,8 @@ type lockWitness struct {
 // LockCycle is one potential deadlock: a cycle in the global lock-order
 // graph, with one witness description per edge.
 type LockCycle struct {
-	// Key canonicalizes the cycle for deduplication across compilation
-	// units: the sorted lock identities joined by " ".
+	// Key canonicalizes the cycle for deduplication: the sorted lock
+	// identities joined by " ".
 	Key string
 	// Locks is the cycle path (Locks[i] ordered before Locks[i+1], wrapping),
 	// rotated to start at the smallest identity.
@@ -833,8 +770,7 @@ func shortestLockPath(adj map[string]map[string]string, src, dst string) []strin
 	return nil
 }
 
-// RenderLockCycle formats one cycle as the single-line diagnostic message
-// shared by the standalone and unit drivers.
+// RenderLockCycle formats one cycle as a single-line diagnostic message.
 func RenderLockCycle(c LockCycle) string {
 	ring := strings.Join(c.Locks, " → ") + " → " + c.Locks[0]
 	return fmt.Sprintf("potential deadlock: lock-order cycle %s; witnesses: %s",

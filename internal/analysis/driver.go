@@ -1,17 +1,15 @@
 package analysis
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
 )
 
-// MainOptions are the standalone-mode flags cmd/fmmvet accepts in front of
-// the package patterns.
+// MainOptions are the flags cmd/fmmvet accepts in front of the package
+// patterns.
 type MainOptions struct {
 	// JSON emits one JSON object per diagnostic line instead of text.
 	JSON bool
@@ -23,38 +21,20 @@ type MainOptions struct {
 	EscapeBaseline string
 }
 
-// Main is the entry point shared by cmd/fmmvet: it dispatches between the
-// `go vet -vettool` protocol (argument is a *.cfg file; also the -V=full and
-// -flags handshakes) and the standalone whole-program mode (arguments are
-// package patterns, loaded via `go list`). globals builds the whole-program
-// analyzers for the standalone run from the parsed options — a callback so
-// the analyzer packages, which import this one, can be wired in by
-// cmd/fmmvet without an import cycle. It returns the process exit code.
+// Main is cmd/fmmvet's entry point: parse the flags, load the package
+// patterns (go list + source typechecking, load.go), run the whole-program
+// analysis (global.go) and print the diagnostics. globals builds the
+// whole-program analyzers from the parsed options — a callback so the
+// analyzer packages, which import this one, can be wired in by cmd/fmmvet
+// without an import cycle. It returns the process exit code.
 func Main(analyzers []*Analyzer, globals func(opts MainOptions, patterns []string) []*GlobalAnalyzer) int {
-	args := os.Args[1:]
-	for _, a := range args {
-		switch a {
-		case "-V=full", "--V=full":
-			// The go command caches vet results keyed by this string, so it
-			// must change whenever the tool's behavior might: hash the
-			// executable itself, as x/tools' unitchecker does.
-			fmt.Printf("fmmvet version %s\n", executableChecksum())
-			return 0
-		case "-flags", "--flags":
-			fmt.Println("[]")
-			return 0
-		case "-h", "-help", "--help":
-			usage(analyzers)
-			return 0
-		}
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return runUnit(args[0], analyzers)
-	}
 	var opts MainOptions
 	var patterns []string
-	for i := 0; i < len(args); i++ {
-		switch a := args[i]; {
+	for _, a := range os.Args[1:] {
+		switch {
+		case a == "-h" || a == "-help" || a == "--help":
+			usage(analyzers)
+			return 0
 		case a == "-json" || a == "--json":
 			opts.JSON = true
 		case a == "-write-escape-baseline" || a == "--write-escape-baseline":
@@ -72,18 +52,13 @@ func Main(analyzers []*Analyzer, globals func(opts MainOptions, patterns []strin
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	var gas []*GlobalAnalyzer
-	if globals != nil {
-		gas = globals(opts, patterns)
-	}
-	return runStandalone(patterns, analyzers, gas, opts)
+	return run(patterns, analyzers, globals(opts, patterns), opts)
 }
 
 func usage(analyzers []*Analyzer) {
 	fmt.Println("fmmvet: project-specific static analysis for the kifmm tree.")
 	fmt.Println()
-	fmt.Println("usage: fmmvet [flags] [packages]  whole-program mode over go list patterns")
-	fmt.Println("       go vet -vettool=$(which fmmvet) ./...   as a vet tool")
+	fmt.Println("usage: fmmvet [flags] [packages]  whole-program analysis over go list patterns")
 	fmt.Println()
 	fmt.Println("flags:")
 	fmt.Println("  -json                    one JSON object per diagnostic (file, line, analyzer, chain, message)")
@@ -102,7 +77,7 @@ func usage(analyzers []*Analyzer) {
 	fmt.Println("  escape     diffs compiler escape/inlining decisions in hot paths against escape_baseline.txt")
 }
 
-func runStandalone(patterns []string, analyzers []*Analyzer, globals []*GlobalAnalyzer, opts MainOptions) int {
+func run(patterns []string, analyzers []*Analyzer, globals []*GlobalAnalyzer, opts MainOptions) int {
 	pkgs, err := Load(patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fmmvet:", err)
@@ -185,21 +160,4 @@ func SplitPosStr(s string) (file string, line, col int) {
 	}
 	// Only one numeric suffix: it was the line, not the column.
 	return file, col, 0
-}
-
-func executableChecksum() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:12])
 }

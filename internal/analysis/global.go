@@ -10,9 +10,8 @@ import (
 // into one call graph, computes the //fmm:hotpath and //fmm:deterministic
 // closures, runs the body analyzers with propagated scope, and then runs the
 // global analyzers (lockorder, escape) that need the entire program at once.
-// The standalone fmmvet mode and the multi-package analysistest fixtures both
-// go through RunWholeProgram; the `go vet` unit protocol reconstructs the
-// same closure incrementally from facts (facts.go).
+// cmd/fmmvet and the multi-package analysistest fixtures both go through
+// RunWholeProgram.
 
 // GlobalAnalyzer is a check over the whole program rather than one package.
 type GlobalAnalyzer struct {
@@ -81,8 +80,9 @@ func (p *GlobalPass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportAt records a diagnostic at a pre-rendered position string (global
-// analyzers often only have facts-style positions).
+// ReportAt records a diagnostic at a pre-rendered "file:line:col" position
+// string (call-graph nodes, lock witnesses and compiler output carry those,
+// not token.Pos).
 func (p *GlobalPass) ReportAt(posStr string, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{
 		PosStr:   posStr,
@@ -96,10 +96,8 @@ func (p *GlobalPass) ReportAt(posStr string, format string, args ...any) {
 //  1. Parse annotations and collect every package into one call graph.
 //  2. Propagate hot/deterministic scope over the graph (coldcall barriers
 //     respected), then run the body analyzers per package with that scope.
-//  3. Run a force-scoped prepass so //fmm:allow suppressions that only fire
-//     via propagation (possibly from another package) count as used.
-//  4. Run the global analyzers over the assembled graph.
-//  5. Apply each package's suppressions and annotation hygiene checks.
+//  3. Run the global analyzers over the assembled graph.
+//  4. Apply each package's suppressions and annotation hygiene checks.
 //
 // The returned diagnostics are sorted; all packages share one *token.FileSet
 // (the Load contract), so positions render uniformly.
@@ -127,17 +125,7 @@ func RunWholeProgram(pkgs []*PackageInfo, analyzers []*Analyzer, globals []*Glob
 
 	perPkg := make(map[string][]Diagnostic, len(pkgs))
 	for _, pkg := range pkgs {
-		an := annots[pkg.Path]
-		// Conditional prepass: every function, regardless of scope. The
-		// diagnostics are discarded — Suppress only marks allows used, so an
-		// allow that fires solely under propagated scope (possibly rooted in
-		// a package not yet written) is not reported dead.
-		cond, err := runAnalyzerSet(pkg, analyzers, an, nil, nil, true)
-		if err != nil {
-			return nil, err
-		}
-		an.Suppress(cond)
-		real, err := runAnalyzerSet(pkg, analyzers, an, prop, g, false)
+		real, err := runAnalyzerSet(pkg, analyzers, annots[pkg.Path], prop, g)
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +178,7 @@ func RunWholeProgram(pkgs []*PackageInfo, analyzers []*Analyzer, globals []*Glob
 
 // runAnalyzerSet runs the body analyzers over one package, returning the raw
 // (unfiltered) diagnostics.
-func runAnalyzerSet(pkg *PackageInfo, analyzers []*Analyzer, annot *Annotations, prop *Propagation, g *Graph, force bool) ([]Diagnostic, error) {
+func runAnalyzerSet(pkg *PackageInfo, analyzers []*Analyzer, annot *Annotations, prop *Propagation, g *Graph) ([]Diagnostic, error) {
 	var ids map[*ast.FuncDecl]FuncID
 	if g != nil {
 		ids = g.ids
@@ -198,15 +186,14 @@ func runAnalyzerSet(pkg *PackageInfo, analyzers []*Analyzer, annot *Annotations,
 	var all []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
-			Analyzer:   a,
-			Fset:       pkg.Fset,
-			Files:      pkg.Files,
-			Pkg:        pkg.Types,
-			TypesInfo:  pkg.Info,
-			Annot:      annot,
-			Prop:       prop,
-			ids:        ids,
-			forceScope: force,
+			Analyzer:  a,
+			Fset:      pkg.Fset,
+			Files:     pkg.Files,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.Info,
+			Annot:     annot,
+			Prop:      prop,
+			ids:       ids,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %v", a.Name, err)

@@ -14,13 +14,11 @@ import (
 	"path/filepath"
 )
 
-// listPkg is the subset of `go list -json` output the standalone loader
-// consumes.
+// listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
 	ImportPath string
 	Dir        string
 	Standard   bool
-	DepOnly    bool
 	GoFiles    []string
 	Imports    []string
 	Error      *struct{ Err string }
@@ -29,11 +27,9 @@ type listPkg struct {
 // Load resolves the package patterns with `go list -json -deps`, parses and
 // typechecks every in-module package from source (standard-library imports
 // come from the toolchain's export data), and returns all of them — the
-// named roots plus their in-module dependencies, the latter marked DepOnly —
-// so the whole-program driver sees one consistent program. This is the
-// standalone path used when fmmvet runs without the `go vet` harness;
-// GoFiles excludes test files, so standalone runs analyze exactly the
-// shipped code.
+// named roots plus their in-module dependencies — so the whole-program
+// driver sees one consistent program. GoFiles excludes test files, so
+// fmmvet analyzes exactly the shipped code.
 func Load(patterns []string) ([]*PackageInfo, error) {
 	args := append([]string{"list", "-json", "-deps"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -96,12 +92,11 @@ func Load(patterns []string) ([]*PackageInfo, error) {
 		}
 		loaded[p.ImportPath] = tp
 		roots = append(roots, &PackageInfo{
-			Path:    p.ImportPath,
-			Fset:    fset,
-			Files:   files,
-			Types:   tp,
-			Info:    info,
-			DepOnly: p.DepOnly,
+			Path:  p.ImportPath,
+			Fset:  fset,
+			Files: files,
+			Types: tp,
+			Info:  info,
 		})
 	}
 	return roots, nil

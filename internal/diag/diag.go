@@ -172,25 +172,6 @@ func (p *Profile) TotalFlops() int64 {
 	return s
 }
 
-// Phases returns the union of phase names seen by this profile, sorted.
-func (p *Profile) Phases() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	set := make(map[string]bool)
-	for k := range p.times {
-		set[k] = true
-	}
-	for k := range p.flops {
-		set[k] = true
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Row is one line of a cross-rank report: max/avg time and flops for one
 // phase, in the format of the paper's Table II.
 type Row struct {

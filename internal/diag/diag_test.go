@@ -37,16 +37,6 @@ func TestStartStop(t *testing.T) {
 	}
 }
 
-func TestPhasesSorted(t *testing.T) {
-	p := NewProfile()
-	p.AddFlops("zeta", 1)
-	p.AddTime("alpha", 1)
-	ph := p.Phases()
-	if len(ph) != 2 || ph[0] != "alpha" || ph[1] != "zeta" {
-		t.Fatalf("phases = %v", ph)
-	}
-}
-
 func TestProfileConcurrentSafe(t *testing.T) {
 	p := NewProfile()
 	var wg sync.WaitGroup

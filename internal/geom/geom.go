@@ -48,28 +48,6 @@ func (b Box) Contains(p Point) bool {
 		p.Z >= b.Lo.Z && p.Z < b.Hi.Z
 }
 
-// BoundingBox returns the tight axis-aligned bounding box of pts (Hi is made
-// exclusive by a tiny epsilon so every point satisfies Contains).
-func BoundingBox(pts []Point) Box {
-	if len(pts) == 0 {
-		return UnitCube()
-	}
-	b := Box{Lo: pts[0], Hi: pts[0]}
-	for _, p := range pts[1:] {
-		b.Lo.X = math.Min(b.Lo.X, p.X)
-		b.Lo.Y = math.Min(b.Lo.Y, p.Y)
-		b.Lo.Z = math.Min(b.Lo.Z, p.Z)
-		b.Hi.X = math.Max(b.Hi.X, p.X)
-		b.Hi.Y = math.Max(b.Hi.Y, p.Y)
-		b.Hi.Z = math.Max(b.Hi.Z, p.Z)
-	}
-	const eps = 1e-12
-	span := math.Max(b.Hi.X-b.Lo.X, math.Max(b.Hi.Y-b.Lo.Y, b.Hi.Z-b.Lo.Z))
-	pad := eps * (1 + span)
-	b.Hi = b.Hi.Add(Point{pad, pad, pad})
-	return b
-}
-
 // Distribution identifies one of the paper's particle distributions.
 type Distribution int
 

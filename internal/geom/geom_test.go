@@ -41,19 +41,6 @@ func TestUnitCubeContains(t *testing.T) {
 	}
 }
 
-func TestBoundingBoxContainsAll(t *testing.T) {
-	pts := Generate(Ellipsoid, 500, 1)
-	b := BoundingBox(pts)
-	for i, p := range pts {
-		if !b.Contains(p) {
-			t.Fatalf("point %d outside its bounding box", i)
-		}
-	}
-	if BoundingBox(nil) != UnitCube() {
-		t.Fatalf("empty bounding box should be unit cube")
-	}
-}
-
 func TestGenerateUniformInCube(t *testing.T) {
 	pts := Generate(Uniform, 2000, 7)
 	if len(pts) != 2000 {

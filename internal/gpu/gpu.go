@@ -23,10 +23,10 @@ import (
 	"kifmm/internal/stream"
 )
 
-// FMMAccel accelerates FMM evaluation phases on a streaming device. It
-// implements parfmm.Accelerator. Only the Laplace kernel is supported —
-// mirroring the paper, whose GPU experiments use the Laplace kernel and
-// single precision.
+// FMMAccel accelerates FMM evaluation phases on a streaming device (driven
+// by internal/experiments' deviceEvaluate). Only the Laplace kernel is
+// supported — mirroring the paper, whose GPU experiments use the Laplace
+// kernel and single precision.
 type FMMAccel struct {
 	Dev *stream.Device
 	// BlockSize is the thread-block size b (default 64).

@@ -6,6 +6,8 @@ import (
 
 	"kifmm/internal/fft"
 	"kifmm/internal/geom"
+	"kifmm/internal/morton"
+	"kifmm/internal/octree"
 	"kifmm/internal/par"
 )
 
@@ -127,7 +129,6 @@ func (f *FFTM2L) Translation(dx, dy, dz int) []float64 {
 // cache: concurrent callers racing on one direction build it exactly once.
 func (f *FFTM2L) TranslationAt(level, dx, dy, dz int) []float64 {
 	key := tfKey{Kern: f.kid, P: f.ops.Grid.P, Level: level, Dir: packDir(dx, dy, dz)}
-	//fmm:allow hotalloc build closure is called directly by Get and never escapes; stack-allocated
 	return f.cache.Get(key, func() []float64 {
 		return f.buildTranslation(level, dx, dy, dz)
 	})
@@ -228,6 +229,32 @@ func (f *FFTM2L) Prewarm(levels []int, workers int) {
 	for _, l := range levels {
 		f.table(l, workers)
 	}
+}
+
+// PrewarmTree is Prewarm for the spectra an evaluation of tree can touch:
+// the reference level for a homogeneous kernel, otherwise every level at
+// which tree has a V-list entry. Plan and session construction call it; the
+// spectra land in the process-wide cache, so a later plan or session of the
+// same (kernel, order) — an fmmserve plan-cache miss included — finds only
+// hits.
+func (f *FFTM2L) PrewarmTree(tree *octree.Tree, workers int) {
+	if f.ops.Homogeneous() {
+		f.Prewarm(nil, workers)
+		return
+	}
+	var has [morton.MaxDepth + 1]bool
+	for i := range tree.Nodes {
+		if len(tree.Nodes[i].V) > 0 {
+			has[tree.Nodes[i].Key.Level()] = true
+		}
+	}
+	var levels []int
+	for l, ok := range has {
+		if ok {
+			levels = append(levels, l)
+		}
+	}
+	f.Prewarm(levels, workers)
 }
 
 // ExtractCheck inverse-transforms the accumulated frequency-domain check

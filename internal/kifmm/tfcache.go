@@ -90,7 +90,6 @@ func (c *TranslationCache) Get(key tfKey, build func() []float64) []float64 {
 		<-e.ready
 		return e.data
 	}
-	//fmm:allow hotalloc cache miss; one entry per (kernel, order, level, direction), amortized
 	e := &tfEntry{key: key, ready: make(chan struct{})}
 	c.entries[key] = e
 	c.misses++

@@ -199,20 +199,6 @@ func TestPinvRegularizesRankDeficient(t *testing.T) {
 	}
 }
 
-func TestCond2(t *testing.T) {
-	id := NewMat(4, 4)
-	for i := 0; i < 4; i++ {
-		id.Set(i, i, 1)
-	}
-	if c := Cond2(id); !almostEq(c, 1, 1e-10) {
-		t.Fatalf("cond(I)=%v", c)
-	}
-	sing := FromRows([][]float64{{1, 1}, {1, 1}})
-	if c := Cond2(sing); !math.IsInf(c, 1) && c < 1e14 {
-		t.Fatalf("cond(singular)=%v want huge", c)
-	}
-}
-
 // Property: pinv(A)·A·x ≈ x for random well-conditioned square A (quick check
 // of the Moore-Penrose behaviour on full-rank inputs).
 func TestQuickPinvIdentityProperty(t *testing.T) {

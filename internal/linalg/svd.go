@@ -182,16 +182,3 @@ func PinvTruncated(a *Mat, tol float64) *Mat {
 	}
 	return out
 }
-
-// Cond2 returns the 2-norm condition number estimate σ_max/σ_min of a.
-func Cond2(a *Mat) float64 {
-	svd := ComputeSVD(a)
-	if len(svd.S) == 0 {
-		return 0
-	}
-	smin := svd.S[len(svd.S)-1]
-	if smin == 0 {
-		return math.Inf(1)
-	}
-	return svd.S[0] / smin
-}

@@ -190,43 +190,6 @@ func RangesOverlap(a1, a2, b1, b2 Code) bool {
 	return CompareCode(a1, b2) <= 0 && CompareCode(b1, a2) <= 0
 }
 
-// CompleteRegion returns the minimal sorted list of octants that exactly
-// covers the Morton-order gap strictly between a and b (neither endpoint is
-// covered). It requires a < b; it returns nil when b immediately follows a.
-// This is Algorithm 3 of Sundar, Sampath & Biros (SIAM J. Sci. Comput. 2008),
-// the building block of the distributed bottom-up tree construction.
-func CompleteRegion(a, b Key) []Key {
-	if Compare(a, b) >= 0 {
-		panic("morton: CompleteRegion requires a < b")
-	}
-	var out []Key
-	var stack []Key
-	dca := DeepestCommonAncestor(a, b)
-	for i := 7; i >= 0; i-- {
-		if dca.Level() < MaxDepth {
-			stack = append(stack, dca.Child(i))
-		}
-	}
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		switch {
-		case Compare(c, a) > 0 && Compare(c, b) < 0 && !c.IsAncestorOf(b) && !c.IsAncestorOf(a):
-			out = append(out, c)
-		case c.IsAncestorOf(a) || c.IsAncestorOf(b) || c == a:
-			// c == a can only occur if a is an ancestor-level duplicate;
-			// recurse into ancestors of either endpoint.
-			if c.Level() < MaxDepth && c != a {
-				for i := 7; i >= 0; i-- {
-					stack = append(stack, c.Child(i))
-				}
-			}
-		}
-	}
-	SortKeys(out)
-	return out
-}
-
 // CoveringRegion returns the minimal sorted complete covering of the code
 // interval [from, to] (inclusive on both ends), where from and to are
 // finest-level keys. Together with its neighbors' coverings it tiles the

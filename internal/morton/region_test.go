@@ -25,39 +25,6 @@ func TestSortDedupHelpers(t *testing.T) {
 	}
 }
 
-func TestSearchKeys(t *testing.T) {
-	ks := []Key{Root().Child(0), Root().Child(3), Root().Child(7)}
-	if i := SearchKeys(ks, Root().Child(3)); i != 1 {
-		t.Fatalf("SearchKeys exact = %d", i)
-	}
-	if i := SearchKeys(ks, Root().Child(5)); i != 2 {
-		t.Fatalf("SearchKeys between = %d", i)
-	}
-	if i := SearchKeys(ks, Root()); i != 0 {
-		t.Fatalf("SearchKeys before = %d", i)
-	}
-}
-
-func TestRemoveAncestorsLinearizes(t *testing.T) {
-	k := Root().Child(2)
-	ks := []Key{Root(), k, k.Child(1), k.Child(1).Child(0), Root().Child(4)}
-	SortKeys(ks)
-	lin := RemoveAncestors(ks)
-	if !IsLinear(lin) {
-		t.Fatalf("RemoveAncestors left overlaps: %v", lin)
-	}
-	// The deepest chain element and the disjoint sibling must survive.
-	found := 0
-	for _, x := range lin {
-		if x == k.Child(1).Child(0) || x == Root().Child(4) {
-			found++
-		}
-	}
-	if found != 2 {
-		t.Fatalf("expected deepest keys to survive, got %v", lin)
-	}
-}
-
 func TestIsCompleteOnUniformRefinement(t *testing.T) {
 	// All octants at level 2 tile the cube.
 	var ks []Key
@@ -81,56 +48,6 @@ func TestIsCompleteOnUniformRefinement(t *testing.T) {
 	}
 	if IsComplete(nil) {
 		t.Fatalf("empty list cannot be complete")
-	}
-}
-
-func TestCompleteRegionFillsGapExactly(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 200; trial++ {
-		a := randKey(rng, 8)
-		b := randKey(rng, 8)
-		if a.Overlaps(b) {
-			continue
-		}
-		if Compare(a, b) > 0 {
-			a, b = b, a
-		}
-		region := CompleteRegion(a, b)
-		if !KeysAreSorted(region) || !IsLinear(region) {
-			t.Fatalf("region not sorted/linear")
-		}
-		// Coverage: codes from end(a)+1 to start(b)-1 exactly.
-		_, aHi := a.CodeRange()
-		bLo := CodeOf(b)
-		cur := aHi
-		for _, r := range region {
-			rlo, rhi := r.CodeRange()
-			wantLo := cur.Lo + 1
-			wantHi := cur.Hi
-			if wantLo == 0 {
-				wantHi++
-			}
-			if rlo.Lo != wantLo || rlo.Hi != wantHi {
-				t.Fatalf("gap or overlap in region before %v (trial %d)", r, trial)
-			}
-			cur = rhi
-		}
-		wantLo := cur.Lo + 1
-		wantHi := cur.Hi
-		if wantLo == 0 {
-			wantHi++
-		}
-		if bLo.Lo != wantLo || bLo.Hi != wantHi {
-			t.Fatalf("region does not end right before b (trial %d)", trial)
-		}
-	}
-}
-
-func TestCompleteRegionAdjacentKeysEmpty(t *testing.T) {
-	a := Root().Child(0)
-	b := Root().Child(1)
-	if got := CompleteRegion(a, b); len(got) != 0 {
-		t.Fatalf("adjacent siblings should produce empty region, got %v", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package morton
 
 import (
 	"slices"
-	"sort"
 )
 
 // SortKeys sorts keys in place into Morton preorder. slices.SortFunc takes
@@ -18,12 +17,6 @@ func KeysAreSorted(ks []Key) bool {
 	return slices.IsSortedFunc(ks, Compare)
 }
 
-// SearchKeys returns the smallest index i such that ks[i] >= k (ks must be
-// sorted); it returns len(ks) if all keys precede k.
-func SearchKeys(ks []Key, k Key) int {
-	return sort.Search(len(ks), func(i int) bool { return Compare(ks[i], k) >= 0 })
-}
-
 // Dedup removes duplicate keys from a sorted slice in place and returns the
 // shortened slice.
 func Dedup(ks []Key) []Key {
@@ -36,26 +29,6 @@ func Dedup(ks []Key) []Key {
 			ks[w] = ks[i]
 			w++
 		}
-	}
-	return ks[:w]
-}
-
-// RemoveAncestors removes, from a sorted slice, every key that is an
-// ancestor of the key following it, yielding a linearized (overlap-free)
-// octree front. The slice is modified in place.
-func RemoveAncestors(ks []Key) []Key {
-	if len(ks) == 0 {
-		return ks
-	}
-	w := 0
-	for i := 0; i < len(ks); i++ {
-		// Drop ks[i] if it contains any later key; in sorted order it is
-		// enough to check the immediate successor.
-		if i+1 < len(ks) && ks[i].Contains(ks[i+1]) {
-			continue
-		}
-		ks[w] = ks[i]
-		w++
 	}
 	return ks[:w]
 }

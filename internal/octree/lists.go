@@ -1,7 +1,5 @@
 package octree
 
-import "kifmm/internal/morton"
-
 // This file builds the interaction lists of Table I:
 //
 //	U(β) — leaf β: all leaf octants adjacent to β, plus β itself
@@ -166,17 +164,4 @@ func (t *Tree) buildX(i int32, cc [][]int32) {
 		}
 		anc = t.Nodes[anc].Parent
 	}
-}
-
-// InteractionKeys returns the union of β's interaction lists I(β) as keys
-// (used by the LET machinery to reason about required ghost octants).
-func (t *Tree) InteractionKeys(i int32) []morton.Key {
-	n := &t.Nodes[i]
-	var out []morton.Key
-	for _, lst := range [][]int32{n.U, n.V, n.W, n.X} {
-		for _, j := range lst {
-			out = append(out, t.Nodes[j].Key)
-		}
-	}
-	return out
 }

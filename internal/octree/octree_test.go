@@ -330,15 +330,3 @@ func TestBuildListsSelective(t *testing.T) {
 		}
 	}
 }
-
-func TestInteractionKeys(t *testing.T) {
-	pts := geom.Generate(geom.Uniform, 500, 13)
-	tr := Build(pts, 10, 20)
-	tr.BuildLists(nil)
-	li := tr.Leaves[0]
-	keys := tr.InteractionKeys(li)
-	n := &tr.Nodes[li]
-	if len(keys) != len(n.U)+len(n.V)+len(n.W)+len(n.X) {
-		t.Fatalf("InteractionKeys wrong length")
-	}
-}

@@ -319,14 +319,8 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 		s.sessReplans.Add(1)
 	}
 	writeJSON(w, http.StatusOK, SessionStepResponse{
-		SessionID: l.id,
-		Info: SessionStepInfo{
-			Moved: info.Moved, Migrated: info.Migrated,
-			Added: info.Added, Removed: info.Removed, AddedIDs: info.AddedIDs,
-			Splits: info.Splits, Merges: info.Merges, PatchedNodes: info.PatchedNodes,
-			FullListRebuild: info.FullListRebuild, Replanned: info.Replanned,
-			LiveNodes: info.LiveNodes, DeadNodes: info.DeadNodes,
-		},
+		SessionID:  l.id,
+		Info:       SessionStepInfo(info),
 		NumPoints:  l.sess.NumPoints(),
 		Potentials: pots,
 		ElapsedMS:  float64(elapsed) / float64(time.Millisecond),

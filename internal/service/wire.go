@@ -188,7 +188,9 @@ type SessionStepRequest struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-// SessionStepInfo is the wire form of kifmm.StepInfo.
+// SessionStepInfo is the wire form of kifmm.StepInfo: the same fields in the
+// same order (the step handler converts with SessionStepInfo(info)), the
+// JSON names declared here.
 type SessionStepInfo struct {
 	Moved           int   `json:"moved"`
 	Migrated        int   `json:"migrated"`

@@ -36,6 +36,7 @@ package session
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"kifmm/internal/geom"
 	ikifmm "kifmm/internal/kifmm"
@@ -134,11 +135,11 @@ type Stats struct {
 	Steps, Migrated, PatchedNodes, Replans, Evals int64
 }
 
-// Session is a stateful incremental evaluation. It is not safe for
-// concurrent use: callers serialize Step and Apply (the service layer holds
-// a per-session lock).
+// Session is a stateful incremental evaluation. It is safe for concurrent
+// use: every exported method serializes on mu.
 type Session struct {
 	cfg Config
+	mu  sync.Mutex
 
 	// pos and alive are indexed by point ID (IDs are never reused);
 	// leafOf[id] is the tree node holding a live point.
@@ -188,7 +189,9 @@ func New(pts []geom.Point, cfg Config) (*Session, error) {
 		s.alive[i] = true
 	}
 	s.buildTree()
-	s.prewarm()
+	if cfg.UseFFTM2L {
+		cfg.Ops.FFT().PrewarmTree(s.tree, cfg.Workers)
+	}
 	// The float32 near field localizes its panels per call and never reads
 	// the layout's X32 mirrors, so session layouts stay mirror-free at any
 	// precision.
@@ -200,30 +203,6 @@ func New(pts []geom.Point, cfg Config) (*Session, error) {
 		s.eng.SetFloat32NearField(true)
 	}
 	return s, nil
-}
-
-// prewarm eagerly builds the V-list translation spectra the current tree
-// can touch; they land in the process-wide cache, so sessions created after
-// a plan of the same (kernel, order) find only hits here.
-func (s *Session) prewarm() {
-	if !s.cfg.UseFFTM2L {
-		return
-	}
-	levels := []int{0}
-	if !s.cfg.Ops.Homogeneous() {
-		seen := make(map[int]bool)
-		for i := range s.tree.Nodes {
-			if len(s.tree.Nodes[i].V) > 0 {
-				seen[s.tree.Nodes[i].Key.Level()] = true
-			}
-		}
-		levels = levels[:0]
-		for l := range seen {
-			levels = append(levels, l)
-		}
-		sort.Ints(levels)
-	}
-	s.cfg.Ops.FFT().Prewarm(levels, s.cfg.Workers)
 }
 
 // buildTree constructs a fresh compact tree, lists, and membership from the
@@ -257,11 +236,17 @@ func (s *Session) buildTree() {
 }
 
 // NumPoints returns the live point count.
-func (s *Session) NumPoints() int { return s.live }
+func (s *Session) NumPoints() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.live
+}
 
 // IDs returns the live point IDs, ascending — the order Apply expects
 // densities in and returns potentials in.
 func (s *Session) IDs() []int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	out := make([]int, 0, s.live)
 	for id, ok := range s.alive {
 		if ok {
@@ -274,6 +259,8 @@ func (s *Session) IDs() []int {
 // Points returns the live points in ascending-ID order (the re-plan oracle
 // of the differential tests).
 func (s *Session) Points() []geom.Point {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	out := make([]geom.Point, 0, s.live)
 	for id, ok := range s.alive {
 		if ok {
@@ -283,13 +270,19 @@ func (s *Session) Points() []geom.Point {
 	return out
 }
 
-// CumulativeStats returns the session's lifetime counters.
-func (s *Session) CumulativeStats() Stats { return s.stats }
+// Stats returns the session's cumulative counters.
+func (s *Session) Stats() Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
+}
 
 // Step applies one delta: moves, adds, and removes, followed by the
 // structural maintenance (migration, split/merge, local list patching) or —
 // when the delta defeats locality — a transparent full re-plan.
 func (s *Session) Step(d Delta) (Info, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var info Info
 	cube := geom.UnitCube()
 	for k, mv := range d.Move {
@@ -631,6 +624,8 @@ func (s *Session) repack() {
 // vector (ascending live-ID order, SrcDim components per point), returning
 // potentials in the same order.
 func (s *Session) Apply(densities []float64) ([]float64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	sd := s.cfg.Ops.Kern.SrcDim()
 	if len(densities) != s.live*sd {
 		return nil, fmt.Errorf("session: %d densities for %d live points (want %d per point)",
@@ -652,6 +647,8 @@ func (s *Session) Apply(densities []float64) ([]float64, error) {
 // MemoryBytes estimates the session's resident size (service cache and
 // metrics accounting).
 func (s *Session) MemoryBytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	points := int64(len(s.pos)) * (24 + 8 + 1 + 4)
 	return ikifmm.ResidentBytes(s.tree, s.cfg.Ops, s.layout) + points
 }

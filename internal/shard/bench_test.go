@@ -13,8 +13,7 @@ import (
 
 // BenchmarkShardedApply measures the coordinated multi-rank apply on a
 // 10⁵-point ellipsoid (the paper's surface-concentrated distribution) for
-// R ∈ {1, 2, 4} and both communication backends. `make bench-shard` runs
-// this and emits BENCH_shard.json.
+// R ∈ {1, 2, 4} and both communication backends.
 func BenchmarkShardedApply(b *testing.B) {
 	const n = 100_000
 	kern := kernel.Laplace{}

@@ -126,7 +126,7 @@ func BuildPlan(tree *octree.Tree, cfg Config) (*Plan, error) {
 	for i, li := range tree.Leaves {
 		n := &tree.Nodes[li]
 		leaves[i] = dtree.Leaf{Key: n.Key, Pts: tree.Points[n.PtLo:n.PtHi]}
-		weights[i] = leafWorkWeight(tree, li, cfg.Ops.CheckLen())
+		weights[i] = dtree.LeafWork(tree, li, cfg.Ops.CheckLen())
 	}
 	bounds := partitionLeaves(weights, R)
 
@@ -168,27 +168,6 @@ func BuildPlan(tree *octree.Tree, cfg Config) (*Plan, error) {
 		p.ranks[r] = rs
 	}
 	return p, nil
-}
-
-// leafWorkWeight estimates a leaf's interaction work from the global tree's
-// lists — the per-leaf quantity the paper's Section III-B load balancing
-// equalizes (same formula as dtree.LeafWorkWeights, over the global tree).
-func leafWorkWeight(t *octree.Tree, li int32, surfPoints int) int64 {
-	n := &t.Nodes[li]
-	np := int64(n.NPoints())
-	s := int64(surfPoints)
-	var w int64
-	for _, a := range n.U {
-		w += np * int64(t.Nodes[a].NPoints())
-	}
-	w += int64(len(n.V)) * s * s
-	w += int64(len(n.W)) * np * s
-	w += int64(len(n.X)) * np * s
-	w += np * s // S2U + D2T
-	if w <= 0 {
-		w = 1
-	}
-	return w
 }
 
 // partitionLeaves splits the weight sequence into R contiguous non-empty

@@ -2,7 +2,6 @@ package kifmm
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -68,48 +67,25 @@ func (f *FMM) Plan(points []Point) (*Plan, error) {
 		union = append(union, points...)
 		points = union
 	}
-	gpts := toGeom(points)
 	var tree *octree.Tree
 	if f.opt.Balanced {
-		tree = octree.BuildBalanced(gpts, f.opt.PointsPerBox, f.opt.MaxDepth)
+		tree = octree.BuildBalanced(points, f.opt.PointsPerBox, f.opt.MaxDepth)
 	} else {
-		tree = octree.Build(gpts, f.opt.PointsPerBox, f.opt.MaxDepth)
+		tree = octree.Build(points, f.opt.PointsPerBox, f.opt.MaxDepth)
 	}
 	tree.BuildLists(nil)
 	if !f.opt.denseM2L {
-		// Eagerly build every V-list translation spectrum the plan can touch,
-		// in parallel, so the first Apply pays no lazy spectrum builds. The
-		// spectra land in the process-wide cache: later plans for the same
-		// (kernel, order) — including fmmserve plan-cache misses — find only
-		// hits here instead of repaying the full precompute.
-		levels := []int{0}
-		if !f.ops.Homogeneous() {
-			seen := make(map[int]bool)
-			for i := range tree.Nodes {
-				if len(tree.Nodes[i].V) > 0 {
-					seen[tree.Nodes[i].Key.Level()] = true
-				}
-			}
-			levels = levels[:0]
-			for l := range seen {
-				levels = append(levels, l)
-			}
-			sort.Ints(levels)
-		}
-		f.ops.FFT().Prewarm(levels, f.opt.Workers)
+		// Eagerly, so the first Apply pays no lazy spectrum builds.
+		f.ops.FFT().PrewarmTree(tree, f.opt.Workers)
 	}
 	if f.opt.Shards > 0 {
 		// Sharded plan: partition this tree's leaves across R ranks and
 		// assemble their local essential trees. The prewarmed spectra above
 		// cover every rank (LET V-list levels are a subset of the global
 		// tree's), landing in the process-wide cache all shards share.
-		backend, err := shard.BackendByName(f.opt.ShardComm)
-		if err != nil {
-			return nil, fmt.Errorf("kifmm: %w", err)
-		}
 		sp, err := shard.BuildPlan(tree, shard.Config{
 			Ranks:       f.opt.Shards,
-			Backend:     backend,
+			Backend:     f.backend,
 			Ops:         f.ops,
 			UseFFTM2L:   !f.opt.denseM2L,
 			Workers:     f.opt.Workers,

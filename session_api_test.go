@@ -67,10 +67,10 @@ func TestTargetsMatchesMaskedOracle(t *testing.T) {
 }
 
 func TestTargetsValidation(t *testing.T) {
-	if _, err := New(Options{Targets: []Point{{2, 0, 0}}}); err == nil {
+	if _, err := New(Options{Targets: []Point{{X: 2, Y: 0, Z: 0}}}); err == nil {
 		t.Fatal("out-of-cube target accepted")
 	}
-	if _, err := New(Options{Targets: []Point{{0.5, 0.5, 0.5}}, Shards: 2}); err == nil {
+	if _, err := New(Options{Targets: []Point{{X: 0.5, Y: 0.5, Z: 0.5}}, Shards: 2}); err == nil {
 		t.Fatal("Targets with Shards accepted")
 	}
 }
@@ -93,11 +93,11 @@ func TestSessionMatchesEvaluate(t *testing.T) {
 		var d Delta
 		ids := s.IDs()
 		for _, id := range ids[:len(ids)/4] {
-			to := Point{rng.Float64(), rng.Float64(), rng.Float64()}
+			to := Point{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}
 			d.Move = append(d.Move, PointMove{ID: id, To: to})
 		}
 		for i := 0; i < 8; i++ {
-			d.Add = append(d.Add, Point{rng.Float64(), rng.Float64(), rng.Float64()})
+			d.Add = append(d.Add, Point{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()})
 		}
 		d.Remove = append(d.Remove, ids[len(ids)-1], ids[len(ids)-3])
 		info, err := s.Step(d)
@@ -159,7 +159,7 @@ func TestNewSessionRejections(t *testing.T) {
 	bad := []Options{
 		{Shards: 2},
 		{Balanced: true},
-		{Targets: []Point{{0.5, 0.5, 0.5}}},
+		{Targets: []Point{{X: 0.5, Y: 0.5, Z: 0.5}}},
 	}
 	for i, opt := range bad {
 		f, err := New(opt)
@@ -171,7 +171,7 @@ func TestNewSessionRejections(t *testing.T) {
 		}
 	}
 	f, _ := New(Options{})
-	if _, err := f.NewSession([]Point{{-1, 0, 0}}); err == nil {
+	if _, err := f.NewSession([]Point{{X: -1, Y: 0, Z: 0}}); err == nil {
 		t.Fatal("out-of-cube session point accepted")
 	}
 }

@@ -66,7 +66,7 @@ func TestYukawaDistributed(t *testing.T) {
 func TestYukawaScreeningDecay(t *testing.T) {
 	// Physics: larger λ screens the interaction — far-away pairs contribute
 	// exponentially less than under Laplace.
-	pts := []Point{{0.1, 0.5, 0.5}, {0.9, 0.5, 0.5}}
+	pts := []Point{{X: 0.1, Y: 0.5, Z: 0.5}, {X: 0.9, Y: 0.5, Z: 0.5}}
 	den := []float64{1, 0}
 	weak, _ := New(Options{Kernel: Yukawa, YukawaLambda: 1, PointsPerBox: 4, MaxDepth: 4})
 	strong, _ := New(Options{Kernel: Yukawa, YukawaLambda: 20, PointsPerBox: 4, MaxDepth: 4})
