@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race bench bench-nearfield bench-smoke bench-check sched-stress shard-stress session-stress lint lint-baseline lint-inject loc ci
+.PHONY: build vet test race bench bench-nearfield bench-smoke bench-check sched-stress shard-stress session-stress lint lint-baseline lint-inject loc probe ci
 
 build:
 	$(GO) build ./...
@@ -87,5 +87,12 @@ loc:
 	@printf '%s non-test / %s test\n' \
 		$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l) \
 		$$(find . -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l)
+
+# The potentials probe (probe_test.go): writes probe.txt, one `name sha256`
+# line per public-API configuration. A PR that must not change arithmetic
+# runs it at its parent and at its change and diffs the two files. Not part
+# of `make ci`: it is a fingerprint, not a check.
+probe:
+	KIFMM_PROBE=$(CURDIR)/probe.txt $(GO) test -run '^TestProbe$$' -count=1 -timeout 30m .
 
 ci: build vet lint lint-inject race sched-stress shard-stress session-stress bench-smoke bench-check

@@ -141,8 +141,10 @@ func TestExecModeSharedPlan(t *testing.T) {
 
 // TestExecValidation pins how the execution path is selected now that no
 // option chooses it: more than one worker runs the task graph, one worker the
-// barrier loops, and the in-package overrides win at any worker count.
+// barrier loops, and the in-package overrides win at any worker count. The
+// one selector is Engine.Run; a task-graph run is one that scheduled tasks.
 func TestExecValidation(t *testing.T) {
+	pts, den := randInput(300, 1, 5)
 	for _, tc := range []struct {
 		opt  Options
 		want bool
@@ -157,7 +159,15 @@ func TestExecValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := f.useDAG(); got != tc.want {
+		p, err := f.Plan(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stats, err := p.apply(den, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := stats.Tasks > 0; got != tc.want {
 			t.Errorf("Workers %d, override %d: task graph = %v, want %v",
 				tc.opt.Workers, tc.opt.exec, got, tc.want)
 		}

@@ -38,12 +38,9 @@ type Point = geom.Point
 // KernelName selects the interaction kernel.
 type KernelName string
 
-// execMode is the in-package tests' override of how Plan.Apply executes the
-// density-dependent phases. Callers do not choose: Workers > 1 selects the
-// dependency task graph (internal/sched), a single worker — which gains
-// nothing from dependency-driven execution — the paper's eight
-// barrier-separated loops. The two are bit-identical; forcing either at any
-// worker count is how the differential tests show it.
+// execMode is the in-package tests' override of the driver an evaluation
+// runs on (EngineSpec.Forced). Callers do not choose: the rule is
+// Engine.Run's.
 type execMode int
 
 const (
@@ -140,15 +137,6 @@ type Options struct {
 	// (the paper's Algorithm 3; requires power-of-two Shards; the default)
 	// or "simple" (single-round direct point-to-point, any shard count).
 	ShardComm string
-	// Targets, when non-empty, makes evaluation asymmetric: Plan builds its
-	// tree over the union of Targets and the source points, Apply takes
-	// densities for the sources only, and potentials come back for Targets
-	// only, in Targets order. The phase bodies skip source-side work in
-	// target-only subtrees and target-side work in source-only subtrees;
-	// every skipped term is exactly zero, so the result is bit-identical to
-	// evaluating the union with zero-density targets (EvaluateAt's trick)
-	// while skipping its wasted work. Incompatible with Shards.
-	Targets []Point
 	// Precision selects the near-field arithmetic precision (see the
 	// Precision type). The default PrecisionAuto is float64.
 	Precision Precision
@@ -187,7 +175,9 @@ func (o Options) kernel() (kernel.Kernel, error) {
 type FMM struct {
 	opt  Options
 	kern kernel.Kernel
-	ops  *ikifmm.Operators
+	// spec is the options resolved, once, into what configures an engine;
+	// plans, sessions, shard ranks and the distributed driver carry it as is.
+	spec ikifmm.EngineSpec
 	// backend is Options.ShardComm resolved (sharded plans only use it).
 	backend shard.CommBackend
 }
@@ -233,18 +223,16 @@ func New(opt Options) (*FMM, error) {
 		return nil, fmt.Errorf("kifmm: the %s shard backend requires a power-of-two shard count, got %d",
 			backend.Name(), opt.Shards)
 	}
-	if len(opt.Targets) > 0 {
-		if opt.Shards > 0 {
-			return nil, fmt.Errorf("kifmm: asymmetric evaluation (Targets) does not support sharded plans")
-		}
-		cube := geom.UnitCube()
-		for i, p := range opt.Targets {
-			if !cube.Contains(p) {
-				return nil, fmt.Errorf("kifmm: target %d (%v) outside the unit cube", i, p)
-			}
-		}
+	spec := ikifmm.EngineSpec{
+		Ops:         ikifmm.NewOperators(k, opt.Order, opt.Tolerance),
+		Workers:     opt.Workers,
+		DenseM2L:    opt.denseM2L,
+		Float32Near: opt.Precision == PrecisionFloat32,
 	}
-	return &FMM{opt: opt, kern: k, ops: ikifmm.NewOperators(k, opt.Order, opt.Tolerance), backend: backend}, nil
+	if opt.exec != execByWorkers {
+		spec = spec.Forced(opt.exec == execDAG)
+	}
+	return &FMM{opt: opt, kern: k, spec: spec, backend: backend}, nil
 }
 
 // DensityDim returns the number of density components per point.
@@ -256,36 +244,25 @@ func (f *FMM) PotentialDim() int { return f.kern.TrgDim() }
 // Precision returns the resolved near-field precision, always one of the
 // two concrete precisions (PrecisionAuto resolves to PrecisionFloat64).
 func (f *FMM) Precision() Precision {
-	if f.opt.Precision == PrecisionFloat32 {
+	if f.spec.Float32Near {
 		return PrecisionFloat32
 	}
 	return PrecisionFloat64
 }
 
-// useDAG reports whether evaluations run on the task-graph scheduler.
-func (f *FMM) useDAG() bool {
-	switch f.opt.exec {
-	case execDAG:
-		return true
-	case execBarrier:
-		return false
-	default:
-		return f.opt.Workers > 1
-	}
-}
-
-// float32Near reports whether this solver's near-field phase bodies run in
-// single precision.
-func (f *FMM) float32Near() bool { return f.Precision() == PrecisionFloat32 }
-
 func (f *FMM) checkPoints(points []Point) error {
 	if len(points) == 0 {
 		return fmt.Errorf("kifmm: no points")
 	}
+	return checkInCube("point", points)
+}
+
+// checkInCube rejects a point (a "point" or a "target") outside the unit cube.
+func checkInCube(what string, points []Point) error {
 	cube := geom.UnitCube()
 	for i, p := range points {
 		if !cube.Contains(p) {
-			return fmt.Errorf("kifmm: point %d (%v) outside the unit cube", i, p)
+			return fmt.Errorf("kifmm: %s %d (%v) outside the unit cube", what, i, p)
 		}
 	}
 	return nil
@@ -338,11 +315,8 @@ func (f *FMM) EvaluateDistributed(ranks int, points []Point, densities []float64
 		SurfOrder:   f.opt.Order,
 		Tol:         f.opt.Tolerance,
 		MaxDepth:    f.opt.MaxDepth,
-		UseFFTM2L:   !f.opt.denseM2L,
-		Workers:     f.opt.Workers,
 		LoadBalance: true,
-		Ops:         f.ops,
-		Float32Near: f.float32Near(),
+		Spec:        f.spec,
 	}
 	results := make([]*parfmm.Result, ranks)
 	mpi.Run(ranks, func(c *mpi.Comm) {
@@ -380,9 +354,10 @@ func (f *FMM) Direct(points []Point, densities []float64) ([]float64, error) {
 // EvaluateAt computes the potentials at the given target points due to
 // densities at the (possibly different) source points — the general form of
 // the kernel-independent FMM; the paper's experiments use the special case
-// targets == sources. Targets are folded into the tree as zero-density
-// points, which leaves every source contribution unchanged. Returned
-// potentials align with targets (PotentialDim components each).
+// targets == sources. It is PlanAt followed by a single Apply; callers that
+// re-evaluate the same geometry with new densities should hold on to the
+// Plan instead. Returned potentials align with targets (PotentialDim
+// components each).
 func (f *FMM) EvaluateAt(targets, sources []Point, densities []float64) ([]float64, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("kifmm: no targets")
@@ -390,21 +365,9 @@ func (f *FMM) EvaluateAt(targets, sources []Point, densities []float64) ([]float
 	if err := f.checkInput(sources, densities); err != nil {
 		return nil, err
 	}
-	cube := geom.UnitCube()
-	for i, p := range targets {
-		if !cube.Contains(p) {
-			return nil, fmt.Errorf("kifmm: target %d (%v) outside the unit cube", i, p)
-		}
-	}
-	sd, td := f.kern.SrcDim(), f.kern.TrgDim()
-	all := make([]Point, 0, len(targets)+len(sources))
-	all = append(all, targets...)
-	all = append(all, sources...)
-	den := make([]float64, len(all)*sd) // targets carry zero density
-	copy(den[len(targets)*sd:], densities)
-	pot, err := f.Evaluate(all, den)
+	plan, err := f.PlanAt(targets, sources)
 	if err != nil {
 		return nil, err
 	}
-	return pot[:len(targets)*td], nil
+	return plan.Apply(densities)
 }

@@ -24,7 +24,7 @@ func pointRecCodec(sdim int) psort.Codec[pointRec] {
 		Enc: func(rs []pointRec) []byte {
 			var b []byte
 			for _, r := range rs {
-				b = appendKey(b, r.Key)
+				b = r.Key.AppendBinary(b)
 				b = appendPoints(b, []geom.Point{r.Pt})
 				b = appendFloats(b, r.Den)
 			}
@@ -34,7 +34,7 @@ func pointRecCodec(sdim int) psort.Codec[pointRec] {
 			var out []pointRec
 			for len(b) > 0 {
 				var r pointRec
-				r.Key, b = decodeKey(b)
+				r.Key, b = morton.DecodeKey(b)
 				var pts []geom.Point
 				pts, b = decodePoints(b)
 				r.Pt = pts[0]

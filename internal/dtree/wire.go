@@ -11,26 +11,6 @@ import (
 // Wire formats. Leaves travel during repartitioning; octant records (key +
 // flags + optional points) travel during the LET ghost exchange.
 
-// appendKey serializes a Morton key (13 bytes).
-func appendKey(b []byte, k morton.Key) []byte {
-	var buf [13]byte
-	binary.LittleEndian.PutUint32(buf[0:], k.X)
-	binary.LittleEndian.PutUint32(buf[4:], k.Y)
-	binary.LittleEndian.PutUint32(buf[8:], k.Z)
-	buf[12] = k.L
-	return append(b, buf[:]...)
-}
-
-func decodeKey(b []byte) (morton.Key, []byte) {
-	k := morton.Key{
-		X: binary.LittleEndian.Uint32(b[0:]),
-		Y: binary.LittleEndian.Uint32(b[4:]),
-		Z: binary.LittleEndian.Uint32(b[8:]),
-		L: b[12],
-	}
-	return k, b[13:]
-}
-
 func appendPoints(b []byte, pts []geom.Point) []byte {
 	var n [4]byte
 	binary.LittleEndian.PutUint32(n[:], uint32(len(pts)))
@@ -91,7 +71,7 @@ func encodeLeaves(ls []Leaf) []byte {
 	binary.LittleEndian.PutUint32(n[:], uint32(len(ls)))
 	b = append(b, n[:]...)
 	for _, l := range ls {
-		b = appendKey(b, l.Key)
+		b = l.Key.AppendBinary(b)
 		b = appendPoints(b, l.Pts)
 		b = appendFloats(b, l.Den)
 	}
@@ -106,7 +86,7 @@ func decodeLeaves(b []byte) []Leaf {
 	b = b[4:]
 	out := make([]Leaf, n)
 	for i := 0; i < n; i++ {
-		out[i].Key, b = decodeKey(b)
+		out[i].Key, b = morton.DecodeKey(b)
 		out[i].Pts, b = decodePoints(b)
 		out[i].Den, b = decodeFloats(b)
 	}
@@ -126,7 +106,7 @@ func encodeGhosts(gs []ghostOctant) []byte {
 	binary.LittleEndian.PutUint32(n[:], uint32(len(gs)))
 	b = append(b, n[:]...)
 	for _, g := range gs {
-		b = appendKey(b, g.Key)
+		b = g.Key.AppendBinary(b)
 		if g.IsLeaf {
 			b = append(b, 1)
 			b = appendPoints(b, g.Pts)
@@ -145,7 +125,7 @@ func decodeGhosts(b []byte) []ghostOctant {
 	b = b[4:]
 	out := make([]ghostOctant, n)
 	for i := 0; i < n; i++ {
-		out[i].Key, b = decodeKey(b)
+		out[i].Key, b = morton.DecodeKey(b)
 		out[i].IsLeaf = b[0] == 1
 		b = b[1:]
 		if out[i].IsLeaf {

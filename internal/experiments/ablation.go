@@ -197,9 +197,7 @@ func Ablations(o Options) *AblationResult {
 	tr.BuildLists(nil)
 	ops := kifmm.NewOperators(kernel.Laplace{}, 6, 1e-9)
 	for _, useFFT := range []bool{false, true} {
-		e := kifmm.NewEngine(ops, tr)
-		e.Workers = o.Workers
-		e.UseFFTM2L = useFFT
+		e := kifmm.EngineSpec{Ops: ops, Workers: o.Workers, DenseM2L: !useFFT}.NewEngine(tr, nil)
 		e.Prof = diag.NewProfile()
 		e.SetPointDensities(ones(len(pts)))
 		e.S2U()

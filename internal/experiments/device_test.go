@@ -18,7 +18,7 @@ func TestDistributedWithGPUAcceleration(t *testing.T) {
 	// MPI process configuration); results must match the direct sum at
 	// single-precision accuracy.
 	const n, p = 1000, 4
-	cfg := parfmm.Config{Kern: kernel.Laplace{}, Q: 60, SurfOrder: 6, Workers: 2}
+	cfg := parfmm.Config{Kern: kernel.Laplace{}, Q: 60, SurfOrder: 6, Spec: kifmm.EngineSpec{Workers: 2, DenseM2L: true}}
 	pts := geom.Generate(geom.Uniform, n, 19)
 	rng := rand.New(rand.NewSource(19 * 31))
 	den := make([]float64, n)

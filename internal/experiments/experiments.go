@@ -25,6 +25,7 @@ import (
 	"kifmm/internal/diag"
 	"kifmm/internal/geom"
 	"kifmm/internal/kernel"
+	"kifmm/internal/kifmm"
 	"kifmm/internal/mpi"
 	"kifmm/internal/parfmm"
 )
@@ -183,8 +184,7 @@ func baseConfig(o Options, kern kernel.Kernel) parfmm.Config {
 		Kern:        kern,
 		Q:           o.Q,
 		SurfOrder:   6,
-		Workers:     o.Workers,
 		LoadBalance: true,
-		UseFFTM2L:   true,
+		Spec:        kifmm.EngineSpec{Workers: o.Workers},
 	}
 }

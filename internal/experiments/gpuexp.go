@@ -91,8 +91,7 @@ func Table3(o Options) *Table3Result {
 		tr := octree.BuildUniform(pts, level)
 		tr.BuildLists(nil)
 		ops := kifmm.NewOperators(kernel.Laplace{}, 6, 1e-9)
-		e := kifmm.NewEngine(ops, tr)
-		e.Workers = o.Workers
+		e := kifmm.EngineSpec{Ops: ops, Workers: o.Workers}.NewEngine(tr, nil)
 		e.Prof = diag.NewProfile()
 		e.SetPointDensities(den)
 		dev := stream.NewDevice(stream.DefaultParams())
@@ -185,7 +184,7 @@ func Fig6(o Options) *Fig6Result {
 		// W/X lists.
 		gpuCfg := parfmm.Config{
 			Kern: kernel.Laplace{}, Q: 500, SurfOrder: 6,
-			Workers: o.Workers, UseFFTM2L: true,
+			Spec: kifmm.EngineSpec{Workers: o.Workers},
 		}
 		accels := make([]*gpu.FMMAccel, p)
 		hostMatFlops := make([]int64, p)
@@ -213,7 +212,7 @@ func Fig6(o Options) *Fig6Result {
 		// CPU-only configuration.
 		cpuCfg := parfmm.Config{
 			Kern: kernel.Laplace{}, Q: 100, SurfOrder: 6,
-			Workers: o.Workers, UseFFTM2L: true,
+			Spec: kifmm.EngineSpec{Workers: o.Workers},
 		}
 		results := runDistributed(geom.Uniform, n, p, cpuCfg, o.Seed)
 		ref := stream.NewDevice(stream.DefaultParams())

@@ -71,6 +71,9 @@ type Engine struct {
 	// components per point).
 	Potential []float64
 
+	// force is the spec's driver override (EngineSpec.Forced), read by Run.
+	force int8
+
 	// bk is the kernel's batched panel evaluator, resolved once so the
 	// phase bodies pay one indirect call per panel instead of one dynamic
 	// Kernel.Eval dispatch per source-target pair.

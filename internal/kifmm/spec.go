@@ -1,0 +1,155 @@
+package kifmm
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+
+	"kifmm/internal/diag"
+	"kifmm/internal/octree"
+	"kifmm/internal/sched"
+)
+
+// EngineSpec is everything that configures an engine, as one value: a solver
+// resolves its options into a spec once, and plans, sessions, shard ranks and
+// the distributed driver carry it to NewEngine unread.
+type EngineSpec struct {
+	// Ops is the translation-operator set (immutable, shared by every engine).
+	Ops *Operators
+	// Workers bounds the loop and task-graph parallelism of an evaluation
+	// (values below 1 mean 1).
+	Workers int
+	// DenseM2L swaps the FFT-diagonalized V-list for the dense M2L matrices
+	// it is verified against (a test oracle and an ablation).
+	DenseM2L bool
+	// Float32Near runs the near-field phases in single precision
+	// (Engine.SetFloat32NearField).
+	Float32Near bool
+
+	// force is the tests' override of the driver Run selects: positive the
+	// task graph, negative the barrier phases, at any worker count.
+	force int8
+}
+
+// Forced returns the spec with Run's driver choice overridden: the task graph
+// or the barrier phase loops at any worker count. The two are bit-identical;
+// forcing either is how the differential tests show it.
+func (s EngineSpec) Forced(graph bool) EngineSpec {
+	s.force = -1
+	if graph {
+		s.force = 1
+	}
+	return s
+}
+
+// Prewarm eagerly builds the V-list translation spectra an evaluation of
+// tree can touch, so no Apply pays a lazy spectrum build (a no-op for the
+// dense oracle).
+func (s EngineSpec) Prewarm(tree *octree.Tree) {
+	if !s.DenseM2L {
+		s.Ops.FFT().PrewarmTree(tree, max(1, s.Workers))
+	}
+}
+
+// NewEngine allocates and configures evaluation state for the tree — the one
+// place an engine's settings are applied. layout is the tree's shared
+// streaming layout; nil builds a private one that keeps the float32
+// coordinate mirrors (the simulated device reads them).
+func (s EngineSpec) NewEngine(tree *octree.Tree, layout *Layout) *Engine {
+	if layout == nil {
+		layout = NewLayout(tree, s.Ops, true)
+	}
+	e := NewEngineLayout(s.Ops, tree, layout)
+	e.UseFFTM2L = !s.DenseM2L
+	e.Workers = max(1, s.Workers)
+	e.force = s.force
+	if s.Float32Near {
+		e.SetFloat32NearField(true)
+	}
+	return e
+}
+
+// Run is the one evaluation entry: it picks the driver, times
+// diag.PhaseTotalEval once and records the scheduler counters into Prof.
+// With an exchange step — a rank of a distributed evaluation communicating
+// between the upward pass and the translations — it runs the barrier phases
+// (Phases). Otherwise it runs the dependency task graph when the engine has
+// more than one worker or a trace is requested, and the barrier phases on a
+// single worker, which gains nothing from dependency-driven execution; the
+// two are bit-identical. The returned stats are zero for a barrier run. An
+// error leaves the engine's state partial: drop the engine.
+func (e *Engine) Run(exchange func(), trace *sched.Trace) (sched.Stats, error) {
+	if exchange != nil && trace != nil {
+		return sched.Stats{}, errors.New("tracing requires the task-graph execution path (a distributed evaluation runs the barrier phases)")
+	}
+	graph := exchange == nil && (e.force > 0 || trace != nil || (e.force == 0 && e.Workers > 1))
+	if !graph {
+		defer e.timed(diag.PhaseTotalEval)()
+		e.Phases(exchange)
+		return sched.Stats{}, nil
+	}
+	stats, err := e.EvaluateDAG(trace)
+	if err != nil {
+		return stats, fmt.Errorf("task-graph evaluation: %w", err)
+	}
+	if prof := e.Prof; prof != nil {
+		prof.AddCounter(diag.CounterSchedGraphs, 1)
+		prof.AddCounter(diag.CounterSchedTasks, stats.Tasks)
+		prof.AddCounter(diag.CounterSchedSteals, stats.Steals)
+		prof.AddCounter(diag.CounterSchedStolen, stats.Stolen)
+		prof.AddTime(diag.PhaseSchedIdle, stats.Idle)
+	}
+	return stats, nil
+}
+
+// maxPooled caps a pool's free list; engines beyond the cap are dropped
+// for the GC after bursts of concurrency.
+const maxPooled = 8
+
+// EnginePool is the free list of engines over one tree and layout: each
+// concurrent evaluation of a plan (or of one rank of a sharded plan) checks
+// out a private engine and returns it.
+type EnginePool struct {
+	spec   EngineSpec
+	tree   *octree.Tree
+	layout *Layout
+	nLead  int
+
+	mu   sync.Mutex
+	free []*Engine
+}
+
+// NewPool returns an empty pool of engines over the tree and its layout.
+// nLead > 0 marks an asymmetric union tree whose leading nLead original
+// points are targets: every engine gets its masks (SetSplitRoles).
+func (s EngineSpec) NewPool(tree *octree.Tree, layout *Layout, nLead int) *EnginePool {
+	return &EnginePool{spec: s, tree: tree, layout: layout, nLead: nLead}
+}
+
+// Get checks out a reset engine (densities are the caller's to set)
+// reporting into prof, which may be nil.
+func (p *EnginePool) Get(prof *diag.Profile) *Engine {
+	p.mu.Lock()
+	var e *Engine
+	if n := len(p.free); n > 0 {
+		e, p.free = p.free[n-1], p.free[:n-1]
+	}
+	p.mu.Unlock()
+	if e == nil {
+		e = p.spec.NewEngine(p.tree, p.layout)
+		e.SetSplitRoles(p.nLead)
+	} else {
+		e.Reset()
+	}
+	e.Prof = prof
+	return e
+}
+
+// Put returns an engine whose evaluation completed.
+func (p *EnginePool) Put(e *Engine) {
+	p.mu.Lock()
+	if len(p.free) < maxPooled {
+		p.free = append(p.free, e)
+	}
+	p.mu.Unlock()
+}

@@ -20,8 +20,8 @@
 package morton
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math/bits"
 )
 
 // MaxDepth is the deepest allowed octant level. Anchor coordinates use
@@ -221,44 +221,30 @@ func (k Key) LastDescendant(l int) Key {
 	return Key{X: k.X + off, Y: k.Y + off, Z: k.Z + off, L: uint8(l)}
 }
 
-// DeepestCommonAncestor returns the deepest octant containing both a and b.
-func DeepestCommonAncestor(a, b Key) Key {
-	// The common prefix length of the interleaved codes determines the
-	// level; equivalently, the level is limited per dimension by the highest
-	// differing bit.
-	l := min(a.Level(), b.Level())
-	lx := commonPrefixLevel(a.X, b.X)
-	ly := commonPrefixLevel(a.Y, b.Y)
-	lz := commonPrefixLevel(a.Z, b.Z)
-	if lx < l {
-		l = lx
-	}
-	if ly < l {
-		l = ly
-	}
-	if lz < l {
-		l = lz
-	}
-	return a.AncestorAt(l)
+// AppendBinary appends the key's wire record to b: X, Y, Z as little-endian
+// uint32 and the level byte, 13 bytes. It is the one key encoding of every
+// message that carries octants (leaf repartitioning, LET ghosts, ghost
+// densities, the upward-density reductions).
+func (k Key) AppendBinary(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, k.X)
+	b = binary.LittleEndian.AppendUint32(b, k.Y)
+	b = binary.LittleEndian.AppendUint32(b, k.Z)
+	return append(b, k.L)
 }
 
-// commonPrefixLevel returns the deepest level at which coordinates a and b
-// fall into the same cell along one axis.
-func commonPrefixLevel(a, b uint32) int {
-	if a == b {
-		return MaxDepth
+// DecodeKey reads one AppendBinary record from the front of b and returns
+// the key and the rest of b.
+func DecodeKey(b []byte) (Key, []byte) {
+	k := Key{
+		X: binary.LittleEndian.Uint32(b[0:]),
+		Y: binary.LittleEndian.Uint32(b[4:]),
+		Z: binary.LittleEndian.Uint32(b[8:]),
+		L: b[12],
 	}
-	return bits.LeadingZeros32(a^b) - (32 - MaxDepth)
+	return k, b[13:]
 }
 
 // String renders the key as "L:(x,y,z)".
 func (k Key) String() string {
 	return fmt.Sprintf("%d:(%d,%d,%d)", k.L, k.X, k.Y, k.Z)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package morton
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -113,39 +114,6 @@ func TestAncestorAt(t *testing.T) {
 		a := k.AncestorAt(l)
 		if a.Level() != l || !a.Contains(k) {
 			t.Fatalf("AncestorAt(%d) = %v for %v", l, a, k)
-		}
-	}
-}
-
-func TestDeepestCommonAncestor(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 300; trial++ {
-		base := randKey(rng, 8)
-		if base.Level() >= MaxDepth-1 {
-			continue
-		}
-		a, b := base, base
-		for i := 0; i < 3 && a.Level() < MaxDepth; i++ {
-			a = a.Child(rng.Intn(8))
-		}
-		for i := 0; i < 3 && b.Level() < MaxDepth; i++ {
-			b = b.Child(rng.Intn(8))
-		}
-		dca := DeepestCommonAncestor(a, b)
-		if !dca.Contains(a) || !dca.Contains(b) {
-			t.Fatalf("DCA %v does not contain %v and %v", dca, a, b)
-		}
-		if dca.Level() < base.Level() {
-			t.Fatalf("DCA %v coarser than known common ancestor %v", dca, base)
-		}
-		// Deepest: no child of dca may contain both.
-		if dca.Level() < MaxDepth {
-			for i := 0; i < 8; i++ {
-				c := dca.Child(i)
-				if c.Contains(a) && c.Contains(b) {
-					t.Fatalf("DCA not deepest: child %v contains both", c)
-				}
-			}
 		}
 	}
 }
@@ -283,5 +251,19 @@ func TestFirstLastDescendant(t *testing.T) {
 	flo, _ := ld.CodeRange()
 	if flo != hi {
 		t.Fatalf("last descendant code mismatch")
+	}
+}
+
+// TestKeyWireLayout pins the 13-byte record every octant-carrying message
+// uses (X, Y, Z little-endian, then the level) and its round trip.
+func TestKeyWireLayout(t *testing.T) {
+	k := Key{X: 0x04030201, Y: 0x08070605, Z: 0x0c0b0a09, L: 13}
+	b := k.AppendBinary([]byte{0xff})
+	if want := []byte{0xff, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}; !bytes.Equal(b, want) {
+		t.Fatalf("wire record % x, want % x", b, want)
+	}
+	got, rest := DecodeKey(append(b[1:], 0xee))
+	if got != k || len(rest) != 1 || rest[0] != 0xee {
+		t.Fatalf("decoded %v with rest % x", got, rest)
 	}
 }

@@ -47,22 +47,16 @@ type Config struct {
 	Tol float64
 	// MaxDepth caps the octree depth.
 	MaxDepth int
-	// UseFFTM2L selects the FFT-diagonalized V-list translation.
-	UseFFTM2L bool
-	// Workers bounds within-rank loop parallelism (0 or 1 = sequential).
-	Workers int
 	// LoadBalance enables the work-weighted repartition of Section III-B.
 	LoadBalance bool
 	// UseOwnerReduce switches the upward-density reduction to the
 	// owner-based baseline (the scheme the paper retired) for ablations.
 	UseOwnerReduce bool
-	// Float32Near runs the CPU near-field phase bodies in single precision
-	// (kifmm.Engine.SetFloat32NearField).
-	Float32Near bool
-	// Ops, when non-nil, supplies precomputed translation operators
-	// (typically shared across ranks — Operators are immutable and safe
-	// for concurrent use). When nil they are built per call.
-	Ops *kifmm.Operators
+	// Spec configures the rank's engine. Spec.Ops, when non-nil, supplies
+	// precomputed translation operators (typically shared across ranks —
+	// Operators are immutable and safe for concurrent use); when nil they
+	// are built per call from Kern, SurfOrder and Tol.
+	Spec kifmm.EngineSpec
 }
 
 func (cfg *Config) defaults() {
@@ -80,9 +74,6 @@ func (cfg *Config) defaults() {
 	}
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 24
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
 	}
 }
 
@@ -144,17 +135,12 @@ func Setup(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) (*kif
 	stopSetup()
 	traffic := snap.Delta(c.Stats().Snap())
 
-	ops := cfg.Ops
-	if ops == nil {
-		ops = kifmm.NewOperators(cfg.Kern, cfg.SurfOrder, cfg.Tol)
+	spec := cfg.Spec
+	if spec.Ops == nil {
+		spec.Ops = kifmm.NewOperators(cfg.Kern, cfg.SurfOrder, cfg.Tol)
 	}
-	eng := kifmm.NewEngine(ops, dt.Tree)
-	eng.UseFFTM2L = cfg.UseFFTM2L
-	eng.Workers = cfg.Workers
+	eng := spec.NewEngine(dt.Tree, nil)
 	eng.Prof = prof
-	if cfg.Float32Near {
-		eng.SetFloat32NearField(true)
-	}
 	placeOwnedDensities(eng, dt)
 	return eng, &Result{Prof: prof, Tree: dt,
 		SetupCommBytes: traffic.Bytes, SetupCommMsgs: traffic.Messages}
@@ -165,13 +151,15 @@ func Setup(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) (*kif
 // a shard.CommBackend's Reduce. Collective.
 type reducer = func(c *mpi.Comm, part *dtree.Partition, items []reduce.Item, vecLen int) ([]reduce.Item, reduce.Stats)
 
-// EvaluateRank is the one distributed per-rank evaluation: the engine's
-// barrier phases on the rank's LET with Exchange as the communication step
-// between the upward pass and the translations. The engine must hold the
-// owned leaves' densities in tree order; on return its Potential holds the
-// potentials at the owned points. It returns what Exchange does. Collective.
+// EvaluateRank is the one distributed per-rank evaluation: Engine.Run on the
+// rank's LET with Exchange as the communication step between the upward pass
+// and the translations. The engine must hold the owned leaves' densities in
+// tree order; on return its Potential holds the potentials at the owned
+// points. It returns what Exchange does. Collective.
 func EvaluateRank(c *mpi.Comm, eng *kifmm.Engine, dt *dtree.DistTree, reduceShared reducer) (st reduce.Stats, traffic mpi.Snapshot, comm time.Duration) {
-	eng.Phases(func() { st, traffic, comm = Exchange(c, eng, dt, reduceShared) })
+	if _, err := eng.Run(func() { st, traffic, comm = Exchange(c, eng, dt, reduceShared) }, nil); err != nil {
+		panic(err) // only a traced exchange is refused
+	}
 	return st, traffic, comm
 }
 
@@ -202,9 +190,7 @@ func Evaluate(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) *R
 	if cfg.UseOwnerReduce {
 		reduceShared = reduce.Owner
 	}
-	stopTotal := prof.Start(diag.PhaseTotalEval)
 	st, traffic, comm := EvaluateRank(c, eng, res.Tree, reduceShared)
-	stopTotal()
 	res.ReduceStats = st
 	res.EvalCommBytes, res.EvalCommMsgs = traffic.Bytes, traffic.Messages
 	prof.AddTime(diag.PhaseComm, comm)
@@ -257,7 +243,7 @@ func exchangeGhostDensities(c *mpi.Comm, eng *kifmm.Engine, dt *dtree.DistTree) 
 		b = append(b, cnt[:]...)
 		for _, idx := range dt.SentLeaves[k2] {
 			n := &t.Nodes[idx]
-			b = appendKeyBytes(b, n.Key)
+			b = n.Key.AppendBinary(b)
 			b = append(b, mpi.Float64sToBytes(eng.Density[int(n.PtLo)*sd:int(n.PtHi)*sd])...)
 		}
 		enc[k2] = b
@@ -272,7 +258,7 @@ func exchangeGhostDensities(c *mpi.Comm, eng *kifmm.Engine, dt *dtree.DistTree) 
 		b = b[4:]
 		for i := 0; i < cnt; i++ {
 			var key morton.Key
-			key, b = decodeKeyBytes(b)
+			key, b = morton.DecodeKey(b)
 			idx, ok := t.Index(key)
 			if !ok {
 				panic("parfmm: received densities for unknown ghost leaf")
@@ -323,23 +309,4 @@ func collectOwned(eng *kifmm.Engine, res *Result) {
 		res.Potentials = append(res.Potentials, eng.Potential[int(n.PtLo)*td:int(n.PtHi)*td]...)
 		res.Densities = append(res.Densities, eng.Density[int(n.PtLo)*sd:int(n.PtHi)*sd]...)
 	}
-}
-
-func appendKeyBytes(b []byte, k morton.Key) []byte {
-	var buf [13]byte
-	binary.LittleEndian.PutUint32(buf[0:], k.X)
-	binary.LittleEndian.PutUint32(buf[4:], k.Y)
-	binary.LittleEndian.PutUint32(buf[8:], k.Z)
-	buf[12] = k.L
-	return append(b, buf[:]...)
-}
-
-func decodeKeyBytes(b []byte) (morton.Key, []byte) {
-	k := morton.Key{
-		X: binary.LittleEndian.Uint32(b[0:]),
-		Y: binary.LittleEndian.Uint32(b[4:]),
-		Z: binary.LittleEndian.Uint32(b[8:]),
-		L: b[12],
-	}
-	return k, b[13:]
 }

@@ -8,6 +8,7 @@ import (
 	"kifmm/internal/diag"
 	"kifmm/internal/geom"
 	"kifmm/internal/kernel"
+	"kifmm/internal/kifmm"
 	"kifmm/internal/mpi"
 )
 
@@ -95,7 +96,7 @@ func compareToDirect(t *testing.T, name string, got, want map[pointKey][]float64
 }
 
 func TestDistributedMatchesDirectLaplace(t *testing.T) {
-	cfg := Config{Kern: kernel.Laplace{}, Q: 25, SurfOrder: 6, Workers: 2}
+	cfg := Config{Kern: kernel.Laplace{}, Q: 25, SurfOrder: 6, Spec: kifmm.EngineSpec{Workers: 2, DenseM2L: true}}
 	want := globalDirect(cfg, geom.Uniform, 1000, 3)
 	for _, p := range []int{1, 2, 4, 8} {
 		got, _ := runCase(t, cfg, geom.Uniform, 1000, p, 3)
@@ -104,7 +105,7 @@ func TestDistributedMatchesDirectLaplace(t *testing.T) {
 }
 
 func TestDistributedMatchesDirectNonuniform(t *testing.T) {
-	cfg := Config{Kern: kernel.Laplace{}, Q: 15, SurfOrder: 6, Workers: 2}
+	cfg := Config{Kern: kernel.Laplace{}, Q: 15, SurfOrder: 6, Spec: kifmm.EngineSpec{Workers: 2, DenseM2L: true}}
 	want := globalDirect(cfg, geom.Ellipsoid, 1200, 5)
 	for _, p := range []int{2, 8} {
 		got, _ := runCase(t, cfg, geom.Ellipsoid, 1200, p, 5)
@@ -113,14 +114,14 @@ func TestDistributedMatchesDirectNonuniform(t *testing.T) {
 }
 
 func TestDistributedStokes(t *testing.T) {
-	cfg := Config{Kern: kernel.Stokes{}, Q: 30, SurfOrder: 4, Workers: 2}
+	cfg := Config{Kern: kernel.Stokes{}, Q: 30, SurfOrder: 4, Spec: kifmm.EngineSpec{Workers: 2, DenseM2L: true}}
 	want := globalDirect(cfg, geom.Uniform, 500, 7)
 	got, _ := runCase(t, cfg, geom.Uniform, 500, 4, 7)
 	compareToDirect(t, "stokes", got, want, 5e-3)
 }
 
 func TestDistributedWithLoadBalance(t *testing.T) {
-	cfg := Config{Kern: kernel.Laplace{}, Q: 15, SurfOrder: 6, LoadBalance: true, Workers: 2}
+	cfg := Config{Kern: kernel.Laplace{}, Q: 15, SurfOrder: 6, LoadBalance: true, Spec: kifmm.EngineSpec{Workers: 2, DenseM2L: true}}
 	want := globalDirect(cfg, geom.Ellipsoid, 1200, 9)
 	got, results := runCase(t, cfg, geom.Ellipsoid, 1200, 4, 9)
 	compareToDirect(t, "balanced", got, want, 5e-5)
@@ -144,21 +145,21 @@ func TestDistributedWithLoadBalance(t *testing.T) {
 }
 
 func TestDistributedWithFFTM2L(t *testing.T) {
-	cfg := Config{Kern: kernel.Laplace{}, Q: 25, SurfOrder: 6, UseFFTM2L: true, Workers: 2}
+	cfg := Config{Kern: kernel.Laplace{}, Q: 25, SurfOrder: 6, Spec: kifmm.EngineSpec{Workers: 2}}
 	want := globalDirect(cfg, geom.Uniform, 800, 11)
 	got, _ := runCase(t, cfg, geom.Uniform, 800, 4, 11)
 	compareToDirect(t, "fft-m2l", got, want, 2e-5)
 }
 
 func TestDistributedOwnerReduceAblation(t *testing.T) {
-	cfg := Config{Kern: kernel.Laplace{}, Q: 25, SurfOrder: 6, UseOwnerReduce: true, Workers: 2}
+	cfg := Config{Kern: kernel.Laplace{}, Q: 25, SurfOrder: 6, UseOwnerReduce: true, Spec: kifmm.EngineSpec{Workers: 2, DenseM2L: true}}
 	want := globalDirect(cfg, geom.Uniform, 800, 13)
 	got, _ := runCase(t, cfg, geom.Uniform, 800, 4, 13)
 	compareToDirect(t, "owner-reduce", got, want, 2e-5)
 }
 
 func TestProfilesRecordAllPhases(t *testing.T) {
-	cfg := Config{Kern: kernel.Laplace{}, Q: 20, SurfOrder: 4, Workers: 2}
+	cfg := Config{Kern: kernel.Laplace{}, Q: 20, SurfOrder: 4, Spec: kifmm.EngineSpec{Workers: 2, DenseM2L: true}}
 	_, results := runCase(t, cfg, geom.Ellipsoid, 900, 4, 15)
 	for r, res := range results {
 		for _, ph := range []string{diag.PhaseSetup, diag.PhaseSort, diag.PhaseTree,
@@ -174,7 +175,7 @@ func TestProfilesRecordAllPhases(t *testing.T) {
 }
 
 func TestResultDensitiesTravelWithPoints(t *testing.T) {
-	cfg := Config{Kern: kernel.Laplace{}, Q: 20, SurfOrder: 4, Workers: 1}
+	cfg := Config{Kern: kernel.Laplace{}, Q: 20, SurfOrder: 4, Spec: kifmm.EngineSpec{Workers: 1, DenseM2L: true}}
 	const n, p = 600, 4
 	// Build the global (point → density) map.
 	pts := geom.Generate(geom.Uniform, n, 17)

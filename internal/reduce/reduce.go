@@ -39,12 +39,7 @@ func encodeItems(items []Item, vecLen int) []byte {
 	binary.LittleEndian.PutUint32(n[:], uint32(len(items)))
 	b = append(b, n[:]...)
 	for _, it := range items {
-		var kb [13]byte
-		binary.LittleEndian.PutUint32(kb[0:], it.Key.X)
-		binary.LittleEndian.PutUint32(kb[4:], it.Key.Y)
-		binary.LittleEndian.PutUint32(kb[8:], it.Key.Z)
-		kb[12] = it.Key.L
-		b = append(b, kb[:]...)
+		b = it.Key.AppendBinary(b)
 		if len(it.U) != vecLen {
 			panic("reduce: inconsistent vector length")
 		}
@@ -61,13 +56,7 @@ func decodeItems(b []byte, vecLen int) []Item {
 	b = b[4:]
 	out := make([]Item, n)
 	for i := 0; i < n; i++ {
-		out[i].Key = morton.Key{
-			X: binary.LittleEndian.Uint32(b[0:]),
-			Y: binary.LittleEndian.Uint32(b[4:]),
-			Z: binary.LittleEndian.Uint32(b[8:]),
-			L: b[12],
-		}
-		b = b[13:]
+		out[i].Key, b = morton.DecodeKey(b)
 		out[i].U = mpi.BytesToFloat64s(b[:8*vecLen])
 		b = b[8*vecLen:]
 	}

@@ -290,7 +290,7 @@ func (s *Server) buildPlan(id string, pts [][3]float64, opts SolverOptions) (*Ca
 		s.plansBuilt64.Add(1)
 	}
 	tf0 := kifmm.TranslationCache()
-	plan, err := solver.Plan(ToPoints(pts))
+	plan, err := solver.PlanAt(ToPoints(opts.Targets), ToPoints(pts))
 	if err != nil {
 		return nil, err
 	}

@@ -195,7 +195,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Reject unsupported configurations before paying for the plan build
-	// (kifmm.NewSession would reject them after it).
+	// (kifmm.NewSession would reject the first two after it; targets are not
+	// part of a session at all).
 	switch {
 	case req.Options.Shards > 0:
 		writeError(w, http.StatusBadRequest, "sessions do not support sharded plans")
@@ -230,6 +231,9 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		sess, buildErr = entry.Solver.NewSession(ToPoints(req.Points))
+		if buildErr == nil {
+			sess.SetProfile(s.prof)
+		}
 	})
 	if !ok {
 		return

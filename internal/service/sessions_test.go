@@ -304,3 +304,42 @@ func TestEvaluateWithTargets(t *testing.T) {
 		t.Fatal("target change did not change the plan key")
 	}
 }
+
+// TestSessionReportsPhases: a session step with densities shows up under the
+// engine phases and the scheduler counters of /metrics, like a plan's Apply.
+func TestSessionReportsPhases(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 4})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	pts, den := testPoints(600, 9)
+	opts := fastOpts()
+	opts.Workers = 2
+	var sess SessionResponse
+	if code, raw := postJSON(t, ts.Client(), ts.URL+"/v1/session",
+		SessionRequest{Points: pts, Options: opts}, &sess); code != http.StatusOK {
+		t.Fatalf("create: %d %s", code, raw)
+	}
+	if code, raw := postJSON(t, ts.Client(), ts.URL+"/v1/session/"+sess.SessionID+"/step",
+		SessionStepRequest{Densities: den}, nil); code != http.StatusOK {
+		t.Fatalf("step: %d %s", code, raw)
+	}
+	r, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(r.Body)
+	r.Body.Close()
+	for _, want := range []string{
+		`kifmm_phase_seconds_total{phase="U-list"}`,
+		`kifmm_phase_seconds_total{phase="V-list"}`,
+		`kifmm_phase_flops_total{phase="U-list"}`,
+		`kifmm_phase_flops_total{phase="V-list"}`,
+		"kifmm_sched_graphs_total 1",
+	} {
+		if !strings.Contains(string(raw), want) {
+			t.Fatalf("metrics missing %q after a session step:\n%s", want, raw)
+		}
+	}
+}

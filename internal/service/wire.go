@@ -47,7 +47,8 @@ type SolverOptions struct {
 	ShardComm string `json:"shard_comm,omitempty"`
 	// Targets, when non-empty, makes evaluation asymmetric: request points
 	// are sources only, and potentials are returned at these targets instead
-	// (kifmm.Options.Targets). Incompatible with shards and sessions.
+	// (the plan is built with kifmm.FMM.PlanAt). Incompatible with shards and
+	// sessions.
 	Targets [][3]float64 `json:"targets,omitempty"`
 }
 
@@ -82,7 +83,8 @@ func (o SolverOptions) Validate() error {
 }
 
 // ToOptions maps the (validated) wire form onto kifmm.Options; zero values
-// keep the library defaults.
+// keep the library defaults. Targets are geometry, not solver configuration:
+// buildPlan hands them to PlanAt.
 func (o SolverOptions) ToOptions() kifmm.Options {
 	return kifmm.Options{
 		Kernel:       kifmm.KernelName(o.Kernel),
@@ -96,7 +98,6 @@ func (o SolverOptions) ToOptions() kifmm.Options {
 		Precision:    precisions[o.Precision],
 		Shards:       o.Shards,
 		ShardComm:    o.ShardComm,
-		Targets:      ToPoints(o.Targets),
 	}
 }
 

@@ -38,28 +38,23 @@ import (
 	"sort"
 	"sync"
 
+	"kifmm/internal/diag"
 	"kifmm/internal/geom"
 	ikifmm "kifmm/internal/kifmm"
 	"kifmm/internal/morton"
 	"kifmm/internal/octree"
 )
 
-// Config configures a session. Ops is required; zero values elsewhere take
-// the documented defaults.
+// Config configures a session. Spec (with its Ops) is required; zero values
+// elsewhere take the documented defaults.
 type Config struct {
-	// Ops is the solver's translation-operator set (shared, never rebuilt).
-	Ops *ikifmm.Operators
+	// Spec configures the session's engine; its operators are shared with
+	// the solver and never rebuilt.
+	Spec ikifmm.EngineSpec
 	// Q is the octree refinement threshold (points per box, default 50).
 	Q int
 	// MaxDepth caps octree refinement (default 24).
 	MaxDepth int
-	// Workers bounds loop parallelism of evaluation (default 1).
-	Workers int
-	// UseFFTM2L selects the FFT-diagonalized V-list translation.
-	UseFFTM2L bool
-	// UseDAG runs evaluations on the task-graph scheduler instead of the
-	// barrier phase sequence.
-	UseDAG bool
 	// ReplanFraction is the changed-point fraction (migrants + adds +
 	// removes over live points) above which a step falls back to a full
 	// re-plan instead of incremental patching. Default 0.25.
@@ -68,10 +63,6 @@ type Config struct {
 	// locally; beyond it the step rebuilds every interaction list (still
 	// without rebuilding the tree). Default 128.
 	MaxPatchSites int
-	// Float32Near runs the near-field phases in single precision (the
-	// session's layout then maintains float32 coordinate mirrors across
-	// steps; see kifmm.Engine.SetFloat32NearField).
-	Float32Near bool
 }
 
 func (c Config) withDefaults() Config {
@@ -80,9 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxDepth == 0 {
 		c.MaxDepth = 24
-	}
-	if c.Workers == 0 {
-		c.Workers = 1
 	}
 	if c.ReplanFraction == 0 {
 		c.ReplanFraction = 0.25
@@ -166,8 +154,8 @@ type Session struct {
 // New builds a session over the initial point set (IDs 0..len(pts)-1).
 func New(pts []geom.Point, cfg Config) (*Session, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Ops == nil {
-		panic("session: Config.Ops is required")
+	if cfg.Spec.Ops == nil {
+		panic("session: Config.Spec.Ops is required")
 	}
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("session: no points")
@@ -189,19 +177,12 @@ func New(pts []geom.Point, cfg Config) (*Session, error) {
 		s.alive[i] = true
 	}
 	s.buildTree()
-	if cfg.UseFFTM2L {
-		cfg.Ops.FFT().PrewarmTree(s.tree, cfg.Workers)
-	}
+	cfg.Spec.Prewarm(s.tree)
 	// The float32 near field localizes its panels per call and never reads
 	// the layout's X32 mirrors, so session layouts stay mirror-free at any
 	// precision.
-	s.layout = ikifmm.NewLayout(s.tree, cfg.Ops, false)
-	s.eng = ikifmm.NewEngineLayout(cfg.Ops, s.tree, s.layout)
-	s.eng.UseFFTM2L = cfg.UseFFTM2L
-	s.eng.Workers = cfg.Workers
-	if cfg.Float32Near {
-		s.eng.SetFloat32NearField(true)
-	}
+	s.layout = ikifmm.NewLayout(s.tree, cfg.Spec.Ops, false)
+	s.eng = cfg.Spec.NewEngine(s.tree, s.layout)
 	return s, nil
 }
 
@@ -268,6 +249,14 @@ func (s *Session) Points() []geom.Point {
 		}
 	}
 	return out
+}
+
+// SetProfile attaches a diag profile that receives per-phase timings, flop
+// counts and scheduler counters from subsequent Apply calls (nil detaches).
+func (s *Session) SetProfile(prof *diag.Profile) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.eng.Prof = prof
 }
 
 // Stats returns the session's cumulative counters.
@@ -377,7 +366,7 @@ func (s *Session) Step(d Delta) (Info, error) {
 // syncEval refreshes the streaming layout and the engine's per-node state
 // after the tree changed under them.
 func (s *Session) syncEval() {
-	s.layout.Sync(s.tree, s.cfg.Ops)
+	s.layout.Sync(s.tree, s.cfg.Spec.Ops)
 	s.eng.Tree = s.tree
 	s.eng.SyncTree()
 }
@@ -626,19 +615,15 @@ func (s *Session) repack() {
 func (s *Session) Apply(densities []float64) ([]float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sd := s.cfg.Ops.Kern.SrcDim()
+	sd := s.cfg.Spec.Ops.Kern.SrcDim()
 	if len(densities) != s.live*sd {
 		return nil, fmt.Errorf("session: %d densities for %d live points (want %d per point)",
 			len(densities), s.live, sd)
 	}
 	s.eng.Reset()
 	s.eng.SetPointDensities(densities)
-	if s.cfg.UseDAG {
-		if _, err := s.eng.EvaluateDAG(nil); err != nil {
-			return nil, fmt.Errorf("session: task-graph evaluation: %w", err)
-		}
-	} else {
-		s.eng.Evaluate()
+	if _, err := s.eng.Run(nil, nil); err != nil {
+		return nil, fmt.Errorf("session: %w", err)
 	}
 	s.stats.Evals++
 	return s.eng.PointPotentials(), nil
@@ -650,5 +635,5 @@ func (s *Session) MemoryBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	points := int64(len(s.pos)) * (24 + 8 + 1 + 4)
-	return ikifmm.ResidentBytes(s.tree, s.cfg.Ops, s.layout) + points
+	return ikifmm.ResidentBytes(s.tree, s.cfg.Spec.Ops, s.layout) + points
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"kifmm/internal/diag"
 	"kifmm/internal/geom"
 	"kifmm/internal/kernel"
 	ikifmm "kifmm/internal/kifmm"
@@ -16,9 +17,7 @@ import (
 func freshEval(pts []geom.Point, den []float64, cfg Config) []float64 {
 	t := octree.Build(pts, cfg.Q, cfg.MaxDepth)
 	t.BuildLists(nil)
-	e := ikifmm.NewEngine(cfg.Ops, t)
-	e.UseFFTM2L = cfg.UseFFTM2L
-	e.Workers = cfg.Workers
+	e := cfg.Spec.NewEngine(t, nil)
 	e.SetPointDensities(den)
 	e.Evaluate()
 	return e.PointPotentials()
@@ -105,10 +104,9 @@ func TestStepMatchesFreshPlan(t *testing.T) {
 			t.Run(kc.name+"/"+dc.name, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(42))
 				cfg := Config{
-					Ops:       ikifmm.NewOperators(kc.k, 4, 1e-9),
-					Q:         25,
-					MaxDepth:  12,
-					UseFFTM2L: true,
+					Spec:     ikifmm.EngineSpec{Ops: ikifmm.NewOperators(kc.k, 4, 1e-9)},
+					Q:        25,
+					MaxDepth: 12,
 					// Keep the heavy steps on the incremental path so the
 					// split/merge machinery (not the replan fallback, which
 					// TestReplanFallback covers) is what gets verified.
@@ -182,10 +180,9 @@ func TestStepMatchesFreshPlan(t *testing.T) {
 func TestReplanFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cfg := Config{
-		Ops:       ikifmm.NewOperators(kernel.ByName("laplace"), 4, 1e-9),
-		Q:         25,
-		MaxDepth:  12,
-		UseFFTM2L: true,
+		Spec:     ikifmm.EngineSpec{Ops: ikifmm.NewOperators(kernel.ByName("laplace"), 4, 1e-9)},
+		Q:        25,
+		MaxDepth: 12,
 	}
 	pts := geom.Generate(geom.Uniform, 600, 11)
 	s, err := New(pts, cfg)
@@ -221,10 +218,9 @@ func TestReplanFallback(t *testing.T) {
 func TestFullListRebuildFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	cfg := Config{
-		Ops:           ikifmm.NewOperators(kernel.ByName("laplace"), 4, 1e-9),
+		Spec:          ikifmm.EngineSpec{Ops: ikifmm.NewOperators(kernel.ByName("laplace"), 4, 1e-9)},
 		Q:             10,
 		MaxDepth:      12,
-		UseFFTM2L:     true,
 		MaxPatchSites: 1,
 	}
 	pts := geom.Generate(geom.Uniform, 500, 13)
@@ -262,14 +258,12 @@ func TestDAGSessionMatchesBarrier(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	mk := func(useDAG bool) *Session {
 		cfg := Config{
-			Ops:       ikifmm.NewOperators(kernel.ByName("laplace"), 4, 1e-9),
-			Q:         20,
-			MaxDepth:  12,
-			UseFFTM2L: true,
-			UseDAG:    useDAG,
+			Spec:     ikifmm.EngineSpec{Ops: ikifmm.NewOperators(kernel.ByName("laplace"), 4, 1e-9)},
+			Q:        20,
+			MaxDepth: 12,
 		}
 		if useDAG {
-			cfg.Workers = 4
+			cfg.Spec.Workers = 4
 		}
 		pts := geom.Generate(geom.Uniform, 600, 17)
 		s, err := New(pts, cfg)
@@ -309,7 +303,7 @@ func TestDAGSessionMatchesBarrier(t *testing.T) {
 
 // TestStepErrors checks delta validation.
 func TestStepErrors(t *testing.T) {
-	cfg := Config{Ops: ikifmm.NewOperators(kernel.ByName("laplace"), 4, 1e-9), Q: 10}
+	cfg := Config{Spec: ikifmm.EngineSpec{Ops: ikifmm.NewOperators(kernel.ByName("laplace"), 4, 1e-9), DenseM2L: true}, Q: 10}
 	s, err := New(geom.Generate(geom.Uniform, 50, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -345,10 +339,9 @@ func TestStepErrors(t *testing.T) {
 func TestRemoveAllButOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cfg := Config{
-		Ops:       ikifmm.NewOperators(kernel.ByName("laplace"), 4, 1e-9),
-		Q:         10,
-		MaxDepth:  12,
-		UseFFTM2L: true,
+		Spec:     ikifmm.EngineSpec{Ops: ikifmm.NewOperators(kernel.ByName("laplace"), 4, 1e-9)},
+		Q:        10,
+		MaxDepth: 12,
 		// Keep removals on the incremental path to stress merges.
 		ReplanFraction: 0.9,
 	}
@@ -392,14 +385,43 @@ func TestRemoveAllButOne(t *testing.T) {
 // localizes its own panels — so a mirror-carrying layout raises it by
 // exactly 12 bytes per point.
 func TestMemoryBytesTracksLayout(t *testing.T) {
-	cfg := Config{Ops: ikifmm.NewOperators(kernel.ByName("laplace"), 4, 1e-9), Q: 25, MaxDepth: 12, UseFFTM2L: true}
+	cfg := Config{Spec: ikifmm.EngineSpec{Ops: ikifmm.NewOperators(kernel.ByName("laplace"), 4, 1e-9)}, Q: 25, MaxDepth: 12}
 	s, err := New(geom.Generate(geom.Uniform, 600, 11), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bare := s.MemoryBytes()
-	s.layout = ikifmm.NewLayout(s.tree, cfg.Ops, true)
+	s.layout = ikifmm.NewLayout(s.tree, cfg.Spec.Ops, true)
 	if got, want := s.MemoryBytes()-bare, int64(12*len(s.tree.Points)); got != want {
 		t.Fatalf("mirror-carrying layout moved the estimate by %d bytes, want %d", got, want)
+	}
+}
+
+// TestSessionReportsPhases: a session with a profile attached reports its
+// evaluations like a plan does — engine phase times and flops, and on more
+// than one worker the task graph's scheduler counters.
+func TestSessionReportsPhases(t *testing.T) {
+	cfg := Config{Spec: ikifmm.EngineSpec{Ops: ikifmm.NewOperators(kernel.ByName("laplace"), 4, 1e-9), Workers: 2}, Q: 25, MaxDepth: 12}
+	pts := geom.Generate(geom.Uniform, 600, 11)
+	s, err := New(pts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := diag.NewProfile()
+	s.SetProfile(prof)
+	den := make([]float64, len(pts))
+	for i := range den {
+		den[i] = float64(i%7) - 3
+	}
+	if _, err := s.Apply(den); err != nil {
+		t.Fatal(err)
+	}
+	for _, ph := range []string{diag.PhaseVList, diag.PhaseUList} {
+		if prof.Time(ph) <= 0 || prof.Flops(ph) <= 0 {
+			t.Errorf("%s: %v, %d flops after one Apply", ph, prof.Time(ph), prof.Flops(ph))
+		}
+	}
+	if n := prof.Counter(diag.CounterSchedGraphs); n < 1 {
+		t.Errorf("sched_graphs = %d after one task-graph Apply", n)
 	}
 }

@@ -30,8 +30,8 @@ func BenchmarkShardedApply(b *testing.B) {
 		for _, R := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("backend=%s/R=%d", backend.Name(), R), func(b *testing.B) {
 				p, err := BuildPlan(tr, Config{
-					Ranks: R, Backend: backend, Ops: ops,
-					UseFFTM2L: true, Workers: 4,
+					Ranks: R, Backend: backend,
+					Spec: kifmm.EngineSpec{Ops: ops, Workers: 4},
 				})
 				if err != nil {
 					b.Fatal(err)

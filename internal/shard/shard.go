@@ -23,7 +23,7 @@ package shard
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"kifmm/internal/diag"
 	"kifmm/internal/dtree"
@@ -40,27 +40,20 @@ type Config struct {
 	// Backend completes the shared octants' upward densities (nil selects
 	// Hypercube, the paper's Algorithm 3).
 	Backend CommBackend
-	// Ops are the solver's translation operators, shared read-only by every
-	// rank (and, through the process-wide spectrum cache, by every plan for
-	// the same kernel and order).
-	Ops *kifmm.Operators
-	// UseFFTM2L selects the FFT-diagonalized V-list translation.
-	UseFFTM2L bool
-	// Workers is the total worker budget, split evenly across ranks (each
-	// rank gets max(1, Workers/Ranks) engine workers).
-	Workers int
-	// Float32Near runs each rank's near-field phases in single precision
-	// (per-rank layouts then carry float32 coordinate mirrors; see
-	// kifmm.Engine.SetFloat32NearField).
-	Float32Near bool
+	// Spec configures every rank's engines. Its operators are shared
+	// read-only by the ranks (and, through the process-wide spectrum cache,
+	// by every plan for the same kernel and order); its Workers is the total
+	// budget, split evenly across ranks (each gets max(1, Workers/Ranks)).
+	Spec kifmm.EngineSpec
 }
 
-// rankState is one rank's immutable setup: its LET, the streaming layout
-// built over it, and the mapping from its owned points back to the caller's
-// input order.
+// rankState is one rank's setup: its LET, the streaming layout built over
+// it, the free list of its engines and the mapping from its owned points
+// back to the caller's input order.
 type rankState struct {
-	dt     *dtree.DistTree
-	layout *kifmm.Layout
+	dt      *dtree.DistTree
+	layout  *kifmm.Layout
+	engines *kifmm.EnginePool
 	// ownedNodes are the LET node indices of the owned leaves, aligned with
 	// dt.Leaves.
 	ownedNodes []int32
@@ -71,22 +64,16 @@ type rankState struct {
 
 // Plan is a sharded evaluation plan: R per-rank local essential trees plus
 // layouts over one partitioned global octree. Like the single-engine plan
-// it is safe for concurrent use — each Apply checks out a private set of R
-// engines from a free list.
+// it is safe for concurrent use — each rank of each Apply checks out a
+// private engine from the rank's free list.
 type Plan struct {
 	cfg    Config
 	ranks  []*rankState
 	n      int // input points
 	sd, td int
 
-	mu   sync.Mutex
-	free [][]*kifmm.Engine
-	prof *diag.Profile
+	prof atomic.Pointer[diag.Profile]
 }
-
-// maxFreeSets caps the engine-set free list (sets beyond it are dropped for
-// the GC after concurrency bursts).
-const maxFreeSets = 4
 
 // BuildPlan partitions the global tree's leaves across cfg.Ranks ranks and
 // assembles each rank's local essential tree. The tree must have been built
@@ -98,7 +85,8 @@ func BuildPlan(tree *octree.Tree, cfg Config) (*Plan, error) {
 	if cfg.Ranks < 1 {
 		return nil, fmt.Errorf("shard: need at least one rank, got %d", cfg.Ranks)
 	}
-	if cfg.Ops == nil {
+	ops := cfg.Spec.Ops
+	if ops == nil {
 		return nil, fmt.Errorf("shard: nil operators")
 	}
 	if cfg.Backend == nil {
@@ -107,9 +95,6 @@ func BuildPlan(tree *octree.Tree, cfg Config) (*Plan, error) {
 	if cfg.Backend.NeedsPow2() && cfg.Ranks&(cfg.Ranks-1) != 0 {
 		return nil, fmt.Errorf("shard: the %s backend requires a power-of-two rank count, got %d",
 			cfg.Backend.Name(), cfg.Ranks)
-	}
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
 	}
 	R := cfg.Ranks
 	if len(tree.Leaves) < R {
@@ -126,7 +111,7 @@ func BuildPlan(tree *octree.Tree, cfg Config) (*Plan, error) {
 	for i, li := range tree.Leaves {
 		n := &tree.Nodes[li]
 		leaves[i] = dtree.Leaf{Key: n.Key, Pts: tree.Points[n.PtLo:n.PtHi]}
-		weights[i] = dtree.LeafWork(tree, li, cfg.Ops.CheckLen())
+		weights[i] = dtree.LeafWork(tree, li, ops.CheckLen())
 	}
 	bounds := partitionLeaves(weights, R)
 
@@ -141,13 +126,16 @@ func BuildPlan(tree *octree.Tree, cfg Config) (*Plan, error) {
 		cfg:   cfg,
 		ranks: make([]*rankState, R),
 		n:     len(tree.Points),
-		sd:    cfg.Ops.Kern.SrcDim(),
-		td:    cfg.Ops.Kern.TrgDim(),
+		sd:    ops.Kern.SrcDim(),
+		td:    ops.Kern.TrgDim(),
 	}
+	rankSpec := cfg.Spec
+	rankSpec.Workers = cfg.Spec.Workers / R
 	for r := 0; r < R; r++ {
 		// Mirror-free layouts: the float32 near field (Float32Near) localizes
 		// its panels per call and never reads the layout's X32 mirrors.
-		rs := &rankState{dt: dts[r], layout: kifmm.NewLayout(dts[r].Tree, cfg.Ops, false)}
+		rs := &rankState{dt: dts[r], layout: kifmm.NewLayout(dts[r].Tree, ops, false)}
+		rs.engines = rankSpec.NewPool(rs.dt.Tree, rs.layout, 0)
 		lo, hi := bounds[r][0], bounds[r][1]
 		for gi := lo; gi < hi; gi++ {
 			li := tree.Leaves[gi]
@@ -223,9 +211,7 @@ func (p *Plan) Backend() string { return p.cfg.Backend.Name() }
 // SetProfile attaches a diag profile receiving per-phase timings and flop
 // counts from every rank of subsequent Apply calls (nil detaches).
 func (p *Plan) SetProfile(prof *diag.Profile) {
-	p.mu.Lock()
-	p.prof = prof
-	p.mu.Unlock()
+	p.prof.Store(prof)
 }
 
 // MemoryBytes estimates the plan's resident size across all ranks: LET
@@ -234,58 +220,9 @@ func (p *Plan) SetProfile(prof *diag.Profile) {
 func (p *Plan) MemoryBytes() int64 {
 	var totalBytes int64
 	for _, rs := range p.ranks {
-		totalBytes += kifmm.ResidentBytes(rs.dt.Tree, p.cfg.Ops, rs.layout)
+		totalBytes += kifmm.ResidentBytes(rs.dt.Tree, p.cfg.Spec.Ops, rs.layout)
 	}
 	return totalBytes
-}
-
-// perRankWorkers splits the total worker budget evenly across ranks.
-func (p *Plan) perRankWorkers() int {
-	w := p.cfg.Workers / p.cfg.Ranks
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// getEngines checks out one reset engine per rank.
-func (p *Plan) getEngines() ([]*kifmm.Engine, *diag.Profile) {
-	p.mu.Lock()
-	var set []*kifmm.Engine
-	if n := len(p.free); n > 0 {
-		set = p.free[n-1]
-		p.free = p.free[:n-1]
-	}
-	prof := p.prof
-	p.mu.Unlock()
-	if set == nil {
-		set = make([]*kifmm.Engine, p.cfg.Ranks)
-		for r := range set {
-			eng := kifmm.NewEngineLayout(p.cfg.Ops, p.ranks[r].dt.Tree, p.ranks[r].layout)
-			eng.UseFFTM2L = p.cfg.UseFFTM2L
-			eng.Workers = p.perRankWorkers()
-			if p.cfg.Float32Near {
-				eng.SetFloat32NearField(true)
-			}
-			set[r] = eng
-		}
-	} else {
-		for _, eng := range set {
-			eng.Reset()
-		}
-	}
-	for _, eng := range set {
-		eng.Prof = prof
-	}
-	return set, prof
-}
-
-func (p *Plan) putEngines(set []*kifmm.Engine) {
-	p.mu.Lock()
-	if len(p.free) < maxFreeSets {
-		p.free = append(p.free, set)
-	}
-	p.mu.Unlock()
 }
 
 // Apply evaluates the potentials for one density vector (input point order,
@@ -296,7 +233,7 @@ func (p *Plan) Apply(densities []float64) ([]float64, error) {
 		return nil, fmt.Errorf("shard: %d densities for %d points (want %d per point)",
 			len(densities), p.n, p.sd)
 	}
-	set, prof := p.getEngines()
+	prof := p.prof.Load()
 	out := make([]float64, p.n*p.td)
 	backend := p.cfg.Backend
 	traffic := make([]RankTraffic, p.cfg.Ranks)
@@ -304,7 +241,7 @@ func (p *Plan) Apply(densities []float64) ([]float64, error) {
 	mpi.Run(p.cfg.Ranks, func(c *mpi.Comm) {
 		r := c.Rank()
 		rs := p.ranks[r]
-		eng := set[r]
+		eng := rs.engines.Get(prof)
 
 		// Owned densities in, the shared distributed rank evaluation with the
 		// backend completing the shared octants' upward densities, owned
@@ -322,6 +259,7 @@ func (p *Plan) Apply(densities []float64) ([]float64, error) {
 			prof.AddTime(diag.ShardCommPhase(backend.Name()), commDur)
 		}
 		gatherPotentials(rs, eng, out, p.td)
+		rs.engines.Put(eng)
 	})
 
 	for r, t := range traffic {
@@ -330,7 +268,6 @@ func (p *Plan) Apply(densities []float64) ([]float64, error) {
 	if prof != nil {
 		prof.AddCounter(diag.CounterShardApplies, 1)
 	}
-	p.putEngines(set)
 	return out, nil
 }
 

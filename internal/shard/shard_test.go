@@ -94,8 +94,8 @@ func TestShardedMatchesOracleLaplace(t *testing.T) {
 		for _, backend := range []CommBackend{Hypercube, Simple} {
 			for _, R := range []int{1, 2, 4, 8} {
 				got := applySharded(t, tr, ops, den, Config{
-					Ranks: R, Backend: backend, Ops: ops,
-					UseFFTM2L: true, Workers: 4,
+					Ranks: R, Backend: backend,
+					Spec: kifmm.EngineSpec{Ops: ops, Workers: 4},
 				})
 				if err := relErr(got, want); err > diffTol {
 					t.Errorf("dist=%v backend=%s R=%d: rel err %g vs oracle (want ≤ %g)",
@@ -127,7 +127,8 @@ func TestShardedReassociationOnly(t *testing.T) {
 	for _, backend := range []CommBackend{Hypercube, Simple} {
 		for _, R := range []int{2, 4, 8} {
 			got := applySharded(t, tr, ops, den, Config{
-				Ranks: R, Backend: backend, Ops: ops, UseFFTM2L: true,
+				Ranks: R, Backend: backend,
+				Spec: kifmm.EngineSpec{Ops: ops},
 			})
 			if err := relErr(got, want); err > 1e-12 {
 				t.Errorf("backend=%s R=%d: rel err %g vs oracle (want ≤ 1e-12 at Tol=1e-5)",
@@ -145,7 +146,8 @@ func TestShardedNonPow2Simple(t *testing.T) {
 	want := oracle(t, tr, ops, den, true)
 	for _, R := range []int{3, 5, 7} {
 		got := applySharded(t, tr, ops, den, Config{
-			Ranks: R, Backend: Simple, Ops: ops, UseFFTM2L: true, Workers: 2,
+			Ranks: R, Backend: Simple,
+			Spec: kifmm.EngineSpec{Ops: ops, Workers: 2},
 		})
 		if err := relErr(got, want); err > diffTol {
 			t.Errorf("simple R=%d: rel err %g vs oracle", R, err)
@@ -162,7 +164,8 @@ func TestShardedMatchesOracleStokes(t *testing.T) {
 		want := oracle(t, tr, ops, den, true)
 		for _, backend := range []CommBackend{Hypercube, Simple} {
 			got := applySharded(t, tr, ops, den, Config{
-				Ranks: 4, Backend: backend, Ops: ops, UseFFTM2L: true, Workers: 2,
+				Ranks: 4, Backend: backend,
+				Spec: kifmm.EngineSpec{Ops: ops, Workers: 2},
 			})
 			if err := relErr(got, want); err > diffTol {
 				t.Errorf("stokes dist=%v backend=%s: rel err %g vs oracle", dist, backend.Name(), err)
@@ -180,7 +183,8 @@ func TestShardedMatchesOracleYukawa(t *testing.T) {
 		want := oracle(t, tr, ops, den, true)
 		for _, backend := range []CommBackend{Hypercube, Simple} {
 			got := applySharded(t, tr, ops, den, Config{
-				Ranks: 4, Backend: backend, Ops: ops, UseFFTM2L: true, Workers: 2,
+				Ranks: 4, Backend: backend,
+				Spec: kifmm.EngineSpec{Ops: ops, Workers: 2},
 			})
 			if err := relErr(got, want); err > diffTol {
 				t.Errorf("yukawa dist=%v backend=%s: rel err %g vs oracle", dist, backend.Name(), err)
@@ -196,7 +200,7 @@ func TestShardedDeterministic(t *testing.T) {
 	kern := kernel.Laplace{}
 	tr, ops, den := buildCase(t, kern, geom.Ellipsoid, 2000, 40, 6)
 	for _, backend := range []CommBackend{Hypercube, Simple} {
-		cfg := Config{Ranks: 4, Backend: backend, Ops: ops, UseFFTM2L: true, Workers: 3}
+		cfg := Config{Ranks: 4, Backend: backend, Spec: kifmm.EngineSpec{Ops: ops, Workers: 3}}
 		p1, err := BuildPlan(tr, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -234,7 +238,8 @@ func TestShardedTrafficRecorded(t *testing.T) {
 	tr, ops, den := buildCase(t, kern, geom.Uniform, 2000, 40, 4)
 	for _, backend := range []CommBackend{Hypercube, Simple} {
 		applySharded(t, tr, ops, den, Config{
-			Ranks: 4, Backend: backend, Ops: ops, UseFFTM2L: true,
+			Ranks: 4, Backend: backend,
+			Spec: kifmm.EngineSpec{Ops: ops},
 		})
 	}
 	rows := Metrics.Rows()
@@ -284,7 +289,7 @@ func TestBackendByName(t *testing.T) {
 // 12 bytes per LET point.
 func TestMemoryBytesTracksLayouts(t *testing.T) {
 	tr, ops, _ := buildCase(t, kernel.Laplace{}, geom.Uniform, 1500, 30, 4)
-	p, err := BuildPlan(tr, Config{Ranks: 2, Ops: ops, UseFFTM2L: true})
+	p, err := BuildPlan(tr, Config{Ranks: 2, Spec: kifmm.EngineSpec{Ops: ops}})
 	if err != nil {
 		t.Fatal(err)
 	}

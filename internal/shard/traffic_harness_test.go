@@ -35,7 +35,7 @@ func TestTrafficHarness(t *testing.T) {
 	for _, R := range []int{4, 8, 16} {
 		for _, backend := range []CommBackend{Hypercube, Simple} {
 			Metrics.Reset()
-			p, err := BuildPlan(tr, Config{Ranks: R, Backend: backend, Ops: ops, UseFFTM2L: true, Workers: 4})
+			p, err := BuildPlan(tr, Config{Ranks: R, Backend: backend, Spec: kifmm.EngineSpec{Ops: ops, Workers: 4}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestTrafficPinned(t *testing.T) {
 			{156002, 5, 156002, 291, 2},
 		}},
 	} {
-		p, err := BuildPlan(tr, Config{Ranks: len(tc.want), Backend: tc.backend, Ops: ops, UseFFTM2L: true, Workers: 2})
+		p, err := BuildPlan(tr, Config{Ranks: len(tc.want), Backend: tc.backend, Spec: kifmm.EngineSpec{Ops: ops, Workers: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}

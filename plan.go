@@ -2,7 +2,6 @@ package kifmm
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"kifmm/internal/diag"
@@ -30,42 +29,53 @@ type Plan struct {
 	// by every engine this plan checks out.
 	layout *ikifmm.Layout
 	n      int
-	// nTrg > 0 marks an asymmetric plan (Options.Targets): the tree holds
-	// the union with targets first, Apply takes densities for the n sources
-	// and returns potentials for the nTrg targets.
+	// nTrg > 0 marks an asymmetric plan (PlanAt): the tree holds the union
+	// with targets first, Apply takes densities for the n sources and
+	// returns potentials for the nTrg targets.
 	nTrg int
+	// engines is the free list of the single-engine plan.
+	engines *ikifmm.EnginePool
 	// shard, when non-nil, makes Apply run the coordinated multi-rank
 	// evaluation over Options.Shards local essential trees instead of the
 	// single-engine phase sequence (Options.Shards > 0).
 	shard *shard.Plan
 
-	mu   sync.Mutex
-	free []*ikifmm.Engine
-	prof *diag.Profile
-
+	prof  atomic.Pointer[diag.Profile]
 	evals atomic.Int64
 }
-
-// maxFreeEngines caps the per-plan engine free list; engines beyond the cap
-// are dropped for the GC after bursts of concurrency.
-const maxFreeEngines = 8
 
 // Plan builds the octree, interaction lists, and evaluation state for the
 // point set and returns a Plan for repeated evaluations. The returned plan
 // is bound to this solver's kernel and options.
-func (f *FMM) Plan(points []Point) (*Plan, error) {
-	if err := f.checkPoints(points); err != nil {
+func (f *FMM) Plan(points []Point) (*Plan, error) { return f.PlanAt(nil, points) }
+
+// PlanAt is Plan for evaluation at targets distinct from the sources: the
+// tree is built over the union of both, Apply takes densities for the
+// sources only, and potentials come back for targets only, in targets order.
+// The phase bodies skip source-side work in target-only subtrees and
+// target-side work in source-only subtrees; every skipped term is exactly
+// zero, so the result is bit-identical to evaluating the union with
+// zero-density targets while skipping its wasted work. Empty targets give
+// the symmetric plan. Sharded solvers (Options.Shards) do not support
+// distinct targets.
+func (f *FMM) PlanAt(targets, sources []Point) (*Plan, error) {
+	if err := f.checkPoints(sources); err != nil {
 		return nil, err
 	}
-	nTrg := len(f.opt.Targets)
+	nTrg := len(targets)
+	points := sources
 	if nTrg > 0 {
-		// Asymmetric plan: the tree spans targets and sources, targets
-		// first, so original indices < nTrg are targets (SetSplitRoles'
-		// convention).
-		union := make([]Point, 0, nTrg+len(points))
-		union = append(union, f.opt.Targets...)
-		union = append(union, points...)
-		points = union
+		if f.opt.Shards > 0 {
+			return nil, fmt.Errorf("kifmm: evaluation at distinct targets does not support sharded plans")
+		}
+		if err := checkInCube("target", targets); err != nil {
+			return nil, err
+		}
+		// The tree spans targets and sources, targets first, so original
+		// indices < nTrg are targets (SetSplitRoles' convention).
+		points = make([]Point, 0, nTrg+len(sources))
+		points = append(points, targets...)
+		points = append(points, sources...)
 	}
 	var tree *octree.Tree
 	if f.opt.Balanced {
@@ -74,23 +84,14 @@ func (f *FMM) Plan(points []Point) (*Plan, error) {
 		tree = octree.Build(points, f.opt.PointsPerBox, f.opt.MaxDepth)
 	}
 	tree.BuildLists(nil)
-	if !f.opt.denseM2L {
-		// Eagerly, so the first Apply pays no lazy spectrum builds.
-		f.ops.FFT().PrewarmTree(tree, f.opt.Workers)
-	}
+	// Eagerly, so the first Apply pays no lazy spectrum builds.
+	f.spec.Prewarm(tree)
 	if f.opt.Shards > 0 {
 		// Sharded plan: partition this tree's leaves across R ranks and
 		// assemble their local essential trees. The prewarmed spectra above
 		// cover every rank (LET V-list levels are a subset of the global
 		// tree's), landing in the process-wide cache all shards share.
-		sp, err := shard.BuildPlan(tree, shard.Config{
-			Ranks:       f.opt.Shards,
-			Backend:     f.backend,
-			Ops:         f.ops,
-			UseFFTM2L:   !f.opt.denseM2L,
-			Workers:     f.opt.Workers,
-			Float32Near: f.float32Near(),
-		})
+		sp, err := shard.BuildPlan(tree, shard.Config{Ranks: f.opt.Shards, Backend: f.backend, Spec: f.spec})
 		if err != nil {
 			return nil, fmt.Errorf("kifmm: %w", err)
 		}
@@ -98,7 +99,9 @@ func (f *FMM) Plan(points []Point) (*Plan, error) {
 	}
 	// Mirror-free layout: the float32 near field localizes its own panels
 	// per call and never reads the layout's float32 coordinate mirrors.
-	return &Plan{f: f, tree: tree, layout: ikifmm.NewLayout(tree, f.ops, false), n: len(points) - nTrg, nTrg: nTrg}, nil
+	layout := ikifmm.NewLayout(tree, f.spec.Ops, false)
+	return &Plan{f: f, tree: tree, layout: layout, n: len(sources), nTrg: nTrg,
+		engines: f.spec.NewPool(tree, layout, nTrg)}, nil
 }
 
 // TranslationCacheStats is a snapshot of the process-wide V-list
@@ -131,8 +134,8 @@ func ShardTrafficStats() []ShardTraffic {
 // (which is every point of a symmetric plan).
 func (p *Plan) NumPoints() int { return p.n }
 
-// NumTargets returns the target count of an asymmetric plan
-// (Options.Targets), 0 for symmetric plans.
+// NumTargets returns the target count of an asymmetric plan (PlanAt), 0 for
+// symmetric plans.
 func (p *Plan) NumTargets() int { return p.nTrg }
 
 // Evaluations returns how many Apply calls have completed.
@@ -142,9 +145,7 @@ func (p *Plan) Evaluations() int64 { return p.evals.Load() }
 // flop counts from subsequent Apply calls (nil detaches). Used by the
 // serving layer to aggregate phase metrics across requests.
 func (p *Plan) SetProfile(prof *diag.Profile) {
-	p.mu.Lock()
-	p.prof = prof
-	p.mu.Unlock()
+	p.prof.Store(prof)
 	if p.shard != nil {
 		p.shard.SetProfile(prof)
 	}
@@ -179,40 +180,7 @@ func (p *Plan) MemoryBytes() int64 {
 		pts := int64(len(p.tree.Points))
 		return nodes*120 + pts*(24+8) + p.shard.MemoryBytes()
 	}
-	return ikifmm.ResidentBytes(p.tree, p.f.ops, p.layout)
-}
-
-// getEngine checks out a reset engine bound to the plan's tree.
-func (p *Plan) getEngine() *ikifmm.Engine {
-	p.mu.Lock()
-	var eng *ikifmm.Engine
-	if n := len(p.free); n > 0 {
-		eng = p.free[n-1]
-		p.free = p.free[:n-1]
-	}
-	prof := p.prof
-	p.mu.Unlock()
-	if eng == nil {
-		eng = ikifmm.NewEngineLayout(p.f.ops, p.tree, p.layout)
-		eng.UseFFTM2L = !p.f.opt.denseM2L
-		eng.Workers = p.f.opt.Workers
-		eng.SetSplitRoles(p.nTrg)
-		if p.f.float32Near() {
-			eng.SetFloat32NearField(true)
-		}
-	} else {
-		eng.Reset()
-	}
-	eng.Prof = prof
-	return eng
-}
-
-func (p *Plan) putEngine(eng *ikifmm.Engine) {
-	p.mu.Lock()
-	if len(p.free) < maxFreeEngines {
-		p.free = append(p.free, eng)
-	}
-	p.mu.Unlock()
+	return ikifmm.ResidentBytes(p.tree, p.f.spec.Ops, p.layout)
 }
 
 // Apply evaluates the potentials for one density vector on the prebuilt
@@ -220,7 +188,8 @@ func (p *Plan) putEngine(eng *ikifmm.Engine) {
 // point. It runs the full FMM phase sequence but skips tree construction,
 // list building, and operator setup. With Options.Workers > 1 the phases run
 // as a dependency task graph on the internal scheduler, otherwise as the
-// paper's barrier-separated loops (bit-identical results either way).
+// paper's barrier-separated loops (bit-identical results either way; the
+// rule is Engine.Run's).
 func (p *Plan) Apply(densities []float64) ([]float64, error) {
 	if p.shard != nil {
 		out, err := p.shard.Apply(densities)
@@ -257,33 +226,20 @@ func (p *Plan) apply(densities []float64, trace *sched.Trace) ([]float64, sched.
 		return nil, sched.Stats{}, fmt.Errorf("kifmm: %d densities for %d points (want %d per point)",
 			len(densities), p.n, p.f.kern.SrcDim())
 	}
-	eng := p.getEngine()
+	eng := p.engines.Get(p.prof.Load())
 	eng.SetDensitiesMasked(densities, p.nTrg)
-	var stats sched.Stats
-	if p.f.useDAG() || trace != nil {
-		var err error
-		stats, err = eng.EvaluateDAG(trace)
-		if err != nil {
-			// A failed graph leaves the engine's state partial; drop it
-			// rather than returning it to the free list.
-			return nil, stats, fmt.Errorf("kifmm: task-graph evaluation: %w", err)
-		}
-		if prof := eng.Prof; prof != nil {
-			prof.AddCounter(diag.CounterSchedGraphs, 1)
-			prof.AddCounter(diag.CounterSchedTasks, stats.Tasks)
-			prof.AddCounter(diag.CounterSchedSteals, stats.Steals)
-			prof.AddCounter(diag.CounterSchedStolen, stats.Stolen)
-			prof.AddTime(diag.PhaseSchedIdle, stats.Idle)
-		}
-	} else {
-		eng.Evaluate()
+	stats, err := eng.Run(nil, trace)
+	if err != nil {
+		// A failed graph leaves the engine's state partial; drop it rather
+		// than returning it to the free list.
+		return nil, stats, fmt.Errorf("kifmm: %w", err)
 	}
 	out := eng.PointPotentials()
 	if p.nTrg > 0 {
 		// The union's leading original indices are the targets.
 		out = out[:p.nTrg*p.f.kern.TrgDim()]
 	}
-	p.putEngine(eng)
+	p.engines.Put(eng)
 	p.evals.Add(1)
 	return out, stats, nil
 }

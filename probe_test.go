@@ -1,0 +1,134 @@
+package kifmm
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// TestProbe is the house-rule potentials probe every deletion PR runs at its
+// parent and at its change: one "name sha256" line per configuration, sorted,
+// over the potentials of a 20k-point 1:1:4 ellipsoid at order 4 — every
+// driver, V-list translation, shard layout, precision and entry point of the
+// public API. Two trees that print the same file evaluate the same bits.
+//
+//	KIFMM_PROBE=probe.txt go test -run TestProbe -timeout 30m .   (make probe)
+//
+// Gated behind an env var: it is a fingerprint to diff, not a check.
+func TestProbe(t *testing.T) {
+	path := os.Getenv("KIFMM_PROBE")
+	if path == "" {
+		t.Skip("set KIFMM_PROBE=<file> to write the potentials probe")
+	}
+	const n, nTrg = 20000, 3000
+	var lines []string
+	record := func(name string, pot []float64, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		h := sha256.New()
+		var b [8]byte
+		for _, v := range pot {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+		lines = append(lines, fmt.Sprintf("%s %x", name, h.Sum(nil)))
+	}
+	planApply := func(opt Options, pts []Point, den []float64) ([]float64, error) {
+		f, err := New(opt)
+		if err != nil {
+			return nil, err
+		}
+		p, err := f.Plan(pts)
+		if err != nil {
+			return nil, err
+		}
+		return p.Apply(den)
+	}
+	trgs, _ := randInput(nTrg, 1, 17)
+
+	for _, kern := range []KernelName{Laplace, Stokes, Yukawa} {
+		base := Options{Kernel: kern, Order: 4, Workers: 2}
+		f, err := New(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, den := ellipsoidInput(n, f.DensityDim(), 7)
+
+		for _, workers := range []int{1, 2} {
+			for _, mode := range []execMode{execBarrier, execDAG} {
+				for _, dense := range []bool{false, true} {
+					opt := base
+					opt.Workers, opt.exec, opt.denseM2L = workers, mode, dense
+					pot, err := planApply(opt, pts, den)
+					record(fmt.Sprintf("%s/apply/workers%d/exec%d/dense=%v", kern, workers, mode, dense), pot, err)
+				}
+			}
+		}
+		for _, sh := range []struct {
+			ranks int
+			comm  string
+		}{{2, "hypercube"}, {4, "hypercube"}, {3, "simple"}} {
+			opt := base
+			opt.Shards, opt.ShardComm = sh.ranks, sh.comm
+			pot, err := planApply(opt, pts, den)
+			record(fmt.Sprintf("%s/shards%d/%s", kern, sh.ranks, sh.comm), pot, err)
+		}
+		opt32 := base
+		opt32.Precision = PrecisionFloat32
+		pot, err := planApply(opt32, pts, den)
+		record(fmt.Sprintf("%s/float32", kern), pot, err)
+
+		p, err := f.PlanAt(trgs, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pot, err = p.Apply(den)
+		record(fmt.Sprintf("%s/targets", kern), pot, err)
+		pot, err = f.EvaluateAt(trgs, pts, den)
+		record(fmt.Sprintf("%s/evaluateat", kern), pot, err)
+
+		s, err := f.NewSession(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(27))
+		for round := 0; round < 3; round++ {
+			var d Delta
+			ids := s.IDs()
+			for _, id := range ids[:len(ids)/20] {
+				d.Move = append(d.Move, PointMove{ID: id, To: Point{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}})
+			}
+			for i := 0; i < 20; i++ {
+				d.Add = append(d.Add, Point{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()})
+			}
+			d.Remove = ids[len(ids)-10:]
+			if _, err := s.Step(d); err != nil {
+				t.Fatal(err)
+			}
+			sden := make([]float64, s.NumPoints()*f.DensityDim())
+			for i := range sden {
+				sden[i] = rng.NormFloat64()
+			}
+			pot, err := s.Apply(sden)
+			record(fmt.Sprintf("%s/session/round%d", kern, round), pot, err)
+		}
+
+		for run := 0; run < 2; run++ {
+			pot, err := f.EvaluateDistributed(4, pts, den)
+			record(fmt.Sprintf("%s/distributed4/run%d", kern, run), pot, err)
+		}
+	}
+
+	sort.Strings(lines)
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}

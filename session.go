@@ -11,8 +11,8 @@ import (
 // place across Steps instead of re-planning from scratch, falling back to a
 // transparent full re-plan only when a delta's churn defeats locality (see
 // internal/session, which declares the type and its methods: Step, Apply,
-// NumPoints, IDs, Stats, MemoryBytes). Safe for concurrent use; Step and
-// Apply serialize on an internal lock.
+// NumPoints, IDs, Stats, SetProfile, MemoryBytes). Safe for concurrent use;
+// Step and Apply serialize on an internal lock.
 type Session = session.Session
 
 // The values a Session exchanges with its caller: Delta is one Step's point
@@ -28,28 +28,18 @@ type (
 
 // NewSession builds a session over the initial point set (IDs
 // 0..len(points)-1). Sessions require a plain single-engine configuration:
-// Shards, Balanced, and Targets are rejected.
+// Shards and Balanced are rejected.
 func (f *FMM) NewSession(points []Point) (*Session, error) {
 	switch {
 	case f.opt.Shards > 0:
 		return nil, fmt.Errorf("kifmm: sessions do not support sharded plans")
 	case f.opt.Balanced:
 		return nil, fmt.Errorf("kifmm: sessions do not support 2:1-balanced trees (incremental edits do not preserve the balance)")
-	case len(f.opt.Targets) > 0:
-		return nil, fmt.Errorf("kifmm: sessions do not support asymmetric evaluation (Targets)")
 	}
 	if err := f.checkPoints(points); err != nil {
 		return nil, err
 	}
-	s, err := session.New(points, session.Config{
-		Ops:         f.ops,
-		Q:           f.opt.PointsPerBox,
-		MaxDepth:    f.opt.MaxDepth,
-		Workers:     f.opt.Workers,
-		UseFFTM2L:   !f.opt.denseM2L,
-		UseDAG:      f.useDAG(),
-		Float32Near: f.float32Near(),
-	})
+	s, err := session.New(points, session.Config{Spec: f.spec, Q: f.opt.PointsPerBox, MaxDepth: f.opt.MaxDepth})
 	if err != nil {
 		return nil, fmt.Errorf("kifmm: %w", err)
 	}

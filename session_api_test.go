@@ -5,10 +5,25 @@ import (
 	"testing"
 )
 
+// zeroDensityUnion is the oracle of asymmetric evaluation: the targets folded
+// into a symmetric evaluation as zero-density points, which leaves every
+// source contribution unchanged and skips nothing.
+func zeroDensityUnion(f *FMM, targets, sources []Point, densities []float64) ([]float64, error) {
+	sd, td := f.DensityDim(), f.PotentialDim()
+	all := append(append([]Point(nil), targets...), sources...)
+	den := make([]float64, len(all)*sd)
+	copy(den[len(targets)*sd:], densities)
+	pot, err := f.Evaluate(all, den)
+	if err != nil {
+		return nil, err
+	}
+	return pot[:len(targets)*td], nil
+}
+
 // TestTargetsMatchesMaskedOracle checks the asymmetric-evaluation contract:
-// a plan with Options.Targets must produce exactly what the symmetric
-// zero-density-target trick (EvaluateAt) produces — the masks only ever
-// skip terms that are exactly zero.
+// a PlanAt plan (and EvaluateAt, its one-shot form) must produce exactly what
+// the symmetric zero-density-target trick produces — the masks only ever skip
+// terms that are exactly zero.
 func TestTargetsMatchesMaskedOracle(t *testing.T) {
 	cases := []struct {
 		name string
@@ -23,9 +38,7 @@ func TestTargetsMatchesMaskedOracle(t *testing.T) {
 	trgs, _ := randInput(180, 1, 52)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opt := tc.opt
-			opt.Targets = trgs
-			f, err := New(opt)
+			f, err := New(tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -34,7 +47,7 @@ func TestTargetsMatchesMaskedOracle(t *testing.T) {
 			for i := range den {
 				den[i] = rng.NormFloat64()
 			}
-			p, err := f.Plan(srcs)
+			p, err := f.PlanAt(trgs, srcs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,18 +61,18 @@ func TestTargetsMatchesMaskedOracle(t *testing.T) {
 			if len(got) != 180*f.PotentialDim() {
 				t.Fatalf("output length %d", len(got))
 			}
-			oracle, err := New(tc.opt)
+			oneShot, err := f.EvaluateAt(trgs, srcs, den)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := oracle.EvaluateAt(trgs, srcs, den)
+			want, err := zeroDensityUnion(f, trgs, srcs, den)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("asymmetric eval diverges from masked oracle at %d: %v vs %v",
-						i, got[i], want[i])
+				if got[i] != want[i] || oneShot[i] != want[i] {
+					t.Fatalf("asymmetric eval diverges from masked oracle at %d: plan %v, EvaluateAt %v vs %v",
+						i, got[i], oneShot[i], want[i])
 				}
 			}
 		})
@@ -67,11 +80,20 @@ func TestTargetsMatchesMaskedOracle(t *testing.T) {
 }
 
 func TestTargetsValidation(t *testing.T) {
-	if _, err := New(Options{Targets: []Point{{X: 2, Y: 0, Z: 0}}}); err == nil {
+	srcs, _ := randInput(100, 1, 54)
+	f, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.PlanAt([]Point{{X: 2, Y: 0, Z: 0}}, srcs); err == nil {
 		t.Fatal("out-of-cube target accepted")
 	}
-	if _, err := New(Options{Targets: []Point{{X: 0.5, Y: 0.5, Z: 0.5}}, Shards: 2}); err == nil {
-		t.Fatal("Targets with Shards accepted")
+	sharded, err := New(Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sharded.PlanAt([]Point{{X: 0.5, Y: 0.5, Z: 0.5}}, srcs); err == nil {
+		t.Fatal("targets with Shards accepted")
 	}
 }
 
@@ -159,7 +181,6 @@ func TestNewSessionRejections(t *testing.T) {
 	bad := []Options{
 		{Shards: 2},
 		{Balanced: true},
-		{Targets: []Point{{X: 0.5, Y: 0.5, Z: 0.5}}},
 	}
 	for i, opt := range bad {
 		f, err := New(opt)
