@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race bench bench-nearfield bench-smoke bench-check sched-stress shard-stress session-stress lint lint-baseline lint-inject loc probe ci
+.PHONY: build vet test race portable fuzz bench bench-nearfield bench-smoke bench-check sched-stress shard-stress session-stress lint lint-baseline lint-inject loc probe ci
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,17 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The build without the amd64 Hadamard kernel (internal/kifmm/hadamard_amd64.s)
+# is the one other architectures get: test it through the conventional purego
+# tag, and vet the package for arm64 so a file that only amd64 compiles shows.
+portable:
+	$(GO) test -tags purego ./internal/kifmm
+	GOARCH=arm64 $(GO) vet ./internal/kifmm
+
+# Native fuzz targets, a bounded run each: vector Hadamard kernel ≡ Go loop.
+fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzHadamardPanels -fuzztime=10s ./internal/kifmm
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -74,9 +85,10 @@ lint-baseline:
 	$(GO) run ./cmd/fmmvet -write-escape-baseline ./...
 
 # Negative test for the lint gate itself: copies the tree to a scratch dir,
-# plants a cross-package hot-path allocation, an AB/BA lock-order cycle, and
-# a hot-path escape regression, and asserts each one FAILS fmmvet with the
-# expected diagnostic. Guards against the analyzers being silently wedged
+# plants a cross-package hot-path allocation, an AB/BA lock-order cycle, a
+# hot-path escape regression, an allocation in the V-list group body and an
+# escape through the Hadamard assembly stub, and asserts each one FAILS fmmvet
+# with the expected diagnostic. Guards against the analyzers being silently wedged
 # open (a bad baseline, an over-broad allow, a scope bug).
 lint-inject:
 	./scripts/lint_inject.sh
@@ -95,4 +107,4 @@ loc:
 probe:
 	KIFMM_PROBE=$(CURDIR)/probe.txt $(GO) test -run '^TestProbe$$' -count=1 -timeout 30m .
 
-ci: build vet lint lint-inject race sched-stress shard-stress session-stress bench-smoke bench-check
+ci: build vet portable lint lint-inject race fuzz sched-stress shard-stress session-stress bench-smoke bench-check

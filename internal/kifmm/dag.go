@@ -19,9 +19,11 @@ import (
 //	S2U(leaf)                         — no deps
 //	U2U(i)                            — after U of every child (tree parenthood)
 //	spec(a)  [FFT mode]               — after U of source a (forward FFT)
-//	V(i)                              — after U/spec of every source in i's V list
-//	X(i)                              — after V(i)            (DChk write order)
-//	D2D(i)                            — after D2D(parent), X(i)/V(i)
+//	V(i)     [dense mode]             — after U of every source in i's V list
+//	V(group) [FFT mode]               — after spec of every source in the V
+//	                                    lists of the group's siblings
+//	X(i)                              — after V(i) / V(group of i)  (DChk write order)
+//	D2D(i)                            — after D2D(parent), X(i)/V
 //	W(leaf)                           — after U of every source in the W list
 //	D2T(leaf)                         — after D2D(leaf), W(leaf)  (potential write order)
 //	U(leaf)                           — after D2T(leaf)/W(leaf)   (potential write order)
@@ -204,11 +206,12 @@ func (e *Engine) buildDAG() *sched.Graph {
 }
 
 // buildVFFT adds the FFT-diagonalized V-list subgraph: one forward-FFT
-// ("spec") task per referenced source octant and one task per target octant
-// running the same per-target body as the barrier pass (vliFFTNode). Only
-// the spectrum lifetime differs: spectra are reference-counted and released
-// as their last consumer finishes, which bounds the live-spectrum footprint
-// without a level barrier.
+// ("spec") task per referenced source octant and one task per sibling group
+// — the children of one parent that have V entries and are targets — running
+// the same group body as the barrier pass (vliFFTGroup); vTask of every
+// member is the group's task. Only the spectrum lifetime differs: spectra are
+// reference-counted and released as their last consumer finishes, which
+// bounds the live-spectrum footprint without a level barrier.
 func (e *Engine) buildVFFT(g *sched.Graph, uTask, vTask []sched.TaskID) {
 	t := e.Tree
 	f := e.Ops.FFT()
@@ -220,10 +223,12 @@ func (e *Engine) buildVFFT(g *sched.Graph, uTask, vTask []sched.TaskID) {
 		specTask[i] = sched.NoTask
 	}
 
+	nTrg := 0
 	for i := 0; i < nn; i++ {
-		if !e.trgNode(int32(i)) {
+		if len(t.Nodes[i].V) == 0 || !e.trgNode(int32(i)) {
 			continue
 		}
+		nTrg++
 		for _, a := range t.Nodes[i].V {
 			if !e.srcNode(a) {
 				continue
@@ -245,28 +250,51 @@ func (e *Engine) buildVFFT(g *sched.Graph, uTask, vTask []sched.TaskID) {
 		}
 	}
 	tables := vTables{f: f, workers: e.Workers}
-	for i := 0; i < nn; i++ {
-		n := &t.Nodes[i]
-		if len(n.V) == 0 || !e.trgNode(int32(i)) {
+	members := make([]int32, 0, nTrg) // every group's targets, back to back
+	// gated[a] is the last group task given an edge from spec(a): siblings
+	// share most of their sources, and one edge per (source, group) is enough.
+	gated := make([]sched.TaskID, nn)
+	for i := range gated {
+		gated[i] = sched.NoTask
+	}
+	for p := 0; p < nn; p++ {
+		if t.Nodes[p].IsLeaf {
 			continue
 		}
-		tb := tables.at(n.Key.Level())
-		vTask[i] = dagTask(g, e, "Vfft", sched.PriHigh, diag.PhaseVList, func(i int32, s *evalScratch) {
-			e.vliFFTNode(i, f, tb, spec, s)
-			// Release mirrors the ref counting above exactly (mask-selected
-			// sources only); the atomic decrement orders the free after
-			// every other consumer's reads.
-			for _, a := range t.Nodes[i].V {
-				if e.srcNode(a) && atomic.AddInt32(&refs[a], -1) == 0 {
-					spec[a] = nil
+		lo := len(members)
+		for _, c := range t.Nodes[p].Children {
+			if c != octree.NoNode && len(t.Nodes[c].V) > 0 && e.trgNode(c) {
+				members = append(members, c)
+			}
+		}
+		grp := members[lo:]
+		if len(grp) == 0 {
+			continue
+		}
+		tb := tables.at(t.Nodes[grp[0]].Key.Level())
+		task := g.AddW("Vfft", sched.PriHigh, func(w int) {
+			stop := e.timed(diag.PhaseVList)
+			e.vliFFTGroup(grp, f, tb, spec, e.scratch[w])
+			// Release mirrors the ref counting above exactly (one count per
+			// mask-selected V entry); the atomic decrement orders the free
+			// after every other consumer's reads.
+			for _, i := range grp {
+				for _, a := range t.Nodes[i].V {
+					if e.srcNode(a) && atomic.AddInt32(&refs[a], -1) == 0 {
+						spec[a] = nil
+					}
 				}
 			}
-		}, int32(i))
-		for _, a := range n.V {
-			if !e.srcNode(a) {
-				continue
+			stop()
+		})
+		for _, i := range grp {
+			vTask[i] = task
+			for _, a := range t.Nodes[i].V {
+				if e.srcNode(a) && gated[a] != task {
+					gated[a] = task
+					g.Dep(specTask[a], task)
+				}
 			}
-			g.Dep(specTask[a], vTask[i])
 		}
 	}
 }

@@ -90,11 +90,13 @@ type Engine struct {
 	den32 []float32
 	// vbuf backs the barrier FFT V-list's source spectra of one target chunk
 	// (at most vLiveBytes), vspec maps a node to its spectrum in it and vseen
-	// marks the chunk's collected sources; all three are reused across
-	// chunks, levels and Applies (vliFFT).
+	// marks the chunk's collected sources; vruns holds where the chunk's
+	// runs of sibling targets start. All four are reused across chunks,
+	// levels and Applies (vliFFT).
 	vbuf  []float64
 	vspec [][]float64
 	vseen []bool
+	vruns []int32
 }
 
 // NewEngine allocates evaluation state for the tree, building a private
@@ -302,8 +304,8 @@ type evalScratch struct {
 	tx32, ty32, tz32 []float32 // max leaf points: box-local float32 target panel
 	px32, py32, pz32 []float32 // max leaf points: box-local float32 source panel
 	vgrid            []float64 // GridLen: real-grid scratch for the half-spectrum FFTs
-	vacc             []float64 // AccLen: per-target frequency accumulator
-	vsort            []uint64  // one target's V sources as dirSlot<<32 | node, sorted
+	vacc             []float64 // 8·AccLen: one frequency accumulator per sibling target
+	vsort            []uint64  // one sibling group's V interactions as vOrder<<41 | dirSlot<<32 | node, sorted
 	flops            [numFlopPhase]int64
 }
 
@@ -319,17 +321,19 @@ func (s *evalScratch) grid(n int) []float64 {
 	return s.vgrid
 }
 
-// fftAcc returns the zeroed frequency-space accumulator of length n (SoA
-// re/im panels per target component), reusing the previous allocation when
-// the shape matches.
-func (s *evalScratch) fftAcc(n int) []float64 {
-	if len(s.vacc) != n {
+// fftAccs returns k ≤ 8 zeroed frequency-space accumulators of length n
+// each (SoA re/im panels per target component), contiguous, out of the
+// worker's buffer of eight — one per child of a parent — which is reused
+// while the shape matches.
+func (s *evalScratch) fftAccs(k, n int) []float64 {
+	if len(s.vacc) != 8*n {
 		//fmm:allow hotalloc per-worker scratch grows once per shape change, then is reused
-		s.vacc = make([]float64, n)
-		return s.vacc
+		s.vacc = make([]float64, 8*n)
+		return s.vacc[:k*n]
 	}
-	zero(s.vacc)
-	return s.vacc
+	acc := s.vacc[:k*n]
+	zero(acc)
+	return acc
 }
 
 // ensureScratch returns the per-worker scratch slice, growing it to at

@@ -292,12 +292,14 @@ func Hadamard(acc, tf, src []float64, sd, td, hl int) {
 	}
 }
 
-// hadamardPanels is the register-blocked complex multiply-accumulate
-// micro-kernel over one component pair's panels: (ar,ai) += (tr,ti)·(sr,si)
-// elementwise. The leading reslices pin every panel to one length so the
-// compiler drops the per-element bounds checks, and the two-wide unroll
-// keeps both complex products in registers per iteration. Each element is
-// one fixed expression, so the result is bit-identical to the scalar loop.
+// hadamardPanels is the complex multiply-accumulate micro-kernel over one
+// component pair's panels: (ar,ai) += (tr,ti)·(sr,si) elementwise, every
+// panel pinned to len(ar). On amd64 an AVX2 body (hadamard_amd64.s) covers
+// the leading multiple of four elements; hadamardGo finishes the tail, and is
+// the whole kernel on other architectures, under -tags purego and on CPUs
+// without AVX2. The vector body evaluates the same expression with the same
+// roundings — separate multiplies, subtract and adds, no FMA — so which of
+// the two ran is not observable in the result.
 //
 //fmm:hotpath
 func hadamardPanels(ar, ai, tr, ti, sr, si []float64) {
@@ -305,12 +307,24 @@ func hadamardPanels(ar, ai, tr, ti, sr, si []float64) {
 	if n == 0 {
 		return
 	}
+	ai, tr, ti, sr, si = ai[:n], tr[:n], ti[:n], sr[:n], si[:n]
+	hadamardGo(ar, ai, tr, ti, sr, si, hadamardVec(ar, ai, tr, ti, sr, si))
+}
+
+// hadamardGo is the portable kernel over elements [i, len(ar)) of six
+// equal-length panels. The leading reslices let the compiler drop the
+// per-element bounds checks, and the two-wide unroll keeps both complex
+// products in registers per iteration. Each element is one fixed expression,
+// so the result is bit-identical to the scalar loop.
+//
+//fmm:hotpath
+func hadamardGo(ar, ai, tr, ti, sr, si []float64, i int) {
+	n := len(ar)
 	ai = ai[:n]
 	tr = tr[:n]
 	ti = ti[:n]
 	sr = sr[:n]
 	si = si[:n]
-	i := 0
 	for ; i+1 < n; i += 2 {
 		tr0, ti0, sr0, si0 := tr[i], ti[i], sr[i], si[i]
 		tr1, ti1, sr1, si1 := tr[i+1], ti[i+1], sr[i+1], si[i+1]
@@ -365,7 +379,7 @@ const vLiveBytes = 32 << 20
 
 // vliFFT is the barrier driver of the FFT V-list: levels ascending (V
 // interactions are same-level), each level's targets in chunks (vLiveBytes).
-// The task graph (buildVFFT) runs the same per-target body over
+// The task graph (buildVFFT) runs the same per-sibling-group body over
 // reference-counted spectra instead.
 func (e *Engine) vliFFT(sc []*evalScratch) {
 	f := e.Ops.FFT()
@@ -403,10 +417,12 @@ func (e *Engine) vliFFT(sc []*evalScratch) {
 }
 
 // vliChunk forward-transforms each of srcs once into the engine's spectrum
-// buffer (reused across chunks, levels and Applies), runs the per-target
-// body over targets in parallel, and unmarks srcs for the next chunk. Every
-// contributing source of a chunk's target is in that chunk's srcs, so the
-// body never reads another chunk's spectrum.
+// buffer (reused across chunks, levels and Applies), runs the group body in
+// parallel over the runs of targets that share a parent (a level's targets
+// are in Morton order, so siblings are adjacent; a sibling group the chunk
+// bound cut in two runs as two partial groups), and unmarks srcs for the next
+// chunk. Every contributing source of a chunk's target is in that chunk's
+// srcs, so the body never reads another chunk's spectrum.
 func (e *Engine) vliChunk(targets, srcs []int32, f *FFTM2L, tables *vTables, level int, sc []*evalScratch) {
 	if len(srcs) == 0 {
 		return
@@ -423,9 +439,18 @@ func (e *Engine) vliChunk(targets, srcs []int32, f *FFTM2L, tables *vTables, lev
 		spec[a] = buf[k*specLen : (k+1)*specLen]
 		f.SourceSpectrumInto(e.U[a], spec[a], sc[w].grid(f.GridLen()))
 	})
+	nodes := e.Tree.Nodes
+	runs := e.vruns[:0] // runs[k] is where the k-th run of siblings starts
+	for k, i := range targets {
+		if k == 0 || nodes[i].Parent != nodes[targets[k-1]].Parent {
+			runs = append(runs, int32(k))
+		}
+	}
+	runs = append(runs, int32(len(targets)))
+	e.vruns = runs
 	tb := tables.at(level)
-	par.ForW(e.Workers, len(targets), func(w, k int) {
-		e.vliFFTNode(targets[k], f, tb, spec, sc[w])
+	par.ForW(e.Workers, len(runs)-1, func(w, k int) {
+		e.vliFFTGroup(targets[runs[k]:runs[k+1]], f, tb, spec, sc[w])
 	})
 	for _, a := range srcs {
 		e.vseen[a] = false
@@ -433,26 +458,54 @@ func (e *Engine) vliChunk(targets, srcs []int32, f *FFTM2L, tables *vTables, lev
 	}
 }
 
-// vliFFTNode is the one FFT V-list body, run per target octant by both
-// drivers: Hadamard-accumulate every contributing V source's spectrum into
-// the worker's frequency-space accumulator in ascending direction order,
-// inverse-transform, and add into e.DChk[i]. For a fixed target and
-// direction the source octant is unique, so the accumulation order — and
-// with it the result, bit for bit — does not depend on the driver or the
-// worker count. A non-source octant's spectrum is all zeros, so skipping it
-// (srcNode) is exact.
+// vOrder places one V interaction in its sibling group's evaluation order
+// and names its translation: the direction from the target's parent to the
+// source's parent (27 slots), then the source's octant in its parent, then
+// the target's octant, and the dirSlot of the pair. Both are functions of the
+// two same-level keys alone. For a fixed target the leading two fields
+// identify the source, so per target the order is total, and it is the same
+// order whichever siblings share the group.
+func vOrder(src, trg morton.Key) (order, slot int) {
+	sh := uint(morton.MaxDepth - src.Level()) // anchors in units of the octant side
+	sx, sy, sz := int(src.X>>sh), int(src.Y>>sh), int(src.Z>>sh)
+	tx, ty, tz := int(trg.X>>sh), int(trg.Y>>sh), int(trg.Z>>sh)
+	pdir := ((sx>>1-tx>>1+1)*3+(sy>>1-ty>>1+1))*3 + (sz>>1 - tz>>1 + 1)
+	so := (sx&1)<<2 | (sy&1)<<1 | sz&1
+	to := (tx&1)<<2 | (ty&1)<<1 | tz&1
+	return (pdir*8+so)*8 + to, dirSlot(tx-sx, ty-sy, tz-sz)
+}
+
+// vliFFTGroup is the one FFT V-list body, run by both drivers over the
+// targets of one sibling group: grp holds children of one parent (all that
+// have V entries and are targets, or the part of them a chunk bound left
+// together), each with its own frequency-space accumulator in the worker's
+// scratch. The group's interactions are sorted by vOrder, so the ≤ 64
+// products between the group and the children of one neighbouring parent run
+// back to back: they touch ≤ 27 translation spectra, 8 source spectra and 8
+// accumulators — an L2-sized set — where a per-target walk streams two
+// panels from L3 per product. Then one inverse transform per target adds
+// into e.DChk. Per target the accumulation order is vOrder's, a function of
+// Morton keys only, so the result, bit for bit, does not depend on the
+// driver, the worker count or which siblings are present. A non-source
+// octant's spectrum is all zeros, so skipping it (srcNode) is exact.
 //
 //fmm:hotpath
-func (e *Engine) vliFFTNode(i int32, f *FFTM2L, tb *vTable, spec [][]float64, s *evalScratch) {
+func (e *Engine) vliFFTGroup(grp []int32, f *FFTM2L, tb *vTable, spec [][]float64, s *evalScratch) {
 	t := e.Tree
-	n := &t.Nodes[i]
+	var accOf [8]int32 // target octant → index into grp
+	var count [8]int   // interactions per grp entry
 	vs := s.vsort[:0]
-	for _, a := range n.V {
-		if !e.srcNode(a) {
-			continue
+	for k, i := range grp {
+		n := &t.Nodes[i]
+		for _, a := range n.V {
+			if !e.srcNode(a) {
+				continue
+			}
+			order, slot := vOrder(t.Nodes[a].Key, n.Key)
+			accOf[order&7] = int32(k)
+			count[k]++
+			vs = append(vs, uint64(order)<<41|uint64(slot)<<32|uint64(a)) //fmm:allow hotalloc amortized growth of per-worker vsort scratch
 		}
-		dx, dy, dz := dirBetween(t.Nodes[a].Key, n.Key)
-		vs = append(vs, uint64(dirSlot(dx, dy, dz))<<32|uint64(a)) //fmm:allow hotalloc amortized growth of per-worker vsort scratch
 	}
 	s.vsort = vs
 	if len(vs) == 0 {
@@ -460,11 +513,17 @@ func (e *Engine) vliFFTNode(i int32, f *FFTM2L, tb *vTable, spec [][]float64, s 
 	}
 	slices.Sort(vs)
 	sd, td := e.Ops.Kern.SrcDim(), e.Ops.Kern.TrgDim()
-	hl := f.HalfLen()
-	acc := s.fftAcc(f.AccLen())
+	hl, accLen := f.HalfLen(), f.AccLen()
+	acc := s.fftAccs(len(grp), accLen)
 	for _, v := range vs {
-		Hadamard(acc, tb[v>>32], spec[int32(v)], sd, td, hl)
+		k := int(accOf[v>>41&7])
+		Hadamard(acc[k*accLen:(k+1)*accLen], tb[v>>32&511], spec[int32(v)], sd, td, hl)
 	}
 	s.flops[fpVList] += int64(len(vs)) * int64(8*td*sd*hl)
-	f.ExtractCheck(acc, e.Ops.KernScale(n.Key.Level()), e.DChk[i], s.grid(f.GridLen()))
+	scale, grid := e.Ops.KernScale(t.Nodes[grp[0]].Key.Level()), s.grid(f.GridLen())
+	for k, i := range grp {
+		if count[k] > 0 {
+			f.ExtractCheck(acc[k*accLen:(k+1)*accLen], scale, e.DChk[i], grid)
+		}
+	}
 }

@@ -21,6 +21,13 @@ import (
 //	KIFMM_PROBE=probe.txt go test -run TestProbe -timeout 30m .   (make probe)
 //
 // Gated behind an env var: it is a fingerprint to diff, not a check.
+//
+// Hashes cannot tell a 1e-10 reassociation from garbage, so a PR that changes
+// an accumulation order on purpose also measures: KIFMM_PROBE_DUMP=<file>
+// writes every configuration's potentials, in evaluation order, as raw
+// little-endian float64, and KIFMM_PROBE_AGAINST=<file> logs (run with -v),
+// per configuration, the relative L2 difference and the largest relative
+// element difference against such a dump from the other tree.
 func TestProbe(t *testing.T) {
 	path := os.Getenv("KIFMM_PROBE")
 	if path == "" {
@@ -28,18 +35,45 @@ func TestProbe(t *testing.T) {
 	}
 	const n, nTrg = 20000, 3000
 	var lines []string
+	var dump []byte
+	dumpPath := os.Getenv("KIFMM_PROBE_DUMP")
+	var against []byte
+	if p := os.Getenv("KIFMM_PROBE_AGAINST"); p != "" {
+		var err error
+		if against, err = os.ReadFile(p); err != nil {
+			t.Fatal(err)
+		}
+	}
 	record := func(name string, pot []float64, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		h := sha256.New()
-		var b [8]byte
-		for _, v := range pot {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			h.Write(b[:])
+		raw := make([]byte, 8*len(pot))
+		for i, v := range pot {
+			binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
 		}
-		lines = append(lines, fmt.Sprintf("%s %x", name, h.Sum(nil)))
+		lines = append(lines, fmt.Sprintf("%s %x", name, sha256.Sum256(raw)))
+		if dumpPath != "" {
+			dump = append(dump, raw...)
+		}
+		if against != nil {
+			if len(against) < len(raw) {
+				t.Fatalf("%s: KIFMM_PROBE_AGAINST dump ends %d bytes short", name, len(raw)-len(against))
+			}
+			var num, den, worst float64
+			for i, v := range pot {
+				ref := math.Float64frombits(binary.LittleEndian.Uint64(against[8*i:]))
+				d := math.Abs(v - ref)
+				num += d * d
+				den += ref * ref
+				if d != 0 {
+					worst = max(worst, d/max(math.Abs(v), math.Abs(ref)))
+				}
+			}
+			against = against[len(raw):]
+			t.Logf("against %s rel_l2=%.3e max_rel_elem=%.3e", name, math.Sqrt(num/den), worst)
+		}
 	}
 	planApply := func(opt Options, pts []Point, den []float64) ([]float64, error) {
 		f, err := New(opt)
@@ -127,6 +161,14 @@ func TestProbe(t *testing.T) {
 		}
 	}
 
+	if against != nil && len(against) != 0 {
+		t.Fatalf("KIFMM_PROBE_AGAINST dump has %d bytes left over: not a dump of this probe", len(against))
+	}
+	if dumpPath != "" {
+		if err := os.WriteFile(dumpPath, dump, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	sort.Strings(lines)
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)

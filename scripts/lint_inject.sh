@@ -4,7 +4,7 @@
 # A static-analysis gate fails silently: a stale escape baseline, an
 # over-broad //fmm:allow, or a propagation bug makes `make lint` pass while
 # the invariant it guards has rotted. This script proves the gate still
-# bites by copying the tree to a scratch directory, planting three known-bad
+# bites by copying the tree to a scratch directory, planting five known-bad
 # changes, and asserting that each one FAILS `go run ./cmd/fmmvet ./...`
 # with the expected diagnostic:
 #
@@ -13,6 +13,9 @@
 #   2. an AB/BA lock-order cycle (lockorder)
 #   3. a hot-path heap-escape regression (escape, diffed against the
 #      checked-in escape_baseline.txt)
+#   4. a per-group allocation in the V-list body vliFFTGroup (hotalloc)
+#   5. an escape through the arguments of the Hadamard assembly stub once
+#      its //go:noescape is dropped (escape)
 #
 # Run from the module root: ./scripts/lint_inject.sh  (or `make lint-inject`).
 set -u
@@ -147,5 +150,49 @@ func injectEscape(x float64) {
 EOF
 run_fmmvet
 expect_failure "escape regression" "new heap escape in hot-path function"
+
+# --- 4. allocation in the V-list group body ---------------------------------
+# The body is guarded only because it is annotated //fmm:hotpath: replace its
+# per-worker accumulators with a fresh slice per sibling group.
+fresh_copy
+F="$SCRATCH/repo/internal/kifmm/fftm2l.go"
+grep -qF 'acc := s.fftAccs(len(grp), accLen)' "$F" ||
+    fail "vliFFTGroup no longer takes its accumulators from s.fftAccs; update injection 4"
+sed -i 's|acc := s.fftAccs(len(grp), accLen)|acc := make([]float64, len(grp)*accLen)|' "$F"
+run_fmmvet
+expect_failure "allocation in vliFFTGroup" "make allocates in hot path"
+expect_failure "allocation in vliFFTGroup names the body" "vliFFTGroup"
+
+# --- 5. escape through the assembly stub's arguments ------------------------
+# The compiler cannot see into hadamard_amd64.s: only //go:noescape tells it
+# the kernel keeps none of its six pointers. A hot caller that hands the stub
+# stack panels passes with the directive and must fail without it.
+fresh_copy
+F="$SCRATCH/repo/internal/kifmm/hadamard_amd64.go"
+cat > "$SCRATCH/repo/internal/kifmm/zz_inject_amd64.go" <<'EOF'
+//go:build !purego
+
+package kifmm
+
+// injectStackPanels is planted by scripts/lint_inject.sh: four-element
+// panels that stay on the stack as long as the stub is //go:noescape.
+//
+//fmm:hotpath
+func injectStackPanels() float64 {
+	var a, t, s [4]float64
+	hadamardAVX2(&a[0], &a[0], &t[0], &t[0], &s[0], &s[0], 4)
+	return a[0]
+}
+EOF
+run_fmmvet
+if [ "$STATUS" -ne 0 ]; then
+    echo "$OUT" >&2
+    fail "stack panels through the //go:noescape stub: fmmvet failed; the directive should keep them on the stack"
+fi
+grep -q '^//go:noescape$' "$F" || fail "hadamard_amd64.go has no //go:noescape line; update injection 5"
+sed -i '/^\/\/go:noescape$/d' "$F"
+run_fmmvet
+expect_failure "escape through the assembly stub" "new heap escape in hot-path function"
+expect_failure "escape through the assembly stub names the caller" "injectStackPanels"
 
 echo "lint-inject: PASS: all planted regressions rejected"
