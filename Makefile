@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race portable fuzz bench bench-nearfield bench-smoke bench-check sched-stress shard-stress session-stress lint lint-baseline lint-inject loc probe ci
+.PHONY: build vet test race portable fuzz bench bench-nearfield bench-smoke bench-check sched-stress shard-stress session-stress lint lint-baseline lint-inject loc probe probe-check ci
 
 build:
 	$(GO) build ./...
@@ -23,9 +23,12 @@ portable:
 	$(GO) test -tags purego ./internal/kifmm
 	GOARCH=arm64 $(GO) vet ./internal/kifmm
 
-# Native fuzz targets, a bounded run each: vector Hadamard kernel ≡ Go loop.
+# Native fuzz targets, a bounded run each: vector Hadamard kernel ≡ Go loop;
+# the wire options decoder (strict decode → Validate → New) errors or yields
+# a solver, never panics, and refuses every retired field by name.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzHadamardPanels -fuzztime=10s ./internal/kifmm
+	$(GO) test -run='^$$' -fuzz=FuzzSolverOptionsJSON -fuzztime=10s ./internal/service
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -101,10 +104,14 @@ loc:
 		$$(find . -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l)
 
 # The potentials probe (probe_test.go): writes probe.txt, one `name sha256`
-# line per public-API configuration. A PR that must not change arithmetic
-# runs it at its parent and at its change and diffs the two files. Not part
-# of `make ci`: it is a fingerprint, not a check.
+# line per public-API configuration. The checked-in file is the rule
+# probe-check enforces: arithmetic does not change by accident. A PR that
+# means to change arithmetic regenerates the file with `make probe` and
+# explains every line that moved.
 probe:
 	KIFMM_PROBE=$(CURDIR)/probe.txt $(GO) test -run '^TestProbe$$' -count=1 -timeout 30m .
 
-ci: build vet portable lint lint-inject race fuzz sched-stress shard-stress session-stress bench-smoke bench-check
+probe-check: probe
+	git diff --exit-code -- probe.txt
+
+ci: build vet portable lint lint-inject race probe-check fuzz sched-stress shard-stress session-stress bench-smoke bench-check

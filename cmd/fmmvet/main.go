@@ -1,4 +1,4 @@
-// Command fmmvet is the project's static-analysis suite: eight analyzers
+// Command fmmvet is the project's static-analysis suite: seven analyzers
 // enforcing the determinism, hot-path allocation, and concurrency
 // invariants the FMM engine depends on. Since v2 the suite is
 // interprocedural: a whole-program call graph propagates //fmm:hotpath and

@@ -119,10 +119,6 @@ type Options struct {
 	// YukawaLambda is the screening parameter of the Yukawa kernel
 	// (default 5).
 	YukawaLambda float64
-	// Balanced applies 2:1 balance refinement to the octree (sequential
-	// evaluation only): adjacent leaves differ by at most one level, which
-	// regularizes the interaction lists at the cost of extra octants.
-	Balanced bool
 	// Shards, when positive, makes Plan build a sharded plan: the octree's
 	// leaves are Morton-partitioned across Shards in-process ranks, each
 	// rank assembles a local essential tree, and every Apply runs the

@@ -175,22 +175,6 @@ func TestCoincidentPointsHandled(t *testing.T) {
 	}
 }
 
-func TestEvaluateBalancedTree(t *testing.T) {
-	f, err := New(Options{PointsPerBox: 10, Balanced: true, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, den := randInput(700, 1, 31)
-	got, err := f.Evaluate(pts, den)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := f.Direct(pts, den)
-	if e := relErr(got, want); e > 5e-5 {
-		t.Fatalf("balanced-tree rel err %g", e)
-	}
-}
-
 func TestEvaluateAtSeparateTargets(t *testing.T) {
 	f, err := New(Options{PointsPerBox: 30, Workers: 2})
 	if err != nil {

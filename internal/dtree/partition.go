@@ -36,10 +36,9 @@ type Leaf struct {
 type Partition struct {
 	P int
 	// Start[k] is the first code of Ω_k (inclusive); End[k] the last
-	// (inclusive). Ranks with no leaves have empty intervals with
-	// Start[k] > End[k].
+	// (inclusive). Every rank owns a leaf (NewPartition), so no interval is
+	// empty.
 	Start, End []morton.Code
-	Has        []bool
 }
 
 // NewPartition gathers the per-rank leaf boundaries. Collective. Every rank
@@ -60,7 +59,6 @@ func NewPartition(c *mpi.Comm, leaves []Leaf) *Partition {
 		P:     p,
 		Start: make([]morton.Code, p),
 		End:   make([]morton.Code, p),
-		Has:   make([]bool, p),
 	}
 	for r := 0; r < p; r++ {
 		v := mpi.BytesToInt64s(all[r])
@@ -68,7 +66,6 @@ func NewPartition(c *mpi.Comm, leaves []Leaf) *Partition {
 			panic("dtree: NewPartition requires every rank to own at least one leaf; " +
 				"increase points per rank or reduce the rank count")
 		}
-		pt.Has[r] = true
 		pt.Start[r] = morton.Code{Hi: uint64(v[1]), Lo: uint64(v[2])}
 	}
 	// Region k runs from its first leaf code up to just before region k+1;
@@ -108,9 +105,7 @@ func (pt *Partition) Contributors(k morton.Key) []int {
 	}
 	out := make([]int, 0, kHi-kLo+1)
 	for r := kLo; r <= kHi; r++ {
-		if pt.Has[r] {
-			out = append(out, r)
-		}
+		out = append(out, r)
 	}
 	return out
 }
@@ -119,14 +114,12 @@ func (pt *Partition) Contributors(k morton.Key) []int {
 // neighborhood C(P(k)) of the octant's parent (𝒫_u in the paper) — the
 // ranks that may need this octant in their local essential trees. For
 // level-0/1 octants (whose parent neighborhood is the whole cube) it
-// returns all non-empty ranks.
+// returns all ranks.
 func (pt *Partition) Users(k morton.Key) []int {
 	if k.Level() <= 1 {
 		out := make([]int, 0, pt.P)
 		for r := 0; r < pt.P; r++ {
-			if pt.Has[r] {
-				out = append(out, r)
-			}
+			out = append(out, r)
 		}
 		return out
 	}
@@ -140,7 +133,7 @@ func (pt *Partition) Users(k morton.Key) []int {
 			return
 		}
 		for r := kLo; r <= kHi; r++ {
-			if pt.Has[r] && !seen[r] {
+			if !seen[r] {
 				seen[r] = true
 				out = append(out, r)
 			}
@@ -155,27 +148,14 @@ func (pt *Partition) Users(k morton.Key) []int {
 }
 
 // IntervalOfRanks returns the union code interval covering ranks
-// [kLo, kHi] (their regions are contiguous); ok is false if every rank in
-// the interval is empty.
+// [kLo, kHi], clamped to the ranks that exist (their regions are
+// contiguous); ok is false if that leaves no rank.
 func (pt *Partition) IntervalOfRanks(kLo, kHi int) (lo, hi morton.Code, ok bool) {
-	if kLo < 0 {
-		kLo = 0
+	kLo, kHi = max(kLo, 0), min(kHi, pt.P-1)
+	if kLo > kHi {
+		return lo, hi, false
 	}
-	if kHi >= pt.P {
-		kHi = pt.P - 1
-	}
-	found := false
-	for r := kLo; r <= kHi; r++ {
-		if !pt.Has[r] {
-			continue
-		}
-		if !found {
-			lo = pt.Start[r]
-			found = true
-		}
-		hi = pt.End[r]
-	}
-	return lo, hi, found
+	return pt.Start[kLo], pt.End[kHi], true
 }
 
 // OwnerOf returns the rank owning the octant's anchor cell (used by the

@@ -8,7 +8,6 @@ import (
 	"kifmm/internal/kernel"
 	"kifmm/internal/morton"
 	"kifmm/internal/octree"
-	"kifmm/internal/par"
 )
 
 // Engine evaluates the FMM phases of Algorithm 1 on one tree. The per-node
@@ -20,13 +19,16 @@ import (
 // and the Local flags, which is what allows the same engine to run both the
 // sequential FMM and each rank's local essential tree.
 //
-// Each phase exists in two executions over the same per-octant bodies
-// (s2uLeaf, u2uNode, ...): the barrier path below (Phases: one
-// bulk-synchronous par.For per phase, as in the paper — also every rank of a
-// distributed evaluation) and the task-graph path in dag.go
-// (EvaluateDAG), which replaces the phase barriers with per-octant
-// dependencies. Because both run the identical per-octant arithmetic in the
-// identical accumulation order, their results are bit-identical.
+// What a phase is — the octants it walks, which of them have work, its body
+// and the name it reports under — is one row of the table in phase.go. Two
+// drivers execute the rows over the same per-octant bodies (s2uLeaf, u2uNode,
+// ...): the barrier loop (runPhase, Phases: one bulk-synchronous par.ForW per
+// phase, as in the paper — also every rank of a distributed evaluation) and
+// the task graph in dag.go (EvaluateDAG), which replaces the phase barriers
+// with per-octant dependencies. Because both run the identical per-octant
+// arithmetic in the identical accumulation order, their results are
+// bit-identical. A body is only ever called for an octant its row's has
+// selects; it does not check again.
 //
 // The near-field bodies run on the batched kernel.Batch panel evaluator
 // over the plan-time streaming Layout: a leaf's sources and targets are
@@ -293,7 +295,7 @@ var flopPhaseName = [numFlopPhase]string{
 // evalScratch is one worker's reusable evaluation state: surface coordinate
 // panels, check/equivalent temporaries, the FFT V-list accumulator, and the
 // per-phase flop counters. One scratch is owned by at most one worker at a
-// time (par.ForW and sched.AddW guarantee worker indices are exclusive), so
+// time (par.ForW and sched.Graph guarantee worker indices are exclusive), so
 // the bodies run without locks and without per-octant allocation.
 type evalScratch struct {
 	chk              []float64 // CheckLen: check potentials / MulVec temporary
@@ -428,19 +430,6 @@ func (e *Engine) timed(phase string) func() {
 	return e.Prof.Start(phase) //fmm:coldcall instrumentation; profiler timestamps never feed back into results
 }
 
-// S2U computes upward-equivalent densities of every local leaf from its
-// source points: evaluate the sources on the upward-check surface, then
-// solve to the equivalent surface (step 1 of Algorithm 1).
-func (e *Engine) S2U() {
-	defer e.timed(diag.PhaseUpward)()
-	t := e.Tree
-	sc := e.ensureScratch(e.barrierWorkers())
-	par.ForW(e.Workers, len(t.Leaves), func(w, li int) {
-		e.s2uLeaf(t.Leaves[li], sc[w])
-	})
-	e.flushFlops()
-}
-
 // s2uLeaf is the per-octant S2U body: writes e.U[i] from leaf i's points.
 // The leaf's sources are a contiguous SoA panel of the layout; the
 // upward-check surface is filled into worker scratch from the per-level
@@ -450,9 +439,6 @@ func (e *Engine) S2U() {
 func (e *Engine) s2uLeaf(i int32, s *evalScratch) {
 	t := e.Tree
 	n := &t.Nodes[i]
-	if !n.Local || n.NPoints() == 0 || !e.srcNode(i) {
-		return
-	}
 	L := e.Layout
 	sd := e.Ops.Kern.SrcDim()
 	ux, uy, uz := s.surf()
@@ -473,21 +459,6 @@ func (e *Engine) s2uLeaf(i int32, s *evalScratch) {
 		2*int64(m.Rows*m.Cols)
 }
 
-// U2U accumulates child upward densities into parents, finest level first
-// (step 2). Within a level, parents are processed independently.
-func (e *Engine) U2U() {
-	defer e.timed(diag.PhaseUpward)()
-	byLevel := e.nodesByLevel()
-	sc := e.ensureScratch(e.barrierWorkers())
-	for l := len(byLevel) - 1; l >= 0; l-- {
-		nodes := byLevel[l]
-		par.ForW(e.Workers, len(nodes), func(w, ni int) {
-			e.u2uNode(nodes[ni], sc[w])
-		})
-	}
-	e.flushFlops()
-}
-
 // u2uNode is the per-octant U2U body: accumulates node i's children into
 // e.U[i]. Requires every child's U to be final.
 //
@@ -495,9 +466,6 @@ func (e *Engine) U2U() {
 func (e *Engine) u2uNode(i int32, s *evalScratch) {
 	t := e.Tree
 	n := &t.Nodes[i]
-	if n.IsLeaf || !e.srcNode(i) {
-		return
-	}
 	for ci, cj := range n.Children {
 		if cj == octree.NoNode {
 			continue
@@ -508,23 +476,6 @@ func (e *Engine) u2uNode(i int32, s *evalScratch) {
 	}
 }
 
-// VLI applies the V-list translations (step 3a), accumulating into the
-// downward-check potentials. Uses dense M2L matrices or the
-// FFT-diagonalized path depending on UseFFTM2L.
-func (e *Engine) VLI() {
-	defer e.timed(diag.PhaseVList)()
-	sc := e.ensureScratch(e.barrierWorkers())
-	if e.UseFFTM2L {
-		e.vliFFT(sc)
-	} else {
-		t := e.Tree
-		par.ForW(e.Workers, len(t.Nodes), func(w, i int) {
-			e.vliDenseNode(int32(i), sc[w])
-		})
-	}
-	e.flushFlops()
-}
-
 // vliDenseNode is the per-octant dense V-list body: accumulates every
 // source's M2L translation into e.DChk[i], in V-list order.
 //
@@ -532,9 +483,6 @@ func (e *Engine) VLI() {
 func (e *Engine) vliDenseNode(i int32, s *evalScratch) {
 	t := e.Tree
 	n := &t.Nodes[i]
-	if len(n.V) == 0 || !e.trgNode(i) {
-		return
-	}
 	tmp := s.chk
 	for _, a := range n.V {
 		if !e.srcNode(a) {
@@ -559,36 +507,14 @@ func dirBetween(src, trg morton.Key) (int, int, int) {
 		int((int64(trg.Z) - int64(src.Z)) / s)
 }
 
-// XLI evaluates X-list sources directly onto downward-check surfaces
-// (step 3b).
-func (e *Engine) XLI() {
-	defer e.timed(diag.PhaseXList)()
-	if e.bk32 != nil {
-		e.Den32()
-	}
-	t := e.Tree
-	sc := e.ensureScratch(e.barrierWorkers())
-	par.ForW(e.Workers, len(t.Nodes), func(w, i int) {
-		e.xliNode(int32(i), sc[w])
-	})
-	e.flushFlops()
-}
-
 // xliNode is the per-octant X-list body: accumulates X-list source points
 // into e.DChk[i]. Must run after node i's V-list contributions (the barrier
 // path orders the whole phases; the DAG chains the two tasks per octant).
 //
 //fmm:hotpath
 func (e *Engine) xliNode(i int32, s *evalScratch) {
-	if e.bk32 != nil {
-		e.xliNode32(i, s)
-		return
-	}
 	t := e.Tree
 	n := &t.Nodes[i]
-	if len(n.X) == 0 || !e.trgNode(i) {
-		return
-	}
 	L := e.Layout
 	sd := e.Ops.Kern.SrcDim()
 	dx, dy, dz := s.surf()
@@ -607,22 +533,6 @@ func (e *Engine) xliNode(i int32, s *evalScratch) {
 	s.flops[fpXList] += int64(pairs * e.Ops.Kern.FlopsPerInteraction())
 }
 
-// Downward runs the downward pass (step 4): top-down, each local octant
-// receives its parent's downward-equivalent field on its check surface and
-// solves for its own downward-equivalent densities.
-func (e *Engine) Downward() {
-	defer e.timed(diag.PhaseDownward)()
-	byLevel := e.nodesByLevel()
-	sc := e.ensureScratch(e.barrierWorkers())
-	for l := 0; l < len(byLevel); l++ {
-		nodes := byLevel[l]
-		par.ForW(e.Workers, len(nodes), func(w, ni int) {
-			e.downwardNode(nodes[ni], sc[w])
-		})
-	}
-	e.flushFlops()
-}
-
 // downwardNode is the per-octant downward body: shifts the parent's
 // downward field into e.DChk[i] and solves for e.D[i]. Requires the
 // parent's D to be final and all of node i's V/X contributions done.
@@ -631,9 +541,6 @@ func (e *Engine) Downward() {
 func (e *Engine) downwardNode(i int32, s *evalScratch) {
 	t := e.Tree
 	n := &t.Nodes[i]
-	if !n.Local || !e.trgNode(i) {
-		return
-	}
 	if n.Parent != octree.NoNode {
 		ci := n.Key.ChildIndex()
 		m, scale := e.Ops.D2DOp(n.Key.Level()-1, ci)
@@ -654,18 +561,6 @@ func (e *Engine) downwardNode(i int32, s *evalScratch) {
 	s.flops[fpDownward] += 2 * int64(pm.Rows*pm.Cols)
 }
 
-// WLI evaluates W-list upward-equivalent fields at local leaf targets
-// (step 5a).
-func (e *Engine) WLI() {
-	defer e.timed(diag.PhaseWList)()
-	t := e.Tree
-	sc := e.ensureScratch(e.barrierWorkers())
-	par.ForW(e.Workers, len(t.Leaves), func(w, li int) {
-		e.wliLeaf(t.Leaves[li], sc[w])
-	})
-	e.flushFlops()
-}
-
 // wliLeaf is the per-leaf W-list body: accumulates W sources'
 // upward-equivalent fields into leaf i's potentials. Each W source's
 // upward-equivalent surface is filled into worker scratch and evaluated as
@@ -673,15 +568,8 @@ func (e *Engine) WLI() {
 //
 //fmm:hotpath
 func (e *Engine) wliLeaf(i int32, s *evalScratch) {
-	if e.bk32 != nil {
-		e.wliLeaf32(i, s)
-		return
-	}
 	t := e.Tree
 	n := &t.Nodes[i]
-	if len(n.W) == 0 || n.NPoints() == 0 || !e.trgNode(i) {
-		return
-	}
 	L := e.Layout
 	td := e.Ops.Kern.TrgDim()
 	lo, hi := int(n.PtLo), int(n.PtHi)
@@ -700,33 +588,14 @@ func (e *Engine) wliLeaf(i int32, s *evalScratch) {
 	s.flops[fpWList] += int64(pairs * e.Ops.Kern.FlopsPerInteraction())
 }
 
-// D2T evaluates each local leaf's downward-equivalent field at its own
-// targets (step 5b).
-func (e *Engine) D2T() {
-	defer e.timed(diag.PhaseDownward)()
-	t := e.Tree
-	sc := e.ensureScratch(e.barrierWorkers())
-	par.ForW(e.Workers, len(t.Leaves), func(w, li int) {
-		e.d2tLeaf(t.Leaves[li], sc[w])
-	})
-	e.flushFlops()
-}
-
 // d2tLeaf is the per-leaf D2T body: adds leaf i's own downward field to its
 // potentials. Must run after the leaf's WLI contributions (accumulation
 // order) and its downward solve.
 //
 //fmm:hotpath
 func (e *Engine) d2tLeaf(i int32, s *evalScratch) {
-	if e.bk32 != nil {
-		e.d2tLeaf32(i, s)
-		return
-	}
 	t := e.Tree
 	n := &t.Nodes[i]
-	if !n.Local || n.NPoints() == 0 || !e.trgNode(i) {
-		return
-	}
 	L := e.Layout
 	td := e.Ops.Kern.TrgDim()
 	dx, dy, dz := s.surf()
@@ -737,21 +606,6 @@ func (e *Engine) d2tLeaf(i int32, s *evalScratch) {
 	s.flops[fpDownward] += int64((hi - lo) * len(dx) * e.Ops.Kern.FlopsPerInteraction())
 }
 
-// ULI computes the exact near-field interactions (the direct sum over the
-// U-list).
-func (e *Engine) ULI() {
-	defer e.timed(diag.PhaseUList)()
-	if e.bk32 != nil {
-		e.Den32()
-	}
-	t := e.Tree
-	sc := e.ensureScratch(e.barrierWorkers())
-	par.ForW(e.Workers, len(t.Leaves), func(w, li int) {
-		e.uliLeaf(t.Leaves[li], sc[w])
-	})
-	e.flushFlops()
-}
-
 // uliLeaf is the per-leaf U-list body: the exact direct sum into leaf i's
 // potentials, one EvalPanel call per U-list source panel. The self panel
 // (a == i) passes selfOffset 0 — the singular diagonal is suppressed by the
@@ -760,15 +614,8 @@ func (e *Engine) ULI() {
 //
 //fmm:hotpath
 func (e *Engine) uliLeaf(i int32, s *evalScratch) {
-	if e.bk32 != nil {
-		e.uliLeaf32(i, s)
-		return
-	}
 	t := e.Tree
 	n := &t.Nodes[i]
-	if len(n.U) == 0 || n.NPoints() == 0 || !e.trgNode(i) {
-		return
-	}
 	L := e.Layout
 	sd, td := e.Ops.Kern.SrcDim(), e.Ops.Kern.TrgDim()
 	lo, hi := int(n.PtLo), int(n.PtHi)
@@ -797,41 +644,6 @@ func (e *Engine) uliLeaf(i int32, s *evalScratch) {
 func (e *Engine) Evaluate() {
 	defer e.timed(diag.PhaseTotalEval)()
 	e.Phases(nil)
-}
-
-// Phases runs the eight bulk-synchronous phases of Algorithm 1 in order.
-// exchange, when non-nil, runs between the upward pass and the translations:
-// the one point at which a rank of a distributed evaluation communicates
-// (ghost densities into Density, completed shared upward densities into U).
-func (e *Engine) Phases(exchange func()) {
-	e.S2U()
-	e.U2U()
-	if exchange != nil {
-		exchange()
-	}
-	e.VLI()
-	e.XLI()
-	e.Downward()
-	e.WLI()
-	e.D2T()
-	e.ULI()
-}
-
-// nodesByLevel buckets node indices by octant level.
-func (e *Engine) nodesByLevel() [][]int32 {
-	t := e.Tree
-	maxL := 0
-	for i := range t.Nodes {
-		if l := t.Nodes[i].Key.Level(); l > maxL {
-			maxL = l
-		}
-	}
-	out := make([][]int32, maxL+1)
-	for i := range t.Nodes {
-		l := t.Nodes[i].Key.Level()
-		out[l] = append(out[l], int32(i))
-	}
-	return out
 }
 
 // SetPointDensities copies caller-ordered densities into the engine using

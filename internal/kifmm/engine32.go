@@ -1,11 +1,12 @@
 package kifmm
 
-// Single-precision near-field bodies, selected when SetFloat32NearField has
-// installed a kernel.Batch32 (e.bk32 != nil). Each mirrors its float64
-// counterpart exactly — same octant selection, same panel decomposition,
-// same ascending accumulation order, same flop accounting — but evaluates
-// every pair interaction in float32 (the paper's GPU precision) and
-// accumulates into the float64 potential and check arrays.
+// Single-precision near-field bodies: the body32 column of the phase table,
+// which bodyOf picks when SetFloat32NearField has installed a kernel.Batch32
+// (e.bk32 != nil). Each mirrors its float64 counterpart exactly — the same
+// row, so the same octants; same panel decomposition, same ascending
+// accumulation order, same flop accounting — but evaluates every pair
+// interaction in float32 (the paper's GPU precision) and accumulates into the
+// float64 potential and check arrays.
 //
 // Coordinates are box-local: every panel — target points, source points,
 // equivalent/check surfaces — is translated by the target node's center in
@@ -22,9 +23,9 @@ package kifmm
 // source panels (W-list upward fields, the leaf's own downward field in
 // D2T) are rounded into per-worker float32 scratch before the panel call.
 //
-// The bodies read e.den32 directly rather than calling Den32: the phase
-// entrypoints (ULI, XLI, EvaluateDAG) refresh the mirror once per phase
-// before fanning out, so the hot bodies stay allocation-free.
+// The bodies read e.den32 directly rather than calling Den32: bodyOf refreshes
+// the mirror once per phase before either driver fans out, so the hot bodies
+// stay allocation-free.
 
 // uliLeaf32 is uliLeaf over float32 panels: the exact direct sum into leaf
 // i's potentials, singular self-panel diagonal suppressed by the float32
@@ -35,9 +36,6 @@ package kifmm
 func (e *Engine) uliLeaf32(i int32, s *evalScratch) {
 	t := e.Tree
 	n := &t.Nodes[i]
-	if len(n.U) == 0 || n.NPoints() == 0 || !e.trgNode(i) {
-		return
-	}
 	L := e.Layout
 	sd, td := e.Ops.Kern.SrcDim(), e.Ops.Kern.TrgDim()
 	lo, hi := int(n.PtLo), int(n.PtHi)
@@ -76,9 +74,6 @@ func (e *Engine) uliLeaf32(i int32, s *evalScratch) {
 func (e *Engine) xliNode32(i int32, s *evalScratch) {
 	t := e.Tree
 	n := &t.Nodes[i]
-	if len(n.X) == 0 || !e.trgNode(i) {
-		return
-	}
 	L := e.Layout
 	sd := e.Ops.Kern.SrcDim()
 	ox, oy, oz := L.CX[i], L.CY[i], L.CZ[i]
@@ -110,9 +105,6 @@ func (e *Engine) xliNode32(i int32, s *evalScratch) {
 func (e *Engine) wliLeaf32(i int32, s *evalScratch) {
 	t := e.Tree
 	n := &t.Nodes[i]
-	if len(n.W) == 0 || n.NPoints() == 0 || !e.trgNode(i) {
-		return
-	}
 	L := e.Layout
 	td := e.Ops.Kern.TrgDim()
 	lo, hi := int(n.PtLo), int(n.PtHi)
@@ -147,9 +139,6 @@ func (e *Engine) wliLeaf32(i int32, s *evalScratch) {
 func (e *Engine) d2tLeaf32(i int32, s *evalScratch) {
 	t := e.Tree
 	n := &t.Nodes[i]
-	if !n.Local || n.NPoints() == 0 || !e.trgNode(i) {
-		return
-	}
 	L := e.Layout
 	td := e.Ops.Kern.TrgDim()
 	lo, hi := int(n.PtLo), int(n.PtHi)

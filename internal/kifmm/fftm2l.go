@@ -377,11 +377,11 @@ func (v *vTables) at(level int) *vTable {
 // sources that neighbouring chunks share.
 const vLiveBytes = 32 << 20
 
-// vliFFT is the barrier driver of the FFT V-list: levels ascending (V
-// interactions are same-level), each level's targets in chunks (vLiveBytes).
-// The task graph (buildVFFT) runs the same per-sibling-group body over
-// reference-counted spectra instead.
-func (e *Engine) vliFFT(sc []*evalScratch) {
+// vliFFT is the barrier driver of the FFT V-list over levels, the V row's
+// work: levels ascending (V interactions are same-level), each level's targets
+// in chunks (vLiveBytes). The task graph (buildVFFT) runs the same
+// per-sibling-group body over reference-counted spectra instead.
+func (e *Engine) vliFFT(levels [][]int32, sc []*evalScratch) {
 	f := e.Ops.FFT()
 	t := e.Tree
 	if len(e.vspec) < len(t.Nodes) {
@@ -393,14 +393,11 @@ func (e *Engine) vliFFT(sc []*evalScratch) {
 	limit := max(vLiveBytes/(8*f.SpecLen()), 1)
 	tables := vTables{f: f, workers: e.Workers}
 	var targets, srcs []int32
-	for level, nodes := range e.nodesByLevel() {
+	for _, nodes := range levels {
 		for _, i := range nodes {
 			n := &t.Nodes[i]
-			if len(n.V) == 0 || !e.trgNode(i) {
-				continue
-			}
 			if len(srcs)+len(n.V) > limit {
-				e.vliChunk(targets, srcs, f, &tables, level, sc)
+				e.vliChunk(targets, srcs, f, &tables, sc)
 				targets, srcs = targets[:0], srcs[:0]
 			}
 			targets = append(targets, i)
@@ -411,7 +408,7 @@ func (e *Engine) vliFFT(sc []*evalScratch) {
 				}
 			}
 		}
-		e.vliChunk(targets, srcs, f, &tables, level, sc)
+		e.vliChunk(targets, srcs, f, &tables, sc)
 		targets, srcs = targets[:0], srcs[:0]
 	}
 }
@@ -422,8 +419,9 @@ func (e *Engine) vliFFT(sc []*evalScratch) {
 // are in Morton order, so siblings are adjacent; a sibling group the chunk
 // bound cut in two runs as two partial groups), and unmarks srcs for the next
 // chunk. Every contributing source of a chunk's target is in that chunk's
-// srcs, so the body never reads another chunk's spectrum.
-func (e *Engine) vliChunk(targets, srcs []int32, f *FFTM2L, tables *vTables, level int, sc []*evalScratch) {
+// srcs, so the body never reads another chunk's spectrum. targets are all of
+// one level.
+func (e *Engine) vliChunk(targets, srcs []int32, f *FFTM2L, tables *vTables, sc []*evalScratch) {
 	if len(srcs) == 0 {
 		return
 	}
@@ -448,7 +446,7 @@ func (e *Engine) vliChunk(targets, srcs []int32, f *FFTM2L, tables *vTables, lev
 	}
 	runs = append(runs, int32(len(targets)))
 	e.vruns = runs
-	tb := tables.at(level)
+	tb := tables.at(nodes[targets[0]].Key.Level())
 	par.ForW(e.Workers, len(runs)-1, func(w, k int) {
 		e.vliFFTGroup(targets[runs[k]:runs[k+1]], f, tb, spec, sc[w])
 	})

@@ -190,7 +190,7 @@ func TestVListChunkedBarrier(t *testing.T) {
 	barrier, dag := mk(), mk()
 	limit := vLiveBytes / (8 * ops.FFT().SpecLen())
 	widest := 0
-	for _, nodes := range barrier.nodesByLevel() {
+	for _, nodes := range barrier.work(&phases[pVLI]) {
 		widest = max(widest, len(nodes))
 	}
 	if widest <= limit+189 {

@@ -1,0 +1,216 @@
+package kifmm
+
+import (
+	"slices"
+
+	"kifmm/internal/diag"
+	"kifmm/internal/par"
+)
+
+// octantSet names the octants a phase walks and the order in which the
+// barrier loop must finish them.
+type octantSet uint8
+
+const (
+	overLeaves octantSet = iota // Tree.Leaves, independent of one another
+	overNodes                   // every node, independent of one another
+	levelsUp                    // every node, a level at a time, finest level first
+	levelsDown                  // every node, a level at a time, root first
+)
+
+// phase is everything the two drivers know about one operator of Algorithm 1.
+// The barrier loop (runPhase) and the task graph (buildDAG) both read it, so
+// which octants a phase touches is decided once, by has; the bodies assume it.
+type phase struct {
+	name string // task and trace name
+	diag string // diag phase its time is reported under
+	over octantSet
+	// has reports whether octant i has work in this phase. Everything it
+	// excludes would contribute exactly zero.
+	has func(e *Engine, i int32) bool
+	// body does octant i's work on the executing worker's scratch; body32,
+	// where there is one, is its single-precision twin (SetFloat32NearField).
+	body, body32 func(e *Engine, i int32, s *evalScratch)
+	// den32 marks a body32 that reads the float32 density mirror (Den32).
+	den32 bool
+}
+
+// Rows of phases.
+const (
+	pS2U = iota
+	pU2U
+	pVLI
+	pXLI
+	pD2D
+	pWLI
+	pD2T
+	pULI
+)
+
+// phases lists the operators in Algorithm 1's order, which is also the order
+// in which an octant's accumulators (DChk: V, X, D2D; Potential: W, D2T, U)
+// receive their contributions under either driver.
+var phases = [...]phase{
+	pS2U: {name: "S2U", diag: diag.PhaseUpward, over: overLeaves, body: (*Engine).s2uLeaf,
+		has: func(e *Engine, i int32) bool {
+			n := &e.Tree.Nodes[i]
+			return n.Local && n.NPoints() > 0 && e.srcNode(i)
+		}},
+	pU2U: {name: "U2U", diag: diag.PhaseUpward, over: levelsUp, body: (*Engine).u2uNode,
+		has: func(e *Engine, i int32) bool {
+			return !e.Tree.Nodes[i].IsLeaf && e.srcNode(i)
+		}},
+	// V interactions are same-level, so a level at a time is what lets the
+	// FFT driver (vliFFT) bound its live source spectra; body is the dense
+	// oracle's, the FFT mode runs vliFFTGroup per sibling group instead.
+	pVLI: {name: "V", diag: diag.PhaseVList, over: levelsDown, body: (*Engine).vliDenseNode,
+		has: func(e *Engine, i int32) bool {
+			return len(e.Tree.Nodes[i].V) > 0 && e.trgNode(i)
+		}},
+	pXLI: {name: "X", diag: diag.PhaseXList, over: overNodes,
+		body: (*Engine).xliNode, body32: (*Engine).xliNode32, den32: true,
+		has: func(e *Engine, i int32) bool {
+			return len(e.Tree.Nodes[i].X) > 0 && e.trgNode(i)
+		}},
+	pD2D: {name: "D2D", diag: diag.PhaseDownward, over: levelsDown, body: (*Engine).downwardNode,
+		has: func(e *Engine, i int32) bool {
+			return e.Tree.Nodes[i].Local && e.trgNode(i)
+		}},
+	pWLI: {name: "W", diag: diag.PhaseWList, over: overLeaves,
+		body: (*Engine).wliLeaf, body32: (*Engine).wliLeaf32,
+		has: func(e *Engine, i int32) bool {
+			n := &e.Tree.Nodes[i]
+			return len(n.W) > 0 && n.NPoints() > 0 && e.trgNode(i)
+		}},
+	pD2T: {name: "D2T", diag: diag.PhaseDownward, over: overLeaves,
+		body: (*Engine).d2tLeaf, body32: (*Engine).d2tLeaf32,
+		has: func(e *Engine, i int32) bool {
+			n := &e.Tree.Nodes[i]
+			return n.Local && n.NPoints() > 0 && e.trgNode(i)
+		}},
+	pULI: {name: "U", diag: diag.PhaseUList, over: overLeaves,
+		body: (*Engine).uliLeaf, body32: (*Engine).uliLeaf32, den32: true,
+		has: func(e *Engine, i int32) bool {
+			n := &e.Tree.Nodes[i]
+			return len(n.U) > 0 && n.NPoints() > 0 && e.trgNode(i)
+		}},
+}
+
+// work returns the octants with work in p, in the runs the barrier loop must
+// finish one after another: one run for a leaf or node phase, one per level
+// for a levelwise one. Within a run the order is node-index order. Recomputed
+// per call, O(nodes).
+func (e *Engine) work(p *phase) [][]int32 {
+	t := e.Tree
+	runs := make([][]int32, 1)
+	if p.over == overLeaves {
+		for _, i := range t.Leaves {
+			if p.has(e, i) {
+				runs[0] = append(runs[0], i)
+			}
+		}
+		return runs
+	}
+	for i := range t.Nodes {
+		if !p.has(e, int32(i)) {
+			continue
+		}
+		l := 0
+		if p.over != overNodes {
+			l = t.Nodes[i].Key.Level()
+		}
+		for len(runs) <= l {
+			runs = append(runs, nil)
+		}
+		runs[l] = append(runs[l], int32(i))
+	}
+	if p.over == levelsUp {
+		slices.Reverse(runs)
+	}
+	return runs
+}
+
+// bodyOf resolves the body the engine runs for p — the float32 twin when the
+// single-precision near field is on — refreshing the density mirror that twin
+// reads. Both drivers call it once per phase, before any octant runs.
+func (e *Engine) bodyOf(p *phase) func(*Engine, int32, *evalScratch) {
+	if e.bk32 == nil || p.body32 == nil {
+		return p.body
+	}
+	if p.den32 {
+		e.Den32()
+	}
+	return p.body32
+}
+
+// runPhase is the barrier execution of one phase: one bulk-synchronous
+// par.ForW per run of work(p), timed once under the phase's diag name, the
+// per-worker flop counters flushed at the end.
+func (e *Engine) runPhase(p *phase) {
+	defer e.timed(p.diag)()
+	sc := e.ensureScratch(e.barrierWorkers())
+	runs := e.work(p)
+	if p == &phases[pVLI] && e.UseFFTM2L {
+		e.vliFFT(runs, sc)
+	} else {
+		body := e.bodyOf(p)
+		for _, run := range runs {
+			par.ForW(e.Workers, len(run), func(w, k int) {
+				body(e, run[k], sc[w])
+			})
+		}
+	}
+	e.flushFlops()
+}
+
+// The exported phase methods run one row of the table under the barrier
+// driver; benchmarks, experiments and the simulated device call them one by
+// one.
+
+// S2U computes upward-equivalent densities of every local leaf from its
+// source points: evaluate the sources on the upward-check surface, then
+// solve to the equivalent surface (step 1 of Algorithm 1).
+func (e *Engine) S2U() { e.runPhase(&phases[pS2U]) }
+
+// U2U accumulates child upward densities into parents, finest level first
+// (step 2). Within a level, parents are processed independently.
+func (e *Engine) U2U() { e.runPhase(&phases[pU2U]) }
+
+// VLI applies the V-list translations (step 3a), accumulating into the
+// downward-check potentials. Uses dense M2L matrices or the
+// FFT-diagonalized path depending on UseFFTM2L.
+func (e *Engine) VLI() { e.runPhase(&phases[pVLI]) }
+
+// XLI evaluates X-list sources directly onto downward-check surfaces
+// (step 3b).
+func (e *Engine) XLI() { e.runPhase(&phases[pXLI]) }
+
+// Downward runs the downward pass (step 4): top-down, each local octant
+// receives its parent's downward-equivalent field on its check surface and
+// solves for its own downward-equivalent densities.
+func (e *Engine) Downward() { e.runPhase(&phases[pD2D]) }
+
+// WLI evaluates W-list upward-equivalent fields at local leaf targets
+// (step 5a).
+func (e *Engine) WLI() { e.runPhase(&phases[pWLI]) }
+
+// D2T evaluates each local leaf's downward-equivalent field at its own
+// targets (step 5b).
+func (e *Engine) D2T() { e.runPhase(&phases[pD2T]) }
+
+// ULI computes the exact near-field interactions (the direct sum over the
+// U-list).
+func (e *Engine) ULI() { e.runPhase(&phases[pULI]) }
+
+// Phases runs the eight bulk-synchronous phases of Algorithm 1 in order.
+// exchange, when non-nil, runs between the upward pass and the translations:
+// the one point at which a rank of a distributed evaluation communicates
+// (ghost densities into Density, completed shared upward densities into U).
+func (e *Engine) Phases(exchange func()) {
+	for pi := range phases {
+		e.runPhase(&phases[pi])
+		if pi == pU2U && exchange != nil {
+			exchange()
+		}
+	}
+}

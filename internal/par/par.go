@@ -1,6 +1,6 @@
 // Package par provides the bounded parallel loop used for within-rank
-// shared-memory parallelism (the per-octant loops of the FMM evaluation
-// phases). It is a thin shim over the internal/sched task runtime — one
+// shared-memory parallelism (the per-octant loop of a barrier phase,
+// kifmm's runPhase). It is a thin shim over the internal/sched task runtime — one
 // task per chunk of iterations — so the tree has a single worker-pool
 // implementation; the task-graph evaluation path (kifmm.EvaluateDAG) uses
 // the same runtime directly with real dependencies.
@@ -51,7 +51,7 @@ func ForW(workers, n int, f func(worker, i int)) {
 		if hi > n {
 			hi = n
 		}
-		g.AddW("par.For", sched.PriNormal, func(w int) {
+		g.Add("par.For", func(w int) {
 			for i := lo; i < hi; i++ {
 				f(w, i)
 			}

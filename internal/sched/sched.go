@@ -9,10 +9,10 @@
 // critical-path locality that Agullo et al. exploit when pipelining the FMM
 // over a runtime system. Idle workers steal half a victim's deque from the
 // cold (FIFO) end, which hands over the oldest — typically widest — subtree.
-// Priority hints order the initial ready set; the FMM graph marks the upward
-// chain critical, the V-list high, and the U/W/X direct interactions low, so
-// workers start on the long S2U→U2U→M2L→D2D chain and fill stalls with direct
-// sums.
+// Nothing else orders runnable tasks: the tasks with no predecessor are dealt
+// to the deques in insertion order, and there are no priorities — every other
+// task lands on its releasing worker's deque whatever it is, so a priority
+// could only order that initial set (DESIGN.md §7.2 has the measurement).
 //
 // A panicking task fails the whole graph instead of deadlocking it: the
 // remaining tasks are drained without running their bodies, every worker
@@ -28,22 +28,6 @@ import (
 	"time"
 )
 
-// Priority orders tasks that are runnable at the same time. Higher runs
-// sooner. Priorities are hints for the initial ready set; they never override
-// dependencies.
-type Priority int8
-
-const (
-	// PriLow suits leaf work off the critical path (U/W/X direct sums).
-	PriLow Priority = iota
-	// PriNormal is the default.
-	PriNormal
-	// PriHigh suits work feeding many successors (V-list translations).
-	PriHigh
-	// PriCritical suits the critical path itself (the upward chain).
-	PriCritical
-)
-
 // TaskID names a task within one Graph.
 type TaskID int32
 
@@ -52,27 +36,13 @@ const NoTask = TaskID(-1)
 
 type task struct {
 	name string
-	pri  Priority
-	fn   func()
-	// fnw is the worker-indexed variant registered by AddW; at most one of
-	// fn/fnw is non-nil.
-	fnw func(worker int)
+	fn   func(worker int)
 	// deps is the remaining-predecessor count; the task is runnable when
 	// it reaches zero. Set at Add/Dep time, decremented atomically as
 	// predecessors complete; atomic.Int32 so graph construction and the
 	// workers' decrements can never mix plain and atomic access.
 	deps  atomic.Int32
 	succs []TaskID
-}
-
-// run invokes the task body, passing the executing worker's index to
-// worker-indexed tasks.
-func (t *task) run(worker int) {
-	if t.fnw != nil {
-		t.fnw(worker)
-		return
-	}
-	t.fn()
 }
 
 // Graph is a single-use dependency graph: Add tasks, declare Deps, Run
@@ -89,25 +59,16 @@ func NewGraph() *Graph { return &Graph{} }
 func (g *Graph) Len() int { return len(g.tasks) }
 
 // Add registers a task and returns its ID. name labels the task in traces
-// (use a small set of static strings; per-task identity is the ID). fn may
-// be nil for pure synchronization points.
-func (g *Graph) Add(name string, pri Priority, fn func()) TaskID {
+// (use a small set of static strings; per-task identity is the ID). fn
+// receives the index of the worker that runs it (in [0, workers) for the
+// clamped worker count of Run), which bodies use to address per-worker
+// scratch state — reusable buffers and local counters flushed after the run —
+// without locks or allocation; it may be nil for pure synchronization points.
+func (g *Graph) Add(name string, fn func(worker int)) TaskID {
 	if g.started {
 		panic("sched: Add after Run")
 	}
-	g.tasks = append(g.tasks, task{name: name, pri: pri, fn: fn})
-	return TaskID(len(g.tasks) - 1)
-}
-
-// AddW registers a task whose body receives the index of the worker that
-// runs it (in [0, workers) for the clamped worker count of Run). Bodies use
-// it to address per-worker scratch state — reusable buffers and local
-// counters flushed after the run — without locks or allocation.
-func (g *Graph) AddW(name string, pri Priority, fn func(worker int)) TaskID {
-	if g.started {
-		panic("sched: Add after Run")
-	}
-	g.tasks = append(g.tasks, task{name: name, pri: pri, fnw: fn})
+	g.tasks = append(g.tasks, task{name: name, fn: fn})
 	return TaskID(len(g.tasks) - 1)
 }
 
@@ -155,7 +116,7 @@ type Stats struct {
 type Options struct {
 	// Workers is the number of executing goroutines (<=0 means
 	// GOMAXPROCS). Workers==1 still goes through the scheduler, which
-	// yields a deterministic priority-then-insertion execution order.
+	// yields a deterministic execution order.
 	Workers int
 	// Trace, when non-nil, receives one complete event per task (Chrome
 	// trace_event format; see Trace.JSON).
@@ -277,18 +238,14 @@ func (g *Graph) Run(opt Options) (Stats, error) {
 	}
 
 	// Seed the ready set: initial tasks go round-robin to the worker
-	// deques in ascending priority order, so each owner's LIFO pop sees
-	// its highest-priority task first. Remaining imbalance is the work
+	// deques in insertion order. Remaining imbalance is the work
 	// stealing's job.
-	var ready []TaskID
+	ready := 0
 	for i := range g.tasks {
 		if g.tasks[i].deps.Load() == 0 {
-			ready = append(ready, TaskID(i))
+			r.deques[ready%workers].push(TaskID(i))
+			ready++
 		}
-	}
-	sortByPriority(ready, g)
-	for i, id := range ready {
-		r.deques[i%workers].push(id)
 	}
 
 	var wg sync.WaitGroup
@@ -314,28 +271,6 @@ func (g *Graph) Run(opt Options) (Stats, error) {
 		r.trace.finish()
 	}
 	return st, r.panicErr
-}
-
-// sortByPriority orders ids ascending by priority (stable on insertion
-// order) so that round-robin LIFO pushes surface high priorities first.
-func sortByPriority(ids []TaskID, g *Graph) {
-	// Counting sort over the four priority levels keeps this O(n) and
-	// stable without importing sort.
-	var buckets [4][]TaskID
-	for _, id := range ids {
-		p := g.tasks[id].pri
-		if p < PriLow {
-			p = PriLow
-		}
-		if p > PriCritical {
-			p = PriCritical
-		}
-		buckets[p] = append(buckets[p], id)
-	}
-	ids = ids[:0]
-	for p := 0; p < 4; p++ {
-		ids = append(ids, buckets[p]...)
-	}
 }
 
 // checkAcyclic runs Kahn's algorithm on a copy of the dependency counters.
@@ -452,7 +387,7 @@ func (r *runner) signal() {
 // and stats, and releases successors.
 func (r *runner) execute(w int, id TaskID) {
 	t := &r.g.tasks[id]
-	if !r.failed.Load() && (t.fn != nil || t.fnw != nil) {
+	if !r.failed.Load() && t.fn != nil {
 		func() {
 			defer func() {
 				if p := recover(); p != nil {
@@ -464,11 +399,11 @@ func (r *runner) execute(w int, id TaskID) {
 			}()
 			if r.trace != nil {
 				start := time.Now() //fmm:allow nodeterm trace timestamps are diagnostic output only
-				t.run(w)
+				t.fn(w)
 				//fmm:allow nodeterm trace timestamps are diagnostic output only
 				r.trace.add(w, t.name, int32(id), start, time.Since(start))
 			} else {
-				t.run(w)
+				t.fn(w)
 			}
 		}()
 	}

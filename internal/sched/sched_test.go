@@ -32,7 +32,7 @@ func TestRandomDAGProperty(t *testing.T) {
 					r := &atomic.Int32{}
 					d := &atomic.Bool{}
 					var id TaskID
-					id = g.Add("t", Priority(rng.Intn(4)), func() {
+					id = g.Add("t", func(int) {
 						for _, p := range preds[id] {
 							if !done[p].Load() {
 								t.Errorf("task %d ran before predecessor %d", id, p)
@@ -79,9 +79,9 @@ func TestPanicFailsGraph(t *testing.T) {
 	before := runtime.NumGoroutine()
 	g := NewGraph()
 	var after atomic.Int32
-	a := g.Add("ok", PriNormal, func() {})
-	b := g.Add("boom", PriNormal, func() { panic("kaboom") })
-	c := g.Add("down", PriNormal, func() { after.Add(1) })
+	a := g.Add("ok", func(int) {})
+	b := g.Add("boom", func(int) { panic("kaboom") })
+	c := g.Add("down", func(int) { after.Add(1) })
 	g.Dep(a, b)
 	g.Dep(b, c)
 
@@ -108,7 +108,7 @@ func TestWidePanicDrains(t *testing.T) {
 	g := NewGraph()
 	for i := 0; i < 500; i++ {
 		i := i
-		g.Add("w", PriLow, func() {
+		g.Add("w", func(int) {
 			if i == 137 {
 				panic(i)
 			}
@@ -121,8 +121,8 @@ func TestWidePanicDrains(t *testing.T) {
 
 func TestCycleDetected(t *testing.T) {
 	g := NewGraph()
-	a := g.Add("a", PriNormal, func() { t.Error("task in a cyclic graph ran") })
-	b := g.Add("b", PriNormal, func() { t.Error("task in a cyclic graph ran") })
+	a := g.Add("a", func(int) { t.Error("task in a cyclic graph ran") })
+	b := g.Add("b", func(int) { t.Error("task in a cyclic graph ran") })
 	g.Dep(a, b)
 	g.Dep(b, a)
 	if _, err := g.Run(Options{Workers: 2}); err == nil || !strings.Contains(err.Error(), "cycle") {
@@ -130,41 +130,22 @@ func TestCycleDetected(t *testing.T) {
 	}
 }
 
-// TestPriorityOrderSingleWorker: with one worker and no dependencies, the
-// initial ready set must execute critical-first.
-func TestPriorityOrderSingleWorker(t *testing.T) {
-	g := NewGraph()
-	var order []Priority
-	for _, p := range []Priority{PriLow, PriCritical, PriNormal, PriHigh, PriLow, PriCritical} {
-		p := p
-		g.Add("t", p, func() { order = append(order, p) })
-	}
-	if _, err := g.Run(Options{Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(order); i++ {
-		if order[i] > order[i-1] {
-			t.Fatalf("priority inversion at %d: %v", i, order)
-		}
-	}
-}
-
 func TestDiamondOrder(t *testing.T) {
 	g := NewGraph()
 	var seq []string
 	var mu atomic.Int32
-	rec := func(s string) func() {
-		return func() {
+	rec := func(s string) func(int) {
+		return func(int) {
 			for !mu.CompareAndSwap(0, 1) {
 			}
 			seq = append(seq, s)
 			mu.Store(0)
 		}
 	}
-	a := g.Add("a", PriNormal, rec("a"))
-	b := g.Add("b", PriNormal, rec("b"))
-	c := g.Add("c", PriNormal, rec("c"))
-	d := g.Add("d", PriNormal, rec("d"))
+	a := g.Add("a", rec("a"))
+	b := g.Add("b", rec("b"))
+	c := g.Add("c", rec("c"))
+	d := g.Add("d", rec("d"))
 	g.Dep(a, b)
 	g.Dep(a, c)
 	g.Dep(b, d)
@@ -186,7 +167,7 @@ func TestEmptyGraph(t *testing.T) {
 
 func TestRunTwiceRejected(t *testing.T) {
 	g := NewGraph()
-	g.Add("t", PriNormal, func() {})
+	g.Add("t", func(int) {})
 	if _, err := g.Run(Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +182,7 @@ func TestTraceJSON(t *testing.T) {
 	g := NewGraph()
 	n := 37
 	for i := 0; i < n; i++ {
-		g.Add("traced", PriNormal, func() { time.Sleep(time.Microsecond) })
+		g.Add("traced", func(int) { time.Sleep(time.Microsecond) })
 	}
 	tr := NewTrace()
 	if _, err := g.Run(Options{Workers: 4, Trace: tr}); err != nil {
@@ -242,10 +223,10 @@ func TestStealsHappen(t *testing.T) {
 		t.Skip("needs >1 CPU")
 	}
 	g := NewGraph()
-	root := g.Add("root", PriCritical, func() {})
+	root := g.Add("root", func(int) {})
 	var cnt atomic.Int64
 	for i := 0; i < 2000; i++ {
-		id := g.Add("fan", PriLow, func() {
+		id := g.Add("fan", func(int) {
 			cnt.Add(1)
 			busy := 0
 			for k := 0; k < 2000; k++ {

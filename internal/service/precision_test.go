@@ -105,7 +105,8 @@ func TestPlanPrecisionIdentity(t *testing.T) {
 
 // TestUnknownExecPrecisionRejected: a misspelled precision, or an option
 // field the server does not know — the retired path selectors "exec" and
-// "dense_m2l" and the retired device switch among them — must be a 400 naming
+// "dense_m2l", the retired device switch and the retired 2:1 balance option
+// among them — must be a 400 naming
 // the field on every endpoint that takes options, not the default served
 // under a cache entry of its own; and the spellings of one choice ("" and
 // "auto") must share a plan.
@@ -124,6 +125,7 @@ func TestUnknownExecPrecisionRejected(t *testing.T) {
 		{"exec", "dag"},
 		{"dense_m2l", true},
 		{"accelerated", true},
+		{"balanced", true},
 	} {
 		body := map[string]any{"points": pts, "densities": den,
 			"options": map[string]any{"order": 4, c.field: c.value}}

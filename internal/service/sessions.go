@@ -195,14 +195,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Reject unsupported configurations before paying for the plan build
-	// (kifmm.NewSession would reject the first two after it; targets are not
-	// part of a session at all).
+	// (kifmm.NewSession would reject shards after it; targets are not part of
+	// a session at all).
 	switch {
 	case req.Options.Shards > 0:
 		writeError(w, http.StatusBadRequest, "sessions do not support sharded plans")
-		return
-	case req.Options.Balanced:
-		writeError(w, http.StatusBadRequest, "sessions do not support balanced trees")
 		return
 	case len(req.Options.Targets) > 0:
 		writeError(w, http.StatusBadRequest, "sessions do not support asymmetric targets")

@@ -261,7 +261,6 @@ func TestSessionRejectsUnsupportedOptions(t *testing.T) {
 	pts, _ := testPoints(60, 41)
 	bad := []SolverOptions{
 		{Kernel: "laplace", Shards: 2},
-		{Kernel: "laplace", Balanced: true},
 		{Kernel: "laplace", Targets: [][3]float64{{0.5, 0.5, 0.5}}},
 	}
 	for i, opt := range bad {

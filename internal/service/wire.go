@@ -30,7 +30,6 @@ type SolverOptions struct {
 	Tolerance    float64 `json:"tolerance,omitempty"`
 	MaxDepth     int     `json:"max_depth,omitempty"`
 	Workers      int     `json:"workers,omitempty"`
-	Balanced     bool    `json:"balanced,omitempty"`
 	YukawaLambda float64 `json:"yukawa_lambda,omitempty"`
 	// Precision selects the near-field arithmetic: "", "auto" or "float64"
 	// (all float64), or "float32" (see kifmm.Precision). Any other value is
@@ -53,9 +52,9 @@ type SolverOptions struct {
 }
 
 // UnmarshalJSON decodes the options strictly: a field this server does not
-// know — a typo, or one of the retired "accelerated", "exec" and "dense_m2l"
-// — is an error naming it (a 400 from decodeBody), not a request served with
-// the default in its place.
+// know — a typo, or one of the retired "accelerated", "exec", "dense_m2l" and
+// "balanced" — is an error naming it (a 400 from decodeBody), not a request
+// served with the default in its place.
 func (o *SolverOptions) UnmarshalJSON(b []byte) error {
 	type plain SolverOptions // drops this method
 	dec := json.NewDecoder(bytes.NewReader(b))
@@ -93,7 +92,6 @@ func (o SolverOptions) ToOptions() kifmm.Options {
 		Tolerance:    o.Tolerance,
 		MaxDepth:     o.MaxDepth,
 		Workers:      o.Workers,
-		Balanced:     o.Balanced,
 		YukawaLambda: o.YukawaLambda,
 		Precision:    precisions[o.Precision],
 		Shards:       o.Shards,
@@ -151,8 +149,8 @@ type SessionRequest struct {
 	// Points are the initial unit-cube locations; they receive session point
 	// IDs 0..len(points)-1.
 	Points [][3]float64 `json:"points"`
-	// Options configure the session's solver. Shards, balanced trees, and
-	// targets are not supported for sessions.
+	// Options configure the session's solver. Shards and targets are not
+	// supported for sessions.
 	Options SolverOptions `json:"options"`
 }
 
@@ -245,19 +243,11 @@ func PlanKey(points [][3]float64, o SolverOptions) string {
 		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 		h.Write(buf[:])
 	}
-	wb := func(v bool) {
-		if v {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
-	}
 	wi(int64(o.PointsPerBox))
 	wi(int64(o.Order))
 	wf(o.Tolerance)
 	wi(int64(o.MaxDepth))
 	wi(int64(o.Workers))
-	wb(o.Balanced)
 	wf(o.YukawaLambda)
 	// Precision participates in canonical form (see precisions): float32 and
 	// float64 plans are distinct resident plans even for identical geometry.

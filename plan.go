@@ -77,12 +77,7 @@ func (f *FMM) PlanAt(targets, sources []Point) (*Plan, error) {
 		points = append(points, targets...)
 		points = append(points, sources...)
 	}
-	var tree *octree.Tree
-	if f.opt.Balanced {
-		tree = octree.BuildBalanced(points, f.opt.PointsPerBox, f.opt.MaxDepth)
-	} else {
-		tree = octree.Build(points, f.opt.PointsPerBox, f.opt.MaxDepth)
-	}
+	tree := octree.Build(points, f.opt.PointsPerBox, f.opt.MaxDepth)
 	tree.BuildLists(nil)
 	// Eagerly, so the first Apply pays no lazy spectrum builds.
 	f.spec.Prewarm(tree)

@@ -27,14 +27,11 @@ type (
 )
 
 // NewSession builds a session over the initial point set (IDs
-// 0..len(points)-1). Sessions require a plain single-engine configuration:
-// Shards and Balanced are rejected.
+// 0..len(points)-1). Sessions require a single-engine configuration: Shards
+// is rejected.
 func (f *FMM) NewSession(points []Point) (*Session, error) {
-	switch {
-	case f.opt.Shards > 0:
+	if f.opt.Shards > 0 {
 		return nil, fmt.Errorf("kifmm: sessions do not support sharded plans")
-	case f.opt.Balanced:
-		return nil, fmt.Errorf("kifmm: sessions do not support 2:1-balanced trees (incremental edits do not preserve the balance)")
 	}
 	if err := f.checkPoints(points); err != nil {
 		return nil, err

@@ -180,7 +180,6 @@ func TestNewSessionRejections(t *testing.T) {
 	pts, _ := randInput(50, 1, 71)
 	bad := []Options{
 		{Shards: 2},
-		{Balanced: true},
 	}
 	for i, opt := range bad {
 		f, err := New(opt)
