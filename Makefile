@@ -16,17 +16,20 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The build without the amd64 Hadamard kernel (internal/kifmm/hadamard_amd64.s)
-# is the one other architectures get: test it through the conventional purego
-# tag, and vet the package for arm64 so a file that only amd64 compiles shows.
+# The build without the amd64 vector kernels (internal/kernel/panel_amd64.s,
+# internal/kifmm/hadamard_amd64.s) is the one other architectures get: test
+# both packages through the conventional purego tag, and vet them for arm64 so
+# a file that only amd64 compiles shows in either.
 portable:
-	$(GO) test -tags purego ./internal/kifmm
-	GOARCH=arm64 $(GO) vet ./internal/kifmm
+	$(GO) test -tags purego ./internal/kernel ./internal/kifmm
+	GOARCH=arm64 $(GO) vet ./internal/kernel ./internal/kifmm
 
-# Native fuzz targets, a bounded run each: vector Hadamard kernel ≡ Go loop;
-# the wire options decoder (strict decode → Validate → New) errors or yields
-# a solver, never panics, and refuses every retired field by name.
+# Native fuzz targets, a bounded run each: vector EvalPanel ≡ Go loop and no
+# store outside the panel; vector Hadamard kernel ≡ Go loop; the wire options
+# decoder (strict decode → Validate → New) errors or yields a solver, never
+# panics, refuses every retired field by name and every order above MaxOrder.
 fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzEvalPanel -fuzztime=10s ./internal/kernel
 	$(GO) test -run='^$$' -fuzz=FuzzHadamardPanels -fuzztime=10s ./internal/kifmm
 	$(GO) test -run='^$$' -fuzz=FuzzSolverOptionsJSON -fuzztime=10s ./internal/service
 
@@ -34,8 +37,11 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # Panel vs pairwise micro-kernel comparison on the 30k ellipsoid tree
-# (BenchmarkNearField{ULI,D2T,WLI} × {laplace,stokes,yukawa}).
+# (BenchmarkNearField{ULI,D2T,WLI} × {laplace,stokes,yukawa}), after the
+# kernel micro-rows: ns/pair of one EvalPanel on a 400×400 and a 50×152 panel
+# (BenchmarkNearFieldPanel).
 bench-nearfield:
+	$(GO) test ./internal/kernel/ -run='^$$' -bench=BenchmarkNearFieldPanel
 	$(GO) test ./internal/kifmm/ -run='^$$' -bench=BenchmarkNearField -benchmem
 
 # Compile-and-run every benchmark exactly once: catches bitrot in benchmark

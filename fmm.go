@@ -96,6 +96,12 @@ const (
 	Yukawa KernelName = "yukawa"
 )
 
+// MaxOrder is the largest Options.Order New accepts. Operator construction
+// costs like order⁶ time and order⁴ memory (dense SVDs of the surface
+// matrices), so an unbounded order from the wire is a denial of service; the
+// experiments use at most 8.
+const MaxOrder = 16
+
 // Options configures an FMM instance. The zero value gives a Laplace solver
 // with sensible defaults (q=50 points per box, order-6 surfaces,
 // FFT-accelerated V-list, single-threaded).
@@ -105,7 +111,8 @@ type Options struct {
 	// PointsPerBox is the octree refinement threshold q (default 50).
 	PointsPerBox int
 	// Order is the equivalent/check surface order p; accuracy improves
-	// with order (p=4 ≈ 3 digits, p=6 ≈ 5 digits for Laplace). Default 6.
+	// with order (p=4 ≈ 3 digits, p=6 ≈ 5 digits for Laplace). Default 6,
+	// at least 2, at most MaxOrder.
 	Order int
 	// Tolerance regularizes the surface pseudo-inverses (default 1e-9).
 	Tolerance float64
@@ -198,6 +205,9 @@ func New(opt Options) (*FMM, error) {
 	}
 	if opt.PointsPerBox < 1 || opt.Order < 2 || opt.MaxDepth < 1 || opt.MaxDepth > 30 {
 		return nil, fmt.Errorf("kifmm: invalid options %+v", opt)
+	}
+	if opt.Order > MaxOrder {
+		return nil, fmt.Errorf("kifmm: order %d exceeds MaxOrder %d", opt.Order, MaxOrder)
 	}
 	if opt.Precision < PrecisionAuto || opt.Precision > PrecisionFloat32 {
 		return nil, fmt.Errorf("kifmm: invalid precision %d", opt.Precision)

@@ -230,6 +230,7 @@ func TestOptionAndInputValidation(t *testing.T) {
 		{"unknown kernel", Options{Kernel: "helmholtz"}},
 		{"negative yukawa lambda", Options{Kernel: Yukawa, YukawaLambda: -2}},
 		{"order too low", Options{Order: 1}},
+		{"order above MaxOrder", Options{Order: MaxOrder + 1}},
 		{"excessive depth", Options{MaxDepth: 99}},
 	}
 	for _, c := range newCases {

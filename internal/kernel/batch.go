@@ -81,23 +81,34 @@ func nanZero(x float64) float64 {
 	return x
 }
 
-// EvalPanel implements Batch with the kernel constant hoisted out of the
-// pair loop and the Algorithm 4 guard in place of Eval's branch. The
-// reslicings assert the panel lengths once so the compiler drops the
-// per-pair bounds checks, and targets are register-blocked four wide with a
-// two-wide and then scalar tail: each source load feeds four independent
+// EvalPanel implements Batch: the AVX2 kernel (panel_amd64.s) takes the
+// leading multiple of four targets where the build and the CPU have one, and
+// laplacePanelGo the rest — the same per-target sums either way, bit for bit.
+//
+//fmm:hotpath
+func (Laplace) EvalPanel(tx, ty, tz, sx, sy, sz []float64, den, out []float64, _ int) {
+	laplacePanelGo(tx, ty, tz, sx, sy, sz, den, out, laplacePanelVec(tx, ty, tz, sx, sy, sz, den, out))
+}
+
+// laplacePanelGo is the Go loop over targets i ≥ start: the tail of the
+// vector kernel, the whole kernel on a build or CPU without one, and the
+// oracle the vector kernel is tested against. The kernel constant is hoisted
+// out of the pair loop and the Algorithm 4 guard stands in place of Eval's
+// branch. The reslicings assert the panel lengths once so the compiler drops
+// the per-pair bounds checks, and targets are register-blocked four wide with
+// a two-wide and then scalar tail: each source load feeds four independent
 // sqrt/divide chains, which quarters the source memory traffic and overlaps
 // the divider latency. Each target's partial sum still accumulates in
 // ascending source order, so blocking does not change a single bit of the
 // result.
 //
 //fmm:hotpath
-func (Laplace) EvalPanel(tx, ty, tz, sx, sy, sz []float64, den, out []float64, _ int) {
+func laplacePanelGo(tx, ty, tz, sx, sy, sz, den, out []float64, start int) {
 	ns := len(sx)
 	sy, sz, den = sy[:ns], sz[:ns], den[:ns]
 	nt := len(tx)
 	ty, tz, out = ty[:nt], tz[:nt], out[:nt]
-	i := 0
+	i := start
 	for ; i+3 < nt; i += 4 {
 		x0, y0, z0 := tx[i], ty[i], tz[i]
 		x1, y1, z1 := tx[i+1], ty[i+1], tz[i+1]
@@ -154,19 +165,28 @@ func (Laplace) EvalPanel(tx, ty, tz, sx, sy, sz []float64, den, out []float64, _
 	}
 }
 
-// EvalPanel implements Batch. The per-pair arithmetic matches Eval term for
-// term (same operation order), so non-singular pairs are bit-identical to
+// EvalPanel implements Batch the way Laplace does: the AVX2 kernel over the
+// leading multiple of four targets, stokesPanelGo over the rest.
+//
+//fmm:hotpath
+func (Stokes) EvalPanel(tx, ty, tz, sx, sy, sz []float64, den, out []float64, _ int) {
+	stokesPanelGo(tx, ty, tz, sx, sy, sz, den, out, stokesPanelVec(tx, ty, tz, sx, sy, sz, den, out))
+}
+
+// stokesPanelGo is the Go loop over targets i ≥ start (tail, portable path
+// and oracle, as laplacePanelGo). The per-pair arithmetic matches Eval term
+// for term (same operation order), so non-singular pairs are bit-identical to
 // the pairwise path. Targets are blocked in pairs — the three-component
 // Stokeslet already carries six live accumulators per pair, so wider
 // blocking would spill registers.
 //
 //fmm:hotpath
-func (Stokes) EvalPanel(tx, ty, tz, sx, sy, sz []float64, den, out []float64, _ int) {
+func stokesPanelGo(tx, ty, tz, sx, sy, sz, den, out []float64, start int) {
 	ns := len(sx)
 	sy, sz, den = sy[:ns], sz[:ns], den[:3*ns]
 	nt := len(tx)
 	ty, tz, out = ty[:nt], tz[:nt], out[:3*nt]
-	i := 0
+	i := start
 	for ; i+1 < nt; i += 2 {
 		x0, y0, z0 := tx[i], ty[i], tz[i]
 		x1, y1, z1 := tx[i+1], ty[i+1], tz[i+1]

@@ -1,0 +1,70 @@
+//go:build !purego
+
+package kernel
+
+// UseAVX2 is resolved once, for this package's panel kernels and for the
+// V-list Hadamard kernel in internal/kifmm: the CPU has AVX2 and the OS saves
+// its registers.
+var UseAVX2 = cpuHasAVX2()
+
+// panelConsts holds what panel_amd64.s reads as 32-byte operands: four ones,
+// four 1/4π, four 1/8π — the Go constants themselves, so the vector kernels
+// cannot round them differently from the Go loops.
+var panelConsts = [12]float64{
+	1, 1, 1, 1,
+	invFourPi, invFourPi, invFourPi, invFourPi,
+	invEightPi, invEightPi, invEightPi, invEightPi,
+}
+
+// cpuHasAVX2, laplacePanelAVX2 and stokesGroupAVX2 are implemented in
+// panel_amd64.s.
+func cpuHasAVX2() bool
+
+//go:noescape
+func laplacePanelAVX2(tx, ty, tz, sx, sy, sz, den, out *float64, nt, ns int)
+
+//go:noescape
+func stokesGroupAVX2(tx, ty, tz, sx, sy, sz, den *float64, ns int, acc *[12]float64)
+
+// laplacePanelVec runs the vector kernel over the leading multiple of four
+// targets and returns how many it covered; the caller's Go loop finishes the
+// tail (or everything, on a CPU without AVX2). An empty source panel is left
+// to the Go loop too, whose `out[i] += 0` the contract includes.
+//
+//fmm:hotpath
+func laplacePanelVec(tx, ty, tz, sx, sy, sz, den, out []float64) int {
+	nt, ns := len(tx)&^3, len(sx)
+	if !UseAVX2 || nt == 0 || ns == 0 {
+		return 0
+	}
+	// The kernel reads and writes exactly these lengths.
+	ty, tz, out = ty[:nt], tz[:nt], out[:nt]
+	sy, sz, den = sy[:ns], sz[:ns], den[:ns]
+	laplacePanelAVX2(&tx[0], &ty[0], &tz[0], &sx[0], &sy[0], &sz[0], &den[0], &out[0], nt, ns)
+	return nt
+}
+
+// stokesPanelVec is laplacePanelVec for the Stokeslet: the kernel returns a
+// group's twelve partial sums component-major (SoA across the four lanes) in
+// a stack scratch, and the interleaved add into out happens here.
+//
+//fmm:hotpath
+func stokesPanelVec(tx, ty, tz, sx, sy, sz, den, out []float64) int {
+	nt, ns := len(tx)&^3, len(sx)
+	if !UseAVX2 || nt == 0 || ns == 0 {
+		return 0
+	}
+	ty, tz, out = ty[:nt], tz[:nt], out[:3*nt]
+	sy, sz, den = sy[:ns], sz[:ns], den[:3*ns]
+	var acc [12]float64
+	for i := 0; i < nt; i += 4 {
+		stokesGroupAVX2(&tx[i], &ty[i], &tz[i], &sx[0], &sy[0], &sz[0], &den[0], ns, &acc)
+		o := out[3*i : 3*i+12]
+		for l := 0; l < 4; l++ {
+			o[3*l] += acc[l]
+			o[3*l+1] += acc[4+l]
+			o[3*l+2] += acc[8+l]
+		}
+	}
+	return nt
+}

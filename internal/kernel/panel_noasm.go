@@ -1,0 +1,12 @@
+//go:build !amd64 || purego
+
+package kernel
+
+// UseAVX2 is false on builds without the vector kernels.
+const UseAVX2 = false
+
+// laplacePanelVec and stokesPanelVec are the vector kernels' stand-ins: they
+// cover no targets, so EvalPanel's Go loops do all the work.
+func laplacePanelVec(tx, ty, tz, sx, sy, sz, den, out []float64) int { return 0 }
+
+func stokesPanelVec(tx, ty, tz, sx, sy, sz, den, out []float64) int { return 0 }

@@ -2,24 +2,22 @@
 
 package kifmm
 
-// useAVX2 is resolved once: the CPU has AVX2 and the OS saves its registers.
-var useAVX2 = cpuHasAVX2()
+import "kifmm/internal/kernel"
 
-// hadamardAVX2 and cpuHasAVX2 are implemented in hadamard_amd64.s.
+// hadamardAVX2 is implemented in hadamard_amd64.s.
 //
 //go:noescape
 func hadamardAVX2(ar, ai, tr, ti, sr, si *float64, n int)
 
-func cpuHasAVX2() bool
-
 // hadamardVec runs the vector kernel over the leading multiple of four
 // elements of six equal-length panels and returns how many it covered; the
-// caller's Go loop finishes the tail (or everything, on a CPU without AVX2).
+// caller's Go loop finishes the tail (or everything, on a CPU without AVX2:
+// kernel.UseAVX2 is the one probe both packages' vector kernels read).
 //
 //fmm:hotpath
 func hadamardVec(ar, ai, tr, ti, sr, si []float64) int {
 	n := len(ar) &^ 3
-	if !useAVX2 || n == 0 {
+	if !kernel.UseAVX2 || n == 0 {
 		return 0
 	}
 	hadamardAVX2(&ar[0], &ai[0], &tr[0], &ti[0], &sr[0], &si[0], n)

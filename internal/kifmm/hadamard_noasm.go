@@ -2,8 +2,6 @@
 
 package kifmm
 
-const useAVX2 = false
-
 // hadamardVec is the vector kernel's stand-in on builds without one: it
 // covers no elements, so hadamardPanels' Go loop does all the work.
 func hadamardVec(ar, ai, tr, ti, sr, si []float64) int { return 0 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"kifmm/internal/kernel"
 )
 
 // hadamardSpecials are the values a rounding or lane mix-up shows on first:
@@ -76,7 +78,7 @@ func hadamardKernelCases() (cases [][2]int) {
 // ordinary and on special values, at every alignment and tail length, with
 // the accumulator aliasing neither operand.
 func TestHadamardKernelsAgree(t *testing.T) {
-	if !useAVX2 {
+	if !kernel.UseAVX2 {
 		t.Skip("no vector kernel in this build or no OS-enabled AVX2 on this CPU: hadamardPanels is the Go loop")
 	}
 	for k, c := range hadamardKernelCases() {

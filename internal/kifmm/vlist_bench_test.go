@@ -92,7 +92,7 @@ func BenchmarkHadamard(b *testing.B) {
 		acc := make([]float64, 2*hl)
 		for _, k := range kernels {
 			b.Run(r.name+"/"+k.name, func(b *testing.B) {
-				if k.name == "asm" && !useAVX2 {
+				if k.name == "asm" && !kernel.UseAVX2 {
 					b.Skip("no vector kernel: same as go")
 				}
 				for i := 0; i < b.N; i++ {

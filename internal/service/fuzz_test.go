@@ -15,7 +15,8 @@ var retiredOptions = []string{"balanced", "exec", "dense_m2l", "accelerated"}
 // FuzzSolverOptionsJSON feeds arbitrary bytes through the path a request's
 // "options" take — strict decode, Validate, kifmm.New — and requires an error
 // or a solver, never a panic; an object carrying a retired field is always an
-// error, and adding one to an accepted object is an error that names it.
+// error, adding one to an accepted object is an error that names it, and an
+// order above kifmm.MaxOrder is refused by Validate and by New.
 // `make fuzz` runs it for 10 s.
 func FuzzSolverOptionsJSON(f *testing.F) {
 	seeds := []SolverOptions{
@@ -70,13 +71,23 @@ func FuzzSolverOptionsJSON(f *testing.F) {
 				t.Fatalf("%s: error %v, want one naming %q", wb, err, name)
 			}
 		}
+		if o.Order > kifmm.MaxOrder {
+			// Refused at both doors, before any operator is built.
+			if o.Validate() == nil {
+				t.Fatalf("%s: Validate accepted order %d, above MaxOrder %d", b, o.Order, kifmm.MaxOrder)
+			}
+			if _, err := kifmm.New(o.ToOptions()); err == nil {
+				t.Fatalf("%s: kifmm.New accepted order %d, above MaxOrder %d", b, o.Order, kifmm.MaxOrder)
+			}
+			return
+		}
 		if o.Validate() != nil {
 			return
 		}
 		opt := o.ToOptions()
 		if opt.Order == 0 || opt.Order > 4 {
-			// Operator construction costs like order⁶ (and nothing caps it);
-			// the target is the option mapping, not the SVDs.
+			// Operator construction costs like order⁶ up to MaxOrder; the
+			// target is the option mapping, not the SVDs.
 			opt.Order = 4
 		}
 		if solver, err := kifmm.New(opt); err == nil && solver == nil {

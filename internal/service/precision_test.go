@@ -126,6 +126,7 @@ func TestUnknownExecPrecisionRejected(t *testing.T) {
 		{"dense_m2l", true},
 		{"accelerated", true},
 		{"balanced", true},
+		{"order", 1e9}, // above kifmm.MaxOrder: refused before any operator is built
 	} {
 		body := map[string]any{"points": pts, "densities": den,
 			"options": map[string]any{"order": 4, c.field: c.value}}

@@ -73,10 +73,14 @@ var precisions = map[string]kifmm.Precision{
 
 // Validate rejects a precision string outside the accepted spellings, naming
 // the field: a typo must not be served as the default under a cache entry of
-// its own.
+// its own. It also rejects an order above kifmm.MaxOrder before the request
+// is queued (kifmm.New would refuse it at plan build).
 func (o SolverOptions) Validate() error {
 	if _, ok := precisions[o.Precision]; !ok {
 		return fmt.Errorf("precision: unknown value %q (want auto, float64 or float32)", o.Precision)
+	}
+	if o.Order > kifmm.MaxOrder {
+		return fmt.Errorf("order: %d exceeds the maximum %d", o.Order, kifmm.MaxOrder)
 	}
 	return nil
 }
