@@ -27,17 +27,21 @@ portable:
 # Native fuzz targets, a bounded run each: vector EvalPanel ≡ Go loop and no
 # store outside the panel; vector Hadamard kernel ≡ Go loop; the wire options
 # decoder (strict decode → Validate → New) errors or yields a solver, never
-# panics, refuses every retired field by name and every order above MaxOrder.
+# panics, refuses every retired field by name and every order above MaxOrder;
+# the Morton key algebra (FromPoint and its clamp, ancestors, child/parent,
+# ChildContaining, colleague blocks, the wire record) on arbitrary points.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEvalPanel -fuzztime=10s ./internal/kernel
 	$(GO) test -run='^$$' -fuzz=FuzzHadamardPanels -fuzztime=10s ./internal/kifmm
 	$(GO) test -run='^$$' -fuzz=FuzzSolverOptionsJSON -fuzztime=10s ./internal/service
+	$(GO) test -run='^$$' -fuzz=FuzzMortonKey -fuzztime=10s ./internal/morton
 
 bench:
 	$(GO) test -bench=. -benchmem
 
 # Panel vs pairwise micro-kernel comparison on the 30k ellipsoid tree
-# (BenchmarkNearField{ULI,D2T,WLI} × {laplace,stokes,yukawa}), after the
+# (BenchmarkNearField{ULI,D2T,WLI} × {laplace,stokes,yukawa} ×
+# {float64 panel, pairwise}; the near field has one precision), after the
 # kernel micro-rows: ns/pair of one EvalPanel on a 400×400 and a 50×152 panel
 # (BenchmarkNearFieldPanel).
 bench-nearfield:

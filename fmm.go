@@ -49,40 +49,6 @@ const (
 	execDAG
 )
 
-// Precision selects the arithmetic precision of the near-field phases
-// (U-list direct sums, W/X-list surface interactions, downward-to-target
-// evaluation). The far field — upward densities, translations, downward
-// solves — always runs in float64: its accuracy bounds the whole method's.
-type Precision int
-
-const (
-	// PrecisionAuto (the default) means float64: bit-identical to an
-	// explicit PrecisionFloat64.
-	PrecisionAuto Precision = iota
-	// PrecisionFloat64 forces double-precision near-field arithmetic.
-	PrecisionFloat64
-	// PrecisionFloat32 evaluates every near-field pair interaction in
-	// single precision (the paper's GPU precision) with float64
-	// accumulation per target. The per-pair round-off (~1e-7 relative)
-	// sits below the FMM's own check-surface truncation error at the
-	// default order, so accuracy is budget-neutral while the SIMD-shaped
-	// float32 panels run substantially faster.
-	PrecisionFloat32
-)
-
-// String returns the wire name of the precision ("auto", "float64",
-// "float32").
-func (p Precision) String() string {
-	switch p {
-	case PrecisionFloat64:
-		return "float64"
-	case PrecisionFloat32:
-		return "float32"
-	default:
-		return "auto"
-	}
-}
-
 const (
 	// Laplace is the single-layer Laplace kernel 1/(4π‖x−y‖): one density
 	// and one potential component per point (electrostatics, gravitation).
@@ -140,9 +106,6 @@ type Options struct {
 	// (the paper's Algorithm 3; requires power-of-two Shards; the default)
 	// or "simple" (single-round direct point-to-point, any shard count).
 	ShardComm string
-	// Precision selects the near-field arithmetic precision (see the
-	// Precision type). The default PrecisionAuto is float64.
-	Precision Precision
 
 	// Test oracles, reachable from in-package tests only: exec forces the
 	// barrier or task-graph execution, denseM2L swaps the FFT-diagonalized
@@ -209,9 +172,6 @@ func New(opt Options) (*FMM, error) {
 	if opt.Order > MaxOrder {
 		return nil, fmt.Errorf("kifmm: order %d exceeds MaxOrder %d", opt.Order, MaxOrder)
 	}
-	if opt.Precision < PrecisionAuto || opt.Precision > PrecisionFloat32 {
-		return nil, fmt.Errorf("kifmm: invalid precision %d", opt.Precision)
-	}
 	k, err := opt.kernel()
 	if err != nil {
 		return nil, err
@@ -230,10 +190,9 @@ func New(opt Options) (*FMM, error) {
 			backend.Name(), opt.Shards)
 	}
 	spec := ikifmm.EngineSpec{
-		Ops:         ikifmm.NewOperators(k, opt.Order, opt.Tolerance),
-		Workers:     opt.Workers,
-		DenseM2L:    opt.denseM2L,
-		Float32Near: opt.Precision == PrecisionFloat32,
+		Ops:      ikifmm.NewOperators(k, opt.Order, opt.Tolerance),
+		Workers:  opt.Workers,
+		DenseM2L: opt.denseM2L,
 	}
 	if opt.exec != execByWorkers {
 		spec = spec.Forced(opt.exec == execDAG)
@@ -246,15 +205,6 @@ func (f *FMM) DensityDim() int { return f.kern.SrcDim() }
 
 // PotentialDim returns the number of potential components per point.
 func (f *FMM) PotentialDim() int { return f.kern.TrgDim() }
-
-// Precision returns the resolved near-field precision, always one of the
-// two concrete precisions (PrecisionAuto resolves to PrecisionFloat64).
-func (f *FMM) Precision() Precision {
-	if f.spec.Float32Near {
-		return PrecisionFloat32
-	}
-	return PrecisionFloat64
-}
 
 func (f *FMM) checkPoints(points []Point) error {
 	if len(points) == 0 {
@@ -278,9 +228,8 @@ func (f *FMM) checkInput(points []Point, densities []float64) error {
 	if err := f.checkPoints(points); err != nil {
 		return err
 	}
-	if len(densities) != len(points)*f.kern.SrcDim() {
-		return fmt.Errorf("kifmm: %d densities for %d points (want %d per point)",
-			len(densities), len(points), f.kern.SrcDim())
+	if err := ikifmm.CheckDensities(densities, len(points), f.kern.SrcDim()); err != nil {
+		return fmt.Errorf("kifmm: %w", err)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -262,6 +263,77 @@ func TestOptionAndInputValidation(t *testing.T) {
 	// A positive lambda stays valid (the default is applied at zero).
 	if _, err := New(Options{Kernel: Yukawa, YukawaLambda: 3}); err != nil {
 		t.Errorf("valid yukawa rejected: %v", err)
+	}
+}
+
+// TestNonFiniteInputRejected: a NaN or ±Inf density is refused by the one
+// density check before any engine sees it, on every entry that takes
+// densities, and a non-finite coordinate by the unit-cube check of every
+// entry that takes points. Either way the caller gets the error and no
+// potentials, never a poisoned answer.
+func TestNonFiniteInputRejected(t *testing.T) {
+	pts, den := randInput(300, 1, 81)
+	f, err := New(Options{Order: 4, PointsPerBox: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := New(Options{Order: 4, PointsPerBox: 30, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := f.Plan(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := fs.Plan(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := f.NewSession(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// withDensity returns a copy of den carrying v at index 7.
+	withDensity := func(v float64) []float64 {
+		d := append([]float64(nil), den...)
+		d[7] = v
+		return d
+	}
+	at := func(v float64) Point { return Point{X: 0.5, Y: v, Z: 0.5} }
+	const badDensity, outside = "density 7 is not finite", "outside the unit cube"
+	cases := []struct {
+		name, want string
+		run        func(v float64) ([]float64, error)
+	}{
+		{"Plan.Apply", badDensity, func(v float64) ([]float64, error) { return plan.Apply(withDensity(v)) }},
+		{"sharded Plan.Apply", badDensity, func(v float64) ([]float64, error) { return sharded.Apply(withDensity(v)) }},
+		{"Session.Apply", badDensity, func(v float64) ([]float64, error) { return sess.Apply(withDensity(v)) }},
+		{"Evaluate", badDensity, func(v float64) ([]float64, error) { return f.Evaluate(pts, withDensity(v)) }},
+		{"Plan points", outside, func(v float64) ([]float64, error) {
+			_, err := f.Plan(append([]Point{at(v)}, pts...))
+			return nil, err
+		}},
+		{"PlanAt targets", outside, func(v float64) ([]float64, error) {
+			_, err := f.PlanAt([]Point{at(v)}, pts)
+			return nil, err
+		}},
+		{"Session.Step Move", outside, func(v float64) ([]float64, error) {
+			_, err := sess.Step(Delta{Move: []PointMove{{ID: 3, To: at(v)}}})
+			return nil, err
+		}},
+		{"Session.Step Add", outside, func(v float64) ([]float64, error) {
+			_, err := sess.Step(Delta{Add: []Point{at(v)}})
+			return nil, err
+		}},
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, c := range cases {
+			pot, err := c.run(v)
+			if err == nil || !strings.Contains(err.Error(), c.want) || pot != nil {
+				t.Errorf("%s with %v: potentials %d, error %v; want none and one containing %q",
+					c.name, v, len(pot), err, c.want)
+			}
+		}
 	}
 }
 

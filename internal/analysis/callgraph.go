@@ -15,7 +15,7 @@ import (
 // over it. The body analyzers (hotalloc, diagbatch, mapiter, nodeterm) then
 // run against *reachable* functions across package boundaries instead of
 // only directly annotated ones, and their diagnostics carry the propagation
-// chain (uliLeaf32 → fillCheck → makeScratch).
+// chain (uliLeaf → fillCheck → makeScratch).
 //
 // Construction is AST + go/types only, like the rest of the suite:
 //

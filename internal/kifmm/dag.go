@@ -118,12 +118,11 @@ func (e *Engine) buildDAG() *sched.Graph {
 			e.buildVFFT(g, runs, u, v)
 			continue
 		}
-		body := e.bodyOf(p)
 		for _, run := range runs {
 			for _, i := range run {
 				task[pi][i] = g.Add(p.name, func(worker int) {
 					stop := e.timed(p.diag)
-					body(e, i, e.scratch[worker])
+					p.body(e, i, e.scratch[worker])
 					stop()
 				})
 			}

@@ -2,6 +2,7 @@ package kifmm
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"kifmm/internal/diag"
@@ -80,12 +81,6 @@ type Engine struct {
 	// phase bodies pay one indirect call per panel instead of one dynamic
 	// Kernel.Eval dispatch per source-target pair.
 	bk kernel.Batch
-	// bk32, when non-nil, switches the near-field bodies (uliLeaf, xliNode,
-	// wliLeaf, d2tLeaf) to the single-precision panel evaluator over the
-	// Layout's float32 mirrors with float64 accumulation — the paper's GPU
-	// precision on the CPU path (SetFloat32NearField). The far field (S2U,
-	// translations, downward solves) always stays float64.
-	bk32 kernel.Batch32
 	// scratch holds one evaluation scratch per worker (ensureScratch).
 	scratch []*evalScratch
 	// den32 is the reused single-precision density buffer of Den32.
@@ -107,33 +102,8 @@ type Engine struct {
 // NewEngineLayout.
 func NewEngine(ops *Operators, tree *octree.Tree) *Engine {
 	// A private layout keeps the float32 mirrors: engines built this way
-	// (tests, experiments, direct accelerator use) may enable any consumer.
+	// (tests, experiments) may be handed to the simulated device.
 	return NewEngineLayout(ops, tree, NewLayout(tree, ops, true))
-}
-
-// SetFloat32NearField switches the near-field bodies between the float64
-// panel evaluator (on=false, the default) and the single-precision one
-// (on=true). Enabling requires a shared Layout and the kernel to implement
-// kernel.Batch32; the return value reports whether the requested state took
-// effect (false means the engine stays on float64 — a capability miss, not
-// an error). The float32 bodies do not read the Layout's global X32 mirrors:
-// every panel is localized to its target node's center in float64 and
-// rounded per call (Layout.PointsLocal32), so only the simulated device
-// (internal/gpu) still needs mirror-carrying layouts.
-func (e *Engine) SetFloat32NearField(on bool) bool {
-	if !on {
-		e.bk32 = nil
-		return true
-	}
-	if e.Layout == nil {
-		return false
-	}
-	b32, ok := kernel.AsBatch32(e.Ops.Kern)
-	if !ok {
-		return false
-	}
-	e.bk32 = b32
-	return true
 }
 
 // NewEngineLayout allocates evaluation state for the tree on a shared,
@@ -298,17 +268,13 @@ var flopPhaseName = [numFlopPhase]string{
 // time (par.ForW and sched.Graph guarantee worker indices are exclusive), so
 // the bodies run without locks and without per-octant allocation.
 type evalScratch struct {
-	chk              []float64 // CheckLen: check potentials / MulVec temporary
-	up               []float64 // UpwardLen: equivalent-density temporary
-	sx, sy, sz       []float64 // NumSurf: surface coordinate panel
-	sx32, sy32, sz32 []float32 // NumSurf: single-precision surface panel
-	eq32             []float32 // UpwardLen: single-precision equivalent densities
-	tx32, ty32, tz32 []float32 // max leaf points: box-local float32 target panel
-	px32, py32, pz32 []float32 // max leaf points: box-local float32 source panel
-	vgrid            []float64 // GridLen: real-grid scratch for the half-spectrum FFTs
-	vacc             []float64 // 8·AccLen: one frequency accumulator per sibling target
-	vsort            []uint64  // one sibling group's V interactions as vOrder<<41 | dirSlot<<32 | node, sorted
-	flops            [numFlopPhase]int64
+	chk        []float64 // CheckLen: check potentials / MulVec temporary
+	up         []float64 // UpwardLen: equivalent-density temporary
+	sx, sy, sz []float64 // NumSurf: surface coordinate panel
+	vgrid      []float64 // GridLen: real-grid scratch for the half-spectrum FFTs
+	vacc       []float64 // 8·AccLen: one frequency accumulator per sibling target
+	vsort      []uint64  // one sibling group's V interactions as vOrder<<41 | dirSlot<<32 | node, sorted
+	flops      [numFlopPhase]int64
 }
 
 // surf returns the scratch surface panel slices.
@@ -348,43 +314,14 @@ func (e *Engine) ensureScratch(n int) []*evalScratch {
 	for len(e.scratch) < n {
 		ns := e.Ops.NumSurf()
 		e.scratch = append(e.scratch, &evalScratch{
-			chk:  make([]float64, e.Ops.CheckLen()),
-			up:   make([]float64, e.Ops.UpwardLen()),
-			sx:   make([]float64, ns),
-			sy:   make([]float64, ns),
-			sz:   make([]float64, ns),
-			sx32: make([]float32, ns),
-			sy32: make([]float32, ns),
-			sz32: make([]float32, ns),
-			eq32: make([]float32, e.Ops.UpwardLen()),
+			chk: make([]float64, e.Ops.CheckLen()),
+			up:  make([]float64, e.Ops.UpwardLen()),
+			sx:  make([]float64, ns),
+			sy:  make([]float64, ns),
+			sz:  make([]float64, ns),
 		})
 	}
-	if e.bk32 != nil {
-		// The float32 bodies localize point panels into per-worker scratch
-		// sized to the widest leaf. Sessions can widen leaves between Applys,
-		// so the bound is re-checked at every phase entry (a max over leaf
-		// extents, cheap next to the phase itself).
-		m := e.maxLeafPts()
-		for _, s := range e.scratch {
-			if cap(s.tx32) < m {
-				s.tx32, s.ty32, s.tz32 = make([]float32, m), make([]float32, m), make([]float32, m)
-				s.px32, s.py32, s.pz32 = make([]float32, m), make([]float32, m), make([]float32, m)
-			}
-		}
-	}
 	return e.scratch
-}
-
-// maxLeafPts returns the largest per-leaf point count — the panel width the
-// float32 point scratch buffers must accommodate.
-func (e *Engine) maxLeafPts() int {
-	m := 0
-	for _, i := range e.Tree.Leaves {
-		if n := e.Tree.Nodes[i].NPoints(); n > m {
-			m = n
-		}
-	}
-	return m
 }
 
 // barrierWorkers is the worker count of the bulk-synchronous phase loops.
@@ -646,6 +583,22 @@ func (e *Engine) Evaluate() {
 	e.Phases(nil)
 }
 
+// CheckDensities is the one check of a caller's density vector, made before
+// any engine sees it: n points of sd components each, every value finite (a
+// NaN or ±Inf density would reach every potential through S2U and the
+// V-list). The error is unprefixed; each entry point adds its own.
+func CheckDensities(den []float64, n, sd int) error {
+	if len(den) != n*sd {
+		return fmt.Errorf("%d densities for %d points (want %d per point)", len(den), n, sd)
+	}
+	for i, d := range den {
+		if math.IsNaN(d) || math.IsInf(d, 0) {
+			return fmt.Errorf("density %d is not finite", i)
+		}
+	}
+	return nil
+}
+
 // SetPointDensities copies caller-ordered densities into the engine using
 // the tree's permutation (Build trees only).
 func (e *Engine) SetPointDensities(orig []float64) {
@@ -664,9 +617,9 @@ func (e *Engine) SetPointDensities(orig []float64) {
 
 // Den32 returns a reused single-precision copy of the per-point densities
 // (scalar kernels), refreshed on each call. It is the density-dependent
-// half of the streaming accelerator's data-structure translation — the
-// density-independent half (coordinates, panel offsets) lives in the shared
-// Layout.
+// half of the simulated device's data-structure translation — the
+// density-independent half is the Layout's X32 mirrors — and its only reader
+// is internal/gpu: every phase body on the CPU runs in float64.
 func (e *Engine) Den32() []float32 {
 	if len(e.den32) != len(e.Density) {
 		e.den32 = make([]float32, len(e.Density))

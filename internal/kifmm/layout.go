@@ -15,8 +15,9 @@ import (
 //   - the point coordinates in tree order (leaf panels are contiguous
 //     [PtLo, PtHi) slices of these arrays, so a leaf's source or target
 //     panel is three subslices, no per-leaf gather);
-//   - a float32 mirror of the same panels for the streaming accelerator,
-//     whose U-list translation previously reflattened every leaf per call;
+//   - on request, a float32 mirror of the same panels for the simulated
+//     device (internal/gpu), the paper's single-precision GPU path; every
+//     CPU phase body reads the float64 panels;
 //   - per-level equivalent/check surface offset grids: all octants at one
 //     level share the same surface geometry relative to their center, so
 //     the per-octant surface is center + offsets — a fill into a reusable
@@ -29,13 +30,13 @@ type Layout struct {
 	// PX, PY, PZ are the tree points in structure-of-arrays form, tree
 	// (Morton) order, aligned with Tree.Points.
 	PX, PY, PZ []float64
-	// X32, Y32, Z32 mirror PX, PY, PZ in single precision for the streaming
-	// accelerator's data-structure translation (the paper's GPU path is
-	// float32). Leaf i's source panel starts at Tree.Nodes[i].PtLo — the
-	// dense per-node panel index that replaces per-call start maps. The
-	// mirrors are only built on request (NewLayout's f32 argument): the CPU
-	// float32 near field localizes its own panels and never reads them, so
-	// plans, shard ranks and sessions skip the fill and the memory.
+	// X32, Y32, Z32 mirror PX, PY, PZ in single precision for the simulated
+	// device's data-structure translation (the paper's GPU path is float32).
+	// Leaf i's source panel starts at Tree.Nodes[i].PtLo — the dense
+	// per-node panel index that replaces per-call start maps. The mirrors
+	// are only built on request (NewLayout's f32 argument): the CPU near
+	// field is float64 and never reads them, so plans, shard ranks and
+	// sessions skip the fill and the memory.
 	X32, Y32, Z32 []float32
 	// hasF32 records whether the float32 mirrors are maintained; it is set
 	// at construction and persists across Sync.
@@ -204,48 +205,5 @@ func (l *Layout) fillSurf(o *surfOffsets, i int32, sx, sy, sz []float64) {
 		sx[k] = lox + o.X[k]
 		sy[k] = loy + o.Y[k]
 		sz[k] = loz + o.Z[k]
-	}
-}
-
-// PointsLocal32 fills (dx, dy, dz) with tree points [lo, hi) translated by
-// the float64 origin (ox, oy, oz) and then rounded once to float32. The
-// near-field bodies pass the target node's center as the origin, so the
-// float32 panel coordinates are O(leaf size) and a pair separation keeps
-// O(eps32) relative accuracy — rounding absolute unit-cube coordinates
-// instead would amplify the error of close pairs by coord/distance (the
-// classic float32 cancellation, ~3e-4 on surface distributions), swamping
-// the truncation budget (DESIGN.md §7.8). The slices must have hi−lo
-// entries.
-func (l *Layout) PointsLocal32(lo, hi int, ox, oy, oz float64, dx, dy, dz []float32) {
-	px, py, pz := l.PX[lo:hi], l.PY[lo:hi], l.PZ[lo:hi]
-	for k := range px {
-		dx[k] = float32(px[k] - ox)
-		dy[k] = float32(py[k] - oy)
-		dz[k] = float32(pz[k] - oz)
-	}
-}
-
-// InnerSurfLocal32 is InnerSurf into float32 panels relative to the float64
-// origin (ox, oy, oz): the surface point is formed in float64 — (center −
-// origin) − radius + offset — and rounded once, so a surface panel localized
-// to a nearby node's center carries the same O(eps32) relative pair accuracy
-// as PointsLocal32 panels.
-func (l *Layout) InnerSurfLocal32(i int32, ox, oy, oz float64, sx, sy, sz []float32) {
-	l.fillSurfLocal32(&l.inner[l.Lev[i]], i, ox, oy, oz, sx, sy, sz)
-}
-
-// OuterSurfLocal32 is OuterSurf into float32 panels relative to the origin.
-func (l *Layout) OuterSurfLocal32(i int32, ox, oy, oz float64, sx, sy, sz []float32) {
-	l.fillSurfLocal32(&l.outer[l.Lev[i]], i, ox, oy, oz, sx, sy, sz)
-}
-
-func (l *Layout) fillSurfLocal32(o *surfOffsets, i int32, ox, oy, oz float64, sx, sy, sz []float32) {
-	lox := (l.CX[i] - ox) - o.radius
-	loy := (l.CY[i] - oy) - o.radius
-	loz := (l.CZ[i] - oz) - o.radius
-	for k := range o.X {
-		sx[k] = float32(lox + o.X[k])
-		sy[k] = float32(loy + o.Y[k])
-		sz[k] = float32(loz + o.Z[k])
 	}
 }

@@ -55,21 +55,10 @@ func benchPhase(b *testing.B, panel, pairwise func(e *Engine)) {
 	for _, bk := range benchKernels {
 		e := nearFieldEngine(b, bk.kern)
 		b.Run(bk.name+"/float64", func(b *testing.B) {
-			e.SetFloat32NearField(false)
 			b.ReportAllocs()
 			for k := 0; k < b.N; k++ {
 				panel(e)
 			}
-		})
-		b.Run(bk.name+"/float32", func(b *testing.B) {
-			if !e.SetFloat32NearField(true) {
-				b.Fatalf("%s: float32 near field unavailable", bk.kern.Name())
-			}
-			b.ReportAllocs()
-			for k := 0; k < b.N; k++ {
-				panel(e)
-			}
-			e.SetFloat32NearField(false)
 		})
 		b.Run(bk.name+"/pairwise", func(b *testing.B) {
 			b.ReportAllocs()

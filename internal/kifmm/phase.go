@@ -28,11 +28,8 @@ type phase struct {
 	// has reports whether octant i has work in this phase. Everything it
 	// excludes would contribute exactly zero.
 	has func(e *Engine, i int32) bool
-	// body does octant i's work on the executing worker's scratch; body32,
-	// where there is one, is its single-precision twin (SetFloat32NearField).
-	body, body32 func(e *Engine, i int32, s *evalScratch)
-	// den32 marks a body32 that reads the float32 density mirror (Den32).
-	den32 bool
+	// body does octant i's work on the executing worker's scratch.
+	body func(e *Engine, i int32, s *evalScratch)
 }
 
 // Rows of phases.
@@ -67,8 +64,7 @@ var phases = [...]phase{
 		has: func(e *Engine, i int32) bool {
 			return len(e.Tree.Nodes[i].V) > 0 && e.trgNode(i)
 		}},
-	pXLI: {name: "X", diag: diag.PhaseXList, over: overNodes,
-		body: (*Engine).xliNode, body32: (*Engine).xliNode32, den32: true,
+	pXLI: {name: "X", diag: diag.PhaseXList, over: overNodes, body: (*Engine).xliNode,
 		has: func(e *Engine, i int32) bool {
 			return len(e.Tree.Nodes[i].X) > 0 && e.trgNode(i)
 		}},
@@ -76,20 +72,17 @@ var phases = [...]phase{
 		has: func(e *Engine, i int32) bool {
 			return e.Tree.Nodes[i].Local && e.trgNode(i)
 		}},
-	pWLI: {name: "W", diag: diag.PhaseWList, over: overLeaves,
-		body: (*Engine).wliLeaf, body32: (*Engine).wliLeaf32,
+	pWLI: {name: "W", diag: diag.PhaseWList, over: overLeaves, body: (*Engine).wliLeaf,
 		has: func(e *Engine, i int32) bool {
 			n := &e.Tree.Nodes[i]
 			return len(n.W) > 0 && n.NPoints() > 0 && e.trgNode(i)
 		}},
-	pD2T: {name: "D2T", diag: diag.PhaseDownward, over: overLeaves,
-		body: (*Engine).d2tLeaf, body32: (*Engine).d2tLeaf32,
+	pD2T: {name: "D2T", diag: diag.PhaseDownward, over: overLeaves, body: (*Engine).d2tLeaf,
 		has: func(e *Engine, i int32) bool {
 			n := &e.Tree.Nodes[i]
 			return n.Local && n.NPoints() > 0 && e.trgNode(i)
 		}},
-	pULI: {name: "U", diag: diag.PhaseUList, over: overLeaves,
-		body: (*Engine).uliLeaf, body32: (*Engine).uliLeaf32, den32: true,
+	pULI: {name: "U", diag: diag.PhaseUList, over: overLeaves, body: (*Engine).uliLeaf,
 		has: func(e *Engine, i int32) bool {
 			n := &e.Tree.Nodes[i]
 			return len(n.U) > 0 && n.NPoints() > 0 && e.trgNode(i)
@@ -130,19 +123,6 @@ func (e *Engine) work(p *phase) [][]int32 {
 	return runs
 }
 
-// bodyOf resolves the body the engine runs for p — the float32 twin when the
-// single-precision near field is on — refreshing the density mirror that twin
-// reads. Both drivers call it once per phase, before any octant runs.
-func (e *Engine) bodyOf(p *phase) func(*Engine, int32, *evalScratch) {
-	if e.bk32 == nil || p.body32 == nil {
-		return p.body
-	}
-	if p.den32 {
-		e.Den32()
-	}
-	return p.body32
-}
-
 // runPhase is the barrier execution of one phase: one bulk-synchronous
 // par.ForW per run of work(p), timed once under the phase's diag name, the
 // per-worker flop counters flushed at the end.
@@ -153,10 +133,9 @@ func (e *Engine) runPhase(p *phase) {
 	if p == &phases[pVLI] && e.UseFFTM2L {
 		e.vliFFT(runs, sc)
 	} else {
-		body := e.bodyOf(p)
 		for _, run := range runs {
 			par.ForW(e.Workers, len(run), func(w, k int) {
-				body(e, run[k], sc[w])
+				p.body(e, run[k], sc[w])
 			})
 		}
 	}

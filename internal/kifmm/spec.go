@@ -22,9 +22,6 @@ type EngineSpec struct {
 	// DenseM2L swaps the FFT-diagonalized V-list for the dense M2L matrices
 	// it is verified against (a test oracle and an ablation).
 	DenseM2L bool
-	// Float32Near runs the near-field phases in single precision
-	// (Engine.SetFloat32NearField).
-	Float32Near bool
 
 	// force is the tests' override of the driver Run selects: positive the
 	// task graph, negative the barrier phases, at any worker count.
@@ -63,9 +60,6 @@ func (s EngineSpec) NewEngine(tree *octree.Tree, layout *Layout) *Engine {
 	e.UseFFTM2L = !s.DenseM2L
 	e.Workers = max(1, s.Workers)
 	e.force = s.force
-	if s.Float32Near {
-		e.SetFloat32NearField(true)
-	}
 	return e
 }
 

@@ -11,16 +11,18 @@ func FromPoint(x, y, z float64, l int) Key {
 }
 
 // toUnits clamps a unit-cube coordinate to [0, 1) and scales it to integer
-// lattice units at MaxDepth.
+// lattice units at MaxDepth. The clamp comes before the scaling: converting
+// a scaled coordinate of 2³³ or more (or +Inf) to an integer is
+// implementation-defined in Go, and on amd64 lands it at 0, the wrong face.
+// NaN maps to 0.
 func toUnits(v float64) uint32 {
-	if v < 0 {
-		v = 0
+	switch {
+	case !(v > 0):
+		return 0
+	case v >= 1:
+		return MaxCoord - 1
 	}
-	u := int64(v * MaxCoord)
-	if u >= MaxCoord {
-		u = MaxCoord - 1
-	}
-	return uint32(u)
+	return uint32(v * MaxCoord)
 }
 
 // Side returns the octant's side length in unit-cube coordinates.

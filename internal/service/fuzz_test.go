@@ -10,7 +10,7 @@ import (
 
 // retiredOptions are wire fields this server once served and now refuses by
 // name (SolverOptions.UnmarshalJSON).
-var retiredOptions = []string{"balanced", "exec", "dense_m2l", "accelerated"}
+var retiredOptions = []string{"balanced", "exec", "dense_m2l", "accelerated", "precision"}
 
 // FuzzSolverOptionsJSON feeds arbitrary bytes through the path a request's
 // "options" take — strict decode, Validate, kifmm.New — and requires an error
@@ -23,12 +23,11 @@ func FuzzSolverOptionsJSON(f *testing.F) {
 		fastOpts(),
 		{Kernel: "laplace", Order: 5, PointsPerBox: 40, Workers: 2},
 		{Kernel: "stokes", Order: 4, Tolerance: 1e-8, MaxDepth: 12},
-		{Kernel: "yukawa", Order: 4, YukawaLambda: 5, Precision: "float32"},
+		{Kernel: "yukawa", Order: 4, YukawaLambda: 5},
 		{Kernel: "laplace", Order: 4, Shards: 4, ShardComm: "hypercube"},
-		{Kernel: "laplace", Order: 4, Shards: 3, ShardComm: "simple", Precision: "auto"},
+		{Kernel: "laplace", Order: 4, Shards: 3, ShardComm: "simple"},
 		{Kernel: "laplace", Order: 4, Targets: [][3]float64{{0.5, 0.5, 0.5}}},
 		{Kernel: "helmholtz"},
-		{Kernel: "laplace", Precision: "float16"},
 	}
 	for _, o := range seeds {
 		b, err := json.Marshal(o)

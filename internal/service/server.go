@@ -116,9 +116,8 @@ type Server struct {
 	// surfaced on /metrics).
 	sessSteps, sessMigrated, sessPatched, sessReplans atomic.Int64
 
-	// Plan builds by resolved near-field precision (surfaced on /metrics
-	// as fmmserve_plans_built_total{precision=...}).
-	plansBuilt64, plansBuilt32 atomic.Int64
+	// Plan builds (surfaced on /metrics as fmmserve_plans_built_total).
+	plansBuilt atomic.Int64
 }
 
 // New builds a server with the given configuration.
@@ -251,9 +250,9 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, timeout time.Dur
 	}
 }
 
-// checkOptions rejects requests whose precision is not an accepted
-// spelling, or whose shard count exceeds the server cap (the per-shard LET +
-// engine state amplifies plan memory). Reports false after writing the 400.
+// checkOptions rejects requests whose options fail Validate, or whose shard
+// count exceeds the server cap (the per-shard LET + engine state amplifies
+// plan memory). Reports false after writing the 400.
 func (s *Server) checkOptions(w http.ResponseWriter, opts SolverOptions) bool {
 	if err := opts.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, "options: %v", err)
@@ -284,11 +283,7 @@ func (s *Server) buildPlan(id string, pts [][3]float64, opts SolverOptions) (*Ca
 	if err != nil {
 		return nil, err
 	}
-	if solver.Precision() == kifmm.PrecisionFloat32 {
-		s.plansBuilt32.Add(1)
-	} else {
-		s.plansBuilt64.Add(1)
-	}
+	s.plansBuilt.Add(1)
 	tf0 := kifmm.TranslationCache()
 	plan, err := solver.PlanAt(ToPoints(opts.Targets), ToPoints(pts))
 	if err != nil {
@@ -469,8 +464,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "fmmserve_plan_cache_hits_total %d\n", cs.Hits)
 	fmt.Fprintf(w, "fmmserve_plan_cache_misses_total %d\n", cs.Misses)
 	fmt.Fprintf(w, "fmmserve_plan_cache_evictions_total %d\n", cs.Evictions)
-	fmt.Fprintf(w, "fmmserve_plans_built_total{precision=\"float64\"} %d\n", s.plansBuilt64.Load())
-	fmt.Fprintf(w, "fmmserve_plans_built_total{precision=\"float32\"} %d\n", s.plansBuilt32.Load())
+	fmt.Fprintf(w, "fmmserve_plans_built_total %d\n", s.plansBuilt.Load())
 	fmt.Fprintf(w, "fmmserve_workers %d\n", ps.Workers)
 	fmt.Fprintf(w, "fmmserve_workers_busy %d\n", ps.Busy)
 	fmt.Fprintf(w, "fmmserve_queue_capacity %d\n", ps.QueueCap)

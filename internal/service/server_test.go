@@ -213,6 +213,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"fmmserve_workers 1",
 		"fmmserve_queue_capacity 4",
 		"fmmserve_tasks_completed_total 1",
+		"fmmserve_plans_built_total 1\n",
 		`kifmm_phase_seconds_total{phase="PlanBuild"}`,
 		`kifmm_phase_seconds_total{phase="Apply"}`,
 		`kifmm_phase_seconds_total{phase="U-list"}`,

@@ -31,10 +31,6 @@ type SolverOptions struct {
 	MaxDepth     int     `json:"max_depth,omitempty"`
 	Workers      int     `json:"workers,omitempty"`
 	YukawaLambda float64 `json:"yukawa_lambda,omitempty"`
-	// Precision selects the near-field arithmetic: "", "auto" or "float64"
-	// (all float64), or "float32" (see kifmm.Precision). Any other value is
-	// rejected with a 400.
-	Precision string `json:"precision,omitempty"`
 	// Shards, when positive, serves this plan as a sharded plan: the octree
 	// is Morton-partitioned across Shards in-process ranks with per-rank
 	// local essential trees and every apply runs the coordinated multi-rank
@@ -52,9 +48,9 @@ type SolverOptions struct {
 }
 
 // UnmarshalJSON decodes the options strictly: a field this server does not
-// know — a typo, or one of the retired "accelerated", "exec", "dense_m2l" and
-// "balanced" — is an error naming it (a 400 from decodeBody), not a request
-// served with the default in its place.
+// know — a typo, or one of the retired "accelerated", "exec", "dense_m2l",
+// "balanced" and "precision" — is an error naming it (a 400 from
+// decodeBody), not a request served with the default in its place.
 func (o *SolverOptions) UnmarshalJSON(b []byte) error {
 	type plain SolverOptions // drops this method
 	dec := json.NewDecoder(bytes.NewReader(b))
@@ -62,23 +58,9 @@ func (o *SolverOptions) UnmarshalJSON(b []byte) error {
 	return dec.Decode((*plain)(o))
 }
 
-// The accepted wire spellings of precision. "" and "auto" are the same
-// request, and auto precision is float64 (kifmm.FMM.Precision), so the
-// mapped values are also the canonical form PlanKey hashes: spellings that
-// build the same plan share one cache entry.
-var precisions = map[string]kifmm.Precision{
-	"": kifmm.PrecisionFloat64, "auto": kifmm.PrecisionFloat64,
-	"float64": kifmm.PrecisionFloat64, "float32": kifmm.PrecisionFloat32,
-}
-
-// Validate rejects a precision string outside the accepted spellings, naming
-// the field: a typo must not be served as the default under a cache entry of
-// its own. It also rejects an order above kifmm.MaxOrder before the request
-// is queued (kifmm.New would refuse it at plan build).
+// Validate rejects an order above kifmm.MaxOrder, naming the field, before
+// the request is queued (kifmm.New would refuse it at plan build).
 func (o SolverOptions) Validate() error {
-	if _, ok := precisions[o.Precision]; !ok {
-		return fmt.Errorf("precision: unknown value %q (want auto, float64 or float32)", o.Precision)
-	}
 	if o.Order > kifmm.MaxOrder {
 		return fmt.Errorf("order: %d exceeds the maximum %d", o.Order, kifmm.MaxOrder)
 	}
@@ -97,7 +79,6 @@ func (o SolverOptions) ToOptions() kifmm.Options {
 		MaxDepth:     o.MaxDepth,
 		Workers:      o.Workers,
 		YukawaLambda: o.YukawaLambda,
-		Precision:    precisions[o.Precision],
 		Shards:       o.Shards,
 		ShardComm:    o.ShardComm,
 	}
@@ -253,9 +234,6 @@ func PlanKey(points [][3]float64, o SolverOptions) string {
 	wi(int64(o.MaxDepth))
 	wi(int64(o.Workers))
 	wf(o.YukawaLambda)
-	// Precision participates in canonical form (see precisions): float32 and
-	// float64 plans are distinct resident plans even for identical geometry.
-	wi(int64(precisions[o.Precision]))
 	// Shard configuration is part of plan identity: the same points served
 	// at different shard counts (or backends) are distinct resident plans.
 	wi(int64(o.Shards))

@@ -178,9 +178,7 @@ func New(pts []geom.Point, cfg Config) (*Session, error) {
 	}
 	s.buildTree()
 	cfg.Spec.Prewarm(s.tree)
-	// The float32 near field localizes its panels per call and never reads
-	// the layout's X32 mirrors, so session layouts stay mirror-free at any
-	// precision.
+	// Mirror-free: only the simulated device reads the layout's X32 mirrors.
 	s.layout = ikifmm.NewLayout(s.tree, cfg.Spec.Ops, false)
 	s.eng = cfg.Spec.NewEngine(s.tree, s.layout)
 	return s, nil
@@ -615,10 +613,8 @@ func (s *Session) repack() {
 func (s *Session) Apply(densities []float64) ([]float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sd := s.cfg.Spec.Ops.Kern.SrcDim()
-	if len(densities) != s.live*sd {
-		return nil, fmt.Errorf("session: %d densities for %d live points (want %d per point)",
-			len(densities), s.live, sd)
+	if err := ikifmm.CheckDensities(densities, s.live, s.cfg.Spec.Ops.Kern.SrcDim()); err != nil {
+		return nil, fmt.Errorf("session: %w", err)
 	}
 	s.eng.Reset()
 	s.eng.SetPointDensities(densities)

@@ -132,8 +132,8 @@ func BuildPlan(tree *octree.Tree, cfg Config) (*Plan, error) {
 	rankSpec := cfg.Spec
 	rankSpec.Workers = cfg.Spec.Workers / R
 	for r := 0; r < R; r++ {
-		// Mirror-free layouts: the float32 near field (Float32Near) localizes
-		// its panels per call and never reads the layout's X32 mirrors.
+		// Mirror-free layouts: only the simulated device reads the X32
+		// mirrors, and no shard rank runs on it.
 		rs := &rankState{dt: dts[r], layout: kifmm.NewLayout(dts[r].Tree, ops, false)}
 		rs.engines = rankSpec.NewPool(rs.dt.Tree, rs.layout, 0)
 		lo, hi := bounds[r][0], bounds[r][1]
@@ -229,9 +229,8 @@ func (p *Plan) MemoryBytes() int64 {
 // SrcDim components per point) as a coordinated R-rank evaluation and
 // returns them in input point order with TrgDim components per point.
 func (p *Plan) Apply(densities []float64) ([]float64, error) {
-	if len(densities) != p.n*p.sd {
-		return nil, fmt.Errorf("shard: %d densities for %d points (want %d per point)",
-			len(densities), p.n, p.sd)
+	if err := kifmm.CheckDensities(densities, p.n, p.sd); err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
 	}
 	prof := p.prof.Load()
 	out := make([]float64, p.n*p.td)

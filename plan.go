@@ -92,8 +92,8 @@ func (f *FMM) PlanAt(targets, sources []Point) (*Plan, error) {
 		}
 		return &Plan{f: f, tree: tree, n: len(points), shard: sp}, nil
 	}
-	// Mirror-free layout: the float32 near field localizes its own panels
-	// per call and never reads the layout's float32 coordinate mirrors.
+	// Mirror-free layout: only the simulated device reads the float32
+	// coordinate mirrors.
 	layout := ikifmm.NewLayout(tree, f.spec.Ops, false)
 	return &Plan{f: f, tree: tree, layout: layout, n: len(sources), nTrg: nTrg,
 		engines: f.spec.NewPool(tree, layout, nTrg)}, nil
@@ -217,9 +217,8 @@ func (p *Plan) ApplyTraced(densities []float64) (potentials []float64, trace []b
 }
 
 func (p *Plan) apply(densities []float64, trace *sched.Trace) ([]float64, sched.Stats, error) {
-	if len(densities) != p.n*p.f.kern.SrcDim() {
-		return nil, sched.Stats{}, fmt.Errorf("kifmm: %d densities for %d points (want %d per point)",
-			len(densities), p.n, p.f.kern.SrcDim())
+	if err := ikifmm.CheckDensities(densities, p.n, p.f.kern.SrcDim()); err != nil {
+		return nil, sched.Stats{}, fmt.Errorf("kifmm: %w", err)
 	}
 	eng := p.engines.Get(p.prof.Load())
 	eng.SetDensitiesMasked(densities, p.nTrg)

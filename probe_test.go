@@ -15,7 +15,7 @@ import (
 // TestProbe is the house-rule potentials probe every deletion PR runs at its
 // parent and at its change: one "name sha256" line per configuration, sorted,
 // over the potentials of a 20k-point 1:1:4 ellipsoid at order 4 — every
-// driver, V-list translation, shard layout, precision and entry point of the
+// driver, V-list translation, shard layout and entry point of the
 // public API. Two trees that print the same file evaluate the same bits.
 //
 //	KIFMM_PROBE=probe.txt go test -run TestProbe -timeout 30m .   (make probe)
@@ -115,16 +115,11 @@ func TestProbe(t *testing.T) {
 			pot, err := planApply(opt, pts, den)
 			record(fmt.Sprintf("%s/shards%d/%s", kern, sh.ranks, sh.comm), pot, err)
 		}
-		opt32 := base
-		opt32.Precision = PrecisionFloat32
-		pot, err := planApply(opt32, pts, den)
-		record(fmt.Sprintf("%s/float32", kern), pot, err)
-
 		p, err := f.PlanAt(trgs, pts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pot, err = p.Apply(den)
+		pot, err := p.Apply(den)
 		record(fmt.Sprintf("%s/targets", kern), pot, err)
 		pot, err = f.EvaluateAt(trgs, pts, den)
 		record(fmt.Sprintf("%s/evaluateat", kern), pot, err)
