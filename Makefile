@@ -13,8 +13,10 @@ vet:
 test:
 	$(GO) test ./...
 
+# The root package needs ~20 min under -race on two cores, past go test's
+# 10 min default timeout.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 60m ./...
 
 # The build without the amd64 vector kernels (internal/kernel/panel_amd64.s,
 # internal/kifmm/hadamard_amd64.s) is the one other architectures get: test
@@ -28,12 +30,15 @@ portable:
 # store outside the panel; vector Hadamard kernel ≡ Go loop; the wire options
 # decoder (strict decode → Validate → New) errors or yields a solver, never
 # panics, refuses every retired field by name and every order above MaxOrder;
-# the Morton key algebra (FromPoint and its clamp, ancestors, child/parent,
-# ChildContaining, colleague blocks, the wire record) on arbitrary points.
+# arbitrary request bodies on /v1/evaluate and /v1/session/{id}/step answer
+# anything but a panic or a 5xx; the Morton key algebra (FromPoint and its
+# clamp, ancestors, child/parent, ChildContaining, colleague blocks, the wire
+# record) on arbitrary points.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEvalPanel -fuzztime=10s ./internal/kernel
 	$(GO) test -run='^$$' -fuzz=FuzzHadamardPanels -fuzztime=10s ./internal/kifmm
 	$(GO) test -run='^$$' -fuzz=FuzzSolverOptionsJSON -fuzztime=10s ./internal/service
+	$(GO) test -run='^$$' -fuzz=FuzzRequestBodies -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzMortonKey -fuzztime=10s ./internal/morton
 
 bench:
@@ -63,8 +68,8 @@ bench-check:
 
 # Repeated race runs of the work-stealing scheduler and the par shim
 # (randomized-DAG property tests are seeded per run, so -count=5 explores
-# new graphs; par's ForW exclusivity contract makes any violation a
-# reported race rather than a flaky count).
+# new graphs; the scheduler's worker-index exclusivity test makes any
+# violation a reported race rather than a flaky count).
 sched-stress:
 	$(GO) test -race -count=5 ./internal/sched/... ./internal/par/...
 

@@ -10,6 +10,7 @@ package kifmm
 // Larger reproductions: go run ./cmd/fmmbench -exp <id> [flags].
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
@@ -209,17 +210,12 @@ func BenchmarkPlanApply_10k(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyBarrier / BenchmarkApplyDAG compare the two execution
-// strategies for the density-dependent phases on the paper's nonuniform
-// ellipsoid distribution (deep adaptive tree, unbalanced per-level work —
-// the case where global phase barriers hurt most). Both reuse one plan and
-// produce bit-identical potentials; see TestExecModesBitIdentical.
-
-func benchmarkApplyExec(b *testing.B, mode execMode) {
-	f, err := New(Options{PointsPerBox: 50, Workers: runtime.GOMAXPROCS(0), exec: mode})
-	if err != nil {
-		b.Fatal(err)
-	}
+// BenchmarkApply times the density-dependent phases — one task graph per
+// Apply — on the paper's nonuniform ellipsoid distribution (deep adaptive
+// tree, unbalanced per-level work) at one worker and at GOMAXPROCS. Both
+// reuse one plan and produce bit-identical potentials; see
+// TestExecModesBitIdentical.
+func BenchmarkApply(b *testing.B) {
 	gp := geom.Generate(geom.Ellipsoid, 30000, 7)
 	pts := make([]Point, len(gp))
 	for i, p := range gp {
@@ -230,24 +226,28 @@ func benchmarkApplyExec(b *testing.B, mode execMode) {
 	for i := range den {
 		den[i] = rng.NormFloat64()
 	}
-	plan, err := f.Plan(pts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := plan.Apply(den); err != nil { // warm the lazy FFT spectra
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := plan.Apply(den); err != nil {
-			b.Fatal(err)
-		}
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			f, err := New(Options{PointsPerBox: 50, Workers: workers})
+			if err != nil {
+				b.Fatal(err)
+			}
+			plan, err := f.Plan(pts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := plan.Apply(den); err != nil { // warm the lazy FFT spectra
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := plan.Apply(den); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkApplyBarrier(b *testing.B) { benchmarkApplyExec(b, execBarrier) }
-
-func BenchmarkApplyDAG(b *testing.B) { benchmarkApplyExec(b, execDAG) }
 
 func BenchmarkOctreeBuild_50k(b *testing.B) {
 	pts := geom.Generate(geom.Ellipsoid, 50000, 1)

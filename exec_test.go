@@ -20,12 +20,13 @@ func ellipsoidInput(n, sdim int, seed int64) ([]Point, []float64) {
 	return pts, den
 }
 
-// TestExecModesBitIdentical is the public-API differential test for the
-// task-graph execution path: for every kernel and both particle
-// distributions, Plan.Apply forced onto the task graph must be bit-identical
-// (exact float64 equality, not tolerance) to Plan.Apply forced onto the
-// barrier loops, because the DAG's dependency edges reproduce the barrier
-// path's accumulation order.
+// TestExecModesBitIdentical is the public-API differential test of the one
+// executor: for every kernel and both particle distributions, Plan.Apply on
+// two and four workers must be bit-identical (exact float64 equality, not
+// tolerance) to Plan.Apply on one, because the task graph's dependency edges
+// fix every accumulation order whatever the schedule. The independent
+// reference lives in internal/kifmm, which holds the graph to the sequential
+// walk of the phase table on fresh and session-edited trees.
 func TestExecModesBitIdentical(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -40,13 +41,12 @@ func TestExecModesBitIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			newPlan := func(mode execMode) (*Plan, []Point, []float64) {
+			newPlan := func(workers int) (*Plan, []Point, []float64) {
 				opt := Options{
 					Kernel:       tc.kernel,
 					PointsPerBox: 40,
-					Workers:      4,
+					Workers:      workers,
 					denseM2L:     tc.dense,
-					exec:         mode,
 				}
 				if tc.kernel == Yukawa {
 					opt.YukawaLambda = 1.5
@@ -69,34 +69,36 @@ func TestExecModesBitIdentical(t *testing.T) {
 				return p, pts, den
 			}
 
-			pb, _, den := newPlan(execBarrier)
-			want, err := pb.Apply(den)
+			p1, _, den := newPlan(1)
+			want, err := p1.Apply(den)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pd, _, _ := newPlan(execDAG)
-			got, err := pd.Apply(den)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("length mismatch: %d vs %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("potential[%d]: dag %v != barrier %v (diff %g)",
-						i, got[i], want[i], got[i]-want[i])
+			for _, workers := range []int{2, 4} {
+				p, _, _ := newPlan(workers)
+				got, err := p.Apply(den)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("length mismatch: %d vs %d", len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("potential[%d]: %d workers %v != 1 worker %v (diff %g)",
+							i, workers, got[i], want[i], got[i]-want[i])
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestExecModeSharedPlan checks that a DAG plan is deterministic across
+// TestExecModeSharedPlan checks that a plan is deterministic across
 // repeated Apply calls and across Apply/ApplyTraced, and that the trace
 // document is well-formed Chrome trace_event JSON.
 func TestExecModeSharedPlan(t *testing.T) {
-	f, err := New(Options{PointsPerBox: 40, Workers: 4, exec: execDAG})
+	f, err := New(Options{PointsPerBox: 40, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,23 +141,13 @@ func TestExecModeSharedPlan(t *testing.T) {
 	}
 }
 
-// TestExecValidation pins how the execution path is selected now that no
-// option chooses it: more than one worker runs the task graph, one worker the
-// barrier loops, and the in-package overrides win at any worker count. The
-// one selector is Engine.Run; a task-graph run is one that scheduled tasks.
+// TestExecValidation pins that no option chooses an execution path: Apply
+// runs the task graph at every worker count, one worker and the default
+// included. A task-graph run is one that scheduled tasks.
 func TestExecValidation(t *testing.T) {
 	pts, den := randInput(300, 1, 5)
-	for _, tc := range []struct {
-		opt  Options
-		want bool
-	}{
-		{Options{}, false},
-		{Options{Workers: 1}, false},
-		{Options{Workers: 2}, true},
-		{Options{Workers: 4, exec: execBarrier}, false},
-		{Options{Workers: 1, exec: execDAG}, true},
-	} {
-		f, err := New(tc.opt)
+	for _, opt := range []Options{{}, {Workers: 1}, {Workers: 2}, {Workers: 4}} {
+		f, err := New(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,9 +159,8 @@ func TestExecValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := stats.Tasks > 0; got != tc.want {
-			t.Errorf("Workers %d, override %d: task graph = %v, want %v",
-				tc.opt.Workers, tc.opt.exec, got, tc.want)
+		if stats.Tasks == 0 {
+			t.Errorf("Workers %d: Apply scheduled no tasks", opt.Workers)
 		}
 	}
 }

@@ -38,17 +38,6 @@ type Point = geom.Point
 // KernelName selects the interaction kernel.
 type KernelName string
 
-// execMode is the in-package tests' override of the driver an evaluation
-// runs on (EngineSpec.Forced). Callers do not choose: the rule is
-// Engine.Run's.
-type execMode int
-
-const (
-	execByWorkers execMode = iota
-	execBarrier
-	execDAG
-)
-
 const (
 	// Laplace is the single-layer Laplace kernel 1/(4π‖x−y‖): one density
 	// and one potential component per point (electrostatics, gravitation).
@@ -85,9 +74,9 @@ type Options struct {
 	// MaxDepth caps octree refinement (default 24).
 	MaxDepth int
 	// Workers bounds shared-memory parallelism inside each rank (default 1).
-	// With more than one worker Plan.Apply runs as a dependency task graph
-	// on a work-stealing scheduler, otherwise as the paper's
-	// barrier-separated phase loops; the results are bit-identical.
+	// Every evaluation runs as a dependency task graph on a work-stealing
+	// scheduler with this many workers; the results are bit-identical at
+	// any worker count.
 	Workers int
 	// YukawaLambda is the screening parameter of the Yukawa kernel
 	// (default 5).
@@ -107,10 +96,9 @@ type Options struct {
 	// or "simple" (single-round direct point-to-point, any shard count).
 	ShardComm string
 
-	// Test oracles, reachable from in-package tests only: exec forces the
-	// barrier or task-graph execution, denseM2L swaps the FFT-diagonalized
-	// V-list for the dense M2L matrices it is verified against.
-	exec     execMode
+	// denseM2L, reachable from in-package tests only, swaps the
+	// FFT-diagonalized V-list for the dense M2L matrices it is verified
+	// against (a test oracle).
 	denseM2L bool
 }
 
@@ -193,9 +181,6 @@ func New(opt Options) (*FMM, error) {
 		Ops:      ikifmm.NewOperators(k, opt.Order, opt.Tolerance),
 		Workers:  opt.Workers,
 		DenseM2L: opt.denseM2L,
-	}
-	if opt.exec != execByWorkers {
-		spec = spec.Forced(opt.exec == execDAG)
 	}
 	return &FMM{opt: opt, kern: k, spec: spec, backend: backend}, nil
 }

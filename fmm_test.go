@@ -176,6 +176,121 @@ func TestCoincidentPointsHandled(t *testing.T) {
 	}
 }
 
+// TestDegenerateClouds drives the executor on tiny and empty graphs: every
+// degenerate input is either a defined error or potentials that match the
+// direct sum, at one worker and at two.
+func TestDegenerateClouds(t *testing.T) {
+	at := func(x, y, z float64) Point { return Point{X: x, Y: y, Z: z} }
+	dens := func(n int) []float64 {
+		_, den := randInput(n, 1, int64(n))
+		return den
+	}
+	// A case's potentials and the direct sum over the same points, or its
+	// error; depth is the plan's tree depth (plan cases only).
+	type result struct {
+		got, want []float64
+		err       error
+		depth     int
+	}
+	plan := func(pts []Point) func(f *FMM) result {
+		return func(f *FMM) result {
+			den := dens(len(pts))
+			p, err := f.Plan(pts)
+			if err != nil {
+				return result{err: err}
+			}
+			got, err := p.Apply(den)
+			if err != nil {
+				return result{err: err}
+			}
+			want, err := f.Direct(pts, den)
+			return result{got, want, err, p.tree.MaxLevel()}
+		}
+	}
+	step := func(d func(ids []int) Delta) func(f *FMM) result {
+		return func(f *FMM) result {
+			pts, _ := randInput(300, 1, 41)
+			s, err := f.NewSession(pts)
+			if err != nil {
+				return result{err: err}
+			}
+			if _, err := s.Step(d(s.IDs())); err != nil {
+				return result{err: err}
+			}
+			den := dens(s.NumPoints())
+			got, err := s.Apply(den)
+			if err != nil {
+				return result{err: err}
+			}
+			want, err := f.Direct(s.Points(), den)
+			return result{got: got, want: want, err: err}
+		}
+	}
+	coincident := make([]Point, 200)
+	for i := range coincident {
+		coincident[i] = at(0.3, 0.6, 0.9)
+	}
+	cloud, _ := randInput(300, 1, 43)
+	dups := append([]Point(nil), cloud...)
+	for i := 0; i < len(cloud); i += 3 {
+		dups = append(dups, cloud[i])
+	}
+	const maxDepth = 12
+	cases := []struct {
+		name    string
+		run     func(f *FMM) result
+		wantErr string // empty: potentials must match the direct sum
+		depth   int    // nonzero: the tree depth the case must reach
+	}{
+		{"no points", plan(nil), "no points", 0},
+		{"all coincident", plan(coincident), "", maxDepth},
+		{"one point", plan([]Point{at(0.5, 0.5, 0.5)}), "", 0},
+		{"fewer than q", plan(cloud[:7]), "", 0},
+		{"duplicates", plan(dups), "", 0},
+		{"empty delta", step(func([]int) Delta { return Delta{} }), "", 0},
+		{"move out of cube", step(func(ids []int) Delta {
+			return Delta{Move: []PointMove{{ID: ids[0], To: at(1.5, 0.5, 0.5)}}}
+		}), "outside the unit cube", 0},
+	}
+	for _, workers := range []int{1, 2} {
+		f, err := New(Options{PointsPerBox: 20, Order: 4, MaxDepth: maxDepth, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/workers%d", tc.name, workers), func(t *testing.T) {
+				r := tc.run(f)
+				if tc.wantErr != "" {
+					if r.err == nil || !strings.Contains(r.err.Error(), tc.wantErr) {
+						t.Fatalf("error %v, want one containing %q", r.err, tc.wantErr)
+					}
+					return
+				}
+				if r.err != nil {
+					t.Fatal(r.err)
+				}
+				if tc.depth != 0 && r.depth != tc.depth {
+					t.Errorf("tree depth %d, want %d", r.depth, tc.depth)
+				}
+				if len(r.got) != len(r.want) {
+					t.Fatalf("%d potentials, want %d", len(r.got), len(r.want))
+				}
+				var num, den float64
+				for i, w := range r.want {
+					if math.IsNaN(r.got[i]) || math.IsInf(r.got[i], 0) {
+						t.Fatalf("potential %d is %v", i, r.got[i])
+					}
+					num += (r.got[i] - w) * (r.got[i] - w)
+					den += w * w
+				}
+				if num > 1e-6*den || (den == 0 && num != 0) {
+					t.Errorf("rel L2 err %g against the direct sum (|direct|² = %g)", math.Sqrt(num/den), den)
+				}
+			})
+		}
+	}
+}
+
 func TestEvaluateAtSeparateTargets(t *testing.T) {
 	f, err := New(Options{PointsPerBox: 30, Workers: 2})
 	if err != nil {

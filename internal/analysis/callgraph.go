@@ -32,14 +32,14 @@ import (
 //     engine uses (kernel.Batch, CommBackend).
 //   - Function values (method values, function identifiers passed as
 //     arguments or assigned) become edges too: a hot body handing a method
-//     value to par.ForW or sched.Graph.AddW executes it per item.
+//     value to par.For or sched.Graph.Add executes it per item.
 //   - Function literals are inlined into their enclosing declaration:
 //     a closure body inherits the enclosing function's hot/deterministic
 //     scope, and its calls are the encloser's edges.
 //
 // Soundness limits (documented in DESIGN.md §7.9): calls through
 // function-typed variables, fields, and parameters are invisible (the
-// closure-inlining rule covers the dominant par.ForW/AddW pattern), and
+// closure-inlining rule covers the dominant par.For/Graph.Add pattern), and
 // interface dispatch is over-approximated by the full declared method set.
 // //fmm:coldcall (annot.go) is the escape hatch in the other direction:
 // deliberate slow-path edges — plan-time setup, error paths, instrumentation

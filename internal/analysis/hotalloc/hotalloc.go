@@ -68,7 +68,7 @@ func run(pass *analysis.Pass) error {
 			case *ast.FuncLit:
 				pass.ReportfVia(e.Pos(), chain, "closure (func literal) allocates in hot path")
 				// The body still runs in (and inherits) the enclosing hot
-				// scope — par.ForW/sched.AddW execute it per item — so its
+				// scope — par.For/sched.Graph.Add execute it per item — so its
 				// allocations are checked too.
 				return true
 			case *ast.GoStmt:

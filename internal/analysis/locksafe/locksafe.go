@@ -19,7 +19,7 @@
 //     classic copy-paste of an unlock into the wrong branch.
 //
 // These analyzers are static complements to the dynamic contract tests:
-// internal/par's TestForWExclusiveWorkerIndex drives par.ForW under -race
+// internal/sched's TestWorkerIndexExclusive drives a task graph under -race
 // to validate the exclusive-worker-index guarantee that lets per-worker
 // scratch go lock-free in the first place.
 package locksafe

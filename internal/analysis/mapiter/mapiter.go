@@ -6,8 +6,8 @@
 // the exact bug class PR 4 fixed ad hoc in the engine's FFT V-list pass
 // (level buckets were visited in map order, perturbing the flop-accumulation
 // order), and the one the distributed layers must never reintroduce: the
-// barrier and DAG executors are bit-identical only because every
-// accumulation order is fixed.
+// task graph is bit-identical at every worker count, and to its sequential
+// test oracle, only because every accumulation order is fixed.
 //
 // Scope: functions annotated //fmm:deterministic and every function of a
 // package whose package clause carries the marker (kifmm, reduce, dtree,

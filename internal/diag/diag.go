@@ -48,7 +48,8 @@ func ShardCommPhase(backend string) string {
 // Counter names used by the task-graph runtime wiring (Profile.AddCounter);
 // they surface on /metrics as <prefix>_<name>_total.
 const (
-	// CounterSchedGraphs counts executed task graphs (one per DAG Apply).
+	// CounterSchedGraphs counts executed task graphs (one per Apply, two per
+	// rank of a distributed evaluation: before and after its exchange step).
 	CounterSchedGraphs = "sched_graphs"
 	// CounterSchedTasks counts executed scheduler tasks.
 	CounterSchedTasks = "sched_tasks"

@@ -1,24 +1,31 @@
 package kifmm
 
 import (
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"kifmm/internal/diag"
+	"kifmm/internal/morton"
 	"kifmm/internal/octree"
 	"kifmm/internal/sched"
 )
 
-// EvaluateDAG runs the same computation as Evaluate re-expressed as a
-// dependency task graph on the internal/sched runtime: per-octant tasks
+// EvaluateDAG runs the full evaluation — every row of the phase table — as
+// one dependency task graph on the internal/sched runtime: per-octant tasks
 // gated only on the data they actually read, instead of eight
-// bulk-synchronous phases separated by global barriers.
+// bulk-synchronous phases separated by global barriers. It is the one
+// executor of the engine: Run, Evaluate and the per-row methods all build
+// their graphs here.
 //
 // Dependency structure (one task per octant per phase — per entry of the
 // phase table's work — named after the row; the rules are buildDAG's after):
 //
 //	S2U(leaf)                         — no deps
 //	U2U(i)                            — after U of every child (tree parenthood)
-//	spec(a)  [FFT mode]               — after U of source a (forward FFT)
+//	spec(a)  [FFT mode]               — after U of source a (forward FFT), and
+//	                                    after every group more than vWindow
+//	                                    places before a's first consumer
 //	V(i)     [dense mode]             — after U of every source in i's V list
 //	Vfft(group) [FFT mode]            — after spec of every source in the V
 //	                                    lists of the group's siblings
@@ -28,36 +35,49 @@ import (
 //	D2T(leaf)                         — after D2D(leaf), W(leaf)  (potential write order)
 //	U(leaf)                           — after D2T(leaf)/W(leaf)   (potential write order)
 //
-// The per-octant bodies are the same functions the barrier path runs, the
-// intra-octant chains (V→X→D2D, W→D2T→U) reproduce the barrier path's
-// accumulation order into DChk and Potential, and every source list is
-// walked in list order — which is why the result is bit-identical to
-// Evaluate, not merely close. Nothing but the dependencies orders the tasks:
-// a worker chases the chain it is on (internal/sched).
+// The intra-octant chains (V→X→D2D, W→D2T→U) fix the accumulation order into
+// DChk and Potential, every source list is walked in list order, and the FFT
+// V-list body accumulates in an order of Morton keys alone (vliFFTGroup) —
+// which is why the result is bit-identical at every worker count, and to the
+// sequential walk of the table the tests keep as an oracle. Nothing but the
+// dependencies orders the tasks: a worker chases the chain it is on
+// (internal/sched).
 //
 // A nil trace skips event capture. The returned stats feed internal/diag
 // and the /metrics endpoint. The only error source is a panicking task
 // (the scheduler fails the graph instead of deadlocking).
 func (e *Engine) EvaluateDAG(trace *sched.Trace) (sched.Stats, error) {
 	defer e.timed(diag.PhaseTotalEval)()
+	return e.runRows(0, len(phases), trace)
+}
+
+// runRows runs rows [lo, hi) of the phase table as one task graph and
+// flushes the per-worker flop counters into the profile.
+func (e *Engine) runRows(lo, hi int, trace *sched.Trace) (sched.Stats, error) {
 	e.ensureScratch(e.dagWorkers())
-	g := e.buildDAG()
-	stats, err := g.Run(sched.Options{Workers: e.Workers, Trace: trace})
+	stats, err := e.buildDAG(lo, hi).Run(sched.Options{Workers: e.Workers, Trace: trace})
 	e.flushFlops()
 	return stats, err
 }
 
-// buildDAG assembles the task graph for one evaluation, a row of the phase
-// table at a time: one task per entry of the row's work, then what each of
-// them waits for. A task wraps the row's body with the phase timer and the
-// executing worker's scratch (the scheduler guarantees worker indices are
-// exclusive, so e.scratch[w] is owned for the duration of the task). In the
-// barrier path each phase is timed once around its loop; here each task adds
-// its own duration, so graph phase times aggregate CPU time across workers
-// rather than phase wall time (flop counts are identical in both paths).
-// Construction is deterministic (table order, then work order), which keeps
-// task IDs stable across runs of the same plan.
-func (e *Engine) buildDAG() *sched.Graph {
+// runRow runs row pi alone, panicking if a body panicked.
+func (e *Engine) runRow(pi int) {
+	if _, err := e.runRows(pi, pi+1, nil); err != nil {
+		panic(err)
+	}
+}
+
+// buildDAG assembles the task graph of rows [lo, hi) of the phase table, a
+// row at a time: one task per entry of the row's work, then what each of
+// them waits for. A predecessor in a row outside [lo, hi) is NoTask — its
+// data is taken as final. A task wraps the row's body with the phase timer
+// and the executing worker's scratch (the scheduler guarantees worker indices
+// are exclusive, so e.scratch[w] is owned for the duration of the task). Each
+// task adds its own duration to its phase, so a phase's profile time is the
+// task time summed across workers, not phase wall time. Construction is
+// deterministic (table order, then work order), which keeps task IDs stable
+// across runs of the same plan.
+func (e *Engine) buildDAG(lo, hi int) *sched.Graph {
 	t := e.Tree
 	g := sched.NewGraph()
 	// task[p][i] is octant i's task of row p, NoTask where it has no work.
@@ -111,7 +131,7 @@ func (e *Engine) buildDAG() *sched.Graph {
 		}
 	}
 
-	for pi := range phases {
+	for pi := lo; pi < hi; pi++ {
 		p := &phases[pi]
 		runs := e.work(p)
 		if pi == pVLI && e.UseFFTM2L {
@@ -153,13 +173,32 @@ func firstTask(a, b sched.TaskID) sched.TaskID {
 	return b
 }
 
+// vWindow is how many places ahead of its first consumer, in the V row's
+// sibling-group order, a source spectrum may be computed: spec(a) waits until
+// every group more than vWindow places before the first group that reads it
+// is done. Spectra are released after their last consumer, so the live set is
+// the sources whose consumers span the groups in flight — a window of the
+// row, not the whole row's sources — at any worker count and schedule.
+const vWindow = 16
+
+// specHeld, when set (tests only), is told of every V-row source spectrum
+// computed (+1) and dropped (−1), so a test can track how many are held.
+var specHeld func(delta int)
+
 // buildVFFT adds the FFT-diagonalized V-list subgraph for the V row's work
-// (levels): one forward-FFT ("spec") task per referenced source octant and one
-// task per sibling group — the children of one parent that are in the work —
-// running the same group body as the barrier pass (vliFFTGroup); vTask of
-// every member is the group's task. Only the spectrum lifetime differs:
-// spectra are reference-counted and released as their last consumer finishes,
-// which bounds the live-spectrum footprint without a level barrier.
+// (levels, root first): the row's targets are cut into sibling groups — the
+// children of one parent that are in the work — ordered level by level and in
+// Morton order within a level. Each group is one task running vliFFTGroup;
+// vTask of every member is the group's task. Each referenced source gets one
+// forward-FFT ("spec") task, created with the group that reads it first and
+// gated on the ordering task vWindow places before it: a body-less task that
+// completes once its group and every earlier one are done. (A gate on the one
+// group vWindow places back would not do: the scheduler runs the newest ready
+// task first, so a chain of groups vWindow apart could run ahead of the
+// groups between them.) Spectra are reference-counted: a buffer returns to
+// the row's free list after its last consumer finishes, and the next spec
+// task reuses it, so the row allocates only as many buffers as it holds at
+// once.
 func (e *Engine) buildVFFT(g *sched.Graph, levels [][]int32, uTask, vTask []sched.TaskID) {
 	t := e.Tree
 	f := e.Ops.FFT()
@@ -167,68 +206,101 @@ func (e *Engine) buildVFFT(g *sched.Graph, levels [][]int32, uTask, vTask []sche
 	spec := make([][]float64, nn)
 	refs := make([]int32, nn)
 	specTask := noTasks(nn)
+	var (
+		mu   sync.Mutex
+		free [][]float64 // released spectra, for the next spec task
+	)
 
-	isTrg := make([]bool, nn)
+	// Cut the targets into sibling groups: a level's targets in Morton order
+	// put each parent's children side by side.
 	nTrg := 0
 	for _, level := range levels {
-		for _, i := range level {
-			isTrg[i] = true
-			nTrg++
+		nTrg += len(level)
+	}
+	members := make([]int32, 0, nTrg) // every group's targets, back to back
+	var starts []int                  // where each group starts in members
+	for _, level := range levels {
+		lo := len(members)
+		members = append(members, level...)
+		run := members[lo:]
+		slices.SortFunc(run, func(a, b int32) int { return morton.Compare(t.Nodes[a].Key, t.Nodes[b].Key) })
+		for k := range run {
+			if k == 0 || t.Nodes[run[k]].Parent != t.Nodes[run[k-1]].Parent {
+				starts = append(starts, lo+k)
+			}
+		}
+	}
+	starts = append(starts, len(members))
+
+	tables := vTables{f: f, workers: e.Workers}
+	done := make([]sched.TaskID, len(starts)-1) // done[k]: groups 0..k have run
+	// gated[a] is the last group task given an edge from spec(a): siblings
+	// share most of their sources, and one edge per (source, group) is enough.
+	gated := noTasks(nn)
+	for k := range done {
+		grp := members[starts[k]:starts[k+1]]
+		for _, i := range grp {
 			for _, a := range t.Nodes[i].V {
 				if !e.srcNode(a) {
 					continue
 				}
 				refs[a]++
-				if specTask[a] == sched.NoTask {
-					specTask[a] = g.Add("spec", func(w int) {
-						stop := e.timed(diag.PhaseVList)
-						sp := make([]float64, f.SpecLen())
-						f.SourceSpectrumInto(e.U[a], sp, e.scratch[w].grid(f.GridLen()))
-						spec[a] = sp
-						stop()
-					})
-					if uTask[a] != sched.NoTask {
-						g.Dep(uTask[a], specTask[a])
+				if specTask[a] != sched.NoTask {
+					continue
+				}
+				specTask[a] = g.Add("spec", func(w int) {
+					stop := e.timed(diag.PhaseVList)
+					mu.Lock()
+					var sp []float64
+					if n := len(free); n > 0 {
+						sp, free = free[n-1], free[:n-1]
 					}
+					mu.Unlock()
+					if sp == nil {
+						sp = make([]float64, f.SpecLen())
+					}
+					f.SourceSpectrumInto(e.U[a], sp, e.scratch[w].grid(f.GridLen()))
+					spec[a] = sp
+					if specHeld != nil {
+						specHeld(1)
+					}
+					stop()
+				})
+				if uTask[a] != sched.NoTask {
+					g.Dep(uTask[a], specTask[a])
+				}
+				if k >= vWindow {
+					g.Dep(done[k-vWindow], specTask[a])
 				}
 			}
-		}
-	}
-	tables := vTables{f: f, workers: e.Workers}
-	members := make([]int32, 0, nTrg) // every group's targets, back to back
-	// gated[a] is the last group task given an edge from spec(a): siblings
-	// share most of their sources, and one edge per (source, group) is enough.
-	gated := noTasks(nn)
-	for p := 0; p < nn; p++ {
-		if t.Nodes[p].IsLeaf {
-			continue
-		}
-		lo := len(members)
-		for _, c := range t.Nodes[p].Children {
-			if c != octree.NoNode && isTrg[c] {
-				members = append(members, c)
-			}
-		}
-		grp := members[lo:]
-		if len(grp) == 0 {
-			continue
 		}
 		tb := tables.at(t.Nodes[grp[0]].Key.Level())
 		task := g.Add("Vfft", func(w int) {
 			stop := e.timed(diag.PhaseVList)
 			e.vliFFTGroup(grp, f, tb, spec, e.scratch[w])
 			// Release mirrors the ref counting above exactly (one count per
-			// mask-selected V entry); the atomic decrement orders the free
+			// mask-selected V entry); the atomic decrement orders the release
 			// after every other consumer's reads.
 			for _, i := range grp {
 				for _, a := range t.Nodes[i].V {
 					if e.srcNode(a) && atomic.AddInt32(&refs[a], -1) == 0 {
+						mu.Lock()
+						free = append(free, spec[a])
+						mu.Unlock()
 						spec[a] = nil
+						if specHeld != nil {
+							specHeld(-1)
+						}
 					}
 				}
 			}
 			stop()
 		})
+		done[k] = g.Add("Vdone", nil)
+		g.Dep(task, done[k])
+		if k > 0 {
+			g.Dep(done[k-1], done[k])
+		}
 		for _, i := range grp {
 			vTask[i] = task
 			for _, a := range t.Nodes[i].V {

@@ -21,15 +21,16 @@ import (
 // sequential FMM and each rank's local essential tree.
 //
 // What a phase is — the octants it walks, which of them have work, its body
-// and the name it reports under — is one row of the table in phase.go. Two
-// drivers execute the rows over the same per-octant bodies (s2uLeaf, u2uNode,
-// ...): the barrier loop (runPhase, Phases: one bulk-synchronous par.ForW per
-// phase, as in the paper — also every rank of a distributed evaluation) and
-// the task graph in dag.go (EvaluateDAG), which replaces the phase barriers
-// with per-octant dependencies. Because both run the identical per-octant
-// arithmetic in the identical accumulation order, their results are
-// bit-identical. A body is only ever called for an octant its row's has
-// selects; it does not check again.
+// and the name it reports under — is one row of the table in phase.go. One
+// executor runs the rows over the per-octant bodies (s2uLeaf, u2uNode, ...):
+// the task graph in dag.go, which replaces the paper's phase barriers with
+// per-octant dependencies. Every evaluation builds its graphs there — Run (one
+// graph, or two around a distributed rank's exchange step), Evaluate and
+// EvaluateDAG (all rows), the per-row methods (one row each) — at any worker
+// count, one worker included. Each phase's profile time is therefore its task
+// time summed across workers. The tests keep a plain sequential walk of the
+// table as the oracle the graph is bit-identical to. A body is only ever
+// called for an octant its row's has selects; it does not check again.
 //
 // The near-field bodies run on the batched kernel.Batch panel evaluator
 // over the plan-time streaming Layout: a leaf's sources and targets are
@@ -74,9 +75,6 @@ type Engine struct {
 	// components per point).
 	Potential []float64
 
-	// force is the spec's driver override (EngineSpec.Forced), read by Run.
-	force int8
-
 	// bk is the kernel's batched panel evaluator, resolved once so the
 	// phase bodies pay one indirect call per panel instead of one dynamic
 	// Kernel.Eval dispatch per source-target pair.
@@ -85,15 +83,6 @@ type Engine struct {
 	scratch []*evalScratch
 	// den32 is the reused single-precision density buffer of Den32.
 	den32 []float32
-	// vbuf backs the barrier FFT V-list's source spectra of one target chunk
-	// (at most vLiveBytes), vspec maps a node to its spectrum in it and vseen
-	// marks the chunk's collected sources; vruns holds where the chunk's
-	// runs of sibling targets start. All four are reused across chunks,
-	// levels and Applies (vliFFT).
-	vbuf  []float64
-	vspec [][]float64
-	vseen []bool
-	vruns []int32
 }
 
 // NewEngine allocates evaluation state for the tree, building a private
@@ -265,7 +254,7 @@ var flopPhaseName = [numFlopPhase]string{
 // evalScratch is one worker's reusable evaluation state: surface coordinate
 // panels, check/equivalent temporaries, the FFT V-list accumulator, and the
 // per-phase flop counters. One scratch is owned by at most one worker at a
-// time (par.ForW and sched.Graph guarantee worker indices are exclusive), so
+// time (sched.Graph guarantees worker indices are exclusive), so
 // the bodies run without locks and without per-octant allocation.
 type evalScratch struct {
 	chk        []float64 // CheckLen: check potentials / MulVec temporary
@@ -324,14 +313,6 @@ func (e *Engine) ensureScratch(n int) []*evalScratch {
 	return e.scratch
 }
 
-// barrierWorkers is the worker count of the bulk-synchronous phase loops.
-func (e *Engine) barrierWorkers() int {
-	if e.Workers < 1 {
-		return 1
-	}
-	return e.Workers
-}
-
 // dagWorkers mirrors the scheduler's Options.Workers resolution.
 //
 //fmm:allow nodeterm sizes per-worker scratch only; results are bit-identical for any worker count
@@ -343,7 +324,7 @@ func (e *Engine) dagWorkers() int {
 }
 
 // flushFlops moves the per-worker flop counters into the profile under a
-// single lock — the once-per-phase flush that replaces per-octant profile
+// single lock — the once-per-graph flush that replaces per-octant profile
 // locking. Counters are zeroed even without a profile so a later
 // SetProfile-style attach cannot observe stale counts.
 func (e *Engine) flushFlops() {
@@ -445,8 +426,8 @@ func dirBetween(src, trg morton.Key) (int, int, int) {
 }
 
 // xliNode is the per-octant X-list body: accumulates X-list source points
-// into e.DChk[i]. Must run after node i's V-list contributions (the barrier
-// path orders the whole phases; the DAG chains the two tasks per octant).
+// into e.DChk[i]. Must run after node i's V-list contributions (the task
+// graph chains the two tasks per octant).
 //
 //fmm:hotpath
 func (e *Engine) xliNode(i int32, s *evalScratch) {
@@ -576,11 +557,13 @@ func (e *Engine) uliLeaf(i int32, s *evalScratch) {
 	s.flops[fpUList] += int64(pairs * e.Ops.Kern.FlopsPerInteraction())
 }
 
-// Evaluate runs the full sequential FMM: upward pass, translations, downward
-// pass, and direct interactions.
+// Evaluate runs the full FMM — upward pass, translations, downward pass and
+// direct interactions — as one task graph (EvaluateDAG), panicking if a body
+// panicked.
 func (e *Engine) Evaluate() {
-	defer e.timed(diag.PhaseTotalEval)()
-	e.Phases(nil)
+	if _, err := e.EvaluateDAG(nil); err != nil {
+		panic(err)
+	}
 }
 
 // CheckDensities is the one check of a caller's density vector, made before

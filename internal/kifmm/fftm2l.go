@@ -370,92 +370,6 @@ func (v *vTables) at(level int) *vTable {
 	return v.byLevel[level]
 }
 
-// vLiveBytes bounds the source spectra the barrier driver holds at once. A
-// level's targets are walked in node (Morton) order and run as a chunk once
-// their distinct sources fill the bound, so the pass keeps a constant-size
-// buffer however many octants a level has; the price is re-transforming the
-// sources that neighbouring chunks share.
-const vLiveBytes = 32 << 20
-
-// vliFFT is the barrier driver of the FFT V-list over levels, the V row's
-// work: levels ascending (V interactions are same-level), each level's targets
-// in chunks (vLiveBytes). The task graph (buildVFFT) runs the same
-// per-sibling-group body over reference-counted spectra instead.
-func (e *Engine) vliFFT(levels [][]int32, sc []*evalScratch) {
-	f := e.Ops.FFT()
-	t := e.Tree
-	if len(e.vspec) < len(t.Nodes) {
-		e.vspec = make([][]float64, len(t.Nodes))
-		e.vseen = make([]bool, len(t.Nodes))
-	}
-	clear(e.vseen) // a pass that panicked mid-chunk leaves marks behind
-	seen := e.vseen
-	limit := max(vLiveBytes/(8*f.SpecLen()), 1)
-	tables := vTables{f: f, workers: e.Workers}
-	var targets, srcs []int32
-	for _, nodes := range levels {
-		for _, i := range nodes {
-			n := &t.Nodes[i]
-			if len(srcs)+len(n.V) > limit {
-				e.vliChunk(targets, srcs, f, &tables, sc)
-				targets, srcs = targets[:0], srcs[:0]
-			}
-			targets = append(targets, i)
-			for _, a := range n.V {
-				if !seen[a] && e.srcNode(a) {
-					seen[a] = true
-					srcs = append(srcs, a)
-				}
-			}
-		}
-		e.vliChunk(targets, srcs, f, &tables, sc)
-		targets, srcs = targets[:0], srcs[:0]
-	}
-}
-
-// vliChunk forward-transforms each of srcs once into the engine's spectrum
-// buffer (reused across chunks, levels and Applies), runs the group body in
-// parallel over the runs of targets that share a parent (a level's targets
-// are in Morton order, so siblings are adjacent; a sibling group the chunk
-// bound cut in two runs as two partial groups), and unmarks srcs for the next
-// chunk. Every contributing source of a chunk's target is in that chunk's
-// srcs, so the body never reads another chunk's spectrum. targets are all of
-// one level.
-func (e *Engine) vliChunk(targets, srcs []int32, f *FFTM2L, tables *vTables, sc []*evalScratch) {
-	if len(srcs) == 0 {
-		return
-	}
-	specLen := f.SpecLen()
-	if n := len(srcs) * specLen; cap(e.vbuf) < n {
-		// Double up to the bound, so a deep level's near-full chunks of
-		// slightly different sizes do not each regrow the buffer.
-		e.vbuf = make([]float64, max(n, min(2*cap(e.vbuf), vLiveBytes/8)))
-	}
-	buf, spec := e.vbuf[:len(srcs)*specLen], e.vspec
-	par.ForW(e.Workers, len(srcs), func(w, k int) {
-		a := srcs[k]
-		spec[a] = buf[k*specLen : (k+1)*specLen]
-		f.SourceSpectrumInto(e.U[a], spec[a], sc[w].grid(f.GridLen()))
-	})
-	nodes := e.Tree.Nodes
-	runs := e.vruns[:0] // runs[k] is where the k-th run of siblings starts
-	for k, i := range targets {
-		if k == 0 || nodes[i].Parent != nodes[targets[k-1]].Parent {
-			runs = append(runs, int32(k))
-		}
-	}
-	runs = append(runs, int32(len(targets)))
-	e.vruns = runs
-	tb := tables.at(nodes[targets[0]].Key.Level())
-	par.ForW(e.Workers, len(runs)-1, func(w, k int) {
-		e.vliFFTGroup(targets[runs[k]:runs[k+1]], f, tb, spec, sc[w])
-	})
-	for _, a := range srcs {
-		e.vseen[a] = false
-		spec[a] = nil // no reference into a buffer a later chunk may replace
-	}
-}
-
 // vOrder places one V interaction in its sibling group's evaluation order
 // and names its translation: the direction from the target's parent to the
 // source's parent (27 slots), then the source's octant in its parent, then
@@ -473,19 +387,19 @@ func vOrder(src, trg morton.Key) (order, slot int) {
 	return (pdir*8+so)*8 + to, dirSlot(tx-sx, ty-sy, tz-sz)
 }
 
-// vliFFTGroup is the one FFT V-list body, run by both drivers over the
-// targets of one sibling group: grp holds children of one parent (all that
-// have V entries and are targets, or the part of them a chunk bound left
-// together), each with its own frequency-space accumulator in the worker's
-// scratch. The group's interactions are sorted by vOrder, so the ≤ 64
-// products between the group and the children of one neighbouring parent run
-// back to back: they touch ≤ 27 translation spectra, 8 source spectra and 8
-// accumulators — an L2-sized set — where a per-target walk streams two
-// panels from L3 per product. Then one inverse transform per target adds
-// into e.DChk. Per target the accumulation order is vOrder's, a function of
-// Morton keys only, so the result, bit for bit, does not depend on the
-// driver, the worker count or which siblings are present. A non-source
-// octant's spectrum is all zeros, so skipping it (srcNode) is exact.
+// vliFFTGroup is the one FFT V-list body, run over the targets of one
+// sibling group: grp holds children of one parent (all that have V entries
+// and are targets, or any part of them), each with its own frequency-space
+// accumulator in the worker's scratch. The group's interactions are sorted
+// by vOrder, so the ≤ 64 products between the group and the children of one
+// neighbouring parent run back to back: they touch ≤ 27 translation spectra,
+// 8 source spectra and 8 accumulators — an L2-sized set — where a per-target
+// walk streams two panels from L3 per product. Then one inverse transform per
+// target adds into e.DChk. Per target the accumulation order is vOrder's, a
+// function of Morton keys only, so the result, bit for bit, does not depend
+// on the worker count, the schedule or which siblings are present. A
+// non-source octant's spectrum is all zeros, so skipping it (srcNode) is
+// exact.
 //
 //fmm:hotpath
 func (e *Engine) vliFFTGroup(grp []int32, f *FFTM2L, tb *vTable, spec [][]float64, s *evalScratch) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"kifmm/internal/geom"
@@ -85,11 +86,12 @@ func dchkRelErr(a, b *Engine) float64 {
 // ellipsoid trees, symmetric and Targets-masked (the leading third of the
 // points are zero-density targets, the rest sources):
 //
-//   - barrier ≡ task graph, bit for bit: both drivers run vliFFTGroup, which
-//     accumulates each target in vOrder's geometric order;
+//   - sequential oracle ≡ task graph at 1, 2 and 4 workers, bit for bit: both
+//     run vliFFTGroup, which accumulates each target in vOrder's geometric
+//     order;
 //   - FFT ≡ dense M2L oracle to 1e-12 (same linear operator, FFT roundoff);
 //   - an engine reused with new densities ≡ a fresh engine, bit for bit
-//     (no state survives in the chunk spectrum buffer). Reuse across a
+//     (no state survives in a reused spectrum buffer). Reuse across a
 //     tree that grows between Applies is session.TestStepMatchesFreshPlan.
 func TestVListOneBody(t *testing.T) {
 	kernels := []struct {
@@ -108,7 +110,7 @@ func TestVListOneBody(t *testing.T) {
 		{"uniform", geom.Uniform},
 		{"ellipsoid", geom.Ellipsoid},
 	}
-	const n, q, workers = 800, 15, 4
+	const n, q = 800, 15
 	for _, kc := range kernels {
 		ops := NewOperators(kc.kern, kc.p, 1e-9)
 		for _, dc := range dists {
@@ -123,7 +125,7 @@ func TestVListOneBody(t *testing.T) {
 					rng := rand.New(rand.NewSource(7))
 					den1 := randDensities(rng, n-nLead, kc.kern.SrcDim())
 					den2 := randDensities(rng, n-nLead, kc.kern.SrcDim())
-					mk := func(useFFT bool, den []float64) *Engine {
+					mk := func(useFFT bool, den []float64, workers int) *Engine {
 						e := NewEngine(ops, tr)
 						e.UseFFTM2L = useFFT
 						e.Workers = workers
@@ -133,82 +135,105 @@ func TestVListOneBody(t *testing.T) {
 					}
 					// vOnly leaves pure V-list contributions in DChk.
 					vOnly := func(useFFT bool) *Engine {
-						e := mk(useFFT, den1)
+						e := mk(useFFT, den1, 4)
 						e.S2U()
 						e.U2U()
 						e.VLI()
 						return e
 					}
 
-					barrier, dag := mk(true, den1), mk(true, den1)
-					barrier.Evaluate()
-					if _, err := dag.EvaluateDAG(nil); err != nil {
-						t.Fatal(err)
-					}
-					bitIdentical(t, "barrier vs DAG Potential", dag.Potential, barrier.Potential)
-					for i := range barrier.DChk {
-						bitIdentical(t, "barrier vs DAG DChk", dag.DChk[i], barrier.DChk[i])
+					oracle := mk(true, den1, 1)
+					oracle.oracle()
+					var dag *Engine
+					for _, workers := range graphWorkers {
+						dag = mk(true, den1, workers)
+						dag.Evaluate()
+						label := fmt.Sprintf("graph w%d vs oracle", workers)
+						bitIdentical(t, label+" Potential", dag.Potential, oracle.Potential)
+						for i := range oracle.DChk {
+							bitIdentical(t, label+" DChk", dag.DChk[i], oracle.DChk[i])
+						}
 					}
 
 					if err := dchkRelErr(vOnly(true), vOnly(false)); err > 1e-12 {
 						t.Errorf("FFT V-list vs dense oracle rel err %g > 1e-12", err)
 					}
 
-					barrier.Reset()
-					barrier.SetDensitiesMasked(den2, nLead)
-					barrier.Evaluate()
-					fresh := mk(true, den2)
+					dag.Reset()
+					dag.SetDensitiesMasked(den2, nLead)
+					dag.Evaluate()
+					fresh := mk(true, den2, 4)
 					fresh.Evaluate()
-					bitIdentical(t, "reused vs fresh engine", barrier.Potential, fresh.Potential)
+					bitIdentical(t, "reused vs fresh engine", dag.Potential, fresh.Potential)
 				})
 			}
 		}
 	}
 }
 
-// TestVListChunkedBarrier runs the barrier driver on a level with more V
-// sources than vLiveBytes holds, so its targets split into several chunks
-// that re-transform shared sources: the result must stay bit-identical to
-// the task graph (one refcounted spectrum per source, no chunks) and the
-// engine's spectrum buffer must stay within the bound.
-func TestVListChunkedBarrier(t *testing.T) {
+// TestVListSpectrumWindow pins the V row's spectrum footprint on a tree whose
+// finest level has 4096 octants: at 1 and 2 workers the row holds at once
+// (counted through specHeld) far fewer source spectra than it transforms —
+// the vWindow gate, not the whole row — and the result stays bit-identical to
+// the sequential oracle.
+func TestVListSpectrumWindow(t *testing.T) {
 	if testing.Short() {
-		t.Skip("4096-octant level at order 6")
+		t.Skip("4096-octant level")
 	}
-	ops := NewOperators(kernel.Laplace{}, 6, 1e-9)
+	ops := NewOperators(kernel.Laplace{}, 4, 1e-9)
 	const n = 12000
 	tr := octree.Build(geom.Generate(geom.Uniform, n, 3), 6, 20)
 	tr.BuildLists(nil)
 	den := randDensities(rand.New(rand.NewSource(5)), n, 1)
-	mk := func() *Engine {
+	mk := func(workers int) *Engine {
 		e := NewEngine(ops, tr)
 		e.UseFFTM2L = true
-		e.Workers = 4
+		e.Workers = workers
 		e.SetDensitiesMasked(den, 0)
 		return e
 	}
-	barrier, dag := mk(), mk()
-	limit := vLiveBytes / (8 * ops.FFT().SpecLen())
-	widest := 0
-	for _, nodes := range barrier.work(&phases[pVLI]) {
-		widest = max(widest, len(nodes))
+	var mu sync.Mutex
+	var live, peak int
+	specHeld = func(delta int) {
+		mu.Lock()
+		live += delta
+		peak = max(peak, live)
+		mu.Unlock()
 	}
-	if widest <= limit+189 {
-		t.Fatalf("widest level has %d octants, want > %d to force chunking", widest, limit+189)
+	defer func() { specHeld = nil }()
+	oracle := mk(1)
+	oracle.oracle()
+	srcs := map[int32]bool{}
+	for _, level := range oracle.work(&phases[pVLI]) {
+		for _, i := range level {
+			for _, a := range tr.Nodes[i].V {
+				srcs[a] = true
+			}
+		}
 	}
-	barrier.Evaluate()
-	if _, err := dag.EvaluateDAG(nil); err != nil {
-		t.Fatal(err)
+	if len(srcs) < 4096 {
+		t.Fatalf("%d V sources, want a level of 4096 octants", len(srcs))
 	}
-	bitIdentical(t, "chunked barrier vs DAG", dag.Potential, barrier.Potential)
-	if got := cap(barrier.vbuf) * 8; got > vLiveBytes {
-		t.Errorf("spectrum buffer holds %d bytes, bound is %d", got, vLiveBytes)
+	for _, workers := range []int{1, 2} {
+		e := mk(workers)
+		live, peak = 0, 0
+		e.Evaluate()
+		bitIdentical(t, fmt.Sprintf("graph w%d vs oracle", workers), e.Potential, oracle.Potential)
+		held := peak
+		t.Logf("workers %d: at most %d spectra held for %d sources", workers, held, len(srcs))
+		if live != 0 {
+			t.Errorf("workers %d: %d spectra still held after the row", workers, live)
+		}
+		if held <= 0 || held > len(srcs)/3 {
+			t.Errorf("workers %d: the V row held %d spectra at once, want at most a third of its %d sources",
+				workers, held, len(srcs))
+		}
 	}
 }
 
-// TestVListGroupOrder pins what lets one per-sibling-group body serve both
-// drivers: per target, the accumulation order is vOrder's — a function of the
-// two Morton keys — and not of the group the target happens to run in.
+// TestVListGroupOrder pins what lets one per-sibling-group body serve every
+// schedule: per target, the accumulation order is vOrder's — a function of
+// the two Morton keys — and not of the group the target happens to run in.
 func TestVListGroupOrder(t *testing.T) {
 	// (b) For an interior parent, the sources of each child's full 189-entry
 	// V list land on distinct (parent direction, source octant) slots — at
@@ -260,8 +285,8 @@ func TestVListGroupOrder(t *testing.T) {
 	})
 
 	// (a) A group evaluated whole ≡ the same targets evaluated as two
-	// disjoint partial groups: what the barrier driver does to a sibling
-	// group that straddles a vLiveBytes chunk boundary.
+	// disjoint partial groups: what the oracle does to a sibling group whose
+	// members are not adjacent in node order (octants a session appended).
 	t.Run("split", func(t *testing.T) {
 		ops := NewOperators(kernel.Stokes{}, 4, 1e-9)
 		const n = 3000
@@ -313,9 +338,9 @@ func TestVListGroupOrder(t *testing.T) {
 		}
 	})
 
-	// (c) DAG ≡ barrier at every worker count, masked and symmetric: worker
-	// counts change which groups run concurrently and on which scratch,
-	// never a target's order.
+	// (c) Graph ≡ sequential oracle at every worker count, masked and
+	// symmetric: worker counts change which groups run concurrently and on
+	// which scratch, never a target's order.
 	t.Run("drivers", func(t *testing.T) {
 		const n, q = 800, 15
 		tr := octree.Build(geom.Generate(geom.Ellipsoid, n, 42), q, 20)
@@ -327,28 +352,23 @@ func TestVListGroupOrder(t *testing.T) {
 			ops := NewOperators(kc.kern, 4, 1e-9)
 			for _, nLead := range []int{0, n / 3} {
 				den := randDensities(rand.New(rand.NewSource(9)), n-nLead, kc.kern.SrcDim())
-				var ref *Engine
-				for _, workers := range []int{1, 2, 4} {
-					for _, dag := range []bool{false, true} {
-						e := NewEngine(ops, tr)
-						e.UseFFTM2L = true
-						e.Workers = workers
-						e.SetSplitRoles(nLead)
-						e.SetDensitiesMasked(den, nLead)
-						if dag {
-							if _, err := e.EvaluateDAG(nil); err != nil {
-								t.Fatal(err)
-							}
-						} else {
-							e.Evaluate()
-						}
-						if ref == nil {
-							ref = e
-							continue
-						}
-						label := fmt.Sprintf("%s nLead=%d workers=%d dag=%v vs barrier workers=1", kc.name, nLead, workers, dag)
-						bitIdentical(t, label, e.Potential, ref.Potential)
+				mk := func(workers int) *Engine {
+					e := NewEngine(ops, tr)
+					e.UseFFTM2L = true
+					e.Workers = workers
+					e.SetSplitRoles(nLead)
+					e.SetDensitiesMasked(den, nLead)
+					return e
+				}
+				ref := mk(1)
+				ref.oracle()
+				for _, workers := range graphWorkers {
+					e := mk(workers)
+					if _, err := e.EvaluateDAG(nil); err != nil {
+						t.Fatal(err)
 					}
+					label := fmt.Sprintf("%s nLead=%d graph workers=%d vs oracle", kc.name, nLead, workers)
+					bitIdentical(t, label, e.Potential, ref.Potential)
 				}
 			}
 		}

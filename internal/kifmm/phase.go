@@ -4,11 +4,10 @@ import (
 	"slices"
 
 	"kifmm/internal/diag"
-	"kifmm/internal/par"
 )
 
-// octantSet names the octants a phase walks and the order in which the
-// barrier loop must finish them.
+// octantSet names the octants a phase walks and, for the levelwise ones, the
+// level order of its work.
 type octantSet uint8
 
 const (
@@ -18,9 +17,10 @@ const (
 	levelsDown                  // every node, a level at a time, root first
 )
 
-// phase is everything the two drivers know about one operator of Algorithm 1.
-// The barrier loop (runPhase) and the task graph (buildDAG) both read it, so
-// which octants a phase touches is decided once, by has; the bodies assume it.
+// phase is everything the executor knows about one operator of Algorithm 1.
+// The task graph (buildDAG) reads it, and so does the sequential test oracle,
+// so which octants a phase touches is decided once, by has; the bodies assume
+// it.
 type phase struct {
 	name string // task and trace name
 	diag string // diag phase its time is reported under
@@ -46,7 +46,7 @@ const (
 
 // phases lists the operators in Algorithm 1's order, which is also the order
 // in which an octant's accumulators (DChk: V, X, D2D; Potential: W, D2T, U)
-// receive their contributions under either driver.
+// receive their contributions.
 var phases = [...]phase{
 	pS2U: {name: "S2U", diag: diag.PhaseUpward, over: overLeaves, body: (*Engine).s2uLeaf,
 		has: func(e *Engine, i int32) bool {
@@ -57,9 +57,9 @@ var phases = [...]phase{
 		has: func(e *Engine, i int32) bool {
 			return !e.Tree.Nodes[i].IsLeaf && e.srcNode(i)
 		}},
-	// V interactions are same-level, so a level at a time is what lets the
-	// FFT driver (vliFFT) bound its live source spectra; body is the dense
-	// oracle's, the FFT mode runs vliFFTGroup per sibling group instead.
+	// V interactions are same-level; the FFT mode orders its sibling groups a
+	// level at a time (buildVFFT). body is the dense oracle's, the FFT mode
+	// runs vliFFTGroup per sibling group instead.
 	pVLI: {name: "V", diag: diag.PhaseVList, over: levelsDown, body: (*Engine).vliDenseNode,
 		has: func(e *Engine, i int32) bool {
 			return len(e.Tree.Nodes[i].V) > 0 && e.trgNode(i)
@@ -89,10 +89,9 @@ var phases = [...]phase{
 		}},
 }
 
-// work returns the octants with work in p, in the runs the barrier loop must
-// finish one after another: one run for a leaf or node phase, one per level
-// for a levelwise one. Within a run the order is node-index order. Recomputed
-// per call, O(nodes).
+// work returns the octants with work in p, in runs: one run for a leaf or
+// node phase, one per level for a levelwise one (finest first for levelsUp).
+// Within a run the order is node-index order. Recomputed per call, O(nodes).
 func (e *Engine) work(p *phase) [][]int32 {
 	t := e.Tree
 	runs := make([][]int32, 1)
@@ -123,73 +122,42 @@ func (e *Engine) work(p *phase) [][]int32 {
 	return runs
 }
 
-// runPhase is the barrier execution of one phase: one bulk-synchronous
-// par.ForW per run of work(p), timed once under the phase's diag name, the
-// per-worker flop counters flushed at the end.
-func (e *Engine) runPhase(p *phase) {
-	defer e.timed(p.diag)()
-	sc := e.ensureScratch(e.barrierWorkers())
-	runs := e.work(p)
-	if p == &phases[pVLI] && e.UseFFTM2L {
-		e.vliFFT(runs, sc)
-	} else {
-		for _, run := range runs {
-			par.ForW(e.Workers, len(run), func(w, k int) {
-				p.body(e, run[k], sc[w])
-			})
-		}
-	}
-	e.flushFlops()
-}
-
-// The exported phase methods run one row of the table under the barrier
-// driver; benchmarks, experiments and the simulated device call them one by
-// one.
+// The exported phase methods run one row of the table as a task graph of its
+// own: the row's predecessors in the other rows are simply absent. Benchmarks,
+// experiments and the simulated device call them one by one. A panicking body
+// panics here.
 
 // S2U computes upward-equivalent densities of every local leaf from its
 // source points: evaluate the sources on the upward-check surface, then
 // solve to the equivalent surface (step 1 of Algorithm 1).
-func (e *Engine) S2U() { e.runPhase(&phases[pS2U]) }
+func (e *Engine) S2U() { e.runRow(pS2U) }
 
 // U2U accumulates child upward densities into parents, finest level first
 // (step 2). Within a level, parents are processed independently.
-func (e *Engine) U2U() { e.runPhase(&phases[pU2U]) }
+func (e *Engine) U2U() { e.runRow(pU2U) }
 
 // VLI applies the V-list translations (step 3a), accumulating into the
 // downward-check potentials. Uses dense M2L matrices or the
 // FFT-diagonalized path depending on UseFFTM2L.
-func (e *Engine) VLI() { e.runPhase(&phases[pVLI]) }
+func (e *Engine) VLI() { e.runRow(pVLI) }
 
 // XLI evaluates X-list sources directly onto downward-check surfaces
 // (step 3b).
-func (e *Engine) XLI() { e.runPhase(&phases[pXLI]) }
+func (e *Engine) XLI() { e.runRow(pXLI) }
 
 // Downward runs the downward pass (step 4): top-down, each local octant
 // receives its parent's downward-equivalent field on its check surface and
 // solves for its own downward-equivalent densities.
-func (e *Engine) Downward() { e.runPhase(&phases[pD2D]) }
+func (e *Engine) Downward() { e.runRow(pD2D) }
 
 // WLI evaluates W-list upward-equivalent fields at local leaf targets
 // (step 5a).
-func (e *Engine) WLI() { e.runPhase(&phases[pWLI]) }
+func (e *Engine) WLI() { e.runRow(pWLI) }
 
 // D2T evaluates each local leaf's downward-equivalent field at its own
 // targets (step 5b).
-func (e *Engine) D2T() { e.runPhase(&phases[pD2T]) }
+func (e *Engine) D2T() { e.runRow(pD2T) }
 
 // ULI computes the exact near-field interactions (the direct sum over the
 // U-list).
-func (e *Engine) ULI() { e.runPhase(&phases[pULI]) }
-
-// Phases runs the eight bulk-synchronous phases of Algorithm 1 in order.
-// exchange, when non-nil, runs between the upward pass and the translations:
-// the one point at which a rank of a distributed evaluation communicates
-// (ghost densities into Density, completed shared upward densities into U).
-func (e *Engine) Phases(exchange func()) {
-	for pi := range phases {
-		e.runPhase(&phases[pi])
-		if pi == pU2U && exchange != nil {
-			exchange()
-		}
-	}
-}
+func (e *Engine) ULI() { e.runRow(pULI) }

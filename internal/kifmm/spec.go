@@ -1,7 +1,6 @@
 package kifmm
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -22,21 +21,6 @@ type EngineSpec struct {
 	// DenseM2L swaps the FFT-diagonalized V-list for the dense M2L matrices
 	// it is verified against (a test oracle and an ablation).
 	DenseM2L bool
-
-	// force is the tests' override of the driver Run selects: positive the
-	// task graph, negative the barrier phases, at any worker count.
-	force int8
-}
-
-// Forced returns the spec with Run's driver choice overridden: the task graph
-// or the barrier phase loops at any worker count. The two are bit-identical;
-// forcing either is how the differential tests show it.
-func (s EngineSpec) Forced(graph bool) EngineSpec {
-	s.force = -1
-	if graph {
-		s.force = 1
-	}
-	return s
 }
 
 // Prewarm eagerly builds the V-list translation spectra an evaluation of
@@ -59,35 +43,35 @@ func (s EngineSpec) NewEngine(tree *octree.Tree, layout *Layout) *Engine {
 	e := NewEngineLayout(s.Ops, tree, layout)
 	e.UseFFTM2L = !s.DenseM2L
 	e.Workers = max(1, s.Workers)
-	e.force = s.force
 	return e
 }
 
-// Run is the one evaluation entry: it picks the driver, times
-// diag.PhaseTotalEval once and records the scheduler counters into Prof.
-// With an exchange step — a rank of a distributed evaluation communicating
-// between the upward pass and the translations — it runs the barrier phases
-// (Phases). Otherwise it runs the dependency task graph when the engine has
-// more than one worker or a trace is requested, and the barrier phases on a
-// single worker, which gains nothing from dependency-driven execution; the
-// two are bit-identical. The returned stats are zero for a barrier run. An
-// error leaves the engine's state partial: drop the engine.
+// Run is the one evaluation entry: it times diag.PhaseTotalEval once, runs
+// the phase table as task graphs and records the scheduler counters into
+// Prof. Without an exchange step that is one graph of all eight rows. A rank
+// of a distributed evaluation passes exchange — its communication between the
+// upward pass and the translations — and runs a graph of S2U and U2U, then
+// exchange, then a graph of the other six rows; the returned stats sum the
+// two graphs and a trace records both. An error leaves the engine's state
+// partial: drop the engine.
 func (e *Engine) Run(exchange func(), trace *sched.Trace) (sched.Stats, error) {
-	if exchange != nil && trace != nil {
-		return sched.Stats{}, errors.New("tracing requires the task-graph execution path (a distributed evaluation runs the barrier phases)")
+	defer e.timed(diag.PhaseTotalEval)()
+	split, graphs := len(phases), int64(1)
+	if exchange != nil {
+		split, graphs = pVLI, 2
 	}
-	graph := exchange == nil && (e.force > 0 || trace != nil || (e.force == 0 && e.Workers > 1))
-	if !graph {
-		defer e.timed(diag.PhaseTotalEval)()
-		e.Phases(exchange)
-		return sched.Stats{}, nil
+	stats, err := e.runRows(0, split, trace)
+	if err == nil && exchange != nil {
+		exchange()
+		var rest sched.Stats
+		rest, err = e.runRows(split, len(phases), trace)
+		stats.Add(rest)
 	}
-	stats, err := e.EvaluateDAG(trace)
 	if err != nil {
 		return stats, fmt.Errorf("task-graph evaluation: %w", err)
 	}
 	if prof := e.Prof; prof != nil {
-		prof.AddCounter(diag.CounterSchedGraphs, 1)
+		prof.AddCounter(diag.CounterSchedGraphs, graphs)
 		prof.AddCounter(diag.CounterSchedTasks, stats.Tasks)
 		prof.AddCounter(diag.CounterSchedSteals, stats.Steals)
 		prof.AddCounter(diag.CounterSchedStolen, stats.Stolen)

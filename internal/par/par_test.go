@@ -34,83 +34,3 @@ func TestDefaultWorkersPositive(t *testing.T) {
 		t.Fatalf("DefaultWorkers = %d", DefaultWorkers())
 	}
 }
-
-// TestForWWorkerIndexExclusive checks the per-worker-scratch contract: the
-// worker index is in range and at most one goroutine uses an index at a
-// time, so indexed scratch needs no locks.
-func TestForWWorkerIndexExclusive(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 4, 16} {
-		for _, n := range []int{0, 1, 7, 1000} {
-			maxW := workers
-			if maxW < 1 {
-				maxW = 1
-			}
-			if maxW > n && n > 0 {
-				maxW = n
-			}
-			busy := make([]int32, maxW)
-			hits := make([]int32, n)
-			ForW(workers, n, func(w, i int) {
-				if w < 0 || w >= maxW {
-					t.Errorf("workers=%d n=%d: worker index %d out of range [0,%d)", workers, n, w, maxW)
-					return
-				}
-				if !atomic.CompareAndSwapInt32(&busy[w], 0, 1) {
-					t.Errorf("worker index %d used concurrently", w)
-				}
-				atomic.AddInt32(&hits[i], 1)
-				atomic.StoreInt32(&busy[w], 0)
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d hit %d times", workers, n, i, h)
-				}
-			}
-		}
-	}
-}
-
-// TestForWScratchSums exercises the intended usage: lock-free accumulation
-// into per-worker slots, reduced after the loop.
-func TestForWScratchSums(t *testing.T) {
-	const n = 10000
-	workers := 8
-	sums := make([]int64, workers)
-	ForW(workers, n, func(w, i int) { sums[w] += int64(i) })
-	var tot int64
-	for _, s := range sums {
-		tot += s
-	}
-	if want := int64(n) * (n - 1) / 2; tot != want {
-		t.Fatalf("per-worker sums total %d, want %d", tot, want)
-	}
-}
-
-// TestForWExclusiveWorkerIndex is the contract test fmmvet's locksafe
-// analyzer documentation points at: per-worker state indexed by w needs no
-// synchronization because at most one goroutine holds an index at a time.
-// The body increments plain (non-atomic) per-worker counters — under
-// -race (make sched-stress runs this package -race -count=5) any violation
-// of the exclusivity contract is a reported data race, not a flaky count.
-func TestForWExclusiveWorkerIndex(t *testing.T) {
-	for _, workers := range []int{2, 3, 8, 32} {
-		const n = 20000
-		counts := make([]int, workers)
-		depth := make([]int, workers)
-		ForW(workers, n, func(w, i int) {
-			depth[w]++ // plain read-modify-write: racy iff exclusivity is broken
-			if depth[w] != 1 {
-				t.Errorf("workers=%d: worker %d entered reentrantly (depth %d)", workers, w, depth[w])
-			}
-			counts[w]++
-			depth[w]--
-		})
-		tot := 0
-		for _, c := range counts {
-			tot += c
-		}
-		if tot != n {
-			t.Fatalf("workers=%d: per-worker counts total %d, want %d", workers, tot, n)
-		}
-	}
-}

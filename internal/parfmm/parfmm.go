@@ -158,7 +158,7 @@ type reducer = func(c *mpi.Comm, part *dtree.Partition, items []reduce.Item, vec
 // points. It returns what Exchange does. Collective.
 func EvaluateRank(c *mpi.Comm, eng *kifmm.Engine, dt *dtree.DistTree, reduceShared reducer) (st reduce.Stats, traffic mpi.Snapshot, comm time.Duration) {
 	if _, err := eng.Run(func() { st, traffic, comm = Exchange(c, eng, dt, reduceShared) }, nil); err != nil {
-		panic(err) // only a traced exchange is refused
+		panic(err) // a phase body panicked
 	}
 	return st, traffic, comm
 }

@@ -112,6 +112,25 @@ type Stats struct {
 	PerWorker []WorkerStats
 }
 
+// Add accumulates another Run's counters into s, worker by worker.
+func (s *Stats) Add(o Stats) {
+	s.Tasks += o.Tasks
+	s.Steals += o.Steals
+	s.Stolen += o.Stolen
+	s.Idle += o.Idle
+	s.Wall += o.Wall
+	for len(s.PerWorker) < len(o.PerWorker) {
+		s.PerWorker = append(s.PerWorker, WorkerStats{})
+	}
+	for w, ws := range o.PerWorker {
+		p := &s.PerWorker[w]
+		p.Tasks += ws.Tasks
+		p.Steals += ws.Steals
+		p.Stolen += ws.Stolen
+		p.Idle += ws.Idle
+	}
+}
+
 // Options configures one Run.
 type Options struct {
 	// Workers is the number of executing goroutines (<=0 means

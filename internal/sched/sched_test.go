@@ -250,3 +250,43 @@ func TestStealsHappen(t *testing.T) {
 		t.Log("no steals observed (legal but unusual for this shape)")
 	}
 }
+
+// TestWorkerIndexExclusive is the contract test fmmvet's locksafe analyzer
+// documentation points at: a task's worker index is in [0, workers) and held
+// by at most one goroutine at a time, so per-worker state indexed by it (the
+// engine's evaluation scratch, its flop counters) needs no synchronization.
+// The bodies increment plain (non-atomic) per-worker counters — under -race
+// (make sched-stress runs this package -race -count=5) any violation of the
+// exclusivity contract is a reported data race, not a flaky count.
+func TestWorkerIndexExclusive(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8, 32} {
+		const n = 20000
+		counts := make([]int, workers)
+		depth := make([]int, workers)
+		g := NewGraph()
+		for i := 0; i < n; i++ {
+			g.Add("w", func(w int) {
+				if w < 0 || w >= workers {
+					t.Errorf("workers=%d: worker index %d out of range", workers, w)
+					return
+				}
+				depth[w]++ // plain read-modify-write: racy iff exclusivity is broken
+				if depth[w] != 1 {
+					t.Errorf("workers=%d: worker %d entered reentrantly (depth %d)", workers, w, depth[w])
+				}
+				counts[w]++
+				depth[w]--
+			})
+		}
+		if _, err := g.Run(Options{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		tot := 0
+		for _, c := range counts {
+			tot += c
+		}
+		if tot != n {
+			t.Fatalf("workers=%d: per-worker counts total %d, want %d", workers, tot, n)
+		}
+	}
+}

@@ -14,7 +14,9 @@ import (
 // one slice, so phase overlap, steals, and idle gaps are directly visible.
 //
 // Events are buffered per worker, so recording adds no cross-worker
-// contention to the run being measured.
+// contention to the run being measured. One trace may be passed to several
+// Runs in turn: their events share the first Run's time origin, and Wall
+// spans from its start to the last Run's end.
 type Trace struct {
 	t0      time.Time
 	perWork [][]traceEvent
@@ -32,8 +34,12 @@ type traceEvent struct {
 func NewTrace() *Trace { return &Trace{} }
 
 func (t *Trace) start(workers int) {
-	t.t0 = time.Now() //fmm:allow nodeterm trace timestamps are diagnostic output only
-	t.perWork = make([][]traceEvent, workers)
+	if t.perWork == nil {
+		t.t0 = time.Now() //fmm:allow nodeterm trace timestamps are diagnostic output only
+	}
+	for len(t.perWork) < workers {
+		t.perWork = append(t.perWork, nil)
+	}
 }
 
 func (t *Trace) add(w int, name string, id int32, start time.Time, dur time.Duration) {

@@ -1,9 +1,14 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"kifmm"
 )
@@ -91,6 +96,59 @@ func FuzzSolverOptionsJSON(f *testing.F) {
 		}
 		if solver, err := kifmm.New(opt); err == nil && solver == nil {
 			t.Fatalf("%s: kifmm.New returned neither a solver nor an error", b)
+		}
+	})
+}
+
+// FuzzRequestBodies drives arbitrary bytes through the /v1/evaluate and
+// /v1/session/{id}/step handlers of one server (step: the live session the
+// target creates up front; evaluate: any plan_id, with one resident plan to
+// hit) and allows any answer but a panic or a 5xx. The one 5xx a request can
+// legitimately ask for is 504, a deadline its own timeout_ms set. Bodies are
+// capped at 16 KiB. `make fuzz` runs it for 10 s.
+func FuzzRequestBodies(f *testing.F) {
+	s := New(Config{Workers: 1, QueueDepth: 4, MaxSessions: 2, MaxBodyBytes: 16 << 10, RequestTimeout: 10 * time.Second})
+	f.Cleanup(func() { s.Shutdown(context.Background()) })
+	post := func(path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec
+	}
+	pts, den := testPoints(200, 3)
+	var plan PlanResponse
+	var sess SessionResponse
+	for _, c := range []struct {
+		path string
+		req  any
+		resp any
+	}{
+		{"/v1/plan", PlanRequest{Points: pts, Options: fastOpts()}, &plan},
+		{"/v1/session", SessionRequest{Points: pts, Options: fastOpts()}, &sess},
+	} {
+		body, _ := json.Marshal(c.req)
+		rec := post(c.path, body)
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), c.resp) != nil {
+			f.Fatalf("%s: %d %s", c.path, rec.Code, rec.Body)
+		}
+	}
+	evaluate, _ := json.Marshal(EvaluateRequest{PlanID: plan.PlanID, Densities: den})
+	f.Add(false, evaluate)
+	step, _ := json.Marshal(SessionStepRequest{
+		Move:      []WireMove{{ID: 3, To: [3]float64{0.5, 0.25, 0.75}}},
+		Add:       [][3]float64{{0.1, 0.2, 0.3}},
+		Remove:    []int{7},
+		Densities: den,
+	})
+	f.Add(true, step)
+
+	f.Fuzz(func(t *testing.T, toStep bool, body []byte) {
+		path := "/v1/evaluate"
+		if toStep {
+			path = "/v1/session/" + sess.SessionID + "/step"
+		}
+		rec := post(path, body)
+		if rec.Code >= 500 && rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("%s %q: %d %s", path, body, rec.Code, rec.Body)
 		}
 	})
 }

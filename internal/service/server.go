@@ -44,8 +44,7 @@ type Config struct {
 	RetryAfter time.Duration
 	// TraceDir, when non-empty, dumps a Chrome trace_event JSON of the
 	// scheduler's execution for every evaluation request into this
-	// directory (bounded by TraceKeep, oldest deleted). Tracing forces the
-	// task-graph execution path.
+	// directory (bounded by TraceKeep, oldest deleted).
 	TraceDir string
 	// TraceKeep bounds the number of retained trace files (default 32).
 	TraceKeep int

@@ -13,7 +13,7 @@ import (
 )
 
 // freshEval is the re-plan oracle: a from-scratch tree, lists, and engine
-// over the same live point set, evaluated on the barrier path.
+// over the same live point set, evaluated on one worker.
 func freshEval(pts []geom.Point, den []float64, cfg Config) []float64 {
 	t := octree.Build(pts, cfg.Q, cfg.MaxDepth)
 	t.BuildLists(nil)
@@ -251,9 +251,11 @@ func TestFullListRebuildFallback(t *testing.T) {
 	}
 }
 
-// TestDAGSessionMatchesBarrier checks the task-graph execution path of
-// session evaluation against the barrier path on an incrementally edited
-// tree (appended nodes and tombstones).
+// TestDAGSessionMatchesBarrier checks session evaluation on four workers
+// against one worker, bit for bit, on an incrementally edited tree (appended
+// nodes and tombstones, so a level's nodes are not all in Morton order). The
+// independent reference on such trees is internal/kifmm's
+// TestEditedTreeBitIdentical, which holds the graph to the sequential oracle.
 func TestDAGSessionMatchesBarrier(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	mk := func(useDAG bool) *Session {
@@ -295,7 +297,7 @@ func TestDAGSessionMatchesBarrier(t *testing.T) {
 		}
 		for i := range pa {
 			if pa[i] != pb[i] {
-				t.Fatalf("step %d: barrier and DAG diverge at %d: %v vs %v", step, i, pa[i], pb[i])
+				t.Fatalf("step %d: 1 and 4 workers diverge at %d: %v vs %v", step, i, pa[i], pb[i])
 			}
 		}
 	}

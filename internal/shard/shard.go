@@ -12,7 +12,7 @@
 // Because the ranks partition the leaves of the ALREADY-BUILT global tree
 // (rather than re-running distributed tree construction), every rank's LET
 // reproduces the exact interaction-list structure of the single-engine
-// plan: a sharded Apply differs from the single-engine barrier oracle only
+// plan: a sharded Apply differs from the single-engine evaluation only
 // in the floating-point summation order of the shared octants' upward
 // densities, which keeps the differential within 1e-12 for any R.
 //

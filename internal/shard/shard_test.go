@@ -30,7 +30,7 @@ func buildCase(t testing.TB, kern kernel.Kernel, dist geom.Distribution, n, q, o
 	return tr, ops, den
 }
 
-// oracle runs the single-engine barrier evaluation on the same tree — the
+// oracle runs the single-engine evaluation on the same tree — the
 // reference every sharded apply must reproduce to near machine precision
 // (only the shared octants' floating-point summation order differs).
 func oracle(t testing.TB, tr *octree.Tree, ops *kifmm.Operators, den []float64, useFFT bool) []float64 {

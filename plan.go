@@ -181,10 +181,9 @@ func (p *Plan) MemoryBytes() int64 {
 // Apply evaluates the potentials for one density vector on the prebuilt
 // tree, returned in input point order with PotentialDim components per
 // point. It runs the full FMM phase sequence but skips tree construction,
-// list building, and operator setup. With Options.Workers > 1 the phases run
-// as a dependency task graph on the internal scheduler, otherwise as the
-// paper's barrier-separated loops (bit-identical results either way; the
-// rule is Engine.Run's).
+// list building, and operator setup. The phases run as one dependency task
+// graph on the internal scheduler with Options.Workers workers
+// (bit-identical results at any worker count).
 func (p *Plan) Apply(densities []float64) ([]float64, error) {
 	if p.shard != nil {
 		out, err := p.shard.Apply(densities)
@@ -201,12 +200,11 @@ func (p *Plan) Apply(densities []float64) ([]float64, error) {
 // ApplyTraced is Apply plus a Chrome trace_event capture of the scheduler's
 // execution: one timeline row per worker, one slice per per-octant task.
 // Write the returned JSON to a file and open it at chrome://tracing (or
-// ui.perfetto.dev). Tracing forces the task-graph execution path at any
-// worker count; it errors on sharded plans, which coordinate their ranks
-// themselves.
+// ui.perfetto.dev). It errors on sharded plans, whose ranks run
+// concurrently, each its own graphs.
 func (p *Plan) ApplyTraced(densities []float64) (potentials []float64, trace []byte, err error) {
 	if p.shard != nil {
-		return nil, nil, fmt.Errorf("kifmm: tracing requires the task-graph execution path (sharded plans coordinate ranks themselves)")
+		return nil, nil, fmt.Errorf("kifmm: ApplyTraced does not support sharded plans (their ranks run concurrently, each its own graphs)")
 	}
 	tr := sched.NewTrace()
 	out, _, err := p.apply(densities, tr)

@@ -15,7 +15,7 @@ import (
 // TestProbe is the house-rule potentials probe every deletion PR runs at its
 // parent and at its change: one "name sha256" line per configuration, sorted,
 // over the potentials of a 20k-point 1:1:4 ellipsoid at order 4 — every
-// driver, V-list translation, shard layout and entry point of the
+// worker count, V-list translation, shard layout and entry point of the
 // public API. Two trees that print the same file evaluate the same bits.
 //
 //	KIFMM_PROBE=probe.txt go test -run TestProbe -timeout 30m .   (make probe)
@@ -97,13 +97,11 @@ func TestProbe(t *testing.T) {
 		pts, den := ellipsoidInput(n, f.DensityDim(), 7)
 
 		for _, workers := range []int{1, 2} {
-			for _, mode := range []execMode{execBarrier, execDAG} {
-				for _, dense := range []bool{false, true} {
-					opt := base
-					opt.Workers, opt.exec, opt.denseM2L = workers, mode, dense
-					pot, err := planApply(opt, pts, den)
-					record(fmt.Sprintf("%s/apply/workers%d/exec%d/dense=%v", kern, workers, mode, dense), pot, err)
-				}
+			for _, dense := range []bool{false, true} {
+				opt := base
+				opt.Workers, opt.denseM2L = workers, dense
+				pot, err := planApply(opt, pts, den)
+				record(fmt.Sprintf("%s/apply/workers%d/dense=%v", kern, workers, dense), pot, err)
 			}
 		}
 		for _, sh := range []struct {

@@ -31,7 +31,7 @@ func TestTargetsMatchesMaskedOracle(t *testing.T) {
 	}{
 		{"fft", Options{PointsPerBox: 30}},
 		{"dense", Options{PointsPerBox: 30, denseM2L: true}},
-		{"dag", Options{PointsPerBox: 30, Workers: 4, exec: execDAG}},
+		{"dag", Options{PointsPerBox: 30, Workers: 4}},
 		{"stokes", Options{Kernel: Stokes, PointsPerBox: 30}},
 	}
 	srcs, _ := randInput(600, 1, 51)

@@ -90,8 +90,8 @@ func TestShardedOptionsValidation(t *testing.T) {
 	}
 }
 
-// TestShardedApplyTracedRejected: tracing requires the task-graph path,
-// which sharded plans bypass.
+// TestShardedApplyTracedRejected: a sharded plan's ranks run concurrently,
+// each its own graphs, so there is no one trace to return.
 func TestShardedApplyTracedRejected(t *testing.T) {
 	pts, den := randInput(600, 1, 61)
 	f, err := New(Options{PointsPerBox: 40, Shards: 2})
