@@ -13,7 +13,7 @@ vet:
 test:
 	$(GO) test ./...
 
-# The root package needs ~20 min under -race on two cores, past go test's
+# The root package needs 20-31 min under -race on two cores, past go test's
 # 10 min default timeout.
 race:
 	$(GO) test -race -timeout 60m ./...
@@ -88,8 +88,9 @@ session-stress:
 
 # Project-specific static analysis (DESIGN.md §7.5, §7.9): one fmmvet run
 # over the whole program in one process — the body analyzers under the
-# propagated //fmm:hotpath / //fmm:deterministic scope, lock-order cycle
-# detection and the compiler-backed escape diff against escape_baseline.txt.
+# propagated //fmm:hotpath / //fmm:deterministic scope, lock-order cycles and
+# unlocks with no preceding lock, and the compiler-backed escape diff against
+# escape_baseline.txt.
 # Machine-readable output is available via `go run ./cmd/fmmvet -json ./...`.
 lint:
 	$(GO) run ./cmd/fmmvet ./...
@@ -104,10 +105,12 @@ lint-baseline:
 
 # Negative test for the lint gate itself: copies the tree to a scratch dir,
 # plants a cross-package hot-path allocation, an AB/BA lock-order cycle, a
-# hot-path escape regression, an allocation in the V-list group body and an
-# escape through the Hadamard assembly stub, and asserts each one FAILS fmmvet
-# with the expected diagnostic. Guards against the analyzers being silently wedged
-# open (a bad baseline, an over-broad allow, a scope bug).
+# hot-path escape regression, an allocation in the V-list group body, an
+# escape through the Hadamard assembly stub, a GOMAXPROCS branch in
+# deterministic code, a per-octant profile call in the S2U body and an unlock
+# with no preceding lock — at least one per analyzer — and asserts each one
+# FAILS fmmvet with the expected diagnostic. Guards against the analyzers being
+# silently wedged open (a bad baseline, an over-broad allow, a scope bug).
 lint-inject:
 	./scripts/lint_inject.sh
 

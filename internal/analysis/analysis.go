@@ -32,7 +32,7 @@ type Analyzer struct {
 	// Doc is a one-paragraph description: the invariant enforced and the
 	// fix or suppression expected for violations.
 	Doc string
-	// Run reports diagnostics on pass via pass.Report / pass.Reportf.
+	// Run reports diagnostics on pass via pass.Report / pass.ReportfVia.
 	Run func(*Pass) error
 }
 
@@ -79,11 +79,6 @@ type Pass struct {
 func (p *Pass) Report(d Diagnostic) {
 	d.Analyzer = p.Analyzer.Name
 	p.diags = append(p.diags, d)
-}
-
-// Reportf records a diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
 // ReportfVia records a diagnostic carrying a propagation chain. A chain of

@@ -14,8 +14,7 @@ import (
 //
 //	//fmm:deterministic
 //	    On a function's doc comment: the body must be reproducible — no
-//	    unordered map iteration, no clocks, no math/rand, no
-//	    GOMAXPROCS-dependent values (mapiter, nodeterm).
+//	    clocks, no math/rand, no GOMAXPROCS-dependent values (nodeterm).
 //	    Before a file's package clause: the whole package (its non-test
 //	    files) is in deterministic scope.
 //
@@ -411,7 +410,7 @@ func (an *Annotations) AllowSites(analyzer string) []AllowSite {
 // otherwise suppress nothing, silently). escape diagnostics are normally
 // managed through escape_baseline.txt rather than allows, but the name is
 // valid so a deliberate one-off suppression stays expressible.
-var KnownAnalyzers = []string{"mapiter", "hotalloc", "diagbatch", "nodeterm", "locksafe", "lockorder", "escape"}
+var KnownAnalyzers = []string{"hotalloc", "diagbatch", "nodeterm", "lockorder", "escape"}
 
 func knownAnalyzer(name string) bool {
 	for _, n := range KnownAnalyzers {

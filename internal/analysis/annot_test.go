@@ -25,7 +25,7 @@ func Allowed() {}
 func Missing() {}
 
 func Plain() {
-	_ = 0 //fmm:allow mapiter inline reason here
+	_ = 0 //fmm:allow diagbatch inline reason here
 }
 `
 
@@ -72,7 +72,7 @@ func TestParseAnnotations(t *testing.T) {
 			if !a.Malformed {
 				t.Error("reason-less allow not marked malformed")
 			}
-		case "mapiter":
+		case "diagbatch":
 			if a.Malformed || a.Fn != nil {
 				t.Errorf("inline allow: malformed=%v fnScope=%v, want line scope", a.Malformed, a.Fn != nil)
 			}
@@ -86,9 +86,9 @@ func TestSplitMarker(t *testing.T) {
 	cases := []struct{ in, marker, rest string }{
 		{"//fmm:hotpath", "//fmm:hotpath", ""},
 		{"//fmm:deterministic", "//fmm:deterministic", ""},
-		{"//fmm:allow mapiter why not", "//fmm:allow", "mapiter why not"},
+		{"//fmm:allow hotalloc why not", "//fmm:allow", "hotalloc why not"},
 		{"// ordinary comment", "", ""},
-		{"//fmm:allow\tmapiter tabbed", "//fmm:allow", "mapiter tabbed"},
+		{"//fmm:allow\thotalloc tabbed", "//fmm:allow", "hotalloc tabbed"},
 	}
 	for _, c := range cases {
 		m, r := splitMarker(c.in)

@@ -12,7 +12,7 @@ import (
 // This file implements the whole-program half of fmmvet (DESIGN.md §7.9): a
 // project-wide static call graph over the analyzed packages and the
 // transitive closure of the //fmm:hotpath and //fmm:deterministic scopes
-// over it. The body analyzers (hotalloc, diagbatch, mapiter, nodeterm) then
+// over it. The body analyzers (hotalloc, diagbatch, nodeterm) then
 // run against *reachable* functions across package boundaries instead of
 // only directly annotated ones, and their diagnostics carry the propagation
 // chain (uliLeaf → fillCheck → makeScratch).
@@ -389,7 +389,7 @@ func lockOpOf(info *types.Info, call *ast.CallExpr) (LockOp, bool) {
 		return LockOp{}, false
 	}
 	t := info.TypeOf(sel.X)
-	if t == nil || (!ContainsLock(t) && !containsLockPtr(t)) {
+	if t == nil || (!containsLock(t) && !containsLockPtr(t)) {
 		return LockOp{}, false
 	}
 	id := lockIdent(info, sel.X)
@@ -402,7 +402,7 @@ func lockOpOf(info *types.Info, call *ast.CallExpr) (LockOp, bool) {
 
 func containsLockPtr(t types.Type) bool {
 	p, ok := t.(*types.Pointer)
-	return ok && ContainsLock(p.Elem())
+	return ok && containsLock(p.Elem())
 }
 
 // lockIdent names the mutex a lock-method receiver denotes: the owning

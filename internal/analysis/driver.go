@@ -73,7 +73,7 @@ func usage(analyzers []*Analyzer) {
 		}
 		fmt.Printf("  %-10s %s\n", a.Name, doc)
 	}
-	fmt.Println("  lockorder  reports lock-acquisition-order cycles (potential deadlocks); whole-program")
+	fmt.Println("  lockorder  reports lock-acquisition-order cycles (potential deadlocks) and unlock-without-lock; whole-program")
 	fmt.Println("  escape     diffs compiler escape/inlining decisions in hot paths against escape_baseline.txt")
 }
 

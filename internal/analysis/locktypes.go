@@ -2,21 +2,16 @@ package analysis
 
 import "go/types"
 
-// LockTypes is the set of sync primitives that must not be copied and whose
-// Lock/Unlock pairs the locksafe and lockorder analyzers track.
-var LockTypes = map[string]bool{
-	"sync.Mutex":     true,
-	"sync.RWMutex":   true,
-	"sync.WaitGroup": true,
-	"sync.Cond":      true,
-	"sync.Once":      true,
-	"sync.Pool":      true,
-	"sync.Map":       true,
+// lockTypes is the set of sync primitives whose Lock/Unlock calls the call
+// graph records for the lockorder analyzer.
+var lockTypes = map[string]bool{
+	"sync.Mutex":   true,
+	"sync.RWMutex": true,
 }
 
-// ContainsLock reports whether t (held by value) embeds synchronization
-// state, directly or through struct/array nesting.
-func ContainsLock(t types.Type) bool {
+// containsLock reports whether t (held by value) embeds a mutex, directly or
+// through struct/array nesting.
+func containsLock(t types.Type) bool {
 	return lockIn(t, make(map[types.Type]bool))
 }
 
@@ -26,7 +21,7 @@ func lockIn(t types.Type, seen map[types.Type]bool) bool {
 	}
 	seen[t] = true
 	if n, ok := t.(*types.Named); ok {
-		if obj := n.Obj(); obj.Pkg() != nil && LockTypes[obj.Pkg().Path()+"."+obj.Name()] {
+		if obj := n.Obj(); obj.Pkg() != nil && lockTypes[obj.Pkg().Path()+"."+obj.Name()] {
 			return true
 		}
 	}

@@ -14,3 +14,7 @@ func TestDeterministicScope(t *testing.T) {
 func TestUnmarkedPackage(t *testing.T) {
 	analysistest.Run(t, "testdata", nodeterm.Analyzer, "plain")
 }
+
+func TestAllowDiagnostics(t *testing.T) {
+	analysistest.Run(t, "testdata", nodeterm.Analyzer, "allowerr")
+}

@@ -1,4 +1,5 @@
-// Package plain has no deterministic marker: clocks and RNG are fine.
+// Package plain has no deterministic marker: clocks and RNG are fine, except
+// in a function that opts in by annotation.
 package plain
 
 import (
@@ -9,4 +10,11 @@ import (
 func Seeded() float64 {
 	_ = time.Now()
 	return rand.Float64()
+}
+
+// Kernel opts in: only its body is in deterministic scope.
+//
+//fmm:deterministic
+func Kernel() int64 {
+	return time.Now().Unix() // want `time.Now in deterministic scope`
 }

@@ -39,3 +39,12 @@ func TestLockOrderCycle(t *testing.T) {
 func TestLockOrderClean(t *testing.T) {
 	analysistest.RunProp(t, "testdata", nil, []*analysis.GlobalAnalyzer{lockorder.Analyzer}, "lockok")
 }
+
+// TestUnlockWithoutLock pins the unlock check over the same per-function
+// lock sequence: releases with no earlier acquisition in the same mode are
+// reported (immediate, deferred, textually first, wrong mode); one lock with
+// unlocks on disjoint exits, deferred and TryLock pairs, and an allowed
+// handoff stay silent.
+func TestUnlockWithoutLock(t *testing.T) {
+	analysistest.RunProp(t, "testdata", nil, []*analysis.GlobalAnalyzer{lockorder.Analyzer}, "unlock")
+}

@@ -1,6 +1,7 @@
 package dtree
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -32,14 +33,30 @@ func gatherKeys(chunks [][]Leaf) []morton.Key {
 	return keys
 }
 
+// keysAreSorted reports whether keys are in nondecreasing Morton preorder.
+func keysAreSorted(ks []morton.Key) bool {
+	return slices.IsSortedFunc(ks, morton.Compare)
+}
+
+// isLinear reports whether the sorted keys are pairwise non-overlapping (no
+// key is an ancestor of another).
+func isLinear(ks []morton.Key) bool {
+	for i := 0; i+1 < len(ks); i++ {
+		if ks[i].Contains(ks[i+1]) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestPoints2OctreeCompleteLinear(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 7} {
 		chunks := runDistributed(t, geom.Ellipsoid, 2000, p, 25)
 		keys := gatherKeys(chunks)
-		if !morton.KeysAreSorted(keys) {
+		if !keysAreSorted(keys) {
 			t.Fatalf("p=%d: global leaf order not sorted", p)
 		}
-		if !morton.IsLinear(keys) {
+		if !isLinear(keys) {
 			t.Fatalf("p=%d: leaves overlap", p)
 		}
 		if !morton.IsComplete(keys) {
@@ -173,7 +190,7 @@ func TestRepartitionByWeightBalances(t *testing.T) {
 	if len(afterKeys) != len(beforeKeys) {
 		t.Fatalf("leaf count changed: %d vs %d", len(afterKeys), len(beforeKeys))
 	}
-	if !morton.KeysAreSorted(afterKeys) {
+	if !keysAreSorted(afterKeys) {
 		t.Fatalf("repartition broke global order")
 	}
 	var mx, mn int64 = 0, 1 << 62

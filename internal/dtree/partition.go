@@ -5,8 +5,8 @@
 // domain decomposition Ω_k, and the local-essential-tree construction of
 // Algorithm 2 with its contributor/user octant exchange.//
 // The whole package is in deterministic scope: for a fixed input and plan
-// its outputs must be bit-identical across runs and machines (fmmvet:
-// mapiter, nodeterm).
+// its outputs must be bit-identical across runs and machines (machines:
+// fmmvet's nodeterm; runs: make probe-check, which evaluates twice).
 //
 //fmm:deterministic
 package dtree

@@ -12,6 +12,7 @@ import (
 	"kifmm/internal/kifmm"
 	"kifmm/internal/mpi"
 	"kifmm/internal/octree"
+	"kifmm/internal/parfmm"
 	"kifmm/internal/reduce"
 )
 
@@ -146,10 +147,21 @@ func Ablations(o Options) *AblationResult {
 	n := o.PerRank * p
 	res := &AblationResult{P: p}
 
+	// Reduction ablation: the same set-up, then one evaluation with each
+	// scheme as the shared octants' reducer.
+	cfg := baseConfig(o, kernel.Laplace{})
 	for _, owner := range []bool{false, true} {
-		cfg := baseConfig(o, kernel.Laplace{})
-		cfg.UseOwnerReduce = owner
-		results := runDistributed(geom.Uniform, n, p, cfg, o.Seed)
+		reduceShared := reduce.Hypercube
+		if owner {
+			reduceShared = reduce.Owner
+		}
+		results := make([]*parfmm.Result, p)
+		mpi.Run(p, func(c *mpi.Comm) {
+			pts := geom.GenerateChunk(geom.Uniform, n, o.Seed, c.Rank(), p)
+			eng, rank := parfmm.Setup(c, pts, ones(len(pts)), cfg)
+			parfmm.EvaluateRank(c, eng, rank.Tree, reduceShared)
+			results[c.Rank()] = rank
+		})
 		_, avg := maxAvg(results, diag.PhaseTotalEval)
 		if owner {
 			res.OwnerEval = avg

@@ -14,7 +14,7 @@ import (
 // consumer) and a few dozen scheduler and free-list structures (measured:
 // 397 + 32), so any per-group or per-interaction allocation in a body fails.
 // Building it allocates each task's closure and successor list (measured:
-// 8965 for 2405 tasks, with Go 1.24's append growth); both budgets leave less
+// 8966 for 2405 tasks, with Go 1.24's append growth); both budgets leave less
 // headroom than one allocation per sibling group (347 here).
 func TestVListAllocBudget(t *testing.T) {
 	if testing.Short() {

@@ -43,7 +43,6 @@ func (c *cowCache[K, V]) insert(k K, v V) V {
 	next := make(map[K]V, 1)
 	if old != nil {
 		next = make(map[K]V, len(*old)+1)
-		//fmm:allow mapiter map copy; insertion order does not affect the resulting map
 		for kk, vv := range *old {
 			next[kk] = vv
 		}

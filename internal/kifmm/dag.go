@@ -204,7 +204,11 @@ func (e *Engine) buildVFFT(g *sched.Graph, levels [][]int32, uTask, vTask []sche
 	f := e.Ops.FFT()
 	nn := len(t.Nodes)
 	spec := make([][]float64, nn)
-	refs := make([]int32, nn)
+	// uses[a] counts source a's consumers while the graph is built and refs
+	// carries the count into the run, where consumers decrement it: counting
+	// in refs directly would cost a locked add per V entry on every Apply.
+	uses := make([]int32, nn)
+	refs := make([]atomic.Int32, nn)
 	specTask := noTasks(nn)
 	var (
 		mu   sync.Mutex
@@ -244,7 +248,7 @@ func (e *Engine) buildVFFT(g *sched.Graph, levels [][]int32, uTask, vTask []sche
 				if !e.srcNode(a) {
 					continue
 				}
-				refs[a]++
+				uses[a]++
 				if specTask[a] != sched.NoTask {
 					continue
 				}
@@ -283,7 +287,7 @@ func (e *Engine) buildVFFT(g *sched.Graph, levels [][]int32, uTask, vTask []sche
 			// after every other consumer's reads.
 			for _, i := range grp {
 				for _, a := range t.Nodes[i].V {
-					if e.srcNode(a) && atomic.AddInt32(&refs[a], -1) == 0 {
+					if e.srcNode(a) && refs[a].Add(-1) == 0 {
 						mu.Lock()
 						free = append(free, spec[a])
 						mu.Unlock()
@@ -309,6 +313,11 @@ func (e *Engine) buildVFFT(g *sched.Graph, levels [][]int32, uTask, vTask []sche
 					g.Dep(specTask[a], task)
 				}
 			}
+		}
+	}
+	for a, n := range uses {
+		if n > 0 {
+			refs[a].Store(n)
 		}
 	}
 }

@@ -11,8 +11,8 @@
 // exactly the decomposition the paper's Section II-A describes.
 //
 // The whole package is in deterministic scope: for a fixed input and plan
-// its outputs must be bit-identical across runs and machines (fmmvet:
-// mapiter, nodeterm).
+// its outputs must be bit-identical across runs and machines (machines:
+// fmmvet's nodeterm; runs: make probe-check, which evaluates twice).
 //
 //fmm:deterministic
 package kifmm

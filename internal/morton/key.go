@@ -13,8 +13,8 @@
 // of their anchors (x most significant within each bit triple).
 //
 // The whole package is in deterministic scope: for a fixed input and plan
-// its outputs must be bit-identical across runs and machines (fmmvet:
-// mapiter, nodeterm).
+// its outputs must be bit-identical across runs and machines (machines:
+// fmmvet's nodeterm; runs: make probe-check, which evaluates twice).
 //
 //fmm:deterministic
 package morton

@@ -2,9 +2,26 @@ package morton
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// keysAreSorted reports whether keys are in nondecreasing Morton preorder.
+func keysAreSorted(ks []Key) bool {
+	return slices.IsSortedFunc(ks, Compare)
+}
+
+// isLinear reports whether the sorted keys are pairwise non-overlapping (no
+// key is an ancestor of another).
+func isLinear(ks []Key) bool {
+	for i := 0; i+1 < len(ks); i++ {
+		if ks[i].Contains(ks[i+1]) {
+			return false
+		}
+	}
+	return true
+}
 
 func TestSortDedupHelpers(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -14,7 +31,7 @@ func TestSortDedupHelpers(t *testing.T) {
 		ks = append(ks, k, k) // deliberate duplicates
 	}
 	SortKeys(ks)
-	if !KeysAreSorted(ks) {
+	if !keysAreSorted(ks) {
 		t.Fatalf("not sorted after SortKeys")
 	}
 	dd := Dedup(ks)
@@ -63,7 +80,7 @@ func TestCoveringRegionTilesInterval(t *testing.T) {
 		if len(cov) == 0 {
 			t.Fatalf("empty covering")
 		}
-		if !KeysAreSorted(cov) || !IsLinear(cov) {
+		if !keysAreSorted(cov) || !isLinear(cov) {
 			t.Fatalf("covering not sorted/linear")
 		}
 		// Starts exactly at a, ends exactly at b.

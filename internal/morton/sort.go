@@ -12,11 +12,6 @@ func SortKeys(ks []Key) {
 	slices.SortFunc(ks, Compare)
 }
 
-// KeysAreSorted reports whether keys are in nondecreasing Morton preorder.
-func KeysAreSorted(ks []Key) bool {
-	return slices.IsSortedFunc(ks, Compare)
-}
-
 // Dedup removes duplicate keys from a sorted slice in place and returns the
 // shortened slice.
 func Dedup(ks []Key) []Key {
@@ -31,17 +26,6 @@ func Dedup(ks []Key) []Key {
 		}
 	}
 	return ks[:w]
-}
-
-// IsLinear reports whether the sorted keys are pairwise non-overlapping
-// (no key is an ancestor of another).
-func IsLinear(ks []Key) bool {
-	for i := 0; i+1 < len(ks); i++ {
-		if ks[i].Contains(ks[i+1]) {
-			return false
-		}
-	}
-	return true
 }
 
 // IsComplete reports whether a sorted, linear key slice exactly covers the

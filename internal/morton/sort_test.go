@@ -23,7 +23,7 @@ func TestSortKeysAllocs(t *testing.T) {
 	if a != 0 {
 		t.Errorf("SortKeys: %.0f allocations per run, want 0", a)
 	}
-	if !KeysAreSorted(buf) {
+	if !keysAreSorted(buf) {
 		t.Fatal("SortKeys left keys unsorted")
 	}
 }

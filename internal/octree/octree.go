@@ -5,8 +5,8 @@
 // U/V/W/X interaction lists of Table I of the paper.
 //
 // The whole package is in deterministic scope: for a fixed input and plan
-// its outputs must be bit-identical across runs and machines (fmmvet:
-// mapiter, nodeterm).
+// its outputs must be bit-identical across runs and machines (machines:
+// fmmvet's nodeterm; runs: make probe-check, which evaluates twice).
 //
 //fmm:deterministic
 package octree

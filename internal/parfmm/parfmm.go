@@ -49,9 +49,6 @@ type Config struct {
 	MaxDepth int
 	// LoadBalance enables the work-weighted repartition of Section III-B.
 	LoadBalance bool
-	// UseOwnerReduce switches the upward-density reduction to the
-	// owner-based baseline (the scheme the paper retired) for ablations.
-	UseOwnerReduce bool
 	// Spec configures the rank's engine. Spec.Ops, when non-nil, supplies
 	// precomputed translation operators (typically shared across ranks —
 	// Operators are immutable and safe for concurrent use); when nil they
@@ -181,16 +178,12 @@ func Exchange(c *mpi.Comm, eng *kifmm.Engine, dt *dtree.DistTree, reduceShared r
 // Evaluate runs the full distributed FMM: pts/densities are this rank's
 // share of the input (any distribution); the result holds the potentials at
 // the points this rank owns after setup. Collective. The communicator size
-// must be a power of two unless UseOwnerReduce is set.
+// must be a power of two (Algorithm 3's hypercube).
 func Evaluate(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) *Result {
 	eng, res := Setup(c, pts, densities, cfg)
 	prof := res.Prof
 
-	reduceShared := reduce.Hypercube
-	if cfg.UseOwnerReduce {
-		reduceShared = reduce.Owner
-	}
-	st, traffic, comm := EvaluateRank(c, eng, res.Tree, reduceShared)
+	st, traffic, comm := EvaluateRank(c, eng, res.Tree, reduce.Hypercube)
 	res.ReduceStats = st
 	res.EvalCommBytes, res.EvalCommMsgs = traffic.Bytes, traffic.Messages
 	prof.AddTime(diag.PhaseComm, comm)

@@ -10,6 +10,7 @@ import (
 	"kifmm/internal/kernel"
 	"kifmm/internal/kifmm"
 	"kifmm/internal/mpi"
+	"kifmm/internal/reduce"
 )
 
 // pointKey identifies a point exactly (coordinates survive the wire
@@ -20,6 +21,13 @@ type pointKey struct{ x, y, z float64 }
 // returns potentials keyed by point, plus the per-rank results.
 func runCase(t *testing.T, cfg Config, dist geom.Distribution, n, p int, seed int64) (map[pointKey][]float64, []*Result) {
 	t.Helper()
+	return runCaseWith(t, cfg, dist, n, p, seed, Evaluate)
+}
+
+// runCaseWith is runCase with the per-rank evaluation supplied.
+func runCaseWith(t *testing.T, cfg Config, dist geom.Distribution, n, p int, seed int64,
+	evaluate func(*mpi.Comm, []geom.Point, []float64, Config) *Result) (map[pointKey][]float64, []*Result) {
+	t.Helper()
 	td := cfg.Kern.TrgDim()
 	if td == 0 {
 		td = 1
@@ -28,7 +36,7 @@ func runCase(t *testing.T, cfg Config, dist geom.Distribution, n, p int, seed in
 	mpi.Run(p, func(c *mpi.Comm) {
 		pts := geom.GenerateChunk(dist, n, seed, c.Rank(), p)
 		den := chunkDensities(cfg, dist, n, seed, c.Rank(), p)
-		results[c.Rank()] = Evaluate(c, pts, den, cfg)
+		results[c.Rank()] = evaluate(c, pts, den, cfg)
 	})
 	got := make(map[pointKey][]float64, n)
 	for _, res := range results {
@@ -152,9 +160,14 @@ func TestDistributedWithFFTM2L(t *testing.T) {
 }
 
 func TestDistributedOwnerReduceAblation(t *testing.T) {
-	cfg := Config{Kern: kernel.Laplace{}, Q: 25, SurfOrder: 6, UseOwnerReduce: true, Spec: kifmm.EngineSpec{Workers: 2, DenseM2L: true}}
+	cfg := Config{Kern: kernel.Laplace{}, Q: 25, SurfOrder: 6, Spec: kifmm.EngineSpec{Workers: 2, DenseM2L: true}}
 	want := globalDirect(cfg, geom.Uniform, 800, 13)
-	got, _ := runCase(t, cfg, geom.Uniform, 800, 4, 13)
+	got, _ := runCaseWith(t, cfg, geom.Uniform, 800, 4, 13, func(c *mpi.Comm, pts []geom.Point, den []float64, cfg Config) *Result {
+		eng, res := Setup(c, pts, den, cfg)
+		EvaluateRank(c, eng, res.Tree, reduce.Owner)
+		collectOwned(eng, res)
+		return res
+	})
 	compareToDirect(t, "owner-reduce", got, want, 2e-5)
 }
 

@@ -6,8 +6,8 @@
 // failed at 64K ranks because near-root octants have up to p users).
 //
 // The whole package is in deterministic scope: for a fixed input and plan
-// its outputs must be bit-identical across runs and machines (fmmvet:
-// mapiter, nodeterm).
+// its outputs must be bit-identical across runs and machines (machines:
+// fmmvet's nodeterm; runs: make probe-check, which evaluates twice).
 //
 //fmm:deterministic
 package reduce
@@ -154,7 +154,7 @@ func Hypercube(c *mpi.Comm, part *dtree.Partition, items []Item, vecLen int) ([]
 		// Drop octants no longer relevant to my remaining subcube.
 		qs := r &^ ((1 << i) - 1)
 		qe := r | ((1 << i) - 1)
-		for key := range set { //fmm:allow mapiter independent deletions, no order-dependent effect
+		for key := range set {
 			if !rv.relevant(key, qs, qe) {
 				delete(set, key)
 			}

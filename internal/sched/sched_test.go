@@ -251,10 +251,10 @@ func TestStealsHappen(t *testing.T) {
 	}
 }
 
-// TestWorkerIndexExclusive is the contract test fmmvet's locksafe analyzer
-// documentation points at: a task's worker index is in [0, workers) and held
-// by at most one goroutine at a time, so per-worker state indexed by it (the
-// engine's evaluation scratch, its flop counters) needs no synchronization.
+// TestWorkerIndexExclusive is the scheduler's lock-free scratch contract: a
+// task's worker index is in [0, workers) and held by at most one goroutine
+// at a time, so per-worker state indexed by it (the engine's evaluation
+// scratch, its flop counters) needs no synchronization.
 // The bodies increment plain (non-atomic) per-worker counters — under -race
 // (make sched-stress runs this package -race -count=5) any violation of the
 // exclusivity contract is a reported data race, not a flaky count.

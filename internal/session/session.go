@@ -22,13 +22,14 @@
 //     precompute.
 //
 // When a step's churn defeats locality — the changed-point fraction exceeds
-// Config.ReplanFraction, or dead tombstones have accumulated — the session
+// defaultReplanFraction, or dead tombstones have accumulated — the session
 // transparently falls back to a full re-plan (fresh compact tree and lists),
 // still reusing the cached operators and spectra.
 //
 // Determinism: for a fixed session history the evaluated potentials are
 // reproducible run to run — tree edits, list patching, and the repack are
-// all index-ordered (fmmvet: mapiter, nodeterm).
+// all index-ordered (fmmvet's nodeterm; make probe-check replays forced
+// split and merge rounds twice).
 //
 //fmm:deterministic
 package session
@@ -55,15 +56,24 @@ type Config struct {
 	Q int
 	// MaxDepth caps octree refinement (default 24).
 	MaxDepth int
-	// ReplanFraction is the changed-point fraction (migrants + adds +
-	// removes over live points) above which a step falls back to a full
-	// re-plan instead of incremental patching. Default 0.25.
-	ReplanFraction float64
-	// MaxPatchSites caps the number of structural-edit sites a step patches
-	// locally; beyond it the step rebuilds every interaction list (still
-	// without rebuilding the tree). Default 128.
-	MaxPatchSites int
+
+	// replanFraction and maxPatchSites, reachable from in-package tests
+	// only, override defaultReplanFraction and defaultMaxPatchSites to force
+	// the incremental path or a fallback.
+	replanFraction float64
+	maxPatchSites  int
 }
+
+const (
+	// defaultReplanFraction is the changed-point fraction (migrants + adds +
+	// removes over live points) above which a step falls back to a full
+	// re-plan instead of incremental patching.
+	defaultReplanFraction = 0.25
+	// defaultMaxPatchSites caps the number of structural-edit sites a step
+	// patches locally; beyond it the step rebuilds every interaction list
+	// (still without rebuilding the tree).
+	defaultMaxPatchSites = 128
+)
 
 func (c Config) withDefaults() Config {
 	if c.Q == 0 {
@@ -72,11 +82,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxDepth == 0 {
 		c.MaxDepth = 24
 	}
-	if c.ReplanFraction == 0 {
-		c.ReplanFraction = 0.25
+	if c.replanFraction == 0 {
+		c.replanFraction = defaultReplanFraction
 	}
-	if c.MaxPatchSites == 0 {
-		c.MaxPatchSites = 128
+	if c.maxPatchSites == 0 {
+		c.maxPatchSites = defaultMaxPatchSites
 	}
 	return c
 }
@@ -109,8 +119,9 @@ type Info struct {
 	// PatchedNodes counts nodes whose interaction lists were rebuilt
 	// (0 when the step had no structural edits).
 	PatchedNodes int
-	// FullListRebuild marks a step whose structural churn exceeded
-	// MaxPatchSites, rebuilding every list on the existing tree.
+	// FullListRebuild marks a step whose structural churn exceeded the patch
+	// budget (defaultMaxPatchSites), rebuilding every list on the existing
+	// tree.
 	FullListRebuild bool
 	// Replanned marks a transparent full re-plan (fresh tree and lists).
 	Replanned bool
@@ -339,7 +350,7 @@ func (s *Session) Step(d Delta) (Info, error) {
 
 	changed := migrants + len(d.Add) + len(d.Remove)
 	deadBloat := 3*s.tree.NumDead() > len(s.tree.Nodes)
-	if float64(changed) > s.cfg.ReplanFraction*float64(s.live) || deadBloat {
+	if float64(changed) > s.cfg.replanFraction*float64(s.live) || deadBloat {
 		s.buildTree()
 		s.syncEval()
 		info.Replanned = true
@@ -539,8 +550,8 @@ func (s *Session) patchStep(info *Info) {
 		return
 	}
 	sites := dedupKeys(s.sites)
-	if len(sites) > s.cfg.MaxPatchSites {
-		s.tree.BuildLists(nil) //fmm:coldcall full-rebuild fallback; taken only when the dirty set exceeds MaxPatchSites
+	if len(sites) > s.cfg.maxPatchSites {
+		s.tree.BuildLists(nil) //fmm:coldcall full-rebuild fallback; taken only when the dirty set exceeds the patch budget
 		info.FullListRebuild = true
 		return
 	}

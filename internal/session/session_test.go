@@ -110,7 +110,7 @@ func TestStepMatchesFreshPlan(t *testing.T) {
 					// Keep the heavy steps on the incremental path so the
 					// split/merge machinery (not the replan fallback, which
 					// TestReplanFallback covers) is what gets verified.
-					ReplanFraction: 0.9,
+					replanFraction: 0.9,
 				}
 				pts := geom.Generate(dc.d, kc.n, 7)
 				s, err := New(pts, cfg)
@@ -212,7 +212,7 @@ func TestReplanFallback(t *testing.T) {
 	}
 }
 
-// TestFullListRebuildFallback drives a session with MaxPatchSites 1 so any
+// TestFullListRebuildFallback drives a session with maxPatchSites 1 so any
 // multi-site step exceeds the patch budget, exercising the whole-list
 // rebuild path on the edited tree.
 func TestFullListRebuildFallback(t *testing.T) {
@@ -221,7 +221,7 @@ func TestFullListRebuildFallback(t *testing.T) {
 		Spec:          ikifmm.EngineSpec{Ops: ikifmm.NewOperators(kernel.ByName("laplace"), 4, 1e-9)},
 		Q:             10,
 		MaxDepth:      12,
-		MaxPatchSites: 1,
+		maxPatchSites: 1,
 	}
 	pts := geom.Generate(geom.Uniform, 500, 13)
 	s, err := New(pts, cfg)
@@ -345,7 +345,7 @@ func TestRemoveAllButOne(t *testing.T) {
 		Q:        10,
 		MaxDepth: 12,
 		// Keep removals on the incremental path to stress merges.
-		ReplanFraction: 0.9,
+		replanFraction: 0.9,
 	}
 	s, err := New(geom.Generate(geom.Uniform, 300, 23), cfg)
 	if err != nil {

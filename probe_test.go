@@ -20,7 +20,12 @@ import (
 //
 //	KIFMM_PROBE=probe.txt go test -run TestProbe -timeout 30m .   (make probe)
 //
-// Gated behind an env var: it is a fingerprint to diff, not a check.
+// Gated behind an env var: it is a fingerprint to diff, and a check of one
+// thing — every configuration is evaluated twice in the process, and the two
+// must hash alike. Go re-randomises map iteration order on every range, so a
+// map-ordered effect anywhere on a configuration's path fails the probe. The
+// session history ends with a round that must split leaves and one that must
+// merge them, so the structural edits are on that path too.
 //
 // Hashes cannot tell a 1e-10 reassociation from garbage, so a PR that changes
 // an accumulation order on purpose also measures: KIFMM_PROBE_DUMP=<file>
@@ -44,35 +49,58 @@ func TestProbe(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	record := func(name string, pot []float64, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		raw := make([]byte, 8*len(pot))
+	hash := func(pot []float64) (raw []byte, sum [sha256.Size]byte) {
+		raw = make([]byte, 8*len(pot))
 		for i, v := range pot {
 			binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
 		}
-		lines = append(lines, fmt.Sprintf("%s %x", name, sha256.Sum256(raw)))
-		if dumpPath != "" {
-			dump = append(dump, raw...)
+		return raw, sha256.Sum256(raw)
+	}
+	// record evaluates one configuration twice and writes one line per
+	// output under names (a session history has one output per round).
+	record := func(eval func() ([][]float64, error), names ...string) {
+		t.Helper()
+		first, err := eval()
+		if err != nil {
+			t.Fatalf("%s: %v", names[0], err)
 		}
-		if against != nil {
-			if len(against) < len(raw) {
-				t.Fatalf("%s: KIFMM_PROBE_AGAINST dump ends %d bytes short", name, len(raw)-len(against))
+		again, err := eval()
+		if err != nil {
+			t.Fatalf("%s (second evaluation): %v", names[0], err)
+		}
+		for k, name := range names {
+			pot := first[k]
+			raw, sum := hash(pot)
+			if _, sum2 := hash(again[k]); sum2 != sum {
+				t.Errorf("%s: two evaluations in one process differ", name)
 			}
-			var num, den, worst float64
-			for i, v := range pot {
-				ref := math.Float64frombits(binary.LittleEndian.Uint64(against[8*i:]))
-				d := math.Abs(v - ref)
-				num += d * d
-				den += ref * ref
-				if d != 0 {
-					worst = max(worst, d/max(math.Abs(v), math.Abs(ref)))
+			lines = append(lines, fmt.Sprintf("%s %x", name, sum))
+			if dumpPath != "" {
+				dump = append(dump, raw...)
+			}
+			if against != nil {
+				if len(against) < len(raw) {
+					t.Fatalf("%s: KIFMM_PROBE_AGAINST dump ends %d bytes short", name, len(raw)-len(against))
 				}
+				var num, den, worst float64
+				for i, v := range pot {
+					ref := math.Float64frombits(binary.LittleEndian.Uint64(against[8*i:]))
+					d := math.Abs(v - ref)
+					num += d * d
+					den += ref * ref
+					if d != 0 {
+						worst = max(worst, d/max(math.Abs(v), math.Abs(ref)))
+					}
+				}
+				against = against[len(raw):]
+				t.Logf("against %s rel_l2=%.3e max_rel_elem=%.3e", name, math.Sqrt(num/den), worst)
 			}
-			against = against[len(raw):]
-			t.Logf("against %s rel_l2=%.3e max_rel_elem=%.3e", name, math.Sqrt(num/den), worst)
+		}
+	}
+	one := func(eval func() ([]float64, error)) func() ([][]float64, error) {
+		return func() ([][]float64, error) {
+			pot, err := eval()
+			return [][]float64{pot}, err
 		}
 	}
 	planApply := func(opt Options, pts []Point, den []float64) ([]float64, error) {
@@ -100,8 +128,8 @@ func TestProbe(t *testing.T) {
 			for _, dense := range []bool{false, true} {
 				opt := base
 				opt.Workers, opt.denseM2L = workers, dense
-				pot, err := planApply(opt, pts, den)
-				record(fmt.Sprintf("%s/apply/workers%d/dense=%v", kern, workers, dense), pot, err)
+				record(one(func() ([]float64, error) { return planApply(opt, pts, den) }),
+					fmt.Sprintf("%s/apply/workers%d/dense=%v", kern, workers, dense))
 			}
 		}
 		for _, sh := range []struct {
@@ -110,47 +138,83 @@ func TestProbe(t *testing.T) {
 		}{{2, "hypercube"}, {4, "hypercube"}, {3, "simple"}} {
 			opt := base
 			opt.Shards, opt.ShardComm = sh.ranks, sh.comm
-			pot, err := planApply(opt, pts, den)
-			record(fmt.Sprintf("%s/shards%d/%s", kern, sh.ranks, sh.comm), pot, err)
+			record(one(func() ([]float64, error) { return planApply(opt, pts, den) }),
+				fmt.Sprintf("%s/shards%d/%s", kern, sh.ranks, sh.comm))
 		}
-		p, err := f.PlanAt(trgs, pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pot, err := p.Apply(den)
-		record(fmt.Sprintf("%s/targets", kern), pot, err)
-		pot, err = f.EvaluateAt(trgs, pts, den)
-		record(fmt.Sprintf("%s/evaluateat", kern), pot, err)
+		record(one(func() ([]float64, error) {
+			p, err := f.PlanAt(trgs, pts)
+			if err != nil {
+				return nil, err
+			}
+			return p.Apply(den)
+		}), fmt.Sprintf("%s/targets", kern))
+		record(one(func() ([]float64, error) { return f.EvaluateAt(trgs, pts, den) }),
+			fmt.Sprintf("%s/evaluateat", kern))
 
-		s, err := f.NewSession(pts)
-		if err != nil {
-			t.Fatal(err)
+		session := func() ([][]float64, error) {
+			s, err := f.NewSession(pts)
+			if err != nil {
+				return nil, err
+			}
+			rng := rand.New(rand.NewSource(27))
+			var pots [][]float64
+			// step applies d and records the potentials for fresh densities.
+			step := func(d Delta) (StepInfo, error) {
+				info, err := s.Step(d)
+				if err != nil {
+					return info, err
+				}
+				sden := make([]float64, s.NumPoints()*f.DensityDim())
+				for i := range sden {
+					sden[i] = rng.NormFloat64()
+				}
+				pot, err := s.Apply(sden)
+				pots = append(pots, pot)
+				return info, err
+			}
+			for round := 0; round < 3; round++ {
+				var d Delta
+				ids := s.IDs()
+				for _, id := range ids[:len(ids)/20] {
+					d.Move = append(d.Move, PointMove{ID: id, To: Point{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}})
+				}
+				for i := 0; i < 20; i++ {
+					d.Add = append(d.Add, Point{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()})
+				}
+				d.Remove = ids[len(ids)-10:]
+				if _, err := step(d); err != nil {
+					return nil, err
+				}
+			}
+			// Four leaves' worth of points in one small cube must split
+			// leaves on the incremental path, and removing them must merge.
+			var cluster Delta
+			for i := 0; i < 200; i++ {
+				cluster.Add = append(cluster.Add, Point{X: 0.3 + 0.01*rng.Float64(), Y: 0.3 + 0.01*rng.Float64(), Z: 0.3 + 0.01*rng.Float64()})
+			}
+			info, err := step(cluster)
+			if err != nil {
+				return nil, err
+			}
+			if info.Splits == 0 || info.Replanned {
+				t.Fatalf("%s/session/split: %+v, want splits on the incremental path", kern, info)
+			}
+			if info, err = step(Delta{Remove: info.AddedIDs}); err != nil {
+				return nil, err
+			}
+			if info.Merges == 0 || info.Replanned {
+				t.Fatalf("%s/session/merge: %+v, want merges on the incremental path", kern, info)
+			}
+			return pots, nil
 		}
-		rng := rand.New(rand.NewSource(27))
-		for round := 0; round < 3; round++ {
-			var d Delta
-			ids := s.IDs()
-			for _, id := range ids[:len(ids)/20] {
-				d.Move = append(d.Move, PointMove{ID: id, To: Point{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}})
-			}
-			for i := 0; i < 20; i++ {
-				d.Add = append(d.Add, Point{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()})
-			}
-			d.Remove = ids[len(ids)-10:]
-			if _, err := s.Step(d); err != nil {
-				t.Fatal(err)
-			}
-			sden := make([]float64, s.NumPoints()*f.DensityDim())
-			for i := range sden {
-				sden[i] = rng.NormFloat64()
-			}
-			pot, err := s.Apply(sden)
-			record(fmt.Sprintf("%s/session/round%d", kern, round), pot, err)
-		}
+		record(session,
+			fmt.Sprintf("%s/session/round0", kern), fmt.Sprintf("%s/session/round1", kern),
+			fmt.Sprintf("%s/session/round2", kern), fmt.Sprintf("%s/session/split", kern),
+			fmt.Sprintf("%s/session/merge", kern))
 
 		for run := 0; run < 2; run++ {
-			pot, err := f.EvaluateDistributed(4, pts, den)
-			record(fmt.Sprintf("%s/distributed4/run%d", kern, run), pot, err)
+			record(one(func() ([]float64, error) { return f.EvaluateDistributed(4, pts, den) }),
+				fmt.Sprintf("%s/distributed4/run%d", kern, run))
 		}
 	}
 

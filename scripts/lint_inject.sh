@@ -3,10 +3,10 @@
 #
 # A static-analysis gate fails silently: a stale escape baseline, an
 # over-broad //fmm:allow, or a propagation bug makes `make lint` pass while
-# the invariant it guards has rotted. This script proves the gate still
-# bites by copying the tree to a scratch directory, planting five known-bad
-# changes, and asserting that each one FAILS `go run ./cmd/fmmvet ./...`
-# with the expected diagnostic:
+# the invariant it guards has rotted. This script proves every analyzer of
+# the suite still bites by copying the tree to a scratch directory, planting
+# eight known-bad changes, and asserting that each one FAILS
+# `go run ./cmd/fmmvet ./...` with the expected diagnostic:
 #
 #   1. a cross-package hot-path allocation (hotalloc, with the propagation
 #      chain naming both sides of the package boundary)
@@ -16,6 +16,12 @@
 #   4. a per-group allocation in the V-list body vliFFTGroup (hotalloc)
 #   5. an escape through the arguments of the Hadamard assembly stub once
 #      its //go:noescape is dropped (escape)
+#   6. a runtime.GOMAXPROCS branch in a //fmm:deterministic function
+#      (nodeterm)
+#   7. a per-octant diag.Profile.AddFlops in the S2U body s2uLeaf
+#      (diagbatch)
+#   8. a dropped Lock ahead of the deferred Unlock in cowCache.insert
+#      (lockorder's unlock check)
 #
 # Run from the module root: ./scripts/lint_inject.sh  (or `make lint-inject`).
 set -u
@@ -194,5 +200,50 @@ sed -i '/^\/\/go:noescape$/d' "$F"
 run_fmmvet
 expect_failure "escape through the assembly stub" "new heap escape in hot-path function"
 expect_failure "escape through the assembly stub names the caller" "injectStackPanels"
+
+# --- 6. machine-shape dependence in deterministic code ----------------------
+# A result that changes with the core count: every test on a 2-core runner
+# sees one branch only, so the static check is the only gate.
+fresh_copy
+cat > "$SCRATCH/repo/internal/sched/zz_inject.go" <<'EOF'
+package sched
+
+import "runtime"
+
+// injectShape is planted by scripts/lint_inject.sh.
+//
+//fmm:deterministic
+func injectShape(x float64) float64 {
+	if runtime.GOMAXPROCS(0) > 8 {
+		return 2 * x
+	}
+	return x
+}
+EOF
+run_fmmvet
+expect_failure "GOMAXPROCS branch in deterministic scope" "runtime.GOMAXPROCS in deterministic scope"
+
+# --- 7. per-octant profile call in a hot body -------------------------------
+# The S2U body counts flops in per-worker scratch, flushed once per phase; a
+# per-octant AddFlops takes the profile lock once per leaf instead.
+fresh_copy
+F="$SCRATCH/repo/internal/kifmm/engine.go"
+ANCHOR='	m, scale := e.Ops.S2UOp(n.Key.Level())'
+grep -qxF "$ANCHOR" "$F" ||
+    fail "s2uLeaf no longer looks up its operator with e.Ops.S2UOp; update injection 7"
+sed -i "/^${ANCHOR}\$/a\\	e.Prof.AddFlops(diag.PhaseUpward, 2*int64(m.Rows*m.Cols))" "$F"
+run_fmmvet
+expect_failure "per-octant AddFlops in s2uLeaf" "per-item diag.Profile.AddFlops in hot path"
+expect_failure "per-octant AddFlops lands in the S2U body" "internal/kifmm/engine.go"
+
+# --- 8. unlock with no preceding lock ---------------------------------------
+# Drop the Lock that the deferred Unlock in cowCache.insert pairs with.
+fresh_copy
+F="$SCRATCH/repo/internal/kifmm/cowcache.go"
+grep -qxF '	c.mu.Lock()' "$F" ||
+    fail "cowCache.insert no longer locks c.mu on its own line; update injection 8"
+sed -i '/^\tc\.mu\.Lock()$/d' "$F"
+run_fmmvet
+expect_failure "unlock without lock" "Unlock of kifmm/internal/kifmm.cowCache.mu with no preceding Lock"
 
 echo "lint-inject: PASS: all planted regressions rejected"
