@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race portable fuzz bench bench-nearfield bench-smoke bench-check sched-stress shard-stress session-stress lint lint-baseline lint-inject loc probe probe-check ci
+.PHONY: build vet test race portable fuzz bench bench-nearfield bench-setup bench-smoke bench-check sched-stress shard-stress session-stress lint lint-baseline lint-inject loc probe probe-check ci
 
 build:
 	$(GO) build ./...
@@ -33,13 +33,15 @@ portable:
 # arbitrary request bodies on /v1/evaluate and /v1/session/{id}/step answer
 # anything but a panic or a 5xx; the Morton key algebra (FromPoint and its
 # clamp, ancestors, child/parent, ChildContaining, colleague blocks, the wire
-# record) on arbitrary points.
+# record) on arbitrary points; the fused Jacobi SVD ≡ the reference loop, bit
+# for bit, on small matrices.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEvalPanel -fuzztime=10s ./internal/kernel
 	$(GO) test -run='^$$' -fuzz=FuzzHadamardPanels -fuzztime=10s ./internal/kifmm
 	$(GO) test -run='^$$' -fuzz=FuzzSolverOptionsJSON -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzRequestBodies -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzMortonKey -fuzztime=10s ./internal/morton
+	$(GO) test -run='^$$' -fuzz=FuzzComputeSVD -fuzztime=10s ./internal/linalg
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -52,6 +54,14 @@ bench:
 bench-nearfield:
 	$(GO) test ./internal/kernel/ -run='^$$' -bench=BenchmarkNearFieldPanel
 	$(GO) test ./internal/kifmm/ -run='^$$' -bench=BenchmarkNearField -benchmem
+
+# Set-up micro-benchmarks: the fused Jacobi SVD of the largest surface
+# matrices the workloads invert (BenchmarkComputeSVD, n = 152 and 294), then
+# one operator build per kernel at NewOperators' fan-out
+# (BenchmarkNewOperators: laplace/6, stokes/5, one yukawa/6 level).
+bench-setup:
+	$(GO) test ./internal/linalg/ -run='^$$' -bench=BenchmarkComputeSVD
+	$(GO) test ./internal/kifmm/ -run='^$$' -bench=BenchmarkNewOperators
 
 # Compile-and-run every benchmark exactly once: catches bitrot in benchmark
 # code without paying for real measurement (the -run pattern matches no

@@ -136,8 +136,10 @@ type FMM struct {
 	backend shard.CommBackend
 }
 
-// New creates a solver. The translation operators are precomputed once and
-// shared by all subsequent evaluations.
+// New creates a solver. Its translation operators come from a process-wide
+// cache (see OperatorCache): the first solver of a (kernel, order,
+// tolerance) builds them, on up to Options.Workers goroutines, and every
+// later one, and every evaluation of any of them, shares that set.
 func New(opt Options) (*FMM, error) {
 	if opt.PointsPerBox == 0 {
 		opt.PointsPerBox = 50
@@ -178,7 +180,7 @@ func New(opt Options) (*FMM, error) {
 			backend.Name(), opt.Shards)
 	}
 	spec := ikifmm.EngineSpec{
-		Ops:      ikifmm.NewOperators(k, opt.Order, opt.Tolerance),
+		Ops:      ikifmm.SharedOperators.Get(k, opt.Order, opt.Tolerance, opt.Workers),
 		Workers:  opt.Workers,
 		DenseM2L: opt.denseM2L,
 	}

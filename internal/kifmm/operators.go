@@ -8,6 +8,9 @@ import (
 	"kifmm/internal/geom"
 	"kifmm/internal/kernel"
 	"kifmm/internal/linalg"
+	"kifmm/internal/morton"
+	"kifmm/internal/octree"
+	"kifmm/internal/sched"
 )
 
 // Operators holds the precomputed translation matrices of the KIFMM for one
@@ -48,6 +51,9 @@ type Operators struct {
 	m2l      cowCache[uint64, *linalg.Mat]
 	perLevel cowCache[int, *levelOps]
 
+	// buildMu serializes per-level table builds (levelForSlow).
+	buildMu sync.Mutex
+
 	fftOnce sync.Once
 	fft     *FFTM2L
 
@@ -62,8 +68,20 @@ type levelOps struct {
 }
 
 // NewOperators precomputes the translation operators for kern at surface
-// order p with pseudo-inverse regularization tol.
+// order p with pseudo-inverse regularization tol, on up to buildWorkers
+// goroutines. Every call builds afresh; solvers share one set per (kernel,
+// order, tolerance) through SharedOperators instead.
 func NewOperators(kern kernel.Kernel, p int, tol float64) *Operators {
+	return newOperators(kern, p, tol, buildWorkers)
+}
+
+// buildWorkers is NewOperators' fan-out: a build is nearly all its two
+// pseudo-inverses, which run side by side.
+const buildWorkers = 2
+
+// newOperators is NewOperators with the fan-out of the reference-level
+// build given; the result does not depend on it.
+func newOperators(kern kernel.Kernel, p int, tol float64, workers int) *Operators {
 	deg := kern.HomogeneityDeg()
 	ops := &Operators{
 		Kern:        kern,
@@ -73,7 +91,7 @@ func NewOperators(kern kernel.Kernel, p int, tol float64) *Operators {
 		homogeneous: !math.IsNaN(deg),
 	}
 	if ops.homogeneous {
-		ref := ops.buildLevel(0)
+		ref := ops.buildLevel(0, workers)
 		ops.UC2UE = ref.UC2UE
 		ops.DC2DE = ref.DC2DE
 		ops.U2U = ref.U2U
@@ -82,8 +100,13 @@ func NewOperators(kern kernel.Kernel, p int, tol float64) *Operators {
 	return ops
 }
 
-// buildLevel constructs the surface operators for octants of side 2^-l.
-func (o *Operators) buildLevel(l int) *levelOps {
+// buildLevel constructs the surface operators for octants of side 2^-l. Its
+// independent pieces — the two pseudo-inverses, the eight D2D kernel
+// matrices, and the eight U2U products once UC2UE is ready — run as one task
+// graph on up to workers goroutines. Each piece is computed by the same
+// sequential code whichever worker runs it, so the table is bit-identical
+// at any worker count.
+func (o *Operators) buildLevel(l, workers int) *levelOps {
 	half := math.Pow(2, -float64(l)) / 2
 	center := geom.Point{}
 	ue := o.Grid.Points(center, RadInner*half)
@@ -91,16 +114,24 @@ func (o *Operators) buildLevel(l int) *levelOps {
 	dc := o.Grid.Points(center, RadInner*half)
 	de := o.Grid.Points(center, RadOuter*half)
 
-	lo := &levelOps{
-		UC2UE: linalg.PinvTikhonov(kernel.Matrix(o.Kern, uc, ue), o.Tol),
-		DC2DE: linalg.PinvTikhonov(kernel.Matrix(o.Kern, dc, de), o.Tol),
-	}
+	lo := &levelOps{}
+	g := sched.NewGraph()
+	uc2ue := g.Add("operators.uc2ue", func(int) {
+		lo.UC2UE = linalg.PinvTikhonov(kernel.Matrix(o.Kern, uc, ue), o.Tol)
+	})
+	g.Add("operators.dc2de", func(int) {
+		lo.DC2DE = linalg.PinvTikhonov(kernel.Matrix(o.Kern, dc, de), o.Tol)
+	})
 	for c := 0; c < 8; c++ {
-		cc := childCenter(center, half, c)
-		cue := o.Grid.Points(cc, RadInner*half/2)
-		cdc := o.Grid.Points(cc, RadInner*half/2)
-		lo.U2U[c] = lo.UC2UE.Mul(kernel.Matrix(o.Kern, uc, cue))
-		lo.D2D[c] = kernel.Matrix(o.Kern, cdc, de)
+		// The child's upward-equivalent and downward-check surfaces coincide.
+		cs := o.Grid.Points(childCenter(center, half, c), RadInner*half/2)
+		g.Add("operators.d2d", func(int) { lo.D2D[c] = kernel.Matrix(o.Kern, cs, de) })
+		g.Dep(uc2ue, g.Add("operators.u2u", func(int) {
+			lo.U2U[c] = lo.UC2UE.Mul(kernel.Matrix(o.Kern, uc, cs))
+		}))
+	}
+	if _, err := g.Run(sched.Options{Workers: max(1, workers)}); err != nil {
+		panic(fmt.Sprintf("kifmm: building level-%d operators: %v", l, err))
 	}
 	return lo
 }
@@ -111,15 +142,41 @@ func (o *Operators) levelFor(l int) *levelOps {
 	if v, ok := o.perLevel.get(l); ok {
 		return v
 	}
-	return o.levelForSlow(l)
+	return o.levelForSlow(l, 1)
 }
 
-// levelForSlow builds and caches the per-level table on a cache miss; it
-// runs once per (kernel, level) pair over the lifetime of the Operators.
+// levelForSlow returns the per-level table, building and caching it on up
+// to workers goroutines if it is missing. Builds are serialized, so a level
+// is built once over the lifetime of the Operators however many plans race
+// for it.
 //
 //fmm:coldcall per-level operator tables are built once per level and cached
-func (o *Operators) levelForSlow(l int) *levelOps {
-	return o.perLevel.insert(l, o.buildLevel(l))
+func (o *Operators) levelForSlow(l, workers int) *levelOps {
+	o.buildMu.Lock()
+	defer o.buildMu.Unlock()
+	if v, ok := o.perLevel.get(l); ok {
+		return v
+	}
+	return o.perLevel.insert(l, o.buildLevel(l, workers))
+}
+
+// PrewarmLevels builds, on up to workers goroutines, the per-level tables
+// of a non-homogeneous kernel for every level at which tree has octants —
+// every level an evaluation of tree touches — so no Apply builds one (a
+// no-op for homogeneous kernels).
+func (o *Operators) PrewarmLevels(tree *octree.Tree, workers int) {
+	if o.homogeneous {
+		return
+	}
+	var has [morton.MaxDepth + 1]bool
+	for i := range tree.Nodes {
+		has[tree.Nodes[i].Key.Level()] = true
+	}
+	for l, ok := range has {
+		if ok {
+			o.levelForSlow(l, workers)
+		}
+	}
 }
 
 // Homogeneous reports whether the kernel admits the single-reference-level

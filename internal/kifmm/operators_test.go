@@ -212,3 +212,26 @@ func TestStokesOperatorsFarField(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkNewOperators times one operator build at NewOperators' fan-out:
+// the reference level of Laplace at order 6 and Stokes at order 5 (the
+// benchmark workloads' orders), and one per-level table of Yukawa at order
+// 6, which a Yukawa plan builds once per tree level.
+func BenchmarkNewOperators(b *testing.B) {
+	b.Run("laplace/6", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			NewOperators(kernel.Laplace{}, 6, 1e-9)
+		}
+	})
+	b.Run("stokes/5", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			NewOperators(kernel.Stokes{}, 5, 1e-9)
+		}
+	})
+	b.Run("yukawa/6", func(b *testing.B) {
+		ops := NewOperators(kernel.Yukawa{Lambda: 5}, 6, 1e-9)
+		for i := 0; i < b.N; i++ {
+			ops.buildLevel(3, buildWorkers)
+		}
+	})
+}

@@ -23,12 +23,15 @@ type EngineSpec struct {
 	DenseM2L bool
 }
 
-// Prewarm eagerly builds the V-list translation spectra an evaluation of
-// tree can touch, so no Apply pays a lazy spectrum build (a no-op for the
-// dense oracle).
+// Prewarm eagerly builds what an evaluation of tree would otherwise build
+// lazily — a non-homogeneous kernel's per-level operator tables and the
+// V-list translation spectra (these not for the dense oracle) — so the first
+// Apply builds nothing.
 func (s EngineSpec) Prewarm(tree *octree.Tree) {
+	workers := max(1, s.Workers)
+	s.Ops.PrewarmLevels(tree, workers)
 	if !s.DenseM2L {
-		s.Ops.FFT().PrewarmTree(tree, max(1, s.Workers))
+		s.Ops.FFT().PrewarmTree(tree, workers)
 	}
 }
 

@@ -1,10 +1,5 @@
 package kifmm
 
-import (
-	"container/list"
-	"sync"
-)
-
 // tfKey identifies one V-list translation spectrum. Kern is the kernel's
 // parameter-inclusive identity (kernel.Kernel.Name, e.g. "yukawa(5)"), so
 // the cache can never serve one screening parameter's spectra to another;
@@ -18,16 +13,6 @@ type tfKey struct {
 	Dir   uint32
 }
 
-// tfEntry is one cached spectrum. elem is nil while the spectrum is being
-// computed; ready is closed when data is valid. Entries evicted from the LRU
-// stay valid for goroutines already holding the slice.
-type tfEntry struct {
-	key   tfKey
-	elem  *list.Element
-	ready chan struct{}
-	data  []float64
-}
-
 // TranslationCache is a process-wide, byte-bounded LRU cache of V-list
 // translation spectra. Translation spectra depend only on (kernel, surface
 // order, level, direction) — not on the tree or the point set — so every
@@ -35,33 +20,15 @@ type tfEntry struct {
 // miss for an already-seen (kernel, p) pays zero spectrum recomputation, and
 // concurrent Plans racing to prewarm the same direction perform the build
 // exactly once (waiters block on the winner's entry instead of duplicating
-// the kernel evaluations and forward FFTs).
-//
-// Eviction is strict LRU over completed entries, triggered when the summed
-// spectrum bytes exceed the byte bound. A single entry larger than the bound
-// is kept (the cache never evicts the entry it just admitted), so progress
-// is guaranteed under any bound.
+// the kernel evaluations and forward FFTs). Eviction is lru's (lru.go)
+// under a bound on the summed spectrum bytes.
 type TranslationCache struct {
-	mu        sync.Mutex
-	maxBytes  int64
-	bytes     int64
-	ll        *list.List // front = most recently used
-	entries   map[tfKey]*tfEntry
-	hits      int64
-	misses    int64
-	evictions int64
+	lru *lru[tfKey, []float64]
 }
 
 // NewTranslationCache creates a cache bounded to maxBytes of spectrum data.
 func NewTranslationCache(maxBytes int64) *TranslationCache {
-	if maxBytes < 1 {
-		maxBytes = 1
-	}
-	return &TranslationCache{
-		maxBytes: maxBytes,
-		ll:       list.New(),
-		entries:  make(map[tfKey]*tfEntry),
-	}
+	return &TranslationCache{newLRU[tfKey](maxBytes, func(data []float64) int64 { return int64(len(data)) * 8 })}
 }
 
 // sharedTFBytes bounds the process-wide cache: 316 directions cost ~5 MB for
@@ -80,40 +47,7 @@ var SharedTranslations = NewTranslationCache(sharedTFBytes)
 // hits on an in-flight entry) count as hits and block until the data is
 // ready. The returned slice is shared and must be treated as read-only.
 func (c *TranslationCache) Get(key tfKey, build func() []float64) []float64 {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		if e.elem != nil {
-			c.ll.MoveToFront(e.elem)
-		}
-		c.hits++
-		c.mu.Unlock()
-		<-e.ready
-		return e.data
-	}
-	e := &tfEntry{key: key, ready: make(chan struct{})}
-	c.entries[key] = e
-	c.misses++
-	c.mu.Unlock()
-
-	e.data = build()
-	close(e.ready)
-
-	c.mu.Lock()
-	e.elem = c.ll.PushFront(e)
-	c.bytes += int64(len(e.data)) * 8
-	for c.bytes > c.maxBytes {
-		back := c.ll.Back()
-		be := back.Value.(*tfEntry)
-		if be == e {
-			break // never evict the entry just admitted
-		}
-		c.ll.Remove(back)
-		delete(c.entries, be.key)
-		c.bytes -= int64(len(be.data)) * 8
-		c.evictions++
-	}
-	c.mu.Unlock()
-	return e.data
+	return c.lru.get(key, build)
 }
 
 // TranslationCacheStats is a point-in-time snapshot of the cache counters.
@@ -128,14 +62,13 @@ type TranslationCacheStats struct {
 
 // Stats returns the cache counters.
 func (c *TranslationCache) Stats() TranslationCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	st := c.lru.stats()
 	return TranslationCacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Entries:   c.ll.Len(),
-		Bytes:     c.bytes,
-		MaxBytes:  c.maxBytes,
+		Hits:      st.Hits,
+		Misses:    st.Misses,
+		Evictions: st.Evictions,
+		Entries:   st.Entries,
+		Bytes:     st.Size,
+		MaxBytes:  st.Max,
 	}
 }

@@ -3,9 +3,12 @@
 // matrices, matrix-vector and matrix-matrix products, a one-sided Jacobi SVD,
 // and Tikhonov-regularized pseudo-inverses.
 //
-// The matrices involved are small (a few hundred rows/columns, one per octree
-// level), so the implementation favors clarity and numerical robustness over
-// blocking or vectorization tricks.
+// The matrices are a few hundred rows and columns, but their SVDs are most
+// of a solver's set-up, so the Jacobi sweep is fused: one pass over a
+// column pair per rotation instead of three dot products and a rotation
+// (see ComputeSVD). It sums in exactly the order and expression shape of
+// the textbook loop, which the tests keep as the oracle, so every factor is
+// bit-identical to it and no result downstream moves.
 package linalg
 
 import (

@@ -13,10 +13,22 @@ type SVD struct {
 	V *Mat
 }
 
-// ComputeSVD computes the thin SVD of a using one-sided Jacobi rotations.
-// One-sided Jacobi is slow (O(n³) per sweep) but simple and accurate, which
-// is the right trade-off for the small per-level operator matrices the FMM
-// precomputes once.
+// ComputeSVD computes the thin SVD of a with cyclic one-sided Jacobi
+// rotations: sweep the column pairs (p, q) in row order, rotate each pair
+// whose columns are not yet orthogonal, stop after a sweep that rotates
+// nothing.
+//
+// The sweep is fused. Column norms α = ‖w_p‖², β = ‖w_q‖² are kept in an
+// array and refreshed only when a rotation rewrites the column; the cross
+// term γ = w_p·w_q of pair (p, q+1) is accumulated by the loop that rotates
+// pair (p, q), since it is the product of the just-rotated w_p with the
+// untouched w_{q+1}. A pair therefore costs one pass over its two columns
+// instead of three dot products and a rotation. Columns of the working copy
+// and of V live in one slab each. Every accumulator sums in Dot's element
+// order with Dot's acc += x*y shape, and the cached norms equal what Dot
+// would return on the current column, so each rotation sees the same α, β, γ
+// as the textbook loop: U, S and V are bit-identical to it (the tests keep
+// that loop as the oracle).
 func ComputeSVD(a *Mat) *SVD {
 	m, n := a.Rows, a.Cols
 	if m < n {
@@ -25,20 +37,24 @@ func ComputeSVD(a *Mat) *SVD {
 		st := ComputeSVD(a.T())
 		return &SVD{U: st.V, S: st.S, V: st.U}
 	}
-	// Column-major working copy of A; w[j] is column j.
-	w := make([][]float64, n)
-	for j := 0; j < n; j++ {
-		col := make([]float64, m)
-		for i := 0; i < m; i++ {
-			col[i] = a.At(i, j)
+	// Column-major working copy of A and the accumulated right rotations:
+	// column j is w[j*m:(j+1)*m] and v[j*n:(j+1)*n].
+	w := make([]float64, n*m)
+	for i := 0; i < m; i++ {
+		for j, x := range a.Row(i) {
+			w[j*m+i] = x
 		}
-		w[j] = col
 	}
-	// V accumulates the right rotations, stored as columns too.
-	v := make([][]float64, n)
-	for j := range v {
-		v[j] = make([]float64, n)
-		v[j][j] = 1
+	v := make([]float64, n*n)
+	for j := 0; j < n; j++ {
+		v[j*n+j] = 1
+	}
+	wcol := func(j int) []float64 { return w[j*m : (j+1)*m : (j+1)*m] }
+	vcol := func(j int) []float64 { return v[j*n : (j+1)*n : (j+1)*n] }
+	// nrm[j] is Dot(w_j, w_j) of the current column j.
+	nrm := make([]float64, n)
+	for j := range nrm {
+		nrm[j] = Dot(wcol(j), wcol(j))
 	}
 
 	const eps = 1e-15
@@ -46,11 +62,20 @@ func ComputeSVD(a *Mat) *SVD {
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		off := 0.0
 		for p := 0; p < n-1; p++ {
+			wp := wcol(p)
+			gamma := Dot(wp, wcol(p+1))
 			for q := p + 1; q < n; q++ {
-				alpha := Dot(w[p], w[p])
-				beta := Dot(w[q], w[q])
-				gamma := Dot(w[p], w[q])
+				// next is w_{q+1}, whose cross term with w_p the next pair
+				// needs; nil at the end of the row.
+				var next []float64
+				if q+1 < n {
+					next = wcol(q + 1)
+				}
+				alpha, beta := nrm[p], nrm[q]
 				if math.Abs(gamma) <= eps*math.Sqrt(alpha*beta) || gamma == 0 {
+					if next != nil {
+						gamma = Dot(wp, next)
+					}
 					continue
 				}
 				off++
@@ -64,8 +89,8 @@ func ComputeSVD(a *Mat) *SVD {
 				}
 				c := 1 / math.Sqrt(1+t*t)
 				s := c * t
-				rotate(w[p], w[q], c, s)
-				rotate(v[p], v[q], c, s)
+				nrm[p], nrm[q], gamma = rotateDots(wp, wcol(q), next, c, s)
+				rotate(vcol(p), vcol(q), c, s)
 			}
 		}
 		if off == 0 {
@@ -80,7 +105,7 @@ func ComputeSVD(a *Mat) *SVD {
 	}
 	svs := make([]colSV, n)
 	for j := 0; j < n; j++ {
-		svs[j] = colSV{Norm2Vec(w[j]), j}
+		svs[j] = colSV{Norm2Vec(wcol(j)), j}
 	}
 	// Sort decreasing by sigma (insertion sort: n is small).
 	for i := 1; i < n; i++ {
@@ -102,11 +127,11 @@ func ComputeSVD(a *Mat) *SVD {
 		if sigma > 0 {
 			inv = 1 / sigma
 		}
-		for i := 0; i < m; i++ {
-			out.U.Set(i, k, w[src][i]*inv)
+		for i, x := range wcol(src) {
+			out.U.Set(i, k, x*inv)
 		}
-		for i := 0; i < n; i++ {
-			out.V.Set(i, k, v[src][i])
+		for i, x := range vcol(src) {
+			out.V.Set(i, k, x)
 		}
 	}
 	return out
@@ -115,11 +140,42 @@ func ComputeSVD(a *Mat) *SVD {
 // rotate applies the plane rotation [c -s; s c] to the column pair (x, y):
 // x' = c*x - s*y, y' = s*x + c*y.
 func rotate(x, y []float64, c, s float64) {
+	y = y[:len(x)]
 	for i := range x {
 		xi, yi := x[i], y[i]
 		x[i] = c*xi - s*yi
 		y[i] = s*xi + c*yi
 	}
+}
+
+// rotateDots is rotate on (x, y) fused with the dot products that follow
+// it: it returns Dot(x', x'), Dot(y', y') and, when z is not nil,
+// Dot(x', z). Each accumulator adds in Dot's order and shape, so the results
+// are bit-identical to calling Dot after rotate.
+func rotateDots(x, y, z []float64, c, s float64) (xx, yy, xz float64) {
+	y = y[:len(x)]
+	if z == nil {
+		for i := range x {
+			xi, yi := x[i], y[i]
+			xn := c*xi - s*yi
+			yn := s*xi + c*yi
+			x[i], y[i] = xn, yn
+			xx += xn * xn
+			yy += yn * yn
+		}
+		return xx, yy, 0
+	}
+	z = z[:len(x)]
+	for i := range x {
+		xi, yi := x[i], y[i]
+		xn := c*xi - s*yi
+		yn := s*xi + c*yi
+		x[i], y[i] = xn, yn
+		xx += xn * xn
+		yy += yn * yn
+		xz += xn * z[i]
+	}
+	return xx, yy, xz
 }
 
 // PinvTikhonov returns the Tikhonov-regularized pseudo-inverse

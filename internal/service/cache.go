@@ -45,6 +45,10 @@ type PlanCache struct {
 	// eviction (live sessions keep their originating plan resident even when
 	// the LRU would otherwise reclaim it).
 	pins map[string]int
+	// referenced marks the plans read (Get) since eviction last passed them:
+	// the second chance that keeps plans clients address by id resident
+	// while one-shot plans churn.
+	referenced map[string]bool
 
 	hits, misses, evictions int64
 }
@@ -58,6 +62,8 @@ func NewPlanCache(maxPlans int, maxBytes int64) *PlanCache {
 		lru:      list.New(),
 		byID:     make(map[string]*list.Element),
 		pins:     make(map[string]int),
+
+		referenced: make(map[string]bool),
 	}
 }
 
@@ -96,6 +102,7 @@ func (c *PlanCache) Get(id string) (*CachedPlan, bool) {
 	}
 	c.hits++
 	c.lru.MoveToFront(el)
+	c.referenced[id] = true
 	return el.Value.(*CachedPlan), true
 }
 
@@ -103,30 +110,44 @@ func (c *PlanCache) Get(id string) (*CachedPlan, bool) {
 // is back within both bounds. A single plan larger than maxBytes is still
 // admitted alone — the bound is a steady-state target, not an admission
 // filter.
+//
+// Eviction is LRU with a second chance: walking from the cold end, an entry
+// read since the walk last passed it loses that mark and moves to the warm
+// end instead of going. A plan clients keep addressing by id — one that
+// another client's run of misses would push out of a plain LRU between two
+// of its requests — outlives the one-shot plans of those misses.
 func (c *PlanCache) Put(p *CachedPlan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byID[p.ID]; ok {
-		old := el.Value.(*CachedPlan)
+	admitted, ok := c.byID[p.ID]
+	if ok {
+		old := admitted.Value.(*CachedPlan)
 		c.bytes += p.Bytes - old.Bytes
-		el.Value = p
-		c.lru.MoveToFront(el)
+		admitted.Value = p
+		c.lru.MoveToFront(admitted)
 	} else {
-		c.byID[p.ID] = c.lru.PushFront(p)
+		admitted = c.lru.PushFront(p)
+		c.byID[p.ID] = admitted
 		c.bytes += p.Bytes
 	}
-	// Evict cold unpinned entries back-to-front until within bounds. The
-	// walk visits each entry at most once, so a cache held over budget by
-	// pins alone terminates (pinned entries are never reclaimed here).
+	// The walk never evicts a pinned entry or the one just admitted, and
+	// visits each entry at most twice (once more after a second chance), so
+	// a cache held over budget by pins alone terminates.
 	el := c.lru.Back()
-	for el != nil && c.lru.Len() > 1 &&
+	for el != nil &&
 		((c.maxPlans > 0 && c.lru.Len() > c.maxPlans) ||
 			(c.maxBytes > 0 && c.bytes > c.maxBytes)) {
 		prev := el.Prev()
 		old := el.Value.(*CachedPlan)
-		if c.pins[old.ID] == 0 {
+		switch {
+		case el == admitted || c.pins[old.ID] > 0:
+		case c.referenced[old.ID]:
+			delete(c.referenced, old.ID)
+			c.lru.MoveToFront(el)
+		default:
 			c.lru.Remove(el)
 			delete(c.byID, old.ID)
+			delete(c.referenced, old.ID)
 			c.bytes -= old.Bytes
 			c.evictions++
 		}

@@ -51,6 +51,32 @@ func TestCacheLRUEvictionByCount(t *testing.T) {
 	}
 }
 
+// TestCacheSecondChance: a plan read by id since eviction last passed it
+// survives a run of one-shot inserts that a plain LRU would evict it under
+// (two clients: one reads its plan once a round, the other's misses — as
+// many a round as the cache holds — churn), and the entry just admitted is
+// never the one evicted.
+func TestCacheSecondChance(t *testing.T) {
+	c := NewPlanCache(3, 0)
+	c.Put(entry("kept", 1))
+	c.Put(entry("b", 1))
+	for round := 0; round < 4; round++ {
+		if _, ok := c.Get("kept"); !ok {
+			t.Fatalf("round %d: the plan read by id was evicted", round)
+		}
+		for m := 0; m < 3; m++ {
+			id := fmt.Sprintf("miss%d.%d", round, m)
+			c.Put(entry(id, 1))
+			if _, ok := c.byID[id]; !ok {
+				t.Fatalf("the entry just admitted (%s) was evicted", id)
+			}
+		}
+	}
+	if st := c.Stats(); st.Plans != 3 || st.Evictions != 11 {
+		t.Fatalf("stats = %+v, want 3 plans and 11 evictions", st)
+	}
+}
+
 func TestCacheEvictionByBytes(t *testing.T) {
 	c := NewPlanCache(0, 100)
 	c.Put(entry("a", 60))

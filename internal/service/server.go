@@ -478,6 +478,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "fmmserve_tf_cache_entries %d\n", tf.Entries)
 	fmt.Fprintf(w, "fmmserve_tf_cache_bytes %d\n", tf.Bytes)
 	fmt.Fprintf(w, "fmmserve_tf_cache_max_bytes %d\n", tf.MaxBytes)
+	oc := kifmm.OperatorCache()
+	fmt.Fprintf(w, "fmmserve_operator_cache_hits_total %d\n", oc.Hits)
+	fmt.Fprintf(w, "fmmserve_operator_cache_misses_total %d\n", oc.Misses)
+	fmt.Fprintf(w, "fmmserve_operator_cache_evictions_total %d\n", oc.Evictions)
+	fmt.Fprintf(w, "fmmserve_operator_cache_entries %d\n", oc.Entries)
 	if s.traces != nil {
 		fmt.Fprintf(w, "fmmserve_traces_written_total %d\n", s.traces.Written())
 	}

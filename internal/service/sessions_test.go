@@ -30,8 +30,11 @@ func TestCachePinSurvivesEviction(t *testing.T) {
 		t.Fatal("cold unpinned plan b survived")
 	}
 	c.Unpin("a")
-	c.Put(entry("e", 1))
-	c.Put(entry("f", 1))
+	// Read while pinned, a keeps one second chance (see Put): it outlives
+	// one more cold insert than a plan never read, then goes.
+	for _, id := range []string{"e", "f", "g", "h"} {
+		c.Put(entry(id, 1))
+	}
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("unpinned plan a should rejoin LRU eviction")
 	}
@@ -39,13 +42,13 @@ func TestCachePinSurvivesEviction(t *testing.T) {
 		t.Fatal("pin of absent plan should report false")
 	}
 	// Nested pins: both must be released before eviction resumes.
-	c.Put(entry("g", 1))
-	c.Pin("g")
-	c.Pin("g")
-	c.Unpin("g")
-	c.Put(entry("h", 1))
-	c.Put(entry("i", 1))
-	if _, ok := c.Get("g"); !ok {
+	c.Put(entry("p", 1))
+	c.Pin("p")
+	c.Pin("p")
+	c.Unpin("p")
+	c.Put(entry("q", 1))
+	c.Put(entry("r", 1))
+	if _, ok := c.Get("p"); !ok {
 		t.Fatal("half-unpinned plan was evicted")
 	}
 }

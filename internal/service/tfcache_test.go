@@ -10,34 +10,37 @@ import (
 	"testing"
 )
 
-// tfCacheCounters scrapes the translation-cache counters off /metrics.
-func tfCacheCounters(t *testing.T, client *http.Client, url string) (hits, misses int64) {
+// scrapeMetrics returns the integer-valued lines of /metrics by name.
+func scrapeMetrics(t *testing.T, client *http.Client, url string) map[string]int64 {
 	t.Helper()
 	resp, err := client.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	found := 0
+	out := map[string]int64{}
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) != 2 {
 			continue
 		}
-		v, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			continue
-		}
-		switch fields[0] {
-		case "fmmserve_tf_cache_hits_total":
-			hits, found = v, found+1
-		case "fmmserve_tf_cache_misses_total":
-			misses, found = v, found+1
+		if v, err := strconv.ParseInt(fields[1], 10, 64); err == nil {
+			out[fields[0]] = v
 		}
 	}
-	if found != 2 {
-		t.Fatalf("tf-cache counters missing from /metrics")
+	return out
+}
+
+// cacheCounters scrapes the hit and miss counters of one process-wide cache
+// ("tf" or "operator") off /metrics.
+func cacheCounters(t *testing.T, client *http.Client, url, cache string) (hits, misses int64) {
+	t.Helper()
+	m := scrapeMetrics(t, client, url)
+	hits, okH := m["fmmserve_"+cache+"_cache_hits_total"]
+	misses, okM := m["fmmserve_"+cache+"_cache_misses_total"]
+	if !okH || !okM {
+		t.Fatalf("%s-cache counters missing from /metrics", cache)
 	}
 	return hits, misses
 }
@@ -62,7 +65,7 @@ func TestPlanReusesWarmedTranslationSpectra(t *testing.T) {
 		PlanRequest{Points: ptsA, Options: opts}, &planA); code != http.StatusOK {
 		t.Fatalf("plan A: %d %s", code, raw)
 	}
-	hits0, misses0 := tfCacheCounters(t, ts.Client(), ts.URL)
+	hits0, misses0 := cacheCounters(t, ts.Client(), ts.URL, "tf")
 
 	var planB PlanResponse
 	if code, raw := postJSON(t, ts.Client(), ts.URL+"/v1/plan",
@@ -72,7 +75,7 @@ func TestPlanReusesWarmedTranslationSpectra(t *testing.T) {
 	if planB.Cached || planB.PlanID == planA.PlanID {
 		t.Fatalf("plan B should be a distinct plan-cache miss: %+v vs %+v", planB, planA)
 	}
-	hits1, misses1 := tfCacheCounters(t, ts.Client(), ts.URL)
+	hits1, misses1 := cacheCounters(t, ts.Client(), ts.URL, "tf")
 
 	if misses1 != misses0 {
 		t.Fatalf("plan B recomputed %d translation spectra; want all reused from the warm cache",

@@ -112,6 +112,18 @@ func TranslationCache() TranslationCacheStats {
 	return ikifmm.SharedTranslations.Stats()
 }
 
+// OperatorCacheStats is a snapshot of the process-wide translation-operator
+// cache counters (see OperatorCache).
+type OperatorCacheStats = ikifmm.OperatorCacheStats
+
+// OperatorCache returns the counters of the process-wide operator cache
+// every solver takes its translation operators from: one set per (kernel
+// identity, order, tolerance), built once under singleflight and evicted LRU
+// under a fixed count bound. The serving layer exposes these on /metrics.
+func OperatorCache() OperatorCacheStats {
+	return ikifmm.SharedOperators.Stats()
+}
+
 // ShardTraffic is one (backend, rank) row of the process-wide sharded
 // communication counters: cumulative bytes, messages, reduction octant
 // records, and exchange rounds across every sharded Apply in this process.
