@@ -29,7 +29,8 @@ portable:
 # Native fuzz targets, a bounded run each: vector EvalPanel ≡ Go loop and no
 # store outside the panel; vector Hadamard kernel ≡ Go loop; the wire options
 # decoder (strict decode → Validate → New) errors or yields a solver, never
-# panics, refuses every retired field by name and every order above MaxOrder;
+# panics, refuses every retired field by name, every order above MaxOrder and
+# every shard_comm but "simple";
 # arbitrary request bodies on /v1/evaluate and /v1/session/{id}/step answer
 # anything but a panic or a 5xx; the Morton key algebra (FromPoint and its
 # clamp, ancestors, child/parent, ChildContaining, colleague blocks, the wire

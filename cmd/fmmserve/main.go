@@ -21,6 +21,13 @@
 // Sessions are capped by -max-sessions (429 beyond it) and expire after
 // -session-ttl idle; a live session pins its originating plan in the cache.
 //
+// "options":{"shards":R} serves a plan sharded across R in-process ranks
+// (at most -max-shards; any R), each Apply a coordinated multi-rank
+// evaluation whose shared octants are reduced in one point-to-point round;
+// /metrics carries the per-rank traffic as fmmserve_shard_*{backend="simple",
+// rank="r"}. "shard_comm" is decoded for the clients that send it: "simple",
+// the one reduction, changes nothing; any other value is a 400.
+//
 // With -trace-dir set, every evaluation additionally dumps a Chrome
 // trace_event JSON of the task-graph scheduler's execution (one timeline
 // row per worker, one slice per per-octant task) into the directory,

@@ -25,7 +25,6 @@ import (
 	ikifmm "kifmm/internal/kifmm"
 	"kifmm/internal/mpi"
 	"kifmm/internal/parfmm"
-	"kifmm/internal/shard"
 )
 
 // Point is a location in the unit cube [0,1)³. Sources and targets
@@ -87,14 +86,10 @@ type Options struct {
 	// paper's coordinated multi-rank evaluation (upward pass per shard,
 	// ghost-density exchange, shared-octant upward reduction, local
 	// far-field and near-field phases), gathered back into input order.
-	// Zero (the default) keeps the single-engine plan. The worker budget
-	// (Workers) is split across the shards.
+	// The shared octants are reduced in one direct point-to-point round, so
+	// any shard count runs. Zero (the default) keeps the single-engine plan.
+	// The worker budget (Workers) is split across the shards.
 	Shards int
-	// ShardComm selects the communication backend completing the shared
-	// octants' upward densities during sharded evaluation: "hypercube"
-	// (the paper's Algorithm 3; requires power-of-two Shards; the default)
-	// or "simple" (single-round direct point-to-point, any shard count).
-	ShardComm string
 
 	// denseM2L, reachable from in-package tests only, swaps the
 	// FFT-diagonalized V-list for the dense M2L matrices it is verified
@@ -132,8 +127,6 @@ type FMM struct {
 	// spec is the options resolved, once, into what configures an engine;
 	// plans, sessions, shard ranks and the distributed driver carry it as is.
 	spec ikifmm.EngineSpec
-	// backend is Options.ShardComm resolved (sharded plans only use it).
-	backend shard.CommBackend
 }
 
 // New creates a solver. Its translation operators come from a process-wide
@@ -169,22 +162,12 @@ func New(opt Options) (*FMM, error) {
 	if opt.Shards < 0 {
 		return nil, fmt.Errorf("kifmm: negative shard count %d", opt.Shards)
 	}
-	// Resolved (and a typo in ShardComm rejected) even when Shards is 0,
-	// which passes the power-of-two test.
-	backend, err := shard.BackendByName(opt.ShardComm)
-	if err != nil {
-		return nil, fmt.Errorf("kifmm: %w", err)
-	}
-	if backend.NeedsPow2() && opt.Shards&(opt.Shards-1) != 0 {
-		return nil, fmt.Errorf("kifmm: the %s shard backend requires a power-of-two shard count, got %d",
-			backend.Name(), opt.Shards)
-	}
 	spec := ikifmm.EngineSpec{
 		Ops:      ikifmm.SharedOperators.Get(k, opt.Order, opt.Tolerance, opt.Workers),
 		Workers:  opt.Workers,
 		DenseM2L: opt.denseM2L,
 	}
-	return &FMM{opt: opt, kern: k, spec: spec, backend: backend}, nil
+	return &FMM{opt: opt, kern: k, spec: spec}, nil
 }
 
 // DensityDim returns the number of density components per point.
@@ -239,7 +222,9 @@ func (f *FMM) Evaluate(points []Point, densities []float64) ([]float64, error) {
 
 // EvaluateDistributed computes the same sum using ranks in-process
 // message-passing workers (the paper's MPI configuration). ranks must be a
-// power of two. Potentials are returned in input order.
+// power of two: the shared octants' upward densities are completed by the
+// paper's hypercube reduce-and-scatter (Algorithm 3). Potentials are
+// returned in input order.
 func (f *FMM) EvaluateDistributed(ranks int, points []Point, densities []float64) ([]float64, error) {
 	if ranks < 1 || ranks&(ranks-1) != 0 {
 		return nil, fmt.Errorf("kifmm: ranks must be a power of two, got %d", ranks)
@@ -291,25 +276,4 @@ func (f *FMM) Direct(points []Point, densities []float64) ([]float64, error) {
 		return nil, err
 	}
 	return kernel.Direct(f.kern, points, points, densities), nil
-}
-
-// EvaluateAt computes the potentials at the given target points due to
-// densities at the (possibly different) source points — the general form of
-// the kernel-independent FMM; the paper's experiments use the special case
-// targets == sources. It is PlanAt followed by a single Apply; callers that
-// re-evaluate the same geometry with new densities should hold on to the
-// Plan instead. Returned potentials align with targets (PotentialDim
-// components each).
-func (f *FMM) EvaluateAt(targets, sources []Point, densities []float64) ([]float64, error) {
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("kifmm: no targets")
-	}
-	if err := f.checkInput(sources, densities); err != nil {
-		return nil, err
-	}
-	plan, err := f.PlanAt(targets, sources)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Apply(densities)
 }

@@ -291,14 +291,18 @@ func TestDegenerateClouds(t *testing.T) {
 	}
 }
 
-func TestEvaluateAtSeparateTargets(t *testing.T) {
+func TestPlanAtSeparateTargets(t *testing.T) {
 	f, err := New(Options{PointsPerBox: 30, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srcs, den := randInput(600, 1, 41)
 	trgs, _ := randInput(200, 1, 42)
-	got, err := f.EvaluateAt(trgs, srcs, den)
+	plan, err := f.PlanAt(trgs, srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := plan.Apply(den)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,18 +326,7 @@ func TestEvaluateAtSeparateTargets(t *testing.T) {
 		dn += exact * exact
 	}
 	if e := math.Sqrt(num / dn); e > 2e-5 {
-		t.Fatalf("EvaluateAt rel err %g", e)
-	}
-}
-
-func TestEvaluateAtValidation(t *testing.T) {
-	f, _ := New(Options{})
-	srcs, den := randInput(10, 1, 43)
-	if _, err := f.EvaluateAt(nil, srcs, den); err == nil {
-		t.Fatalf("empty targets accepted")
-	}
-	if _, err := f.EvaluateAt([]Point{{X: 2, Y: 0, Z: 0}}, srcs, den); err == nil {
-		t.Fatalf("out-of-cube target accepted")
+		t.Fatalf("PlanAt rel err %g", e)
 	}
 }
 

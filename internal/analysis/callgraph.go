@@ -29,7 +29,7 @@ import (
 //     each named type implementing I links that node to its concrete method.
 //     The closure therefore reaches every implementation the program
 //     declares — conservative, but sound for the sealed method sets the
-//     engine uses (kernel.Batch, CommBackend).
+//     engine uses (kernel.Kernel, kernel.Batch).
 //   - Function values (method values, function identifiers passed as
 //     arguments or assigned) become edges too: a hot body handing a method
 //     value to par.For or sched.Graph.Add executes it per item.

@@ -35,15 +35,11 @@ const (
 	// PhaseSchedIdle accumulates the task-graph scheduler's summed
 	// per-worker idle time (parked or scanning for work).
 	PhaseSchedIdle = "Sched idle"
-)
 
-// ShardCommPhase returns the phase name under which the sharded evaluator
-// accumulates its communication time (ghost exchange + upward reduction),
-// one phase per communication backend so the hypercube and the direct
-// scheme can be compared on /metrics.
-func ShardCommPhase(backend string) string {
-	return "Shard comm (" + backend + ")"
-}
+	// PhaseShardComm accumulates a sharded Apply's communication time
+	// (ghost exchange + upward reduction), summed over its ranks.
+	PhaseShardComm = "Shard comm"
+)
 
 // Counter names used by the task-graph runtime wiring (Profile.AddCounter);
 // they surface on /metrics as <prefix>_<name>_total.

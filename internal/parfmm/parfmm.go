@@ -14,10 +14,13 @@
 // densities, broadcast of completed densities — the latter two fused in
 // Algorithm 3).
 //
-// The evaluation line is written once, as EvaluateRank: Evaluate is Setup
-// followed by it, internal/shard runs it on LETs cut from an already-built
-// global tree with its CommBackend as the reducer, and the simulated-device
-// experiments put Exchange between their own device phases.
+// The evaluation line is written once, as EvaluateRank, and its reducer is
+// the caller's: Evaluate is Setup followed by it with Algorithm 3's
+// reduce.Hypercube, internal/shard runs it on LETs cut from an already-built
+// global tree with the one-round reduce.Simple, the owner-reduce ablation
+// passes reduce.Owner, and the simulated-device experiments put Exchange
+// between their own device phases. This package is also where the two
+// reductions' traffic is compared on one input (traffic_test.go).
 package parfmm
 
 import (
@@ -144,8 +147,8 @@ func Setup(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) (*kif
 }
 
 // reducer completes the shared octants' upward densities from every rank's
-// partials: reduce.Hypercube (Algorithm 3), reduce.Owner, reduce.Simple, or
-// a shard.CommBackend's Reduce. Collective.
+// partials: reduce.Hypercube (Algorithm 3, Evaluate's), reduce.Simple
+// (internal/shard's) or reduce.Owner (the ablation's). Collective.
 type reducer = func(c *mpi.Comm, part *dtree.Partition, items []reduce.Item, vecLen int) ([]reduce.Item, reduce.Stats)
 
 // EvaluateRank is the one distributed per-rank evaluation: Engine.Run on the

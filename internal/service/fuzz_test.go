@@ -20,8 +20,9 @@ var retiredOptions = []string{"balanced", "exec", "dense_m2l", "accelerated", "p
 // FuzzSolverOptionsJSON feeds arbitrary bytes through the path a request's
 // "options" take — strict decode, Validate, kifmm.New — and requires an error
 // or a solver, never a panic; an object carrying a retired field is always an
-// error, adding one to an accepted object is an error that names it, and an
-// order above kifmm.MaxOrder is refused by Validate and by New.
+// error, adding one to an accepted object is an error that names it, an
+// order above kifmm.MaxOrder is refused by Validate and by New, and so is, by
+// Validate, any shard_comm but "" and "simple" (the one reduction).
 // `make fuzz` runs it for 10 s.
 func FuzzSolverOptionsJSON(f *testing.F) {
 	seeds := []SolverOptions{
@@ -29,8 +30,8 @@ func FuzzSolverOptionsJSON(f *testing.F) {
 		{Kernel: "laplace", Order: 5, PointsPerBox: 40, Workers: 2},
 		{Kernel: "stokes", Order: 4, Tolerance: 1e-8, MaxDepth: 12},
 		{Kernel: "yukawa", Order: 4, YukawaLambda: 5},
-		{Kernel: "laplace", Order: 4, Shards: 4, ShardComm: "hypercube"},
-		{Kernel: "laplace", Order: 4, Shards: 3, ShardComm: "simple"},
+		{Kernel: "laplace", Order: 4, Shards: 4, ShardComm: "simple"},
+		{Kernel: "laplace", Order: 4, Shards: 3},
 		{Kernel: "laplace", Order: 4, Targets: [][3]float64{{0.5, 0.5, 0.5}}},
 		{Kernel: "helmholtz"},
 	}
@@ -45,7 +46,7 @@ func FuzzSolverOptionsJSON(f *testing.F) {
 		f.Add([]byte(`{"order":4,"` + name + `":true}`))
 	}
 	for _, s := range []string{``, `null`, `[]`, `{"order":"4"}`, `{"order":-1}`, `{"max_depth":31}`,
-		`{"shards":3}`, `{"shards":-2,"shard_comm":"simple"}`, `{"targets":[[0,0]]}`, `{"Order":4,"order":1e9}`} {
+		`{"shards":3}`, `{"shards":-2,"shard_comm":"simple"}`, `{"shards":2,"shard_comm":"hypercube"}`, `{"targets":[[0,0]]}`, `{"Order":4,"order":1e9}`} {
 		f.Add([]byte(s))
 	}
 
@@ -82,6 +83,12 @@ func FuzzSolverOptionsJSON(f *testing.F) {
 			}
 			if _, err := kifmm.New(o.ToOptions()); err == nil {
 				t.Fatalf("%s: kifmm.New accepted order %d, above MaxOrder %d", b, o.Order, kifmm.MaxOrder)
+			}
+			return
+		}
+		if o.ShardComm != "" && o.ShardComm != "simple" {
+			if err := o.Validate(); err == nil || !strings.Contains(err.Error(), "shard_comm") {
+				t.Fatalf("%s: Validate error %v, want one naming shard_comm", b, err)
 			}
 			return
 		}

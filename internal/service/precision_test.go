@@ -12,7 +12,9 @@ import (
 // — the retired path selectors "exec" and "dense_m2l", the retired device
 // switch, the retired 2:1 balance option and the retired near-field
 // "precision" among them — must be a 400 naming the field on every endpoint
-// that takes options, not the default served under a cache entry of its own.
+// that takes options, not the default served under a cache entry of its own;
+// so must an order above kifmm.MaxOrder and a shard_comm naming a reduction
+// sharded plans no longer run.
 func TestUnknownExecPrecisionRejected(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
@@ -29,7 +31,8 @@ func TestUnknownExecPrecisionRejected(t *testing.T) {
 		{"dense_m2l", true},
 		{"accelerated", true},
 		{"balanced", true},
-		{"order", 1e9}, // above kifmm.MaxOrder: refused before any operator is built
+		{"order", 1e9},              // above kifmm.MaxOrder: refused before any operator is built
+		{"shard_comm", "hypercube"}, // sharded plans run the one reduction, "simple"
 	} {
 		body := map[string]any{"points": pts, "densities": den,
 			"options": map[string]any{"order": 4, c.field: c.value}}

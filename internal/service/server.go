@@ -498,29 +498,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "fmmserve_session_patched_nodes_total %d\n", s.sessPatched.Load())
 	fmt.Fprintf(w, "fmmserve_session_replans_total %d\n", s.sessReplans.Load())
 	if rows := kifmm.ShardTrafficStats(); len(rows) > 0 {
-		fmt.Fprintf(w, "# TYPE fmmserve_shard_bytes_sent counter\n")
-		for _, t := range rows {
-			fmt.Fprintf(w, "fmmserve_shard_bytes_sent{backend=%q,rank=\"%d\"} %d\n", t.Backend, t.Rank, t.BytesSent)
-		}
-		fmt.Fprintf(w, "# TYPE fmmserve_shard_remote_bytes_sent counter\n")
-		for _, t := range rows {
-			fmt.Fprintf(w, "fmmserve_shard_remote_bytes_sent{backend=%q,rank=\"%d\"} %d\n", t.Backend, t.Rank, t.RemoteBytes)
-		}
-		fmt.Fprintf(w, "# TYPE fmmserve_shard_msgs_sent counter\n")
-		for _, t := range rows {
-			fmt.Fprintf(w, "fmmserve_shard_msgs_sent{backend=%q,rank=\"%d\"} %d\n", t.Backend, t.Rank, t.MsgsSent)
-		}
-		fmt.Fprintf(w, "# TYPE fmmserve_shard_reduce_octants_sent counter\n")
-		for _, t := range rows {
-			fmt.Fprintf(w, "fmmserve_shard_reduce_octants_sent{backend=%q,rank=\"%d\"} %d\n", t.Backend, t.Rank, t.ReduceOctants)
-		}
-		fmt.Fprintf(w, "# TYPE fmmserve_shard_reduce_rounds counter\n")
-		for _, t := range rows {
-			fmt.Fprintf(w, "fmmserve_shard_reduce_rounds{backend=%q,rank=\"%d\"} %d\n", t.Backend, t.Rank, t.ReduceRounds)
-		}
-		fmt.Fprintf(w, "# TYPE fmmserve_shard_applies counter\n")
-		for _, t := range rows {
-			fmt.Fprintf(w, "fmmserve_shard_applies{backend=%q,rank=\"%d\"} %d\n", t.Backend, t.Rank, t.Applies)
+		// Sharded plans run one reduction; the backend label keeps the
+		// series' names as clients already parse them.
+		for _, c := range []struct {
+			name  string
+			value func(kifmm.ShardTraffic) int64
+		}{
+			{"bytes_sent", func(t kifmm.ShardTraffic) int64 { return t.BytesSent }},
+			{"remote_bytes_sent", func(t kifmm.ShardTraffic) int64 { return t.RemoteBytes }},
+			{"msgs_sent", func(t kifmm.ShardTraffic) int64 { return t.MsgsSent }},
+			{"reduce_octants_sent", func(t kifmm.ShardTraffic) int64 { return t.ReduceOctants }},
+			{"applies", func(t kifmm.ShardTraffic) int64 { return t.Applies }},
+		} {
+			fmt.Fprintf(w, "# TYPE fmmserve_shard_%s counter\n", c.name)
+			for _, t := range rows {
+				fmt.Fprintf(w, "fmmserve_shard_%s{backend=\"simple\",rank=\"%d\"} %d\n", c.name, t.Rank, c.value(t))
+			}
 		}
 	}
 	s.prof.WriteMetrics(w, "kifmm")

@@ -11,10 +11,9 @@ import (
 )
 
 // shardOpts returns fastOpts with sharding enabled.
-func shardOpts(shards int, comm string) SolverOptions {
+func shardOpts(shards int) SolverOptions {
 	o := fastOpts()
 	o.Shards = shards
-	o.ShardComm = comm
 	return o
 }
 
@@ -38,12 +37,12 @@ func TestShardedEvaluateMatchesUnsharded(t *testing.T) {
 		t.Fatalf("unsharded evaluate: %d %s", code, raw)
 	}
 
-	for _, comm := range []string{"hypercube", "simple"} {
+	for _, R := range []int{3, 4} {
 		var sharded EvaluateResponse
 		code, raw := postJSON(t, ts.Client(), ts.URL+"/v1/evaluate",
-			EvaluateRequest{Points: pts, Options: shardOpts(4, comm), Densities: den}, &sharded)
+			EvaluateRequest{Points: pts, Options: shardOpts(R), Densities: den}, &sharded)
 		if code != http.StatusOK {
-			t.Fatalf("sharded evaluate (%s): %d %s", comm, code, raw)
+			t.Fatalf("sharded evaluate (R=%d): %d %s", R, code, raw)
 		}
 		var num, denom float64
 		for i := range base.Potentials {
@@ -52,17 +51,19 @@ func TestShardedEvaluateMatchesUnsharded(t *testing.T) {
 			denom += base.Potentials[i] * base.Potentials[i]
 		}
 		if e := math.Sqrt(num / denom); e > 1e-9 {
-			t.Errorf("%s: sharded differs from unsharded by %g", comm, e)
+			t.Errorf("R=%d: sharded differs from unsharded by %g", R, e)
 		}
 		if sharded.PlanID == base.PlanID {
-			t.Errorf("%s: sharded plan shares the unsharded plan id", comm)
+			t.Errorf("R=%d: sharded plan shares the unsharded plan id", R)
 		}
 	}
 }
 
 // TestShardedPlansAreDistinctCacheEntries: the same point set planned at
-// different shard counts (or backends) must hash to distinct plan ids and
-// coexist in the cache — the "re-plan after shard count changes" case.
+// different shard counts must hash to distinct plan ids and coexist in the
+// cache — the "re-plan after shard count changes" case — while
+// "shard_comm":"simple", which names the one reduction sharded plans run,
+// shares the plan of the request that omits it.
 func TestShardedPlansAreDistinctCacheEntries(t *testing.T) {
 	s := New(Config{Workers: 2, QueueDepth: 8})
 	defer s.Shutdown(context.Background())
@@ -76,9 +77,9 @@ func TestShardedPlansAreDistinctCacheEntries(t *testing.T) {
 		opts SolverOptions
 	}{
 		{"unsharded", fastOpts()},
-		{"R2", shardOpts(2, "")},
-		{"R4", shardOpts(4, "")},
-		{"R4-simple", shardOpts(4, "simple")},
+		{"R2", shardOpts(2)},
+		{"R3", shardOpts(3)},
+		{"R4", shardOpts(4)},
 	} {
 		var plan PlanResponse
 		code, raw := postJSON(t, ts.Client(), ts.URL+"/v1/plan",
@@ -103,6 +104,13 @@ func TestShardedPlansAreDistinctCacheEntries(t *testing.T) {
 			t.Errorf("%s: re-plan missed its own cache entry (%+v)", cfg.name, again)
 		}
 	}
+	simple := shardOpts(4)
+	simple.ShardComm = "simple"
+	var plan PlanResponse
+	code, raw := postJSON(t, ts.Client(), ts.URL+"/v1/plan", PlanRequest{Points: pts, Options: simple}, &plan)
+	if code != http.StatusOK || !plan.Cached || plan.PlanID != ids["R4"] {
+		t.Errorf(`"shard_comm":"simple" missed the R4 plan %s: %d %s`, ids["R4"], code, raw)
+	}
 }
 
 // TestShardsCapRejected: options.shards above the server cap is a 400, both
@@ -115,25 +123,27 @@ func TestShardsCapRejected(t *testing.T) {
 
 	pts, den := testPoints(200, 5)
 	code, raw := postJSON(t, ts.Client(), ts.URL+"/v1/plan",
-		PlanRequest{Points: pts, Options: shardOpts(8, "")}, nil)
+		PlanRequest{Points: pts, Options: shardOpts(8)}, nil)
 	if code != http.StatusBadRequest || !strings.Contains(raw, "server cap") {
 		t.Fatalf("plan over cap: %d %s", code, raw)
 	}
 	code, raw = postJSON(t, ts.Client(), ts.URL+"/v1/evaluate",
-		EvaluateRequest{Points: pts, Options: shardOpts(8, ""), Densities: den}, nil)
+		EvaluateRequest{Points: pts, Options: shardOpts(8), Densities: den}, nil)
 	if code != http.StatusBadRequest || !strings.Contains(raw, "server cap") {
 		t.Fatalf("evaluate over cap: %d %s", code, raw)
 	}
 	// At the cap is fine.
 	code, raw = postJSON(t, ts.Client(), ts.URL+"/v1/evaluate",
-		EvaluateRequest{Points: pts, Options: shardOpts(4, ""), Densities: den}, &EvaluateResponse{})
+		EvaluateRequest{Points: pts, Options: shardOpts(4), Densities: den}, &EvaluateResponse{})
 	if code != http.StatusOK {
 		t.Fatalf("evaluate at cap: %d %s", code, raw)
 	}
 }
 
 // TestMetricsExposeShardTraffic: after a sharded evaluation, /metrics must
-// carry per-(backend, rank) traffic rows.
+// carry per-rank traffic rows under the names and the backend label clients
+// already parse, and no reduce-rounds series (one reduction: every row
+// would equal the applies).
 func TestMetricsExposeShardTraffic(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 4})
 	defer s.Shutdown(context.Background())
@@ -141,12 +151,12 @@ func TestMetricsExposeShardTraffic(t *testing.T) {
 	defer ts.Close()
 
 	pts, den := testPoints(400, 6)
-	for _, comm := range []string{"hypercube", "simple"} {
-		code, raw := postJSON(t, ts.Client(), ts.URL+"/v1/evaluate",
-			EvaluateRequest{Points: pts, Options: shardOpts(2, comm), Densities: den}, &EvaluateResponse{})
-		if code != http.StatusOK {
-			t.Fatalf("evaluate (%s): %d %s", comm, code, raw)
-		}
+	opts := shardOpts(2)
+	opts.ShardComm = "simple" // the benchmark's request
+	code, raw := postJSON(t, ts.Client(), ts.URL+"/v1/evaluate",
+		EvaluateRequest{Points: pts, Options: opts, Densities: den}, &EvaluateResponse{})
+	if code != http.StatusOK {
+		t.Fatalf("evaluate: %d %s", code, raw)
 	}
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
@@ -155,15 +165,17 @@ func TestMetricsExposeShardTraffic(t *testing.T) {
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
 	text := string(body)
-	for _, want := range []string{
-		`fmmserve_shard_bytes_sent{backend="hypercube",rank="0"}`,
-		`fmmserve_shard_bytes_sent{backend="simple",rank="1"}`,
-		`fmmserve_shard_reduce_rounds{backend="hypercube",rank="0"}`,
-		`fmmserve_shard_applies{backend="simple",rank="0"}`,
-		"fmmserve_max_shards 16",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics missing %q", want)
+	for _, series := range []string{"bytes_sent", "remote_bytes_sent", "msgs_sent", "reduce_octants_sent", "applies"} {
+		for _, rank := range []string{"0", "1"} {
+			if want := "fmmserve_shard_" + series + `{backend="simple",rank="` + rank + `"} `; !strings.Contains(text, want) {
+				t.Errorf("metrics missing %q", want)
+			}
 		}
+	}
+	if !strings.Contains(text, "fmmserve_max_shards 16") {
+		t.Error("metrics missing fmmserve_max_shards 16")
+	}
+	if strings.Contains(text, "reduce_rounds") {
+		t.Error("metrics still carry a reduce-rounds series")
 	}
 }

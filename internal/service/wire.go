@@ -36,9 +36,10 @@ type SolverOptions struct {
 	// local essential trees and every apply runs the coordinated multi-rank
 	// evaluation (capped by the server's -max-shards).
 	Shards int `json:"shards,omitempty"`
-	// ShardComm selects the sharded communication backend: "hypercube"
-	// (the paper's Algorithm 3, power-of-two Shards; default) or "simple"
-	// (direct point-to-point, any shard count).
+	// ShardComm names the sharded reduction. Sharded plans run one, the
+	// direct point-to-point "simple", so only "" and "simple" are accepted;
+	// the field is decoded for the clients that still send it and changes
+	// nothing.
 	ShardComm string `json:"shard_comm,omitempty"`
 	// Targets, when non-empty, makes evaluation asymmetric: request points
 	// are sources only, and potentials are returned at these targets instead
@@ -58,11 +59,15 @@ func (o *SolverOptions) UnmarshalJSON(b []byte) error {
 	return dec.Decode((*plain)(o))
 }
 
-// Validate rejects an order above kifmm.MaxOrder, naming the field, before
-// the request is queued (kifmm.New would refuse it at plan build).
+// Validate rejects, naming the field, an order above kifmm.MaxOrder (kifmm.New
+// would refuse it at plan build) and a shard_comm other than "simple", before
+// the request is queued.
 func (o SolverOptions) Validate() error {
 	if o.Order > kifmm.MaxOrder {
 		return fmt.Errorf("order: %d exceeds the maximum %d", o.Order, kifmm.MaxOrder)
+	}
+	if o.ShardComm != "" && o.ShardComm != "simple" {
+		return fmt.Errorf("shard_comm: %q is not served; sharded plans reduce with \"simple\"", o.ShardComm)
 	}
 	return nil
 }
@@ -80,7 +85,6 @@ func (o SolverOptions) ToOptions() kifmm.Options {
 		Workers:      o.Workers,
 		YukawaLambda: o.YukawaLambda,
 		Shards:       o.Shards,
-		ShardComm:    o.ShardComm,
 	}
 }
 
@@ -234,11 +238,9 @@ func PlanKey(points [][3]float64, o SolverOptions) string {
 	wi(int64(o.MaxDepth))
 	wi(int64(o.Workers))
 	wf(o.YukawaLambda)
-	// Shard configuration is part of plan identity: the same points served
-	// at different shard counts (or backends) are distinct resident plans.
+	// The shard count is part of plan identity: the same points served at
+	// different shard counts are distinct resident plans.
 	wi(int64(o.Shards))
-	h.Write([]byte(o.ShardComm))
-	h.Write([]byte{0})
 	// Target geometry is part of plan identity: the same sources evaluated
 	// at different target sets are distinct plans (distinct union trees).
 	wi(int64(len(o.Targets)))

@@ -28,7 +28,7 @@ func TestMoreRanksThanLeaves(t *testing.T) {
 	if nl := len(tr.Leaves); nl != 1 {
 		t.Fatalf("setup: expected a single-leaf tree, got %d leaves", nl)
 	}
-	_, err := BuildPlan(tr, Config{Ranks: 2, Backend: Simple, Spec: kifmm.EngineSpec{Ops: ops, DenseM2L: true}})
+	_, err := BuildPlan(tr, Config{Ranks: 2, Spec: kifmm.EngineSpec{Ops: ops, DenseM2L: true}})
 	if err == nil {
 		t.Fatal("expected error for 2 ranks over a 1-leaf tree")
 	}
@@ -48,8 +48,8 @@ func TestSingleLeafPerRank(t *testing.T) {
 	}
 	want := oracle(t, tr, ops, den, true)
 	got := applySharded(t, tr, ops, den, Config{
-		Ranks: R, Backend: Simple,
-		Spec: kifmm.EngineSpec{Ops: ops},
+		Ranks: R,
+		Spec:  kifmm.EngineSpec{Ops: ops},
 	})
 	if err := relErr(got, want); err > diffTol {
 		t.Errorf("one leaf per rank (R=%d): rel err %g vs oracle", R, err)
@@ -91,15 +91,15 @@ func TestHeavyLeafAtRankBoundary(t *testing.T) {
 	want := oracle(t, tr, ops, den, true)
 	for _, R := range []int{2, 4} {
 		got := applySharded(t, tr, ops, den, Config{
-			Ranks: R, Backend: Hypercube,
-			Spec: kifmm.EngineSpec{Ops: ops},
+			Ranks: R,
+			Spec:  kifmm.EngineSpec{Ops: ops},
 		})
 		if err := relErr(got, want); err > diffTol {
 			t.Errorf("heavy leaf R=%d: rel err %g vs oracle", R, err)
 		}
 	}
 	// Every rank must own at least one leaf despite the weight skew.
-	p, err := BuildPlan(tr, Config{Ranks: 4, Backend: Hypercube, Spec: kifmm.EngineSpec{Ops: ops, DenseM2L: true}})
+	p, err := BuildPlan(tr, Config{Ranks: 4, Spec: kifmm.EngineSpec{Ops: ops, DenseM2L: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestReplanDifferentShardCounts(t *testing.T) {
 	tr, ops, den := buildCase(t, kern, geom.Ellipsoid, 2000, 40, 4)
 	var first []float64
 	for _, R := range []int{1, 2, 4} {
-		p, err := BuildPlan(tr, Config{Ranks: R, Backend: Hypercube, Spec: kifmm.EngineSpec{Ops: ops}})
+		p, err := BuildPlan(tr, Config{Ranks: R, Spec: kifmm.EngineSpec{Ops: ops}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,6 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"zero ranks", Config{Ranks: 0, Spec: kifmm.EngineSpec{Ops: ops, DenseM2L: true}}},
 		{"nil ops", Config{Ranks: 2}},
-		{"hypercube non-pow2", Config{Ranks: 3, Backend: Hypercube, Spec: kifmm.EngineSpec{Ops: ops, DenseM2L: true}}},
 	}
 	for _, tc := range cases {
 		if _, err := BuildPlan(tr, tc.cfg); err == nil {
@@ -157,7 +156,7 @@ func TestConfigValidation(t *testing.T) {
 // TestApplyValidatesDensityLength checks the density-length guard.
 func TestApplyValidatesDensityLength(t *testing.T) {
 	tr, ops, den := buildCase(t, kernel.Laplace{}, geom.Uniform, 500, 40, 4)
-	p, err := BuildPlan(tr, Config{Ranks: 2, Backend: Simple, Spec: kifmm.EngineSpec{Ops: ops, DenseM2L: true}})
+	p, err := BuildPlan(tr, Config{Ranks: 2, Spec: kifmm.EngineSpec{Ops: ops, DenseM2L: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,26 +16,15 @@ type RankTraffic struct {
 	// ReduceOctants is the number of octant records this rank sent during
 	// the upward reduction.
 	ReduceOctants int64
-	// ReduceRounds is the number of exchange rounds the reduction backend
-	// ran (log p for the hypercube, 1 for the direct scheme).
-	ReduceRounds int64
 }
 
-// Traffic is the cumulative per-(backend, rank) communication counters of
-// every sharded Apply in this process — the scoreboard for racing the
-// hypercube against the simple scheme.
+// Traffic is the cumulative per-rank communication counters of every
+// sharded Apply in this process.
 type Traffic struct {
-	Backend string
-	Rank    int
+	Rank int
 	// Applies counts sharded Apply calls that recorded into this row.
 	Applies int64
 	RankTraffic
-}
-
-// trafficKey identifies one registry row.
-type trafficKey struct {
-	backend string
-	rank    int
 }
 
 // registry accumulates process-wide sharded-apply traffic, mirroring the
@@ -43,31 +32,29 @@ type trafficKey struct {
 // regardless of which plan (or how many) did the communicating.
 type registry struct {
 	mu   sync.Mutex
-	rows map[trafficKey]*Traffic
+	rows map[int]*Traffic
 }
 
 // Metrics is the process-wide sharded-communication traffic registry.
-var Metrics = &registry{rows: make(map[trafficKey]*Traffic)}
+var Metrics = &registry{rows: make(map[int]*Traffic)}
 
-func (g *registry) add(backend string, rank int, t RankTraffic) {
-	k := trafficKey{backend: backend, rank: rank}
+func (g *registry) add(rank int, t RankTraffic) {
 	g.mu.Lock()
-	row, ok := g.rows[k]
+	row, ok := g.rows[rank]
 	if !ok {
-		row = &Traffic{Backend: backend, Rank: rank}
-		g.rows[k] = row
+		row = &Traffic{Rank: rank}
+		g.rows[rank] = row
 	}
 	row.Applies++
 	row.BytesSent += t.BytesSent
 	row.MsgsSent += t.MsgsSent
 	row.RemoteBytes += t.RemoteBytes
 	row.ReduceOctants += t.ReduceOctants
-	row.ReduceRounds += t.ReduceRounds
 	g.mu.Unlock()
 }
 
-// Rows returns a copy of every row, sorted by backend then rank, so metric
-// output is deterministic.
+// Rows returns a copy of every row, sorted by rank, so metric output is
+// deterministic.
 func (g *registry) Rows() []Traffic {
 	g.mu.Lock()
 	out := make([]Traffic, 0, len(g.rows))
@@ -75,18 +62,13 @@ func (g *registry) Rows() []Traffic {
 		out = append(out, *row)
 	}
 	g.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Backend != out[j].Backend {
-			return out[i].Backend < out[j].Backend
-		}
-		return out[i].Rank < out[j].Rank
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
 	return out
 }
 
 // Reset clears the registry (tests only).
 func (g *registry) Reset() {
 	g.mu.Lock()
-	g.rows = make(map[trafficKey]*Traffic)
+	g.rows = make(map[int]*Traffic)
 	g.mu.Unlock()
 }

@@ -4,10 +4,15 @@
 // of Algorithm 2 over its share (dtree.BuildLET), and every Apply executes
 // the paper's distributed evaluation pipeline on each rank
 // (parfmm.EvaluateRank) — per-shard upward pass, ghost up-density exchange,
-// the shared-octant upward reduction behind a pluggable CommBackend
-// (Algorithm 3's hypercube or the direct point-to-point scheme of Kailasa et
-// al.), then the V/X/W/U phases on local targets — and gathers the per-rank
-// potentials into one response in input point order.
+// the shared-octant upward reduction, then the V/X/W/U phases on local
+// targets — and gathers the per-rank potentials into one response in input
+// point order.
+//
+// The reduction is reduce.Simple, the one-round point-to-point scheme of
+// Kailasa et al., at every rank count. At the R ≤ 16 goroutine ranks a plan
+// runs it sends fewer octants and bytes than Algorithm 3's hypercube, returns
+// the same bits, and needs no power-of-two rank count; the hypercube stays
+// where the paper puts it, under parfmm.Evaluate.
 //
 // Because the ranks partition the leaves of the ALREADY-BUILT global tree
 // (rather than re-running distributed tree construction), every rank's LET
@@ -31,15 +36,13 @@ import (
 	"kifmm/internal/mpi"
 	"kifmm/internal/octree"
 	"kifmm/internal/parfmm"
+	"kifmm/internal/reduce"
 )
 
 // Config sizes a sharded plan.
 type Config struct {
 	// Ranks is the number of in-process ranks R (≥ 1).
 	Ranks int
-	// Backend completes the shared octants' upward densities (nil selects
-	// Hypercube, the paper's Algorithm 3).
-	Backend CommBackend
 	// Spec configures every rank's engines. Its operators are shared
 	// read-only by the ranks (and, through the process-wide spectrum cache,
 	// by every plan for the same kernel and order); its Workers is the total
@@ -78,9 +81,9 @@ type Plan struct {
 // BuildPlan partitions the global tree's leaves across cfg.Ranks ranks and
 // assembles each rank's local essential tree. The tree must have been built
 // by octree.Build (it carries the input-order permutation) with interaction
-// lists built; it is only read. Returns an error — never panics — when the
-// partition is infeasible (fewer leaves than ranks, or a backend that
-// requires a power-of-two rank count).
+// lists built; it is only read, and the plan keeps none of it but the point
+// array its ranks' owned leaves alias. Returns an error — never panics — when
+// the partition is infeasible (fewer leaves than ranks).
 func BuildPlan(tree *octree.Tree, cfg Config) (*Plan, error) {
 	if cfg.Ranks < 1 {
 		return nil, fmt.Errorf("shard: need at least one rank, got %d", cfg.Ranks)
@@ -88,13 +91,6 @@ func BuildPlan(tree *octree.Tree, cfg Config) (*Plan, error) {
 	ops := cfg.Spec.Ops
 	if ops == nil {
 		return nil, fmt.Errorf("shard: nil operators")
-	}
-	if cfg.Backend == nil {
-		cfg.Backend = Hypercube
-	}
-	if cfg.Backend.NeedsPow2() && cfg.Ranks&(cfg.Ranks-1) != 0 {
-		return nil, fmt.Errorf("shard: the %s backend requires a power-of-two rank count, got %d",
-			cfg.Backend.Name(), cfg.Ranks)
 	}
 	R := cfg.Ranks
 	if len(tree.Leaves) < R {
@@ -205,9 +201,6 @@ func partitionLeaves(w []int64, R int) [][2]int {
 // Ranks returns the shard count R.
 func (p *Plan) Ranks() int { return p.cfg.Ranks }
 
-// Backend returns the configured communication backend's name.
-func (p *Plan) Backend() string { return p.cfg.Backend.Name() }
-
 // SetProfile attaches a diag profile receiving per-phase timings and flop
 // counts from every rank of subsequent Apply calls (nil detaches).
 func (p *Plan) SetProfile(prof *diag.Profile) {
@@ -234,7 +227,6 @@ func (p *Plan) Apply(densities []float64) ([]float64, error) {
 	}
 	prof := p.prof.Load()
 	out := make([]float64, p.n*p.td)
-	backend := p.cfg.Backend
 	traffic := make([]RankTraffic, p.cfg.Ranks)
 
 	mpi.Run(p.cfg.Ranks, func(c *mpi.Comm) {
@@ -243,26 +235,25 @@ func (p *Plan) Apply(densities []float64) ([]float64, error) {
 		eng := rs.engines.Get(prof)
 
 		// Owned densities in, the shared distributed rank evaluation with the
-		// backend completing the shared octants' upward densities, owned
-		// potentials out.
+		// direct scheme completing the shared octants' upward densities,
+		// owned potentials out.
 		placeDensities(rs, eng, densities, p.sd)
-		rst, delta, commDur := parfmm.EvaluateRank(c, eng, rs.dt, backend.Reduce)
+		rst, delta, commDur := parfmm.EvaluateRank(c, eng, rs.dt, reduce.Simple)
 		traffic[r] = RankTraffic{
 			BytesSent:     delta.Bytes,
 			MsgsSent:      delta.Messages,
 			RemoteBytes:   delta.RemoteBytes,
 			ReduceOctants: int64(rst.OctantsSentTotal),
-			ReduceRounds:  int64(len(rst.OctantsSentPerRound)),
 		}
 		if prof != nil {
-			prof.AddTime(diag.ShardCommPhase(backend.Name()), commDur)
+			prof.AddTime(diag.PhaseShardComm, commDur)
 		}
 		gatherPotentials(rs, eng, out, p.td)
 		rs.engines.Put(eng)
 	})
 
 	for r, t := range traffic {
-		Metrics.add(backend.Name(), r, t)
+		Metrics.add(r, t)
 	}
 	if prof != nil {
 		prof.AddCounter(diag.CounterShardApplies, 1)

@@ -81,26 +81,23 @@ func applySharded(t testing.TB, tr *octree.Tree, ops *kifmm.Operators, den []flo
 const diffTol = 1e-9
 
 // TestShardedMatchesOracleLaplace is the core differential: for every rank
-// count and both communication backends, the sharded apply must agree with
-// the single-engine oracle up to reduction summation order (see diffTol).
+// count the sharded apply must agree with the single-engine oracle up to
+// reduction summation order (see diffTol).
 func TestShardedMatchesOracleLaplace(t *testing.T) {
-	// Every rank goroutine and comm-backend mailbox spun up by the
-	// coordinated applies must be gone when the plans are released.
+	// Every rank goroutine and mailbox spun up by the coordinated applies
+	// must be gone when the plans are released.
 	defer goleak.Check(t)()
 	kern := kernel.Laplace{}
 	for _, dist := range []geom.Distribution{geom.Uniform, geom.Ellipsoid} {
 		tr, ops, den := buildCase(t, kern, dist, 3000, 40, 6)
 		want := oracle(t, tr, ops, den, true)
-		for _, backend := range []CommBackend{Hypercube, Simple} {
-			for _, R := range []int{1, 2, 4, 8} {
-				got := applySharded(t, tr, ops, den, Config{
-					Ranks: R, Backend: backend,
-					Spec: kifmm.EngineSpec{Ops: ops, Workers: 4},
-				})
-				if err := relErr(got, want); err > diffTol {
-					t.Errorf("dist=%v backend=%s R=%d: rel err %g vs oracle (want ≤ %g)",
-						dist, backend.Name(), R, err, diffTol)
-				}
+		for _, R := range []int{1, 2, 4, 8} {
+			got := applySharded(t, tr, ops, den, Config{
+				Ranks: R,
+				Spec:  kifmm.EngineSpec{Ops: ops, Workers: 4},
+			})
+			if err := relErr(got, want); err > diffTol {
+				t.Errorf("dist=%v R=%d: rel err %g vs oracle (want ≤ %g)", dist, R, err, diffTol)
 			}
 		}
 	}
@@ -124,33 +121,27 @@ func TestShardedReassociationOnly(t *testing.T) {
 		den[i] = rng.NormFloat64()
 	}
 	want := oracle(t, tr, ops, den, true)
-	for _, backend := range []CommBackend{Hypercube, Simple} {
-		for _, R := range []int{2, 4, 8} {
-			got := applySharded(t, tr, ops, den, Config{
-				Ranks: R, Backend: backend,
-				Spec: kifmm.EngineSpec{Ops: ops},
-			})
-			if err := relErr(got, want); err > 1e-12 {
-				t.Errorf("backend=%s R=%d: rel err %g vs oracle (want ≤ 1e-12 at Tol=1e-5)",
-					backend.Name(), R, err)
-			}
+	for _, R := range []int{2, 4, 8} {
+		got := applySharded(t, tr, ops, den, Config{Ranks: R, Spec: kifmm.EngineSpec{Ops: ops}})
+		if err := relErr(got, want); err > 1e-12 {
+			t.Errorf("R=%d: rel err %g vs oracle (want ≤ 1e-12 at Tol=1e-5)", R, err)
 		}
 	}
 }
 
-// TestShardedNonPow2Simple checks the direct scheme at rank counts the
-// hypercube cannot run.
+// TestShardedNonPow2Simple checks the direct scheme at rank counts that are
+// not powers of two (Algorithm 3's hypercube could not run them).
 func TestShardedNonPow2Simple(t *testing.T) {
 	kern := kernel.Laplace{}
 	tr, ops, den := buildCase(t, kern, geom.Ellipsoid, 2000, 40, 6)
 	want := oracle(t, tr, ops, den, true)
 	for _, R := range []int{3, 5, 7} {
 		got := applySharded(t, tr, ops, den, Config{
-			Ranks: R, Backend: Simple,
-			Spec: kifmm.EngineSpec{Ops: ops, Workers: 2},
+			Ranks: R,
+			Spec:  kifmm.EngineSpec{Ops: ops, Workers: 2},
 		})
 		if err := relErr(got, want); err > diffTol {
-			t.Errorf("simple R=%d: rel err %g vs oracle", R, err)
+			t.Errorf("R=%d: rel err %g vs oracle", R, err)
 		}
 	}
 }
@@ -162,14 +153,12 @@ func TestShardedMatchesOracleStokes(t *testing.T) {
 	for _, dist := range []geom.Distribution{geom.Uniform, geom.Ellipsoid} {
 		tr, ops, den := buildCase(t, kern, dist, 1500, 50, 4)
 		want := oracle(t, tr, ops, den, true)
-		for _, backend := range []CommBackend{Hypercube, Simple} {
-			got := applySharded(t, tr, ops, den, Config{
-				Ranks: 4, Backend: backend,
-				Spec: kifmm.EngineSpec{Ops: ops, Workers: 2},
-			})
-			if err := relErr(got, want); err > diffTol {
-				t.Errorf("stokes dist=%v backend=%s: rel err %g vs oracle", dist, backend.Name(), err)
-			}
+		got := applySharded(t, tr, ops, den, Config{
+			Ranks: 4,
+			Spec:  kifmm.EngineSpec{Ops: ops, Workers: 2},
+		})
+		if err := relErr(got, want); err > diffTol {
+			t.Errorf("stokes dist=%v: rel err %g vs oracle", dist, err)
 		}
 	}
 }
@@ -181,14 +170,12 @@ func TestShardedMatchesOracleYukawa(t *testing.T) {
 	for _, dist := range []geom.Distribution{geom.Uniform, geom.Ellipsoid} {
 		tr, ops, den := buildCase(t, kern, dist, 1500, 50, 4)
 		want := oracle(t, tr, ops, den, true)
-		for _, backend := range []CommBackend{Hypercube, Simple} {
-			got := applySharded(t, tr, ops, den, Config{
-				Ranks: 4, Backend: backend,
-				Spec: kifmm.EngineSpec{Ops: ops, Workers: 2},
-			})
-			if err := relErr(got, want); err > diffTol {
-				t.Errorf("yukawa dist=%v backend=%s: rel err %g vs oracle", dist, backend.Name(), err)
-			}
+		got := applySharded(t, tr, ops, den, Config{
+			Ranks: 4,
+			Spec:  kifmm.EngineSpec{Ops: ops, Workers: 2},
+		})
+		if err := relErr(got, want); err > diffTol {
+			t.Errorf("yukawa dist=%v: rel err %g vs oracle", dist, err)
 		}
 	}
 }
@@ -199,88 +186,62 @@ func TestShardedMatchesOracleYukawa(t *testing.T) {
 func TestShardedDeterministic(t *testing.T) {
 	kern := kernel.Laplace{}
 	tr, ops, den := buildCase(t, kern, geom.Ellipsoid, 2000, 40, 6)
-	for _, backend := range []CommBackend{Hypercube, Simple} {
-		cfg := Config{Ranks: 4, Backend: backend, Spec: kifmm.EngineSpec{Ops: ops, Workers: 3}}
-		p1, err := BuildPlan(tr, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := p1.Apply(den)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := p1.Apply(den) // reused engines
-		if err != nil {
-			t.Fatal(err)
-		}
-		p2, err := BuildPlan(tr, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := p2.Apply(den)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a {
-			if a[i] != b[i] || a[i] != c[i] {
-				t.Fatalf("backend=%s: non-deterministic output at %d: %v %v %v",
-					backend.Name(), i, a[i], b[i], c[i])
-			}
+	cfg := Config{Ranks: 4, Spec: kifmm.EngineSpec{Ops: ops, Workers: 3}}
+	p1, err := BuildPlan(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := p1.Apply(den)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := p1.Apply(den) // reused engines
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := BuildPlan(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := p2.Apply(den)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a {
+		if a[i] != b[i] || a[i] != c[i] {
+			t.Fatalf("non-deterministic output at %d: %v %v %v", i, a[i], b[i], c[i])
 		}
 	}
 }
 
 // TestShardedTrafficRecorded checks that applies land in the process-wide
-// registry with the expected round structure per backend.
+// registry, one row per rank.
 func TestShardedTrafficRecorded(t *testing.T) {
 	Metrics.Reset()
 	kern := kernel.Laplace{}
 	tr, ops, den := buildCase(t, kern, geom.Uniform, 2000, 40, 4)
-	for _, backend := range []CommBackend{Hypercube, Simple} {
-		applySharded(t, tr, ops, den, Config{
-			Ranks: 4, Backend: backend,
-			Spec: kifmm.EngineSpec{Ops: ops},
-		})
+	p, err := BuildPlan(tr, Config{Ranks: 4, Spec: kifmm.EngineSpec{Ops: ops}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for apply := 0; apply < 2; apply++ {
+		if _, err := p.Apply(den); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rows := Metrics.Rows()
-	byBackend := map[string]int{}
-	for _, row := range rows {
-		byBackend[row.Backend]++
-		if row.Applies != 1 {
-			t.Errorf("%s rank %d: %d applies, want 1", row.Backend, row.Rank, row.Applies)
+	if len(rows) != 4 {
+		t.Fatalf("%d traffic rows, want 4", len(rows))
+	}
+	for r, row := range rows {
+		if row.Rank != r || row.Applies != 2 {
+			t.Errorf("row %d: rank %d with %d applies, want rank %d with 2", r, row.Rank, row.Applies, r)
 		}
-		if row.BytesSent <= 0 {
-			t.Errorf("%s rank %d: no bytes recorded", row.Backend, row.Rank)
-		}
-		switch row.Backend {
-		case BackendHypercube:
-			if row.ReduceRounds != 2 { // log2(4)
-				t.Errorf("hypercube rank %d: %d reduce rounds, want 2", row.Rank, row.ReduceRounds)
-			}
-		case BackendSimple:
-			if row.ReduceRounds != 1 {
-				t.Errorf("simple rank %d: %d reduce rounds, want 1", row.Rank, row.ReduceRounds)
-			}
+		if row.BytesSent <= 0 || row.ReduceOctants <= 0 {
+			t.Errorf("rank %d: no traffic recorded (%+v)", r, row.RankTraffic)
 		}
 	}
-	if byBackend[BackendHypercube] != 4 || byBackend[BackendSimple] != 4 {
-		t.Fatalf("expected 4 rows per backend, got %v", byBackend)
-	}
-}
-
-// TestBackendByName checks wire-name resolution.
-func TestBackendByName(t *testing.T) {
-	for name, want := range map[string]CommBackend{
-		"": Hypercube, BackendHypercube: Hypercube, BackendSimple: Simple,
-	} {
-		got, err := BackendByName(name)
-		if err != nil || got != want {
-			t.Errorf("BackendByName(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := BackendByName("telepathy"); err == nil {
-		t.Error("unknown backend accepted")
-	}
+	Metrics.Reset()
 }
 
 // TestMemoryBytesTracksLayouts: the plan-cache estimate must count what the

@@ -22,7 +22,9 @@ import (
 // (per-call evaluation state) from an internal free list, so concurrent
 // Apply calls proceed in parallel and reuse the shared tree and operators.
 type Plan struct {
-	f    *FMM
+	f *FMM
+	// tree is the single-engine plan's octree; a sharded plan drops it once
+	// its ranks hold their local essential trees.
 	tree *octree.Tree
 	// layout is the plan-time streaming translation of the tree (SoA point
 	// panels, per-level surface offsets), built once and shared read-only
@@ -85,12 +87,14 @@ func (f *FMM) PlanAt(targets, sources []Point) (*Plan, error) {
 		// Sharded plan: partition this tree's leaves across R ranks and
 		// assemble their local essential trees. The prewarmed spectra above
 		// cover every rank (LET V-list levels are a subset of the global
-		// tree's), landing in the process-wide cache all shards share.
-		sp, err := shard.BuildPlan(tree, shard.Config{Ranks: f.opt.Shards, Backend: f.backend, Spec: f.spec})
+		// tree's), landing in the process-wide cache all shards share. The
+		// ranks never read the global tree again, so the plan does not keep
+		// it.
+		sp, err := shard.BuildPlan(tree, shard.Config{Ranks: f.opt.Shards, Spec: f.spec})
 		if err != nil {
 			return nil, fmt.Errorf("kifmm: %w", err)
 		}
-		return &Plan{f: f, tree: tree, n: len(points), shard: sp}, nil
+		return &Plan{f: f, n: len(points), shard: sp}, nil
 	}
 	// Mirror-free layout: only the simulated device reads the float32
 	// coordinate mirrors.
@@ -124,15 +128,13 @@ func OperatorCache() OperatorCacheStats {
 	return ikifmm.SharedOperators.Stats()
 }
 
-// ShardTraffic is one (backend, rank) row of the process-wide sharded
-// communication counters: cumulative bytes, messages, reduction octant
-// records, and exchange rounds across every sharded Apply in this process.
+// ShardTraffic is one rank's row of the process-wide sharded communication
+// counters: cumulative bytes, messages and reduction octant records across
+// every sharded Apply in this process.
 type ShardTraffic = shard.Traffic
 
 // ShardTrafficStats returns the process-wide sharded-communication traffic
-// rows, sorted by backend then rank — the scoreboard for comparing the
-// hypercube reduction against the direct point-to-point scheme. The serving
-// layer exposes these on /metrics.
+// rows, sorted by rank. The serving layer exposes these on /metrics.
 func ShardTrafficStats() []ShardTraffic {
 	return shard.Metrics.Rows()
 }
@@ -167,25 +169,14 @@ func (p *Plan) Shards() int {
 	return p.shard.Ranks()
 }
 
-// ShardBackend returns the communication backend name of a sharded plan
-// ("" for single-engine plans).
-func (p *Plan) ShardBackend() string {
-	if p.shard == nil {
-		return ""
-	}
-	return p.shard.Backend()
-}
-
 // MemoryBytes estimates the plan's resident size: tree points and
 // interaction lists plus one engine's per-node and per-point state. The
 // serving layer uses it for cache accounting.
 func (p *Plan) MemoryBytes() int64 {
 	if p.shard != nil {
-		// Global tree (kept for the lifetime of the plan) plus every rank's
-		// LET, layout, and engine state.
-		nodes := int64(len(p.tree.Nodes))
-		pts := int64(len(p.tree.Points))
-		return nodes*120 + pts*(24+8) + p.shard.MemoryBytes()
+		// Every rank's LET, layout and engine state, plus the global point
+		// array (24 B a point) the ranks' owned leaves alias.
+		return p.shard.MemoryBytes() + 24*int64(p.n)
 	}
 	return ikifmm.ResidentBytes(p.tree, p.f.spec.Ops, p.layout)
 }

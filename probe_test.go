@@ -132,14 +132,11 @@ func TestProbe(t *testing.T) {
 					fmt.Sprintf("%s/apply/workers%d/dense=%v", kern, workers, dense))
 			}
 		}
-		for _, sh := range []struct {
-			ranks int
-			comm  string
-		}{{2, "hypercube"}, {4, "hypercube"}, {3, "simple"}} {
+		for _, ranks := range []int{2, 3, 4} {
 			opt := base
-			opt.Shards, opt.ShardComm = sh.ranks, sh.comm
+			opt.Shards = ranks
 			record(one(func() ([]float64, error) { return planApply(opt, pts, den) }),
-				fmt.Sprintf("%s/shards%d/%s", kern, sh.ranks, sh.comm))
+				fmt.Sprintf("%s/shards%d", kern, ranks))
 		}
 		record(one(func() ([]float64, error) {
 			p, err := f.PlanAt(trgs, pts)
@@ -148,8 +145,6 @@ func TestProbe(t *testing.T) {
 			}
 			return p.Apply(den)
 		}), fmt.Sprintf("%s/targets", kern))
-		record(one(func() ([]float64, error) { return f.EvaluateAt(trgs, pts, den) }),
-			fmt.Sprintf("%s/evaluateat", kern))
 
 		session := func() ([][]float64, error) {
 			s, err := f.NewSession(pts)

@@ -21,8 +21,8 @@ func zeroDensityUnion(f *FMM, targets, sources []Point, densities []float64) ([]
 }
 
 // TestTargetsMatchesMaskedOracle checks the asymmetric-evaluation contract:
-// a PlanAt plan (and EvaluateAt, its one-shot form) must produce exactly what
-// the symmetric zero-density-target trick produces — the masks only ever skip
+// a PlanAt plan must produce exactly what the symmetric zero-density-target
+// trick produces — the masks only ever skip
 // terms that are exactly zero.
 func TestTargetsMatchesMaskedOracle(t *testing.T) {
 	cases := []struct {
@@ -61,18 +61,13 @@ func TestTargetsMatchesMaskedOracle(t *testing.T) {
 			if len(got) != 180*f.PotentialDim() {
 				t.Fatalf("output length %d", len(got))
 			}
-			oneShot, err := f.EvaluateAt(trgs, srcs, den)
-			if err != nil {
-				t.Fatal(err)
-			}
 			want, err := zeroDensityUnion(f, trgs, srcs, den)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range got {
-				if got[i] != want[i] || oneShot[i] != want[i] {
-					t.Fatalf("asymmetric eval diverges from masked oracle at %d: plan %v, EvaluateAt %v vs %v",
-						i, got[i], oneShot[i], want[i])
+				if got[i] != want[i] {
+					t.Fatalf("asymmetric eval diverges from masked oracle at %d: %v vs %v", i, got[i], want[i])
 				}
 			}
 		})
@@ -87,6 +82,10 @@ func TestTargetsValidation(t *testing.T) {
 	}
 	if _, err := f.PlanAt([]Point{{X: 2, Y: 0, Z: 0}}, srcs); err == nil {
 		t.Fatal("out-of-cube target accepted")
+	}
+	// No targets is the symmetric plan, by contract.
+	if p, err := f.PlanAt(nil, srcs); err != nil || p.NumTargets() != 0 || p.NumPoints() != len(srcs) {
+		t.Fatalf("PlanAt(nil, sources): %v", err)
 	}
 	sharded, err := New(Options{Shards: 2})
 	if err != nil {
