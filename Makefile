@@ -33,9 +33,10 @@ portable:
 # every shard_comm but "simple";
 # arbitrary request bodies on /v1/evaluate and /v1/session/{id}/step answer
 # anything but a panic or a 5xx; the Morton key algebra (FromPoint and its
-# clamp, ancestors, child/parent, ChildContaining, colleague blocks, the wire
-# record) on arbitrary points; the fused Jacobi SVD ≡ the reference loop, bit
-# for bit, on small matrices.
+# clamp, ancestors, child/parent, neighbours, the wire record) on arbitrary
+# points; the fused Jacobi SVD ≡ the reference loop, bit for bit, on small
+# matrices; a session driven by arbitrary deltas refuses exactly the malformed
+# ones, unchanged, and otherwise ≡ a fresh plan of its points, bit for bit.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEvalPanel -fuzztime=10s ./internal/kernel
 	$(GO) test -run='^$$' -fuzz=FuzzHadamardPanels -fuzztime=10s ./internal/kifmm
@@ -43,6 +44,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRequestBodies -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzMortonKey -fuzztime=10s ./internal/morton
 	$(GO) test -run='^$$' -fuzz=FuzzComputeSVD -fuzztime=10s ./internal/linalg
+	$(GO) test -run='^$$' -fuzz=FuzzSessionStep -fuzztime=10s .
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -90,12 +92,11 @@ sched-stress:
 shard-stress:
 	$(GO) test -race -count=3 ./internal/shard/...
 
-# Repeated race runs of the moving-points session differential tests: the
-# incremental tree edits, list patching, and engine-state reuse must agree
-# with a fresh plan under the race detector across repeated randomized
-# delta sequences.
+# Repeated race runs of the moving-points session tests: every step re-plans,
+# and the session must agree with a fresh plan bit for bit under the race
+# detector across repeated delta sequences.
 session-stress:
-	$(GO) test -race -count=3 ./internal/session/...
+	$(GO) test -race -count=3 -run 'Session|Step|RemoveAllButOne' .
 
 # Project-specific static analysis (DESIGN.md §7.5, §7.9): one fmmvet run
 # over the whole program in one process — the body analyzers under the

@@ -10,8 +10,8 @@
 //	curl -s localhost:8344/metrics
 //
 // Moving-points workloads (e.g. a particle time-stepper) open a session:
-// the server keeps the octree, interaction lists, and engine state resident
-// and advances them incrementally per delta instead of re-planning:
+// the server keeps the points by ID and re-plans them at every delta, with
+// the translation operators and spectra shared process-wide:
 //
 //	curl -s localhost:8344/v1/session -d '{"points":[[0.1,0.2,0.3],...]}'
 //	curl -s localhost:8344/v1/session/<id>/step \
@@ -19,7 +19,8 @@
 //	curl -s -X DELETE localhost:8344/v1/session/<id>
 //
 // Sessions are capped by -max-sessions (429 beyond it) and expire after
-// -session-ttl idle; a live session pins its originating plan in the cache.
+// -session-ttl idle. They take the solver options of a plan, shards
+// included; targets are refused.
 //
 // "options":{"shards":R} serves a plan sharded across R in-process ranks
 // (at most -max-shards; any R), each Apply a coordinated multi-rank

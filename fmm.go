@@ -125,7 +125,7 @@ type FMM struct {
 	opt  Options
 	kern kernel.Kernel
 	// spec is the options resolved, once, into what configures an engine;
-	// plans, sessions, shard ranks and the distributed driver carry it as is.
+	// plans, shard ranks and the distributed driver carry it as is.
 	spec ikifmm.EngineSpec
 }
 

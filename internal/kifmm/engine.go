@@ -161,12 +161,9 @@ func (e *Engine) SetSplitRoles(nLead int) {
 	// Parents precede children in Nodes, so a single descending pass
 	// propagates the leaf roles to every ancestor.
 	for i := nn - 1; i >= 1; i-- {
-		n := &t.Nodes[i]
-		if n.Dead || n.Parent == octree.NoNode {
-			continue
-		}
-		src[n.Parent] = src[n.Parent] || src[i]
-		trg[n.Parent] = trg[n.Parent] || trg[i]
+		p := t.Nodes[i].Parent
+		src[p] = src[p] || src[i]
+		trg[p] = trg[p] || trg[i]
 	}
 	e.SrcSub, e.TrgSub = src, trg
 }
@@ -195,26 +192,6 @@ func (e *Engine) SetDensitiesMasked(src []float64, nLead int) {
 		} else {
 			copy(d, src[(o-nLead)*sd:(o-nLead+1)*sd])
 		}
-	}
-}
-
-// SyncTree grows the per-node and per-point evaluation state after
-// incremental tree edits (appended octants, re-packed point array).
-// Surviving nodes keep their slices, so sessions reuse engines across
-// structural patches without reallocating the whole state.
-func (e *Engine) SyncTree() {
-	t := e.Tree
-	ul, cl := e.Ops.UpwardLen(), e.Ops.CheckLen()
-	for len(e.U) < len(t.Nodes) {
-		e.U = append(e.U, make([]float64, ul))
-		e.D = append(e.D, make([]float64, ul))
-		e.DChk = append(e.DChk, make([]float64, cl))
-	}
-	if n := len(t.Points) * e.Ops.Kern.SrcDim(); len(e.Density) != n {
-		e.Density = make([]float64, n)
-	}
-	if n := len(t.Points) * e.Ops.Kern.TrgDim(); len(e.Potential) != n {
-		e.Potential = make([]float64, n)
 	}
 }
 

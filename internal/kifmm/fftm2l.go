@@ -233,10 +233,10 @@ func (f *FFTM2L) Prewarm(levels []int, workers int) {
 
 // PrewarmTree is Prewarm for the spectra an evaluation of tree can touch:
 // the reference level for a homogeneous kernel, otherwise every level at
-// which tree has a V-list entry. Plan and session construction call it; the
-// spectra land in the process-wide cache, so a later plan or session of the
-// same (kernel, order) — an fmmserve plan-cache miss included — finds only
-// hits.
+// which tree has a V-list entry. Plan construction (a session step
+// included) calls it; the spectra land in the process-wide cache, so a later
+// plan of the same (kernel, order) — an fmmserve plan-cache miss included —
+// finds only hits.
 func (f *FFTM2L) PrewarmTree(tree *octree.Tree, workers int) {
 	if f.ops.Homogeneous() {
 		f.Prewarm(nil, workers)

@@ -91,8 +91,7 @@ func dchkRelErr(a, b *Engine) float64 {
 //     order;
 //   - FFT ≡ dense M2L oracle to 1e-12 (same linear operator, FFT roundoff);
 //   - an engine reused with new densities ≡ a fresh engine, bit for bit
-//     (no state survives in a reused spectrum buffer). Reuse across a
-//     tree that grows between Applies is session.TestStepMatchesFreshPlan.
+//     (no state survives in a reused spectrum buffer).
 func TestVListOneBody(t *testing.T) {
 	kernels := []struct {
 		name string
@@ -285,8 +284,8 @@ func TestVListGroupOrder(t *testing.T) {
 	})
 
 	// (a) A group evaluated whole ≡ the same targets evaluated as two
-	// disjoint partial groups: what the oracle does to a sibling group whose
-	// members are not adjacent in node order (octants a session appended).
+	// disjoint partial groups: what the oracle would do to a sibling group
+	// whose members are not adjacent in node order.
 	t.Run("split", func(t *testing.T) {
 		ops := NewOperators(kernel.Stokes{}, 4, 1e-9)
 		const n = 3000

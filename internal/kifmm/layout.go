@@ -35,12 +35,9 @@ type Layout struct {
 	// Leaf i's source panel starts at Tree.Nodes[i].PtLo — the dense
 	// per-node panel index that replaces per-call start maps. The mirrors
 	// are only built on request (NewLayout's f32 argument): the CPU near
-	// field is float64 and never reads them, so plans, shard ranks and
-	// sessions skip the fill and the memory.
+	// field is float64 and never reads them, so plans and shard ranks skip
+	// the fill and the memory.
 	X32, Y32, Z32 []float32
-	// hasF32 records whether the float32 mirrors are maintained; it is set
-	// at construction and persists across Sync.
-	hasF32 bool
 	// CX, CY, CZ and Half are per-node octant centers and half-sides.
 	CX, CY, CZ, Half []float64
 	// Lev is each node's octant level, the index into the surface tables.
@@ -64,79 +61,22 @@ type surfOffsets struct {
 }
 
 // NewLayout builds the streaming layout for one tree and operator set. f32
-// selects whether the float32 coordinate mirrors are maintained: pass true
-// when the simulated device (internal/gpu) will read the layout, false to
-// skip the mirror fill and memory.
+// selects whether the float32 coordinate mirrors are filled: pass true when
+// the simulated device (internal/gpu) will read the layout, false to skip
+// the mirror fill and memory.
 func NewLayout(tree *octree.Tree, ops *Operators, f32 bool) *Layout {
-	l := &Layout{hasF32: f32}
-	l.Sync(tree, ops)
-	return l
-}
-
-// MemoryBytes is the resident size of the per-point and per-node arrays the
-// layout actually carries (the float32 mirrors count only when maintained)
-// — the layout term of every plan-cache byte estimate.
-func (l *Layout) MemoryBytes() int64 {
-	return int64(len(l.PX))*3*8 + int64(len(l.X32))*3*4 + int64(len(l.CX))*4*8 + int64(len(l.Lev))
-}
-
-// ResidentBytes estimates what one evaluation of tree keeps resident: the
-// tree's nodes, points and interaction lists, one engine's per-node and
-// per-point state, and the layout. It is the one formula behind the
-// MemoryBytes of the single-engine plan, each rank of a sharded plan and a
-// session, which the serving layer's byte-budgeted plan cache accounts by.
-func ResidentBytes(tree *octree.Tree, ops *Operators, layout *Layout) int64 {
-	var lists int64
-	for i := range tree.Nodes {
-		n := &tree.Nodes[i]
-		lists += int64(len(n.U)+len(n.V)+len(n.W)+len(n.X)) * 4
-	}
-	nodes, pts := int64(len(tree.Nodes)), int64(len(tree.Points))
-	const nodeStruct = 120 // Node fixed fields, approximate
-	engine := nodes*int64(2*ops.UpwardLen()+ops.CheckLen())*8 +
-		pts*int64(ops.Kern.SrcDim()+ops.Kern.TrgDim())*8
-	return nodes*nodeStruct + lists + pts*(24+8) + engine + layout.MemoryBytes()
-}
-
-func resizeF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func resizeF32(s []float32, n int) []float32 {
-	if cap(s) < n {
-		return make([]float32, n)
-	}
-	return s[:n]
-}
-
-// Sync refreshes the layout in place from the (possibly incrementally
-// edited) tree, reusing backing arrays when capacity allows — the
-// moving-points session path, where points re-pack and octants append every
-// step. The fill order is identical to a fresh build, so a Synced layout is
-// bit-identical to NewLayout on the same tree. A layout being Synced must
-// not be shared with concurrently evaluating engines (sessions serialize
-// Step and Apply).
-func (l *Layout) Sync(tree *octree.Tree, ops *Operators) {
-	np := len(tree.Points)
-	nn := len(tree.Nodes)
-	l.PX, l.PY, l.PZ = resizeF64(l.PX, np), resizeF64(l.PY, np), resizeF64(l.PZ, np)
-	if l.hasF32 {
-		l.X32, l.Y32, l.Z32 = resizeF32(l.X32, np), resizeF32(l.Y32, np), resizeF32(l.Z32, np)
-	}
-	l.CX, l.CY, l.CZ = resizeF64(l.CX, nn), resizeF64(l.CY, nn), resizeF64(l.CZ, nn)
-	l.Half = resizeF64(l.Half, nn)
-	if cap(l.Lev) < nn {
-		l.Lev = make([]int8, nn)
-	} else {
-		l.Lev = l.Lev[:nn]
+	np, nn := len(tree.Points), len(tree.Nodes)
+	l := &Layout{
+		PX: make([]float64, np), PY: make([]float64, np), PZ: make([]float64, np),
+		CX: make([]float64, nn), CY: make([]float64, nn), CZ: make([]float64, nn),
+		Half: make([]float64, nn),
+		Lev:  make([]int8, nn),
 	}
 	for i, p := range tree.Points {
 		l.PX[i], l.PY[i], l.PZ[i] = p.X, p.Y, p.Z
 	}
-	if l.hasF32 {
+	if f32 {
+		l.X32, l.Y32, l.Z32 = make([]float32, np), make([]float32, np), make([]float32, np)
 		for i, p := range tree.Points {
 			l.X32[i], l.Y32[i], l.Z32[i] = float32(p.X), float32(p.Y), float32(p.Z)
 		}
@@ -153,14 +93,38 @@ func (l *Layout) Sync(tree *octree.Tree, ops *Operators) {
 			maxL = lv
 		}
 	}
-	// Surface offset tables only grow (levels already present are identical
-	// by construction — they depend on level and grid alone).
-	for lv := len(l.inner); lv <= maxL; lv++ {
+	for lv := 0; lv <= maxL; lv++ {
 		// Octants at level lv have side 2^-lv (exact in float64).
 		half := math.Ldexp(1, -(lv + 1))
 		l.inner = append(l.inner, surfaceOffsets(ops.Grid, RadInner*half))
 		l.outer = append(l.outer, surfaceOffsets(ops.Grid, RadOuter*half))
 	}
+	return l
+}
+
+// MemoryBytes is the resident size of the per-point and per-node arrays the
+// layout actually carries (the float32 mirrors count only when maintained)
+// — the layout term of every plan-cache byte estimate.
+func (l *Layout) MemoryBytes() int64 {
+	return int64(len(l.PX))*3*8 + int64(len(l.X32))*3*4 + int64(len(l.CX))*4*8 + int64(len(l.Lev))
+}
+
+// ResidentBytes estimates what one evaluation of tree keeps resident: the
+// tree's nodes, points and interaction lists, one engine's per-node and
+// per-point state, and the layout. It is the one formula behind the
+// MemoryBytes of the single-engine plan and each rank of a sharded plan,
+// which the serving layer's byte-budgeted plan cache accounts by.
+func ResidentBytes(tree *octree.Tree, ops *Operators, layout *Layout) int64 {
+	var lists int64
+	for i := range tree.Nodes {
+		n := &tree.Nodes[i]
+		lists += int64(len(n.U)+len(n.V)+len(n.W)+len(n.X)) * 4
+	}
+	nodes, pts := int64(len(tree.Nodes)), int64(len(tree.Points))
+	const nodeStruct = 120 // Node fixed fields, approximate
+	engine := nodes*int64(2*ops.UpwardLen()+ops.CheckLen())*8 +
+		pts*int64(ops.Kern.SrcDim()+ops.Kern.TrgDim())*8
+	return nodes*nodeStruct + lists + pts*(24+8) + engine + layout.MemoryBytes()
 }
 
 // surfaceOffsets precomputes a surface's point offsets from the octant

@@ -62,8 +62,7 @@ func nodeCenterHalf(tree *octree.Tree, i int32) (geom.Point, float64) {
 }
 
 // TestLayoutMirrorGating checks that the float32 coordinate mirrors exist
-// exactly when a single-precision consumer asked for them, and that the
-// choice survives Sync (the session re-pack path).
+// exactly when a single-precision consumer asked for them.
 func TestLayoutMirrorGating(t *testing.T) {
 	pts := geom.Generate(geom.Uniform, 2000, 9)
 	tree := octree.Build(pts, 40, 10)
@@ -73,10 +72,6 @@ func TestLayoutMirrorGating(t *testing.T) {
 	bare := NewLayout(tree, ops, false)
 	if len(bare.X32) != 0 || len(bare.Y32) != 0 || len(bare.Z32) != 0 {
 		t.Fatalf("f32=false layout built mirrors (len %d)", len(bare.X32))
-	}
-	bare.Sync(tree, ops)
-	if len(bare.X32) != 0 {
-		t.Fatalf("Sync resurrected the float32 mirrors on a gated layout")
 	}
 
 	full := NewLayout(tree, ops, true)

@@ -21,7 +21,7 @@ type opKey struct {
 // immutable once built — a non-homogeneous kernel's per-level tables and the
 // dense M2L matrices are added under their own locks — so one set serves
 // every solver with that key: an fmmserve plan-cache miss for a seen
-// (kernel, order) and every Yukawa session after the first build nothing,
+// (kernel, order) and every Yukawa session step after the first build nothing,
 // and concurrent solvers of one new key build it once. A set evicted here
 // stays valid for the solvers and plans that hold it.
 type OperatorCache struct {

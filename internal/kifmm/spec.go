@@ -10,8 +10,8 @@ import (
 )
 
 // EngineSpec is everything that configures an engine, as one value: a solver
-// resolves its options into a spec once, and plans, sessions, shard ranks and
-// the distributed driver carry it to NewEngine unread.
+// resolves its options into a spec once, and plans, shard ranks and the
+// distributed driver carry it to NewEngine unread.
 type EngineSpec struct {
 	// Ops is the translation-operator set (immutable, shared by every engine).
 	Ops *Operators

@@ -8,9 +8,9 @@ import (
 
 // FuzzMortonKey checks the key algebra on the octant FromPoint picks for an
 // arbitrary point and level: the key is valid and holds its point, every
-// ancestor contains it, child and parent round-trip, ChildContaining agrees
-// with FromPoint one level down, the colleague block of the parent and of k
-// itself covers k and its neighbours, and the wire record round-trips. A
+// ancestor contains it, child and parent round-trip, FromPoint one level
+// down picks a child of k, every same-level neighbour is adjacent to k, and
+// the wire record round-trips. A
 // coordinate outside [0, 1) lands where its clamp does. The seeds are
 // key_test.go's tables; testdata/fuzz holds the non-finite and out-of-cube
 // edges. `make fuzz` runs it for 10 s.
@@ -53,16 +53,13 @@ func FuzzMortonKey(f *testing.F) {
 					t.Fatalf("child %d of %v: %v, parent %v, index %d", i, k, c, c.Parent(), c.ChildIndex())
 				}
 			}
-			if got, want := k.Child(k.ChildContaining(x, y, z)), FromPoint(x, y, z, lv+1); got != want {
-				t.Fatalf("ChildContaining picks %v under %v, FromPoint one level down %v", got, k, want)
+			if c := FromPoint(x, y, z, lv+1); c.Parent() != k {
+				t.Fatalf("FromPoint one level down picks %v, not a child of %v", c, k)
 			}
 		}
-		if lv > 0 && !BlockOverlaps(k.Parent(), k) {
-			t.Fatalf("%v outside its parent's colleague block", k)
-		}
 		for _, n := range k.NeighborsSameLevel() {
-			if !BlockOverlaps(k, n) {
-				t.Fatalf("neighbour %v outside the colleague block of %v", n, k)
+			if !k.Adjacent(n) {
+				t.Fatalf("neighbour %v not adjacent to %v", n, k)
 			}
 		}
 		if got, rest := DecodeKey(k.AppendBinary(nil)); got != k || len(rest) != 0 {

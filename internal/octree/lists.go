@@ -56,9 +56,6 @@ func (t *Tree) colleagueSets() [][]int32 {
 	cc[0] = []int32{0}
 	for i := 1; i < len(t.Nodes); i++ {
 		n := &t.Nodes[i]
-		if n.Dead {
-			continue // severed from the graph; never a colleague
-		}
 		var set []int32
 		for _, pj := range cc[n.Parent] {
 			for _, cj := range t.Nodes[pj].Children {

@@ -31,12 +31,6 @@ type Node struct {
 	// points). In a local essential tree, internal ghost octants have
 	// IsLeaf false even though they have no children locally.
 	IsLeaf bool
-	// Dead marks octants removed by incremental edits (Kill): they stay in
-	// Nodes so sibling indices remain stable, but are severed from the
-	// parent/child graph, carry no points or lists, and are skipped by the
-	// list builders. Compact (Build/Assemble) trees have Dead false
-	// everywhere.
-	Dead bool
 	// Local marks octants owned/evaluated by this rank. Sequential trees
 	// have Local true everywhere.
 	Local bool
@@ -294,12 +288,6 @@ func (t *Tree) Validate() error {
 	}
 	for i := range t.Nodes {
 		n := &t.Nodes[i]
-		if n.Dead {
-			if n.IsLeaf || n.Parent != NoNode || n.NPoints() != 0 {
-				return fmt.Errorf("octree: dead node %d retains live state", i)
-			}
-			continue
-		}
 		if !n.Key.Valid() {
 			return fmt.Errorf("octree: invalid key %v", n.Key)
 		}

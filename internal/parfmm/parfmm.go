@@ -54,8 +54,9 @@ type Config struct {
 	LoadBalance bool
 	// Spec configures the rank's engine. Spec.Ops, when non-nil, supplies
 	// precomputed translation operators (typically shared across ranks —
-	// Operators are immutable and safe for concurrent use); when nil they
-	// are built per call from Kern, SurfOrder and Tol.
+	// Operators are immutable and safe for concurrent use); when nil every
+	// rank takes the process-wide set for Kern, SurfOrder and Tol
+	// (kifmm.SharedOperators), which the first of them builds.
 	Spec kifmm.EngineSpec
 }
 
@@ -137,7 +138,7 @@ func Setup(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) (*kif
 
 	spec := cfg.Spec
 	if spec.Ops == nil {
-		spec.Ops = kifmm.NewOperators(cfg.Kern, cfg.SurfOrder, cfg.Tol)
+		spec.Ops = kifmm.SharedOperators.Get(cfg.Kern, cfg.SurfOrder, cfg.Tol, spec.Workers)
 	}
 	eng := spec.NewEngine(dt.Tree, nil)
 	eng.Prof = prof

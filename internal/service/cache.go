@@ -41,10 +41,6 @@ type PlanCache struct {
 	bytes    int64
 	lru      *list.List // front = most recently used; values are *CachedPlan
 	byID     map[string]*list.Element
-	// pins counts active pins per plan ID; pinned entries are skipped by
-	// eviction (live sessions keep their originating plan resident even when
-	// the LRU would otherwise reclaim it).
-	pins map[string]int
 	// referenced marks the plans read (Get) since eviction last passed them:
 	// the second chance that keeps plans clients address by id resident
 	// while one-shot plans churn.
@@ -61,33 +57,8 @@ func NewPlanCache(maxPlans int, maxBytes int64) *PlanCache {
 		maxBytes: maxBytes,
 		lru:      list.New(),
 		byID:     make(map[string]*list.Element),
-		pins:     make(map[string]int),
 
 		referenced: make(map[string]bool),
-	}
-}
-
-// Pin marks the plan un-evictable until a matching Unpin; pins nest. It
-// reports whether the plan was resident.
-func (c *PlanCache) Pin(id string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.byID[id]; !ok {
-		return false
-	}
-	c.pins[id]++
-	return true
-}
-
-// Unpin releases one Pin on the plan; the entry rejoins normal LRU eviction
-// once its pin count drops to zero. Unknown or unpinned IDs are a no-op.
-func (c *PlanCache) Unpin(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n := c.pins[id]; n > 1 {
-		c.pins[id] = n - 1
-	} else {
-		delete(c.pins, id)
 	}
 }
 
@@ -130,9 +101,8 @@ func (c *PlanCache) Put(p *CachedPlan) {
 		c.byID[p.ID] = admitted
 		c.bytes += p.Bytes
 	}
-	// The walk never evicts a pinned entry or the one just admitted, and
-	// visits each entry at most twice (once more after a second chance), so
-	// a cache held over budget by pins alone terminates.
+	// The walk never evicts the one just admitted, and visits each entry at
+	// most twice (once more after a second chance), so it terminates.
 	el := c.lru.Back()
 	for el != nil &&
 		((c.maxPlans > 0 && c.lru.Len() > c.maxPlans) ||
@@ -140,7 +110,7 @@ func (c *PlanCache) Put(p *CachedPlan) {
 		prev := el.Prev()
 		old := el.Value.(*CachedPlan)
 		switch {
-		case el == admitted || c.pins[old.ID] > 0:
+		case el == admitted:
 		case c.referenced[old.ID]:
 			delete(c.referenced, old.ID)
 			c.lru.MoveToFront(el)

@@ -111,9 +111,9 @@ type Server struct {
 	start    time.Time
 	draining atomic.Bool
 
-	// Session step counters (cumulative across live and closed sessions;
-	// surfaced on /metrics).
-	sessSteps, sessMigrated, sessPatched, sessReplans atomic.Int64
+	// Session steps (cumulative across live and closed sessions; surfaced on
+	// /metrics as fmmserve_session_steps_total).
+	sessSteps atomic.Int64
 
 	// Plan builds (surfaced on /metrics as fmmserve_plans_built_total).
 	plansBuilt atomic.Int64
@@ -140,9 +140,7 @@ func New(cfg Config) *Server {
 			s.traces = sink
 		}
 	}
-	s.sessions = newSessionRegistry(cfg.MaxSessions, cfg.SessionTTL, func(l *liveSession) {
-		s.cache.Unpin(l.planID)
-	})
+	s.sessions = newSessionRegistry(cfg.MaxSessions, cfg.SessionTTL)
 	s.mux.HandleFunc("POST /v1/plan", s.handlePlan)
 	s.mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
 	s.mux.HandleFunc("POST /v1/session", s.handleSessionCreate)
@@ -494,9 +492,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "fmmserve_sessions_expired_total %d\n", ss.Expired)
 	fmt.Fprintf(w, "fmmserve_sessions_deleted_total %d\n", ss.Deleted)
 	fmt.Fprintf(w, "fmmserve_session_steps_total %d\n", s.sessSteps.Load())
-	fmt.Fprintf(w, "fmmserve_session_migrated_points_total %d\n", s.sessMigrated.Load())
-	fmt.Fprintf(w, "fmmserve_session_patched_nodes_total %d\n", s.sessPatched.Load())
-	fmt.Fprintf(w, "fmmserve_session_replans_total %d\n", s.sessReplans.Load())
 	if rows := kifmm.ShardTrafficStats(); len(rows) > 0 {
 		// Sharded plans run one reduction; the backend label keeps the
 		// series' names as clients already parse them.

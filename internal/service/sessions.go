@@ -11,16 +11,12 @@ import (
 	"kifmm"
 )
 
-// liveSession is one resident moving-points session: the solver-owned
-// incremental state plus registry bookkeeping. Steps serialize on the
-// session's own lock (inside kifmm.Session); the registry lock only guards
-// membership and deadlines.
+// liveSession is one resident moving-points session plus its idle deadline.
+// Steps serialize on the session's own lock (inside kifmm.Session); the
+// registry lock only guards membership and deadlines.
 type liveSession struct {
-	id      string
-	planID  string
-	sess    *kifmm.Session
-	solver  *kifmm.FMM
-	created time.Time
+	id   string
+	sess *kifmm.Session
 
 	mu       sync.Mutex
 	deadline time.Time
@@ -47,14 +43,12 @@ type sessionStats struct {
 }
 
 // sessionRegistry holds the server's live sessions: a capped map with TTL
-// expiry driven by a janitor goroutine. Expiring or deleting a session
-// unpins its originating plan-cache entry via the onClose hook.
+// expiry driven by a janitor goroutine.
 type sessionRegistry struct {
-	mu      sync.Mutex
-	byID    map[string]*liveSession
-	max     int
-	ttl     time.Duration
-	onClose func(*liveSession)
+	mu   sync.Mutex
+	byID map[string]*liveSession
+	max  int
+	ttl  time.Duration
 
 	created, expired, deleted int64
 
@@ -63,14 +57,13 @@ type sessionRegistry struct {
 	done     chan struct{}
 }
 
-func newSessionRegistry(max int, ttl time.Duration, onClose func(*liveSession)) *sessionRegistry {
+func newSessionRegistry(max int, ttl time.Duration) *sessionRegistry {
 	r := &sessionRegistry{
-		byID:    make(map[string]*liveSession),
-		max:     max,
-		ttl:     ttl,
-		onClose: onClose,
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		byID: make(map[string]*liveSession),
+		max:  max,
+		ttl:  ttl,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	go r.janitor()
 	return r
@@ -98,22 +91,17 @@ func (r *sessionRegistry) janitor() {
 
 func (r *sessionRegistry) sweep(now time.Time) {
 	r.mu.Lock()
-	var dead []*liveSession
+	defer r.mu.Unlock()
 	for id, l := range r.byID {
 		if l.expired(now) {
 			delete(r.byID, id)
-			dead = append(dead, l)
 			r.expired++
 		}
-	}
-	r.mu.Unlock()
-	for _, l := range dead {
-		r.onClose(l)
 	}
 }
 
 // add registers the session, enforcing the capacity cap. It reports false
-// (and closes nothing) when the server is already at -max-sessions.
+// when the server is already at -max-sessions.
 func (r *sessionRegistry) add(l *liveSession, now time.Time) bool {
 	l.touch(r.ttl, now)
 	r.mu.Lock()
@@ -138,37 +126,26 @@ func (r *sessionRegistry) get(id string, now time.Time) (*liveSession, bool) {
 	return l, true
 }
 
-// remove deletes the session, running the close hook. It reports whether
-// the session existed.
+// remove deletes the session. It reports whether the session existed.
 func (r *sessionRegistry) remove(id string) bool {
 	r.mu.Lock()
-	l, ok := r.byID[id]
+	defer r.mu.Unlock()
+	_, ok := r.byID[id]
 	if ok {
 		delete(r.byID, id)
 		r.deleted++
 	}
-	r.mu.Unlock()
-	if ok {
-		r.onClose(l)
-	}
 	return ok
 }
 
-// close stops the janitor and closes every live session. Safe to call more
+// close stops the janitor and drops every live session. Safe to call more
 // than once (Shutdown may be retried with a fresh context).
 func (r *sessionRegistry) close() {
 	r.stopOnce.Do(func() { close(r.stop) })
 	<-r.done
 	r.mu.Lock()
-	all := make([]*liveSession, 0, len(r.byID))
-	for id, l := range r.byID {
-		delete(r.byID, id)
-		all = append(all, l)
-	}
-	r.mu.Unlock()
-	for _, l := range all {
-		r.onClose(l)
-	}
+	defer r.mu.Unlock()
+	clear(r.byID)
 }
 
 func (r *sessionRegistry) stats() sessionStats {
@@ -194,14 +171,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !s.checkOptions(w, req.Options) {
 		return
 	}
-	// Reject unsupported configurations before paying for the plan build
-	// (kifmm.NewSession would reject shards after it; targets are not part of
-	// a session at all).
-	switch {
-	case req.Options.Shards > 0:
-		writeError(w, http.StatusBadRequest, "sessions do not support sharded plans")
-		return
-	case len(req.Options.Targets) > 0:
+	// Targets are not part of a session: its points are sources and targets.
+	if len(req.Options.Targets) > 0 {
 		writeError(w, http.StatusBadRequest, "sessions do not support asymmetric targets")
 		return
 	}
@@ -211,23 +182,19 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The session's initial geometry also becomes a resident plan: stateless
-	// /v1/evaluate against the same points stays warm, and the entry is
-	// pinned so cache churn cannot evict a live session's plan.
-	planID := PlanKey(req.Points, req.Options)
-	entry, hit := s.cache.Get(planID)
+	// A session plans its own points; the plan cache neither serves nor
+	// keeps it.
 	var (
+		solver   *kifmm.FMM
 		sess     *kifmm.Session
 		buildErr error
 	)
 	ok := s.submit(w, r, s.cfg.RequestTimeout, func() {
-		if entry == nil {
-			entry, buildErr = s.buildPlan(planID, req.Points, req.Options)
-			if buildErr != nil {
-				return
-			}
+		solver, buildErr = kifmm.New(req.Options.ToOptions())
+		if buildErr != nil {
+			return
 		}
-		sess, buildErr = entry.Solver.NewSession(ToPoints(req.Points))
+		sess, buildErr = solver.NewSession(ToPoints(req.Points))
 		if buildErr == nil {
 			sess.SetProfile(s.prof)
 		}
@@ -239,30 +206,18 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "session: %v", buildErr)
 		return
 	}
-	if !hit {
-		s.cache.Put(entry)
-	}
-	s.cache.Pin(planID)
 	now := time.Now()
-	l := &liveSession{
-		id:      newSessionID(),
-		planID:  planID,
-		sess:    sess,
-		solver:  entry.Solver,
-		created: now,
-	}
+	l := &liveSession{id: newSessionID(), sess: sess}
 	if !s.sessions.add(l, now) {
-		s.cache.Unpin(planID)
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds()+0.5)))
 		writeError(w, http.StatusTooManyRequests, "session capacity %d reached", s.cfg.MaxSessions)
 		return
 	}
 	writeJSON(w, http.StatusOK, SessionResponse{
 		SessionID:    l.id,
-		PlanID:       planID,
 		NumPoints:    sess.NumPoints(),
-		DensityDim:   entry.Solver.DensityDim(),
-		PotentialDim: entry.Solver.PotentialDim(),
+		DensityDim:   solver.DensityDim(),
+		PotentialDim: solver.PotentialDim(),
 		MemoryBytes:  sess.MemoryBytes(),
 		TTLSeconds:   s.cfg.SessionTTL.Seconds(),
 	})
@@ -314,11 +269,6 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.sessSteps.Add(1)
-	s.sessMigrated.Add(int64(info.Migrated))
-	s.sessPatched.Add(int64(info.PatchedNodes))
-	if info.Replanned {
-		s.sessReplans.Add(1)
-	}
 	writeJSON(w, http.StatusOK, SessionStepResponse{
 		SessionID:  l.id,
 		Info:       SessionStepInfo(info),

@@ -13,46 +13,6 @@ import (
 	"kifmm/internal/goleak"
 )
 
-func TestCachePinSurvivesEviction(t *testing.T) {
-	c := NewPlanCache(2, 0)
-	c.Put(entry("a", 1))
-	if !c.Pin("a") {
-		t.Fatal("pin of resident plan failed")
-	}
-	c.Put(entry("b", 1))
-	c.Put(entry("c", 1))
-	c.Put(entry("d", 1))
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("pinned plan was evicted")
-	}
-	// Unpinned entries around it still churn normally.
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("cold unpinned plan b survived")
-	}
-	c.Unpin("a")
-	// Read while pinned, a keeps one second chance (see Put): it outlives
-	// one more cold insert than a plan never read, then goes.
-	for _, id := range []string{"e", "f", "g", "h"} {
-		c.Put(entry(id, 1))
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("unpinned plan a should rejoin LRU eviction")
-	}
-	if c.Pin("zzz") {
-		t.Fatal("pin of absent plan should report false")
-	}
-	// Nested pins: both must be released before eviction resumes.
-	c.Put(entry("p", 1))
-	c.Pin("p")
-	c.Pin("p")
-	c.Unpin("p")
-	c.Put(entry("q", 1))
-	c.Put(entry("r", 1))
-	if _, ok := c.Get("p"); !ok {
-		t.Fatal("half-unpinned plan was evicted")
-	}
-}
-
 func TestRequestBodyLimit413(t *testing.T) {
 	s := New(Config{Workers: 1, MaxBodyBytes: 2048})
 	defer s.Shutdown(context.Background())
@@ -92,16 +52,8 @@ func TestSessionLifecycle(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("create: %d %s", code, raw)
 	}
-	if sess.SessionID == "" || sess.PlanID == "" || sess.NumPoints != 400 || sess.MemoryBytes <= 0 {
+	if sess.SessionID == "" || sess.NumPoints != 400 || sess.MemoryBytes <= 0 {
 		t.Fatalf("session response = %+v", sess)
-	}
-
-	// The session's plan is resident and pinned.
-	if _, ok := s.cache.Get(sess.PlanID); !ok {
-		t.Fatal("session plan not in cache")
-	}
-	if s.cache.pins[sess.PlanID] == 0 {
-		t.Fatal("session plan not pinned")
 	}
 
 	// Step with a small delta + densities: potentials for the stepped set.
@@ -158,7 +110,7 @@ func TestSessionLifecycle(t *testing.T) {
 		}
 	}
 
-	// Delete → 204, plan unpinned, later steps 404.
+	// Delete → 204, later steps 404.
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/session/"+sess.SessionID, nil)
 	dr, err := ts.Client().Do(req)
 	if err != nil {
@@ -167,9 +119,6 @@ func TestSessionLifecycle(t *testing.T) {
 	dr.Body.Close()
 	if dr.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete: %d", dr.StatusCode)
-	}
-	if s.cache.pins[sess.PlanID] != 0 {
-		t.Fatal("plan still pinned after delete")
 	}
 	code, _ = postJSON(t, ts.Client(), ts.URL+"/v1/session/"+sess.SessionID+"/step",
 		SessionStepRequest{}, nil)
@@ -247,9 +196,6 @@ func TestSessionTTLExpiry(t *testing.T) {
 	if code != http.StatusNotFound {
 		t.Fatalf("step after TTL expiry: got %d, want 404", code)
 	}
-	if s.cache.pins[sr.PlanID] != 0 {
-		t.Fatal("plan still pinned after expiry")
-	}
 	if st := s.sessions.stats(); st.Expired != 1 || st.Active != 0 {
 		t.Fatalf("registry stats = %+v", st)
 	}
@@ -262,20 +208,57 @@ func TestSessionRejectsUnsupportedOptions(t *testing.T) {
 	defer ts.Close()
 
 	pts, _ := testPoints(60, 41)
-	bad := []SolverOptions{
-		{Kernel: "laplace", Shards: 2},
-		{Kernel: "laplace", Targets: [][3]float64{{0.5, 0.5, 0.5}}},
+	code, raw := postJSON(t, ts.Client(), ts.URL+"/v1/session",
+		SessionRequest{Points: pts, Options: SolverOptions{Kernel: "laplace", Targets: [][3]float64{{0.5, 0.5, 0.5}}}}, nil)
+	if code != http.StatusBadRequest {
+		t.Fatalf("targets: got %d %s, want 400", code, raw)
 	}
-	for i, opt := range bad {
-		code, raw := postJSON(t, ts.Client(), ts.URL+"/v1/session",
-			SessionRequest{Points: pts, Options: opt}, nil)
-		if code != http.StatusBadRequest {
-			t.Fatalf("case %d: got %d %s, want 400", i, code, raw)
-		}
-	}
-	code, _ := postJSON(t, ts.Client(), ts.URL+"/v1/session", SessionRequest{Options: fastOpts()}, nil)
+	code, _ = postJSON(t, ts.Client(), ts.URL+"/v1/session", SessionRequest{Options: fastOpts()}, nil)
 	if code != http.StatusBadRequest {
 		t.Fatalf("empty points: got %d, want 400", code)
+	}
+}
+
+// TestSessionLeavesPlanCache: a session plans its own points, so creating
+// one — sharded too — and stepping it neither reads nor fills the plan
+// cache, and builds no cached plan.
+func TestSessionLeavesPlanCache(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	before := s.cache.Stats()
+	pts, den := testPoints(300, 61)
+	sharded := fastOpts()
+	sharded.Shards = 2
+	for _, opts := range []SolverOptions{fastOpts(), sharded} {
+		var sr SessionResponse
+		if code, raw := postJSON(t, ts.Client(), ts.URL+"/v1/session",
+			SessionRequest{Points: pts, Options: opts}, &sr); code != http.StatusOK {
+			t.Fatalf("create (shards %d): %d %s", opts.Shards, code, raw)
+		}
+		var step SessionStepResponse
+		if code, raw := postJSON(t, ts.Client(), ts.URL+"/v1/session/"+sr.SessionID+"/step",
+			SessionStepRequest{Move: []WireMove{{ID: 3, To: [3]float64{0.5, 0.5, 0.5}}}, Densities: den}, &step); code != http.StatusOK {
+			t.Fatalf("step (shards %d): %d %s", opts.Shards, code, raw)
+		}
+		if len(step.Potentials) != len(pts) {
+			t.Fatalf("step (shards %d): %d potentials", opts.Shards, len(step.Potentials))
+		}
+	}
+	after := s.cache.Stats()
+	if after.Plans != before.Plans || after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Fatalf("sessions touched the plan cache: %+v, then %+v", before, after)
+	}
+	r, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(r.Body)
+	r.Body.Close()
+	if !strings.Contains(string(raw), "fmmserve_plans_built_total 0\n") {
+		t.Fatalf("sessions built cached plans:\n%s", raw)
 	}
 }
 

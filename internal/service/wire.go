@@ -138,17 +138,14 @@ type SessionRequest struct {
 	// Points are the initial unit-cube locations; they receive session point
 	// IDs 0..len(points)-1.
 	Points [][3]float64 `json:"points"`
-	// Options configure the session's solver. Shards and targets are not
-	// supported for sessions.
+	// Options configure the session's solver; with shards every step builds
+	// a sharded plan. Targets are not supported for sessions.
 	Options SolverOptions `json:"options"`
 }
 
 // SessionResponse identifies the created session.
 type SessionResponse struct {
-	SessionID string `json:"session_id"`
-	// PlanID is the plan-cache entry built for the session's initial
-	// geometry; it stays pinned (un-evictable) while the session is alive.
-	PlanID       string `json:"plan_id"`
+	SessionID    string `json:"session_id"`
 	NumPoints    int    `json:"num_points"`
 	DensityDim   int    `json:"density_dim"`
 	PotentialDim int    `json:"potential_dim"`
@@ -180,18 +177,10 @@ type SessionStepRequest struct {
 // same order (the step handler converts with SessionStepInfo(info)), the
 // JSON names declared here.
 type SessionStepInfo struct {
-	Moved           int   `json:"moved"`
-	Migrated        int   `json:"migrated"`
-	Added           int   `json:"added"`
-	Removed         int   `json:"removed"`
-	AddedIDs        []int `json:"added_ids,omitempty"`
-	Splits          int   `json:"splits"`
-	Merges          int   `json:"merges"`
-	PatchedNodes    int   `json:"patched_nodes"`
-	FullListRebuild bool  `json:"full_list_rebuild"`
-	Replanned       bool  `json:"replanned"`
-	LiveNodes       int   `json:"live_nodes"`
-	DeadNodes       int   `json:"dead_nodes"`
+	Moved    int   `json:"moved"`
+	Added    int   `json:"added"`
+	Removed  int   `json:"removed"`
+	AddedIDs []int `json:"added_ids,omitempty"`
 }
 
 // SessionStepResponse reports what the step did and, when densities were

@@ -75,7 +75,7 @@ echo "lint-inject: ok: pristine copy passes"
 
 # --- 1. cross-package hot-path allocation -----------------------------------
 # The allocation lives in internal/morton; the //fmm:hotpath root that pulls
-# it into the hot closure lives in internal/session. Only interprocedural
+# it into the hot closure lives in internal/shard. Only interprocedural
 # propagation can connect them, and the diagnostic must carry the chain.
 fresh_copy
 cat > "$SCRATCH/repo/internal/morton/zz_inject.go" <<'EOF'
@@ -87,8 +87,8 @@ func InjectAlloc(n int) []float64 {
 	return make([]float64, n)
 }
 EOF
-cat > "$SCRATCH/repo/internal/session/zz_inject.go" <<'EOF'
-package session
+cat > "$SCRATCH/repo/internal/shard/zz_inject.go" <<'EOF'
+package shard
 
 import "kifmm/internal/morton"
 

@@ -176,20 +176,10 @@ func TestSessionMatchesEvaluate(t *testing.T) {
 }
 
 func TestNewSessionRejections(t *testing.T) {
-	pts, _ := randInput(50, 1, 71)
-	bad := []Options{
-		{Shards: 2},
-	}
-	for i, opt := range bad {
-		f, err := New(opt)
-		if err != nil {
-			t.Fatalf("case %d: New: %v", i, err)
-		}
-		if _, err := f.NewSession(pts); err == nil {
-			t.Fatalf("case %d: NewSession accepted unsupported options", i)
-		}
-	}
 	f, _ := New(Options{})
+	if _, err := f.NewSession(nil); err == nil {
+		t.Fatal("empty session accepted")
+	}
 	if _, err := f.NewSession([]Point{{X: -1, Y: 0, Z: 0}}); err == nil {
 		t.Fatal("out-of-cube session point accepted")
 	}
