@@ -82,9 +82,12 @@ bench-check:
 # Repeated race runs of the work-stealing scheduler and the par shim
 # (randomized-DAG property tests are seeded per run, so -count=5 explores
 # new graphs; the scheduler's worker-index exclusivity test makes any
-# violation a reported race rather than a flaky count).
+# violation a reported race rather than a flaky count), then of the
+# service's cancellation tests: a deadline that fires while a request is
+# queued, mid-step, and mid-Apply under load.
 sched-stress:
 	$(GO) test -race -count=5 ./internal/sched/... ./internal/par/...
+	$(GO) test -race -count=3 -run '^(TestExpiredWhileQueued|TestStepCancelledLeavesSession|TestDeadlineFreesWorker)$$' ./internal/service/
 
 # Repeated race runs of the sharded differential tests: the multi-rank
 # coordinated apply exercises the in-process MPI runtime, the engine free

@@ -1,7 +1,8 @@
 // Command fmmserve runs the FMM evaluation service: an HTTP/JSON server
 // with a plan cache (octree + interaction lists + operators reused across
-// requests), a bounded worker pool with admission-queue backpressure, and
-// Prometheus-style metrics.
+// requests), admission with backpressure (at most -workers concurrent
+// evaluations, -queue more requests waiting, 429 beyond), per-request
+// deadlines that stop the work they end, and Prometheus-style metrics.
 //
 //	fmmserve -addr :8344 -workers 8 -queue 128
 //
@@ -61,7 +62,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8344", "listen address")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "evaluation worker pool size")
+		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent evaluations")
 		queue      = flag.Int("queue", 64, "admission queue depth (beyond this, 429)")
 		cachePlans = flag.Int("cache-plans", 32, "plan cache entry bound")
 		cacheBytes = flag.Int64("cache-bytes", 1<<30, "plan cache resident-size bound")

@@ -1,6 +1,7 @@
 package kifmm
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -111,7 +112,7 @@ func TestExecModeSharedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, tr, err := p.ApplyTraced(den)
+	b, tr, err := p.ApplyTraced(context.Background(), den)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestExecValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, stats, err := p.apply(den, nil)
+		_, stats, err := p.apply(context.Background(), den, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

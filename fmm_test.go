@@ -1,6 +1,7 @@
 package kifmm
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -210,11 +211,11 @@ func TestDegenerateClouds(t *testing.T) {
 			if err != nil {
 				return result{err: err}
 			}
-			if _, err := s.Step(d(s.IDs())); err != nil {
+			if _, err := s.Step(context.Background(), d(s.IDs())); err != nil {
 				return result{err: err}
 			}
 			den := dens(s.NumPoints())
-			got, err := s.Apply(den)
+			got, err := s.Apply(context.Background(), den)
 			if err != nil {
 				return result{err: err}
 			}
@@ -294,7 +295,7 @@ func TestPlanAtSeparateTargets(t *testing.T) {
 	}
 	srcs, den := randInput(600, 1, 41)
 	trgs, _ := randInput(200, 1, 42)
-	plan, err := f.PlanAt(trgs, srcs)
+	plan, err := f.PlanAt(context.Background(), trgs, srcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,22 +412,22 @@ func TestNonFiniteInputRejected(t *testing.T) {
 	}{
 		{"Plan.Apply", badDensity, func(v float64) ([]float64, error) { return plan.Apply(withDensity(v)) }},
 		{"sharded Plan.Apply", badDensity, func(v float64) ([]float64, error) { return sharded.Apply(withDensity(v)) }},
-		{"Session.Apply", badDensity, func(v float64) ([]float64, error) { return sess.Apply(withDensity(v)) }},
+		{"Session.Apply", badDensity, func(v float64) ([]float64, error) { return sess.Apply(context.Background(), withDensity(v)) }},
 		{"Evaluate", badDensity, func(v float64) ([]float64, error) { return f.Evaluate(pts, withDensity(v)) }},
 		{"Plan points", outside, func(v float64) ([]float64, error) {
 			_, err := f.Plan(append([]Point{at(v)}, pts...))
 			return nil, err
 		}},
 		{"PlanAt targets", outside, func(v float64) ([]float64, error) {
-			_, err := f.PlanAt([]Point{at(v)}, pts)
+			_, err := f.PlanAt(context.Background(), []Point{at(v)}, pts)
 			return nil, err
 		}},
 		{"Session.Step Move", outside, func(v float64) ([]float64, error) {
-			_, err := sess.Step(Delta{Move: []PointMove{{ID: 3, To: at(v)}}})
+			_, err := sess.Step(context.Background(), Delta{Move: []PointMove{{ID: 3, To: at(v)}}})
 			return nil, err
 		}},
 		{"Session.Step Add", outside, func(v float64) ([]float64, error) {
-			_, err := sess.Step(Delta{Add: []Point{at(v)}})
+			_, err := sess.Step(context.Background(), Delta{Add: []Point{at(v)}})
 			return nil, err
 		}},
 	}
@@ -578,12 +579,12 @@ func TestPlanDoesNotRetainInput(t *testing.T) {
 				}
 				return v
 			}
-			wantPlan, wantSess := must(plan.Apply(den)), must(sess.Apply(den))
+			wantPlan, wantSess := must(plan.Apply(den)), must(sess.Apply(context.Background(), den))
 			for i := range pts {
 				pts[i] = Point{X: 0.5, Y: 0.5, Z: 0.5}
 			}
 			same("plan", must(plan.Apply(den)), wantPlan)
-			same("session", must(sess.Apply(den)), wantSess)
+			same("session", must(sess.Apply(context.Background(), den)), wantSess)
 
 			// A step re-plans from the session's own coordinates: they must
 			// still be the originals.
@@ -592,11 +593,11 @@ func TestPlanDoesNotRetainInput(t *testing.T) {
 				d.Move = append(d.Move, PointMove{ID: id, To: pristine[len(pts)-1-id]})
 			}
 			for _, s := range []*Session{sess, ref} {
-				if _, err := s.Step(d); err != nil {
+				if _, err := s.Step(context.Background(), d); err != nil {
 					t.Fatal(err)
 				}
 			}
-			same("session after re-plan", must(sess.Apply(den)), must(ref.Apply(den)))
+			same("session after re-plan", must(sess.Apply(context.Background(), den)), must(ref.Apply(context.Background(), den)))
 		})
 	}
 }

@@ -1,8 +1,9 @@
 // Package goleak verifies that a test leaves no goroutines behind — the
 // dynamic complement of the fmmvet static suite for lifecycle bugs: a
-// forgotten janitor ticker, an admission-queue worker that out-lives
-// Shutdown, or a shard rank still parked on its mailbox are invisible to
-// result-correctness tests but accumulate across a serving process.
+// forgotten janitor ticker, an evaluation that out-lives its request's
+// deadline or Shutdown, or a shard rank still parked on its mailbox are
+// invisible to result-correctness tests but accumulate across a serving
+// process.
 //
 // Usage, first line of a test:
 //

@@ -1,6 +1,7 @@
 package kifmm
 
 import (
+	"context"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -48,21 +49,21 @@ import (
 // (the scheduler fails the graph instead of deadlocking).
 func (e *Engine) EvaluateDAG(trace *sched.Trace) (sched.Stats, error) {
 	defer e.timed(diag.PhaseTotalEval)()
-	return e.runRows(0, len(phases), trace)
+	return e.runRows(context.Background(), 0, len(phases), trace)
 }
 
-// runRows runs rows [lo, hi) of the phase table as one task graph and
-// flushes the per-worker flop counters into the profile.
-func (e *Engine) runRows(lo, hi int, trace *sched.Trace) (sched.Stats, error) {
+// runRows runs rows [lo, hi) of the phase table as one task graph under ctx
+// and flushes the per-worker flop counters into the profile.
+func (e *Engine) runRows(ctx context.Context, lo, hi int, trace *sched.Trace) (sched.Stats, error) {
 	e.ensureScratch(e.dagWorkers())
-	stats, err := e.buildDAG(lo, hi).Run(sched.Options{Workers: e.Workers, Trace: trace})
+	stats, err := e.buildDAG(lo, hi).Run(ctx, sched.Options{Workers: e.Workers, Trace: trace})
 	e.flushFlops()
 	return stats, err
 }
 
 // runRow runs row pi alone, panicking if a body panicked.
 func (e *Engine) runRow(pi int) {
-	if _, err := e.runRows(pi, pi+1, nil); err != nil {
+	if _, err := e.runRows(context.Background(), pi, pi+1, nil); err != nil {
 		panic(err)
 	}
 }

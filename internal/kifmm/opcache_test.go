@@ -1,6 +1,7 @@
 package kifmm
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -127,7 +128,7 @@ func TestPrewarmBuildsEveryLevelTable(t *testing.T) {
 	}
 	e := spec.NewEngine(tree, nil)
 	e.SetPointDensities(randDensities(rand.New(rand.NewSource(1)), len(pts), 1))
-	if _, err := e.Run(nil, nil); err != nil {
+	if _, err := e.Run(context.Background(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := levelTables(ops); got != want {

@@ -1,6 +1,7 @@
 package kifmm
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -130,7 +131,9 @@ func (o *Operators) buildLevel(l, workers int) *levelOps {
 			lo.U2U[c] = lo.UC2UE.Mul(kernel.Matrix(o.Kern, uc, cs))
 		}))
 	}
-	if _, err := g.Run(sched.Options{Workers: max(1, workers)}); err != nil {
+	// A shared build (SharedOperators, the per-level tables): no request's
+	// context may stop it.
+	if _, err := g.Run(context.Background(), sched.Options{Workers: max(1, workers)}); err != nil {
 		panic(fmt.Sprintf("kifmm: building level-%d operators: %v", l, err))
 	}
 	return lo

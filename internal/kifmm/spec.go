@@ -1,6 +1,7 @@
 package kifmm
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -55,19 +56,28 @@ func (s EngineSpec) NewEngine(tree *octree.Tree, layout *Layout) *Engine {
 // of a distributed evaluation passes exchange — its communication between the
 // upward pass and the translations — and runs a graph of S2U and U2U, then
 // exchange, then a graph of the other six rows; the returned stats sum the
-// two graphs and a trace records both. An error leaves the engine's state
+// two graphs and a trace records both. An error — a panicking body, or ctx
+// done mid-graph (the error wraps ctx.Err()) — leaves the engine's state
 // partial: drop the engine.
-func (e *Engine) Run(exchange func(), trace *sched.Trace) (sched.Stats, error) {
+//
+// Two kinds of work never see a request's context. exchange is a collective
+// across ranks: a rank that stopped between its graphs would skip it and
+// deadlock its peers, so distributed callers (parfmm.EvaluateRank, and
+// through it shard.Plan.Apply) pass context.Background(). And the operator
+// and spectrum builds (SharedOperators, SharedTranslations, Prewarm) are
+// shared singleflight builds that other requests wait on, so they run under
+// context.Background() whatever the caller's context.
+func (e *Engine) Run(ctx context.Context, exchange func(), trace *sched.Trace) (sched.Stats, error) {
 	defer e.timed(diag.PhaseTotalEval)()
 	split, graphs := len(phases), int64(1)
 	if exchange != nil {
 		split, graphs = pVLI, 2
 	}
-	stats, err := e.runRows(0, split, trace)
+	stats, err := e.runRows(ctx, 0, split, trace)
 	if err == nil && exchange != nil {
 		exchange()
 		var rest sched.Stats
-		rest, err = e.runRows(split, len(phases), trace)
+		rest, err = e.runRows(ctx, split, len(phases), trace)
 		stats.Add(rest)
 	}
 	if err != nil {

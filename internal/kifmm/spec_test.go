@@ -1,6 +1,7 @@
 package kifmm
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -56,7 +57,7 @@ func TestRunSelectsDriver(t *testing.T) {
 					}
 				}
 				t0 := time.Now()
-				stats, err := e.Run(exchange, trace)
+				stats, err := e.Run(context.Background(), exchange, trace)
 				wall := time.Since(t0)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)

@@ -7,6 +7,7 @@
 package par
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 
@@ -49,7 +50,7 @@ func For(workers, n int, f func(i int)) {
 			}
 		})
 	}
-	if _, err := g.Run(sched.Options{Workers: workers}); err != nil {
+	if _, err := g.Run(context.Background(), sched.Options{Workers: workers}); err != nil {
 		panic(fmt.Sprintf("par.For: %v", err))
 	}
 }

@@ -24,6 +24,7 @@
 package parfmm
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"time"
@@ -158,7 +159,7 @@ type reducer = func(c *mpi.Comm, part *dtree.Partition, items []reduce.Item, vec
 // tree order; on return its Potential holds the potentials at the owned
 // points. It returns what Exchange does. Collective.
 func EvaluateRank(c *mpi.Comm, eng *kifmm.Engine, dt *dtree.DistTree, reduceShared reducer) (st reduce.Stats, traffic mpi.Snapshot, comm time.Duration) {
-	if _, err := eng.Run(func() { st, traffic, comm = Exchange(c, eng, dt, reduceShared) }, nil); err != nil {
+	if _, err := eng.Run(context.Background(), func() { st, traffic, comm = Exchange(c, eng, dt, reduceShared) }, nil); err != nil {
 		panic(err) // a phase body panicked
 	}
 	return st, traffic, comm

@@ -16,10 +16,13 @@
 //
 // A panicking task fails the whole graph instead of deadlocking it: the
 // remaining tasks are drained without running their bodies, every worker
-// exits, and Run returns the captured panic as an error.
+// exits, and Run returns the captured panic as an error. A done context is
+// the same exit: Run's context, once done, fails the graph as a panic does,
+// so no body starts after it and Run returns an error wrapping ctx.Err().
 package sched
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -211,19 +214,22 @@ type runner struct {
 	completed atomic.Int64
 	total     int64
 
-	// failed flips on the first panic; the drain then skips task bodies.
-	failed   atomic.Bool
-	panicOne sync.Once
-	panicErr error
+	// failed flips on the first panic or on cancellation; the drain then
+	// skips task bodies. err is the first cause, set once.
+	failed  atomic.Bool
+	failOne sync.Once
+	err     error
 
 	stats []WorkerStats
 }
 
 // Run executes the graph and blocks until every task has completed, a task
 // has panicked (the panic is captured and returned as an error after the
-// graph drains), or a dependency cycle is detected up front. A graph can
-// be run only once.
-func (g *Graph) Run(opt Options) (Stats, error) {
+// graph drains), ctx is done (the graph drains the same way and the error
+// wraps ctx.Err(); bodies already running finish), or a dependency cycle is
+// detected up front. A context that can never be done costs nothing. A graph
+// can be run only once.
+func (g *Graph) Run(ctx context.Context, opt Options) (Stats, error) {
 	if g.started {
 		return Stats{}, fmt.Errorf("sched: graph already run")
 	}
@@ -252,6 +258,16 @@ func (g *Graph) Run(opt Options) (Stats, error) {
 		stats:   make([]WorkerStats, workers),
 	}
 	r.cond = sync.NewCond(&r.mu)
+	if ctx.Done() != nil {
+		// A context done already fails the graph before any body can start;
+		// one done later fails it from AfterFunc's goroutine.
+		cancelled := func() { r.fail(fmt.Errorf("sched: graph cancelled: %w", ctx.Err())) }
+		if ctx.Err() != nil {
+			cancelled()
+		} else {
+			defer context.AfterFunc(ctx, cancelled)()
+		}
+	}
 	if r.trace != nil {
 		r.trace.start(workers)
 	}
@@ -289,7 +305,17 @@ func (g *Graph) Run(opt Options) (Stats, error) {
 	if r.trace != nil {
 		r.trace.finish()
 	}
-	return st, r.panicErr
+	// Close the failure record: this waits out a cancellation that fired
+	// while the workers were exiting and ignores any later one.
+	r.failOne.Do(func() {})
+	return st, r.err
+}
+
+// fail records the graph's first failure and turns the rest of the run into
+// a drain.
+func (r *runner) fail(err error) {
+	r.failOne.Do(func() { r.err = err })
+	r.failed.Store(true)
 }
 
 // checkAcyclic runs Kahn's algorithm on a copy of the dependency counters.
@@ -410,10 +436,7 @@ func (r *runner) execute(w int, id TaskID) {
 		func() {
 			defer func() {
 				if p := recover(); p != nil {
-					r.panicOne.Do(func() {
-						r.panicErr = fmt.Errorf("sched: task %d (%s) panicked: %v", id, t.name, p)
-					})
-					r.failed.Store(true)
+					r.fail(fmt.Errorf("sched: task %d (%s) panicked: %v", id, t.name, p))
 				}
 			}()
 			if r.trace != nil {

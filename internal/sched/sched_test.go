@@ -1,13 +1,17 @@
 package sched
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"kifmm/internal/goleak"
 )
 
 // TestRandomDAGProperty builds random layered DAGs and checks the two
@@ -56,7 +60,7 @@ func TestRandomDAGProperty(t *testing.T) {
 				layers = append(layers, layer)
 			}
 
-			st, err := g.Run(Options{Workers: workers})
+			st, err := g.Run(context.Background(), Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("workers=%d trial=%d: %v", workers, trial, err)
 			}
@@ -85,7 +89,7 @@ func TestPanicFailsGraph(t *testing.T) {
 	g.Dep(a, b)
 	g.Dep(b, c)
 
-	_, err := g.Run(Options{Workers: 4})
+	_, err := g.Run(context.Background(), Options{Workers: 4})
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("want panic error, got %v", err)
 	}
@@ -102,6 +106,55 @@ func TestPanicFailsGraph(t *testing.T) {
 	}
 }
 
+// TestRunCancelled checks cancellation, the panic drain's other entry: a
+// context done before Run runs no body; a context cancelled by a running body
+// lets that body finish but starts no other once the cancellation has fired,
+// and Run's error wraps context.Canceled; no worker or AfterFunc goroutine
+// outlives Run.
+func TestRunCancelled(t *testing.T) {
+	defer goleak.Check(t)()
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		g := NewGraph()
+		var ran atomic.Int32
+		for i := 0; i < 100; i++ {
+			g.Add("t", func(int) { ran.Add(1) })
+		}
+		st, err := g.Run(ctx, Options{Workers: workers})
+		if !errors.Is(err, context.Canceled) || ran.Load() != 0 || st.Tasks != 100 {
+			t.Fatalf("workers=%d, cancelled before Run: err %v, %d bodies ran, %d tasks drained", workers, err, ran.Load(), st.Tasks)
+		}
+
+		// The first task cancels and gives AfterFunc's goroutine time to
+		// fail the graph; nothing downstream may start after that.
+		ctx, cancel = context.WithCancel(context.Background())
+		g = NewGraph()
+		ran.Store(0)
+		var finished atomic.Bool
+		first := g.Add("cancel", func(int) {
+			cancel()
+			time.Sleep(100 * time.Millisecond)
+			finished.Store(true)
+		})
+		for i := 0; i < 1000; i++ {
+			id := g.Add("t", func(int) { ran.Add(1) })
+			g.Dep(first, id)
+		}
+		_, err = g.Run(ctx, Options{Workers: workers})
+		if !errors.Is(err, context.Canceled) || !finished.Load() || ran.Load() != 0 {
+			t.Fatalf("workers=%d, cancelled mid-run: err %v, running body finished %v, %d bodies started after", workers, err, finished.Load(), ran.Load())
+		}
+	}
+
+	// A context that is never done changes nothing.
+	g := NewGraph()
+	g.Add("t", func(int) {})
+	if _, err := g.Run(context.Background(), Options{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWidePanicDrains checks the drain with many independent tasks in
 // flight when the failure hits.
 func TestWidePanicDrains(t *testing.T) {
@@ -114,7 +167,7 @@ func TestWidePanicDrains(t *testing.T) {
 			}
 		})
 	}
-	if _, err := g.Run(Options{Workers: 8}); err == nil {
+	if _, err := g.Run(context.Background(), Options{Workers: 8}); err == nil {
 		t.Fatal("want error from panicking task")
 	}
 }
@@ -125,7 +178,7 @@ func TestCycleDetected(t *testing.T) {
 	b := g.Add("b", func(int) { t.Error("task in a cyclic graph ran") })
 	g.Dep(a, b)
 	g.Dep(b, a)
-	if _, err := g.Run(Options{Workers: 2}); err == nil || !strings.Contains(err.Error(), "cycle") {
+	if _, err := g.Run(context.Background(), Options{Workers: 2}); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("want cycle error, got %v", err)
 	}
 }
@@ -150,7 +203,7 @@ func TestDiamondOrder(t *testing.T) {
 	g.Dep(a, c)
 	g.Dep(b, d)
 	g.Dep(c, d)
-	if _, err := g.Run(Options{Workers: 4}); err != nil {
+	if _, err := g.Run(context.Background(), Options{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seq) != 4 || seq[0] != "a" || seq[3] != "d" {
@@ -159,7 +212,7 @@ func TestDiamondOrder(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	st, err := NewGraph().Run(Options{Workers: 4})
+	st, err := NewGraph().Run(context.Background(), Options{Workers: 4})
 	if err != nil || st.Tasks != 0 {
 		t.Fatalf("empty graph: stats=%+v err=%v", st, err)
 	}
@@ -168,10 +221,10 @@ func TestEmptyGraph(t *testing.T) {
 func TestRunTwiceRejected(t *testing.T) {
 	g := NewGraph()
 	g.Add("t", func(int) {})
-	if _, err := g.Run(Options{Workers: 1}); err != nil {
+	if _, err := g.Run(context.Background(), Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Run(Options{Workers: 1}); err == nil {
+	if _, err := g.Run(context.Background(), Options{Workers: 1}); err == nil {
 		t.Fatal("second Run must fail")
 	}
 }
@@ -185,7 +238,7 @@ func TestTraceJSON(t *testing.T) {
 		g.Add("traced", func(int) { time.Sleep(time.Microsecond) })
 	}
 	tr := NewTrace()
-	if _, err := g.Run(Options{Workers: 4, Trace: tr}); err != nil {
+	if _, err := g.Run(context.Background(), Options{Workers: 4, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Events() != n {
@@ -236,7 +289,7 @@ func TestStealsHappen(t *testing.T) {
 		})
 		g.Dep(root, id)
 	}
-	st, err := g.Run(Options{Workers: 4})
+	st, err := g.Run(context.Background(), Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +331,7 @@ func TestWorkerIndexExclusive(t *testing.T) {
 				depth[w]--
 			})
 		}
-		if _, err := g.Run(Options{Workers: workers}); err != nil {
+		if _, err := g.Run(context.Background(), Options{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		tot := 0

@@ -1,9 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -81,7 +85,11 @@ func TestBackpressureQueueFull(t *testing.T) {
 	defer ts.Close()
 
 	pts, den := testPoints(800, 8)
-	opts := SolverOptions{Kernel: "laplace", Order: 6, PointsPerBox: 50, Workers: 1}
+	// Small boxes make one evaluation (~90 ms at one worker) outlast the
+	// burst's arrival. With the operators cached process-wide, q = 50 took
+	// ~15 ms, less than eight request bodies take to arrive and decode, so a
+	// straggler was rightly admitted once the first evaluation finished.
+	opts := SolverOptions{Kernel: "laplace", Order: 6, PointsPerBox: 10, Workers: 1}
 
 	var (
 		mu        sync.Mutex
@@ -196,5 +204,144 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		EvaluateRequest{Points: pts, Options: opts, Densities: den}, nil)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain request answered %d", code)
+	}
+}
+
+// TestDeadlineFreesWorker is cancellation under load. On a one-worker server
+// an evaluate whose timeout_ms fires mid-Apply is answered 504 within one
+// task's duration of its deadline, plus scheduling slack — the longest task
+// measured on the same plan with ApplyTraced — and the request queued behind
+// it gets the worker then, not after the rest of that Apply. Nothing it
+// started outlives the test.
+func TestDeadlineFreesWorker(t *testing.T) {
+	defer goleak.Check(t)()
+	s := New(Config{Workers: 1, QueueDepth: 4, RequestTimeout: 5 * time.Minute})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	pts, den := testPoints(10000, 12)
+	opts := SolverOptions{Kernel: "laplace", Order: 6, PointsPerBox: 50, Workers: 1}
+	var plan PlanResponse
+	if code, raw := postJSON(t, ts.Client(), ts.URL+"/v1/plan", PlanRequest{Points: pts, Options: opts}, &plan); code != http.StatusOK {
+		t.Fatalf("plan: %d %s", code, raw)
+	}
+	// evaluate runs on the test's goroutine and on others: it reports with
+	// t.Error, never t.Fatal.
+	evaluate := func(timeoutMS int) (code int, raw string, ev EvaluateResponse) {
+		body, err := json.Marshal(EvaluateRequest{PlanID: plan.PlanID, Densities: den, TimeoutMS: timeoutMS})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		r, err := ts.Client().Post(ts.URL+"/v1/evaluate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer r.Body.Close()
+		b, _ := io.ReadAll(r.Body)
+		if r.StatusCode == http.StatusOK {
+			if err := json.Unmarshal(b, &ev); err != nil {
+				t.Error(err)
+			}
+		}
+		return r.StatusCode, string(b), ev
+	}
+	var apply time.Duration
+	for range 2 { // the second Apply is warm
+		code, raw, ev := evaluate(0)
+		if code != http.StatusOK {
+			t.Fatalf("evaluate: %d %s", code, raw)
+		}
+		apply = time.Duration(ev.ElapsedMS * float64(time.Millisecond))
+	}
+
+	// The longest task of the plan's graph, from its trace.
+	entry, ok := s.cache.Get(plan.PlanID)
+	if !ok {
+		t.Fatal("the plan left the cache")
+	}
+	var longest time.Duration
+	for range 2 {
+		_, raw, err := entry.Plan.ApplyTraced(context.Background(), den)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Dur float64 `json:"dur"` // µs
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range doc.TraceEvents {
+			longest = max(longest, time.Duration(ev.Dur*float64(time.Microsecond)))
+		}
+	}
+
+	// A's deadline fires a quarter of the way into its Apply; B waits behind
+	// it for the one worker. The slack covers scheduling and A's request
+	// decode, which grows with the densities as the Apply does.
+	timeout := max(time.Millisecond, apply/4)
+	slack := 50*time.Millisecond + apply/10
+	bound := timeout + longest + slack
+	t.Logf("warm Apply %v, longest task %v, deadline %v, bound %v", apply, longest, timeout, bound)
+	if bound >= apply {
+		t.Skipf("a warm Apply (%v) is too short to tell a stopped one from a finished one", apply)
+	}
+	type answer struct {
+		code int
+		raw  string
+	}
+	aDone, bDone := make(chan answer), make(chan answer)
+	queued := s.Profile().Time(phaseQueueWait)
+	t0 := time.Now()
+	go func() {
+		code, raw, _ := evaluate(int(timeout / time.Millisecond))
+		aDone <- answer{code, raw}
+	}()
+	waitMetric(t, ts, "fmmserve_workers_busy 1\n")
+	go func() {
+		code, raw, _ := evaluate(0)
+		bDone <- answer{code, raw}
+	}()
+	a := <-aDone
+	took := time.Since(t0)
+	b := <-bDone
+	// A got the worker at once, so the queue-wait phase grew by B's wait.
+	waited := s.Profile().Time(phaseQueueWait) - queued
+	if a.code != http.StatusGatewayTimeout || !strings.Contains(a.raw, "deadline expired after") {
+		t.Fatalf("request past its deadline answered %d %s", a.code, a.raw)
+	}
+	if b.code != http.StatusOK {
+		t.Fatalf("queued request answered %d %s", b.code, b.raw)
+	}
+	t.Logf("504 after %v; the queued request waited %v", took, waited)
+	if took > bound {
+		t.Errorf("504 took %v, past deadline %v + longest task %v + slack %v", took, timeout, longest, slack)
+	}
+	if waited > bound {
+		t.Errorf("the queued request waited %v for the worker, past %v: it waited for the abandoned Apply", waited, bound)
+	}
+}
+
+// waitMetric polls /metrics until it carries line.
+func waitMetric(t *testing.T, ts *httptest.Server, line string) {
+	t.Helper()
+	for t0 := time.Now(); ; time.Sleep(time.Millisecond) {
+		r, err := ts.Client().Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(r.Body)
+		r.Body.Close()
+		if strings.Contains(string(raw), line) {
+			return
+		}
+		if time.Since(t0) > 10*time.Second {
+			t.Fatalf("metrics never carried %q", line)
+		}
 	}
 }

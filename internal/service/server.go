@@ -9,6 +9,7 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,10 +28,11 @@ const (
 
 // Config sizes the server. Zero values select the documented defaults.
 type Config struct {
-	// Workers is the evaluation worker-pool size (default GOMAXPROCS).
+	// Workers bounds concurrent evaluations (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the admission queue; requests arriving beyond it
-	// are rejected with 429 (default 64).
+	// QueueDepth bounds the requests admitted to wait for one of the
+	// Workers; requests arriving beyond it are rejected with 429 (default
+	// 64).
 	QueueDepth int
 	// CacheMaxPlans bounds the plan cache entry count (default 32).
 	CacheMaxPlans int
@@ -98,18 +100,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the fmmserve HTTP handler: plan cache + worker pool + metrics.
+// Server is the fmmserve HTTP handler: plan cache + admission + metrics.
 // Create with New, serve with net/http, stop with Shutdown.
 type Server struct {
 	cfg      Config
 	cache    *PlanCache
-	pool     *Pool
 	sessions *sessionRegistry
 	prof     *diag.Profile
 	traces   *traceSink
 	mux      *http.ServeMux
 	start    time.Time
+
+	// Admission (serve): admitted holds a token per admitted request, at
+	// most Workers + QueueDepth; running holds one per request evaluating,
+	// at most Workers. mu orders admission against the drain, which sets
+	// draining and then waits out inflight.
+	admitted chan struct{}
+	running  chan struct{}
+	mu       sync.Mutex
 	draining atomic.Bool
+	inflight sync.WaitGroup
+
+	completed, rejected, expired atomic.Int64
 
 	// Session steps (cumulative across live and closed sessions; surfaced on
 	// /metrics as fmmserve_session_steps_total).
@@ -123,12 +135,13 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:   cfg,
-		cache: NewPlanCache(cfg.CacheMaxPlans, cfg.CacheMaxBytes),
-		pool:  NewPool(cfg.Workers, cfg.QueueDepth),
-		prof:  diag.NewProfile(),
-		mux:   http.NewServeMux(),
-		start: time.Now(),
+		cfg:      cfg,
+		cache:    NewPlanCache(cfg.CacheMaxPlans, cfg.CacheMaxBytes),
+		prof:     diag.NewProfile(),
+		mux:      http.NewServeMux(),
+		start:    time.Now(),
+		admitted: make(chan struct{}, cfg.Workers+cfg.QueueDepth),
+		running:  make(chan struct{}, cfg.Workers),
 	}
 	if cfg.TraceDir != "" {
 		sink, err := newTraceSink(cfg.TraceDir, cfg.TraceKeep)
@@ -162,10 +175,12 @@ func (s *Server) Profile() *diag.Profile { return s.prof }
 // already-admitted request runs to completion. It returns ctx's error if
 // the drain outlives the context's deadline.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.mu.Lock()
 	s.draining.Store(true)
+	s.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
-		s.pool.Close()
+		s.inflight.Wait()
 		s.sessions.close()
 		close(done)
 	}()
@@ -205,46 +220,83 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return true
 }
 
-// submit runs fn on the worker pool under deadline, translating admission
-// failures into 429/503 and expiry into 504. It reports false if the
-// response has already been written.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, timeout time.Duration, fn func()) bool {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return false
+// serve answers one request with fn's result, run on the request's own
+// goroutine once the request is admitted and holds one of the Workers slots,
+// under ctx with the request's deadline. It answers 503 while draining,
+// 429 + Retry-After beyond Workers + QueueDepth admitted requests or when fn
+// fails with errAtCapacity, 504 when the deadline fires while queued or while
+// fn runs (fn's error then wraps ctx.Err()), 400 with any other error of fn,
+// and 200 with fn's result as JSON. A request stays admitted, and Shutdown
+// waits for it, until its answer is written.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, timeout time.Duration, fn func(ctx context.Context) (any, error)) {
+	if !s.admit(w) {
+		return
 	}
+	defer s.inflight.Done()
+	defer func() { <-s.admitted }()
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	enqueued := time.Now()
-	task, err := s.pool.Submit(ctx, func() {
-		s.prof.AddTime(phaseQueueWait, time.Since(enqueued))
-		fn()
-	})
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds()+0.5)))
-		writeError(w, http.StatusTooManyRequests, "admission queue full (%d in flight)", s.cfg.QueueDepth)
-		return false
-	case errors.Is(err, ErrPoolClosed):
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return false
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "submit: %v", err)
-		return false
-	}
 	select {
-	case <-task.Done():
-		if task.Skipped() {
-			writeError(w, http.StatusGatewayTimeout, "deadline expired while queued")
-			return false
-		}
-		return true
+	case s.running <- struct{}{}:
 	case <-ctx.Done():
-		// The worker may still be running fn; it writes only into the
-		// closure's locals, which we no longer read.
-		writeError(w, http.StatusGatewayTimeout, "deadline expired after %v", timeout)
-		return false
+		s.expired.Add(1)
+		writeError(w, http.StatusGatewayTimeout, "deadline expired while queued")
+		return
 	}
+	s.prof.AddTime(phaseQueueWait, time.Since(enqueued))
+	res, err := func() (any, error) {
+		defer func() { <-s.running }()
+		return fn(ctx)
+	}()
+	if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+		s.expired.Add(1)
+		writeError(w, http.StatusGatewayTimeout, "deadline expired after %v: %v", timeout, err)
+		return
+	}
+	s.completed.Add(1)
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusOK, res)
+	case errors.Is(err, errAtCapacity):
+		s.retryLater(w, "%v", err)
+	default:
+		writeError(w, http.StatusBadRequest, "%v", err)
+	}
+}
+
+// errAtCapacity marks an error of a bounded resource that frees up in time;
+// serve answers it 429 + Retry-After.
+var errAtCapacity = errors.New("capacity reached")
+
+// admit takes an admission token, or answers 503 (draining) or 429 (full)
+// and reports false. An admitted request is one the drain waits for.
+func (s *Server) admit(w http.ResponseWriter) bool {
+	s.mu.Lock()
+	draining, admitted := s.draining.Load(), false
+	if !draining {
+		select {
+		case s.admitted <- struct{}{}:
+			s.inflight.Add(1)
+			admitted = true
+		default:
+		}
+	}
+	s.mu.Unlock()
+	switch {
+	case draining:
+		writeError(w, http.StatusServiceUnavailable, "server is draining")
+	case !admitted:
+		s.rejected.Add(1)
+		s.retryLater(w, "admission queue full (%d in flight)", cap(s.admitted))
+	}
+	return admitted
+}
+
+// retryLater answers 429 with the configured Retry-After hint.
+func (s *Server) retryLater(w http.ResponseWriter, format string, args ...any) {
+	w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds()+0.5)))
+	writeError(w, http.StatusTooManyRequests, format, args...)
 }
 
 // checkOptions rejects requests whose options fail Validate, or whose shard
@@ -273,18 +325,18 @@ func (s *Server) timeout(requestMS int) time.Duration {
 }
 
 // buildPlan constructs the solver and plan for a point set — the cold path
-// a cache hit skips.
-func (s *Server) buildPlan(id string, pts [][3]float64, opts SolverOptions) (*CachedPlan, error) {
+// a cache hit skips. Its errors say "plan:".
+func (s *Server) buildPlan(ctx context.Context, id string, pts [][3]float64, opts SolverOptions) (*CachedPlan, error) {
 	defer s.prof.Start(phasePlanBuild)()
 	solver, err := kifmm.New(opts.ToOptions())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("plan: %w", err)
 	}
 	s.plansBuilt.Add(1)
 	tf0 := kifmm.TranslationCache()
-	plan, err := solver.PlanAt(ToPoints(opts.Targets), ToPoints(pts))
+	plan, err := solver.PlanAt(ctx, ToPoints(opts.Targets), ToPoints(pts))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("plan: %w", err)
 	}
 	// Attribute the plan's translation-spectrum prewarm to the profile: a
 	// hit-only delta means the process-wide cache absorbed the precompute.
@@ -318,22 +370,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, planResponse(entry, true))
 		return
 	}
-	var (
-		entry    *CachedPlan
-		buildErr error
-	)
-	ok := s.submit(w, r, s.cfg.RequestTimeout, func() {
-		entry, buildErr = s.buildPlan(id, req.Points, req.Options)
+	s.serve(w, r, s.cfg.RequestTimeout, func(ctx context.Context) (any, error) {
+		entry, err := s.buildPlan(ctx, id, req.Points, req.Options)
+		if err != nil {
+			return nil, err
+		}
+		s.cache.Put(entry)
+		return planResponse(entry, false), nil
 	})
-	if !ok {
-		return
-	}
-	if buildErr != nil {
-		writeError(w, http.StatusBadRequest, "plan: %v", buildErr)
-		return
-	}
-	s.cache.Put(entry)
-	writeJSON(w, http.StatusOK, planResponse(entry, false))
 }
 
 func planResponse(e *CachedPlan, cached bool) PlanResponse {
@@ -387,57 +431,47 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var (
-		pots     []float64
-		evalErr  error
-		elapsed  time.Duration
-		buildErr error
-	)
-	ok := s.submit(w, r, s.timeout(req.TimeoutMS), func() {
+	s.serve(w, r, s.timeout(req.TimeoutMS), func(ctx context.Context) (any, error) {
 		t0 := time.Now()
 		if entry == nil {
-			entry, buildErr = s.buildPlan(id, req.Points, req.Options)
-			if buildErr != nil {
-				return
+			built, err := s.buildPlan(ctx, id, req.Points, req.Options)
+			if err != nil {
+				return nil, err
 			}
 			if !req.NoCache {
-				s.cache.Put(entry)
+				s.cache.Put(built)
 			}
+			entry = built
 		}
-		applyStop := s.prof.Start(phaseApply)
-		// ApplyTraced runs the task-graph scheduler (at any worker count);
-		// sharded plans coordinate their ranks themselves and are not traced.
-		if s.traces != nil && entry.Plan.Shards() == 0 {
-			var traceJSON []byte
-			pots, traceJSON, evalErr = entry.Plan.ApplyTraced(req.Densities)
-			if evalErr == nil {
-				if _, werr := s.traces.Write(traceJSON); werr != nil {
-					fmt.Fprintf(os.Stderr, "fmmserve: trace write: %v\n", werr)
-				}
-			}
-		} else {
-			pots, evalErr = entry.Plan.Apply(req.Densities)
+		pots, err := s.apply(ctx, entry.Plan, req.Densities)
+		if err != nil {
+			return nil, fmt.Errorf("evaluate: %w", err)
 		}
-		applyStop()
-		elapsed = time.Since(t0)
+		return EvaluateResponse{
+			PlanID:     id,
+			Potentials: pots,
+			CacheHit:   hit,
+			ElapsedMS:  float64(time.Since(t0)) / float64(time.Millisecond),
+		}, nil
 	})
-	if !ok {
-		return
+}
+
+// apply evaluates one density vector on a plan under ctx, into the profile's
+// Apply phase. With a trace directory it runs ApplyTraced (the task-graph
+// scheduler at any worker count) and writes the trace; sharded plans
+// coordinate their ranks themselves and are not traced.
+func (s *Server) apply(ctx context.Context, plan *kifmm.Plan, densities []float64) ([]float64, error) {
+	defer s.prof.Start(phaseApply)()
+	if s.traces == nil || plan.Shards() > 0 {
+		return plan.ApplyContext(ctx, densities)
 	}
-	if buildErr != nil {
-		writeError(w, http.StatusBadRequest, "plan: %v", buildErr)
-		return
+	pots, traceJSON, err := plan.ApplyTraced(ctx, densities)
+	if err == nil {
+		if _, werr := s.traces.Write(traceJSON); werr != nil {
+			fmt.Fprintf(os.Stderr, "fmmserve: trace write: %v\n", werr)
+		}
 	}
-	if evalErr != nil {
-		writeError(w, http.StatusBadRequest, "evaluate: %v", evalErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, EvaluateResponse{
-		PlanID:     id,
-		Potentials: pots,
-		CacheHit:   hit,
-		ElapsedMS:  float64(elapsed) / float64(time.Millisecond),
-	})
+	return pots, err
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -450,7 +484,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	cs := s.cache.Stats()
-	ps := s.pool.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	fmt.Fprintf(w, "fmmserve_uptime_seconds %.3f\n", time.Since(s.start).Seconds())
 	fmt.Fprintf(w, "fmmserve_draining %d\n", boolGauge(s.draining.Load()))
@@ -462,13 +495,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "fmmserve_plan_cache_misses_total %d\n", cs.Misses)
 	fmt.Fprintf(w, "fmmserve_plan_cache_evictions_total %d\n", cs.Evictions)
 	fmt.Fprintf(w, "fmmserve_plans_built_total %d\n", s.plansBuilt.Load())
-	fmt.Fprintf(w, "fmmserve_workers %d\n", ps.Workers)
-	fmt.Fprintf(w, "fmmserve_workers_busy %d\n", ps.Busy)
-	fmt.Fprintf(w, "fmmserve_queue_capacity %d\n", ps.QueueCap)
-	fmt.Fprintf(w, "fmmserve_queue_depth %d\n", ps.Queued)
-	fmt.Fprintf(w, "fmmserve_tasks_completed_total %d\n", ps.Completed)
-	fmt.Fprintf(w, "fmmserve_tasks_rejected_total %d\n", ps.Rejected)
-	fmt.Fprintf(w, "fmmserve_tasks_expired_total %d\n", ps.Expired)
+	busy := len(s.running)
+	fmt.Fprintf(w, "fmmserve_workers %d\n", s.cfg.Workers)
+	fmt.Fprintf(w, "fmmserve_workers_busy %d\n", busy)
+	fmt.Fprintf(w, "fmmserve_queue_capacity %d\n", s.cfg.QueueDepth)
+	fmt.Fprintf(w, "fmmserve_queue_depth %d\n", max(0, len(s.admitted)-busy))
+	fmt.Fprintf(w, "fmmserve_tasks_completed_total %d\n", s.completed.Load())
+	fmt.Fprintf(w, "fmmserve_tasks_rejected_total %d\n", s.rejected.Load())
+	// Deadlines that fired while a request was queued or while it ran.
+	fmt.Fprintf(w, "fmmserve_tasks_expired_total %d\n", s.expired.Load())
 	tf := kifmm.TranslationCache()
 	fmt.Fprintf(w, "fmmserve_tf_cache_hits_total %d\n", tf.Hits)
 	fmt.Fprintf(w, "fmmserve_tf_cache_misses_total %d\n", tf.Misses)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"kifmm"
+	"kifmm/internal/goleak"
 )
 
 // testPoints draws n unit-cube points with unit-normal densities.
@@ -210,9 +211,13 @@ func TestHealthzAndMetrics(t *testing.T) {
 	for _, want := range []string{
 		"fmmserve_plan_cache_plans 1",
 		"fmmserve_plan_cache_misses_total",
-		"fmmserve_workers 1",
-		"fmmserve_queue_capacity 4",
-		"fmmserve_tasks_completed_total 1",
+		"fmmserve_workers 1\n",
+		"fmmserve_workers_busy 0\n",
+		"fmmserve_queue_capacity 4\n",
+		"fmmserve_queue_depth 0\n",
+		"fmmserve_tasks_completed_total 1\n",
+		"fmmserve_tasks_rejected_total 0\n",
+		"fmmserve_tasks_expired_total 0\n",
 		"fmmserve_plans_built_total 1\n",
 		`kifmm_phase_seconds_total{phase="PlanBuild"}`,
 		`kifmm_phase_seconds_total{phase="Apply"}`,
@@ -242,5 +247,69 @@ func TestShutdownRejectsNewWork(t *testing.T) {
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExpiredWhileQueued: a request whose deadline fires while it waits for
+// the one worker is answered 504 "deadline expired while queued", never runs,
+// and counts on fmmserve_tasks_expired_total; the queue gauges see it wait.
+func TestExpiredWhileQueued(t *testing.T) {
+	defer goleak.Check(t)()
+	s := New(Config{Workers: 1, QueueDepth: 1})
+	defer s.Shutdown(context.Background())
+	metric := func(name string) string {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				return v
+			}
+		}
+		t.Fatalf("metrics lack %s", name)
+		return ""
+	}
+	req := func() *http.Request { return httptest.NewRequest(http.MethodPost, "/", nil) }
+
+	started, release := make(chan struct{}), make(chan struct{})
+	held, queued := httptest.NewRecorder(), httptest.NewRecorder()
+	heldDone, queuedDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(heldDone)
+		s.serve(held, req(), time.Minute, func(context.Context) (any, error) {
+			close(started)
+			<-release
+			return "ok", nil
+		})
+	}()
+	<-started
+	go func() {
+		defer close(queuedDone)
+		s.serve(queued, req(), time.Second, func(context.Context) (any, error) {
+			t.Error("a request that expired while queued ran")
+			return nil, nil
+		})
+	}()
+	for t0 := time.Now(); metric("fmmserve_queue_depth") != "1"; time.Sleep(time.Millisecond) {
+		if time.Since(t0) > time.Second {
+			t.Fatal("fmmserve_queue_depth never showed the waiting request")
+		}
+	}
+	if busy := metric("fmmserve_workers_busy"); busy != "1" {
+		t.Fatalf("fmmserve_workers_busy %s with one request running", busy)
+	}
+	<-queuedDone
+	if queued.Code != http.StatusGatewayTimeout || !strings.Contains(queued.Body.String(), "deadline expired while queued") {
+		t.Fatalf("queued request answered %d %s", queued.Code, queued.Body)
+	}
+	if got := metric("fmmserve_tasks_expired_total"); got != "1" {
+		t.Fatalf("fmmserve_tasks_expired_total %s, want 1", got)
+	}
+	close(release)
+	<-heldDone
+	if held.Code != http.StatusOK {
+		t.Fatalf("the running request answered %d %s", held.Code, held.Body)
+	}
+	if got := metric("fmmserve_tasks_completed_total"); got != "1" {
+		t.Fatalf("fmmserve_tasks_completed_total %s, want 1", got)
 	}
 }

@@ -1,10 +1,11 @@
 package service
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -177,49 +178,35 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.sessions.stats().Active >= s.cfg.MaxSessions {
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds()+0.5)))
-		writeError(w, http.StatusTooManyRequests, "session capacity %d reached", s.cfg.MaxSessions)
+		s.retryLater(w, "session capacity %d reached", s.cfg.MaxSessions)
 		return
 	}
 
 	// A session plans its own points; the plan cache neither serves nor
-	// keeps it.
-	var (
-		solver   *kifmm.FMM
-		sess     *kifmm.Session
-		buildErr error
-	)
-	ok := s.submit(w, r, s.cfg.RequestTimeout, func() {
-		solver, buildErr = kifmm.New(req.Options.ToOptions())
-		if buildErr != nil {
-			return
+	// keeps it. Creating one runs to its end: FMM.NewSession takes no
+	// context.
+	s.serve(w, r, s.cfg.RequestTimeout, func(context.Context) (any, error) {
+		solver, err := kifmm.New(req.Options.ToOptions())
+		if err != nil {
+			return nil, fmt.Errorf("session: %w", err)
 		}
-		sess, buildErr = solver.NewSession(ToPoints(req.Points))
-		if buildErr == nil {
-			sess.SetProfile(s.prof)
+		sess, err := solver.NewSession(ToPoints(req.Points))
+		if err != nil {
+			return nil, fmt.Errorf("session: %w", err)
 		}
-	})
-	if !ok {
-		return
-	}
-	if buildErr != nil {
-		writeError(w, http.StatusBadRequest, "session: %v", buildErr)
-		return
-	}
-	now := time.Now()
-	l := &liveSession{id: newSessionID(), sess: sess}
-	if !s.sessions.add(l, now) {
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds()+0.5)))
-		writeError(w, http.StatusTooManyRequests, "session capacity %d reached", s.cfg.MaxSessions)
-		return
-	}
-	writeJSON(w, http.StatusOK, SessionResponse{
-		SessionID:    l.id,
-		NumPoints:    sess.NumPoints(),
-		DensityDim:   solver.DensityDim(),
-		PotentialDim: solver.PotentialDim(),
-		MemoryBytes:  sess.MemoryBytes(),
-		TTLSeconds:   s.cfg.SessionTTL.Seconds(),
+		sess.SetProfile(s.prof)
+		l := &liveSession{id: newSessionID(), sess: sess}
+		if !s.sessions.add(l, time.Now()) {
+			return nil, fmt.Errorf("session %w (%d)", errAtCapacity, s.cfg.MaxSessions)
+		}
+		return SessionResponse{
+			SessionID:    l.id,
+			NumPoints:    sess.NumPoints(),
+			DensityDim:   solver.DensityDim(),
+			PotentialDim: solver.PotentialDim(),
+			MemoryBytes:  sess.MemoryBytes(),
+			TTLSeconds:   s.cfg.SessionTTL.Seconds(),
+		}, nil
 	})
 }
 
@@ -243,38 +230,33 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	if len(req.Add) > 0 {
 		delta.Add = ToPoints(req.Add)
 	}
-	var (
-		info    kifmm.StepInfo
-		pots    []float64
-		stepErr error
-		elapsed time.Duration
-	)
-	ok = s.submit(w, r, s.timeout(req.TimeoutMS), func() {
+	s.serve(w, r, s.timeout(req.TimeoutMS), func(ctx context.Context) (any, error) {
 		t0 := time.Now()
 		stop := s.prof.Start(phaseSessionStep)
-		info, stepErr = l.sess.Step(delta)
+		info, err := l.sess.Step(ctx, delta)
 		stop()
-		if stepErr == nil && len(req.Densities) > 0 {
-			applyStop := s.prof.Start(phaseApply)
-			pots, stepErr = l.sess.Apply(req.Densities)
-			applyStop()
+		if err != nil {
+			return nil, fmt.Errorf("step: %w", err)
 		}
-		elapsed = time.Since(t0)
-	})
-	if !ok {
-		return
-	}
-	if stepErr != nil {
-		writeError(w, http.StatusBadRequest, "step: %v", stepErr)
-		return
-	}
-	s.sessSteps.Add(1)
-	writeJSON(w, http.StatusOK, SessionStepResponse{
-		SessionID:  l.id,
-		Info:       SessionStepInfo(info),
-		NumPoints:  l.sess.NumPoints(),
-		Potentials: pots,
-		ElapsedMS:  float64(elapsed) / float64(time.Millisecond),
+		s.sessSteps.Add(1)
+		var pots []float64
+		if len(req.Densities) > 0 {
+			applyStop := s.prof.Start(phaseApply)
+			pots, err = l.sess.Apply(ctx, req.Densities)
+			applyStop()
+			if err != nil {
+				// The step has committed; say so, whether this is a 400 or
+				// the deadline's 504.
+				return nil, fmt.Errorf("step applied, evaluate: %w", err)
+			}
+		}
+		return SessionStepResponse{
+			SessionID:  l.id,
+			Info:       SessionStepInfo(info),
+			NumPoints:  l.sess.NumPoints(),
+			Potentials: pots,
+			ElapsedMS:  float64(time.Since(t0)) / float64(time.Millisecond),
+		}, nil
 	})
 }
 

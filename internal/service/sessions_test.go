@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"kifmm"
 	"kifmm/internal/goleak"
 )
 
@@ -325,6 +326,61 @@ func TestSessionReportsPhases(t *testing.T) {
 	} {
 		if !strings.Contains(string(raw), want) {
 			t.Fatalf("metrics missing %q after a session step:\n%s", want, raw)
+		}
+	}
+}
+
+// TestStepCancelledLeavesSession: a step whose timeout_ms fires before it
+// commits is answered 504 and leaves the session as it was — the next step,
+// which moves nothing, evaluates like a fresh plan of the original points,
+// bit for bit.
+func TestStepCancelledLeavesSession(t *testing.T) {
+	defer goleak.Check(t)()
+	s := New(Config{Workers: 1, QueueDepth: 4})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	pts, den := testPoints(20000, 11)
+	opts := SolverOptions{Kernel: "laplace", Order: 4, PointsPerBox: 40, Workers: 1}
+	var sess SessionResponse
+	if code, raw := postJSON(t, ts.Client(), ts.URL+"/v1/session", SessionRequest{Points: pts, Options: opts}, &sess); code != http.StatusOK {
+		t.Fatalf("create: %d %s", code, raw)
+	}
+	stepURL := ts.URL + "/v1/session/" + sess.SessionID + "/step"
+	// Re-planning 20 000 points takes far longer than a millisecond.
+	code, raw := postJSON(t, ts.Client(), stepURL, SessionStepRequest{
+		Move:      []WireMove{{ID: 0, To: [3]float64{0.5, 0.5, 0.5}}},
+		Remove:    []int{1},
+		TimeoutMS: 1,
+	}, nil)
+	if code != http.StatusGatewayTimeout || !strings.Contains(raw, "deadline expired") {
+		t.Fatalf("step past its deadline: %d %s", code, raw)
+	}
+	t.Logf("cancelled step: %s", strings.TrimSpace(raw))
+
+	var step SessionStepResponse
+	if code, raw := postJSON(t, ts.Client(), stepURL, SessionStepRequest{Densities: den}, &step); code != http.StatusOK {
+		t.Fatalf("step: %d %s", code, raw)
+	}
+	solver, err := kifmm.New(opts.ToOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := solver.Plan(ToPoints(pts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plan.Apply(den)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if step.NumPoints != len(pts) || len(step.Potentials) != len(want) {
+		t.Fatalf("after the cancelled step: %d points, %d potentials", step.NumPoints, len(step.Potentials))
+	}
+	for i := range want {
+		if step.Potentials[i] != want[i] {
+			t.Fatalf("potential %d is %v, want %v: the cancelled step committed", i, step.Potentials[i], want[i])
 		}
 	}
 }

@@ -3,8 +3,10 @@
 // paper's setup/evaluation phases: plan construction (octree, interaction
 // lists, translation operators) is cached in a bounded LRU keyed by a
 // content hash of the point set and solver options, and the density-
-// dependent Apply runs on a bounded worker pool with an admission queue,
-// per-request deadlines, and explicit backpressure. This is the serving
+// dependent Apply runs on the request's own goroutine once it holds one of
+// the Workers slots, behind bounded admission (429 beyond it) and under the
+// request's deadline, which stops the work — queued, mid-plan or mid-Apply —
+// and is answered 504. This is the serving
 // substrate for iterative-solver clients (e.g. GMRES over a Stokes boundary
 // integral), which re-evaluate one geometry with many density vectors.
 package service

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -52,7 +53,7 @@ func BenchmarkShardedApply(b *testing.B) {
 			run(b, func() error {
 				eng := pool.Get(nil)
 				eng.SetDensitiesMasked(den, 0)
-				if _, err := eng.Run(nil, nil); err != nil {
+				if _, err := eng.Run(context.Background(), nil, nil); err != nil {
 					return err
 				}
 				eng.PointPotentials()

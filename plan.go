@@ -1,6 +1,7 @@
 package kifmm
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 
@@ -49,7 +50,9 @@ type Plan struct {
 // Plan builds the octree, interaction lists, and evaluation state for the
 // point set and returns a Plan for repeated evaluations. The returned plan
 // is bound to this solver's kernel and options.
-func (f *FMM) Plan(points []Point) (*Plan, error) { return f.PlanAt(nil, points) }
+func (f *FMM) Plan(points []Point) (*Plan, error) {
+	return f.PlanAt(context.Background(), nil, points)
+}
 
 // PlanAt is Plan for evaluation at targets distinct from the sources: the
 // tree is built over the union of both, Apply takes densities for the
@@ -60,7 +63,13 @@ func (f *FMM) Plan(points []Point) (*Plan, error) { return f.PlanAt(nil, points)
 // zero-density targets while skipping its wasted work. Empty targets give
 // the symmetric plan. Sharded solvers (Options.Shards) do not support
 // distinct targets.
-func (f *FMM) PlanAt(targets, sources []Point) (*Plan, error) {
+//
+// ctx is checked before each stage — tree, lists, prewarm, layout and
+// engine pool (or the shard partition) — and a done ctx ends the build with
+// its error. A stage itself runs to its end: the prewarm fills the
+// process-wide spectrum and operator caches, shared singleflight builds
+// other plans wait on, so no request's context may stop one midway.
+func (f *FMM) PlanAt(ctx context.Context, targets, sources []Point) (*Plan, error) {
 	if err := f.checkPoints(sources); err != nil {
 		return nil, err
 	}
@@ -79,10 +88,22 @@ func (f *FMM) PlanAt(targets, sources []Point) (*Plan, error) {
 		points = append(points, targets...)
 		points = append(points, sources...)
 	}
+	if err := cancelled(ctx); err != nil {
+		return nil, err
+	}
 	tree := octree.Build(points, f.opt.PointsPerBox, f.opt.MaxDepth)
+	if err := cancelled(ctx); err != nil {
+		return nil, err
+	}
 	tree.BuildLists(nil)
+	if err := cancelled(ctx); err != nil {
+		return nil, err
+	}
 	// Eagerly, so the first Apply pays no lazy spectrum builds.
 	f.spec.Prewarm(tree)
+	if err := cancelled(ctx); err != nil {
+		return nil, err
+	}
 	if f.opt.Shards > 0 {
 		// Sharded plan: partition this tree's leaves across R ranks and
 		// assemble their local essential trees. The prewarmed spectra above
@@ -188,7 +209,18 @@ func (p *Plan) MemoryBytes() int64 {
 // graph on the internal scheduler with Options.Workers workers
 // (bit-identical results at any worker count).
 func (p *Plan) Apply(densities []float64) ([]float64, error) {
+	return p.ApplyContext(context.Background(), densities)
+}
+
+// ApplyContext is Apply under ctx: once ctx is done the task graph starts no
+// further task, drains, and the error wraps ctx.Err(). A sharded plan checks
+// ctx on entry only, since its ranks' exchange is a collective no rank may
+// leave alone.
+func (p *Plan) ApplyContext(ctx context.Context, densities []float64) ([]float64, error) {
 	if p.shard != nil {
+		if err := cancelled(ctx); err != nil {
+			return nil, err
+		}
 		out, err := p.shard.Apply(densities)
 		if err != nil {
 			return nil, fmt.Errorf("kifmm: %w", err)
@@ -196,37 +228,37 @@ func (p *Plan) Apply(densities []float64) ([]float64, error) {
 		p.evals.Add(1)
 		return out, nil
 	}
-	out, _, err := p.apply(densities, nil)
+	out, _, err := p.apply(ctx, densities, nil)
 	return out, err
 }
 
-// ApplyTraced is Apply plus a Chrome trace_event capture of the scheduler's
-// execution: one timeline row per worker, one slice per per-octant task.
-// Write the returned JSON to a file and open it at chrome://tracing (or
-// ui.perfetto.dev). It errors on sharded plans, whose ranks run
-// concurrently, each its own graphs.
-func (p *Plan) ApplyTraced(densities []float64) (potentials []float64, trace []byte, err error) {
+// ApplyTraced is ApplyContext plus a Chrome trace_event capture of the
+// scheduler's execution: one timeline row per worker, one slice per
+// per-octant task. Write the returned JSON to a file and open it at
+// chrome://tracing (or ui.perfetto.dev). It errors on sharded plans, whose
+// ranks run concurrently, each its own graphs.
+func (p *Plan) ApplyTraced(ctx context.Context, densities []float64) (potentials []float64, trace []byte, err error) {
 	if p.shard != nil {
 		return nil, nil, fmt.Errorf("kifmm: ApplyTraced does not support sharded plans (their ranks run concurrently, each its own graphs)")
 	}
 	tr := sched.NewTrace()
-	out, _, err := p.apply(densities, tr)
+	out, _, err := p.apply(ctx, densities, tr)
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, tr.JSON(), nil
 }
 
-func (p *Plan) apply(densities []float64, trace *sched.Trace) ([]float64, sched.Stats, error) {
+func (p *Plan) apply(ctx context.Context, densities []float64, trace *sched.Trace) ([]float64, sched.Stats, error) {
 	if err := ikifmm.CheckDensities(densities, p.n, p.f.kern.SrcDim()); err != nil {
 		return nil, sched.Stats{}, fmt.Errorf("kifmm: %w", err)
 	}
 	eng := p.engines.Get(p.prof.Load())
 	eng.SetDensitiesMasked(densities, p.nTrg)
-	stats, err := eng.Run(nil, trace)
+	stats, err := eng.Run(ctx, nil, trace)
 	if err != nil {
-		// A failed graph leaves the engine's state partial; drop it rather
-		// than returning it to the free list.
+		// A failed or cancelled graph leaves the engine's state partial;
+		// drop it rather than returning it to the free list.
 		return nil, stats, fmt.Errorf("kifmm: %w", err)
 	}
 	out := eng.PointPotentials()
@@ -237,4 +269,12 @@ func (p *Plan) apply(densities []float64, trace *sched.Trace) ([]float64, sched.
 	p.engines.Put(eng)
 	p.evals.Add(1)
 	return out, stats, nil
+}
+
+// cancelled returns ctx's error, wrapped, once ctx is done.
+func cancelled(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("kifmm: %w", err)
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package kifmm
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -140,7 +141,7 @@ func TestProbe(t *testing.T) {
 				fmt.Sprintf("%s/shards%d", kern, ranks))
 		}
 		record(one(func() ([]float64, error) {
-			p, err := f.PlanAt(trgs, pts)
+			p, err := f.PlanAt(context.Background(), trgs, pts)
 			if err != nil {
 				return nil, err
 			}
@@ -157,7 +158,7 @@ func TestProbe(t *testing.T) {
 			// step applies d and records the potentials for fresh densities,
 			// which must hash like a fresh plan's of the same points.
 			step := func(d Delta) (StepInfo, error) {
-				info, err := s.Step(d)
+				info, err := s.Step(context.Background(), d)
 				if err != nil {
 					return info, err
 				}
@@ -165,7 +166,7 @@ func TestProbe(t *testing.T) {
 				for i := range sden {
 					sden[i] = rng.NormFloat64()
 				}
-				pot, err := s.Apply(sden)
+				pot, err := s.Apply(context.Background(), sden)
 				if err != nil {
 					return info, err
 				}

@@ -1,6 +1,7 @@
 package kifmm
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -137,8 +138,10 @@ func (s *Session) Stats() SessionStats {
 // unit cube, removes one ID twice or would leave the session empty is
 // refused, as is one whose plan cannot be built (a sharded solver refuses a
 // point set with fewer leaves than shards); a refused step leaves the
-// session as it was.
-func (s *Session) Step(d Delta) (StepInfo, error) {
+// session as it was. So does a step whose ctx is done before it commits: the
+// plan build stops between its stages, and a plan built by then is
+// discarded.
+func (s *Session) Step(ctx context.Context, d Delta) (StepInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cube := geom.UnitCube()
@@ -183,7 +186,10 @@ func (s *Session) Step(d Delta) (StepInfo, error) {
 		pos = append(pos, p)
 		alive = append(alive, true)
 	}
-	plan, err := s.f.Plan(livePoints(pos, alive, live))
+	plan, err := s.f.PlanAt(ctx, nil, livePoints(pos, alive, live))
+	if err == nil {
+		err = cancelled(ctx)
+	}
 	if err != nil {
 		return StepInfo{}, err
 	}
@@ -195,11 +201,12 @@ func (s *Session) Step(d Delta) (StepInfo, error) {
 
 // Apply evaluates the potentials of the live points for one density vector
 // (ascending-ID order, DensityDim components per point), returning
-// potentials in the same order.
-func (s *Session) Apply(densities []float64) ([]float64, error) {
+// potentials in the same order. A done ctx stops it as it does
+// Plan.ApplyContext.
+func (s *Session) Apply(ctx context.Context, densities []float64) ([]float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out, err := s.plan.Apply(densities)
+	out, err := s.plan.ApplyContext(ctx, densities)
 	if err != nil {
 		return nil, err
 	}

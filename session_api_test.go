@@ -1,6 +1,7 @@
 package kifmm
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -47,7 +48,7 @@ func TestTargetsMatchesMaskedOracle(t *testing.T) {
 			for i := range den {
 				den[i] = rng.NormFloat64()
 			}
-			p, err := f.PlanAt(trgs, srcs)
+			p, err := f.PlanAt(context.Background(), trgs, srcs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,18 +81,18 @@ func TestTargetsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.PlanAt([]Point{{X: 2, Y: 0, Z: 0}}, srcs); err == nil {
+	if _, err := f.PlanAt(context.Background(), []Point{{X: 2, Y: 0, Z: 0}}, srcs); err == nil {
 		t.Fatal("out-of-cube target accepted")
 	}
 	// No targets is the symmetric plan, by contract.
-	if p, err := f.PlanAt(nil, srcs); err != nil || p.NumTargets() != 0 || p.NumPoints() != len(srcs) {
+	if p, err := f.PlanAt(context.Background(), nil, srcs); err != nil || p.NumTargets() != 0 || p.NumPoints() != len(srcs) {
 		t.Fatalf("PlanAt(nil, sources): %v", err)
 	}
 	sharded, err := New(Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sharded.PlanAt([]Point{{X: 0.5, Y: 0.5, Z: 0.5}}, srcs); err == nil {
+	if _, err := sharded.PlanAt(context.Background(), []Point{{X: 0.5, Y: 0.5, Z: 0.5}}, srcs); err == nil {
 		t.Fatal("targets with Shards accepted")
 	}
 }
@@ -121,7 +122,7 @@ func TestSessionMatchesEvaluate(t *testing.T) {
 			d.Add = append(d.Add, Point{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()})
 		}
 		d.Remove = append(d.Remove, ids[len(ids)-1], ids[len(ids)-3])
-		info, err := s.Step(d)
+		info, err := s.Step(context.Background(), d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +155,7 @@ func TestSessionMatchesEvaluate(t *testing.T) {
 		for range live {
 			den = append(den, rng.NormFloat64())
 		}
-		got, err := s.Apply(den)
+		got, err := s.Apply(context.Background(), den)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package kifmm
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -135,11 +136,11 @@ func TestStepMatchesFreshPlan(t *testing.T) {
 									}
 								}
 							}
-							if _, err := s.Step(d); err != nil {
+							if _, err := s.Step(context.Background(), d); err != nil {
 								t.Fatalf("step %d: %v", step, err)
 							}
 							den := randDensities(rng, s.NumPoints()*f.DensityDim())
-							got, err := s.Apply(den)
+							got, err := s.Apply(context.Background(), den)
 							if err != nil {
 								t.Fatalf("step %d: apply: %v", step, err)
 							}
@@ -168,12 +169,12 @@ func TestStepErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Step(Delta{Remove: []int{7}}); err != nil {
+	if _, err := s.Step(context.Background(), Delta{Remove: []int{7}}); err != nil {
 		t.Fatal(err)
 	}
 	den := randDensities(rand.New(rand.NewSource(2)), 49)
 	ids, pts := s.IDs(), s.Points()
-	before, err := s.Apply(den)
+	before, err := s.Apply(context.Background(), den)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,24 +193,24 @@ func TestStepErrors(t *testing.T) {
 		{Remove: all},
 		{Move: []PointMove{{ID: 0, To: mid}}, Add: []Point{mid}, Remove: []int{1, 2, 1}},
 	} {
-		if _, err := s.Step(d); err == nil {
+		if _, err := s.Step(context.Background(), d); err == nil {
 			t.Fatalf("case %d: delta %+v accepted", i, d)
 		}
 		if !slices.Equal(s.IDs(), ids) || !slices.Equal(s.Points(), pts) {
 			t.Fatalf("case %d: a refused step changed the session's points", i)
 		}
-		after, err := s.Apply(den)
+		after, err := s.Apply(context.Background(), den)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameBits(t, fmt.Sprintf("case %d: potentials after a refused step", i), after, before)
 	}
-	if _, err := s.Apply(den[:10]); err == nil {
+	if _, err := s.Apply(context.Background(), den[:10]); err == nil {
 		t.Fatal("density length mismatch accepted")
 	}
 
 	a, b := Point{X: 0.1, Y: 0.2, Z: 0.3}, Point{X: 0.7, Y: 0.8, Z: 0.9}
-	info, err := s.Step(Delta{
+	info, err := s.Step(context.Background(), Delta{
 		Move:   []PointMove{{ID: 0, To: a}, {ID: 1, To: a}, {ID: 0, To: b}},
 		Remove: []int{1},
 	})
@@ -238,16 +239,16 @@ func TestStepErrors(t *testing.T) {
 	}
 	ids, pts = ss.IDs(), ss.Points()
 	den = randDensities(rand.New(rand.NewSource(4)), len(ids))
-	if before, err = ss.Apply(den); err != nil {
+	if before, err = ss.Apply(context.Background(), den); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ss.Step(Delta{Move: []PointMove{{ID: 0, To: mid}}, Remove: ids[3:]}); err == nil {
+	if _, err := ss.Step(context.Background(), Delta{Move: []PointMove{{ID: 0, To: mid}}, Remove: ids[3:]}); err == nil {
 		t.Fatal("a sharded step down to one leaf accepted")
 	}
 	if !slices.Equal(ss.IDs(), ids) || !slices.Equal(ss.Points(), pts) {
 		t.Fatal("a step whose plan failed changed the session's points")
 	}
-	after, err := ss.Apply(den)
+	after, err := ss.Apply(context.Background(), den)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +269,11 @@ func TestRemoveAllButOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for s.NumPoints() > 1 {
 		ids := s.IDs()
-		if _, err := s.Step(Delta{Remove: ids[:max(1, len(ids)/2)]}); err != nil {
+		if _, err := s.Step(context.Background(), Delta{Remove: ids[:max(1, len(ids)/2)]}); err != nil {
 			t.Fatal(err)
 		}
 		den := randDensities(rng, s.NumPoints())
-		got, err := s.Apply(den)
+		got, err := s.Apply(context.Background(), den)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +283,7 @@ func TestRemoveAllButOne(t *testing.T) {
 		}
 		sameBits(t, fmt.Sprintf("%d points", s.NumPoints()), got, want)
 	}
-	if _, err := s.Step(Delta{Remove: s.IDs()}); err == nil {
+	if _, err := s.Step(context.Background(), Delta{Remove: s.IDs()}); err == nil {
 		t.Fatal("emptying the session should error")
 	}
 }
@@ -307,7 +308,7 @@ func TestSessionReportsPhases(t *testing.T) {
 	for i := range den {
 		den[i] = float64(i%7) - 3
 	}
-	if _, err := s.Apply(den); err != nil {
+	if _, err := s.Apply(context.Background(), den); err != nil {
 		t.Fatal(err)
 	}
 	for _, ph := range []string{diag.PhaseVList, diag.PhaseUList} {
@@ -315,10 +316,10 @@ func TestSessionReportsPhases(t *testing.T) {
 			t.Errorf("%s: %v, %d flops after one Apply", ph, prof.Time(ph), prof.Flops(ph))
 		}
 	}
-	if _, err := s.Step(Delta{Move: []PointMove{{ID: 0, To: Point{X: 0.5, Y: 0.5, Z: 0.5}}}}); err != nil {
+	if _, err := s.Step(context.Background(), Delta{Move: []PointMove{{ID: 0, To: Point{X: 0.5, Y: 0.5, Z: 0.5}}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Apply(den); err != nil {
+	if _, err := s.Apply(context.Background(), den); err != nil {
 		t.Fatal(err)
 	}
 	if n := prof.Counter(diag.CounterSchedGraphs); n != 2 {
@@ -349,9 +350,9 @@ func TestSessionConcurrentUse(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				var err error
 				if g%2 == 0 {
-					_, err = s.Step(Delta{Move: []PointMove{{ID: rng.Intn(n), To: Point{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}}}})
+					_, err = s.Step(context.Background(), Delta{Move: []PointMove{{ID: rng.Intn(n), To: Point{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}}}})
 				} else {
-					_, err = s.Apply(den)
+					_, err = s.Apply(context.Background(), den)
 				}
 				if err != nil {
 					t.Error(err)
@@ -364,7 +365,7 @@ func TestSessionConcurrentUse(t *testing.T) {
 	if st := s.Stats(); st.Steps != 10 || st.Evals != 10 {
 		t.Fatalf("stats %+v, want 10 steps and 10 evaluations", st)
 	}
-	got, err := s.Apply(den)
+	got, err := s.Apply(context.Background(), den)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,11 +456,11 @@ func FuzzSessionStep(f *testing.F) {
 
 			ids, pts := s.IDs(), s.Points()
 			den := randDensities(rng, len(ids))
-			before, err := s.Apply(den)
+			before, err := s.Apply(context.Background(), den)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = s.Step(d)
+			_, err = s.Step(context.Background(), d)
 			if (err == nil) != ok {
 				t.Fatalf("round %d: delta %+v: Step error %v, model accepts it: %v", round, d, err, ok)
 			}
@@ -467,7 +468,7 @@ func FuzzSessionStep(f *testing.F) {
 				if !slices.Equal(s.IDs(), ids) || !slices.Equal(s.Points(), pts) {
 					t.Fatalf("round %d: a refused step changed the session's points", round)
 				}
-				after, err := s.Apply(den)
+				after, err := s.Apply(context.Background(), den)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -488,7 +489,7 @@ func FuzzSessionStep(f *testing.F) {
 				t.Fatalf("round %d: session points %v, model %v", round, s.Points(), want)
 			}
 			den = randDensities(rng, nLive)
-			got, err := s.Apply(den)
+			got, err := s.Apply(context.Background(), den)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -537,11 +538,11 @@ func BenchmarkSessionStep(b *testing.B) {
 						d.Move[j] = PointMove{ID: rng.Intn(n), To: Point{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}}
 					}
 					b.StartTimer()
-					if _, err := s.Step(d); err != nil {
+					if _, err := s.Step(context.Background(), d); err != nil {
 						b.Fatal(err)
 					}
 					if apply {
-						if _, err := s.Apply(den); err != nil {
+						if _, err := s.Apply(context.Background(), den); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -1,6 +1,7 @@
 package kifmm
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -97,7 +98,7 @@ func TestShardedApplyTracedRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := plan.ApplyTraced(den); err == nil {
+	if _, _, err := plan.ApplyTraced(context.Background(), den); err == nil {
 		t.Fatal("ApplyTraced accepted a sharded plan")
 	}
 }
