@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race portable fuzz bench bench-nearfield bench-setup bench-smoke bench-check sched-stress shard-stress session-stress lint lint-baseline lint-inject loc probe probe-check ci
+.PHONY: build vet test race portable fuzz bench bench-nearfield bench-dense bench-setup bench-smoke bench-check sched-stress shard-stress session-stress lint lint-baseline lint-inject loc probe probe-check ci
 
 build:
 	$(GO) build ./...
@@ -18,19 +18,23 @@ test:
 race:
 	$(GO) test -race -timeout 60m ./...
 
-# The build without the amd64 vector kernels (internal/kernel/panel_amd64.s,
+# The build without the amd64 vector kernels (internal/linalg/mulvec_amd64.s,
+# which also holds the CPU probe, internal/kernel/panel_amd64.s,
 # internal/kifmm/hadamard_amd64.s) is the one other architectures get: test
-# both packages through the conventional purego tag, and vet them for arm64 so
-# a file that only amd64 compiles shows in either.
+# the three packages through the conventional purego tag, and vet them for
+# arm64 so a file that only amd64 compiles shows in any of them.
 portable:
-	$(GO) test -tags purego ./internal/kernel ./internal/kifmm
-	GOARCH=arm64 $(GO) vet ./internal/kernel ./internal/kifmm
+	$(GO) test -tags purego ./internal/linalg ./internal/kernel ./internal/kifmm
+	GOARCH=arm64 $(GO) vet ./internal/linalg ./internal/kernel ./internal/kifmm
 
 # Native fuzz targets, a bounded run each: vector EvalPanel ≡ Go loop and no
-# store outside the panel; vector Hadamard kernel ≡ Go loop; the wire options
-# decoder (strict decode → Validate → New) errors or yields a solver, never
-# panics, refuses every retired field by name, every order above MaxOrder and
-# every shard_comm but "simple";
+# store outside the panel; vector Hadamard kernel ≡ Go loop; the packed
+# matrix-vector product (vector kernel and Go panel loop, MulVec and
+# MulVecAdd) ≡ the row loop, bit for bit, on every Rows%4, 0 and 1 columns,
+# NaN/±Inf entries and wide magnitude spreads, with no store outside y; the
+# wire options decoder (strict decode → Validate → New) errors or yields a
+# solver, never panics, refuses every retired field by name, every order
+# above MaxOrder and every shard_comm but "simple";
 # arbitrary request bodies on /v1/evaluate and /v1/session/{id}/step answer
 # anything but a panic or a 5xx; the Morton key algebra (FromPoint and its
 # clamp, ancestors, child/parent, neighbours, the wire record) on arbitrary
@@ -40,6 +44,7 @@ portable:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEvalPanel -fuzztime=10s ./internal/kernel
 	$(GO) test -run='^$$' -fuzz=FuzzHadamardPanels -fuzztime=10s ./internal/kifmm
+	$(GO) test -run='^$$' -fuzz=FuzzMulVec -fuzztime=10s ./internal/linalg
 	$(GO) test -run='^$$' -fuzz=FuzzSolverOptionsJSON -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzRequestBodies -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzMortonKey -fuzztime=10s ./internal/morton
@@ -57,6 +62,14 @@ bench:
 bench-nearfield:
 	$(GO) test ./internal/kernel/ -run='^$$' -bench=BenchmarkNearFieldPanel
 	$(GO) test ./internal/kifmm/ -run='^$$' -bench=BenchmarkNearField -benchmem
+
+# Dense translation micro-rows: one matrix-vector product at the largest
+# surface operator shapes (152², Laplace order 6; 294², Stokes order 5)
+# through the row loop (scalar), the packed product (the AVX2 kernel where
+# the CPU has it) and the Go panel loop alone (packed-go, what purego builds
+# run), on one L2-resident operator and rotating over a level's 18.
+bench-dense:
+	$(GO) test ./internal/linalg/ -run='^$$' -bench=BenchmarkMulVec
 
 # Set-up micro-benchmarks: the fused Jacobi SVD of the largest surface
 # matrices the workloads invert (BenchmarkComputeSVD, n = 152 and 294), then

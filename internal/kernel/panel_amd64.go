@@ -2,10 +2,11 @@
 
 package kernel
 
-// UseAVX2 is resolved once, for this package's panel kernels and for the
-// V-list Hadamard kernel in internal/kifmm: the CPU has AVX2 and the OS saves
-// its registers.
-var UseAVX2 = cpuHasAVX2()
+import "kifmm/internal/linalg"
+
+// UseAVX2 is linalg.UseAVX2, the module's one CPU probe, which this
+// package's panel kernels read.
+var UseAVX2 = linalg.UseAVX2
 
 // panelConsts holds what panel_amd64.s reads as 32-byte operands: four ones,
 // four 1/4π, four 1/8π — the Go constants themselves, so the vector kernels
@@ -16,10 +17,8 @@ var panelConsts = [12]float64{
 	invEightPi, invEightPi, invEightPi, invEightPi,
 }
 
-// cpuHasAVX2, laplacePanelAVX2 and stokesGroupAVX2 are implemented in
-// panel_amd64.s.
-func cpuHasAVX2() bool
-
+// laplacePanelAVX2 and stokesGroupAVX2 are implemented in panel_amd64.s.
+//
 //go:noescape
 func laplacePanelAVX2(tx, ty, tz, sx, sy, sz, den, out *float64, nt, ns int)
 

@@ -148,33 +148,3 @@ spair:
 	VMOVUPD Y5, 64(DX)
 	VZEROUPPER
 	RET
-
-// func cpuHasAVX2() bool
-//
-// AVX2 is usable when the CPU has it (CPUID.7:EBX[5]) and the OS saves the
-// YMM state (CPUID.1:ECX OSXSAVE+AVX, then XCR0[2:1] = 11b).
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVB  $0, ret+0(FP)
-	XORL  AX, AX
-	CPUID
-	CMPL  AX, $7
-	JLT   done
-	MOVL  $1, AX
-	XORL  CX, CX
-	CPUID
-	ANDL  $0x18000000, CX    // OSXSAVE | AVX
-	CMPL  CX, $0x18000000
-	JNE   done
-	XORL  CX, CX
-	XGETBV
-	ANDL  $6, AX             // XMM and YMM state enabled
-	CMPL  AX, $6
-	JNE   done
-	MOVL  $7, AX
-	XORL  CX, CX
-	CPUID
-	BTL   $5, BX
-	JCC   done
-	MOVB  $1, ret+0(FP)
-done:
-	RET

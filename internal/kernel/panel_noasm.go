@@ -2,8 +2,10 @@
 
 package kernel
 
-// UseAVX2 is false on builds without the vector kernels.
-const UseAVX2 = false
+import "kifmm/internal/linalg"
+
+// UseAVX2 is linalg.UseAVX2: false on builds without the vector kernels.
+const UseAVX2 = linalg.UseAVX2
 
 // laplacePanelVec and stokesPanelVec are the vector kernels' stand-ins: they
 // cover no targets, so EvalPanel's Go loops do all the work.

@@ -1,9 +1,12 @@
 package kifmm
 
 import (
+	"math/rand"
 	"testing"
 
+	"kifmm/internal/geom"
 	"kifmm/internal/kernel"
+	"kifmm/internal/octree"
 )
 
 // TestVListAllocBudget pins the steady-state allocation count of one warm
@@ -71,5 +74,45 @@ func TestOperatorCacheAllocs(t *testing.T) {
 	yuk.D2DOp(2, 3) // build and cache the per-level table
 	if a := testing.AllocsPerRun(100, func() { yuk.D2DOp(2, 3) }); a != 0 {
 		t.Errorf("warm non-homogeneous D2DOp hit: %.0f allocations, want 0", a)
+	}
+}
+
+// TestDenseTranslationAllocs pins the per-octant bodies of the S2U, U2U and
+// downward rows — the packed operator products — at zero allocations once
+// warm, for a homogeneous kernel (one reference table) and a non-homogeneous
+// one (per-level tables, prewarmed as Plan does).
+func TestDenseTranslationAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates AllocsPerRun")
+	}
+	pts := geom.Generate(geom.Ellipsoid, 2000, 3)
+	tree := octree.Build(pts, 40, 20)
+	tree.BuildLists(nil)
+	for _, kern := range []kernel.Kernel{kernel.Laplace{}, kernel.Yukawa{Lambda: 5}} {
+		ops := NewOperators(kern, 4, 1e-9)
+		ops.PrewarmLevels(tree, 1)
+		e := NewEngine(ops, tree)
+		e.SetPointDensities(randDensities(rand.New(rand.NewSource(5)), len(pts), kern.SrcDim()))
+		s := e.ensureScratch(1)[0]
+		leaf, parent := int32(-1), int32(-1)
+		for _, i := range tree.Leaves {
+			if tree.Nodes[i].NPoints() > 0 && tree.Nodes[i].Parent != octree.NoNode {
+				leaf, parent = i, tree.Nodes[i].Parent
+				break
+			}
+		}
+		if leaf < 0 {
+			t.Fatalf("%s: no non-root leaf with points", kern.Name())
+		}
+		for name, body := range map[string]func(){
+			"s2uLeaf":      func() { e.s2uLeaf(leaf, s) },
+			"u2uNode":      func() { e.u2uNode(parent, s) },
+			"downwardNode": func() { e.downwardNode(leaf, s) },
+		} {
+			body() // warm
+			if a := testing.AllocsPerRun(50, body); a != 0 {
+				t.Errorf("%s: warm %s: %.0f allocations, want 0", kern.Name(), name, a)
+			}
+		}
 	}
 }

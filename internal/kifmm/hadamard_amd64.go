@@ -2,7 +2,7 @@
 
 package kifmm
 
-import "kifmm/internal/kernel"
+import "kifmm/internal/linalg"
 
 // hadamardAVX2 is implemented in hadamard_amd64.s.
 //
@@ -11,13 +11,13 @@ func hadamardAVX2(ar, ai, tr, ti, sr, si *float64, n int)
 
 // hadamardVec runs the vector kernel over the leading multiple of four
 // elements of six equal-length panels and returns how many it covered; the
-// caller's Go loop finishes the tail (or everything, on a CPU without AVX2:
-// kernel.UseAVX2 is the one probe both packages' vector kernels read).
+// caller's Go loop finishes the tail (or everything, on a CPU without AVX2;
+// linalg.UseAVX2 is the one probe every vector kernel in the module reads).
 //
 //fmm:hotpath
 func hadamardVec(ar, ai, tr, ti, sr, si []float64) int {
 	n := len(ar) &^ 3
-	if !kernel.UseAVX2 || n == 0 {
+	if !linalg.UseAVX2 || n == 0 {
 		return 0
 	}
 	hadamardAVX2(&ar[0], &ai[0], &tr[0], &ti[0], &sr[0], &si[0], n)

@@ -14,38 +14,33 @@ import (
 	"kifmm/internal/octree"
 )
 
-// sequentialLevel is the oracle for buildLevel: the same pieces, one after
-// another on the calling goroutine, in the textbook order. Its
-// pseudo-inverses go through linalg.ComputeSVD, which internal/linalg's
-// TestComputeSVDBitIdentical pins bit for bit to the reference Jacobi loop
-// on these same surface matrices.
-func sequentialLevel(o *Operators, l int) *levelOps {
+// sequentialMats is the oracle for buildLevel: the same pieces, row-major,
+// one after another on the calling goroutine, in the textbook order, and
+// returned in levelNames' order. Its pseudo-inverses go through
+// linalg.ComputeSVD, which internal/linalg's TestComputeSVDBitIdentical pins
+// bit for bit to the reference Jacobi loop on these same surface matrices.
+func sequentialMats(o *Operators, l int) []*linalg.Mat {
 	half := math.Pow(2, -float64(l)) / 2
 	center := geom.Point{}
 	ue := o.Grid.Points(center, RadInner*half)
 	uc := o.Grid.Points(center, RadOuter*half)
 	dc := o.Grid.Points(center, RadInner*half)
 	de := o.Grid.Points(center, RadOuter*half)
-	lo := &levelOps{
-		UC2UE: linalg.PinvTikhonov(kernel.Matrix(o.Kern, uc, ue), o.Tol),
-		DC2DE: linalg.PinvTikhonov(kernel.Matrix(o.Kern, dc, de), o.Tol),
-	}
+	uc2ue := linalg.PinvTikhonov(kernel.Matrix(o.Kern, uc, ue), o.Tol)
+	mats := []*linalg.Mat{uc2ue, linalg.PinvTikhonov(kernel.Matrix(o.Kern, dc, de), o.Tol)}
+	var d2d []*linalg.Mat
 	for c := 0; c < 8; c++ {
 		cc := childCenter(center, half, c)
 		cue := o.Grid.Points(cc, RadInner*half/2)
 		cdc := o.Grid.Points(cc, RadInner*half/2)
-		lo.U2U[c] = lo.UC2UE.Mul(kernel.Matrix(o.Kern, uc, cue))
-		lo.D2D[c] = kernel.Matrix(o.Kern, cdc, de)
+		mats = append(mats, uc2ue.Mul(kernel.Matrix(o.Kern, uc, cue)))
+		d2d = append(d2d, kernel.Matrix(o.Kern, cdc, de))
 	}
-	return lo
+	return append(mats, d2d...)
 }
 
-// levelDiff names the first matrix of got whose bits differ from want's
-// ("" when none does).
-func levelDiff(got, want *levelOps) string {
-	mats := func(lo *levelOps) []*linalg.Mat {
-		return append([]*linalg.Mat{lo.UC2UE, lo.DC2DE}, append(lo.U2U[:], lo.D2D[:]...)...)
-	}
+// levelNames names a table's 18 operators in sequentialMats' order.
+func levelNames() []string {
 	names := []string{"UC2UE", "DC2DE"}
 	for c := 0; c < 8; c++ {
 		names = append(names, fmt.Sprintf("U2U[%d]", c))
@@ -53,14 +48,27 @@ func levelDiff(got, want *levelOps) string {
 	for c := 0; c < 8; c++ {
 		names = append(names, fmt.Sprintf("D2D[%d]", c))
 	}
-	g, w := mats(got), mats(want)
-	for k := range g {
-		if g[k].Rows != w[k].Rows || g[k].Cols != w[k].Cols {
+	return names
+}
+
+// levelPacked lists a table's 18 operators in levelNames' order.
+func levelPacked(lo *levelOps) []*linalg.Packed {
+	return append([]*linalg.Packed{lo.UC2UE, lo.DC2DE}, append(lo.U2U[:], lo.D2D[:]...)...)
+}
+
+// levelDiff names the first operator of got whose packed bits differ from
+// the oracle matrix at the same place in want, packed (which consumes it),
+// ("" when none does).
+func levelDiff(got *levelOps, want []*linalg.Mat) string {
+	names := levelNames()
+	for k, g := range levelPacked(got) {
+		w := linalg.Pack(want[k])
+		if g.Rows != w.Rows || g.Cols != w.Cols || len(g.Data) != len(w.Data) {
 			return names[k] + ": shape differs"
 		}
-		for i := range g[k].Data {
-			if math.Float64bits(g[k].Data[i]) != math.Float64bits(w[k].Data[i]) {
-				return fmt.Sprintf("%s: element %d is %v, want %v", names[k], i, g[k].Data[i], w[k].Data[i])
+		for i := range g.Data {
+			if math.Float64bits(g.Data[i]) != math.Float64bits(w.Data[i]) {
+				return fmt.Sprintf("%s: packed element %d is %v, want %v", names[k], i, g.Data[i], w.Data[i])
 			}
 		}
 	}
@@ -86,18 +94,86 @@ func TestNewOperatorsBitIdentical(t *testing.T) {
 			ops := newOperators(c.kern, c.p, 1e-9, workers)
 			if ops.Homogeneous() {
 				got := &levelOps{UC2UE: ops.UC2UE, DC2DE: ops.DC2DE, U2U: ops.U2U, D2D: ops.D2D}
-				if d := levelDiff(got, sequentialLevel(ops, 0)); d != "" {
+				if d := levelDiff(got, sequentialMats(ops, 0)); d != "" {
 					t.Fatalf("%s p=%d, %d workers: %s", c.kern.Name(), c.p, workers, d)
 				}
 				continue
 			}
 			for _, l := range c.levels {
-				if d := levelDiff(ops.buildLevel(l, workers), sequentialLevel(ops, l)); d != "" {
+				if d := levelDiff(ops.buildLevel(l, workers), sequentialMats(ops, l)); d != "" {
 					t.Fatalf("%s p=%d level %d, %d workers: %s", c.kern.Name(), c.p, l, workers, d)
 				}
 			}
 		}
 	}
+}
+
+// TestPackedOperatorsMatchRowLoop is the real-operator oracle of the packed
+// product: for every operator of the production tables — Laplace order 6,
+// Stokes order 5, and Yukawa λ=5 order 6 at levels 0 and 3 — MulVec and
+// MulVecAdd (into a prefilled y) on random x equal the row loop over the
+// row-major oracle matrix bit for bit. It needs the packed entries to be
+// exactly the oracle's (levelDiff checks that at smaller orders) and the
+// packed kernels to round as the row loop does.
+func TestPackedOperatorsMatchRowLoop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the production operator tables twice")
+	}
+	cases := []struct {
+		kern   kernel.Kernel
+		p      int
+		levels []int
+	}{
+		{kernel.Laplace{}, 6, []int{0}},
+		{kernel.Stokes{}, 5, []int{0}},
+		{kernel.Yukawa{Lambda: 5}, 6, []int{0, 3}},
+	}
+	rng := rand.New(rand.NewSource(11))
+	names := levelNames()
+	for _, c := range cases {
+		ops := NewOperators(c.kern, c.p, 1e-9)
+		for _, l := range c.levels {
+			got := &levelOps{UC2UE: ops.UC2UE, DC2DE: ops.DC2DE, U2U: ops.U2U, D2D: ops.D2D}
+			if !ops.Homogeneous() {
+				got = ops.levelFor(l)
+			}
+			for k, m := range sequentialMats(ops, l) {
+				p := levelPacked(got)[k]
+				x, y0 := make([]float64, m.Cols), make([]float64, m.Rows)
+				for i := range x {
+					x[i] = rng.NormFloat64()
+				}
+				for i := range y0 {
+					y0[i] = rng.NormFloat64()
+				}
+				want, y := make([]float64, m.Rows), make([]float64, m.Rows)
+				m.MulVec(want, x)
+				p.MulVec(y, x)
+				if d := bitsDiff(y, want); d != "" {
+					t.Fatalf("%s p=%d level %d %s: MulVec %s", c.kern.Name(), c.p, l, names[k], d)
+				}
+				for i := range want {
+					want[i] += y0[i]
+				}
+				copy(y, y0)
+				p.MulVecAdd(y, x)
+				if d := bitsDiff(y, want); d != "" {
+					t.Fatalf("%s p=%d level %d %s: MulVecAdd %s", c.kern.Name(), c.p, l, names[k], d)
+				}
+			}
+		}
+	}
+}
+
+// bitsDiff describes the first element whose bits differ ("" when none
+// does).
+func bitsDiff(got, want []float64) string {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Sprintf("element %d is %v, want %v", i, got[i], want[i])
+		}
+	}
+	return ""
 }
 
 // levelTables returns how many per-level tables ops holds. Every build

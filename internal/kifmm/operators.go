@@ -34,16 +34,16 @@ type Operators struct {
 	// UC2UE maps upward-check potentials to upward-equivalent densities
 	// (the S2U solve) at the reference scale (homogeneous kernels only;
 	// prefer S2UOp).
-	UC2UE *linalg.Mat
+	UC2UE *linalg.Packed
 	// U2U[c] maps a child-c upward-equivalent density to the parent's
 	// upward-equivalent density at the reference scale (prefer U2UOp).
-	U2U [8]*linalg.Mat
+	U2U [8]*linalg.Packed
 	// DC2DE maps downward-check potentials to downward-equivalent
 	// densities at the reference scale (prefer DC2DEOp).
-	DC2DE *linalg.Mat
+	DC2DE *linalg.Packed
 	// D2D[c] maps a parent downward-equivalent density to the child-c
 	// downward-check potential at the reference scale (prefer D2DOp).
-	D2D [8]*linalg.Mat
+	D2D [8]*linalg.Packed
 
 	// m2l caches dense V-list matrices by packed (level, direction);
 	// perLevel caches per-level surface-operator tables for
@@ -62,10 +62,11 @@ type Operators struct {
 	homogeneous bool
 }
 
-// levelOps is one level's operator table for non-homogeneous kernels.
+// levelOps is one level's operator table for non-homogeneous kernels. Every
+// operator is held once, packed: the apply-time products are all it serves.
 type levelOps struct {
-	UC2UE, DC2DE *linalg.Mat
-	U2U, D2D     [8]*linalg.Mat
+	UC2UE, DC2DE *linalg.Packed
+	U2U, D2D     [8]*linalg.Packed
 }
 
 // NewOperators precomputes the translation operators for kern at surface
@@ -106,7 +107,8 @@ func newOperators(kern kernel.Kernel, p int, tol float64, workers int) *Operator
 // matrices, and the eight U2U products once UC2UE is ready — run as one task
 // graph on up to workers goroutines. Each piece is computed by the same
 // sequential code whichever worker runs it, so the table is bit-identical
-// at any worker count.
+// at any worker count. Every piece is computed row-major and packed in
+// place (linalg.Pack), so no operator is held in both forms.
 func (o *Operators) buildLevel(l, workers int) *levelOps {
 	half := math.Pow(2, -float64(l)) / 2
 	center := geom.Point{}
@@ -116,20 +118,25 @@ func (o *Operators) buildLevel(l, workers int) *levelOps {
 	de := o.Grid.Points(center, RadOuter*half)
 
 	lo := &levelOps{}
+	var uc2ueRows *linalg.Mat
 	g := sched.NewGraph()
 	uc2ue := g.Add("operators.uc2ue", func(int) {
-		lo.UC2UE = linalg.PinvTikhonov(kernel.Matrix(o.Kern, uc, ue), o.Tol)
+		uc2ueRows = linalg.PinvTikhonov(kernel.Matrix(o.Kern, uc, ue), o.Tol)
 	})
+	// UC2UE is packed once the eight U2U products have read its rows.
+	pack := g.Add("operators.uc2ue.pack", func(int) { lo.UC2UE = linalg.Pack(uc2ueRows) })
 	g.Add("operators.dc2de", func(int) {
-		lo.DC2DE = linalg.PinvTikhonov(kernel.Matrix(o.Kern, dc, de), o.Tol)
+		lo.DC2DE = linalg.Pack(linalg.PinvTikhonov(kernel.Matrix(o.Kern, dc, de), o.Tol))
 	})
 	for c := 0; c < 8; c++ {
 		// The child's upward-equivalent and downward-check surfaces coincide.
 		cs := o.Grid.Points(childCenter(center, half, c), RadInner*half/2)
-		g.Add("operators.d2d", func(int) { lo.D2D[c] = kernel.Matrix(o.Kern, cs, de) })
-		g.Dep(uc2ue, g.Add("operators.u2u", func(int) {
-			lo.U2U[c] = lo.UC2UE.Mul(kernel.Matrix(o.Kern, uc, cs))
-		}))
+		g.Add("operators.d2d", func(int) { lo.D2D[c] = linalg.Pack(kernel.Matrix(o.Kern, cs, de)) })
+		u2u := g.Add("operators.u2u", func(int) {
+			lo.U2U[c] = linalg.Pack(uc2ueRows.Mul(kernel.Matrix(o.Kern, uc, cs)))
+		})
+		g.Dep(uc2ue, u2u)
+		g.Dep(u2u, pack)
 	}
 	// A shared build (SharedOperators, the per-level tables): no request's
 	// context may stop it.
@@ -226,7 +233,7 @@ func (o *Operators) KernScale(level int) float64 {
 
 // S2UOp returns the check-to-equivalent solve for leaves at the given level
 // and the scalar to apply to its output.
-func (o *Operators) S2UOp(level int) (*linalg.Mat, float64) {
+func (o *Operators) S2UOp(level int) (*linalg.Packed, float64) {
 	if o.homogeneous {
 		return o.UC2UE, o.PinvScale(level)
 	}
@@ -235,7 +242,7 @@ func (o *Operators) S2UOp(level int) (*linalg.Mat, float64) {
 
 // U2UOp returns the child-to-parent upward translation for a parent at the
 // given level (scale-free in both regimes).
-func (o *Operators) U2UOp(parentLevel, childIdx int) *linalg.Mat {
+func (o *Operators) U2UOp(parentLevel, childIdx int) *linalg.Packed {
 	if o.homogeneous {
 		return o.U2U[childIdx]
 	}
@@ -244,7 +251,7 @@ func (o *Operators) U2UOp(parentLevel, childIdx int) *linalg.Mat {
 
 // DC2DEOp returns the downward check-to-equivalent solve at the given level
 // and its output scale.
-func (o *Operators) DC2DEOp(level int) (*linalg.Mat, float64) {
+func (o *Operators) DC2DEOp(level int) (*linalg.Packed, float64) {
 	if o.homogeneous {
 		return o.DC2DE, o.PinvScale(level)
 	}
@@ -253,7 +260,7 @@ func (o *Operators) DC2DEOp(level int) (*linalg.Mat, float64) {
 
 // D2DOp returns the parent-to-child downward translation for a parent at
 // the given level and its output scale.
-func (o *Operators) D2DOp(parentLevel, childIdx int) (*linalg.Mat, float64) {
+func (o *Operators) D2DOp(parentLevel, childIdx int) (*linalg.Packed, float64) {
 	if o.homogeneous {
 		return o.D2D[childIdx], o.KernScale(parentLevel)
 	}

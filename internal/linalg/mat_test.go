@@ -35,9 +35,14 @@ func TestMulVec(t *testing.T) {
 	if y[0] != 6 || y[1] != 15 {
 		t.Fatalf("MulVec got %v", y)
 	}
-	a.MulVecAdd(y, x)
+	p := Pack(a)
+	p.MulVec(y, x)
+	if y[0] != 6 || y[1] != 15 {
+		t.Fatalf("Packed.MulVec got %v", y)
+	}
+	p.MulVecAdd(y, x)
 	if y[0] != 12 || y[1] != 30 {
-		t.Fatalf("MulVecAdd got %v", y)
+		t.Fatalf("Packed.MulVecAdd got %v", y)
 	}
 }
 
@@ -49,6 +54,23 @@ func TestMulVecPanicsOnMismatch(t *testing.T) {
 	}()
 	a := NewMat(2, 3)
 	a.MulVec(make([]float64, 2), make([]float64, 2))
+}
+
+func TestPackedMulVecPanicsOnMismatch(t *testing.T) {
+	p := Pack(NewMat(5, 3))
+	for name, f := range map[string]func(){
+		"MulVec x":    func() { p.MulVec(make([]float64, 5), make([]float64, 2)) },
+		"MulVecAdd y": func() { p.MulVecAdd(make([]float64, 4), make([]float64, 3)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestMatMul(t *testing.T) {

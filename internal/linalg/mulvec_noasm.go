@@ -1,0 +1,10 @@
+//go:build !amd64 || purego
+
+package linalg
+
+// UseAVX2 is false on builds without the vector kernels.
+const UseAVX2 = false
+
+// packedVec is the vector kernel's stand-in: it covers no rows, so Packed's
+// Go loop does all the work.
+func packedVec(panels, x, y []float64, add bool) int { return 0 }
