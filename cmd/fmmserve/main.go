@@ -35,8 +35,8 @@
 // row per worker, one slice per per-octant task) into the directory,
 // keeping the newest -trace-keep files (oldest deleted). To inspect one,
 // open chrome://tracing in Chrome (or https://ui.perfetto.dev) and load
-// eval-NNNNNN.trace.json — phase overlap, work stealing, and idle gaps are
-// directly visible.
+// eval-NNNNNN.trace.json — phase overlap, the workers' share of each phase,
+// and idle gaps are directly visible.
 //
 //	fmmserve -addr :8344 -trace-dir /tmp/fmm-traces -trace-keep 16
 //

@@ -73,9 +73,8 @@ type Options struct {
 	// MaxDepth caps octree refinement (default 24).
 	MaxDepth int
 	// Workers bounds shared-memory parallelism inside each rank (default 1).
-	// Every evaluation runs as a dependency task graph on a work-stealing
-	// scheduler with this many workers; the results are bit-identical at
-	// any worker count.
+	// Every evaluation runs as a dependency task graph on a scheduler with
+	// this many workers; the results are bit-identical at any worker count.
 	Workers int
 	// YukawaLambda is the screening parameter of the Yukawa kernel
 	// (default 5).

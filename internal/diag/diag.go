@@ -33,7 +33,7 @@ const (
 	PhaseBal   = "Balance"
 
 	// PhaseSchedIdle accumulates the task-graph scheduler's summed
-	// per-worker idle time (parked or scanning for work).
+	// per-worker idle time (parked on an empty ready stack).
 	PhaseSchedIdle = "Sched idle"
 
 	// PhaseShardComm accumulates a sharded Apply's communication time
@@ -49,10 +49,9 @@ const (
 	CounterSchedGraphs = "sched_graphs"
 	// CounterSchedTasks counts executed scheduler tasks.
 	CounterSchedTasks = "sched_tasks"
-	// CounterSchedSteals counts successful steal operations.
+	// CounterSchedSteals counts handoffs: tasks run by a worker other than
+	// the one that released them.
 	CounterSchedSteals = "sched_steals"
-	// CounterSchedStolen counts tasks that migrated between workers.
-	CounterSchedStolen = "sched_stolen"
 	// CounterTFCacheHits / CounterTFCacheMisses count the process-wide
 	// V-list translation-spectrum cache hits and misses observed during
 	// plan builds (misses = spectra actually recomputed).
@@ -119,7 +118,7 @@ func (p *Profile) AddFlopsBatch(names []string, ns []int64) {
 
 // AddCounter adds v to the named monotonic counter. Counters carry event
 // counts that are not phase times or flops — e.g. the scheduler stats
-// (tasks run, steals) the task-graph runtime reports per evaluation.
+// (tasks run, handoffs) the task-graph runtime reports per evaluation.
 func (p *Profile) AddCounter(name string, v int64) {
 	p.mu.Lock()
 	p.counters[name] += v

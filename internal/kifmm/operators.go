@@ -123,20 +123,23 @@ func (o *Operators) buildLevel(l, workers int) *levelOps {
 	uc2ue := g.Add("operators.uc2ue", func(int) {
 		uc2ueRows = linalg.PinvTikhonov(kernel.Matrix(o.Kern, uc, ue), o.Tol)
 	})
-	// UC2UE is packed once the eight U2U products have read its rows.
-	pack := g.Add("operators.uc2ue.pack", func(int) { lo.UC2UE = linalg.Pack(uc2ueRows) })
 	g.Add("operators.dc2de", func(int) {
 		lo.DC2DE = linalg.Pack(linalg.PinvTikhonov(kernel.Matrix(o.Kern, dc, de), o.Tol))
 	})
-	for c := 0; c < 8; c++ {
+	var u2u [8]sched.TaskID
+	for c := range u2u {
 		// The child's upward-equivalent and downward-check surfaces coincide.
 		cs := o.Grid.Points(childCenter(center, half, c), RadInner*half/2)
 		g.Add("operators.d2d", func(int) { lo.D2D[c] = linalg.Pack(kernel.Matrix(o.Kern, cs, de)) })
-		u2u := g.Add("operators.u2u", func(int) {
+		u2u[c] = g.Add("operators.u2u", func(int) {
 			lo.U2U[c] = linalg.Pack(uc2ueRows.Mul(kernel.Matrix(o.Kern, uc, cs)))
 		})
-		g.Dep(uc2ue, u2u)
-		g.Dep(u2u, pack)
+		g.Dep(uc2ue, u2u[c])
+	}
+	// UC2UE is packed once the eight U2U products have read its rows.
+	pack := g.Add("operators.uc2ue.pack", func(int) { lo.UC2UE = linalg.Pack(uc2ueRows) })
+	for _, t := range u2u {
+		g.Dep(t, pack)
 	}
 	// A shared build (SharedOperators, the per-level tables): no request's
 	// context may stop it.

@@ -87,7 +87,6 @@ func (e *Engine) Run(ctx context.Context, exchange func(), trace *sched.Trace) (
 		prof.AddCounter(diag.CounterSchedGraphs, graphs)
 		prof.AddCounter(diag.CounterSchedTasks, stats.Tasks)
 		prof.AddCounter(diag.CounterSchedSteals, stats.Steals)
-		prof.AddCounter(diag.CounterSchedStolen, stats.Stolen)
 		prof.AddTime(diag.PhaseSchedIdle, stats.Idle)
 	}
 	return stats, nil

@@ -16,9 +16,10 @@ import (
 
 // For executes f(i) for i in [0, n) using at most workers goroutines.
 // workers <= 1 runs inline, in order. Iterations are grouped into chunks
-// (one scheduler task each) and balanced by work stealing, which handles
-// the wildly different per-item costs of adaptive trees. A panic in f
-// propagates to the caller after the remaining chunks have drained.
+// (one scheduler task each) that idle workers pop from the scheduler's
+// shared ready stack, which balances the wildly different per-item costs of
+// adaptive trees. A panic in f propagates to the caller after the remaining
+// chunks have drained.
 func For(workers, n int, f func(i int)) {
 	if n <= 0 {
 		return

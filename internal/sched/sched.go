@@ -1,18 +1,21 @@
 // Package sched is a dependency-driven task runtime for the FMM evaluation
-// phases: a task graph executed by a fixed set of workers with per-worker
-// work-stealing deques.
+// phases: a task graph executed by a fixed set of workers that share one
+// LIFO stack of runnable tasks.
 //
 // A task becomes runnable when its last predecessor completes (atomic
-// dependency counters, no locks on the completion fast path). Runnable
-// successors are pushed onto the finishing worker's own deque, so a worker
-// naturally chases the dependency chain it is already executing — the
-// critical-path locality that Agullo et al. exploit when pipelining the FMM
-// over a runtime system. Idle workers steal half a victim's deque from the
-// cold (FIFO) end, which hands over the oldest — typically widest — subtree.
-// Nothing else orders runnable tasks: the tasks with no predecessor are dealt
-// to the deques in insertion order, and there are no priorities — every other
-// task lands on its releasing worker's deque whatever it is, so a priority
-// could only order that initial set (DESIGN.md §7.2 has the measurement).
+// dependency counters, no locks on the completion fast path). The finishing
+// worker pushes the successors it released onto the stack and pops the
+// newest task next, so a worker naturally chases the dependency chain it is
+// already executing — the critical-path locality that Agullo et al. exploit
+// when pipelining the FMM over a runtime system. A worker that finds the
+// stack empty parks until a push wakes it. Nothing else orders runnable
+// tasks: the tasks with no predecessor are seeded so that they pop in
+// insertion order, and there are no priorities (DESIGN.md §7.2 has the
+// measurement).
+//
+// Dependencies point forward only — a task waits on tasks added before it —
+// so every graph is acyclic by construction and insertion order is a
+// topological order.
 //
 // A panicking task fails the whole graph instead of deadlocking it: the
 // remaining tasks are drained without running their bodies, every worker
@@ -24,7 +27,6 @@ package sched
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -75,14 +77,16 @@ func (g *Graph) Add(name string, fn func(worker int)) TaskID {
 	return TaskID(len(g.tasks) - 1)
 }
 
-// Dep declares that succ must not start before pred completes. Duplicate
-// edges are allowed (each one counts; predecessors decrement per edge).
+// Dep declares that succ must not start before pred completes. Edges point
+// forward only: pred must have been added before succ, so a graph cannot
+// hold a cycle and Dep panics on a backward or self edge. Duplicate edges
+// are allowed (each one counts; predecessors decrement per edge).
 func (g *Graph) Dep(pred, succ TaskID) {
 	if g.started {
 		panic("sched: Dep after Run")
 	}
-	if pred == succ {
-		panic("sched: self-dependency")
+	if pred >= succ {
+		panic(fmt.Sprintf("sched: Dep(%d, %d) does not point forward: a task may only wait on tasks added before it", pred, succ))
 	}
 	g.tasks[pred].succs = append(g.tasks[pred].succs, succ)
 	g.tasks[succ].deps.Add(1)
@@ -92,11 +96,12 @@ func (g *Graph) Dep(pred, succ TaskID) {
 type WorkerStats struct {
 	// Tasks is the number of task bodies this worker ran.
 	Tasks int64
-	// Steals counts successful steal operations (each may transfer
-	// several tasks); Stolen is the total tasks transferred.
+	// Steals counts handoffs: tasks this worker ran that another worker
+	// released (a task seeded at Run has no releasing worker). Stolen
+	// always equals Steals; it stays for readers of the older field.
 	Steals int64
 	Stolen int64
-	// Idle is time spent parked or scanning for work without finding any.
+	// Idle is time spent parked on an empty stack.
 	Idle time.Duration
 }
 
@@ -145,69 +150,21 @@ type Options struct {
 	Trace *Trace
 }
 
-// deque is one worker's task store. The owner pushes and pops at the tail
-// (LIFO, depth-first along dependency chains); thieves take from the head
-// (FIFO, the oldest work). A mutex keeps it simple and race-free; steals
-// are rare enough that contention is negligible at per-octant task grain.
-type deque struct {
-	mu   sync.Mutex
-	buf  []TaskID
-	size atomic.Int32 // mirrored length, read lock-free by idle scans
-}
-
-//fmm:hotpath
-func (d *deque) push(id TaskID) {
-	d.mu.Lock()
-	d.buf = append(d.buf, id) //fmm:allow hotalloc amortized deque growth, buffer reused across tasks
-	d.size.Store(int32(len(d.buf)))
-	d.mu.Unlock()
-}
-
-//fmm:hotpath
-func (d *deque) pop() (TaskID, bool) {
-	d.mu.Lock()
-	n := len(d.buf)
-	if n == 0 {
-		d.mu.Unlock()
-		return 0, false
-	}
-	id := d.buf[n-1]
-	d.buf = d.buf[:n-1]
-	d.size.Store(int32(n - 1))
-	d.mu.Unlock()
-	return id, true
-}
-
-// stealHalf removes up to half of the deque from the head into out.
-//
-//fmm:hotpath
-func (d *deque) stealHalf(out []TaskID) []TaskID {
-	d.mu.Lock()
-	n := len(d.buf)
-	if n == 0 {
-		d.mu.Unlock()
-		return out
-	}
-	k := (n + 1) / 2
-	// The two appends below: amortized growth of the thief's reusable batch
-	// buffer, and a compacting reslice into buf's own backing array.
-	out = append(out, d.buf[:k]...) //fmm:allow hotalloc amortized reuse, covers the compaction below too
-	d.buf = append(d.buf[:0], d.buf[k:]...)
-
-	d.size.Store(int32(len(d.buf)))
-	d.mu.Unlock()
-	return out
+// runnable is one stack entry: a task and the worker that released it
+// (-1 for a task seeded at Run).
+type runnable struct {
+	id TaskID
+	by int32
 }
 
 type runner struct {
-	g       *Graph
-	deques  []deque
-	workers int
-	trace   *Trace
+	g     *Graph
+	trace *Trace
 
-	// mu guards idlers and done; cond parks idle workers.
+	// mu guards stack, idlers and done; cond parks idle workers.
 	mu     sync.Mutex
 	cond   *sync.Cond
+	stack  []runnable
 	idlers int
 	done   bool
 
@@ -225,10 +182,9 @@ type runner struct {
 
 // Run executes the graph and blocks until every task has completed, a task
 // has panicked (the panic is captured and returned as an error after the
-// graph drains), ctx is done (the graph drains the same way and the error
-// wraps ctx.Err(); bodies already running finish), or a dependency cycle is
-// detected up front. A context that can never be done costs nothing. A graph
-// can be run only once.
+// graph drains), or ctx is done (the graph drains the same way and the error
+// wraps ctx.Err(); bodies already running finish). A context that can never
+// be done costs nothing. A graph can be run only once.
 func (g *Graph) Run(ctx context.Context, opt Options) (Stats, error) {
 	if g.started {
 		return Stats{}, fmt.Errorf("sched: graph already run")
@@ -239,9 +195,6 @@ func (g *Graph) Run(ctx context.Context, opt Options) (Stats, error) {
 		//fmm:allow nodeterm wall-clock is reported in Stats only; task results never read it
 		return Stats{Wall: time.Since(t0)}, nil
 	}
-	if err := g.checkAcyclic(); err != nil {
-		return Stats{}, err
-	}
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0) //fmm:allow nodeterm worker-count default; reductions are plan-sequenced, results are identical for any worker count
@@ -250,12 +203,10 @@ func (g *Graph) Run(ctx context.Context, opt Options) (Stats, error) {
 		workers = len(g.tasks)
 	}
 	r := &runner{
-		g:       g,
-		deques:  make([]deque, workers),
-		workers: workers,
-		trace:   opt.Trace,
-		total:   int64(len(g.tasks)),
-		stats:   make([]WorkerStats, workers),
+		g:     g,
+		trace: opt.Trace,
+		total: int64(len(g.tasks)),
+		stats: make([]WorkerStats, workers),
 	}
 	r.cond = sync.NewCond(&r.mu)
 	if ctx.Done() != nil {
@@ -272,14 +223,11 @@ func (g *Graph) Run(ctx context.Context, opt Options) (Stats, error) {
 		r.trace.start(workers)
 	}
 
-	// Seed the ready set: initial tasks go round-robin to the worker
-	// deques in insertion order. Remaining imbalance is the work
-	// stealing's job.
-	ready := 0
-	for i := range g.tasks {
+	// Seed the stack with the tasks that have no predecessor, last added
+	// at the bottom, so they pop in insertion order.
+	for i := len(g.tasks) - 1; i >= 0; i-- {
 		if g.tasks[i].deps.Load() == 0 {
-			r.deques[ready%workers].push(TaskID(i))
-			ready++
+			r.stack = append(r.stack, runnable{id: TaskID(i), by: -1})
 		}
 	}
 
@@ -288,7 +236,13 @@ func (g *Graph) Run(ctx context.Context, opt Options) (Stats, error) {
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			r.work(w)
+			for {
+				t, ok := r.next(w)
+				if !ok {
+					return
+				}
+				r.execute(w, t)
+			}
 		}(w)
 	}
 	wg.Wait()
@@ -318,119 +272,31 @@ func (r *runner) fail(err error) {
 	r.failed.Store(true)
 }
 
-// checkAcyclic runs Kahn's algorithm on a copy of the dependency counters.
-func (g *Graph) checkAcyclic() error {
-	deg := make([]int32, len(g.tasks))
-	var queue []TaskID
-	for i := range g.tasks {
-		deg[i] = g.tasks[i].deps.Load()
-		if deg[i] == 0 {
-			queue = append(queue, TaskID(i))
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		id := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		seen++
-		for _, s := range g.tasks[id].succs {
-			deg[s]--
-			if deg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	if seen != len(g.tasks) {
-		return fmt.Errorf("sched: dependency cycle (%d of %d tasks reachable)", seen, len(g.tasks))
-	}
-	return nil
-}
-
-func (r *runner) work(w int) {
-	rng := rand.New(rand.NewSource(int64(w)*0x9e3779b9 + 1)) //fmm:allow nodeterm steal-victim randomization affects the schedule only; results combine through plan-sequenced reductions
-	var stolen []TaskID
-	for {
-		id, ok := r.deques[w].pop()
-		if !ok {
-			id, ok = r.findWork(w, rng, &stolen)
-			if !ok {
-				return
-			}
-		}
-		r.execute(w, id)
-	}
-}
-
-// findWork looks beyond the local deque: steal sweeps over the other
-// workers, then parking. It returns false when the
-// graph has drained.
-func (r *runner) findWork(w int, rng *rand.Rand, stolen *[]TaskID) (TaskID, bool) {
-	idle0 := time.Now() //fmm:allow nodeterm idle time is reported in Stats only; task results never read it
-	defer func() { r.stats[w].Idle += time.Since(idle0) }()
-	for {
-		// One full randomized sweep over potential victims.
-		base := rng.Intn(r.workers) //fmm:allow nodeterm steal-victim randomization affects the schedule only; results combine through plan-sequenced reductions
-		for k := 0; k < r.workers; k++ {
-			v := (base + k) % r.workers
-			if v == w || r.deques[v].size.Load() == 0 {
-				continue
-			}
-			*stolen = r.deques[v].stealHalf((*stolen)[:0])
-			if n := len(*stolen); n > 0 {
-				r.stats[w].Steals++
-				r.stats[w].Stolen += int64(n)
-				// Keep the first, publish the rest locally (they
-				// become visible to other thieves again).
-				for _, id := range (*stolen)[1:] {
-					r.deques[w].push(id)
-				}
-				if n > 1 {
-					r.signal()
-				}
-				return (*stolen)[0], true
-			}
-		}
-		// Nothing visible: park until a producer signals or the graph
-		// drains. Re-check under the lock to avoid lost wakeups.
-		r.mu.Lock()
-		for {
-			if r.done {
-				r.mu.Unlock()
-				return 0, false
-			}
-			if r.anyDequeWork(w) {
-				break
-			}
-			r.idlers++
-			r.cond.Wait()
-			r.idlers--
-		}
-		r.mu.Unlock()
-	}
-}
-
-// anyDequeWork reports whether any other worker's deque looks non-empty.
-func (r *runner) anyDequeWork(w int) bool {
-	for v := range r.deques {
-		if v != w && r.deques[v].size.Load() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// signal wakes one parked worker, if any.
-func (r *runner) signal() {
+// next pops the newest runnable task for worker w, parking while the stack
+// is empty. It returns false once the graph has drained.
+func (r *runner) next(w int) (runnable, bool) {
 	r.mu.Lock()
-	if r.idlers > 0 {
-		r.cond.Signal()
+	defer r.mu.Unlock()
+	for len(r.stack) == 0 {
+		if r.done {
+			return runnable{}, false
+		}
+		r.idlers++
+		idle0 := time.Now() //fmm:allow nodeterm idle time is reported in Stats only; task results never read it
+		r.cond.Wait()
+		r.stats[w].Idle += time.Since(idle0) //fmm:allow nodeterm idle time is reported in Stats only; task results never read it
+		r.idlers--
 	}
-	r.mu.Unlock()
+	n := len(r.stack) - 1
+	t := r.stack[n]
+	r.stack = r.stack[:n]
+	return t, true
 }
 
 // execute runs one task body (unless the graph has failed), records trace
 // and stats, and releases successors.
-func (r *runner) execute(w int, id TaskID) {
+func (r *runner) execute(w int, rt runnable) {
+	id := rt.id
 	t := &r.g.tasks[id]
 	if !r.failed.Load() && t.fn != nil {
 		func() {
@@ -449,20 +315,31 @@ func (r *runner) execute(w int, id TaskID) {
 			}
 		}()
 	}
-	r.stats[w].Tasks++
+	ws := &r.stats[w]
+	ws.Tasks++
+	if rt.by >= 0 && int(rt.by) != w {
+		ws.Steals++
+		ws.Stolen++
+	}
 
-	// Release successors. Newly runnable tasks go to this worker's deque
-	// (chain locality); other parked workers are woken when more than one
-	// unlocks at once.
+	// Release successors onto the stack; the last one pushed is this
+	// worker's next task unless another worker pops it first. Every
+	// successor beyond the first wakes one parked worker.
 	released := 0
 	for _, s := range t.succs {
 		if r.g.tasks[s].deps.Add(-1) == 0 {
-			r.deques[w].push(s)
+			if released == 0 {
+				r.mu.Lock()
+			}
+			r.stack = append(r.stack, runnable{id: s, by: int32(w)})
 			released++
 		}
 	}
-	if released > 1 {
-		r.signal()
+	if released > 0 {
+		for k := min(released-1, r.idlers); k > 0; k-- {
+			r.cond.Signal()
+		}
+		r.mu.Unlock()
 	}
 
 	if r.completed.Add(1) == r.total {

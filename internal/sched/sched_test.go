@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -172,14 +173,43 @@ func TestWidePanicDrains(t *testing.T) {
 	}
 }
 
-func TestCycleDetected(t *testing.T) {
+// TestDepForwardOnly checks the rule that makes every graph acyclic: a
+// backward or self edge panics naming the edge, and a graph built forward
+// runs every task once.
+func TestDepForwardOnly(t *testing.T) {
 	g := NewGraph()
-	a := g.Add("a", func(int) { t.Error("task in a cyclic graph ran") })
-	b := g.Add("b", func(int) { t.Error("task in a cyclic graph ran") })
-	g.Dep(a, b)
-	g.Dep(b, a)
-	if _, err := g.Run(context.Background(), Options{Workers: 2}); err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Fatalf("want cycle error, got %v", err)
+	a := g.Add("a", nil)
+	b := g.Add("b", nil)
+	for _, e := range [][2]TaskID{{b, a}, {a, a}} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if want := fmt.Sprintf("sched: Dep(%d, %d) does not point forward", e[0], e[1]); !strings.Contains(msg, want) {
+					t.Errorf("Dep(%d, %d): panic %q, want %q", e[0], e[1], msg, want)
+				}
+			}()
+			g.Dep(e[0], e[1])
+		}()
+	}
+
+	g = NewGraph()
+	const n = 200
+	var runs [n]atomic.Int32
+	for i := 0; i < n; i++ {
+		id := g.Add("t", func(int) { runs[i].Add(1) })
+		for _, p := range []int{i - 1, i / 2, i - 7} {
+			if p >= 0 && p < i {
+				g.Dep(TaskID(p), id)
+			}
+		}
+	}
+	if _, err := g.Run(context.Background(), Options{Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range runs {
+		if k := runs[i].Load(); k != 1 {
+			t.Fatalf("task %d ran %d times", i, k)
+		}
 	}
 }
 
@@ -268,39 +298,51 @@ func TestTraceJSON(t *testing.T) {
 	}
 }
 
-// TestStealsHappen drives an imbalanced graph (one long chain seeding wide
-// fan-out) and checks the stats plumbing; with multiple workers and enough
-// width, at least some work should migrate.
-func TestStealsHappen(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs >1 CPU")
-	}
-	g := NewGraph()
-	root := g.Add("root", func(int) {})
-	var cnt atomic.Int64
-	for i := 0; i < 2000; i++ {
-		id := g.Add("fan", func(int) {
-			cnt.Add(1)
-			busy := 0
-			for k := 0; k < 2000; k++ {
-				busy += k
+// TestHandoffsCounted drives a wide fan-out (one root releasing 2000
+// tasks) and checks the handoff accounting: Steals counts tasks run by a
+// worker other than the one that released them, so it equals Stolen and the
+// per-worker sum and cannot exceed the task count; one worker hands off
+// nothing.
+func TestHandoffsCounted(t *testing.T) {
+	for _, workers := range []int{4, 1} {
+		g := NewGraph()
+		root := g.Add("root", func(int) {})
+		var cnt atomic.Int64
+		for i := 0; i < 2000; i++ {
+			id := g.Add("fan", func(int) {
+				cnt.Add(1)
+				busy := 0
+				for k := 0; k < 2000; k++ {
+					busy += k
+				}
+				_ = busy
+			})
+			g.Dep(root, id)
+		}
+		st, err := g.Run(context.Background(), Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cnt.Load() != 2000 {
+			t.Fatalf("workers=%d: ran %d fan tasks", workers, cnt.Load())
+		}
+		if len(st.PerWorker) != workers {
+			t.Fatalf("want %d worker stat rows, got %d", workers, len(st.PerWorker))
+		}
+		var sum int64
+		for _, ws := range st.PerWorker {
+			sum += ws.Steals
+			if ws.Stolen != ws.Steals {
+				t.Fatalf("workers=%d: worker stats %+v: Stolen != Steals", workers, ws)
 			}
-			_ = busy
-		})
-		g.Dep(root, id)
-	}
-	st, err := g.Run(context.Background(), Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cnt.Load() != 2000 {
-		t.Fatalf("ran %d fan tasks", cnt.Load())
-	}
-	if len(st.PerWorker) != 4 {
-		t.Fatalf("want 4 worker stat rows, got %d", len(st.PerWorker))
-	}
-	if st.Steals == 0 {
-		t.Log("no steals observed (legal but unusual for this shape)")
+		}
+		if st.Steals != st.Stolen || st.Steals != sum || st.Steals > st.Tasks {
+			t.Fatalf("workers=%d: Steals %d, Stolen %d, per-worker sum %d, Tasks %d", workers, st.Steals, st.Stolen, sum, st.Tasks)
+		}
+		if workers == 1 && st.Steals != 0 {
+			t.Fatalf("one worker handed off %d tasks", st.Steals)
+		}
+		t.Logf("workers=%d: %d handoffs of %d tasks", workers, st.Steals, st.Tasks)
 	}
 }
 

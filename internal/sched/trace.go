@@ -11,7 +11,8 @@ import (
 // trace_event format. Create one, pass it in Options, and after Run write
 // Trace.JSON() to a file; open it at chrome://tracing (or ui.perfetto.dev)
 // to see the per-worker timeline: each worker is one row ("tid"), each task
-// one slice, so phase overlap, steals, and idle gaps are directly visible.
+// one slice, so phase overlap, handoffs between workers, and idle gaps are
+// directly visible.
 //
 // Events are buffered per worker, so recording adds no cross-worker
 // contention to the run being measured. One trace may be passed to several

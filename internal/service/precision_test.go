@@ -34,9 +34,12 @@ func TestUnknownExecPrecisionRejected(t *testing.T) {
 		{"order", 1e9},              // above kifmm.MaxOrder: refused before any operator is built
 		{"shard_comm", "hypercube"}, // sharded plans run the one reduction, "simple"
 	} {
-		body := map[string]any{"points": pts, "densities": den,
-			"options": map[string]any{"order": 4, c.field: c.value}}
 		for _, path := range []string{"/v1/plan", "/v1/evaluate", "/v1/session"} {
+			// Bodies are strict too: densities only where they are a field.
+			body := map[string]any{"points": pts, "options": map[string]any{"order": 4, c.field: c.value}}
+			if path == "/v1/evaluate" {
+				body["densities"] = den
+			}
 			code, raw := postJSON(t, ts.Client(), ts.URL+path, body, nil)
 			if code != http.StatusBadRequest || !strings.Contains(raw, c.field) {
 				t.Errorf("%s with options.%s: got %d %s, want 400 naming the field", path, c.field, code, raw)

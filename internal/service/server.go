@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"runtime"
@@ -203,21 +204,31 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // decodeBody decodes a JSON request body under the server's size cap,
-// answering 413 (not 400) when the cap is what failed the read. Reports
-// false after writing the error response.
+// answering 413 (not 400) when the cap is what failed the read. The body is
+// decoded strictly: an unknown field (a misspelt "no_cache" would otherwise
+// be ignored) or anything but white space after the one JSON value is a 400
+// naming the problem. Reports false after writing the error response.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", tooBig.Limit)
-			return false
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	var tooBig *http.MaxBytesError
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
 		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		if !errors.As(err, &tooBig) {
+			err = errors.New("unexpected data after the JSON value")
+		}
+	}
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			"request body exceeds %d bytes", tooBig.Limit)
 		return false
 	}
-	return true
+	writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	return false
 }
 
 // serve answers one request with fn's result, run on the request's own

@@ -177,6 +177,56 @@ func TestEvaluateErrors(t *testing.T) {
 	}
 }
 
+// TestRequestBodyStrict: a request body is one JSON value of known fields.
+// Data after the value and an unknown top-level field — a misspelt no_cache
+// would otherwise be served as if absent — are 400s naming the problem on
+// every endpoint that decodes a body; trailing white space is fine.
+func TestRequestBodyStrict(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 4})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	post := func(path, body string) (int, string) {
+		r, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Body.Close()
+		raw, _ := io.ReadAll(r.Body)
+		return r.StatusCode, string(raw)
+	}
+
+	const pts = `"points":[[0.1,0.2,0.3],[0.4,0.5,0.6]]`
+	const opts = `"options":{"kernel":"laplace","order":4}`
+	var sess SessionResponse
+	if code, raw := post("/v1/session", `{`+pts+`,`+opts+`}`); code != http.StatusOK || json.Unmarshal([]byte(raw), &sess) != nil {
+		t.Fatalf("create session: %d %s", code, raw)
+	}
+	step := "/v1/session/" + sess.SessionID + "/step"
+	for _, c := range []struct {
+		path, body string
+		want       int
+		naming     string
+	}{
+		{"/v1/evaluate", `{` + pts + `,"densities":[1,2]} trailing garbage {`, http.StatusBadRequest, "after the JSON value"},
+		{"/v1/evaluate", `{` + pts + `,"densities":[1,2]}{}`, http.StatusBadRequest, "after the JSON value"},
+		{"/v1/evaluate", `{` + pts + `,"densities":[1,2],"no_cahce":true}`, http.StatusBadRequest, "no_cahce"},
+		{"/v1/evaluate", `{` + pts + `,"densities":[1,2]}` + "\n\t ", http.StatusOK, ""},
+		{"/v1/plan", `{` + pts + `,` + opts + `} 1`, http.StatusBadRequest, "after the JSON value"},
+		{"/v1/plan", `{` + pts + `,` + opts + `,"densities":[1,2]}`, http.StatusBadRequest, "densities"},
+		{"/v1/session", `{` + pts + `,` + opts + `}]`, http.StatusBadRequest, "after the JSON value"},
+		{"/v1/session", `{` + pts + `,` + opts + `,"timeout":5}`, http.StatusBadRequest, "timeout"},
+		{step, `{"densities":[1,2]} x`, http.StatusBadRequest, "after the JSON value"},
+		{step, `{"densities":[1,2],"moves":[]}`, http.StatusBadRequest, "moves"},
+		{step, `{"densities":[1,2]}` + "\n", http.StatusOK, ""},
+	} {
+		code, raw := post(c.path, c.body)
+		if code != c.want || !strings.Contains(raw, c.naming) {
+			t.Errorf("%s %s: got %d %s, want %d naming %q", c.path, c.body, code, strings.TrimSpace(raw), c.want, c.naming)
+		}
+	}
+}
+
 func TestHealthzAndMetrics(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 4})
 	defer s.Shutdown(context.Background())
