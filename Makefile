@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race portable fuzz bench bench-nearfield bench-dense bench-setup bench-smoke bench-check sched-stress shard-stress session-stress lint lint-baseline lint-inject loc probe probe-check ci
+.PHONY: build vet test race portable fuzz bench bench-nearfield bench-dense bench-vlist bench-setup bench-smoke bench-check sched-stress shard-stress session-stress lint lint-baseline lint-inject loc probe probe-check ci
 
 build:
 	$(GO) build ./...
@@ -28,7 +28,11 @@ portable:
 	GOARCH=arm64 $(GO) vet ./internal/linalg ./internal/kernel ./internal/kifmm
 
 # Native fuzz targets, a bounded run each: vector EvalPanel ≡ Go loop and no
-# store outside the panel; vector Hadamard kernel ≡ Go loop; the packed
+# store outside the panel; every V-list Hadamard list body (AVX-512, AVX2,
+# Go loop) ≡ the scalar reference applied triple by triple, on one-triple
+# panels of every length and alignment and on random triple lists that
+# repeat accumulators and share sources (corpus in
+# internal/kifmm/testdata/fuzz/FuzzHadamardList); the packed
 # matrix-vector product (vector kernel and Go panel loop, MulVec and
 # MulVecAdd) ≡ the row loop, bit for bit, on every Rows%4, 0 and 1 columns,
 # NaN/±Inf entries and wide magnitude spreads, with no store outside y; the
@@ -44,6 +48,7 @@ portable:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEvalPanel -fuzztime=10s ./internal/kernel
 	$(GO) test -run='^$$' -fuzz=FuzzHadamardPanels -fuzztime=10s ./internal/kifmm
+	$(GO) test -run='^$$' -fuzz=FuzzHadamardList -fuzztime=10s ./internal/kifmm
 	$(GO) test -run='^$$' -fuzz=FuzzMulVec -fuzztime=10s ./internal/linalg
 	$(GO) test -run='^$$' -fuzz=FuzzSolverOptionsJSON -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzRequestBodies -fuzztime=10s ./internal/service
@@ -70,6 +75,15 @@ bench-nearfield:
 # run), on one L2-resident operator and rotating over a level's 18.
 bench-dense:
 	$(GO) test ./internal/linalg/ -run='^$$' -bench=BenchmarkMulVec
+
+# V-list micro-rows: the Hadamard list kernel's ns per product for each body
+# (avx512, avx2 where the CPU has them; go) on L2-resident panels, on
+# streamed panels and on one order-6 parent-direction run handed over one
+# L1 chunk at a time (BenchmarkHadamard), then one whole FFT V-list pass on
+# the 30k-point ellipsoid tree against the dense oracle (BenchmarkVList).
+bench-vlist:
+	$(GO) test ./internal/kifmm/ -run='^$$' -bench='^BenchmarkHadamard$$'
+	$(GO) test ./internal/kifmm/ -run='^$$' -bench='^BenchmarkVList$$' -benchmem
 
 # Set-up micro-benchmarks: the fused Jacobi SVD of the largest surface
 # matrices the workloads invert (BenchmarkComputeSVD, n = 152 and 294), then

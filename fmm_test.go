@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"kifmm/internal/geom"
+	ikern "kifmm/internal/kernel"
+	ikifmm "kifmm/internal/kifmm"
 )
 
 // The façade's point type is the internal one, not a mirror of it: a pointer
@@ -599,5 +601,18 @@ func TestPlanDoesNotRetainInput(t *testing.T) {
 			}
 			same("session after re-plan", must(sess.Apply(context.Background(), den)), must(ref.Apply(context.Background(), den)))
 		})
+	}
+}
+
+// TestHalfLenMultipleOfEight: the half spectrum of every accepted order is
+// 4p²(p+1) elements, a multiple of eight, so the V-list Hadamard kernel's
+// chunks are whole iterations of its eight-lane body and its Go loop never
+// runs a tail in production.
+func TestHalfLenMultipleOfEight(t *testing.T) {
+	for p := 2; p <= MaxOrder; p++ {
+		ops := &ikifmm.Operators{Kern: ikern.Laplace{}, Grid: ikifmm.NewSurfaceGrid(p)}
+		if hl := ikifmm.NewFFTM2L(ops).HalfLen(); hl%8 != 0 || hl != 4*p*p*(p+1) {
+			t.Errorf("order %d: HalfLen %d, want 4p²(p+1) = %d, a multiple of 8", p, hl, 4*p*p*(p+1))
+		}
 	}
 }

@@ -4,8 +4,8 @@ package kernel
 
 import "kifmm/internal/linalg"
 
-// UseAVX2 is linalg.UseAVX2, the module's one CPU probe, which this
-// package's panel kernels read.
+// UseAVX2 is linalg.UseAVX2, the AVX2 flag of the module's CPU probe (one
+// probe, two flags), which this package's panel kernels read.
 var UseAVX2 = linalg.UseAVX2
 
 // panelConsts holds what panel_amd64.s reads as 32-byte operands: four ones,

@@ -234,12 +234,13 @@ var flopPhaseName = [numFlopPhase]string{
 // time (sched.Graph guarantees worker indices are exclusive), so
 // the bodies run without locks and without per-octant allocation.
 type evalScratch struct {
-	chk        []float64 // CheckLen: check potentials / MulVec temporary
-	up         []float64 // UpwardLen: equivalent-density temporary
-	sx, sy, sz []float64 // NumSurf: surface coordinate panel
-	vgrid      []float64 // GridLen: real-grid scratch for the half-spectrum FFTs
-	vacc       []float64 // 8·AccLen: one frequency accumulator per sibling target
-	vsort      []uint64  // one sibling group's V interactions as vOrder<<41 | dirSlot<<32 | node, sorted
+	chk        []float64    // CheckLen: check potentials / MulVec temporary
+	up         []float64    // UpwardLen: equivalent-density temporary
+	sx, sy, sz []float64    // NumSurf: surface coordinate panel
+	vgrid      []float64    // GridLen: real-grid scratch for the half-spectrum FFTs
+	vacc       []float64    // 8·AccLen: one frequency accumulator per sibling target
+	vsort      []uint64     // one sibling group's V interactions as vOrder<<41 | dirSlot<<32 | node, sorted
+	vops       []hadamardOp // one parent direction's Hadamard triples, in vOrder
 	flops      [numFlopPhase]int64
 }
 

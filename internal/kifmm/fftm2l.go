@@ -277,38 +277,100 @@ func (f *FFTM2L) ExtractCheck(acc []float64, scale float64, dst, grid []float64)
 
 // Hadamard accumulates one V-list interaction in frequency space on SoA
 // half-spectrum panels: acc[t] += Σ_s tf[t·sd+s] ⊙ src[s], with acc of
-// length td·2·hl, tf of td·sd·2·hl, and src of sd·2·hl.
+// length td·2·hl, tf of td·sd·2·hl, and src of sd·2·hl. It is the list
+// kernel run over a one-interaction list.
 //
 //fmm:hotpath
 func Hadamard(acc, tf, src []float64, sd, td, hl int) {
+	var buf [9]hadamardOp // a 3×3 kernel's component pairs
+	hadamardRun(appendHadamardOps(buf[:0], acc, tf, src, sd, td, hl), hl)
+}
+
+// hadamardOp is one complex multiply-accumulate of the V-list list kernel,
+// a (accumulator, translation, source) triple of component spectra: each a
+// re panel of hl elements followed by its im panel, 2·hl in all.
+// hadamard_amd64.s reads the three slices' data pointers at byte offsets 0,
+// 24 and 48.
+type hadamardOp struct{ a, t, s []float64 }
+
+// hadamardBody is one vector body of the list kernel: it covers the leading
+// multiple of its lane count of elements [c0, c1) and returns how many.
+type hadamardBody struct {
+	name string
+	ok   bool // the CPU runs it
+	run  func(ops []hadamardOp, c0, c1, hl int) int
+}
+
+// appendHadamardOps appends the td·sd triples of one interaction to ops in
+// Hadamard's accumulation order: target component t, then source component
+// s.
+//
+//fmm:hotpath
+func appendHadamardOps(ops []hadamardOp, acc, tf, src []float64, sd, td, hl int) []hadamardOp {
 	for t := 0; t < td; t++ {
 		a := acc[t*2*hl : (t+1)*2*hl]
 		for s := 0; s < sd; s++ {
 			o := (t*sd + s) * 2 * hl
-			tp := tf[o : o+2*hl]
-			sp := src[s*2*hl : (s+1)*2*hl]
-			hadamardPanels(a[:hl], a[hl:], tp[:hl], tp[hl:], sp[:hl], sp[hl:])
+			ops = append(ops, hadamardOp{a, tf[o : o+2*hl], src[s*2*hl : (s+1)*2*hl]}) //fmm:allow hotalloc amortized growth of per-worker vops scratch
 		}
+	}
+	return ops
+}
+
+// hadamardChunk is how many half-spectrum elements the list kernel takes
+// through every triple of a list before it moves on. A Laplace order-6
+// parent-direction run touches 27 translation, 8 source and 8 accumulator
+// spectra; at 64 elements their 43 × 2 panels × 64 × 8 B = 44 KB chunks fit
+// a 48 KB L1d together, so each chunk is read from L2 once and every later
+// triple finds it in L1. A multiple of eight, so that a chunk is whole
+// vector iterations of either body.
+const hadamardChunk = 64
+
+// hadamardRun applies the triples of ops, in order, to the whole half
+// spectrum, one hadamardChunk at a time: for every element the triples
+// touching it arrive in list order, whatever the chunking, so the result is
+// bit for bit the one of the triples applied one after the other.
+//
+//fmm:hotpath
+func hadamardRun(ops []hadamardOp, hl int) {
+	if hl <= 0 {
+		return
+	}
+	// The vector bodies index the panels blindly.
+	for i := range ops {
+		_, _, _ = ops[i].a[2*hl-1], ops[i].t[2*hl-1], ops[i].s[2*hl-1]
+	}
+	for c0 := 0; c0 < hl; c0 += hadamardChunk {
+		hadamardList(ops, c0, min(c0+hadamardChunk, hl), hl)
 	}
 }
 
-// hadamardPanels is the complex multiply-accumulate micro-kernel over one
-// component pair's panels: (ar,ai) += (tr,ti)·(sr,si) elementwise, every
-// panel pinned to len(ar). On amd64 an AVX2 body (hadamard_amd64.s) covers
-// the leading multiple of four elements; hadamardGo finishes the tail, and is
+// hadamardList is the list kernel over elements [c0, c1) of the half
+// spectrum: for each triple of ops in order, (ar,ai) += (tr,ti)·(sr,si)
+// elementwise, the im panels at +hl. On amd64 the widest vector body the CPU
+// runs (hadamard_amd64.s: eight lanes on AVX-512, four on AVX2) covers the
+// leading multiple of its width; hadamardListGo finishes the tail, and is
 // the whole kernel on other architectures, under -tags purego and on CPUs
-// without AVX2. The vector body evaluates the same expression with the same
+// without AVX2. Every body evaluates hadamardGo's expression with the same
 // roundings — separate multiplies, subtract and adds, no FMA — so which of
-// the two ran is not observable in the result.
+// them ran is not observable in the result.
 //
 //fmm:hotpath
-func hadamardPanels(ar, ai, tr, ti, sr, si []float64) {
-	n := len(ar)
-	if n == 0 {
+func hadamardList(ops []hadamardOp, c0, c1, hl int) {
+	hadamardListGo(ops, c0+hadamardListVec(ops, c0, c1, hl), c1, hl)
+}
+
+// hadamardListGo is the portable list body over elements [c0, c1).
+//
+//fmm:hotpath
+func hadamardListGo(ops []hadamardOp, c0, c1, hl int) {
+	if c0 >= c1 {
 		return
 	}
-	ai, tr, ti, sr, si = ai[:n], tr[:n], ti[:n], sr[:n], si[:n]
-	hadamardGo(ar, ai, tr, ti, sr, si, hadamardVec(ar, ai, tr, ti, sr, si))
+	for i := range ops {
+		a, t, s := ops[i].a, ops[i].t, ops[i].s
+		hadamardGo(a[c0:c1], a[hl+c0:hl+c1], t[c0:c1], t[hl+c0:hl+c1], s[c0:c1], s[hl+c0:hl+c1], 0)
+	}
 }
 
 // hadamardGo is the portable kernel over elements [i, len(ar)) of six
@@ -392,14 +454,16 @@ func vOrder(src, trg morton.Key) (order, slot int) {
 // and are targets, or any part of them), each with its own frequency-space
 // accumulator in the worker's scratch. The group's interactions are sorted
 // by vOrder, so the ≤ 64 products between the group and the children of one
-// neighbouring parent run back to back: they touch ≤ 27 translation spectra,
-// 8 source spectra and 8 accumulators — an L2-sized set — where a per-target
-// walk streams two panels from L3 per product. Then one inverse transform per
-// target adds into e.DChk. Per target the accumulation order is vOrder's, a
-// function of Morton keys only, so the result, bit for bit, does not depend
-// on the worker count, the schedule or which siblings are present. A
-// non-source octant's spectrum is all zeros, so skipping it (srcNode) is
-// exact.
+// neighbouring parent — one parent direction — are one run: they touch ≤ 27
+// translation spectra, 8 source spectra and 8 accumulators, an L2-sized set,
+// and go to the list kernel as one triple list, which takes every triple
+// through one L1-sized chunk of the spectrum before the next, so a spectrum
+// comes from L2 once per run rather than once per product. Then one inverse
+// transform per target adds into e.DChk. Per target the accumulation order
+// is vOrder's, a function of Morton keys only, so the result, bit for bit,
+// does not depend on the worker count, the schedule or which siblings are
+// present. A non-source octant's spectrum is all zeros, so skipping it
+// (srcNode) is exact.
 //
 //fmm:hotpath
 func (e *Engine) vliFFTGroup(grp []int32, f *FFTM2L, tb *vTable, spec [][]float64, s *evalScratch) {
@@ -427,9 +491,18 @@ func (e *Engine) vliFFTGroup(grp []int32, f *FFTM2L, tb *vTable, spec [][]float6
 	sd, td := e.Ops.Kern.SrcDim(), e.Ops.Kern.TrgDim()
 	hl, accLen := f.HalfLen(), f.AccLen()
 	acc := s.fftAccs(len(grp), accLen)
-	for _, v := range vs {
-		k := int(accOf[v>>41&7])
-		Hadamard(acc[k*accLen:(k+1)*accLen], tb[v>>32&511], spec[int32(v)], sd, td, hl)
+	// One list per parent direction (vOrder/64): the ≤ 64 products with the
+	// children of one neighbouring parent, in vOrder.
+	for lo := 0; lo < len(vs); {
+		ops, hi := s.vops[:0], lo
+		for ; hi < len(vs) && vs[hi]>>47 == vs[lo]>>47; hi++ {
+			v := vs[hi]
+			k := int(accOf[v>>41&7])
+			ops = appendHadamardOps(ops, acc[k*accLen:(k+1)*accLen], tb[v>>32&511], spec[int32(v)], sd, td, hl)
+		}
+		s.vops = ops
+		hadamardRun(ops, hl)
+		lo = hi
 	}
 	s.flops[fpVList] += int64(len(vs)) * int64(8*td*sd*hl)
 	scale, grid := e.Ops.KernScale(t.Nodes[grp[0]].Key.Level()), s.grid(f.GridLen())

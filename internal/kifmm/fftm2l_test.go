@@ -13,59 +13,6 @@ import (
 	"kifmm/internal/octree"
 )
 
-// hadamardScalarRef is the straightforward scalar reference of the Hadamard
-// micro-kernel, with the identical per-element expression.
-func hadamardScalarRef(acc, tf, src []float64, sd, td, hl int) {
-	for t := 0; t < td; t++ {
-		ar := acc[t*2*hl : t*2*hl+hl]
-		ai := acc[t*2*hl+hl : (t+1)*2*hl]
-		for s := 0; s < sd; s++ {
-			o := (t*sd + s) * 2 * hl
-			tr, ti := tf[o:o+hl], tf[o+hl:o+2*hl]
-			sr, si := src[s*2*hl:s*2*hl+hl], src[s*2*hl+hl:(s+1)*2*hl]
-			for i := 0; i < hl; i++ {
-				ar[i] += tr[i]*sr[i] - ti[i]*si[i]
-				ai[i] += tr[i]*si[i] + ti[i]*sr[i]
-			}
-		}
-	}
-}
-
-// TestHadamardMatchesScalarReference: the register-blocked micro-kernel must
-// be bit-identical to the scalar loop (same per-element expression), for
-// scalar and multi-component shapes and for odd panel lengths (remainder
-// lane).
-func TestHadamardMatchesScalarReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	cases := []struct{ sd, td, hl int }{
-		{1, 1, 1008}, {1, 1, 7}, {3, 3, 100}, {3, 3, 33}, {1, 3, 50},
-	}
-	for _, c := range cases {
-		acc := make([]float64, c.td*2*c.hl)
-		ref := make([]float64, c.td*2*c.hl)
-		tf := make([]float64, c.td*c.sd*2*c.hl)
-		src := make([]float64, c.sd*2*c.hl)
-		for i := range acc {
-			acc[i] = rng.NormFloat64()
-			ref[i] = acc[i]
-		}
-		for i := range tf {
-			tf[i] = rng.NormFloat64()
-		}
-		for i := range src {
-			src[i] = rng.NormFloat64()
-		}
-		Hadamard(acc, tf, src, c.sd, c.td, c.hl)
-		hadamardScalarRef(ref, tf, src, c.sd, c.td, c.hl)
-		for i := range acc {
-			if acc[i] != ref[i] {
-				t.Fatalf("sd=%d td=%d hl=%d: micro-kernel differs from scalar reference at %d: %v vs %v",
-					c.sd, c.td, c.hl, i, acc[i], ref[i])
-			}
-		}
-	}
-}
-
 // dchkRelErr is the global relative L2 difference over all DChk vectors.
 func dchkRelErr(a, b *Engine) float64 {
 	var num, den float64

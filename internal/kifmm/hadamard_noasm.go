@@ -2,6 +2,9 @@
 
 package kifmm
 
-// hadamardVec is the vector kernel's stand-in on builds without one: it
-// covers no elements, so hadamardPanels' Go loop does all the work.
-func hadamardVec(ar, ai, tr, ti, sr, si []float64) int { return 0 }
+// hadamardListVec is the vector bodies' stand-in on builds without them: it
+// covers no elements, so hadamardList's Go loop does all the work.
+func hadamardListVec(ops []hadamardOp, c0, c1, hl int) int { return 0 }
+
+// hadamardVecBodies is empty: this build has no vector body.
+var hadamardVecBodies []hadamardBody

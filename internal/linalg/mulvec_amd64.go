@@ -2,14 +2,15 @@
 
 package linalg
 
-// UseAVX2 is resolved once, for every vector kernel in the module — the
-// packed matrix-vector kernel here, internal/kernel's panel kernels and
-// internal/kifmm's V-list Hadamard kernel: the CPU has AVX2 and the OS saves
-// its registers.
-var UseAVX2 = cpuHasAVX2()
+// UseAVX2 and UseAVX512 are the module's CPU probe — one probe, two flags,
+// resolved once for every vector kernel: the CPU has the instruction set and
+// the OS saves its registers. UseAVX2 gates the packed matrix-vector kernel
+// here, internal/kernel's panel kernels and internal/kifmm's V-list Hadamard
+// kernel; UseAVX512 (AVX512F) gates the Hadamard kernel's eight-lane body.
+var UseAVX2, UseAVX512 = cpuProbe()
 
-// cpuHasAVX2 and packedAVX2 are implemented in mulvec_amd64.s.
-func cpuHasAVX2() bool
+// cpuProbe and packedAVX2 are implemented in mulvec_amd64.s.
+func cpuProbe() (avx2, avx512 bool)
 
 //go:noescape
 func packedAVX2(pk, x, y *float64, groups, cols int, add bool)

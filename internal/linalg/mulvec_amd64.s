@@ -88,12 +88,16 @@ done:
 	VZEROUPPER
 	RET
 
-// func cpuHasAVX2() bool
+// func cpuProbe() (avx2, avx512 bool)
 //
-// AVX2 is usable when the CPU has it (CPUID.7:EBX[5]) and the OS saves the
-// YMM state (CPUID.1:ECX OSXSAVE+AVX, then XCR0[2:1] = 11b).
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVB  $0, ret+0(FP)
+// One probe, two flags. Both need the OS to save the vector state:
+// CPUID.1:ECX OSXSAVE+AVX, then XCR0. AVX2 is usable when the CPU has it
+// (CPUID.7.0:EBX[5]) and XCR0[2:1] = 11b (XMM, YMM); AVX-512 when the CPU
+// has AVX512F (CPUID.7.0:EBX[16]) and XCR0 & 0xE6 = 0xE6 (XMM, YMM, the
+// opmask registers and both halves of the ZMM state).
+TEXT ·cpuProbe(SB), NOSPLIT, $0-2
+	MOVB  $0, avx2+0(FP)
+	MOVB  $0, avx512+1(FP)
 	XORL  AX, AX
 	CPUID
 	CMPL  AX, $7
@@ -106,14 +110,23 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	JNE   probed
 	XORL  CX, CX
 	XGETBV
-	ANDL  $6, AX             // XMM and YMM state enabled
-	CMPL  AX, $6
-	JNE   probed
+	MOVL  AX, R8             // XCR0, low half
 	MOVL  $7, AX
 	XORL  CX, CX
 	CPUID
+	MOVL  R8, AX
+	ANDL  $6, AX             // XMM and YMM state enabled
+	CMPL  AX, $6
+	JNE   probed
 	BTL   $5, BX
+	JCC   avx512
+	MOVB  $1, avx2+0(FP)
+avx512:
+	ANDL  $0xE6, R8          // ... and opmask, ZMM_Hi256, Hi16_ZMM state
+	CMPL  R8, $0xE6
+	JNE   probed
+	BTL   $16, BX
 	JCC   probed
-	MOVB  $1, ret+0(FP)
+	MOVB  $1, avx512+1(FP)
 probed:
 	RET

@@ -171,8 +171,9 @@ expect_failure "allocation in vliFFTGroup names the body" "vliFFTGroup"
 
 # --- 5. escape through the assembly stub's arguments ------------------------
 # The compiler cannot see into hadamard_amd64.s: only //go:noescape tells it
-# the kernel keeps none of its six pointers. A hot caller that hands the stub
-# stack panels passes with the directive and must fail without it.
+# the kernel keeps neither its triple list nor the panels the list points
+# to. A hot caller that hands the stub a stack list of stack panels passes
+# with the directive and must fail without it.
 fresh_copy
 F="$SCRATCH/repo/internal/kifmm/hadamard_amd64.go"
 cat > "$SCRATCH/repo/internal/kifmm/zz_inject_amd64.go" <<'EOF'
@@ -180,13 +181,15 @@ cat > "$SCRATCH/repo/internal/kifmm/zz_inject_amd64.go" <<'EOF'
 
 package kifmm
 
-// injectStackPanels is planted by scripts/lint_inject.sh: four-element
-// panels that stay on the stack as long as the stub is //go:noescape.
+// injectStackPanels is planted by scripts/lint_inject.sh: a one-triple
+// list of four-element spectra that stays on the stack as long as the stub
+// is //go:noescape.
 //
 //fmm:hotpath
 func injectStackPanels() float64 {
-	var a, t, s [4]float64
-	hadamardAVX2(&a[0], &a[0], &t[0], &t[0], &s[0], &s[0], 4)
+	var a, t, s [8]float64
+	ops := [1]hadamardOp{{a[:], t[:], s[:]}}
+	hadamardListAVX2(&ops[0], 1, 0, 4, 4)
 	return a[0]
 }
 EOF
