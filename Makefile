@@ -28,7 +28,10 @@ portable:
 	GOARCH=arm64 $(GO) vet ./internal/linalg ./internal/kernel ./internal/kifmm
 
 # Native fuzz targets, a bounded run each: vector EvalPanel ≡ Go loop and no
-# store outside the panel; every V-list Hadamard list body (AVX-512, AVX2,
+# store outside the panel; every EvalPair body (AVX2 with its Go tail, Go
+# loop, the method) ≡ the two EvalPanel calls it replaces, both outputs, on
+# panel lengths up to 200, coincident points across the panels, NaN/±Inf and
+# extreme-scale coordinates, with no store outside aout or bpart; every V-list Hadamard list body (AVX-512, AVX2,
 # Go loop) ≡ the scalar reference applied triple by triple, on one-triple
 # panels of every length and alignment and on random triple lists that
 # repeat accumulators and share sources (corpus in
@@ -47,6 +50,7 @@ portable:
 # ones, unchanged, and otherwise ≡ a fresh plan of its points, bit for bit.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEvalPanel -fuzztime=10s ./internal/kernel
+	$(GO) test -run='^$$' -fuzz=FuzzEvalPair -fuzztime=10s ./internal/kernel
 	$(GO) test -run='^$$' -fuzz=FuzzHadamardPanels -fuzztime=10s ./internal/kifmm
 	$(GO) test -run='^$$' -fuzz=FuzzHadamardList -fuzztime=10s ./internal/kifmm
 	$(GO) test -run='^$$' -fuzz=FuzzMulVec -fuzztime=10s ./internal/linalg
@@ -61,9 +65,11 @@ bench:
 
 # Panel vs pairwise micro-kernel comparison on the 30k ellipsoid tree
 # (BenchmarkNearField{ULI,D2T,WLI} × {laplace,stokes,yukawa} ×
-# {float64 panel, pairwise}; the near field has one precision), after the
-# kernel micro-rows: ns/pair of one EvalPanel on a 400×400 and a 50×152 panel
-# (BenchmarkNearFieldPanel).
+# {float64 panel, pairwise}; the near field has one precision; the panel U
+# row serves mutual leaf pairs both ways with EvalPair), after the kernel
+# micro-rows: ns/pair of one EvalPanel on a 400×400 and a 50×152 panel, and
+# ns per directed pair of one EvalPair against the two EvalPanel calls it
+# replaces on 400×400 and 50×50 (BenchmarkNearFieldPanel, pair and twopanel).
 bench-nearfield:
 	$(GO) test ./internal/kernel/ -run='^$$' -bench=BenchmarkNearFieldPanel
 	$(GO) test ./internal/kifmm/ -run='^$$' -bench=BenchmarkNearField -benchmem
@@ -110,12 +116,14 @@ bench-check:
 # par shim (randomized-DAG property tests are seeded per run, so -count=5
 # explores new graphs; the scheduler's worker-index exclusivity test makes
 # any violation a reported race rather than a flaky count), then of the FMM
-# graph against its sequential oracle at 1, 2 and 4 workers, then of the
+# graph against its sequential oracle at 1, 2 and 4 workers and of the paired
+# U row against its one-way walk (a partial one U task parks is read by
+# another), then of the
 # service's cancellation tests: a deadline that fires while a request is
 # queued, mid-step, and mid-Apply under load.
 sched-stress:
 	$(GO) test -race -count=5 ./internal/sched/... ./internal/par/...
-	$(GO) test -race -count=2 -run '^(TestEvaluateDAGBitIdentical|TestEvaluateDAGRepeatable)$$' ./internal/kifmm/
+	$(GO) test -race -count=2 -run '^(TestEvaluateDAGBitIdentical|TestEvaluateDAGRepeatable|TestULIPairsMatchOneWay)$$' ./internal/kifmm/
 	$(GO) test -race -count=3 -run '^(TestExpiredWhileQueued|TestStepCancelledLeavesSession|TestDeadlineFreesWorker)$$' ./internal/service/
 
 # Repeated race runs of the sharded differential tests: the multi-rank

@@ -288,25 +288,56 @@ func TestEvalPanelNonFinite(t *testing.T) {
 // BenchmarkNearFieldPanel is the micro-row under `make bench-nearfield`: ns
 // per source-target pair of one warm EvalPanel call, on a 400×400 panel (the
 // divider-bound steady state) and on a 50×152 one (a q=50 leaf against an
-// order-6 equivalent surface, where the per-call and tail costs show).
+// order-6 equivalent surface, where the per-call and tail costs show). The
+// pair regime times ns per directed pair (2·na·nb of them) two ways on two
+// disjoint panels, at 400×400 and 50×50 (a q=400 and a q=50 leaf pair): one
+// EvalPair call (pair) and the two EvalPanel calls it replaces (twopanel).
 func BenchmarkNearFieldPanel(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
+	density := func(n int) []float64 {
+		den := make([]float64, n)
+		for i := range den {
+			den[i] = rng.NormFloat64()
+		}
+		return den
+	}
 	for _, k := range batchKernels() {
+		bk := AsBatch(k)
+		sd, td := k.SrcDim(), k.TrgDim()
 		for _, shape := range [][2]int{{400, 400}, {50, 152}} {
 			nt, ns := shape[0], shape[1]
 			tx, ty, tz := randPanel(rng, nt)
 			sx, sy, sz := randPanel(rng, ns)
-			den := make([]float64, ns*k.SrcDim())
-			for i := range den {
-				den[i] = rng.NormFloat64()
-			}
-			out := make([]float64, nt*k.TrgDim())
-			bk := AsBatch(k)
+			den := density(ns * sd)
+			out := make([]float64, nt*td)
 			b.Run(fmt.Sprintf("%s/%dx%d", k.Name(), nt, ns), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					bk.EvalPanel(tx, ty, tz, sx, sy, sz, den, out, -1)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nt*ns), "ns/pair")
+			})
+		}
+		for _, n := range []int{400, 50} {
+			ax, ay, az := randPanel(rng, n)
+			bx, by, bz := randPanel(rng, n)
+			aden, bden := density(n*sd), density(n*sd)
+			aout, bout := make([]float64, n*td), make([]float64, n*td)
+			perPair := func(b *testing.B) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N*n*n), "ns/pair")
+			}
+			b.Run(fmt.Sprintf("%s/pair/%dx%d", k.Name(), n, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					bk.EvalPair(ax, ay, az, bx, by, bz, aden, bden, aout, bout)
+				}
+				perPair(b)
+			})
+			b.Run(fmt.Sprintf("%s/twopanel/%dx%d", k.Name(), n, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					bk.EvalPanel(ax, ay, az, bx, by, bz, bden, aout, -1)
+					clear(bout)
+					bk.EvalPanel(bx, by, bz, ax, ay, az, aden, bout, -1)
+				}
+				perPair(b)
 			})
 		}
 	}

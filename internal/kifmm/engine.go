@@ -83,6 +83,9 @@ type Engine struct {
 	scratch []*evalScratch
 	// den32 is the reused single-precision density buffer of Den32.
 	den32 []float32
+	// near is the U row's pairing of mutual leaves (nearPairs), built on the
+	// row's first run.
+	near *nearPairs
 }
 
 // NewEngine allocates evaluation state for the tree, building a private
@@ -133,6 +136,7 @@ func (e *Engine) trgNode(i int32) bool { return e.TrgSub == nil || e.TrgSub[i] }
 // sources: SrcSub/TrgSub are derived bottom-up from the per-leaf point
 // roles. nLead <= 0 restores the symmetric state (every point both roles).
 func (e *Engine) SetSplitRoles(nLead int) {
+	e.near = nil // the pairing follows the masks
 	if nLead <= 0 {
 		e.SrcSub, e.TrgSub = nil, nil
 		return
@@ -503,20 +507,28 @@ func (e *Engine) d2tLeaf(i int32, s *evalScratch) {
 }
 
 // uliLeaf is the per-leaf U-list body: the exact direct sum into leaf i's
-// potentials, one EvalPanel call per U-list source panel. The self panel
-// (a == i) passes selfOffset 0 — the singular diagonal is suppressed by the
-// kernel's Algorithm 4 guard, not by a coordinate branch. Must run after
-// the leaf's WLI and D2T contributions (accumulation order).
+// potentials, one partial per U-list source panel, in list order. Where the
+// row's pairing (nearPairs) has leaf i serve an entry, EvalPair adds the row
+// partial into the potentials now and parks the column partial for the
+// other leaf; where an earlier leaf served it, its parked partial is added.
+// Every other entry runs EvalPanel; the self panel (a == i) passes
+// selfOffset 0 — the singular diagonal is suppressed by the kernel's
+// Algorithm 4 guard, not by a coordinate branch. Must run after the leaf's
+// WLI and D2T contributions (accumulation order) and after the U task of
+// every earlier leaf that serves one of its entries.
 //
 //fmm:hotpath
 func (e *Engine) uliLeaf(i int32, s *evalScratch) {
 	t := e.Tree
 	n := &t.Nodes[i]
 	L := e.Layout
+	np := e.near
 	sd, td := e.Ops.Kern.SrcDim(), e.Ops.Kern.TrgDim()
 	lo, hi := int(n.PtLo), int(n.PtHi)
 	tx, ty, tz := L.PX[lo:hi], L.PY[lo:hi], L.PZ[lo:hi]
+	den := e.Density[lo*sd : hi*sd]
 	out := e.Potential[lo*td : hi*td]
+	inbox := np.inbox[np.in[i]:]
 	var pairs int
 	for _, a := range n.U {
 		if !e.srcNode(a) {
@@ -524,13 +536,27 @@ func (e *Engine) uliLeaf(i int32, s *evalScratch) {
 		}
 		an := &t.Nodes[a]
 		slo, shi := int(an.PtLo), int(an.PtHi)
-		selfOff := -1
-		if a == i {
-			selfOff = 0
-		}
-		e.bk.EvalPanel(tx, ty, tz, L.PX[slo:shi], L.PY[slo:shi], L.PZ[slo:shi],
-			e.Density[slo*sd:shi*sd], out, selfOff)
 		pairs += (hi - lo) * (shi - slo)
+		switch {
+		case np.serves(i, a):
+			slot, part := np.park((shi - slo) * td)
+			e.bk.EvalPair(tx, ty, tz, L.PX[slo:shi], L.PY[slo:shi], L.PZ[slo:shi],
+				den, e.Density[slo*sd:shi*sd], out, part)
+			np.post(a, i, slot)
+		case np.serves(a, i):
+			for x, v := range np.parked(inbox[0], len(out)) {
+				out[x] += v
+			}
+			np.release(inbox[0])
+			inbox = inbox[1:]
+		default:
+			selfOff := -1
+			if a == i {
+				selfOff = 0
+			}
+			e.bk.EvalPanel(tx, ty, tz, L.PX[slo:shi], L.PY[slo:shi], L.PZ[slo:shi],
+				e.Density[slo*sd:shi*sd], out, selfOff)
+		}
 	}
 	s.flops[fpUList] += int64(pairs * e.Ops.Kern.FlopsPerInteraction())
 }

@@ -237,9 +237,34 @@ func TestListsMatchNaiveDefinitions(t *testing.T) {
 	}
 }
 
+// TestListSymmetries checks the list dualities the evaluation leans on — the
+// U list's symmetry is what lets the near field serve both directions of a
+// leaf pair at once — on an adaptive cloud, a uniform one, and one made of
+// coincident points (every point repeated, one repeated past q, so leaves
+// stop at the depth limit).
 func TestListSymmetries(t *testing.T) {
-	pts := geom.Generate(geom.Ellipsoid, 1500, 12)
-	tr := Build(pts, 12, 20)
+	coincident := geom.Generate(geom.Uniform, 300, 13)
+	for i := range 300 {
+		coincident = append(coincident, coincident[i], coincident[i])
+	}
+	for range 40 {
+		coincident = append(coincident, coincident[7])
+	}
+	for _, cloud := range []struct {
+		name string
+		pts  []geom.Point
+		q    int
+	}{
+		{"ellipsoid", geom.Generate(geom.Ellipsoid, 1500, 12), 12},
+		{"uniform", geom.Generate(geom.Uniform, 1500, 12), 12},
+		{"coincident", coincident, 6},
+	} {
+		t.Run(cloud.name, func(t *testing.T) { checkListSymmetries(t, cloud.pts, cloud.q) })
+	}
+}
+
+func checkListSymmetries(t *testing.T, pts []geom.Point, q int) {
+	tr := Build(pts, q, 20)
 	tr.BuildLists(nil)
 	inList := func(lst []int32, j int32) bool {
 		for _, v := range lst {
@@ -251,10 +276,13 @@ func TestListSymmetries(t *testing.T) {
 	}
 	for i := range tr.Nodes {
 		n := &tr.Nodes[i]
-		// U symmetric.
-		for _, j := range n.U {
+		// U symmetric, each leaf named once.
+		for k, j := range n.U {
 			if !inList(tr.Nodes[j].U, int32(i)) {
 				t.Fatalf("U not symmetric: %d in U(%d) but not vice versa", j, i)
+			}
+			if inList(n.U[:k], j) {
+				t.Fatalf("U(%d) names %d twice", i, j)
 			}
 		}
 		// V symmetric.

@@ -53,9 +53,16 @@ type task struct {
 // Graph is a single-use dependency graph: Add tasks, declare Deps, Run
 // once. The zero value is not usable; call NewGraph.
 type Graph struct {
-	tasks   []task
+	tasks []task
+	// slab is where successor lists grow: a list that fills its window
+	// moves to one twice the size carved from the slab, so declaring edges
+	// allocates a chunk at a time instead of a slice per task and growth.
+	slab    []TaskID
 	started bool
 }
+
+// slabChunk is the successor slab's allocation unit, in task IDs.
+const slabChunk = 4096
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph { return &Graph{} }
@@ -88,8 +95,25 @@ func (g *Graph) Dep(pred, succ TaskID) {
 	if pred >= succ {
 		panic(fmt.Sprintf("sched: Dep(%d, %d) does not point forward: a task may only wait on tasks added before it", pred, succ))
 	}
-	g.tasks[pred].succs = append(g.tasks[pred].succs, succ)
+	t := &g.tasks[pred]
+	if len(t.succs) == cap(t.succs) {
+		t.succs = g.grow(t.succs)
+	}
+	t.succs = append(t.succs, succ)
 	g.tasks[succ].deps.Add(1)
+}
+
+// grow moves a full successor list to a window of twice its capacity (two
+// at least) at the slab's tail, starting a new chunk where the tail is too
+// short; the list's old window is left behind, as a slice's old array is.
+func (g *Graph) grow(s []TaskID) []TaskID {
+	n := max(2, 2*cap(s))
+	if cap(g.slab)-len(g.slab) < n {
+		g.slab = make([]TaskID, 0, max(slabChunk, n))
+	}
+	lo := len(g.slab)
+	g.slab = g.slab[:lo+n]
+	return append(g.slab[lo:lo:lo+n], s...)
 }
 
 // WorkerStats is one worker's execution counters.
