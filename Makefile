@@ -21,11 +21,17 @@ race:
 # The build without the amd64 vector kernels (internal/linalg/mulvec_amd64.s,
 # which also holds the CPU probe, internal/kernel/panel_amd64.s,
 # internal/kifmm/hadamard_amd64.s) is the one other architectures get: test
-# the three packages through the conventional purego tag, and vet them for
-# arm64 so a file that only amd64 compiles shows in any of them.
+# the three packages through the conventional purego tag, vet them for arm64
+# so a file that only amd64 compiles shows in any of them, and write the
+# potentials probe from the purego build into a temporary file that must equal
+# probe.txt byte for byte: every Go loop evaluates the bits the vector kernels
+# do.
 portable:
 	$(GO) test -tags purego ./internal/linalg ./internal/kernel ./internal/kifmm
 	GOARCH=arm64 $(GO) vet ./internal/linalg ./internal/kernel ./internal/kifmm
+	@tmp=$$(mktemp) && \
+	KIFMM_PROBE=$$tmp $(GO) test -tags purego -run '^TestProbe$$' -count=1 -timeout 30m . && \
+	diff -u probe.txt $$tmp; rc=$$?; rm -f $$tmp; exit $$rc
 
 # Native fuzz targets, a bounded run each: vector EvalPanel ≡ Go loop and no
 # store outside the panel; every EvalPair body (AVX2 with its Go tail, Go
@@ -118,12 +124,14 @@ bench-check:
 # any violation a reported race rather than a flaky count), then of the FMM
 # graph against its sequential oracle at 1, 2 and 4 workers and of the paired
 # U row against its one-way walk (a partial one U task parks is read by
-# another), then of the
-# service's cancellation tests: a deadline that fires while a request is
+# another), then of concurrent profiled Applies on one plan sharing one
+# profile (the engines' ledgers meet the profile in one merge each), then of
+# the service's cancellation tests: a deadline that fires while a request is
 # queued, mid-step, and mid-Apply under load.
 sched-stress:
 	$(GO) test -race -count=5 ./internal/sched/... ./internal/par/...
 	$(GO) test -race -count=2 -run '^(TestEvaluateDAGBitIdentical|TestEvaluateDAGRepeatable|TestULIPairsMatchOneWay)$$' ./internal/kifmm/
+	$(GO) test -race -count=3 -run '^TestProfileSharedByConcurrentApplies$$' .
 	$(GO) test -race -count=3 -run '^(TestExpiredWhileQueued|TestStepCancelledLeavesSession|TestDeadlineFreesWorker)$$' ./internal/service/
 
 # Repeated race runs of the sharded differential tests: the multi-rank

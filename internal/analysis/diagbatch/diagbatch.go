@@ -4,12 +4,14 @@
 // diag.Profile guards its maps with a mutex, so every AddFlops/AddTime/
 // AddCounter/Start call is a lock acquisition plus map lookup. Calling it
 // once per octant (or worse, once per source point) from a phase body
-// serializes the workers on the profile lock — the exact contention PR 3
-// removed by accumulating flop counts in per-worker scratch and flushing
-// once per task via AddFlopsBatch. This analyzer keeps it removed: inside a
-// hot function, per-item counter calls must be batched into a local
-// accumulator and flushed outside the hot region (or at coarse task
-// granularity with an //fmm:allow diagbatch justification).
+// serializes the workers on the profile lock. The engine accounts instead in
+// each worker's phase ledger (a fixed table in its scratch, written without
+// locks) and merges the ledger into the profile once per evaluation via
+// Profile.Merge. This analyzer keeps it that way: the phase bodies can
+// still reach the engine's profile, so inside a hot function, per-item
+// counter calls must be accumulated locally and merged outside the hot
+// region (or at coarse granularity with an //fmm:allow diagbatch
+// justification).
 package diagbatch
 
 import (
@@ -20,8 +22,8 @@ import (
 )
 
 // perItem is the set of diag.Profile methods that take the profile lock per
-// call. Batch variants (AddFlopsBatch) are the sanctioned alternative and
-// are not listed.
+// item. Merge, which takes it once per batch, is the sanctioned alternative
+// and is not listed.
 var perItem = map[string]bool{
 	"AddFlops":   true,
 	"AddTime":    true,
@@ -32,7 +34,7 @@ var perItem = map[string]bool{
 // Analyzer flags per-item diag counter calls in //fmm:hotpath functions.
 var Analyzer = &analysis.Analyzer{
 	Name: "diagbatch",
-	Doc:  "flags per-item diag.Profile counter calls in //fmm:hotpath functions (batch via AddFlopsBatch)",
+	Doc:  "flags per-item diag.Profile counter calls in //fmm:hotpath functions (accumulate locally, then Profile.Merge)",
 	Run:  run,
 }
 
@@ -51,8 +53,8 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			pass.ReportfVia(call.Pos(), chain,
-				"per-item diag.Profile.%s in hot path; accumulate locally and flush with %sBatch outside the hot region",
-				name, name)
+				"per-item diag.Profile.%s in hot path; accumulate locally and merge once with Profile.Merge outside the hot region",
+				name)
 			return true
 		})
 	})

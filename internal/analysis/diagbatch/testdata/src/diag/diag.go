@@ -4,8 +4,9 @@ package diag
 
 type Profile struct{}
 
-func (p *Profile) AddFlops(name string, n int64)            {}
-func (p *Profile) AddTime(name string, ns int64)            {}
-func (p *Profile) AddCounter(name string, n int64)          {}
-func (p *Profile) Start(name string) func()                 { return func() {} }
-func (p *Profile) AddFlopsBatch(names []string, ns []int64) {}
+func (p *Profile) AddFlops(name string, n int64)   {}
+func (p *Profile) AddTime(name string, ns int64)   {}
+func (p *Profile) AddCounter(name string, n int64) {}
+func (p *Profile) Start(name string) func()        { return func() {} }
+func (p *Profile) Merge(names []string, times []int64, flops []int64, counters []string, counts []int64) {
+}

@@ -16,7 +16,7 @@ func PhaseBody(p *diag.Profile, work []float64) {
 	stop()
 }
 
-// Batched flushes once through the batch API: the sanctioned shape.
+// Batched merges once through the batch API: the sanctioned shape.
 //
 //fmm:hotpath
 func Batched(p *diag.Profile, work []float64, names []string, ns []int64) {
@@ -24,7 +24,7 @@ func Batched(p *diag.Profile, work []float64, names []string, ns []int64) {
 		work[i] *= 2
 		ns[0]++
 	}
-	p.AddFlopsBatch(names, ns)
+	p.Merge(names, nil, ns, nil, nil)
 }
 
 // CoarseTask keeps a justified per-task counter.

@@ -101,17 +101,19 @@ func (p *Profile) AddFlops(name string, n int64) {
 	p.mu.Unlock()
 }
 
-// AddFlopsBatch adds ns[i] flops to phase names[i] for every i, under a
-// single lock acquisition. This is the flush path for code that accumulates
-// flops in local counters during a parallel phase (the engine's per-worker
-// scratch) instead of taking the profile lock per work item. Zero entries
-// are skipped so phases never touched stay absent from reports.
-func (p *Profile) AddFlopsBatch(names []string, ns []int64) {
+// Merge adds, under one lock, times[i] and flops[i] to phase names[i] (names
+// may repeat) and counts[i] to counter counters[i]: the path for code that
+// accounts locally, like the engine's per-worker phase ledger, instead of
+// taking the lock per work item. Zeros are added too; leaving out the phases
+// nothing touched is the caller's part.
+func (p *Profile) Merge(names []string, times []time.Duration, flops []int64, counters []string, counts []int64) {
 	p.mu.Lock()
-	for i, n := range ns {
-		if n != 0 {
-			p.flops[names[i]] += n
-		}
+	for i, name := range names {
+		p.times[name] += times[i]
+		p.flops[name] += flops[i]
+	}
+	for i, name := range counters {
+		p.counters[name] += counts[i]
 	}
 	p.mu.Unlock()
 }

@@ -27,6 +27,27 @@ func TestProfileAccumulates(t *testing.T) {
 	}
 }
 
+// TestMerge: one batch adds every entry given, a repeated name's entries
+// sum, and zeros still create the phase, as the engine's ledger relies on.
+func TestMerge(t *testing.T) {
+	p := NewProfile()
+	p.AddFlops("Upward", 1)
+	for range 2 {
+		p.Merge([]string{"Upward", "Upward", "Sched idle"},
+			[]time.Duration{time.Second, 2 * time.Second, 0}, []int64{10, 20, 0},
+			[]string{"graphs", "tasks"}, []int64{1, 7})
+	}
+	if p.Time("Upward") != 6*time.Second || p.Flops("Upward") != 61 {
+		t.Fatalf("Upward: %v, %d flops", p.Time("Upward"), p.Flops("Upward"))
+	}
+	if _, ok := p.Snapshot()["Sched idle"]; !ok {
+		t.Fatal("a merged zero phase is absent")
+	}
+	if p.Counter("graphs") != 2 || p.Counter("tasks") != 14 {
+		t.Fatalf("counters: %d graphs, %d tasks", p.Counter("graphs"), p.Counter("tasks"))
+	}
+}
+
 func TestStartStop(t *testing.T) {
 	p := NewProfile()
 	stop := p.Start("phase")

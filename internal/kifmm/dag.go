@@ -5,8 +5,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
-	"kifmm/internal/diag"
 	"kifmm/internal/morton"
 	"kifmm/internal/octree"
 	"kifmm/internal/sched"
@@ -46,26 +46,28 @@ import (
 // dependencies orders the tasks: a worker chases the chain it is on
 // (internal/sched).
 //
-// A nil trace skips event capture. The returned stats feed internal/diag
-// and the /metrics endpoint. The only error source is a panicking task
-// (the scheduler fails the graph instead of deadlocking).
+// A nil trace skips event capture. EvaluateDAG is Run without a context or
+// an exchange step; the only error source is a panicking task (the scheduler
+// fails the graph instead of deadlocking).
 func (e *Engine) EvaluateDAG(trace *sched.Trace) (sched.Stats, error) {
-	defer e.timed(diag.PhaseTotalEval)()
-	return e.runRows(context.Background(), 0, len(phases), trace)
+	return e.Run(context.Background(), nil, trace)
 }
 
 // runRows runs rows [lo, hi) of the phase table as one task graph under ctx
-// and flushes the per-worker flop counters into the profile.
-func (e *Engine) runRows(ctx context.Context, lo, hi int, trace *sched.Trace) (sched.Stats, error) {
+// and folds the graph's accounting into l.
+func (e *Engine) runRows(ctx context.Context, lo, hi int, trace *sched.Trace, l *ledger) error {
 	e.ensureScratch(e.dagWorkers())
 	stats, err := e.buildDAG(lo, hi).Run(ctx, sched.Options{Workers: e.Workers, Trace: trace})
-	e.flushFlops()
-	return stats, err
+	l.fold(e.scratch, stats)
+	return err
 }
 
-// runRow runs row pi alone, panicking if a body panicked.
+// runRow runs row pi alone and merges its ledger, panicking if a body did.
 func (e *Engine) runRow(pi int) {
-	if _, err := e.runRows(context.Background(), pi, pi+1, nil); err != nil {
+	var l ledger
+	err := e.runRows(context.Background(), pi, pi+1, nil, &l)
+	e.merge(&l)
+	if err != nil {
 		panic(err)
 	}
 }
@@ -73,13 +75,12 @@ func (e *Engine) runRow(pi int) {
 // buildDAG assembles the task graph of rows [lo, hi) of the phase table, a
 // row at a time: one task per entry of the row's work, then what each of
 // them waits for. A predecessor in a row outside [lo, hi) is NoTask — its
-// data is taken as final. A task wraps the row's body with the phase timer
-// and the executing worker's scratch (the scheduler guarantees worker indices
-// are exclusive, so e.scratch[w] is owned for the duration of the task). Each
-// task adds its own duration to its phase, so a phase's profile time is the
-// task time summed across workers, not phase wall time. Construction is
-// deterministic (table order, then work order), which keeps task IDs stable
-// across runs of the same plan.
+// data is taken as final. A task runs the row's body on the executing
+// worker's scratch (the scheduler guarantees worker indices are exclusive, so
+// e.scratch[w] is owned for the duration of the task) and adds its duration
+// to the row's tally there: a row's time is task time summed across workers,
+// not phase wall time. Construction is deterministic (table order, then work
+// order), which keeps task IDs stable across runs of the same plan.
 func (e *Engine) buildDAG(lo, hi int) *sched.Graph {
 	t := e.Tree
 	g := sched.NewGraph()
@@ -157,9 +158,10 @@ func (e *Engine) buildDAG(lo, hi int) *sched.Graph {
 		for _, run := range runs {
 			for _, i := range run {
 				task[pi][i] = g.Add(p.name, func(worker int) {
-					stop := e.timed(p.diag)
-					p.body(e, i, e.scratch[worker])
-					stop()
+					s := e.scratch[worker]
+					t0 := time.Now() //fmm:allow nodeterm task timing feeds the ledger only; results never read it
+					p.body(e, i, s)
+					s.clock(pi, t0)
 				})
 			}
 		}
@@ -269,7 +271,7 @@ func (e *Engine) buildVFFT(g *sched.Graph, levels [][]int32, uTask, vTask []sche
 					continue
 				}
 				specTask[a] = g.Add("spec", func(w int) {
-					stop := e.timed(diag.PhaseVList)
+					t0 := time.Now() //fmm:allow nodeterm task timing feeds the ledger only; results never read it
 					mu.Lock()
 					var sp []float64
 					if n := len(free); n > 0 {
@@ -284,7 +286,7 @@ func (e *Engine) buildVFFT(g *sched.Graph, levels [][]int32, uTask, vTask []sche
 					if specHeld != nil {
 						specHeld(1)
 					}
-					stop()
+					e.scratch[w].clock(pVLI, t0)
 				})
 				if uTask[a] != sched.NoTask {
 					g.Dep(uTask[a], specTask[a])
@@ -296,7 +298,7 @@ func (e *Engine) buildVFFT(g *sched.Graph, levels [][]int32, uTask, vTask []sche
 		}
 		tb := tables.at(t.Nodes[grp[0]].Key.Level())
 		task := g.Add("Vfft", func(w int) {
-			stop := e.timed(diag.PhaseVList)
+			t0 := time.Now() //fmm:allow nodeterm task timing feeds the ledger only; results never read it
 			e.vliFFTGroup(grp, f, tb, spec, e.scratch[w])
 			// Release mirrors the ref counting above exactly (one count per
 			// mask-selected V entry); the atomic decrement orders the release
@@ -314,7 +316,7 @@ func (e *Engine) buildVFFT(g *sched.Graph, levels [][]int32, uTask, vTask []sche
 					}
 				}
 			}
-			stop()
+			e.scratch[w].clock(pVLI, t0)
 		})
 		done[k] = g.Add("Vdone", nil)
 		g.Dep(task, done[k])

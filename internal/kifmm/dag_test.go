@@ -136,14 +136,7 @@ func TestEvaluateDAGStats(t *testing.T) {
 	if st.Tasks <= int64(len(e.Tree.Leaves)) {
 		t.Fatalf("implausibly few tasks: %d for %d leaves", st.Tasks, len(e.Tree.Leaves))
 	}
-	if len(st.PerWorker) != 4 {
-		t.Fatalf("want 4 worker rows, got %d", len(st.PerWorker))
-	}
-	var sum int64
-	for _, ws := range st.PerWorker {
-		sum += ws.Tasks
-	}
-	if sum != st.Tasks {
-		t.Fatalf("per-worker tasks %d != total %d", sum, st.Tasks)
+	if st.Steals != st.Stolen || st.Steals > st.Tasks {
+		t.Fatalf("Steals %d, Stolen %d for %d tasks", st.Steals, st.Stolen, st.Tasks)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"time"
 
 	"kifmm/internal/diag"
 	"kifmm/internal/kernel"
@@ -35,9 +36,9 @@ import (
 // The near-field bodies run on the batched kernel.Batch panel evaluator
 // over the plan-time streaming Layout: a leaf's sources and targets are
 // contiguous SoA panels, surfaces are filled from per-level offset grids
-// into per-worker scratch, and flops accumulate in per-worker counters
-// flushed once per phase — no per-pair dynamic dispatch, no per-leaf
-// allocation, no per-leaf profile locking.
+// into per-worker scratch, and task time and flops accumulate in the worker's
+// ledger, merged into Prof once per evaluation — no per-pair dynamic
+// dispatch, no per-leaf allocation, no per-task profile locking.
 type Engine struct {
 	Ops  *Operators
 	Tree *octree.Tree
@@ -215,37 +216,25 @@ func zero(v []float64) {
 	}
 }
 
-// Flop-accumulator indices of the per-worker scratch counters; flushFlops
-// maps them back to diag phase names.
-const (
-	fpUpward = iota
-	fpVList
-	fpXList
-	fpWList
-	fpDownward
-	fpUList
-	numFlopPhase
-)
-
-var flopPhaseName = [numFlopPhase]string{
-	diag.PhaseUpward, diag.PhaseVList, diag.PhaseXList,
-	diag.PhaseWList, diag.PhaseDownward, diag.PhaseUList,
-}
-
 // evalScratch is one worker's reusable evaluation state: surface coordinate
-// panels, check/equivalent temporaries, the FFT V-list accumulator, and the
-// per-phase flop counters. One scratch is owned by at most one worker at a
+// panels, check/equivalent temporaries, the FFT V-list accumulator, and its
+// phase ledger. One scratch is owned by at most one worker at a
 // time (sched.Graph guarantees worker indices are exclusive), so
 // the bodies run without locks and without per-octant allocation.
 type evalScratch struct {
-	chk        []float64    // CheckLen: check potentials / MulVec temporary
-	up         []float64    // UpwardLen: equivalent-density temporary
-	sx, sy, sz []float64    // NumSurf: surface coordinate panel
-	vgrid      []float64    // GridLen: real-grid scratch for the half-spectrum FFTs
-	vacc       []float64    // 8·AccLen: one frequency accumulator per sibling target
-	vsort      []uint64     // one sibling group's V interactions as vOrder<<41 | dirSlot<<32 | node, sorted
-	vops       []hadamardOp // one parent direction's Hadamard triples, in vOrder
-	flops      [numFlopPhase]int64
+	chk        []float64      // CheckLen: check potentials / MulVec temporary
+	up         []float64      // UpwardLen: equivalent-density temporary
+	sx, sy, sz []float64      // NumSurf: surface coordinate panel
+	vgrid      []float64      // GridLen: real-grid scratch for the half-spectrum FFTs
+	vacc       []float64      // 8·AccLen: one frequency accumulator per sibling target
+	vsort      []uint64       // one sibling group's V interactions as vOrder<<41 | dirSlot<<32 | node, sorted
+	vops       []hadamardOp   // one parent direction's Hadamard triples, in vOrder
+	rows       [numRows]tally // task time and flops per phase row, folded at graph end
+}
+
+// clock adds the time since t0 to row pi's tally: a task of the row ends.
+func (s *evalScratch) clock(pi int, t0 time.Time) {
+	s.rows[pi].ns += int64(time.Since(t0)) //fmm:allow nodeterm task timing feeds the ledger only; results never read it
 }
 
 // surf returns the scratch surface panel slices.
@@ -305,31 +294,6 @@ func (e *Engine) dagWorkers() int {
 	return e.Workers
 }
 
-// flushFlops moves the per-worker flop counters into the profile under a
-// single lock — the once-per-graph flush that replaces per-octant profile
-// locking. Counters are zeroed even without a profile so a later
-// SetProfile-style attach cannot observe stale counts.
-func (e *Engine) flushFlops() {
-	var tot [numFlopPhase]int64
-	for _, s := range e.scratch {
-		for i, n := range s.flops {
-			tot[i] += n
-			s.flops[i] = 0
-		}
-	}
-	if e.Prof == nil {
-		return
-	}
-	e.Prof.AddFlopsBatch(flopPhaseName[:], tot[:])
-}
-
-func (e *Engine) timed(phase string) func() {
-	if e.Prof == nil {
-		return func() {}
-	}
-	return e.Prof.Start(phase) //fmm:coldcall instrumentation; profiler timestamps never feed back into results
-}
-
 // s2uLeaf is the per-octant S2U body: writes e.U[i] from leaf i's points.
 // The leaf's sources are a contiguous SoA panel of the layout; the
 // upward-check surface is filled into worker scratch from the per-level
@@ -355,7 +319,7 @@ func (e *Engine) s2uLeaf(i int32, s *evalScratch) {
 	for x := range tmp {
 		u[x] += scale * tmp[x]
 	}
-	s.flops[fpUpward] += int64((hi-lo)*len(ux)*e.Ops.Kern.FlopsPerInteraction()) +
+	s.rows[pS2U].flops += int64((hi-lo)*len(ux)*e.Ops.Kern.FlopsPerInteraction()) +
 		2*int64(m.Rows*m.Cols)
 }
 
@@ -372,7 +336,7 @@ func (e *Engine) u2uNode(i int32, s *evalScratch) {
 		}
 		m := e.Ops.U2UOp(n.Key.Level(), ci)
 		m.MulVecAdd(e.U[i], e.U[cj])
-		s.flops[fpUpward] += 2 * int64(m.Rows*m.Cols)
+		s.rows[pU2U].flops += 2 * int64(m.Rows*m.Cols)
 	}
 }
 
@@ -394,7 +358,7 @@ func (e *Engine) vliDenseNode(i int32, s *evalScratch) {
 		for x := range tmp {
 			e.DChk[i][x] += scale * tmp[x]
 		}
-		s.flops[fpVList] += 2 * int64(m.Rows*m.Cols)
+		s.rows[pVLI].flops += 2 * int64(m.Rows*m.Cols)
 	}
 }
 
@@ -430,7 +394,7 @@ func (e *Engine) xliNode(i int32, s *evalScratch) {
 			e.Density[lo*sd:hi*sd], e.DChk[i], -1)
 		pairs += (hi - lo) * len(dx)
 	}
-	s.flops[fpXList] += int64(pairs * e.Ops.Kern.FlopsPerInteraction())
+	s.rows[pXLI].flops += int64(pairs * e.Ops.Kern.FlopsPerInteraction())
 }
 
 // downwardNode is the per-octant downward body: shifts the parent's
@@ -449,7 +413,7 @@ func (e *Engine) downwardNode(i int32, s *evalScratch) {
 		for x := range tmp {
 			e.DChk[i][x] += scale * tmp[x]
 		}
-		s.flops[fpDownward] += 2 * int64(m.Rows*m.Cols)
+		s.rows[pD2D].flops += 2 * int64(m.Rows*m.Cols)
 	}
 	pm, pscale := e.Ops.DC2DEOp(n.Key.Level())
 	tmp2 := s.up
@@ -458,7 +422,7 @@ func (e *Engine) downwardNode(i int32, s *evalScratch) {
 	for x := range tmp2 {
 		d[x] += pscale * tmp2[x]
 	}
-	s.flops[fpDownward] += 2 * int64(pm.Rows*pm.Cols)
+	s.rows[pD2D].flops += 2 * int64(pm.Rows*pm.Cols)
 }
 
 // wliLeaf is the per-leaf W-list body: accumulates W sources'
@@ -485,7 +449,7 @@ func (e *Engine) wliLeaf(i int32, s *evalScratch) {
 		e.bk.EvalPanel(tx, ty, tz, ux, uy, uz, e.U[a], out, -1)
 		pairs += (hi - lo) * len(ux)
 	}
-	s.flops[fpWList] += int64(pairs * e.Ops.Kern.FlopsPerInteraction())
+	s.rows[pWLI].flops += int64(pairs * e.Ops.Kern.FlopsPerInteraction())
 }
 
 // d2tLeaf is the per-leaf D2T body: adds leaf i's own downward field to its
@@ -503,7 +467,7 @@ func (e *Engine) d2tLeaf(i int32, s *evalScratch) {
 	lo, hi := int(n.PtLo), int(n.PtHi)
 	e.bk.EvalPanel(L.PX[lo:hi], L.PY[lo:hi], L.PZ[lo:hi], dx, dy, dz,
 		e.D[i], e.Potential[lo*td:hi*td], -1)
-	s.flops[fpDownward] += int64((hi - lo) * len(dx) * e.Ops.Kern.FlopsPerInteraction())
+	s.rows[pD2T].flops += int64((hi - lo) * len(dx) * e.Ops.Kern.FlopsPerInteraction())
 }
 
 // uliLeaf is the per-leaf U-list body: the exact direct sum into leaf i's
@@ -558,7 +522,7 @@ func (e *Engine) uliLeaf(i int32, s *evalScratch) {
 				e.Density[slo*sd:shi*sd], out, selfOff)
 		}
 	}
-	s.flops[fpUList] += int64(pairs * e.Ops.Kern.FlopsPerInteraction())
+	s.rows[pULI].flops += int64(pairs * e.Ops.Kern.FlopsPerInteraction())
 }
 
 // Evaluate runs the full FMM — upward pass, translations, downward pass and

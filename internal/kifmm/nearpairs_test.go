@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"kifmm/internal/dtree"
 	"kifmm/internal/geom"
@@ -243,6 +244,10 @@ func TestULIFailedRowReclaims(t *testing.T) {
 					panic("stop the row")
 				}
 				cancel()
+				// The scheduler learns of the cancellation on a goroutine
+				// of its own (context.AfterFunc); on a loaded machine the
+				// row could finish first. Give it the time to land.
+				time.Sleep(100 * time.Millisecond)
 			}
 		}
 		_, err := e.Run(ctx, nil, nil)

@@ -1,5 +1,7 @@
 package kifmm
 
+import "kifmm/internal/sched"
+
 // oracle is the reference the task graph is tested against: the phase table
 // walked as a plain sequential loop — row by row, and within a row run by
 // run (level by level for the levelwise rows) in work order, the U row in its
@@ -26,7 +28,9 @@ func (e *Engine) oracle() {
 			}
 		}
 	}
-	e.flushFlops()
+	var l ledger
+	l.fold(e.scratch, sched.Stats{})
+	e.merge(&l)
 }
 
 // oracleVFFT is the oracle's FFT V-list over one level's targets (in node

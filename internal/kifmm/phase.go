@@ -2,8 +2,10 @@ package kifmm
 
 import (
 	"slices"
+	"time"
 
 	"kifmm/internal/diag"
+	"kifmm/internal/sched"
 )
 
 // octantSet names the octants a phase walks and, for the levelwise ones, the
@@ -42,12 +44,13 @@ const (
 	pWLI
 	pD2T
 	pULI
+	numRows
 )
 
 // phases lists the operators in Algorithm 1's order, which is also the order
 // in which an octant's accumulators (DChk: V, X, D2D; Potential: W, D2T, U)
 // receive their contributions.
-var phases = [...]phase{
+var phases = [numRows]phase{
 	pS2U: {name: "S2U", diag: diag.PhaseUpward, over: overLeaves, body: (*Engine).s2uLeaf,
 		has: func(e *Engine, i int32) bool {
 			n := &e.Tree.Nodes[i]
@@ -120,6 +123,58 @@ func (e *Engine) work(p *phase) [][]int32 {
 		slices.Reverse(runs)
 	}
 	return runs
+}
+
+// tally is one row's accounting: the time of the tasks that ran it and the
+// flops its bodies counted.
+type tally struct{ ns, flops int64 }
+
+// ledger is one evaluation's accounting. Each worker's scratch carries a
+// table of tallies, one per row, that its tasks write without locks; at graph
+// end fold sums the tables into a ledger and zeroes them, and merge hands the
+// ledger to the profile under its one lock.
+type ledger struct {
+	rows   [numRows]tally
+	sched  sched.Stats
+	graphs int64
+	total  time.Duration // diag.PhaseTotalEval: Run's wall time
+}
+
+// fold adds one graph to l: its scheduler stats and every worker's table,
+// which it zeroes for the next graph.
+func (l *ledger) fold(scratch []*evalScratch, st sched.Stats) {
+	for _, s := range scratch {
+		for pi, r := range s.rows {
+			l.rows[pi].ns += r.ns
+			l.rows[pi].flops += r.flops
+		}
+		s.rows = [numRows]tally{}
+	}
+	l.sched.Add(st)
+	l.graphs++
+}
+
+// merge adds l to e.Prof, if set, under one lock: Total eval (zero outside
+// Run), the scheduler's idle time and counters, and every row a task touched
+// under its diag phase (S2U and U2U sum into Upward, D2D and D2T into
+// Downward). Rows nothing touched stay absent from the profile.
+func (e *Engine) merge(l *ledger) {
+	if e.Prof == nil {
+		return
+	}
+	names := [numRows + 2]string{diag.PhaseTotalEval, diag.PhaseSchedIdle}
+	times := [numRows + 2]time.Duration{l.total, l.sched.Idle}
+	var flops [numRows + 2]int64
+	k := 2
+	for pi, r := range l.rows {
+		if r != (tally{}) {
+			names[k], times[k], flops[k] = phases[pi].diag, time.Duration(r.ns), r.flops
+			k++
+		}
+	}
+	e.Prof.Merge(names[:k], times[:k], flops[:k],
+		[]string{diag.CounterSchedGraphs, diag.CounterSchedTasks, diag.CounterSchedSteals},
+		[]int64{l.graphs, l.sched.Tasks, l.sched.Steals})
 }
 
 // The exported phase methods run one row of the table as a task graph of its

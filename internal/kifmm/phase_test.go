@@ -122,7 +122,7 @@ func TestPhaseTable(t *testing.T) {
 							}
 						}
 						bitIdentical(t, fmt.Sprintf("graph w%d vs oracle", workers), g.Potential, oracle.Potential)
-						for _, name := range flopPhaseName {
+						for _, name := range []string{diag.PhaseUpward, diag.PhaseVList, diag.PhaseXList, diag.PhaseWList, diag.PhaseDownward, diag.PhaseUList} {
 							if o, gf := oracle.Prof.Flops(name), g.Prof.Flops(name); o != gf {
 								t.Errorf("%s flops: oracle %d, graph w%d %d", name, o, workers, gf)
 							}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"kifmm/internal/diag"
 	"kifmm/internal/octree"
@@ -50,15 +51,16 @@ func (s EngineSpec) NewEngine(tree *octree.Tree, layout *Layout) *Engine {
 	return e
 }
 
-// Run is the one evaluation entry: it times diag.PhaseTotalEval once, runs
-// the phase table as task graphs and records the scheduler counters into
-// Prof. Without an exchange step that is one graph of all eight rows. A rank
-// of a distributed evaluation passes exchange — its communication between the
-// upward pass and the translations — and runs a graph of S2U and U2U, then
-// exchange, then a graph of the other six rows; the returned stats sum the
-// two graphs and a trace records both. An error — a panicking body, or ctx
-// done mid-graph (the error wraps ctx.Err()) — leaves the engine's state
-// partial: drop the engine.
+// Run is the one evaluation entry: it runs the phase table as task graphs,
+// times diag.PhaseTotalEval once, and merges the graphs' ledger — row times
+// and flops, scheduler counters, Total eval — into Prof under one lock, a
+// failed evaluation's included. Without an exchange step that is one graph
+// of all eight rows. A rank of a distributed evaluation passes exchange —
+// its communication between the upward pass and the translations — and runs
+// a graph of S2U and U2U, then exchange, then a graph of the other six rows;
+// the returned stats sum the two graphs and a trace records both. An error —
+// a panicking body, or ctx done mid-graph (the error wraps ctx.Err()) —
+// leaves the engine's state partial: drop the engine.
 //
 // Two kinds of work never see a request's context. exchange is a collective
 // across ranks: a rank that stopped between its graphs would skip it and
@@ -68,28 +70,23 @@ func (s EngineSpec) NewEngine(tree *octree.Tree, layout *Layout) *Engine {
 // shared singleflight builds that other requests wait on, so they run under
 // context.Background() whatever the caller's context.
 func (e *Engine) Run(ctx context.Context, exchange func(), trace *sched.Trace) (sched.Stats, error) {
-	defer e.timed(diag.PhaseTotalEval)()
-	split, graphs := len(phases), int64(1)
+	t0 := time.Now() //fmm:allow nodeterm Total eval feeds the ledger only; results never read it
+	var l ledger
+	split := len(phases)
 	if exchange != nil {
-		split, graphs = pVLI, 2
+		split = pVLI
 	}
-	stats, err := e.runRows(ctx, 0, split, trace)
+	err := e.runRows(ctx, 0, split, trace, &l)
 	if err == nil && exchange != nil {
 		exchange()
-		var rest sched.Stats
-		rest, err = e.runRows(ctx, split, len(phases), trace)
-		stats.Add(rest)
+		err = e.runRows(ctx, split, len(phases), trace, &l)
 	}
+	l.total = time.Since(t0) //fmm:allow nodeterm Total eval feeds the ledger only; results never read it
+	e.merge(&l)
 	if err != nil {
-		return stats, fmt.Errorf("task-graph evaluation: %w", err)
+		return l.sched, fmt.Errorf("task-graph evaluation: %w", err)
 	}
-	if prof := e.Prof; prof != nil {
-		prof.AddCounter(diag.CounterSchedGraphs, graphs)
-		prof.AddCounter(diag.CounterSchedTasks, stats.Tasks)
-		prof.AddCounter(diag.CounterSchedSteals, stats.Steals)
-		prof.AddTime(diag.PhaseSchedIdle, stats.Idle)
-	}
-	return stats, nil
+	return l.sched, nil
 }
 
 // maxPooled caps a pool's free list; engines beyond the cap are dropped

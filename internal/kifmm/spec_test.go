@@ -19,8 +19,8 @@ import (
 // and with one a graph of the upward pass, the exchange (once, after every U
 // is final and before any potential is written), then a graph of the other
 // rows. A trace is accepted either way and records the graphs' tasks. Every row
-// times PhaseTotalEval once, counts the graphs it ran and yields the same
-// bits.
+// times PhaseTotalEval once, counts the graphs it ran, sums its phase rows'
+// task times within Workers × Total eval and yields the same bits.
 func TestRunSelectsDriver(t *testing.T) {
 	pts := geom.Generate(geom.Ellipsoid, 900, 42)
 	tr := octree.Build(pts, 12, 20)
@@ -83,8 +83,18 @@ func TestRunSelectsDriver(t *testing.T) {
 				}
 				// One timer is at most the wall time around Run; a second,
 				// nested one would add up to nearly twice it.
-				if tot := e.Prof.Time(diag.PhaseTotalEval); tot <= 0 || tot > wall {
+				tot := e.Prof.Time(diag.PhaseTotalEval)
+				if tot <= 0 || tot > wall {
 					t.Errorf("%s: PhaseTotalEval %v for a %v run", name, tot, wall)
+				}
+				// The ledger: row times are task times summed across the
+				// workers, so they fit in Workers × Total eval.
+				var rows time.Duration
+				for _, ph := range []string{diag.PhaseUpward, diag.PhaseVList, diag.PhaseXList, diag.PhaseDownward, diag.PhaseWList, diag.PhaseUList} {
+					rows += e.Prof.Time(ph)
+				}
+				if rows <= 0 || rows > time.Duration(workers)*tot {
+					t.Errorf("%s: row times sum to %v, Total eval %v at %d workers", name, rows, tot, workers)
 				}
 				if want == nil {
 					want = e.PointPotentials()

@@ -2,11 +2,11 @@
 
 package linalg
 
-// UseAVX2 and UseAVX512 are false on builds without the vector kernels.
-const (
-	UseAVX2   = false
-	UseAVX512 = false
-)
+// UseAVX2 and UseAVX512 are false on builds without the vector kernels;
+// UseAVX512 is a variable, as on amd64, so the probe can clear it anywhere.
+const UseAVX2 = false
+
+var UseAVX512 = false
 
 // packedVec is the vector kernel's stand-in: it covers no rows, so Packed's
 // Go loop does all the work.

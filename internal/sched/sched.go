@@ -74,7 +74,7 @@ func (g *Graph) Len() int { return len(g.tasks) }
 // (use a small set of static strings; per-task identity is the ID). fn
 // receives the index of the worker that runs it (in [0, workers) for the
 // clamped worker count of Run), which bodies use to address per-worker
-// scratch state — reusable buffers and local counters flushed after the run —
+// scratch state — reusable buffers and local counters folded after the run —
 // without locks or allocation; it may be nil for pure synchronization points.
 func (g *Graph) Add(name string, fn func(worker int)) TaskID {
 	if g.started {
@@ -116,51 +116,29 @@ func (g *Graph) grow(s []TaskID) []TaskID {
 	return append(g.slab[lo:lo:lo+n], s...)
 }
 
-// WorkerStats is one worker's execution counters.
-type WorkerStats struct {
-	// Tasks is the number of task bodies this worker ran.
-	Tasks int64
-	// Steals counts handoffs: tasks this worker ran that another worker
-	// released (a task seeded at Run has no releasing worker). Stolen
-	// always equals Steals; it stays for readers of the older field.
-	Steals int64
-	Stolen int64
-	// Idle is time spent parked on an empty stack.
-	Idle time.Duration
-}
-
-// Stats aggregates a Run.
+// Stats aggregates a Run; the runner keeps one per worker while it runs and
+// returns their sum.
 type Stats struct {
 	// Tasks is the number of tasks executed (== graph size on success).
 	Tasks int64
-	// Steals and Stolen sum the per-worker counters.
+	// Steals counts handoffs: tasks run by a worker other than the one that
+	// released them (a task seeded at Run has no releasing worker). Stolen
+	// always equals Steals; it stays for readers of the older field.
 	Steals int64
 	Stolen int64
-	// Idle sums per-worker idle time.
+	// Idle sums per-worker time parked on an empty stack.
 	Idle time.Duration
 	// Wall is the elapsed time of Run.
 	Wall time.Duration
-	// PerWorker has one entry per worker.
-	PerWorker []WorkerStats
 }
 
-// Add accumulates another Run's counters into s, worker by worker.
+// Add accumulates another Run's counters into s.
 func (s *Stats) Add(o Stats) {
 	s.Tasks += o.Tasks
 	s.Steals += o.Steals
 	s.Stolen += o.Stolen
 	s.Idle += o.Idle
 	s.Wall += o.Wall
-	for len(s.PerWorker) < len(o.PerWorker) {
-		s.PerWorker = append(s.PerWorker, WorkerStats{})
-	}
-	for w, ws := range o.PerWorker {
-		p := &s.PerWorker[w]
-		p.Tasks += ws.Tasks
-		p.Steals += ws.Steals
-		p.Stolen += ws.Stolen
-		p.Idle += ws.Idle
-	}
 }
 
 // Options configures one Run.
@@ -201,7 +179,7 @@ type runner struct {
 	failOne sync.Once
 	err     error
 
-	stats []WorkerStats
+	stats []Stats // one per worker
 }
 
 // Run executes the graph and blocks until every task has completed, a task
@@ -230,7 +208,7 @@ func (g *Graph) Run(ctx context.Context, opt Options) (Stats, error) {
 		g:     g,
 		trace: opt.Trace,
 		total: int64(len(g.tasks)),
-		stats: make([]WorkerStats, workers),
+		stats: make([]Stats, workers),
 	}
 	r.cond = sync.NewCond(&r.mu)
 	if ctx.Done() != nil {
@@ -272,12 +250,8 @@ func (g *Graph) Run(ctx context.Context, opt Options) (Stats, error) {
 	wg.Wait()
 
 	var st Stats
-	st.PerWorker = r.stats
 	for _, ws := range r.stats {
-		st.Tasks += ws.Tasks
-		st.Steals += ws.Steals
-		st.Stolen += ws.Stolen
-		st.Idle += ws.Idle
+		st.Add(ws)
 	}
 	st.Wall = time.Since(t0) //fmm:allow nodeterm wall-clock is reported in Stats only; task results never read it
 	if r.trace != nil {

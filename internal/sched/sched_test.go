@@ -300,9 +300,8 @@ func TestTraceJSON(t *testing.T) {
 
 // TestHandoffsCounted drives a wide fan-out (one root releasing 2000
 // tasks) and checks the handoff accounting: Steals counts tasks run by a
-// worker other than the one that released them, so it equals Stolen and the
-// per-worker sum and cannot exceed the task count; one worker hands off
-// nothing.
+// worker other than the one that released them, so it equals Stolen and
+// cannot exceed the task count; one worker hands off nothing.
 func TestHandoffsCounted(t *testing.T) {
 	for _, workers := range []int{4, 1} {
 		g := NewGraph()
@@ -326,18 +325,8 @@ func TestHandoffsCounted(t *testing.T) {
 		if cnt.Load() != 2000 {
 			t.Fatalf("workers=%d: ran %d fan tasks", workers, cnt.Load())
 		}
-		if len(st.PerWorker) != workers {
-			t.Fatalf("want %d worker stat rows, got %d", workers, len(st.PerWorker))
-		}
-		var sum int64
-		for _, ws := range st.PerWorker {
-			sum += ws.Steals
-			if ws.Stolen != ws.Steals {
-				t.Fatalf("workers=%d: worker stats %+v: Stolen != Steals", workers, ws)
-			}
-		}
-		if st.Steals != st.Stolen || st.Steals != sum || st.Steals > st.Tasks {
-			t.Fatalf("workers=%d: Steals %d, Stolen %d, per-worker sum %d, Tasks %d", workers, st.Steals, st.Stolen, sum, st.Tasks)
+		if st.Steals != st.Stolen || st.Steals > st.Tasks {
+			t.Fatalf("workers=%d: Steals %d, Stolen %d, Tasks %d", workers, st.Steals, st.Stolen, st.Tasks)
 		}
 		if workers == 1 && st.Steals != 0 {
 			t.Fatalf("one worker handed off %d tasks", st.Steals)
@@ -349,7 +338,7 @@ func TestHandoffsCounted(t *testing.T) {
 // TestWorkerIndexExclusive is the scheduler's lock-free scratch contract: a
 // task's worker index is in [0, workers) and held by at most one goroutine
 // at a time, so per-worker state indexed by it (the engine's evaluation
-// scratch, its flop counters) needs no synchronization.
+// scratch, its phase ledger) needs no synchronization.
 // The bodies increment plain (non-atomic) per-worker counters — under -race
 // (make sched-stress runs this package -race -count=5) any violation of the
 // exclusivity contract is a reported data race, not a flaky count.

@@ -244,8 +244,9 @@ func TestHealthzAndMetrics(t *testing.T) {
 		t.Fatalf("health = %+v", h)
 	}
 
-	// One evaluation so phase timings exist.
-	pts, den := testPoints(100, 4)
+	// One evaluation, on a tree deep enough for V lists, so every phase the
+	// ledger folds exists.
+	pts, den := testPoints(1000, 4)
 	if code, raw := postJSON(t, ts.Client(), ts.URL+"/v1/evaluate",
 		EvaluateRequest{Points: pts, Options: fastOpts(), Densities: den}, nil); code != http.StatusOK {
 		t.Fatalf("evaluate: %d %s", code, raw)
@@ -272,6 +273,14 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`kifmm_phase_seconds_total{phase="PlanBuild"}`,
 		`kifmm_phase_seconds_total{phase="Apply"}`,
 		`kifmm_phase_seconds_total{phase="U-list"}`,
+		`kifmm_phase_seconds_total{phase="Sched idle"}`,
+		`kifmm_phase_flops_total{phase="Upward"}`,
+		`kifmm_phase_flops_total{phase="V-list"}`,
+		`kifmm_phase_flops_total{phase="Downward"}`,
+		`kifmm_phase_flops_total{phase="U-list"}`,
+		"kifmm_sched_graphs_total 1\n",
+		"kifmm_sched_tasks_total ",
+		"kifmm_sched_steals_total 0\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)

@@ -11,6 +11,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"kifmm/internal/linalg"
 )
 
 // TestProbe is the house-rule potentials probe every deletion PR runs at its
@@ -21,13 +23,15 @@ import (
 //
 //	KIFMM_PROBE=probe.txt go test -run TestProbe -timeout 30m .   (make probe)
 //
-// Gated behind an env var: it is a fingerprint to diff, and a check of one
-// thing — every configuration is evaluated twice in the process, and the two
-// must hash alike. Go re-randomises map iteration order on every range, so a
-// map-ordered effect anywhere on a configuration's path fails the probe. The
-// session history ends with a round that refines the tree around a cluster
-// of added points and one that removes them again; every session round must
-// also hash like a fresh Plan.Apply of the session's points.
+// Gated behind an env var: it is a fingerprint to diff, and a check of two
+// things. Every configuration is evaluated twice in the process, and the two
+// must hash alike: Go re-randomises map iteration order on every range, so a
+// map-ordered effect anywhere on a configuration's path fails the probe. And
+// every FFT apply configuration is evaluated once more with
+// linalg.UseAVX512 off, and must hash alike too. The session history ends
+// with a round that refines the tree around a cluster of added points and one
+// that removes them again; every session round must also hash like a fresh
+// Plan.Apply of the session's points.
 //
 // Hashes cannot tell a 1e-10 reassociation from garbage, so a PR that changes
 // an accumulation order on purpose also measures: KIFMM_PROBE_DUMP=<file>
@@ -130,8 +134,24 @@ func TestProbe(t *testing.T) {
 			for _, dense := range []bool{false, true} {
 				opt := base
 				opt.Workers, opt.denseM2L = workers, dense
-				record(one(func() ([]float64, error) { return planApply(opt, pts, den) }),
-					fmt.Sprintf("%s/apply/workers%d/dense=%v", kern, workers, dense))
+				name := fmt.Sprintf("%s/apply/workers%d/dense=%v", kern, workers, dense)
+				record(one(func() ([]float64, error) { return planApply(opt, pts, den) }), name)
+				if dense {
+					continue
+				}
+				// The FFT V-list once more with the AVX-512 Hadamard body off:
+				// the AVX2 body (or, without it, the Go loop) must give the
+				// same bits, so every body has an end-to-end witness.
+				avx512 := linalg.UseAVX512
+				linalg.UseAVX512 = false
+				pot, err := planApply(opt, pts, den)
+				linalg.UseAVX512 = avx512
+				if err != nil {
+					t.Fatalf("%s (AVX-512 off): %v", name, err)
+				}
+				if _, sum := hash(pot); fmt.Sprintf("%s %x", name, sum) != lines[len(lines)-1] {
+					t.Errorf("%s: hashes differently with the AVX-512 Hadamard body off", name)
+				}
 			}
 		}
 		for _, ranks := range []int{2, 3, 4} {

@@ -227,8 +227,9 @@ run_fmmvet
 expect_failure "GOMAXPROCS branch in deterministic scope" "runtime.GOMAXPROCS in deterministic scope"
 
 # --- 7. per-octant profile call in a hot body -------------------------------
-# The S2U body counts flops in per-worker scratch, flushed once per phase; a
-# per-octant AddFlops takes the profile lock once per leaf instead.
+# The S2U body counts flops in its worker's phase ledger, merged into the
+# profile once per evaluation with Profile.Merge; the body can still reach
+# e.Prof, and a per-octant AddFlops takes the profile lock once per leaf.
 fresh_copy
 F="$SCRATCH/repo/internal/kifmm/engine.go"
 ANCHOR='	m, scale := e.Ops.S2UOp(n.Key.Level())'
