@@ -130,7 +130,7 @@ bench-check:
 # queued, mid-step, and mid-Apply under load.
 sched-stress:
 	$(GO) test -race -count=5 ./internal/sched/... ./internal/par/...
-	$(GO) test -race -count=2 -run '^(TestEvaluateDAGBitIdentical|TestEvaluateDAGRepeatable|TestULIPairsMatchOneWay)$$' ./internal/kifmm/
+	$(GO) test -race -count=2 -run '^(TestEvaluateDAGBitIdentical|TestEvaluateDAGRepeatable|TestULIPairsMatchOneWay|TestWXPairsMatchOneWay)$$' ./internal/kifmm/
 	$(GO) test -race -count=3 -run '^TestProfileSharedByConcurrentApplies$$' .
 	$(GO) test -race -count=3 -run '^(TestExpiredWhileQueued|TestStepCancelledLeavesSession|TestDeadlineFreesWorker)$$' ./internal/service/
 

@@ -117,9 +117,10 @@ func pairAgree(c pairCase) error {
 
 // TestEvalPairBitIdentical pins every EvalPair body of every kernel to the two
 // EvalPanel calls it replaces, bit for bit: panel lengths around the
-// four-lane body and up to a large leaf's, coincident points across the two
-// panels, NaN/±Inf/±0/denormal coordinates and densities (the nanZero path),
-// and coordinates scaled until r² overflows or underflows.
+// four-lane body and up to a large leaf's, a surface's against a leaf's,
+// coincident points across the two panels, NaN/±Inf/±0/denormal coordinates
+// and densities (the nanZero path), and coordinates scaled until r² overflows
+// or underflows.
 func TestEvalPairBitIdentical(t *testing.T) {
 	lengths := []int{0, 1, 3, 4, 5, 50, 195, 400}
 	seed := int64(0)
@@ -138,6 +139,21 @@ func TestEvalPairBitIdentical(t *testing.T) {
 						pairCase{kern: kern, na: na, nb: nb, planted: 2, scale: 1000, special: true, seed: seed})
 				}
 				for _, c := range cases {
+					if err := pairAgree(c); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		// W ⟷ X's shapes: an a-panel of a surface's NumSurf points (orders 4,
+		// 6 and 8) against a leaf's b-panel.
+		for _, na := range []int{56, 152, 296} {
+			for _, nb := range []int{1, 5, 50} {
+				seed++
+				for _, c := range []pairCase{
+					{kern: kern, na: na, nb: nb, planted: 1, seed: seed},
+					{kern: kern, na: na, nb: nb, special: true, seed: seed},
+				} {
 					if err := pairAgree(c); err != nil {
 						t.Fatal(err)
 					}

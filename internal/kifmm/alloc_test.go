@@ -136,7 +136,8 @@ func TestULIRowAllocs(t *testing.T) {
 		e.SetPointDensities(randDensities(rand.New(rand.NewSource(5)), len(pts), kern.SrcDim()))
 		s := e.ensureScratch(1)[0]
 		row := func() {
-			for _, i := range e.nearPairs().order {
+			e.pairRows(pULI, pULI+1) // every buffer free
+			for _, i := range e.near.order {
 				e.uliLeaf(i, s)
 			}
 		}

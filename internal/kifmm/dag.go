@@ -30,9 +30,12 @@ import (
 //	V(i)     [dense mode]             — after U of every source in i's V list
 //	Vfft(group) [FFT mode]            — after spec of every source in the V
 //	                                    lists of the group's siblings
-//	X(i)                              — after V(i) / Vfft(group of i)  (DChk write order)
+//	X(i)                              — after V(i) / Vfft(group of i)  (DChk write order),
+//	                                    and after U(i) where W ⟷ X is paired (wxPairs)
 //	D2D(i)                            — after D2D(parent), X(i)/V
-//	W(leaf)                           — after U of every source in the W list
+//	W(leaf)                           — after U of every source in the W list, and
+//	                                    after X of every source that serves one of
+//	                                    its entries (wxPairs)
 //	D2T(leaf)                         — after D2D(leaf), W(leaf)  (potential write order)
 //	U(leaf)                           — after D2T(leaf)/W(leaf)   (potential write order),
 //	                                    and after U of every earlier leaf that
@@ -97,10 +100,8 @@ func (e *Engine) buildDAG(lo, hi int) *sched.Graph {
 	}
 	u, v, x, d, w, d2t := task[pS2U], task[pVLI], task[pXLI], task[pD2D], task[pWLI], task[pD2T]
 
-	var near *nearPairs // the U row's pairing, every buffer free
-	if lo <= pULI && pULI < hi {
-		near = e.nearPairs()
-	}
+	e.pairRows(lo, hi)
+	near := e.near // the U row's pairing, when the graph holds the row
 
 	dep := func(pred, succ sched.TaskID) {
 		if pred != sched.NoTask {
@@ -121,16 +122,23 @@ func (e *Engine) buildDAG(lo, hi int) *sched.Graph {
 			for _, a := range n.V {
 				dep(u[a], id)
 			}
-		case pXLI: // reads source points only; DChk accumulation order
+		case pXLI: // DChk accumulation order; U[i] when it serves W ⟷ X
 			dep(v[i], id)
+			if e.pairWX {
+				dep(u[i], id)
+			}
 		case pD2D: // the octant's last DChk contribution, and its parent
 			dep(firstTask(x[i], v[i]), id)
 			if n.Parent != octree.NoNode {
 				dep(d[n.Parent], id)
 			}
-		case pWLI:
-			for _, a := range n.W {
+		case pWLI: // and X of every source that serves one of its entries
+			served := e.wxServed(i)
+			for k, a := range n.W {
 				dep(u[a], id)
+				if served != nil && served[k] >= 0 {
+					dep(x[a], id)
+				}
 			}
 		case pD2T: // Potential accumulation order: W, D2T, U
 			dep(d[i], id)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"kifmm/internal/diag"
@@ -85,8 +86,13 @@ type Engine struct {
 	// den32 is the reused single-precision density buffer of Den32.
 	den32 []float32
 	// near is the U row's pairing of mutual leaves (nearPairs), built on the
-	// row's first run.
-	near *nearPairs
+	// row's first run; wx is W ⟷ X's (wxPairs), built on the first graph that
+	// pairs it; store holds both routes' parked partials. pairWX reports
+	// whether the graph being run pairs W ⟷ X (pairRows).
+	near   *nearPairs
+	wx     *wxPairs
+	store  *partStore
+	pairWX bool
 }
 
 // NewEngine allocates evaluation state for the tree, building a private
@@ -137,7 +143,7 @@ func (e *Engine) trgNode(i int32) bool { return e.TrgSub == nil || e.TrgSub[i] }
 // sources: SrcSub/TrgSub are derived bottom-up from the per-leaf point
 // roles. nLead <= 0 restores the symmetric state (every point both roles).
 func (e *Engine) SetSplitRoles(nLead int) {
-	e.near = nil // the pairing follows the masks
+	e.near, e.wx, e.store = nil, nil, nil // the pairings follow the masks
 	if nLead <= 0 {
 		e.SrcSub, e.TrgSub = nil, nil
 		return
@@ -372,15 +378,18 @@ func dirBetween(src, trg morton.Key) (int, int, int) {
 }
 
 // xliNode is the per-octant X-list body: accumulates X-list source points
-// into e.DChk[i]. Must run after node i's V-list contributions (the task
-// graph chains the two tasks per octant).
+// into e.DChk[i], in list order. Where W ⟷ X is paired (wxPairs), an entry a
+// whose W(a) names i is served both ways: EvalPair adds into e.DChk[i] now
+// and parks leaf a's W partial, from U[i] on the same surface, for W(a).
+// Must run after node i's V-list contributions (the task graph chains the
+// two tasks per octant) and, when paired, after node i's upward pass.
 //
 //fmm:hotpath
 func (e *Engine) xliNode(i int32, s *evalScratch) {
 	t := e.Tree
 	n := &t.Nodes[i]
 	L := e.Layout
-	sd := e.Ops.Kern.SrcDim()
+	sd, td := e.Ops.Kern.SrcDim(), e.Ops.Kern.TrgDim()
 	dx, dy, dz := s.surf()
 	L.InnerSurf(i, dx, dy, dz)
 	var pairs int
@@ -390,9 +399,18 @@ func (e *Engine) xliNode(i int32, s *evalScratch) {
 		}
 		an := &t.Nodes[a]
 		lo, hi := int(an.PtLo), int(an.PtHi)
+		pairs += (hi - lo) * len(dx)
+		if served := e.wxServed(a); served != nil {
+			if k := slices.Index(t.Nodes[a].W, i); k >= 0 && served[k] >= 0 {
+				slot, part := e.store.park((hi - lo) * td)
+				e.bk.EvalPair(dx, dy, dz, L.PX[lo:hi], L.PY[lo:hi], L.PZ[lo:hi],
+					e.U[i], e.Density[lo*sd:hi*sd], e.DChk[i], part)
+				served[k] = slot
+				continue
+			}
+		}
 		e.bk.EvalPanel(dx, dy, dz, L.PX[lo:hi], L.PY[lo:hi], L.PZ[lo:hi],
 			e.Density[lo*sd:hi*sd], e.DChk[i], -1)
-		pairs += (hi - lo) * len(dx)
 	}
 	s.rows[pXLI].flops += int64(pairs * e.Ops.Kern.FlopsPerInteraction())
 }
@@ -426,9 +444,11 @@ func (e *Engine) downwardNode(i int32, s *evalScratch) {
 }
 
 // wliLeaf is the per-leaf W-list body: accumulates W sources'
-// upward-equivalent fields into leaf i's potentials. Each W source's
-// upward-equivalent surface is filled into worker scratch and evaluated as
-// one source panel against the leaf's target panel.
+// upward-equivalent fields into leaf i's potentials, in list order. Each W
+// source's upward-equivalent surface is filled into worker scratch and
+// evaluated as one source panel against the leaf's target panel — or, where
+// X(a) served the entry (wxPairs), the partial it parked is added. Must run
+// after the X task of every source that serves one of its entries.
 //
 //fmm:hotpath
 func (e *Engine) wliLeaf(i int32, s *evalScratch) {
@@ -440,14 +460,22 @@ func (e *Engine) wliLeaf(i int32, s *evalScratch) {
 	tx, ty, tz := L.PX[lo:hi], L.PY[lo:hi], L.PZ[lo:hi]
 	out := e.Potential[lo*td : hi*td]
 	ux, uy, uz := s.surf()
+	served := e.wxServed(i)
 	var pairs int
-	for _, a := range n.W {
+	for k, a := range n.W {
 		if !e.srcNode(a) {
+			continue
+		}
+		pairs += (hi - lo) * len(ux)
+		if served != nil && served[k] >= 0 {
+			for x, v := range e.store.parked(served[k], len(out)) {
+				out[x] += v
+			}
+			e.store.release(served[k])
 			continue
 		}
 		L.InnerSurf(a, ux, uy, uz)
 		e.bk.EvalPanel(tx, ty, tz, ux, uy, uz, e.U[a], out, -1)
-		pairs += (hi - lo) * len(ux)
 	}
 	s.rows[pWLI].flops += int64(pairs * e.Ops.Kern.FlopsPerInteraction())
 }
@@ -503,15 +531,15 @@ func (e *Engine) uliLeaf(i int32, s *evalScratch) {
 		pairs += (hi - lo) * (shi - slo)
 		switch {
 		case np.serves(i, a):
-			slot, part := np.park((shi - slo) * td)
+			slot, part := e.store.park((shi - slo) * td)
 			e.bk.EvalPair(tx, ty, tz, L.PX[slo:shi], L.PY[slo:shi], L.PZ[slo:shi],
 				den, e.Density[slo*sd:shi*sd], out, part)
 			np.post(a, i, slot)
 		case np.serves(a, i):
-			for x, v := range np.parked(inbox[0], len(out)) {
+			for x, v := range e.store.parked(inbox[0], len(out)) {
 				out[x] += v
 			}
-			np.release(inbox[0])
+			e.store.release(inbox[0])
 			inbox = inbox[1:]
 		default:
 			selfOff := -1

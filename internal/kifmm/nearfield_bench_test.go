@@ -1,6 +1,7 @@
 package kifmm
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -100,6 +101,32 @@ func BenchmarkNearFieldWLI(b *testing.B) {
 				wliLeafPairwise(e, t.Leaves[li])
 			})
 		})
+}
+
+// BenchmarkNearFieldWX runs rows X, D2D and W as one task graph, as an
+// evaluation does, with W ⟷ X paired (one EvalPair per served entry) and one
+// way (sharedPair false: an EvalPanel per direction).
+func BenchmarkNearFieldWX(b *testing.B) {
+	shared := sharedPair
+	defer func() { sharedPair = shared }()
+	for _, bk := range benchKernels {
+		e := nearFieldEngine(b, bk.kern)
+		for _, mode := range []struct {
+			name   string
+			shared func(kernel.Batch) bool
+		}{{"pair", shared}, {"oneway", func(kernel.Batch) bool { return false }}} {
+			b.Run(bk.name+"/"+mode.name, func(b *testing.B) {
+				sharedPair = mode.shared
+				b.ReportAllocs()
+				for k := 0; k < b.N; k++ {
+					var l ledger
+					if err := e.runRows(context.Background(), pXLI, pWLI+1, nil, &l); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }
 
 // centerRad recomputes a node's center and half-side from its Morton key,

@@ -30,7 +30,8 @@ import (
 // in flight, not the pairs straddling the row's Morton frontier.
 //
 // Built once per engine (SetSplitRoles drops it) from the tree's lists and
-// the engine's masks; a run writes only the inboxes and the buffer free lists.
+// the engine's masks; a run writes only the inboxes. The partials are held in
+// the engine's one partStore, which W ⟷ X (wxPairs) parks in too.
 type nearPairs struct {
 	tree *octree.Tree
 	// rank[i] is leaf i's place in the pairing order: chunk by chunk, and
@@ -48,12 +49,6 @@ type nearPairs struct {
 	// task before i's starts.
 	in    []int32
 	inbox []int32
-	// classLen is the unit of a buffer's length, parkClass points' worth.
-	classLen int
-
-	mu   sync.Mutex
-	bufs [][]float64 // parked partials, by slot: a whole number of classLen each
-	free [][]int32   // slots not parked, by class: free[c] holds buffers of c·classLen
 }
 
 // pairChunk is how many paired leaves, consecutive in Morton order, make one
@@ -67,8 +62,9 @@ const pairChunk = 64
 
 // sharedPair reports whether b's EvalPair pays for each pair's kernel values
 // once. Stokes' EvalPair and a third-party kernel's are two EvalPanel calls,
-// which pairing would only add parking to; their U rows run one way. A
-// variable so that tests can pair a kernel with three target components.
+// which pairing would only add parking to; their U rows and W ⟷ X run one
+// way. A variable so that tests can pair a kernel with three target
+// components.
 var sharedPair = func(b kernel.Batch) bool {
 	switch b.(type) {
 	case kernel.Laplace, kernel.Yukawa:
@@ -88,25 +84,28 @@ var sharedPair = func(b kernel.Batch) bool {
 const parkClass = 8
 
 // parkedHeld, when set (tests only), is told of every partial parked (+1)
-// and added (−1), so a test can track how many buffers are held at once.
+// and added (−1), by either pair route, so a test can track how many buffers
+// are held at once.
 var parkedHeld func(delta int)
 
-// nearPairs returns the engine's U-row pairing, building it on first use,
-// with every buffer free: a graph cancelled mid-row leaves partials parked,
-// and the next run reclaims them here. Callers run it before the row's tasks.
-func (e *Engine) nearPairs() *nearPairs {
-	if e.near == nil {
+// pairRows readies what a graph of rows [lo, hi) pairs: the U row's pairing
+// if it holds the U row, and W ⟷ X's if it holds both the X and the W row and
+// the kernel shares a pair's kernel values (pairWX; the per-row XLI and WLI
+// run one way). Each pairing is built on first use, and every buffer of the
+// store is free: a graph cancelled mid-row leaves partials parked, and the
+// next run reclaims them here. Callers run it before the rows' tasks.
+func (e *Engine) pairRows(lo, hi int) {
+	e.pairWX = lo <= pXLI && pWLI < hi && sharedPair(e.bk)
+	if e.store == nil {
+		e.store = newPartStore(e.Tree, e.Ops.Kern.TrgDim())
+	}
+	e.store.reclaim()
+	if lo <= pULI && pULI < hi && e.near == nil {
 		e.near = e.buildNearPairs()
 	}
-	np := e.near
-	for c := range np.free {
-		np.free[c] = np.free[c][:0]
+	if e.pairWX && e.wx == nil {
+		e.wx = e.buildWXPairs()
 	}
-	for s, b := range np.bufs {
-		c := len(b) / np.classLen
-		np.free[c] = append(np.free[c], int32(s))
-	}
-	return np
 }
 
 // buildNearPairs ranks the U row's paired leaves, orders the row's tasks and
@@ -115,21 +114,18 @@ func (e *Engine) buildNearPairs() *nearPairs {
 	t := e.Tree
 	p := &phases[pULI]
 	np := &nearPairs{
-		tree:     t,
-		rank:     make([]int32, len(t.Nodes)),
-		in:       make([]int32, len(t.Nodes)),
-		classLen: parkClass * e.Ops.Kern.TrgDim(),
+		tree: t,
+		rank: make([]int32, len(t.Nodes)),
+		in:   make([]int32, len(t.Nodes)),
 	}
 	for i := range np.rank {
 		np.rank[i] = -1
 	}
 	var paired []int32
-	maxPts := 0
 	for _, i := range t.Leaves {
 		if !p.has(e, i) {
 			continue
 		}
-		maxPts = max(maxPts, t.Nodes[i].NPoints())
 		if sharedPair(e.bk) && e.srcNode(i) && !repeats(t.Nodes[i].U) {
 			np.rank[i] = 0
 			paired = append(paired, i)
@@ -171,7 +167,6 @@ func (e *Engine) buildNearPairs() *nearPairs {
 		n += np.served(i)
 	}
 	np.inbox = make([]int32, n)
-	np.free = make([][]int32, (maxPts+parkClass-1)/parkClass+1)
 	return np
 }
 
@@ -237,24 +232,130 @@ func (np *nearPairs) post(a, i, slot int32) {
 	np.inbox[k] = slot
 }
 
+// wxPairs is W ⟷ X's pairing. octree.buildX makes the X list the transpose
+// of the W list: a ∈ W(j) exactly when j ∈ X(a). wliLeaf evaluates a's inner
+// surface, densities U[a], onto leaf j's points, and xliNode evaluates j's
+// points, densities Density[j], onto the same surface: the same two point
+// sets in opposite directions. So X(a) serves the pair: one EvalPair adds
+// into DChk[a] at once, in X-list order after V(a), and parks j's from-zero
+// partial, which W(j) adds at that entry's own place in its W list, before
+// D2T(j). Both accumulators receive what the one-way walk gives them, bit for
+// bit. The X row comes before the W row, so X(a) waits on a's upward pass and
+// W(j) on X(a); the per-row XLI and WLI run one way.
+//
+// An entry is served where a and j both carry sources and targets, X(a) and
+// W(j) both have work, and each list names the other once; every other entry
+// runs one way on both sides, by EvalPanel. Built once per engine
+// (SetSplitRoles drops it) from the tree's lists and the engine's masks; a
+// run writes only the inbox.
+type wxPairs struct {
+	// inbox[in[j]+k] is W(j)'s k-th entry's: −1 if it runs one way, else the
+	// slot of the partial X(a) parked for it, written by X(a)'s task before
+	// W(j)'s starts. in[j] is −1 where W(j) has no work.
+	in    []int32
+	inbox []int32
+}
+
+// buildWXPairs lays out the W row's inbox and marks the entries X serves.
+func (e *Engine) buildWXPairs() *wxPairs {
+	t := e.Tree
+	wx := &wxPairs{in: make([]int32, len(t.Nodes))}
+	n := int32(0)
+	for j := range wx.in {
+		wx.in[j] = -1
+		if t.Nodes[j].IsLeaf && phases[pWLI].has(e, int32(j)) {
+			wx.in[j] = n
+			n += int32(len(t.Nodes[j].W))
+		}
+	}
+	wx.inbox = make([]int32, n)
+	for j, in := range wx.in {
+		if in < 0 {
+			continue
+		}
+		w := t.Nodes[j].W
+		for k, a := range w {
+			// W(j)'s work has j's target mask, X(a)'s a's.
+			if !(e.srcNode(int32(j)) && e.srcNode(a) && phases[pXLI].has(e, a) &&
+				once(w, a) && once(t.Nodes[a].X, int32(j))) {
+				wx.inbox[in+int32(k)] = -1
+			}
+		}
+	}
+	return wx
+}
+
+// once reports whether list names x exactly once.
+func once(list []int32, x int32) bool {
+	k := slices.Index(list, x)
+	return k >= 0 && !slices.Contains(list[k+1:], x)
+}
+
+// wxServed returns W(j)'s slice of the inbox, one place per W entry, or nil
+// where this graph does not pair W ⟷ X or W(j) has no work.
+func (e *Engine) wxServed(j int32) []int32 {
+	if !e.pairWX || e.wx.in[j] < 0 {
+		return nil
+	}
+	in := e.wx.in[j]
+	return e.wx.inbox[in : in+int32(len(e.Tree.Nodes[j].W))]
+}
+
+// partStore holds the partials both pair routes park, the U row's and
+// W ⟷ X's, in buffers reused across runs: one store per engine
+// (SetSplitRoles drops it), which grows to the most partials ever parked at
+// once.
+type partStore struct {
+	// classLen is the unit of a buffer's length, parkClass points' worth.
+	classLen int
+
+	mu   sync.Mutex
+	bufs [][]float64 // parked partials, by slot: a whole number of classLen each
+	free [][]int32   // slots not parked, by class: free[c] holds buffers of c·classLen
+}
+
+// newPartStore returns an empty store for partials of up to a leaf's points,
+// td values each.
+func newPartStore(t *octree.Tree, td int) *partStore {
+	maxPts := 0
+	for _, i := range t.Leaves {
+		maxPts = max(maxPts, t.Nodes[i].NPoints())
+	}
+	return &partStore{
+		classLen: parkClass * td,
+		free:     make([][]int32, (maxPts+parkClass-1)/parkClass+1),
+	}
+}
+
+// reclaim frees every buffer.
+func (ps *partStore) reclaim() {
+	for c := range ps.free {
+		ps.free[c] = ps.free[c][:0]
+	}
+	for s, b := range ps.bufs {
+		c := len(b) / ps.classLen
+		ps.free[c] = append(ps.free[c], int32(s))
+	}
+}
+
 // park returns a buffer of length n and its slot: a free one of the
 // smallest class that holds n, or a new one of exactly that class.
-func (np *nearPairs) park(n int) (int32, []float64) {
-	need := (n + np.classLen - 1) / np.classLen
-	np.mu.Lock()
+func (ps *partStore) park(n int) (int32, []float64) {
+	need := (n + ps.classLen - 1) / ps.classLen
+	ps.mu.Lock()
 	slot := int32(-1)
-	for c := need; c < len(np.free) && slot < 0; c++ {
-		if free := np.free[c]; len(free) > 0 {
-			slot, np.free[c] = free[len(free)-1], free[:len(free)-1]
+	for c := need; c < len(ps.free) && slot < 0; c++ {
+		if free := ps.free[c]; len(free) > 0 {
+			slot, ps.free[c] = free[len(free)-1], free[:len(free)-1]
 		}
 	}
 	if slot < 0 {
-		slot = int32(len(np.bufs))
+		slot = int32(len(ps.bufs))
 		//fmm:allow hotalloc the buffer set grows to the most partials ever parked at once, then is reused across runs
-		np.bufs = append(np.bufs, make([]float64, need*np.classLen))
+		ps.bufs = append(ps.bufs, make([]float64, need*ps.classLen))
 	}
-	buf := np.bufs[slot]
-	np.mu.Unlock()
+	buf := ps.bufs[slot]
+	ps.mu.Unlock()
 	if parkedHeld != nil {
 		parkedHeld(1)
 	}
@@ -262,21 +363,21 @@ func (np *nearPairs) park(n int) (int32, []float64) {
 }
 
 // parked returns slot's buffer, length n.
-func (np *nearPairs) parked(slot int32, n int) []float64 {
-	np.mu.Lock()
-	buf := np.bufs[slot]
-	np.mu.Unlock()
+func (ps *partStore) parked(slot int32, n int) []float64 {
+	ps.mu.Lock()
+	buf := ps.bufs[slot]
+	ps.mu.Unlock()
 	return buf[:n]
 }
 
 // release frees slot once its partial has been added.
-func (np *nearPairs) release(slot int32) {
+func (ps *partStore) release(slot int32) {
 	if parkedHeld != nil {
 		parkedHeld(-1)
 	}
-	np.mu.Lock()
-	c := len(np.bufs[slot]) / np.classLen
-	//fmm:allow hotalloc a free list's capacity follows its class's buffers, which only the row's first run adds
-	np.free[c] = append(np.free[c], slot)
-	np.mu.Unlock()
+	ps.mu.Lock()
+	c := len(ps.bufs[slot]) / ps.classLen
+	//fmm:allow hotalloc a free list's capacity follows its class's buffers, which only a row's first run adds
+	ps.free[c] = append(ps.free[c], slot)
+	ps.mu.Unlock()
 }

@@ -148,7 +148,7 @@ func TestULIStokesRunsOneWay(t *testing.T) {
 	tr := octree.Build(geom.Generate(geom.Ellipsoid, 2500, 42), 25, 20)
 	tr.BuildLists(nil)
 	e := NewEngine(NewOperators(kernel.Stokes{}, 4, 1e-9), tr)
-	e.nearPairs()
+	e.pairRows(pULI, pULI+1)
 	if pair, parked, _ := pairCounts(e); pair != 0 || parked != 0 {
 		t.Fatalf("stokes: %d entries run EvalPair, %d parked for; want the row one way", pair, parked)
 	}
@@ -265,11 +265,11 @@ func TestULIFailedRowReclaims(t *testing.T) {
 			t.Fatal(err)
 		}
 		free := 0
-		for _, f := range e.near.free {
+		for _, f := range e.store.free {
 			free += len(f)
 		}
-		if free != len(e.near.bufs) {
-			t.Errorf("%s: %d of %d buffers free after a full run", how, free, len(e.near.bufs))
+		if free != len(e.store.bufs) {
+			t.Errorf("%s: %d of %d buffers free after a full run", how, free, len(e.store.bufs))
 		}
 		bitIdentical(t, how+": the run after a stopped one", e.Potential, want.Potential)
 		t.Logf("%s: stopped with %d partials parked", how, live)
@@ -330,7 +330,7 @@ func TestULIChainBound(t *testing.T) {
 	budget := map[int]float64{400: 0.04, 50: 0.005}
 	for q, tr := range uniformTrees() {
 		e := NewEngineLayout(ops, tr, NewLayout(tr, ops, false))
-		e.nearPairs()
+		e.pairRows(pULI, pULI+1)
 		chain, total := uliChain(e)
 		pair, _, oneWay := pairCounts(e)
 		saved := float64(pair) / float64(2*pair+oneWay)
@@ -374,7 +374,7 @@ func TestULIParkedPeak(t *testing.T) {
 			perChunk := slices.Max(chunkPairs(e))
 			pair, _, _ := pairCounts(e)
 			t.Logf("q = %d, workers %d: %d leaves, %d paired entries, at most %d in a chunk, at most %d partials parked, %d buffers",
-				q, workers, len(tr.Leaves), pair, perChunk, peak, len(e.near.bufs))
+				q, workers, len(tr.Leaves), pair, perChunk, peak, len(e.store.bufs))
 			if live != 0 {
 				t.Errorf("q = %d, workers %d: %d partials still parked after the row", q, workers, live)
 			}

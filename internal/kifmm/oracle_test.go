@@ -5,18 +5,21 @@ import "kifmm/internal/sched"
 // oracle is the reference the task graph is tested against: the phase table
 // walked as a plain sequential loop — row by row, and within a row run by
 // run (level by level for the levelwise rows) in work order, the U row in its
-// pairing's order — calling each row's body on one scratch. The FFT V row
+// pairing's order, W ⟷ X paired as in a graph of every row (X before W, so
+// each X task parks before the W task that adds) — calling each row's body on
+// one scratch. The FFT V row
 // transforms a level's sources, then
 // runs vliFFTGroup per sibling group. No scheduler, no dependencies, no
 // spectrum window: what the graph must reproduce bit for bit at every worker
 // count.
 func (e *Engine) oracle() {
 	s := e.ensureScratch(1)[0]
+	e.pairRows(0, numRows) // the pairings the bodies read, every buffer free
 	for pi := range phases {
 		p := &phases[pi]
 		runs := e.work(p)
-		if pi == pULI { // the pairing the U bodies read, every buffer free
-			runs = [][]int32{e.nearPairs().order}
+		if pi == pULI {
+			runs = [][]int32{e.near.order}
 		}
 		for _, run := range runs {
 			if pi == pVLI && e.UseFFTM2L {

@@ -228,8 +228,8 @@ func TestDeadlineFreesWorker(t *testing.T) {
 	}
 	// evaluate runs on the test's goroutine and on others: it reports with
 	// t.Error, never t.Fatal.
-	evaluate := func(timeoutMS int) (code int, raw string, ev EvaluateResponse) {
-		body, err := json.Marshal(EvaluateRequest{PlanID: plan.PlanID, Densities: den, TimeoutMS: timeoutMS})
+	evaluate := func(id string, timeoutMS int) (code int, raw string, ev EvaluateResponse) {
+		body, err := json.Marshal(EvaluateRequest{PlanID: id, Densities: den, TimeoutMS: timeoutMS})
 		if err != nil {
 			t.Error(err)
 			return
@@ -250,7 +250,7 @@ func TestDeadlineFreesWorker(t *testing.T) {
 	}
 	var apply time.Duration
 	for range 2 { // the second Apply is warm
-		code, raw, ev := evaluate(0)
+		code, raw, ev := evaluate(plan.PlanID, 0)
 		if code != http.StatusOK {
 			t.Fatalf("evaluate: %d %s", code, raw)
 		}
@@ -281,13 +281,28 @@ func TestDeadlineFreesWorker(t *testing.T) {
 		}
 	}
 
+	// What a request costs besides its Apply, measured on this server as it
+	// runs now: the slowest of three round trips of A's very body to a plan id
+	// the server does not hold, a 404 after the densities are encoded, sent
+	// and decoded, without an Apply. That cost is most of A's answer time
+	// past the deadline and grows with the machine's load and the race
+	// detector alike; a /healthz round trip, which decodes nothing, misses it.
+	var trip time.Duration
+	for range 3 {
+		t1 := time.Now()
+		if code, raw, _ := evaluate("no-such-plan", 0); code != http.StatusNotFound {
+			t.Fatalf("evaluate of an unknown plan: %d %s", code, raw)
+		}
+		trip = max(trip, time.Since(t1))
+	}
+
 	// A's deadline fires a quarter of the way into its Apply; B waits behind
-	// it for the one worker. The slack covers scheduling and A's request
-	// decode, which grows with the densities as the Apply does.
+	// it for the one worker. The slack covers A's request round trip, three
+	// times over for scheduling.
 	timeout := max(time.Millisecond, apply/4)
-	slack := 50*time.Millisecond + apply/10
+	slack := 3 * trip
 	bound := timeout + longest + slack
-	t.Logf("warm Apply %v, longest task %v, deadline %v, bound %v", apply, longest, timeout, bound)
+	t.Logf("warm Apply %v, longest task %v, round trip %v, deadline %v, bound %v", apply, longest, trip, timeout, bound)
 	if bound >= apply {
 		t.Skipf("a warm Apply (%v) is too short to tell a stopped one from a finished one", apply)
 	}
@@ -299,12 +314,12 @@ func TestDeadlineFreesWorker(t *testing.T) {
 	queued := s.Profile().Time(phaseQueueWait)
 	t0 := time.Now()
 	go func() {
-		code, raw, _ := evaluate(int(timeout / time.Millisecond))
+		code, raw, _ := evaluate(plan.PlanID, int(timeout/time.Millisecond))
 		aDone <- answer{code, raw}
 	}()
 	waitMetric(t, ts, "fmmserve_workers_busy 1\n")
 	go func() {
-		code, raw, _ := evaluate(0)
+		code, raw, _ := evaluate(plan.PlanID, 0)
 		bDone <- answer{code, raw}
 	}()
 	a := <-aDone
