@@ -118,19 +118,22 @@ bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-# Repeated race runs of the task scheduler (one shared ready stack) and the
-# par shim (randomized-DAG property tests are seeded per run, so -count=5
-# explores new graphs; the scheduler's worker-index exclusivity test makes
-# any violation a reported race rather than a flaky count), then of the FMM
-# graph against its sequential oracle at 1, 2 and 4 workers and of the paired
-# U row against its one-way walk (a partial one U task parks is read by
-# another), then of concurrent profiled Applies on one plan sharing one
-# profile (the engines' ledgers meet the profile in one merge each), then of
-# the service's cancellation tests: a deadline that fires while a request is
-# queued, mid-step, and mid-Apply under load.
+# Repeated race runs of the task scheduler (one shared ready stack) and its
+# parallel loop sched.For (randomized-DAG property tests are seeded per run,
+# so -count=5 explores new graphs, each run five times in a row, after a
+# panicking and a cancelled run and four times at once; the scheduler's
+# worker-index exclusivity test makes any violation a reported race rather
+# than a flaky count), then of the FMM graph against its sequential oracle at
+# 1, 2 and 4 workers and of the paired U row against its one-way walk (a
+# partial one U task parks is read by another), of one plan's compiled graph
+# run by four goroutines at once, and of an engine's run after a stopped one,
+# then of concurrent profiled Applies on one plan sharing one profile (the
+# engines' ledgers meet the profile in one merge each), then of the service's
+# cancellation tests: a deadline that fires while a request is queued,
+# mid-step, and mid-Apply under load.
 sched-stress:
-	$(GO) test -race -count=5 ./internal/sched/... ./internal/par/...
-	$(GO) test -race -count=2 -run '^(TestEvaluateDAGBitIdentical|TestEvaluateDAGRepeatable|TestULIPairsMatchOneWay|TestWXPairsMatchOneWay)$$' ./internal/kifmm/
+	$(GO) test -race -count=5 ./internal/sched/...
+	$(GO) test -race -count=2 -run '^(TestEvaluateDAGBitIdentical|TestEvaluateDAGRepeatable|TestULIPairsMatchOneWay|TestWXPairsMatchOneWay|TestPlanCompilesScheduleOnce|TestStoppedRunRecovers)$$' ./internal/kifmm/
 	$(GO) test -race -count=3 -run '^TestProfileSharedByConcurrentApplies$$' .
 	$(GO) test -race -count=3 -run '^(TestExpiredWhileQueued|TestStepCancelledLeavesSession|TestDeadlineFreesWorker)$$' ./internal/service/
 

@@ -32,14 +32,15 @@ import (
 //     engine uses (kernel.Kernel, kernel.Batch).
 //   - Function values (method values, function identifiers passed as
 //     arguments or assigned) become edges too: a hot body handing a method
-//     value to par.For or sched.Graph.Add executes it per item.
+//     value to sched.For or as a graph's exec function to sched.Graph.Run
+//     executes it per item.
 //   - Function literals are inlined into their enclosing declaration:
 //     a closure body inherits the enclosing function's hot/deterministic
 //     scope, and its calls are the encloser's edges.
 //
 // Soundness limits (documented in DESIGN.md §7.9): calls through
 // function-typed variables, fields, and parameters are invisible (the
-// closure-inlining rule covers the dominant par.For/Graph.Add pattern), and
+// closure-inlining rule covers the dominant sched.For/Graph.Run pattern), and
 // interface dispatch is over-approximated by the full declared method set.
 // //fmm:coldcall (annot.go) is the escape hatch in the other direction:
 // deliberate slow-path edges — plan-time setup, error paths, instrumentation

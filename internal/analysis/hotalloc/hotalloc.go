@@ -68,8 +68,8 @@ func run(pass *analysis.Pass) error {
 			case *ast.FuncLit:
 				pass.ReportfVia(e.Pos(), chain, "closure (func literal) allocates in hot path")
 				// The body still runs in (and inherits) the enclosing hot
-				// scope — par.For/sched.Graph.Add execute it per item — so its
-				// allocations are checked too.
+				// scope — sched.For and sched.Graph.Run execute it per
+				// item — so its allocations are checked too.
 				return true
 			case *ast.GoStmt:
 				pass.ReportfVia(e.Pos(), chain, "goroutine spawn in hot path")

@@ -20,8 +20,8 @@ func bodyAnalyzers() []*analysis.Analyzer {
 // suite added: hot/deterministic scope crossing package boundaries with
 // chain-carrying diagnostics, //fmm:coldcall barriers on call edges, method
 // values, and doc comments, closure bodies inheriting hot scope through a
-// worker-loop shim in another package (parstub.ForW, shaped like par.For and
-// sched.Graph.Add), allows that are used only via
+// worker-loop shim in another package (parstub.ForW, shaped like sched.For
+// and sched.Graph.Run), allows that are used only via
 // propagated scope, and the coldcall hygiene diagnostics.
 func TestCrossPackagePropagation(t *testing.T) {
 	analysistest.RunProp(t, "testdata", bodyAnalyzers(), nil, "propb", "parstub", "propa")

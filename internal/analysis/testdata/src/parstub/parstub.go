@@ -1,5 +1,6 @@
-// Package parstub mimics the par worker-loop shim: ForW invokes the body
-// closure per item, so a hot caller's closure body runs in hot scope.
+// Package parstub mimics the sched worker loops (sched.For, Graph.Run's exec
+// function): ForW invokes the body closure per item, so a hot caller's
+// closure body runs in hot scope.
 package parstub
 
 // ForW calls body once per index with a worker id.

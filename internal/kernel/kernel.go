@@ -14,7 +14,7 @@ import (
 
 	"kifmm/internal/geom"
 	"kifmm/internal/linalg"
-	"kifmm/internal/par"
+	"kifmm/internal/sched"
 )
 
 // Kernel is a translation-invariant, non-oscillatory interaction kernel
@@ -150,7 +150,7 @@ func Direct(k Kernel, trgs, srcs []geom.Point, densities []float64) []float64 {
 		panic("kernel: density length mismatch")
 	}
 	out := make([]float64, len(trgs)*td)
-	par.For(par.DefaultWorkers(), len(trgs), func(i int) {
+	sched.For(sched.DefaultWorkers(), len(trgs), func(i int) {
 		t := trgs[i]
 		o := out[i*td : (i+1)*td]
 		for j, s := range srcs {

@@ -16,11 +16,16 @@ import (
 // one dependency task graph on the internal/sched runtime: per-octant tasks
 // gated only on the data they actually read, instead of eight
 // bulk-synchronous phases separated by global barriers. It is the one
-// executor of the engine: Run, Evaluate and the per-row methods all build
-// their graphs here.
+// executor of the engine: Run, Evaluate and the per-row methods all run their
+// rows' graphs here.
+//
+// A graph is compiled once per tree, masks, V mode and row range (compile,
+// into a schedule) — the density-independent half of an evaluation, like the
+// tree and its lists — and every run only executes it: a plan's engines share
+// its schedules (EnginePool), a bare engine compiles its own on first use.
 //
 // Dependency structure (one task per octant per phase — per entry of the
-// phase table's work — named after the row; the rules are buildDAG's after):
+// phase table's work — named after the row; the rules are compile's after):
 //
 //	S2U(leaf)                         — no deps
 //	U2U(i)                            — after U of every child (tree parenthood)
@@ -59,8 +64,9 @@ func (e *Engine) EvaluateDAG(trace *sched.Trace) (sched.Stats, error) {
 // runRows runs rows [lo, hi) of the phase table as one task graph under ctx
 // and folds the graph's accounting into l.
 func (e *Engine) runRows(ctx context.Context, lo, hi int, trace *sched.Trace, l *ledger) error {
-	e.ensureScratch(e.dagWorkers())
-	stats, err := e.buildDAG(lo, hi).Run(ctx, sched.Options{Workers: e.Workers, Trace: trace})
+	e.ensureScratch(e.Workers)
+	e.pairRows(lo, hi)
+	stats, err := e.graph.Run(ctx, sched.Options{Workers: e.Workers, Trace: trace}, e.exec)
 	l.fold(e.scratch, stats)
 	return err
 }
@@ -75,18 +81,147 @@ func (e *Engine) runRow(pi int) {
 	}
 }
 
-// buildDAG assembles the task graph of rows [lo, hi) of the phase table, a
-// row at a time: one task per entry of the row's work, then what each of
-// them waits for. A predecessor in a row outside [lo, hi) is NoTask — its
-// data is taken as final. A task runs the row's body on the executing
-// worker's scratch (the scheduler guarantees worker indices are exclusive, so
-// e.scratch[w] is owned for the duration of the task) and adds its duration
-// to the row's tally there: a row's time is task time summed across workers,
-// not phase wall time. Construction is deterministic (table order, then work
-// order), which keeps task IDs stable across runs of the same plan.
-func (e *Engine) buildDAG(lo, hi int) *sched.Graph {
+// schedule is the compiled task graph of rows [lo, hi) of the phase table
+// for one tree, its masks and V mode: what a run needs that the densities do
+// not change. compile builds it once; every engine running those rows shares
+// it read-only, and a run writes only engine state, which pairRows re-arms.
+type schedule struct {
+	graph *sched.Graph
+	refs  []taskRef // refs[id]: what task id runs
+	// The U row's pairing, where the graph holds the row; W ⟷ X's, where it
+	// pairs them.
+	near   *nearPairs
+	wx     *wxPairs
+	pairWX bool
+	// The FFT V row: sibling group k is vGroups[k], translated with vTab[k];
+	// vUses[a] counts source a's consumers, where its release count starts.
+	vFFT    *FFTM2L
+	vGroups [][]int32
+	vTab    []*vTable
+	vUses   []int32
+}
+
+// taskRef is what a task runs: row kind (a phase row, or kSpec, kVGroup,
+// kJoin) on i (an octant, or a V group).
+type taskRef struct{ kind, i int32 }
+
+const (
+	kSpec   = numRows + iota // source i's forward FFT (V row)
+	kVGroup                  // sibling group i's V-list body
+	kJoin                    // a synchronization point: never run
+)
+
+func (s *schedule) add(name string, kind, i int32) sched.TaskID {
+	s.refs = append(s.refs, taskRef{kind, i})
+	return s.graph.Add(name)
+}
+
+// memoryBytes counts the graph, the task refs, the pairings and the V row's
+// groups and use counts (the translation tables are the process-wide cache's).
+func (s *schedule) memoryBytes() int64 {
+	b := s.graph.MemoryBytes() + 8*int64(len(s.refs)+len(s.vTab)) + 4*int64(len(s.vUses))
+	for _, g := range s.vGroups {
+		b += 24 + 4*int64(len(g))
+	}
+	if s.near != nil {
+		b += 4 * int64(len(s.near.rank)+len(s.near.order)+len(s.near.in))
+	}
+	if s.wx != nil {
+		b += 4 * int64(len(s.wx.in)+len(s.wx.inbox))
+	}
+	return b
+}
+
+// graphSet holds one tree's schedules under one pair of masks and V mode, by
+// row range, each compiled by the first engine to run it. A plan's engines
+// share their pool's set; a bare engine starts one of its own.
+type graphSet struct {
+	fft     bool
+	mu      sync.Mutex
+	byRange map[[2]int]*schedule
+}
+
+// onCompile, when set (tests only), is told of every schedule compiled.
+var onCompile func(lo, hi int)
+
+func (gs *graphSet) get(e *Engine, lo, hi int) *schedule {
+	gs.mu.Lock()
+	defer gs.mu.Unlock()
+	s := gs.byRange[[2]int{lo, hi}]
+	if s == nil {
+		s = e.compile(lo, hi)
+		gs.byRange[[2]int{lo, hi}] = s
+	}
+	return s
+}
+
+func (gs *graphSet) memoryBytes() (b int64) {
+	gs.mu.Lock()
+	defer gs.mu.Unlock()
+	for _, s := range gs.byRange {
+		b += s.memoryBytes()
+	}
+	return b
+}
+
+func newGraphSet(fft bool) *graphSet {
+	return &graphSet{fft: fft, byRange: map[[2]int]*schedule{}}
+}
+
+// pairRows readies the engine to run rows [lo, hi): it takes their schedule
+// and re-arms what a run writes, allocating nothing once warm — every
+// parked-partial buffer free (a stopped run leaves partials parked), the
+// inboxes, and the V row's use counts, with any spectrum a stopped run held
+// back returned to the free buffers. Callers run it before the rows' tasks.
+func (e *Engine) pairRows(lo, hi int) {
+	if e.set == nil || e.set.fft != e.UseFFTM2L {
+		e.set = newGraphSet(e.UseFFTM2L)
+	}
+	s := e.set.get(e, lo, hi)
+	e.schedule = s
+	if e.store == nil {
+		e.store = newPartStore(e.Tree, e.Ops.Kern.TrgDim())
+	}
+	e.store.reclaim()
+	if s.near != nil && len(e.uIn) < s.near.inboxLen {
+		e.uIn = make([]int32, s.near.inboxLen)
+	}
+	if s.wx != nil {
+		e.wxIn = append(e.wxIn[:0], s.wx.inbox...)
+	}
+	if s.vUses != nil && e.spec == nil {
+		e.spec = make([][]float64, len(s.vUses))
+		e.specRefs = make([]atomic.Int32, len(s.vUses))
+	}
+	for a, n := range s.vUses {
+		e.specRefs[a].Store(n)
+		if e.spec[a] != nil {
+			e.specFree = append(e.specFree, e.spec[a])
+			e.spec[a] = nil
+		}
+	}
+}
+
+// compile builds the schedule of rows [lo, hi) of the phase table, a row at a
+// time: one task per entry of the row's work, then what each of them waits
+// for. A predecessor in a row outside [lo, hi) is NoTask — its data is taken
+// as final. Construction is deterministic (table order, then work order), so
+// task IDs are the same for every schedule of the same rows and plan. It reads
+// only the engine's tree, operators, masks, kernel and V mode, which every
+// engine of one graphSet shares.
+func (e *Engine) compile(lo, hi int) *schedule {
+	if onCompile != nil {
+		onCompile(lo, hi)
+	}
 	t := e.Tree
-	g := sched.NewGraph()
+	s := &schedule{graph: sched.NewGraph()}
+	s.pairWX = lo <= pXLI && pWLI < hi && sharedPair(e.bk)
+	if lo <= pULI && pULI < hi {
+		s.near = e.buildNearPairs()
+	}
+	if s.pairWX {
+		s.wx = e.buildWXPairs()
+	}
 	// task[p][i] is octant i's task of row p, NoTask where it has no work.
 	// S2U (leaves) and U2U (internal nodes) share a slice: either one makes
 	// e.U[i] final, which is all a reader of U waits for.
@@ -100,12 +235,9 @@ func (e *Engine) buildDAG(lo, hi int) *sched.Graph {
 	}
 	u, v, x, d, w, d2t := task[pS2U], task[pVLI], task[pXLI], task[pD2D], task[pWLI], task[pD2T]
 
-	e.pairRows(lo, hi)
-	near := e.near // the U row's pairing, when the graph holds the row
-
 	dep := func(pred, succ sched.TaskID) {
 		if pred != sched.NoTask {
-			g.Dep(pred, succ)
+			s.graph.Dep(pred, succ)
 		}
 	}
 	// after declares what octant i's task of row pi waits for.
@@ -124,7 +256,7 @@ func (e *Engine) buildDAG(lo, hi int) *sched.Graph {
 			}
 		case pXLI: // DChk accumulation order; U[i] when it serves W ⟷ X
 			dep(v[i], id)
-			if e.pairWX {
+			if s.pairWX {
 				dep(u[i], id)
 			}
 		case pD2D: // the octant's last DChk contribution, and its parent
@@ -133,7 +265,10 @@ func (e *Engine) buildDAG(lo, hi int) *sched.Graph {
 				dep(d[n.Parent], id)
 			}
 		case pWLI: // and X of every source that serves one of its entries
-			served := e.wxServed(i)
+			var served []int32
+			if s.wx != nil {
+				served = s.wx.places(s.wx.inbox, i, len(n.W))
+			}
 			for k, a := range n.W {
 				dep(u[a], id)
 				if served != nil && served[k] >= 0 {
@@ -146,7 +281,7 @@ func (e *Engine) buildDAG(lo, hi int) *sched.Graph {
 		case pULI: // and every earlier leaf that serves one of its entries
 			dep(firstTask(d2t[i], w[i]), id)
 			for _, a := range n.U {
-				if near.serves(a, i) {
+				if s.near.serves(a, i) {
 					dep(task[pULI][a], id)
 				}
 			}
@@ -157,20 +292,15 @@ func (e *Engine) buildDAG(lo, hi int) *sched.Graph {
 		p := &phases[pi]
 		runs := e.work(p)
 		if pi == pULI {
-			runs = [][]int32{near.order} // chunks whole, each in rank order
+			runs = [][]int32{s.near.order} // chunks whole, each in rank order
 		}
 		if pi == pVLI && e.UseFFTM2L {
-			e.buildVFFT(g, runs, u, v)
+			e.compileVFFT(s, runs, u, v)
 			continue
 		}
 		for _, run := range runs {
 			for _, i := range run {
-				task[pi][i] = g.Add(p.name, func(worker int) {
-					s := e.scratch[worker]
-					t0 := time.Now() //fmm:allow nodeterm task timing feeds the ledger only; results never read it
-					p.body(e, i, s)
-					s.clock(pi, t0)
-				})
+				task[pi][i] = s.add(p.name, int32(pi), i)
 			}
 		}
 		for _, run := range runs {
@@ -179,7 +309,7 @@ func (e *Engine) buildDAG(lo, hi int) *sched.Graph {
 			}
 		}
 	}
-	return g
+	return s
 }
 
 // noTasks returns n task slots, all empty.
@@ -211,7 +341,7 @@ const vWindow = 16
 // computed (+1) and dropped (−1), so a test can track how many are held.
 var specHeld func(delta int)
 
-// buildVFFT adds the FFT-diagonalized V-list subgraph for the V row's work
+// compileVFFT adds the FFT-diagonalized V-list subgraph for the V row's work
 // (levels, root first): the row's targets are cut into sibling groups — the
 // children of one parent that are in the work — ordered level by level and in
 // Morton order within a level. Each group is one task running vliFFTGroup;
@@ -222,24 +352,15 @@ var specHeld func(delta int)
 // group vWindow places back would not do: the scheduler runs the newest ready
 // task first, so a chain of groups vWindow apart could run ahead of the
 // groups between them.) Spectra are reference-counted: a buffer returns to
-// the row's free list after its last consumer finishes, and the next spec
-// task reuses it, so the row allocates only as many buffers as it holds at
-// once.
-func (e *Engine) buildVFFT(g *sched.Graph, levels [][]int32, uTask, vTask []sched.TaskID) {
+// the engine's free list after its last consumer finishes, and the next spec
+// task reuses it, so an engine holds only as many buffers as a run holds at
+// once. The groups' translation tables are resolved here, once.
+func (e *Engine) compileVFFT(s *schedule, levels [][]int32, uTask, vTask []sched.TaskID) {
 	t := e.Tree
-	f := e.Ops.FFT()
 	nn := len(t.Nodes)
-	spec := make([][]float64, nn)
-	// uses[a] counts source a's consumers while the graph is built and refs
-	// carries the count into the run, where consumers decrement it: counting
-	// in refs directly would cost a locked add per V entry on every Apply.
-	uses := make([]int32, nn)
-	refs := make([]atomic.Int32, nn)
+	s.vFFT = e.Ops.FFT()
+	s.vUses = make([]int32, nn)
 	specTask := noTasks(nn)
-	var (
-		mu   sync.Mutex
-		free [][]float64 // released spectra, for the next spec task
-	)
 
 	// Cut the targets into sibling groups: a level's targets in Morton order
 	// put each parent's children side by side.
@@ -248,102 +369,128 @@ func (e *Engine) buildVFFT(g *sched.Graph, levels [][]int32, uTask, vTask []sche
 		nTrg += len(level)
 	}
 	members := make([]int32, 0, nTrg) // every group's targets, back to back
-	var starts []int                  // where each group starts in members
 	for _, level := range levels {
 		lo := len(members)
 		members = append(members, level...)
 		run := members[lo:]
 		slices.SortFunc(run, func(a, b int32) int { return morton.Compare(t.Nodes[a].Key, t.Nodes[b].Key) })
-		for k := range run {
-			if k == 0 || t.Nodes[run[k]].Parent != t.Nodes[run[k-1]].Parent {
-				starts = append(starts, lo+k)
+		for k, first := 1, 0; k <= len(run); k++ {
+			if k == len(run) || t.Nodes[run[k]].Parent != t.Nodes[run[k-1]].Parent {
+				s.vGroups = append(s.vGroups, run[first:k])
+				first = k
 			}
 		}
 	}
-	starts = append(starts, len(members))
 
-	tables := vTables{f: f, workers: e.Workers}
-	done := make([]sched.TaskID, len(starts)-1) // done[k]: groups 0..k have run
+	tables := vTables{f: s.vFFT, workers: e.Workers}
+	done := make([]sched.TaskID, len(s.vGroups)) // done[k]: groups 0..k have run
 	// gated[a] is the last group task given an edge from spec(a): siblings
 	// share most of their sources, and one edge per (source, group) is enough.
 	gated := noTasks(nn)
-	for k := range done {
-		grp := members[starts[k]:starts[k+1]]
+	for k, grp := range s.vGroups {
 		for _, i := range grp {
 			for _, a := range t.Nodes[i].V {
 				if !e.srcNode(a) {
 					continue
 				}
-				uses[a]++
+				s.vUses[a]++
 				if specTask[a] != sched.NoTask {
 					continue
 				}
-				specTask[a] = g.Add("spec", func(w int) {
-					t0 := time.Now() //fmm:allow nodeterm task timing feeds the ledger only; results never read it
-					mu.Lock()
-					var sp []float64
-					if n := len(free); n > 0 {
-						sp, free = free[n-1], free[:n-1]
-					}
-					mu.Unlock()
-					if sp == nil {
-						sp = make([]float64, f.SpecLen())
-					}
-					f.SourceSpectrumInto(e.U[a], sp, e.scratch[w].grid(f.GridLen()))
-					spec[a] = sp
-					if specHeld != nil {
-						specHeld(1)
-					}
-					e.scratch[w].clock(pVLI, t0)
-				})
+				specTask[a] = s.add("spec", kSpec, a)
 				if uTask[a] != sched.NoTask {
-					g.Dep(uTask[a], specTask[a])
+					s.graph.Dep(uTask[a], specTask[a])
 				}
 				if k >= vWindow {
-					g.Dep(done[k-vWindow], specTask[a])
+					s.graph.Dep(done[k-vWindow], specTask[a])
 				}
 			}
 		}
-		tb := tables.at(t.Nodes[grp[0]].Key.Level())
-		task := g.Add("Vfft", func(w int) {
-			t0 := time.Now() //fmm:allow nodeterm task timing feeds the ledger only; results never read it
-			e.vliFFTGroup(grp, f, tb, spec, e.scratch[w])
-			// Release mirrors the ref counting above exactly (one count per
-			// mask-selected V entry); the atomic decrement orders the release
-			// after every other consumer's reads.
-			for _, i := range grp {
-				for _, a := range t.Nodes[i].V {
-					if e.srcNode(a) && refs[a].Add(-1) == 0 {
-						mu.Lock()
-						free = append(free, spec[a])
-						mu.Unlock()
-						spec[a] = nil
-						if specHeld != nil {
-							specHeld(-1)
-						}
-					}
-				}
-			}
-			e.scratch[w].clock(pVLI, t0)
-		})
-		done[k] = g.Add("Vdone", nil)
-		g.Dep(task, done[k])
+		s.vTab = append(s.vTab, tables.at(t.Nodes[grp[0]].Key.Level()))
+		task := s.add("Vfft", kVGroup, int32(k))
+		done[k] = s.add("", kJoin, -1)
+		s.graph.Dep(task, done[k])
 		if k > 0 {
-			g.Dep(done[k-1], done[k])
+			s.graph.Dep(done[k-1], done[k])
 		}
 		for _, i := range grp {
 			vTask[i] = task
 			for _, a := range t.Nodes[i].V {
 				if e.srcNode(a) && gated[a] != task {
 					gated[a] = task
-					g.Dep(specTask[a], task)
+					s.graph.Dep(specTask[a], task)
 				}
 			}
 		}
 	}
-	for a, n := range uses {
-		if n > 0 {
-			refs[a].Store(n)
+}
+
+// exec runs task id of the schedule being run on worker w's scratch and adds
+// its time to its row's tally there: a row's time is task time summed across
+// workers, not phase wall time. The scheduler gives a worker index to one task
+// at a time, so e.scratch[w] is the task's alone.
+//
+//fmm:hotpath
+func (e *Engine) exec(w int, id sched.TaskID) {
+	r := e.refs[id]
+	s := e.scratch[w]
+	t0 := time.Now() //fmm:allow nodeterm task timing feeds the ledger only; results never read it
+	switch r.kind {
+	case kSpec:
+		e.specTask(r.i, s)
+		r.kind = pVLI
+	case kVGroup:
+		e.vGroupTask(r.i, s)
+		r.kind = pVLI
+	default:
+		phases[r.kind].body(e, r.i, s)
+	}
+	s.clock(int(r.kind), t0)
+}
+
+// specTask transforms source a's upward density into a spectrum buffer, one
+// released before where the engine holds one.
+//
+//fmm:hotpath
+func (e *Engine) specTask(a int32, s *evalScratch) {
+	f := e.vFFT
+	e.specMu.Lock()
+	var sp []float64
+	if n := len(e.specFree); n > 0 {
+		sp, e.specFree = e.specFree[n-1], e.specFree[:n-1]
+	}
+	e.specMu.Unlock()
+	if sp == nil {
+		//fmm:allow hotalloc the engine's spectra grow to the most a run holds at once, then are reused across runs
+		sp = make([]float64, f.SpecLen())
+	}
+	f.SourceSpectrumInto(e.U[a], sp, s.grid(f.GridLen()))
+	e.spec[a] = sp
+	if specHeld != nil {
+		specHeld(1)
+	}
+}
+
+// vGroupTask runs sibling group k's V-list body, then releases each spectrum
+// it was the last consumer of: one count per mask-selected V entry, and the
+// atomic decrement orders the release after every other consumer's reads.
+//
+//fmm:hotpath
+func (e *Engine) vGroupTask(k int32, s *evalScratch) {
+	grp := e.vGroups[k]
+	e.vliFFTGroup(grp, e.vFFT, e.vTab[k], e.spec, s)
+	for _, i := range grp {
+		for _, a := range e.Tree.Nodes[i].V {
+			if e.srcNode(a) && e.specRefs[a].Add(-1) == 0 {
+				e.specMu.Lock()
+				//fmm:allow hotalloc the free list's capacity follows the engine's spectra, which only a run holding more than any before adds
+				e.specFree = append(e.specFree, e.spec[a])
+				e.specMu.Unlock()
+				e.spec[a] = nil
+				if specHeld != nil {
+					specHeld(-1)
+				}
+			}
 		}
 	}
 }

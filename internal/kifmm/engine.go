@@ -3,14 +3,16 @@ package kifmm
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"kifmm/internal/diag"
 	"kifmm/internal/kernel"
 	"kifmm/internal/morton"
 	"kifmm/internal/octree"
+	"kifmm/internal/sched"
 )
 
 // Engine evaluates the FMM phases of Algorithm 1 on one tree. The per-node
@@ -26,13 +28,16 @@ import (
 // and the name it reports under — is one row of the table in phase.go. One
 // executor runs the rows over the per-octant bodies (s2uLeaf, u2uNode, ...):
 // the task graph in dag.go, which replaces the paper's phase barriers with
-// per-octant dependencies. Every evaluation builds its graphs there — Run (one
+// per-octant dependencies. Every evaluation runs its graphs there — Run (one
 // graph, or two around a distributed rank's exchange step), Evaluate and
 // EvaluateDAG (all rows), the per-row methods (one row each) — at any worker
-// count, one worker included. Each phase's profile time is therefore its task
-// time summed across workers. The tests keep a plain sequential walk of the
-// table as the oracle the graph is bit-identical to. A body is only ever
-// called for an octant its row's has selects; it does not check again.
+// count, one worker included. A graph is compiled once per tree, masks, V
+// mode and row range, like the tree's lists: a plan's engines share its
+// graphs (EnginePool), and a bare engine compiles its own on first use. Each
+// phase's profile time is its task time summed across workers. The tests
+// keep a plain sequential walk of the table as the oracle the graph is
+// bit-identical to. A body is only ever called for an octant its row's has
+// selects; it does not check again.
 //
 // The near-field bodies run on the batched kernel.Batch panel evaluator
 // over the plan-time streaming Layout: a leaf's sources and targets are
@@ -85,14 +90,22 @@ type Engine struct {
 	scratch []*evalScratch
 	// den32 is the reused single-precision density buffer of Den32.
 	den32 []float32
-	// near is the U row's pairing of mutual leaves (nearPairs), built on the
-	// row's first run; wx is W ⟷ X's (wxPairs), built on the first graph that
-	// pairs it; store holds both routes' parked partials. pairWX reports
-	// whether the graph being run pairs W ⟷ X (pairRows).
-	near   *nearPairs
-	wx     *wxPairs
-	store  *partStore
-	pairWX bool
+
+	// set holds the engine's compiled graphs, a pool's engines sharing one;
+	// the embedded *schedule is the one being run or last run (pairRows),
+	// whose pairings the bodies read as e.near, e.wx and e.pairWX.
+	set *graphSet
+	*schedule
+	// What a run writes, re-armed by pairRows: the inboxes, the parked
+	// partials (store), and the V row's spectra — spec[a] is source a's
+	// while a consumer still needs it, specRefs[a] its consumers still to
+	// run, specFree the released buffers.
+	uIn, wxIn []int32
+	store     *partStore
+	specMu    sync.Mutex
+	spec      [][]float64
+	specRefs  []atomic.Int32
+	specFree  [][]float64
 }
 
 // NewEngine allocates evaluation state for the tree, building a private
@@ -143,15 +156,18 @@ func (e *Engine) trgNode(i int32) bool { return e.TrgSub == nil || e.TrgSub[i] }
 // sources: SrcSub/TrgSub are derived bottom-up from the per-leaf point
 // roles. nLead <= 0 restores the symmetric state (every point both roles).
 func (e *Engine) SetSplitRoles(nLead int) {
-	e.near, e.wx, e.store = nil, nil, nil // the pairings follow the masks
+	e.SrcSub, e.TrgSub = splitRoles(e.Tree, nLead)
+	e.set = nil // the graphs follow the masks
+}
+
+// splitRoles derives the SrcSub and TrgSub masks of a union tree whose
+// leading nLead original points are targets; nil, nil for nLead <= 0.
+func splitRoles(t *octree.Tree, nLead int) (src, trg []bool) {
 	if nLead <= 0 {
-		e.SrcSub, e.TrgSub = nil, nil
-		return
+		return nil, nil
 	}
-	t := e.Tree
 	nn := len(t.Nodes)
-	src := make([]bool, nn)
-	trg := make([]bool, nn)
+	src, trg = make([]bool, nn), make([]bool, nn)
 	for i := range t.Nodes {
 		n := &t.Nodes[i]
 		if !n.IsLeaf || n.NPoints() == 0 {
@@ -176,7 +192,7 @@ func (e *Engine) SetSplitRoles(nLead int) {
 		src[p] = src[p] || src[i]
 		trg[p] = trg[p] || trg[i]
 	}
-	e.SrcSub, e.TrgSub = src, trg
+	return src, trg
 }
 
 // SetDensitiesMasked copies caller-ordered SOURCE densities into the
@@ -225,7 +241,7 @@ func zero(v []float64) {
 // evalScratch is one worker's reusable evaluation state: surface coordinate
 // panels, check/equivalent temporaries, the FFT V-list accumulator, and its
 // phase ledger. One scratch is owned by at most one worker at a
-// time (sched.Graph guarantees worker indices are exclusive), so
+// time (sched.Graph.Run gives a worker index to one task at a time), so
 // the bodies run without locks and without per-octant allocation.
 type evalScratch struct {
 	chk        []float64      // CheckLen: check potentials / MulVec temporary
@@ -271,11 +287,12 @@ func (s *evalScratch) fftAccs(k, n int) []float64 {
 }
 
 // ensureScratch returns the per-worker scratch slice, growing it to at
-// least n entries. Scratches persist across phases and Apply calls, so the
-// near-field bodies allocate O(workers) once per engine, not per call.
+// least n entries (the scheduler's default for n < 1). Scratches persist
+// across phases and Apply calls, so the near-field bodies allocate
+// O(workers) once per engine, not per call.
 func (e *Engine) ensureScratch(n int) []*evalScratch {
 	if n < 1 {
-		n = 1
+		n = sched.DefaultWorkers()
 	}
 	for len(e.scratch) < n {
 		ns := e.Ops.NumSurf()
@@ -288,16 +305,6 @@ func (e *Engine) ensureScratch(n int) []*evalScratch {
 		})
 	}
 	return e.scratch
-}
-
-// dagWorkers mirrors the scheduler's Options.Workers resolution.
-//
-//fmm:allow nodeterm sizes per-worker scratch only; results are bit-identical for any worker count
-func (e *Engine) dagWorkers() int {
-	if e.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return e.Workers
 }
 
 // s2uLeaf is the per-octant S2U body: writes e.U[i] from leaf i's points.
@@ -520,9 +527,9 @@ func (e *Engine) uliLeaf(i int32, s *evalScratch) {
 	tx, ty, tz := L.PX[lo:hi], L.PY[lo:hi], L.PZ[lo:hi]
 	den := e.Density[lo*sd : hi*sd]
 	out := e.Potential[lo*td : hi*td]
-	inbox := np.inbox[np.in[i]:]
+	inbox := e.uIn[np.in[i]:]
 	var pairs int
-	for _, a := range n.U {
+	for k, a := range n.U {
 		if !e.srcNode(a) {
 			continue
 		}
@@ -534,13 +541,12 @@ func (e *Engine) uliLeaf(i int32, s *evalScratch) {
 			slot, part := e.store.park((shi - slo) * td)
 			e.bk.EvalPair(tx, ty, tz, L.PX[slo:shi], L.PY[slo:shi], L.PZ[slo:shi],
 				den, e.Density[slo*sd:shi*sd], out, part)
-			np.post(a, i, slot)
+			e.uIn[np.in[a]+int32(slices.Index(an.U, i))] = slot
 		case np.serves(a, i):
-			for x, v := range e.store.parked(inbox[0], len(out)) {
+			for x, v := range e.store.parked(inbox[k], len(out)) {
 				out[x] += v
 			}
-			e.store.release(inbox[0])
-			inbox = inbox[1:]
+			e.store.release(inbox[k])
 		default:
 			selfOff := -1
 			if a == i {

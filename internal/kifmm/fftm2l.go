@@ -7,8 +7,7 @@ import (
 	"kifmm/internal/fft"
 	"kifmm/internal/geom"
 	"kifmm/internal/morton"
-	"kifmm/internal/octree"
-	"kifmm/internal/par"
+	"kifmm/internal/sched"
 )
 
 // FFTM2L implements the FFT-diagonalized V-list translation. Equivalent and
@@ -208,7 +207,7 @@ func dirSlot(dx, dy, dz int) int { return ((dx+3)*7+(dy+3))*7 + dz + 3 }
 // cache lookup per Hadamard product.
 func (f *FFTM2L) table(level, workers int) *vTable {
 	tb := new(vTable)
-	par.For(workers, len(tb), func(k int) {
+	sched.For(workers, len(tb), func(k int) {
 		dx, dy, dz := k/49-3, k/7%7-3, k%7-3 // inverse of dirSlot
 		if maxAbs3(dx, dy, dz) > 1 {
 			tb[k] = f.TranslationAt(level, dx, dy, dz)
@@ -229,32 +228,6 @@ func (f *FFTM2L) Prewarm(levels []int, workers int) {
 	for _, l := range levels {
 		f.table(l, workers)
 	}
-}
-
-// PrewarmTree is Prewarm for the spectra an evaluation of tree can touch:
-// the reference level for a homogeneous kernel, otherwise every level at
-// which tree has a V-list entry. Plan construction (a session step
-// included) calls it; the spectra land in the process-wide cache, so a later
-// plan of the same (kernel, order) — an fmmserve plan-cache miss included —
-// finds only hits.
-func (f *FFTM2L) PrewarmTree(tree *octree.Tree, workers int) {
-	if f.ops.Homogeneous() {
-		f.Prewarm(nil, workers)
-		return
-	}
-	var has [morton.MaxDepth + 1]bool
-	for i := range tree.Nodes {
-		if len(tree.Nodes[i].V) > 0 {
-			has[tree.Nodes[i].Key.Level()] = true
-		}
-	}
-	var levels []int
-	for l, ok := range has {
-		if ok {
-			levels = append(levels, l)
-		}
-	}
-	f.Prewarm(levels, workers)
 }
 
 // ExtractCheck inverse-transforms the accumulated frequency-domain check

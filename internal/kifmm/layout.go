@@ -111,9 +111,10 @@ func (l *Layout) MemoryBytes() int64 {
 
 // ResidentBytes estimates what one evaluation of tree keeps resident: the
 // tree's nodes, points and interaction lists, one engine's per-node and
-// per-point state, and the layout. It is the one formula behind the
-// MemoryBytes of the single-engine plan and each rank of a sharded plan,
-// which the serving layer's byte-budgeted plan cache accounts by.
+// per-point state, and the layout. With the engine pool's GraphBytes it is
+// the one formula behind the MemoryBytes of the single-engine plan and each
+// rank of a sharded plan, which the serving layer's byte-budgeted plan cache
+// accounts by.
 func ResidentBytes(tree *octree.Tree, ops *Operators, layout *Layout) int64 {
 	var lists int64
 	for i := range tree.Nodes {

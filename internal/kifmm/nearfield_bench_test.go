@@ -8,7 +8,7 @@ import (
 	"kifmm/internal/geom"
 	"kifmm/internal/kernel"
 	"kifmm/internal/octree"
-	"kifmm/internal/par"
+	"kifmm/internal/sched"
 )
 
 // The near-field benchmarks compare the batched panel bodies (what the
@@ -75,7 +75,7 @@ func BenchmarkNearFieldULI(b *testing.B) {
 		func(e *Engine) { e.ULI() },
 		func(e *Engine) {
 			t := e.Tree
-			par.For(e.Workers, len(t.Leaves), func(li int) {
+			sched.For(e.Workers, len(t.Leaves), func(li int) {
 				uliLeafPairwise(e, t.Leaves[li])
 			})
 		})
@@ -86,7 +86,7 @@ func BenchmarkNearFieldD2T(b *testing.B) {
 		func(e *Engine) { e.D2T() },
 		func(e *Engine) {
 			t := e.Tree
-			par.For(e.Workers, len(t.Leaves), func(li int) {
+			sched.For(e.Workers, len(t.Leaves), func(li int) {
 				d2tLeafPairwise(e, t.Leaves[li])
 			})
 		})
@@ -97,7 +97,7 @@ func BenchmarkNearFieldWLI(b *testing.B) {
 		func(e *Engine) { e.WLI() },
 		func(e *Engine) {
 			t := e.Tree
-			par.For(e.Workers, len(t.Leaves), func(li int) {
+			sched.For(e.Workers, len(t.Leaves), func(li int) {
 				wliLeafPairwise(e, t.Leaves[li])
 			})
 		})

@@ -29,11 +29,11 @@ import (
 // chained half its work (TestULIChainBound). The partials parked at once are the pairs inside the chunks
 // in flight, not the pairs straddling the row's Morton frontier.
 //
-// Built once per engine (SetSplitRoles drops it) from the tree's lists and
-// the engine's masks; a run writes only the inboxes. The partials are held in
-// the engine's one partStore, which W ⟷ X (wxPairs) parks in too.
+// Built once per schedule from the tree's lists and the masks, and shared by
+// every engine that runs it; a run writes only its engine's inbox. The
+// partials are held in the engine's one partStore, which W ⟷ X (wxPairs)
+// parks in too.
 type nearPairs struct {
-	tree *octree.Tree
 	// rank[i] is leaf i's place in the pairing order: chunk by chunk, and
 	// within a chunk by colour, then Morton. i is paired if it has U-row
 	// work and carries sources, its U list names every leaf once, and every
@@ -44,11 +44,11 @@ type nearPairs struct {
 	// order, but each chunk whole, in rank order, where its first leaf
 	// stands — a task's predecessors must be added before it.
 	order []int32
-	// inbox[in[i]+k] is the slot of the partial parked for leaf i's k-th
-	// served entry (counted in list order), written by the serving leaf's
-	// task before i's starts.
-	in    []int32
-	inbox []int32
+	// An engine's U inbox, inboxLen places, holds at in[i]+k the slot of the
+	// partial parked for paired leaf i's k-th U entry where an earlier leaf
+	// serves it, written by the serving leaf's task before i's starts.
+	in       []int32
+	inboxLen int
 }
 
 // pairChunk is how many paired leaves, consecutive in Morton order, make one
@@ -88,33 +88,12 @@ const parkClass = 8
 // are held at once.
 var parkedHeld func(delta int)
 
-// pairRows readies what a graph of rows [lo, hi) pairs: the U row's pairing
-// if it holds the U row, and W ⟷ X's if it holds both the X and the W row and
-// the kernel shares a pair's kernel values (pairWX; the per-row XLI and WLI
-// run one way). Each pairing is built on first use, and every buffer of the
-// store is free: a graph cancelled mid-row leaves partials parked, and the
-// next run reclaims them here. Callers run it before the rows' tasks.
-func (e *Engine) pairRows(lo, hi int) {
-	e.pairWX = lo <= pXLI && pWLI < hi && sharedPair(e.bk)
-	if e.store == nil {
-		e.store = newPartStore(e.Tree, e.Ops.Kern.TrgDim())
-	}
-	e.store.reclaim()
-	if lo <= pULI && pULI < hi && e.near == nil {
-		e.near = e.buildNearPairs()
-	}
-	if e.pairWX && e.wx == nil {
-		e.wx = e.buildWXPairs()
-	}
-}
-
 // buildNearPairs ranks the U row's paired leaves, orders the row's tasks and
 // lays out the inboxes.
 func (e *Engine) buildNearPairs() *nearPairs {
 	t := e.Tree
 	p := &phases[pULI]
 	np := &nearPairs{
-		tree: t,
 		rank: make([]int32, len(t.Nodes)),
 		in:   make([]int32, len(t.Nodes)),
 	}
@@ -161,12 +140,10 @@ func (e *Engine) buildNearPairs() *nearPairs {
 			next++
 		}
 	}
-	n := int32(0)
 	for _, i := range paired {
-		np.in[i] = n
-		n += np.served(i)
+		np.in[i] = int32(np.inboxLen)
+		np.inboxLen += len(t.Nodes[i].U)
 	}
-	np.inbox = make([]int32, n)
 	return np
 }
 
@@ -197,39 +174,11 @@ func repeats(u []int32) bool {
 	return false
 }
 
-// served counts leaf i's entries that an earlier leaf serves: the length of
-// its inbox.
-func (np *nearPairs) served(i int32) int32 {
-	c := int32(0)
-	for _, a := range np.tree.Nodes[i].U {
-		if np.serves(a, i) {
-			c++
-		}
-	}
-	return c
-}
-
 // serves reports whether leaf a serves the entry of U(i) naming it: both
 // are paired, in one chunk, and a comes first.
 func (np *nearPairs) serves(a, i int32) bool {
 	ra, ri := np.rank[a], np.rank[i]
 	return ra >= 0 && ra < ri && ra/pairChunk == ri/pairChunk
-}
-
-// post hands leaf a the slot of the partial parked for its entry naming i:
-// its place in a's inbox is the number of a's entries before it that an
-// earlier leaf serves.
-func (np *nearPairs) post(a, i, slot int32) {
-	k := np.in[a]
-	for _, b := range np.tree.Nodes[a].U {
-		if b == i {
-			break
-		}
-		if np.serves(b, a) {
-			k++
-		}
-	}
-	np.inbox[k] = slot
 }
 
 // wxPairs is W ⟷ X's pairing. octree.buildX makes the X list the transpose
@@ -245,13 +194,14 @@ func (np *nearPairs) post(a, i, slot int32) {
 //
 // An entry is served where a and j both carry sources and targets, X(a) and
 // W(j) both have work, and each list names the other once; every other entry
-// runs one way on both sides, by EvalPanel. Built once per engine
-// (SetSplitRoles drops it) from the tree's lists and the engine's masks; a
-// run writes only the inbox.
+// runs one way on both sides, by EvalPanel. Built once per schedule from the
+// tree's lists and the masks; a run writes only its engine's copy of the
+// inbox.
 type wxPairs struct {
-	// inbox[in[j]+k] is W(j)'s k-th entry's: −1 if it runs one way, else the
-	// slot of the partial X(a) parked for it, written by X(a)'s task before
-	// W(j)'s starts. in[j] is −1 where W(j) has no work.
+	// inbox[in[j]+k] is W(j)'s k-th entry's: −1 if it runs one way, else 0;
+	// in an engine's copy, the slot of the partial X(a) parked for it,
+	// written by X(a)'s task before W(j)'s starts. in[j] is −1 where W(j)
+	// has no work.
 	in    []int32
 	inbox []int32
 }
@@ -291,20 +241,27 @@ func once(list []int32, x int32) bool {
 	return k >= 0 && !slices.Contains(list[k+1:], x)
 }
 
-// wxServed returns W(j)'s slice of the inbox, one place per W entry, or nil
-// where this graph does not pair W ⟷ X or W(j) has no work.
-func (e *Engine) wxServed(j int32) []int32 {
-	if !e.pairWX || e.wx.in[j] < 0 {
+// places returns W(j)'s n places in inbox — the pairing's or an engine's
+// copy — or nil where W(j) has no work.
+func (wx *wxPairs) places(inbox []int32, j int32, n int) []int32 {
+	if wx.in[j] < 0 {
 		return nil
 	}
-	in := e.wx.in[j]
-	return e.wx.inbox[in : in+int32(len(e.Tree.Nodes[j].W))]
+	return inbox[wx.in[j] : wx.in[j]+int32(n)]
+}
+
+// wxServed returns W(j)'s slice of the engine's inbox, one place per W entry,
+// or nil where the graph being run does not pair W ⟷ X or W(j) has no work.
+func (e *Engine) wxServed(j int32) []int32 {
+	if !e.pairWX {
+		return nil
+	}
+	return e.wx.places(e.wxIn, j, len(e.Tree.Nodes[j].W))
 }
 
 // partStore holds the partials both pair routes park, the U row's and
-// W ⟷ X's, in buffers reused across runs: one store per engine
-// (SetSplitRoles drops it), which grows to the most partials ever parked at
-// once.
+// W ⟷ X's, in buffers reused across runs: one store per engine, which grows
+// to the most partials ever parked at once.
 type partStore struct {
 	// classLen is the unit of a buffer's length, parkClass points' worth.
 	classLen int

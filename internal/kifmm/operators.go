@@ -120,30 +120,35 @@ func (o *Operators) buildLevel(l, workers int) *levelOps {
 	lo := &levelOps{}
 	var uc2ueRows *linalg.Mat
 	g := sched.NewGraph()
-	uc2ue := g.Add("operators.uc2ue", func(int) {
+	var body []func() // body[id] is task id's piece
+	add := func(name string, f func()) sched.TaskID {
+		body = append(body, f)
+		return g.Add(name)
+	}
+	uc2ue := add("operators.uc2ue", func() {
 		uc2ueRows = linalg.PinvTikhonov(kernel.Matrix(o.Kern, uc, ue), o.Tol)
 	})
-	g.Add("operators.dc2de", func(int) {
+	add("operators.dc2de", func() {
 		lo.DC2DE = linalg.Pack(linalg.PinvTikhonov(kernel.Matrix(o.Kern, dc, de), o.Tol))
 	})
 	var u2u [8]sched.TaskID
 	for c := range u2u {
 		// The child's upward-equivalent and downward-check surfaces coincide.
 		cs := o.Grid.Points(childCenter(center, half, c), RadInner*half/2)
-		g.Add("operators.d2d", func(int) { lo.D2D[c] = linalg.Pack(kernel.Matrix(o.Kern, cs, de)) })
-		u2u[c] = g.Add("operators.u2u", func(int) {
+		add("operators.d2d", func() { lo.D2D[c] = linalg.Pack(kernel.Matrix(o.Kern, cs, de)) })
+		u2u[c] = add("operators.u2u", func() {
 			lo.U2U[c] = linalg.Pack(uc2ueRows.Mul(kernel.Matrix(o.Kern, uc, cs)))
 		})
 		g.Dep(uc2ue, u2u[c])
 	}
 	// UC2UE is packed once the eight U2U products have read its rows.
-	pack := g.Add("operators.uc2ue.pack", func(int) { lo.UC2UE = linalg.Pack(uc2ueRows) })
+	pack := add("operators.uc2ue.pack", func() { lo.UC2UE = linalg.Pack(uc2ueRows) })
 	for _, t := range u2u {
 		g.Dep(t, pack)
 	}
 	// A shared build (SharedOperators, the per-level tables): no request's
 	// context may stop it.
-	if _, err := g.Run(context.Background(), sched.Options{Workers: max(1, workers)}); err != nil {
+	if _, err := g.Run(context.Background(), sched.Options{Workers: max(1, workers)}, func(_ int, id sched.TaskID) { body[id]() }); err != nil {
 		panic(fmt.Sprintf("kifmm: building level-%d operators: %v", l, err))
 	}
 	return lo

@@ -20,7 +20,7 @@ const (
 )
 
 // phase is everything the executor knows about one operator of Algorithm 1.
-// The task graph (buildDAG) reads it, and so does the sequential test oracle,
+// The task graph (compile) reads it, and so does the sequential test oracle,
 // so which octants a phase touches is decided once, by has; the bodies assume
 // it.
 type phase struct {
@@ -61,7 +61,7 @@ var phases = [numRows]phase{
 			return !e.Tree.Nodes[i].IsLeaf && e.srcNode(i)
 		}},
 	// V interactions are same-level; the FFT mode orders its sibling groups a
-	// level at a time (buildVFFT). body is the dense oracle's, the FFT mode
+	// level at a time (compileVFFT). body is the dense oracle's, the FFT mode
 	// runs vliFFTGroup per sibling group instead.
 	pVLI: {name: "V", diag: diag.PhaseVList, over: levelsDown, body: (*Engine).vliDenseNode,
 		has: func(e *Engine, i int32) bool {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"kifmm/internal/diag"
+	"kifmm/internal/kernel"
 	"kifmm/internal/octree"
 	"kifmm/internal/sched"
 )
@@ -25,16 +26,12 @@ type EngineSpec struct {
 	DenseM2L bool
 }
 
-// Prewarm eagerly builds what an evaluation of tree would otherwise build
-// lazily — a non-homogeneous kernel's per-level operator tables and the
-// V-list translation spectra (these not for the dense oracle) — so the first
-// Apply builds nothing.
+// Prewarm eagerly builds a non-homogeneous kernel's per-level operator
+// tables for tree, which an evaluation would otherwise build lazily;
+// compiling the graph (EnginePool.Compile) resolves the V-list translation
+// spectra. After both, the first Apply builds nothing.
 func (s EngineSpec) Prewarm(tree *octree.Tree) {
-	workers := max(1, s.Workers)
-	s.Ops.PrewarmLevels(tree, workers)
-	if !s.DenseM2L {
-		s.Ops.FFT().PrewarmTree(tree, workers)
-	}
+	s.Ops.PrewarmLevels(tree, max(1, s.Workers))
 }
 
 // NewEngine allocates and configures evaluation state for the tree — the one
@@ -72,14 +69,14 @@ func (s EngineSpec) NewEngine(tree *octree.Tree, layout *Layout) *Engine {
 func (e *Engine) Run(ctx context.Context, exchange func(), trace *sched.Trace) (sched.Stats, error) {
 	t0 := time.Now() //fmm:allow nodeterm Total eval feeds the ledger only; results never read it
 	var l ledger
-	split := len(phases)
-	if exchange != nil {
-		split = pVLI
-	}
-	err := e.runRows(ctx, 0, split, trace, &l)
-	if err == nil && exchange != nil {
-		exchange()
-		err = e.runRows(ctx, split, len(phases), trace, &l)
+	var err error
+	for k, r := range rowRanges(exchange != nil) {
+		if k > 0 {
+			exchange()
+		}
+		if err = e.runRows(ctx, r[0], r[1], trace, &l); err != nil {
+			break
+		}
 	}
 	l.total = time.Since(t0) //fmm:allow nodeterm Total eval feeds the ledger only; results never read it
 	e.merge(&l)
@@ -89,18 +86,33 @@ func (e *Engine) Run(ctx context.Context, exchange func(), trace *sched.Trace) (
 	return l.sched, nil
 }
 
+// The row ranges of Run's graphs: every row, or around an exchange step the
+// upward pass and then the rest.
+var oneGraph, twoGraphs = [][2]int{{0, numRows}}, [][2]int{{0, pVLI}, {pVLI, numRows}}
+
+func rowRanges(exchange bool) [][2]int {
+	if exchange {
+		return twoGraphs
+	}
+	return oneGraph
+}
+
 // maxPooled caps a pool's free list; engines beyond the cap are dropped
 // for the GC after bursts of concurrency.
 const maxPooled = 8
 
 // EnginePool is the free list of engines over one tree and layout: each
 // concurrent evaluation of a plan (or of one rank of a sharded plan) checks
-// out a private engine and returns it.
+// out a private engine and returns it. The engines share what does not
+// depend on the densities: the masks and the compiled graphs.
 type EnginePool struct {
 	spec   EngineSpec
 	tree   *octree.Tree
 	layout *Layout
-	nLead  int
+	// src and trg are every engine's SrcSub and TrgSub, graphs their
+	// schedules: built once for the pool, read-only after.
+	src, trg []bool
+	graphs   *graphSet
 
 	mu   sync.Mutex
 	free []*Engine
@@ -108,9 +120,34 @@ type EnginePool struct {
 
 // NewPool returns an empty pool of engines over the tree and its layout.
 // nLead > 0 marks an asymmetric union tree whose leading nLead original
-// points are targets: every engine gets its masks (SetSplitRoles).
+// points are targets: the pool derives its masks once (SetSplitRoles'), and
+// every engine gets them.
 func (s EngineSpec) NewPool(tree *octree.Tree, layout *Layout, nLead int) *EnginePool {
-	return &EnginePool{spec: s, tree: tree, layout: layout, nLead: nLead}
+	p := &EnginePool{spec: s, tree: tree, layout: layout, graphs: newGraphSet(!s.DenseM2L)}
+	p.src, p.trg = splitRoles(tree, nLead)
+	return p
+}
+
+// Compile builds the graphs the pool's engines run — the one graph of every
+// row, or with exchange the two around a rank's exchange step (Run) — so that
+// no evaluation builds one; a graph not compiled here is compiled by the
+// first engine to run it, once for the pool. It compiles with an engine
+// shell that carries what compile reads and no evaluation state, which
+// would otherwise be allocated amid the plan build's garbage.
+func (p *EnginePool) Compile(exchange bool) {
+	e := &Engine{Ops: p.spec.Ops, Tree: p.tree, Workers: max(1, p.spec.Workers), UseFFTM2L: !p.spec.DenseM2L,
+		SrcSub: p.src, TrgSub: p.trg, bk: kernel.AsBatch(p.spec.Ops.Kern)}
+	for _, r := range rowRanges(exchange) {
+		p.graphs.get(e, r[0], r[1])
+	}
+}
+
+// GraphBytes is what the pool holds beside its engines, tree and layout:
+// the masks and the compiled graphs. ResidentBytes plus GraphBytes is the
+// MemoryBytes of the single-engine plan and of each rank of a sharded plan,
+// which the serving layer's byte-budgeted plan cache accounts by.
+func (p *EnginePool) GraphBytes() int64 {
+	return int64(len(p.src)+len(p.trg)) + p.graphs.memoryBytes()
 }
 
 // Get checks out a reset engine (densities are the caller's to set)
@@ -124,7 +161,7 @@ func (p *EnginePool) Get(prof *diag.Profile) *Engine {
 	p.mu.Unlock()
 	if e == nil {
 		e = p.spec.NewEngine(p.tree, p.layout)
-		e.SetSplitRoles(p.nLead)
+		e.SrcSub, e.TrgSub, e.set = p.src, p.trg, p.graphs
 	} else {
 		e.Reset()
 	}

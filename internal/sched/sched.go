@@ -17,6 +17,13 @@
 // so every graph is acyclic by construction and insertion order is a
 // topological order.
 //
+// A Graph is structure only — each task's name, predecessor count and
+// successors — and a run only reads it: Run takes the one function that
+// executes a task by its ID, and keeps its dependency counters, ready stack
+// and stats to itself. So a graph is built once and run any number of times,
+// concurrently too: the FMM engine compiles each plan's graph once and runs
+// it on every evaluation, and For runs a loop's chunks the same way.
+//
 // A panicking task fails the whole graph instead of deadlocking it: the
 // remaining tasks are drained without running their bodies, every worker
 // exits, and Run returns the captured panic as an error. A done context is
@@ -31,6 +38,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // TaskID names a task within one Graph.
@@ -40,25 +48,26 @@ type TaskID int32
 const NoTask = TaskID(-1)
 
 type task struct {
-	name string
-	fn   func(worker int)
-	// deps is the remaining-predecessor count; the task is runnable when
-	// it reaches zero. Set at Add/Dep time, decremented atomically as
-	// predecessors complete; atomic.Int32 so graph construction and the
-	// workers' decrements can never mix plain and atomic access.
-	deps  atomic.Int32
+	name string // "" for a synchronization point
+	// deps is the predecessor count: a run's counter for the task starts
+	// here and the task is runnable when it reaches zero.
+	deps  int32
 	succs []TaskID
 }
 
-// Graph is a single-use dependency graph: Add tasks, declare Deps, Run
-// once. The zero value is not usable; call NewGraph.
+// Graph is a dependency graph's structure: Add tasks, declare Deps, then Run
+// it any number of times, concurrently too — a run keeps its counters and
+// ready stack to itself, and what a task does is the exec function of the
+// run. Do not add tasks or edges while the graph runs. The zero value is an
+// empty graph.
 type Graph struct {
 	tasks []task
 	// slab is where successor lists grow: a list that fills its window
 	// moves to one twice the size carved from the slab, so declaring edges
 	// allocates a chunk at a time instead of a slice per task and growth.
-	slab    []TaskID
-	started bool
+	slab []TaskID
+	// slabIDs counts every task ID the slab chunks hold, for MemoryBytes.
+	slabIDs int
 }
 
 // slabChunk is the successor slab's allocation unit, in task IDs.
@@ -71,16 +80,11 @@ func NewGraph() *Graph { return &Graph{} }
 func (g *Graph) Len() int { return len(g.tasks) }
 
 // Add registers a task and returns its ID. name labels the task in traces
-// (use a small set of static strings; per-task identity is the ID). fn
-// receives the index of the worker that runs it (in [0, workers) for the
-// clamped worker count of Run), which bodies use to address per-worker
-// scratch state — reusable buffers and local counters folded after the run —
-// without locks or allocation; it may be nil for pure synchronization points.
-func (g *Graph) Add(name string, fn func(worker int)) TaskID {
-	if g.started {
-		panic("sched: Add after Run")
-	}
-	g.tasks = append(g.tasks, task{name: name, fn: fn})
+// (use a small set of static strings; per-task identity is the ID). An empty
+// name adds a synchronization point: a task that completes once its
+// predecessors have, with no exec call and no trace event.
+func (g *Graph) Add(name string) TaskID {
+	g.tasks = append(g.tasks, task{name: name})
 	return TaskID(len(g.tasks) - 1)
 }
 
@@ -89,9 +93,6 @@ func (g *Graph) Add(name string, fn func(worker int)) TaskID {
 // hold a cycle and Dep panics on a backward or self edge. Duplicate edges
 // are allowed (each one counts; predecessors decrement per edge).
 func (g *Graph) Dep(pred, succ TaskID) {
-	if g.started {
-		panic("sched: Dep after Run")
-	}
 	if pred >= succ {
 		panic(fmt.Sprintf("sched: Dep(%d, %d) does not point forward: a task may only wait on tasks added before it", pred, succ))
 	}
@@ -100,7 +101,7 @@ func (g *Graph) Dep(pred, succ TaskID) {
 		t.succs = g.grow(t.succs)
 	}
 	t.succs = append(t.succs, succ)
-	g.tasks[succ].deps.Add(1)
+	g.tasks[succ].deps++
 }
 
 // grow moves a full successor list to a window of twice its capacity (two
@@ -110,10 +111,17 @@ func (g *Graph) grow(s []TaskID) []TaskID {
 	n := max(2, 2*cap(s))
 	if cap(g.slab)-len(g.slab) < n {
 		g.slab = make([]TaskID, 0, max(slabChunk, n))
+		g.slabIDs += cap(g.slab)
 	}
 	lo := len(g.slab)
 	g.slab = g.slab[:lo+n]
 	return append(g.slab[lo:lo:lo+n], s...)
+}
+
+// MemoryBytes is what the graph holds: its task table and successor slab
+// (task names are static strings, not counted).
+func (g *Graph) MemoryBytes() int64 {
+	return int64(cap(g.tasks))*int64(unsafe.Sizeof(task{})) + int64(g.slabIDs)*4
 }
 
 // Stats aggregates a Run; the runner keeps one per worker while it runs and
@@ -159,13 +167,18 @@ type runnable struct {
 	by int32
 }
 
+// runner is one run's state: the graph is only read.
 type runner struct {
 	g     *Graph
+	exec  func(worker int, id TaskID)
 	trace *Trace
+
+	// deps[id] counts task id's predecessors still to complete.
+	deps []atomic.Int32
 
 	// mu guards stack, idlers and done; cond parks idle workers.
 	mu     sync.Mutex
-	cond   *sync.Cond
+	cond   sync.Cond
 	stack  []runnable
 	idlers int
 	done   bool
@@ -174,7 +187,7 @@ type runner struct {
 	total     int64
 
 	// failed flips on the first panic or on cancellation; the drain then
-	// skips task bodies. err is the first cause, set once.
+	// skips exec. err is the first cause, set once.
 	failed  atomic.Bool
 	failOne sync.Once
 	err     error
@@ -182,16 +195,17 @@ type runner struct {
 	stats []Stats // one per worker
 }
 
-// Run executes the graph and blocks until every task has completed, a task
-// has panicked (the panic is captured and returned as an error after the
+// Run executes the graph, calling exec(worker, id) for every task but the
+// synchronization points, and blocks until every task has completed, an exec
+// call has panicked (the panic is captured and returned as an error after the
 // graph drains), or ctx is done (the graph drains the same way and the error
-// wraps ctx.Err(); bodies already running finish). A context that can never
-// be done costs nothing. A graph can be run only once.
-func (g *Graph) Run(ctx context.Context, opt Options) (Stats, error) {
-	if g.started {
-		return Stats{}, fmt.Errorf("sched: graph already run")
-	}
-	g.started = true
+// wraps ctx.Err(); calls already running finish). worker is the index of the
+// executing worker, in [0, workers) for the clamped worker count: at most one
+// task runs on a worker index at a time, so exec may address per-worker
+// scratch state — reusable buffers, local counters folded after the run —
+// without locks or allocation. A context that can never be done costs
+// nothing.
+func (g *Graph) Run(ctx context.Context, opt Options, exec func(worker int, id TaskID)) (Stats, error) {
 	t0 := time.Now() //fmm:allow nodeterm wall-clock is reported in Stats only; task results never read it
 	if len(g.tasks) == 0 {
 		//fmm:allow nodeterm wall-clock is reported in Stats only; task results never read it
@@ -199,18 +213,18 @@ func (g *Graph) Run(ctx context.Context, opt Options) (Stats, error) {
 	}
 	workers := opt.Workers
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) //fmm:allow nodeterm worker-count default; reductions are plan-sequenced, results are identical for any worker count
+		workers = DefaultWorkers()
 	}
-	if workers > len(g.tasks) {
-		workers = len(g.tasks)
-	}
+	workers = min(workers, len(g.tasks))
 	r := &runner{
 		g:     g,
+		exec:  exec,
 		trace: opt.Trace,
+		deps:  make([]atomic.Int32, len(g.tasks)),
 		total: int64(len(g.tasks)),
 		stats: make([]Stats, workers),
 	}
-	r.cond = sync.NewCond(&r.mu)
+	r.cond.L = &r.mu
 	if ctx.Done() != nil {
 		// A context done already fails the graph before any body can start;
 		// one done later fails it from AfterFunc's goroutine.
@@ -225,10 +239,12 @@ func (g *Graph) Run(ctx context.Context, opt Options) (Stats, error) {
 		r.trace.start(workers)
 	}
 
-	// Seed the stack with the tasks that have no predecessor, last added
-	// at the bottom, so they pop in insertion order.
+	// Arm the counters and seed the stack with the tasks that have no
+	// predecessor, last added at the bottom, so they pop in insertion order.
 	for i := len(g.tasks) - 1; i >= 0; i-- {
-		if g.tasks[i].deps.Load() == 0 {
+		if d := g.tasks[i].deps; d > 0 {
+			r.deps[i].Store(d)
+		} else {
 			r.stack = append(r.stack, runnable{id: TaskID(i), by: -1})
 		}
 	}
@@ -263,6 +279,11 @@ func (g *Graph) Run(ctx context.Context, opt Options) (Stats, error) {
 	return st, r.err
 }
 
+// DefaultWorkers is the worker count of Options.Workers <= 0: GOMAXPROCS.
+//
+//fmm:allow nodeterm worker-count default; reductions are plan-sequenced, results are identical for any worker count
+func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
+
 // fail records the graph's first failure and turns the rest of the run into
 // a drain.
 func (r *runner) fail(err error) {
@@ -291,12 +312,12 @@ func (r *runner) next(w int) (runnable, bool) {
 	return t, true
 }
 
-// execute runs one task body (unless the graph has failed), records trace
-// and stats, and releases successors.
+// execute runs one task (unless the graph has failed or the task is a
+// synchronization point), records trace and stats, and releases successors.
 func (r *runner) execute(w int, rt runnable) {
 	id := rt.id
 	t := &r.g.tasks[id]
-	if !r.failed.Load() && t.fn != nil {
+	if !r.failed.Load() && t.name != "" {
 		func() {
 			defer func() {
 				if p := recover(); p != nil {
@@ -305,11 +326,11 @@ func (r *runner) execute(w int, rt runnable) {
 			}()
 			if r.trace != nil {
 				start := time.Now() //fmm:allow nodeterm trace timestamps are diagnostic output only
-				t.fn(w)
+				r.exec(w, id)
 				//fmm:allow nodeterm trace timestamps are diagnostic output only
 				r.trace.add(w, t.name, int32(id), start, time.Since(start))
 			} else {
-				t.fn(w)
+				r.exec(w, id)
 			}
 		}()
 	}
@@ -325,7 +346,7 @@ func (r *runner) execute(w int, rt runnable) {
 	// successor beyond the first wakes one parked worker.
 	released := 0
 	for _, s := range t.succs {
-		if r.g.tasks[s].deps.Add(-1) == 0 {
+		if r.deps[s].Add(-1) == 0 {
 			if released == 0 {
 				r.mu.Lock()
 			}
@@ -345,5 +366,41 @@ func (r *runner) execute(w int, rt runnable) {
 		r.done = true
 		r.cond.Broadcast()
 		r.mu.Unlock()
+	}
+}
+
+// For executes f(i) for i in [0, n) using at most workers goroutines, as a
+// graph of independent chunks of iterations run by Run; workers <= 1 runs
+// inline, in order. Idle workers pop chunks from the shared ready stack,
+// which balances the wildly different per-item costs of adaptive trees. A
+// panic in f propagates to the caller after the remaining chunks have
+// drained. It is the plan-time and device-simulation loop: translation
+// tables, direct sums, simulated thread blocks.
+func For(workers, n int, f func(i int)) {
+	if workers <= 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	workers = min(workers, n)
+	// Chunking amortizes the per-task overhead on big loops while keeping
+	// enough tasks in flight to balance skewed workloads.
+	chunk := 8
+	if n/workers < 64 {
+		chunk = 1
+	}
+	g := &Graph{tasks: make([]task, (n+chunk-1)/chunk)}
+	for k := range g.tasks {
+		g.tasks[k].name = "sched.For"
+	}
+	_, err := g.Run(context.Background(), Options{Workers: workers}, func(_ int, id TaskID) {
+		lo := int(id) * chunk
+		for i := lo; i < min(lo+chunk, n); i++ {
+			f(i)
+		}
+	})
+	if err != nil {
+		panic(fmt.Sprintf("sched.For: %v", err))
 	}
 }

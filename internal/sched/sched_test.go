@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,64 +16,141 @@ import (
 	"kifmm/internal/goleak"
 )
 
+// bodies is a test graph whose tasks run closures: the exec function of its
+// runs calls the task's.
+type bodies struct {
+	*Graph
+	fn []func(worker int)
+}
+
+func newBodies() *bodies { return &bodies{Graph: NewGraph()} }
+
+// add registers a task running fn; a nil fn adds a synchronization point.
+func (b *bodies) add(name string, fn func(worker int)) TaskID {
+	b.fn = append(b.fn, fn)
+	if fn == nil {
+		name = ""
+	}
+	return b.Add(name)
+}
+
+func (b *bodies) run(ctx context.Context, opt Options) (Stats, error) {
+	return b.Run(ctx, opt, func(w int, id TaskID) { b.fn[id](w) })
+}
+
+// randomDAG builds a random layered DAG of plain tasks and returns it with
+// each task's predecessors.
+func randomDAG(rng *rand.Rand) (*Graph, [][]TaskID) {
+	g := NewGraph()
+	var layers [][]TaskID
+	var preds [][]TaskID
+	nLayers := 2 + rng.Intn(5)
+	perLayer := 1 + rng.Intn(40)
+	for l := 0; l < nLayers; l++ {
+		var layer []TaskID
+		for k := 0; k < perLayer; k++ {
+			id := g.Add("t")
+			preds = append(preds, nil)
+			if l > 0 {
+				// Random edges from earlier layers.
+				for e := 0; e < 1+rng.Intn(3); e++ {
+					src := layers[rng.Intn(l)]
+					p := src[rng.Intn(len(src))]
+					g.Dep(p, id)
+					preds[id] = append(preds[id], p)
+				}
+			}
+			layer = append(layer, id)
+		}
+		layers = append(layers, layer)
+	}
+	return g, preds
+}
+
+// checkedRun runs g once with per-run bookkeeping and reports a task that
+// ran before one of its predecessors had finished, or other than once.
+// stop, when non-nil, is called by the exec of task stopAt (a failure
+// injection: it may panic or cancel).
+func checkedRun(t *testing.T, label string, g *Graph, preds [][]TaskID, ctx context.Context, workers int, stopAt TaskID, stop func()) error {
+	t.Helper()
+	runs := make([]atomic.Int32, g.Len())
+	done := make([]atomic.Bool, g.Len())
+	st, err := g.Run(ctx, Options{Workers: workers}, func(_ int, id TaskID) {
+		for _, p := range preds[id] {
+			if !done[p].Load() {
+				t.Errorf("%s: task %d ran before predecessor %d", label, id, p)
+			}
+		}
+		if id == stopAt && stop != nil {
+			stop()
+		}
+		runs[id].Add(1)
+		done[id].Store(true)
+	})
+	if st.Tasks != int64(g.Len()) {
+		t.Errorf("%s: stats report %d tasks, graph has %d", label, st.Tasks, g.Len())
+	}
+	if err != nil {
+		return err
+	}
+	for id := range runs {
+		if k := runs[id].Load(); k != 1 {
+			t.Errorf("%s: task %d ran %d times", label, id, k)
+		}
+	}
+	return nil
+}
+
 // TestRandomDAGProperty builds random layered DAGs and checks the two
-// scheduler invariants: every task runs exactly once, and never before all
-// of its predecessors have finished.
+// scheduler invariants — every task runs exactly once, and never before all
+// of its predecessors have finished — on every run of one graph: five runs in
+// a row, a run after one that panicked and after one that was cancelled, and
+// four runs at once from four goroutines.
 func TestRandomDAGProperty(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		for trial := 0; trial < 6; trial++ {
 			rng := rand.New(rand.NewSource(int64(workers*100 + trial)))
-			nLayers := 2 + rng.Intn(5)
-			perLayer := 1 + rng.Intn(40)
+			g, preds := randomDAG(rng)
+			label := fmt.Sprintf("workers=%d trial=%d", workers, trial)
+			bg := context.Background()
+			for k := 0; k < 5; k++ {
+				if err := checkedRun(t, fmt.Sprintf("%s run %d", label, k), g, preds, bg, workers, NoTask, nil); err != nil {
+					t.Fatalf("%s run %d: %v", label, k, err)
+				}
+			}
 
-			g := NewGraph()
-			var layers [][]TaskID
-			runs := make(map[TaskID]*atomic.Int32)
-			done := make(map[TaskID]*atomic.Bool)
-			preds := make(map[TaskID][]TaskID)
+			stopAt := TaskID(rng.Intn(g.Len()))
+			if err := checkedRun(t, label+" panicking", g, preds, bg, workers, stopAt, func() { panic("stop") }); err == nil {
+				t.Fatalf("%s: a panicking run returned no error", label)
+			}
+			if err := checkedRun(t, label+" after a panic", g, preds, bg, workers, NoTask, nil); err != nil {
+				t.Fatalf("%s after a panic: %v", label, err)
+			}
 
-			for l := 0; l < nLayers; l++ {
-				var layer []TaskID
-				for k := 0; k < perLayer; k++ {
-					r := &atomic.Int32{}
-					d := &atomic.Bool{}
-					var id TaskID
-					id = g.Add("t", func(int) {
-						for _, p := range preds[id] {
-							if !done[p].Load() {
-								t.Errorf("task %d ran before predecessor %d", id, p)
-							}
-						}
-						r.Add(1)
-						d.Store(true)
-					})
-					runs[id], done[id] = r, d
-					if l > 0 {
-						// Random edges from earlier layers.
-						for e := 0; e < 1+rng.Intn(3); e++ {
-							src := layers[rng.Intn(l)]
-							p := src[rng.Intn(len(src))]
-							g.Dep(p, id)
-							preds[id] = append(preds[id], p)
-						}
+			ctx, cancel := context.WithCancel(bg)
+			err := checkedRun(t, label+" cancelled", g, preds, ctx, workers, stopAt, func() {
+				cancel()
+				time.Sleep(time.Millisecond) // let AfterFunc fail the run
+			})
+			cancel()
+			if err != nil && !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: a cancelled run returned %v", label, err)
+			}
+			if err := checkedRun(t, label+" after a cancel", g, preds, bg, workers, NoTask, nil); err != nil {
+				t.Fatalf("%s after a cancel: %v", label, err)
+			}
+
+			var wg sync.WaitGroup
+			for k := 0; k < 4; k++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := checkedRun(t, fmt.Sprintf("%s concurrent %d", label, k), g, preds, bg, workers, NoTask, nil); err != nil {
+						t.Errorf("%s concurrent %d: %v", label, k, err)
 					}
-					layer = append(layer, id)
-				}
-				layers = append(layers, layer)
+				}()
 			}
-
-			st, err := g.Run(context.Background(), Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("workers=%d trial=%d: %v", workers, trial, err)
-			}
-			if st.Tasks != int64(g.Len()) {
-				t.Fatalf("stats report %d tasks, graph has %d", st.Tasks, g.Len())
-			}
-			for id, r := range runs {
-				if r.Load() != 1 {
-					t.Fatalf("task %d ran %d times", id, r.Load())
-				}
-			}
+			wg.Wait()
 		}
 	}
 }
@@ -82,15 +160,15 @@ func TestRandomDAGProperty(t *testing.T) {
 // goroutines are left behind.
 func TestPanicFailsGraph(t *testing.T) {
 	before := runtime.NumGoroutine()
-	g := NewGraph()
+	g := newBodies()
 	var after atomic.Int32
-	a := g.Add("ok", func(int) {})
-	b := g.Add("boom", func(int) { panic("kaboom") })
-	c := g.Add("down", func(int) { after.Add(1) })
+	a := g.add("ok", func(int) {})
+	b := g.add("boom", func(int) { panic("kaboom") })
+	c := g.add("down", func(int) { after.Add(1) })
 	g.Dep(a, b)
 	g.Dep(b, c)
 
-	_, err := g.Run(context.Background(), Options{Workers: 4})
+	_, err := g.run(context.Background(), Options{Workers: 4})
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("want panic error, got %v", err)
 	}
@@ -117,12 +195,12 @@ func TestRunCancelled(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		g := NewGraph()
+		g := newBodies()
 		var ran atomic.Int32
 		for i := 0; i < 100; i++ {
-			g.Add("t", func(int) { ran.Add(1) })
+			g.add("t", func(int) { ran.Add(1) })
 		}
-		st, err := g.Run(ctx, Options{Workers: workers})
+		st, err := g.run(ctx, Options{Workers: workers})
 		if !errors.Is(err, context.Canceled) || ran.Load() != 0 || st.Tasks != 100 {
 			t.Fatalf("workers=%d, cancelled before Run: err %v, %d bodies ran, %d tasks drained", workers, err, ran.Load(), st.Tasks)
 		}
@@ -130,28 +208,28 @@ func TestRunCancelled(t *testing.T) {
 		// The first task cancels and gives AfterFunc's goroutine time to
 		// fail the graph; nothing downstream may start after that.
 		ctx, cancel = context.WithCancel(context.Background())
-		g = NewGraph()
+		g = newBodies()
 		ran.Store(0)
 		var finished atomic.Bool
-		first := g.Add("cancel", func(int) {
+		first := g.add("cancel", func(int) {
 			cancel()
 			time.Sleep(100 * time.Millisecond)
 			finished.Store(true)
 		})
 		for i := 0; i < 1000; i++ {
-			id := g.Add("t", func(int) { ran.Add(1) })
+			id := g.add("t", func(int) { ran.Add(1) })
 			g.Dep(first, id)
 		}
-		_, err = g.Run(ctx, Options{Workers: workers})
+		_, err = g.run(ctx, Options{Workers: workers})
 		if !errors.Is(err, context.Canceled) || !finished.Load() || ran.Load() != 0 {
 			t.Fatalf("workers=%d, cancelled mid-run: err %v, running body finished %v, %d bodies started after", workers, err, finished.Load(), ran.Load())
 		}
 	}
 
 	// A context that is never done changes nothing.
-	g := NewGraph()
-	g.Add("t", func(int) {})
-	if _, err := g.Run(context.Background(), Options{Workers: 2}); err != nil {
+	g := newBodies()
+	g.add("t", func(int) {})
+	if _, err := g.run(context.Background(), Options{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -159,16 +237,16 @@ func TestRunCancelled(t *testing.T) {
 // TestWidePanicDrains checks the drain with many independent tasks in
 // flight when the failure hits.
 func TestWidePanicDrains(t *testing.T) {
-	g := NewGraph()
+	g := newBodies()
 	for i := 0; i < 500; i++ {
 		i := i
-		g.Add("w", func(int) {
+		g.add("w", func(int) {
 			if i == 137 {
 				panic(i)
 			}
 		})
 	}
-	if _, err := g.Run(context.Background(), Options{Workers: 8}); err == nil {
+	if _, err := g.run(context.Background(), Options{Workers: 8}); err == nil {
 		t.Fatal("want error from panicking task")
 	}
 }
@@ -177,9 +255,9 @@ func TestWidePanicDrains(t *testing.T) {
 // backward or self edge panics naming the edge, and a graph built forward
 // runs every task once.
 func TestDepForwardOnly(t *testing.T) {
-	g := NewGraph()
-	a := g.Add("a", nil)
-	b := g.Add("b", nil)
+	g := newBodies()
+	a := g.add("a", nil)
+	b := g.add("b", nil)
 	for _, e := range [][2]TaskID{{b, a}, {a, a}} {
 		func() {
 			defer func() {
@@ -192,18 +270,18 @@ func TestDepForwardOnly(t *testing.T) {
 		}()
 	}
 
-	g = NewGraph()
+	g = newBodies()
 	const n = 200
 	var runs [n]atomic.Int32
 	for i := 0; i < n; i++ {
-		id := g.Add("t", func(int) { runs[i].Add(1) })
+		id := g.add("t", func(int) { runs[i].Add(1) })
 		for _, p := range []int{i - 1, i / 2, i - 7} {
 			if p >= 0 && p < i {
 				g.Dep(TaskID(p), id)
 			}
 		}
 	}
-	if _, err := g.Run(context.Background(), Options{Workers: 4}); err != nil {
+	if _, err := g.run(context.Background(), Options{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range runs {
@@ -214,7 +292,7 @@ func TestDepForwardOnly(t *testing.T) {
 }
 
 func TestDiamondOrder(t *testing.T) {
-	g := NewGraph()
+	g := newBodies()
 	var seq []string
 	var mu atomic.Int32
 	rec := func(s string) func(int) {
@@ -225,15 +303,15 @@ func TestDiamondOrder(t *testing.T) {
 			mu.Store(0)
 		}
 	}
-	a := g.Add("a", rec("a"))
-	b := g.Add("b", rec("b"))
-	c := g.Add("c", rec("c"))
-	d := g.Add("d", rec("d"))
+	a := g.add("a", rec("a"))
+	b := g.add("b", rec("b"))
+	c := g.add("c", rec("c"))
+	d := g.add("d", rec("d"))
 	g.Dep(a, b)
 	g.Dep(a, c)
 	g.Dep(b, d)
 	g.Dep(c, d)
-	if _, err := g.Run(context.Background(), Options{Workers: 4}); err != nil {
+	if _, err := g.run(context.Background(), Options{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seq) != 4 || seq[0] != "a" || seq[3] != "d" {
@@ -242,33 +320,37 @@ func TestDiamondOrder(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	st, err := NewGraph().Run(context.Background(), Options{Workers: 4})
+	st, err := NewGraph().Run(context.Background(), Options{Workers: 4}, nil)
 	if err != nil || st.Tasks != 0 {
 		t.Fatalf("empty graph: stats=%+v err=%v", st, err)
 	}
 }
 
-func TestRunTwiceRejected(t *testing.T) {
+// TestRunTwice checks that a graph is not consumed by a run: a second Run
+// executes every task again.
+func TestRunTwice(t *testing.T) {
 	g := NewGraph()
-	g.Add("t", func(int) {})
-	if _, err := g.Run(context.Background(), Options{Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Run(context.Background(), Options{Workers: 1}); err == nil {
-		t.Fatal("second Run must fail")
+	a := g.Add("a")
+	g.Dep(a, g.Add("b"))
+	for k := 1; k <= 2; k++ {
+		var ran atomic.Int32
+		st, err := g.Run(context.Background(), Options{Workers: 1}, func(int, TaskID) { ran.Add(1) })
+		if err != nil || ran.Load() != 2 || st.Tasks != 2 {
+			t.Fatalf("run %d: err %v, %d tasks executed, %d counted", k, err, ran.Load(), st.Tasks)
+		}
 	}
 }
 
 // TestTraceJSON runs a small graph with tracing and validates the emitted
 // Chrome trace document.
 func TestTraceJSON(t *testing.T) {
-	g := NewGraph()
+	g := newBodies()
 	n := 37
 	for i := 0; i < n; i++ {
-		g.Add("traced", func(int) { time.Sleep(time.Microsecond) })
+		g.add("traced", func(int) { time.Sleep(time.Microsecond) })
 	}
 	tr := NewTrace()
-	if _, err := g.Run(context.Background(), Options{Workers: 4, Trace: tr}); err != nil {
+	if _, err := g.run(context.Background(), Options{Workers: 4, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Events() != n {
@@ -304,11 +386,11 @@ func TestTraceJSON(t *testing.T) {
 // cannot exceed the task count; one worker hands off nothing.
 func TestHandoffsCounted(t *testing.T) {
 	for _, workers := range []int{4, 1} {
-		g := NewGraph()
-		root := g.Add("root", func(int) {})
+		g := newBodies()
+		root := g.add("root", func(int) {})
 		var cnt atomic.Int64
 		for i := 0; i < 2000; i++ {
-			id := g.Add("fan", func(int) {
+			id := g.add("fan", func(int) {
 				cnt.Add(1)
 				busy := 0
 				for k := 0; k < 2000; k++ {
@@ -318,7 +400,7 @@ func TestHandoffsCounted(t *testing.T) {
 			})
 			g.Dep(root, id)
 		}
-		st, err := g.Run(context.Background(), Options{Workers: workers})
+		st, err := g.run(context.Background(), Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,9 +429,9 @@ func TestWorkerIndexExclusive(t *testing.T) {
 		const n = 20000
 		counts := make([]int, workers)
 		depth := make([]int, workers)
-		g := NewGraph()
+		g := newBodies()
 		for i := 0; i < n; i++ {
-			g.Add("w", func(w int) {
+			g.add("w", func(w int) {
 				if w < 0 || w >= workers {
 					t.Errorf("workers=%d: worker index %d out of range", workers, w)
 					return
@@ -362,7 +444,7 @@ func TestWorkerIndexExclusive(t *testing.T) {
 				depth[w]--
 			})
 		}
-		if _, err := g.Run(context.Background(), Options{Workers: workers}); err != nil {
+		if _, err := g.run(context.Background(), Options{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		tot := 0
@@ -372,5 +454,67 @@ func TestWorkerIndexExclusive(t *testing.T) {
 		if tot != n {
 			t.Fatalf("workers=%d: per-worker counts total %d, want %d", workers, tot, n)
 		}
+	}
+}
+
+// TestSyncPointNotExecuted checks that a synchronization point orders its
+// successors but is neither executed nor traced.
+func TestSyncPointNotExecuted(t *testing.T) {
+	g := NewGraph()
+	a := g.Add("a")
+	j := g.Add("")
+	b := g.Add("b")
+	g.Dep(a, j)
+	g.Dep(j, b)
+	var seq []TaskID
+	tr := NewTrace()
+	st, err := g.Run(context.Background(), Options{Workers: 2, Trace: tr}, func(_ int, id TaskID) { seq = append(seq, id) })
+	if err != nil || st.Tasks != 3 || tr.Events() != 2 || len(seq) != 2 || seq[0] != a || seq[1] != b {
+		t.Fatalf("err %v, %d tasks, %d events, executed %v", err, st.Tasks, tr.Events(), seq)
+	}
+}
+
+func TestForCoversAllIndices(t *testing.T) {
+	for _, workers := range []int{0, 1, 2, 4, 16} {
+		for _, n := range []int{0, 1, 7, 100, 1000} {
+			hits := make([]int32, n)
+			For(workers, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("workers=%d n=%d: index %d hit %d times", workers, n, i, h)
+				}
+			}
+		}
+	}
+}
+
+func TestForSequentialOrderWhenSingleWorker(t *testing.T) {
+	var order []int
+	For(1, 5, func(i int) { order = append(order, i) })
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("single worker should run in order, got %v", order)
+		}
+	}
+}
+
+// TestForPanicPropagates checks that a panicking iteration reaches For's
+// caller once the other chunks have drained.
+func TestForPanicPropagates(t *testing.T) {
+	defer func() {
+		if p := fmt.Sprint(recover()); !strings.Contains(p, "sched.For") || !strings.Contains(p, "boom") {
+			t.Fatalf("recovered %q, want sched.For's panic naming the cause", p)
+		}
+	}()
+	For(4, 100, func(i int) {
+		if i == 37 {
+			panic("boom")
+		}
+	})
+}
+
+func TestDefaultWorkersPositive(t *testing.T) {
+	if DefaultWorkers() < 1 {
+		t.Fatalf("DefaultWorkers = %d", DefaultWorkers())
 	}
 }

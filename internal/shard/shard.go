@@ -132,6 +132,7 @@ func BuildPlan(tree *octree.Tree, cfg Config) (*Plan, error) {
 		// mirrors, and no shard rank runs on it.
 		rs := &rankState{dt: dts[r], layout: kifmm.NewLayout(dts[r].Tree, ops, false)}
 		rs.engines = rankSpec.NewPool(rs.dt.Tree, rs.layout, 0)
+		rs.engines.Compile(true) // a rank runs its graphs around the exchange
 		lo, hi := bounds[r][0], bounds[r][1]
 		for gi := lo; gi < hi; gi++ {
 			li := tree.Leaves[gi]
@@ -208,12 +209,13 @@ func (p *Plan) SetProfile(prof *diag.Profile) {
 }
 
 // MemoryBytes estimates the plan's resident size across all ranks: LET
-// points and interaction lists plus one engine's per-node and per-point
-// state and the streaming layout, mirroring the single-engine estimate.
+// points and interaction lists, one engine's per-node and per-point state,
+// the streaming layout and the compiled task graphs, mirroring the
+// single-engine estimate.
 func (p *Plan) MemoryBytes() int64 {
 	var totalBytes int64
 	for _, rs := range p.ranks {
-		totalBytes += kifmm.ResidentBytes(rs.dt.Tree, p.cfg.Spec.Ops, rs.layout)
+		totalBytes += kifmm.ResidentBytes(rs.dt.Tree, p.cfg.Spec.Ops, rs.layout) + rs.engines.GraphBytes()
 	}
 	return totalBytes
 }

@@ -15,7 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"kifmm/internal/par"
+	"kifmm/internal/sched"
 )
 
 // Params models the device characteristics. Defaults approximate one GPU of
@@ -142,9 +142,9 @@ func (d *Device) Launch(grid, blockSize, sharedPerBlock int, kernel func(b *Bloc
 	d.launches.Add(1)
 	workers := d.Workers
 	if workers <= 0 {
-		workers = par.DefaultWorkers()
+		workers = sched.DefaultWorkers()
 	}
-	par.For(workers, grid, func(i int) {
+	sched.For(workers, grid, func(i int) {
 		blk := &Block{Idx: i, Size: blockSize, Shared: make([]float32, sharedPerBlock), dev: d}
 		kernel(blk)
 	})

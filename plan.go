@@ -36,7 +36,8 @@ type Plan struct {
 	// with targets first, Apply takes densities for the n sources and
 	// returns potentials for the nTrg targets.
 	nTrg int
-	// engines is the free list of the single-engine plan.
+	// engines is the free list of the single-engine plan; it holds the
+	// plan's compiled task graph, which every engine runs.
 	engines *ikifmm.EnginePool
 	// shard, when non-nil, makes Apply run the coordinated multi-rank
 	// evaluation over Options.Shards local essential trees instead of the
@@ -65,10 +66,11 @@ func (f *FMM) Plan(points []Point) (*Plan, error) {
 // distinct targets.
 //
 // ctx is checked before each stage — tree, lists, prewarm, layout and
-// engine pool (or the shard partition) — and a done ctx ends the build with
-// its error. A stage itself runs to its end: the prewarm fills the
-// process-wide spectrum and operator caches, shared singleflight builds
-// other plans wait on, so no request's context may stop one midway.
+// engine pool with its compiled graph (or the shard partition) — and a done
+// ctx ends the build with its error. A stage itself runs to its end: the
+// prewarm and the compile fill the process-wide operator and spectrum
+// caches, shared singleflight builds other plans wait on, so no request's
+// context may stop one midway.
 func (f *FMM) PlanAt(ctx context.Context, targets, sources []Point) (*Plan, error) {
 	if err := f.checkPoints(sources); err != nil {
 		return nil, err
@@ -99,18 +101,17 @@ func (f *FMM) PlanAt(ctx context.Context, targets, sources []Point) (*Plan, erro
 	if err := cancelled(ctx); err != nil {
 		return nil, err
 	}
-	// Eagerly, so the first Apply pays no lazy spectrum builds.
+	// Eagerly, so the first Apply pays no lazy operator builds.
 	f.spec.Prewarm(tree)
 	if err := cancelled(ctx); err != nil {
 		return nil, err
 	}
 	if f.opt.Shards > 0 {
 		// Sharded plan: partition this tree's leaves across R ranks and
-		// assemble their local essential trees. The prewarmed spectra above
-		// cover every rank (LET V-list levels are a subset of the global
-		// tree's), landing in the process-wide cache all shards share. The
-		// ranks never read the global tree again, so the plan does not keep
-		// it.
+		// assemble their local essential trees; each rank compiles its
+		// graphs, resolving its spectra in the process-wide cache all shards
+		// share. The ranks never read the global tree again, so the plan does
+		// not keep it.
 		sp, err := shard.BuildPlan(tree, shard.Config{Ranks: f.opt.Shards, Spec: f.spec})
 		if err != nil {
 			return nil, fmt.Errorf("kifmm: %w", err)
@@ -120,8 +121,9 @@ func (f *FMM) PlanAt(ctx context.Context, targets, sources []Point) (*Plan, erro
 	// Mirror-free layout: only the simulated device reads the float32
 	// coordinate mirrors.
 	layout := ikifmm.NewLayout(tree, f.spec.Ops, false)
-	return &Plan{f: f, tree: tree, layout: layout, n: len(sources), nTrg: nTrg,
-		engines: f.spec.NewPool(tree, layout, nTrg)}, nil
+	engines := f.spec.NewPool(tree, layout, nTrg)
+	engines.Compile(false) // and with it the spectra the first Apply reads
+	return &Plan{f: f, tree: tree, layout: layout, n: len(sources), nTrg: nTrg, engines: engines}, nil
 }
 
 // TranslationCacheStats is a snapshot of the process-wide V-list
@@ -191,15 +193,16 @@ func (p *Plan) Shards() int {
 }
 
 // MemoryBytes estimates the plan's resident size: tree points and
-// interaction lists plus one engine's per-node and per-point state. The
-// serving layer uses it for cache accounting.
+// interaction lists, one engine's per-node and per-point state, the layout
+// and the compiled task graph. The serving layer uses it for cache
+// accounting.
 func (p *Plan) MemoryBytes() int64 {
 	if p.shard != nil {
 		// Every rank's LET, layout and engine state, plus the global point
 		// array (24 B a point) the ranks' owned leaves alias.
 		return p.shard.MemoryBytes() + 24*int64(p.n)
 	}
-	return ikifmm.ResidentBytes(p.tree, p.f.spec.Ops, p.layout)
+	return ikifmm.ResidentBytes(p.tree, p.f.spec.Ops, p.layout) + p.engines.GraphBytes()
 }
 
 // Apply evaluates the potentials for one density vector on the prebuilt

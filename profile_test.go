@@ -44,6 +44,47 @@ func TestProfiledApplyAllocs(t *testing.T) {
 	}
 }
 
+// TestWarmApplyAllocs pins a warm Plan.Apply at O(workers) allocations, at 1
+// and 2 workers, on TestProfiledApplyAllocs' tree of ≈ 2.5k leaves: the plan
+// compiled its task graph once, so an Apply allocates what a run of it needs —
+// its dependency counters, ready stack and workers — and the potentials it
+// returns, nothing per task. Rebuilding the graph on every Apply made ≈ 35k.
+func TestWarmApplyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates AllocsPerRun")
+	}
+	pts, den := randInput(20000, 1, 5)
+	for _, workers := range []int{1, 2} {
+		f, err := New(Options{Order: 4, PointsPerBox: 8, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := f.Plan(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apply := func() {
+			if _, err := p.Apply(den); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Warm means the engine's buffers have grown to what a run holds at
+		// once. At one worker that is the first Apply's; at two it moves with
+		// the schedule, and a run that holds more spectra or partials than
+		// any before allocates the difference, more often on a loaded box.
+		// So: twenty warm-up Applies, then the fewest of three measurements.
+		for range 20 {
+			apply()
+		}
+		allocs := min(testing.AllocsPerRun(2, apply), testing.AllocsPerRun(2, apply), testing.AllocsPerRun(2, apply))
+		budget := 64 + 16*workers
+		t.Logf("workers %d: warm Apply %.0f allocations, budget %d", workers, allocs, budget)
+		if allocs > float64(budget) {
+			t.Errorf("workers %d: a warm Apply makes %.0f allocations, budget %d", workers, allocs, budget)
+		}
+	}
+}
+
 // TestProfileSharedByConcurrentApplies is the fold's concurrency oracle (run
 // it under -race): four goroutines Apply one plan at once, all reporting into
 // one profile, as fmmserve's requests do. Each phase ends with exactly four
