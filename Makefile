@@ -124,8 +124,9 @@ bench-check:
 # panicking and a cancelled run and four times at once; the scheduler's
 # worker-index exclusivity test makes any violation a reported race rather
 # than a flaky count), then of the FMM graph against its sequential oracle at
-# 1, 2 and 4 workers and of the paired U row against its one-way walk (a
-# partial one U task parks is read by another), of one plan's compiled graph
+# 1, 2 and 4 workers, of the paired U row and W ⟷ X against their one-way
+# walks (a partial one task parks is read by another) and of the pairing's
+# links against their graphs' edges, of one plan's compiled graph
 # run by four goroutines at once, and of an engine's run after a stopped one,
 # then of concurrent profiled Applies on one plan sharing one profile (the
 # engines' ledgers meet the profile in one merge each), then of the service's
@@ -133,7 +134,7 @@ bench-check:
 # mid-step, and mid-Apply under load.
 sched-stress:
 	$(GO) test -race -count=5 ./internal/sched/...
-	$(GO) test -race -count=2 -run '^(TestEvaluateDAGBitIdentical|TestEvaluateDAGRepeatable|TestULIPairsMatchOneWay|TestWXPairsMatchOneWay|TestPlanCompilesScheduleOnce|TestStoppedRunRecovers)$$' ./internal/kifmm/
+	$(GO) test -race -count=2 -run '^(TestEvaluateDAGBitIdentical|TestEvaluateDAGRepeatable|TestULIPairsMatchOneWay|TestWXPairsMatchOneWay|TestPairingLinks|TestPlanCompilesScheduleOnce|TestStoppedRunRecovers)$$' ./internal/kifmm/
 	$(GO) test -race -count=3 -run '^TestProfileSharedByConcurrentApplies$$' .
 	$(GO) test -race -count=3 -run '^(TestExpiredWhileQueued|TestStepCancelledLeavesSession|TestDeadlineFreesWorker)$$' ./internal/service/
 

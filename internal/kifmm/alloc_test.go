@@ -137,7 +137,7 @@ func TestULIRowAllocs(t *testing.T) {
 		s := e.ensureScratch(1)[0]
 		row := func() {
 			e.pairRows(pULI, pULI+1) // every buffer free
-			for _, i := range e.near.order {
+			for _, i := range e.pairs.order {
 				e.uliLeaf(i, s)
 			}
 		}

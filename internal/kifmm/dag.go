@@ -36,15 +36,17 @@ import (
 //	Vfft(group) [FFT mode]            — after spec of every source in the V
 //	                                    lists of the group's siblings
 //	X(i)                              — after V(i) / Vfft(group of i)  (DChk write order),
-//	                                    and after U(i) where W ⟷ X is paired (wxPairs)
+//	                                    and after U(i) where one of its links gives
 //	D2D(i)                            — after D2D(parent), X(i)/V
 //	W(leaf)                           — after U of every source in the W list, and
-//	                                    after X of every source that serves one of
-//	                                    its entries (wxPairs)
+//	                                    after X of every source whose partial one of
+//	                                    its links takes
 //	D2T(leaf)                         — after D2D(leaf), W(leaf)  (potential write order)
 //	U(leaf)                           — after D2T(leaf)/W(leaf)   (potential write order),
-//	                                    and after U of every earlier leaf that
-//	                                    serves one of its entries (nearPairs)
+//	                                    and after U of every leaf whose partial one
+//	                                    of its links takes
+//
+// The links are the schedule's pairing (pairing.go): a taker waits on its giver.
 //
 // The intra-octant chains (V→X→D2D, W→D2T→U) fix the accumulation order into
 // DChk and Potential, every source list is walked in list order, and the FFT
@@ -88,11 +90,8 @@ func (e *Engine) runRow(pi int) {
 type schedule struct {
 	graph *sched.Graph
 	refs  []taskRef // refs[id]: what task id runs
-	// The U row's pairing, where the graph holds the row; W ⟷ X's, where it
-	// pairs them.
-	near   *nearPairs
-	wx     *wxPairs
-	pairWX bool
+	// pairs links the pairs served, where the graph holds the X row or a later one.
+	pairs *pairing
 	// The FFT V row: sibling group k is vGroups[k], translated with vTab[k];
 	// vUses[a] counts source a's consumers, where its release count starts.
 	vFFT    *FFTM2L
@@ -116,18 +115,25 @@ func (s *schedule) add(name string, kind, i int32) sched.TaskID {
 	return s.graph.Add(name)
 }
 
-// memoryBytes counts the graph, the task refs, the pairings and the V row's
-// groups and use counts (the translation tables are the process-wide cache's).
+// memoryBytes counts the graph, the task refs, the pairing, the V row's
+// groups and use counts, and the translation spectra of each distinct table
+// the V row holds: a schedule keeps them alive after the process-wide cache
+// has evicted them.
 func (s *schedule) memoryBytes() int64 {
 	b := s.graph.MemoryBytes() + 8*int64(len(s.refs)+len(s.vTab)) + 4*int64(len(s.vUses))
 	for _, g := range s.vGroups {
 		b += 24 + 4*int64(len(g))
 	}
-	if s.near != nil {
-		b += 4 * int64(len(s.near.rank)+len(s.near.order)+len(s.near.in))
+	for k, tb := range s.vTab { // a level's groups, which share its table, are consecutive
+		if k > 0 && tb == s.vTab[k-1] {
+			continue
+		}
+		for _, sp := range tb {
+			b += 8 * int64(len(sp))
+		}
 	}
-	if s.wx != nil {
-		b += 4 * int64(len(s.wx.in)+len(s.wx.inbox))
+	if s.pairs != nil {
+		b += 4 * int64(len(s.pairs.at)+len(s.pairs.link)+len(s.pairs.order))
 	}
 	return b
 }
@@ -171,7 +177,7 @@ func newGraphSet(fft bool) *graphSet {
 // pairRows readies the engine to run rows [lo, hi): it takes their schedule
 // and re-arms what a run writes, allocating nothing once warm — every
 // parked-partial buffer free (a stopped run leaves partials parked), the
-// inboxes, and the V row's use counts, with any spectrum a stopped run held
+// inbox, and the V row's use counts, with any spectrum a stopped run held
 // back returned to the free buffers. Callers run it before the rows' tasks.
 func (e *Engine) pairRows(lo, hi int) {
 	if e.set == nil || e.set.fft != e.UseFFTM2L {
@@ -183,11 +189,8 @@ func (e *Engine) pairRows(lo, hi int) {
 		e.store = newPartStore(e.Tree, e.Ops.Kern.TrgDim())
 	}
 	e.store.reclaim()
-	if s.near != nil && len(e.uIn) < s.near.inboxLen {
-		e.uIn = make([]int32, s.near.inboxLen)
-	}
-	if s.wx != nil {
-		e.wxIn = append(e.wxIn[:0], s.wx.inbox...)
+	if s.pairs != nil && len(e.inbox) < s.pairs.places {
+		e.inbox = make([]int32, s.pairs.places)
 	}
 	if s.vUses != nil && e.spec == nil {
 		e.spec = make([][]float64, len(s.vUses))
@@ -215,12 +218,8 @@ func (e *Engine) compile(lo, hi int) *schedule {
 	}
 	t := e.Tree
 	s := &schedule{graph: sched.NewGraph()}
-	s.pairWX = lo <= pXLI && pWLI < hi && sharedPair(e.bk)
-	if lo <= pULI && pULI < hi {
-		s.near = e.buildNearPairs()
-	}
-	if s.pairWX {
-		s.wx = e.buildWXPairs()
+	if hi > pXLI {
+		s.pairs = e.buildPairing(lo, hi)
 	}
 	// task[p][i] is octant i's task of row p, NoTask where it has no work.
 	// S2U (leaves) and U2U (internal nodes) share a slice: either one makes
@@ -254,9 +253,9 @@ func (e *Engine) compile(lo, hi int) *schedule {
 			for _, a := range n.V {
 				dep(u[a], id)
 			}
-		case pXLI: // DChk accumulation order; U[i] when it serves W ⟷ X
+		case pXLI: // DChk accumulation order; U[i] where it gives W ⟷ X
 			dep(v[i], id)
-			if s.pairWX {
+			if _, links, _ := s.pairs.lists(t, i); slices.Max(links) >= 0 {
 				dep(u[i], id)
 			}
 		case pD2D: // the octant's last DChk contribution, and its parent
@@ -264,24 +263,22 @@ func (e *Engine) compile(lo, hi int) *schedule {
 			if n.Parent != octree.NoNode {
 				dep(d[n.Parent], id)
 			}
-		case pWLI: // and X of every source that serves one of its entries
-			var served []int32
-			if s.wx != nil {
-				served = s.wx.places(s.wx.inbox, i, len(n.W))
-			}
+		case pWLI: // and X of every source whose partial it takes
+			_, _, links := s.pairs.lists(t, i)
 			for k, a := range n.W {
 				dep(u[a], id)
-				if served != nil && served[k] >= 0 {
+				if links[k] < -1 {
 					dep(x[a], id)
 				}
 			}
 		case pD2T: // Potential accumulation order: W, D2T, U
 			dep(d[i], id)
 			dep(w[i], id)
-		case pULI: // and every earlier leaf that serves one of its entries
+		case pULI: // and every leaf whose partial it takes
 			dep(firstTask(d2t[i], w[i]), id)
-			for _, a := range n.U {
-				if s.near.serves(a, i) {
+			links, _, _ := s.pairs.lists(t, i)
+			for k, a := range n.U {
+				if links[k] < -1 {
 					dep(task[pULI][a], id)
 				}
 			}
@@ -292,7 +289,7 @@ func (e *Engine) compile(lo, hi int) *schedule {
 		p := &phases[pi]
 		runs := e.work(p)
 		if pi == pULI {
-			runs = [][]int32{s.near.order} // chunks whole, each in rank order
+			runs = [][]int32{s.pairs.order} // chunks whole, each in serving order
 		}
 		if pi == pVLI && e.UseFFTM2L {
 			e.compileVFFT(s, runs, u, v)
@@ -313,13 +310,7 @@ func (e *Engine) compile(lo, hi int) *schedule {
 }
 
 // noTasks returns n task slots, all empty.
-func noTasks(n int) []sched.TaskID {
-	s := make([]sched.TaskID, n)
-	for i := range s {
-		s[i] = sched.NoTask
-	}
-	return s
-}
+func noTasks(n int) []sched.TaskID { return slices.Repeat([]sched.TaskID{sched.NoTask}, n) }
 
 // firstTask returns a, or b where the octant has no task a.
 func firstTask(a, b sched.TaskID) sched.TaskID {

@@ -3,7 +3,6 @@ package kifmm
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,19 +92,19 @@ type Engine struct {
 
 	// set holds the engine's compiled graphs, a pool's engines sharing one;
 	// the embedded *schedule is the one being run or last run (pairRows),
-	// whose pairings the bodies read as e.near, e.wx and e.pairWX.
+	// whose pairing the bodies read as e.pairs.
 	set *graphSet
 	*schedule
-	// What a run writes, re-armed by pairRows: the inboxes, the parked
+	// What a run writes, re-armed by pairRows: the inbox, the parked
 	// partials (store), and the V row's spectra — spec[a] is source a's
 	// while a consumer still needs it, specRefs[a] its consumers still to
 	// run, specFree the released buffers.
-	uIn, wxIn []int32
-	store     *partStore
-	specMu    sync.Mutex
-	spec      [][]float64
-	specRefs  []atomic.Int32
-	specFree  [][]float64
+	inbox    []int32
+	store    *partStore
+	specMu   sync.Mutex
+	spec     [][]float64
+	specRefs []atomic.Int32
+	specFree [][]float64
 }
 
 // NewEngine allocates evaluation state for the tree, building a private
@@ -385,11 +384,11 @@ func dirBetween(src, trg morton.Key) (int, int, int) {
 }
 
 // xliNode is the per-octant X-list body: accumulates X-list source points
-// into e.DChk[i], in list order. Where W ⟷ X is paired (wxPairs), an entry a
-// whose W(a) names i is served both ways: EvalPair adds into e.DChk[i] now
-// and parks leaf a's W partial, from U[i] on the same surface, for W(a).
-// Must run after node i's V-list contributions (the task graph chains the
-// two tasks per octant) and, when paired, after node i's upward pass.
+// into e.DChk[i], in list order. An entry whose link serves W ⟷ X (pairing)
+// runs EvalPair, which adds into e.DChk[i] now and parks leaf a's W partial,
+// from U[i] on the same surface, for W(a). Must run after node i's V-list
+// contributions (the task graph chains the two tasks per octant) and, where
+// it serves, after node i's upward pass.
 //
 //fmm:hotpath
 func (e *Engine) xliNode(i int32, s *evalScratch) {
@@ -399,22 +398,19 @@ func (e *Engine) xliNode(i int32, s *evalScratch) {
 	sd, td := e.Ops.Kern.SrcDim(), e.Ops.Kern.TrgDim()
 	dx, dy, dz := s.surf()
 	L.InnerSurf(i, dx, dy, dz)
+	_, links, _ := e.pairs.lists(t, i)
 	var pairs int
-	for _, a := range n.X {
+	for k, a := range n.X {
 		if !e.srcNode(a) {
 			continue
 		}
 		an := &t.Nodes[a]
 		lo, hi := int(an.PtLo), int(an.PtHi)
 		pairs += (hi - lo) * len(dx)
-		if served := e.wxServed(a); served != nil {
-			if k := slices.Index(t.Nodes[a].W, i); k >= 0 && served[k] >= 0 {
-				slot, part := e.store.park((hi - lo) * td)
-				e.bk.EvalPair(dx, dy, dz, L.PX[lo:hi], L.PY[lo:hi], L.PZ[lo:hi],
-					e.U[i], e.Density[lo*sd:hi*sd], e.DChk[i], part)
-				served[k] = slot
-				continue
-			}
+		if l := links[k]; l >= 0 {
+			e.bk.EvalPair(dx, dy, dz, L.PX[lo:hi], L.PY[lo:hi], L.PZ[lo:hi],
+				e.U[i], e.Density[lo*sd:hi*sd], e.DChk[i], e.give(l, (hi-lo)*td))
+			continue
 		}
 		e.bk.EvalPanel(dx, dy, dz, L.PX[lo:hi], L.PY[lo:hi], L.PZ[lo:hi],
 			e.Density[lo*sd:hi*sd], e.DChk[i], -1)
@@ -454,8 +450,8 @@ func (e *Engine) downwardNode(i int32, s *evalScratch) {
 // upward-equivalent fields into leaf i's potentials, in list order. Each W
 // source's upward-equivalent surface is filled into worker scratch and
 // evaluated as one source panel against the leaf's target panel — or, where
-// X(a) served the entry (wxPairs), the partial it parked is added. Must run
-// after the X task of every source that serves one of its entries.
+// the entry's link takes the partial X(a) parked (pairing), that partial is
+// added. Must run after the X task of every source whose partial it takes.
 //
 //fmm:hotpath
 func (e *Engine) wliLeaf(i int32, s *evalScratch) {
@@ -467,18 +463,15 @@ func (e *Engine) wliLeaf(i int32, s *evalScratch) {
 	tx, ty, tz := L.PX[lo:hi], L.PY[lo:hi], L.PZ[lo:hi]
 	out := e.Potential[lo*td : hi*td]
 	ux, uy, uz := s.surf()
-	served := e.wxServed(i)
+	_, _, links := e.pairs.lists(t, i)
 	var pairs int
 	for k, a := range n.W {
 		if !e.srcNode(a) {
 			continue
 		}
 		pairs += (hi - lo) * len(ux)
-		if served != nil && served[k] >= 0 {
-			for x, v := range e.store.parked(served[k], len(out)) {
-				out[x] += v
-			}
-			e.store.release(served[k])
+		if l := links[k]; l < -1 {
+			e.take(l, out)
 			continue
 		}
 		L.InnerSurf(a, ux, uy, uz)
@@ -506,28 +499,27 @@ func (e *Engine) d2tLeaf(i int32, s *evalScratch) {
 }
 
 // uliLeaf is the per-leaf U-list body: the exact direct sum into leaf i's
-// potentials, one partial per U-list source panel, in list order. Where the
-// row's pairing (nearPairs) has leaf i serve an entry, EvalPair adds the row
-// partial into the potentials now and parks the column partial for the
-// other leaf; where an earlier leaf served it, its parked partial is added.
-// Every other entry runs EvalPanel; the self panel (a == i) passes
-// selfOffset 0 — the singular diagonal is suppressed by the kernel's
-// Algorithm 4 guard, not by a coordinate branch. Must run after the leaf's
-// WLI and D2T contributions (accumulation order) and after the U task of
-// every earlier leaf that serves one of its entries.
+// potentials, one partial per U-list source panel, in list order. An entry
+// whose link serves (pairing) runs EvalPair, which adds the row partial into
+// the potentials now and parks the column partial for the other leaf; an
+// entry whose link takes adds the partial the other leaf parked. Every other
+// entry runs EvalPanel; the self panel (a == i) passes selfOffset 0 — the
+// singular diagonal is suppressed by the kernel's Algorithm 4 guard, not by a
+// coordinate branch. Must run after the leaf's WLI and D2T contributions
+// (accumulation order) and after the U task of every leaf whose partial it
+// takes.
 //
 //fmm:hotpath
 func (e *Engine) uliLeaf(i int32, s *evalScratch) {
 	t := e.Tree
 	n := &t.Nodes[i]
 	L := e.Layout
-	np := e.near
 	sd, td := e.Ops.Kern.SrcDim(), e.Ops.Kern.TrgDim()
 	lo, hi := int(n.PtLo), int(n.PtHi)
 	tx, ty, tz := L.PX[lo:hi], L.PY[lo:hi], L.PZ[lo:hi]
 	den := e.Density[lo*sd : hi*sd]
 	out := e.Potential[lo*td : hi*td]
-	inbox := e.uIn[np.in[i]:]
+	links, _, _ := e.pairs.lists(t, i)
 	var pairs int
 	for k, a := range n.U {
 		if !e.srcNode(a) {
@@ -536,17 +528,12 @@ func (e *Engine) uliLeaf(i int32, s *evalScratch) {
 		an := &t.Nodes[a]
 		slo, shi := int(an.PtLo), int(an.PtHi)
 		pairs += (hi - lo) * (shi - slo)
-		switch {
-		case np.serves(i, a):
-			slot, part := e.store.park((shi - slo) * td)
+		switch l := links[k]; {
+		case l >= 0:
 			e.bk.EvalPair(tx, ty, tz, L.PX[slo:shi], L.PY[slo:shi], L.PZ[slo:shi],
-				den, e.Density[slo*sd:shi*sd], out, part)
-			e.uIn[np.in[a]+int32(slices.Index(an.U, i))] = slot
-		case np.serves(a, i):
-			for x, v := range e.store.parked(inbox[k], len(out)) {
-				out[x] += v
-			}
-			e.store.release(inbox[k])
+				den, e.Density[slo*sd:shi*sd], out, e.give(l, (shi-slo)*td))
+		case l < -1:
+			e.take(l, out)
 		default:
 			selfOff := -1
 			if a == i {

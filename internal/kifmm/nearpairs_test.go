@@ -44,17 +44,16 @@ func uliOneWay(e *Engine) {
 	}
 }
 
-// pairCounts counts the U row's entries by kind: served both ways by this
-// leaf, served by an earlier one, one way.
+// pairCounts counts the U row's entries by their links: served both ways by
+// this leaf, taking what another leaf parked, one way.
 func pairCounts(e *Engine) (pair, parked, oneWay int) {
-	np := e.near
 	for _, run := range e.work(&phases[pULI]) {
 		for _, i := range run {
-			for _, a := range e.Tree.Nodes[i].U {
+			for _, l := range firstOf(e.pairs.lists(e.Tree, i)) {
 				switch {
-				case np.serves(i, a):
+				case l >= 0:
 					pair++
-				case np.serves(a, i):
+				case l < -1:
 					parked++
 				default:
 					oneWay++
@@ -293,16 +292,17 @@ func uniformTrees() map[int]*octree.Tree {
 // entry a leaf serves both ways or runs one way weighs its two panels'
 // point counts multiplied, a parked partial nothing.
 func uliChain(e *Engine) (chain, total float64) {
-	t, np := e.Tree, e.near
+	t := e.Tree
 	// done[i] is when leaf i's task can finish, at the earliest; the row's
 	// order has every task after those it waits on.
 	done := make([]float64, len(t.Nodes))
-	for _, i := range np.order {
+	for _, i := range e.pairs.order {
 		n := &t.Nodes[i]
+		links, _, _ := e.pairs.lists(t, i)
 		var start, work float64
-		for _, a := range n.U {
+		for k, a := range n.U {
 			switch {
-			case np.serves(a, i):
+			case links[k] < -1:
 				start = max(start, done[a])
 			case e.srcNode(a):
 				work += float64(n.NPoints() * t.Nodes[a].NPoints())
@@ -388,17 +388,21 @@ func TestULIParkedPeak(t *testing.T) {
 
 // chunkPairs counts the entries served both ways in each chunk.
 func chunkPairs(e *Engine) []int {
+	_, paired := e.uRank()
 	var n []int
-	for _, i := range e.near.order {
-		for _, a := range e.Tree.Nodes[i].U {
-			if e.near.serves(i, a) {
-				c := int(e.near.rank[i]) / pairChunk
-				for len(n) <= c {
-					n = append(n, 0)
+	for lo := 0; lo < len(paired); lo += pairChunk {
+		pairs := 0
+		for _, i := range paired[lo:min(lo+pairChunk, len(paired))] {
+			for _, l := range firstOf(e.pairs.lists(e.Tree, i)) {
+				if l >= 0 {
+					pairs++
 				}
-				n[c]++
 			}
 		}
+		n = append(n, pairs)
 	}
 	return n
 }
+
+// firstOf returns a node's U-list links out of its three lists'.
+func firstOf(u, _, _ []int32) []int32 { return u }

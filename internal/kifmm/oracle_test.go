@@ -19,7 +19,7 @@ func (e *Engine) oracle() {
 		p := &phases[pi]
 		runs := e.work(p)
 		if pi == pULI {
-			runs = [][]int32{e.near.order}
+			runs = [][]int32{e.pairs.order}
 		}
 		for _, run := range runs {
 			if pi == pVLI && e.UseFFTM2L {

@@ -68,7 +68,7 @@ var phases = [numRows]phase{
 			return len(e.Tree.Nodes[i].V) > 0 && e.trgNode(i)
 		}},
 	// In a graph that holds the W row too, X(a) serves each W ⟷ X pair both
-	// ways and W(j) adds the partial it parked (wxPairs): the pair's time is
+	// ways and W(j) adds the partial it parked (pairing): the pair's time is
 	// the X row's, its flops stay counted in both rows.
 	pXLI: {name: "X", diag: diag.PhaseXList, over: overNodes, body: (*Engine).xliNode,
 		has: func(e *Engine, i int32) bool {

@@ -95,10 +95,7 @@ func TestStoppedRunRecovers(t *testing.T) {
 		for _, how := range []string{"cancel", "panic"} {
 			label := stop.route + "/" + how
 			e := mk()
-			e.pairRows(0, numRows)
-			for i := range e.near.rank { // the U row runs one way
-				e.near.rank[i] = -1
-			}
+			unpairU(e)
 			ctx, cancel := context.WithCancel(context.Background())
 			live, released, stopped := 0, 0, 0
 			*stop.hook = func(delta int) { // one worker: no concurrent calls
@@ -152,7 +149,9 @@ func TestStoppedRunRecovers(t *testing.T) {
 // TestScheduleMemoryCounted checks that a pool's share of the memory
 // estimate, which the plan cache's byte budget reads, counts the compiled
 // graph: compiling grows it by the schedule's size, at least one task ref and
-// one predecessor count per task and the U row's pairing arrays.
+// one predecessor count per task, the pairing's arrays and the translation
+// spectra of the V row's tables, which the schedule keeps alive after the
+// process-wide cache has evicted them.
 func TestScheduleMemoryCounted(t *testing.T) {
 	tr := octree.Build(geom.Generate(geom.Ellipsoid, 3000, 7), 25, 20)
 	tr.BuildLists(nil)
@@ -162,11 +161,22 @@ func TestScheduleMemoryCounted(t *testing.T) {
 	pool.Compile(false)
 	grown := pool.GraphBytes() - before
 	s := pool.graphs.byRange[[2]int{0, numRows}]
-	np := s.near
-	floor := int64(s.graph.Len())*(8+4) + 4*int64(len(np.rank)+len(np.order)+len(np.in))
-	t.Logf("%d tasks: the estimate grew %d bytes, floor %d", s.graph.Len(), grown, floor)
-	if grown != s.memoryBytes() || grown < floor {
-		t.Errorf("compiling %d tasks grew the estimate %d bytes; the schedule holds %d, at least %d",
-			s.graph.Len(), grown, s.memoryBytes(), floor)
+	pr := s.pairs
+	floor := int64(s.graph.Len())*(8+4) + 4*int64(len(pr.at)+len(pr.link)+len(pr.order))
+	// Laplace is homogeneous: every level's group reads one table.
+	tb := s.vTab[0]
+	spectra := int64(0)
+	for _, sp := range tb {
+		spectra += 8 * int64(len(sp))
+	}
+	for _, other := range s.vTab {
+		if other != tb {
+			t.Fatalf("Laplace's V groups read more than one translation table")
+		}
+	}
+	t.Logf("%d tasks: the estimate grew %d bytes, floor %d + %d of spectra", s.graph.Len(), grown, floor, spectra)
+	if spectra == 0 || grown != s.memoryBytes() || grown < floor+spectra {
+		t.Errorf("compiling %d tasks grew the estimate %d bytes; the schedule holds %d, at least %d + %d of spectra",
+			s.graph.Len(), grown, s.memoryBytes(), floor, spectra)
 	}
 }

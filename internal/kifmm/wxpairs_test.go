@@ -14,16 +14,16 @@ import (
 	"kifmm/internal/octree"
 )
 
-// wxCounts counts the W row's entries that carry sources by kind, for the
-// pairing of the graph last built: served by X, run one way.
+// wxCounts counts the W row's entries that carry sources by their links in
+// the schedule last run: taking what X parked, one way.
 func wxCounts(e *Engine) (served, oneWay int) {
 	for _, run := range e.work(&phases[pWLI]) {
 		for _, j := range run {
-			in := e.wxServed(j)
+			_, _, links := e.pairs.lists(e.Tree, j)
 			for k, a := range e.Tree.Nodes[j].W {
 				switch {
 				case !e.srcNode(a):
-				case in != nil && in[k] >= 0:
+				case links[k] < -1:
 					served++
 				default:
 					oneWay++
@@ -32,6 +32,35 @@ func wxCounts(e *Engine) (served, oneWay int) {
 		}
 	}
 	return
+}
+
+// wxLinked counts the X and W entries of every node whose link is not
+// one way, in the schedule last run.
+func wxLinked(e *Engine) int {
+	n := 0
+	for i := range e.Tree.Nodes {
+		_, x, w := e.pairs.lists(e.Tree, int32(i))
+		for _, links := range [][]int32{x, w} {
+			for _, l := range links {
+				if l != -1 {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// unpairU has the U row of the engine's schedule of every row run one way,
+// so that every partial parked is W ⟷ X's.
+func unpairU(e *Engine) {
+	e.pairRows(0, numRows)
+	for _, i := range e.Tree.Leaves {
+		u, _, _ := e.pairs.lists(e.Tree, i)
+		for k := range u {
+			u[k] = -1
+		}
+	}
 }
 
 // wxTree is one tree TestWXPairsMatchOneWay evaluates.
@@ -168,8 +197,8 @@ func TestWXStokesRunsOneWay(t *testing.T) {
 	copy(e.Density, randDensities(rand.New(rand.NewSource(2)), len(tr.Points), 3))
 	stop := countParked()
 	e.Evaluate()
-	if parks := stop(); parks != 0 || e.pairWX || e.wx != nil {
-		t.Fatalf("stokes: %d partials parked, pairWX %v, pairing built %v; want W ⟷ X one way", parks, e.pairWX, e.wx != nil)
+	if parks, linked := stop(), wxLinked(e); parks != 0 || linked != 0 {
+		t.Fatalf("stokes: %d partials parked, %d X or W entries linked; want W ⟷ X one way", parks, linked)
 	}
 	if served, oneWay := wxCounts(e); served != 0 || oneWay == 0 {
 		t.Fatalf("stokes: %d W entries served, %d one way", served, oneWay)
@@ -196,10 +225,12 @@ func TestWXSeparateRowsOneWay(t *testing.T) {
 	rows := mk()
 	stop := countParked()
 	rows.XLI()
+	linked := wxLinked(rows)
 	rows.Downward()
 	rows.WLI()
-	if parks := stop(); parks != 0 || rows.pairWX {
-		t.Fatalf("separate rows: %d partials parked, pairWX %v; want both rows one way", parks, rows.pairWX)
+	if parks := stop(); parks != 0 || linked != 0 || wxLinked(rows) != 0 {
+		t.Fatalf("separate rows: %d partials parked, %d and %d X or W entries linked; want both rows one way",
+			parks, linked, wxLinked(rows))
 	}
 	graph := mk()
 	stop = countParked()
@@ -236,10 +267,7 @@ func TestWXParkedPeak(t *testing.T) {
 			e.UseFFTM2L = true
 			e.Workers = workers
 			copy(e.Density, randDensities(rand.New(rand.NewSource(1)), len(tr.Points), 1))
-			e.pairRows(0, numRows)
-			for i := range e.near.rank { // the U row runs one way
-				e.near.rank[i] = -1
-			}
+			unpairU(e)
 			var peak int
 			held := make(chan int, 1)
 			held <- 0

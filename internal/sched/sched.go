@@ -35,6 +35,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,8 +52,7 @@ type task struct {
 	name string // "" for a synchronization point
 	// deps is the predecessor count: a run's counter for the task starts
 	// here and the task is runnable when it reaches zero.
-	deps  int32
-	succs []TaskID
+	deps, nsucc int32
 }
 
 // Graph is a dependency graph's structure: Add tasks, declare Deps, then Run
@@ -62,16 +62,15 @@ type task struct {
 // empty graph.
 type Graph struct {
 	tasks []task
-	// slab is where successor lists grow: a list that fills its window
-	// moves to one twice the size carved from the slab, so declaring edges
-	// allocates a chunk at a time instead of a slice per task and growth.
-	slab []TaskID
-	// slabIDs counts every task ID the slab chunks hold, for MemoryBytes.
-	slabIDs int
+	edges []edge // the Deps declared, in order, until the graph is laid out
+	// Laid out once, by the first Run or MemoryBytes: task id's successors
+	// are succ[off[id]:off[id+1]], in the order their Deps were declared.
+	once sync.Once
+	off  []int32
+	succ []TaskID
 }
 
-// slabChunk is the successor slab's allocation unit, in task IDs.
-const slabChunk = 4096
+type edge struct{ pred, succ TaskID }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph { return &Graph{} }
@@ -90,38 +89,50 @@ func (g *Graph) Add(name string) TaskID {
 
 // Dep declares that succ must not start before pred completes. Edges point
 // forward only: pred must have been added before succ, so a graph cannot
-// hold a cycle and Dep panics on a backward or self edge. Duplicate edges
-// are allowed (each one counts; predecessors decrement per edge).
+// hold a cycle and Dep panics on a backward or self edge, and on any edge
+// once the graph has been laid out. Duplicate edges are allowed (each one
+// counts; predecessors decrement per edge).
 func (g *Graph) Dep(pred, succ TaskID) {
 	if pred >= succ {
 		panic(fmt.Sprintf("sched: Dep(%d, %d) does not point forward: a task may only wait on tasks added before it", pred, succ))
 	}
-	t := &g.tasks[pred]
-	if len(t.succs) == cap(t.succs) {
-		t.succs = g.grow(t.succs)
+	if g.off != nil {
+		panic(fmt.Sprintf("sched: Dep(%d, %d) after the graph was laid out", pred, succ))
 	}
-	t.succs = append(t.succs, succ)
+	g.edges = append(g.edges, edge{pred, succ})
+	g.tasks[pred].nsucc++
 	g.tasks[succ].deps++
 }
 
-// grow moves a full successor list to a window of twice its capacity (two
-// at least) at the slab's tail, starting a new chunk where the tail is too
-// short; the list's old window is left behind, as a slice's old array is.
-func (g *Graph) grow(s []TaskID) []TaskID {
-	n := max(2, 2*cap(s))
-	if cap(g.slab)-len(g.slab) < n {
-		g.slab = make([]TaskID, 0, max(slabChunk, n))
-		g.slabIDs += cap(g.slab)
-	}
-	lo := len(g.slab)
-	g.slab = g.slab[:lo+n]
-	return append(g.slab[lo:lo:lo+n], s...)
+// layOut turns the declared edges into the successor array, once.
+func (g *Graph) layOut() {
+	g.once.Do(func() {
+		g.off = make([]int32, len(g.tasks)+1)
+		for id, t := range g.tasks {
+			g.off[id+1] = g.off[id] + t.nsucc
+		}
+		g.succ = make([]TaskID, len(g.edges))
+		next := slices.Clone(g.off[:len(g.tasks)])
+		for _, e := range g.edges {
+			g.succ[next[e.pred]] = e.succ
+			next[e.pred]++
+		}
+		g.edges = nil
+	})
 }
 
-// MemoryBytes is what the graph holds: its task table and successor slab
-// (task names are static strings, not counted).
+// Successors returns the tasks that wait on id, in the order their Deps were
+// declared, laying the graph out. The slice is the graph's: read it only.
+func (g *Graph) Successors(id TaskID) []TaskID {
+	g.layOut()
+	return g.succ[g.off[id]:g.off[id+1]]
+}
+
+// MemoryBytes is what the graph holds, laid out: its task table and
+// successor array (task names are static strings, not counted).
 func (g *Graph) MemoryBytes() int64 {
-	return int64(cap(g.tasks))*int64(unsafe.Sizeof(task{})) + int64(g.slabIDs)*4
+	g.layOut()
+	return int64(cap(g.tasks))*int64(unsafe.Sizeof(task{})) + 4*int64(cap(g.off)+cap(g.succ))
 }
 
 // Stats aggregates a Run; the runner keeps one per worker while it runs and
@@ -207,6 +218,7 @@ type runner struct {
 // nothing.
 func (g *Graph) Run(ctx context.Context, opt Options, exec func(worker int, id TaskID)) (Stats, error) {
 	t0 := time.Now() //fmm:allow nodeterm wall-clock is reported in Stats only; task results never read it
+	g.layOut()
 	if len(g.tasks) == 0 {
 		//fmm:allow nodeterm wall-clock is reported in Stats only; task results never read it
 		return Stats{Wall: time.Since(t0)}, nil
@@ -345,7 +357,7 @@ func (r *runner) execute(w int, rt runnable) {
 	// worker's next task unless another worker pops it first. Every
 	// successor beyond the first wakes one parked worker.
 	released := 0
-	for _, s := range t.succs {
+	for _, s := range r.g.succ[r.g.off[id]:r.g.off[id+1]] {
 		if r.deps[s].Add(-1) == 0 {
 			if released == 0 {
 				r.mu.Lock()

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"kifmm/internal/goleak"
 )
@@ -289,6 +290,44 @@ func TestDepForwardOnly(t *testing.T) {
 			t.Fatalf("task %d ran %d times", i, k)
 		}
 	}
+}
+
+// TestSuccessorsInDeclarationOrder checks the laid-out successor array: a
+// task releases its successors in the order their Deps were declared, edges
+// of different tasks interleaved, so at one worker they pop newest first;
+// the graph holds exactly its tasks and edges; and a Dep once the graph has
+// run panics.
+func TestSuccessorsInDeclarationOrder(t *testing.T) {
+	g := newBodies()
+	var seq []TaskID
+	rec := func(id *TaskID) func(int) { return func(int) { seq = append(seq, *id) } }
+	ids := make([]TaskID, 8)
+	for k := range ids {
+		ids[k] = g.add("t", rec(&ids[k]))
+	}
+	// Task 0 releases 5, 2, 7, 3; task 1 (run after them) releases 4 and 6,
+	// whose other predecessor is 0.
+	for _, e := range [][2]int{{0, 5}, {1, 4}, {0, 2}, {0, 7}, {0, 1}, {1, 6}, {0, 3}, {0, 4}, {0, 6}} {
+		g.Dep(ids[e[0]], ids[e[1]])
+	}
+	if _, err := g.run(context.Background(), Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// 0 pushes 5, 2, 7, 1, 3 (4 and 6 wait on 1): 3 pops first, then 1,
+	// which pushes 4, 6.
+	want := []TaskID{0, 3, 1, 6, 4, 7, 2, 5}
+	if fmt.Sprint(seq) != fmt.Sprint(want) {
+		t.Fatalf("run order %v, want %v", seq, want)
+	}
+	if got, want := g.MemoryBytes(), int64(8*unsafe.Sizeof(task{})+4*(8+1+9)); got != want {
+		t.Errorf("MemoryBytes %d, want %d: 8 tasks, 9 successors and 9 offsets", got, want)
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "after the graph was laid out") {
+			t.Errorf("Dep after a run: panic %q", msg)
+		}
+	}()
+	g.Dep(ids[2], ids[3])
 }
 
 func TestDiamondOrder(t *testing.T) {
