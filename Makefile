@@ -100,10 +100,12 @@ bench-vlist:
 # Set-up micro-benchmarks: the fused Jacobi SVD of the largest surface
 # matrices the workloads invert (BenchmarkComputeSVD, n = 152 and 294), then
 # one operator build per kernel at NewOperators' fan-out
-# (BenchmarkNewOperators: laplace/6, stokes/5, one yukawa/6 level).
+# (BenchmarkNewOperators: laplace/6, stokes/5, one yukawa/6 level), then
+# one plan's graph compile on the far_uniform tree (BenchmarkCompile).
 bench-setup:
 	$(GO) test ./internal/linalg/ -run='^$$' -bench=BenchmarkComputeSVD
 	$(GO) test ./internal/kifmm/ -run='^$$' -bench=BenchmarkNewOperators
+	$(GO) test ./internal/kifmm/ -run='^$$' -bench=BenchmarkCompile -benchmem
 
 # Compile-and-run every benchmark exactly once: catches bitrot in benchmark
 # code without paying for real measurement (the -run pattern matches no

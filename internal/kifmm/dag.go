@@ -289,7 +289,7 @@ func (e *Engine) compile(lo, hi int) *schedule {
 		p := &phases[pi]
 		runs := e.work(p)
 		if pi == pULI {
-			runs = [][]int32{s.pairs.order} // chunks whole, each in serving order
+			runs = [][]int32{s.pairs.order} // in rank order
 		}
 		if pi == pVLI && e.UseFFTM2L {
 			e.compileVFFT(s, runs, u, v)

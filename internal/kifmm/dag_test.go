@@ -140,3 +140,21 @@ func TestEvaluateDAGStats(t *testing.T) {
 		t.Fatalf("Steals %d, Stolen %d for %d tasks", st.Steals, st.Stolen, st.Tasks)
 	}
 }
+
+// BenchmarkCompile times EnginePool.Compile — the task graph, pairing table,
+// V groups and tables a plan builds once — on the far_uniform benchmark's
+// tree: 100k uniform points, q = 50, Laplace at order 6, 2 workers. Every
+// plan-cache miss and session step pays it.
+func BenchmarkCompile(b *testing.B) {
+	tr := octree.Build(geom.Generate(geom.Uniform, 100000, 1), 50, 20)
+	tr.BuildLists(nil)
+	ops := NewOperators(kernel.Laplace{}, 6, 1e-9)
+	spec := EngineSpec{Ops: ops, Workers: 2}
+	layout := NewLayout(tr, ops, false)
+	spec.NewPool(tr, layout, 0).Compile(false) // resolve the translation spectra once
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		spec.NewPool(tr, layout, 0).Compile(false)
+	}
+}

@@ -214,7 +214,7 @@ func (e *Engine) SetDensitiesMasked(src []float64, nLead int) {
 		}
 		d := e.Density[i*sd : (i+1)*sd]
 		if o < nLead {
-			zero(d)
+			clear(d)
 		} else {
 			copy(d, src[(o-nLead)*sd:(o-nLead+1)*sd])
 		}
@@ -224,17 +224,11 @@ func (e *Engine) SetDensitiesMasked(src []float64, nLead int) {
 // Reset zeroes all evaluation state (densities are kept).
 func (e *Engine) Reset() {
 	for i := range e.U {
-		zero(e.U[i])
-		zero(e.D[i])
-		zero(e.DChk[i])
+		clear(e.U[i])
+		clear(e.D[i])
+		clear(e.DChk[i])
 	}
-	zero(e.Potential)
-}
-
-func zero(v []float64) {
-	for i := range v {
-		v[i] = 0
-	}
+	clear(e.Potential)
 }
 
 // evalScratch is one worker's reusable evaluation state: surface coordinate
@@ -281,7 +275,7 @@ func (s *evalScratch) fftAccs(k, n int) []float64 {
 		return s.vacc[:k*n]
 	}
 	acc := s.vacc[:k*n]
-	zero(acc)
+	clear(acc)
 	return acc
 }
 
@@ -320,7 +314,7 @@ func (e *Engine) s2uLeaf(i int32, s *evalScratch) {
 	ux, uy, uz := s.surf()
 	L.OuterSurf(i, ux, uy, uz)
 	chk := s.chk
-	zero(chk)
+	clear(chk)
 	lo, hi := int(n.PtLo), int(n.PtHi)
 	e.bk.EvalPanel(ux, uy, uz, L.PX[lo:hi], L.PY[lo:hi], L.PZ[lo:hi],
 		e.Density[lo*sd:hi*sd], chk, -1)

@@ -319,9 +319,11 @@ func uliChain(e *Engine) (chain, total float64) {
 // share of the row's kernel work, on the near_uniform and far_uniform trees:
 // the row's parallelism rests on it. Ranking the paired leaves in Morton
 // order alone chained 54 % of the work at q = 400 (at most 1.9× parallel at
-// any worker count) and 31 % at q = 50. Measured with the chunks coloured:
-// 2.6 % at q = 400 (39×) and 0.32 % at q = 50 (315×); the budget is 4 % and
-// 0.5 %. The pairing still saves 35 % and 31 % of the row's kernel work.
+// any worker count) and 31 % at q = 50. Measured with the whole row ranked by
+// colour: 2.18 % at q = 400 (46×) and 0.31 % at q = 50 (320×); the budget is
+// 4 % and 0.5 %. Every mutual pair is served, so only the self entries run one
+// way, and the pairing saves 48 % of the row's panels on both trees (64-leaf
+// chunks, whose seams ran one way, saved 35 % and 31 %).
 func TestULIChainBound(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("100k-point trees")
@@ -339,69 +341,79 @@ func TestULIChainBound(t *testing.T) {
 		if chain > budget[q]*total {
 			t.Errorf("q = %d: the longest chain is %.2f %% of the U row's work, over %.1f %%", q, 100*chain/total, 100*budget[q])
 		}
+		if self := countSelf(e); oneWay != self {
+			t.Errorf("q = %d: %d entries run one way, %d of them self entries: every pair between distinct leaves must be served", q, oneWay, self)
+		}
 	}
 }
 
-// TestULIParkedPeak measures how many partials the U row holds parked at once
-// on the near_uniform and far_uniform trees: what the row's memory rests on.
-// The partials held are the pairs inside the chunks in flight, so the bound
-// is workers + 1 chunks' worth of pairs. Measured: at most 252 partials at 1
-// worker on either tree, 325–365 at 2 on the q = 400 tree and 499–502 on the
-// q = 50 one, where a chunk holds at most 468 pairs. (Morton order without
-// chunks parked the pairs straddling the row's frontier: 641 at q = 400 and
-// 2 999–3 057 at q = 50.)
+// TestULIParkedPeak pins how many partials the U row holds parked at once,
+// and the bytes its store grows to, on the near_uniform and far_uniform trees
+// at 1 and 2 workers: the row alone, and in a full evaluation, whose peak
+// sizes an engine's store. What the pairing's memory rests on. With every
+// mutual pair served, the partials parked are the pairs between the leaves
+// whose tasks have run and those still to run. Measured (the row alone / a
+// full run): at 1 worker 1 188 / 941 partials (1.9 / 1.5 MiB) at q = 400 and
+// 4 038 / 3 914 (0.9 MiB) at q = 50; at 2 workers, which vary run to run,
+// up to 1 258 / 1 817 (2.9 MiB) and 4 303 / 6 911 (1.5 MiB). The budgets
+// leave about a tenth above the 1-worker peaks and a quarter above the
+// 2-worker ones. (64-leaf chunks with their seams run one way parked at most
+// 252 partials at 1 worker and 502 at 2; the whole row in colour order with
+// the even parities first, 1 974 and 8 842 in a full run at 1 worker.)
 func TestULIParkedPeak(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("100k-point U rows")
 	}
 	ops := NewOperators(kernel.Laplace{}, 4, 1e-9)
-	for q, tr := range uniformTrees() {
-		for _, workers := range []int{1, 2} {
-			e := NewEngineLayout(ops, tr, NewLayout(tr, ops, false))
-			e.Workers = workers
-			copy(e.Density, randDensities(rand.New(rand.NewSource(1)), len(tr.Points), 1))
-			var live, peak int
-			held := make(chan int, 1)
-			held <- 0
-			parkedHeld = func(delta int) {
-				n := <-held + delta
-				peak = max(peak, n)
-				held <- n
-			}
-			e.ULI()
-			parkedHeld = nil
-			live = <-held
-			perChunk := slices.Max(chunkPairs(e))
-			pair, _, _ := pairCounts(e)
-			t.Logf("q = %d, workers %d: %d leaves, %d paired entries, at most %d in a chunk, at most %d partials parked, %d buffers",
-				q, workers, len(tr.Leaves), pair, perChunk, peak, len(e.store.bufs))
-			if live != 0 {
-				t.Errorf("q = %d, workers %d: %d partials still parked after the row", q, workers, live)
-			}
-			if peak > (workers+1)*perChunk {
-				t.Errorf("q = %d, workers %d: %d partials parked at once, over %d chunks' %d pairs each",
-					q, workers, peak, workers+1, perChunk)
-			}
-		}
+	// budget[q][workers-1] is the most partials parked, and the most bytes
+	// of buffers the store holds, the row alone or in a full run.
+	type peak struct{ parts, bytes int }
+	budget := map[int][2]peak{
+		400: {{1300, 2200 << 10}, {2200, 3500 << 10}},
+		50:  {{4400, 1100 << 10}, {8000, 2000 << 10}},
 	}
-}
-
-// chunkPairs counts the entries served both ways in each chunk.
-func chunkPairs(e *Engine) []int {
-	_, paired := e.uRank()
-	var n []int
-	for lo := 0; lo < len(paired); lo += pairChunk {
-		pairs := 0
-		for _, i := range paired[lo:min(lo+pairChunk, len(paired))] {
-			for _, l := range firstOf(e.pairs.lists(e.Tree, i)) {
-				if l >= 0 {
-					pairs++
+	for q, tr := range uniformTrees() {
+		layout := NewLayout(tr, ops, false)
+		for _, workers := range []int{1, 2} {
+			for _, full := range []bool{false, true} {
+				e := NewEngineLayout(ops, tr, layout)
+				e.Workers = workers
+				e.UseFFTM2L = true
+				copy(e.Density, randDensities(rand.New(rand.NewSource(1)), len(tr.Points), 1))
+				peak := 0
+				held := make(chan int, 1)
+				held <- 0
+				parkedHeld = func(delta int) {
+					n := <-held + delta
+					peak = max(peak, n)
+					held <- n
+				}
+				scope := "the row alone"
+				if full {
+					scope = "a full run"
+					if _, err := e.Run(context.Background(), nil, nil); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					e.ULI()
+				}
+				parkedHeld = nil
+				bytes := 0
+				for _, b := range e.store.bufs {
+					bytes += 8 * len(b)
+				}
+				label := fmt.Sprintf("q = %d, workers %d, %s", q, workers, scope)
+				t.Logf("%s: at most %d partials parked, %d buffers of %d KiB", label, peak, len(e.store.bufs), bytes>>10)
+				if live := <-held; live != 0 {
+					t.Errorf("%s: %d partials still parked after the run", label, live)
+				}
+				if b := budget[q][workers-1]; peak > b.parts || bytes > b.bytes {
+					t.Errorf("%s: %d partials parked at once in %d bytes of buffers, over %d partials or %d bytes",
+						label, peak, bytes, b.parts, b.bytes)
 				}
 			}
 		}
-		n = append(n, pairs)
 	}
-	return n
 }
 
 // firstOf returns a node's U-list links out of its three lists'.

@@ -23,15 +23,12 @@ import (
 //
 // The taker's task waits on the giver's (compile). Two routes give:
 //
-// The U row. The U list is symmetric: where two leaves of one chunk are both
-// paired (uRank), the earlier in the chunk's order gives. A chunk is
-// pairChunk paired leaves consecutive in Morton order, ordered by colour
-// (leafColour), then Morton; an entry between chunks runs one way, so chunks
-// wait on nothing of each other, and no two adjacent leaves share a colour,
-// so a chain of waiting tasks climbs colours: at most eight per tree level in
-// the chunk, where a Morton order of the whole row chained half its work
-// (TestULIChainBound). The partials parked at once are the pairs inside the
-// chunks in flight.
+// The U row. The U list is symmetric: where two paired leaves (uRank) name
+// each other once each, the one of lower rank gives, so only the self entries
+// run one way. Ranks follow colour (leafColour), then Morton; no two adjacent
+// leaves share a colour, so a chain of waiting tasks climbs colours, at most
+// eight per tree level, where Morton ranks chained half the row's work
+// (TestULIChainBound).
 //
 // W ⟷ X. octree.buildX makes X the transpose of W: a ∈ W(j) exactly when
 // j ∈ X(a), and xliNode evaluates j's points onto a's inner surface, which
@@ -49,9 +46,8 @@ type pairing struct {
 	// list's.
 	at, link []int32
 	places   int // the inbox's length: one place per pair
-	// order is the U row's leaves in the order its tasks are added: Morton
-	// order, but each chunk whole, in its serving order, where its first
-	// leaf stands — a task's predecessors must be added before it.
+	// order is the U row's leaves in the order its tasks are added, their
+	// rank order: a task's predecessors must be added before it.
 	order []int32
 }
 
@@ -61,9 +57,10 @@ func (pr *pairing) lists(t *octree.Tree, i int32) (u, x, w []int32) {
 	return l[:len(n.U)], l[len(n.U):][:len(n.X)], l[len(n.U)+len(n.X):][:len(n.W)]
 }
 
-// pair links a giving and a taking entry through a new place.
-func (pr *pairing) pair(give, take *int32) {
-	*give, *take = int32(pr.places), -2-int32(pr.places)
+// pair links the giving and the taking entry, by link index, through a new
+// place.
+func (pr *pairing) pair(give, take int32) {
+	pr.link[give], pr.link[take] = int32(pr.places), -2-int32(pr.places)
 	pr.places++
 }
 
@@ -79,81 +76,110 @@ func (e *Engine) buildPairing(lo, hi int) *pairing {
 	}
 	pr.link = slices.Repeat([]int32{-1}, n)
 	if lo <= pULI && pULI < hi {
-		rank, paired := e.uRank()
-		for _, i := range paired {
-			u, _, _ := pr.lists(t, i)
-			for k, a := range t.Nodes[i].U {
-				if rank[a] > rank[i] && rank[a]/pairChunk == rank[i]/pairChunk {
-					au, _, _ := pr.lists(t, a)
-					pr.pair(&u[k], &au[slices.Index(t.Nodes[a].U, i)])
-				}
+		var rank []int32
+		pr.order, rank = e.uRank()
+		pr.mirror(t, pr.order, listU, listU, func(i, a, ia, ai int32) {
+			if rank[i] >= 0 && rank[i] < rank[a] {
+				pr.pair(ia, ai)
 			}
-		}
-		next := 0 // the next chunk to add
-		for _, i := range t.Leaves {
-			switch {
-			case !phases[pULI].has(e, i):
-			case rank[i] < 0:
-				pr.order = append(pr.order, i)
-			case int(rank[i])/pairChunk == next:
-				pr.order = append(pr.order, paired[next*pairChunk:min((next+1)*pairChunk, len(paired))]...)
-				next++
-			}
-		}
+		})
 	}
 	if lo <= pXLI && pWLI < hi && sharedPair(e.bk) {
-		for _, j := range t.Leaves {
-			// W(j)'s work has j's target mask, X(a)'s a's.
-			if !phases[pWLI].has(e, j) || !e.srcNode(j) {
-				continue
+		// W(j)'s work has j's target mask, X(a)'s a's.
+		pr.mirror(t, t.Leaves, listW, listX, func(j, a, ja, aj int32) {
+			if phases[pWLI].has(e, j) && e.srcNode(j) && e.srcNode(a) && phases[pXLI].has(e, a) {
+				pr.pair(aj, ja)
 			}
-			wl := t.Nodes[j].W
-			_, _, w := pr.lists(t, j)
-			for k, a := range wl {
-				if e.srcNode(a) && phases[pXLI].has(e, a) && once(wl, a) && once(t.Nodes[a].X, j) {
-					_, x, _ := pr.lists(t, a)
-					pr.pair(&x[slices.Index(t.Nodes[a].X, j)], &w[k])
-				}
-			}
-		}
+		})
 	}
 	return pr
 }
 
-// uRank ranks the U row's paired leaves: paired[r] is the leaf of rank r,
-// chunk by chunk, each chunk in its serving order, and rank[i] is leaf i's,
-// −1 where every entry naming it runs one way. A leaf is paired if the
-// kernel's EvalPair shares work, it has U-row work and carries sources, its U
-// list names every leaf once, and every paired leaf it names names it back.
-func (e *Engine) uRank() (rank, paired []int32) {
-	t := e.Tree
-	rank = slices.Repeat([]int32{-1}, len(t.Nodes))
-	for _, i := range t.Leaves {
-		if sharedPair(e.bk) && phases[pULI].has(e, i) && e.srcNode(i) && !repeats(t.Nodes[i].U) {
-			rank[i] = 0
-			paired = append(paired, i)
+const listU, listX, listW = 0, 1, 2 // a node's lists, as mirror names them
+
+// list returns node i's list l and the link index of its first entry.
+func (pr *pairing) list(t *octree.Tree, i int32, l int) ([]int32, int32) {
+	n, at := &t.Nodes[i], pr.at[i]
+	switch l {
+	case listU:
+		return n.U, at
+	case listX:
+		return n.X, at + int32(len(n.U))
+	}
+	return n.W, at + int32(len(n.U)+len(n.X))
+}
+
+// mirror calls f(i, a, ia, ai) for every entry of nodes' from lists that the
+// to lists mirror: the entry at link index ia of from(i) names a, the one at
+// ai of to(a) names i, and each list names the other node once. It gathers
+// the entries naming each node a, then places them by one scatter of to(a):
+// no list is searched.
+func (pr *pairing) mirror(t *octree.Tree, nodes []int32, from, to int, f func(i, a, ia, ai int32)) {
+	type end struct{ i, ia int32 }
+	// in[start[a]:start[a+1]] are the entries naming a, in the order of nodes.
+	start := make([]int32, len(t.Nodes)+1)
+	for _, i := range nodes {
+		names, _ := pr.list(t, i, from)
+		for _, a := range names {
+			start[a+1]++
 		}
 	}
-	// A leaf that names a paired leaf which does not name it back is taken
-	// out of the pairing; that only removes pairs, so one pass settles it.
-	for _, i := range paired {
-		for _, a := range t.Nodes[i].U {
-			if a != i && rank[a] >= 0 && !slices.Contains(t.Nodes[a].U, i) {
-				rank[i] = -1
-				break
+	for a := range t.Nodes {
+		start[a+1] += start[a]
+	}
+	in, next := make([]end, start[len(t.Nodes)]), slices.Clone(start)
+	for _, i := range nodes {
+		names, at := pr.list(t, i, from)
+		for k, a := range names {
+			in[next[a]] = end{i, at + int32(k)}
+			next[a]++
+		}
+	}
+	// place[b] is 1 + the link index of to(a)'s entry naming b: 0 where it
+	// names no b, −1 where it names b twice.
+	place := next[:len(t.Nodes)]
+	clear(place)
+	for a := range t.Nodes {
+		ins := in[start[a]:start[a+1]]
+		if len(ins) == 0 {
+			continue
+		}
+		names, at := pr.list(t, int32(a), to)
+		for k, b := range names {
+			if place[b] != 0 {
+				place[b] = -1
+			} else {
+				place[b] = at + int32(k) + 1
 			}
 		}
+		for x, n := range ins {
+			// from(n.i)'s entries naming a stand side by side in ins.
+			once := (x == 0 || ins[x-1].i != n.i) && (x+1 == len(ins) || ins[x+1].i != n.i)
+			if p := place[n.i]; p > 0 && once {
+				f(n.i, int32(a), n.ia, p-1)
+			}
+		}
+		for _, b := range names {
+			place[b] = 0
+		}
 	}
-	paired = slices.DeleteFunc(paired, func(i int32) bool { return rank[i] < 0 })
-	for lo := 0; lo < len(paired); lo += pairChunk {
-		slices.SortStableFunc(paired[lo:min(lo+pairChunk, len(paired))], func(a, b int32) int {
-			return leafColour(t, a) - leafColour(t, b)
-		})
+}
+
+// uRank orders the U row's leaves in one sort by colour (leafColour), then
+// Morton: order is the row's leaves so, and rank[i] is leaf i's place in it
+// where the leaf pairs — the kernel's EvalPair shares work and the leaf
+// carries sources — and −1 elsewhere.
+func (e *Engine) uRank() (order, rank []int32) {
+	t := e.Tree
+	order = e.work(&phases[pULI])[0]
+	slices.SortStableFunc(order, func(a, b int32) int { return leafColour(t, a) - leafColour(t, b) })
+	rank = slices.Repeat([]int32{-1}, len(t.Nodes))
+	for r, i := range order {
+		if sharedPair(e.bk) && e.srcNode(i) {
+			rank[i] = int32(r)
+		}
 	}
-	for r, i := range paired {
-		rank[i] = int32(r)
-	}
-	return rank, paired
+	return order, rank
 }
 
 // give parks an n-value partial for inbox place p and returns its buffer,
@@ -180,15 +206,6 @@ func (e *Engine) take(l int32, out []float64) {
 	}
 	ps.release(slot)
 }
-
-// pairChunk is how many paired leaves, consecutive in Morton order, make one
-// chunk: a 4³ block of a uniform level. The U row's longest chain of waiting
-// tasks is then 2.6 % of its work on the 100k-point uniform cloud at q = 400
-// and 0.3 % at q = 50 (TestULIChainBound); the entries between chunks, a
-// quarter of the pairs at q = 400 and a third at q = 50, run one way. Larger
-// chunks pair a little more and park more at once: 128 leaves save 4 % more
-// kernel work at q = 400 and park twice as many partials.
-const pairChunk = 64
 
 // sharedPair reports whether b's EvalPair pays for each pair's kernel values
 // once. Stokes' EvalPair and a third-party kernel's are two EvalPanel calls,
@@ -221,34 +238,14 @@ var parkedHeld func(delta int)
 // leafColour is 8·level plus a place given by the parities of leaf i's
 // coordinates at its level: adjacent leaves of one level differ in some
 // parity, and leaves of different levels in level, so no two adjacent leaves
-// share a colour. The four parities with an even sum go first: half-way
-// through a chunk fewer pairs run between the colours done and the rest than
-// in binary order, so fewer partials are parked (252 against 300 at 1 worker
-// in TestULIParkedPeak).
+// share a colour. The parities xyz go in Gray order (000, 001, 011, 010, …),
+// each one parity from the last, which parks about a third fewer partials at
+// once than binary order (TestULIParkedPeak).
 func leafColour(t *octree.Tree, i int32) int {
 	k := t.Nodes[i].Key
 	s := morton.MaxDepth - uint(k.L)
-	parity := k.X>>s&1<<2 | k.Y>>s&1<<1 | k.Z>>s&1
-	return 8*int(k.L) + int(evenFirst[parity])
-}
-
-// evenFirst places parity xyz: 000, 011, 101, 110, then 001, 010, 100, 111.
-var evenFirst = [8]byte{0, 4, 5, 1, 6, 2, 3, 7}
-
-// repeats reports whether a list names some node twice.
-func repeats(u []int32) bool {
-	for k, a := range u {
-		if slices.Contains(u[:k], a) {
-			return true
-		}
-	}
-	return false
-}
-
-// once reports whether list names x exactly once.
-func once(list []int32, x int32) bool {
-	k := slices.Index(list, x)
-	return k >= 0 && !slices.Contains(list[k+1:], x)
+	p := k.X>>s&1<<2 | k.Y>>s&1<<1 | k.Z>>s&1
+	return 8*int(k.L) + int(p^p>>1^p>>2) // p's place in Gray order
 }
 
 // partStore holds the partials both pair routes park, the U row's and

@@ -62,7 +62,7 @@ type task struct {
 // empty graph.
 type Graph struct {
 	tasks []task
-	edges []edge // the Deps declared, in order, until the graph is laid out
+	edges [][]edge // the Deps declared, in order, until the graph is laid out
 	// Laid out once, by the first Run or MemoryBytes: task id's successors
 	// are succ[off[id]:off[id+1]], in the order their Deps were declared.
 	once sync.Once
@@ -71,6 +71,8 @@ type Graph struct {
 }
 
 type edge struct{ pred, succ TaskID }
+
+const edgeBlock = 4096 // edges per block of Graph.edges (32 KiB): Dep never copies a full one
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph { return &Graph{} }
@@ -99,7 +101,10 @@ func (g *Graph) Dep(pred, succ TaskID) {
 	if g.off != nil {
 		panic(fmt.Sprintf("sched: Dep(%d, %d) after the graph was laid out", pred, succ))
 	}
-	g.edges = append(g.edges, edge{pred, succ})
+	if n := len(g.edges); n == 0 || len(g.edges[n-1]) == edgeBlock {
+		g.edges = append(g.edges, make([]edge, 0, edgeBlock))
+	}
+	g.edges[len(g.edges)-1] = append(g.edges[len(g.edges)-1], edge{pred, succ})
 	g.tasks[pred].nsucc++
 	g.tasks[succ].deps++
 }
@@ -111,11 +116,13 @@ func (g *Graph) layOut() {
 		for id, t := range g.tasks {
 			g.off[id+1] = g.off[id] + t.nsucc
 		}
-		g.succ = make([]TaskID, len(g.edges))
+		g.succ = make([]TaskID, g.off[len(g.tasks)])
 		next := slices.Clone(g.off[:len(g.tasks)])
-		for _, e := range g.edges {
-			g.succ[next[e.pred]] = e.succ
-			next[e.pred]++
+		for _, block := range g.edges {
+			for _, e := range block {
+				g.succ[next[e.pred]] = e.succ
+				next[e.pred]++
+			}
 		}
 		g.edges = nil
 	})
