@@ -25,9 +25,15 @@ race:
 # so a file that only amd64 compiles shows in any of them, and write the
 # potentials probe from the purego build into a temporary file that must equal
 # probe.txt byte for byte: every Go loop evaluates the bits the vector kernels
-# do.
+# do. Then the kernel and Yukawa tests under GODEBUG=cpu.fma=off, where
+# math.Exp takes its unfused path: the Yukawa vector bodies, whose exp is
+# math.Exp's FMA path, must see that and stay off (TestExpProbeDecides), so
+# every Yukawa EvalPanel/EvalPair body still equals its Go loop bit for bit.
+# probe.txt is not compared in that mode: math.Exp's own bits move, and the
+# Yukawa lines with them.
 portable:
 	$(GO) test -tags purego ./internal/linalg ./internal/kernel ./internal/kifmm
+	GODEBUG=cpu.fma=off $(GO) test -count=1 -run 'Yukawa|EvalPanel|EvalPair|Exp' ./internal/kernel/ .
 	GOARCH=arm64 $(GO) vet ./internal/linalg ./internal/kernel ./internal/kifmm
 	@tmp=$$(mktemp) && \
 	KIFMM_PROBE=$$tmp $(GO) test -tags purego -run '^TestProbe$$' -count=1 -timeout 30m . && \

@@ -361,18 +361,31 @@ func (s Stokes) EvalPair(ax, ay, az, bx, by, bz, aden, bden, aout, bpart []float
 	s.EvalPanel(bx, by, bz, ax, ay, az, aden, bpart, -1)
 }
 
-// EvalPanel implements Batch. Four-wide target blocking: the exp call per
-// pair dominates, and four independent chains let the sqrt/divide work of
-// the neighbouring lanes proceed under its latency.
+// EvalPanel implements Batch the way Laplace does, but the AVX2 kernel
+// takes every target where it runs (yukawaPanelVec) and yukawaPanelGo what
+// it leaves: everything on a build or CPU without it. The vector kernel's
+// exp is math.Exp's, lane by lane (panel_amd64.s), so the two agree bit for
+// bit.
 //
 //fmm:hotpath
 func (y Yukawa) EvalPanel(tx, ty, tz, sx, sy, sz []float64, den, out []float64, _ int) {
-	lam := y.Lambda
+	yukawaPanelGo(y.Lambda, tx, ty, tz, sx, sy, sz, den, out,
+		yukawaPanelVec(y.Lambda, tx, ty, tz, sx, sy, sz, den, out))
+}
+
+// yukawaPanelGo is the Go loop over targets i ≥ start (the portable path
+// and the oracle, as laplacePanelGo), with screening parameter lam. Targets
+// are blocked four wide: the exp call per pair dominates, and four
+// independent chains let the sqrt/divide work of the neighbouring targets
+// proceed under its latency.
+//
+//fmm:hotpath
+func yukawaPanelGo(lam float64, tx, ty, tz, sx, sy, sz, den, out []float64, start int) {
 	ns := len(sx)
 	sy, sz, den = sy[:ns], sz[:ns], den[:ns]
 	nt := len(tx)
 	ty, tz, out = ty[:nt], tz[:nt], out[:nt]
-	i := 0
+	i := start
 	for ; i+3 < nt; i += 4 {
 		x0, y0, z0 := tx[i], ty[i], tz[i]
 		x1, y1, z1 := tx[i+1], ty[i+1], tz[i+1]
@@ -413,19 +426,29 @@ func (y Yukawa) EvalPanel(tx, ty, tz, sx, sy, sz []float64, den, out []float64, 
 	}
 }
 
-// EvalPair implements Batch: one math.Exp per pair serves both directions.
-// a-targets are blocked four wide as in EvalPanel, and b_j's sum takes the
-// four terms in ascending i.
+// EvalPair implements Batch as EvalPanel does: the AVX2 kernel over every
+// a-target where it runs, yukawaPairGo over what it leaves; one exp per pair
+// serves both directions.
 //
 //fmm:hotpath
 func (y Yukawa) EvalPair(ax, ay, az, bx, by, bz, aden, bden, aout, bpart []float64) {
-	lam := y.Lambda
 	clear(bpart)
+	yukawaPairGo(y.Lambda, ax, ay, az, bx, by, bz, aden, bden, aout, bpart,
+		yukawaPairVec(y.Lambda, ax, ay, az, bx, by, bz, aden, bden, aout, bpart))
+}
+
+// yukawaPairGo is the Go loop of EvalPair over a-targets i ≥ start (the
+// portable path and, from start 0 on a zeroed bpart, the oracle), as
+// laplacePairGo with the kernel value of yukawaPanelGo: a-targets are blocked
+// four wide, and b_j's sum takes the four terms in ascending i.
+//
+//fmm:hotpath
+func yukawaPairGo(lam float64, ax, ay, az, bx, by, bz, aden, bden, aout, bpart []float64, start int) {
 	nb := len(bx)
 	by, bz, bden, bpart = by[:nb], bz[:nb], bden[:nb], bpart[:nb]
 	na := len(ax)
 	ay, az, aden, aout = ay[:na], az[:na], aden[:na], aout[:na]
-	i := 0
+	i := start
 	for ; i+3 < na; i += 4 {
 		x0, y0, z0, e0 := ax[i], ay[i], az[i], aden[i]
 		x1, y1, z1, e1 := ax[i+1], ay[i+1], az[i+1], aden[i+1]

@@ -17,25 +17,33 @@ type pairBody struct {
 }
 
 // pairBodies lists the bodies of kernel k: the EvalPair method itself (for
-// Yukawa its one Go body, for Stokes its two EvalPanel calls), and for
-// Laplace the Go loop from a-target 0 and (where the CPU has it) the AVX2
-// kernel over the leading multiple of four a-targets with the Go loop after
-// it.
+// Stokes its two EvalPanel calls), and for Laplace and Yukawa the Go loop
+// from a-target 0 and (where the CPU has it) the AVX2 kernel with the Go loop
+// after the a-targets it covers.
 func pairBodies(k Kernel) []pairBody {
 	var goLoop func(ax, ay, az, bx, by, bz, aden, bden, aout, bpart []float64, start int)
 	var vec func(ax, ay, az, bx, by, bz, aden, bden, aout, bpart []float64) int
+	vector := UseAVX2
 	bodies := []pairBody{{"method", AsBatch(k).EvalPair}}
-	switch k.(type) {
+	switch k := k.(type) {
 	case Laplace:
 		goLoop, vec = laplacePairGo, laplacePairVec
-	default: // Stokes' and Yukawa's methods are their one body
+	case Yukawa:
+		goLoop = func(ax, ay, az, bx, by, bz, aden, bden, aout, bpart []float64, start int) {
+			yukawaPairGo(k.Lambda, ax, ay, az, bx, by, bz, aden, bden, aout, bpart, start)
+		}
+		vec = func(ax, ay, az, bx, by, bz, aden, bden, aout, bpart []float64) int {
+			return yukawaPairVec(k.Lambda, ax, ay, az, bx, by, bz, aden, bden, aout, bpart)
+		}
+		vector = yukawaAVX2
+	default: // Stokes' method is its one body
 		return bodies
 	}
 	bodies = append(bodies, pairBody{"go", func(ax, ay, az, bx, by, bz, aden, bden, aout, bpart []float64) {
 		clear(bpart)
 		goLoop(ax, ay, az, bx, by, bz, aden, bden, aout, bpart, 0)
 	}})
-	if UseAVX2 {
+	if vector {
 		bodies = append(bodies, pairBody{"avx2", func(ax, ay, az, bx, by, bz, aden, bden, aout, bpart []float64) {
 			clear(bpart)
 			goLoop(ax, ay, az, bx, by, bz, aden, bden, aout, bpart, vec(ax, ay, az, bx, by, bz, aden, bden, aout, bpart))
@@ -179,6 +187,9 @@ func FuzzEvalPair(f *testing.F) {
 			}
 		}
 		f.Add(kern, uint16(195), uint16(13), uint8(0x82), int16(520), int64(kern))
+		// Coordinates up to 512: Yukawa's λ·r crosses math.Exp's subnormal
+		// results and its +0 edge.
+		f.Add(kern, uint16(50), uint16(50), uint8(1), int16(9), int64(kern)+7)
 	}
 	f.Fuzz(func(t *testing.T, kern uint8, na, nb uint16, planted uint8, scale int16, seed int64) {
 		// Lengths 0…200, the top bit of planted selecting the special values,

@@ -5,9 +5,130 @@
 // The panel kernels put four targets in the four lanes of a YMM register and
 // broadcast each source to all of them. Every operation is the packed form of
 // the one the Go loop performs, in the Go expression's association and with no
-// FMA, so each lane rounds exactly where the Go loop rounds. nanZero is
-// y = x + (x − x); y AND NOT (y unordered y). Loads are unaligned; the
-// constants come from the Go array panelConsts (ones, 1/4π, 1/8π).
+// FMA, so each lane rounds exactly where the Go loop rounds. The one exception
+// is the Yukawa kernels' exp, which is math.Exp's own FMA path (EXP below).
+// nanZero is y = x + (x − x); y AND NOT (y unordered y). Loads are unaligned;
+// the constants come from the Go arrays panelConsts (ones, 1/4π, 1/8π),
+// expConsts and expBias.
+
+// The Yukawa kernels' macros come first, ahead of every TEXT block (go vet
+// reads a macro's frame references as those of the TEXT block above it): EXP
+// and EXPFIX, the four-lane exp, and YPASSES, which the two Yukawa kernels
+// share. The kernels themselves are at the end of the file.
+
+// EXP sets Y5 = e^Y5 lane by lane, bit for bit what math.Exp returns when it
+// takes its FMA path ($GOROOT/src/math/exp_amd64.s, label avxfma), which the
+// caller checks it does (yukawaAVX2). It follows that path step for step:
+// k = LOG2E·x rounded to the nearest integer by CVTSD2SL's rule, the reduced
+// argument r = (x − k·LN2U − k·LN2L)·1/16 in two fused steps, the Taylor
+// polynomial by fused multiply-adds, three squarings (y+2)·y and a fourth
+// fused with the +1, and the scale by 2^k built from the bits of the biased
+// exponent b = k + 0x3FF. Where every lane's b is in [1, 0x7FE], math.Exp's
+// normal path, that scale is all; otherwise EXPFIX runs all four lanes
+// through math.Exp's other exits. Clobbers Y6 and Y9–Y13; a function that
+// uses EXP places EXPFIX after its RET.
+#define EXP \
+	VMULPD  ·expConsts+0(SB), Y5, Y6          /* LOG2E·x */ \
+	VCVTPD2DQY Y6, X9                         /* k */ \
+	VCVTDQ2PD X9, Y6                          /* float64(k) */ \
+	VPADDD  ·expBias+0(SB), X9, X9            /* b = k + 0x3FF */ \
+	VMOVUPD Y5, Y10 \
+	VFNMADD231PD ·expConsts+32(SB), Y6, Y10   /* x − k·LN2U */ \
+	VFNMADD231PD ·expConsts+64(SB), Y6, Y10   /* − k·LN2L */ \
+	VMULPD  ·expConsts+96(SB), Y10, Y10       /* r = ·1/16 */ \
+	VMOVUPD ·expConsts+128(SB), Y11           /* p = 1/8! */ \
+	VFMADD213PD ·expConsts+160(SB), Y10, Y11  /* p = p·r + 1/7! */ \
+	VFMADD213PD ·expConsts+192(SB), Y10, Y11 \
+	VFMADD213PD ·expConsts+224(SB), Y10, Y11 \
+	VFMADD213PD ·expConsts+256(SB), Y10, Y11 \
+	VFMADD213PD ·expConsts+288(SB), Y10, Y11 \
+	VFMADD213PD ·expConsts+320(SB), Y10, Y11 \
+	VFMADD213PD ·expConsts+352(SB), Y10, Y11  /* p = p·r + 1 */ \
+	VMULPD  Y11, Y10, Y10                     /* y = r·p */ \
+	VADDPD  ·expConsts+384(SB), Y10, Y11 \
+	VMULPD  Y11, Y10, Y10                     /* y = y·(y+2) */ \
+	VADDPD  ·expConsts+384(SB), Y10, Y11 \
+	VMULPD  Y11, Y10, Y10 \
+	VADDPD  ·expConsts+384(SB), Y10, Y11 \
+	VMULPD  Y11, Y10, Y10 \
+	VADDPD  ·expConsts+384(SB), Y10, Y11 \
+	VFMADD213PD ·expConsts+352(SB), Y11, Y10  /* y = (y+2)·y + 1 */ \
+	VMOVDQU ·expBias+32(SB), X12 \
+	VPCMPGTD X9, X12, X12                     /* b ≤ 0 */ \
+	VPCMPGTD ·expBias+64(SB), X9, X13         /* b ≥ 0x7FF */ \
+	VPOR    X13, X12, X12 \
+	VPTEST  X12, X12 \
+	JNE     expfix \
+	VPMOVSXDQ X9, Y12 \
+	VPSLLQ  $52, Y12, Y12                     /* 2^k */ \
+	VMULPD  Y12, Y10, Y5 \
+expback:
+
+// EXPFIX is EXP's way out of math.Exp's normal path, the four lanes of y and
+// b at once: where b ≤ 0 it scales in two steps, by 2^(b−1) and then 2^−1022,
+// as math.Exp's label denormal does (where b > 0 the second factor is 1,
+// which is exact); b < −52 gives +0, b ≥ 0x7FF or x > Overflow gives +Inf,
+// and a NaN x is returned as it is. −Inf falls out as +0 and +Inf as +Inf.
+#define EXPFIX \
+expfix: \
+	VMOVDQU ·expBias+32(SB), X12 \
+	VPCMPGTD X9, X12, X12                     /* b ≤ 0 */ \
+	VPAND   ·expBias+16(SB), X12, X12         /* 0x3FE there, else 0 */ \
+	VPADDD  X12, X9, X13                      /* b, or b + 0x3FE */ \
+	VMOVDQU ·expBias+0(SB), X6 \
+	VPSUBD  X12, X6, X12                      /* 0x3FF, or 1 */ \
+	VPMOVSXDQ X13, Y13 \
+	VPSLLQ  $52, Y13, Y13 \
+	VPMOVSXDQ X12, Y12 \
+	VPSLLQ  $52, Y12, Y12 \
+	VMULPD  Y13, Y10, Y10                     /* ·2^k, or ·2^(b−1) */ \
+	VMULPD  Y12, Y10, Y10                     /* ·1, or ·2^−1022 */ \
+	VMOVDQU ·expBias+48(SB), X12 \
+	VPCMPGTD X9, X12, X12                     /* b < −52 */ \
+	VPMOVSXDQ X12, Y12 \
+	VANDNPD Y10, Y12, Y10                     /* → +0 */ \
+	VPCMPGTD ·expBias+64(SB), X9, X13         /* b ≥ 0x7FF */ \
+	VPMOVSXDQ X13, Y13 \
+	VCMPPD  $0x1e, ·expConsts+416(SB), Y5, Y12 /* x > Overflow */ \
+	VORPD   Y13, Y12, Y12 \
+	VBLENDVPD Y12, ·expConsts+448(SB), Y10, Y10 /* → +Inf */ \
+	VCMPPD  $3, Y5, Y5, Y12                   /* x NaN */ \
+	VBLENDVPD Y12, Y5, Y10, Y5                /* → x */ \
+	JMP     expback
+
+// YPASSES is a block's first two passes, for the four targets in Y0–Y2
+// against the R14/8 sources at SI, DI and R8: r and −λ·r (−λ in Y14) into
+// the frame's two buffers, then e^(−λ·r) in place. Clobbers R13, Y4–Y6 and
+// what EXP clobbers.
+#define YPASSES \
+	XORQ    R13, R13                    /* byte offset in the block */ \
+ydist: \
+	VBROADCASTSD (SI)(R13*1), Y4 \
+	VBROADCASTSD (DI)(R13*1), Y5 \
+	VBROADCASTSD (R8)(R13*1), Y6 \
+	VSUBPD  Y4, Y0, Y4                  /* dx = x − xs */ \
+	VSUBPD  Y5, Y1, Y5                  /* dy */ \
+	VSUBPD  Y6, Y2, Y6                  /* dz */ \
+	VMULPD  Y4, Y4, Y4 \
+	VMULPD  Y5, Y5, Y5 \
+	VMULPD  Y6, Y6, Y6 \
+	VADDPD  Y5, Y4, Y4                  /* dx·dx + dy·dy */ \
+	VADDPD  Y6, Y4, Y4                  /* r² = (dx·dx + dy·dy) + dz·dz */ \
+	VSQRTPD Y4, Y4                      /* r */ \
+	VMOVUPD Y4, (SP)(R13*4) \
+	VMULPD  Y4, Y14, Y4                 /* −λ·r */ \
+	VMOVUPD Y4, 256(SP)(R13*4) \
+	ADDQ    $8, R13 \
+	CMPQ    R13, R14 \
+	JLT     ydist \
+	XORQ    R13, R13 \
+yexp: \
+	VMOVUPD 256(SP)(R13*4), Y5 \
+	EXP \
+	VMOVUPD Y5, 256(SP)(R13*4)          /* e^(−λr) */ \
+	ADDQ    $8, R13 \
+	CMPQ    R13, R14 \
+	JLT     yexp
 
 // func laplacePanelAVX2(tx, ty, tz, sx, sy, sz, den, out *float64, nt, ns int)
 //
@@ -227,3 +348,162 @@ ppair:
 	JLT     pgroup
 	VZEROUPPER
 	RET
+
+// func expAVX2(x, y *float64, n int)
+//
+// y[i] = e^x[i] for n elements, n a positive multiple of 4.
+TEXT ·expAVX2(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), SI
+	MOVQ y+8(FP), DI
+	MOVQ n+16(FP), CX
+	SHLQ $3, CX
+	XORQ AX, AX
+egroup:
+	VMOVUPD (SI)(AX*1), Y5
+	EXP
+	VMOVUPD Y5, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     egroup
+	VZEROUPPER
+	RET
+	EXPFIX
+
+// The Yukawa kernels take the sources a block of at most 8 at a time and make
+// three passes over a block, through two buffers in the frame: r and −λ·r
+// (at 0(SP) and 256(SP), one 32-byte row per source), then e^(−λ·r) in place
+// of −λ·r, then the kernel values and the sums. Each pass is a loop of
+// independent iterations: in one loop from coordinates to sum, each source's
+// chain of some 190 cycles of latency held its ≈ 55 instructions in the
+// reorder buffer, and too few sources were in flight to fill the FP ports.
+
+// func yukawaPanelAVX2(tx, ty, tz, sx, sy, sz, den, out *float64, nt, ns int, nlam float64)
+//
+// laplacePanelAVX2 with k = nanZero(c·e^(nlam·r)/r), r = √r², nlam = −λ:
+// out[i] += Σ_j k_ij·den[j] for nt targets, nt a positive multiple of 4,
+// against ns > 0 sources in ascending order.
+TEXT ·yukawaPanelAVX2(SB), NOSPLIT, $512-88
+	MOVQ tx+0(FP), AX
+	MOVQ ty+8(FP), BX
+	MOVQ tz+16(FP), CX
+	MOVQ out+56(FP), DX
+	MOVQ nt+64(FP), R10
+	SHLQ $3, R10                        // byte length of a target panel
+	VMOVUPD ·panelConsts+32(SB), Y15    // c = 1/4π
+	VBROADCASTSD nlam+80(FP), Y14       // −λ
+	XORQ R12, R12                       // target byte offset
+ygroup:
+	VMOVUPD (AX)(R12*1), Y0             // x
+	VMOVUPD (BX)(R12*1), Y1             // y
+	VMOVUPD (CX)(R12*1), Y2             // z
+	VXORPD  Y3, Y3, Y3                  // partial sums start from +0
+	MOVQ sx+24(FP), SI
+	MOVQ sy+32(FP), DI
+	MOVQ sz+40(FP), R8
+	MOVQ den+48(FP), R9
+	MOVQ ns+72(FP), R11
+	SHLQ $3, R11                        // source bytes left
+yblock:
+	MOVQ    $64, R14
+	CMPQ    R11, R14
+	CMOVQLT R11, R14                    // the block's bytes
+	YPASSES
+	XORQ    R13, R13
+ysum:
+	VMULPD  256(SP)(R13*4), Y15, Y5     // c·e^(−λr)
+	VDIVPD  (SP)(R13*4), Y5, Y5         // k = c·e^(−λr)/r
+	VSUBPD  Y5, Y5, Y6
+	VADDPD  Y6, Y5, Y5
+	VCMPPD  $3, Y5, Y5, Y6
+	VANDNPD Y5, Y6, Y5                  // nanZero(k)
+	VBROADCASTSD (R9)(R13*1), Y7        // d
+	VMULPD  Y7, Y5, Y5                  // k·d
+	VADDPD  Y5, Y3, Y3
+	ADDQ    $8, R13
+	CMPQ    R13, R14
+	JLT     ysum
+	ADDQ    R14, SI
+	ADDQ    R14, DI
+	ADDQ    R14, R8
+	ADDQ    R14, R9
+	SUBQ    R14, R11
+	JNZ     yblock
+	VADDPD  (DX)(R12*1), Y3, Y3         // out[i] += partial sum, once
+	VMOVUPD Y3, (DX)(R12*1)
+	ADDQ    $32, R12
+	CMPQ    R12, R10
+	JLT     ygroup
+	VZEROUPPER
+	RET
+	EXPFIX
+
+// func yukawaPairAVX2(ax, ay, az, bx, by, bz, aden, bden, aout, bpart *float64, na, nb int, nlam float64)
+//
+// laplacePairAVX2 with the kernel value of yukawaPanelAVX2, in its blocks.
+TEXT ·yukawaPairAVX2(SB), NOSPLIT, $512-104
+	MOVQ ax+0(FP), AX
+	MOVQ ay+8(FP), BX
+	MOVQ az+16(FP), CX
+	MOVQ na+80(FP), DX
+	SHLQ $3, DX                         // byte length of the a panel
+	VMOVUPD ·panelConsts+32(SB), Y15    // c = 1/4π
+	VBROADCASTSD nlam+96(FP), Y14       // −λ
+	XORQ R12, R12                       // a byte offset
+qgroup:
+	VMOVUPD (AX)(R12*1), Y0             // x
+	VMOVUPD (BX)(R12*1), Y1             // y
+	VMOVUPD (CX)(R12*1), Y2             // z
+	MOVQ    aden+48(FP), R13
+	VMOVUPD (R13)(R12*1), Y8            // the four a densities
+	VXORPD  Y3, Y3, Y3                  // a partial sums start from +0
+	MOVQ bx+24(FP), SI
+	MOVQ by+32(FP), DI
+	MOVQ bz+40(FP), R8
+	MOVQ bden+56(FP), R9
+	MOVQ bpart+72(FP), R10
+	MOVQ nb+88(FP), R11
+	SHLQ $3, R11                        // b bytes left
+qblock:
+	MOVQ    $64, R14
+	CMPQ    R11, R14
+	CMOVQLT R11, R14                    // the block's bytes
+	YPASSES
+	XORQ    R13, R13
+qsum:
+	VMULPD  256(SP)(R13*4), Y15, Y5     // c·e^(−λr)
+	VDIVPD  (SP)(R13*4), Y5, Y4         // k = c·e^(−λr)/r
+	VSUBPD  Y4, Y4, Y5
+	VADDPD  Y5, Y4, Y4
+	VCMPPD  $3, Y4, Y4, Y5
+	VANDNPD Y4, Y5, Y4                  // nanZero(k)
+	VBROADCASTSD (R9)(R13*1), Y7        // bden[j]
+	VMULPD  Y7, Y4, Y7                  // k·bden[j]
+	VADDPD  Y7, Y3, Y3
+	VMULPD  Y8, Y4, Y4                  // lane l: k·aden[l], b_j's term from a_l
+	VADDSD  (R10)(R13*1), X4, X5        // bpart[j] + lane 0
+	VPERMILPD $1, X4, X6
+	VADDSD  X6, X5, X5                  // + lane 1
+	VEXTRACTF128 $1, Y4, X4
+	VADDSD  X4, X5, X5                  // + lane 2
+	VPERMILPD $1, X4, X6
+	VADDSD  X6, X5, X5                  // + lane 3
+	VMOVSD  X5, (R10)(R13*1)
+	ADDQ    $8, R13
+	CMPQ    R13, R14
+	JLT     qsum
+	ADDQ    R14, SI
+	ADDQ    R14, DI
+	ADDQ    R14, R8
+	ADDQ    R14, R9
+	ADDQ    R14, R10
+	SUBQ    R14, R11
+	JNZ     qblock
+	MOVQ    aout+64(FP), R13
+	VADDPD  (R13)(R12*1), Y3, Y3        // aout[i] += partial sum, once
+	VMOVUPD Y3, (R13)(R12*1)
+	ADDQ    $32, R12
+	CMPQ    R12, DX
+	JLT     qgroup
+	VZEROUPPER
+	RET
+	EXPFIX

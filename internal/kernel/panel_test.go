@@ -24,6 +24,9 @@ var panelGoLoops = []struct {
 }{
 	{Laplace{}, laplacePanelGo},
 	{Stokes{}, stokesPanelGo},
+	{Yukawa{Lambda: 1.3}, func(tx, ty, tz, sx, sy, sz, den, out []float64, start int) {
+		yukawaPanelGo(1.3, tx, ty, tz, sx, sy, sz, den, out, start)
+	}},
 }
 
 // panelCase is one FuzzEvalPanel input, decoded.
@@ -112,7 +115,7 @@ func panelsAgree(c panelCase) error {
 // they pass trivially), `make fuzz` searches on for 10 s.
 func FuzzEvalPanel(f *testing.F) {
 	seed := int64(0)
-	for kern := uint8(0); kern < 2; kern++ {
+	for kern := uint8(0); kern < 3; kern++ {
 		for _, nt := range []uint8{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 33, 40, 64, 67} {
 			for _, ns := range []uint8{0, 1, 2, 3, 4, 5, 17, 40, 67} {
 				for _, selfOffset := range []int8{-1, 0, 3, 47} {
@@ -126,7 +129,7 @@ func FuzzEvalPanel(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, kern, nt, ns, offT, offS uint8, selfOffset int8, planted uint8, seed int64) {
-		// Kernel by parity, lengths 0…67, the top bit of planted selecting
+		// Kernel by residue, lengths 0…67, the top bit of planted selecting
 		// the self panel.
 		c := panelCase{
 			kern: int(kern) % len(panelGoLoops), nt: int(nt) % 68, ns: int(ns) % 68,

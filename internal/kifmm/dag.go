@@ -285,12 +285,22 @@ func (e *Engine) compile(lo, hi int) *schedule {
 		}
 	}
 
+	// Each row's work, and from it a bound on the task count, so that the
+	// task table and refs are laid out once.
+	var work [len(phases)][][]int32
+	for pi := lo; pi < hi; pi++ {
+		work[pi] = e.work(&phases[pi])
+		if pi == pULI {
+			work[pi] = [][]int32{s.pairs.order} // in rank order
+		}
+	}
+	n := e.taskBound(work[lo:hi], lo)
+	s.graph.Grow(n)
+	s.refs = make([]taskRef, 0, n)
+
 	for pi := lo; pi < hi; pi++ {
 		p := &phases[pi]
-		runs := e.work(p)
-		if pi == pULI {
-			runs = [][]int32{s.pairs.order} // in rank order
-		}
+		runs := work[pi]
 		if pi == pVLI && e.UseFFTM2L {
 			e.compileVFFT(s, runs, u, v)
 			continue
@@ -307,6 +317,25 @@ func (e *Engine) compile(lo, hi int) *schedule {
 		}
 	}
 	return s
+}
+
+// taskBound bounds the tasks compile adds for the rows from lo on whose work
+// is work: one per entry, and on the FFT V row, whose entries are its
+// targets, one group and one join per target and one spec per octant at
+// most.
+func (e *Engine) taskBound(work [][][]int32, lo int) int {
+	n := 0
+	for k, runs := range work {
+		m := 0
+		for _, run := range runs {
+			m += len(run)
+		}
+		if lo+k == pVLI && e.UseFFTM2L {
+			m = 2*m + len(e.Tree.Nodes)
+		}
+		n += m
+	}
+	return n
 }
 
 // noTasks returns n task slots, all empty.

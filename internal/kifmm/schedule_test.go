@@ -180,3 +180,33 @@ func TestScheduleMemoryCounted(t *testing.T) {
 			s.graph.Len(), grown, s.memoryBytes(), floor, spectra)
 	}
 }
+
+// TestCompileTaskBound checks that compile lays a schedule's task table out
+// once: for the whole table and for every row alone, in both V modes, the
+// tasks added stay within taskBound, which sized the refs up front, and the
+// graph holds one task per ref.
+func TestCompileTaskBound(t *testing.T) {
+	for _, fft := range []bool{false, true} {
+		e := newTestEngine(t, kernel.Laplace{}, geom.Ellipsoid, 3000, 25, fft, 2)
+		ranges := [][2]int{{0, numRows}}
+		for pi := 0; pi < numRows; pi++ {
+			ranges = append(ranges, [2]int{pi, pi + 1})
+		}
+		for _, r := range ranges {
+			s := e.compile(r[0], r[1])
+			var work [][][]int32
+			for pi := r[0]; pi < r[1]; pi++ {
+				w := e.work(&phases[pi])
+				if pi == pULI {
+					w = [][]int32{s.pairs.order}
+				}
+				work = append(work, w)
+			}
+			bound := e.taskBound(work, r[0])
+			if len(s.refs) > bound || cap(s.refs) != bound || s.graph.Len() != len(s.refs) {
+				t.Errorf("fft %v, rows %v: %d tasks, %d refs of capacity %d, bound %d",
+					fft, r, s.graph.Len(), len(s.refs), cap(s.refs), bound)
+			}
+		}
+	}
+}

@@ -80,6 +80,11 @@ func NewGraph() *Graph { return &Graph{} }
 // Len returns the number of tasks added so far.
 func (g *Graph) Len() int { return len(g.tasks) }
 
+// Grow reserves room for n more tasks, as slices.Grow does, so that the next
+// n Adds do not reallocate the task table: a caller that knows (or bounds)
+// its task count lays the table out once.
+func (g *Graph) Grow(n int) { g.tasks = slices.Grow(g.tasks, n) }
+
 // Add registers a task and returns its ID. name labels the task in traces
 // (use a small set of static strings; per-task identity is the ID). An empty
 // name adds a synchronization point: a task that completes once its
