@@ -143,8 +143,8 @@ bench-check:
 sched-stress:
 	$(GO) test -race -count=5 ./internal/sched/...
 	$(GO) test -race -count=2 -run '^(TestEvaluateDAGBitIdentical|TestEvaluateDAGRepeatable|TestULIPairsMatchOneWay|TestWXPairsMatchOneWay|TestPairingLinks|TestPlanCompilesScheduleOnce|TestStoppedRunRecovers)$$' ./internal/kifmm/
-	$(GO) test -race -count=3 -run '^TestProfileSharedByConcurrentApplies$$' .
-	$(GO) test -race -count=3 -run '^(TestExpiredWhileQueued|TestStepCancelledLeavesSession|TestDeadlineFreesWorker)$$' ./internal/service/
+	$(GO) test -race -count=3 -run '^TestConcurrentApplyStats$$' .
+	$(GO) test -race -count=3 -run '^(TestExpiredWhileQueued|TestStepCancelledLeavesSession|TestDeadlineFreesWorker|TestMetricsFoldConcurrentEvaluates)$$' ./internal/service/
 
 # Repeated race runs of the sharded differential tests: the multi-rank
 # coordinated apply exercises the in-process MPI runtime, the engine free

@@ -95,7 +95,7 @@ func TestCancelledContext(t *testing.T) {
 
 			_, err = p.ApplyContext(done, den)
 			wantCancelled(t, name+": ApplyContext", err, context.Canceled, "kifmm: ", "task-graph evaluation: ")
-			_, _, err = p.ApplyTraced(done, den)
+			_, _, _, err = p.ApplyTraced(done, den)
 			wantCancelled(t, name+": ApplyTraced", err, context.Canceled, "kifmm: ", "task-graph evaluation: ")
 
 			// A deadline a fifth of a warm Apply away fires mid-graph.

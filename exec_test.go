@@ -112,7 +112,7 @@ func TestExecModeSharedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, tr, err := p.ApplyTraced(context.Background(), den)
+	b, tr, _, err := p.ApplyTraced(context.Background(), den)
 	if err != nil {
 		t.Fatal(err)
 	}

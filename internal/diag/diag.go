@@ -41,8 +41,8 @@ const (
 	PhaseShardComm = "Shard comm"
 )
 
-// Counter names used by the task-graph runtime wiring (Profile.AddCounter);
-// they surface on /metrics as <prefix>_<name>_total.
+// Counter names used by the task-graph runtime wiring (Profile.Merge); they
+// surface on /metrics as <prefix>_<name>_total.
 const (
 	// CounterSchedGraphs counts executed task graphs (one per Apply, two per
 	// rank of a distributed evaluation: before and after its exchange step).
@@ -52,14 +52,6 @@ const (
 	// CounterSchedSteals counts handoffs: tasks run by a worker other than
 	// the one that released them.
 	CounterSchedSteals = "sched_steals"
-	// CounterTFCacheHits / CounterTFCacheMisses count the process-wide
-	// V-list translation-spectrum cache hits and misses observed during
-	// plan builds (misses = spectra actually recomputed).
-	CounterTFCacheHits   = "tf_cache_hits"
-	CounterTFCacheMisses = "tf_cache_misses"
-	// CounterShardApplies counts completed sharded Apply calls (one per
-	// coordinated multi-rank evaluation, not one per rank).
-	CounterShardApplies = "shard_applies"
 )
 
 // Profile accumulates named phase timings and flop counts for one rank.
@@ -103,7 +95,7 @@ func (p *Profile) AddFlops(name string, n int64) {
 
 // Merge adds, under one lock, times[i] and flops[i] to phase names[i] (names
 // may repeat) and counts[i] to counter counters[i]: the path for code that
-// accounts locally, like the engine's per-worker phase ledger, instead of
+// accounts locally, like the engine's per-worker phase tables, instead of
 // taking the lock per work item. Zeros are added too; leaving out the phases
 // nothing touched is the caller's part.
 func (p *Profile) Merge(names []string, times []time.Duration, flops []int64, counters []string, counts []int64) {
@@ -115,15 +107,6 @@ func (p *Profile) Merge(names []string, times []time.Duration, flops []int64, co
 	for i, name := range counters {
 		p.counters[name] += counts[i]
 	}
-	p.mu.Unlock()
-}
-
-// AddCounter adds v to the named monotonic counter. Counters carry event
-// counts that are not phase times or flops — e.g. the scheduler stats
-// (tasks run, handoffs) the task-graph runtime reports per evaluation.
-func (p *Profile) AddCounter(name string, v int64) {
-	p.mu.Lock()
-	p.counters[name] += v
 	p.mu.Unlock()
 }
 
@@ -157,17 +140,6 @@ func (p *Profile) Flops(name string) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.flops[name]
-}
-
-// TotalFlops returns the sum over all phases.
-func (p *Profile) TotalFlops() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var s int64
-	for _, v := range p.flops {
-		s += v
-	}
-	return s
 }
 
 // Row is one line of a cross-rank report: max/avg time and flops for one

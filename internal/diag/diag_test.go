@@ -19,16 +19,13 @@ func TestProfileAccumulates(t *testing.T) {
 	if p.Flops("A") != 100 || p.Flops("B") != 50 {
 		t.Fatalf("flops wrong")
 	}
-	if p.TotalFlops() != 150 {
-		t.Fatalf("TotalFlops = %d", p.TotalFlops())
-	}
 	if p.Time("missing") != 0 || p.Flops("missing") != 0 {
 		t.Fatalf("missing phase should be zero")
 	}
 }
 
 // TestMerge: one batch adds every entry given, a repeated name's entries
-// sum, and zeros still create the phase, as the engine's ledger relies on.
+// sum, and zeros still create the phase, as the engine's Record relies on.
 func TestMerge(t *testing.T) {
 	p := NewProfile()
 	p.AddFlops("Upward", 1)

@@ -60,24 +60,25 @@ import (
 // an exchange step; the only error source is a panicking task (the scheduler
 // fails the graph instead of deadlocking).
 func (e *Engine) EvaluateDAG(trace *sched.Trace) (sched.Stats, error) {
-	return e.Run(context.Background(), nil, trace)
+	r, err := e.Run(context.Background(), nil, trace)
+	return r.Stats, err
 }
 
 // runRows runs rows [lo, hi) of the phase table as one task graph under ctx
-// and folds the graph's accounting into l.
-func (e *Engine) runRows(ctx context.Context, lo, hi int, trace *sched.Trace, l *ledger) error {
+// and folds the graph's accounting into r.
+func (e *Engine) runRows(ctx context.Context, lo, hi int, trace *sched.Trace, r *Record) error {
 	e.ensureScratch(e.Workers)
 	e.pairRows(lo, hi)
 	stats, err := e.graph.Run(ctx, sched.Options{Workers: e.Workers, Trace: trace}, e.exec)
-	l.fold(e.scratch, stats)
+	r.fold(e.scratch, stats)
 	return err
 }
 
-// runRow runs row pi alone and merges its ledger, panicking if a body did.
+// runRow runs row pi alone and merges its record, panicking if a body did.
 func (e *Engine) runRow(pi int) {
-	var l ledger
-	err := e.runRows(context.Background(), pi, pi+1, nil, &l)
-	e.merge(&l)
+	var r Record
+	err := e.runRows(context.Background(), pi, pi+1, nil, &r)
+	r.MergeInto(e.Prof)
 	if err != nil {
 		panic(err)
 	}
@@ -454,7 +455,7 @@ func (e *Engine) compileVFFT(s *schedule, levels [][]int32, uTask, vTask []sched
 func (e *Engine) exec(w int, id sched.TaskID) {
 	r := e.refs[id]
 	s := e.scratch[w]
-	t0 := time.Now() //fmm:allow nodeterm task timing feeds the ledger only; results never read it
+	t0 := time.Now() //fmm:allow nodeterm task timing feeds the record only; results never read it
 	switch r.kind {
 	case kSpec:
 		e.specTask(r.i, s)

@@ -42,7 +42,7 @@ import (
 // over the plan-time streaming Layout: a leaf's sources and targets are
 // contiguous SoA panels, surfaces are filled from per-level offset grids
 // into per-worker scratch, and task time and flops accumulate in the worker's
-// ledger, merged into Prof once per evaluation — no per-pair dynamic
+// row table, folded into the evaluation's Record at graph end — no per-pair dynamic
 // dispatch, no per-leaf allocation, no per-task profile locking.
 type Engine struct {
 	Ops  *Operators
@@ -233,7 +233,7 @@ func (e *Engine) Reset() {
 
 // evalScratch is one worker's reusable evaluation state: surface coordinate
 // panels, check/equivalent temporaries, the FFT V-list accumulator, and its
-// phase ledger. One scratch is owned by at most one worker at a
+// row table of the Record. One scratch is owned by at most one worker at a
 // time (sched.Graph.Run gives a worker index to one task at a time), so
 // the bodies run without locks and without per-octant allocation.
 type evalScratch struct {
@@ -249,7 +249,7 @@ type evalScratch struct {
 
 // clock adds the time since t0 to row pi's tally: a task of the row ends.
 func (s *evalScratch) clock(pi int, t0 time.Time) {
-	s.rows[pi].ns += int64(time.Since(t0)) //fmm:allow nodeterm task timing feeds the ledger only; results never read it
+	s.rows[pi].ns += int64(time.Since(t0)) //fmm:allow nodeterm task timing feeds the record only; results never read it
 }
 
 // surf returns the scratch surface panel slices.

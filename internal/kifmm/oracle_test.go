@@ -31,9 +31,9 @@ func (e *Engine) oracle() {
 			}
 		}
 	}
-	var l ledger
+	var l Record
 	l.fold(e.scratch, sched.Stats{})
-	e.merge(&l)
+	l.MergeInto(e.Prof)
 }
 
 // oracleVFFT is the oracle's FFT V-list over one level's targets (in node

@@ -132,52 +132,89 @@ func (e *Engine) work(p *phase) [][]int32 {
 // flops its bodies counted.
 type tally struct{ ns, flops int64 }
 
-// ledger is one evaluation's accounting. Each worker's scratch carries a
-// table of tallies, one per row, that its tasks write without locks; at graph
-// end fold sums the tables into a ledger and zeroes them, and merge hands the
-// ledger to the profile under its one lock.
-type ledger struct {
-	rows   [numRows]tally
-	sched  sched.Stats
-	graphs int64
-	total  time.Duration // diag.PhaseTotalEval: Run's wall time
+// Record is one evaluation's accounting: the time and flops of each row of
+// the phase table, the scheduler's counters summed over the graphs that ran
+// them, and the wall times around them. Each worker's scratch carries a
+// table of tallies, one per row, that its tasks write without locks; at
+// graph end fold sums the tables into the record and zeroes them. Run
+// returns the record as a value, and MergeInto hands it to a profile under
+// the profile's one lock.
+type Record struct {
+	sched.Stats
+	rows [numRows]tally
+	// Graphs counts the task graphs run: one per Apply, two per rank of a
+	// distributed evaluation (before and after its exchange step).
+	Graphs int64
+	// Total is Run's wall time (diag.PhaseTotalEval), summed over the ranks
+	// of a sharded Apply; zero outside Run.
+	Total time.Duration
+	// ShardComm is a sharded Apply's communication time, ghost exchange and
+	// upward reduction, summed over its ranks (diag.PhaseShardComm); zero
+	// elsewhere.
+	ShardComm time.Duration
 }
 
-// fold adds one graph to l: its scheduler stats and every worker's table,
+// fold adds one graph to r: its scheduler stats and every worker's table,
 // which it zeroes for the next graph.
-func (l *ledger) fold(scratch []*evalScratch, st sched.Stats) {
+func (r *Record) fold(scratch []*evalScratch, st sched.Stats) {
 	for _, s := range scratch {
-		for pi, r := range s.rows {
-			l.rows[pi].ns += r.ns
-			l.rows[pi].flops += r.flops
-		}
+		r.Add(Record{rows: s.rows})
 		s.rows = [numRows]tally{}
 	}
-	l.sched.Add(st)
-	l.graphs++
+	r.Add(Record{Stats: st, Graphs: 1})
 }
 
-// merge adds l to e.Prof, if set, under one lock: Total eval (zero outside
-// Run), the scheduler's idle time and counters, and every row a task touched
-// under its diag phase (S2U and U2U sum into Upward, D2D and D2T into
-// Downward). Rows nothing touched stay absent from the profile.
-func (e *Engine) merge(l *ledger) {
-	if e.Prof == nil {
+// Add accumulates o into r; a sharded Apply's record sums its ranks'.
+func (r *Record) Add(o Record) {
+	for pi, t := range o.rows {
+		r.rows[pi].ns += t.ns
+		r.rows[pi].flops += t.flops
+	}
+	r.Stats.Add(o.Stats)
+	r.Graphs += o.Graphs
+	r.Total += o.Total
+	r.ShardComm += o.ShardComm
+}
+
+// Phase returns the task time and flops of the rows reported under the diag
+// phase name: S2U and U2U under Upward, D2D and D2T under Downward, each
+// other row under its own list.
+func (r *Record) Phase(name string) (d time.Duration, flops int64) {
+	for pi, t := range r.rows {
+		if phases[pi].diag == name {
+			d += time.Duration(t.ns)
+			flops += t.flops
+		}
+	}
+	return d, flops
+}
+
+// MergeInto adds r to p, if set, under one lock: Total eval, the
+// scheduler's idle time and counters, Shard comm where set, and every row a
+// task touched under its diag phase (S2U and U2U sum into Upward, D2D and
+// D2T into Downward). Rows nothing touched stay absent from the profile, and
+// a record of no graph (an Apply refused before it ran) adds nothing.
+func (r *Record) MergeInto(p *diag.Profile) {
+	if p == nil || r.Graphs == 0 {
 		return
 	}
-	names := [numRows + 2]string{diag.PhaseTotalEval, diag.PhaseSchedIdle}
-	times := [numRows + 2]time.Duration{l.total, l.sched.Idle}
-	var flops [numRows + 2]int64
+	names := [numRows + 3]string{diag.PhaseTotalEval, diag.PhaseSchedIdle}
+	times := [numRows + 3]time.Duration{r.Total, r.Idle}
+	var flops [numRows + 3]int64
 	k := 2
-	for pi, r := range l.rows {
-		if r != (tally{}) {
-			names[k], times[k], flops[k] = phases[pi].diag, time.Duration(r.ns), r.flops
+	if r.ShardComm != 0 {
+		names[k], times[k] = diag.PhaseShardComm, r.ShardComm
+		k++
+	}
+	for pi, t := range r.rows {
+		if t != (tally{}) {
+			names[k], times[k], flops[k] = phases[pi].diag, time.Duration(t.ns), t.flops
 			k++
 		}
 	}
-	e.Prof.Merge(names[:k], times[:k], flops[:k],
+	p.Merge(names[:k], times[:k], flops[:k],
 		[]string{diag.CounterSchedGraphs, diag.CounterSchedTasks, diag.CounterSchedSteals},
-		[]int64{l.graphs, l.sched.Tasks, l.sched.Steals})
+		[]int64{r.Graphs, r.Tasks, r.Steals})
 }
 
 // The exported phase methods run one row of the table as a task graph of its

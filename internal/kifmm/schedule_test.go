@@ -33,7 +33,7 @@ func TestPlanCompilesScheduleOnce(t *testing.T) {
 		pool.Compile(false)
 		den := randDensities(rand.New(rand.NewSource(8)), len(tr.Points)-nLead, 1)
 		apply := func() []float64 {
-			e := pool.Get(nil)
+			e := pool.Get()
 			e.SetDensitiesMasked(den, nLead)
 			if _, err := e.Run(context.Background(), nil, nil); err != nil {
 				t.Error(err)

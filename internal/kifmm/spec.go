@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"kifmm/internal/diag"
 	"kifmm/internal/kernel"
 	"kifmm/internal/octree"
 	"kifmm/internal/sched"
@@ -49,15 +48,15 @@ func (s EngineSpec) NewEngine(tree *octree.Tree, layout *Layout) *Engine {
 }
 
 // Run is the one evaluation entry: it runs the phase table as task graphs,
-// times diag.PhaseTotalEval once, and merges the graphs' ledger — row times
-// and flops, scheduler counters, Total eval — into Prof under one lock, a
-// failed evaluation's included. Without an exchange step that is one graph
-// of all eight rows. A rank of a distributed evaluation passes exchange —
-// its communication between the upward pass and the translations — and runs
-// a graph of S2U and U2U, then exchange, then a graph of the other six rows;
-// the returned stats sum the two graphs and a trace records both. An error —
-// a panicking body, or ctx done mid-graph (the error wraps ctx.Err()) —
-// leaves the engine's state partial: drop the engine.
+// times diag.PhaseTotalEval once, and returns the graphs' Record — row times
+// and flops, scheduler counters, graph count, Total eval — merging it into
+// Prof, where set, under one lock, a failed evaluation's included. Without an
+// exchange step that is one graph of all eight rows. A rank of a distributed
+// evaluation passes exchange — its communication between the upward pass and
+// the translations — and runs a graph of S2U and U2U, then exchange, then a
+// graph of the other six rows; the record sums the two graphs and a trace
+// records both. An error — a panicking body, or ctx done mid-graph (the error
+// wraps ctx.Err()) — leaves the engine's state partial: drop the engine.
 //
 // Two kinds of work never see a request's context. exchange is a collective
 // across ranks: a rank that stopped between its graphs would skip it and
@@ -66,24 +65,24 @@ func (s EngineSpec) NewEngine(tree *octree.Tree, layout *Layout) *Engine {
 // and spectrum builds (SharedOperators, SharedTranslations, Prewarm) are
 // shared singleflight builds that other requests wait on, so they run under
 // context.Background() whatever the caller's context.
-func (e *Engine) Run(ctx context.Context, exchange func(), trace *sched.Trace) (sched.Stats, error) {
-	t0 := time.Now() //fmm:allow nodeterm Total eval feeds the ledger only; results never read it
-	var l ledger
+func (e *Engine) Run(ctx context.Context, exchange func(), trace *sched.Trace) (Record, error) {
+	t0 := time.Now() //fmm:allow nodeterm Total eval feeds the record only; results never read it
+	var r Record
 	var err error
-	for k, r := range rowRanges(exchange != nil) {
+	for k, rr := range rowRanges(exchange != nil) {
 		if k > 0 {
 			exchange()
 		}
-		if err = e.runRows(ctx, r[0], r[1], trace, &l); err != nil {
+		if err = e.runRows(ctx, rr[0], rr[1], trace, &r); err != nil {
 			break
 		}
 	}
-	l.total = time.Since(t0) //fmm:allow nodeterm Total eval feeds the ledger only; results never read it
-	e.merge(&l)
+	r.Total = time.Since(t0) //fmm:allow nodeterm Total eval feeds the record only; results never read it
+	r.MergeInto(e.Prof)
 	if err != nil {
-		return l.sched, fmt.Errorf("task-graph evaluation: %w", err)
+		return r, fmt.Errorf("task-graph evaluation: %w", err)
 	}
-	return l.sched, nil
+	return r, nil
 }
 
 // The row ranges of Run's graphs: every row, or around an exchange step the
@@ -150,9 +149,8 @@ func (p *EnginePool) GraphBytes() int64 {
 	return int64(len(p.src)+len(p.trg)) + p.graphs.memoryBytes()
 }
 
-// Get checks out a reset engine (densities are the caller's to set)
-// reporting into prof, which may be nil.
-func (p *EnginePool) Get(prof *diag.Profile) *Engine {
+// Get checks out a reset engine (densities are the caller's to set).
+func (p *EnginePool) Get() *Engine {
 	p.mu.Lock()
 	var e *Engine
 	if n := len(p.free); n > 0 {
@@ -165,7 +163,6 @@ func (p *EnginePool) Get(prof *diag.Profile) *Engine {
 	} else {
 		e.Reset()
 	}
-	e.Prof = prof
 	return e
 }
 

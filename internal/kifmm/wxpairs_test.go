@@ -234,7 +234,7 @@ func TestWXSeparateRowsOneWay(t *testing.T) {
 	}
 	graph := mk()
 	stop = countParked()
-	var l ledger
+	var l Record
 	if err := graph.runRows(context.Background(), pXLI, pWLI+1, nil, &l); err != nil {
 		t.Fatal(err)
 	}

@@ -157,12 +157,14 @@ type reducer = func(c *mpi.Comm, part *dtree.Partition, items []reduce.Item, vec
 // rank's LET with Exchange as the communication step between the upward pass
 // and the translations. The engine must hold the owned leaves' densities in
 // tree order; on return its Potential holds the potentials at the owned
-// points. It returns what Exchange does. Collective.
-func EvaluateRank(c *mpi.Comm, eng *kifmm.Engine, dt *dtree.DistTree, reduceShared reducer) (st reduce.Stats, traffic mpi.Snapshot, comm time.Duration) {
-	if _, err := eng.Run(context.Background(), func() { st, traffic, comm = Exchange(c, eng, dt, reduceShared) }, nil); err != nil {
+// points. It returns the engine's record of the evaluation and what Exchange
+// does. Collective.
+func EvaluateRank(c *mpi.Comm, eng *kifmm.Engine, dt *dtree.DistTree, reduceShared reducer) (rec kifmm.Record, st reduce.Stats, traffic mpi.Snapshot, comm time.Duration) {
+	rec, err := eng.Run(context.Background(), func() { st, traffic, comm = Exchange(c, eng, dt, reduceShared) }, nil)
+	if err != nil {
 		panic(err) // a phase body panicked
 	}
-	return st, traffic, comm
+	return rec, st, traffic, comm
 }
 
 // Exchange is the evaluation's communication step, run once the local upward
@@ -188,7 +190,7 @@ func Evaluate(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) *R
 	eng, res := Setup(c, pts, densities, cfg)
 	prof := res.Prof
 
-	st, traffic, comm := EvaluateRank(c, eng, res.Tree, reduce.Hypercube)
+	_, st, traffic, comm := EvaluateRank(c, eng, res.Tree, reduce.Hypercube)
 	res.ReduceStats = st
 	res.EvalCommBytes, res.EvalCommMsgs = traffic.Bytes, traffic.Messages
 	prof.AddTime(diag.PhaseComm, comm)

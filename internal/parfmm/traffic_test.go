@@ -30,7 +30,7 @@ func evaluateTraffic(pts []geom.Point, den []float64, cfg Config, p int, red red
 		r := c.Rank()
 		lo, hi := r*len(pts)/p, (r+1)*len(pts)/p
 		eng, res := Setup(c, pts[lo:hi], den[lo:hi], cfg)
-		st, snap, _ := EvaluateRank(c, eng, res.Tree, red)
+		_, st, snap, _ := EvaluateRank(c, eng, res.Tree, red)
 		collectOwned(eng, res)
 		traffic[r] = rankTraffic{snap.Bytes, snap.Messages, snap.RemoteBytes,
 			st.OctantsSentTotal, len(st.OctantsSentPerRound)}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -264,7 +265,7 @@ func TestDeadlineFreesWorker(t *testing.T) {
 	}
 	var longest time.Duration
 	for range 2 {
-		_, raw, err := entry.Plan.ApplyTraced(context.Background(), den)
+		_, raw, _, err := entry.Plan.ApplyTraced(context.Background(), den)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +312,7 @@ func TestDeadlineFreesWorker(t *testing.T) {
 		raw  string
 	}
 	aDone, bDone := make(chan answer), make(chan answer)
-	queued := s.Profile().Time(phaseQueueWait)
+	queued := phaseTime(t, s, phaseQueueWait)
 	t0 := time.Now()
 	go func() {
 		code, raw, _ := evaluate(plan.PlanID, int(timeout/time.Millisecond))
@@ -326,7 +327,7 @@ func TestDeadlineFreesWorker(t *testing.T) {
 	took := time.Since(t0)
 	b := <-bDone
 	// A got the worker at once, so the queue-wait phase grew by B's wait.
-	waited := s.Profile().Time(phaseQueueWait) - queued
+	waited := phaseTime(t, s, phaseQueueWait) - queued
 	if a.code != http.StatusGatewayTimeout || !strings.Contains(a.raw, "deadline expired after") {
 		t.Fatalf("request past its deadline answered %d %s", a.code, a.raw)
 	}
@@ -340,6 +341,16 @@ func TestDeadlineFreesWorker(t *testing.T) {
 	if waited > bound {
 		t.Errorf("the queued request waited %v for the worker, past %v: it waited for the abandoned Apply", waited, bound)
 	}
+}
+
+// phaseTime reads one phase's accumulated time off s's /metrics.
+func phaseTime(t *testing.T, s *Server, phase string) time.Duration {
+	t.Helper()
+	sec, err := strconv.ParseFloat(metricOf(t, s, `kifmm_phase_seconds_total{phase="`+phase+`"}`), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return time.Duration(sec * float64(time.Second))
 }
 
 // waitMetric polls /metrics until it carries line.

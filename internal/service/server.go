@@ -168,10 +168,6 @@ func New(cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Profile exposes the server's aggregate phase profile (engine phases plus
-// PlanBuild/Apply/QueueWait service phases).
-func (s *Server) Profile() *diag.Profile { return s.prof }
-
 // Shutdown drains the server: new work is rejected with 503 while every
 // already-admitted request runs to completion. It returns ctx's error if
 // the drain outlives the context's deadline.
@@ -344,17 +340,10 @@ func (s *Server) buildPlan(ctx context.Context, id string, pts [][3]float64, opt
 		return nil, fmt.Errorf("plan: %w", err)
 	}
 	s.plansBuilt.Add(1)
-	tf0 := kifmm.TranslationCache()
 	plan, err := solver.PlanAt(ctx, ToPoints(opts.Targets), ToPoints(pts))
 	if err != nil {
 		return nil, fmt.Errorf("plan: %w", err)
 	}
-	// Attribute the plan's translation-spectrum prewarm to the profile: a
-	// hit-only delta means the process-wide cache absorbed the precompute.
-	tf1 := kifmm.TranslationCache()
-	s.prof.AddCounter(diag.CounterTFCacheHits, tf1.Hits-tf0.Hits)
-	s.prof.AddCounter(diag.CounterTFCacheMisses, tf1.Misses-tf0.Misses)
-	plan.SetProfile(s.prof)
 	return &CachedPlan{
 		ID:        id,
 		Solver:    solver,
@@ -468,15 +457,19 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 }
 
 // apply evaluates one density vector on a plan under ctx, into the profile's
-// Apply phase. With a trace directory it runs ApplyTraced (the task-graph
-// scheduler at any worker count) and writes the trace; sharded plans
-// coordinate their ranks themselves and are not traced.
+// Apply phase, and folds the Apply's record into the profile. With a trace
+// directory it runs ApplyTraced (the task-graph scheduler at any worker
+// count) and writes the trace; sharded plans coordinate their ranks
+// themselves and are not traced.
 func (s *Server) apply(ctx context.Context, plan *kifmm.Plan, densities []float64) ([]float64, error) {
 	defer s.prof.Start(phaseApply)()
 	if s.traces == nil || plan.Shards() > 0 {
-		return plan.ApplyContext(ctx, densities)
+		pots, rec, err := plan.ApplyWithStats(ctx, densities)
+		rec.MergeInto(s.prof)
+		return pots, err
 	}
-	pots, traceJSON, err := plan.ApplyTraced(ctx, densities)
+	pots, traceJSON, rec, err := plan.ApplyTraced(ctx, densities)
+	rec.MergeInto(s.prof)
 	if err == nil {
 		if _, werr := s.traces.Write(traceJSON); werr != nil {
 			fmt.Fprintf(os.Stderr, "fmmserve: trace write: %v\n", werr)

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -284,6 +285,53 @@ func TestHealthzAndMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
+		}
+	}
+}
+
+// TestMetricsFoldConcurrentEvaluates is the service twin of the record's
+// concurrency oracle (run it under -race): each evaluate folds its own
+// Apply's record into /metrics, so N concurrent evaluates of one plan add
+// exactly N times one evaluate's U-list flops, tasks and graphs.
+func TestMetricsFoldConcurrentEvaluates(t *testing.T) {
+	s := New(Config{Workers: 2, QueueDepth: 8})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	pts, den := testPoints(1000, 4)
+	opts := fastOpts()
+	opts.Workers = 2
+	var plan PlanResponse
+	if code, raw := postJSON(t, ts.Client(), ts.URL+"/v1/plan", PlanRequest{Points: pts, Options: opts}, &plan); code != http.StatusOK {
+		t.Fatalf("plan: %d %s", code, raw)
+	}
+	evaluate := func() {
+		if code, raw := postJSON(t, ts.Client(), ts.URL+"/v1/evaluate",
+			EvaluateRequest{PlanID: plan.PlanID, Densities: den}, nil); code != http.StatusOK {
+			t.Errorf("evaluate: %d %s", code, raw)
+		}
+	}
+	series := []string{`kifmm_phase_flops_total{phase="U-list"}`, "kifmm_sched_tasks_total", "kifmm_sched_graphs_total"}
+	evaluate()
+	one := scrapeMetrics(t, ts.Client(), ts.URL)
+	if one[series[0]] == 0 {
+		t.Fatalf("one evaluate counts no U-list flops; the oracle checks nothing")
+	}
+	const n = 4
+	var wg sync.WaitGroup
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			evaluate()
+		}()
+	}
+	wg.Wait()
+	all := scrapeMetrics(t, ts.Client(), ts.URL)
+	for _, name := range series {
+		if got, want := all[name], (1+n)*one[name]; got != want {
+			t.Errorf("%s = %d after 1 + %d evaluates, want %d", name, got, n, want)
 		}
 	}
 }

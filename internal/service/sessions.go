@@ -194,7 +194,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, fmt.Errorf("session: %w", err)
 		}
-		sess.SetProfile(s.prof)
 		l := &liveSession{id: newSessionID(), sess: sess}
 		if !s.sessions.add(l, time.Now()) {
 			return nil, fmt.Errorf("session %w (%d)", errAtCapacity, s.cfg.MaxSessions)
@@ -242,8 +241,10 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 		var pots []float64
 		if len(req.Densities) > 0 {
 			applyStop := s.prof.Start(phaseApply)
-			pots, err = l.sess.Apply(ctx, req.Densities)
+			var rec kifmm.ApplyStats
+			pots, rec, err = l.sess.ApplyWithStats(ctx, req.Densities)
 			applyStop()
+			rec.MergeInto(s.prof)
 			if err != nil {
 				// The step has committed; say so, whether this is a 400 or
 				// the deadline's 504.

@@ -142,7 +142,8 @@ func TestShardsCapRejected(t *testing.T) {
 
 // TestMetricsExposeShardTraffic: after a sharded evaluation, /metrics must
 // carry per-rank traffic rows under the names and the backend label clients
-// already parse, and no reduce-rounds series (one reduction: every row
+// already parse, the engine rows and the communication time of the sharded
+// Apply's record, and no reduce-rounds series (one reduction: every row
 // would equal the applies).
 func TestMetricsExposeShardTraffic(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 4})
@@ -170,6 +171,17 @@ func TestMetricsExposeShardTraffic(t *testing.T) {
 			if want := "fmmserve_shard_" + series + `{backend="simple",rank="` + rank + `"} `; !strings.Contains(text, want) {
 				t.Errorf("metrics missing %q", want)
 			}
+		}
+	}
+	for _, want := range []string{
+		`kifmm_phase_seconds_total{phase="Shard comm"}`,
+		`kifmm_phase_seconds_total{phase="U-list"}`,
+		`kifmm_phase_flops_total{phase="Upward"}`,
+		`kifmm_phase_flops_total{phase="U-list"}`,
+		"kifmm_sched_graphs_total 4\n", // two graphs per rank
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q", want)
 		}
 	}
 	if !strings.Contains(text, "fmmserve_max_shards 16") {

@@ -86,12 +86,4 @@ func TestPlanReusesWarmedTranslationSpectra(t *testing.T) {
 	if hits1-hits0 < 316 {
 		t.Fatalf("plan B produced only %d cache hits, want >= 316", hits1-hits0)
 	}
-
-	// The server profile attributes the same deltas per build.
-	if got := s.Profile().Counter("tf_cache_misses"); got < 0 {
-		t.Fatalf("profile miss counter negative: %d", got)
-	}
-	if got := s.Profile().Counter("tf_cache_hits"); got < 316 {
-		t.Fatalf("profile hit counter %d, want >= 316 after a warmed rebuild", got)
-	}
 }

@@ -51,7 +51,7 @@ func BenchmarkShardedApply(b *testing.B) {
 			// plan's free list over the whole tree.
 			pool := spec.NewPool(tr, kifmm.NewLayout(tr, ops, false), 0)
 			run(b, func() error {
-				eng := pool.Get(nil)
+				eng := pool.Get()
 				eng.SetDensitiesMasked(den, 0)
 				if _, err := eng.Run(context.Background(), nil, nil); err != nil {
 					return err

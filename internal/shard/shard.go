@@ -28,9 +28,7 @@ package shard
 
 import (
 	"fmt"
-	"sync/atomic"
 
-	"kifmm/internal/diag"
 	"kifmm/internal/dtree"
 	"kifmm/internal/kifmm"
 	"kifmm/internal/mpi"
@@ -74,8 +72,6 @@ type Plan struct {
 	ranks  []*rankState
 	n      int // input points
 	sd, td int
-
-	prof atomic.Pointer[diag.Profile]
 }
 
 // BuildPlan partitions the global tree's leaves across cfg.Ranks ranks and
@@ -202,12 +198,6 @@ func partitionLeaves(w []int64, R int) [][2]int {
 // Ranks returns the shard count R.
 func (p *Plan) Ranks() int { return p.cfg.Ranks }
 
-// SetProfile attaches a diag profile receiving per-phase timings and flop
-// counts from every rank of subsequent Apply calls (nil detaches).
-func (p *Plan) SetProfile(prof *diag.Profile) {
-	p.prof.Store(prof)
-}
-
 // MemoryBytes estimates the plan's resident size across all ranks: LET
 // points and interaction lists, one engine's per-node and per-point state,
 // the streaming layout and the compiled task graphs, mirroring the
@@ -224,43 +214,48 @@ func (p *Plan) MemoryBytes() int64 {
 // SrcDim components per point) as a coordinated R-rank evaluation and
 // returns them in input point order with TrgDim components per point.
 func (p *Plan) Apply(densities []float64) ([]float64, error) {
+	out, _, err := p.ApplyWithStats(densities)
+	return out, err
+}
+
+// ApplyWithStats is Apply that also returns the evaluation's record: the
+// sum of the ranks' records, with their communication time as ShardComm.
+func (p *Plan) ApplyWithStats(densities []float64) ([]float64, kifmm.Record, error) {
 	if err := kifmm.CheckDensities(densities, p.n, p.sd); err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
+		return nil, kifmm.Record{}, fmt.Errorf("shard: %w", err)
 	}
-	prof := p.prof.Load()
 	out := make([]float64, p.n*p.td)
 	traffic := make([]RankTraffic, p.cfg.Ranks)
+	recs := make([]kifmm.Record, p.cfg.Ranks)
 
 	mpi.Run(p.cfg.Ranks, func(c *mpi.Comm) {
 		r := c.Rank()
 		rs := p.ranks[r]
-		eng := rs.engines.Get(prof)
+		eng := rs.engines.Get()
 
 		// Owned densities in, the shared distributed rank evaluation with the
 		// direct scheme completing the shared octants' upward densities,
 		// owned potentials out.
 		placeDensities(rs, eng, densities, p.sd)
-		rst, delta, commDur := parfmm.EvaluateRank(c, eng, rs.dt, reduce.Simple)
+		rec, rst, delta, commDur := parfmm.EvaluateRank(c, eng, rs.dt, reduce.Simple)
+		rec.ShardComm = commDur
+		recs[r] = rec
 		traffic[r] = RankTraffic{
 			BytesSent:     delta.Bytes,
 			MsgsSent:      delta.Messages,
 			RemoteBytes:   delta.RemoteBytes,
 			ReduceOctants: int64(rst.OctantsSentTotal),
 		}
-		if prof != nil {
-			prof.AddTime(diag.PhaseShardComm, commDur)
-		}
 		gatherPotentials(rs, eng, out, p.td)
 		rs.engines.Put(eng)
 	})
 
+	var sum kifmm.Record
 	for r, t := range traffic {
 		Metrics.add(r, t)
+		sum.Add(recs[r])
 	}
-	if prof != nil {
-		prof.AddCounter(diag.CounterShardApplies, 1)
-	}
-	return out, nil
+	return out, sum, nil
 }
 
 // placeDensities copies the caller-ordered densities of this rank's owned

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"kifmm/internal/diag"
 	ikifmm "kifmm/internal/kifmm"
 	"kifmm/internal/octree"
 	"kifmm/internal/sched"
@@ -44,7 +43,6 @@ type Plan struct {
 	// single-engine phase sequence (Options.Shards > 0).
 	shard *shard.Plan
 
-	prof  atomic.Pointer[diag.Profile]
 	evals atomic.Int64
 }
 
@@ -126,6 +124,13 @@ func (f *FMM) PlanAt(ctx context.Context, targets, sources []Point) (*Plan, erro
 	return &Plan{f: f, tree: tree, layout: layout, n: len(sources), nTrg: nTrg, engines: engines}, nil
 }
 
+// ApplyStats is one Apply's record, returned by ApplyWithStats, ApplyTraced
+// and Session.ApplyWithStats: each Table II phase's task time and flops
+// (Phase), the scheduler's counters, the graphs run and the wall time
+// (Total). A sharded Apply's record sums its ranks' and carries their
+// communication time (ShardComm).
+type ApplyStats = ikifmm.Record
+
 // TranslationCacheStats is a snapshot of the process-wide V-list
 // translation-spectrum cache counters (see TranslationCache).
 type TranslationCacheStats = ikifmm.TranslationCacheStats
@@ -173,16 +178,6 @@ func (p *Plan) NumTargets() int { return p.nTrg }
 // Evaluations returns how many Apply calls have completed.
 func (p *Plan) Evaluations() int64 { return p.evals.Load() }
 
-// SetProfile attaches a diag profile that receives per-phase timings and
-// flop counts from subsequent Apply calls (nil detaches). Used by the
-// serving layer to aggregate phase metrics across requests.
-func (p *Plan) SetProfile(prof *diag.Profile) {
-	p.prof.Store(prof)
-	if p.shard != nil {
-		p.shard.SetProfile(prof)
-	}
-}
-
 // Shards returns the rank count of a sharded plan (0 for single-engine
 // plans).
 func (p *Plan) Shards() int {
@@ -220,49 +215,55 @@ func (p *Plan) Apply(densities []float64) ([]float64, error) {
 // ctx on entry only, since its ranks' exchange is a collective no rank may
 // leave alone.
 func (p *Plan) ApplyContext(ctx context.Context, densities []float64) ([]float64, error) {
-	if p.shard != nil {
-		if err := cancelled(ctx); err != nil {
-			return nil, err
-		}
-		out, err := p.shard.Apply(densities)
-		if err != nil {
-			return nil, fmt.Errorf("kifmm: %w", err)
-		}
-		p.evals.Add(1)
-		return out, nil
-	}
-	out, _, err := p.apply(ctx, densities, nil)
+	out, _, err := p.ApplyWithStats(ctx, densities)
 	return out, err
 }
 
-// ApplyTraced is ApplyContext plus a Chrome trace_event capture of the
+// ApplyWithStats is ApplyContext that also returns the Apply's record. A
+// failed Apply's record holds what ran before it failed.
+func (p *Plan) ApplyWithStats(ctx context.Context, densities []float64) ([]float64, ApplyStats, error) {
+	if p.shard != nil {
+		if err := cancelled(ctx); err != nil {
+			return nil, ApplyStats{}, err
+		}
+		out, rec, err := p.shard.ApplyWithStats(densities)
+		if err != nil {
+			return nil, rec, fmt.Errorf("kifmm: %w", err)
+		}
+		p.evals.Add(1)
+		return out, rec, nil
+	}
+	return p.apply(ctx, densities, nil)
+}
+
+// ApplyTraced is ApplyWithStats plus a Chrome trace_event capture of the
 // scheduler's execution: one timeline row per worker, one slice per
 // per-octant task. Write the returned JSON to a file and open it at
 // chrome://tracing (or ui.perfetto.dev). It errors on sharded plans, whose
 // ranks run concurrently, each its own graphs.
-func (p *Plan) ApplyTraced(ctx context.Context, densities []float64) (potentials []float64, trace []byte, err error) {
+func (p *Plan) ApplyTraced(ctx context.Context, densities []float64) (potentials []float64, trace []byte, stats ApplyStats, err error) {
 	if p.shard != nil {
-		return nil, nil, fmt.Errorf("kifmm: ApplyTraced does not support sharded plans (their ranks run concurrently, each its own graphs)")
+		return nil, nil, ApplyStats{}, fmt.Errorf("kifmm: ApplyTraced does not support sharded plans (their ranks run concurrently, each its own graphs)")
 	}
 	tr := sched.NewTrace()
-	out, _, err := p.apply(ctx, densities, tr)
+	out, rec, err := p.apply(ctx, densities, tr)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, rec, err
 	}
-	return out, tr.JSON(), nil
+	return out, tr.JSON(), rec, nil
 }
 
-func (p *Plan) apply(ctx context.Context, densities []float64, trace *sched.Trace) ([]float64, sched.Stats, error) {
+func (p *Plan) apply(ctx context.Context, densities []float64, trace *sched.Trace) ([]float64, ApplyStats, error) {
 	if err := ikifmm.CheckDensities(densities, p.n, p.f.kern.SrcDim()); err != nil {
-		return nil, sched.Stats{}, fmt.Errorf("kifmm: %w", err)
+		return nil, ApplyStats{}, fmt.Errorf("kifmm: %w", err)
 	}
-	eng := p.engines.Get(p.prof.Load())
+	eng := p.engines.Get()
 	eng.SetDensitiesMasked(densities, p.nTrg)
-	stats, err := eng.Run(ctx, nil, trace)
+	rec, err := eng.Run(ctx, nil, trace)
 	if err != nil {
 		// A failed or cancelled graph leaves the engine's state partial;
 		// drop it rather than returning it to the free list.
-		return nil, stats, fmt.Errorf("kifmm: %w", err)
+		return nil, rec, fmt.Errorf("kifmm: %w", err)
 	}
 	out := eng.PointPotentials()
 	if p.nTrg > 0 {
@@ -271,7 +272,7 @@ func (p *Plan) apply(ctx context.Context, densities []float64, trace *sched.Trac
 	}
 	p.engines.Put(eng)
 	p.evals.Add(1)
-	return out, stats, nil
+	return out, rec, nil
 }
 
 // cancelled returns ctx's error, wrapped, once ctx is done.

@@ -1,17 +1,18 @@
 package kifmm
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"kifmm/internal/diag"
 )
 
-// TestProfiledApplyAllocs pins what an attached profile costs a warm Apply
-// in allocations: nothing per task. The engine accounts each task in its
-// worker's ledger and merges the ledger into the profile once per Apply, so
-// a profiled Apply allocates what an unprofiled one does, give or take two
-// (the runtime's own noise). One worker keeps the count schedule-free: at two,
+// TestProfiledApplyAllocs pins what the Apply's record costs a warm Apply in
+// allocations: nothing per task. The engine accounts each task in its
+// worker's row table and folds the tables into the record once per graph, so
+// ApplyWithStats allocates what a plain Apply does, give or take two (the
+// runtime's own noise). One worker keeps the count schedule-free: at two,
 // the V row's spectrum buffers vary by dozens from one Apply to the next.
 func TestProfiledApplyAllocs(t *testing.T) {
 	if raceEnabled {
@@ -27,20 +28,25 @@ func TestProfiledApplyAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// allocs is the fewer of two warm measurements.
-	allocs := func() float64 {
-		apply := func() {
-			if _, err := p.Apply(den); err != nil {
+	allocs := func(apply func() error) float64 {
+		run := func() {
+			if err := apply(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return min(testing.AllocsPerRun(2, apply), testing.AllocsPerRun(2, apply))
+		return min(testing.AllocsPerRun(2, run), testing.AllocsPerRun(2, run))
 	}
-	plain := allocs()
-	p.SetProfile(diag.NewProfile())
-	profiled := allocs()
-	t.Logf("warm Apply: %.0f allocations unprofiled, %.0f profiled", plain, profiled)
+	plain := allocs(func() error {
+		_, err := p.Apply(den)
+		return err
+	})
+	profiled := allocs(func() error {
+		_, _, err := p.ApplyWithStats(context.Background(), den)
+		return err
+	})
+	t.Logf("warm Apply: %.0f allocations plain, %.0f with its record", plain, profiled)
 	if profiled > plain+2 {
-		t.Errorf("a profiled Apply makes %.0f allocations, an unprofiled one %.0f: want at most 2 more", profiled, plain)
+		t.Errorf("ApplyWithStats makes %.0f allocations, a plain Apply %.0f: want at most 2 more", profiled, plain)
 	}
 }
 
@@ -85,11 +91,11 @@ func TestWarmApplyAllocs(t *testing.T) {
 	}
 }
 
-// TestProfileSharedByConcurrentApplies is the fold's concurrency oracle (run
-// it under -race): four goroutines Apply one plan at once, all reporting into
-// one profile, as fmmserve's requests do. Each phase ends with exactly four
-// times one Apply's flops, and the profile counts four graphs.
-func TestProfileSharedByConcurrentApplies(t *testing.T) {
+// TestConcurrentApplyStats is the record's concurrency oracle (run it under
+// -race): four goroutines ApplyWithStats one plan at once, as fmmserve's
+// requests do. Each gets a record of its own Apply alone: every phase's
+// flops and the task count of one serial Apply, and one graph.
+func TestConcurrentApplyStats(t *testing.T) {
 	f, err := New(Options{Order: 4, PointsPerBox: 20, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -99,39 +105,42 @@ func TestProfileSharedByConcurrentApplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := diag.NewProfile()
-	p.SetProfile(one)
-	if _, err := p.Apply(den); err != nil {
+	_, one, err := p.ApplyWithStats(context.Background(), den)
+	if err != nil {
 		t.Fatal(err)
 	}
-	shared := diag.NewProfile()
-	p.SetProfile(shared)
 	const applies = 4
+	recs := make([]ApplyStats, applies)
 	var wg sync.WaitGroup
-	for range applies {
+	for k := range applies {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := p.Apply(den); err != nil {
+			var err error
+			if _, recs[k], err = p.ApplyWithStats(context.Background(), den); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
-	for _, ph := range []string{diag.PhaseUpward, diag.PhaseVList, diag.PhaseXList, diag.PhaseWList, diag.PhaseDownward, diag.PhaseUList} {
-		if got, want := shared.Flops(ph), applies*one.Flops(ph); got != want {
-			t.Errorf("%s: %d flops after %d concurrent Applies, want %d", ph, got, applies, want)
+	phases := []string{diag.PhaseUpward, diag.PhaseVList, diag.PhaseXList, diag.PhaseWList, diag.PhaseDownward, diag.PhaseUList}
+	for k, rec := range recs {
+		for _, ph := range phases {
+			_, got := rec.Phase(ph)
+			if _, want := one.Phase(ph); got != want {
+				t.Errorf("Apply %d: %s: %d flops, one serial Apply %d", k, ph, got, want)
+			}
+		}
+		if rec.Graphs != 1 {
+			t.Errorf("Apply %d: %d graphs, want 1", k, rec.Graphs)
+		}
+		if rec.Tasks != one.Tasks {
+			t.Errorf("Apply %d: %d tasks, one serial Apply %d", k, rec.Tasks, one.Tasks)
 		}
 	}
 	for _, ph := range []string{diag.PhaseUpward, diag.PhaseVList, diag.PhaseDownward, diag.PhaseUList} {
-		if one.Flops(ph) == 0 {
+		if _, flops := one.Phase(ph); flops == 0 {
 			t.Errorf("%s: one Apply counts no flops; the oracle checks nothing", ph)
 		}
-	}
-	if n := shared.Counter(diag.CounterSchedGraphs); n != applies {
-		t.Errorf("sched_graphs = %d after %d Applies", n, applies)
-	}
-	if got, want := shared.Counter(diag.CounterSchedTasks), applies*one.Counter(diag.CounterSchedTasks); got != want {
-		t.Errorf("sched_tasks = %d after %d Applies, want %d", got, applies, want)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"kifmm/internal/diag"
 	"kifmm/internal/geom"
 )
 
@@ -26,7 +25,6 @@ type Session struct {
 	alive []bool
 	// plan evaluates the live points in ascending-ID order.
 	plan *Plan
-	prof *diag.Profile
 
 	stats SessionStats
 }
@@ -116,16 +114,6 @@ func livePoints(pos []Point, alive []bool, live int) []Point {
 	return out
 }
 
-// SetProfile attaches a diag profile that receives per-phase timings, flop
-// counts and scheduler counters from subsequent Apply calls, across steps
-// (nil detaches).
-func (s *Session) SetProfile(prof *diag.Profile) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.prof = prof
-	s.plan.SetProfile(prof)
-}
-
 // Stats returns the session's cumulative counters.
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
@@ -193,7 +181,6 @@ func (s *Session) Step(ctx context.Context, d Delta) (StepInfo, error) {
 	if err != nil {
 		return StepInfo{}, err
 	}
-	plan.SetProfile(s.prof)
 	s.pos, s.alive, s.plan = pos, alive, plan
 	s.stats.Steps++
 	return info, nil
@@ -204,14 +191,20 @@ func (s *Session) Step(ctx context.Context, d Delta) (StepInfo, error) {
 // potentials in the same order. A done ctx stops it as it does
 // Plan.ApplyContext.
 func (s *Session) Apply(ctx context.Context, densities []float64) ([]float64, error) {
+	out, _, err := s.ApplyWithStats(ctx, densities)
+	return out, err
+}
+
+// ApplyWithStats is Apply that also returns the evaluation's record, as
+// Plan.ApplyWithStats does.
+func (s *Session) ApplyWithStats(ctx context.Context, densities []float64) ([]float64, ApplyStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out, err := s.plan.ApplyContext(ctx, densities)
-	if err != nil {
-		return nil, err
+	out, rec, err := s.plan.ApplyWithStats(ctx, densities)
+	if err == nil {
+		s.stats.Evals++
 	}
-	s.stats.Evals++
-	return out, nil
+	return out, rec, err
 }
 
 // MemoryBytes estimates the session's resident size: the current plan plus

@@ -288,10 +288,9 @@ func TestRemoveAllButOne(t *testing.T) {
 	}
 }
 
-// TestSessionReportsPhases: a session with a profile attached reports its
-// evaluations like a plan does — engine phase times and flops and the task
-// graph's scheduler counters — and keeps reporting across steps, which
-// replace its plan.
+// TestSessionReportsPhases: a session's evaluations return records like a
+// plan's do — engine phase times and flops and the task graph's scheduler
+// counters — on both sides of a step, which replaces its plan.
 func TestSessionReportsPhases(t *testing.T) {
 	f, err := New(Options{Order: 4, PointsPerBox: 25, MaxDepth: 12, Workers: 2})
 	if err != nil {
@@ -302,29 +301,30 @@ func TestSessionReportsPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := diag.NewProfile()
-	s.SetProfile(prof)
 	den := make([]float64, len(pts))
 	for i := range den {
 		den[i] = float64(i%7) - 3
 	}
-	if _, err := s.Apply(context.Background(), den); err != nil {
-		t.Fatal(err)
-	}
-	for _, ph := range []string{diag.PhaseVList, diag.PhaseUList} {
-		if prof.Time(ph) <= 0 || prof.Flops(ph) <= 0 {
-			t.Errorf("%s: %v, %d flops after one Apply", ph, prof.Time(ph), prof.Flops(ph))
+	check := func(when string) {
+		t.Helper()
+		_, rec, err := s.ApplyWithStats(context.Background(), den)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ph := range []string{diag.PhaseVList, diag.PhaseUList} {
+			if d, flops := rec.Phase(ph); d <= 0 || flops <= 0 {
+				t.Errorf("%s: %s: %v, %d flops", when, ph, d, flops)
+			}
+		}
+		if rec.Graphs != 1 || rec.Tasks <= 0 || rec.Total <= 0 {
+			t.Errorf("%s: %d graphs, %d tasks, Total eval %v; want 1 graph and both positive", when, rec.Graphs, rec.Tasks, rec.Total)
 		}
 	}
+	check("before the step")
 	if _, err := s.Step(context.Background(), Delta{Move: []PointMove{{ID: 0, To: Point{X: 0.5, Y: 0.5, Z: 0.5}}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Apply(context.Background(), den); err != nil {
-		t.Fatal(err)
-	}
-	if n := prof.Counter(diag.CounterSchedGraphs); n != 2 {
-		t.Errorf("sched_graphs = %d after an Apply on each side of a step, want 2", n)
-	}
+	check("after the step")
 }
 
 // TestSessionConcurrentUse: Steps and Applies from several goroutines
