@@ -146,11 +146,14 @@ sched-stress:
 	$(GO) test -race -count=3 -run '^TestConcurrentApplyStats$$' .
 	$(GO) test -race -count=3 -run '^(TestExpiredWhileQueued|TestStepCancelledLeavesSession|TestDeadlineFreesWorker|TestMetricsFoldConcurrentEvaluates)$$' ./internal/service/
 
-# Repeated race runs of the sharded differential tests: the multi-rank
-# coordinated apply exercises the in-process MPI runtime, the engine free
-# list, and the disjoint-write potential gather under the race detector.
+# Repeated race runs of the sharded differential tests and of the
+# distribution substrate under them: the multi-rank coordinated apply
+# exercises the in-process MPI runtime, the engine free list, and the
+# disjoint-write potential gather; the reductions, the distributed tree and
+# parfmm's pinned traffic run on the same runtime, all under the race
+# detector.
 shard-stress:
-	$(GO) test -race -count=3 ./internal/shard/...
+	$(GO) test -race -count=3 ./internal/shard/... ./internal/reduce/... ./internal/dtree/... ./internal/parfmm/...
 
 # Repeated race runs of the moving-points session tests: every step re-plans,
 # and the session must agree with a fresh plan bit for bit under the race

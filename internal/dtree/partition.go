@@ -147,17 +147,6 @@ func (pt *Partition) Users(k morton.Key) []int {
 	return out
 }
 
-// IntervalOfRanks returns the union code interval covering ranks
-// [kLo, kHi], clamped to the ranks that exist (their regions are
-// contiguous); ok is false if that leaves no rank.
-func (pt *Partition) IntervalOfRanks(kLo, kHi int) (lo, hi morton.Code, ok bool) {
-	kLo, kHi = max(kLo, 0), min(kHi, pt.P-1)
-	if kLo > kHi {
-		return lo, hi, false
-	}
-	return pt.Start[kLo], pt.End[kHi], true
-}
-
 // OwnerOf returns the rank owning the octant's anchor cell (used by the
 // owner-based reduction baseline).
 func (pt *Partition) OwnerOf(k morton.Key) int {

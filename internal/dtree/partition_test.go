@@ -8,28 +8,52 @@ import (
 	"kifmm/internal/mpi"
 )
 
-func TestPartitionIntervalOfRanks(t *testing.T) {
-	const p = 4
-	chunks := runDistributed(t, geom.Uniform, 2000, p, 25)
+// TestUsersMeetRankRanges checks the rule the hypercube reduction relies on:
+// an octant has a user among ranks [kLo, kHi] exactly when its parent's
+// colleague neighbourhood meets the union of those ranks' regions, the
+// contiguous code interval [Start[kLo], End[kHi]].
+func TestUsersMeetRankRanges(t *testing.T) {
+	const p = 8
+	chunks := runDistributed(t, geom.Ellipsoid, 4000, p, 25)
 	mpi.Run(p, func(c *mpi.Comm) {
 		pt := NewPartition(c, chunks[c.Rank()])
 		if c.Rank() != 0 {
 			return
 		}
-		lo, hi, ok := pt.IntervalOfRanks(0, p-1)
-		if !ok || lo != (morton.Code{}) || hi != morton.MaxCode() {
-			t.Errorf("full interval should span the cube")
+		keys := map[morton.Key]bool{}
+		for _, k := range gatherKeys(chunks) {
+			for ; !keys[k]; k = k.Parent() {
+				keys[k] = true
+				if k.Level() == 0 {
+					break
+				}
+			}
 		}
-		lo, hi, ok = pt.IntervalOfRanks(1, 2)
-		if !ok {
-			t.Errorf("middle interval missing")
+		meets := func(k morton.Key, lo, hi morton.Code) bool {
+			if k.Level() <= 1 {
+				return true
+			}
+			for _, b := range append(k.Parent().NeighborsSameLevel(), k.Parent()) {
+				blo, bhi := b.CodeRange()
+				if morton.RangesOverlap(blo, bhi, lo, hi) {
+					return true
+				}
+			}
+			return false
 		}
-		if lo != pt.Start[1] || hi != pt.End[2] {
-			t.Errorf("interval bounds wrong")
-		}
-		// Clamping.
-		if _, _, ok := pt.IntervalOfRanks(-5, 100); !ok {
-			t.Errorf("clamped interval should exist")
+		for k := range keys {
+			users := pt.Users(k)
+			for kLo := 0; kLo < p; kLo++ {
+				for kHi := kLo; kHi < p; kHi++ {
+					has := false
+					for _, u := range users {
+						has = has || (kLo <= u && u <= kHi)
+					}
+					if want := meets(k, pt.Start[kLo], pt.End[kHi]); has != want {
+						t.Fatalf("%v ranks [%d, %d]: has user %v, region meets %v", k, kLo, kHi, has, want)
+					}
+				}
+			}
 		}
 	})
 }

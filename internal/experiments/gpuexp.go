@@ -88,7 +88,7 @@ func Table3(o Options) *Table3Result {
 		if level < 1 {
 			level = 1
 		}
-		tr := octree.BuildUniform(pts, level)
+		tr := octree.Build(pts, 0, level)
 		tr.BuildLists(nil)
 		ops := kifmm.NewOperators(kernel.Laplace{}, 6, 1e-9)
 		e := kifmm.EngineSpec{Ops: ops, Workers: o.Workers}.NewEngine(tr, nil)

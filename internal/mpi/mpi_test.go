@@ -218,14 +218,11 @@ func TestStatsCountTraffic(t *testing.T) {
 			c.Recv(0, 0)
 		}
 	})
-	if stats[0].Messages() != 2 || stats[0].Bytes() != 110 {
-		t.Fatalf("stats[0]: %d msgs %d bytes", stats[0].Messages(), stats[0].Bytes())
+	if got := stats[0].Snap(); got != (Snapshot{Messages: 2, Bytes: 110, RemoteBytes: 100}) {
+		t.Fatalf("stats[0] = %+v", got)
 	}
-	if stats[0].RemoteBytes() != 100 {
-		t.Fatalf("remote bytes = %d", stats[0].RemoteBytes())
-	}
-	if stats[1].Messages() != 0 {
-		t.Fatalf("rank 1 sent nothing but counted %d", stats[1].Messages())
+	if got := stats[1].Snap(); got != (Snapshot{}) {
+		t.Fatalf("rank 1 sent nothing but counted %+v", got)
 	}
 }
 

@@ -10,7 +10,6 @@ type Stats struct {
 	mu        sync.Mutex
 	msgs      int64
 	bytes     int64
-	selfMsgs  int64
 	selfBytes int64
 }
 
@@ -22,31 +21,9 @@ func (s *Stats) record(n int, self bool) {
 	s.msgs++
 	s.bytes += int64(n)
 	if self {
-		s.selfMsgs++
 		s.selfBytes += int64(n)
 	}
 	s.mu.Unlock()
-}
-
-// Messages returns the number of messages sent (including self-sends).
-func (s *Stats) Messages() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.msgs
-}
-
-// Bytes returns the total bytes sent (including self-sends).
-func (s *Stats) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
-
-// RemoteBytes returns bytes sent to other ranks (excluding self-sends).
-func (s *Stats) RemoteBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes - s.selfBytes
 }
 
 // Snapshot captures the current counters.

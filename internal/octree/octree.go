@@ -71,10 +71,12 @@ type OctantSpec struct {
 // Build constructs an adaptive octree over pts: starting from the root, any
 // octant containing more than q points is subdivided (up to maxDepth), and
 // only octants containing points are materialized. This is the sequential
-// analogue of the paper's tree construction.
+// analogue of the paper's tree construction. With q = 0 every nonempty
+// octant is refined to maxDepth: the uniform-depth tree of the paper's GPU
+// experiments, whose leaves share one level and whose W/X lists are empty.
 func Build(pts []geom.Point, q, maxDepth int) *Tree {
-	if q < 1 {
-		panic("octree: q must be >= 1")
+	if q < 0 {
+		panic("octree: q must be >= 0")
 	}
 	if maxDepth < 0 || maxDepth > morton.MaxDepth {
 		panic("octree: invalid maxDepth")

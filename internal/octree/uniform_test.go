@@ -8,7 +8,7 @@ import (
 
 func TestBuildUniformAllLeavesOneLevel(t *testing.T) {
 	pts := geom.Generate(geom.Uniform, 3000, 5)
-	tr := BuildUniform(pts, 3)
+	tr := Build(pts, 0, 3)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestBuildUniformAllLeavesOneLevel(t *testing.T) {
 
 func TestBuildUniformMatchesNaiveLists(t *testing.T) {
 	pts := geom.Generate(geom.Uniform, 500, 6)
-	tr := BuildUniform(pts, 2)
+	tr := Build(pts, 0, 2)
 	tr.BuildLists(nil)
 	nu, nv, nw, nx := naiveLists(tr)
 	for i := range tr.Nodes {
@@ -46,7 +46,7 @@ func TestBuildUniformMatchesNaiveLists(t *testing.T) {
 }
 
 func TestBuildUniformEmpty(t *testing.T) {
-	tr := BuildUniform(nil, 4)
+	tr := Build(nil, 0, 4)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}

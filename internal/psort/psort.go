@@ -1,8 +1,6 @@
-// Package psort implements the distributed sorts used by the tree
-// construction: a parallel sample sort (the workhorse that Morton-orders the
-// input points — the paper's dominant setup cost) and a hypercube bitonic
-// sort (the classical compare-split network the paper's sort combines with
-// sample sort, per Grama et al.).
+// Package psort implements the distributed sort used by the tree
+// construction: a parallel sample sort by regular sampling, which
+// Morton-orders the input points (the paper's dominant setup cost).
 package psort
 
 import (
@@ -16,10 +14,6 @@ type Codec[T any] struct {
 	Enc func([]T) []byte
 	Dec func([]byte) []T
 }
-
-const (
-	tagPartition = 100
-)
 
 // SampleSort globally sorts the distributed multiset whose local share is
 // items: afterwards each rank holds a contiguous chunk of the global sorted
@@ -72,62 +66,6 @@ func SampleSort[T any](c *mpi.Comm, items []T, less func(a, b T) bool, codec Cod
 	}
 	sort.SliceStable(out, func(i, j int) bool { return less(out[i], out[j]) })
 	return out
-}
-
-// BitonicSort sorts a distributed array across a power-of-two number of
-// ranks with the hypercube compare-split network. Every rank must hold the
-// same number of items; afterwards rank r holds the r-th chunk of the global
-// ascending order. The input slice is not modified.
-func BitonicSort[T any](c *mpi.Comm, items []T, less func(a, b T) bool, codec Codec[T]) []T {
-	p := c.Size()
-	if p&(p-1) != 0 {
-		panic("psort: BitonicSort requires a power-of-two communicator")
-	}
-	r := c.Rank()
-	local := append([]T(nil), items...)
-	sort.SliceStable(local, func(i, j int) bool { return less(local[i], local[j]) })
-	if p == 1 {
-		return local
-	}
-	d := 0
-	for 1<<d < p {
-		d++
-	}
-	for stage := 0; stage < d; stage++ {
-		ascending := r&(1<<(stage+1)) == 0
-		if stage == d-1 {
-			ascending = true // final merge is a single ascending sequence
-		}
-		for sub := stage; sub >= 0; sub-- {
-			partner := r ^ (1 << sub)
-			keepLow := (r&(1<<sub) == 0) == ascending
-			theirs := codec.Dec(c.Sendrecv(partner, tagPartition+sub, codec.Enc(local)))
-			local = compareSplit(local, theirs, less, keepLow)
-		}
-	}
-	return local
-}
-
-// compareSplit merges two sorted runs and keeps len(mine) elements from the
-// low or high end.
-func compareSplit[T any](mine, theirs []T, less func(a, b T) bool, keepLow bool) []T {
-	merged := make([]T, 0, len(mine)+len(theirs))
-	i, j := 0, 0
-	for i < len(mine) && j < len(theirs) {
-		if less(theirs[j], mine[i]) {
-			merged = append(merged, theirs[j])
-			j++
-		} else {
-			merged = append(merged, mine[i])
-			i++
-		}
-	}
-	merged = append(merged, mine[i:]...)
-	merged = append(merged, theirs[j:]...)
-	if keepLow {
-		return merged[:len(mine)]
-	}
-	return merged[len(merged)-len(mine):]
 }
 
 // IsGloballySorted verifies (collectively) that each rank's chunk is sorted

@@ -112,45 +112,6 @@ func TestSampleSortDoesNotMutateInput(t *testing.T) {
 	})
 }
 
-func TestBitonicSortPowerOfTwo(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 8} {
-		for _, perRank := range []int{1, 16, 100} {
-			var original []int64
-			rng := rand.New(rand.NewSource(int64(p + perRank)))
-			chunks := make([][]int64, p)
-			for r := 0; r < p; r++ {
-				for i := 0; i < perRank; i++ {
-					v := rng.Int63n(10000)
-					chunks[r] = append(chunks[r], v)
-					original = append(original, v)
-				}
-			}
-			var global []int64
-			mpi.Run(p, func(c *mpi.Comm) {
-				out := BitonicSort(c, chunks[c.Rank()], lessInt64, int64Codec)
-				if len(out) != perRank {
-					t.Errorf("bitonic changed local size: %d", len(out))
-				}
-				if g := gatherAll(c, out); g != nil {
-					global = g
-				}
-			})
-			checkGlobalSort(t, "bitonic", global, original)
-		}
-	}
-}
-
-func TestBitonicRejectsNonPowerOfTwo(t *testing.T) {
-	mpi.Run(3, func(c *mpi.Comm) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("expected panic for p=3")
-			}
-		}()
-		BitonicSort(c, []int64{1}, lessInt64, int64Codec)
-	})
-}
-
 func TestIsGloballySortedDetectsViolations(t *testing.T) {
 	chunks := [][]int64{{5, 6}, {1, 2}} // boundary violation
 	mpi.Run(2, func(c *mpi.Comm) {

@@ -15,17 +15,14 @@ package reduce
 import (
 	"encoding/binary"
 	"math"
+	"sort"
 
 	"kifmm/internal/dtree"
 	"kifmm/internal/morton"
 	"kifmm/internal/mpi"
 )
 
-const (
-	tagHypercube = 300
-	tagOwnerIn   = 310
-	tagOwnerOut  = 311
-)
+const tagHypercube = 300
 
 // Item is one shared octant's (partial or complete) upward density vector.
 type Item struct {
@@ -63,38 +60,6 @@ func decodeItems(b []byte, vecLen int) []Item {
 	return out
 }
 
-// relevance tests whether an octant's interaction region — the colleague
-// neighborhood of its parent, which encloses I(β) — intersects the regions
-// of ranks [kLo, kHi].
-type relevance struct {
-	part *dtree.Partition
-}
-
-func (rv relevance) relevant(key morton.Key, kLo, kHi int) bool {
-	if kLo > kHi {
-		return false
-	}
-	if key.Level() <= 1 {
-		return true // parent neighborhood is the whole cube
-	}
-	lo, hi, ok := rv.part.IntervalOfRanks(kLo, kHi)
-	if !ok {
-		return false
-	}
-	parent := key.Parent()
-	plo, phi := parent.CodeRange()
-	if morton.RangesOverlap(plo, phi, lo, hi) {
-		return true
-	}
-	for _, nb := range parent.NeighborsSameLevel() {
-		nlo, nhi := nb.CodeRange()
-		if morton.RangesOverlap(nlo, nhi, lo, hi) {
-			return true
-		}
-	}
-	return false
-}
-
 // Stats reports the traffic incurred by one reduction.
 type Stats struct {
 	// OctantsSentPerRound[i] is the number of octant records this rank sent
@@ -125,15 +90,22 @@ func Hypercube(c *mpi.Comm, part *dtree.Partition, items []Item, vecLen int) ([]
 	for 1<<d < p {
 		d++
 	}
-	rv := relevance{part: part}
+	// A key is relevant to a sub-cube of ranks when one of its users
+	// (Partition.Users) lies in the sub-cube's rank range.
+	users := make(map[morton.Key][]int, len(items))
+	relevant := func(key morton.Key, kLo, kHi int) bool {
+		us, ok := users[key]
+		if !ok {
+			us = part.Users(key)
+			users[key] = us
+		}
+		i := sort.SearchInts(us, kLo)
+		return i < len(us) && us[i] <= kHi
+	}
 
 	// Working set: key → summed vector.
 	set := make(map[morton.Key][]float64, len(items))
-	for _, it := range items {
-		u := make([]float64, vecLen)
-		copy(u, it.U)
-		set[it.Key] = u
-	}
+	sum(set, items, vecLen)
 
 	for i := d - 1; i >= 0; i-- {
 		s := r ^ (1 << i)
@@ -141,7 +113,7 @@ func Hypercube(c *mpi.Comm, part *dtree.Partition, items []Item, vecLen int) ([]
 		ue := s | ((1 << i) - 1)  // s OR (2^i − 1)
 		var outgoing []Item
 		for _, key := range sortedKeys(set) {
-			if rv.relevant(key, us, ue) {
+			if relevant(key, us, ue) {
 				outgoing = append(outgoing, Item{Key: key, U: set[key]})
 			}
 		}
@@ -151,35 +123,45 @@ func Hypercube(c *mpi.Comm, part *dtree.Partition, items []Item, vecLen int) ([]
 
 		incoming := decodeItems(c.Sendrecv(s, tagHypercube+i, encodeItems(outgoing, vecLen)), vecLen)
 
-		// Drop octants no longer relevant to my remaining subcube.
+		// Drop octants no longer relevant to my remaining subcube, then
+		// sum in the relevant incoming partials (the reduction).
 		qs := r &^ ((1 << i) - 1)
 		qe := r | ((1 << i) - 1)
 		for key := range set {
-			if !rv.relevant(key, qs, qe) {
+			if !relevant(key, qs, qe) {
 				delete(set, key)
 			}
 		}
-		// Merge: sum duplicates (the reduction).
+		kept := incoming[:0]
 		for _, it := range incoming {
-			if !rv.relevant(it.Key, qs, qe) {
-				continue
-			}
-			if u, ok := set[it.Key]; ok {
-				for x := range u {
-					u[x] += it.U[x]
-				}
-			} else {
-				u := make([]float64, vecLen)
-				copy(u, it.U)
-				set[it.Key] = u
+			if relevant(it.Key, qs, qe) {
+				kept = append(kept, it)
 			}
 		}
+		sum(set, kept, vecLen)
 	}
 	out := make([]Item, 0, len(set))
 	for _, key := range sortedKeys(set) {
 		out = append(out, Item{Key: key, U: set[key]})
 	}
 	return out, st
+}
+
+// sum adds each item's vector into sums[item.Key] in list order, starting a
+// key's sum from a copy of its first vector: the one sum of partials every
+// scheme runs, so a fixed input and list order give bit-identical sums.
+func sum(sums map[morton.Key][]float64, list []Item, vecLen int) {
+	for _, it := range list {
+		if u, ok := sums[it.Key]; ok {
+			for x := range u {
+				u[x] += it.U[x]
+			}
+		} else {
+			u := make([]float64, vecLen)
+			copy(u, it.U)
+			sums[it.Key] = u
+		}
+	}
 }
 
 // sortedKeys returns m's keys in Morton order. Wire messages and result
@@ -221,17 +203,7 @@ func Owner(c *mpi.Comm, part *dtree.Partition, items []Item, vecLen int) ([]Item
 	// Owners sum.
 	sums := make(map[morton.Key][]float64)
 	for src := 0; src < p; src++ {
-		for _, it := range decodeItems(recv[src], vecLen) {
-			if u, ok := sums[it.Key]; ok {
-				for x := range u {
-					u[x] += it.U[x]
-				}
-			} else {
-				u := make([]float64, vecLen)
-				copy(u, it.U)
-				sums[it.Key] = u
-			}
-		}
+		sum(sums, decodeItems(recv[src], vecLen), vecLen)
 	}
 
 	// Phase 2: owners scatter completed octants to users.

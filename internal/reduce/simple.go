@@ -62,25 +62,12 @@ func Simple(c *mpi.Comm, part *dtree.Partition, items []Item, vecLen int) ([]Ite
 	// ascending, items in each message in the sender's Morton order — so
 	// the result is bit-reproducible for a fixed input and rank count.
 	sums := make(map[morton.Key][]float64, len(items))
-	accumulate := func(list []Item) {
-		for _, it := range list {
-			if u, ok := sums[it.Key]; ok {
-				for x := range u {
-					u[x] += it.U[x]
-				}
-			} else {
-				u := make([]float64, vecLen)
-				copy(u, it.U)
-				sums[it.Key] = u
-			}
-		}
-	}
-	accumulate(items)
+	sum(sums, items, vecLen)
 	for src := 0; src < p; src++ {
 		if src == r {
 			continue
 		}
-		accumulate(decodeItems(recv[src], vecLen))
+		sum(sums, decodeItems(recv[src], vecLen), vecLen)
 	}
 
 	out := make([]Item, 0, len(sums))

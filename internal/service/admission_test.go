@@ -81,7 +81,7 @@ func TestPoolRunsTasks(t *testing.T) {
 // the gauges count one running, one queued and one rejected request.
 func TestPoolQueueFullRejects(t *testing.T) {
 	defer goleak.Check(t)()
-	s := New(Config{Workers: 1, QueueDepth: 1, RetryAfter: 2 * time.Second})
+	s := New(Config{Workers: 1, QueueDepth: 1})
 	defer s.Shutdown(context.Background())
 	started, release := make(chan struct{}), make(chan struct{})
 	held, queued := httptest.NewRecorder(), httptest.NewRecorder()
@@ -107,7 +107,7 @@ func TestPoolQueueFullRejects(t *testing.T) {
 		t.Error("a request over capacity ran")
 		return nil, nil
 	})
-	if full.Code != http.StatusTooManyRequests || full.Header().Get("Retry-After") != "2" {
+	if full.Code != http.StatusTooManyRequests || full.Header().Get("Retry-After") != retryAfter {
 		t.Fatalf("request over capacity answered %d (Retry-After %q) %s",
 			full.Code, full.Header().Get("Retry-After"), full.Body)
 	}

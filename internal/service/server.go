@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,8 +42,6 @@ type Config struct {
 	// RequestTimeout is the per-request deadline covering queue wait and
 	// evaluation (default 60s). Requests may tighten it via timeout_ms.
 	RequestTimeout time.Duration
-	// RetryAfter is the hint returned with 429 responses (default 1s).
-	RetryAfter time.Duration
 	// TraceDir, when non-empty, dumps a Chrome trace_event JSON of the
 	// scheduler's execution for every evaluation request into this
 	// directory (bounded by TraceKeep, oldest deleted).
@@ -82,9 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 60 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.MaxShards <= 0 {
 		c.MaxShards = 16
@@ -266,7 +260,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, timeout time.Dura
 	case err == nil:
 		writeJSON(w, http.StatusOK, res)
 	case errors.Is(err, errAtCapacity):
-		s.retryLater(w, "%v", err)
+		retryLater(w, "%v", err)
 	default:
 		writeError(w, http.StatusBadRequest, "%v", err)
 	}
@@ -295,14 +289,17 @@ func (s *Server) admit(w http.ResponseWriter) bool {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 	case !admitted:
 		s.rejected.Add(1)
-		s.retryLater(w, "admission queue full (%d in flight)", cap(s.admitted))
+		retryLater(w, "admission queue full (%d in flight)", cap(s.admitted))
 	}
 	return admitted
 }
 
-// retryLater answers 429 with the configured Retry-After hint.
-func (s *Server) retryLater(w http.ResponseWriter, format string, args ...any) {
-	w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds()+0.5)))
+// retryAfter is the Retry-After hint, in seconds, on every 429.
+const retryAfter = "1"
+
+// retryLater answers 429 with the Retry-After hint.
+func retryLater(w http.ResponseWriter, format string, args ...any) {
+	w.Header().Set("Retry-After", retryAfter)
 	writeError(w, http.StatusTooManyRequests, format, args...)
 }
 

@@ -178,7 +178,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.sessions.stats().Active >= s.cfg.MaxSessions {
-		s.retryLater(w, "session capacity %d reached", s.cfg.MaxSessions)
+		retryLater(w, "session capacity %d reached", s.cfg.MaxSessions)
 		return
 	}
 
