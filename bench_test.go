@@ -271,7 +271,7 @@ func BenchmarkInteractionLists_20k(b *testing.B) {
 
 func BenchmarkM2LDense(b *testing.B) {
 	ops := ikifmm.NewOperators(ikern.Laplace{}, 6, 1e-9)
-	m := ops.M2L(2, 1, 0)
+	m, _ := ops.M2LAt(0, 2, 1, 0)
 	u := make([]float64, ops.UpwardLen())
 	out := make([]float64, ops.CheckLen())
 	for i := range u {

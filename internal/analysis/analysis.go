@@ -11,8 +11,7 @@
 // (global.go), on one typechecked program and one call graph. cmd/fmmvet
 // reaches it through Main, which loads go list patterns from source
 // (load.go); analysistest.RunProp reaches it with fixture packages and
-// checks the diagnostics against // want comments (analysistest.Run is the
-// single-package, direct-annotation form, RunAnalyzers).
+// checks the diagnostics against // want comments.
 package analysis
 
 import (
@@ -66,9 +65,9 @@ type Pass struct {
 	TypesInfo *types.Info
 	// Annot holds the package's parsed fmm annotations.
 	Annot *Annotations
-	// Prop, when non-nil, is the whole-program hot/deterministic closure:
-	// scope iteration then covers propagated functions, not just directly
-	// annotated ones. ids maps this package's declarations into the graph.
+	// Prop is the whole-program hot/deterministic closure: scope iteration
+	// covers propagated functions, not just directly annotated ones. ids
+	// maps this package's declarations into the graph.
 	Prop *Propagation
 	ids  map[*ast.FuncDecl]FuncID
 
@@ -91,8 +90,8 @@ func (p *Pass) ReportfVia(pos token.Pos, chain []string, format string, args ...
 }
 
 // HotFuncs invokes fn for every function in hot-path scope: directly
-// annotated //fmm:hotpath, or (when whole-program propagation ran) reachable
-// from one through non-cold call edges. chain is the propagation path, root
+// annotated //fmm:hotpath, or reachable from one through non-cold call
+// edges. chain is the propagation path, root
 // first; nil for direct annotations.
 func (p *Pass) HotFuncs(fn func(fd *ast.FuncDecl, chain []string)) {
 	p.scopeFuncs(fn, p.Annot.Hotpath, func(pr *Propagation) map[FuncID][]string { return pr.Hot })
@@ -109,7 +108,7 @@ func (p *Pass) scopeFuncs(fn func(*ast.FuncDecl, []string), direct func(*ast.Fun
 		switch {
 		case direct(fd):
 			fn(fd, nil)
-		case p.Prop != nil:
+		default:
 			if id, ok := p.ids[fd]; ok {
 				if chain, ok := sel(p.Prop)[id]; ok {
 					fn(fd, chain)
@@ -117,27 +116,6 @@ func (p *Pass) scopeFuncs(fn func(*ast.FuncDecl, []string), direct func(*ast.Fun
 			}
 		}
 	}
-}
-
-// RunAnalyzers runs every analyzer over the package with direct-annotation
-// scope only (no propagation), applies the //fmm:allow suppressions, and
-// returns the surviving diagnostics sorted by position: the violations plus
-// one diagnostic (analyzer "fmmvet") per malformed or unused suppression, so
-// a suppression without a justification — or one that no longer suppresses
-// anything — fails the build instead of rotting silently.
-func RunAnalyzers(pkg *PackageInfo, analyzers []*Analyzer) ([]Diagnostic, error) {
-	annot := ParseAnnotations(pkg.Fset, pkg.Files)
-	all, err := runAnalyzerSet(pkg, analyzers, annot, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, len(analyzers))
-	for i, a := range analyzers {
-		names[i] = a.Name
-	}
-	kept := annot.Filter(all, names)
-	SortDiagnostics(pkg.Fset, kept)
-	return kept, nil
 }
 
 // SortDiagnostics orders diagnostics by file, line, then analyzer name.
@@ -178,7 +156,7 @@ func Render(fset *token.FileSet, d Diagnostic) string {
 }
 
 // PackageInfo is one loaded, typechecked package as the drivers hand it to
-// RunAnalyzers. Files excludes test files (see Pass.Files).
+// RunWholeProgram. Files excludes test files (see Pass.Files).
 type PackageInfo struct {
 	Path  string
 	Fset  *token.FileSet

@@ -1,5 +1,6 @@
-// Package analysistest runs one analyzer over a fixture package and checks
-// its diagnostics against the fixture's expectations — a minimal analogue of
+// Package analysistest runs analyzers over fixture packages as one program,
+// through the driver cmd/fmmvet uses, and checks their diagnostics against
+// the fixtures' expectations — a minimal analogue of
 // golang.org/x/tools/go/analysis/analysistest for the fmmvet suite.
 //
 // Fixtures live under <testdata>/src/<pkgpath>/ and are plain Go packages.
@@ -35,34 +36,6 @@ import (
 
 	"kifmm/internal/analysis"
 )
-
-// Run loads <testdata>/src/<pkgpath>, runs the analyzer, and reports any
-// mismatch between its diagnostics and the fixture's // want comments.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpath string) {
-	t.Helper()
-	ld := &loader{
-		src:    filepath.Join(testdata, "src"),
-		fset:   token.NewFileSet(),
-		loaded: make(map[string]*loadedPkg),
-	}
-	ld.std = importer.ForCompiler(ld.fset, "gc", nil)
-	pkg, err := ld.load(pkgpath)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", pkgpath, err)
-	}
-	info := &analysis.PackageInfo{
-		Path:  pkgpath,
-		Fset:  ld.fset,
-		Files: pkg.files,
-		Types: pkg.types,
-		Info:  pkg.info,
-	}
-	diags, err := analysis.RunAnalyzers(info, []*analysis.Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, pkgpath, err)
-	}
-	checkWants(t, ld.fset, pkg.filenames, diags)
-}
 
 // RunProp loads several fixture packages and analyzes them as one program
 // through RunWholeProgram: annotations propagate across the fixture

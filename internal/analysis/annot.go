@@ -268,24 +268,6 @@ func (an *Annotations) Deterministic(fn *ast.FuncDecl) bool {
 	return an.PkgDeterministic || an.det[fn]
 }
 
-// HotFuncs invokes fn for every //fmm:hotpath function.
-func (an *Annotations) HotFuncs(fn func(*ast.FuncDecl)) {
-	for _, fd := range an.funcs {
-		if an.hot[fd] {
-			fn(fd)
-		}
-	}
-}
-
-// DetFuncs invokes fn for every function in deterministic scope.
-func (an *Annotations) DetFuncs(fn func(*ast.FuncDecl)) {
-	for _, fd := range an.funcs {
-		if an.Deterministic(fd) {
-			fn(fd)
-		}
-	}
-}
-
 // Filter applies the package's //fmm:allow suppressions to diags: a
 // diagnostic is dropped when an allow for its analyzer covers its line (same
 // line, the line below an allow-only line, or anywhere in an allow-annotated

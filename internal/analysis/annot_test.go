@@ -45,8 +45,10 @@ func TestParseAnnotations(t *testing.T) {
 		t.Error("package-scope //fmm:deterministic not detected")
 	}
 	byName := map[string]bool{}
-	an.HotFuncs(func(fd *ast.FuncDecl) { byName["hot:"+fd.Name.Name] = true })
-	an.DetFuncs(func(fd *ast.FuncDecl) { byName["det:"+fd.Name.Name] = true })
+	for _, fd := range an.funcs {
+		byName["hot:"+fd.Name.Name] = an.Hotpath(fd)
+		byName["det:"+fd.Name.Name] = an.Deterministic(fd)
+	}
 	if !byName["hot:Hot"] {
 		t.Error("Hot not marked hotpath")
 	}

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 )
 
@@ -179,10 +178,6 @@ func RunWholeProgram(pkgs []*PackageInfo, analyzers []*Analyzer, globals []*Glob
 // runAnalyzerSet runs the body analyzers over one package, returning the raw
 // (unfiltered) diagnostics.
 func runAnalyzerSet(pkg *PackageInfo, analyzers []*Analyzer, annot *Annotations, prop *Propagation, g *Graph) ([]Diagnostic, error) {
-	var ids map[*ast.FuncDecl]FuncID
-	if g != nil {
-		ids = g.ids
-	}
 	var all []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -193,7 +188,7 @@ func runAnalyzerSet(pkg *PackageInfo, analyzers []*Analyzer, annot *Annotations,
 			TypesInfo: pkg.Info,
 			Annot:     annot,
 			Prop:      prop,
-			ids:       ids,
+			ids:       g.ids,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %v", a.Name, err)

@@ -3,10 +3,11 @@ package hotalloc_test
 import (
 	"testing"
 
+	"kifmm/internal/analysis"
 	"kifmm/internal/analysis/analysistest"
 	"kifmm/internal/analysis/hotalloc"
 )
 
 func TestHotAlloc(t *testing.T) {
-	analysistest.Run(t, "testdata", hotalloc.Analyzer, "hot")
+	analysistest.RunProp(t, "testdata", []*analysis.Analyzer{hotalloc.Analyzer}, nil, "hot")
 }

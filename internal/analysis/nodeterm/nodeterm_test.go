@@ -3,18 +3,19 @@ package nodeterm_test
 import (
 	"testing"
 
+	"kifmm/internal/analysis"
 	"kifmm/internal/analysis/analysistest"
 	"kifmm/internal/analysis/nodeterm"
 )
 
 func TestDeterministicScope(t *testing.T) {
-	analysistest.Run(t, "testdata", nodeterm.Analyzer, "det")
+	analysistest.RunProp(t, "testdata", []*analysis.Analyzer{nodeterm.Analyzer}, nil, "det")
 }
 
 func TestUnmarkedPackage(t *testing.T) {
-	analysistest.Run(t, "testdata", nodeterm.Analyzer, "plain")
+	analysistest.RunProp(t, "testdata", []*analysis.Analyzer{nodeterm.Analyzer}, nil, "plain")
 }
 
 func TestAllowDiagnostics(t *testing.T) {
-	analysistest.Run(t, "testdata", nodeterm.Analyzer, "allowerr")
+	analysistest.RunProp(t, "testdata", []*analysis.Analyzer{nodeterm.Analyzer}, nil, "allowerr")
 }

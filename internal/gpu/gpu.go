@@ -51,6 +51,7 @@ type FMMAccel struct {
 
 	vliTF  map[uint32][]complex64 // converted translation spectra cache
 	pinv32 *linalg.Mat            // float32-regularized UC→UE solve
+	den    []float32              // den32's reused density buffer
 }
 
 // New creates an accelerator bound to a device.

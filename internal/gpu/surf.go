@@ -112,7 +112,7 @@ func (a *FMMAccel) s2u(e *kifmm.Engine) {
 				x, y, z := surfCoord(g, tid, j.meta.half, kifmm.RadOuter)
 				s := acc[tid]
 				for k := int32(0); k < tlen; k++ {
-					s += kernel.LaplaceEval32(x, y, z,
+					s += laplaceEval32(x, y, z,
 						blk.Shared[4*k+0], blk.Shared[4*k+1], blk.Shared[4*k+2],
 						blk.Shared[4*k+3])
 				}
@@ -244,7 +244,7 @@ func (a *FMMAccel) d2t(e *kifmm.Engine) {
 			var s float32
 			for k := 0; k < ns; k++ {
 				ex, ey, ez := surfCoord(g, k, j.meta.half, kifmm.RadOuter)
-				s += kernel.LaplaceEval32(x, y, z, ex, ey, ez, blk.Shared[k])
+				s += laplaceEval32(x, y, z, ex, ey, ez, blk.Shared[k])
 			}
 			f[base+int32(tid)] += s
 		})

@@ -30,7 +30,7 @@ func (a *FMMAccel) uli(e *kifmm.Engine) {
 	// used to rebuild on every Apply. Only the densities change per call.
 	L := e.Layout
 	sx, sy, sz := L.X32, L.Y32, L.Z32
-	sden := e.Den32()
+	sden := a.den32(e)
 
 	// Target side: one device block per chunk of b target points. Targets
 	// are addressed through the same layout panels; trgBase indexes the
@@ -123,7 +123,7 @@ func (a *FMMAccel) uli(e *kifmm.Engine) {
 					x, y, z := sx[g], sy[g], sz[g]
 					s := acc[tid]
 					for j := int32(0); j < tlen; j++ {
-						s += kernel.LaplaceEval32(x, y, z,
+						s += laplaceEval32(x, y, z,
 							blk.Shared[4*j+0], blk.Shared[4*j+1], blk.Shared[4*j+2],
 							blk.Shared[4*j+3])
 					}

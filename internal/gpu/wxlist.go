@@ -122,7 +122,7 @@ func (a *FMMAccel) wli(e *kifmm.Engine) {
 				var s float32
 				for k := 0; k < ns; k++ {
 					ex, ey, ez := surfCoord(g, k, m.half, kifmm.RadInner)
-					s += kernel.LaplaceEval32(x, y, z, ex+ox, ey+oy, ez+oz, blk.Shared[k])
+					s += laplaceEval32(x, y, z, ex+ox, ey+oy, ez+oz, blk.Shared[k])
 				}
 				f[j.trgOff+int32(tid)] += s
 			})
@@ -237,7 +237,7 @@ func (a *FMMAccel) xli(e *kifmm.Engine) {
 					x, y, z := surfCoord(g, tid, j.meta.half, kifmm.RadInner)
 					s := acc[tid]
 					for k := int32(0); k < tlen; k++ {
-						s += kernel.LaplaceEval32(x, y, z,
+						s += laplaceEval32(x, y, z,
 							blk.Shared[4*k+0], blk.Shared[4*k+1], blk.Shared[4*k+2],
 							blk.Shared[4*k+3])
 					}

@@ -18,8 +18,8 @@ import "math"
 // kernel's own division then annihilates the pair (d/√(+Inf) = 0) — no
 // coordinate comparison, no NaN ever reaches an accumulator. The map is a
 // compare against zero that never takes its branch on regular data, which
-// costs less than the bit-twiddled NaN/max form (kernel32.go keeps that
-// form for the per-pair LaplaceEval32); the result is identical either
+// costs less than the bit-twiddled NaN/max form (internal/gpu keeps that
+// form for its per-pair Laplace kernel); the result is identical either
 // way — a coincident pair contributes nothing, exactly as with Eval.
 type Batch32 interface {
 	Kernel
@@ -249,7 +249,7 @@ func (y Yukawa) EvalPanel32(tx, ty, tz, sx, sy, sz []float32, den []float32, out
 // x + (x − x) turns ±Inf into NaN and is the identity on finite values
 // (it also normalizes −0 to +0, which is harmless for an additive
 // contribution), and the x ≠ x compare — never true on regular data, so
-// the branch predicts perfectly — replaces the bit-twiddled max32 form
+// the branch predicts perfectly — replaces the bit-twiddled NaN/max form
 // where latency matters more than strict branchlessness.
 func nanZero32Cheap(x float32) float32 {
 	x = x + (x - x)
@@ -258,6 +258,10 @@ func nanZero32Cheap(x float32) float32 {
 	}
 	return x
 }
+
+// sqrt32 is a single-precision square root (compiled to a SQRTSS
+// instruction on amd64 — the float64 round trip is free).
+func sqrt32(x float32) float32 { return float32(math.Sqrt(float64(x))) }
 
 // exp32 is a single-precision e^x via the float64 library routine.
 func exp32(x float32) float32 { return float32(math.Exp(float64(x))) }

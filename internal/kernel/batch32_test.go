@@ -145,85 +145,3 @@ func TestEvalPanel32Accumulates(t *testing.T) {
 		}
 	}
 }
-
-// TestMax32 pins the IEEE maxNum contract of the branch-free max32,
-// including the NaN-discarding and signed-zero cases the bit tricks exist
-// for.
-func TestMax32(t *testing.T) {
-	nan := float32(math.NaN())
-	negZero := float32(math.Copysign(0, -1))
-	inf := float32(math.Inf(1))
-	cases := []struct {
-		a, b, want float32
-	}{
-		{1, 2, 2},
-		{2, 1, 2},
-		{-3, -5, -3},
-		{-1, 1, 1},
-		{nan, 7, 7},     // max(NaN, x) = x — the Algorithm 4 identity
-		{7, nan, 7},     // symmetric
-		{nan, 0, 0},     // the guard's exact use: squash NaN against 0
-		{nan, -2, -2},   // NaN discarded even against a negative
-		{0, negZero, 0}, // IEEE maxNum: +0 beats −0
-		{negZero, 0, 0}, // either operand order
-		{inf, 5, inf},
-		{-5, inf, inf},
-		{float32(math.Inf(-1)), -9, -9},
-	}
-	for _, c := range cases {
-		got := max32(c.a, c.b)
-		if math.Float32bits(got) != math.Float32bits(c.want) {
-			t.Errorf("max32(%v, %v) = %v (bits %#x), want %v (bits %#x)",
-				c.a, c.b, got, math.Float32bits(got), c.want, math.Float32bits(c.want))
-		}
-	}
-	// Signed-zero bit patterns, checked explicitly.
-	if bits := math.Float32bits(max32(0, negZero)); bits != 0 {
-		t.Errorf("max32(+0, -0) bits = %#x, want +0", bits)
-	}
-	if bits := math.Float32bits(max32(negZero, 0)); bits != 0 {
-		t.Errorf("max32(-0, +0) bits = %#x, want +0", bits)
-	}
-	if bits := math.Float32bits(max32(negZero, negZero)); bits != 0x80000000 {
-		t.Errorf("max32(-0, -0) bits = %#x, want -0", bits)
-	}
-	// Both NaN: result must be NaN.
-	if got := max32(nan, nan); !math.IsNaN(float64(got)) {
-		t.Errorf("max32(NaN, NaN) = %v, want NaN", got)
-	}
-}
-
-// TestNanZero32 checks the float32 singular-pair guard: nonzero finite
-// values pass through bit-exactly (including denormals), infinities and NaN
-// squash to +0. (−0 normalizes to +0 through the x+(x−x) step, exactly as
-// in the float64 nanZero — irrelevant to an additive contribution.)
-func TestNanZero32(t *testing.T) {
-	finite := []float32{0, 1, -1, 0.5, -2.25, 3.4e38, -3.4e38, 1e-42}
-	for _, v := range finite {
-		if got := nanZero32(v); math.Float32bits(got) != math.Float32bits(v) {
-			t.Errorf("nanZero32(%v) = %v (bits %#x), want identity", v, got, math.Float32bits(got))
-		}
-	}
-	nonFinite := []float32{
-		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
-		float32(math.Copysign(0, -1)), // −0 normalizes to +0
-	}
-	for _, v := range nonFinite {
-		if got := nanZero32(v); math.Float32bits(got) != 0 {
-			t.Errorf("nanZero32(%v) = %v (bits %#x), want +0", v, got, math.Float32bits(got))
-		}
-	}
-}
-
-// TestLaplaceEval32SelfPair keeps the scalar device kernel's guard honest
-// now that max32 is branch-free.
-func TestLaplaceEval32SelfPair(t *testing.T) {
-	if got := LaplaceEval32(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 3); got != 0 {
-		t.Fatalf("coincident pair contributed %v, want 0", got)
-	}
-	got := LaplaceEval32(1, 0, 0, 0, 0, 0, 4)
-	want := float32(invFourPi) * 4
-	if math.Abs(float64(got-want)) > 1e-6 {
-		t.Fatalf("unit pair = %v, want %v", got, want)
-	}
-}

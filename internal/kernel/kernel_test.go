@@ -129,34 +129,6 @@ func TestDirectSkipsSelfInteraction(t *testing.T) {
 	}
 }
 
-func TestLaplaceEval32MatchesFloat64(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	k := Laplace{}
-	for i := 0; i < 100; i++ {
-		tp := geom.Point{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}
-		sp := geom.Point{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}
-		d := rng.NormFloat64()
-		out := []float64{0}
-		k.Eval(tp, sp, []float64{d}, out)
-		got := LaplaceEval32(float32(tp.X), float32(tp.Y), float32(tp.Z),
-			float32(sp.X), float32(sp.Y), float32(sp.Z), float32(d))
-		if math.Abs(float64(got)-out[0]) > 2e-5*(1+math.Abs(out[0])) {
-			t.Fatalf("float32 kernel off: %v vs %v", got, out[0])
-		}
-	}
-}
-
-func TestLaplaceEval32NaNMaxTrick(t *testing.T) {
-	// Coincident points must contribute exactly zero (no NaN, no Inf),
-	// for positive and negative densities alike.
-	for _, d := range []float32{1, -1, 0.5, -2.5, 0} {
-		got := LaplaceEval32(0.25, 0.5, 0.75, 0.25, 0.5, 0.75, d)
-		if got != 0 {
-			t.Fatalf("self-interaction leak: density %v -> %v", d, got)
-		}
-	}
-}
-
 func TestByName(t *testing.T) {
 	if ByName("laplace") == nil || ByName("stokes") == nil {
 		t.Fatalf("known kernels missing")

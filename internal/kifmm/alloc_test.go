@@ -58,7 +58,7 @@ func TestVListAllocBudget(t *testing.T) {
 // TestOperatorCacheAllocs pins the warm-hit allocation count of the two
 // copy-on-write operator caches at zero. Both sat on sync.Map before, which
 // boxes every lookup key into any — one heap allocation per M2L matrix
-// fetch (every dense V-list interaction) and per levelFor table fetch
+// fetch (every dense V-list interaction) and per per-level table fetch
 // (every downward translation of a non-homogeneous kernel); fmmvet's
 // hotalloc analyzer surfaced both through the vliDenseNode and downwardNode
 // chains.

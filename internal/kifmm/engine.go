@@ -87,8 +87,6 @@ type Engine struct {
 	bk kernel.Batch
 	// scratch holds one evaluation scratch per worker (ensureScratch).
 	scratch []*evalScratch
-	// den32 is the reused single-precision density buffer of Den32.
-	den32 []float32
 
 	// set holds the engine's compiled graphs, a pool's engines sharing one;
 	// the embedded *schedule is the one being run or last run (pairRows),
@@ -579,21 +577,6 @@ func (e *Engine) SetPointDensities(orig []float64) {
 	for i, o := range e.Tree.Perm {
 		copy(e.Density[i*sd:(i+1)*sd], orig[o*sd:(o+1)*sd])
 	}
-}
-
-// Den32 returns a reused single-precision copy of the per-point densities
-// (scalar kernels), refreshed on each call. It is the density-dependent
-// half of the simulated device's data-structure translation — the
-// density-independent half is the Layout's X32 mirrors — and its only reader
-// is internal/gpu: every phase body on the CPU runs in float64.
-func (e *Engine) Den32() []float32 {
-	if len(e.den32) != len(e.Density) {
-		e.den32 = make([]float32, len(e.Density))
-	}
-	for i, d := range e.Density {
-		e.den32[i] = float32(d)
-	}
-	return e.den32
 }
 
 // PointPotentials returns potentials in the caller's original point order

@@ -241,5 +241,5 @@ func TestM2LRejectsAdjacentDirections(t *testing.T) {
 			t.Fatalf("expected panic for adjacent direction")
 		}
 	}()
-	ops.M2L(1, 0, 0)
+	ops.M2LAt(0, 1, 0, 0)
 }

@@ -383,9 +383,10 @@ func mod(a, n int) int {
 	return m
 }
 
-// vTables resolves per-level translation tables on first use: homogeneous
-// kernels share the reference-level table (rescaled by KernScale at
-// extraction), the others get one table per octant level.
+// vTables resolves per-level translation tables on first use, one per
+// operator table (Operators.table): a homogeneous kernel's every level shares
+// the reference-level table (rescaled by KernScale at extraction), the
+// others get one table per octant level.
 type vTables struct {
 	f       *FFTM2L
 	workers int
@@ -393,9 +394,7 @@ type vTables struct {
 }
 
 func (v *vTables) at(level int) *vTable {
-	if v.f.ops.Homogeneous() {
-		level = 0
-	}
+	level = v.f.ops.table(level, v.workers).level
 	for len(v.byLevel) <= level {
 		v.byLevel = append(v.byLevel, nil)
 	}

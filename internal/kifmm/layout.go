@@ -22,7 +22,7 @@ import (
 //     level share the same surface geometry relative to their center, so
 //     the per-octant surface is center + offsets — a fill into a reusable
 //     buffer instead of the per-call allocation of SurfaceGrid.Points;
-//   - per-node centers, half-sides, and levels as flat slices.
+//   - per-node centers and levels as flat slices.
 //
 // A Layout is built once per plan (NewLayout) and is immutable afterwards:
 // concurrent Apply calls on engines sharing one Layout only read it.
@@ -38,8 +38,8 @@ type Layout struct {
 	// field is float64 and never reads them, so plans and shard ranks skip
 	// the fill and the memory.
 	X32, Y32, Z32 []float32
-	// CX, CY, CZ and Half are per-node octant centers and half-sides.
-	CX, CY, CZ, Half []float64
+	// CX, CY, CZ are per-node octant centers.
+	CX, CY, CZ []float64
 	// Lev is each node's octant level, the index into the surface tables.
 	Lev []int8
 
@@ -69,8 +69,7 @@ func NewLayout(tree *octree.Tree, ops *Operators, f32 bool) *Layout {
 	l := &Layout{
 		PX: make([]float64, np), PY: make([]float64, np), PZ: make([]float64, np),
 		CX: make([]float64, nn), CY: make([]float64, nn), CZ: make([]float64, nn),
-		Half: make([]float64, nn),
-		Lev:  make([]int8, nn),
+		Lev: make([]int8, nn),
 	}
 	for i, p := range tree.Points {
 		l.PX[i], l.PY[i], l.PZ[i] = p.X, p.Y, p.Z
@@ -86,7 +85,6 @@ func NewLayout(tree *octree.Tree, ops *Operators, f32 bool) *Layout {
 		k := tree.Nodes[i].Key
 		x, y, z := k.Center()
 		l.CX[i], l.CY[i], l.CZ[i] = x, y, z
-		l.Half[i] = k.Side() / 2
 		lv := k.Level()
 		l.Lev[i] = int8(lv)
 		if lv > maxL {
@@ -104,28 +102,9 @@ func NewLayout(tree *octree.Tree, ops *Operators, f32 bool) *Layout {
 
 // MemoryBytes is the resident size of the per-point and per-node arrays the
 // layout actually carries (the float32 mirrors count only when maintained)
-// — the layout term of every plan-cache byte estimate.
+// — the layout term of EnginePool.MemoryBytes.
 func (l *Layout) MemoryBytes() int64 {
-	return int64(len(l.PX))*3*8 + int64(len(l.X32))*3*4 + int64(len(l.CX))*4*8 + int64(len(l.Lev))
-}
-
-// ResidentBytes estimates what one evaluation of tree keeps resident: the
-// tree's nodes, points and interaction lists, one engine's per-node and
-// per-point state, and the layout. With the engine pool's GraphBytes it is
-// the one formula behind the MemoryBytes of the single-engine plan and each
-// rank of a sharded plan, which the serving layer's byte-budgeted plan cache
-// accounts by.
-func ResidentBytes(tree *octree.Tree, ops *Operators, layout *Layout) int64 {
-	var lists int64
-	for i := range tree.Nodes {
-		n := &tree.Nodes[i]
-		lists += int64(len(n.U)+len(n.V)+len(n.W)+len(n.X)) * 4
-	}
-	nodes, pts := int64(len(tree.Nodes)), int64(len(tree.Points))
-	const nodeStruct = 120 // Node fixed fields, approximate
-	engine := nodes*int64(2*ops.UpwardLen()+ops.CheckLen())*8 +
-		pts*int64(ops.Kern.SrcDim()+ops.Kern.TrgDim())*8
-	return nodes*nodeStruct + lists + pts*(24+8) + engine + layout.MemoryBytes()
+	return int64(len(l.PX))*3*8 + int64(len(l.X32))*3*4 + int64(len(l.CX))*3*8 + int64(len(l.Lev))
 }
 
 // surfaceOffsets precomputes a surface's point offsets from the octant

@@ -92,9 +92,8 @@ func TestNewOperatorsBitIdentical(t *testing.T) {
 	for _, c := range cases {
 		for _, workers := range []int{1, 2, 4} {
 			ops := newOperators(c.kern, c.p, 1e-9, workers)
-			if ops.Homogeneous() {
-				got := &levelOps{UC2UE: ops.UC2UE, DC2DE: ops.DC2DE, U2U: ops.U2U, D2D: ops.D2D}
-				if d := levelDiff(got, sequentialMats(ops, 0)); d != "" {
+			if ops.homogeneous {
+				if d := levelDiff(ops.ref, sequentialMats(ops, 0)); d != "" {
 					t.Fatalf("%s p=%d, %d workers: %s", c.kern.Name(), c.p, workers, d)
 				}
 				continue
@@ -133,10 +132,7 @@ func TestPackedOperatorsMatchRowLoop(t *testing.T) {
 	for _, c := range cases {
 		ops := NewOperators(c.kern, c.p, 1e-9)
 		for _, l := range c.levels {
-			got := &levelOps{UC2UE: ops.UC2UE, DC2DE: ops.DC2DE, U2U: ops.U2U, D2D: ops.D2D}
-			if !ops.Homogeneous() {
-				got = ops.levelFor(l)
-			}
+			got := ops.table(l, 1)
 			for k, m := range sequentialMats(ops, l) {
 				p := levelPacked(got)[k]
 				x, y0 := make([]float64, m.Cols), make([]float64, m.Rows)
@@ -176,18 +172,19 @@ func bitsDiff(got, want []float64) string {
 	return ""
 }
 
-// levelTables returns how many per-level tables ops holds. Every build
-// inserts its table (builds are serialized, none is discarded), so the count
-// only grows by building.
+// levelTables returns how many level tables ops holds: level 0's, built
+// with the operators, and the cached others. Every build inserts its table
+// (builds are serialized, none is discarded), so the count only grows by
+// building.
 func levelTables(ops *Operators) int {
 	if m := ops.perLevel.p.Load(); m != nil {
-		return len(*m)
+		return 1 + len(*m)
 	}
-	return 0
+	return 1
 }
 
-// TestPrewarmBuildsEveryLevelTable: for a non-homogeneous kernel, Prewarm
-// (what Plan and NewSession call) builds the per-level table of every level
+// TestPrewarmBuildsEveryLevelTable: for a non-homogeneous kernel,
+// PrewarmLevels (what Plan and NewSession call) builds the per-level table of every level
 // at which the tree has octants, and the first Apply after it builds none —
 // no Apply task pays for a table or races another for it.
 func TestPrewarmBuildsEveryLevelTable(t *testing.T) {
@@ -197,7 +194,7 @@ func TestPrewarmBuildsEveryLevelTable(t *testing.T) {
 	tree.BuildLists(nil)
 	spec := EngineSpec{Ops: ops, Workers: 2}
 
-	spec.Prewarm(tree)
+	ops.PrewarmLevels(tree, spec.Workers)
 	want := tree.MaxLevel() + 1
 	if got := levelTables(ops); got != want {
 		t.Fatalf("Prewarm built %d level tables, want one per level 0..%d", got, tree.MaxLevel())

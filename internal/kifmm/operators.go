@@ -22,7 +22,8 @@ import (
 // For homogeneous kernels (Laplace, Stokes: K(ax, ay) = a^(−deg)·K(x, y)) a
 // single reference level (octant side 1) suffices and per-level application
 // rescales by 2^(level·deg). Non-homogeneous kernels (e.g. Yukawa) report
-// HomogeneityDeg() = NaN and get per-level operator tables instead.
+// HomogeneityDeg() = NaN and get per-level operator tables instead. table
+// makes that choice, in one place.
 //
 // Operators are immutable after construction and safe for concurrent use.
 type Operators struct {
@@ -31,28 +32,14 @@ type Operators struct {
 	// Tol is the Tikhonov regularization tolerance of the pseudo-inverses.
 	Tol float64
 
-	// UC2UE maps upward-check potentials to upward-equivalent densities
-	// (the S2U solve) at the reference scale (homogeneous kernels only;
-	// prefer S2UOp).
-	UC2UE *linalg.Packed
-	// U2U[c] maps a child-c upward-equivalent density to the parent's
-	// upward-equivalent density at the reference scale (prefer U2UOp).
-	U2U [8]*linalg.Packed
-	// DC2DE maps downward-check potentials to downward-equivalent
-	// densities at the reference scale (prefer DC2DEOp).
-	DC2DE *linalg.Packed
-	// D2D[c] maps a parent downward-equivalent density to the child-c
-	// downward-check potential at the reference scale (prefer D2DOp).
-	D2D [8]*linalg.Packed
-
-	// m2l caches dense V-list matrices by packed (level, direction);
-	// perLevel caches per-level surface-operator tables for
-	// non-homogeneous kernels. Both are copy-on-write so the hot lookup
-	// path is allocation-free (sync.Map would box every key).
-	m2l      cowCache[uint64, *linalg.Mat]
+	// ref is level 0's table, built with the operators: the root's, and a
+	// homogeneous kernel's one reference table. perLevel caches the other
+	// levels' tables of a non-homogeneous kernel. It is copy-on-write so the
+	// hot lookup path is allocation-free (sync.Map would box every key).
+	ref      *levelOps
 	perLevel cowCache[int, *levelOps]
 
-	// buildMu serializes per-level table builds (levelForSlow).
+	// buildMu serializes per-level table builds (buildTable).
 	buildMu sync.Mutex
 
 	fftOnce sync.Once
@@ -62,11 +49,15 @@ type Operators struct {
 	homogeneous bool
 }
 
-// levelOps is one level's operator table for non-homogeneous kernels. Every
-// operator is held once, packed: the apply-time products are all it serves.
+// levelOps is one level's operator table. Every surface operator is held
+// once, packed: the apply-time products are all it serves. m2l caches the
+// dense V-list matrices of the level by packed direction, built on first
+// use (the DenseM2L oracle).
 type levelOps struct {
+	level        int
 	UC2UE, DC2DE *linalg.Packed
 	U2U, D2D     [8]*linalg.Packed
+	m2l          cowCache[uint32, *linalg.Mat]
 }
 
 // NewOperators precomputes the translation operators for kern at surface
@@ -81,25 +72,43 @@ func NewOperators(kern kernel.Kernel, p int, tol float64) *Operators {
 // pseudo-inverses, which run side by side.
 const buildWorkers = 2
 
-// newOperators is NewOperators with the fan-out of the reference-level
-// build given; the result does not depend on it.
+// newOperators is NewOperators with the fan-out of the level-0 build given;
+// the result does not depend on it. Every tree has a root, so level 0's
+// table is built here whatever the kernel.
 func newOperators(kern kernel.Kernel, p int, tol float64, workers int) *Operators {
 	deg := kern.HomogeneityDeg()
-	ops := &Operators{
-		Kern:        kern,
-		Grid:        NewSurfaceGrid(p),
-		Tol:         tol,
-		deg:         deg,
-		homogeneous: !math.IsNaN(deg),
-	}
-	if ops.homogeneous {
-		ref := ops.buildLevel(0, workers)
-		ops.UC2UE = ref.UC2UE
-		ops.DC2DE = ref.DC2DE
-		ops.U2U = ref.U2U
-		ops.D2D = ref.D2D
-	}
+	ops := &Operators{Kern: kern, Grid: NewSurfaceGrid(p), Tol: tol, deg: deg, homogeneous: !math.IsNaN(deg)}
+	ops.ref = ops.buildLevel(0, workers)
 	return ops
+}
+
+// table returns the operator table for octants at level l: the reference
+// table, without a lookup, for level 0 and for every level of a homogeneous
+// kernel (PinvScale and KernScale rescale it), and otherwise the level's own
+// table, built on up to workers goroutines on first use.
+func (o *Operators) table(l, workers int) *levelOps {
+	if l == 0 || o.homogeneous {
+		return o.ref
+	}
+	if v, ok := o.perLevel.get(l); ok {
+		return v
+	}
+	return o.buildTable(l, workers)
+}
+
+// buildTable builds and caches level l's table on up to workers goroutines
+// unless a racing build already has. Builds are serialized, so a level is
+// built once over the lifetime of the Operators however many plans race
+// for it.
+//
+//fmm:coldcall per-level operator tables are built once per level and cached
+func (o *Operators) buildTable(l, workers int) *levelOps {
+	o.buildMu.Lock()
+	defer o.buildMu.Unlock()
+	if v, ok := o.perLevel.get(l); ok {
+		return v
+	}
+	return o.perLevel.insert(l, o.buildLevel(l, workers))
 }
 
 // buildLevel constructs the surface operators for octants of side 2^-l. Its
@@ -117,7 +126,7 @@ func (o *Operators) buildLevel(l, workers int) *levelOps {
 	dc := o.Grid.Points(center, RadInner*half)
 	de := o.Grid.Points(center, RadOuter*half)
 
-	lo := &levelOps{}
+	lo := &levelOps{level: l}
 	var uc2ueRows *linalg.Mat
 	g := sched.NewGraph()
 	var body []func() // body[id] is task id's piece
@@ -154,52 +163,20 @@ func (o *Operators) buildLevel(l, workers int) *levelOps {
 	return lo
 }
 
-// levelFor returns (building if needed) the per-level table for a
-// non-homogeneous kernel.
-func (o *Operators) levelFor(l int) *levelOps {
-	if v, ok := o.perLevel.get(l); ok {
-		return v
-	}
-	return o.levelForSlow(l, 1)
-}
-
-// levelForSlow returns the per-level table, building and caching it on up
-// to workers goroutines if it is missing. Builds are serialized, so a level
-// is built once over the lifetime of the Operators however many plans race
-// for it.
-//
-//fmm:coldcall per-level operator tables are built once per level and cached
-func (o *Operators) levelForSlow(l, workers int) *levelOps {
-	o.buildMu.Lock()
-	defer o.buildMu.Unlock()
-	if v, ok := o.perLevel.get(l); ok {
-		return v
-	}
-	return o.perLevel.insert(l, o.buildLevel(l, workers))
-}
-
-// PrewarmLevels builds, on up to workers goroutines, the per-level tables
-// of a non-homogeneous kernel for every level at which tree has octants —
-// every level an evaluation of tree touches — so no Apply builds one (a
-// no-op for homogeneous kernels).
+// PrewarmLevels builds, on up to workers goroutines, the table of every
+// level at which tree has octants — every level an evaluation of tree
+// touches — so no Apply builds one.
 func (o *Operators) PrewarmLevels(tree *octree.Tree, workers int) {
-	if o.homogeneous {
-		return
-	}
 	var has [morton.MaxDepth + 1]bool
 	for i := range tree.Nodes {
 		has[tree.Nodes[i].Key.Level()] = true
 	}
 	for l, ok := range has {
 		if ok {
-			o.levelForSlow(l, workers)
+			o.table(l, workers)
 		}
 	}
 }
-
-// Homogeneous reports whether the kernel admits the single-reference-level
-// fast path.
-func (o *Operators) Homogeneous() bool { return o.homogeneous }
 
 // childCenter returns the center of child c of an octant centered at ctr
 // with half-side half, using the morton child-index convention
@@ -242,58 +219,30 @@ func (o *Operators) KernScale(level int) float64 {
 // S2UOp returns the check-to-equivalent solve for leaves at the given level
 // and the scalar to apply to its output.
 func (o *Operators) S2UOp(level int) (*linalg.Packed, float64) {
-	if o.homogeneous {
-		return o.UC2UE, o.PinvScale(level)
-	}
-	return o.levelFor(level).UC2UE, 1
+	return o.table(level, 1).UC2UE, o.PinvScale(level)
 }
 
 // U2UOp returns the child-to-parent upward translation for a parent at the
 // given level (scale-free in both regimes).
 func (o *Operators) U2UOp(parentLevel, childIdx int) *linalg.Packed {
-	if o.homogeneous {
-		return o.U2U[childIdx]
-	}
-	return o.levelFor(parentLevel).U2U[childIdx]
+	return o.table(parentLevel, 1).U2U[childIdx]
 }
 
 // DC2DEOp returns the downward check-to-equivalent solve at the given level
 // and its output scale.
 func (o *Operators) DC2DEOp(level int) (*linalg.Packed, float64) {
-	if o.homogeneous {
-		return o.DC2DE, o.PinvScale(level)
-	}
-	return o.levelFor(level).DC2DE, 1
+	return o.table(level, 1).DC2DE, o.PinvScale(level)
 }
 
 // D2DOp returns the parent-to-child downward translation for a parent at
 // the given level and its output scale.
 func (o *Operators) D2DOp(parentLevel, childIdx int) (*linalg.Packed, float64) {
-	if o.homogeneous {
-		return o.D2D[childIdx], o.KernScale(parentLevel)
-	}
-	return o.levelFor(parentLevel).D2D[childIdx], 1
+	return o.table(parentLevel, 1).D2D[childIdx], o.KernScale(parentLevel)
 }
 
 // packDir packs a V-list direction (each component in [-3, 3]) into a key.
 func packDir(dx, dy, dz int) uint32 {
 	return uint32(dx+3)<<16 | uint32(dy+3)<<8 | uint32(dz+3)
-}
-
-// packLevelDir packs (level, direction) for the per-level M2L cache.
-func packLevelDir(level int, dir uint32) uint64 {
-	return uint64(level)<<32 | uint64(dir)
-}
-
-// M2L returns the dense V-list translation matrix for relative direction
-// (dx, dy, dz) in units of the octant side, at the reference scale
-// (homogeneous kernels; prefer M2LAt).
-func (o *Operators) M2L(dx, dy, dz int) *linalg.Mat {
-	m, s := o.M2LAt(0, dx, dy, dz)
-	if s != 1 {
-		panic("kifmm: M2L at reference level must be scale-free")
-	}
-	return m
 }
 
 // M2LAt returns the dense V-list translation for octants at the given level
@@ -303,34 +252,26 @@ func (o *Operators) M2LAt(level, dx, dy, dz int) (*linalg.Mat, float64) {
 	if maxAbs3(dx, dy, dz) <= 1 || maxAbs3(dx, dy, dz) > 3 {
 		panic(fmt.Sprintf("kifmm: invalid V-list direction (%d,%d,%d)", dx, dy, dz))
 	}
-	dir := packDir(dx, dy, dz)
-	cacheLevel := level
-	scale := 1.0
-	if o.homogeneous {
-		cacheLevel = 0
-		scale = o.KernScale(level)
+	tb, dir := o.table(level, 1), packDir(dx, dy, dz)
+	if m, ok := tb.m2l.get(dir); ok {
+		return m, o.KernScale(level)
 	}
-	key := packLevelDir(cacheLevel, dir)
-	if m, ok := o.m2l.get(key); ok {
-		return m, scale
-	}
-	return o.buildM2L(key, cacheLevel, dx, dy, dz), scale
+	return o.buildM2L(tb, dir, dx, dy, dz), o.KernScale(level)
 }
 
-// buildM2L evaluates and caches one dense V-list matrix on a cache miss; a
-// direction is built once per (kernel, cache level) and reused for every
+// buildM2L evaluates and caches one dense V-list matrix of tb's level on a
+// cache miss; a direction is built once per table and reused for every
 // later translation.
 //
 //fmm:coldcall dense V-list matrices are built once per direction and cached
-func (o *Operators) buildM2L(key uint64, cacheLevel, dx, dy, dz int) *linalg.Mat {
-	side := math.Pow(2, -float64(cacheLevel))
+func (o *Operators) buildM2L(tb *levelOps, dir uint32, dx, dy, dz int) *linalg.Mat {
+	side := math.Pow(2, -float64(tb.level))
 	half := side / 2
 	srcCenter := geom.Point{}
 	trgCenter := geom.Point{X: float64(dx) * side, Y: float64(dy) * side, Z: float64(dz) * side}
 	ue := o.Grid.Points(srcCenter, RadInner*half)
 	dc := o.Grid.Points(trgCenter, RadInner*half)
-	m := kernel.Matrix(o.Kern, dc, ue)
-	return o.m2l.insert(key, m)
+	return tb.m2l.insert(dir, kernel.Matrix(o.Kern, dc, ue))
 }
 
 func maxAbs3(a, b, c int) int {

@@ -44,7 +44,7 @@ func upwardDensity(ops *Operators, srcs []geom.Point, den []float64) []float64 {
 		}
 	}
 	u := make([]float64, ops.UpwardLen())
-	ops.UC2UE.MulVec(u, chk)
+	ops.ref.UC2UE.MulVec(u, chk)
 	return u
 }
 
@@ -99,14 +99,14 @@ func TestU2UPreservesFarField(t *testing.T) {
 	}
 	uChild := make([]float64, ops.UpwardLen())
 	tmp := make([]float64, ops.UpwardLen())
-	ops.UC2UE.MulVec(tmp, chk)
+	ops.ref.UC2UE.MulVec(tmp, chk)
 	for i := range tmp {
 		uChild[i] = tmp[i] * ops.PinvScale(1)
 	}
 
 	// Parent density via the U2U translation.
 	uParent := make([]float64, ops.UpwardLen())
-	ops.U2U[3].MulVec(uParent, uChild)
+	ops.ref.U2U[3].MulVec(uParent, uChild)
 
 	// Both must reproduce the true far field.
 	for trial := 0; trial < 10; trial++ {
@@ -133,11 +133,11 @@ func TestM2LDownwardReproducesLocalField(t *testing.T) {
 	u := upwardDensity(ops, srcs, den)
 
 	trgCenter := geom.Point{X: 2, Y: 1, Z: 0}
-	m := ops.M2L(2, 1, 0)
+	m, _ := ops.M2LAt(0, 2, 1, 0)
 	dchk := make([]float64, ops.CheckLen())
 	m.MulVec(dchk, u)
 	d := make([]float64, ops.UpwardLen())
-	ops.DC2DE.MulVec(d, dchk)
+	ops.ref.DC2DE.MulVec(d, dchk)
 
 	// The downward equivalent density must reproduce the sources' field
 	// inside the target box.
@@ -165,7 +165,7 @@ func TestFFTTranslationMatchesDenseM2L(t *testing.T) {
 	f := NewFFTM2L(ops)
 	rng := rand.New(rand.NewSource(4))
 	for _, dir := range [][3]int{{2, 0, 0}, {-2, 1, 3}, {3, -3, 2}, {0, 2, -1}} {
-		m := ops.M2L(dir[0], dir[1], dir[2])
+		m, _ := ops.M2LAt(0, dir[0], dir[1], dir[2])
 		u := make([]float64, ops.UpwardLen())
 		for i := range u {
 			u[i] = rng.NormFloat64()
@@ -230,8 +230,72 @@ func BenchmarkNewOperators(b *testing.B) {
 	})
 	b.Run("yukawa/6", func(b *testing.B) {
 		ops := NewOperators(kernel.Yukawa{Lambda: 5}, 6, 1e-9)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ops.buildLevel(3, buildWorkers)
 		}
 	})
+}
+
+// TestCheckMatricesTranspose answers whether one SVD per level could serve
+// both check-to-equivalent solves: the downward kernel matrix
+// K(dc, de) is bit for bit the transpose of the upward one K(uc, ue), for
+// Laplace, Stokes and Yukawa at orders 4 and 6, levels 0 and 3. The
+// surfaces coincide (dc = ue on the inner radius, de = uc on the outer), and
+// each kernel evaluates K(x, y) and K(y, x) with exactly negated differences
+// and, for Stokes, commuted products.
+func TestCheckMatricesTranspose(t *testing.T) {
+	for _, kern := range []kernel.Kernel{kernel.Laplace{}, kernel.Stokes{}, kernel.Yukawa{Lambda: 5}} {
+		for _, p := range []int{4, 6} {
+			grid := NewSurfaceGrid(p)
+			for _, l := range []int{0, 3} {
+				half := math.Pow(2, -float64(l)) / 2
+				inner := grid.Points(geom.Point{}, RadInner*half)
+				outer := grid.Points(geom.Point{}, RadOuter*half)
+				up := kernel.Matrix(kern, outer, inner)   // uc, ue
+				down := kernel.Matrix(kern, inner, outer) // dc, de
+				if down.Rows != up.Cols || down.Cols != up.Rows {
+					t.Fatalf("%s p=%d level %d: shapes %dx%d and %dx%d", kern.Name(), p, l, down.Rows, down.Cols, up.Rows, up.Cols)
+				}
+				for i := 0; i < down.Rows; i++ {
+					for j := 0; j < down.Cols; j++ {
+						if math.Float64bits(down.At(i, j)) != math.Float64bits(up.At(j, i)) {
+							t.Fatalf("%s p=%d level %d: K(dc, de)[%d][%d] = %v, K(uc, ue)[%d][%d] = %v",
+								kern.Name(), p, l, i, j, down.At(i, j), j, i, up.At(j, i))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStokesTranslationSymmetric answers whether the Stokeslet's (t, s) and
+// (s, t) translation spectra are bitwise equal: they are, for every V-list
+// direction, so six of the nine component spectra per direction would do.
+// With a unit density on component s, Stokes.Eval computes component t as
+// δ_ts/r + d_t·d_s/r³ with d_t·d_s commuted, the same bits either way, and
+// the forward transform of equal grids is equal.
+func TestStokesTranslationSymmetric(t *testing.T) {
+	ops := NewOperators(kernel.Stokes{}, 4, 1e-9)
+	f := newFFTM2LCache(ops, NewTranslationCache(1<<30))
+	panel := 2 * f.HalfLen()
+	for k := range len(vTable{}) {
+		dx, dy, dz := k/49-3, k/7%7-3, k%7-3
+		if maxAbs3(dx, dy, dz) <= 1 {
+			continue
+		}
+		spec := f.TranslationAt(0, dx, dy, dz)
+		for tc := 0; tc < 3; tc++ {
+			for sc := tc + 1; sc < 3; sc++ {
+				a, b := spec[(tc*3+sc)*panel:][:panel], spec[(sc*3+tc)*panel:][:panel]
+				for i := range a {
+					if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+						t.Fatalf("direction (%d,%d,%d): spectra (%d,%d) and (%d,%d) differ at %d: %v vs %v",
+							dx, dy, dz, tc, sc, sc, tc, i, a[i], b[i])
+					}
+				}
+			}
+		}
+	}
 }

@@ -29,7 +29,7 @@ func TestPlanCompilesScheduleOnce(t *testing.T) {
 	spec := EngineSpec{Ops: NewOperators(kernel.Laplace{}, 4, 1e-9), Workers: 2}
 	for _, nLead := range []int{0, 1000} {
 		compiles.Store(0)
-		pool := spec.NewPool(tr, NewLayout(tr, spec.Ops, false), nLead)
+		pool := spec.NewPool(tr, nLead)
 		pool.Compile(false)
 		den := randDensities(rand.New(rand.NewSource(8)), len(tr.Points)-nLead, 1)
 		apply := func() []float64 {
@@ -156,10 +156,10 @@ func TestScheduleMemoryCounted(t *testing.T) {
 	tr := octree.Build(geom.Generate(geom.Ellipsoid, 3000, 7), 25, 20)
 	tr.BuildLists(nil)
 	spec := EngineSpec{Ops: NewOperators(kernel.Laplace{}, 4, 1e-9), Workers: 1}
-	pool := spec.NewPool(tr, NewLayout(tr, spec.Ops, false), 0)
-	before := pool.GraphBytes()
+	pool := spec.NewPool(tr, 0)
+	before := pool.MemoryBytes()
 	pool.Compile(false)
-	grown := pool.GraphBytes() - before
+	grown := pool.MemoryBytes() - before
 	s := pool.graphs.byRange[[2]int{0, numRows}]
 	pr := s.pairs
 	floor := int64(s.graph.Len())*(8+4) + 4*int64(len(pr.at)+len(pr.link)+len(pr.order))

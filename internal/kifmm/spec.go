@@ -25,14 +25,6 @@ type EngineSpec struct {
 	DenseM2L bool
 }
 
-// Prewarm eagerly builds a non-homogeneous kernel's per-level operator
-// tables for tree, which an evaluation would otherwise build lazily;
-// compiling the graph (EnginePool.Compile) resolves the V-list translation
-// spectra. After both, the first Apply builds nothing.
-func (s EngineSpec) Prewarm(tree *octree.Tree) {
-	s.Ops.PrewarmLevels(tree, max(1, s.Workers))
-}
-
 // NewEngine allocates and configures evaluation state for the tree — the one
 // place an engine's settings are applied. layout is the tree's shared
 // streaming layout; nil builds a private one that keeps the float32
@@ -117,12 +109,13 @@ type EnginePool struct {
 	free []*Engine
 }
 
-// NewPool returns an empty pool of engines over the tree and its layout.
-// nLead > 0 marks an asymmetric union tree whose leading nLead original
-// points are targets: the pool derives its masks once (SetSplitRoles'), and
-// every engine gets them.
-func (s EngineSpec) NewPool(tree *octree.Tree, layout *Layout, nLead int) *EnginePool {
-	p := &EnginePool{spec: s, tree: tree, layout: layout, graphs: newGraphSet(!s.DenseM2L)}
+// NewPool returns an empty pool of engines over the tree and the streaming
+// layout it builds for them, without the float32 mirrors only the simulated
+// device reads. nLead > 0 marks an asymmetric union tree whose leading nLead
+// original points are targets: the pool derives its masks once
+// (SetSplitRoles'), and every engine gets them.
+func (s EngineSpec) NewPool(tree *octree.Tree, nLead int) *EnginePool {
+	p := &EnginePool{spec: s, tree: tree, layout: NewLayout(tree, s.Ops, false), graphs: newGraphSet(!s.DenseM2L)}
 	p.src, p.trg = splitRoles(tree, nLead)
 	return p
 }
@@ -141,12 +134,24 @@ func (p *EnginePool) Compile(exchange bool) {
 	}
 }
 
-// GraphBytes is what the pool holds beside its engines, tree and layout:
-// the masks and the compiled graphs. ResidentBytes plus GraphBytes is the
+// MemoryBytes estimates what the pool keeps resident for one evaluation:
+// the tree's nodes, points and interaction lists, one engine's per-node and
+// per-point state, the layout, the masks and the compiled graphs. It is the
 // MemoryBytes of the single-engine plan and of each rank of a sharded plan,
 // which the serving layer's byte-budgeted plan cache accounts by.
-func (p *EnginePool) GraphBytes() int64 {
-	return int64(len(p.src)+len(p.trg)) + p.graphs.memoryBytes()
+func (p *EnginePool) MemoryBytes() int64 {
+	var lists int64
+	for i := range p.tree.Nodes {
+		n := &p.tree.Nodes[i]
+		lists += int64(len(n.U)+len(n.V)+len(n.W)+len(n.X)) * 4
+	}
+	ops := p.spec.Ops
+	nodes, pts := int64(len(p.tree.Nodes)), int64(len(p.tree.Points))
+	const nodeStruct = 120 // Node fixed fields, approximate
+	engine := nodes*int64(2*ops.UpwardLen()+ops.CheckLen())*8 +
+		pts*int64(ops.Kern.SrcDim()+ops.Kern.TrgDim())*8
+	return nodes*nodeStruct + lists + pts*(24+8) + engine + p.layout.MemoryBytes() +
+		int64(len(p.src)+len(p.trg)) + p.graphs.memoryBytes()
 }
 
 // Get checks out a reset engine (densities are the caller's to set).

@@ -183,51 +183,37 @@ func rotateDots(x, y, z []float64, c, s float64) (xx, yy, xz float64) {
 // regularization the kernel-independent FMM uses when inverting the
 // (mildly ill-conditioned) check-to-equivalent surface operators.
 func PinvTikhonov(a *Mat, tol float64) *Mat {
-	svd := ComputeSVD(a)
-	k := len(svd.S)
-	var alpha float64
-	if k > 0 {
-		alpha = tol * svd.S[0]
-	}
-	// B = V * diag(filter) * Uᵀ, built as (n×k)·(k×m).
-	n, m := a.Cols, a.Rows
-	out := NewMat(n, m)
-	for i := 0; i < n; i++ {
-		orow := out.Row(i)
-		for l := 0; l < k; l++ {
-			sigma := svd.S[l]
-			f := sigma / (sigma*sigma + alpha*alpha)
-			vil := svd.V.At(i, l) * f
-			if vil == 0 {
-				continue
-			}
-			for j := 0; j < m; j++ {
-				orow[j] += vil * svd.U.At(j, l)
-			}
-		}
-	}
-	return out
+	return pinv(a, tol, func(v, sigma, ref float64) float64 {
+		return v * (sigma / (sigma*sigma + ref*ref))
+	})
 }
 
 // PinvTruncated returns the truncated-SVD pseudo-inverse: singular values
 // below tol·σ_max are discarded, the rest inverted exactly.
 func PinvTruncated(a *Mat, tol float64) *Mat {
+	return pinv(a, tol, func(v, sigma, ref float64) float64 {
+		if sigma <= ref || sigma == 0 {
+			return 0
+		}
+		return v / sigma
+	})
+}
+
+// pinv assembles a pseudo-inverse V·diag·Uᵀ of a from its SVD, as
+// (n×k)·(k×m): entry (i, l) of the left factor is coef(V[i][l], σ_l,
+// tol·σ_max), and a zero coefficient skips its row update.
+func pinv(a *Mat, tol float64, coef func(v, sigma, ref float64) float64) *Mat {
 	svd := ComputeSVD(a)
-	k := len(svd.S)
-	var cutoff float64
-	if k > 0 {
-		cutoff = tol * svd.S[0]
+	var ref float64
+	if len(svd.S) > 0 {
+		ref = tol * svd.S[0]
 	}
 	n, m := a.Cols, a.Rows
 	out := NewMat(n, m)
 	for i := 0; i < n; i++ {
 		orow := out.Row(i)
-		for l := 0; l < k; l++ {
-			sigma := svd.S[l]
-			if sigma <= cutoff || sigma == 0 {
-				continue
-			}
-			vil := svd.V.At(i, l) / sigma
+		for l, sigma := range svd.S {
+			vil := coef(svd.V.At(i, l), sigma, ref)
 			if vil == 0 {
 				continue
 			}

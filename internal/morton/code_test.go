@@ -79,12 +79,6 @@ func TestRangesOverlap(t *testing.T) {
 
 func TestKeyAccessors(t *testing.T) {
 	k := Root().Child(3)
-	if !k.Equal(k) || k.Equal(Root()) {
-		t.Fatalf("Equal broken")
-	}
-	if !Root().Less(k) || k.Less(Root()) {
-		t.Fatalf("Less broken")
-	}
 	if k.String() == "" || k.String() == Root().String() {
 		t.Fatalf("String broken")
 	}

@@ -34,15 +34,6 @@ func (k Key) Center() (x, y, z float64) {
 	return float64(k.X)/MaxCoord + h, float64(k.Y)/MaxCoord + h, float64(k.Z)/MaxCoord + h
 }
 
-// Bounds returns the octant's axis-aligned bounding box [lo, hi) in
-// unit-cube coordinates.
-func (k Key) Bounds() (lo, hi [3]float64) {
-	s := k.Side()
-	lo = [3]float64{float64(k.X) / MaxCoord, float64(k.Y) / MaxCoord, float64(k.Z) / MaxCoord}
-	hi = [3]float64{lo[0] + s, lo[1] + s, lo[2] + s}
-	return lo, hi
-}
-
 // ContainsPoint reports whether the point lies in the octant's half-open
 // region [lo, hi).
 func (k Key) ContainsPoint(x, y, z float64) bool {

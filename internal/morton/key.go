@@ -148,13 +148,6 @@ func (k Key) Contains(b Key) bool {
 	return k.L <= b.L && b.AncestorAt(k.Level()) == k
 }
 
-// Overlaps reports whether the two octants' volumes overlap, which for
-// octree cells happens exactly when one contains the other.
-func (k Key) Overlaps(b Key) bool { return k.Contains(b) || b.Contains(k) }
-
-// Equal reports whether the two keys denote the same octant.
-func (k Key) Equal(b Key) bool { return k == b }
-
 // lessMSB reports whether the most significant set bit of a is strictly
 // below that of b (Chan's XOR trick building block).
 func lessMSB(a, b uint32) bool { return a < b && a < a^b }
@@ -199,9 +192,6 @@ func Compare(a, b Key) int {
 	}
 	return 0
 }
-
-// Less reports whether k precedes b in Morton preorder.
-func (k Key) Less(b Key) bool { return Compare(k, b) < 0 }
 
 // FirstDescendant returns k's first descendant at level l (same anchor).
 func (k Key) FirstDescendant(l int) Key {

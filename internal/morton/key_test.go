@@ -71,7 +71,7 @@ func TestCompareMatchesCodeOrder(t *testing.T) {
 		c := Compare(a, b)
 		// Codes order finest-level anchors; for non-nested keys they must
 		// agree with Compare. For nested keys the ancestor precedes.
-		if a.Overlaps(b) {
+		if a.Contains(b) || b.Contains(a) {
 			switch {
 			case a == b && c != 0:
 				t.Fatalf("equal keys compare %d", c)
@@ -130,8 +130,9 @@ func TestFromPointAndContainsPoint(t *testing.T) {
 		if !k.ContainsPoint(x, y, z) {
 			t.Fatalf("octant %v does not contain its point", k)
 		}
-		lo, hi := k.Bounds()
-		if x < lo[0] || x >= hi[0] || y < lo[1] || y >= hi[1] || z < lo[2] || z >= hi[2] {
+		cx, cy, cz := k.Center()
+		h := k.Side() / 2
+		if x < cx-h || x >= cx+h || y < cy-h || y >= cy+h || z < cz-h || z >= cz+h {
 			t.Fatalf("point outside bounds of %v", k)
 		}
 	}

@@ -6,41 +6,11 @@ package mpi
 
 const (
 	tagBcast = internalTagBase + iota
-	tagGather
 	tagAllGather
 	tagAlltoallv
 	tagReduce
 	tagScan
 )
-
-// Bcast distributes root's data to every rank via a binomial tree and
-// returns it (root returns its input unchanged).
-func (c *Comm) Bcast(root int, data []byte) []byte {
-	p, r := c.Size(), c.Rank()
-	if p == 1 {
-		return data
-	}
-	// Rotate so the root is virtual rank 0, then run the standard binomial
-	// tree: each rank receives from the rank that differs in its lowest set
-	// bit, then forwards to ranks below that bit.
-	vr := (r - root + p) % p
-	mask := 1
-	for mask < p {
-		if vr&mask != 0 {
-			data, _ = c.Recv((vr-mask+root)%p, tagBcast)
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vr+mask < p {
-			c.Send((vr+mask+root)%p, tagBcast, data)
-		}
-		mask >>= 1
-	}
-	return data
-}
 
 // nextPow2 returns the smallest power of two >= n.
 func nextPow2(n int) int {
@@ -49,28 +19,6 @@ func nextPow2(n int) int {
 		p <<= 1
 	}
 	return p
-}
-
-// Gather collects each rank's data at root; root receives a slice indexed
-// by rank, others receive nil.
-func (c *Comm) Gather(root int, data []byte) [][]byte {
-	p, r := c.Size(), c.Rank()
-	if r != root {
-		c.Send(root, tagGather, data)
-		return nil
-	}
-	out := make([][]byte, p)
-	out[root] = append([]byte(nil), data...)
-	// Receive from each source explicitly so back-to-back Gather calls
-	// cannot steal each other's messages.
-	for src := 0; src < p; src++ {
-		if src == root {
-			continue
-		}
-		d, _ := c.Recv(src, tagGather)
-		out[src] = d
-	}
-	return out
 }
 
 // AllGather collects every rank's data everywhere, indexed by rank.
@@ -131,21 +79,36 @@ func (c *Comm) Alltoallv(parts [][]byte) [][]byte {
 type ReduceFunc func(a, b []byte) []byte
 
 // AllReduce combines every rank's data with op and returns the result on
-// all ranks. Binomial-tree reduce to rank 0 followed by a broadcast.
+// all ranks. Binomial-tree reduce to rank 0 followed by a binomial-tree
+// broadcast from it.
 func (c *Comm) AllReduce(data []byte, op ReduceFunc) []byte {
-	p, vr := c.Size(), c.Rank()
+	p, r := c.Size(), c.Rank()
 	acc := append([]byte(nil), data...)
 	for mask := 1; mask < nextPow2(p); mask <<= 1 {
-		if vr&mask != 0 {
-			c.Send(vr-mask, tagReduce, acc)
+		if r&mask != 0 {
+			c.Send(r-mask, tagReduce, acc)
 			break
 		}
-		if vr+mask < p {
-			d, _ := c.Recv(vr+mask, tagReduce)
+		if r+mask < p {
+			d, _ := c.Recv(r+mask, tagReduce)
 			acc = op(acc, d)
 		}
 	}
-	return c.Bcast(0, acc)
+	// Each rank but 0 receives from the rank that differs in its lowest set
+	// bit, then forwards to the ranks below that bit.
+	mask := 1
+	for ; mask < p; mask <<= 1 {
+		if r&mask != 0 {
+			acc, _ = c.Recv(r-mask, tagBcast)
+			break
+		}
+	}
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if r+mask < p {
+			c.Send(r+mask, tagBcast, acc)
+		}
+	}
+	return acc
 }
 
 // SumInt64 all-reduces by elementwise int64 addition.

@@ -66,42 +66,9 @@ func (m *mailbox) get(src, tag int) message {
 
 // World is a communicator shared by a fixed set of ranks.
 type World struct {
-	size    int
-	boxes   []*mailbox
-	barrier *barrier
-	stats   []*Stats
-}
-
-// barrier is a reusable generation-counting barrier.
-type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	count int
-	gen   int
 	size  int
-}
-
-func newBarrier(size int) *barrier {
-	b := &barrier{size: size}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) wait() {
-	b.mu.Lock()
-	gen := b.gen
-	b.count++
-	if b.count == b.size {
-		b.count = 0
-		b.gen++
-		b.mu.Unlock()
-		b.cond.Broadcast()
-		return
-	}
-	for gen == b.gen {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
+	boxes []*mailbox
+	stats []*Stats
 }
 
 // Comm is one rank's handle on a World.
@@ -117,7 +84,7 @@ func Run(p int, fn func(c *Comm)) []*Stats {
 	if p < 1 {
 		panic("mpi: need at least one rank")
 	}
-	w := &World{size: p, barrier: newBarrier(p)}
+	w := &World{size: p}
 	for i := 0; i < p; i++ {
 		w.boxes = append(w.boxes, newMailbox())
 		w.stats = append(w.stats, NewStats())
@@ -168,6 +135,3 @@ func (c *Comm) Sendrecv(partner, tag int, data []byte) []byte {
 	got, _ := c.Recv(partner, tag)
 	return got
 }
-
-// Barrier blocks until every rank reaches it.
-func (c *Comm) Barrier() { c.world.barrier.wait() }

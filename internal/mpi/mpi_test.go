@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 )
 
@@ -57,9 +56,9 @@ func TestSendCopiesData(t *testing.T) {
 			buf := []byte{1, 2, 3}
 			c.Send(1, 0, buf)
 			buf[0] = 99 // must not affect the delivered message
-			c.Barrier()
+			c.Send(1, 1, nil)
 		} else {
-			c.Barrier()
+			c.Recv(0, 1) // rank 0 has written its buffer
 			d, _ := c.Recv(0, 0)
 			if d[0] != 1 {
 				t.Errorf("message aliased sender buffer")
@@ -83,72 +82,6 @@ func TestFIFOPerSourceAndTag(t *testing.T) {
 					return
 				}
 			}
-		}
-	})
-}
-
-func TestBarrierOrdering(t *testing.T) {
-	const p = 8
-	var before [p]bool
-	Run(p, func(c *Comm) {
-		before[c.Rank()] = true
-		c.Barrier()
-		for r := 0; r < p; r++ {
-			if !before[r] {
-				t.Errorf("barrier released before rank %d arrived", r)
-			}
-		}
-		c.Barrier() // reusable
-	})
-}
-
-func TestBcastAllSizesAndRoots(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 5, 8, 13} {
-		for root := 0; root < p; root += max(1, p/3) {
-			payload := []byte(fmt.Sprintf("root=%d", root))
-			Run(p, func(c *Comm) {
-				var in []byte
-				if c.Rank() == root {
-					in = payload
-				}
-				out := c.Bcast(root, in)
-				if !bytes.Equal(out, payload) {
-					t.Errorf("p=%d root=%d rank=%d got %q", p, root, c.Rank(), out)
-				}
-			})
-		}
-	}
-}
-
-func TestBackToBackBcastsDifferentRoots(t *testing.T) {
-	Run(4, func(c *Comm) {
-		for iter := 0; iter < 20; iter++ {
-			root := iter % 4
-			var in []byte
-			if c.Rank() == root {
-				in = []byte{byte(iter)}
-			}
-			out := c.Bcast(root, in)
-			if len(out) != 1 || out[0] != byte(iter) {
-				t.Errorf("iter %d: got %v", iter, out)
-				return
-			}
-		}
-	})
-}
-
-func TestGatherScatter(t *testing.T) {
-	const p = 5
-	Run(p, func(c *Comm) {
-		got := c.Gather(2, []byte{byte(c.Rank())})
-		if c.Rank() == 2 {
-			for r := 0; r < p; r++ {
-				if len(got[r]) != 1 || got[r][0] != byte(r) {
-					t.Errorf("gather slot %d = %v", r, got[r])
-				}
-			}
-		} else if got != nil {
-			t.Errorf("non-root gather should return nil")
 		}
 	})
 }

@@ -13,8 +13,8 @@ func lessInt64(a, b int64) bool { return a < b }
 
 // gatherAll collects every rank's chunk in rank order (rank 0 only).
 func gatherAll(c *mpi.Comm, chunk []int64) []int64 {
-	parts := c.Gather(0, mpi.Int64sToBytes(chunk))
-	if parts == nil {
+	parts := c.AllGather(mpi.Int64sToBytes(chunk))
+	if c.Rank() != 0 {
 		return nil
 	}
 	var out []int64

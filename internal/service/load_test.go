@@ -221,8 +221,11 @@ func TestDeadlineFreesWorker(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
+	// Order 8: the far field's work per box grows with the order and the
+	// request body does not, so a warm Apply clears the bound's deadline,
+	// longest task and round trips with room under load.
 	pts, den := testPoints(10000, 12)
-	opts := SolverOptions{Kernel: "laplace", Order: 6, PointsPerBox: 50, Workers: 1}
+	opts := SolverOptions{Kernel: "laplace", Order: 8, PointsPerBox: 50, Workers: 1}
 	var plan PlanResponse
 	if code, raw := postJSON(t, ts.Client(), ts.URL+"/v1/plan", PlanRequest{Points: pts, Options: opts}, &plan); code != http.StatusOK {
 		t.Fatalf("plan: %d %s", code, raw)

@@ -49,7 +49,7 @@ func BenchmarkShardedApply(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d/unsharded", workers), func(b *testing.B) {
 			// The root package's single-engine Apply: one engine from the
 			// plan's free list over the whole tree.
-			pool := spec.NewPool(tr, kifmm.NewLayout(tr, ops, false), 0)
+			pool := spec.NewPool(tr, 0)
 			run(b, func() error {
 				eng := pool.Get()
 				eng.SetDensitiesMasked(den, 0)

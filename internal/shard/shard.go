@@ -48,12 +48,11 @@ type Config struct {
 	Spec kifmm.EngineSpec
 }
 
-// rankState is one rank's setup: its LET, the streaming layout built over
-// it, the free list of its engines and the mapping from its owned points
-// back to the caller's input order.
+// rankState is one rank's setup: its LET, the free list of its engines
+// (which holds the streaming layout built over the LET) and the mapping from
+// its owned points back to the caller's input order.
 type rankState struct {
 	dt      *dtree.DistTree
-	layout  *kifmm.Layout
 	engines *kifmm.EnginePool
 	// ownedNodes are the LET node indices of the owned leaves, aligned with
 	// dt.Leaves.
@@ -124,10 +123,7 @@ func BuildPlan(tree *octree.Tree, cfg Config) (*Plan, error) {
 	rankSpec := cfg.Spec
 	rankSpec.Workers = cfg.Spec.Workers / R
 	for r := 0; r < R; r++ {
-		// Mirror-free layouts: only the simulated device reads the X32
-		// mirrors, and no shard rank runs on it.
-		rs := &rankState{dt: dts[r], layout: kifmm.NewLayout(dts[r].Tree, ops, false)}
-		rs.engines = rankSpec.NewPool(rs.dt.Tree, rs.layout, 0)
+		rs := &rankState{dt: dts[r], engines: rankSpec.NewPool(dts[r].Tree, 0)}
 		rs.engines.Compile(true) // a rank runs its graphs around the exchange
 		lo, hi := bounds[r][0], bounds[r][1]
 		for gi := lo; gi < hi; gi++ {
@@ -198,14 +194,13 @@ func partitionLeaves(w []int64, R int) [][2]int {
 // Ranks returns the shard count R.
 func (p *Plan) Ranks() int { return p.cfg.Ranks }
 
-// MemoryBytes estimates the plan's resident size across all ranks: LET
-// points and interaction lists, one engine's per-node and per-point state,
-// the streaming layout and the compiled task graphs, mirroring the
-// single-engine estimate.
+// MemoryBytes estimates the plan's resident size across all ranks: the sum
+// of the ranks' engine pools' estimates (EnginePool.MemoryBytes), each over
+// its LET.
 func (p *Plan) MemoryBytes() int64 {
 	var totalBytes int64
 	for _, rs := range p.ranks {
-		totalBytes += kifmm.ResidentBytes(rs.dt.Tree, p.cfg.Spec.Ops, rs.layout) + rs.engines.GraphBytes()
+		totalBytes += rs.engines.MemoryBytes()
 	}
 	return totalBytes
 }

@@ -244,23 +244,27 @@ func TestShardedTrafficRecorded(t *testing.T) {
 	Metrics.Reset()
 }
 
-// TestMemoryBytesTracksLayouts: the plan-cache estimate must count what the
-// rank layouts actually carry. Plan layouts are mirror-free, so swapping in
-// mirror-carrying ones must raise the estimate by exactly the mirrors'
-// 12 bytes per LET point.
+// TestMemoryBytesTracksLayouts: the plan-cache estimate counts what the
+// ranks' engine pools carry, each over its LET with the mirror-free layout
+// the pool builds itself: it is the sum of the pools' estimates, and each of
+// those equals a fresh pool's over the same LET.
 func TestMemoryBytesTracksLayouts(t *testing.T) {
 	tr, ops, _ := buildCase(t, kernel.Laplace{}, geom.Uniform, 1500, 30, 4)
-	p, err := BuildPlan(tr, Config{Ranks: 2, Spec: kifmm.EngineSpec{Ops: ops}})
+	spec := kifmm.EngineSpec{Ops: ops}
+	p, err := BuildPlan(tr, Config{Ranks: 2, Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare := p.MemoryBytes()
-	var mirrors int64
-	for _, rs := range p.ranks {
-		rs.layout = kifmm.NewLayout(rs.dt.Tree, ops, true)
-		mirrors += 12 * int64(len(rs.dt.Tree.Points))
+	var sum int64
+	for r, rs := range p.ranks {
+		fresh := spec.NewPool(rs.dt.Tree, 0)
+		fresh.Compile(true)
+		if got, want := rs.engines.MemoryBytes(), fresh.MemoryBytes(); got != want {
+			t.Errorf("rank %d: pool estimate %d bytes, a fresh pool over its LET %d", r, got, want)
+		}
+		sum += rs.engines.MemoryBytes()
 	}
-	if got := p.MemoryBytes() - bare; got != mirrors {
-		t.Fatalf("mirror-carrying layouts moved the estimate by %d bytes, want %d", got, mirrors)
+	if got := p.MemoryBytes(); got != sum {
+		t.Fatalf("sharded estimate %d bytes, want the ranks' pools' %d", got, sum)
 	}
 }

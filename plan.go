@@ -26,17 +26,14 @@ type Plan struct {
 	// tree is the single-engine plan's octree; a sharded plan drops it once
 	// its ranks hold their local essential trees.
 	tree *octree.Tree
-	// layout is the plan-time streaming translation of the tree (SoA point
-	// panels, per-level surface offsets), built once and shared read-only
-	// by every engine this plan checks out.
-	layout *ikifmm.Layout
-	n      int
+	n    int
 	// nTrg > 0 marks an asymmetric plan (PlanAt): the tree holds the union
 	// with targets first, Apply takes densities for the n sources and
 	// returns potentials for the nTrg targets.
 	nTrg int
 	// engines is the free list of the single-engine plan; it holds the
-	// plan's compiled task graph, which every engine runs.
+	// plan's streaming layout and compiled task graph, which every engine
+	// shares.
 	engines *ikifmm.EnginePool
 	// shard, when non-nil, makes Apply run the coordinated multi-rank
 	// evaluation over Options.Shards local essential trees instead of the
@@ -100,7 +97,7 @@ func (f *FMM) PlanAt(ctx context.Context, targets, sources []Point) (*Plan, erro
 		return nil, err
 	}
 	// Eagerly, so the first Apply pays no lazy operator builds.
-	f.spec.Prewarm(tree)
+	f.spec.Ops.PrewarmLevels(tree, max(1, f.spec.Workers))
 	if err := cancelled(ctx); err != nil {
 		return nil, err
 	}
@@ -116,12 +113,9 @@ func (f *FMM) PlanAt(ctx context.Context, targets, sources []Point) (*Plan, erro
 		}
 		return &Plan{f: f, n: len(points), shard: sp}, nil
 	}
-	// Mirror-free layout: only the simulated device reads the float32
-	// coordinate mirrors.
-	layout := ikifmm.NewLayout(tree, f.spec.Ops, false)
-	engines := f.spec.NewPool(tree, layout, nTrg)
+	engines := f.spec.NewPool(tree, nTrg)
 	engines.Compile(false) // and with it the spectra the first Apply reads
-	return &Plan{f: f, tree: tree, layout: layout, n: len(sources), nTrg: nTrg, engines: engines}, nil
+	return &Plan{f: f, tree: tree, n: len(sources), nTrg: nTrg, engines: engines}, nil
 }
 
 // ApplyStats is one Apply's record, returned by ApplyWithStats, ApplyTraced
@@ -197,7 +191,7 @@ func (p *Plan) MemoryBytes() int64 {
 		// array (24 B a point) the ranks' owned leaves alias.
 		return p.shard.MemoryBytes() + 24*int64(p.n)
 	}
-	return ikifmm.ResidentBytes(p.tree, p.f.spec.Ops, p.layout) + p.engines.GraphBytes()
+	return p.engines.MemoryBytes()
 }
 
 // Apply evaluates the potentials for one density vector on the prebuilt
