@@ -59,7 +59,10 @@ portable:
 # clamp, ancestors, child/parent, neighbours, the wire record) on arbitrary
 # points; the fused Jacobi SVD ≡ the reference loop, bit for bit, on small
 # matrices; a session driven by arbitrary deltas refuses exactly the malformed
-# ones, unchanged, and otherwise ≡ a fresh plan of its points, bit for bit.
+# ones, unchanged, and otherwise ≡ a fresh plan of its points, bit for bit;
+# the octree's Build, BuildLists, Assemble and Index ≡ the comparison-sort,
+# map-indexed builders they replaced, element for element, on small clouds
+# with coincident points and points on the cube's faces, at any q and depth.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEvalPanel -fuzztime=10s ./internal/kernel
 	$(GO) test -run='^$$' -fuzz=FuzzEvalPair -fuzztime=10s ./internal/kernel
@@ -71,6 +74,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMortonKey -fuzztime=10s ./internal/morton
 	$(GO) test -run='^$$' -fuzz=FuzzComputeSVD -fuzztime=10s ./internal/linalg
 	$(GO) test -run='^$$' -fuzz=FuzzSessionStep -fuzztime=10s .
+	$(GO) test -run='^$$' -fuzz=FuzzOctreeBuild -fuzztime=10s ./internal/octree
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -107,11 +111,15 @@ bench-vlist:
 # matrices the workloads invert (BenchmarkComputeSVD, n = 152 and 294), then
 # one operator build per kernel at NewOperators' fan-out
 # (BenchmarkNewOperators: laplace/6, stokes/5, one yukawa/6 level), then
-# one plan's graph compile on the far_uniform tree (BenchmarkCompile).
+# one plan's graph compile on the far_uniform tree (BenchmarkCompile), then
+# the point-dependent plan build stage by stage — octree build, interaction
+# lists, compile — on the far_uniform and near_uniform shapes
+# (BenchmarkPlanBuild/<shape>/{build,lists,compile}).
 bench-setup:
 	$(GO) test ./internal/linalg/ -run='^$$' -bench=BenchmarkComputeSVD
 	$(GO) test ./internal/kifmm/ -run='^$$' -bench=BenchmarkNewOperators
 	$(GO) test ./internal/kifmm/ -run='^$$' -bench=BenchmarkCompile -benchmem
+	$(GO) test . -run='^$$' -bench='^BenchmarkPlanBuild$$' -benchmem
 
 # Compile-and-run every benchmark exactly once: catches bitrot in benchmark
 # code without paying for real measurement (the -run pattern matches no

@@ -249,23 +249,48 @@ func BenchmarkApply(b *testing.B) {
 	}
 }
 
-func BenchmarkOctreeBuild_50k(b *testing.B) {
-	pts := geom.Generate(geom.Ellipsoid, 50000, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr := octree.Build(pts, 50, 24)
-		if len(tr.Leaves) == 0 {
-			b.Fatal("empty tree")
-		}
-	}
-}
+// planBuildTree keeps BenchmarkPlanBuild's trees live.
+var planBuildTree *octree.Tree
 
-func BenchmarkInteractionLists_20k(b *testing.B) {
-	pts := geom.Generate(geom.Ellipsoid, 20000, 1)
-	tr := octree.Build(pts, 30, 24)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.BuildLists(nil)
+// BenchmarkPlanBuild times the three plan-build stages that depend on the
+// points — the octree, its interaction lists and the compiled task graph —
+// on the benchmark's far_uniform shape (100k uniform points, q = 50,
+// Laplace at order 6, 2 workers) and near_uniform shape (the same cloud,
+// q = 400, 1 worker). Every plan-cache miss and every session step pays
+// them. The compile row builds each pool outside the timer (its layout is
+// not the compile's), after one compile has resolved the translation
+// spectra. `make bench-setup` runs it with -benchmem.
+func BenchmarkPlanBuild(b *testing.B) {
+	pts := geom.Generate(geom.Uniform, 100000, 1)
+	ops := ikifmm.NewOperators(ikern.Laplace{}, 6, 1e-9)
+	for _, shape := range []struct {
+		name       string
+		q, workers int
+	}{{"far_uniform", 50, 2}, {"near_uniform", 400, 1}} {
+		b.Run(shape.name+"/build", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				planBuildTree = octree.Build(pts, shape.q, 24)
+			}
+		})
+		tr := octree.Build(pts, shape.q, 24)
+		b.Run(shape.name+"/lists", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tr.BuildLists(nil)
+			}
+		})
+		spec := ikifmm.EngineSpec{Ops: ops, Workers: shape.workers}
+		spec.NewPool(tr, 0).Compile(false)
+		b.Run(shape.name+"/compile", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				pool := spec.NewPool(tr, 0)
+				b.StartTimer()
+				pool.Compile(false)
+			}
+		})
 	}
 }
 

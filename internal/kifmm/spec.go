@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"unsafe"
 
 	"kifmm/internal/kernel"
 	"kifmm/internal/octree"
@@ -135,8 +136,10 @@ func (p *EnginePool) Compile(exchange bool) {
 }
 
 // MemoryBytes estimates what the pool keeps resident for one evaluation:
-// the tree's nodes, points and interaction lists, one engine's per-node and
-// per-point state, the layout, the masks and the compiled graphs. It is the
+// the tree's nodes (at their size in memory), points and interaction lists
+// (4 B an entry, exact: BuildLists gives each list an exact-length window),
+// one engine's per-node and per-point state, the layout, the masks and the
+// compiled graphs. It is the
 // MemoryBytes of the single-engine plan and of each rank of a sharded plan,
 // which the serving layer's byte-budgeted plan cache accounts by.
 func (p *EnginePool) MemoryBytes() int64 {
@@ -147,10 +150,9 @@ func (p *EnginePool) MemoryBytes() int64 {
 	}
 	ops := p.spec.Ops
 	nodes, pts := int64(len(p.tree.Nodes)), int64(len(p.tree.Points))
-	const nodeStruct = 120 // Node fixed fields, approximate
 	engine := nodes*int64(2*ops.UpwardLen()+ops.CheckLen())*8 +
 		pts*int64(ops.Kern.SrcDim()+ops.Kern.TrgDim())*8
-	return nodes*nodeStruct + lists + pts*(24+8) + engine + p.layout.MemoryBytes() +
+	return nodes*int64(unsafe.Sizeof(octree.Node{})) + lists + pts*(24+8) + engine + p.layout.MemoryBytes() +
 		int64(len(p.src)+len(p.trg)) + p.graphs.memoryBytes()
 }
 

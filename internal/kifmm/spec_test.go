@@ -106,12 +106,13 @@ func TestRunSelectsDriver(t *testing.T) {
 }
 
 // TestPoolMemoryBytes pins EnginePool.MemoryBytes, the one byte formula
-// behind Plan.MemoryBytes, single-engine and per shard rank: 120 B a node,
-// 4 B a list entry, 32 B a point, one engine's per-node surface vectors and
-// per-point densities and potentials, the mirror-free layout (24 B a point,
-// 25 B a node), the masks and the compiled graphs. That is the estimate the
-// layout's per-node half-sides (8 B a node), which nothing read, used to
-// take part in, less those 8 B a node.
+// behind Plan.MemoryBytes, single-engine and per shard rank: 160 B a node
+// (an octree.Node on a 64-bit platform), 4 B a list entry, 32 B a point,
+// one engine's per-node surface vectors and per-point densities and
+// potentials, the mirror-free layout (24 B a point, 25 B a node), the masks
+// and the compiled graphs. That is the estimate the layout's per-node
+// half-sides (8 B a node), which nothing read, used to take part in, less
+// those 8 B a node.
 func TestPoolMemoryBytes(t *testing.T) {
 	tr := octree.Build(geom.Generate(geom.Ellipsoid, 3000, 7), 25, 20)
 	tr.BuildLists(nil)
@@ -125,7 +126,7 @@ func TestPoolMemoryBytes(t *testing.T) {
 			lists += 4 * int64(len(n.U)+len(n.V)+len(n.W)+len(n.X))
 		}
 		nodes, pts := int64(len(tr.Nodes)), int64(len(tr.Points))
-		withHalf := nodes*120 + lists + pts*32 +
+		withHalf := nodes*160 + lists + pts*32 +
 			nodes*int64(2*ops.UpwardLen()+ops.CheckLen())*8 + pts*2*8 +
 			pts*24 + nodes*(4*8+1) +
 			int64(len(pool.src)+len(pool.trg)) + pool.graphs.memoryBytes()

@@ -9,8 +9,9 @@ import (
 // FuzzMortonKey checks the key algebra on the octant FromPoint picks for an
 // arbitrary point and level: the key is valid and holds its point, every
 // ancestor contains it, child and parent round-trip, FromPoint one level
-// down picks a child of k, every same-level neighbour is adjacent to k, and
-// the wire record round-trips. A
+// down picks a child of k, every same-level neighbour is adjacent to k,
+// PointCode is the code of FromPoint's finest cell, and the wire record
+// round-trips. A
 // coordinate outside [0, 1) lands where its clamp does. The seeds are
 // key_test.go's tables; testdata/fuzz holds the non-finite and out-of-cube
 // edges. `make fuzz` runs it for 10 s.
@@ -61,6 +62,9 @@ func FuzzMortonKey(f *testing.F) {
 			if !k.Adjacent(n) {
 				t.Fatalf("neighbour %v not adjacent to %v", n, k)
 			}
+		}
+		if got, want := PointCode(x, y, z), CodeOf(FromPoint(x, y, z, MaxDepth)); got != want {
+			t.Fatalf("PointCode(%v, %v, %v) = %v, want %v", x, y, z, got, want)
 		}
 		if got, rest := DecodeKey(k.AppendBinary(nil)); got != k || len(rest) != 0 {
 			t.Fatalf("wire round trip of %v: %v with %d bytes left", k, got, len(rest))

@@ -44,21 +44,19 @@ func (k Key) ContainsPoint(x, y, z float64) bool {
 // closed boxes intersect while their open interiors are disjoint. Nested or
 // identical octants are not adjacent under this definition.
 func (k Key) Adjacent(b Key) bool {
-	ks, bs := int64(k.SideUnits()), int64(b.SideUnits())
-	kl := [3]int64{int64(k.X), int64(k.Y), int64(k.Z)}
-	bl := [3]int64{int64(b.X), int64(b.Y), int64(b.Z)}
-	closed, open := true, true
-	for d := 0; d < 3; d++ {
-		kh, bh := kl[d]+ks, bl[d]+bs
-		if kl[d] > bh || bl[d] > kh {
-			closed = false
-			break
-		}
-		if kl[d] >= bh || bl[d] >= kh {
-			open = false
-		}
-	}
-	return closed && !open
+	ks, bs := k.SideUnits(), b.SideUnits()
+	cx, ox := spans(k.X, ks, b.X, bs)
+	cy, oy := spans(k.Y, ks, b.Y, bs)
+	cz, oz := spans(k.Z, ks, b.Z, bs)
+	return cx && cy && cz && !(ox && oy && oz)
+}
+
+// spans reports whether the intervals [a, a+as] and [b, b+bs] of one axis
+// meet as closed intervals and as open ones. Anchors are below MaxCoord and
+// sides at most MaxCoord, so no end overflows uint32.
+func spans(a, as, b, bs uint32) (closed, open bool) {
+	ah, bh := a+as, b+bs
+	return a <= bh && b <= ah, a < bh && b < ah
 }
 
 // NeighborsSameLevel returns the same-level octants sharing a face, edge or
@@ -94,43 +92,37 @@ type Code struct {
 	Hi, Lo uint64
 }
 
-// spread5 maps 5 bits abcde to the 15-bit pattern a00b00c00d00e00 >> 2
-// (i.e., bits placed every 3 positions starting at bit 0).
-var spread5 [32]uint64
+// spread10 maps 10 bits to 30 with the bits placed every 3 positions
+// starting at bit 0.
+var spread10 [1 << 10]uint64
 
 func init() {
-	for v := 0; v < 32; v++ {
+	for v := range spread10 {
 		var r uint64
-		for b := 0; b < 5; b++ {
+		for b := 0; b < 10; b++ {
 			if v&(1<<b) != 0 {
 				r |= 1 << (3 * b)
 			}
 		}
-		spread5[v] = r
+		spread10[v] = r
 	}
 }
 
 // interleave30 interleaves the low 30 bits of x, y, z into a 90-bit code
-// with x in the most significant slot of each triple.
+// with x in the most significant slot of each triple: 10 bits of each
+// coordinate at a time, bits [30c, 30c+30) of the code from chunk c.
 func interleave30(x, y, z uint32) Code {
-	var hi, lo uint64
-	// Process in 5-bit chunks: chunks 0..5 cover bits 0..29 of each coord.
-	// Chunk c contributes bits [15c, 15c+15) of the 90-bit result.
-	for c := 0; c < 6; c++ {
-		shift := uint(5 * c)
-		part := spread5[(z>>shift)&31] | spread5[(y>>shift)&31]<<1 | spread5[(x>>shift)&31]<<2
-		bitpos := uint(15 * c)
-		if bitpos < 64 {
-			lo |= part << bitpos
-			if bitpos+15 > 64 {
-				hi |= part >> (64 - bitpos)
-			}
-		} else {
-			hi |= part << (bitpos - 64)
-		}
+	var part [3]uint64
+	for c := range part {
+		s := 10 * c
+		part[c] = spread10[z>>s&1023] | spread10[y>>s&1023]<<1 | spread10[x>>s&1023]<<2
 	}
-	return Code{Hi: hi, Lo: lo}
+	return Code{Hi: part[2] >> 4, Lo: part[0] | part[1]<<30 | part[2]<<60}
 }
+
+// PointCode returns the code of the finest-level cell holding the point
+// (x, y, z): CodeOf(FromPoint(x, y, z, MaxDepth)) without the key.
+func PointCode(x, y, z float64) Code { return interleave30(toUnits(x), toUnits(y), toUnits(z)) }
 
 // CodeOf returns the code of k's first finest-level descendant.
 func CodeOf(k Key) Code { return interleave30(k.X, k.Y, k.Z) }

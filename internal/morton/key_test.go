@@ -200,6 +200,59 @@ func TestAdjacentSymmetric(t *testing.T) {
 	}
 }
 
+// adjacentIntervals is the per-axis interval form of Adjacent, in int64
+// arrays: closed boxes meet, open interiors do not.
+func adjacentIntervals(k, b Key) bool {
+	ks, bs := int64(k.SideUnits()), int64(b.SideUnits())
+	kl := [3]int64{int64(k.X), int64(k.Y), int64(k.Z)}
+	bl := [3]int64{int64(b.X), int64(b.Y), int64(b.Z)}
+	closed, open := true, true
+	for d := 0; d < 3; d++ {
+		kh, bh := kl[d]+ks, bl[d]+bs
+		if kl[d] > bh || bl[d] > kh {
+			closed = false
+		}
+		if kl[d] >= bh || bl[d] >= kh {
+			open = false
+		}
+	}
+	return closed && !open
+}
+
+// TestAdjacentMatchesIntervals checks Adjacent against the interval form
+// on keys that lie near each other, from the root's level down to the
+// finest: a key, its same-level neighbours one and two sides away, and a
+// random ancestor or descendant of each.
+func TestAdjacentMatchesIntervals(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 4000; trial++ {
+		k := randKey(rng, MaxDepth)
+		if trial%4 == 0 { // at the finest levels too
+			k = k.FirstDescendant(max(k.Level(), MaxDepth-rng.Intn(3)))
+		}
+		same := append(k.NeighborsSameLevel(), k)
+		for _, n := range k.NeighborsSameLevel() {
+			same = append(same, n.NeighborsSameLevel()...)
+		}
+		for _, n := range same {
+			// A relative of n: an ancestor or a descendant.
+			m := n
+			if l := rng.Intn(MaxDepth + 1); l <= n.Level() {
+				m = n.AncestorAt(l)
+			} else {
+				for m.Level() < l {
+					m = m.Child(rng.Intn(8))
+				}
+			}
+			for _, p := range [][2]Key{{k, n}, {k, m}, {m, k}, {n, m}} {
+				if got, want := p[0].Adjacent(p[1]), adjacentIntervals(p[0], p[1]); got != want {
+					t.Fatalf("%v.Adjacent(%v) = %v, want %v", p[0], p[1], got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestCodeRangeNesting(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 200; trial++ {

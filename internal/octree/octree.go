@@ -13,7 +13,7 @@ package octree
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"kifmm/internal/geom"
 	"kifmm/internal/morton"
@@ -56,8 +56,6 @@ type Tree struct {
 	// Perm maps Points index to the caller's original point index
 	// (identity-style bookkeeping for Build; nil for Assemble trees).
 	Perm []int
-
-	index map[morton.Key]int32
 }
 
 // OctantSpec describes one explicit octant for Assemble.
@@ -74,6 +72,12 @@ type OctantSpec struct {
 // analogue of the paper's tree construction. With q = 0 every nonempty
 // octant is refined to maxDepth: the uniform-depth tree of the paper's GPU
 // experiments, whose leaves share one level and whose W/X lists are empty.
+//
+// Points and Perm list the points in Morton order of their finest-level
+// cells; points in one cell (coincident points, for one) keep their input
+// order, so ties are broken by original index. The order comes from one
+// radix sort of the points' 90-bit codes and indices (sortCodes), and each
+// octant's children split its point range where their codes say.
 func Build(pts []geom.Point, q, maxDepth int) *Tree {
 	if q < 0 {
 		panic("octree: q must be >= 0")
@@ -81,64 +85,76 @@ func Build(pts []geom.Point, q, maxDepth int) *Tree {
 	if maxDepth < 0 || maxDepth > morton.MaxDepth {
 		panic("octree: invalid maxDepth")
 	}
-	type pk struct {
-		key morton.Key
-		idx int
-	}
-	pks := make([]pk, len(pts))
-	for i, p := range pts {
-		pks[i] = pk{morton.FromPoint(p.X, p.Y, p.Z, morton.MaxDepth), i}
-	}
-	sort.Slice(pks, func(i, j int) bool { return morton.Compare(pks[i].key, pks[j].key) < 0 })
-
+	codes := sortCodes(pts)
 	t := &Tree{
 		Points: make([]geom.Point, len(pts)),
 		Perm:   make([]int, len(pts)),
-		index:  make(map[morton.Key]int32),
 	}
-	for i, e := range pks {
-		t.Points[i] = pts[e.idx]
-		t.Perm[i] = e.idx
+	for i, c := range codes {
+		t.Points[i] = pts[c.index()]
+		t.Perm[i] = c.index()
 	}
-
-	// Recursive subdivision over the sorted range.
-	var subdivide func(key morton.Key, lo, hi int, parent int32)
-	subdivide = func(key morton.Key, lo, hi int, parent int32) {
-		idx := t.addNode(key, parent)
-		n := &t.Nodes[idx]
-		if hi-lo <= q || key.Level() >= maxDepth {
-			n.IsLeaf = true
-			n.PtLo, n.PtHi = int32(lo), int32(hi)
-			return
-		}
-		// Partition [lo, hi) among the eight children; point keys are
-		// sorted so each child is a contiguous subrange.
-		cur := lo
-		for c := 0; c < 8; c++ {
-			child := key.Child(c)
-			end := cur
-			if c == 7 {
-				end = hi
-			} else {
-				boundary := child.LastDescendant(morton.MaxDepth)
-				end = cur + sort.Search(hi-cur, func(i int) bool {
-					return morton.Compare(pks[cur+i].key, boundary) > 0
-				})
-			}
-			if end > cur {
-				subdivide(child, cur, end, idx)
-			}
-			cur = end
-		}
-	}
-	if len(pts) > 0 {
-		subdivide(morton.Root(), 0, len(pts), NoNode)
-	} else {
-		root := t.addNode(morton.Root(), NoNode)
-		t.Nodes[root].IsLeaf = true
-	}
+	s := splitter{codes: codes, q: q, maxDepth: maxDepth}
+	t.Nodes = make([]Node, 0, s.count(0, 0, len(codes)))
+	s.build(t, morton.Root(), 0, len(codes), NoNode) // no points: a root leaf
 	t.finish()
 	return t
+}
+
+// splitter subdivides Build's sorted codes: an octant over the range
+// [lo, hi) is a leaf if it holds at most q points or sits at maxDepth, and
+// otherwise each child's points are the run of codes with its octant digit.
+type splitter struct {
+	codes       []pointCode
+	q, maxDepth int
+}
+
+func (s *splitter) leaf(level, lo, hi int) bool { return hi-lo <= s.q || level >= s.maxDepth }
+
+// childEnd returns the end of the run of codes in [lo, hi) that share
+// codes[lo]'s child octant below level.
+func (s *splitter) childEnd(level, lo, hi int) int {
+	c := s.codes[lo].octant(level)
+	for lo++; lo < hi; {
+		m := int(uint(lo+hi) >> 1)
+		if s.codes[m].octant(level) <= c {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// count returns the number of octants build makes of the range, so the
+// nodes are allocated once.
+func (s *splitter) count(level, lo, hi int) int {
+	n := 1
+	if s.leaf(level, lo, hi) {
+		return n
+	}
+	for cur := lo; cur < hi; {
+		end := s.childEnd(level, cur, hi)
+		n += s.count(level+1, cur, end)
+		cur = end
+	}
+	return n
+}
+
+// build appends the octant key over [lo, hi) and its subtree in preorder.
+func (s *splitter) build(t *Tree, key morton.Key, lo, hi int, parent int32) {
+	idx := t.addNode(key, parent)
+	if s.leaf(key.Level(), lo, hi) {
+		n := &t.Nodes[idx]
+		n.IsLeaf = true
+		n.PtLo, n.PtHi = int32(lo), int32(hi)
+		return
+	}
+	for cur := lo; cur < hi; {
+		end := s.childEnd(key.Level(), cur, hi)
+		s.build(t, key.Child(s.codes[cur].octant(key.Level())), cur, end, idx)
+		cur = end
+	}
 }
 
 // Assemble constructs a tree from explicit octant specifications: all
@@ -147,65 +163,59 @@ func Build(pts []geom.Point, q, maxDepth int) *Tree {
 // must be distinct and leaf octants must not overlap other specified
 // octants' leaf regions. This is the constructor used by the distributed
 // tree construction and the local essential trees.
+//
+// The specs are taken in Morton order. Each one's ancestors are either on
+// the path from the root to the octant made last or new, and the new ones
+// are due right before it, so that path is all the index a parent lookup
+// needs.
 func Assemble(specs []OctantSpec) *Tree {
-	seen := make(map[morton.Key]int, len(specs))
-	for i, s := range specs {
-		if _, dup := seen[s.Key]; dup {
-			panic(fmt.Sprintf("octree: duplicate octant %v in Assemble", s.Key))
+	order := make([]int32, len(specs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return morton.Compare(specs[a].Key, specs[b].Key) })
+	nPts := 0
+	for i, si := range order {
+		if i > 0 && specs[si].Key == specs[order[i-1]].Key {
+			panic(fmt.Sprintf("octree: duplicate octant %v in Assemble", specs[si].Key))
 		}
-		seen[s.Key] = i
+		nPts += len(specs[si].Points)
 	}
-	// Gather all keys: specs plus ancestors.
-	keys := make([]morton.Key, 0, 2*len(specs))
-	anc := make(map[morton.Key]bool)
-	for _, s := range specs {
-		keys = append(keys, s.Key)
-		k := s.Key
-		for k.Level() > 0 {
-			k = k.Parent()
-			if anc[k] {
-				break
-			}
-			anc[k] = true
-		}
-	}
-	for k := range anc {
-		if _, isSpec := seen[k]; !isSpec {
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) == 0 {
-		keys = append(keys, morton.Root())
-	}
-	morton.SortKeys(keys)
-	keys = morton.Dedup(keys)
 
-	t := &Tree{index: make(map[morton.Key]int32, len(keys))}
-	for _, k := range keys {
-		parent := NoNode
-		if k.Level() > 0 {
-			pi, ok := t.index[k.Parent()]
-			if !ok {
-				panic(fmt.Sprintf("octree: missing ancestor of %v", k))
-			}
-			parent = pi
-		}
-		idx := t.addNode(k, parent)
-		if si, ok := seen[k]; ok {
-			s := specs[si]
-			t.Nodes[idx].IsLeaf = s.IsLeaf
-			t.Nodes[idx].Local = s.Local
-		}
+	t := &Tree{Nodes: make([]Node, 0, len(specs)+1)}
+	if nPts > 0 {
+		t.Points = make([]geom.Point, 0, nPts)
 	}
-	// Attach points in node (Morton) order so each leaf's range is
-	// contiguous.
-	for i := range t.Nodes {
-		n := &t.Nodes[i]
-		if si, ok := seen[n.Key]; ok && len(specs[si].Points) > 0 {
+	// path[l] is the level-l octant on the path to the octant made last;
+	// path[:depth] is that path.
+	var path [morton.MaxDepth + 1]int32
+	depth := 0
+	for _, si := range order {
+		s := &specs[si]
+		l := s.Key.Level()
+		// Keep the part of the path that holds s's ancestors, then make the
+		// missing ones and s itself.
+		depth = min(depth, l)
+		for depth > 0 && t.Nodes[path[depth-1]].Key != s.Key.AncestorAt(depth-1) {
+			depth--
+		}
+		for ; depth <= l; depth++ {
+			parent := NoNode
+			if depth > 0 {
+				parent = path[depth-1]
+			}
+			path[depth] = t.addNode(s.Key.AncestorAt(depth), parent)
+		}
+		n := &t.Nodes[path[l]]
+		n.IsLeaf, n.Local = s.IsLeaf, s.Local
+		if len(s.Points) > 0 {
 			n.PtLo = int32(len(t.Points))
-			t.Points = append(t.Points, specs[si].Points...)
+			t.Points = append(t.Points, s.Points...)
 			n.PtHi = int32(len(t.Points))
 		}
+	}
+	if len(t.Nodes) == 0 {
+		t.addNode(morton.Root(), NoNode)
 	}
 	t.finish()
 	return t
@@ -219,7 +229,6 @@ func (t *Tree) addNode(key morton.Key, parent int32) int32 {
 		n.Children[i] = NoNode
 	}
 	t.Nodes = append(t.Nodes, n)
-	t.index[key] = idx
 	if parent != NoNode {
 		t.Nodes[parent].Children[key.ChildIndex()] = idx
 	}
@@ -228,7 +237,13 @@ func (t *Tree) addNode(key morton.Key, parent int32) int32 {
 
 // finish populates the leaf list.
 func (t *Tree) finish() {
-	t.Leaves = t.Leaves[:0]
+	n := 0
+	for i := range t.Nodes {
+		if t.Nodes[i].IsLeaf {
+			n++
+		}
+	}
+	t.Leaves = make([]int32, 0, n)
 	for i := range t.Nodes {
 		if t.Nodes[i].IsLeaf {
 			t.Leaves = append(t.Leaves, int32(i))
@@ -236,10 +251,22 @@ func (t *Tree) finish() {
 	}
 }
 
-// Index returns the node index of key.
+// Index returns the node index of key: a binary search, since Nodes are in
+// Morton preorder, the order morton.Compare sorts keys in.
 func (t *Tree) Index(key morton.Key) (int32, bool) {
-	i, ok := t.index[key]
-	return i, ok
+	lo, hi := 0, len(t.Nodes)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if morton.Compare(t.Nodes[m].Key, key) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(t.Nodes) && t.Nodes[lo].Key == key {
+		return int32(lo), true
+	}
+	return 0, false
 }
 
 // Root returns the root node index (always 0).

@@ -26,8 +26,8 @@ type trajectory struct {
 
 // trajClaim says that on a workload a PR's change side has a median of
 // metric (lower is better) at most bound times the parent side's, pooled over
-// every run of both, and that the change was faster in at least minWins
-// pairs; ratio is the median ratio the PR reported.
+// every run of both, and that the change read lower on metric in at least
+// minWins pairs; ratio is the median ratio the PR reported.
 type trajClaim struct {
 	PR       int     `json:"pr"`
 	Workload string  `json:"workload"`
@@ -138,7 +138,12 @@ func TestBenchTrajectory(t *testing.T) {
 			if r.PR == c.PR && r.Workload == c.Workload {
 				pooled[r.Side] = append(pooled[r.Side], r.Runs[c.Metric]...)
 				if r.Side == "change" {
-					wins += r.Wins
+					o := bySide[key(r, "parent")]
+					for k, v := range r.Runs[c.Metric] {
+						if v < o.Runs[c.Metric][k] {
+							wins++
+						}
+					}
 				}
 			}
 		}
