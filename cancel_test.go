@@ -53,8 +53,9 @@ func wantCancelled(t *testing.T, what string, err, ctxErr error, want ...string)
 // through the kifmm: and task-graph evaluation: wrappers, whether the
 // context was done before the call or its deadline fires mid-Apply, and the
 // plan's next Apply equals a fresh plan's, bit for bit — at Workers 1 and 2,
-// for a symmetric plan and a PlanAt plan. A sharded Apply checks its context
-// on entry.
+// for a symmetric plan and a PlanAt plan. The record of the Apply whose
+// deadline fires mid-graph counts its one graph and no flops. A sharded
+// Apply checks its context on entry.
 func TestCancelledContext(t *testing.T) {
 	pts, den := randInput(6000, 1, 81)
 	trgs, _ := randInput(500, 1, 82)
@@ -106,9 +107,18 @@ func TestCancelledContext(t *testing.T) {
 			}
 			sameBits(t, name+": Apply", got, want)
 			ctx, stop := context.WithTimeout(context.Background(), time.Since(t0)/5)
-			_, err = p.ApplyContext(ctx, den)
+			_, rec, err := p.ApplyWithStats(ctx, den)
 			stop()
 			wantCancelled(t, name+": ApplyContext past its deadline", err, context.DeadlineExceeded, "kifmm: ")
+			// A graph that fails adds its tasks' time and no flops.
+			if rec.Graphs != 1 {
+				t.Fatalf("%s: the cancelled Apply's record has %d graphs, want 1", name, rec.Graphs)
+			}
+			for _, ph := range flopPhases {
+				if _, flops := rec.Phase(ph); flops != 0 {
+					t.Errorf("%s: the cancelled Apply's record has %d %s flops, want 0", name, flops, ph)
+				}
+			}
 
 			got, err = p.Apply(den)
 			if err != nil {

@@ -65,12 +65,15 @@ func (e *Engine) EvaluateDAG(trace *sched.Trace) (sched.Stats, error) {
 }
 
 // runRows runs rows [lo, hi) of the phase table as one task graph under ctx
-// and folds the graph's accounting into r.
+// and folds the graph's accounting into r, flops only if it completed.
 func (e *Engine) runRows(ctx context.Context, lo, hi int, trace *sched.Trace, r *Record) error {
 	e.ensureScratch(e.Workers)
 	e.pairRows(lo, hi)
 	stats, err := e.graph.Run(ctx, sched.Options{Workers: e.Workers, Trace: trace}, e.exec)
 	r.fold(e.scratch, stats)
+	if err == nil {
+		r.Add(Record{flops: e.flops})
+	}
 	return err
 }
 
@@ -99,6 +102,7 @@ type schedule struct {
 	vGroups [][]int32
 	vTab    []*vTable
 	vUses   []int32
+	flops   [numRows]int64 // each row's, what a completed run computes (rowFlops)
 }
 
 // taskRef is what a task runs: row kind (a phase row, or kSpec, kVGroup,
@@ -311,6 +315,7 @@ func (e *Engine) compile(lo, hi int) *schedule {
 				task[pi][i] = s.add(p.name, int32(pi), i)
 			}
 		}
+		s.flops[pi] = e.rowFlops(pi, runs)
 		for _, run := range runs {
 			for _, i := range run {
 				after(pi, i, task[pi][i])
@@ -375,7 +380,7 @@ var specHeld func(delta int)
 // groups between them.) Spectra are reference-counted: a buffer returns to
 // the engine's free list after its last consumer finishes, and the next spec
 // task reuses it, so an engine holds only as many buffers as a run holds at
-// once. The groups' translation tables are resolved here, once.
+// once. The groups' tables are resolved, and the row's flops counted, here.
 func (e *Engine) compileVFFT(s *schedule, levels [][]int32, uTask, vTask []sched.TaskID) {
 	t := e.Tree
 	nn := len(t.Nodes)
@@ -408,6 +413,7 @@ func (e *Engine) compileVFFT(s *schedule, levels [][]int32, uTask, vTask []sched
 	// gated[a] is the last group task given an edge from spec(a): siblings
 	// share most of their sources, and one edge per (source, group) is enough.
 	gated := noTasks(nn)
+	var uses int64
 	for k, grp := range s.vGroups {
 		for _, i := range grp {
 			for _, a := range t.Nodes[i].V {
@@ -415,6 +421,7 @@ func (e *Engine) compileVFFT(s *schedule, levels [][]int32, uTask, vTask []sched
 					continue
 				}
 				s.vUses[a]++
+				uses++
 				if specTask[a] != sched.NoTask {
 					continue
 				}
@@ -444,12 +451,13 @@ func (e *Engine) compileVFFT(s *schedule, levels [][]int32, uTask, vTask []sched
 			}
 		}
 	}
+	s.flops[pVLI] = uses * e.vFlops()
 }
 
 // exec runs task id of the schedule being run on worker w's scratch and adds
-// its time to its row's tally there: a row's time is task time summed across
-// workers, not phase wall time. The scheduler gives a worker index to one task
-// at a time, so e.scratch[w] is the task's alone.
+// its time to its row's entry there: a row's time is task time summed across
+// workers, not phase wall time (flops are the schedule's). The scheduler gives
+// a worker index to one task at a time, so e.scratch[w] is the task's alone.
 //
 //fmm:hotpath
 func (e *Engine) exec(w int, id sched.TaskID) {
@@ -466,7 +474,7 @@ func (e *Engine) exec(w int, id sched.TaskID) {
 	default:
 		phases[r.kind].body(e, r.i, s)
 	}
-	s.clock(int(r.kind), t0)
+	s.rows[r.kind] += int64(time.Since(t0)) //fmm:allow nodeterm task timing feeds the record only; results never read it
 }
 
 // specTask transforms source a's upward density into a spectrum buffer, one

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"kifmm/internal/diag"
 	"kifmm/internal/kernel"
@@ -41,9 +40,10 @@ import (
 // The near-field bodies run on the batched kernel.Batch panel evaluator
 // over the plan-time streaming Layout: a leaf's sources and targets are
 // contiguous SoA panels, surfaces are filled from per-level offset grids
-// into per-worker scratch, and task time and flops accumulate in the worker's
-// row table, folded into the evaluation's Record at graph end — no per-pair dynamic
-// dispatch, no per-leaf allocation, no per-task profile locking.
+// into per-worker scratch, and task time accumulates in the worker's row
+// table, folded into the evaluation's Record at graph end — no per-pair
+// dynamic dispatch, no per-leaf allocation, no per-task profile locking.
+// Flops are the schedule's, totalled once by compile (rowFlops).
 type Engine struct {
 	Ops  *Operators
 	Tree *octree.Tree
@@ -231,7 +231,7 @@ func (e *Engine) Reset() {
 
 // evalScratch is one worker's reusable evaluation state: surface coordinate
 // panels, check/equivalent temporaries, the FFT V-list accumulator, and its
-// row table of the Record. One scratch is owned by at most one worker at a
+// table of task time per row. One scratch is owned by at most one worker at a
 // time (sched.Graph.Run gives a worker index to one task at a time), so
 // the bodies run without locks and without per-octant allocation.
 type evalScratch struct {
@@ -242,12 +242,7 @@ type evalScratch struct {
 	vacc       []float64      // 8·AccLen: one frequency accumulator per sibling target
 	vsort      []uint64       // one sibling group's V interactions as vOrder<<41 | dirSlot<<32 | node, sorted
 	vops       []hadamardOp   // one parent direction's Hadamard triples, in vOrder
-	rows       [numRows]tally // task time and flops per phase row, folded at graph end
-}
-
-// clock adds the time since t0 to row pi's tally: a task of the row ends.
-func (s *evalScratch) clock(pi int, t0 time.Time) {
-	s.rows[pi].ns += int64(time.Since(t0)) //fmm:allow nodeterm task timing feeds the record only; results never read it
+	rows       [numRows]int64 // task time (ns) per phase row, folded at graph end
 }
 
 // surf returns the scratch surface panel slices.
@@ -305,8 +300,7 @@ func (e *Engine) ensureScratch(n int) []*evalScratch {
 //
 //fmm:hotpath
 func (e *Engine) s2uLeaf(i int32, s *evalScratch) {
-	t := e.Tree
-	n := &t.Nodes[i]
+	n := &e.Tree.Nodes[i]
 	L := e.Layout
 	sd := e.Ops.Kern.SrcDim()
 	ux, uy, uz := s.surf()
@@ -323,24 +317,20 @@ func (e *Engine) s2uLeaf(i int32, s *evalScratch) {
 	for x := range tmp {
 		u[x] += scale * tmp[x]
 	}
-	s.rows[pS2U].flops += int64((hi-lo)*len(ux)*e.Ops.Kern.FlopsPerInteraction()) +
-		2*int64(m.Rows*m.Cols)
 }
 
 // u2uNode is the per-octant U2U body: accumulates node i's children into
 // e.U[i]. Requires every child's U to be final.
 //
 //fmm:hotpath
-func (e *Engine) u2uNode(i int32, s *evalScratch) {
-	t := e.Tree
-	n := &t.Nodes[i]
+func (e *Engine) u2uNode(i int32, _ *evalScratch) {
+	n := &e.Tree.Nodes[i]
 	for ci, cj := range n.Children {
 		if cj == octree.NoNode {
 			continue
 		}
 		m := e.Ops.U2UOp(n.Key.Level(), ci)
 		m.MulVecAdd(e.U[i], e.U[cj])
-		s.rows[pU2U].flops += 2 * int64(m.Rows*m.Cols)
 	}
 }
 
@@ -362,7 +352,6 @@ func (e *Engine) vliDenseNode(i int32, s *evalScratch) {
 		for x := range tmp {
 			e.DChk[i][x] += scale * tmp[x]
 		}
-		s.rows[pVLI].flops += 2 * int64(m.Rows*m.Cols)
 	}
 }
 
@@ -391,14 +380,12 @@ func (e *Engine) xliNode(i int32, s *evalScratch) {
 	dx, dy, dz := s.surf()
 	L.InnerSurf(i, dx, dy, dz)
 	_, links, _ := e.pairs.lists(t, i)
-	var pairs int
 	for k, a := range n.X {
 		if !e.srcNode(a) {
 			continue
 		}
 		an := &t.Nodes[a]
 		lo, hi := int(an.PtLo), int(an.PtHi)
-		pairs += (hi - lo) * len(dx)
 		if l := links[k]; l >= 0 {
 			e.bk.EvalPair(dx, dy, dz, L.PX[lo:hi], L.PY[lo:hi], L.PZ[lo:hi],
 				e.U[i], e.Density[lo*sd:hi*sd], e.DChk[i], e.give(l, (hi-lo)*td))
@@ -407,7 +394,6 @@ func (e *Engine) xliNode(i int32, s *evalScratch) {
 		e.bk.EvalPanel(dx, dy, dz, L.PX[lo:hi], L.PY[lo:hi], L.PZ[lo:hi],
 			e.Density[lo*sd:hi*sd], e.DChk[i], -1)
 	}
-	s.rows[pXLI].flops += int64(pairs * e.Ops.Kern.FlopsPerInteraction())
 }
 
 // downwardNode is the per-octant downward body: shifts the parent's
@@ -416,8 +402,7 @@ func (e *Engine) xliNode(i int32, s *evalScratch) {
 //
 //fmm:hotpath
 func (e *Engine) downwardNode(i int32, s *evalScratch) {
-	t := e.Tree
-	n := &t.Nodes[i]
+	n := &e.Tree.Nodes[i]
 	if n.Parent != octree.NoNode {
 		ci := n.Key.ChildIndex()
 		m, scale := e.Ops.D2DOp(n.Key.Level()-1, ci)
@@ -426,7 +411,6 @@ func (e *Engine) downwardNode(i int32, s *evalScratch) {
 		for x := range tmp {
 			e.DChk[i][x] += scale * tmp[x]
 		}
-		s.rows[pD2D].flops += 2 * int64(m.Rows*m.Cols)
 	}
 	pm, pscale := e.Ops.DC2DEOp(n.Key.Level())
 	tmp2 := s.up
@@ -435,7 +419,6 @@ func (e *Engine) downwardNode(i int32, s *evalScratch) {
 	for x := range tmp2 {
 		d[x] += pscale * tmp2[x]
 	}
-	s.rows[pD2D].flops += 2 * int64(pm.Rows*pm.Cols)
 }
 
 // wliLeaf is the per-leaf W-list body: accumulates W sources'
@@ -456,12 +439,10 @@ func (e *Engine) wliLeaf(i int32, s *evalScratch) {
 	out := e.Potential[lo*td : hi*td]
 	ux, uy, uz := s.surf()
 	_, _, links := e.pairs.lists(t, i)
-	var pairs int
 	for k, a := range n.W {
 		if !e.srcNode(a) {
 			continue
 		}
-		pairs += (hi - lo) * len(ux)
 		if l := links[k]; l < -1 {
 			e.take(l, out)
 			continue
@@ -469,7 +450,6 @@ func (e *Engine) wliLeaf(i int32, s *evalScratch) {
 		L.InnerSurf(a, ux, uy, uz)
 		e.bk.EvalPanel(tx, ty, tz, ux, uy, uz, e.U[a], out, -1)
 	}
-	s.rows[pWLI].flops += int64(pairs * e.Ops.Kern.FlopsPerInteraction())
 }
 
 // d2tLeaf is the per-leaf D2T body: adds leaf i's own downward field to its
@@ -478,8 +458,7 @@ func (e *Engine) wliLeaf(i int32, s *evalScratch) {
 //
 //fmm:hotpath
 func (e *Engine) d2tLeaf(i int32, s *evalScratch) {
-	t := e.Tree
-	n := &t.Nodes[i]
+	n := &e.Tree.Nodes[i]
 	L := e.Layout
 	td := e.Ops.Kern.TrgDim()
 	dx, dy, dz := s.surf()
@@ -487,7 +466,6 @@ func (e *Engine) d2tLeaf(i int32, s *evalScratch) {
 	lo, hi := int(n.PtLo), int(n.PtHi)
 	e.bk.EvalPanel(L.PX[lo:hi], L.PY[lo:hi], L.PZ[lo:hi], dx, dy, dz,
 		e.D[i], e.Potential[lo*td:hi*td], -1)
-	s.rows[pD2T].flops += int64((hi - lo) * len(dx) * e.Ops.Kern.FlopsPerInteraction())
 }
 
 // uliLeaf is the per-leaf U-list body: the exact direct sum into leaf i's
@@ -512,14 +490,12 @@ func (e *Engine) uliLeaf(i int32, s *evalScratch) {
 	den := e.Density[lo*sd : hi*sd]
 	out := e.Potential[lo*td : hi*td]
 	links, _, _ := e.pairs.lists(t, i)
-	var pairs int
 	for k, a := range n.U {
 		if !e.srcNode(a) {
 			continue
 		}
 		an := &t.Nodes[a]
 		slo, shi := int(an.PtLo), int(an.PtHi)
-		pairs += (hi - lo) * (shi - slo)
 		switch l := links[k]; {
 		case l >= 0:
 			e.bk.EvalPair(tx, ty, tz, L.PX[slo:shi], L.PY[slo:shi], L.PZ[slo:shi],
@@ -535,7 +511,6 @@ func (e *Engine) uliLeaf(i int32, s *evalScratch) {
 				e.Density[slo*sd:shi*sd], out, selfOff)
 		}
 	}
-	s.rows[pULI].flops += int64(pairs * e.Ops.Kern.FlopsPerInteraction())
 }
 
 // Evaluate runs the full FMM — upward pass, translations, downward pass and

@@ -476,7 +476,6 @@ func (e *Engine) vliFFTGroup(grp []int32, f *FFTM2L, tb *vTable, spec [][]float6
 		hadamardRun(ops, hl)
 		lo = hi
 	}
-	s.rows[pVLI].flops += int64(len(vs)) * int64(8*td*sd*hl)
 	scale, grid := e.Ops.KernScale(t.Nodes[grp[0]].Key.Level()), s.grid(f.GridLen())
 	for k, i := range grp {
 		if count[k] > 0 {

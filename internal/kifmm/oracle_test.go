@@ -11,16 +11,19 @@ import "kifmm/internal/sched"
 // transforms a level's sources, then
 // runs vliFFTGroup per sibling group. No scheduler, no dependencies, no
 // spectrum window: what the graph must reproduce bit for bit at every worker
-// count.
+// count. Its flops are rowFlops over its own walk, target by target on the
+// FFT V row too, not the schedule's totals.
 func (e *Engine) oracle() {
 	s := e.ensureScratch(1)[0]
 	e.pairRows(0, numRows) // the pairings the bodies read, every buffer free
+	var flops [numRows]int64
 	for pi := range phases {
 		p := &phases[pi]
 		runs := e.work(p)
 		if pi == pULI {
 			runs = [][]int32{e.pairs.order}
 		}
+		flops[pi] = e.rowFlops(pi, runs)
 		for _, run := range runs {
 			if pi == pVLI && e.UseFFTM2L {
 				e.oracleVFFT(run, s)
@@ -31,7 +34,7 @@ func (e *Engine) oracle() {
 			}
 		}
 	}
-	var l Record
+	l := Record{flops: flops}
 	l.fold(e.scratch, sched.Stats{})
 	l.MergeInto(e.Prof)
 }

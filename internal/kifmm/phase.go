@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"kifmm/internal/diag"
+	"kifmm/internal/octree"
 	"kifmm/internal/sched"
 )
 
@@ -69,7 +70,7 @@ var phases = [numRows]phase{
 		}},
 	// In a graph that holds the W row too, X(a) serves each W ⟷ X pair both
 	// ways and W(j) adds the partial it parked (pairing): the pair's time is
-	// the X row's, its flops stay counted in both rows.
+	// the X row's, its flops stay counted in both rows (rowFlops).
 	pXLI: {name: "X", diag: diag.PhaseXList, over: overNodes, body: (*Engine).xliNode,
 		has: func(e *Engine, i int32) bool {
 			return len(e.Tree.Nodes[i].X) > 0 && e.trgNode(i)
@@ -128,20 +129,69 @@ func (e *Engine) work(p *phase) [][]int32 {
 	return runs
 }
 
-// tally is one row's accounting: the time of the tasks that ran it and the
-// flops its bodies counted.
-type tally struct{ ns, flops int64 }
+// rowFlops is the engine's one flop count: the flops of row pi's tasks on
+// the octants of runs, from their lists, the masks, the kernel, the order and
+// the V mode — FlopsPerInteraction per point pair (a surface is NumSurf
+// points), 2·rows·cols per mat-vec, vFlops per V interaction, a pair served
+// both ways counted at both its entries. compile and the test oracle total it.
+func (e *Engine) rowFlops(pi int, runs [][]int32) (f int64) {
+	ul, cl := int64(e.Ops.UpwardLen()), int64(e.Ops.CheckLen())
+	surf, pair := int64(e.Ops.NumSurf()), int64(e.Ops.Kern.FlopsPerInteraction())
+	for _, run := range runs {
+		for _, i := range run {
+			n := &e.Tree.Nodes[i]
+			pts := int64(n.NPoints())
+			var entries, srcPts int64 // the list's entries (children, or mask-selected sources), their points
+			for _, a := range [numRows][]int32{pU2U: n.Children[:], pVLI: n.V, pXLI: n.X, pWLI: n.W, pULI: n.U}[pi] {
+				if a != octree.NoNode && (pi == pU2U || e.srcNode(a)) {
+					entries, srcPts = entries+1, srcPts+int64(e.Tree.Nodes[a].NPoints())
+				}
+			}
+			switch pi {
+			case pS2U:
+				f += pts*surf*pair + 2*ul*cl
+			case pU2U:
+				f += entries * 2 * ul * ul
+			case pVLI:
+				f += entries * e.vFlops()
+			case pXLI:
+				f += srcPts * surf * pair
+			case pD2D: // the solve, after the parent's shift where there is one
+				f += 2 * ul * cl
+				if n.Parent != octree.NoNode {
+					f += 2 * cl * ul
+				}
+			case pWLI:
+				f += entries * pts * surf * pair
+			case pD2T:
+				f += pts * surf * pair
+			case pULI:
+				f += pts * srcPts * pair
+			}
+		}
+	}
+	return f
+}
+
+// vFlops is one V interaction's flops: a half-spectrum Hadamard, or an M2L mat-vec.
+func (e *Engine) vFlops() int64 {
+	if e.UseFFTM2L {
+		return int64(8 * e.Ops.Kern.SrcDim() * e.Ops.Kern.TrgDim() * e.Ops.FFT().HalfLen())
+	}
+	return 2 * int64(e.Ops.UpwardLen()*e.Ops.CheckLen())
+}
 
 // Record is one evaluation's accounting: the time and flops of each row of
 // the phase table, the scheduler's counters summed over the graphs that ran
-// them, and the wall times around them. Each worker's scratch carries a
-// table of tallies, one per row, that its tasks write without locks; at
-// graph end fold sums the tables into the record and zeroes them. Run
-// returns the record as a value, and MergeInto hands it to a profile under
-// the profile's one lock.
+// them, and the wall times around them. Times are the workers': each
+// worker's scratch carries a table of task time per row that its tasks write
+// without locks, and at graph end fold sums the tables into the record and
+// zeroes them. Flops are the schedule's, added for a graph that completes: a
+// failed one adds its tasks' time and no flops. Run returns the record as a
+// value, and MergeInto hands it to a profile under the profile's one lock.
 type Record struct {
 	sched.Stats
-	rows [numRows]tally
+	ns, flops [numRows]int64 // each row's task time and flops
 	// Graphs counts the task graphs run: one per Apply, two per rank of a
 	// distributed evaluation (before and after its exchange step).
 	Graphs int64
@@ -154,21 +204,21 @@ type Record struct {
 	ShardComm time.Duration
 }
 
-// fold adds one graph to r: its scheduler stats and every worker's table,
-// which it zeroes for the next graph.
+// fold adds one graph to r: its scheduler stats and every worker's task
+// times, which it zeroes for the next graph.
 func (r *Record) fold(scratch []*evalScratch, st sched.Stats) {
 	for _, s := range scratch {
-		r.Add(Record{rows: s.rows})
-		s.rows = [numRows]tally{}
+		r.Add(Record{ns: s.rows})
+		s.rows = [numRows]int64{}
 	}
 	r.Add(Record{Stats: st, Graphs: 1})
 }
 
 // Add accumulates o into r; a sharded Apply's record sums its ranks'.
 func (r *Record) Add(o Record) {
-	for pi, t := range o.rows {
-		r.rows[pi].ns += t.ns
-		r.rows[pi].flops += t.flops
+	for pi := range r.ns {
+		r.ns[pi] += o.ns[pi]
+		r.flops[pi] += o.flops[pi]
 	}
 	r.Stats.Add(o.Stats)
 	r.Graphs += o.Graphs
@@ -180,10 +230,10 @@ func (r *Record) Add(o Record) {
 // phase name: S2U and U2U under Upward, D2D and D2T under Downward, each
 // other row under its own list.
 func (r *Record) Phase(name string) (d time.Duration, flops int64) {
-	for pi, t := range r.rows {
+	for pi := range phases {
 		if phases[pi].diag == name {
-			d += time.Duration(t.ns)
-			flops += t.flops
+			d += time.Duration(r.ns[pi])
+			flops += r.flops[pi]
 		}
 	}
 	return d, flops
@@ -206,9 +256,9 @@ func (r *Record) MergeInto(p *diag.Profile) {
 		names[k], times[k] = diag.PhaseShardComm, r.ShardComm
 		k++
 	}
-	for pi, t := range r.rows {
-		if t != (tally{}) {
-			names[k], times[k], flops[k] = phases[pi].diag, time.Duration(t.ns), t.flops
+	for pi := range phases {
+		if r.ns[pi] != 0 || r.flops[pi] != 0 {
+			names[k], times[k], flops[k] = phases[pi].diag, time.Duration(r.ns[pi]), r.flops[pi]
 			k++
 		}
 	}

@@ -136,12 +136,12 @@ func (p *EnginePool) Compile(exchange bool) {
 }
 
 // MemoryBytes estimates what the pool keeps resident for one evaluation:
-// the tree's nodes (at their size in memory), points and interaction lists
-// (4 B an entry, exact: BuildLists gives each list an exact-length window),
-// one engine's per-node and per-point state, the layout, the masks and the
-// compiled graphs. It is the
-// MemoryBytes of the single-engine plan and of each rank of a sharded plan,
-// which the serving layer's byte-budgeted plan cache accounts by.
+// the tree's nodes (at their size in memory), points, permutation (which
+// Assemble's trees do not have) and interaction lists (4 B an entry, exact:
+// BuildLists gives each list an exact-length window), one engine's per-node
+// and per-point state, the layout, the masks and the compiled graphs. It is
+// the MemoryBytes of the single-engine plan and of each rank of a sharded
+// plan, which the serving layer's byte-budgeted plan cache accounts by.
 func (p *EnginePool) MemoryBytes() int64 {
 	var lists int64
 	for i := range p.tree.Nodes {
@@ -152,7 +152,7 @@ func (p *EnginePool) MemoryBytes() int64 {
 	nodes, pts := int64(len(p.tree.Nodes)), int64(len(p.tree.Points))
 	engine := nodes*int64(2*ops.UpwardLen()+ops.CheckLen())*8 +
 		pts*int64(ops.Kern.SrcDim()+ops.Kern.TrgDim())*8
-	return nodes*int64(unsafe.Sizeof(octree.Node{})) + lists + pts*(24+8) + engine + p.layout.MemoryBytes() +
+	return nodes*int64(unsafe.Sizeof(octree.Node{})) + lists + pts*24 + 8*int64(cap(p.tree.Perm)) + engine + p.layout.MemoryBytes() +
 		int64(len(p.src)+len(p.trg)) + p.graphs.memoryBytes()
 }
 

@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"kifmm/internal/diag"
+	"kifmm/internal/dtree"
 	"kifmm/internal/geom"
 	"kifmm/internal/kernel"
+	"kifmm/internal/mpi"
 	"kifmm/internal/octree"
 	"kifmm/internal/sched"
 )
@@ -107,31 +109,47 @@ func TestRunSelectsDriver(t *testing.T) {
 
 // TestPoolMemoryBytes pins EnginePool.MemoryBytes, the one byte formula
 // behind Plan.MemoryBytes, single-engine and per shard rank: 160 B a node
-// (an octree.Node on a 64-bit platform), 4 B a list entry, 32 B a point,
-// one engine's per-node surface vectors and per-point densities and
-// potentials, the mirror-free layout (24 B a point, 25 B a node), the masks
-// and the compiled graphs. That is the estimate the layout's per-node
-// half-sides (8 B a node), which nothing read, used to take part in, less
-// those 8 B a node.
+// (an octree.Node on a 64-bit platform), 4 B a list entry, 24 B a point and
+// 8 more where the tree keeps a permutation (Build's does, a rank's local
+// essential tree from Assemble does not), one engine's per-node surface
+// vectors and per-point densities and potentials, the mirror-free layout
+// (24 B a point, 25 B a node), the masks and the compiled graphs. That is
+// the estimate the layout's per-node half-sides (8 B a node), which nothing
+// read, used to take part in, less those 8 B a node.
 func TestPoolMemoryBytes(t *testing.T) {
-	tr := octree.Build(geom.Generate(geom.Ellipsoid, 3000, 7), 25, 20)
-	tr.BuildLists(nil)
+	built := octree.Build(geom.Generate(geom.Ellipsoid, 3000, 7), 25, 20)
+	built.BuildLists(nil)
+	lets := make([]*octree.Tree, 2)
+	mpi.Run(2, func(c *mpi.Comm) {
+		share := geom.Generate(geom.Ellipsoid, 3000, 8)[c.Rank()*1500 : (c.Rank()+1)*1500]
+		lets[c.Rank()] = dtree.BuildLET(c, dtree.Points2Octree(c, share, nil, 1, 25, 20, nil)).Tree
+	})
+	if lets[0].Perm != nil {
+		t.Fatal("an assembled tree has a permutation: the case checks nothing")
+	}
 	ops := NewOperators(kernel.Laplace{}, 4, 1e-9)
-	for _, nLead := range []int{0, 1000} {
-		pool := EngineSpec{Ops: ops, Workers: 1}.NewPool(tr, nLead)
-		pool.Compile(false)
-		var lists int64
-		for i := range tr.Nodes {
-			n := &tr.Nodes[i]
-			lists += 4 * int64(len(n.U)+len(n.V)+len(n.W)+len(n.X))
-		}
-		nodes, pts := int64(len(tr.Nodes)), int64(len(tr.Points))
-		withHalf := nodes*160 + lists + pts*32 +
-			nodes*int64(2*ops.UpwardLen()+ops.CheckLen())*8 + pts*2*8 +
-			pts*24 + nodes*(4*8+1) +
-			int64(len(pool.src)+len(pool.trg)) + pool.graphs.memoryBytes()
-		if got, want := pool.MemoryBytes(), withHalf-8*nodes; got != want {
-			t.Errorf("nLead %d: MemoryBytes %d, want %d (%d less 8 B for each of %d nodes)", nLead, got, want, withHalf, nodes)
+	for _, tc := range []struct {
+		name     string
+		tr       *octree.Tree
+		permSize int64
+	}{{"built", built, 8}, {"assembled", lets[0], 0}} {
+		tr := tc.tr
+		for _, nLead := range []int{0, 1000} {
+			pool := EngineSpec{Ops: ops, Workers: 1}.NewPool(tr, nLead)
+			pool.Compile(false)
+			var lists int64
+			for i := range tr.Nodes {
+				n := &tr.Nodes[i]
+				lists += 4 * int64(len(n.U)+len(n.V)+len(n.W)+len(n.X))
+			}
+			nodes, pts := int64(len(tr.Nodes)), int64(len(tr.Points))
+			withHalf := nodes*160 + lists + pts*(24+tc.permSize) +
+				nodes*int64(2*ops.UpwardLen()+ops.CheckLen())*8 + pts*2*8 +
+				pts*24 + nodes*(4*8+1) +
+				int64(len(pool.src)+len(pool.trg)) + pool.graphs.memoryBytes()
+			if got, want := pool.MemoryBytes(), withHalf-8*nodes; got != want {
+				t.Errorf("%s/nLead %d: MemoryBytes %d, want %d (%d less 8 B for each of %d nodes)", tc.name, nLead, got, want, withHalf, nodes)
+			}
 		}
 	}
 }

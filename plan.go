@@ -214,7 +214,8 @@ func (p *Plan) ApplyContext(ctx context.Context, densities []float64) ([]float64
 }
 
 // ApplyWithStats is ApplyContext that also returns the Apply's record. A
-// failed Apply's record holds what ran before it failed.
+// failed Apply's record holds its tasks' time and no flops: flops are the
+// plan's, and a graph adds them only when it completes.
 func (p *Plan) ApplyWithStats(ctx context.Context, densities []float64) ([]float64, ApplyStats, error) {
 	if p.shard != nil {
 		if err := cancelled(ctx); err != nil {

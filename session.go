@@ -196,7 +196,7 @@ func (s *Session) Apply(ctx context.Context, densities []float64) ([]float64, er
 }
 
 // ApplyWithStats is Apply that also returns the evaluation's record, as
-// Plan.ApplyWithStats does.
+// Plan.ApplyWithStats does; a failed Apply's holds its tasks' time, no flops.
 func (s *Session) ApplyWithStats(ctx context.Context, densities []float64) ([]float64, ApplyStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
