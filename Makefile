@@ -159,9 +159,11 @@ sched-stress:
 # exercises the in-process MPI runtime, the engine free list, and the
 # disjoint-write potential gather; the reductions, the distributed tree and
 # parfmm's pinned traffic run on the same runtime, all under the race
-# detector.
+# detector. Then one small run of cmd/fmmtree, which has no test: the
+# distributed tree balanced by the engine's leaf weights.
 shard-stress:
 	$(GO) test -race -count=3 ./internal/shard/... ./internal/reduce/... ./internal/dtree/... ./internal/parfmm/...
+	$(GO) run ./cmd/fmmtree -n 20000 -p 4
 
 # Repeated race runs of the moving-points session tests: every step re-plans,
 # and the session must agree with a fresh plan bit for bit under the race

@@ -11,6 +11,8 @@ import (
 
 	"kifmm/internal/dtree"
 	"kifmm/internal/geom"
+	"kifmm/internal/kernel"
+	"kifmm/internal/kifmm"
 	"kifmm/internal/mpi"
 )
 
@@ -43,13 +45,15 @@ func main() {
 		weight                           int64
 		uLen, vLen, wLen, xLen           int
 	}
+	// Leaves are weighed by the engine's flop count for Laplace at order 6.
+	spec := kifmm.EngineSpec{Ops: kifmm.NewOperators(kernel.Laplace{}, 6, 1e-9)}
 	reports := make([]rankReport, *p)
 	mpi.Run(*p, func(c *mpi.Comm) {
 		pts := geom.GenerateChunk(d, *n, *seed, c.Rank(), *p)
 		leaves := dtree.Points2Octree(c, pts, nil, 0, *q, *maxDepth, nil)
 		dt := dtree.BuildLET(c, leaves)
 		if *balance {
-			w := dtree.LeafWorkWeights(dt, 152)
+			w := spec.LeafWeights(dt.Tree, dt.OwnedNodes())
 			leaves = dtree.RepartitionByWeight(c, leaves, w)
 			dt = dtree.BuildLET(c, leaves)
 		}
@@ -62,7 +66,7 @@ func main() {
 			}
 		}
 		rep.points = dt.NumOwnedPoints()
-		for _, w := range dtree.LeafWorkWeights(dt, 152) {
+		for _, w := range spec.LeafWeights(dt.Tree, dt.OwnedNodes()) {
 			rep.weight += w
 		}
 		for i := range dt.Tree.Nodes {
@@ -78,7 +82,7 @@ func main() {
 	fmt.Printf("distributed octree: n=%d p=%d q=%d dist=%s balance=%v\n",
 		*n, *p, *q, *dist, *balance)
 	fmt.Printf("%5s %10s %10s %10s %10s %8s %8s %14s\n",
-		"rank", "points", "leaves", "LET", "ghosts", "minlvl", "maxlvl", "work")
+		"rank", "points", "leaves", "LET", "ghosts", "minlvl", "maxlvl", "flops")
 	var totLeaves, totPts int
 	for r, rep := range reports {
 		fmt.Printf("%5d %10d %10d %10d %10d %8d %8d %14d\n",

@@ -235,15 +235,7 @@ func (f *FMM) EvaluateDistributed(ranks int, points []Point, densities []float64
 		return nil, fmt.Errorf("kifmm: need at least one point per rank")
 	}
 	sd, td := f.kern.SrcDim(), f.kern.TrgDim()
-	cfg := parfmm.Config{
-		Kern:        f.kern,
-		Q:           f.opt.PointsPerBox,
-		SurfOrder:   f.opt.Order,
-		Tol:         f.opt.Tolerance,
-		MaxDepth:    f.opt.MaxDepth,
-		LoadBalance: true,
-		Spec:        f.spec,
-	}
+	cfg := parfmm.Config{Q: f.opt.PointsPerBox, MaxDepth: f.opt.MaxDepth, LoadBalance: true, Spec: f.spec}
 	results := make([]*parfmm.Result, ranks)
 	mpi.Run(ranks, func(c *mpi.Comm) {
 		r := c.Rank()

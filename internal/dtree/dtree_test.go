@@ -368,23 +368,6 @@ func TestSharedOctantsIncludeAncestorsSpanningRanks(t *testing.T) {
 	})
 }
 
-func TestLeafWorkWeightsPositive(t *testing.T) {
-	const p = 2
-	chunks := runDistributed(t, geom.Ellipsoid, 800, p, 15)
-	mpi.Run(p, func(c *mpi.Comm) {
-		dt := BuildLET(c, chunks[c.Rank()])
-		w := LeafWorkWeights(dt, 56)
-		if len(w) != len(dt.Leaves) {
-			t.Errorf("weight count mismatch")
-		}
-		for i, v := range w {
-			if v <= 0 {
-				t.Errorf("weight %d not positive: %d", i, v)
-			}
-		}
-	})
-}
-
 func TestWireRoundTrips(t *testing.T) {
 	ls := []Leaf{
 		{Key: morton.Root().Child(3), Pts: []geom.Point{{X: 0.6, Y: 0.7, Z: 0.2}}},

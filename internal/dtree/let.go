@@ -162,6 +162,20 @@ func (dt *DistTree) NumOwnedPoints() int {
 	return n
 }
 
+// OwnedNodes returns the LET node index of every owned leaf, aligned with
+// dt.Leaves.
+func (dt *DistTree) OwnedNodes() []int32 {
+	out := make([]int32, len(dt.Leaves))
+	for i, l := range dt.Leaves {
+		idx, ok := dt.Tree.Index(l.Key)
+		if !ok {
+			panic("dtree: owned leaf missing from LET")
+		}
+		out[i] = idx
+	}
+	return out
+}
+
 // SharedOctants returns the node indices of LET octants whose
 // contributor∪user set spans more than one rank — the octants participating
 // in the upward-density reduction (Algorithm 3). Only octants with locally

@@ -7,7 +7,6 @@ import (
 	"kifmm/internal/geom"
 	"kifmm/internal/morton"
 	"kifmm/internal/mpi"
-	"kifmm/internal/octree"
 	"kifmm/internal/psort"
 )
 
@@ -234,37 +233,6 @@ func RepartitionByWeight(c *mpi.Comm, leaves []Leaf, weights []int64) []Leaf {
 	var out []Leaf
 	for src := 0; src < p; src++ {
 		out = append(out, decodeLeaves(recv[src])...)
-	}
-	return out
-}
-
-// LeafWork estimates the interaction work of leaf node of t from its lists
-// (U direct sums; V, W, X matrix-vector products on surfPoints-point
-// surfaces; S2U and D2T) — the per-leaf quantity the paper's Section III-B
-// load balancing equalizes. Never below 1.
-func LeafWork(t *octree.Tree, node int32, surfPoints int) int64 {
-	n := &t.Nodes[node]
-	np := int64(n.NPoints())
-	s := int64(surfPoints)
-	var w int64
-	for _, a := range n.U {
-		w += np * int64(t.Nodes[a].NPoints())
-	}
-	w += int64(len(n.V)) * s * s
-	w += int64(len(n.W)) * np * s
-	w += int64(len(n.X)) * np * s
-	w += np * s // S2U + D2T
-	return max(w, 1)
-}
-
-// LeafWorkWeights returns LeafWork over the assembled LET for every owned
-// leaf, aligned with dt.Leaves.
-func LeafWorkWeights(dt *DistTree, surfPoints int) []int64 {
-	out := make([]int64, len(dt.Leaves))
-	for i, lf := range dt.Leaves {
-		if idx, ok := dt.Tree.Index(lf.Key); ok {
-			out[i] = LeafWork(dt.Tree, idx, surfPoints)
-		}
 	}
 	return out
 }

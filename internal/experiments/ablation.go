@@ -149,7 +149,7 @@ func Ablations(o Options) *AblationResult {
 
 	// Reduction ablation: the same set-up, then one evaluation with each
 	// scheme as the shared octants' reducer.
-	cfg := baseConfig(o, kernel.Laplace{})
+	cfg := baseConfig(o, kernel.Laplace{}, 6)
 	for _, owner := range []bool{false, true} {
 		reduceShared := reduce.Hypercube
 		if owner {

@@ -18,14 +18,15 @@ func TestDistributedWithGPUAcceleration(t *testing.T) {
 	// MPI process configuration); results must match the direct sum at
 	// single-precision accuracy.
 	const n, p = 1000, 4
-	cfg := parfmm.Config{Kern: kernel.Laplace{}, Q: 60, SurfOrder: 6, Spec: kifmm.EngineSpec{Workers: 2, DenseM2L: true}}
+	ops := kifmm.SharedOperators.Get(kernel.Laplace{}, 6, 1e-9, 2)
+	cfg := parfmm.Config{Q: 60, Spec: kifmm.EngineSpec{Ops: ops, Workers: 2, DenseM2L: true}}
 	pts := geom.Generate(geom.Uniform, n, 19)
 	rng := rand.New(rand.NewSource(19 * 31))
 	den := make([]float64, n)
 	for i := range den {
 		den[i] = rng.NormFloat64()
 	}
-	want := kernel.Direct(cfg.Kern, pts, pts, den)
+	want := kernel.Direct(ops.Kern, pts, pts, den)
 
 	engines := make([]*kifmm.Engine, p)
 	results := make([]*parfmm.Result, p)

@@ -71,7 +71,7 @@ func runDistributed(dist geom.Distribution, n, p int, cfg parfmm.Config, seed in
 	results := make([]*parfmm.Result, p)
 	mpi.Run(p, func(c *mpi.Comm) {
 		pts := geom.GenerateChunk(dist, n, seed, c.Rank(), p)
-		den := make([]float64, len(pts)*cfg.Kern.SrcDim())
+		den := make([]float64, len(pts)*cfg.Spec.Ops.Kern.SrcDim())
 		for i := range den {
 			den[i] = 1
 		}
@@ -179,12 +179,9 @@ func formatScaling(title string, pts []ScalingPoint) string {
 	return b.String()
 }
 
-func baseConfig(o Options, kern kernel.Kernel) parfmm.Config {
-	return parfmm.Config{
-		Kern:        kern,
-		Q:           o.Q,
-		SurfOrder:   6,
-		LoadBalance: true,
-		Spec:        kifmm.EngineSpec{Workers: o.Workers},
-	}
+// baseConfig is the balanced distributed configuration of the experiments:
+// kern at surface order p, on the process-wide operators.
+func baseConfig(o Options, kern kernel.Kernel, p int) parfmm.Config {
+	ops := kifmm.SharedOperators.Get(kern, p, 1e-9, o.Workers)
+	return parfmm.Config{Q: o.Q, LoadBalance: true, Spec: kifmm.EngineSpec{Ops: ops, Workers: o.Workers}}
 }

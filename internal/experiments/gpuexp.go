@@ -173,6 +173,7 @@ func Fig6(o Options) *Fig6Result {
 		o.PerRank = 20_000
 	}
 	res := &Fig6Result{PerRank: o.PerRank}
+	laplace6 := kifmm.EngineSpec{Ops: kifmm.SharedOperators.Get(kernel.Laplace{}, 6, 1e-9, o.Workers), Workers: o.Workers}
 	for _, p := range o.Ps {
 		n := o.PerRank * p
 		pt := Fig6Point{P: p, N: n}
@@ -182,10 +183,7 @@ func Fig6(o Options) *Fig6Result {
 		// tree level (N/8^level comfortably below q), avoiding the
 		// level-parity mixing that would shift work into the unaccelerated
 		// W/X lists.
-		gpuCfg := parfmm.Config{
-			Kern: kernel.Laplace{}, Q: 500, SurfOrder: 6,
-			Spec: kifmm.EngineSpec{Workers: o.Workers},
-		}
+		gpuCfg := parfmm.Config{Q: 500, Spec: laplace6}
 		accels := make([]*gpu.FMMAccel, p)
 		hostMatFlops := make([]int64, p)
 		t0 := time.Now()
@@ -210,10 +208,7 @@ func Fig6(o Options) *Fig6Result {
 		}
 
 		// CPU-only configuration.
-		cpuCfg := parfmm.Config{
-			Kern: kernel.Laplace{}, Q: 100, SurfOrder: 6,
-			Spec: kifmm.EngineSpec{Workers: o.Workers},
-		}
+		cpuCfg := parfmm.Config{Q: 100, Spec: laplace6}
 		results := runDistributed(geom.Uniform, n, p, cpuCfg, o.Seed)
 		ref := stream.NewDevice(stream.DefaultParams())
 		for _, r := range results {

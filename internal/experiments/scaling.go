@@ -30,7 +30,7 @@ func Fig3(o Options) *Fig3Result {
 	for _, dist := range []geom.Distribution{geom.Uniform, geom.Ellipsoid} {
 		var pts []ScalingPoint
 		for _, p := range o.Ps {
-			cfg := baseConfig(o, kernel.Laplace{})
+			cfg := baseConfig(o, kernel.Laplace{}, 6)
 			results := runDistributed(dist, o.N, p, cfg, o.Seed)
 			pts = append(pts, scalingPoint(results, p, o.N))
 		}
@@ -78,7 +78,7 @@ func Fig4(o Options) *Fig4Result {
 		var pts []ScalingPoint
 		for _, p := range o.Ps {
 			n := o.PerRank * p
-			cfg := baseConfig(o, kernel.Laplace{})
+			cfg := baseConfig(o, kernel.Laplace{}, 6)
 			results := runDistributed(dist, n, p, cfg, o.Seed)
 			sp := scalingPoint(results, p, n)
 			pts = append(pts, sp)
@@ -161,7 +161,7 @@ func Fig5(o Options) *Fig5Result {
 	for _, dist := range []geom.Distribution{geom.Uniform, geom.Ellipsoid} {
 		for bi, balanced := range []bool{false, true} {
 			n := o.PerRank * p
-			cfg := baseConfig(o, kernel.Laplace{})
+			cfg := baseConfig(o, kernel.Laplace{}, 6)
 			cfg.LoadBalance = balanced
 			results := runDistributed(dist, n, p, cfg, o.Seed)
 			flops := diag.FlopsPerRank(profiles(results), diag.PhaseComp)
@@ -218,8 +218,7 @@ type Table2Result struct {
 func Table2(o Options) *Table2Result {
 	o.defaults()
 	p := o.Ps[len(o.Ps)-1]
-	cfg := baseConfig(o, kernel.Stokes{})
-	cfg.SurfOrder = 4 // Stokes triples the per-surface-point dof
+	cfg := baseConfig(o, kernel.Stokes{}, 4) // Stokes triples the per-surface-point dof
 
 	var evalSamples []perfmodel.Sample
 	var rows []diag.Row

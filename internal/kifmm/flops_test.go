@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kifmm/internal/kernel"
+	"kifmm/internal/octree"
 )
 
 // rowFlopsPinned is each row's flops of one evaluation of wxTrees, by tree,
@@ -64,6 +65,66 @@ func TestRowFlopsPinned(t *testing.T) {
 					if got, want := rec.flops, rowFlopsPinned[label]; got != want {
 						t.Errorf("%s/w%d: row flops %#v, want %#v", label, workers, got, want)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestLeafWeights checks EngineSpec.LeafWeights on wxTrees' rank LET, which
+// holds empty leaves and ghost leaves without lists, for every kernel and
+// both V modes: every weight is at least 1, and each leaf's weight is the sum
+// of octantFlops over the rows whose work, as compile takes it, holds the
+// leaf. Those per-octant counts over every row's work must add up to the
+// flops a Run of the tree records, the FFT V row's counted by compileVFFT.
+func TestLeafWeights(t *testing.T) {
+	var let *octree.Tree
+	for _, tc := range wxTrees(t) {
+		if tc.name == "let" {
+			let = tc.tree
+		}
+	}
+	empty := 0
+	for _, i := range let.Leaves {
+		if let.Nodes[i].NPoints() == 0 {
+			empty++
+		}
+	}
+	if empty == 0 {
+		t.Fatal("the LET has no empty leaf")
+	}
+	for _, kern := range []kernel.Kernel{kernel.Laplace{}, kernel.Stokes{}, kernel.Yukawa{Lambda: 5}} {
+		ops := NewOperators(kern, 4, 1e-9)
+		for _, dense := range []bool{false, true} {
+			label := fmt.Sprintf("%s/dense=%v", kern.Name(), dense)
+			spec := EngineSpec{Ops: ops, Workers: 2, DenseM2L: dense}
+			w := spec.LeafWeights(let, let.Leaves)
+			e := spec.NewEngine(let, nil)
+			rec, err := e.Run(context.Background(), func() {}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := e.flopCosts()
+			leafFlops := make([]int64, len(let.Nodes))
+			var counted, recorded int64
+			for pi := range phases {
+				for _, run := range e.work(&phases[pi]) {
+					for _, i := range run {
+						f := e.octantFlops(&c, pi, i)
+						counted += f
+						if let.Nodes[i].IsLeaf {
+							leafFlops[i] += f
+						}
+					}
+				}
+				recorded += rec.flops[pi]
+			}
+			if counted != recorded {
+				t.Errorf("%s: per-octant counts total %d, the run recorded %d", label, counted, recorded)
+			}
+			for k, i := range let.Leaves {
+				if w[k] < 1 || w[k] != max(leafFlops[i], 1) {
+					t.Errorf("%s: leaf %d (%d points): weight %d, its rows count %d", label, i, let.Nodes[i].NPoints(), w[k], leafFlops[i])
 				}
 			}
 		}

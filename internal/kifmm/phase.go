@@ -129,45 +129,61 @@ func (e *Engine) work(p *phase) [][]int32 {
 	return runs
 }
 
-// rowFlops is the engine's one flop count: the flops of row pi's tasks on
-// the octants of runs, from their lists, the masks, the kernel, the order and
-// the V mode — FlopsPerInteraction per point pair (a surface is NumSurf
-// points), 2·rows·cols per mat-vec, vFlops per V interaction, a pair served
-// both ways counted at both its entries. compile and the test oracle total it.
+// flopCosts are the constants of octantFlops, read once per count: the
+// upward and check vector lengths, the surface points and one point pair's
+// flops.
+type flopCosts struct{ ul, cl, surf, pair int64 }
+
+func (e *Engine) flopCosts() flopCosts {
+	return flopCosts{ul: int64(e.Ops.UpwardLen()), cl: int64(e.Ops.CheckLen()), surf: int64(e.Ops.NumSurf()),
+		pair: int64(e.Ops.Kern.FlopsPerInteraction())}
+}
+
+// octantFlops is the engine's one flop count: the flops of row pi's task on
+// octant i, from its lists, the masks, the kernel, the order and the V mode —
+// FlopsPerInteraction per point pair (a surface is NumSurf points),
+// 2·rows·cols per mat-vec, vFlops per V interaction, a pair served both ways
+// counted at both its entries. compile and the test oracle total it over a
+// row (rowFlops), LeafWeights over a leaf's rows.
+func (e *Engine) octantFlops(c *flopCosts, pi int, i int32) int64 {
+	n := &e.Tree.Nodes[i]
+	pts := int64(n.NPoints())
+	var entries, srcPts int64 // the list's entries (children, or mask-selected sources), their points
+	for _, a := range [numRows][]int32{pU2U: n.Children[:], pVLI: n.V, pXLI: n.X, pWLI: n.W, pULI: n.U}[pi] {
+		if a != octree.NoNode && (pi == pU2U || e.srcNode(a)) {
+			entries, srcPts = entries+1, srcPts+int64(e.Tree.Nodes[a].NPoints())
+		}
+	}
+	switch pi {
+	case pS2U:
+		return pts*c.surf*c.pair + 2*c.ul*c.cl
+	case pU2U:
+		return entries * 2 * c.ul * c.ul
+	case pVLI:
+		return entries * e.vFlops()
+	case pXLI:
+		return srcPts * c.surf * c.pair
+	case pD2D: // the solve, after the parent's shift where there is one
+		f := 2 * c.ul * c.cl
+		if n.Parent != octree.NoNode {
+			f += 2 * c.cl * c.ul
+		}
+		return f
+	case pWLI:
+		return entries * pts * c.surf * c.pair
+	case pD2T:
+		return pts * c.surf * c.pair
+	default: // pULI
+		return pts * srcPts * c.pair
+	}
+}
+
+// rowFlops is octantFlops summed over the octants of runs, row pi's work.
 func (e *Engine) rowFlops(pi int, runs [][]int32) (f int64) {
-	ul, cl := int64(e.Ops.UpwardLen()), int64(e.Ops.CheckLen())
-	surf, pair := int64(e.Ops.NumSurf()), int64(e.Ops.Kern.FlopsPerInteraction())
+	c := e.flopCosts()
 	for _, run := range runs {
 		for _, i := range run {
-			n := &e.Tree.Nodes[i]
-			pts := int64(n.NPoints())
-			var entries, srcPts int64 // the list's entries (children, or mask-selected sources), their points
-			for _, a := range [numRows][]int32{pU2U: n.Children[:], pVLI: n.V, pXLI: n.X, pWLI: n.W, pULI: n.U}[pi] {
-				if a != octree.NoNode && (pi == pU2U || e.srcNode(a)) {
-					entries, srcPts = entries+1, srcPts+int64(e.Tree.Nodes[a].NPoints())
-				}
-			}
-			switch pi {
-			case pS2U:
-				f += pts*surf*pair + 2*ul*cl
-			case pU2U:
-				f += entries * 2 * ul * ul
-			case pVLI:
-				f += entries * e.vFlops()
-			case pXLI:
-				f += srcPts * surf * pair
-			case pD2D: // the solve, after the parent's shift where there is one
-				f += 2 * ul * cl
-				if n.Parent != octree.NoNode {
-					f += 2 * cl * ul
-				}
-			case pWLI:
-				f += entries * pts * surf * pair
-			case pD2T:
-				f += pts * surf * pair
-			case pULI:
-				f += pts * srcPts * pair
-			}
+			f += e.octantFlops(&c, pi, i)
 		}
 	}
 	return f

@@ -40,6 +40,28 @@ func (s EngineSpec) NewEngine(tree *octree.Tree, layout *Layout) *Engine {
 	return e
 }
 
+// LeafWeights returns the work of each of leaves (node indices into tree) by
+// the engine's one flop count: octantFlops summed over the rows a leaf's own
+// tasks run — S2U, V, X, D2D, W, D2T and U, each where the row has work on the
+// leaf, V in the spec's mode — and never below 1. It is the per-leaf weight
+// the distributed drivers balance their ranks by (Section III-B), read off
+// the tree's lists before any engine exists.
+func (s EngineSpec) LeafWeights(tree *octree.Tree, leaves []int32) []int64 {
+	e := &Engine{Ops: s.Ops, Tree: tree, UseFFTM2L: !s.DenseM2L}
+	c := e.flopCosts()
+	w := make([]int64, len(leaves))
+	for k, i := range leaves {
+		var f int64
+		for pi := range phases {
+			if phases[pi].has(e, i) {
+				f += e.octantFlops(&c, pi, i)
+			}
+		}
+		w[k] = max(f, 1)
+	}
+	return w
+}
+
 // Run is the one evaluation entry: it runs the phase table as task graphs,
 // times diag.PhaseTotalEval once, and returns the graphs' Record — row times
 // and flops, scheduler counters, graph count, Total eval — merging it into

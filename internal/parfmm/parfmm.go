@@ -2,7 +2,8 @@
 // pipeline on each rank:
 //
 //	setup:      Morton sample sort → Points2Octree → LET (Algorithm 2)
-//	            → work-weighted repartition → LET rebuild
+//	            → repartition by the engine's flop count per owned leaf
+//	              (EngineSpec.LeafWeights) → LET rebuild
 //	evaluation: S2U + U2U (partial upward densities)
 //	            → ghost density exchange + hypercube reduce-scatter
 //	              (Algorithm 3) for the shared octants' upward densities
@@ -32,7 +33,6 @@ import (
 	"kifmm/internal/diag"
 	"kifmm/internal/dtree"
 	"kifmm/internal/geom"
-	"kifmm/internal/kernel"
 	"kifmm/internal/kifmm"
 	"kifmm/internal/morton"
 	"kifmm/internal/mpi"
@@ -41,38 +41,23 @@ import (
 
 // Config selects the FMM variant and its parameters.
 type Config struct {
-	// Kern is the interaction kernel (Laplace or Stokes).
-	Kern kernel.Kernel
 	// Q is the maximum number of points per leaf octant.
 	Q int
-	// SurfOrder is the equivalent/check surface order p.
-	SurfOrder int
-	// Tol is the pseudo-inverse regularization tolerance.
-	Tol float64
 	// MaxDepth caps the octree depth.
 	MaxDepth int
-	// LoadBalance enables the work-weighted repartition of Section III-B.
+	// LoadBalance enables the work-weighted repartition of Section III-B:
+	// leaves are weighted by Spec.LeafWeights, the engine's own flop count.
 	LoadBalance bool
-	// Spec configures the rank's engine. Spec.Ops, when non-nil, supplies
-	// precomputed translation operators (typically shared across ranks —
-	// Operators are immutable and safe for concurrent use); when nil every
-	// rank takes the process-wide set for Kern, SurfOrder and Tol
-	// (kifmm.SharedOperators), which the first of them builds.
+	// Spec configures the rank's engine and names the solver: Spec.Ops (the
+	// kernel, surface order and tolerance) is required, and is typically
+	// shared across ranks — Operators are immutable and safe for concurrent
+	// use.
 	Spec kifmm.EngineSpec
 }
 
 func (cfg *Config) defaults() {
-	if cfg.Kern == nil {
-		cfg.Kern = kernel.Laplace{}
-	}
 	if cfg.Q <= 0 {
 		cfg.Q = 50
-	}
-	if cfg.SurfOrder <= 0 {
-		cfg.SurfOrder = 6
-	}
-	if cfg.Tol <= 0 {
-		cfg.Tol = 1e-9
 	}
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 24
@@ -112,7 +97,7 @@ type Result struct {
 // reports into and the set-up traffic. Collective.
 func Setup(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) (*kifmm.Engine, *Result) {
 	cfg.defaults()
-	sd := cfg.Kern.SrcDim()
+	sd := cfg.Spec.Ops.Kern.SrcDim()
 	if len(densities) != sd*len(pts) {
 		panic(fmt.Sprintf("parfmm: %d densities for %d points (SrcDim %d)",
 			len(densities), len(pts), sd))
@@ -129,7 +114,7 @@ func Setup(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) (*kif
 
 	if cfg.LoadBalance {
 		stopBal := prof.Start(diag.PhaseBal)
-		w := dtree.LeafWorkWeights(dt, surfCount(cfg.SurfOrder))
+		w := cfg.Spec.LeafWeights(dt.Tree, dt.OwnedNodes())
 		leaves = dtree.RepartitionByWeight(c, leaves, w)
 		dt = dtree.BuildLET(c, leaves)
 		stopBal()
@@ -137,11 +122,7 @@ func Setup(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) (*kif
 	stopSetup()
 	traffic := snap.Delta(c.Stats().Snap())
 
-	spec := cfg.Spec
-	if spec.Ops == nil {
-		spec.Ops = kifmm.SharedOperators.Get(cfg.Kern, cfg.SurfOrder, cfg.Tol, spec.Workers)
-	}
-	eng := spec.NewEngine(dt.Tree, nil)
+	eng := cfg.Spec.NewEngine(dt.Tree, nil)
 	eng.Prof = prof
 	placeOwnedDensities(eng, dt)
 	return eng, &Result{Prof: prof, Tree: dt,
@@ -209,22 +190,13 @@ func Evaluate(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) *R
 	return res
 }
 
-func surfCount(p int) int { return p*p*p - (p-2)*(p-2)*(p-2) }
-
 // placeOwnedDensities copies each owned leaf's densities into the engine's
 // tree-ordered density array.
 func placeOwnedDensities(eng *kifmm.Engine, dt *dtree.DistTree) {
-	t := dt.Tree
 	sd := eng.Ops.Kern.SrcDim()
-	for _, l := range dt.Leaves {
-		idx, ok := t.Index(l.Key)
-		if !ok {
-			panic("parfmm: owned leaf missing from LET")
-		}
-		n := &t.Nodes[idx]
-		if len(l.Den) > 0 {
-			copy(eng.Density[int(n.PtLo)*sd:int(n.PtHi)*sd], l.Den)
-		}
+	for k, idx := range dt.OwnedNodes() {
+		n := &dt.Tree.Nodes[idx]
+		copy(eng.Density[int(n.PtLo)*sd:int(n.PtHi)*sd], dt.Leaves[k].Den)
 	}
 }
 
@@ -302,8 +274,7 @@ func installUpward(eng *kifmm.Engine, dt *dtree.DistTree, items []reduce.Item) {
 func collectOwned(eng *kifmm.Engine, res *Result) {
 	t := res.Tree.Tree
 	sd, td := eng.Ops.Kern.SrcDim(), eng.Ops.Kern.TrgDim()
-	for _, l := range res.Tree.Leaves {
-		idx, _ := t.Index(l.Key)
+	for _, idx := range res.Tree.OwnedNodes() {
 		n := &t.Nodes[idx]
 		res.OwnedPoints = append(res.OwnedPoints, t.Points[n.PtLo:n.PtHi]...)
 		res.Potentials = append(res.Potentials, eng.Potential[int(n.PtLo)*td:int(n.PtHi)*td]...)

@@ -13,6 +13,11 @@ import (
 	"kifmm/internal/reduce"
 )
 
+// sharedOps returns the process-wide operators for kern at surface order p.
+func sharedOps(kern kernel.Kernel, p int) *kifmm.Operators {
+	return kifmm.SharedOperators.Get(kern, p, 1e-9, 2)
+}
+
 // pointKey identifies a point exactly (coordinates survive the wire
 // bit-for-bit).
 type pointKey struct{ x, y, z float64 }
@@ -28,10 +33,7 @@ func runCase(t *testing.T, cfg Config, dist geom.Distribution, n, p int, seed in
 func runCaseWith(t *testing.T, cfg Config, dist geom.Distribution, n, p int, seed int64,
 	evaluate func(*mpi.Comm, []geom.Point, []float64, Config) *Result) (map[pointKey][]float64, []*Result) {
 	t.Helper()
-	td := cfg.Kern.TrgDim()
-	if td == 0 {
-		td = 1
-	}
+	td := cfg.Spec.Ops.Kern.TrgDim()
 	results := make([]*Result, p)
 	mpi.Run(p, func(c *mpi.Comm) {
 		pts := geom.GenerateChunk(dist, n, seed, c.Rank(), p)
@@ -50,11 +52,7 @@ func runCaseWith(t *testing.T, cfg Config, dist geom.Distribution, n, p int, see
 // chunkDensities derives this rank's density chunk deterministically from
 // the global density stream so all p produce the same global input.
 func chunkDensities(cfg Config, dist geom.Distribution, n int, seed int64, r, p int) []float64 {
-	k := cfg.Kern
-	if k == nil {
-		k = kernel.Laplace{}
-	}
-	sd := k.SrcDim()
+	sd := cfg.Spec.Ops.Kern.SrcDim()
 	rng := rand.New(rand.NewSource(seed * 31))
 	all := make([]float64, n*sd)
 	for i := range all {
@@ -66,10 +64,7 @@ func chunkDensities(cfg Config, dist geom.Distribution, n int, seed int64, r, p 
 
 // globalDirect computes the exact reference keyed by point.
 func globalDirect(cfg Config, dist geom.Distribution, n int, seed int64) map[pointKey][]float64 {
-	k := cfg.Kern
-	if k == nil {
-		k = kernel.Laplace{}
-	}
+	k := cfg.Spec.Ops.Kern
 	pts := geom.Generate(dist, n, seed)
 	den := chunkDensities(cfg, dist, n, seed, 0, 1)
 	f := kernel.Direct(k, pts, pts, den)
@@ -104,7 +99,7 @@ func compareToDirect(t *testing.T, name string, got, want map[pointKey][]float64
 }
 
 func TestDistributedMatchesDirectLaplace(t *testing.T) {
-	cfg := Config{Kern: kernel.Laplace{}, Q: 25, SurfOrder: 6, Spec: kifmm.EngineSpec{Workers: 2, DenseM2L: true}}
+	cfg := Config{Q: 25, Spec: kifmm.EngineSpec{Ops: sharedOps(kernel.Laplace{}, 6), Workers: 2, DenseM2L: true}}
 	want := globalDirect(cfg, geom.Uniform, 1000, 3)
 	for _, p := range []int{1, 2, 4, 8} {
 		got, _ := runCase(t, cfg, geom.Uniform, 1000, p, 3)
@@ -113,7 +108,7 @@ func TestDistributedMatchesDirectLaplace(t *testing.T) {
 }
 
 func TestDistributedMatchesDirectNonuniform(t *testing.T) {
-	cfg := Config{Kern: kernel.Laplace{}, Q: 15, SurfOrder: 6, Spec: kifmm.EngineSpec{Workers: 2, DenseM2L: true}}
+	cfg := Config{Q: 15, Spec: kifmm.EngineSpec{Ops: sharedOps(kernel.Laplace{}, 6), Workers: 2, DenseM2L: true}}
 	want := globalDirect(cfg, geom.Ellipsoid, 1200, 5)
 	for _, p := range []int{2, 8} {
 		got, _ := runCase(t, cfg, geom.Ellipsoid, 1200, p, 5)
@@ -122,14 +117,14 @@ func TestDistributedMatchesDirectNonuniform(t *testing.T) {
 }
 
 func TestDistributedStokes(t *testing.T) {
-	cfg := Config{Kern: kernel.Stokes{}, Q: 30, SurfOrder: 4, Spec: kifmm.EngineSpec{Workers: 2, DenseM2L: true}}
+	cfg := Config{Q: 30, Spec: kifmm.EngineSpec{Ops: sharedOps(kernel.Stokes{}, 4), Workers: 2, DenseM2L: true}}
 	want := globalDirect(cfg, geom.Uniform, 500, 7)
 	got, _ := runCase(t, cfg, geom.Uniform, 500, 4, 7)
 	compareToDirect(t, "stokes", got, want, 5e-3)
 }
 
 func TestDistributedWithLoadBalance(t *testing.T) {
-	cfg := Config{Kern: kernel.Laplace{}, Q: 15, SurfOrder: 6, LoadBalance: true, Spec: kifmm.EngineSpec{Workers: 2, DenseM2L: true}}
+	cfg := Config{Q: 15, LoadBalance: true, Spec: kifmm.EngineSpec{Ops: sharedOps(kernel.Laplace{}, 6), Workers: 2, DenseM2L: true}}
 	want := globalDirect(cfg, geom.Ellipsoid, 1200, 9)
 	got, results := runCase(t, cfg, geom.Ellipsoid, 1200, 4, 9)
 	compareToDirect(t, "balanced", got, want, 5e-5)
@@ -153,14 +148,14 @@ func TestDistributedWithLoadBalance(t *testing.T) {
 }
 
 func TestDistributedWithFFTM2L(t *testing.T) {
-	cfg := Config{Kern: kernel.Laplace{}, Q: 25, SurfOrder: 6, Spec: kifmm.EngineSpec{Workers: 2}}
+	cfg := Config{Q: 25, Spec: kifmm.EngineSpec{Ops: sharedOps(kernel.Laplace{}, 6), Workers: 2}}
 	want := globalDirect(cfg, geom.Uniform, 800, 11)
 	got, _ := runCase(t, cfg, geom.Uniform, 800, 4, 11)
 	compareToDirect(t, "fft-m2l", got, want, 2e-5)
 }
 
 func TestDistributedOwnerReduceAblation(t *testing.T) {
-	cfg := Config{Kern: kernel.Laplace{}, Q: 25, SurfOrder: 6, Spec: kifmm.EngineSpec{Workers: 2, DenseM2L: true}}
+	cfg := Config{Q: 25, Spec: kifmm.EngineSpec{Ops: sharedOps(kernel.Laplace{}, 6), Workers: 2, DenseM2L: true}}
 	want := globalDirect(cfg, geom.Uniform, 800, 13)
 	got, _ := runCaseWith(t, cfg, geom.Uniform, 800, 4, 13, func(c *mpi.Comm, pts []geom.Point, den []float64, cfg Config) *Result {
 		eng, res := Setup(c, pts, den, cfg)
@@ -172,7 +167,7 @@ func TestDistributedOwnerReduceAblation(t *testing.T) {
 }
 
 func TestProfilesRecordAllPhases(t *testing.T) {
-	cfg := Config{Kern: kernel.Laplace{}, Q: 20, SurfOrder: 4, Spec: kifmm.EngineSpec{Workers: 2, DenseM2L: true}}
+	cfg := Config{Q: 20, Spec: kifmm.EngineSpec{Ops: sharedOps(kernel.Laplace{}, 4), Workers: 2, DenseM2L: true}}
 	_, results := runCase(t, cfg, geom.Ellipsoid, 900, 4, 15)
 	for r, res := range results {
 		for _, ph := range []string{diag.PhaseSetup, diag.PhaseSort, diag.PhaseTree,
@@ -188,7 +183,7 @@ func TestProfilesRecordAllPhases(t *testing.T) {
 }
 
 func TestResultDensitiesTravelWithPoints(t *testing.T) {
-	cfg := Config{Kern: kernel.Laplace{}, Q: 20, SurfOrder: 4, Spec: kifmm.EngineSpec{Workers: 1, DenseM2L: true}}
+	cfg := Config{Q: 20, Spec: kifmm.EngineSpec{Ops: sharedOps(kernel.Laplace{}, 4), Workers: 1, DenseM2L: true}}
 	const n, p = 600, 4
 	// Build the global (point → density) map.
 	pts := geom.Generate(geom.Uniform, n, 17)

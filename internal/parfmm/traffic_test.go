@@ -49,9 +49,8 @@ func trafficInput(n, q, order int) ([]geom.Point, []float64, Config) {
 	for i := range den {
 		den[i] = rng.NormFloat64()
 	}
-	kern := kernel.Laplace{}
-	return pts, den, Config{Kern: kern, Q: q, SurfOrder: order, LoadBalance: true,
-		Spec: kifmm.EngineSpec{Ops: kifmm.NewOperators(kern, order, 1e-9), Workers: 2}}
+	return pts, den, Config{Q: q, LoadBalance: true,
+		Spec: kifmm.EngineSpec{Ops: kifmm.NewOperators(kernel.Laplace{}, order, 1e-9), Workers: 2}}
 }
 
 // TestTrafficPinned holds Algorithm 3's hypercube, the one-round direct
@@ -70,52 +69,52 @@ func TestTrafficPinned(t *testing.T) {
 		want []rankTraffic
 	}{
 		{"hypercube", 4, reduce.Hypercube, []rankTraffic{
-			{255623, 5, 255623, 504, 2},
-			{277761, 5, 277761, 552, 2},
-			{259810, 5, 259810, 512, 2},
-			{268496, 5, 268496, 528, 2},
+			{273953, 5, 273953, 543, 2},
+			{274008, 5, 274008, 544, 2},
+			{272662, 5, 272662, 538, 2},
+			{265357, 5, 265357, 523, 2},
 		}},
 		{"simple", 4, reduce.Simple, []rankTraffic{
-			{259776, 6, 259776, 513, 1},
-			{274538, 6, 274538, 545, 1},
-			{256587, 6, 256587, 505, 1},
-			{272649, 6, 272649, 537, 1},
+			{276723, 6, 276723, 549, 1},
+			{276778, 6, 276778, 550, 1},
+			{270822, 6, 270822, 534, 1},
+			{263517, 6, 263517, 519, 1},
 		}},
 		{"owner", 4, reduce.Owner, []rankTraffic{
-			{259788, 9, 259788, 513, 0},
-			{273628, 9, 273628, 543, 0},
-			{255677, 9, 255677, 503, 0},
-			{271739, 9, 271739, 535, 0},
+			{276735, 9, 276735, 549, 0},
+			{273102, 9, 273102, 542, 0},
+			{267146, 9, 267146, 526, 0},
+			{257075, 9, 257075, 505, 0},
 		}},
 		{"hypercube", 8, reduce.Hypercube, []rankTraffic{
-			{174336, 10, 174336, 347, 3},
-			{191260, 10, 191260, 383, 3},
-			{190541, 10, 190541, 384, 3},
-			{195684, 10, 195684, 391, 3},
-			{186343, 10, 186343, 372, 3},
-			{189409, 10, 189409, 377, 3},
-			{189557, 10, 189557, 377, 3},
-			{195332, 10, 195332, 390, 3},
+			{207759, 10, 207759, 409, 3},
+			{223953, 10, 223953, 446, 3},
+			{240722, 10, 240722, 487, 3},
+			{226852, 10, 226852, 455, 3},
+			{291522, 10, 291522, 591, 3},
+			{227128, 10, 227128, 452, 3},
+			{206990, 10, 206990, 411, 3},
+			{228928, 10, 228928, 462, 3},
 		}},
 		{"simple", 8, reduce.Simple, []rankTraffic{
-			{175735, 14, 175735, 350, 1},
-			{194503, 14, 194503, 390, 1},
-			{179032, 14, 179032, 359, 1},
-			{198466, 14, 198466, 397, 1},
-			{186820, 14, 186820, 373, 1},
-			{183432, 14, 183432, 364, 1},
-			{206630, 14, 206630, 414, 1},
-			{202724, 14, 202724, 406, 1},
+			{253414, 14, 253414, 508, 1},
+			{225813, 14, 225813, 450, 1},
+			{233362, 14, 233362, 471, 1},
+			{210733, 14, 210733, 420, 1},
+			{229764, 14, 229764, 457, 1},
+			{238208, 14, 238208, 476, 1},
+			{237893, 14, 237893, 478, 1},
+			{208199, 14, 208199, 417, 1},
 		}},
 		{"owner", 8, reduce.Owner, []rankTraffic{
-			{175763, 21, 175763, 350, 0},
-			{191765, 21, 191765, 384, 0},
-			{176294, 21, 176294, 353, 0},
-			{192962, 21, 192962, 385, 0},
-			{181316, 21, 181316, 361, 0},
-			{177928, 21, 177928, 352, 0},
-			{203892, 21, 203892, 408, 0},
-			{199986, 21, 199986, 400, 0},
+			{253442, 21, 253442, 508, 0},
+			{217543, 21, 217543, 432, 0},
+			{227858, 21, 227858, 459, 0},
+			{202463, 21, 202463, 402, 0},
+			{221494, 21, 221494, 439, 0},
+			{229938, 21, 229938, 458, 0},
+			{223630, 21, 223630, 447, 0},
+			{193475, 21, 193475, 385, 0},
 		}},
 	} {
 		got, pots, _ := evaluateTraffic(pts, den, cfg, tc.p, tc.red)

@@ -1,7 +1,9 @@
 // Package shard runs one evaluation plan as a coordinated multi-rank
-// computation: the plan's global octree leaves are Morton-partitioned
-// across R in-process ranks, each rank assembles the local essential tree
-// of Algorithm 2 over its share (dtree.BuildLET), and every Apply executes
+// computation: the plan's global octree leaves are cut into R contiguous
+// Morton ranges of near-equal flops (EngineSpec.LeafWeights, the count the
+// engine's own schedule totals), one per in-process rank, each rank
+// assembles the local essential tree of Algorithm 2 over its share
+// (dtree.BuildLET), and every Apply executes
 // the paper's distributed evaluation pipeline on each rank
 // (parfmm.EvaluateRank) — per-shard upward pass, ghost up-density exchange,
 // the shared-octant upward reduction, then the V/X/W/U phases on local
@@ -41,7 +43,8 @@ import (
 type Config struct {
 	// Ranks is the number of in-process ranks R (≥ 1).
 	Ranks int
-	// Spec configures every rank's engines. Its operators are shared
+	// Spec configures every rank's engines and, through LeafWeights, weighs
+	// the leaves the ranks are cut by. Its operators are shared
 	// read-only by the ranks (and, through the process-wide spectrum cache,
 	// by every plan for the same kernel and order); its Workers is the total
 	// budget, split evenly across ranks (each gets max(1, Workers/Ranks)).
@@ -93,18 +96,16 @@ func BuildPlan(tree *octree.Tree, cfg Config) (*Plan, error) {
 			"reduce shards or points per box", R, len(tree.Leaves))
 	}
 
-	// Global leaves in Morton order, weighted by estimated interaction work
-	// (Section III-B's weighting, computed from the global tree's lists).
-	// Leaf point slices alias the tree's point storage (read-only from here
-	// on).
+	// Global leaves in Morton order, weighted by the flops of their own tasks
+	// (Section III-B's weighting, the engine's count over the global tree's
+	// lists). Leaf point slices alias the tree's point storage (read-only
+	// from here on).
 	leaves := make([]dtree.Leaf, len(tree.Leaves))
-	weights := make([]int64, len(tree.Leaves))
 	for i, li := range tree.Leaves {
 		n := &tree.Nodes[li]
 		leaves[i] = dtree.Leaf{Key: n.Key, Pts: tree.Points[n.PtLo:n.PtHi]}
-		weights[i] = dtree.LeafWork(tree, li, ops.CheckLen())
 	}
-	bounds := partitionLeaves(weights, R)
+	bounds := partitionLeaves(cfg.Spec.LeafWeights(tree, tree.Leaves), R)
 
 	// Per-rank LET assembly: collective, one goroutine per rank.
 	dts := make([]*dtree.DistTree, R)

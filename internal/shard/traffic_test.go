@@ -17,8 +17,8 @@ import (
 func TestTrafficPinned(t *testing.T) {
 	tr, ops, den := buildCase(t, kernel.Laplace{}, geom.Ellipsoid, 3000, 40, 4)
 	want := []RankTraffic{ // per rank: bytes, messages, remote bytes, octants
-		{98193, 2, 98193, 184},
-		{100520, 2, 100520, 187},
+		{103052, 2, 103052, 194},
+		{96583, 2, 96583, 179},
 	}
 	p, err := BuildPlan(tr, Config{Ranks: len(want), Spec: kifmm.EngineSpec{Ops: ops, Workers: 2}})
 	if err != nil {
