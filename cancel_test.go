@@ -146,6 +146,37 @@ func TestCancelledContext(t *testing.T) {
 	}
 }
 
+// TestNewSessionCancelled: a session create whose context is done, before
+// the call or at any stage of its plan build, returns the context's error
+// and no session; the create that then goes through is a whole session.
+func TestNewSessionCancelled(t *testing.T) {
+	f, err := New(Options{Order: 4, PointsPerBox: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, den := randInput(800, 1, 85)
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	s, err := f.NewSession(done, pts)
+	wantCancelled(t, "NewSession", err, context.Canceled, "kifmm: ")
+	if s != nil {
+		t.Fatal("a cancelled NewSession returned a session")
+	}
+	for stage := int32(0); ; stage++ {
+		s, err = f.NewSession(countdown(stage), pts)
+		if err == nil {
+			break
+		}
+		wantCancelled(t, fmt.Sprintf("NewSession cancelled at check %d", stage), err, context.Canceled, "kifmm: ")
+		if s != nil {
+			t.Fatalf("NewSession cancelled at check %d returned a session", stage)
+		}
+	}
+	if _, err := s.Apply(context.Background(), den); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestStepCancelledLeavesSession cancels a step at each of its context
 // checks in turn — the plan build's stages and the last one before commit —
 // and checks that every cancelled step leaves the session's IDs, points,
@@ -157,7 +188,7 @@ func TestStepCancelledLeavesSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts, _ := randInput(800, 1, 83)
-	s, err := f.NewSession(pts)
+	s, err := f.NewSession(context.Background(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}

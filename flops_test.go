@@ -92,7 +92,7 @@ func pinnedApply(t *testing.T, name string, opt Options, mode string, pts []Poin
 	_, den := randInput(len(pts), f.DensityDim(), 93)
 	ctx := context.Background()
 	if mode == "session" {
-		s, err := f.NewSession(pts)
+		s, err := f.NewSession(context.Background(), pts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -209,7 +209,7 @@ func TestDegenerateClouds(t *testing.T) {
 	step := func(d func(ids []int) Delta) func(f *FMM) result {
 		return func(f *FMM) result {
 			pts, _ := randInput(300, 1, 41)
-			s, err := f.NewSession(pts)
+			s, err := f.NewSession(context.Background(), pts)
 			if err != nil {
 				return result{err: err}
 			}
@@ -396,7 +396,7 @@ func TestNonFiniteInputRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := f.NewSession(pts)
+	sess, err := f.NewSession(context.Background(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,11 +557,11 @@ func TestPlanDoesNotRetainInput(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := f.NewSession(pts)
+			sess, err := f.NewSession(context.Background(), pts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := f.NewSession(pristine)
+			ref, err := f.NewSession(context.Background(), pristine)
 			if err != nil {
 				t.Fatal(err)
 			}

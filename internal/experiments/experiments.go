@@ -28,6 +28,7 @@ import (
 	"kifmm/internal/kifmm"
 	"kifmm/internal/mpi"
 	"kifmm/internal/parfmm"
+	"kifmm/internal/perfmodel"
 )
 
 // Options configures an experiment run. Zero values select scaled-down
@@ -102,17 +103,6 @@ func maxAvg(results []*parfmm.Result, phase string) (mx, avg time.Duration) {
 	return mx, sum / time.Duration(len(results))
 }
 
-// Modeled per-rank timing constants: the paper's sustained 0.5 GFlop/s per
-// core plus Cray-SeaStar-like interconnect parameters. Measured wall-clock
-// cannot exhibit p-rank scaling when all ranks share two physical cores, so
-// the scaling studies report modeled per-rank times built from each rank's
-// MEASURED flops and MEASURED communication volumes.
-const (
-	modelHostFlops = 0.5e9 // flop/s per rank
-	modelNetBps    = 2e9   // bytes/s
-	modelLatency   = 5e-6  // seconds/message
-)
-
 // ScalingPoint is one sweep point of a scaling study.
 type ScalingPoint struct {
 	P        int
@@ -120,37 +110,29 @@ type ScalingPoint struct {
 	SetupMax time.Duration
 	SetupAvg time.Duration
 	SortAvg  time.Duration
-	EvalMax  time.Duration
 	EvalAvg  time.Duration
-	CommAvg  time.Duration
-	// ModelEvalAvg/ModelEvalMax are per-rank modeled evaluation times
-	// (measured flops at 0.5 GFlop/s + measured comm volume over the
-	// modeled interconnect).
+	// ModelEvalAvg/ModelEvalMax are per-rank modeled evaluation times: each
+	// rank's measured flops and evaluation traffic charged at perfmodel's
+	// host and network rates. Measured wall-clock cannot show p-rank
+	// scaling when every rank shares the host's cores.
 	ModelEvalAvg float64
 	ModelEvalMax float64
 	Efficiency   float64 // from modeled times, relative to the first point
 	SetupFrac    float64 // setup time / evaluation time
 	SortFrac     float64 // sort share of setup
 	TotalFlops   int64
-	MaxFlopRank  int64
 }
 
 func scalingPoint(results []*parfmm.Result, p, n int) ScalingPoint {
 	sp := ScalingPoint{P: p, N: n}
 	sp.SetupMax, sp.SetupAvg = maxAvg(results, diag.PhaseSetup)
 	_, sp.SortAvg = maxAvg(results, diag.PhaseSort)
-	sp.EvalMax, sp.EvalAvg = maxAvg(results, diag.PhaseTotalEval)
-	_, sp.CommAvg = maxAvg(results, diag.PhaseComm)
+	_, sp.EvalAvg = maxAvg(results, diag.PhaseTotalEval)
 	var modelSum float64
 	for _, r := range results {
 		f := r.Prof.Flops(diag.PhaseComp)
 		sp.TotalFlops += f
-		if f > sp.MaxFlopRank {
-			sp.MaxFlopRank = f
-		}
-		model := float64(f)/modelHostFlops +
-			float64(r.EvalCommBytes)/modelNetBps +
-			float64(r.EvalCommMsgs)*modelLatency
+		model := perfmodel.Work{Flops: f, Bytes: r.EvalCommBytes, Msgs: r.EvalCommMsgs}.Seconds()
 		modelSum += model
 		if model > sp.ModelEvalMax {
 			sp.ModelEvalMax = model
@@ -164,6 +146,25 @@ func scalingPoint(results []*parfmm.Result, p, n int) ScalingPoint {
 		sp.SortFrac = float64(sp.SortAvg) / float64(sp.SetupAvg)
 	}
 	return sp
+}
+
+// setEfficiency sets each point's Efficiency relative to the first from the
+// modeled per-rank times: E = T₀·p₀/(T·p) at fixed N (strong scaling) and
+// E = T₀/T at fixed N/p (weak scaling).
+func setEfficiency(pts []ScalingPoint, weak bool) {
+	cost := func(s ScalingPoint) float64 {
+		if weak {
+			return s.ModelEvalAvg
+		}
+		return s.ModelEvalAvg * float64(s.P)
+	}
+	if len(pts) == 0 || pts[0].ModelEvalAvg <= 0 {
+		return
+	}
+	t0 := cost(pts[0])
+	for i := range pts {
+		pts[i].Efficiency = t0 / cost(pts[i])
+	}
 }
 
 func formatScaling(title string, pts []ScalingPoint) string {

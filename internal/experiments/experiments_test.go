@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -8,6 +10,17 @@ import (
 // tiny returns options small enough for unit testing.
 func tiny() Options {
 	return Options{PerRank: 1500, Ps: []int{1, 2, 4}, Q: 40, Workers: 2, N: 6000}
+}
+
+// pinBits fails t unless got carries exactly the float64 bits want. The
+// modeled numbers are sums of counted flops, bytes and messages over fixed
+// rates, so any change to a count, a rate or the order of a sum moves them.
+func pinBits(t *testing.T, name string, got float64, want uint64) {
+	t.Helper()
+	if math.Float64bits(got) != want {
+		t.Errorf("%s = %v (%#016x), pinned %v (%#016x)",
+			name, got, math.Float64bits(got), math.Float64frombits(want), want)
+	}
 }
 
 func TestFig3ShapeAndFormat(t *testing.T) {
@@ -23,6 +36,25 @@ func TestFig3ShapeAndFormat(t *testing.T) {
 	f1, f4 := r.Uniform[0].TotalFlops, r.Uniform[2].TotalFlops
 	if f4 > 3*f1 {
 		t.Fatalf("strong-scaling flops grew too much: %d -> %d", f1, f4)
+	}
+	pins := []struct {
+		avg, max uint64
+		flops    int64
+	}{
+		{0x3ff36574e8a407a0, 0x3ff36574e8a407a0, 606134848}, // uniform p = 1: 1.212269696 s
+		{0x3fe41a01edb84c2e, 0x3fe4231a2fac151c, 628042640},
+		{0x3fd5a8dbbb74822b, 0x3fd5d6b68fc0f520, 676457164},
+		{0x3ff5f3290a98e8cd, 0x3ff5f3290a98e8cd, 685932656}, // nonuniform p = 1: 1.371865312 s
+		{0x3fe7224ad19ba4c7, 0x3fe7294b1277fcbb, 722668016},
+		{0x3fd9e448e53af188, 0x3fda1d5cb3cee8ca, 808296916},
+	}
+	for i, sp := range append(append([]ScalingPoint{}, r.Uniform...), r.Nonuniform...) {
+		name := fmt.Sprintf("point %d (p = %d)", i, sp.P)
+		pinBits(t, name+" ModelEvalAvg", sp.ModelEvalAvg, pins[i].avg)
+		pinBits(t, name+" ModelEvalMax", sp.ModelEvalMax, pins[i].max)
+		if sp.TotalFlops != pins[i].flops {
+			t.Errorf("%s TotalFlops = %d, pinned %d", name, sp.TotalFlops, pins[i].flops)
+		}
 	}
 	s := r.Format()
 	for _, want := range []string{"Figure 3", "uniform", "nonuniform", "eval(avg mdl)"} {
@@ -109,6 +141,17 @@ func TestTable3QSweepShape(t *testing.T) {
 	if !(r.Rows[1].VList < r.Rows[0].VList) {
 		t.Fatalf("V-list should already shrink at the middle q: %+v", r.Rows)
 	}
+	pins := [][5]uint64{ // Total, Upward, UList, VList, Downward
+		{0x3fb76367e080a573, 0x3f83d9a6049774dd, 0x3f6185502de232dd, 0x3faf459b621311f8, 0x3f92e4ebb5d47115}, // q = 30: 0.0914 s
+		{0x3f960d6b030eb3ae, 0x3f58587f25ad9730, 0x3f889248c2669764, 0x3f76552e27272db8, 0x3f654b992db618d4},
+		{0x3fa973d81120b6d7, 0x3f3faa857fe1e843, 0x3fa8e3e313e1086e, 0, 0x3f4427fc8ffaa616},
+	}
+	for i, row := range r.Rows {
+		for j, name := range []string{"Total", "Upward", "UList", "VList", "Downward"} {
+			got := [5]float64{row.Total, row.Upward, row.UList, row.VList, row.Downward}[j]
+			pinBits(t, fmt.Sprintf("q = %d %s", row.Q, name), got, pins[i][j])
+		}
+	}
 	if !strings.Contains(r.Format(), "Table III") {
 		t.Fatalf("bad format")
 	}
@@ -125,6 +168,14 @@ func TestFig6SpeedupShape(t *testing.T) {
 		if pt.Speedup < 5 || pt.Speedup > 300 {
 			t.Fatalf("modeled speedup out of range: %+v", pt)
 		}
+	}
+	pins := [][2]uint64{ // GPUEval, CPUEval
+		{0x3f84547c1181c0ee, 0x3ff4a402f676e1ab}, // p = 1: 0.00993 s, 1.290041888 s
+		{0x3f812d8e199fa538, 0x3fe9a312b4629daf},
+	}
+	for i, pt := range r.Points {
+		pinBits(t, fmt.Sprintf("p = %d GPUEval", pt.P), pt.GPUEval, pins[i][0])
+		pinBits(t, fmt.Sprintf("p = %d CPUEval", pt.P), pt.CPUEval, pins[i][1])
 	}
 	if !strings.Contains(r.Format(), "Figure 6") {
 		t.Fatalf("bad format")

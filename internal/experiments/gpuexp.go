@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"time"
 
 	"kifmm/internal/diag"
 	"kifmm/internal/geom"
@@ -15,6 +14,7 @@ import (
 	"kifmm/internal/mpi"
 	"kifmm/internal/octree"
 	"kifmm/internal/parfmm"
+	"kifmm/internal/perfmodel"
 	"kifmm/internal/reduce"
 	"kifmm/internal/stream"
 )
@@ -42,7 +42,7 @@ func deviceEvaluate(e *kifmm.Engine, accel *gpu.FMMAccel, exchange func()) {
 // own simulated device: parfmm's set-up, then deviceEvaluate with parfmm's
 // exchange step under the hypercube reduction.
 func deviceRank(c *mpi.Comm, pts []geom.Point, den []float64, cfg parfmm.Config) (*kifmm.Engine, *parfmm.Result, *gpu.FMMAccel) {
-	accel := gpu.New(stream.NewDevice(stream.DefaultParams()))
+	accel := gpu.New(stream.NewDevice())
 	eng, res := parfmm.Setup(c, pts, den, cfg)
 	deviceEvaluate(eng, accel, func() { parfmm.Exchange(c, eng, res.Tree, reduce.Hypercube) })
 	return eng, res, accel
@@ -66,9 +66,9 @@ type Table3Result struct {
 	Rows []Table3Row
 }
 
-// Table3 runs the q sweep. Device times are the cost model's seconds;
-// CPU-resident sub-steps (U2U, D2D, the per-octant FFTs) are modeled at the
-// paper's 0.5 GFlop/s host rate.
+// Table3 runs the q sweep. Device times are the cost model's seconds; the
+// host-resident sub-steps (U2U, D2D and the downward solves as dense
+// mat-vec work, the per-octant FFTs) are charged at perfmodel's host rates.
 func Table3(o Options) *Table3Result {
 	o.defaults()
 	if o.N == 0 {
@@ -94,27 +94,20 @@ func Table3(o Options) *Table3Result {
 		e := kifmm.EngineSpec{Ops: ops, Workers: o.Workers}.NewEngine(tr, nil)
 		e.Prof = diag.NewProfile()
 		e.SetPointDensities(den)
-		dev := stream.NewDevice(stream.DefaultParams())
-		accel := gpu.New(dev)
+		accel := gpu.New(stream.NewDevice())
 		deviceEvaluate(e, accel, nil)
 
-		hostMat := func(phases ...string) float64 {
-			var f int64
-			for _, ph := range phases {
-				f += e.Prof.Flops(ph)
-			}
-			return dev.HostMatTime(f).Seconds()
-		}
 		// The Upward/Downward host remainders (U2U, D2D, the solves) are
-		// dense matrix-vector work and run at the host's matvec rate. A
-		// uniform-depth tree has no W or X lists.
+		// dense matrix-vector work. A uniform-depth tree has no W or X
+		// lists.
+		device := func(phase string) float64 { return accel.PhaseTimes[phase].Seconds() }
+		hostMat := func(phase string) float64 { return perfmodel.Work{MatFlops: e.Prof.Flops(phase)}.Seconds() }
 		row := Table3Row{
-			Q:      q,
-			Upward: accel.PhaseTimes[diag.PhaseUpward].Seconds() + hostMat(diag.PhaseUpward),
-			UList:  accel.PhaseTimes[diag.PhaseUList].Seconds(),
-			VList: accel.PhaseTimes[diag.PhaseVList].Seconds() +
-				dev.HostFFTTime(accel.HostFFTFlops).Seconds(),
-			Downward: accel.PhaseTimes[diag.PhaseDownward].Seconds() + hostMat(diag.PhaseDownward),
+			Q:        q,
+			Upward:   device(diag.PhaseUpward) + hostMat(diag.PhaseUpward),
+			UList:    device(diag.PhaseUList),
+			VList:    device(diag.PhaseVList) + perfmodel.Work{FFTFlops: accel.HostFFTFlops}.Seconds(),
+			Downward: device(diag.PhaseDownward) + hostMat(diag.PhaseDownward),
 		}
 		row.Total = row.Upward + row.UList + row.VList + row.Downward
 		res.Rows = append(res.Rows, row)
@@ -153,7 +146,6 @@ type Fig6Point struct {
 	GPUEval float64 // modeled seconds, device configuration (q tuned for GPU)
 	CPUEval float64 // modeled seconds, CPU-only configuration (q tuned for CPU)
 	Speedup float64
-	WallGPU time.Duration // wall-clock of the simulation itself (diagnostic)
 }
 
 // Fig6Result reproduces Figure 6: weak scaling with one device per rank,
@@ -186,22 +178,18 @@ func Fig6(o Options) *Fig6Result {
 		gpuCfg := parfmm.Config{Q: 500, Spec: laplace6}
 		accels := make([]*gpu.FMMAccel, p)
 		hostMatFlops := make([]int64, p)
-		t0 := time.Now()
 		mpi.Run(p, func(c *mpi.Comm) {
 			cpts := geom.GenerateChunk(geom.Uniform, n, o.Seed, c.Rank(), p)
 			_, r, accel := deviceRank(c, cpts, ones(len(cpts)), gpuCfg)
 			accels[c.Rank()] = accel
 			hostMatFlops[c.Rank()] = r.Prof.Flops(diag.PhaseUpward) + r.Prof.Flops(diag.PhaseDownward)
 		})
-		pt.WallGPU = time.Since(t0)
 		// Per-rank modeled time: device phases + the host-resident U2U and
 		// downward solves + the per-octant FFTs; the slowest rank sets the
 		// wall clock.
-		for r := 0; r < p; r++ {
-			dev := accels[r].Dev
-			sec := accels[r].ModeledTotal().Seconds() +
-				dev.HostMatTime(hostMatFlops[r]).Seconds() +
-				dev.HostFFTTime(accels[r].HostFFTFlops).Seconds()
+		for r, accel := range accels {
+			sec := accel.ModeledTotal().Seconds() +
+				perfmodel.Work{MatFlops: hostMatFlops[r], FFTFlops: accel.HostFFTFlops}.Seconds()
 			if sec > pt.GPUEval {
 				pt.GPUEval = sec
 			}
@@ -210,9 +198,8 @@ func Fig6(o Options) *Fig6Result {
 		// CPU-only configuration.
 		cpuCfg := parfmm.Config{Q: 100, Spec: laplace6}
 		results := runDistributed(geom.Uniform, n, p, cpuCfg, o.Seed)
-		ref := stream.NewDevice(stream.DefaultParams())
 		for _, r := range results {
-			sec := ref.HostTime(r.Prof.Flops(diag.PhaseComp)).Seconds()
+			sec := perfmodel.Work{Flops: r.Prof.Flops(diag.PhaseComp)}.Seconds()
 			if sec > pt.CPUEval {
 				pt.CPUEval = sec
 			}

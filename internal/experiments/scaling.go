@@ -34,14 +34,7 @@ func Fig3(o Options) *Fig3Result {
 			results := runDistributed(dist, o.N, p, cfg, o.Seed)
 			pts = append(pts, scalingPoint(results, p, o.N))
 		}
-		// Efficiency relative to the first point: E = T₀·p₀/(T_p·p), from
-		// the modeled per-rank times.
-		if len(pts) > 0 && pts[0].ModelEvalAvg > 0 {
-			t0 := pts[0].ModelEvalAvg * float64(pts[0].P)
-			for i := range pts {
-				pts[i].Efficiency = t0 / (pts[i].ModelEvalAvg * float64(pts[i].P))
-			}
-		}
+		setEfficiency(pts, false) // strong scaling: N fixed
 		if dist == geom.Uniform {
 			res.Uniform = pts
 		} else {
@@ -97,12 +90,7 @@ func Fig4(o Options) *Fig4Result {
 				evalSamples = append(evalSamples, perfmodel.Sample{N: n, P: p, T: sp.ModelEvalAvg})
 			}
 		}
-		if len(pts) > 0 && pts[0].ModelEvalAvg > 0 {
-			t0 := pts[0].ModelEvalAvg
-			for i := range pts {
-				pts[i].Efficiency = t0 / pts[i].ModelEvalAvg
-			}
-		}
+		setEfficiency(pts, true) // weak scaling: N/p fixed
 		if dist == geom.Uniform {
 			res.Uniform = pts
 		} else {

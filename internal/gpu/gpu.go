@@ -29,16 +29,6 @@ import (
 // kernel and single precision.
 type FMMAccel struct {
 	Dev *stream.Device
-	// BlockSize is the thread-block size b (default 64).
-	BlockSize int
-	// Tol32 is the pseudo-inverse regularization used by the device's S2U
-	// solve. Single precision cannot support the engine's double-precision
-	// tolerance: the check-to-equivalent operator is exponentially
-	// ill-conditioned in the surface order, so float32 check potentials
-	// must be regularized near √ε₃₂ or the solve amplifies rounding noise —
-	// this is the quantitative face of the paper's "GPU acceleration is
-	// implemented in single precision" limitation. Default 1e-4.
-	Tol32 float64
 	// PhaseTimes accumulates modeled device time per phase.
 	PhaseTimes map[string]time.Duration
 	// TranslationBytes accumulates the footprint of the CPU-side
@@ -54,12 +44,23 @@ type FMMAccel struct {
 	den    []float32              // den32's reused density buffer
 }
 
+const (
+	// blockSize is the thread-block size b.
+	blockSize = 64
+	// tol32 is the pseudo-inverse regularization used by the device's S2U
+	// solve. Single precision cannot support the engine's double-precision
+	// tolerance: the check-to-equivalent operator is exponentially
+	// ill-conditioned in the surface order, so float32 check potentials
+	// must be regularized near √ε₃₂ or the solve amplifies rounding noise —
+	// this is the quantitative face of the paper's "GPU acceleration is
+	// implemented in single precision" limitation.
+	tol32 = 1e-4
+)
+
 // New creates an accelerator bound to a device.
 func New(dev *stream.Device) *FMMAccel {
 	return &FMMAccel{
 		Dev:        dev,
-		BlockSize:  64,
-		Tol32:      1e-4,
 		PhaseTimes: make(map[string]time.Duration),
 		vliTF:      make(map[uint32][]complex64),
 	}
@@ -73,7 +74,7 @@ func (a *FMMAccel) uc2ue32(e *kifmm.Engine) *linalg.Mat {
 		const half = 0.5
 		ue := e.Ops.Grid.Points(geom.Point{}, kifmm.RadInner*half)
 		uc := e.Ops.Grid.Points(geom.Point{}, kifmm.RadOuter*half)
-		a.pinv32 = linalg.PinvTikhonov(kernel.Matrix(e.Ops.Kern, uc, ue), a.Tol32)
+		a.pinv32 = linalg.PinvTikhonov(kernel.Matrix(e.Ops.Kern, uc, ue), tol32)
 	}
 	return a.pinv32
 }
@@ -90,7 +91,7 @@ func (a *FMMAccel) phase(name string, fn func()) {
 	before := a.Dev.Snapshot()
 	fn()
 	delta := a.Dev.Snapshot().Sub(before)
-	a.PhaseTimes[name] += a.Dev.ModeledTime(delta)
+	a.PhaseTimes[name] += delta.ModeledTime()
 }
 
 // ModeledTotal returns the summed modeled device time across phases.

@@ -10,6 +10,7 @@ import (
 	"kifmm/internal/kernel"
 	"kifmm/internal/kifmm"
 	"kifmm/internal/octree"
+	"kifmm/internal/perfmodel"
 	"kifmm/internal/stream"
 )
 
@@ -31,7 +32,7 @@ func setup(t *testing.T, dist geom.Distribution, n, q, p int) (*kifmm.Engine, *k
 	}
 	cpu.SetPointDensities(den)
 	dev.SetPointDensities(den)
-	accel := New(stream.NewDevice(stream.DefaultParams()))
+	accel := New(stream.NewDevice())
 	return cpu, dev, accel
 }
 
@@ -75,14 +76,14 @@ func TestULIHandlesNonuniformTrees(t *testing.T) {
 }
 
 func TestS2UMatchesCPU(t *testing.T) {
-	// The device S2U uses the float32-appropriate regularization (Tol32),
+	// The device S2U uses the float32-appropriate regularization (tol32),
 	// so the reference engine is built with the same tolerance; residual
-	// differences are float32 rounding amplified by ≲ 1/Tol32.
+	// differences are float32 rounding amplified by ≲ 1/tol32.
 	pts := geom.Generate(geom.Uniform, 800, 21)
 	tr := octree.Build(pts, 40, 20)
 	tr.BuildLists(nil)
-	accel := New(stream.NewDevice(stream.DefaultParams()))
-	ops := kifmm.NewOperators(kernel.Laplace{}, 4, accel.Tol32)
+	accel := New(stream.NewDevice())
+	ops := kifmm.NewOperators(kernel.Laplace{}, 4, tol32)
 	cpu := kifmm.NewEngine(ops, tr)
 	dev := kifmm.NewEngine(ops, tr)
 	rng := rand.New(rand.NewSource(33))
@@ -147,7 +148,7 @@ func TestFullAcceleratedEvaluationAccuracy(t *testing.T) {
 		den[i] = rng.NormFloat64()
 	}
 	e.SetPointDensities(den)
-	accel := New(stream.NewDevice(stream.DefaultParams()))
+	accel := New(stream.NewDevice())
 
 	accel.S2U(e)
 	e.U2U()
@@ -188,11 +189,10 @@ func TestModeledSpeedupShape(t *testing.T) {
 	accel.ULI(dev)
 	cpu.ULI()
 
-	devc := accel.Dev
-	uliSpeed := float64(devc.HostTime(cpu.Prof.Flops(diag.PhaseUList))) /
-		float64(accel.PhaseTimes[diag.PhaseUList])
-	vliSpeed := float64(devc.HostTime(cpu.Prof.Flops(diag.PhaseVList))) /
-		float64(accel.PhaseTimes[diag.PhaseVList])
+	uliSpeed := perfmodel.Work{Flops: cpu.Prof.Flops(diag.PhaseUList)}.Seconds() /
+		accel.PhaseTimes[diag.PhaseUList].Seconds()
+	vliSpeed := perfmodel.Work{Flops: cpu.Prof.Flops(diag.PhaseVList)}.Seconds() /
+		accel.PhaseTimes[diag.PhaseVList].Seconds()
 	if uliSpeed < 5 {
 		t.Fatalf("ULI modeled speedup too small: %.1f", uliSpeed)
 	}
@@ -208,7 +208,7 @@ func TestRequireLaplaceRejectsStokes(t *testing.T) {
 	tr.BuildLists(nil)
 	ops := kifmm.NewOperators(kernel.Stokes{}, 4, 1e-9)
 	e := kifmm.NewEngine(ops, tr)
-	accel := New(stream.NewDevice(stream.DefaultParams()))
+	accel := New(stream.NewDevice())
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("expected panic for stokes on device")
@@ -284,7 +284,7 @@ func TestFullyAcceleratedWithWX(t *testing.T) {
 		den[i] = rng.NormFloat64()
 	}
 	e.SetPointDensities(den)
-	accel := New(stream.NewDevice(stream.DefaultParams()))
+	accel := New(stream.NewDevice())
 	accel.S2U(e)
 	e.U2U()
 	accel.VLI(e)

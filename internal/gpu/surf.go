@@ -166,7 +166,6 @@ func (a *FMMAccel) d2t(e *kifmm.Engine) {
 	t := e.Tree
 	g := e.Ops.Grid
 	ns := g.NumPoints()
-	b := a.BlockSize
 
 	type chunkJob struct {
 		node   int32
@@ -189,10 +188,10 @@ func (a *FMMAccel) d2t(e *kifmm.Engine) {
 		}
 		meta := center32(e, li)
 		cx, cy, cz := n.Key.Center()
-		for base := 0; base < n.NPoints(); base += b {
+		for base := 0; base < n.NPoints(); base += blockSize {
 			cnt := n.NPoints() - base
-			if cnt > b {
-				cnt = b
+			if cnt > blockSize {
+				cnt = blockSize
 			}
 			j := chunkJob{node: li, ptBase: n.PtLo + int32(base), count: int32(cnt), meta: meta, dBase: dBase}
 			jobs = append(jobs, j)
@@ -202,7 +201,7 @@ func (a *FMMAccel) d2t(e *kifmm.Engine) {
 				ty = append(ty, float32(p.Y-cy))
 				tz = append(tz, float32(p.Z-cz))
 			}
-			for k := cnt; k < b; k++ {
+			for k := cnt; k < blockSize; k++ {
 				tx = append(tx, 0)
 				ty = append(ty, 0)
 				tz = append(tz, 0)
@@ -217,7 +216,7 @@ func (a *FMMAccel) d2t(e *kifmm.Engine) {
 	var cur int32
 	for i := range jobs {
 		trgBase[i] = cur
-		cur += int32(b)
+		cur += int32(blockSize)
 	}
 
 	translation := int64(4 * (len(tx)*3 + len(dvec) + len(jobs)*5))
@@ -225,10 +224,10 @@ func (a *FMMAccel) d2t(e *kifmm.Engine) {
 	a.Dev.H2D(int(translation))
 
 	flopsPer := kernel.Laplace{}.FlopsPerInteraction()
-	a.Dev.Launch(len(jobs), b, ns, func(blk *stream.Block) {
+	a.Dev.Launch(len(jobs), blockSize, ns, func(blk *stream.Block) {
 		j := jobs[blk.Idx]
 		base := trgBase[blk.Idx]
-		blk.GlobalLoad(12*b+20, true)
+		blk.GlobalLoad(12*blockSize+20, true)
 		// Stage the equivalent densities in shared memory.
 		blk.ForEachThread(func(tid int) {
 			for k := tid; k < ns; k += blk.Size {

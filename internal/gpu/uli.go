@@ -20,7 +20,6 @@ func (a *FMMAccel) ULI(e *kifmm.Engine) {
 
 func (a *FMMAccel) uli(e *kifmm.Engine) {
 	t := e.Tree
-	b := a.BlockSize
 
 	// ---- Data-structure translation: LET → flat streaming layout. ----
 	// The density-independent part was done at plan time: the engine's
@@ -32,9 +31,9 @@ func (a *FMMAccel) uli(e *kifmm.Engine) {
 	sx, sy, sz := L.X32, L.Y32, L.Z32
 	sden := a.den32(e)
 
-	// Target side: one device block per chunk of b target points. Targets
-	// are addressed through the same layout panels; trgBase indexes the
-	// unpadded result vector (padded lanes occupy the block but neither
+	// Target side: one device block per chunk of blockSize target points.
+	// Targets are addressed through the same layout panels; trgBase indexes
+	// the unpadded result vector (padded lanes occupy the block but neither
 	// read nor write, as in the paper).
 	type chunk struct {
 		node    int32
@@ -61,10 +60,10 @@ func (a *FMMAccel) uli(e *kifmm.Engine) {
 			ulist = append(ulist, an.PtLo, int32(an.NPoints()))
 		}
 		listHi := int32(len(ulist))
-		for base := 0; base < n.NPoints(); base += b {
+		for base := 0; base < n.NPoints(); base += blockSize {
 			cnt := n.NPoints() - base
-			if cnt > b {
-				cnt = b
+			if cnt > blockSize {
+				cnt = blockSize
 			}
 			chunks = append(chunks, chunk{
 				node: li, ptBase: n.PtLo + int32(base), count: int32(cnt),
@@ -87,17 +86,17 @@ func (a *FMMAccel) uli(e *kifmm.Engine) {
 	a.Dev.H2D(int(translation))
 
 	// ---- Kernel. ----
-	a.Dev.Launch(len(chunks), b, 4*b, func(blk *stream.Block) {
+	a.Dev.Launch(len(chunks), blockSize, 4*blockSize, func(blk *stream.Block) {
 		ch := chunks[blk.Idx]
-		acc := make([]float32, b) // per-thread register accumulators
+		acc := make([]float32, blockSize) // per-thread register accumulators
 		// Each thread loads its target coordinates (coalesced).
-		blk.GlobalLoad(12*b, true)
+		blk.GlobalLoad(12*blockSize, true)
 		for li := ch.listLo; li < ch.listHi; li += 2 {
 			start, count := ulist[li], ulist[li+1]
-			for tile := int32(0); tile < count; tile += int32(b) {
+			for tile := int32(0); tile < count; tile += int32(blockSize) {
 				tlen := count - tile
-				if tlen > int32(b) {
-					tlen = int32(b)
+				if tlen > int32(blockSize) {
+					tlen = int32(blockSize)
 				}
 				// Phase 1: cooperative load of the tile into shared memory.
 				// Partial tiles break coalescing (the paper's sparse U-list
@@ -112,8 +111,7 @@ func (a *FMMAccel) uli(e *kifmm.Engine) {
 					blk.Shared[4*tid+2] = sz[j]
 					blk.Shared[4*tid+3] = sden[j]
 				})
-				blk.GlobalLoad(int(16*tlen), tlen == int32(b))
-				blk.SharedAccess(int(16 * tlen))
+				blk.GlobalLoad(int(16*tlen), tlen == int32(blockSize))
 				// Phase 2: every thread accumulates over the tile.
 				blk.ForEachThread(func(tid int) {
 					if int32(tid) >= ch.count {

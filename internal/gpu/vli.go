@@ -126,8 +126,7 @@ func (a *FMMAccel) vli(e *kifmm.Engine) {
 			// Device: Hadamard accumulation, one launch per target; blocks
 			// tile the half-spectrum frequency range.
 			accs := make([][]complex64, len(blockTargets))
-			bsz := a.BlockSize
-			grid := (hl + bsz - 1) / bsz
+			grid := (hl + blockSize - 1) / blockSize
 			for bi, ti := range blockTargets {
 				acc := make([]complex64, hl)
 				accs[bi] = acc
@@ -137,9 +136,9 @@ func (a *FMMAccel) vli(e *kifmm.Engine) {
 					dx, dy, dz := dirBetween(e, ai, ti)
 					pairs = append(pairs, pair{tfFor(dx, dy, dz), specs[srcIdx[ai]]})
 				}
-				a.Dev.Launch(grid, bsz, 0, func(blk *stream.Block) {
-					start := blk.Idx * bsz
-					end := start + bsz
+				a.Dev.Launch(grid, blockSize, 0, func(blk *stream.Block) {
+					start := blk.Idx * blockSize
+					end := start + blockSize
 					if end > hl {
 						end = hl
 					}

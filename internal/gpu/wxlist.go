@@ -24,7 +24,6 @@ func (a *FMMAccel) wli(e *kifmm.Engine) {
 	t := e.Tree
 	g := e.Ops.Grid
 	ns := g.NumPoints()
-	b := a.BlockSize
 
 	// Flatten the upward densities of every W-source once.
 	uBase := make(map[int32]int32)
@@ -64,10 +63,10 @@ func (a *FMMAccel) wli(e *kifmm.Engine) {
 		}
 		listHi := int32(len(wlist))
 		cx, cy, cz := n.Key.Center()
-		for base := 0; base < n.NPoints(); base += b {
+		for base := 0; base < n.NPoints(); base += blockSize {
 			cnt := n.NPoints() - base
-			if cnt > b {
-				cnt = b
+			if cnt > blockSize {
+				cnt = blockSize
 			}
 			j := chunkJob{node: li, ptBase: n.PtLo + int32(base), count: int32(cnt),
 				trgOff: int32(len(tx)), listLo: listLo, listHi: listHi,
@@ -78,7 +77,7 @@ func (a *FMMAccel) wli(e *kifmm.Engine) {
 				ty = append(ty, float32(p.Y-cy))
 				tz = append(tz, float32(p.Z-cz))
 			}
-			for k := cnt; k < b; k++ {
+			for k := cnt; k < blockSize; k++ {
 				tx = append(tx, 0)
 				ty = append(ty, 0)
 				tz = append(tz, 0)
@@ -95,9 +94,9 @@ func (a *FMMAccel) wli(e *kifmm.Engine) {
 	a.Dev.H2D(int(translation))
 
 	flopsPer := kernel.Laplace{}.FlopsPerInteraction()
-	a.Dev.Launch(len(jobs), b, ns, func(blk *stream.Block) {
+	a.Dev.Launch(len(jobs), blockSize, ns, func(blk *stream.Block) {
 		j := jobs[blk.Idx]
-		blk.GlobalLoad(12*b+8*int(j.listHi-j.listLo), true)
+		blk.GlobalLoad(12*blockSize+8*int(j.listHi-j.listLo), true)
 		for li := j.listLo; li < j.listHi; li++ {
 			si := wlist[li]
 			m := srcMeta[si]

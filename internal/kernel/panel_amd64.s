@@ -10,6 +10,13 @@
 // nanZero is y = x + (x − x); y AND NOT (y unordered y). Loads are unaligned;
 // the constants come from the Go arrays panelConsts (ones, 1/4π, 1/8π),
 // expConsts and expBias.
+//
+// Each kernel starts with PCALIGN $64, as hadamardListAVX512 does: it makes
+// the linker start the function on a 64-byte boundary, so its loops'
+// placement across fetch lines does not depend on the size of the code
+// linked before it. At offset 0 it pads nothing; the two Yukawa kernels have
+// a frame, and there it pads the assembler's 11-byte prologue to 64 bytes
+// with six NOPs, once per call.
 
 // The Yukawa kernels' macros come first, ahead of every TEXT block (go vet
 // reads a macro's frame references as those of the TEXT block above it): EXP
@@ -135,6 +142,7 @@ yexp: \
 // out[i] += Σ_j nanZero(c/√r²ᵢⱼ)·den[j] for nt targets, nt a positive multiple
 // of 4, against ns > 0 sources in ascending order.
 TEXT ·laplacePanelAVX2(SB), NOSPLIT, $0-80
+	PCALIGN $64
 	MOVQ tx+0(FP), AX
 	MOVQ ty+8(FP), BX
 	MOVQ tz+16(FP), CX
@@ -193,6 +201,7 @@ lpair:
 // acc[4k+l] = component k of target l's partial sum from zero. All sixteen
 // registers are live in the pair loop, so the two constants stay in memory.
 TEXT ·stokesGroupAVX2(SB), NOSPLIT, $0-72
+	PCALIGN $64
 	MOVQ tx+0(FP), AX
 	MOVQ ty+8(FP), BX
 	MOVQ tz+16(FP), CX
@@ -285,6 +294,7 @@ spair:
 // against nb > 0 b points. The a-group's densities and output are addressed
 // through the frame once per group, which leaves a register for each b stream.
 TEXT ·laplacePairAVX2(SB), NOSPLIT, $0-96
+	PCALIGN $64
 	MOVQ ax+0(FP), AX
 	MOVQ ay+8(FP), BX
 	MOVQ az+16(FP), CX
@@ -383,6 +393,7 @@ egroup:
 // out[i] += Σ_j k_ij·den[j] for nt targets, nt a positive multiple of 4,
 // against ns > 0 sources in ascending order.
 TEXT ·yukawaPanelAVX2(SB), NOSPLIT, $512-88
+	PCALIGN $64
 	MOVQ tx+0(FP), AX
 	MOVQ ty+8(FP), BX
 	MOVQ tz+16(FP), CX
@@ -441,6 +452,7 @@ ysum:
 //
 // laplacePairAVX2 with the kernel value of yukawaPanelAVX2, in its blocks.
 TEXT ·yukawaPairAVX2(SB), NOSPLIT, $512-104
+	PCALIGN $64
 	MOVQ ax+0(FP), AX
 	MOVQ ay+8(FP), BX
 	MOVQ az+16(FP), CX

@@ -17,7 +17,7 @@
 // function on a 64-byte boundary, so the 101-byte inner loop always spans two
 // 64-byte lines, wherever the code linked before it ends. At 32 mod 64 the
 // loop spans three, and a far_uniform Apply, ≈ 40 % of which is this loop,
-// reads a few percent slower.
+// reads a few percent slower. hadamardListAVX2 is pinned the same way.
 TEXT ·hadamardListAVX512(SB), NOSPLIT, $0-40
 	PCALIGN $64
 	MOVQ  ops+0(FP), R10
@@ -67,6 +67,7 @@ elem512:
 
 // func hadamardListAVX2(ops *hadamardOp, nops, c0, n, hl int)
 TEXT ·hadamardListAVX2(SB), NOSPLIT, $0-40
+	PCALIGN $64
 	MOVQ  ops+0(FP), R10
 	MOVQ  nops+8(FP), R11
 	MOVQ  c0+16(FP), R13

@@ -9,12 +9,17 @@
 // exactly where Packed's Go loop and Mat.MulVec round. Four groups are in
 // flight — four independent add chains hide the add latency — and the last
 // groups of a count not a multiple of four run one at a time.
+//
+// PCALIGN $64 at offset 0 pads nothing and makes the linker start the
+// function on a 64-byte boundary, so the loop's placement across fetch lines
+// does not depend on the size of the code linked before it.
 
 // func packedAVX2(pk, x, y *float64, groups, cols int, add bool)
 //
 // For groups > 0 four-row panels of cols > 0 columns at pk: y[4g+l] = the
 // sum of row 4g+l times x, or y[4g+l] += it, once, when add is set.
 TEXT ·packedAVX2(SB), NOSPLIT, $0-41
+	PCALIGN $64
 	MOVQ    pk+0(FP), AX
 	MOVQ    x+8(FP), BX
 	MOVQ    y+16(FP), CX

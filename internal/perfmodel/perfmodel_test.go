@@ -74,17 +74,18 @@ func TestPredictMonotoneInN(t *testing.T) {
 	}
 }
 
-func TestEfficiencyDecreasesWithP(t *testing.T) {
-	// With a √p communication term, strong-scaling efficiency must fall.
-	m := &Model{Terms: EvalTerms, Coeffs: []float64{1e-6, 1e-5}}
-	const n = 10_000_000
-	e8 := m.Efficiency(n, 1, 8)
-	e64 := m.Efficiency(n, 1, 64)
-	if !(e64 < e8 && e8 <= 1.0001) {
-		t.Fatalf("efficiency not decreasing: e8=%v e64=%v", e8, e64)
+func TestWorkSeconds(t *testing.T) {
+	// One second of each: 0.5 GFlop of particle loops, 3 GFlop of mat-vec,
+	// 2 GFlop of FFTs, 2 GB over the wire and 200 000 message latencies.
+	for _, w := range []Work{
+		{Flops: 5e8}, {MatFlops: 3e9}, {FFTFlops: 2e9}, {Bytes: 2e9}, {Msgs: 200_000},
+	} {
+		if got := w.Seconds(); math.Abs(got-1) > 1e-12 {
+			t.Fatalf("%+v: %v s, want 1", w, got)
+		}
 	}
-	if e64 < 0.2 {
-		t.Fatalf("efficiency collapsed unexpectedly: %v", e64)
+	if got := (Work{Flops: 5e8, MatFlops: 3e9, Msgs: 200_000}).Seconds(); math.Abs(got-3) > 1e-12 {
+		t.Fatalf("terms do not add: %v s, want 3", got)
 	}
 }
 

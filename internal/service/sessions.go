@@ -183,14 +183,13 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// A session plans its own points; the plan cache neither serves nor
-	// keeps it. Creating one runs to its end: FMM.NewSession takes no
-	// context.
-	s.serve(w, r, s.cfg.RequestTimeout, func(context.Context) (any, error) {
+	// keeps it.
+	s.serve(w, r, s.cfg.RequestTimeout, func(ctx context.Context) (any, error) {
 		solver, err := kifmm.New(req.Options.ToOptions())
 		if err != nil {
 			return nil, fmt.Errorf("session: %w", err)
 		}
-		sess, err := solver.NewSession(ToPoints(req.Points))
+		sess, err := solver.NewSession(ctx, ToPoints(req.Points))
 		if err != nil {
 			return nil, fmt.Errorf("session: %w", err)
 		}

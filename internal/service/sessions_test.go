@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"math"
 	"net/http"
@@ -382,5 +384,45 @@ func TestStepCancelledLeavesSession(t *testing.T) {
 		if step.Potentials[i] != want[i] {
 			t.Fatalf("potential %d is %v, want %v: the cancelled step committed", i, step.Potentials[i], want[i])
 		}
+	}
+}
+
+// TestSessionCreateCancelled: a create whose request context is done is
+// answered 504 and registers no session, whether the deadline is seen while
+// queued or by the plan build (FMM.NewSession checks the request's context).
+// The two are a random choice of serve's select, so the create is retried
+// until the plan build has seen it.
+func TestSessionCreateCancelled(t *testing.T) {
+	defer goleak.Check(t)()
+	s := New(Config{Workers: 1, QueueDepth: 4})
+	defer s.Shutdown(context.Background())
+	pts, _ := testPoints(200, 12)
+	body, err := json.Marshal(SessionRequest{Points: pts, Options: fastOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	for try := 0; ; try++ {
+		if try == 40 {
+			t.Fatal("no cancelled create reached the plan build in 40 tries")
+		}
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/session", bytes.NewReader(body)).WithContext(done)
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusGatewayTimeout || !strings.Contains(rec.Body.String(), "deadline expired") {
+			t.Fatalf("cancelled create answered %d %s", rec.Code, rec.Body)
+		}
+		if st := s.sessions.stats(); st.Active != 0 || st.Created != 0 {
+			t.Fatalf("cancelled create registered a session: %+v", st)
+		}
+		if strings.Contains(rec.Body.String(), "session: kifmm: context canceled") {
+			break
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/session", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK || s.sessions.stats().Active != 1 {
+		t.Fatalf("create after the cancelled ones: %d %s", rec.Code, rec.Body)
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestLaunchRunsAllBlocksAndThreads(t *testing.T) {
-	d := NewDevice(DefaultParams())
+	d := NewDevice()
 	var total atomic.Int64
 	d.Launch(10, 32, 0, func(b *Block) {
 		b.ForEachThread(func(tid int) {
@@ -26,7 +26,7 @@ func TestLaunchRunsAllBlocksAndThreads(t *testing.T) {
 
 func TestForEachThreadBarrierSemantics(t *testing.T) {
 	// A cooperative load phase must be fully visible to the compute phase.
-	d := NewDevice(DefaultParams())
+	d := NewDevice()
 	ok := true
 	d.Launch(1, 64, 64, func(b *Block) {
 		b.ForEachThread(func(tid int) { b.Shared[tid] = float32(tid) })
@@ -43,13 +43,12 @@ func TestForEachThreadBarrierSemantics(t *testing.T) {
 }
 
 func TestCountersAccumulate(t *testing.T) {
-	d := NewDevice(DefaultParams())
+	d := NewDevice()
 	d.H2D(1000)
 	d.Launch(2, 4, 0, func(b *Block) {
 		b.GlobalLoad(100, true)
 		b.GlobalLoad(50, false)
 		b.GlobalStore(10, true)
-		b.SharedAccess(5)
 		b.Flops(1000)
 	})
 	d.D2H(500)
@@ -60,13 +59,13 @@ func TestCountersAccumulate(t *testing.T) {
 	if c.CoalescedBytes != 2*110 || c.UncoalescedBytes != 2*50 {
 		t.Fatalf("memory bytes %d/%d", c.CoalescedBytes, c.UncoalescedBytes)
 	}
-	if c.Flops != 2000 || c.SharedBytes != 10 {
-		t.Fatalf("flops/shared wrong")
+	if c.Flops != 2000 {
+		t.Fatalf("flops %d", c.Flops)
 	}
 }
 
 func TestSnapshotSub(t *testing.T) {
-	d := NewDevice(DefaultParams())
+	d := NewDevice()
 	d.H2D(100)
 	before := d.Snapshot()
 	d.H2D(50)
@@ -77,44 +76,28 @@ func TestSnapshotSub(t *testing.T) {
 }
 
 func TestModeledTimeRoofline(t *testing.T) {
-	p := DefaultParams()
-	p.LaunchOverhead = 0
-	d := NewDevice(p)
 	// Compute-bound: 26 GFlop at 260 GFlop/s = 100 ms.
-	ct := d.ModeledTime(Counters{Flops: 26e9})
+	ct := Counters{Flops: 26e9}.ModeledTime()
 	if ct < 99*time.Millisecond || ct > 101*time.Millisecond {
 		t.Fatalf("compute-bound time %v", ct)
 	}
 	// Memory-bound: 10 GB at 100 GB/s = 100 ms, dominating 1 GFlop compute.
-	mt := d.ModeledTime(Counters{Flops: 1e9, CoalescedBytes: 10e9})
+	mt := Counters{Flops: 1e9, CoalescedBytes: 10e9}.ModeledTime()
 	if mt < 99*time.Millisecond || mt > 101*time.Millisecond {
 		t.Fatalf("memory-bound time %v", mt)
 	}
 	// Uncoalesced penalty multiplies.
-	ut := d.ModeledTime(Counters{UncoalescedBytes: 10e9 / 8})
+	ut := Counters{UncoalescedBytes: 10e9 / 8}.ModeledTime()
 	if ut < 99*time.Millisecond || ut > 101*time.Millisecond {
 		t.Fatalf("uncoalesced time %v", ut)
 	}
 	// Transfers add serially.
-	tt := d.ModeledTime(Counters{TransferBytes: int64(p.TransferGBs * 1e9)})
+	tt := Counters{TransferBytes: transferGBs * 1e9}.ModeledTime()
 	if tt < 999*time.Millisecond || tt > 1001*time.Millisecond {
 		t.Fatalf("transfer time %v", tt)
 	}
-}
-
-func TestHostTime(t *testing.T) {
-	d := NewDevice(DefaultParams())
-	// 0.5 GFlop at 0.5 GFlop/s = 1 s.
-	if got := d.HostTime(5e8); got < 999*time.Millisecond || got > 1001*time.Millisecond {
-		t.Fatalf("host time %v", got)
+	// Each launch adds its overhead.
+	if lt := (Counters{Launches: 3}).ModeledTime(); lt != 3*launchOverhead {
+		t.Fatalf("launch time %v", lt)
 	}
-}
-
-func TestNewDeviceValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic for invalid params")
-		}
-	}()
-	NewDevice(Params{})
 }

@@ -169,7 +169,7 @@ func TestProbe(t *testing.T) {
 		}), fmt.Sprintf("%s/targets", kern))
 
 		session := func() ([][]float64, error) {
-			s, err := f.NewSession(pts)
+			s, err := f.NewSession(context.Background(), pts)
 			if err != nil {
 				return nil, err
 			}

@@ -62,9 +62,10 @@ type SessionStats struct {
 
 // NewSession plans the initial point set (IDs 0..len(points)-1) and returns
 // a session over it. The session takes this solver's options as they are:
-// with Shards, every step builds a sharded plan.
-func (f *FMM) NewSession(points []Point) (*Session, error) {
-	plan, err := f.Plan(points)
+// with Shards, every step builds a sharded plan. ctx is checked between the
+// plan's build stages; a session whose plan was stopped is not returned.
+func (f *FMM) NewSession(ctx context.Context, points []Point) (*Session, error) {
+	plan, err := f.PlanAt(ctx, nil, points)
 	if err != nil {
 		return nil, err
 	}

@@ -105,7 +105,7 @@ func TestSessionMatchesEvaluate(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts, den := randInput(500, 1, 61)
-	s, err := f.NewSession(pts)
+	s, err := f.NewSession(context.Background(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +178,10 @@ func TestSessionMatchesEvaluate(t *testing.T) {
 
 func TestNewSessionRejections(t *testing.T) {
 	f, _ := New(Options{})
-	if _, err := f.NewSession(nil); err == nil {
+	if _, err := f.NewSession(context.Background(), nil); err == nil {
 		t.Fatal("empty session accepted")
 	}
-	if _, err := f.NewSession([]Point{{X: -1, Y: 0, Z: 0}}); err == nil {
+	if _, err := f.NewSession(context.Background(), []Point{{X: -1, Y: 0, Z: 0}}); err == nil {
 		t.Fatal("out-of-cube session point accepted")
 	}
 }

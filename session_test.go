@@ -111,7 +111,7 @@ func TestStepMatchesFreshPlan(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						s, err := f.NewSession(geom.Generate(dc.d, kc.n, 7))
+						s, err := f.NewSession(context.Background(), geom.Generate(dc.d, kc.n, 7))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -165,7 +165,7 @@ func TestStepErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := f.NewSession(geom.Generate(geom.Uniform, 50, 1))
+	s, err := f.NewSession(context.Background(), geom.Generate(geom.Uniform, 50, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestStepErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := fs.NewSession(geom.Generate(geom.Uniform, 40, 3))
+	ss, err := fs.NewSession(context.Background(), geom.Generate(geom.Uniform, 40, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestRemoveAllButOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := f.NewSession(geom.Generate(geom.Uniform, 300, 23))
+	s, err := f.NewSession(context.Background(), geom.Generate(geom.Uniform, 300, 23))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestSessionReportsPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := geom.Generate(geom.Uniform, 600, 11)
-	s, err := f.NewSession(pts)
+	s, err := f.NewSession(context.Background(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestSessionConcurrentUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 300
-	s, err := f.NewSession(geom.Generate(geom.Uniform, n, 13))
+	s, err := f.NewSession(context.Background(), geom.Generate(geom.Uniform, n, 13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func FuzzSessionStep(f *testing.F) {
 	}
 	init := geom.Generate(geom.Uniform, 40, 3)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := solver.NewSession(init)
+		s, err := solver.NewSession(context.Background(), init)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -525,7 +525,7 @@ func BenchmarkSessionStep(b *testing.B) {
 				name = "step+apply-" + frac.name
 			}
 			b.Run(name, func(b *testing.B) {
-				s, err := f.NewSession(pts)
+				s, err := f.NewSession(context.Background(), pts)
 				if err != nil {
 					b.Fatal(err)
 				}
