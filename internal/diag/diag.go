@@ -28,9 +28,6 @@ const (
 
 	PhaseSetup = "Setup"
 	PhaseSort  = "Sort"
-	PhaseTree  = "Tree"
-	PhaseLET   = "LET"
-	PhaseBal   = "Balance"
 
 	// PhaseSchedIdle accumulates the task-graph scheduler's summed
 	// per-worker idle time (parked on an empty ready stack).

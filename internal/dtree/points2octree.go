@@ -71,7 +71,7 @@ func coarsestBoundary(prevLast, first morton.Key) morton.Key {
 // leaf holds its points and their densities.
 //
 // den may be nil; otherwise it holds sdim components per point and travels
-// with the points. prof (optional) receives PhaseSort/PhaseTree timings.
+// with the points. prof (optional) receives the PhaseSort timing.
 // Collective.
 func Points2Octree(c *mpi.Comm, pts []geom.Point, den []float64, sdim, q, maxDepth int, prof *diag.Profile) []Leaf {
 	if q < 1 {
@@ -93,12 +93,6 @@ func Points2Octree(c *mpi.Comm, pts []geom.Point, den []float64, sdim, q, maxDep
 	}
 	sorted := psort.SampleSort(c, recs, lessRec, pointRecCodec(sdim))
 	stopSort()
-
-	stopTree := func() {}
-	if prof != nil {
-		stopTree = prof.Start(diag.PhaseTree) //fmm:coldcall instrumentation; profiler timestamps never feed back into results
-	}
-	defer stopTree()
 
 	// Region boundaries from the sorted point partition. Rank r's region
 	// starts at the COARSEST ancestor of its first point that excludes rank

@@ -21,8 +21,7 @@ func (a *FMMAccel) VLI(e *kifmm.Engine) {
 	a.phase(diag.PhaseVList, func() { a.vli(e) })
 }
 
-// packDir mirrors the kifmm direction key (local copy; components in
-// [-3, 3]).
+// packDir packs a V-list direction (components in [-3, 3]) into a key.
 func packDir(dx, dy, dz int) uint32 {
 	return uint32(dx+3)<<16 | uint32(dy+3)<<8 | uint32(dz+3)
 }

@@ -55,8 +55,8 @@ func TestVListAllocBudget(t *testing.T) {
 	t.Logf("FFT V-list pass: %.0f allocations compiling, %.0f running warm, %d spectra held at once", build, run, peak)
 }
 
-// TestOperatorCacheAllocs pins the warm-hit allocation count of the two
-// copy-on-write operator caches at zero. Both sat on sync.Map before, which
+// TestOperatorCacheAllocs pins the warm-hit allocation count of the dense
+// M2L and per-level table lookups at zero. Both sat on sync.Map once, which
 // boxes every lookup key into any — one heap allocation per M2L matrix
 // fetch (every dense V-list interaction) and per per-level table fetch
 // (every downward translation of a non-homogeneous kernel); fmmvet's

@@ -120,22 +120,14 @@ func (s *schedule) add(name string, kind, i int32) sched.TaskID {
 	return s.graph.Add(name)
 }
 
-// memoryBytes counts the graph, the task refs, the pairing, the V row's
-// groups and use counts, and the translation spectra of each distinct table
-// the V row holds: a schedule keeps them alive after the process-wide cache
-// has evicted them.
+// memoryBytes counts the graph, the task refs, the pairing, and the V row's
+// groups, table pointers and use counts. The translation spectra the tables
+// hold are not the schedule's: they belong to the operators' level tables,
+// which every plan of those operators shares.
 func (s *schedule) memoryBytes() int64 {
 	b := s.graph.MemoryBytes() + 8*int64(len(s.refs)+len(s.vTab)) + 4*int64(len(s.vUses))
 	for _, g := range s.vGroups {
 		b += 24 + 4*int64(len(g))
-	}
-	for k, tb := range s.vTab { // a level's groups, which share its table, are consecutive
-		if k > 0 && tb == s.vTab[k-1] {
-			continue
-		}
-		for _, sp := range tb {
-			b += 8 * int64(len(sp))
-		}
 	}
 	if s.pairs != nil {
 		b += 4 * int64(len(s.pairs.at)+len(s.pairs.link)+len(s.pairs.order))
@@ -380,7 +372,8 @@ var specHeld func(delta int)
 // groups between them.) Spectra are reference-counted: a buffer returns to
 // the engine's free list after its last consumer finishes, and the next spec
 // task reuses it, so an engine holds only as many buffers as a run holds at
-// once. The groups' tables are resolved, and the row's flops counted, here.
+// once. The groups' tables are taken from the operators (Operators.vTable),
+// and the row's flops counted, here.
 func (e *Engine) compileVFFT(s *schedule, levels [][]int32, uTask, vTask []sched.TaskID) {
 	t := e.Tree
 	nn := len(t.Nodes)
@@ -408,7 +401,6 @@ func (e *Engine) compileVFFT(s *schedule, levels [][]int32, uTask, vTask []sched
 		}
 	}
 
-	tables := vTables{f: s.vFFT, workers: e.Workers}
 	done := make([]sched.TaskID, len(s.vGroups)) // done[k]: groups 0..k have run
 	// gated[a] is the last group task given an edge from spec(a): siblings
 	// share most of their sources, and one edge per (source, group) is enough.
@@ -434,7 +426,7 @@ func (e *Engine) compileVFFT(s *schedule, levels [][]int32, uTask, vTask []sched
 				}
 			}
 		}
-		s.vTab = append(s.vTab, tables.at(t.Nodes[grp[0]].Key.Level()))
+		s.vTab = append(s.vTab, e.Ops.vTable(t.Nodes[grp[0]].Key.Level(), e.Workers))
 		task := s.add("Vfft", kVGroup, int32(k))
 		done[k] = s.add("", kJoin, -1)
 		s.graph.Dep(task, done[k])

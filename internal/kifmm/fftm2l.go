@@ -29,7 +29,8 @@ import (
 //
 // Translation spectra are not held per-FFTM2L: they depend only on
 // (kernel identity, surface order, level, direction), so they live in a
-// process-wide TranslationCache shared by every Operators instance.
+// process-wide TranslationCache shared by every Operators instance, and each
+// level table holds its level's (Operators.vTable).
 type FFTM2L struct {
 	ops   *Operators
 	n     int // padded grid edge = 2p
@@ -127,7 +128,7 @@ func (f *FFTM2L) Translation(dx, dy, dz int) []float64 {
 // be rescaled from a reference level). Spectra come from the process-wide
 // cache: concurrent callers racing on one direction build it exactly once.
 func (f *FFTM2L) TranslationAt(level, dx, dy, dz int) []float64 {
-	key := tfKey{Kern: f.kid, P: f.ops.Grid.P, Level: level, Dir: packDir(dx, dy, dz)}
+	key := tfKey{Kern: f.kid, P: f.ops.Grid.P, Level: level, Dir: dirSlot(dx, dy, dz)}
 	return f.cache.Get(key, func() []float64 {
 		return f.buildTranslation(level, dx, dy, dz)
 	})
@@ -196,15 +197,16 @@ func (f *FFTM2L) buildTranslation(level, dx, dy, dz int) []float64 {
 // 27 adjacent-direction slots stay nil.
 type vTable [7 * 7 * 7][]float64
 
-// dirSlot is a V-list direction's index into a vTable. Slots ascend in the
-// same (dx, dy, dz) lexicographic order as packDir keys.
+// dirSlot is a V-list direction's index into a vTable, and into a level's
+// dense M2L matrices. Slots ascend in (dx, dy, dz) lexicographic order.
 func dirSlot(dx, dy, dz int) int { return ((dx+3)*7+(dy+3))*7 + dz + 3 }
 
 // table resolves the translation spectra of the 316 V-list directions (the
 // 7³ neighborhood minus the 3³ adjacency core) at the given level, in
-// parallel: cache hits after Prewarm, coalesced builds otherwise. The V-list
-// body then indexes the table per interaction instead of paying a keyed
-// cache lookup per Hadamard product.
+// parallel: cache hits, or coalesced builds. Operators.vTable calls it once
+// per level table, which then holds the result, so the V-list body indexes
+// the table per interaction instead of paying a keyed cache lookup per
+// Hadamard product.
 func (f *FFTM2L) table(level, workers int) *vTable {
 	tb := new(vTable)
 	sched.For(workers, len(tb), func(k int) {
@@ -216,17 +218,17 @@ func (f *FFTM2L) table(level, workers int) *vTable {
 	return tb
 }
 
-// Prewarm eagerly builds the translation spectra of every V-list direction
-// for each given level, in parallel. Plan construction calls it so the first
-// Apply — and every later plan for the same (kernel, order) anywhere in the
-// process — finds only cache hits; racing prewarms of the same direction
-// coalesce into one computation inside the cache.
+// Prewarm eagerly resolves, in parallel, the translation spectra of every
+// V-list direction for each given level into the operators' level table
+// (Operators.vTable, through the operators' own FFTM2L and its cache), so no
+// compile against them looks one up; racing builds of the same direction
+// coalesce into one computation inside the process-wide cache.
 func (f *FFTM2L) Prewarm(levels []int, workers int) {
 	if len(levels) == 0 {
 		levels = []int{0}
 	}
 	for _, l := range levels {
-		f.table(l, workers)
+		f.ops.vTable(l, workers)
 	}
 }
 
@@ -381,27 +383,6 @@ func mod(a, n int) int {
 		m += n
 	}
 	return m
-}
-
-// vTables resolves per-level translation tables on first use, one per
-// operator table (Operators.table): a homogeneous kernel's every level shares
-// the reference-level table (rescaled by KernScale at extraction), the
-// others get one table per octant level.
-type vTables struct {
-	f       *FFTM2L
-	workers int
-	byLevel []*vTable
-}
-
-func (v *vTables) at(level int) *vTable {
-	level = v.f.ops.table(level, v.workers).level
-	for len(v.byLevel) <= level {
-		v.byLevel = append(v.byLevel, nil)
-	}
-	if v.byLevel[level] == nil {
-		v.byLevel[level] = v.f.table(level, v.workers)
-	}
-	return v.byLevel[level]
 }
 
 // vOrder places one V interaction in its sibling group's evaluation order

@@ -251,7 +251,6 @@ func TestVListGroupOrder(t *testing.T) {
 			for i := range spec {
 				spec[i] = f.SourceSpectrum(e.U[i])
 			}
-			tables := vTables{f: f, workers: 1}
 			groups := 0
 			for p := range tr.Nodes {
 				var grp []int32
@@ -264,7 +263,7 @@ func TestVListGroupOrder(t *testing.T) {
 					continue
 				}
 				groups++
-				tb := tables.at(tr.Nodes[grp[0]].Key.Level())
+				tb := ops.vTable(tr.Nodes[grp[0]].Key.Level(), 1)
 				if split {
 					cut := 1 + p%(len(grp)-1)
 					e.vliFFTGroup(grp[cut:], f, tb, spec, s)

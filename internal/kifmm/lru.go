@@ -82,19 +82,20 @@ func (c *lru[K, V]) get(key K, build func() V) V {
 	return e.val
 }
 
-// lruStats is a point-in-time snapshot of an lru's counters; Size and Max
-// are in the cache's cost unit.
-type lruStats struct {
+// CacheStats is a point-in-time snapshot of a process-wide cache's counters
+// (OperatorCache, TranslationCache). Size and Max are in the cache's own
+// cost unit: operator sets for the one, spectrum bytes for the other.
+type CacheStats struct {
 	Hits, Misses, Evictions int64
 	Entries                 int
 	Size, Max               int64
 }
 
-// stats returns the cache counters.
-func (c *lru[K, V]) stats() lruStats {
+// Stats returns the cache counters.
+func (c *lru[K, V]) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return lruStats{
+	return CacheStats{
 		Hits:      c.hits,
 		Misses:    c.misses,
 		Evictions: c.evictions,

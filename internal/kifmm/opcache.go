@@ -17,15 +17,16 @@ type opKey struct {
 }
 
 // OperatorCache is a process-wide, count-bounded LRU cache of translation
-// operator sets. Operators depend only on (kernel, order, tolerance) and are
-// immutable once built — a non-homogeneous kernel's per-level tables and the
-// dense M2L matrices are added under their own locks — so one set serves
-// every solver with that key: an fmmserve plan-cache miss for a seen
-// (kernel, order) and every Yukawa session step after the first build nothing,
-// and concurrent solvers of one new key build it once. A set evicted here
-// stays valid for the solvers and plans that hold it.
+// operator sets. Operators depend only on (kernel, order, tolerance) and
+// never change what they have published — a non-homogeneous kernel's
+// per-level tables, the dense M2L matrices and each table's V-list spectra
+// are added on first use — so one set serves every solver with that key: an
+// fmmserve plan-cache miss for a seen (kernel, order) and every Yukawa
+// session step after the first build nothing, and concurrent solvers of one
+// new key build it once. A set evicted here stays valid for the solvers and
+// plans that hold it.
 type OperatorCache struct {
-	lru *lru[opKey, *Operators]
+	*lru[opKey, *Operators]
 }
 
 // NewOperatorCache creates a cache holding at most maxEntries operator sets.
@@ -34,8 +35,10 @@ func NewOperatorCache(maxEntries int) *OperatorCache {
 }
 
 // sharedOperatorEntries bounds the process-wide cache. A set costs from
-// ~1.6 MB (Laplace, order 6) to ~12 MB (Stokes, order 5) plus what it
-// caches lazily, and a server mixes a handful of (kernel, order) pairs.
+// ~1.6 MB (Laplace, order 6) to ~12 MB (Stokes, order 5), plus the V-list
+// spectra its tables hold (5.1 and 27.3 MB; a Yukawa set holds 5.1 MB for
+// each level it translates at), and a server mixes a handful of (kernel,
+// order) pairs.
 const sharedOperatorEntries = 8
 
 // SharedOperators is the process-wide operator cache every solver takes its
@@ -47,26 +50,5 @@ var SharedOperators = NewOperatorCache(sharedOperatorEntries)
 // the others count as hits and wait for the build.
 func (c *OperatorCache) Get(kern kernel.Kernel, p int, tol float64, workers int) *Operators {
 	key := opKey{Kern: kern.Name(), P: p, Tol: math.Float64bits(tol)}
-	return c.lru.get(key, func() *Operators { return newOperators(kern, p, tol, workers) })
-}
-
-// OperatorCacheStats is a point-in-time snapshot of the cache counters.
-type OperatorCacheStats struct {
-	Hits       int64
-	Misses     int64
-	Evictions  int64
-	Entries    int
-	MaxEntries int
-}
-
-// Stats returns the cache counters.
-func (c *OperatorCache) Stats() OperatorCacheStats {
-	st := c.lru.stats()
-	return OperatorCacheStats{
-		Hits:       st.Hits,
-		Misses:     st.Misses,
-		Evictions:  st.Evictions,
-		Entries:    st.Entries,
-		MaxEntries: int(st.Max),
-	}
+	return c.get(key, func() *Operators { return newOperators(kern, p, tol, workers) })
 }

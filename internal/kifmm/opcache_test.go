@@ -93,7 +93,7 @@ func TestNewOperatorsBitIdentical(t *testing.T) {
 		for _, workers := range []int{1, 2, 4} {
 			ops := newOperators(c.kern, c.p, 1e-9, workers)
 			if ops.homogeneous {
-				if d := levelDiff(ops.ref, sequentialMats(ops, 0)); d != "" {
+				if d := levelDiff(ops.levels[0].Load(), sequentialMats(ops, 0)); d != "" {
 					t.Fatalf("%s p=%d, %d workers: %s", c.kern.Name(), c.p, workers, d)
 				}
 				continue
@@ -173,14 +173,16 @@ func bitsDiff(got, want []float64) string {
 }
 
 // levelTables returns how many level tables ops holds: level 0's, built
-// with the operators, and the cached others. Every build inserts its table
-// (builds are serialized, none is discarded), so the count only grows by
-// building.
-func levelTables(ops *Operators) int {
-	if m := ops.perLevel.p.Load(); m != nil {
-		return 1 + len(*m)
+// with the operators, and the others built since. Every build publishes its
+// table (builds are serialized, none is discarded), so the count only grows
+// by building.
+func levelTables(ops *Operators) (n int) {
+	for l := range ops.levels {
+		if ops.levels[l].Load() != nil {
+			n++
+		}
 	}
-	return 1
+	return n
 }
 
 // TestPrewarmBuildsEveryLevelTable: for a non-homogeneous kernel,
@@ -206,6 +208,42 @@ func TestPrewarmBuildsEveryLevelTable(t *testing.T) {
 	}
 	if got := levelTables(ops); got != want {
 		t.Fatalf("the first Apply built %d level tables, want 0", got-want)
+	}
+}
+
+// TestLevelTablesConcurrent: goroutines racing for one Yukawa level's
+// table, its V-list spectra and a dense M2L matrix all receive the one
+// published value, and the level's 316 spectra are looked up once. Run it
+// under -race.
+func TestLevelTablesConcurrent(t *testing.T) {
+	ops := NewOperators(kernel.Yukawa{Lambda: 5}, 4, 1e-9)
+	st0 := SharedTranslations.Stats()
+	const n = 8
+	var tabs [n]*levelOps
+	var specs [n]*vTable
+	var m2ls [n]*linalg.Mat
+	var wg sync.WaitGroup
+	for g := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			specs[g] = ops.vTable(3, 2)
+			tabs[g] = ops.table(3, 2)
+			m2ls[g], _ = ops.M2LAt(3, 2, -3, 0)
+		}()
+	}
+	wg.Wait()
+	for g := 1; g < n; g++ {
+		if tabs[g] != tabs[0] || specs[g] != specs[0] || m2ls[g] != m2ls[0] {
+			t.Fatalf("goroutine %d received another table, spectra or M2L matrix than goroutine 0", g)
+		}
+	}
+	if specs[0] != tabs[0].v.Load() || tabs[0].level != 3 {
+		t.Fatal("the spectra are not level 3's table's own")
+	}
+	st := SharedTranslations.Stats()
+	if got := st.Hits + st.Misses - st0.Hits - st0.Misses; got != 316 {
+		t.Fatalf("%d racing resolutions made %d spectrum lookups, want 316", n, got)
 	}
 }
 
@@ -250,7 +288,7 @@ func TestOperatorCacheKeys(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.Misses != 4 || st.Entries != 3 || st.Evictions != 1 || st.MaxEntries != 3 {
+	if st.Misses != 4 || st.Entries != 3 || st.Evictions != 1 || st.Max != 3 {
 		t.Fatalf("stats %+v, want 4 misses, 3 entries, 1 eviction, bound 3", st)
 	}
 	// The first key was least recently used, so it was evicted: a rebuild.

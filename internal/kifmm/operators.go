@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"kifmm/internal/geom"
 	"kifmm/internal/kernel"
@@ -25,39 +26,41 @@ import (
 // HomogeneityDeg() = NaN and get per-level operator tables instead. table
 // makes that choice, in one place.
 //
-// Operators are immutable after construction and safe for concurrent use.
+// Operators are safe for concurrent use: a level's table, its dense M2L
+// matrices and its V-list spectra are built on first use and never change
+// once published.
 type Operators struct {
 	Kern kernel.Kernel
 	Grid *SurfaceGrid
 	// Tol is the Tikhonov regularization tolerance of the pseudo-inverses.
 	Tol float64
 
-	// ref is level 0's table, built with the operators: the root's, and a
-	// homogeneous kernel's one reference table. perLevel caches the other
-	// levels' tables of a non-homogeneous kernel. It is copy-on-write so the
-	// hot lookup path is allocation-free (sync.Map would box every key).
-	ref      *levelOps
-	perLevel cowCache[int, *levelOps]
+	// levels[l] is level l's table, nil until built. Level 0's is built with
+	// the operators: the root's, and a homogeneous kernel's one reference
+	// table, which serves every level.
+	levels [morton.MaxDepth + 1]atomic.Pointer[levelOps]
 
-	// buildMu serializes per-level table builds (buildTable).
+	// buildMu serializes table builds (buildTable) and spectrum resolutions
+	// (resolveVTable).
 	buildMu sync.Mutex
 
-	fftOnce sync.Once
-	fft     *FFTM2L
+	fft *FFTM2L
 
 	deg         float64
 	homogeneous bool
 }
 
 // levelOps is one level's operator table. Every surface operator is held
-// once, packed: the apply-time products are all it serves. m2l caches the
-// dense V-list matrices of the level by packed direction, built on first
-// use (the DenseM2L oracle).
+// once, packed: the apply-time products are all it serves. m2l holds the
+// dense V-list matrices of the level by dirSlot, built on first use (the
+// DenseM2L oracle); v holds the level's V-list translation spectra, resolved
+// on first use (vTable).
 type levelOps struct {
 	level        int
 	UC2UE, DC2DE *linalg.Packed
 	U2U, D2D     [8]*linalg.Packed
-	m2l          cowCache[uint32, *linalg.Mat]
+	m2l          [7 * 7 * 7]atomic.Pointer[linalg.Mat]
+	v            atomic.Pointer[vTable]
 }
 
 // NewOperators precomputes the translation operators for kern at surface
@@ -78,19 +81,20 @@ const buildWorkers = 2
 func newOperators(kern kernel.Kernel, p int, tol float64, workers int) *Operators {
 	deg := kern.HomogeneityDeg()
 	ops := &Operators{Kern: kern, Grid: NewSurfaceGrid(p), Tol: tol, deg: deg, homogeneous: !math.IsNaN(deg)}
-	ops.ref = ops.buildLevel(0, workers)
+	ops.levels[0].Store(ops.buildLevel(0, workers))
+	ops.fft = NewFFTM2L(ops)
 	return ops
 }
 
 // table returns the operator table for octants at level l: the reference
-// table, without a lookup, for level 0 and for every level of a homogeneous
-// kernel (PinvScale and KernScale rescale it), and otherwise the level's own
-// table, built on up to workers goroutines on first use.
+// table for every level of a homogeneous kernel (PinvScale and KernScale
+// rescale it), and otherwise the level's own table, built on up to workers
+// goroutines on first use.
 func (o *Operators) table(l, workers int) *levelOps {
-	if l == 0 || o.homogeneous {
-		return o.ref
+	if o.homogeneous {
+		l = 0
 	}
-	if v, ok := o.perLevel.get(l); ok {
+	if v := o.levels[l].Load(); v != nil {
 		return v
 	}
 	return o.buildTable(l, workers)
@@ -105,10 +109,40 @@ func (o *Operators) table(l, workers int) *levelOps {
 func (o *Operators) buildTable(l, workers int) *levelOps {
 	o.buildMu.Lock()
 	defer o.buildMu.Unlock()
-	if v, ok := o.perLevel.get(l); ok {
+	if v := o.levels[l].Load(); v != nil {
 		return v
 	}
-	return o.perLevel.insert(l, o.buildLevel(l, workers))
+	v := o.buildLevel(l, workers)
+	o.levels[l].Store(v)
+	return v
+}
+
+// vTable returns the V-list translation spectra of level l's table (a
+// homogeneous kernel's reference spectra at every level), resolving them
+// from the process-wide cache on up to workers goroutines on first use.
+func (o *Operators) vTable(l, workers int) *vTable {
+	tb := o.table(l, workers)
+	if v := tb.v.Load(); v != nil {
+		return v
+	}
+	return o.resolveVTable(tb, workers)
+}
+
+// resolveVTable resolves tb's spectra unless a racing call already has.
+// Resolutions are serialized, so a table's 316 directions are looked up
+// once over the lifetime of the Operators however many plans compile
+// against it.
+//
+//fmm:coldcall a level's V-list spectra are resolved once per table and kept
+func (o *Operators) resolveVTable(tb *levelOps, workers int) *vTable {
+	o.buildMu.Lock()
+	defer o.buildMu.Unlock()
+	if v := tb.v.Load(); v != nil {
+		return v
+	}
+	v := o.fft.table(tb.level, workers)
+	tb.v.Store(v)
+	return v
 }
 
 // buildLevel constructs the surface operators for octants of side 2^-l. Its
@@ -240,11 +274,6 @@ func (o *Operators) D2DOp(parentLevel, childIdx int) (*linalg.Packed, float64) {
 	return o.table(parentLevel, 1).D2D[childIdx], o.KernScale(parentLevel)
 }
 
-// packDir packs a V-list direction (each component in [-3, 3]) into a key.
-func packDir(dx, dy, dz int) uint32 {
-	return uint32(dx+3)<<16 | uint32(dy+3)<<8 | uint32(dz+3)
-}
-
 // M2LAt returns the dense V-list translation for octants at the given level
 // and the scalar to apply to its output. Directions with |d|∞ ≤ 1 are
 // adjacent and invalid for the V-list.
@@ -252,26 +281,30 @@ func (o *Operators) M2LAt(level, dx, dy, dz int) (*linalg.Mat, float64) {
 	if maxAbs3(dx, dy, dz) <= 1 || maxAbs3(dx, dy, dz) > 3 {
 		panic(fmt.Sprintf("kifmm: invalid V-list direction (%d,%d,%d)", dx, dy, dz))
 	}
-	tb, dir := o.table(level, 1), packDir(dx, dy, dz)
-	if m, ok := tb.m2l.get(dir); ok {
+	tb := o.table(level, 1)
+	if m := tb.m2l[dirSlot(dx, dy, dz)].Load(); m != nil {
 		return m, o.KernScale(level)
 	}
-	return o.buildM2L(tb, dir, dx, dy, dz), o.KernScale(level)
+	return o.buildM2L(tb, dx, dy, dz), o.KernScale(level)
 }
 
-// buildM2L evaluates and caches one dense V-list matrix of tb's level on a
-// cache miss; a direction is built once per table and reused for every
-// later translation.
+// buildM2L evaluates and publishes one dense V-list matrix of tb's level on
+// first use; a direction is reused for every later translation. A racing
+// duplicate build loses the swap and is discarded.
 //
 //fmm:coldcall dense V-list matrices are built once per direction and cached
-func (o *Operators) buildM2L(tb *levelOps, dir uint32, dx, dy, dz int) *linalg.Mat {
+func (o *Operators) buildM2L(tb *levelOps, dx, dy, dz int) *linalg.Mat {
 	side := math.Pow(2, -float64(tb.level))
 	half := side / 2
 	srcCenter := geom.Point{}
 	trgCenter := geom.Point{X: float64(dx) * side, Y: float64(dy) * side, Z: float64(dz) * side}
 	ue := o.Grid.Points(srcCenter, RadInner*half)
 	dc := o.Grid.Points(trgCenter, RadInner*half)
-	return tb.m2l.insert(dir, kernel.Matrix(o.Kern, dc, ue))
+	slot := &tb.m2l[dirSlot(dx, dy, dz)]
+	if m := kernel.Matrix(o.Kern, dc, ue); slot.CompareAndSwap(nil, m) {
+		return m
+	}
+	return slot.Load()
 }
 
 func maxAbs3(a, b, c int) int {
@@ -294,13 +327,10 @@ func maxAbs3(a, b, c int) int {
 	return m
 }
 
-// FFT returns the (lazily built, shared) FFT-diagonalized V-list machinery
-// for these operators. Translation spectra computed by any engine are
-// reused by all others.
-func (o *Operators) FFT() *FFTM2L {
-	o.fftOnce.Do(func() { o.fft = NewFFTM2L(o) })
-	return o.fft
-}
+// FFT returns the FFT-diagonalized V-list machinery of these operators,
+// built with them. Its spectra come from the process-wide cache and are
+// held by the level tables (vTable).
+func (o *Operators) FFT() *FFTM2L { return o.fft }
 
 // NumSurf returns the number of surface points per octant.
 func (o *Operators) NumSurf() int { return o.Grid.NumPoints() }

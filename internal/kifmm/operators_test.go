@@ -44,7 +44,7 @@ func upwardDensity(ops *Operators, srcs []geom.Point, den []float64) []float64 {
 		}
 	}
 	u := make([]float64, ops.UpwardLen())
-	ops.ref.UC2UE.MulVec(u, chk)
+	ops.levels[0].Load().UC2UE.MulVec(u, chk)
 	return u
 }
 
@@ -99,14 +99,14 @@ func TestU2UPreservesFarField(t *testing.T) {
 	}
 	uChild := make([]float64, ops.UpwardLen())
 	tmp := make([]float64, ops.UpwardLen())
-	ops.ref.UC2UE.MulVec(tmp, chk)
+	ops.levels[0].Load().UC2UE.MulVec(tmp, chk)
 	for i := range tmp {
 		uChild[i] = tmp[i] * ops.PinvScale(1)
 	}
 
 	// Parent density via the U2U translation.
 	uParent := make([]float64, ops.UpwardLen())
-	ops.ref.U2U[3].MulVec(uParent, uChild)
+	ops.levels[0].Load().U2U[3].MulVec(uParent, uChild)
 
 	// Both must reproduce the true far field.
 	for trial := 0; trial < 10; trial++ {
@@ -137,7 +137,7 @@ func TestM2LDownwardReproducesLocalField(t *testing.T) {
 	dchk := make([]float64, ops.CheckLen())
 	m.MulVec(dchk, u)
 	d := make([]float64, ops.UpwardLen())
-	ops.ref.DC2DE.MulVec(d, dchk)
+	ops.levels[0].Load().DC2DE.MulVec(d, dchk)
 
 	// The downward equivalent density must reproduce the sources' field
 	// inside the target box.

@@ -56,8 +56,7 @@ func (e *Engine) oracleVFFT(level []int32, s *evalScratch) {
 			}
 		}
 	}
-	tables := vTables{f: f, workers: 1}
-	tb := tables.at(t.Nodes[level[0]].Key.Level())
+	tb := e.Ops.vTable(t.Nodes[level[0]].Key.Level(), 1)
 	for lo := 0; lo < len(level); {
 		hi := lo + 1
 		for hi < len(level) && t.Nodes[level[hi]].Parent == t.Nodes[level[lo]].Parent {

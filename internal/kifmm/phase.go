@@ -255,6 +255,15 @@ func (r *Record) Phase(name string) (d time.Duration, flops int64) {
 	return d, flops
 }
 
+// Flops returns the flops of every row: the evaluation's compute work, the
+// sum of Phase's over the six list and pass names.
+func (r *Record) Flops() (flops int64) {
+	for _, f := range r.flops {
+		flops += f
+	}
+	return flops
+}
+
 // MergeInto adds r to p, if set, under one lock: Total eval, the
 // scheduler's idle time and counters, Shard comm where set, and every row a
 // task touched under its diag phase (S2U and U2U sum into Upward, D2D and

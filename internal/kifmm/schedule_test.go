@@ -148,10 +148,10 @@ func TestStoppedRunRecovers(t *testing.T) {
 
 // TestScheduleMemoryCounted checks that a pool's share of the memory
 // estimate, which the plan cache's byte budget reads, counts the compiled
-// graph: compiling grows it by the schedule's size, at least one task ref and
-// one predecessor count per task, the pairing's arrays and the translation
-// spectra of the V row's tables, which the schedule keeps alive after the
-// process-wide cache has evicted them.
+// graph and nothing it shares: compiling grows it by the schedule's size, at
+// least one task ref and one predecessor count per task and the pairing's
+// arrays, but not the translation spectra of the V row's tables, which are
+// the operators' own level tables, shared by every plan of the operators.
 func TestScheduleMemoryCounted(t *testing.T) {
 	tr := octree.Build(geom.Generate(geom.Ellipsoid, 3000, 7), 25, 20)
 	tr.BuildLists(nil)
@@ -163,21 +163,67 @@ func TestScheduleMemoryCounted(t *testing.T) {
 	s := pool.graphs.byRange[[2]int{0, numRows}]
 	pr := s.pairs
 	floor := int64(s.graph.Len())*(8+4) + 4*int64(len(pr.at)+len(pr.link)+len(pr.order))
-	// Laplace is homogeneous: every level's group reads one table.
-	tb := s.vTab[0]
-	spectra := int64(0)
-	for _, sp := range tb {
-		spectra += 8 * int64(len(sp))
+	if len(s.vTab) == 0 {
+		t.Fatal("the schedule has no V groups")
 	}
-	for _, other := range s.vTab {
-		if other != tb {
-			t.Fatalf("Laplace's V groups read more than one translation table")
+	for k, tb := range s.vTab {
+		if own := spec.Ops.table(tr.Nodes[s.vGroups[k][0]].Key.Level(), 1).v.Load(); tb != own {
+			t.Fatalf("V group %d reads a table that is not its level table's", k)
 		}
 	}
-	t.Logf("%d tasks: the estimate grew %d bytes, floor %d + %d of spectra", s.graph.Len(), grown, floor, spectra)
-	if spectra == 0 || grown != s.memoryBytes() || grown < floor+spectra {
-		t.Errorf("compiling %d tasks grew the estimate %d bytes; the schedule holds %d, at least %d + %d of spectra",
-			s.graph.Len(), grown, s.memoryBytes(), floor, spectra)
+	spectra := int64(0)
+	for _, sp := range s.vTab[0] {
+		spectra += 8 * int64(len(sp))
+	}
+	t.Logf("%d tasks: the estimate grew %d bytes, floor %d; %d of spectra not counted", s.graph.Len(), grown, floor, spectra)
+	if grown != s.memoryBytes() || grown < floor || grown >= floor+spectra {
+		t.Errorf("compiling %d tasks grew the estimate %d bytes; the schedule holds %d, at least %d and less than %d + %d of spectra",
+			s.graph.Len(), grown, s.memoryBytes(), floor, floor, spectra)
+	}
+}
+
+// TestCompileResolvesSpectraOnce checks that a level table holds its V-list
+// spectra: only the first compile against an Operators looks them up in the
+// process-wide cache, 316 directions a level. A second pool over a
+// different tree looks up none, and a Yukawa run of re-planned trees (a
+// session's steps, each moving 1 % of the points) resolves each level it
+// translates at once.
+func TestCompileResolvesSpectraOnce(t *testing.T) {
+	lookups := func() int64 { st := SharedTranslations.Stats(); return st.Hits + st.Misses }
+	// compile compiles a pool over pts and adds the levels of its V groups.
+	compile := func(ops *Operators, pts []geom.Point, levels map[int]bool) {
+		tr := octree.Build(pts, 25, 20)
+		tr.BuildLists(nil)
+		pool := EngineSpec{Ops: ops, Workers: 2}.NewPool(tr, 0)
+		pool.Compile(false)
+		for _, g := range pool.graphs.byRange[[2]int{0, numRows}].vGroups {
+			levels[tr.Nodes[g[0]].Key.Level()] = true
+		}
+	}
+
+	ops := NewOperators(kernel.Laplace{}, 4, 1e-9)
+	l0 := lookups()
+	compile(ops, geom.Generate(geom.Ellipsoid, 3000, 7), map[int]bool{})
+	l1 := lookups()
+	compile(ops, geom.Generate(geom.Uniform, 3000, 8), map[int]bool{})
+	if first, second := l1-l0, lookups()-l1; first != 316 || second != 0 {
+		t.Fatalf("the first compile made %d spectrum lookups and the second %d, want 316 and 0", first, second)
+	}
+
+	yops := NewOperators(kernel.Yukawa{Lambda: 5}, 4, 1e-9)
+	pts := geom.Generate(geom.Ellipsoid, 3000, 9)
+	rng := rand.New(rand.NewSource(1))
+	levels := map[int]bool{}
+	y0 := lookups()
+	for step := 0; step < 4; step++ {
+		compile(yops, pts, levels)
+		for k := 0; k < len(pts)/100; k++ {
+			p := &pts[rng.Intn(len(pts))]
+			p.X = min(max(p.X+0.01*(rng.Float64()-0.5), 0), 0.999)
+		}
+	}
+	if got, want := lookups()-y0, 316*int64(len(levels)); got != want || len(levels) < 2 {
+		t.Fatalf("4 Yukawa compiles translating at %d levels made %d spectrum lookups, want %d", len(levels), got, want)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // run the builder exactly once; the racers wait for the winner's result.
 func TestTranslationCacheSingleflight(t *testing.T) {
 	c := NewTranslationCache(1 << 20)
-	key := tfKey{Kern: "laplace", P: 6, Dir: packDir(2, 0, 0)}
+	key := tfKey{Kern: "laplace", P: 6, Dir: dirSlot(2, 0, 0)}
 	var builds atomic.Int32
 	const racers = 16
 	results := make([][]float64, racers)
@@ -52,11 +52,11 @@ func TestTranslationCacheEviction(t *testing.T) {
 	c := NewTranslationCache(3 * entryFloats * 8)
 	build := func() []float64 { return make([]float64, entryFloats) }
 	for d := 0; d < 10; d++ {
-		c.Get(tfKey{Kern: "laplace", P: 6, Dir: uint32(d)}, build)
+		c.Get(tfKey{Kern: "laplace", P: 6, Dir: d}, build)
 	}
 	st := c.Stats()
-	if st.Bytes > st.MaxBytes {
-		t.Fatalf("cache over budget: %d > %d", st.Bytes, st.MaxBytes)
+	if st.Size > st.Max {
+		t.Fatalf("cache over budget: %d > %d", st.Size, st.Max)
 	}
 	if st.Entries > 3 {
 		t.Fatalf("cache holds %d entries, want <= 3", st.Entries)

@@ -72,17 +72,10 @@ type Result struct {
 	// Potentials holds TrgDim components per owned point, aligned with
 	// OwnedPoints.
 	Potentials []float64
-	// Densities holds SrcDim components per owned point.
-	Densities []float64
 	// Prof carries this rank's phase timings and flop counts.
 	Prof *diag.Profile
 	// Tree is the rank's local essential tree (for inspection).
 	Tree *dtree.DistTree
-	// ReduceStats reports the upward-density reduction traffic.
-	ReduceStats reduce.Stats
-	// SetupCommBytes/SetupCommMsgs count this rank's outgoing traffic
-	// during setup (sort, tree, LET, balancing).
-	SetupCommBytes, SetupCommMsgs int64
 	// EvalCommBytes/EvalCommMsgs count the evaluation-phase traffic (ghost
 	// densities + the upward-density reduction).
 	EvalCommBytes, EvalCommMsgs int64
@@ -93,8 +86,8 @@ type Result struct {
 // work-weighted repartition and LET rebuild. pts/densities are this rank's
 // share of the input (any distribution). It returns an engine over the
 // rank's LET with the owned densities placed — the precondition of
-// EvaluateRank — and a Result carrying the LET, the profile the engine
-// reports into and the set-up traffic. Collective.
+// EvaluateRank — and a Result carrying the LET and the profile the engine
+// reports into. Collective.
 func Setup(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) (*kifmm.Engine, *Result) {
 	cfg.defaults()
 	sd := cfg.Spec.Ops.Kern.SrcDim()
@@ -103,30 +96,21 @@ func Setup(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) (*kif
 			len(densities), len(pts), sd))
 	}
 	prof := diag.NewProfile()
-	snap := c.Stats().Snap()
 
 	stopSetup := prof.Start(diag.PhaseSetup)
 	leaves := dtree.Points2Octree(c, pts, densities, sd, cfg.Q, cfg.MaxDepth, prof)
-
-	stopLET := prof.Start(diag.PhaseLET)
 	dt := dtree.BuildLET(c, leaves)
-	stopLET()
-
 	if cfg.LoadBalance {
-		stopBal := prof.Start(diag.PhaseBal)
 		w := cfg.Spec.LeafWeights(dt.Tree, dt.OwnedNodes())
 		leaves = dtree.RepartitionByWeight(c, leaves, w)
 		dt = dtree.BuildLET(c, leaves)
-		stopBal()
 	}
 	stopSetup()
-	traffic := snap.Delta(c.Stats().Snap())
 
 	eng := cfg.Spec.NewEngine(dt.Tree, nil)
 	eng.Prof = prof
 	placeOwnedDensities(eng, dt)
-	return eng, &Result{Prof: prof, Tree: dt,
-		SetupCommBytes: traffic.Bytes, SetupCommMsgs: traffic.Messages}
+	return eng, &Result{Prof: prof, Tree: dt}
 }
 
 // reducer completes the shared octants' upward densities from every rank's
@@ -171,20 +155,12 @@ func Evaluate(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) *R
 	eng, res := Setup(c, pts, densities, cfg)
 	prof := res.Prof
 
-	_, st, traffic, comm := EvaluateRank(c, eng, res.Tree, reduce.Hypercube)
-	res.ReduceStats = st
+	rec, _, traffic, comm := EvaluateRank(c, eng, res.Tree, reduce.Hypercube)
 	res.EvalCommBytes, res.EvalCommMsgs = traffic.Bytes, traffic.Messages
 	prof.AddTime(diag.PhaseComm, comm)
 	prof.AddTime(diag.PhaseComp, prof.Time(diag.PhaseTotalEval)-comm)
-	var compFlops int64
-	for _, ph := range []string{
-		diag.PhaseUpward, diag.PhaseUList, diag.PhaseVList,
-		diag.PhaseWList, diag.PhaseXList, diag.PhaseDownward,
-	} {
-		compFlops += prof.Flops(ph)
-	}
-	prof.AddFlops(diag.PhaseComp, compFlops)
-	prof.AddFlops(diag.PhaseTotalEval, compFlops)
+	prof.AddFlops(diag.PhaseComp, rec.Flops())
+	prof.AddFlops(diag.PhaseTotalEval, rec.Flops())
 
 	collectOwned(eng, res)
 	return res
@@ -269,15 +245,13 @@ func installUpward(eng *kifmm.Engine, dt *dtree.DistTree, items []reduce.Item) {
 	}
 }
 
-// collectOwned extracts the owned points, densities and potentials in tree
-// order.
+// collectOwned extracts the owned points and potentials in tree order.
 func collectOwned(eng *kifmm.Engine, res *Result) {
 	t := res.Tree.Tree
-	sd, td := eng.Ops.Kern.SrcDim(), eng.Ops.Kern.TrgDim()
+	td := eng.Ops.Kern.TrgDim()
 	for _, idx := range res.Tree.OwnedNodes() {
 		n := &t.Nodes[idx]
 		res.OwnedPoints = append(res.OwnedPoints, t.Points[n.PtLo:n.PtHi]...)
 		res.Potentials = append(res.Potentials, eng.Potential[int(n.PtLo)*td:int(n.PtHi)*td]...)
-		res.Densities = append(res.Densities, eng.Density[int(n.PtLo)*sd:int(n.PtHi)*sd]...)
 	}
 }

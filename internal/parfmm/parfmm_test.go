@@ -170,8 +170,8 @@ func TestProfilesRecordAllPhases(t *testing.T) {
 	cfg := Config{Q: 20, Spec: kifmm.EngineSpec{Ops: sharedOps(kernel.Laplace{}, 4), Workers: 2, DenseM2L: true}}
 	_, results := runCase(t, cfg, geom.Ellipsoid, 900, 4, 15)
 	for r, res := range results {
-		for _, ph := range []string{diag.PhaseSetup, diag.PhaseSort, diag.PhaseTree,
-			diag.PhaseLET, diag.PhaseTotalEval, diag.PhaseComm, diag.PhaseComp} {
+		for _, ph := range []string{diag.PhaseSetup, diag.PhaseSort,
+			diag.PhaseTotalEval, diag.PhaseComm, diag.PhaseComp} {
 			if res.Prof.Time(ph) <= 0 {
 				t.Fatalf("rank %d: phase %s has no recorded time", r, ph)
 			}
@@ -200,11 +200,13 @@ func TestResultDensitiesTravelWithPoints(t *testing.T) {
 	})
 	seen := 0
 	for _, res := range results {
-		for i, pt := range res.OwnedPoints {
-			if res.Densities[i] != want[pointKey{pt.X, pt.Y, pt.Z}] {
-				t.Fatalf("density did not travel with point %v", pt)
+		for _, leaf := range res.Tree.Leaves {
+			for i, pt := range leaf.Pts {
+				if leaf.Den[i] != want[pointKey{pt.X, pt.Y, pt.Z}] {
+					t.Fatalf("density did not travel with point %v", pt)
+				}
+				seen++
 			}
-			seen++
 		}
 	}
 	if seen != n {

@@ -510,8 +510,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "fmmserve_tf_cache_misses_total %d\n", tf.Misses)
 	fmt.Fprintf(w, "fmmserve_tf_cache_evictions_total %d\n", tf.Evictions)
 	fmt.Fprintf(w, "fmmserve_tf_cache_entries %d\n", tf.Entries)
-	fmt.Fprintf(w, "fmmserve_tf_cache_bytes %d\n", tf.Bytes)
-	fmt.Fprintf(w, "fmmserve_tf_cache_max_bytes %d\n", tf.MaxBytes)
+	fmt.Fprintf(w, "fmmserve_tf_cache_bytes %d\n", tf.Size)
+	fmt.Fprintf(w, "fmmserve_tf_cache_max_bytes %d\n", tf.Max)
 	oc := kifmm.OperatorCache()
 	fmt.Fprintf(w, "fmmserve_operator_cache_hits_total %d\n", oc.Hits)
 	fmt.Fprintf(w, "fmmserve_operator_cache_misses_total %d\n", oc.Misses)

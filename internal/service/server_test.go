@@ -287,6 +287,31 @@ func TestHealthzAndMetrics(t *testing.T) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
 	}
+
+	// The two process-wide caches' series, each read from its CacheStats
+	// field; the scrape and the snapshots see the same counters, as nothing
+	// runs between them.
+	m := scrapeMetrics(t, ts.Client(), ts.URL)
+	tf, oc := kifmm.TranslationCache(), kifmm.OperatorCache()
+	for name, want := range map[string]int64{
+		"fmmserve_tf_cache_hits_total":            tf.Hits,
+		"fmmserve_tf_cache_misses_total":          tf.Misses,
+		"fmmserve_tf_cache_evictions_total":       tf.Evictions,
+		"fmmserve_tf_cache_entries":               int64(tf.Entries),
+		"fmmserve_tf_cache_bytes":                 tf.Size,
+		"fmmserve_tf_cache_max_bytes":             tf.Max,
+		"fmmserve_operator_cache_hits_total":      oc.Hits,
+		"fmmserve_operator_cache_misses_total":    oc.Misses,
+		"fmmserve_operator_cache_evictions_total": oc.Evictions,
+		"fmmserve_operator_cache_entries":         int64(oc.Entries),
+	} {
+		if got, ok := m[name]; !ok || got != want {
+			t.Errorf("/metrics %s = %d (present %v), want %d", name, got, ok, want)
+		}
+	}
+	if tf.Size == 0 || tf.Max == 0 || oc.Entries == 0 {
+		t.Errorf("after one evaluation the caches read %+v and %+v, want spectra, a bound and an operator set", tf, oc)
+	}
 }
 
 // TestMetricsFoldConcurrentEvaluates is the service twin of the record's

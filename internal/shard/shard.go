@@ -23,9 +23,10 @@
 // in the floating-point summation order of the shared octants' upward
 // densities, which keeps the differential within 1e-12 for any R.
 //
-// All ranks share the solver's translation operators, and through them the
-// process-wide V-list translation-spectrum cache: spectra prewarmed at plan
-// time are hit by every shard of every plan for the same (kernel, order).
+// All ranks share the solver's translation operators, and with them the
+// V-list spectra their level tables hold: the first compile of a level
+// resolves them, and every shard of every plan for the same (kernel, order)
+// reads them from there.
 package shard
 
 import (
@@ -45,8 +46,8 @@ type Config struct {
 	Ranks int
 	// Spec configures every rank's engines and, through LeafWeights, weighs
 	// the leaves the ranks are cut by. Its operators are shared
-	// read-only by the ranks (and, through the process-wide spectrum cache,
-	// by every plan for the same kernel and order); its Workers is the total
+	// read-only by the ranks (and, with the spectra they hold, by every plan
+	// for the same kernel and order); its Workers is the total
 	// budget, split evenly across ranks (each gets max(1, Workers/Ranks)).
 	Spec kifmm.EngineSpec
 }

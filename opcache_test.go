@@ -22,18 +22,18 @@ func TestOperatorCacheBoundedUnderManyLambdas(t *testing.T) {
 		if _, err := New(Options{Kernel: Yukawa, YukawaLambda: 1000 + unseen(), Order: 4}); err != nil {
 			t.Fatal(err)
 		}
-		if st := OperatorCache(); st.Entries > st.MaxEntries {
-			t.Fatalf("after %d solvers: %d cached operator sets, bound %d", i+1, st.Entries, st.MaxEntries)
+		if st := OperatorCache(); st.Entries > int(st.Max) {
+			t.Fatalf("after %d solvers: %d cached operator sets, bound %d", i+1, st.Entries, st.Max)
 		}
 	}
 	after := OperatorCache()
 	if got := after.Misses - before.Misses; got != 100 {
 		t.Fatalf("100 new keys made %d misses, want 100", got)
 	}
-	if after.Entries != after.MaxEntries {
-		t.Fatalf("%d entries after 100 keys, want the bound %d", after.Entries, after.MaxEntries)
+	if after.Entries != int(after.Max) {
+		t.Fatalf("%d entries after 100 keys, want the bound %d", after.Entries, after.Max)
 	}
-	if got, want := after.Evictions-before.Evictions, int64(100-after.MaxEntries); got < want {
+	if got, want := after.Evictions-before.Evictions, 100-after.Max; got < want {
 		t.Fatalf("%d evictions, want at least %d", got, want)
 	}
 }
@@ -58,7 +58,7 @@ func TestEvictedOperatorsKeepEvaluating(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fill the cache with new keys until the plan's set is evicted.
-	for i := 0; i < OperatorCache().MaxEntries; i++ {
+	for i := 0; i < int(OperatorCache().Max); i++ {
 		if _, err := New(Options{Kernel: Yukawa, YukawaLambda: 1000 + unseen(), Order: 4}); err != nil {
 			t.Fatal(err)
 		}

@@ -104,8 +104,8 @@ func (f *FMM) PlanAt(ctx context.Context, targets, sources []Point) (*Plan, erro
 	if f.opt.Shards > 0 {
 		// Sharded plan: partition this tree's leaves across R ranks and
 		// assemble their local essential trees; each rank compiles its
-		// graphs, resolving its spectra in the process-wide cache all shards
-		// share. The ranks never read the global tree again, so the plan does
+		// graphs, reading its spectra from the operators' level tables all
+		// shards share. The ranks never read the global tree again, so the plan does
 		// not keep it.
 		sp, err := shard.BuildPlan(tree, shard.Config{Ranks: f.opt.Shards, Spec: f.spec})
 		if err != nil {
@@ -125,28 +125,25 @@ func (f *FMM) PlanAt(ctx context.Context, targets, sources []Point) (*Plan, erro
 // communication time (ShardComm).
 type ApplyStats = ikifmm.Record
 
-// TranslationCacheStats is a snapshot of the process-wide V-list
-// translation-spectrum cache counters (see TranslationCache).
-type TranslationCacheStats = ikifmm.TranslationCacheStats
+// CacheStats is a snapshot of a process-wide cache's counters
+// (TranslationCache, OperatorCache). Size and Max are in the cache's own
+// unit: spectrum bytes for the one, operator sets for the other.
+type CacheStats = ikifmm.CacheStats
 
 // TranslationCache returns the counters of the process-wide translation
 // spectrum cache shared by every solver: spectra are keyed by (kernel
 // identity, surface order, level, direction), built once under singleflight,
 // and evicted LRU under a byte bound. The serving layer exposes these on
 // /metrics.
-func TranslationCache() TranslationCacheStats {
+func TranslationCache() CacheStats {
 	return ikifmm.SharedTranslations.Stats()
 }
-
-// OperatorCacheStats is a snapshot of the process-wide translation-operator
-// cache counters (see OperatorCache).
-type OperatorCacheStats = ikifmm.OperatorCacheStats
 
 // OperatorCache returns the counters of the process-wide operator cache
 // every solver takes its translation operators from: one set per (kernel
 // identity, order, tolerance), built once under singleflight and evicted LRU
 // under a fixed count bound. The serving layer exposes these on /metrics.
-func OperatorCache() OperatorCacheStats {
+func OperatorCache() CacheStats {
 	return ikifmm.SharedOperators.Stats()
 }
 

@@ -20,8 +20,8 @@
 #      (nodeterm)
 #   7. a per-octant diag.Profile.AddFlops in the S2U body s2uLeaf
 #      (diagbatch)
-#   8. a dropped Lock ahead of the deferred Unlock in cowCache.insert
-#      (lockorder's unlock check)
+#   8. a dropped Lock ahead of the deferred Unlock in
+#      Operators.resolveVTable (lockorder's unlock check)
 #
 # Run from the module root: ./scripts/lint_inject.sh  (or `make lint-inject`).
 set -u
@@ -241,13 +241,14 @@ expect_failure "per-octant AddFlops in s2uLeaf" "per-item diag.Profile.AddFlops 
 expect_failure "per-octant AddFlops lands in the S2U body" "internal/kifmm/engine.go"
 
 # --- 8. unlock with no preceding lock ---------------------------------------
-# Drop the Lock that the deferred Unlock in cowCache.insert pairs with.
+# Drop the Lock that the deferred Unlock in Operators.resolveVTable pairs
+# with.
 fresh_copy
-F="$SCRATCH/repo/internal/kifmm/cowcache.go"
-grep -qxF '	c.mu.Lock()' "$F" ||
-    fail "cowCache.insert no longer locks c.mu on its own line; update injection 8"
-sed -i '/^\tc\.mu\.Lock()$/d' "$F"
+F="$SCRATCH/repo/internal/kifmm/operators.go"
+sed -n '/^func (o \*Operators) resolveVTable/,/^}/p' "$F" | grep -qxF '	o.buildMu.Lock()' ||
+    fail "Operators.resolveVTable no longer locks o.buildMu on its own line; update injection 8"
+sed -i '/^func (o \*Operators) resolveVTable/,/^}/{/^\to\.buildMu\.Lock()$/d}' "$F"
 run_fmmvet
-expect_failure "unlock without lock" "Unlock of kifmm/internal/kifmm.cowCache.mu with no preceding Lock"
+expect_failure "unlock without lock" "Unlock of kifmm/internal/kifmm.Operators.buildMu with no preceding Lock"
 
 echo "lint-inject: PASS: all planted regressions rejected"

@@ -13,9 +13,9 @@ import (
 // changes by deltas between evaluations. A Step re-plans: it builds the next
 // Plan over the live points in ascending-ID order with FMM.Plan, so a
 // session's potentials are bit-identical to a fresh Plan.Apply of the same
-// points. Translation operators and V-list spectra come from the
-// process-wide caches, so a step pays for the tree, the lists and the layout
-// only. Safe for concurrent use; Step and Apply serialize on an internal
+// points. Translation operators come from the process-wide cache and hold
+// their V-list spectra, so a step pays for the tree, the lists, the layout
+// and the compile only. Safe for concurrent use; Step and Apply serialize on an internal
 // lock.
 type Session struct {
 	f  *FMM

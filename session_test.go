@@ -562,3 +562,33 @@ func BenchmarkSessionStep(b *testing.B) {
 		}
 	})
 }
+
+// TestSessionResolvesSpectraOnce: a Yukawa session's operators hold each
+// level's V-list spectra in the level's table, so creating the session
+// resolves the 316 directions of every level it translates at once, and its
+// re-planned steps (1 % of the points jittered per step) look up none.
+func TestSessionResolvesSpectraOnce(t *testing.T) {
+	f, err := New(Options{Kernel: Yukawa, YukawaLambda: 3 + unseen(), Order: 4, PointsPerBox: 40, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookups := func() int64 { st := TranslationCache(); return st.Hits + st.Misses }
+	l0 := lookups()
+	s, err := f.NewSession(context.Background(), geom.Generate(geom.Ellipsoid, 3000, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	created := lookups() - l0
+	if created < 2*316 || created%316 != 0 {
+		t.Fatalf("creating the session made %d spectrum lookups, want 316 for each of at least two levels", created)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for step := 0; step < 4; step++ {
+		if _, err := s.Step(context.Background(), randomDelta(rng, s, 0.01, 0, 0, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := lookups() - l0 - created; got != 0 {
+		t.Fatalf("4 steps made %d spectrum lookups, want 0", got)
+	}
+}
