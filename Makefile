@@ -62,7 +62,10 @@ portable:
 # ones, unchanged, and otherwise ≡ a fresh plan of its points, bit for bit;
 # the octree's Build, BuildLists, Assemble and Index ≡ the comparison-sort,
 # map-indexed builders they replaced, element for element, on small clouds
-# with coincident points and points on the cube's faces, at any q and depth.
+# with coincident points and points on the cube's faces, at any q and depth;
+# the distributed Points2Octree on such clouds over 1 to 4 ranks either
+# returns one error on every rank or a complete linear octree in Compare
+# order holding every point once, at most q a leaf above maxDepth.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEvalPanel -fuzztime=10s ./internal/kernel
 	$(GO) test -run='^$$' -fuzz=FuzzEvalPair -fuzztime=10s ./internal/kernel
@@ -75,6 +78,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzComputeSVD -fuzztime=10s ./internal/linalg
 	$(GO) test -run='^$$' -fuzz=FuzzSessionStep -fuzztime=10s .
 	$(GO) test -run='^$$' -fuzz=FuzzOctreeBuild -fuzztime=10s ./internal/octree
+	$(GO) test -run='^$$' -fuzz=FuzzPoints2Octree -fuzztime=10s ./internal/dtree
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"kifmm/internal/geom"
+	"kifmm/internal/goleak"
 	ikern "kifmm/internal/kernel"
 	ikifmm "kifmm/internal/kifmm"
 )
@@ -137,6 +138,44 @@ func TestEvaluateDistributedValidation(t *testing.T) {
 	}
 	if _, err := f.EvaluateDistributed(16, pts[:4], den[:4]); err == nil {
 		t.Fatalf("too few points accepted")
+	}
+}
+
+// TestEvaluateDistributedClusteredClouds: clouds with fewer distinct cells
+// than ranks leave a rank without points after the Morton sort. Every rank
+// sees that in the boundary exchange, so the call returns one error, and no
+// rank goroutine outlives it.
+func TestEvaluateDistributedClusteredClouds(t *testing.T) {
+	defer goleak.Check(t)()
+	f, err := New(Options{PointsPerBox: 20, Order: 4, MaxDepth: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(n int, sites ...Point) []Point {
+		out := make([]Point, n)
+		for i := range out {
+			out[i] = sites[i%len(sites)]
+		}
+		return out
+	}
+	uniform, _ := randInput(3000, 1, 5)
+	for _, tc := range []struct {
+		name  string
+		ranks int
+		pts   []Point
+	}{
+		{"coincident", 2, at(200, Point{X: 0.3, Y: 0.6, Z: 0.2})},
+		{"two sites", 4, at(200, Point{X: 0.3, Y: 0.6, Z: 0.2}, Point{X: 0.8, Y: 0.1, Z: 0.5})},
+		{"uniform+coincident", 8, append(uniform, at(800, Point{X: 0.4, Y: 0.4, Z: 0.7})...)},
+	} {
+		den := make([]float64, len(tc.pts))
+		for i := range den {
+			den[i] = 1
+		}
+		_, err := f.EvaluateDistributed(tc.ranks, tc.pts, den)
+		if err == nil || !strings.HasPrefix(err.Error(), "kifmm: ") || !strings.Contains(err.Error(), "holds no point") {
+			t.Errorf("%s at %d ranks: error %v, want a kifmm: error naming the empty rank", tc.name, tc.ranks, err)
+		}
 	}
 }
 

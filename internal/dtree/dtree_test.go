@@ -3,6 +3,7 @@ package dtree
 import (
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"kifmm/internal/geom"
@@ -18,9 +19,18 @@ func runDistributed(t *testing.T, dist geom.Distribution, n, p, q int) [][]Leaf 
 	out := make([][]Leaf, p)
 	mpi.Run(p, func(c *mpi.Comm) {
 		pts := geom.GenerateChunk(dist, n, 11, c.Rank(), p)
-		out[c.Rank()] = Points2Octree(c, pts, nil, 0, q, 20, nil)
+		out[c.Rank()] = must(Points2Octree(c, pts, nil, 0, q, 20, nil))
 	})
 	return out
+}
+
+// must unwraps a collective set-up the test's input cannot fail (every rank
+// gets points and leaves); an error is a bug, raised where it happens.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 func gatherKeys(chunks [][]Leaf) []morton.Key {
@@ -107,24 +117,28 @@ func TestPoints2OctreeMatchesSingleRankTotals(t *testing.T) {
 	}
 }
 
+// TestPartitionTilesCodeSpace checks that the regions tile the cube's
+// finest-level cells: Start[0] is the first cell, every other Start is the
+// first cell of its rank's first leaf, and Start rises strictly, so every
+// region is a non-empty half-open interval.
 func TestPartitionTilesCodeSpace(t *testing.T) {
 	const p = 4
 	chunks := runDistributed(t, geom.Uniform, 1000, p, 25)
 	mpi.Run(p, func(c *mpi.Comm) {
-		pt := NewPartition(c, chunks[c.Rank()])
+		pt := must(NewPartition(c, chunks[c.Rank()]))
 		if c.Rank() != 0 {
 			return
 		}
-		if pt.Start[0] != (morton.Code{}) {
-			t.Errorf("partition must start at code 0")
+		if pt.Start[0] != morton.Root().FirstDescendant(morton.MaxDepth) {
+			t.Errorf("partition must start at the cube's first cell, got %v", pt.Start[0])
 		}
-		for r := 0; r+1 < p; r++ {
-			if pt.End[r].Next() != pt.Start[r+1] {
-				t.Errorf("gap between regions %d and %d", r, r+1)
+		for r := 1; r < p; r++ {
+			if want := chunks[r][0].Key.FirstDescendant(morton.MaxDepth); pt.Start[r] != want {
+				t.Errorf("region %d starts at %v, want %v", r, pt.Start[r], want)
 			}
-		}
-		if pt.End[p-1] != morton.MaxCode() {
-			t.Errorf("partition must end at max code")
+			if morton.Compare(pt.Start[r-1], pt.Start[r]) >= 0 {
+				t.Errorf("regions %d and %d do not rise: %v, %v", r-1, r, pt.Start[r-1], pt.Start[r])
+			}
 		}
 	})
 }
@@ -133,7 +147,7 @@ func TestPartitionContributorsUsers(t *testing.T) {
 	const p = 4
 	chunks := runDistributed(t, geom.Uniform, 2000, p, 25)
 	mpi.Run(p, func(c *mpi.Comm) {
-		pt := NewPartition(c, chunks[c.Rank()])
+		pt := must(NewPartition(c, chunks[c.Rank()]))
 		// Root overlaps everyone and everyone uses it.
 		if got := pt.Contributors(morton.Root()); len(got) != p {
 			t.Errorf("root contributors = %v", got)
@@ -254,7 +268,7 @@ func TestLETListsMatchGlobalTree(t *testing.T) {
 		chunks := runDistributed(t, cfg.dist, cfg.n, cfg.p, 15)
 		ref := buildReference(chunks)
 		mpi.Run(cfg.p, func(c *mpi.Comm) {
-			dt := BuildLET(c, chunks[c.Rank()])
+			dt := must(BuildLET(c, chunks[c.Rank()]))
 			if err := dt.Tree.Validate(); err != nil {
 				t.Errorf("rank %d: invalid LET: %v", c.Rank(), err)
 				return
@@ -295,7 +309,7 @@ func TestLETGhostLeavesCarryPoints(t *testing.T) {
 	chunks := runDistributed(t, geom.Uniform, 1200, p, 20)
 	ref := buildReference(chunks)
 	mpi.Run(p, func(c *mpi.Comm) {
-		dt := BuildLET(c, chunks[c.Rank()])
+		dt := must(BuildLET(c, chunks[c.Rank()]))
 		for i := range dt.Tree.Nodes {
 			n := &dt.Tree.Nodes[i]
 			if n.Local || !n.IsLeaf {
@@ -320,7 +334,7 @@ func TestLETSentLeavesMatchReceivedGhosts(t *testing.T) {
 	chunks := runDistributed(t, geom.Uniform, 1200, p, 20)
 	dts := make([]*DistTree, p)
 	mpi.Run(p, func(c *mpi.Comm) {
-		dts[c.Rank()] = BuildLET(c, chunks[c.Rank()])
+		dts[c.Rank()] = must(BuildLET(c, chunks[c.Rank()]))
 	})
 	// Every ghost leaf in rank k's LET must appear in its owner's
 	// SentLeaves[k].
@@ -353,7 +367,7 @@ func TestSharedOctantsIncludeAncestorsSpanningRanks(t *testing.T) {
 	const p = 4
 	chunks := runDistributed(t, geom.Uniform, 1200, p, 20)
 	mpi.Run(p, func(c *mpi.Comm) {
-		dt := BuildLET(c, chunks[c.Rank()])
+		dt := must(BuildLET(c, chunks[c.Rank()]))
 		shared := dt.SharedOctants()
 		// The root always spans all ranks.
 		rootSeen := false
@@ -385,5 +399,47 @@ func TestWireRoundTrips(t *testing.T) {
 	gg := decodeGhosts(encodeGhosts(gs))
 	if len(gg) != 2 || !gg[0].IsLeaf || gg[1].IsLeaf || gg[0].Pts[0] != gs[0].Pts[0] {
 		t.Fatalf("ghost codec broken: %+v", gg)
+	}
+}
+
+// TestEmptyRankErrors: a cloud with fewer distinct cells than ranks leaves a
+// rank without points after the sort, and a repartition whose one leaf
+// outweighs the rest leaves a rank without leaves. Either way every rank
+// returns the same error, and none panics or hangs.
+func TestEmptyRankErrors(t *testing.T) {
+	errs := make([]error, 2)
+	mpi.Run(2, func(c *mpi.Comm) {
+		pts := make([]geom.Point, 100)
+		for i := range pts {
+			pts[i] = geom.Point{X: 0.3, Y: 0.6, Z: 0.2}
+		}
+		_, errs[c.Rank()] = Points2Octree(c, pts, nil, 0, 20, 12, nil)
+	})
+	checkSameError(t, errs, "holds no point")
+
+	const p = 4
+	chunks := runDistributed(t, geom.Uniform, 1000, p, 25)
+	errs = make([]error, p)
+	mpi.Run(p, func(c *mpi.Comm) {
+		w := make([]int64, len(chunks[c.Rank()]))
+		for i := range w {
+			w[i] = 1
+		}
+		if c.Rank() == 0 {
+			w[len(w)-1] = 1 << 40 // its weight midpoint lands in rank 2's share
+		}
+		_, errs[c.Rank()] = BuildLET(c, RepartitionByWeight(c, chunks[c.Rank()], w))
+	})
+	checkSameError(t, errs, "owns no leaf")
+}
+
+// checkSameError fails t unless every rank returned the same error and it
+// says what.
+func checkSameError(t *testing.T, errs []error, what string) {
+	t.Helper()
+	for r, err := range errs {
+		if err == nil || err.Error() != errs[0].Error() || !strings.Contains(err.Error(), what) {
+			t.Fatalf("rank %d: error %v, rank 0: %v; want one error on every rank saying %q", r, err, errs[0], what)
+		}
 	}
 }

@@ -33,10 +33,14 @@ type DistTree struct {
 // ancestors), ships every octant to the ranks whose regions intersect its
 // parent's colleague neighborhood, inserts the received ghosts, assembles
 // the local essential tree, and builds interaction lists for the local
-// octants. Collective.
-func BuildLET(c *mpi.Comm, leaves []Leaf) *DistTree {
+// octants. Collective: when a rank owns no leaf, every rank returns
+// NewPartition's error.
+func BuildLET(c *mpi.Comm, leaves []Leaf) (*DistTree, error) {
 	p, r := c.Size(), c.Rank()
-	part := NewPartition(c, leaves)
+	part, err := NewPartition(c, leaves)
+	if err != nil {
+		return nil, err
+	}
 
 	// B_k = owned leaves ∪ ancestors.
 	type octInfo struct {
@@ -150,7 +154,7 @@ func BuildLET(c *mpi.Comm, leaves []Leaf) *DistTree {
 			return dt.SentLeaves[k2][a] < dt.SentLeaves[k2][b]
 		})
 	}
-	return dt
+	return dt, nil
 }
 
 // NumOwnedPoints returns the number of points in owned leaves.

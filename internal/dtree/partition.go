@@ -3,7 +3,8 @@
 // (Points2Octree, after Sundar-Sampath-Biros/DENDRO), work-weighted
 // repartitioning of the Morton-sorted leaves (Section III-B), the geometric
 // domain decomposition Ω_k, and the local-essential-tree construction of
-// Algorithm 2 with its contributor/user octant exchange.//
+// Algorithm 2 with its contributor/user octant exchange.
+//
 // The whole package is in deterministic scope: for a fixed input and plan
 // its outputs must be bit-identical across runs and machines (machines:
 // fmmvet's nodeterm; runs: make probe-check, which evaluates twice).
@@ -12,6 +13,7 @@
 package dtree
 
 import (
+	"fmt"
 	"sort"
 
 	"kifmm/internal/geom"
@@ -31,78 +33,54 @@ type Leaf struct {
 
 // Partition records the geometric domain decomposition Ω_k induced by the
 // distribution of the (complete, Morton-sorted) leaves across ranks: each
-// rank controls one contiguous interval of finest-level Morton codes. Every
-// rank holds the same Partition (built collectively).
+// rank controls one half-open interval of finest-level keys. Every rank
+// holds the same Partition (built collectively).
 type Partition struct {
 	P int
-	// Start[k] is the first code of Ω_k (inclusive); End[k] the last
-	// (inclusive). Every rank owns a leaf (NewPartition), so no interval is
-	// empty.
-	Start, End []morton.Code
+	// Start[k] is the first finest-level cell of Ω_k, which runs up to,
+	// not including, Start[k+1]; the last region runs to the cube's end.
+	// Start[0] is the cube's first cell and Start rises strictly: every
+	// rank owns a leaf (NewPartition), so no region is empty.
+	Start []morton.Key
 }
 
 // NewPartition gathers the per-rank leaf boundaries. Collective. Every rank
-// must own at least one leaf (guaranteed by the tree construction whenever
-// n ≫ p; violating it panics with a clear message).
-func NewPartition(c *mpi.Comm, leaves []Leaf) *Partition {
-	p := c.Size()
-	payload := make([]int64, 3)
+// must own at least one leaf; when one owns none, every rank returns the
+// same error.
+func NewPartition(c *mpi.Comm, leaves []Leaf) (*Partition, error) {
+	var first []byte
 	if len(leaves) > 0 {
-		first, _ := leaves[0].Key.CodeRange()
-		payload[0] = 1
-		payload[1] = int64(first.Hi)
-		payload[2] = int64(first.Lo)
+		first = leaves[0].Key.FirstDescendant(morton.MaxDepth).AppendBinary(nil)
 	}
-	all := c.AllGather(mpi.Int64sToBytes(payload))
-
-	pt := &Partition{
-		P:     p,
-		Start: make([]morton.Code, p),
-		End:   make([]morton.Code, p),
-	}
-	for r := 0; r < p; r++ {
-		v := mpi.BytesToInt64s(all[r])
-		if v[0] != 1 {
-			panic("dtree: NewPartition requires every rank to own at least one leaf; " +
-				"increase points per rank or reduce the rank count")
+	all := c.AllGather(first)
+	pt := &Partition{P: c.Size(), Start: make([]morton.Key, c.Size())}
+	for r, b := range all {
+		if len(b) == 0 {
+			return nil, fmt.Errorf("dtree: rank %d of %d owns no leaf; "+
+				"increase points per rank or reduce the rank count", r, pt.P)
 		}
-		pt.Start[r] = morton.Code{Hi: uint64(v[1]), Lo: uint64(v[2])}
+		pt.Start[r], _ = morton.DecodeKey(b)
 	}
-	// Region k runs from its first leaf code up to just before region k+1;
-	// rank 0 absorbs the leading codes and the last rank the trailing ones.
-	pt.Start[0] = morton.Code{}
-	for r := 0; r < p-1; r++ {
-		pt.End[r] = pt.Start[r+1].Prev()
-	}
-	pt.End[p-1] = morton.MaxCode()
-	return pt
+	// Rank 0 absorbs the cells before its first leaf.
+	pt.Start[0] = morton.Root().FirstDescendant(morton.MaxDepth)
+	return pt, nil
 }
 
-// OverlapRange returns the inclusive rank interval [kLo, kHi] whose regions
-// intersect the code interval [lo, hi]; ok is false if no rank overlaps.
-func (pt *Partition) OverlapRange(lo, hi morton.Code) (kLo, kHi int, ok bool) {
-	// First rank whose End >= lo.
-	kLo = sort.Search(pt.P, func(k int) bool {
-		return morton.CompareCode(pt.End[k], lo) >= 0
-	})
-	// Last rank whose Start <= hi.
-	kHi = sort.Search(pt.P, func(k int) bool {
-		return morton.CompareCode(pt.Start[k], hi) > 0
-	}) - 1
-	if kLo > kHi || kLo >= pt.P || kHi < 0 {
-		return 0, -1, false
-	}
-	return kLo, kHi, true
+// rankOf returns the rank whose region holds the finest-level cell f.
+func (pt *Partition) rankOf(f morton.Key) int {
+	return sort.Search(pt.P, func(k int) bool { return morton.Compare(pt.Start[k], f) > 0 }) - 1
+}
+
+// overlap returns the inclusive rank interval [kLo, kHi] whose regions
+// intersect the octant k.
+func (pt *Partition) overlap(k morton.Key) (kLo, kHi int) {
+	return pt.rankOf(k.FirstDescendant(morton.MaxDepth)), pt.rankOf(k.LastDescendant(morton.MaxDepth))
 }
 
 // Contributors returns the ranks whose regions the octant overlaps
 // (𝒫_c in the paper).
 func (pt *Partition) Contributors(k morton.Key) []int {
-	lo, hi := k.CodeRange()
-	kLo, kHi, ok := pt.OverlapRange(lo, hi)
-	if !ok {
-		return nil
-	}
+	kLo, kHi := pt.overlap(k)
 	out := make([]int, 0, kHi-kLo+1)
 	for r := kLo; r <= kHi; r++ {
 		out = append(out, r)
@@ -127,11 +105,7 @@ func (pt *Partition) Users(k morton.Key) []int {
 	seen := make(map[int]bool)
 	var out []int
 	add := func(b morton.Key) {
-		lo, hi := b.CodeRange()
-		kLo, kHi, ok := pt.OverlapRange(lo, hi)
-		if !ok {
-			return
-		}
+		kLo, kHi := pt.overlap(b)
 		for r := kLo; r <= kHi; r++ {
 			if !seen[r] {
 				seen[r] = true
@@ -150,10 +124,5 @@ func (pt *Partition) Users(k morton.Key) []int {
 // OwnerOf returns the rank owning the octant's anchor cell (used by the
 // owner-based reduction baseline).
 func (pt *Partition) OwnerOf(k morton.Key) int {
-	lo, _ := k.CodeRange()
-	kLo, _, ok := pt.OverlapRange(lo, lo)
-	if !ok {
-		return 0
-	}
-	return kLo
+	return pt.rankOf(k.FirstDescendant(morton.MaxDepth))
 }

@@ -1,6 +1,7 @@
 package dtree
 
 import (
+	"fmt"
 	"sort"
 
 	"kifmm/internal/diag"
@@ -72,8 +73,9 @@ func coarsestBoundary(prevLast, first morton.Key) morton.Key {
 //
 // den may be nil; otherwise it holds sdim components per point and travels
 // with the points. prof (optional) receives the PhaseSort timing.
-// Collective.
-func Points2Octree(c *mpi.Comm, pts []geom.Point, den []float64, sdim, q, maxDepth int, prof *diag.Profile) []Leaf {
+// Collective: when the sort leaves a rank without points, every rank
+// returns the same error.
+func Points2Octree(c *mpi.Comm, pts []geom.Point, den []float64, sdim, q, maxDepth int, prof *diag.Profile) ([]Leaf, error) {
 	if q < 1 {
 		panic("dtree: q must be >= 1")
 	}
@@ -101,46 +103,29 @@ func Points2Octree(c *mpi.Comm, pts []geom.Point, den []float64, sdim, q, maxDep
 	// descending to the full key depth, which would otherwise litter the
 	// tree with near-empty deep leaves along every rank boundary. Rank 0
 	// absorbs the leading gap, the last rank the trailing one. Every rank
-	// needs at least one point (n ≫ p).
-	payload := make([]int64, 7)
+	// needs at least one point: when one has none, every rank returns the
+	// same error.
+	var ends []byte
 	if len(sorted) > 0 {
-		first := morton.CodeOf(sorted[0].Key)
-		last := morton.CodeOf(sorted[len(sorted)-1].Key)
-		payload[0] = 1
-		payload[1] = int64(first.Hi)
-		payload[2] = int64(first.Lo)
-		payload[3] = int64(last.Hi)
-		payload[4] = int64(last.Lo)
+		ends = sorted[len(sorted)-1].Key.AppendBinary(sorted[0].Key.AppendBinary(nil))
 	}
-	all := c.AllGather(mpi.Int64sToBytes(payload))
+	all := c.AllGather(ends)
 	p := c.Size()
-	firsts := make([]morton.Key, p)
-	lasts := make([]morton.Key, p)
-	for r := 0; r < p; r++ {
-		v := mpi.BytesToInt64s(all[r])
-		if v[0] != 1 {
-			panic("dtree: Points2Octree requires at least one point per rank after sorting")
-		}
-		firsts[r] = morton.KeyFromCode(morton.Code{Hi: uint64(v[1]), Lo: uint64(v[2])})
-		lasts[r] = morton.KeyFromCode(morton.Code{Hi: uint64(v[3]), Lo: uint64(v[4])})
-	}
-	// starts[r]: the first finest-level key of rank r's region.
 	starts := make([]morton.Key, p)
-	starts[0] = morton.KeyFromCode(morton.Code{})
-	for r := 1; r < p; r++ {
-		starts[r] = coarsestBoundary(lasts[r-1], firsts[r])
+	starts[0] = morton.Root().FirstDescendant(morton.MaxDepth)
+	var prevLast morton.Key
+	for r, b := range all {
+		if len(b) == 0 {
+			return nil, fmt.Errorf("dtree: rank %d of %d holds no point after the Morton sort; "+
+				"the cloud has too few distinct cells for the rank count", r, p)
+		}
+		first, rest := morton.DecodeKey(b)
+		if r > 0 {
+			starts[r] = coarsestBoundary(prevLast, first)
+		}
+		prevLast, _ = morton.DecodeKey(rest)
 	}
-	r := c.Rank()
-	from := starts[r]
-	var to morton.Key
-	if r == p-1 {
-		to = morton.KeyFromCode(morton.MaxCode())
-	} else {
-		next, _ := starts[r+1].CodeRange()
-		to = morton.KeyFromCode(next.Prev())
-	}
-
-	blocks := morton.CoveringRegion(from, to)
+	blocks := morton.CoveringRegion(starts, c.Rank())
 
 	// Refine each block over its (contiguous) share of the sorted points.
 	var leaves []Leaf
@@ -186,7 +171,7 @@ func Points2Octree(c *mpi.Comm, pts []geom.Point, den []float64, sdim, q, maxDep
 		refine(blk, cur, end)
 		cur = end
 	}
-	return leaves
+	return leaves, nil
 }
 
 // RepartitionByWeight redistributes the globally Morton-sorted leaves so

@@ -12,7 +12,11 @@ func TestReplicatedListsMatchGlobalTree(t *testing.T) {
 	chunks := runDistributed(t, geom.Ellipsoid, n, p, 15)
 	ref := buildReference(chunks)
 	mpi.Run(p, func(c *mpi.Comm) {
-		dt, traffic := BuildReplicated(c, chunks[c.Rank()])
+		dt, traffic, err := BuildReplicated(c, chunks[c.Rank()])
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		if traffic <= 0 {
 			t.Errorf("no traffic recorded")
 			return
@@ -59,11 +63,14 @@ func TestReplicatedTrafficExceedsLET(t *testing.T) {
 	repBytes := make([]int64, p)
 	mpi.Run(p, func(c *mpi.Comm) {
 		before := c.Stats().Snap()
-		BuildLET(c, chunks[c.Rank()])
+		must(BuildLET(c, chunks[c.Rank()]))
 		letBytes[c.Rank()] = before.Delta(c.Stats().Snap()).Bytes
 	})
 	mpi.Run(p, func(c *mpi.Comm) {
-		_, tr := BuildReplicated(c, chunks[c.Rank()])
+		_, tr, err := BuildReplicated(c, chunks[c.Rank()])
+		if err != nil {
+			t.Error(err)
+		}
 		repBytes[c.Rank()] = tr
 	})
 	var letMax, repMax int64

@@ -64,6 +64,30 @@ func pairCounts(e *Engine) (pair, parked, oneWay int) {
 	return
 }
 
+// rankLETs returns the local essential trees of pts split evenly over two
+// ranks: Points2Octree with q points a leaf, then BuildLET.
+func rankLETs(t testing.TB, pts []geom.Point, q int) []*octree.Tree {
+	t.Helper()
+	lets := make([]*octree.Tree, 2)
+	errs := make([]error, 2)
+	mpi.Run(2, func(c *mpi.Comm) {
+		share := pts[c.Rank()*len(pts)/2 : (c.Rank()+1)*len(pts)/2]
+		leaves, err := dtree.Points2Octree(c, share, nil, 1, q, 20, nil)
+		var dt *dtree.DistTree
+		if err == nil {
+			dt, err = dtree.BuildLET(c, leaves)
+		}
+		errs[c.Rank()] = err
+		if err == nil {
+			lets[c.Rank()] = dt.Tree
+		}
+	})
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	return lets
+}
+
 // uliTree is one tree TestULIPairsMatchOneWay runs the U row on.
 type uliTree struct {
 	name  string
@@ -96,12 +120,7 @@ func uliTrees(t *testing.T) []uliTree {
 	ut := octree.Build(union, 20, 20)
 	ut.BuildLists(nil)
 
-	pts := geom.Generate(geom.Uniform, 3000, 44)
-	lets := make([]*octree.Tree, 2)
-	mpi.Run(2, func(c *mpi.Comm) {
-		share := pts[c.Rank()*len(pts)/2 : (c.Rank()+1)*len(pts)/2]
-		lets[c.Rank()] = dtree.BuildLET(c, dtree.Points2Octree(c, share, nil, 1, 30, 20, nil)).Tree
-	})
+	lets := rankLETs(t, geom.Generate(geom.Uniform, 3000, 44), 30)
 	// Lists the pairing must not trust: a leaf that names a neighbour which
 	// does not name it back, and one that names a neighbour twice.
 	edited := octree.Build(geom.Generate(geom.Ellipsoid, 2500, 42), 25, 20)

@@ -8,10 +8,8 @@ import (
 	"time"
 
 	"kifmm/internal/diag"
-	"kifmm/internal/dtree"
 	"kifmm/internal/geom"
 	"kifmm/internal/kernel"
-	"kifmm/internal/mpi"
 	"kifmm/internal/octree"
 	"kifmm/internal/sched"
 )
@@ -119,11 +117,7 @@ func TestRunSelectsDriver(t *testing.T) {
 func TestPoolMemoryBytes(t *testing.T) {
 	built := octree.Build(geom.Generate(geom.Ellipsoid, 3000, 7), 25, 20)
 	built.BuildLists(nil)
-	lets := make([]*octree.Tree, 2)
-	mpi.Run(2, func(c *mpi.Comm) {
-		share := geom.Generate(geom.Ellipsoid, 3000, 8)[c.Rank()*1500 : (c.Rank()+1)*1500]
-		lets[c.Rank()] = dtree.BuildLET(c, dtree.Points2Octree(c, share, nil, 1, 25, 20, nil)).Tree
-	})
+	lets := rankLETs(t, geom.Generate(geom.Ellipsoid, 3000, 8), 25)
 	if lets[0].Perm != nil {
 		t.Fatal("an assembled tree has a permutation: the case checks nothing")
 	}

@@ -7,10 +7,8 @@ import (
 	"testing"
 
 	"kifmm/internal/diag"
-	"kifmm/internal/dtree"
 	"kifmm/internal/geom"
 	"kifmm/internal/kernel"
-	"kifmm/internal/mpi"
 	"kifmm/internal/octree"
 )
 
@@ -90,12 +88,7 @@ func wxTrees(t *testing.T) []wxTree {
 	ut := octree.Build(union, 20, 20)
 	ut.BuildLists(nil)
 
-	pts := geom.Generate(geom.Ellipsoid, 3000, 45)
-	lets := make([]*octree.Tree, 2)
-	mpi.Run(2, func(c *mpi.Comm) {
-		share := pts[c.Rank()*len(pts)/2 : (c.Rank()+1)*len(pts)/2]
-		lets[c.Rank()] = dtree.BuildLET(c, dtree.Points2Octree(c, share, nil, 1, 30, 20, nil)).Tree
-	})
+	lets := rankLETs(t, geom.Generate(geom.Ellipsoid, 3000, 45), 30)
 	return []wxTree{
 		{name: "plan", tree: sym},
 		{name: "exchange", tree: sym, exchange: true},

@@ -85,9 +85,9 @@ func (k Key) NeighborsSameLevel() []Key {
 }
 
 // Code is the 90-bit interleaved Morton code of a finest-level anchor,
-// packed hi:lo. Codes order finest-level cells exactly as Compare orders
-// keys, and an octant at level l covers the contiguous code range
-// [Code(k), Code(k) + 8^(MaxDepth-l) - 1].
+// packed hi:lo: the radix key octree.Build sorts points by. Codes order
+// finest-level cells exactly as Compare orders keys; every other order over
+// octants is Compare's.
 type Code struct {
 	Hi, Lo uint64
 }
@@ -127,90 +127,38 @@ func PointCode(x, y, z float64) Code { return interleave30(toUnits(x), toUnits(y
 // CodeOf returns the code of k's first finest-level descendant.
 func CodeOf(k Key) Code { return interleave30(k.X, k.Y, k.Z) }
 
-// CodeRange returns the inclusive code range covered by octant k.
-func (k Key) CodeRange() (lo, hi Code) {
-	lo = CodeOf(k)
-	n := uint(MaxDepth - k.Level())
-	// span = 8^n - 1 = 2^(3n) - 1 as a 128-bit value.
-	var spanHi, spanLo uint64
-	tn := 3 * n
-	switch {
-	case tn == 0:
-		spanHi, spanLo = 0, 0
-	case tn < 64:
-		spanLo = 1<<tn - 1
-	case tn == 64:
-		spanLo = ^uint64(0)
-	default:
-		spanLo = ^uint64(0)
-		spanHi = 1<<(tn-64) - 1
-	}
-	hiLo := lo.Lo + spanLo
-	carry := uint64(0)
-	if hiLo < lo.Lo {
-		carry = 1
-	}
-	hi = Code{Hi: lo.Hi + spanHi + carry, Lo: hiLo}
-	return lo, hi
-}
-
-// CompareCode orders codes numerically.
-func CompareCode(a, b Code) int {
-	switch {
-	case a.Hi < b.Hi:
-		return -1
-	case a.Hi > b.Hi:
-		return 1
-	case a.Lo < b.Lo:
-		return -1
-	case a.Lo > b.Lo:
-		return 1
-	}
-	return 0
-}
-
-// RangesOverlap reports whether inclusive code ranges [a1,a2] and [b1,b2]
-// intersect.
-func RangesOverlap(a1, a2, b1, b2 Code) bool {
-	return CompareCode(a1, b2) <= 0 && CompareCode(b1, a2) <= 0
-}
-
-// CoveringRegion returns the minimal sorted complete covering of the code
-// interval [from, to] (inclusive on both ends), where from and to are
-// finest-level keys. Together with its neighbors' coverings it tiles the
-// unit cube with no overlaps. It is used to turn each rank's Morton range
-// into the coarse "blocks" refined during Points2Octree.
-func CoveringRegion(from, to Key) []Key {
-	if from.Level() != MaxDepth || to.Level() != MaxDepth {
-		panic("morton: CoveringRegion endpoints must be finest-level keys")
-	}
-	if Compare(from, to) > 0 {
-		panic("morton: CoveringRegion requires from <= to")
+// CoveringRegion returns, in Morton order, the coarsest octants covering
+// region i of a cut of the cube: the finest-level cells from starts[i] up
+// to, not including, starts[i+1], or to the cube's last cell when i is the
+// last region. starts[0] must be the cube's first cell and starts must rise
+// strictly; the regions' coverings then tile the cube with no overlaps.
+// Points2Octree refines each rank's covering, its coarse "blocks".
+func CoveringRegion(starts []Key, i int) []Key {
+	// side places a finest-level cell before (-1), in (0) or past (+1) the
+	// region.
+	side := func(f Key) int {
+		switch {
+		case Compare(f, starts[i]) < 0:
+			return -1
+		case i+1 < len(starts) && Compare(f, starts[i+1]) >= 0:
+			return 1
+		}
+		return 0
 	}
 	var out []Key
-	var stack []Key
-	stack = append(stack, Root())
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		clo, chi := c.CodeRange()
-		flo := CodeOf(from)
-		thi := CodeOf(to)
-		if CompareCode(chi, flo) < 0 || CompareCode(clo, thi) > 0 {
-			continue // entirely outside [from, to]
-		}
-		if CompareCode(flo, clo) <= 0 && CompareCode(chi, thi) <= 0 {
-			out = append(out, c) // entirely inside
-			continue
-		}
-		if c.Level() == MaxDepth {
+	var visit func(c Key)
+	visit = func(c Key) {
+		first, last := side(c.FirstDescendant(MaxDepth)), side(c.LastDescendant(MaxDepth))
+		switch {
+		case last < 0 || first > 0: // outside the region
+		case first == 0 && last == 0:
 			out = append(out, c)
-			continue
-		}
-		for i := 7; i >= 0; i-- {
-			stack = append(stack, c.Child(i))
+		default:
+			for j := 0; j < 8; j++ {
+				visit(c.Child(j))
+			}
 		}
 	}
-	SortKeys(out)
+	visit(Root())
 	return out
 }

@@ -8,9 +8,14 @@
 // its level. MaxDepth is 30, enough for the paper's deepest trees (the SC'09
 // nonuniform run spans levels 2..27).
 //
-// Keys are ordered by the Morton preorder: ancestors sort immediately before
-// their first descendant, and disjoint octants sort by the interleaved bits
-// of their anchors (x most significant within each bit triple).
+// Keys are ordered by the Morton preorder (Compare): ancestors sort
+// immediately before their first descendant, and disjoint octants sort by
+// the interleaved bits of their anchors (x most significant within each bit
+// triple). That is the one order over octants: an octant's range is its
+// FirstDescendant and LastDescendant at MaxDepth, and a rank's region of
+// the distributed tree is a half-open interval of finest-level keys. The
+// 90-bit Code (PointCode, CodeOf) is only the radix key octree.Build sorts
+// points by; it orders finest-level cells as Compare does.
 //
 // The whole package is in deterministic scope: for a fixed input and plan
 // its outputs must be bit-identical across runs and machines (machines:

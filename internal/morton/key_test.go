@@ -2,6 +2,7 @@ package morton
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -82,8 +83,8 @@ func TestCompareMatchesCodeOrder(t *testing.T) {
 			}
 			continue
 		}
-		cc := CompareCode(CodeOf(a), CodeOf(b))
-		if cc != c {
+		ac, bc := CodeOf(a), CodeOf(b)
+		if cc := cmp.Or(cmp.Compare(ac.Hi, bc.Hi), cmp.Compare(ac.Lo, bc.Lo)); cc != c {
 			t.Fatalf("Compare=%d but code compare=%d for %v, %v", c, cc, a, b)
 		}
 	}
@@ -253,39 +254,40 @@ func TestAdjacentMatchesIntervals(t *testing.T) {
 	}
 }
 
-func TestCodeRangeNesting(t *testing.T) {
+// TestDescendantRangeNesting checks that an octant's finest-level range,
+// FirstDescendant to LastDescendant, brackets exactly its descendants: its
+// children's ranges tile it in order, every descendant's range lies inside
+// it, and a key neither nested in it nor holding it lies wholly before or
+// after it.
+func TestDescendantRangeNesting(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 200; trial++ {
 		k := randKey(rng, 10)
-		lo, hi := k.CodeRange()
-		if CompareCode(lo, hi) > 0 {
-			t.Fatalf("inverted code range for %v", k)
+		lo, hi := k.FirstDescendant(MaxDepth), k.LastDescendant(MaxDepth)
+		if Compare(lo, hi) > 0 {
+			t.Fatalf("inverted range for %v", k)
 		}
-		if k.Level() < MaxDepth {
-			// Children ranges tile the parent range in order.
-			prev := lo
-			first := true
-			for i := 0; i < 8; i++ {
-				clo, chi := k.Child(i).CodeRange()
-				if first {
-					if clo != lo {
-						t.Fatalf("first child range does not start at parent start")
-					}
-					first = false
-				} else {
-					wantLo := prev.Lo + 1
-					wantHi := prev.Hi
-					if wantLo == 0 {
-						wantHi++
-					}
-					if clo.Lo != wantLo || clo.Hi != wantHi {
-						t.Fatalf("child ranges not contiguous for %v", k)
-					}
-				}
-				prev = chi
+		ch := k.Children()
+		if ch[0].FirstDescendant(MaxDepth) != lo || ch[7].LastDescendant(MaxDepth) != hi {
+			t.Fatalf("children do not span %v", k)
+		}
+		for i := 0; i+1 < 8; i++ {
+			if next, ok := ch[i].after(); !ok || next != ch[i+1].FirstDescendant(MaxDepth) {
+				t.Fatalf("child ranges not contiguous for %v at %d", k, i)
 			}
-			if prev != hi {
-				t.Fatalf("children do not tile parent for %v", k)
+		}
+		d := k
+		for d.Level() < MaxDepth && rng.Intn(8) != 0 {
+			d = d.Child(rng.Intn(8))
+		}
+		if Compare(lo, d.FirstDescendant(MaxDepth)) > 0 || Compare(d.LastDescendant(MaxDepth), hi) > 0 {
+			t.Fatalf("descendant %v escapes the range of %v", d, k)
+		}
+		if b := randKey(rng, 10); !k.Contains(b) && !b.Contains(k) {
+			before := Compare(b.LastDescendant(MaxDepth), lo) < 0
+			after := Compare(b.FirstDescendant(MaxDepth), hi) > 0
+			if before == after {
+				t.Fatalf("disjoint %v and %v: before %v, after %v", b, k, before, after)
 			}
 		}
 	}
@@ -298,13 +300,18 @@ func TestFirstLastDescendant(t *testing.T) {
 	if !k.Contains(fd) || !k.Contains(ld) {
 		t.Fatalf("descendants escape octant")
 	}
-	lo, hi := k.CodeRange()
-	if CodeOf(fd) != lo {
+	if CodeOf(fd) != CodeOf(k) {
 		t.Fatalf("first descendant code mismatch")
 	}
-	flo, _ := ld.CodeRange()
-	if flo != hi {
-		t.Fatalf("last descendant code mismatch")
+	if a, _ := ld.after(); a != Root().Child(6).FirstDescendant(MaxDepth) {
+		t.Fatalf("last descendant is followed by %v, not the next sibling", a)
+	}
+}
+
+func TestKeyAccessors(t *testing.T) {
+	k := Root().Child(3)
+	if k.String() == "" || k.String() == Root().String() {
+		t.Fatalf("String broken")
 	}
 }
 

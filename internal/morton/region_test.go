@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"testing/quick"
 )
 
 // keysAreSorted reports whether keys are in nondecreasing Morton preorder.
@@ -21,25 +20,6 @@ func isLinear(ks []Key) bool {
 		}
 	}
 	return true
-}
-
-func TestSortDedupHelpers(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	ks := make([]Key, 0, 100)
-	for i := 0; i < 50; i++ {
-		k := randKey(rng, 6)
-		ks = append(ks, k, k) // deliberate duplicates
-	}
-	SortKeys(ks)
-	if !keysAreSorted(ks) {
-		t.Fatalf("not sorted after SortKeys")
-	}
-	dd := Dedup(ks)
-	for i := 0; i+1 < len(dd); i++ {
-		if dd[i] == dd[i+1] {
-			t.Fatalf("duplicate survived Dedup")
-		}
-	}
 }
 
 func TestIsCompleteOnUniformRefinement(t *testing.T) {
@@ -63,131 +43,82 @@ func TestIsCompleteOnUniformRefinement(t *testing.T) {
 	if IsComplete(broken) {
 		t.Fatalf("interior gap not detected")
 	}
+	if IsComplete(ks[:len(ks)-1]) {
+		t.Fatalf("missing tail octant not detected")
+	}
 	if IsComplete(nil) {
 		t.Fatalf("empty list cannot be complete")
 	}
+	// Mixed levels: the first octant refined twice over, the rest whole.
+	gc, c0, r := Root().Child(0).Child(0).Children(), Root().Child(0).Children(), Root().Children()
+	mixed := slices.Concat(gc[:], c0[1:], r[1:])
+	if !IsComplete(mixed) {
+		t.Fatalf("mixed-level tree should be complete")
+	}
+	if IsComplete(append([]Key{Root().Child(0)}, mixed[1:]...)) {
+		t.Fatalf("overlapping octants not detected")
+	}
 }
 
+// TestCoveringRegionTilesInterval cuts the cube at two random cells a < b
+// and checks the middle region's covering: sorted and linear, its first
+// octant starts at a, each octant ends where the next begins, and the last
+// ends just before b.
 func TestCoveringRegionTilesInterval(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	first := Root().FirstDescendant(MaxDepth)
 	for trial := 0; trial < 100; trial++ {
 		a := randKey(rng, MaxDepth).FirstDescendant(MaxDepth)
 		b := randKey(rng, MaxDepth).FirstDescendant(MaxDepth)
 		if Compare(a, b) > 0 {
 			a, b = b, a
 		}
-		cov := CoveringRegion(a, b)
+		if a == first || a == b {
+			continue
+		}
+		cov := CoveringRegion([]Key{first, a, b}, 1)
 		if len(cov) == 0 {
 			t.Fatalf("empty covering")
 		}
 		if !keysAreSorted(cov) || !isLinear(cov) {
 			t.Fatalf("covering not sorted/linear")
 		}
-		// Starts exactly at a, ends exactly at b.
-		lo0, _ := cov[0].CodeRange()
-		if lo0 != CodeOf(a) {
-			t.Fatalf("covering does not start at from")
+		if cov[0].FirstDescendant(MaxDepth) != a {
+			t.Fatalf("covering does not start at %v", a)
 		}
-		_, hiN := cov[len(cov)-1].CodeRange()
-		_, bHi := b.CodeRange()
-		if hiN != bHi {
-			t.Fatalf("covering does not end at to")
-		}
-		// Contiguity.
-		for i := 0; i+1 < len(cov); i++ {
-			_, hi := cov[i].CodeRange()
-			next, _ := cov[i+1].CodeRange()
-			wantLo := hi.Lo + 1
-			wantHi := hi.Hi
-			if wantLo == 0 {
-				wantHi++
+		for i, k := range cov {
+			want := b
+			if i+1 < len(cov) {
+				want = cov[i+1].FirstDescendant(MaxDepth)
 			}
-			if next.Lo != wantLo || next.Hi != wantHi {
-				t.Fatalf("covering not contiguous at %d", i)
+			if next, ok := k.after(); !ok || next != want {
+				t.Fatalf("octant %d of the covering of [%v, %v) is followed by %v, want %v", i, a, b, next, want)
 			}
 		}
 	}
 }
 
 func TestCoveringRegionPartitionOfCubeIsComplete(t *testing.T) {
-	// Split the finest-level code space at arbitrary keys; the union of
-	// coverings must be a complete linear octree.
+	// Cut the cube at arbitrary cells; the union of the regions' coverings
+	// must be a complete linear octree.
 	rng := rand.New(rand.NewSource(4))
-	cuts := make([]Key, 0, 5)
-	for len(cuts) < 5 {
+	starts := []Key{Root().FirstDescendant(MaxDepth)}
+	for len(starts) < 6 {
 		k := randKey(rng, MaxDepth).FirstDescendant(MaxDepth)
-		dup := k == Root().FirstDescendant(MaxDepth)
-		for _, c := range cuts {
-			if c == k {
-				dup = true
-			}
-		}
-		if !dup {
-			cuts = append(cuts, k)
+		if !slices.Contains(starts, k) {
+			starts = append(starts, k)
 		}
 	}
-	SortKeys(cuts)
-	bounds := append([]Key{Root().FirstDescendant(MaxDepth)}, cuts...)
+	SortKeys(starts)
 	var all []Key
-	for i, from := range bounds {
-		var to Key
-		if i+1 < len(bounds) {
-			to = prevFinest(bounds[i+1])
-		} else {
-			to = Root().LastDescendant(MaxDepth)
+	for i := range starts {
+		cov := CoveringRegion(starts, i)
+		if cov[0].FirstDescendant(MaxDepth) != starts[i] {
+			t.Fatalf("region %d starts at %v, want %v", i, cov[0], starts[i])
 		}
-		all = append(all, CoveringRegion(from, to)...)
+		all = append(all, cov...)
 	}
-	SortKeys(all)
-	if !IsComplete(all) {
-		t.Fatalf("union of range coverings is not a complete octree")
-	}
-}
-
-// prevFinest returns the finest-level key immediately preceding k in Morton
-// order (k must not be the first key). Test helper only.
-func prevFinest(k Key) Key {
-	// Walk: decrement the 90-bit code by recomputing from coordinates is
-	// complex; instead search by bisection over the shared ancestor chain.
-	// Simpler: decrement code via de-interleave.
-	lo := CodeOf(k)
-	borrowLo := lo.Lo - 1
-	hi := lo.Hi
-	if lo.Lo == 0 {
-		hi--
-	}
-	return keyFromCode(Code{Hi: hi, Lo: borrowLo})
-}
-
-// keyFromCode converts a 90-bit code back to a finest-level key.
-func keyFromCode(c Code) Key {
-	var x, y, z uint32
-	for b := 0; b < MaxDepth; b++ {
-		pos := uint(3 * b)
-		var bitZ, bitY, bitX uint64
-		get := func(p uint) uint64 {
-			if p < 64 {
-				return (c.Lo >> p) & 1
-			}
-			return (c.Hi >> (p - 64)) & 1
-		}
-		bitZ = get(pos)
-		bitY = get(pos + 1)
-		bitX = get(pos + 2)
-		x |= uint32(bitX) << b
-		y |= uint32(bitY) << b
-		z |= uint32(bitZ) << b
-	}
-	return Key{X: x, Y: y, Z: z, L: MaxDepth}
-}
-
-func TestKeyFromCodeRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		k := randKey(rng, MaxDepth).FirstDescendant(MaxDepth)
-		return keyFromCode(CodeOf(k)) == k
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+	if !keysAreSorted(all) || !isLinear(all) || !IsComplete(all) {
+		t.Fatalf("union of range coverings is not a complete linear octree")
 	}
 }

@@ -7,8 +7,8 @@ import (
 
 // TestSortKeysAllocs pins SortKeys at zero allocations. The sort.Slice
 // implementation it replaced boxed the slice into any and heap-allocated
-// its comparison closure on every call, which fmmvet's hotalloc analyzer
-// flagged on the hot delta-re-plan chain patchStep → dedupKeys → SortKeys.
+// its comparison closure on every call; BuildLET and reduce.Hypercube sort
+// octants with it.
 func TestSortKeysAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	keys := make([]Key, 512)

@@ -213,7 +213,8 @@ func TestBuildTieOrder(t *testing.T) {
 		}
 	}
 	// The same rule on a cloud: consecutive points never go backwards in
-	// code, nor in original index within one code.
+	// the Morton order of their finest-level cells, nor in original index
+	// within one cell.
 	pts = geom.Generate(geom.Uniform, 2000, 43)
 	for i := range 500 {
 		pts = append(pts, pts[(i*37)%100])
@@ -221,9 +222,9 @@ func TestBuildTieOrder(t *testing.T) {
 	tr := Build(pts, 16, 24)
 	for i := 1; i < len(tr.Perm); i++ {
 		p, q := tr.Points[i-1], tr.Points[i]
-		c := morton.CompareCode(morton.PointCode(p.X, p.Y, p.Z), morton.PointCode(q.X, q.Y, q.Z))
+		c := morton.Compare(morton.FromPoint(p.X, p.Y, p.Z, morton.MaxDepth), morton.FromPoint(q.X, q.Y, q.Z, morton.MaxDepth))
 		if c > 0 || (c == 0 && tr.Perm[i-1] > tr.Perm[i]) {
-			t.Fatalf("Points %d and %d out of order: codes compare %d, original indices %d, %d", i-1, i, c, tr.Perm[i-1], tr.Perm[i])
+			t.Fatalf("Points %d and %d out of order: cells compare %d, original indices %d, %d", i-1, i, c, tr.Perm[i-1], tr.Perm[i])
 		}
 	}
 }

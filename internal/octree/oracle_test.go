@@ -2,6 +2,7 @@ package octree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"kifmm/internal/geom"
@@ -119,7 +120,7 @@ func oracleAssemble(specs []OctantSpec) *Tree {
 		keys = append(keys, morton.Root())
 	}
 	morton.SortKeys(keys)
-	keys = morton.Dedup(keys)
+	keys = slices.Compact(keys)
 
 	t := oracleTree{Tree: &Tree{}, index: make(map[morton.Key]int32, len(keys))}
 	for _, k := range keys {

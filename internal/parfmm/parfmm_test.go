@@ -31,15 +31,19 @@ func runCase(t *testing.T, cfg Config, dist geom.Distribution, n, p int, seed in
 
 // runCaseWith is runCase with the per-rank evaluation supplied.
 func runCaseWith(t *testing.T, cfg Config, dist geom.Distribution, n, p int, seed int64,
-	evaluate func(*mpi.Comm, []geom.Point, []float64, Config) *Result) (map[pointKey][]float64, []*Result) {
+	evaluate func(*mpi.Comm, []geom.Point, []float64, Config) (*Result, error)) (map[pointKey][]float64, []*Result) {
 	t.Helper()
 	td := cfg.Spec.Ops.Kern.TrgDim()
 	results := make([]*Result, p)
+	errs := make([]error, p)
 	mpi.Run(p, func(c *mpi.Comm) {
 		pts := geom.GenerateChunk(dist, n, seed, c.Rank(), p)
 		den := chunkDensities(cfg, dist, n, seed, c.Rank(), p)
-		results[c.Rank()] = evaluate(c, pts, den, cfg)
+		results[c.Rank()], errs[c.Rank()] = evaluate(c, pts, den, cfg)
 	})
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
 	got := make(map[pointKey][]float64, n)
 	for _, res := range results {
 		for i, pt := range res.OwnedPoints {
@@ -157,11 +161,14 @@ func TestDistributedWithFFTM2L(t *testing.T) {
 func TestDistributedOwnerReduceAblation(t *testing.T) {
 	cfg := Config{Q: 25, Spec: kifmm.EngineSpec{Ops: sharedOps(kernel.Laplace{}, 6), Workers: 2, DenseM2L: true}}
 	want := globalDirect(cfg, geom.Uniform, 800, 13)
-	got, _ := runCaseWith(t, cfg, geom.Uniform, 800, 4, 13, func(c *mpi.Comm, pts []geom.Point, den []float64, cfg Config) *Result {
-		eng, res := Setup(c, pts, den, cfg)
+	got, _ := runCaseWith(t, cfg, geom.Uniform, 800, 4, 13, func(c *mpi.Comm, pts []geom.Point, den []float64, cfg Config) (*Result, error) {
+		eng, res, err := Setup(c, pts, den, cfg)
+		if err != nil {
+			return nil, err
+		}
 		EvaluateRank(c, eng, res.Tree, reduce.Owner)
 		collectOwned(eng, res)
-		return res
+		return res, nil
 	})
 	compareToDirect(t, "owner-reduce", got, want, 2e-5)
 }
@@ -192,12 +199,7 @@ func TestResultDensitiesTravelWithPoints(t *testing.T) {
 	for i, pt := range pts {
 		want[pointKey{pt.X, pt.Y, pt.Z}] = den[i]
 	}
-	results := make([]*Result, p)
-	mpi.Run(p, func(c *mpi.Comm) {
-		cpts := geom.GenerateChunk(geom.Uniform, n, 17, c.Rank(), p)
-		cden := chunkDensities(cfg, geom.Uniform, n, 17, c.Rank(), p)
-		results[c.Rank()] = Evaluate(c, cpts, cden, cfg)
-	})
+	_, results := runCaseWith(t, cfg, geom.Uniform, n, p, 17, Evaluate)
 	seen := 0
 	for _, res := range results {
 		for _, leaf := range res.Tree.Leaves {

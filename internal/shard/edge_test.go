@@ -12,8 +12,8 @@ import (
 
 // TestMoreRanksThanLeaves: when R exceeds the number of occupied leaf
 // octants some rank would own nothing — the plan must fail with a clean
-// error (dtree.NewPartition panics on empty ranks, so the guard has to fire
-// first), not panic and not hang the rank team.
+// error (the weighted leaf split needs a leaf for every rank, so the guard
+// has to fire first), not panic and not hang the rank team.
 func TestMoreRanksThanLeaves(t *testing.T) {
 	// All points inside one octant at shallow depth: a handful of leaves.
 	pts := geom.Generate(geom.Uniform, 60, 42)
