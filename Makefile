@@ -163,11 +163,13 @@ sched-stress:
 # exercises the in-process MPI runtime, the engine free list, and the
 # disjoint-write potential gather; the reductions, the distributed tree and
 # parfmm's pinned traffic run on the same runtime, all under the race
-# detector. Then one small run of cmd/fmmtree, which has no test: the
-# distributed tree balanced by the engine's leaf weights.
+# detector. Then two small runs of cmd/fmmtree, which has no test: the
+# distributed tree balanced by the engine's leaf weights, and 6 points at 8
+# ranks, which leaves ranks empty after the sort.
 shard-stress:
 	$(GO) test -race -count=3 ./internal/shard/... ./internal/reduce/... ./internal/dtree/... ./internal/parfmm/...
 	$(GO) run ./cmd/fmmtree -n 20000 -p 4
+	$(GO) run ./cmd/fmmtree -n 6 -p 8 -q 1 -dist uniform
 
 # Repeated race runs of the moving-points session tests: every step re-plans,
 # and the session must agree with a fresh plan bit for bit under the race

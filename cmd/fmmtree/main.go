@@ -48,22 +48,14 @@ func main() {
 	// Leaves are weighed by the engine's flop count for Laplace at order 6.
 	spec := kifmm.EngineSpec{Ops: kifmm.NewOperators(kernel.Laplace{}, 6, 1e-9)}
 	reports := make([]rankReport, *p)
-	errs := make([]error, *p)
 	mpi.Run(*p, func(c *mpi.Comm) {
 		pts := geom.GenerateChunk(d, *n, *seed, c.Rank(), *p)
-		var dt *dtree.DistTree
-		leaves, err := dtree.Points2Octree(c, pts, nil, 0, *q, *maxDepth, nil)
-		if err == nil {
-			dt, err = dtree.BuildLET(c, leaves)
-		}
-		if err == nil && *balance {
+		leaves := dtree.Points2Octree(c, pts, nil, 0, *q, *maxDepth, nil)
+		dt := dtree.BuildLET(c, leaves)
+		if *balance {
 			w := spec.LeafWeights(dt.Tree, dt.OwnedNodes())
 			leaves = dtree.RepartitionByWeight(c, leaves, w)
-			dt, err = dtree.BuildLET(c, leaves)
-		}
-		errs[c.Rank()] = err
-		if err != nil {
-			return
+			dt = dtree.BuildLET(c, leaves)
 		}
 		rep := rankReport{leaves: len(dt.Leaves), letNodes: dt.Tree.NumNodes()}
 		rep.minLevel = dt.Tree.MinLeafLevel()
@@ -86,10 +78,6 @@ func main() {
 		}
 		reports[c.Rank()] = rep
 	})
-	if errs[0] != nil { // every rank returns the same error
-		fmt.Fprintf(os.Stderr, "fmmtree: %v\n", errs[0])
-		os.Exit(1)
-	}
 
 	fmt.Printf("distributed octree: n=%d p=%d q=%d dist=%s balance=%v\n",
 		*n, *p, *q, *dist, *balance)

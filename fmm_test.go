@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -136,15 +137,26 @@ func TestEvaluateDistributedValidation(t *testing.T) {
 	if _, err := f.EvaluateDistributed(3, pts, den); err == nil {
 		t.Fatalf("non-power-of-two ranks accepted")
 	}
-	if _, err := f.EvaluateDistributed(16, pts[:4], den[:4]); err == nil {
-		t.Fatalf("too few points accepted")
+	// Fewer points than ranks: most ranks hold nothing and join every
+	// collective empty.
+	want, err := f.Evaluate(pts[:4], den[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.EvaluateDistributed(16, pts[:4], den[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := relErr(got, want); !(e <= 1e-5) {
+		t.Fatalf("4 points at 16 ranks: distributed differs from sequential by %g", e)
 	}
 }
 
 // TestEvaluateDistributedClusteredClouds: clouds with fewer distinct cells
-// than ranks leave a rank without points after the Morton sort. Every rank
-// sees that in the boundary exchange, so the call returns one error, and no
-// rank goroutine outlives it.
+// than ranks leave a rank without points after the Morton sort. That rank
+// holds an empty region and joins every collective with nothing to send; the
+// potentials match Evaluate's (exactly where both are zero: coincident
+// points do not interact), and no rank goroutine outlives the call.
 func TestEvaluateDistributedClusteredClouds(t *testing.T) {
 	defer goleak.Check(t)()
 	f, err := New(Options{PointsPerBox: 20, Order: 4, MaxDepth: 12})
@@ -172,10 +184,19 @@ func TestEvaluateDistributedClusteredClouds(t *testing.T) {
 		for i := range den {
 			den[i] = 1
 		}
-		_, err := f.EvaluateDistributed(tc.ranks, tc.pts, den)
-		if err == nil || !strings.HasPrefix(err.Error(), "kifmm: ") || !strings.Contains(err.Error(), "holds no point") {
-			t.Errorf("%s at %d ranks: error %v, want a kifmm: error naming the empty rank", tc.name, tc.ranks, err)
+		want, err := f.Evaluate(tc.pts, den)
+		if err != nil {
+			t.Fatal(err)
 		}
+		got, err := f.EvaluateDistributed(tc.ranks, tc.pts, den)
+		if err != nil {
+			t.Fatalf("%s at %d ranks: %v", tc.name, tc.ranks, err)
+		}
+		e := relErr(got, want)
+		if !slices.Equal(got, want) && !(e <= 1e-5) {
+			t.Errorf("%s at %d ranks: distributed differs from sequential by %g", tc.name, tc.ranks, e)
+		}
+		t.Logf("%s at %d ranks: rel err %g", tc.name, tc.ranks, e)
 	}
 }
 

@@ -1,9 +1,9 @@
 package dtree
 
 import (
+	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
 
 	"kifmm/internal/geom"
@@ -19,18 +19,9 @@ func runDistributed(t *testing.T, dist geom.Distribution, n, p, q int) [][]Leaf 
 	out := make([][]Leaf, p)
 	mpi.Run(p, func(c *mpi.Comm) {
 		pts := geom.GenerateChunk(dist, n, 11, c.Rank(), p)
-		out[c.Rank()] = must(Points2Octree(c, pts, nil, 0, q, 20, nil))
+		out[c.Rank()] = Points2Octree(c, pts, nil, 0, q, 20, nil)
 	})
 	return out
-}
-
-// must unwraps a collective set-up the test's input cannot fail (every rank
-// gets points and leaves); an error is a bug, raised where it happens.
-func must[T any](v T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return v
 }
 
 func gatherKeys(chunks [][]Leaf) []morton.Key {
@@ -125,7 +116,7 @@ func TestPartitionTilesCodeSpace(t *testing.T) {
 	const p = 4
 	chunks := runDistributed(t, geom.Uniform, 1000, p, 25)
 	mpi.Run(p, func(c *mpi.Comm) {
-		pt := must(NewPartition(c, chunks[c.Rank()]))
+		pt := NewPartition(c, chunks[c.Rank()])
 		if c.Rank() != 0 {
 			return
 		}
@@ -147,7 +138,7 @@ func TestPartitionContributorsUsers(t *testing.T) {
 	const p = 4
 	chunks := runDistributed(t, geom.Uniform, 2000, p, 25)
 	mpi.Run(p, func(c *mpi.Comm) {
-		pt := must(NewPartition(c, chunks[c.Rank()]))
+		pt := NewPartition(c, chunks[c.Rank()])
 		// Root overlaps everyone and everyone uses it.
 		if got := pt.Contributors(morton.Root()); len(got) != p {
 			t.Errorf("root contributors = %v", got)
@@ -265,43 +256,55 @@ func TestLETListsMatchGlobalTree(t *testing.T) {
 		{geom.Ellipsoid, 1500, 4},
 		{geom.Ellipsoid, 1200, 8},
 	} {
-		chunks := runDistributed(t, cfg.dist, cfg.n, cfg.p, 15)
-		ref := buildReference(chunks)
-		mpi.Run(cfg.p, func(c *mpi.Comm) {
-			dt := must(BuildLET(c, chunks[c.Rank()]))
-			if err := dt.Tree.Validate(); err != nil {
-				t.Errorf("rank %d: invalid LET: %v", c.Rank(), err)
+		name := fmt.Sprintf("%s n=%d p=%d", cfg.dist, cfg.n, cfg.p)
+		checkLETs(t, name, runDistributed(t, cfg.dist, cfg.n, cfg.p, 15))
+	}
+}
+
+// checkLETs builds every rank's LET of the distributed tree owned and checks
+// it against the global tree: each LET is valid, and each of its local
+// octants is in the global tree, with the same leaf flag and U, V, W and X
+// lists. It returns the LETs.
+func checkLETs(t *testing.T, name string, owned [][]Leaf) []*DistTree {
+	t.Helper()
+	ref := buildReference(owned)
+	dts := make([]*DistTree, len(owned))
+	mpi.Run(len(owned), func(c *mpi.Comm) {
+		dt := BuildLET(c, owned[c.Rank()])
+		dts[c.Rank()] = dt
+		if err := dt.Tree.Validate(); err != nil {
+			t.Errorf("%s rank %d: invalid LET: %v", name, c.Rank(), err)
+			return
+		}
+		for i := range dt.Tree.Nodes {
+			n := &dt.Tree.Nodes[i]
+			if !n.Local {
+				continue
+			}
+			ri, ok := ref.Index(n.Key)
+			if !ok {
+				t.Errorf("%s: local octant %v missing from reference", name, n.Key)
 				return
 			}
-			for i := range dt.Tree.Nodes {
-				n := &dt.Tree.Nodes[i]
-				if !n.Local {
-					continue
-				}
-				ri, ok := ref.Index(n.Key)
-				if !ok {
-					t.Errorf("local octant %v missing from reference", n.Key)
+			rn := &ref.Nodes[ri]
+			if n.IsLeaf != rn.IsLeaf {
+				t.Errorf("%s: %v leaf flag mismatch", name, n.Key)
+				return
+			}
+			for list, pair := range map[string][2][]int32{
+				"U": {n.U, rn.U}, "V": {n.V, rn.V}, "W": {n.W, rn.W}, "X": {n.X, rn.X},
+			} {
+				got := keySetOf(dt.Tree, pair[0])
+				want := keySetOf(ref, pair[1])
+				if !sameKeySet(got, want) {
+					t.Errorf("%s rank=%d: %s-list of %v differs:\n got %v\nwant %v",
+						name, c.Rank(), list, n.Key, got, want)
 					return
-				}
-				rn := &ref.Nodes[ri]
-				if n.IsLeaf != rn.IsLeaf {
-					t.Errorf("%v leaf flag mismatch", n.Key)
-					return
-				}
-				for name, pair := range map[string][2][]int32{
-					"U": {n.U, rn.U}, "V": {n.V, rn.V}, "W": {n.W, rn.W}, "X": {n.X, rn.X},
-				} {
-					got := keySetOf(dt.Tree, pair[0])
-					want := keySetOf(ref, pair[1])
-					if !sameKeySet(got, want) {
-						t.Errorf("%s/%s n=%d p=%d rank=%d: %s-list of %v differs:\n got %v\nwant %v",
-							cfg.dist, name, cfg.n, cfg.p, c.Rank(), name, n.Key, got, want)
-						return
-					}
 				}
 			}
-		})
-	}
+		}
+	})
+	return dts
 }
 
 func TestLETGhostLeavesCarryPoints(t *testing.T) {
@@ -309,7 +312,7 @@ func TestLETGhostLeavesCarryPoints(t *testing.T) {
 	chunks := runDistributed(t, geom.Uniform, 1200, p, 20)
 	ref := buildReference(chunks)
 	mpi.Run(p, func(c *mpi.Comm) {
-		dt := must(BuildLET(c, chunks[c.Rank()]))
+		dt := BuildLET(c, chunks[c.Rank()])
 		for i := range dt.Tree.Nodes {
 			n := &dt.Tree.Nodes[i]
 			if n.Local || !n.IsLeaf {
@@ -334,7 +337,7 @@ func TestLETSentLeavesMatchReceivedGhosts(t *testing.T) {
 	chunks := runDistributed(t, geom.Uniform, 1200, p, 20)
 	dts := make([]*DistTree, p)
 	mpi.Run(p, func(c *mpi.Comm) {
-		dts[c.Rank()] = must(BuildLET(c, chunks[c.Rank()]))
+		dts[c.Rank()] = BuildLET(c, chunks[c.Rank()])
 	})
 	// Every ghost leaf in rank k's LET must appear in its owner's
 	// SentLeaves[k].
@@ -367,7 +370,7 @@ func TestSharedOctantsIncludeAncestorsSpanningRanks(t *testing.T) {
 	const p = 4
 	chunks := runDistributed(t, geom.Uniform, 1200, p, 20)
 	mpi.Run(p, func(c *mpi.Comm) {
-		dt := must(BuildLET(c, chunks[c.Rank()]))
+		dt := BuildLET(c, chunks[c.Rank()])
 		shared := dt.SharedOctants()
 		// The root always spans all ranks.
 		rootSeen := false
@@ -402,44 +405,98 @@ func TestWireRoundTrips(t *testing.T) {
 	}
 }
 
-// TestEmptyRankErrors: a cloud with fewer distinct cells than ranks leaves a
-// rank without points after the sort, and a repartition whose one leaf
-// outweighs the rest leaves a rank without leaves. Either way every rank
-// returns the same error, and none panics or hangs.
-func TestEmptyRankErrors(t *testing.T) {
-	errs := make([]error, 2)
+// emptyCut is a distributed tree that leaves some ranks without a leaf.
+type emptyCut struct {
+	name   string
+	owned  [][]Leaf
+	points int
+	empty  []int // the ranks owning no leaf
+}
+
+// emptyRankCuts returns one distributed tree of each way a rank ends up
+// empty: the sort sends all copies of a key to one rank, so 100 coincident
+// points at 2 ranks all go to the last and leave rank 0 empty; a
+// repartition of 1000 uniform points at 4 ranks in which rank 0's last leaf
+// outweighs the rest puts that leaf alone on rank 1 and every later leaf on
+// rank 3, leaving rank 2 empty; with the global last leaf heavy instead,
+// every other leaf goes to rank 0 and the heavy one to rank 2, leaving
+// ranks 1 and 3 empty;
+// and a cloud of no point at 3 ranks is one root leaf on rank 0.
+func emptyRankCuts(t *testing.T) []emptyCut {
+	t.Helper()
+	coincident := make([][]Leaf, 2)
 	mpi.Run(2, func(c *mpi.Comm) {
-		pts := make([]geom.Point, 100)
+		pts := make([]geom.Point, 50)
 		for i := range pts {
 			pts[i] = geom.Point{X: 0.3, Y: 0.6, Z: 0.2}
 		}
-		_, errs[c.Rank()] = Points2Octree(c, pts, nil, 0, 20, 12, nil)
+		coincident[c.Rank()] = Points2Octree(c, pts, nil, 0, 20, 12, nil)
 	})
-	checkSameError(t, errs, "holds no point")
-
 	const p = 4
 	chunks := runDistributed(t, geom.Uniform, 1000, p, 25)
-	errs = make([]error, p)
-	mpi.Run(p, func(c *mpi.Comm) {
-		w := make([]int64, len(chunks[c.Rank()]))
-		for i := range w {
-			w[i] = 1
+	heavy := func(rank int) [][]Leaf {
+		out := make([][]Leaf, p)
+		mpi.Run(p, func(c *mpi.Comm) {
+			w := make([]int64, len(chunks[c.Rank()]))
+			for i := range w {
+				w[i] = 1
+			}
+			if c.Rank() == rank {
+				w[len(w)-1] = 1 << 40
+			}
+			out[c.Rank()] = RepartitionByWeight(c, chunks[c.Rank()], w)
+		})
+		return out
+	}
+	none := make([][]Leaf, 3)
+	mpi.Run(3, func(c *mpi.Comm) { none[c.Rank()] = Points2Octree(c, nil, nil, 0, 20, 12, nil) })
+	cuts := []emptyCut{
+		{"coincident p=2", coincident, 100, []int{0}},
+		{"heavy leaf of rank 0, p=4", heavy(0), 1000, []int{2}},
+		{"heavy last leaf, p=4", heavy(p - 1), 1000, []int{1, 3}},
+		{"no point, p=3", none, 0, []int{1, 2}},
+	}
+	for _, cut := range cuts {
+		var empty []int
+		for r, ls := range cut.owned {
+			if len(ls) == 0 {
+				empty = append(empty, r)
+			}
 		}
-		if c.Rank() == 0 {
-			w[len(w)-1] = 1 << 40 // its weight midpoint lands in rank 2's share
+		if !slices.Equal(empty, cut.empty) {
+			t.Fatalf("%s: ranks %v own no leaf, want %v", cut.name, empty, cut.empty)
 		}
-		_, errs[c.Rank()] = BuildLET(c, RepartitionByWeight(c, chunks[c.Rank()], w))
-	})
-	checkSameError(t, errs, "owns no leaf")
+	}
+	return cuts
 }
 
-// checkSameError fails t unless every rank returned the same error and it
-// says what.
-func checkSameError(t *testing.T, errs []error, what string) {
-	t.Helper()
-	for r, err := range errs {
-		if err == nil || err.Error() != errs[0].Error() || !strings.Contains(err.Error(), what) {
-			t.Fatalf("rank %d: error %v, rank 0: %v; want one error on every rank saying %q", r, err, errs[0], what)
+// TestEmptyRanksBuildTrees: ranks left without points by the sort, or
+// without leaves by a repartition, hold empty regions. The union of the
+// leaves is still a complete linear octree holding every point once, every
+// rank builds a LET whose local octants' lists match the global tree's, and
+// an empty rank's LET has no local octant.
+func TestEmptyRanksBuildTrees(t *testing.T) {
+	for _, cut := range emptyRankCuts(t) {
+		keys := gatherKeys(cut.owned)
+		if !keysAreSorted(keys) || !isLinear(keys) || !morton.IsComplete(keys) {
+			t.Fatalf("%s: the leaves are not a complete linear octree", cut.name)
+		}
+		total := 0
+		for _, ls := range cut.owned {
+			for _, l := range ls {
+				total += len(l.Pts)
+			}
+		}
+		if total != cut.points {
+			t.Fatalf("%s: the leaves hold %d points, want %d", cut.name, total, cut.points)
+		}
+		dts := checkLETs(t, cut.name, cut.owned)
+		for _, r := range cut.empty {
+			for i := range dts[r].Tree.Nodes {
+				if dts[r].Tree.Nodes[i].Local {
+					t.Fatalf("%s: empty rank %d's LET has local octant %v", cut.name, r, dts[r].Tree.Nodes[i].Key)
+				}
+			}
 		}
 	}
 }

@@ -33,14 +33,12 @@ type DistTree struct {
 // ancestors), ships every octant to the ranks whose regions intersect its
 // parent's colleague neighborhood, inserts the received ghosts, assembles
 // the local essential tree, and builds interaction lists for the local
-// octants. Collective: when a rank owns no leaf, every rank returns
-// NewPartition's error.
-func BuildLET(c *mpi.Comm, leaves []Leaf) (*DistTree, error) {
+// octants. Collective. A rank without a leaf ships and receives nothing:
+// its LET is a bare root with no Local node, on which an engine does no
+// work.
+func BuildLET(c *mpi.Comm, leaves []Leaf) *DistTree {
 	p, r := c.Size(), c.Rank()
-	part, err := NewPartition(c, leaves)
-	if err != nil {
-		return nil, err
-	}
+	part := NewPartition(c, leaves)
 
 	// B_k = owned leaves ∪ ancestors.
 	type octInfo struct {
@@ -58,9 +56,6 @@ func BuildLET(c *mpi.Comm, leaves []Leaf) (*DistTree, error) {
 			}
 			bk[k] = octInfo{isLeaf: false}
 		}
-	}
-	if _, ok := bk[morton.Root()]; !ok {
-		bk[morton.Root()] = octInfo{isLeaf: false}
 	}
 
 	// Iterate B_k in Morton order everywhere below: ghost messages and the
@@ -154,7 +149,7 @@ func BuildLET(c *mpi.Comm, leaves []Leaf) (*DistTree, error) {
 			return dt.SentLeaves[k2][a] < dt.SentLeaves[k2][b]
 		})
 	}
-	return dt, nil
+	return dt
 }
 
 // NumOwnedPoints returns the number of points in owned leaves.

@@ -19,7 +19,7 @@ func TestUsersMeetRankRanges(t *testing.T) {
 	const p = 8
 	chunks := runDistributed(t, geom.Ellipsoid, 4000, p, 25)
 	mpi.Run(p, func(c *mpi.Comm) {
-		pt := must(NewPartition(c, chunks[c.Rank()]))
+		pt := NewPartition(c, chunks[c.Rank()])
 		if c.Rank() != 0 {
 			return
 		}
@@ -65,7 +65,7 @@ func TestPartitionOwnerOf(t *testing.T) {
 	const p = 4
 	chunks := runDistributed(t, geom.Uniform, 2000, p, 25)
 	mpi.Run(p, func(c *mpi.Comm) {
-		pt := must(NewPartition(c, chunks[c.Rank()]))
+		pt := NewPartition(c, chunks[c.Rank()])
 		// The owner of each of this rank's leaves' anchors is this rank.
 		for _, l := range chunks[c.Rank()] {
 			if o := pt.OwnerOf(l.Key); o != c.Rank() {
@@ -84,7 +84,7 @@ func TestDistTreeAccessors(t *testing.T) {
 	const p = 2
 	chunks := runDistributed(t, geom.Uniform, 600, p, 20)
 	mpi.Run(p, func(c *mpi.Comm) {
-		dt := must(BuildLET(c, chunks[c.Rank()]))
+		dt := BuildLET(c, chunks[c.Rank()])
 		want := 0
 		for _, l := range dt.Leaves {
 			want += len(l.Pts)
@@ -144,17 +144,21 @@ func TestPartitionMatchesLeafScan(t *testing.T) {
 				moved[c.Rank()] = RepartitionByWeight(c, chunks[c.Rank()], w)
 			})
 			for _, owned := range [][][]Leaf{chunks, moved} {
-				checkPartitionAgainstScan(t, dist, owned, rng)
+				checkPartitionAgainstScan(t, dist.String(), owned, rng)
 			}
 		}
 	}
+	rng := rand.New(rand.NewSource(1))
+	for _, cut := range emptyRankCuts(t) {
+		checkPartitionAgainstScan(t, cut.name, cut.owned, rng)
+	}
 }
 
-func checkPartitionAgainstScan(t *testing.T, dist geom.Distribution, owned [][]Leaf, rng *rand.Rand) {
+func checkPartitionAgainstScan(t *testing.T, name string, owned [][]Leaf, rng *rand.Rand) {
 	t.Helper()
 	p := len(owned)
 	parts := make([]*Partition, p)
-	mpi.Run(p, func(c *mpi.Comm) { parts[c.Rank()] = must(NewPartition(c, owned[c.Rank()])) })
+	mpi.Run(p, func(c *mpi.Comm) { parts[c.Rank()] = NewPartition(c, owned[c.Rank()]) })
 	pt := parts[0]
 	scan := func(k morton.Key) []int { // the ranks with a leaf meeting k
 		var out []int
@@ -175,6 +179,9 @@ func checkPartitionAgainstScan(t *testing.T, dist geom.Distribution, owned [][]L
 		}
 	}
 	for _, ls := range owned {
+		if len(ls) == 0 {
+			continue
+		}
 		for _, edge := range []Leaf{ls[0], ls[len(ls)-1]} {
 			for l := 0; l <= morton.MaxDepth; l += 3 {
 				if l <= edge.Key.Level() {
@@ -187,12 +194,9 @@ func checkPartitionAgainstScan(t *testing.T, dist geom.Distribution, owned [][]L
 	}
 	for _, k := range keys {
 		if got, want := pt.Contributors(k), scan(k); !slices.Equal(got, want) {
-			t.Fatalf("%s p=%d: Contributors(%v) = %v, scan %v", dist, p, k, got, want)
+			t.Fatalf("%s p=%d: Contributors(%v) = %v, scan %v", name, p, k, got, want)
 		}
-		want := make([]int, p)
-		for r := range want {
-			want[r] = r
-		}
+		want := scan(morton.Root()) // the parent's neighbourhood is the cube
 		if k.Level() > 1 {
 			var users []int
 			for _, b := range append(k.Parent().NeighborsSameLevel(), k.Parent()) {
@@ -202,10 +206,10 @@ func checkPartitionAgainstScan(t *testing.T, dist geom.Distribution, owned [][]L
 			want = slices.Compact(users)
 		}
 		if got := pt.Users(k); !slices.Equal(got, want) {
-			t.Fatalf("%s p=%d: Users(%v) = %v, scan %v", dist, p, k, got, want)
+			t.Fatalf("%s p=%d: Users(%v) = %v, scan %v", name, p, k, got, want)
 		}
 		if got, want := pt.OwnerOf(k), scan(k.FirstDescendant(morton.MaxDepth)); len(want) != 1 || got != want[0] {
-			t.Fatalf("%s p=%d: OwnerOf(%v) = %d, scan of its anchor cell %v", dist, p, k, got, want)
+			t.Fatalf("%s p=%d: OwnerOf(%v) = %d, scan of its anchor cell %v", name, p, k, got, want)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package dtree
 
 import (
-	"fmt"
 	"sort"
 
 	"kifmm/internal/diag"
@@ -73,9 +72,10 @@ func coarsestBoundary(prevLast, first morton.Key) morton.Key {
 //
 // den may be nil; otherwise it holds sdim components per point and travels
 // with the points. prof (optional) receives the PhaseSort timing.
-// Collective: when the sort leaves a rank without points, every rank
-// returns the same error.
-func Points2Octree(c *mpi.Comm, pts []geom.Point, den []float64, sdim, q, maxDepth int, prof *diag.Profile) ([]Leaf, error) {
+// Collective. A rank the sort leaves without points (a cloud with fewer
+// distinct cells than ranks) returns no leaf; a cloud of no point at all
+// is one root leaf, on rank 0.
+func Points2Octree(c *mpi.Comm, pts []geom.Point, den []float64, sdim, q, maxDepth int, prof *diag.Profile) []Leaf {
 	if q < 1 {
 		panic("dtree: q must be >= 1")
 	}
@@ -97,35 +97,29 @@ func Points2Octree(c *mpi.Comm, pts []geom.Point, den []float64, sdim, q, maxDep
 	stopSort()
 
 	// Region boundaries from the sorted point partition. Rank r's region
-	// starts at the COARSEST ancestor of its first point that excludes rank
-	// r−1's last point (the DENDRO-style block boundary): snapping to the
-	// coarsest admissible octant keeps boundary blocks shallow instead of
-	// descending to the full key depth, which would otherwise litter the
-	// tree with near-empty deep leaves along every rank boundary. Rank 0
-	// absorbs the leading gap, the last rank the trailing one. Every rank
-	// needs at least one point: when one has none, every rank returns the
-	// same error.
+	// starts at the COARSEST ancestor of its first point that excludes the
+	// last point of the rank before it that holds any (the DENDRO-style block
+	// boundary): snapping to the coarsest admissible octant keeps boundary
+	// blocks shallow instead of descending to the full key depth, which would
+	// otherwise litter the tree with near-empty deep leaves along every rank
+	// boundary. The first rank holding points absorbs the leading gap, the
+	// last rank the trailing one; a rank the sort left without points gets an
+	// empty region (regionStarts) and so no block.
 	var ends []byte
 	if len(sorted) > 0 {
 		ends = sorted[len(sorted)-1].Key.AppendBinary(sorted[0].Key.AppendBinary(nil))
 	}
-	all := c.AllGather(ends)
-	p := c.Size()
-	starts := make([]morton.Key, p)
-	starts[0] = morton.Root().FirstDescendant(morton.MaxDepth)
 	var prevLast morton.Key
-	for r, b := range all {
-		if len(b) == 0 {
-			return nil, fmt.Errorf("dtree: rank %d of %d holds no point after the Morton sort; "+
-				"the cloud has too few distinct cells for the rank count", r, p)
-		}
+	starts := regionStarts(c.AllGather(ends), func(b []byte) morton.Key {
 		first, rest := morton.DecodeKey(b)
-		if r > 0 {
-			starts[r] = coarsestBoundary(prevLast, first)
-		}
+		s := coarsestBoundary(prevLast, first)
 		prevLast, _ = morton.DecodeKey(rest)
+		return s
+	})
+	var blocks []morton.Key
+	if c.Rank() < len(starts) {
+		blocks = morton.CoveringRegion(starts, c.Rank())
 	}
-	blocks := morton.CoveringRegion(starts, c.Rank())
 
 	// Refine each block over its (contiguous) share of the sorted points.
 	var leaves []Leaf
@@ -171,7 +165,7 @@ func Points2Octree(c *mpi.Comm, pts []geom.Point, den []float64, sdim, q, maxDep
 		refine(blk, cur, end)
 		cur = end
 	}
-	return leaves, nil
+	return leaves
 }
 
 // RepartitionByWeight redistributes the globally Morton-sorted leaves so

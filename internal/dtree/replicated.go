@@ -12,14 +12,10 @@ import (
 // global tree with all interaction lists. Returned is a DistTree whose LET
 // is the whole tree; ReplicatedBytes reports the per-rank traffic, which
 // grows as O(n) instead of the LET's O((n/p)^(2/3)·boundary) — the
-// scalability gap the ablation benchmark quantifies. Collective: when a
-// rank owns no leaf, every rank returns NewPartition's error.
-func BuildReplicated(c *mpi.Comm, leaves []Leaf) (*DistTree, int64, error) {
+// scalability gap the ablation benchmark quantifies. Collective.
+func BuildReplicated(c *mpi.Comm, leaves []Leaf) (*DistTree, int64) {
 	p, r := c.Size(), c.Rank()
-	part, err := NewPartition(c, leaves)
-	if err != nil {
-		return nil, 0, err
-	}
+	part := NewPartition(c, leaves)
 
 	before := c.Stats().Snap()
 	gathered := c.AllGather(encodeLeaves(leaves))
@@ -65,5 +61,5 @@ func BuildReplicated(c *mpi.Comm, leaves []Leaf) (*DistTree, int64, error) {
 			dt.SentLeaves[k2] = append(dt.SentLeaves[k2], idx)
 		}
 	}
-	return dt, traffic, nil
+	return dt, traffic
 }

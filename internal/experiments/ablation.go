@@ -63,7 +63,7 @@ func Alg3Bound(o Options) *Alg3Result {
 		items := make([][]reduce.Item, p)
 		mpi.Run(p, func(c *mpi.Comm) {
 			pts := geom.GenerateChunk(geom.Uniform, n, o.Seed, c.Rank(), p)
-			dts[c.Rank()] = must(dtree.BuildLET(c, must(dtree.Points2Octree(c, pts, nil, 0, o.Q, 24, nil))))
+			dts[c.Rank()] = dtree.BuildLET(c, dtree.Points2Octree(c, pts, nil, 0, o.Q, 24, nil))
 		})
 		pt := Alg3Point{P: p}
 		for r := 0; r < p; r++ {
@@ -157,10 +157,7 @@ func Ablations(o Options) *AblationResult {
 		results := make([]*parfmm.Result, p)
 		mpi.Run(p, func(c *mpi.Comm) {
 			pts := geom.GenerateChunk(geom.Uniform, n, o.Seed, c.Rank(), p)
-			eng, rank, err := parfmm.Setup(c, pts, ones(len(pts)), cfg)
-			if err != nil {
-				panic(err)
-			}
+			eng, rank := parfmm.Setup(c, pts, ones(len(pts)), cfg)
 			parfmm.EvaluateRank(c, eng, rank.Tree, reduceShared)
 			results[c.Rank()] = rank
 		})
@@ -178,24 +175,20 @@ func Ablations(o Options) *AblationResult {
 		chunks := make([][]dtree.Leaf, p)
 		mpi.Run(p, func(c *mpi.Comm) {
 			pts := geom.GenerateChunk(geom.Uniform, n, o.Seed, c.Rank(), p)
-			chunks[c.Rank()] = must(dtree.Points2Octree(c, pts, nil, 0, o.Q, 24, nil))
+			chunks[c.Rank()] = dtree.Points2Octree(c, pts, nil, 0, o.Q, 24, nil)
 		})
 		letBytes := make([]int64, p)
 		repBytes := make([]int64, p)
 		t0 := time.Now()
 		mpi.Run(p, func(c *mpi.Comm) {
 			before := c.Stats().Snap()
-			must(dtree.BuildLET(c, chunks[c.Rank()]))
+			dtree.BuildLET(c, chunks[c.Rank()])
 			letBytes[c.Rank()] = before.Delta(c.Stats().Snap()).Bytes
 		})
 		res.LETTime = time.Since(t0)
 		t0 = time.Now()
 		mpi.Run(p, func(c *mpi.Comm) {
-			_, tr, err := dtree.BuildReplicated(c, chunks[c.Rank()])
-			if err != nil {
-				panic(err)
-			}
-			repBytes[c.Rank()] = tr
+			_, repBytes[c.Rank()] = dtree.BuildReplicated(c, chunks[c.Rank()])
 		})
 		res.ReplicatedTime = time.Since(t0)
 		for r := 0; r < p; r++ {

@@ -76,18 +76,9 @@ func runDistributed(dist geom.Distribution, n, p int, cfg parfmm.Config, seed in
 		for i := range den {
 			den[i] = 1
 		}
-		results[c.Rank()] = must(parfmm.Evaluate(c, pts, den, cfg))
+		results[c.Rank()] = parfmm.Evaluate(c, pts, den, cfg)
 	})
 	return results
-}
-
-// must panics on a distributed set-up error, which the experiments' clouds
-// (many points per rank) never reach.
-func must[T any](v T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return v
 }
 
 // profiles extracts the per-rank profiles.

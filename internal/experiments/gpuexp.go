@@ -43,10 +43,7 @@ func deviceEvaluate(e *kifmm.Engine, accel *gpu.FMMAccel, exchange func()) {
 // exchange step under the hypercube reduction.
 func deviceRank(c *mpi.Comm, pts []geom.Point, den []float64, cfg parfmm.Config) (*kifmm.Engine, *parfmm.Result, *gpu.FMMAccel) {
 	accel := gpu.New(stream.NewDevice())
-	eng, res, err := parfmm.Setup(c, pts, den, cfg)
-	if err != nil {
-		panic(err)
-	}
+	eng, res := parfmm.Setup(c, pts, den, cfg)
 	deviceEvaluate(eng, accel, func() { parfmm.Exchange(c, eng, res.Tree, reduce.Hypercube) })
 	return eng, res, accel
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -56,17 +55,18 @@ func (r *Fig3Result) Format() string {
 type Fig4Result struct {
 	Uniform    []ScalingPoint
 	Nonuniform []ScalingPoint
-	// SetupModel/EvalModel are calibrated §III-D complexity fits used to
-	// extrapolate to the paper's scale.
-	SetupModel *perfmodel.Model
-	EvalModel  *perfmodel.Model
+	// EvalModel is the calibrated §III-D complexity fit of the modelled
+	// evaluation time, used to extrapolate to the paper's scale. Set-up is
+	// not extrapolated: its only measure is the wall clock of p ranks
+	// sharing the host's cores, and a fit to it does not repeat.
+	EvalModel *perfmodel.Model
 }
 
 // Fig4 runs the weak-scaling study.
 func Fig4(o Options) *Fig4Result {
 	o.defaults()
 	res := &Fig4Result{}
-	var setupSamples, evalSamples []perfmodel.Sample
+	var evalSamples []perfmodel.Sample
 	for _, dist := range []geom.Distribution{geom.Uniform, geom.Ellipsoid} {
 		var pts []ScalingPoint
 		for _, p := range o.Ps {
@@ -77,16 +77,8 @@ func Fig4(o Options) *Fig4Result {
 			pts = append(pts, sp)
 			// Fit on the nonuniform series: its deep trees are free of the
 			// level-parity sawtooth that shallow uniform trees show when the
-			// per-rank count is held fixed while p doubles. Setup times are
-			// wall-clock of p ranks contending for the host's cores, so they
-			// are de-contended to isolated per-rank time before fitting.
+			// per-rank count is held fixed while p doubles.
 			if dist == geom.Ellipsoid {
-				contention := float64(runtime.NumCPU()) / float64(p)
-				if contention > 1 {
-					contention = 1
-				}
-				setupSamples = append(setupSamples,
-					perfmodel.Sample{N: n, P: p, T: sp.SetupAvg.Seconds() * contention})
 				evalSamples = append(evalSamples, perfmodel.Sample{N: n, P: p, T: sp.ModelEvalAvg})
 			}
 		}
@@ -96,9 +88,6 @@ func Fig4(o Options) *Fig4Result {
 		} else {
 			res.Nonuniform = pts
 		}
-	}
-	if m, err := perfmodel.Fit(perfmodel.SetupTerms, setupSamples); err == nil {
-		res.SetupModel = m
 	}
 	if m, err := perfmodel.Fit(perfmodel.EvalTerms, evalSamples); err == nil {
 		res.EvalModel = m
@@ -116,12 +105,10 @@ func (r *Fig4Result) Format() string {
 	for _, s := range r.Nonuniform {
 		fmt.Fprintf(&b, "  p=%4d  setup/eval = %.2f   sort/setup = %.2f\n", s.P, s.SetupFrac, s.SortFrac)
 	}
-	if r.SetupModel != nil && r.EvalModel != nil {
+	if r.EvalModel != nil {
 		sc := perfmodel.KrakenTableII()
-		fmt.Fprintf(&b, "extrapolation to %d ranks × %d pts (fit R² setup %.3f eval %.3f):\n",
-			sc.Ranks, sc.PointsPerRank, r.SetupModel.R2, r.EvalModel.R2)
-		fmt.Fprintf(&b, "  modeled setup %.1f s, eval %.1f s\n",
-			r.SetupModel.Extrapolate(sc), r.EvalModel.Extrapolate(sc))
+		fmt.Fprintf(&b, "extrapolation to %d ranks × %d pts (fit R² %.3f): modeled eval %.1f s\n",
+			sc.Ranks, sc.PointsPerRank, r.EvalModel.R2, r.EvalModel.Extrapolate(sc))
 	}
 	return b.String()
 }

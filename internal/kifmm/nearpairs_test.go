@@ -69,22 +69,10 @@ func pairCounts(e *Engine) (pair, parked, oneWay int) {
 func rankLETs(t testing.TB, pts []geom.Point, q int) []*octree.Tree {
 	t.Helper()
 	lets := make([]*octree.Tree, 2)
-	errs := make([]error, 2)
 	mpi.Run(2, func(c *mpi.Comm) {
 		share := pts[c.Rank()*len(pts)/2 : (c.Rank()+1)*len(pts)/2]
-		leaves, err := dtree.Points2Octree(c, share, nil, 1, q, 20, nil)
-		var dt *dtree.DistTree
-		if err == nil {
-			dt, err = dtree.BuildLET(c, leaves)
-		}
-		errs[c.Rank()] = err
-		if err == nil {
-			lets[c.Rank()] = dt.Tree
-		}
+		lets[c.Rank()] = dtree.BuildLET(c, dtree.Points2Octree(c, share, nil, 1, q, 20, nil)).Tree
 	})
-	if errs[0] != nil {
-		t.Fatal(errs[0])
-	}
 	return lets
 }
 

@@ -130,8 +130,9 @@ func CodeOf(k Key) Code { return interleave30(k.X, k.Y, k.Z) }
 // CoveringRegion returns, in Morton order, the coarsest octants covering
 // region i of a cut of the cube: the finest-level cells from starts[i] up
 // to, not including, starts[i+1], or to the cube's last cell when i is the
-// last region. starts[0] must be the cube's first cell and starts must rise
-// strictly; the regions' coverings then tile the cube with no overlaps.
+// last region. starts[0] must be the cube's first cell and starts must not
+// fall; the regions' coverings then tile the cube with no overlaps, and an
+// empty region (starts[i] == starts[i+1]) gets no octant.
 // Points2Octree refines each rank's covering, its coarse "blocks".
 func CoveringRegion(starts []Key, i int) []Key {
 	// side places a finest-level cell before (-1), in (0) or past (+1) the

@@ -87,10 +87,9 @@ type Result struct {
 // share of the input (any distribution). It returns an engine over the
 // rank's LET with the owned densities placed — the precondition of
 // EvaluateRank — and a Result carrying the LET and the profile the engine
-// reports into. Collective: when the input leaves a rank without points or
-// leaves (too few distinct cells for the rank count), every rank returns the
-// same error.
-func Setup(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) (*kifmm.Engine, *Result, error) {
+// reports into. Collective. A rank left without leaves (a cloud with fewer
+// distinct cells than ranks) joins every collective with nothing to send.
+func Setup(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) (*kifmm.Engine, *Result) {
 	cfg.defaults()
 	sd := cfg.Spec.Ops.Kern.SrcDim()
 	if len(densities) != sd*len(pts) {
@@ -100,25 +99,19 @@ func Setup(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) (*kif
 	prof := diag.NewProfile()
 
 	stopSetup := prof.Start(diag.PhaseSetup)
-	var dt *dtree.DistTree
-	leaves, err := dtree.Points2Octree(c, pts, densities, sd, cfg.Q, cfg.MaxDepth, prof)
-	if err == nil {
-		dt, err = dtree.BuildLET(c, leaves)
-	}
-	if err == nil && cfg.LoadBalance {
+	leaves := dtree.Points2Octree(c, pts, densities, sd, cfg.Q, cfg.MaxDepth, prof)
+	dt := dtree.BuildLET(c, leaves)
+	if cfg.LoadBalance {
 		w := cfg.Spec.LeafWeights(dt.Tree, dt.OwnedNodes())
 		leaves = dtree.RepartitionByWeight(c, leaves, w)
-		dt, err = dtree.BuildLET(c, leaves)
+		dt = dtree.BuildLET(c, leaves)
 	}
 	stopSetup()
-	if err != nil {
-		return nil, nil, err
-	}
 
 	eng := cfg.Spec.NewEngine(dt.Tree, nil)
 	eng.Prof = prof
 	placeOwnedDensities(eng, dt)
-	return eng, &Result{Prof: prof, Tree: dt}, nil
+	return eng, &Result{Prof: prof, Tree: dt}
 }
 
 // reducer completes the shared octants' upward densities from every rank's
@@ -158,13 +151,9 @@ func Exchange(c *mpi.Comm, eng *kifmm.Engine, dt *dtree.DistTree, reduceShared r
 // Evaluate runs the full distributed FMM: pts/densities are this rank's
 // share of the input (any distribution); the result holds the potentials at
 // the points this rank owns after setup. Collective. The communicator size
-// must be a power of two (Algorithm 3's hypercube). Setup's error is
-// returned on every rank.
-func Evaluate(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) (*Result, error) {
-	eng, res, err := Setup(c, pts, densities, cfg)
-	if err != nil {
-		return nil, err
-	}
+// must be a power of two (Algorithm 3's hypercube).
+func Evaluate(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) *Result {
+	eng, res := Setup(c, pts, densities, cfg)
 	prof := res.Prof
 
 	rec, _, traffic, comm := EvaluateRank(c, eng, res.Tree, reduce.Hypercube)
@@ -175,7 +164,7 @@ func Evaluate(c *mpi.Comm, pts []geom.Point, densities []float64, cfg Config) (*
 	prof.AddFlops(diag.PhaseTotalEval, rec.Flops())
 
 	collectOwned(eng, res)
-	return res, nil
+	return res
 }
 
 // placeOwnedDensities copies each owned leaf's densities into the engine's

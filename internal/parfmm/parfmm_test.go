@@ -31,19 +31,15 @@ func runCase(t *testing.T, cfg Config, dist geom.Distribution, n, p int, seed in
 
 // runCaseWith is runCase with the per-rank evaluation supplied.
 func runCaseWith(t *testing.T, cfg Config, dist geom.Distribution, n, p int, seed int64,
-	evaluate func(*mpi.Comm, []geom.Point, []float64, Config) (*Result, error)) (map[pointKey][]float64, []*Result) {
+	evaluate func(*mpi.Comm, []geom.Point, []float64, Config) *Result) (map[pointKey][]float64, []*Result) {
 	t.Helper()
 	td := cfg.Spec.Ops.Kern.TrgDim()
 	results := make([]*Result, p)
-	errs := make([]error, p)
 	mpi.Run(p, func(c *mpi.Comm) {
 		pts := geom.GenerateChunk(dist, n, seed, c.Rank(), p)
 		den := chunkDensities(cfg, dist, n, seed, c.Rank(), p)
-		results[c.Rank()], errs[c.Rank()] = evaluate(c, pts, den, cfg)
+		results[c.Rank()] = evaluate(c, pts, den, cfg)
 	})
-	if errs[0] != nil {
-		t.Fatal(errs[0])
-	}
 	got := make(map[pointKey][]float64, n)
 	for _, res := range results {
 		for i, pt := range res.OwnedPoints {
@@ -161,14 +157,11 @@ func TestDistributedWithFFTM2L(t *testing.T) {
 func TestDistributedOwnerReduceAblation(t *testing.T) {
 	cfg := Config{Q: 25, Spec: kifmm.EngineSpec{Ops: sharedOps(kernel.Laplace{}, 6), Workers: 2, DenseM2L: true}}
 	want := globalDirect(cfg, geom.Uniform, 800, 13)
-	got, _ := runCaseWith(t, cfg, geom.Uniform, 800, 4, 13, func(c *mpi.Comm, pts []geom.Point, den []float64, cfg Config) (*Result, error) {
-		eng, res, err := Setup(c, pts, den, cfg)
-		if err != nil {
-			return nil, err
-		}
+	got, _ := runCaseWith(t, cfg, geom.Uniform, 800, 4, 13, func(c *mpi.Comm, pts []geom.Point, den []float64, cfg Config) *Result {
+		eng, res := Setup(c, pts, den, cfg)
 		EvaluateRank(c, eng, res.Tree, reduce.Owner)
 		collectOwned(eng, res)
-		return res, nil
+		return res
 	})
 	compareToDirect(t, "owner-reduce", got, want, 2e-5)
 }
@@ -213,5 +206,65 @@ func TestResultDensitiesTravelWithPoints(t *testing.T) {
 	}
 	if seen != n {
 		t.Fatalf("points lost: %d of %d", seen, n)
+	}
+}
+
+// TestEmptyRankReducers: 3000 uniform points and 800 coincident ones at 8
+// ranks leave ranks without a leaf, because the sort sends every copy of a
+// key to one rank. Such a rank joins the ghost exchange and each reduction
+// with nothing to send. Under the hypercube, the direct scheme and the owner
+// baseline alike, the potentials match the single engine's (one rank), and
+// the hypercube's per-rank octant count stays within Algorithm 3's bound.
+func TestEmptyRankReducers(t *testing.T) {
+	// No repartition: it would hand the empty ranks leaves again.
+	cfg := Config{Q: 20, Spec: kifmm.EngineSpec{Ops: sharedOps(kernel.Laplace{}, 6), Workers: 1, DenseM2L: true}}
+	pts := geom.Generate(geom.Uniform, 3000, 5)
+	for range 800 {
+		pts = append(pts, geom.Point{X: 0.4, Y: 0.4, Z: 0.7})
+	}
+	den := chunkDensities(cfg, geom.Uniform, len(pts), 5, 0, 1)
+	run := func(p int, red reducer) (map[pointKey][]float64, []reduce.Stats, int, int) {
+		results := make([]*Result, p)
+		stats := make([]reduce.Stats, p)
+		mpi.Run(p, func(c *mpi.Comm) {
+			r := c.Rank()
+			lo, hi := r*len(pts)/p, (r+1)*len(pts)/p
+			eng, res := Setup(c, pts[lo:hi], den[lo:hi], cfg)
+			_, stats[r], _, _ = EvaluateRank(c, eng, res.Tree, red)
+			collectOwned(eng, res)
+			results[r] = res
+		})
+		got := make(map[pointKey][]float64, len(pts))
+		m, empty := 0, 0
+		for _, res := range results {
+			for i, pt := range res.OwnedPoints {
+				got[pointKey{pt.X, pt.Y, pt.Z}] = res.Potentials[i : i+1]
+			}
+			m = max(m, len(res.Tree.SharedOctants()))
+			if len(res.Tree.Leaves) == 0 {
+				empty++
+			}
+		}
+		return got, stats, m, empty
+	}
+	want, _, _, _ := run(1, reduce.Hypercube)
+	for _, tc := range []struct {
+		name string
+		red  reducer
+	}{{"hypercube", reduce.Hypercube}, {"simple", reduce.Simple}, {"owner", reduce.Owner}} {
+		got, stats, m, empty := run(8, tc.red)
+		if empty == 0 {
+			t.Fatalf("%s: no rank is empty; the cloud no longer tests empty ranks", tc.name)
+		}
+		t.Logf("%s: %d of 8 ranks empty", tc.name, empty)
+		compareToDirect(t, tc.name, got, want, 2e-5)
+		if tc.name != "hypercube" {
+			continue
+		}
+		for r, st := range stats {
+			if bound := reduce.Bound(m, 8); float64(st.OctantsSentTotal) > bound {
+				t.Errorf("rank %d: sent %d octants > bound %.0f (m=%d)", r, st.OctantsSentTotal, bound, m)
+			}
+		}
 	}
 }

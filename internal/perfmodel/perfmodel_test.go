@@ -42,9 +42,9 @@ func TestFitWithNoiseStillGood(t *testing.T) {
 	// Coefficients sized so every term contributes comparably over the
 	// sample grid — otherwise a 3% noise floor swamps the small terms and
 	// the recovery check is meaningless.
-	want := []float64{2e-6, 5e-5}
-	samples := synthSamples(SetupTerms, want, 0.03, rng)
-	m, err := Fit(SetupTerms, samples)
+	want := []float64{3e-6, 5e-5}
+	samples := synthSamples(EvalTerms, want, 0.03, rng)
+	m, err := Fit(EvalTerms, samples)
 	if err != nil {
 		t.Fatal(err)
 	}

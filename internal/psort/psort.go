@@ -18,7 +18,10 @@ type Codec[T any] struct {
 // SampleSort globally sorts the distributed multiset whose local share is
 // items: afterwards each rank holds a contiguous chunk of the global sorted
 // order (rank r's chunk precedes rank r+1's). Chunk sizes are approximately
-// balanced by regular sampling. The input slice is not modified.
+// balanced by regular sampling, but a chunk may be empty: every copy of an
+// item goes to one rank, so an input with fewer distinct items than ranks
+// leaves some ranks without any. The greatest item always goes to the last
+// rank. The input slice is not modified.
 func SampleSort[T any](c *mpi.Comm, items []T, less func(a, b T) bool, codec Codec[T]) []T {
 	p := c.Size()
 	local := append([]T(nil), items...)

@@ -20,18 +20,10 @@ const vecLen = 4
 func buildSetup(t *testing.T, dist geom.Distribution, n, p, q int) ([]*dtree.DistTree, [][]Item) {
 	t.Helper()
 	dts := make([]*dtree.DistTree, p)
-	errs := make([]error, p)
 	mpi.Run(p, func(c *mpi.Comm) {
 		pts := geom.GenerateChunk(dist, n, 5, c.Rank(), p)
-		leaves, err := dtree.Points2Octree(c, pts, nil, 0, q, 20, nil)
-		if err == nil {
-			dts[c.Rank()], err = dtree.BuildLET(c, leaves)
-		}
-		errs[c.Rank()] = err
+		dts[c.Rank()] = dtree.BuildLET(c, dtree.Points2Octree(c, pts, nil, 0, q, 20, nil))
 	})
-	if errs[0] != nil {
-		t.Fatal(errs[0])
-	}
 	items := make([][]Item, p)
 	for r := 0; r < p; r++ {
 		dt := dts[r]

@@ -110,14 +110,10 @@ func BuildPlan(tree *octree.Tree, cfg Config) (*Plan, error) {
 
 	// Per-rank LET assembly: collective, one goroutine per rank.
 	dts := make([]*dtree.DistTree, R)
-	errs := make([]error, R)
 	mpi.Run(R, func(c *mpi.Comm) {
 		lo, hi := bounds[c.Rank()][0], bounds[c.Rank()][1]
-		dts[c.Rank()], errs[c.Rank()] = dtree.BuildLET(c, leaves[lo:hi])
+		dts[c.Rank()] = dtree.BuildLET(c, leaves[lo:hi])
 	})
-	if errs[0] != nil { // every rank returns the same error
-		return nil, fmt.Errorf("shard: %w", errs[0])
-	}
 
 	p := &Plan{
 		cfg:   cfg,
