@@ -56,6 +56,12 @@ const (
 // experiments use at most 8.
 const MaxOrder = 16
 
+// ValidTolerance reports whether New accepts t as Options.Tolerance (after
+// the default replaces 0): singular values are damped at t·σ_max, so t must
+// lie in (0, 1) — at 1 or above every one is over-damped, and NaN or a
+// negative t is no damping at all.
+func ValidTolerance(t float64) bool { return t > 0 && t < 1 }
+
 // Options configures an FMM instance. The zero value gives a Laplace solver
 // with sensible defaults (q=50 points per box, order-6 surfaces,
 // FFT-accelerated V-list, single-threaded).
@@ -68,7 +74,8 @@ type Options struct {
 	// with order (p=4 ≈ 3 digits, p=6 ≈ 5 digits for Laplace). Default 6,
 	// at least 2, at most MaxOrder.
 	Order int
-	// Tolerance regularizes the surface pseudo-inverses (default 1e-9).
+	// Tolerance regularizes the surface pseudo-inverses (default 1e-9); see
+	// ValidTolerance for the values New accepts.
 	Tolerance float64
 	// MaxDepth caps octree refinement (default 24).
 	MaxDepth int
@@ -153,6 +160,9 @@ func New(opt Options) (*FMM, error) {
 	}
 	if opt.Order > MaxOrder {
 		return nil, fmt.Errorf("kifmm: order %d exceeds MaxOrder %d", opt.Order, MaxOrder)
+	}
+	if !ValidTolerance(opt.Tolerance) {
+		return nil, fmt.Errorf("kifmm: Tolerance %g is not in (0, 1)", opt.Tolerance)
 	}
 	k, err := opt.kernel()
 	if err != nil {

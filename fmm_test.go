@@ -399,6 +399,11 @@ func TestOptionAndInputValidation(t *testing.T) {
 		{"negative yukawa lambda", Options{Kernel: Yukawa, YukawaLambda: -2}},
 		{"order too low", Options{Order: 1}},
 		{"order above MaxOrder", Options{Order: MaxOrder + 1}},
+		{"NaN tolerance", Options{Tolerance: math.NaN()}},
+		{"infinite tolerance", Options{Tolerance: math.Inf(1)}},
+		{"huge tolerance", Options{Tolerance: 1e300}},
+		{"unit tolerance", Options{Tolerance: 1}},
+		{"negative tolerance", Options{Tolerance: -1e-9}},
 		{"excessive depth", Options{MaxDepth: 99}},
 	}
 	for _, c := range newCases {

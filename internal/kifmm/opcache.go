@@ -8,8 +8,10 @@ import (
 
 // opKey identifies one Operators: the kernel's parameter-inclusive identity
 // (kernel.Kernel.Name, so each Yukawa screening parameter is its own key),
-// the surface order, and the bits of the regularization tolerance (bits, so
-// that a NaN tolerance is still a key the cache can find and evict).
+// the surface order, and the exact bits of the regularization tolerance.
+// kifmm.New refuses a NaN tolerance, so only a caller of Get inside the
+// module can pass one; bits keep even that a key the cache can find and
+// evict.
 type opKey struct {
 	Kern string
 	P    int

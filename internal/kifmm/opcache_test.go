@@ -16,7 +16,10 @@ import (
 
 // sequentialMats is the oracle for buildLevel: the same pieces, row-major,
 // one after another on the calling goroutine, in the textbook order, and
-// returned in levelNames' order. Its pseudo-inverses go through
+// returned in levelNames' order. DC2DE is UC2UE's transpose (one solve per
+// level; TestDC2DEMatchesOwnSolve bounds it against a solve of its own),
+// and each U2U product evaluates K(uc, child) itself rather than
+// transposing the D2D matrix. Its pseudo-inverse goes through
 // linalg.ComputeSVD, which internal/linalg's TestComputeSVDBitIdentical pins
 // bit for bit to the reference Jacobi loop on these same surface matrices.
 func sequentialMats(o *Operators, l int) []*linalg.Mat {
@@ -24,10 +27,9 @@ func sequentialMats(o *Operators, l int) []*linalg.Mat {
 	center := geom.Point{}
 	ue := o.Grid.Points(center, RadInner*half)
 	uc := o.Grid.Points(center, RadOuter*half)
-	dc := o.Grid.Points(center, RadInner*half)
 	de := o.Grid.Points(center, RadOuter*half)
 	uc2ue := linalg.PinvTikhonov(kernel.Matrix(o.Kern, uc, ue), o.Tol)
-	mats := []*linalg.Mat{uc2ue, linalg.PinvTikhonov(kernel.Matrix(o.Kern, dc, de), o.Tol)}
+	mats := []*linalg.Mat{uc2ue, uc2ue.T()}
 	var d2d []*linalg.Mat
 	for c := 0; c < 8; c++ {
 		cc := childCenter(center, half, c)
@@ -75,10 +77,10 @@ func levelDiff(got *levelOps, want []*linalg.Mat) string {
 	return ""
 }
 
-// TestNewOperatorsBitIdentical: the task-graph build of the surface
-// operators at 1, 2 and 4 workers equals the sequential build bit for bit —
-// the reference tables of homogeneous kernels, and the per-level tables of
-// Yukawa at a coarse and a fine level.
+// TestNewOperatorsBitIdentical: the build of the surface operators at 1, 2
+// and 4 workers equals the sequential build bit for bit — the reference
+// tables of homogeneous kernels, and the per-level tables of Yukawa at a
+// coarse and a fine level.
 func TestNewOperatorsBitIdentical(t *testing.T) {
 	cases := []struct {
 		kern   kernel.Kernel
@@ -295,7 +297,9 @@ func TestOperatorCacheKeys(t *testing.T) {
 	if c.Get(kernel.Yukawa{Lambda: 5}, 4, 1e-9, 1) == base {
 		t.Fatal("the evicted Operators was served again")
 	}
-	// A NaN tolerance is a key like any other: found again, and evictable.
+	// A NaN tolerance, which kifmm.New refuses but a caller of Get inside
+	// the module could still pass, is a key like any other: found again,
+	// and evictable.
 	nan := c.Get(kernel.Yukawa{Lambda: 5}, 4, math.NaN(), 1)
 	if c.Get(kernel.Yukawa{Lambda: 5}, 4, math.NaN(), 1) != nan {
 		t.Fatal("a NaN tolerance missed its own entry")

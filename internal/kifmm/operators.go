@@ -1,7 +1,6 @@
 package kifmm
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -71,8 +70,9 @@ func NewOperators(kern kernel.Kernel, p int, tol float64) *Operators {
 	return newOperators(kern, p, tol, buildWorkers)
 }
 
-// buildWorkers is NewOperators' fan-out: a build is nearly all its two
-// pseudo-inverses, which run side by side.
+// buildWorkers is NewOperators' fan-out over a level's eight children
+// (their U2U products and D2D matrices), which follow the level's one
+// pseudo-inverse; the solve itself runs on one goroutine.
 const buildWorkers = 2
 
 // newOperators is NewOperators with the fan-out of the level-0 build given;
@@ -145,55 +145,32 @@ func (o *Operators) resolveVTable(tb *levelOps, workers int) *vTable {
 	return v
 }
 
-// buildLevel constructs the surface operators for octants of side 2^-l. Its
-// independent pieces — the two pseudo-inverses, the eight D2D kernel
-// matrices, and the eight U2U products once UC2UE is ready — run as one task
-// graph on up to workers goroutines. Each piece is computed by the same
-// sequential code whichever worker runs it, so the table is bit-identical
-// at any worker count. Every piece is computed row-major and packed in
-// place (linalg.Pack), so no operator is held in both forms.
+// buildLevel constructs the surface operators for octants of side 2^-l
+// from one factorization. The downward kernel matrix K(inner, outer) is
+// bitwise K(outer, inner)ᵀ, and each child's U2U kernel matrix
+// K(outer, child) is its D2D matrix K(child, outer)ᵀ
+// (TestCheckMatricesTranspose); the Tikhonov inverse of Kᵀ is (K⁺_α)ᵀ, so
+// DC2DE is UC2UE's transpose, and each kernel matrix of a level is
+// evaluated once. The eight children run on up to workers goroutines, each
+// by the same sequential code, so the table is bit-identical at any worker
+// count. Every piece is packed in place (linalg.Pack), so no operator is
+// held in both forms.
 func (o *Operators) buildLevel(l, workers int) *levelOps {
 	half := math.Pow(2, -float64(l)) / 2
 	center := geom.Point{}
-	ue := o.Grid.Points(center, RadInner*half)
-	uc := o.Grid.Points(center, RadOuter*half)
-	dc := o.Grid.Points(center, RadInner*half)
-	de := o.Grid.Points(center, RadOuter*half)
-
-	lo := &levelOps{level: l}
-	var uc2ueRows *linalg.Mat
-	g := sched.NewGraph()
-	var body []func() // body[id] is task id's piece
-	add := func(name string, f func()) sched.TaskID {
-		body = append(body, f)
-		return g.Add(name)
-	}
-	uc2ue := add("operators.uc2ue", func() {
-		uc2ueRows = linalg.PinvTikhonov(kernel.Matrix(o.Kern, uc, ue), o.Tol)
-	})
-	add("operators.dc2de", func() {
-		lo.DC2DE = linalg.Pack(linalg.PinvTikhonov(kernel.Matrix(o.Kern, dc, de), o.Tol))
-	})
-	var u2u [8]sched.TaskID
-	for c := range u2u {
+	inner := o.Grid.Points(center, RadInner*half)
+	outer := o.Grid.Points(center, RadOuter*half)
+	uc2ue := linalg.PinvTikhonov(kernel.Matrix(o.Kern, outer, inner), o.Tol)
+	lo := &levelOps{level: l, DC2DE: linalg.Pack(uc2ue.T())}
+	sched.For(workers, 8, func(c int) {
 		// The child's upward-equivalent and downward-check surfaces coincide.
 		cs := o.Grid.Points(childCenter(center, half, c), RadInner*half/2)
-		add("operators.d2d", func() { lo.D2D[c] = linalg.Pack(kernel.Matrix(o.Kern, cs, de)) })
-		u2u[c] = add("operators.u2u", func() {
-			lo.U2U[c] = linalg.Pack(uc2ueRows.Mul(kernel.Matrix(o.Kern, uc, cs)))
-		})
-		g.Dep(uc2ue, u2u[c])
-	}
+		d2d := kernel.Matrix(o.Kern, cs, outer)
+		lo.U2U[c] = linalg.Pack(uc2ue.Mul(d2d.T()))
+		lo.D2D[c] = linalg.Pack(d2d)
+	})
 	// UC2UE is packed once the eight U2U products have read its rows.
-	pack := add("operators.uc2ue.pack", func() { lo.UC2UE = linalg.Pack(uc2ueRows) })
-	for _, t := range u2u {
-		g.Dep(t, pack)
-	}
-	// A shared build (SharedOperators, the per-level tables): no request's
-	// context may stop it.
-	if _, err := g.Run(context.Background(), sched.Options{Workers: max(1, workers)}, func(_ int, id sched.TaskID) { body[id]() }); err != nil {
-		panic(fmt.Sprintf("kifmm: building level-%d operators: %v", l, err))
-	}
+	lo.UC2UE = linalg.Pack(uc2ue)
 	return lo
 }
 

@@ -1,12 +1,14 @@
 package kifmm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"kifmm/internal/geom"
 	"kifmm/internal/kernel"
+	"kifmm/internal/linalg"
 )
 
 // These tests check the KIFMM representations at the operator level, against
@@ -213,57 +215,117 @@ func TestStokesOperatorsFarField(t *testing.T) {
 	}
 }
 
-// BenchmarkNewOperators times one operator build at NewOperators' fan-out:
-// the reference level of Laplace at order 6 and Stokes at order 5 (the
-// benchmark workloads' orders), and one per-level table of Yukawa at order
-// 6, which a Yukawa plan builds once per tree level.
+// BenchmarkNewOperators times one operator build at NewOperators' fan-out
+// and at 1 worker, the fan-out of a solver with Workers 1: the reference
+// level of Laplace at order 6 and Stokes at order 5 (the benchmark
+// workloads' orders), and one per-level table of Yukawa at order 6, which a
+// Yukawa plan builds once per tree level.
 func BenchmarkNewOperators(b *testing.B) {
-	b.Run("laplace/6", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			NewOperators(kernel.Laplace{}, 6, 1e-9)
-		}
-	})
-	b.Run("stokes/5", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			NewOperators(kernel.Stokes{}, 5, 1e-9)
-		}
-	})
-	b.Run("yukawa/6", func(b *testing.B) {
-		ops := NewOperators(kernel.Yukawa{Lambda: 5}, 6, 1e-9)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ops.buildLevel(3, buildWorkers)
-		}
-	})
+	for _, workers := range []int{buildWorkers, 1} {
+		b.Run(fmt.Sprintf("laplace/6/workers%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				newOperators(kernel.Laplace{}, 6, 1e-9, workers)
+			}
+		})
+		b.Run(fmt.Sprintf("stokes/5/workers%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				newOperators(kernel.Stokes{}, 5, 1e-9, workers)
+			}
+		})
+		b.Run(fmt.Sprintf("yukawa/6/workers%d", workers), func(b *testing.B) {
+			ops := NewOperators(kernel.Yukawa{Lambda: 5}, 6, 1e-9)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ops.buildLevel(3, workers)
+			}
+		})
+	}
 }
 
-// TestCheckMatricesTranspose answers whether one SVD per level could serve
-// both check-to-equivalent solves: the downward kernel matrix
-// K(dc, de) is bit for bit the transpose of the upward one K(uc, ue), for
-// Laplace, Stokes and Yukawa at orders 4 and 6, levels 0 and 3. The
-// surfaces coincide (dc = ue on the inner radius, de = uc on the outer), and
-// each kernel evaluates K(x, y) and K(y, x) with exactly negated differences
+// TestCheckMatricesTranspose pins the precondition buildLevel's one
+// factorization per level relies on: for Laplace, Stokes and Yukawa at
+// orders 4, 6 and 8 and levels 0, 3 and 7, the downward kernel matrix
+// K(inner, outer) is bit for bit the transpose of the upward one
+// K(outer, inner), so DC2DE can be UC2UE's transpose, and for each of the
+// eight children the U2U kernel matrix K(outer, child) is bit for bit the
+// transpose of the D2D one K(child, outer), so each is evaluated once. Each
+// kernel evaluates K(x, y) and K(y, x) with exactly negated differences
 // and, for Stokes, commuted products.
 func TestCheckMatricesTranspose(t *testing.T) {
+	// transposed reports the first element where a differs from bᵀ.
+	transposed := func(a, b *linalg.Mat) string {
+		if a.Rows != b.Cols || a.Cols != b.Rows {
+			return fmt.Sprintf("shapes %dx%d and %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+		}
+		for i := 0; i < a.Rows; i++ {
+			for j := 0; j < a.Cols; j++ {
+				if math.Float64bits(a.At(i, j)) != math.Float64bits(b.At(j, i)) {
+					return fmt.Sprintf("[%d][%d] = %v, transpose has %v", i, j, a.At(i, j), b.At(j, i))
+				}
+			}
+		}
+		return ""
+	}
 	for _, kern := range []kernel.Kernel{kernel.Laplace{}, kernel.Stokes{}, kernel.Yukawa{Lambda: 5}} {
-		for _, p := range []int{4, 6} {
+		for _, p := range []int{4, 6, 8} {
 			grid := NewSurfaceGrid(p)
-			for _, l := range []int{0, 3} {
+			for _, l := range []int{0, 3, 7} {
 				half := math.Pow(2, -float64(l)) / 2
 				inner := grid.Points(geom.Point{}, RadInner*half)
 				outer := grid.Points(geom.Point{}, RadOuter*half)
-				up := kernel.Matrix(kern, outer, inner)   // uc, ue
-				down := kernel.Matrix(kern, inner, outer) // dc, de
-				if down.Rows != up.Cols || down.Cols != up.Rows {
-					t.Fatalf("%s p=%d level %d: shapes %dx%d and %dx%d", kern.Name(), p, l, down.Rows, down.Cols, up.Rows, up.Cols)
+				if d := transposed(kernel.Matrix(kern, inner, outer), kernel.Matrix(kern, outer, inner)); d != "" {
+					t.Fatalf("%s p=%d level %d: K(inner, outer): %s", kern.Name(), p, l, d)
 				}
-				for i := 0; i < down.Rows; i++ {
-					for j := 0; j < down.Cols; j++ {
-						if math.Float64bits(down.At(i, j)) != math.Float64bits(up.At(j, i)) {
-							t.Fatalf("%s p=%d level %d: K(dc, de)[%d][%d] = %v, K(uc, ue)[%d][%d] = %v",
-								kern.Name(), p, l, i, j, down.At(i, j), j, i, up.At(j, i))
-						}
+				for c := 0; c < 8; c++ {
+					child := grid.Points(childCenter(geom.Point{}, half, c), RadInner*half/2)
+					if d := transposed(kernel.Matrix(kern, outer, child), kernel.Matrix(kern, child, outer)); d != "" {
+						t.Fatalf("%s p=%d level %d child %d: K(outer, child): %s", kern.Name(), p, l, c, d)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestDC2DEMatchesOwnSolve holds the computation buildLevel replaced as the
+// reference: DC2DE, UC2UE's transpose, against a Tikhonov solve of its own
+// on K(inner, outer), in relative Frobenius norm. In exact arithmetic they
+// are equal ((Kᵀ)⁺_α = (K⁺_α)ᵀ); in floating point the two Jacobi SVDs run
+// different rotation sequences. Laplace and Yukawa run at orders 4, 6 and
+// 8, Stokes at 4 and 6 (its order-8 surface matrix is 888², two SVDs of
+// ≈ 30 s a level), all at levels 0 and 3. Measured worst cases: 2.6e-12 at
+// order 4, 3.8e-9 at order 6 (Stokes), 1.1e-8 at order 8 (Laplace).
+func TestDC2DEMatchesOwnSolve(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two SVDs per kernel, order and level")
+	}
+	bound := map[int]float64{4: 1e-11, 6: 1e-8, 8: 3e-8}
+	for _, c := range []struct {
+		kern   kernel.Kernel
+		orders []int
+	}{
+		{kernel.Laplace{}, []int{4, 6, 8}},
+		{kernel.Stokes{}, []int{4, 6}},
+		{kernel.Yukawa{Lambda: 5}, []int{4, 6, 8}},
+	} {
+		for _, p := range c.orders {
+			o := &Operators{Kern: c.kern, Grid: NewSurfaceGrid(p), Tol: 1e-9}
+			for _, l := range []int{0, 3} {
+				half := math.Pow(2, -float64(l)) / 2
+				inner := o.Grid.Points(geom.Point{}, RadInner*half)
+				outer := o.Grid.Points(geom.Point{}, RadOuter*half)
+				got := o.buildLevel(l, buildWorkers).DC2DE.Data
+				want := linalg.Pack(linalg.PinvTikhonov(kernel.Matrix(c.kern, inner, outer), o.Tol)).Data
+				var num, den float64
+				for i, w := range want {
+					num += (got[i] - w) * (got[i] - w)
+					den += w * w
+				}
+				rel := math.Sqrt(num / den)
+				t.Logf("%s p=%d level %d: %.3e", c.kern.Name(), p, l, rel)
+				if !(rel <= bound[p]) {
+					t.Errorf("%s p=%d level %d: DC2DE differs from its own solve by %.3e (relative Frobenius), bound %.0e",
+						c.kern.Name(), p, l, rel, bound[p])
 				}
 			}
 		}

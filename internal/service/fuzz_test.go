@@ -21,8 +21,9 @@ var retiredOptions = []string{"balanced", "exec", "dense_m2l", "accelerated", "p
 // "options" take — strict decode, Validate, kifmm.New — and requires an error
 // or a solver, never a panic; an object carrying a retired field is always an
 // error, adding one to an accepted object is an error that names it, an
-// order above kifmm.MaxOrder is refused by Validate and by New, and so is, by
-// Validate, any shard_comm but "" and "simple" (the one reduction).
+// order above kifmm.MaxOrder and a tolerance outside (0, 1) are refused by
+// Validate and by New, and so is, by Validate, any shard_comm but "" and
+// "simple" (the one reduction).
 // `make fuzz` runs it for 10 s.
 func FuzzSolverOptionsJSON(f *testing.F) {
 	seeds := []SolverOptions{
@@ -46,7 +47,8 @@ func FuzzSolverOptionsJSON(f *testing.F) {
 		f.Add([]byte(`{"order":4,"` + name + `":true}`))
 	}
 	for _, s := range []string{``, `null`, `[]`, `{"order":"4"}`, `{"order":-1}`, `{"max_depth":31}`,
-		`{"shards":3}`, `{"shards":-2,"shard_comm":"simple"}`, `{"shards":2,"shard_comm":"hypercube"}`, `{"targets":[[0,0]]}`, `{"Order":4,"order":1e9}`} {
+		`{"shards":3}`, `{"shards":-2,"shard_comm":"simple"}`, `{"shards":2,"shard_comm":"hypercube"}`, `{"targets":[[0,0]]}`, `{"Order":4,"order":1e9}`,
+		`{"tolerance":1}`, `{"tolerance":-1e-9}`, `{"tolerance":1e300}`} {
 		f.Add([]byte(s))
 	}
 
@@ -83,6 +85,15 @@ func FuzzSolverOptionsJSON(f *testing.F) {
 			}
 			if _, err := kifmm.New(o.ToOptions()); err == nil {
 				t.Fatalf("%s: kifmm.New accepted order %d, above MaxOrder %d", b, o.Order, kifmm.MaxOrder)
+			}
+			return
+		}
+		if !(o.Tolerance >= 0 && o.Tolerance < 1) {
+			if err := o.Validate(); err == nil || !strings.Contains(err.Error(), "tolerance") {
+				t.Fatalf("%s: Validate error %v, want one naming tolerance", b, err)
+			}
+			if _, err := kifmm.New(o.ToOptions()); err == nil {
+				t.Fatalf("%s: kifmm.New accepted tolerance %g", b, o.Tolerance)
 			}
 			return
 		}

@@ -13,8 +13,8 @@ import (
 // switch, the retired 2:1 balance option and the retired near-field
 // "precision" among them — must be a 400 naming the field on every endpoint
 // that takes options, not the default served under a cache entry of its own;
-// so must an order above kifmm.MaxOrder and a shard_comm naming a reduction
-// sharded plans no longer run.
+// so must an order above kifmm.MaxOrder, a tolerance outside (0, 1) and a
+// shard_comm naming a reduction sharded plans no longer run.
 func TestUnknownExecPrecisionRejected(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
@@ -32,6 +32,9 @@ func TestUnknownExecPrecisionRejected(t *testing.T) {
 		{"accelerated", true},
 		{"balanced", true},
 		{"order", 1e9},              // above kifmm.MaxOrder: refused before any operator is built
+		{"tolerance", 1e300},        // over-damps every singular value: the far field would vanish
+		{"tolerance", 1},            // the same at the boundary
+		{"tolerance", -1e-9},        // not a damping at all
 		{"shard_comm", "hypercube"}, // sharded plans run the one reduction, "simple"
 	} {
 		for _, path := range []string{"/v1/plan", "/v1/evaluate", "/v1/session"} {

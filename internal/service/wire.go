@@ -61,12 +61,16 @@ func (o *SolverOptions) UnmarshalJSON(b []byte) error {
 	return dec.Decode((*plain)(o))
 }
 
-// Validate rejects, naming the field, an order above kifmm.MaxOrder (kifmm.New
-// would refuse it at plan build) and a shard_comm other than "simple", before
-// the request is queued.
+// Validate rejects, naming the field, an order above kifmm.MaxOrder and a
+// nonzero tolerance that kifmm.ValidTolerance refuses (kifmm.New would
+// refuse either at plan build; 0 is the default) and a shard_comm other
+// than "simple", before the request is queued.
 func (o SolverOptions) Validate() error {
 	if o.Order > kifmm.MaxOrder {
 		return fmt.Errorf("order: %d exceeds the maximum %d", o.Order, kifmm.MaxOrder)
+	}
+	if o.Tolerance != 0 && !kifmm.ValidTolerance(o.Tolerance) {
+		return fmt.Errorf("tolerance: %g is not in (0, 1)", o.Tolerance)
 	}
 	if o.ShardComm != "" && o.ShardComm != "simple" {
 		return fmt.Errorf("shard_comm: %q is not served; sharded plans reduce with \"simple\"", o.ShardComm)

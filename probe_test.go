@@ -23,12 +23,13 @@ import (
 //
 //	KIFMM_PROBE=probe.txt go test -run TestProbe -timeout 30m .   (make probe)
 //
-// Gated behind an env var: it is a fingerprint to diff, and a check of two
+// Gated behind an env var: it is a fingerprint to diff, and a check of three
 // things. Every configuration is evaluated twice in the process, and the two
 // must hash alike: Go re-randomises map iteration order on every range, so a
-// map-ordered effect anywhere on a configuration's path fails the probe. And
-// every FFT apply configuration is evaluated once more with
-// linalg.UseAVX512 off, and must hash alike too. The session history ends
+// map-ordered effect anywhere on a configuration's path fails the probe.
+// Every FFT apply configuration is evaluated once more with
+// linalg.UseAVX512 off, and must hash alike too. And every apply
+// configuration must hash alike at 1 and 2 workers. The session history ends
 // with a round that refines the tree around a cluster of added points and one
 // that removes them again; every session round must also hash like a fresh
 // Plan.Apply of the session's points.
@@ -245,6 +246,19 @@ func TestProbe(t *testing.T) {
 		}
 	}
 
+	// The results are bit-identical at any worker count (Options.Workers):
+	// a regenerated file must not be able to hide a break of that.
+	sums := make(map[string]string, len(lines))
+	for _, line := range lines {
+		name, sum, _ := strings.Cut(line, " ")
+		sums[name] = sum
+	}
+	for _, line := range lines {
+		name, sum, _ := strings.Cut(line, " ")
+		if w2 := strings.Replace(name, "/workers1/", "/workers2/", 1); w2 != name && sums[w2] != sum {
+			t.Errorf("%s and %s hash differently", name, w2)
+		}
+	}
 	if against != nil && len(against) != 0 {
 		t.Fatalf("KIFMM_PROBE_AGAINST dump has %d bytes left over: not a dump of this probe", len(against))
 	}
